@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -308,118 +309,114 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// leChunkBytes sizes the fixed encode buffer of the WriteXxxLE helpers:
-// large enough to amortize Write calls, small enough to live on the
-// stack. binary.Write is avoided deliberately — it reflects per call and
-// allocates a full-size staging copy, which matters when a section is
-// tens of gigabytes.
-const leChunkBytes = 32 << 10
-
-// WriteInt64sLE writes xs as little-endian 8-byte values through a fixed
-// staging buffer.
-func WriteInt64sLE(w io.Writer, xs []int64) error {
-	var buf [leChunkBytes]byte
-	n := 0
-	for _, x := range xs {
-		v := uint64(x)
-		buf[n] = byte(v)
-		buf[n+1] = byte(v >> 8)
-		buf[n+2] = byte(v >> 16)
-		buf[n+3] = byte(v >> 24)
-		buf[n+4] = byte(v >> 32)
-		buf[n+5] = byte(v >> 40)
-		buf[n+6] = byte(v >> 48)
-		buf[n+7] = byte(v >> 56)
-		if n += 8; n == len(buf) {
-			if _, err := w.Write(buf[:]); err != nil {
-				return err
-			}
-			n = 0
-		}
-	}
-	if n > 0 {
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	return nil
+// SlabElem is the set of element types a slab section stores.
+type SlabElem interface {
+	int64 | int32 | float64 | float32
 }
 
-// WriteInt32sLE writes xs as little-endian 4-byte values.
-func WriteInt32sLE(w io.Writer, xs []int32) error {
-	var buf [leChunkBytes]byte
-	n := 0
-	for _, x := range xs {
-		v := uint32(x)
-		buf[n] = byte(v)
-		buf[n+1] = byte(v >> 8)
-		buf[n+2] = byte(v >> 16)
-		buf[n+3] = byte(v >> 24)
-		if n += 4; n == len(buf) {
-			if _, err := w.Write(buf[:]); err != nil {
-				return err
-			}
-			n = 0
-		}
-	}
-	if n > 0 {
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	return nil
+// sectionChunkBytes sizes the batch buffer a SectionWriter owns: large
+// enough to amortize the per-Write cost of the durable stack beneath it
+// (byte count, CRC, bufio), small next to any section worth streaming.
+const sectionChunkBytes = 32 << 10
+
+// SectionWriter streams one slab section of element type T to w as raw
+// little-endian values — the write-side mirror of aliasSlabCSR. On
+// little-endian hosts a slice's own memory is handed to w (no staging,
+// no copy beyond w's own); elsewhere elements are byte-swapped through a
+// staging buffer the writer owns for the life of the section. Rows
+// shorter than the batch buffer and single appended values are coalesced
+// into it, so a section of many short rows costs one w.Write per
+// sectionChunkBytes, and nothing is allocated per row or per value.
+// Errors are sticky: after the first failed write every call is a no-op
+// and Flush reports it. encoding/binary.Write is avoided deliberately —
+// it reflects per call and allocates a full-size staging copy, which
+// matters when a section is tens of gigabytes.
+type SectionWriter[T SlabElem] struct {
+	w     io.Writer
+	err   error
+	buf   []T // pending batch, allocated on first use
+	n     int
+	stage []byte // byte-order staging, big-endian hosts only
 }
 
-// WriteFloat64sLE writes xs bit-preservingly as little-endian 8-byte
-// values.
-func WriteFloat64sLE(w io.Writer, xs []float64) error {
-	var buf [leChunkBytes]byte
-	n := 0
-	for _, x := range xs {
-		v := math.Float64bits(x)
-		buf[n] = byte(v)
-		buf[n+1] = byte(v >> 8)
-		buf[n+2] = byte(v >> 16)
-		buf[n+3] = byte(v >> 24)
-		buf[n+4] = byte(v >> 32)
-		buf[n+5] = byte(v >> 40)
-		buf[n+6] = byte(v >> 48)
-		buf[n+7] = byte(v >> 56)
-		if n += 8; n == len(buf) {
-			if _, err := w.Write(buf[:]); err != nil {
-				return err
-			}
-			n = 0
-		}
-	}
-	if n > 0 {
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	return nil
+// NewSectionWriter returns a SectionWriter over w. Call Flush once the
+// section is complete.
+func NewSectionWriter[T SlabElem](w io.Writer) *SectionWriter[T] {
+	return &SectionWriter[T]{w: w}
 }
 
-// WriteFloat32sLE writes xs bit-preservingly as little-endian 4-byte
-// values.
-func WriteFloat32sLE(w io.Writer, xs []float32) error {
-	var buf [leChunkBytes]byte
-	n := 0
-	for _, x := range xs {
-		v := math.Float32bits(x)
-		buf[n] = byte(v)
-		buf[n+1] = byte(v >> 8)
-		buf[n+2] = byte(v >> 16)
-		buf[n+3] = byte(v >> 24)
-		if n += 4; n == len(buf) {
-			if _, err := w.Write(buf[:]); err != nil {
-				return err
-			}
-			n = 0
+// Append adds one value to the section.
+func (s *SectionWriter[T]) Append(x T) {
+	if s.n == len(s.buf) {
+		s.makeRoom()
+	}
+	s.buf[s.n] = x
+	s.n++
+}
+
+// Write adds xs to the section and returns the writer's sticky error, so
+// a row-at-a-time producer can stop early. xs is not retained.
+func (s *SectionWriter[T]) Write(xs []T) error {
+	if len(xs) > len(s.buf)-s.n {
+		if len(xs) >= s.chunk() {
+			s.Flush()
+			s.emit(xs)
+			return s.err
 		}
+		s.makeRoom()
 	}
-	if n > 0 {
-		_, err := w.Write(buf[:n])
-		return err
+	s.n += copy(s.buf[s.n:], xs)
+	return s.err
+}
+
+// Flush writes out the pending batch and returns the first error any
+// call on s met.
+func (s *SectionWriter[T]) Flush() error {
+	s.emit(s.buf[:s.n])
+	s.n = 0
+	return s.err
+}
+
+// chunk is the batch buffer's length in elements.
+func (s *SectionWriter[T]) chunk() int {
+	var zero T
+	return sectionChunkBytes / int(unsafe.Sizeof(zero))
+}
+
+// makeRoom empties the batch buffer, allocating it on first use.
+func (s *SectionWriter[T]) makeRoom() {
+	if s.buf == nil {
+		s.buf = make([]T, s.chunk())
 	}
-	return nil
+	s.Flush()
+}
+
+// emit hands xs to the underlying writer in little-endian byte order.
+func (s *SectionWriter[T]) emit(xs []T) {
+	if s.err != nil || len(xs) == 0 {
+		return
+	}
+	size := int(unsafe.Sizeof(xs[0]))
+	if hostLittleEndian {
+		_, s.err = s.w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), len(xs)*size))
+		return
+	}
+	if s.stage == nil {
+		s.stage = make([]byte, sectionChunkBytes)
+	}
+	le := binary.LittleEndian
+	for len(xs) > 0 && s.err == nil {
+		k := min(len(xs), len(s.stage)/size)
+		for i := range xs[:k] {
+			if size == 4 {
+				le.PutUint32(s.stage[4*i:], *(*uint32)(unsafe.Pointer(&xs[i])))
+			} else {
+				le.PutUint64(s.stage[8*i:], *(*uint64)(unsafe.Pointer(&xs[i])))
+			}
+		}
+		_, s.err = s.w.Write(s.stage[:k*size])
+		xs = xs[k:]
+	}
 }
 
 // WriteSlabCSR commits m to path as a slab at the given precision.
@@ -431,30 +428,27 @@ func WriteSlabCSR(fsys durable.FS, path string, m *CSR, prec SlabPrecision) erro
 		Rows:   m.Rows,
 		Cols:   m.ColsN,
 		NNZ:    int64(m.NNZ()),
-		RowPtr: func(w io.Writer) error { return WriteInt64sLE(w, m.RowPtr) },
-		ColIdx: func(w io.Writer) error { return WriteInt32sLE(w, m.Cols) },
+		RowPtr: func(w io.Writer) error { return WriteSection(w, m.RowPtr) },
+		ColIdx: func(w io.Writer) error { return WriteSection(w, m.Cols) },
+		Values: func(w io.Writer) error { return WriteSection(w, m.Vals) },
 	}
 	if prec == SlabFloat32 {
 		sections.Values = func(w io.Writer) error {
-			var tmp [4096]float32
-			for lo := 0; lo < len(m.Vals); lo += len(tmp) {
-				hi := lo + len(tmp)
-				if hi > len(m.Vals) {
-					hi = len(m.Vals)
-				}
-				for i := lo; i < hi; i++ {
-					tmp[i-lo] = float32(m.Vals[i])
-				}
-				if err := WriteFloat32sLE(w, tmp[:hi-lo]); err != nil {
-					return err
-				}
+			sw := NewSectionWriter[float32](w)
+			for _, v := range m.Vals {
+				sw.Append(float32(v))
 			}
-			return nil
+			return sw.Flush()
 		}
-	} else {
-		sections.Values = func(w io.Writer) error { return WriteFloat64sLE(w, m.Vals) }
 	}
 	return WriteSlabFile(fsys, path, prec, sections)
+}
+
+// WriteSection writes xs, already in RAM, as one whole section.
+func WriteSection[T SlabElem](w io.Writer, xs []T) error {
+	sw := SectionWriter[T]{w: w}
+	sw.emit(xs)
+	return sw.err
 }
 
 // ---------------------------------------------------------------------------

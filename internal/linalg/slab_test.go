@@ -344,8 +344,8 @@ func TestWriteSlabFileEnforcesSectionLengths(t *testing.T) {
 		Rows: 2, Cols: 2, NNZ: 1,
 		// RowPtr writes nothing: 0 bytes against a declared 24.
 		RowPtr: func(io.Writer) error { return nil },
-		ColIdx: func(w io.Writer) error { return WriteInt32sLE(w, []int32{0}) },
-		Values: func(w io.Writer) error { return WriteFloat64sLE(w, []float64{1}) },
+		ColIdx: func(w io.Writer) error { return WriteSection(w, []int32{0}) },
+		Values: func(w io.Writer) error { return WriteSection(w, []float64{1}) },
 	})
 	if err == nil {
 		t.Fatal("WriteSlabFile accepted a short rowptr section")

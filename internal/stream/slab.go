@@ -195,30 +195,6 @@ func (sr *slabRefresher) writeGeneration(topo graph.Topology, path string) (patc
 		i = j
 	}
 
-	// copySpan streams the clean rows [lo, hi) of the section from the old
-	// generation's mapping, releasing pages behind each window. Clean rows
-	// are contiguous between dirty ones, so one span copy covers them all.
-	copySpan := func(w io.Writer, lo, hi int, vals bool) error {
-		a, b := old.RowPtr[lo], old.RowPtr[hi]
-		if b-a != rowPtr[hi]-rowPtr[lo] {
-			return fmt.Errorf("clean rows [%d,%d) changed length; dirty tracking missed a row", lo, hi)
-		}
-		for p := a; p < b; p += slabCopyWindow {
-			q := min(p+slabCopyWindow, b)
-			var err error
-			if vals {
-				err = linalg.WriteFloat64sLE(w, old.Vals[p:q])
-			} else {
-				err = linalg.WriteInt32sLE(w, old.Cols[p:q])
-			}
-			if err != nil {
-				return err
-			}
-			sr.sm.ReleaseEntries(p, q)
-		}
-		return nil
-	}
-
 	// emit writes one whole section (cols or vals) in row order,
 	// interleaving clean-span copies with chunkwise-recomputed dirty rows.
 	// The dirty fill is TransitionT's counting pass restricted to the
@@ -227,6 +203,32 @@ func (sr *slabRefresher) writeGeneration(topo graph.Topology, path string) (patc
 	emit := func(w io.Writer, vals bool) error {
 		var bufCols []int32
 		var bufVals []float64
+		// Only the open section's writer ever buffers; the other stays empty.
+		cw := linalg.NewSectionWriter[int32](w)
+		vw := linalg.NewSectionWriter[float64](w)
+		write := func(cols []int32, values []float64, p, q int64) error {
+			if vals {
+				return vw.Write(values[p:q])
+			}
+			return cw.Write(cols[p:q])
+		}
+		// copySpan streams the clean rows [lo, hi) of the section from the old
+		// generation's mapping, releasing pages behind each window. Clean rows
+		// are contiguous between dirty ones, so one span copy covers them all.
+		copySpan := func(lo, hi int) error {
+			a, b := old.RowPtr[lo], old.RowPtr[hi]
+			if b-a != rowPtr[hi]-rowPtr[lo] {
+				return fmt.Errorf("clean rows [%d,%d) changed length; dirty tracking missed a row", lo, hi)
+			}
+			for p := a; p < b; p += slabCopyWindow {
+				q := min(p+slabCopyWindow, b)
+				if err := write(old.Cols, old.Vals, p, q); err != nil {
+					return err
+				}
+				sr.sm.ReleaseEntries(p, q)
+			}
+			return nil
+		}
 		var bptr, cur []int64
 		idx := make(map[int32]int, sr.bufEntries/16+1)
 		next := 0 // next row to emit
@@ -272,32 +274,30 @@ func (sr *slabRefresher) writeGeneration(topo graph.Topology, path string) (patc
 			}
 			for i, v := range rows {
 				if int(v) > next {
-					if err := copySpan(w, next, int(v), vals); err != nil {
+					if err := copySpan(next, int(v)); err != nil {
 						return err
 					}
 				}
-				a, b := bptr[i], bptr[i+1]
-				var err error
-				if vals {
-					err = linalg.WriteFloat64sLE(w, bufVals[a:b])
-				} else {
-					err = linalg.WriteInt32sLE(w, bufCols[a:b])
-				}
-				if err != nil {
+				if err := write(bufCols, bufVals, bptr[i], bptr[i+1]); err != nil {
 					return err
 				}
 				next = int(v) + 1
 			}
 		}
 		if next < n {
-			return copySpan(w, next, n, vals)
+			if err := copySpan(next, n); err != nil {
+				return err
+			}
 		}
-		return nil
+		if vals {
+			return vw.Flush()
+		}
+		return cw.Flush()
 	}
 
 	err = linalg.WriteSlabFile(sr.fsys, path, linalg.SlabFloat64, linalg.SlabSections{
 		Rows: n, Cols: n, NNZ: nnz,
-		RowPtr: func(w io.Writer) error { return linalg.WriteInt64sLE(w, rowPtr) },
+		RowPtr: func(w io.Writer) error { return linalg.WriteSection(w, rowPtr) },
 		ColIdx: func(w io.Writer) error { return emit(w, false) },
 		Values: func(w io.Writer) error { return emit(w, true) },
 	})

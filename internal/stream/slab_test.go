@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"sourcerank/internal/graph"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/rank"
 	"sourcerank/internal/server"
@@ -202,5 +204,67 @@ func TestSlabRefreshPublishes(t *testing.T) {
 	snap := store.Current()
 	if snap == nil || len(snap.Algos()) != len(server.DefaultAlgos) {
 		t.Fatalf("store snapshot missing algorithms: %v", snap.Algos())
+	}
+}
+
+// TestSlabRefreshAllocatesPatchBufferOnly rewrites a generation with a
+// thousand dirty rows scattered among clean spans and bounds what the
+// rewrite allocates by its O(rows) index arrays plus the patch buffers —
+// two thousand row and span writes per section must not each cost a
+// staging buffer (they used to: 32 KiB apiece, 130 MB here). The file
+// must still equal the cold slab write byte for byte.
+func TestSlabRefreshAllocatesPatchBufferOnly(t *testing.T) {
+	const nodes, dirtyRows, patchEntries = 5000, 1000, 4096
+	b := graph.NewBuilder(nodes)
+	rng := rand.New(rand.NewSource(31))
+	for k := 0; k < 8*nodes; k++ {
+		b.AddEdge(int32(rng.Intn(nodes)), int32(rng.Intn(nodes)))
+	}
+	g := b.Build()
+	sr := newSlabRefresher(Options{SlabDir: t.TempDir(), SlabPatchEntries: patchEntries})
+	defer sr.close()
+	if _, _, _, err := sr.ensure(g, 1); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < dirtyRows; v++ {
+		sr.invalidate(nil, []int32{int32(v * (nodes / dirtyRows))})
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	path := filepath.Join(sr.dir, "next.slab")
+	patched, copied, err := sr.writeGeneration(g, path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if patched != dirtyRows || copied != nodes-dirtyRows {
+		t.Fatalf("patched %d copied %d, want %d and %d", patched, copied, dirtyRows, nodes-dirtyRows)
+	}
+	// Index state: in-degrees, row pointers, the dirty list. Patch state:
+	// the column and value buffers and the row index map, each bounded by
+	// patchEntries. Four times their sum leaves room for the section
+	// writers' batch buffers and the commit's bufio.
+	model := uint64(8*nodes+8*(nodes+1)+4*nodes) + uint64(patchEntries*(4+8+16))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("rewrite allocated %d bytes against a model of %d", got, model)
+	if got > 4*model {
+		t.Fatalf("rewrite allocated %d bytes, want at most %d (4 x index + patch state)", got, 4*model)
+	}
+
+	want := filepath.Join(t.TempDir(), "ref.slab")
+	if err := linalg.WriteSlabCSR(nil, want, rank.TransitionT(g), linalg.SlabFloat64); err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatal("rewritten generation differs from the cold slab write")
 	}
 }

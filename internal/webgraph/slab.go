@@ -11,10 +11,10 @@ import (
 
 // This file builds the transition-matrix slab files (internal/linalg slab
 // format) straight from a compressed graph, without ever materializing an
-// in-RAM CSR. The peak heap cost of a build is O(nodes) for the degree
-// and row-pointer arrays plus one bounded transpose bucket — independent
-// of the edge count — so a graph whose matrices dwarf RAM can still be
-// lowered to solvable slabs.
+// in-RAM CSR. The peak heap cost of a build is O(nodes) for the two
+// row-pointer arrays and the row weights plus one bounded transpose
+// bucket — independent of the edge count — so a graph whose matrices
+// dwarf RAM can still be lowered to solvable slabs.
 //
 // Bitwise contract: the P slab decodes to exactly the uniform out-degree
 // transition matrix (rank's builder: row u holds 1/o(u) per successor,
@@ -52,7 +52,10 @@ type SlabPaths struct {
 // duration of the callback. *Compressed satisfies it by decoding its
 // slab; gen.Corpus satisfies it by merging on-disk shard runs — which is
 // what lets slab construction consume a generator's spill files directly,
-// with no compressed graph (let alone an edge list) ever resident.
+// with no compressed graph (let alone an edge list) ever resident. A slab
+// build runs two passes at once, so EachAdjacency must be safe to call
+// concurrently: *Compressed only reads its slab, and gen.Corpus opens its
+// own run readers and merge heap per call.
 type AdjacencySource interface {
 	NumNodes() int
 	EachAdjacency(fn func(u int32, succ []int32) error) error
@@ -68,9 +71,22 @@ func BuildTransitionSlabs(fsys durable.FS, dir string, c *Compressed, opt SlabOp
 }
 
 // BuildTransitionSlabsFrom is BuildTransitionSlabs over any adjacency
-// source. Each slab section replays the source once (the transpose, once
-// per bucket range), so the source must tolerate repeated passes.
+// source. The source is replayed once for the degrees, once for P's
+// columns and once per transpose bucket fill (DESIGN §14 has the cost
+// model). The two files are independent commits built side by side: on
+// failure either may have been committed whole, neither is ever torn,
+// and P's error is reported ahead of Pᵀ's.
 func BuildTransitionSlabsFrom(fsys durable.FS, dir string, src AdjacencySource, opt SlabOptions) (SlabPaths, error) {
+	if opt.Precision == linalg.SlabFloat32 {
+		return buildTransitionSlabs[float32](fsys, dir, src, opt)
+	}
+	return buildTransitionSlabs[float64](fsys, dir, src, opt)
+}
+
+// buildTransitionSlabs is the build at value type F, which must be the
+// element type of opt.Precision. F(x) narrows to nearest even, matching
+// linalg.NewCSR32.
+func buildTransitionSlabs[F float32 | float64](fsys durable.FS, dir string, src AdjacencySource, opt SlabOptions) (SlabPaths, error) {
 	bufBytes := opt.BufferBytes
 	if bufBytes <= 0 {
 		bufBytes = slabBufferDefault
@@ -81,38 +97,49 @@ func BuildTransitionSlabsFrom(fsys durable.FS, dir string, src AdjacencySource, 
 		PT: filepath.Join(dir, "transition_t.slab"),
 	}
 
-	// Degree pass: one sequential decode fixes both row-pointer arrays
-	// and the per-source weights.
-	outdeg := make([]int64, n)
-	indeg := make([]int64, n)
-	nnz := int64(0)
+	// Degree pass: one sequential decode counts both matrices' row
+	// lengths, and a prefix sum turns the counts into the two RowPtr
+	// sections exactly as they go to disk.
+	ptrP := make([]int64, n+1)
+	ptrPT := make([]int64, n+1)
 	err := src.EachAdjacency(func(u int32, succ []int32) error {
-		outdeg[u] = int64(len(succ))
-		nnz += int64(len(succ))
+		ptrP[u+1] = int64(len(succ))
 		for _, v := range succ {
-			indeg[v]++
+			ptrPT[v+1]++
 		}
 		return nil
 	})
 	if err != nil {
 		return SlabPaths{}, err
 	}
-
 	// inv[u] = 1/o(u), the value of every entry in row u of P — exactly
 	// rank's transition builder. Dangling u never emits, so inv there is
 	// never read.
 	inv := make([]float64, n)
 	for u := 0; u < n; u++ {
-		if outdeg[u] > 0 {
-			inv[u] = 1 / float64(outdeg[u])
+		if d := ptrP[u+1]; d > 0 {
+			inv[u] = 1 / float64(d)
 		}
+		ptrP[u+1] += ptrP[u]
+		ptrPT[u+1] += ptrPT[u]
 	}
 
-	if err := writeSlabFromDegrees(fsys, paths.P, opt.Precision, src, nnz, outdeg, inv); err != nil {
-		return SlabPaths{}, fmt.Errorf("webgraph: transition slab: %w", err)
+	// The files share only read-only state, so P's column pass overlaps
+	// the transpose's bucket fill.
+	shape := linalg.SlabSections{Rows: n, Cols: n, NNZ: ptrP[n]}
+	var errPT error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		errPT = writeTransposeSlab[F](fsys, paths.PT, opt.Precision, shape, src, ptrPT, inv, bufBytes)
+	}()
+	errP := writeForwardSlab[F](fsys, paths.P, opt.Precision, shape, src, ptrP, inv)
+	<-done
+	if errP != nil {
+		return SlabPaths{}, fmt.Errorf("webgraph: transition slab: %w", errP)
 	}
-	if err := writeTransposeSlab(fsys, paths.PT, opt.Precision, src, nnz, indeg, inv, bufBytes); err != nil {
-		return SlabPaths{}, fmt.Errorf("webgraph: transpose slab: %w", err)
+	if errPT != nil {
+		return SlabPaths{}, fmt.Errorf("webgraph: transpose slab: %w", errPT)
 	}
 	return paths, nil
 }
@@ -138,214 +165,160 @@ func (c *Compressed) EachAdjacency(fn func(u int32, succ []int32) error) error {
 	return nil
 }
 
-// writeRowPtrFromDegrees streams the prefix sum of deg as the rowptr
-// section without materializing it.
-func writeRowPtrFromDegrees(w io.Writer, deg []int64) error {
-	const chunk = 4096
-	buf := make([]int64, 0, chunk)
-	buf = append(buf, 0)
-	sum := int64(0)
-	for _, d := range deg {
-		sum += d
-		buf = append(buf, sum)
-		if len(buf) == chunk {
-			if err := linalg.WriteInt64sLE(w, buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+// writeForwardSlab commits the forward transition slab: the row pointers
+// as they stand, columns from one decode pass, and values — one copy of
+// inv[u] per entry of row u — from the row pointers alone.
+func writeForwardSlab[F float32 | float64](fsys durable.FS, path string, prec linalg.SlabPrecision, s linalg.SlabSections, src AdjacencySource, ptr []int64, inv []float64) error {
+	s.RowPtr = func(w io.Writer) error {
+		return linalg.WriteSection(w, ptr)
 	}
-	return linalg.WriteInt64sLE(w, buf)
-}
-
-// writeWeights writes, for each row, deg[row] copies of weight[row] at
-// the selected precision — the value section of a uniform out-degree
-// matrix, streamed from the degree array alone.
-func writeWeights(w io.Writer, prec linalg.SlabPrecision, deg []int64, weight []float64) error {
-	const chunk = 4096
-	if prec == linalg.SlabFloat32 {
-		buf := make([]float32, 0, chunk)
-		for r, d := range deg {
-			v := float32(weight[r])
-			for ; d > 0; d-- {
-				buf = append(buf, v)
-				if len(buf) == chunk {
-					if err := linalg.WriteFloat32sLE(w, buf); err != nil {
-						return err
-					}
-					buf = buf[:0]
-				}
+	s.ColIdx = func(w io.Writer) error {
+		sw := linalg.NewSectionWriter[int32](w)
+		if err := src.EachAdjacency(func(u int32, succ []int32) error {
+			return sw.Write(succ)
+		}); err != nil {
+			return err
+		}
+		return sw.Flush()
+	}
+	s.Values = func(w io.Writer) error {
+		sw := linalg.NewSectionWriter[F](w)
+		for u, x := range inv {
+			v := F(x)
+			for d := ptr[u+1] - ptr[u]; d > 0; d-- {
+				sw.Append(v)
 			}
 		}
-		return linalg.WriteFloat32sLE(w, buf)
+		return sw.Flush()
 	}
-	buf := make([]float64, 0, chunk)
-	for r, d := range deg {
-		v := weight[r]
-		for ; d > 0; d-- {
-			buf = append(buf, v)
-			if len(buf) == chunk {
-				if err := linalg.WriteFloat64sLE(w, buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-	}
-	return linalg.WriteFloat64sLE(w, buf)
-}
-
-// writeSlabFromDegrees commits the forward transition slab: rowptr from
-// outdeg, columns from one decode pass, values from outdeg alone.
-func writeSlabFromDegrees(fsys durable.FS, path string, prec linalg.SlabPrecision, src AdjacencySource, nnz int64, outdeg []int64, inv []float64) error {
-	return linalg.WriteSlabFile(fsys, path, prec, linalg.SlabSections{
-		Rows: src.NumNodes(),
-		Cols: src.NumNodes(),
-		NNZ:  nnz,
-		RowPtr: func(w io.Writer) error {
-			return writeRowPtrFromDegrees(w, outdeg)
-		},
-		ColIdx: func(w io.Writer) error {
-			return src.EachAdjacency(func(u int32, succ []int32) error {
-				return linalg.WriteInt32sLE(w, succ)
-			})
-		},
-		Values: func(w io.Writer) error {
-			return writeWeights(w, prec, outdeg, inv)
-		},
-	})
+	return linalg.WriteSlabFile(fsys, path, prec, s)
 }
 
 // transposeBuckets splits destination rows [0, n) into contiguous ranges
 // whose entry counts fit a bufBytes bucket of 4-byte elements (always at
 // least one row per range), returning the range boundaries.
-func transposeBuckets(indeg []int64, bufBytes int64) []int {
-	maxEntries := bufBytes / 4
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
+func transposeBuckets(ptr []int64, bufBytes int64) []int {
+	maxEntries := max(bufBytes/4, 1)
 	bounds := []int{0}
-	count := int64(0)
-	for v, d := range indeg {
-		if count > 0 && count+d > maxEntries {
+	for v := 0; v+1 < len(ptr); v++ {
+		lo := bounds[len(bounds)-1]
+		if ptr[v] > ptr[lo] && ptr[v+1]-ptr[lo] > maxEntries {
 			bounds = append(bounds, v)
-			count = 0
 		}
-		count += d
 	}
-	bounds = append(bounds, len(indeg))
-	return bounds
+	return append(bounds, len(ptr)-1)
 }
 
-// fillBucket decodes the graph once and collects, for destination rows
-// [lo, hi), the source of every in-edge in (destination, source)
-// ascending order — the exact entry order of the transposed CSR — then
-// hands each destination row's sources to emit.
-func fillBucket(src AdjacencySource, lo, hi int, indeg []int64, buf []int32, emit func(sources []int32) error) error {
-	// next[v-lo] is the bucket write cursor for destination v.
-	start := make([]int64, hi-lo+1)
-	for v := lo; v < hi; v++ {
-		start[v-lo+1] = start[v-lo] + indeg[v]
+// transposeFill is the bucketed counting sort behind the transpose slab.
+// A bucket is a contiguous range of destination rows; filling it decodes
+// the graph once and leaves, in buf, the source of every in-edge of those
+// rows in (destination, source) ascending order — the exact entry order
+// of the transposed CSR, so a filled bucket is a ready-made run of the
+// column section.
+type transposeFill struct {
+	src    AdjacencySource
+	ptr    []int64 // Pᵀ row pointers; a fill borrows them as write cursors
+	bounds []int   // bucket b covers destination rows [bounds[b], bounds[b+1])
+	buf    []int32 // sized to the largest bucket
+	holds  int     // index of the bucket now in buf, -1 when none
+}
+
+func newTransposeFill(src AdjacencySource, ptr []int64, bufBytes int64) *transposeFill {
+	t := &transposeFill{src: src, ptr: ptr, bounds: transposeBuckets(ptr, bufBytes), holds: -1}
+	var maxEntries int64
+	for b := 0; b+1 < len(t.bounds); b++ {
+		maxEntries = max(maxEntries, ptr[t.bounds[b+1]]-ptr[t.bounds[b]])
 	}
-	next := make([]int64, hi-lo)
-	copy(next, start[:hi-lo])
-	err := src.EachAdjacency(func(u int32, succ []int32) error {
+	t.buf = make([]int32, maxEntries)
+	return t
+}
+
+// fill returns bucket b's entries, decoding the graph only if buf does
+// not already hold them: when the whole transpose is one bucket, the
+// fill the column section paid for also serves the value section.
+func (t *transposeFill) fill(b int) ([]int32, error) {
+	lo, hi := t.bounds[b], t.bounds[b+1]
+	ptr, base := t.ptr, t.ptr[lo]
+	buf := t.buf[:ptr[hi]-base]
+	if t.holds == b {
+		return buf, nil
+	}
+	t.holds = -1
+	// A bucket spanning every row needs no per-edge range test: each
+	// successor is already a valid row (DecodeAdjacency and the corpus
+	// merge both bound it by NumNodes).
+	whole := lo == 0 && hi == len(ptr)-1
+	err := t.src.EachAdjacency(func(u int32, succ []int32) error {
+		if whole {
+			for _, v := range succ {
+				buf[ptr[v]] = u
+				ptr[v]++
+			}
+			return nil
+		}
 		for _, v := range succ {
 			if int(v) >= lo && int(v) < hi {
-				buf[next[v-int32(lo)]] = u
-				next[v-int32(lo)]++
+				buf[ptr[v]-base] = u
+				ptr[v]++
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err // the cursors are mid-flight: the build is over
 	}
-	for v := lo; v < hi; v++ {
-		if err := emit(buf[start[v-lo]:start[v-lo+1]]); err != nil {
+	// Every cursor now stands at the start of the next row; step them back.
+	if lo < hi {
+		copy(ptr[lo+1:hi], ptr[lo:hi])
+		ptr[lo] = base
+	}
+	t.holds = b
+	return buf, nil
+}
+
+// eachBucket fills every bucket in row order and hands its entries to fn.
+func (t *transposeFill) eachBucket(fn func(sources []int32) error) error {
+	for b := 0; b+1 < len(t.bounds); b++ {
+		sources, err := t.fill(b)
+		if err != nil {
+			return err
+		}
+		if err := fn(sources); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeTransposeSlab commits the transpose slab via a bucketed counting
-// sort: destination rows are grouped into ranges that fit the bucket
-// buffer, and the compressed graph is re-decoded once per range for the
-// column section and once per range for the value section (sections are
-// streamed in file order, so they cannot share a pass without spilling).
-func writeTransposeSlab(fsys durable.FS, path string, prec linalg.SlabPrecision, src AdjacencySource, nnz int64, indeg []int64, inv []float64, bufBytes int64) error {
-	bounds := transposeBuckets(indeg, bufBytes)
-	var bucketMax int64
-	for b := 0; b+1 < len(bounds); b++ {
-		var cnt int64
-		for v := bounds[b]; v < bounds[b+1]; v++ {
-			cnt += indeg[v]
-		}
-		if cnt > bucketMax {
-			bucketMax = cnt
-		}
+// writeTransposeSlab commits the transpose slab. Sections are streamed in
+// file order, so the column section and the value section each walk the
+// buckets once; with more than one bucket that is a fill per bucket per
+// section, with one bucket a single fill serves both.
+func writeTransposeSlab[F float32 | float64](fsys durable.FS, path string, prec linalg.SlabPrecision, s linalg.SlabSections, src AdjacencySource, ptr []int64, inv []float64, bufBytes int64) error {
+	t := newTransposeFill(src, ptr, bufBytes)
+	s.RowPtr = func(w io.Writer) error {
+		return linalg.WriteSection(w, ptr)
 	}
-	buf := make([]int32, bucketMax)
-	forEachRow := func(emit func(sources []int32) error) error {
-		for b := 0; b+1 < len(bounds); b++ {
-			if err := fillBucket(src, bounds[b], bounds[b+1], indeg, buf, emit); err != nil {
-				return err
-			}
+	s.ColIdx = func(w io.Writer) error {
+		sw := linalg.NewSectionWriter[int32](w)
+		if err := t.eachBucket(sw.Write); err != nil {
+			return err
 		}
-		return nil
+		return sw.Flush()
 	}
-	return linalg.WriteSlabFile(fsys, path, prec, linalg.SlabSections{
-		Rows: src.NumNodes(),
-		Cols: src.NumNodes(),
-		NNZ:  nnz,
-		RowPtr: func(w io.Writer) error {
-			return writeRowPtrFromDegrees(w, indeg)
-		},
-		ColIdx: func(w io.Writer) error {
-			return forEachRow(func(sources []int32) error {
-				return linalg.WriteInt32sLE(w, sources)
-			})
-		},
-		Values: func(w io.Writer) error {
-			// Value k of the transpose is inv[source k]: replay the same
-			// bucket fill and map sources through inv.
-			if prec == linalg.SlabFloat32 {
-				vbuf := make([]float32, 0, 4096)
-				err := forEachRow(func(sources []int32) error {
-					for _, u := range sources {
-						vbuf = append(vbuf, float32(inv[u]))
-						if len(vbuf) == cap(vbuf) {
-							if err := linalg.WriteFloat32sLE(w, vbuf); err != nil {
-								return err
-							}
-							vbuf = vbuf[:0]
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				return linalg.WriteFloat32sLE(w, vbuf)
+	s.Values = func(w io.Writer) error {
+		// Value k of the transpose is inv[source k].
+		sw := linalg.NewSectionWriter[F](w)
+		err := t.eachBucket(func(sources []int32) error {
+			for _, u := range sources {
+				sw.Append(F(inv[u]))
 			}
-			vbuf := make([]float64, 0, 4096)
-			err := forEachRow(func(sources []int32) error {
-				for _, u := range sources {
-					vbuf = append(vbuf, inv[u])
-					if len(vbuf) == cap(vbuf) {
-						if err := linalg.WriteFloat64sLE(w, vbuf); err != nil {
-							return err
-						}
-						vbuf = vbuf[:0]
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			return linalg.WriteFloat64sLE(w, vbuf)
-		},
-	})
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		return sw.Flush()
+	}
+	return linalg.WriteSlabFile(fsys, path, prec, s)
 }

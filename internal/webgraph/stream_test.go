@@ -62,7 +62,10 @@ func TestCompressFromMatchesCompress(t *testing.T) {
 // TestBuildTransitionSlabsFromRuns pins the runs→slabs path: transition
 // slabs built directly from shard runs must be byte-identical to slabs
 // built from the compressed graph of the same corpus, in both precisions
-// and under a bucket buffer small enough to force multi-pass transposes.
+// with the transpose in one bucket and under a bucket buffer small enough
+// to force multi-pass transposes. The build walks its source from two
+// goroutines at once, so under -race this is also the check that both
+// source kinds tolerate overlapping passes.
 func TestBuildTransitionSlabsFromRuns(t *testing.T) {
 	ds, c := streamFixture(t)
 	comp, err := webgraph.Compress(ds.Pages.ToGraph())
@@ -73,6 +76,7 @@ func TestBuildTransitionSlabsFromRuns(t *testing.T) {
 		name string
 		opt  webgraph.SlabOptions
 	}{
+		{"one bucket", webgraph.SlabOptions{}},
 		{"float64", webgraph.SlabOptions{BufferBytes: 2048}},
 		{"float32", webgraph.SlabOptions{Precision: linalg.SlabFloat32, BufferBytes: 2048}},
 	} {
