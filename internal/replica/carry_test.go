@@ -1,0 +1,242 @@
+package replica
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"sourcerank/internal/durable"
+	"sourcerank/internal/server"
+)
+
+// handlerTransport answers pulls by calling the builder's sync handler
+// in process.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+// TestZeroPatchSharesVectorAndIndex: an algorithm whose patch is empty
+// keeps the base's very vector through Apply and its index and rendered
+// responses through the publish, while a patched one is cloned — and the
+// checks an empty patch still owes are all still made.
+func TestZeroPatchSharesVectorAndIndex(t *testing.T) {
+	bst := server.NewStore(nil)
+	bst.Publish(rawSnapshot(t, 64, 31))
+	from := bst.Current()
+	bst.Publish(successor(t, from, 1, 0.1, server.AlgoSRSR))
+	to := bst.Current()
+
+	rst := server.NewStore(nil)
+	bf, err := DecodeFull(EncodeFull(from))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bsnap, err := bf.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rst.PublishExternal(bsnap, bf.Version); err != nil {
+		t.Fatal(err)
+	}
+	base := rst.Current()
+	decode := func() *Delta {
+		d, err := DecodeDelta(EncodeDelta(from, to))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	patched, err := decode().Apply(base)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	for _, algo := range base.Algos() {
+		shared := &patched.Set(algo).ScoresView()[0] == &base.Set(algo).ScoresView()[0]
+		if want := algo != server.AlgoSRSR; shared != want {
+			t.Fatalf("%s: vector shared with base = %v, want %v", algo, shared, want)
+		}
+	}
+	if err := rst.PublishExternal(patched, to.Version()); err != nil {
+		t.Fatal(err)
+	}
+	// Two full publishes' worth of rendered sets would be 6; the delta
+	// publish must have carried the two unpatched ones instead.
+	if reused, rendered, uncached := rst.PublishSets(); reused != 2 || rendered != 4 || uncached != 0 {
+		t.Fatalf("replica publish sets reused/rendered/uncached = %d/%d/%d, want 2/4/0", reused, rendered, uncached)
+	}
+	if string(EncodeFull(rst.Current())) != string(EncodeFull(to)) {
+		t.Fatal("patched snapshot does not re-encode byte-identical to a full transfer")
+	}
+
+	// Every check still guards the unpatched algorithms.
+	zero := -1
+	d := decode()
+	for i, ap := range d.Algos {
+		if len(ap.Idx) == 0 {
+			zero = i
+		}
+	}
+	if zero < 0 {
+		t.Fatal("frame has no empty patch")
+	}
+	for name, tamper := range map[string]func(d *Delta){
+		"wrong FullCRC":      func(d *Delta) { d.Algos[zero].FullCRC ^= 1 },
+		"wrong MetaCRC":      func(d *Delta) { d.MetaCRC ^= 1 },
+		"stale From":         func(d *Delta) { d.From-- },
+		"index out of range": func(d *Delta) { d.Algos[zero].Idx, d.Algos[zero].Val = []int32{64}, []float64{0} },
+		"negative index":     func(d *Delta) { d.Algos[zero].Idx, d.Algos[zero].Val = []int32{-1}, []float64{0} },
+	} {
+		d := decode()
+		tamper(d)
+		if _, err := d.Apply(base); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: Apply = %v, want ErrFrame", name, err)
+		}
+	}
+}
+
+// TestPullerRejectsTamperedZeroPatchAndKeepsServing sends a delta whose
+// durable trailer is intact but whose empty patch claims the wrong
+// post-patch CRC: the puller must reject it as a bad frame and leave the
+// base serving.
+func TestPullerRejectsTamperedZeroPatchAndKeepsServing(t *testing.T) {
+	bst := server.NewStore(nil)
+	bst.Publish(rawSnapshot(t, 40, 33))
+	pub := NewPublisher(bst, 8)
+	rst := server.NewStore(nil)
+	p := &Puller{Builder: "http://builder", Store: rst, Client: &http.Client{Transport: handlerTransport{pub}}}
+	if err := p.SyncNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	served := rst.Current()
+	from := bst.Current()
+	bst.Publish(successor(t, from, 2, 0.1, server.AlgoPageRank))
+	payload := EncodeDelta(from, bst.Current())
+	payload[len(payload)-1] ^= 0x40 // FullCRC of trustrank, the last and unpatched algorithm
+	tampered := durable.Frame(payload)
+	p.Client = &http.Client{Transport: handlerTransport{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(tampered)
+	})}}
+	if err := p.SyncNow(context.Background()); !errors.Is(err, ErrFrame) {
+		t.Fatalf("tampered sync = %v, want ErrFrame", err)
+	}
+	if p.TornRejected() != 1 || rst.Current() != served {
+		t.Fatalf("torn rejected = %d, serving snapshot disturbed = %v", p.TornRejected(), rst.Current() != served)
+	}
+	p.Client = &http.Client{Transport: handlerTransport{pub}}
+	if err := p.SyncNow(context.Background()); err != nil {
+		t.Fatalf("recovery sync: %v", err)
+	}
+	if Fingerprint(rst.Current()) != Fingerprint(bst.Current()) {
+		t.Fatal("replica did not converge after the rejected frame")
+	}
+}
+
+// TestDeltaLineageServesSameBytesAsFullPull brings one replica to
+// version N through deltas that mix empty and non-empty patches (and one
+// that changes nothing at all) and another there by a single full pull:
+// every /v1/topk prefix and every /v1/rank document must be the same
+// bytes on both.
+func TestDeltaLineageServesSameBytesAsFullPull(t *testing.T) {
+	const n = 37
+	bst := server.NewStore(nil)
+	bst.Publish(rawSnapshot(t, n, 35))
+	pub := NewPublisher(bst, 8)
+	pull := func() (*Puller, *server.Store) {
+		st := server.NewStore(nil)
+		return &Puller{Builder: "http://builder", Store: st, Client: &http.Client{Transport: handlerTransport{pub}}}, st
+	}
+	viaDeltas, dst := pull()
+	sync := func(p *Puller) {
+		t.Helper()
+		if err := p.SyncNow(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sync(viaDeltas)
+	for i, patch := range [][]server.Algo{
+		{server.AlgoSRSR},
+		{},
+		{server.AlgoPageRank, server.AlgoTrustRank},
+		{server.AlgoSRSR, server.AlgoPageRank, server.AlgoTrustRank},
+		{},
+	} {
+		bst.Publish(successor(t, bst.Current(), int64(10+i), 0.15, patch...))
+		sync(viaDeltas)
+	}
+	if viaDeltas.DeltaSyncs() != 5 || viaDeltas.FullSyncs() != 1 {
+		t.Fatalf("delta/full syncs = %d/%d, want 5/1", viaDeltas.DeltaSyncs(), viaDeltas.FullSyncs())
+	}
+	if got := viaDeltas.SetsShared(); got != 2+3+1+0+3 {
+		t.Fatalf("SetsShared = %d, want 9", got)
+	}
+	viaFull, fst := pull()
+	sync(viaFull)
+	if viaFull.FullSyncs() != 1 || dst.Current().Version() != fst.Current().Version() {
+		t.Fatalf("full-pull replica at v%d after %d full syncs, delta replica at v%d", fst.Current().Version(), viaFull.FullSyncs(), dst.Current().Version())
+	}
+	hd, hf := server.New(dst, server.Config{}).Handler(), server.New(fst, server.Config{}).Handler()
+	get := func(h http.Handler, path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+		return rec.Header().Get("Etag") + "\n" + rec.Body.String()
+	}
+	for _, algo := range server.DefaultAlgos {
+		for k := 0; k <= n; k++ {
+			path := fmt.Sprintf("/v1/topk?algo=%s&n=%d", algo, k)
+			if a, b := get(hd, path), get(hf, path); a != b {
+				t.Fatalf("%s differs\nvia deltas:\n%s\nvia full pull:\n%s", path, a, b)
+			}
+		}
+		for id := 0; id < n; id++ {
+			path := fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo)
+			if a, b := get(hd, path), get(hf, path); a != b {
+				t.Fatalf("%s differs\nvia deltas:\n%s\nvia full pull:\n%s", path, a, b)
+			}
+		}
+	}
+}
+
+// benchSources matches the benchmark corpus (UK2002 at scale 0.1).
+const benchSources = 9822
+
+// BenchmarkDeltaSyncUnchanged is the replica's cost of a refresh that
+// changed nothing: a 188-byte delta frame, every patch empty, through
+// Puller.SyncNow over an in-process transport. CI gates its B/op.
+func BenchmarkDeltaSyncUnchanged(b *testing.B) {
+	bst := server.NewStore(nil)
+	bst.Publish(rawSnapshot(b, benchSources, 41))
+	rst := server.NewStore(nil)
+	p := &Puller{Builder: "http://builder", Store: rst, Client: &http.Client{Transport: handlerTransport{NewPublisher(bst, 8)}}}
+	frame := 0
+	p.OnSync = func(_ uint64, _ string, n int) { frame = n }
+	ctx := context.Background()
+	if err := p.SyncNow(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bst.Publish(successor(b, bst.Current(), int64(i), 0))
+		b.StartTimer()
+		if err := p.SyncNow(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if p.DeltaSyncs() != uint64(b.N) || p.SetsShared() != 3*uint64(b.N) {
+		b.Fatalf("%d delta syncs sharing %d sets over %d iterations", p.DeltaSyncs(), p.SetsShared(), b.N)
+	}
+	b.ReportMetric(float64(frame), "frame-B")
+}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"sourcerank/internal/linalg"
@@ -188,13 +189,17 @@ func (w *wbuf) solveInfo(stats linalg.IterStats, solveTime time.Duration, warm b
 // (8-byte little-endian float bits per entry) — the per-algorithm
 // fingerprint that delta syncs are verified against.
 func scoreCRC(v linalg.Vector) uint32 {
-	crc := crc32.New(castagnoli)
-	var buf [8]byte
-	for _, f := range v {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		crc.Write(buf[:])
+	var buf [4096]byte
+	var crc uint32
+	for len(v) > 0 {
+		chunk := v[:min(len(v), len(buf)/8)]
+		for i, f := range chunk {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(f))
+		}
+		crc = crc32.Update(crc, castagnoli, buf[:len(chunk)*8])
+		v = v[len(chunk):]
 	}
-	return crc.Sum32()
+	return crc
 }
 
 // MetaCRC fingerprints the snapshot state a delta cannot patch: the
@@ -203,6 +208,13 @@ func scoreCRC(v linalg.Vector) uint32 {
 // swap) forces a full transfer.
 func MetaCRC(snap *server.Snapshot) uint32 {
 	var w wbuf
+	w.meta(snap)
+	return crc32.Checksum(w.b, castagnoli)
+}
+
+// meta appends the canonical encoding of snap's labels and page counts:
+// the meta section of a full frame, and the bytes MetaCRC fingerprints.
+func (w *wbuf) meta(snap *server.Snapshot) {
 	labels := snap.LabelsView()
 	w.uvarint(uint64(len(labels)))
 	for _, l := range labels {
@@ -213,7 +225,31 @@ func MetaCRC(snap *server.Snapshot) uint32 {
 	for _, p := range pages {
 		w.uvarint(uint64(p))
 	}
-	return crc32.Checksum(w.b, castagnoli)
+}
+
+// metaMemo remembers the MetaCRC of the last meta state it was asked
+// about. Snapshots are immutable and a delta-compatible successor holds
+// its predecessor's very label and page-count arrays, so along a lineage
+// the labels are serialised once, not once per encode and per sync. Safe
+// for concurrent use.
+type metaMemo struct {
+	last atomic.Pointer[metaEntry]
+}
+
+type metaEntry struct {
+	labels []string
+	pages  []int
+	crc    uint32
+}
+
+func (m *metaMemo) crc(snap *server.Snapshot) uint32 {
+	labels, pages := snap.LabelsView(), snap.PageCountsView()
+	if e := m.last.Load(); e != nil && server.SameArray(labels, e.labels) && server.SameArray(pages, e.pages) {
+		return e.crc
+	}
+	e := &metaEntry{labels: labels, pages: pages, crc: MetaCRC(snap)}
+	m.last.Store(e)
+	return e.crc
 }
 
 // EncodeFull renders snap as a full transfer frame payload (without the
@@ -225,16 +261,7 @@ func MetaCRC(snap *server.Snapshot) uint32 {
 func EncodeFull(snap *server.Snapshot) []byte {
 	var w wbuf
 	w.header(KindFull, snap.Version(), snap.ParentVersion(), snap.BuiltAt(), snap.Corpus(), snap.KappaTopK())
-	labels := snap.LabelsView()
-	w.uvarint(uint64(len(labels)))
-	for _, l := range labels {
-		w.str(l)
-	}
-	pages := snap.PageCountsView()
-	w.uvarint(uint64(len(pages)))
-	for _, p := range pages {
-		w.uvarint(uint64(p))
-	}
+	w.meta(snap)
 	algos := snap.Algos()
 	w.u8(byte(len(algos)))
 	for _, algo := range algos {
@@ -256,7 +283,17 @@ func EncodeFull(snap *server.Snapshot) []byte {
 // different algorithm sets or source counts, or so many changed scores
 // that a full frame would be smaller.
 func EncodeDelta(from, to *server.Snapshot) []byte {
-	if from == nil || to == nil || from.NumSources() != to.NumSources() {
+	if from == nil || to == nil {
+		return nil
+	}
+	return encodeDelta(from, to, MetaCRC(from), MetaCRC(to))
+}
+
+// encodeDelta is EncodeDelta given both snapshots' MetaCRC, which the
+// publisher keeps per ring entry instead of re-serialising every label
+// on each encode.
+func encodeDelta(from, to *server.Snapshot, fromMeta, toMeta uint32) []byte {
+	if from.NumSources() != to.NumSources() || fromMeta != toMeta {
 		return nil
 	}
 	fromAlgos, toAlgos := from.Algos(), to.Algos()
@@ -267,9 +304,6 @@ func EncodeDelta(from, to *server.Snapshot) []byte {
 		if fromAlgos[i] != toAlgos[i] {
 			return nil
 		}
-	}
-	if MetaCRC(from) != MetaCRC(to) {
-		return nil
 	}
 	var w wbuf
 	w.u32(frameMagic)
@@ -285,7 +319,7 @@ func EncodeDelta(from, to *server.Snapshot) []byte {
 	body.u64(uint64(to.Corpus().Links))
 	body.u64(uint64(to.Corpus().SpamLabeled))
 	body.uvarint(uint64(to.KappaTopK()))
-	body.u32(MetaCRC(to))
+	body.u32(toMeta)
 	body.u8(byte(len(toAlgos)))
 	n := to.NumSources()
 	totalChanged := 0
@@ -578,44 +612,60 @@ func (f *Full) Snapshot() (*server.Snapshot, error) {
 
 // Apply patches base's state into the snapshot at d.Version. Labels and
 // page counts are shared with base (they are immutable and MetaCRC
-// proved them unchanged); score vectors are cloned, patched, and
-// verified against the frame's post-patch CRCs, so a verified result is
-// byte-identical to what a full transfer of d.Version would have
-// produced. Any mismatch returns an error wrapping ErrFrame and the
-// base snapshot is left untouched.
+// proved them unchanged), and so is the score vector of every algorithm
+// whose patch is empty — which lets the publish that follows carry that
+// algorithm's index and rendered responses over instead of rebuilding
+// them; a patched algorithm's vector is cloned and patched. Shared or
+// cloned, every vector is verified against the frame's post-patch CRC, so
+// a verified result is byte-identical to what a full transfer of
+// d.Version would have produced. Any mismatch returns an error wrapping
+// ErrFrame and the base snapshot is left untouched.
 func (d *Delta) Apply(base *server.Snapshot) (*server.Snapshot, error) {
 	if base == nil {
 		return nil, badFrame("delta apply with no base snapshot")
 	}
+	snap, _, err := d.apply(base, MetaCRC(base))
+	return snap, err
+}
+
+// apply is Apply given base's MetaCRC (see metaMemo); shared counts the
+// algorithms whose vector was carried over unpatched.
+func (d *Delta) apply(base *server.Snapshot, baseMeta uint32) (snap *server.Snapshot, shared int, err error) {
 	if base.Version() != d.From {
-		return nil, badFrame("delta from version %d against base version %d", d.From, base.Version())
+		return nil, 0, badFrame("delta from version %d against base version %d", d.From, base.Version())
 	}
-	if MetaCRC(base) != d.MetaCRC {
-		return nil, badFrame("meta CRC mismatch: base labels/page counts diverged from builder")
+	if baseMeta != d.MetaCRC {
+		return nil, 0, badFrame("meta CRC mismatch: base labels/page counts diverged from builder")
 	}
 	baseAlgos := base.Algos()
 	if len(baseAlgos) != len(d.Algos) {
-		return nil, badFrame("delta carries %d algorithms, base has %d", len(d.Algos), len(baseAlgos))
+		return nil, 0, badFrame("delta carries %d algorithms, base has %d", len(d.Algos), len(baseAlgos))
 	}
 	n := base.NumSources()
 	sets := make(map[server.Algo]*server.ScoreSet, len(d.Algos))
 	for i, ap := range d.Algos {
 		if baseAlgos[i] != ap.Algo {
-			return nil, badFrame("delta algorithm %q, base has %q", ap.Algo, baseAlgos[i])
+			return nil, 0, badFrame("delta algorithm %q, base has %q", ap.Algo, baseAlgos[i])
 		}
-		scores := append(linalg.Vector(nil), base.Set(ap.Algo).ScoresView()...)
-		for j, idx := range ap.Idx {
-			if idx < 0 || int(idx) >= n {
-				return nil, badFrame("%q patch index %d out of range [0,%d)", ap.Algo, idx, n)
+		scores := base.Set(ap.Algo).ScoresView()
+		if len(ap.Idx) == 0 {
+			shared++
+		} else {
+			scores = append(linalg.Vector(nil), scores...)
+			for j, idx := range ap.Idx {
+				if idx < 0 || int(idx) >= n {
+					return nil, 0, badFrame("%q patch index %d out of range [0,%d)", ap.Algo, idx, n)
+				}
+				scores[idx] = ap.Val[j]
 			}
-			scores[idx] = ap.Val[j]
 		}
 		if got := scoreCRC(scores); got != ap.FullCRC {
-			return nil, badFrame("%q post-patch CRC %#x, builder says %#x: patched state is not byte-identical to a full pull", ap.Algo, got, ap.FullCRC)
+			return nil, 0, badFrame("%q post-patch CRC %#x, builder says %#x: patched state is not byte-identical to a full pull", ap.Algo, got, ap.FullCRC)
 		}
 		sets[ap.Algo] = server.NewScoreSetSolved(scores, ap.Stats, ap.SolveTime, ap.Warm)
 	}
-	return server.NewSnapshot(d.Corpus, base.LabelsView(), base.PageCountsView(), d.KappaTopK, sets, d.BuiltAt)
+	snap, err = server.NewSnapshot(d.Corpus, base.LabelsView(), base.PageCountsView(), d.KappaTopK, sets, d.BuiltAt)
+	return snap, shared, err
 }
 
 // Fingerprint hashes the served state of a snapshot — labels, page

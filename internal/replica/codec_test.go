@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // testSnapshot builds a published-shaped snapshot with deterministic
 // pseudo-random scores for all three algorithms. version is applied via
 // a throwaway store so the snapshot carries real publish metadata.
-func testSnapshot(t *testing.T, n int, seed int64, version uint64) *server.Snapshot {
+func testSnapshot(t testing.TB, n int, seed int64, version uint64) *server.Snapshot {
 	t.Helper()
 	snap := rawSnapshot(t, n, seed)
 	st := server.NewStore(nil)
@@ -24,7 +25,7 @@ func testSnapshot(t *testing.T, n int, seed int64, version uint64) *server.Snaps
 	return st.Current()
 }
 
-func rawSnapshot(t *testing.T, n int, seed int64) *server.Snapshot {
+func rawSnapshot(t testing.TB, n int, seed int64) *server.Snapshot {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
 	labels := make([]string, n)
@@ -65,23 +66,35 @@ func itoa(i int) string {
 // perturb clones base with a fraction of each algorithm's scores
 // changed, reusing base's labels and page counts (same pointers — the
 // delta-compatible shape the sync path produces).
-func perturb(t *testing.T, base *server.Snapshot, seed int64, frac float64) *server.Snapshot {
+func perturb(t testing.TB, base *server.Snapshot, seed int64, frac float64) *server.Snapshot {
+	t.Helper()
+	return successor(t, base, seed, frac, base.Algos()...)
+}
+
+// successor builds the snapshot a refresh would publish over base: the
+// algorithms named in patch get a clone with a fraction of the scores
+// changed, every other algorithm keeps base's very vector (a skipped
+// solve), and labels and page counts are base's arrays.
+func successor(t testing.TB, base *server.Snapshot, seed int64, frac float64, patch ...server.Algo) *server.Snapshot {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
 	sets := make(map[server.Algo]*server.ScoreSet)
 	for _, algo := range base.Algos() {
 		ss := base.Set(algo)
-		scores := append(linalg.Vector(nil), ss.ScoresView()...)
-		for i := range scores {
-			if rnd.Float64() < frac {
-				scores[i] = rnd.Float64()
+		scores := ss.ScoresView()
+		if slices.Contains(patch, algo) {
+			scores = append(linalg.Vector(nil), scores...)
+			for i := range scores {
+				if rnd.Float64() < frac {
+					scores[i] = rnd.Float64()
+				}
 			}
 		}
 		sets[algo] = server.NewScoreSetSolved(scores, ss.Stats(), ss.SolveTime(), ss.WarmStarted())
 	}
 	snap, err := server.NewSnapshot(base.Corpus(), base.LabelsView(), base.PageCountsView(), base.KappaTopK(), sets, time.Unix(1700000100, 7))
 	if err != nil {
-		t.Fatalf("perturb: %v", err)
+		t.Fatalf("successor: %v", err)
 	}
 	return snap
 }

@@ -29,6 +29,7 @@ type Publisher struct {
 
 	mu   sync.Mutex
 	ring []pubEntry // most recent last; len <= history
+	meta metaMemo
 	// cur caches the framed encodings for the newest observed snapshot,
 	// keyed by (haveVersion) for deltas so a fleet of replicas at the
 	// same version shares one encoding.
@@ -44,6 +45,7 @@ type Publisher struct {
 
 type pubEntry struct {
 	snap *server.Snapshot
+	meta uint32 // MetaCRC(snap), computed when the entry is observed
 }
 
 // NewPublisher serves snapshots from store, keeping the last history
@@ -75,7 +77,7 @@ func (p *Publisher) observe() *server.Snapshot {
 	if n > 0 && p.ring[n-1].snap.Version() >= cur.Version() {
 		return p.ring[n-1].snap
 	}
-	p.ring = append(p.ring, pubEntry{snap: cur})
+	p.ring = append(p.ring, pubEntry{snap: cur, meta: p.meta.crc(cur)})
 	if len(p.ring) > p.history {
 		p.ring = p.ring[len(p.ring)-p.history:]
 	}
@@ -150,11 +152,12 @@ func (p *Publisher) respond(cur *server.Snapshot, have uint64, forceFull bool) (
 		if b, ok := p.curDeltas[have]; ok {
 			return b, "delta"
 		}
+		curMeta := p.ring[len(p.ring)-1].meta // observe left cur as the newest entry
 		for _, e := range p.ring {
 			if e.snap.Version() != have {
 				continue
 			}
-			if payload := EncodeDelta(e.snap, cur); payload != nil {
+			if payload := encodeDelta(e.snap, cur, e.meta, curMeta); payload != nil {
 				b := durable.Frame(payload)
 				if p.curDeltas == nil {
 					p.curDeltas = make(map[uint64][]byte)

@@ -70,6 +70,9 @@ type Puller struct {
 	notModified  atomic.Uint64
 	tornRejected atomic.Uint64
 	regressions  atomic.Uint64
+	setsShared   atomic.Uint64
+	// meta remembers the serving snapshot's MetaCRC across delta syncs.
+	meta metaMemo
 	// forceFull requests an unconditioned full pull on the next attempt;
 	// set after any verification or delta-application failure so a
 	// replica whose local state diverged re-bases instead of looping.
@@ -109,6 +112,12 @@ func (p *Puller) TornRejected() uint64 { return p.tornRejected.Load() }
 func (p *Puller) FullSyncs() uint64   { return p.fullSyncs.Load() }
 func (p *Puller) DeltaSyncs() uint64  { return p.deltaSyncs.Load() }
 func (p *Puller) NotModified() uint64 { return p.notModified.Load() }
+
+// SetsShared counts, over every applied delta sync, the algorithms whose
+// patch was empty: their score vector was verified in place and handed
+// to the store as is, so the publish carried their index and rendered
+// responses over instead of rebuilding them.
+func (p *Puller) SetsShared() uint64 { return p.setsShared.Load() }
 
 // SyncAge is the time since the last successful builder contact; before
 // any contact it is the time since the loop started, so a replica that
@@ -170,6 +179,9 @@ func (p *Puller) WriteMetricsText(w io.Writer) {
 	fmt.Fprintf(w, "srserve_replica_syncs{encoding=\"full\"} %d\n", p.fullSyncs.Load())
 	fmt.Fprintf(w, "srserve_replica_syncs{encoding=\"delta\"} %d\n", p.deltaSyncs.Load())
 	fmt.Fprintf(w, "srserve_replica_syncs{encoding=\"not_modified\"} %d\n", p.notModified.Load())
+	fmt.Fprintf(w, "# HELP srserve_replica_sets_shared Score sets a delta sync left unpatched and carried over whole.\n")
+	fmt.Fprintf(w, "# TYPE srserve_replica_sets_shared counter\n")
+	fmt.Fprintf(w, "srserve_replica_sets_shared %d\n", p.setsShared.Load())
 }
 
 // Run pulls until ctx is canceled: an immediate first sync, then
@@ -292,7 +304,7 @@ func (p *Puller) SyncNow(ctx context.Context) error {
 		p.forceFull.Store(true)
 		return p.fail(fmt.Errorf("replica: transfer verification: %w", err))
 	}
-	snap, encoding, err := p.decode(payload, cur)
+	snap, encoding, shared, err := p.decode(payload, cur)
 	if err != nil {
 		if errors.Is(err, ErrFrame) {
 			p.tornRejected.Add(1)
@@ -314,6 +326,7 @@ func (p *Puller) SyncNow(ctx context.Context) error {
 	p.bytesTotal.Add(uint64(len(framed)))
 	if encoding == "delta" {
 		p.deltaSyncs.Add(1)
+		p.setsShared.Add(uint64(shared))
 	} else {
 		p.fullSyncs.Add(1)
 	}
@@ -328,37 +341,30 @@ func (p *Puller) touch() {
 	p.lastSyncNS.Store(time.Now().UnixNano())
 }
 
-// decode turns a verified payload into a publishable snapshot.
-func (p *Puller) decode(payload []byte, cur *server.Snapshot) (*server.Snapshot, string, error) {
+// decode turns a verified payload into a publishable snapshot; shared
+// is the number of score sets a delta carried over unpatched.
+func (p *Puller) decode(payload []byte, cur *server.Snapshot) (snap *server.Snapshot, encoding string, shared int, err error) {
 	kind, err := FrameKind(payload)
 	if err != nil {
-		return nil, "", err
+		return nil, "", 0, err
 	}
-	switch kind {
-	case KindFull:
+	if kind == KindFull {
 		f, err := DecodeFull(payload)
 		if err != nil {
-			return nil, "", err
+			return nil, "", 0, err
 		}
-		snap, err := f.Snapshot()
-		if err != nil {
-			return nil, "", err
-		}
-		return snap, "full", nil
-	default:
-		d, err := DecodeDelta(payload)
-		if err != nil {
-			return nil, "", err
-		}
-		if cur == nil {
-			return nil, "", badFrame("delta frame received with no local snapshot")
-		}
-		snap, err := d.Apply(cur)
-		if err != nil {
-			return nil, "", err
-		}
-		return snap, "delta", nil
+		snap, err = f.Snapshot()
+		return snap, "full", 0, err
 	}
+	d, err := DecodeDelta(payload)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	if cur == nil {
+		return nil, "", 0, badFrame("delta frame received with no local snapshot")
+	}
+	snap, shared, err = d.apply(cur, p.meta.crc(cur))
+	return snap, "delta", shared, err
 }
 
 // snapVersionOf reads the version field out of a verified payload

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"sourcerank/internal/core"
@@ -135,7 +134,7 @@ func BuildSnapshotFromSourceGraph(pg *pagegraph.Graph, sg *source.Graph, spam []
 			}
 			sets[algo] = NewScoreSet(res.Scores, res.Stats)
 		case AlgoTrustRank:
-			trusted := trustedSeeds(sg, cfg.TrustedSeeds, spam)
+			trusted := TrustedSeeds(sg, cfg.TrustedSeeds, spam)
 			res, err := rank.TrustRank(sg.Structure(), trusted, cfg.rankOptions(x0))
 			if err != nil {
 				return nil, fmt.Errorf("server: trustrank: %w", err)
@@ -169,9 +168,12 @@ func BuildSnapshotFromSourceGraph(pg *pagegraph.Graph, sg *source.Graph, spam []
 	return snap, nil
 }
 
-// trustedSeeds picks the k non-spam sources with the most pages, the
-// stand-in for a hand-curated trust seed set.
-func trustedSeeds(sg *source.Graph, k int, spam []int32) []int32 {
+// TrustedSeeds picks the k (0 means 10) non-spam sources with the most
+// pages, ties to the lower ID — the stand-in for a hand-curated trust seed
+// set, shared by the cold builder and the streaming refresh. It keeps the
+// k best seen so far in order instead of sorting every source, so a
+// refresh pays O(sources) for it.
+func TrustedSeeds(sg *source.Graph, k int, spam []int32) []int32 {
 	if k <= 0 {
 		k = 10
 	}
@@ -179,21 +181,23 @@ func trustedSeeds(sg *source.Graph, k int, spam []int32) []int32 {
 	for _, s := range spam {
 		ex[s] = true
 	}
-	ids := make([]int32, 0, sg.NumSources())
-	for i := range sg.PageCount {
-		if !ex[int32(i)] {
-			ids = append(ids, int32(i))
+	pc := sg.PageCount
+	best := make([]int32, 0, min(k, len(pc)))
+	for i := range pc {
+		id := int32(i)
+		// IDs ascend, so on equal page counts the earlier source stays
+		// ahead: a candidate must strictly beat the current worst.
+		if (len(best) == k && pc[id] <= pc[best[k-1]]) || ex[id] {
+			continue
+		}
+		if len(best) < k {
+			best = append(best, id)
+		} else {
+			best[k-1] = id
+		}
+		for j := len(best) - 1; j > 0 && pc[best[j]] > pc[best[j-1]]; j-- {
+			best[j], best[j-1] = best[j-1], best[j]
 		}
 	}
-	slices.SortFunc(ids, func(a, b int32) int {
-		ca, cb := sg.PageCount[a], sg.PageCount[b]
-		if ca != cb {
-			return cb - ca
-		}
-		return int(a - b)
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return ids[:k]
+	return best
 }

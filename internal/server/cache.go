@@ -34,9 +34,9 @@ type respCache struct {
 	topk    map[Algo]*topkCache
 	rank    map[Algo]*rankCache
 	meta    []byte // full /v1/snapshot body
-	// labels holds the per-source escaped label bytes used by the delta
-	// renderers, retained so the next publish in the lineage can reuse
-	// them (see labelCacheFor). Nil on cold publishes.
+	// labels holds the per-source escaped label bytes the renderers
+	// append, retained so the next publish in the lineage can reuse them
+	// (see labelCacheFor).
 	labels *labelCache
 }
 
@@ -121,25 +121,56 @@ func encodeIndented(buf *bytes.Buffer, v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// finalize pre-encodes the hot-path response bodies for this snapshot.
-// Store.Publish calls it after assigning the version and before the
-// snapshot pointer is swapped in, so readers only ever observe a fully
-// built cache. publishes is the store's publish counter as of this
-// publish (it equals what Store.Publishes reports while this snapshot
-// is current, which keeps the cached /v1/snapshot body identical to the
-// encoder fallback). prev is the outgoing snapshot (nil on the first
-// publish); a delta publish reuses its unchanged fragments and renders
-// the changed ones directly instead of round-tripping the whole corpus
-// through the encoder (see cache_delta.go).
+// publishOutcome names what a publish did with one score set.
+type publishOutcome int
+
+const (
+	// setReused: scores, labels and page counts were the outgoing
+	// snapshot's arrays, so index and fragments were carried over.
+	setReused publishOutcome = iota
+	// setRendered: the set was indexed and rendered by this publish.
+	setRendered
+	// setUncached: a renderer dropped its cache, so the handlers encode
+	// this set per request.
+	setUncached
+	numPublishOutcomes
+)
+
+var publishOutcomeNames = [numPublishOutcomes]string{"reused", "rendered", "uncached"}
+
+// SameArray reports pointer identity of two slices' backing arrays — the
+// witness, for immutable snapshot inputs, that one was carried over from
+// the other unchanged, and so that whatever was derived from one holds
+// for the other.
+func SameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// finalize resolves this snapshot's indexes and pre-encodes its hot-path
+// response bodies. Store.Publish calls it after assigning the version and
+// before the snapshot pointer is swapped in, so readers only ever observe
+// a fully built cache. publishes is the store's publish counter as of
+// this publish (it equals what Store.Publishes reports while this
+// snapshot is current, which keeps the cached /v1/snapshot body identical
+// to the encoder fallback). prev is the outgoing snapshot (nil on the
+// first publish). It returns how many score sets met each outcome.
 //
-// Every builder is defensive: if the rendered document does not match
-// the expected shape, that piece of the cache is dropped and handlers
-// fall back to per-request encoding. The delta renderers additionally
-// probe one encoder-rendered entry against their own output and defer
-// to the cold builder on any mismatch. The golden tests assert the
-// cached bytes are identical to the fallback for every algorithm and n
-// on both the cold and the delta path.
-func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) {
+// One rule, decided here and nowhere else: an input that is prev's very
+// array carries everything derived from it. Shared labels carry the
+// label map and the escaped-label bytes; a shared score vector carries
+// its rank index; and when labels (for /v1/rank, page counts too) are
+// shared as well, it carries the rendered entries and fragments, leaving
+// only the version-bearing heads to encode. So a publish costs the heads
+// plus one index-and-render per algorithm whose vector changed — the
+// first publish of a lineage included, where that is every algorithm.
+//
+// Everything else is rendered by the direct appenders of cache_delta.go.
+// They are defensive: heads come from the encoder, one entry per
+// document kind is probed against an encoder rendering, and on any
+// mismatch that piece of the cache is dropped so handlers fall back to
+// per-request encoding. The golden tests assert the cached bytes equal
+// the fallback for every algorithm and n on first and later publishes.
+func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPublishOutcomes]int) {
 	initTopKDigits()
 	c := &respCache{
 		etag: `"v` + strconv.FormatUint(s.version, 10) + `"`,
@@ -148,29 +179,57 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) {
 	}
 	c.etagHdr = []string{c.etag}
 	var buf bytes.Buffer
-	c.labels = labelCacheFor(s, prev)
+	old := &respCache{} // prev's cache; empty when there is nothing to carry
+	var sameLabels, samePages bool
+	if prev != nil {
+		sameLabels = SameArray(s.labels, prev.labels)
+		samePages = SameArray(s.pageCount, prev.pageCount)
+		if prev.resp != nil {
+			old = prev.resp
+		}
+	}
+	if sameLabels {
+		s.shareLabelIndex(prev)
+	}
+	s.labelIndex()
+	c.labels = labelCacheFor(s.labels, old.labels)
+	n := s.NumSources()
 	for _, algo := range s.Algos() {
-		tc := s.reuseTopKCache(&buf, prev, algo)
-		if tc == nil && c.labels != nil {
-			tc = s.deltaTopKCache(&buf, algo, c.labels)
+		ss := s.sets[algo]
+		sameScores := false
+		if prev != nil {
+			if pss := prev.sets[algo]; pss != nil && SameArray(ss.scores, pss.scores) {
+				sameScores = true
+				ss.shareIndex(pss)
+			}
 		}
-		if tc == nil {
-			tc = s.buildTopKCache(&buf, algo)
+		ss.index()
+		var fromTopK *topkCache
+		var fromRank *rankCache
+		if sameScores && sameLabels {
+			fromTopK = old.topk[algo]
+			if samePages {
+				fromRank = old.rank[algo]
+			}
 		}
+		tc := s.renderTopK(&buf, algo, c.labels, fromTopK)
 		if tc != nil {
 			c.topk[algo] = tc
 		}
-		if s.NumSources() <= maxRankCacheSources {
-			rc := s.reuseRankCache(&buf, prev, algo)
-			if rc == nil && c.labels != nil {
-				rc = s.deltaRankCache(&buf, algo, c.labels)
-			}
-			if rc == nil {
-				rc = s.buildRankCache(&buf, algo)
-			}
-			if rc != nil {
+		wantRank := n > 0 && n <= maxRankCacheSources
+		var rc *rankCache
+		if wantRank {
+			if rc = s.renderRank(&buf, algo, c.labels, fromRank); rc != nil {
 				c.rank[algo] = rc
 			}
+		}
+		switch {
+		case tc == nil || (wantRank && rc == nil):
+			outcomes[setUncached]++
+		case fromTopK != nil && (fromRank != nil || !wantRank):
+			outcomes[setReused]++
+		default:
+			outcomes[setRendered]++
 		}
 	}
 	if meta, err := encodeIndented(&buf, snapshotResponse{
@@ -185,99 +244,5 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) {
 		c.meta = append([]byte(nil), meta...)
 	}
 	s.resp = c
-}
-
-// buildTopKCache renders the full top-K document once through the
-// encoder fallback and slices it into head / entries / offsets. Entry
-// boundaries are found by scanning for the entry-closing byte sequence
-// "\n    }", which cannot occur inside a JSON string (the encoder
-// escapes raw control characters), so the scan is unambiguous.
-func (s *Snapshot) buildTopKCache(buf *bytes.Buffer, algo Algo) *topkCache {
-	maxN := s.NumSources()
-	if maxN > maxTopK {
-		maxN = maxTopK
-	}
-	results, err := s.TopK(algo, maxN)
-	if err != nil {
-		return nil
-	}
-	doc, err := encodeIndented(buf, topKResponse{Version: s.version, Algo: algo, N: maxN, Results: results})
-	if err != nil {
-		return nil
-	}
-	doc = append([]byte(nil), doc...) // own the bytes; buf is reused
-	i := bytes.Index(doc, topkNMarker)
-	if i < 0 {
-		return nil
-	}
-	headEnd := i + len(topkNMarker)
-	rest := doc[headEnd:]
-	digits := topkDigits[maxN]
-	if !bytes.HasPrefix(rest, digits) {
-		return nil
-	}
-	rest = rest[len(digits):]
-	if maxN == 0 {
-		if !bytes.Equal(rest, topkZeroTail) {
-			return nil
-		}
-		return &topkCache{head: doc[:headEnd]}
-	}
-	if !bytes.HasPrefix(rest, topkMid) || !bytes.HasSuffix(rest, topkTail) {
-		return nil
-	}
-	entries := rest[len(topkMid) : len(rest)-len(topkTail)]
-	ends := make([]int, 0, maxN)
-	for j := 0; j < len(entries); {
-		k := bytes.Index(entries[j:], entryClose)
-		if k < 0 {
-			break
-		}
-		j += k + len(entryClose)
-		ends = append(ends, j)
-	}
-	if len(ends) != maxN || ends[maxN-1] != len(entries) {
-		return nil
-	}
-	return &topkCache{head: doc[:headEnd], entries: entries, ends: ends}
-}
-
-// buildRankCache renders every source's /v1/rank document through the
-// encoder fallback, verifies they share the version/algo head, and
-// packs the per-source remainders into one fragment slab.
-func (s *Snapshot) buildRankCache(buf *bytes.Buffer, algo Algo) *rankCache {
-	n := s.NumSources()
-	var head []byte
-	frags := make([]byte, 0, n*96)
-	offs := make([]int32, 1, n+1)
-	for id := int32(0); int(id) < n; id++ {
-		entry, err := s.Entry(algo, id)
-		if err != nil {
-			return nil
-		}
-		resp := rankResponse{Version: s.version, Algo: algo, Entry: entry, Sources: n}
-		if pc := s.pageCount; int(id) < len(pc) {
-			resp.Pages = pc[id]
-		}
-		doc, err := encodeIndented(buf, resp)
-		if err != nil {
-			return nil
-		}
-		if head == nil {
-			i := bytes.Index(doc, rankMarker)
-			if i < 0 {
-				return nil
-			}
-			head = append([]byte(nil), doc[:i]...)
-		}
-		if !bytes.HasPrefix(doc, head) {
-			return nil
-		}
-		frags = append(frags, doc[len(head):]...)
-		if len(frags) > 1<<31-1 {
-			return nil
-		}
-		offs = append(offs, int32(len(frags)))
-	}
-	return &rankCache{head: head, frags: frags, offs: offs}
+	return outcomes
 }

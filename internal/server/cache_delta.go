@@ -5,26 +5,19 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
-
-	"sourcerank/internal/linalg"
 )
 
-// This file is the delta half of the response pre-encoder. The cold
-// builders in cache.go render every document through encoding/json —
-// simple and self-verifying, but on the measured corpus the finalize
-// pass dominates the publish latency. A streamed delta publish instead:
+// This file is the response pre-encoder's renderer, the only one: first
+// publishes and delta publishes alike go through it. finalize (cache.go)
+// decides what is carried over from the outgoing snapshot; whatever is
+// not carried is rendered here with byte-exact appenders (cached escaped
+// label bytes plus appendJSONFloat, which replicates the encoder's float
+// formatting) instead of round-tripping the corpus through encoding/json.
 //
-//   - reuses the previous snapshot's entry/fragment slabs wholesale when
-//     the inputs they were rendered from (score vector, labels, page
-//     counts) are pointer-identical — the skip-solve refresh path — and
-//     only re-renders the tiny version-bearing head; or
-//   - renders the slabs directly with byte-exact appenders (cached
-//     escaped label bytes plus appendJSONFloat, which replicates the
-//     encoder's float formatting) when scores did change.
-//
-// Both paths stay defensive: the head always comes from the encoder,
-// one full entry is probed against an encoder rendering, and any
-// mismatch falls back to the cold builder, whose output is the contract.
+// The renderers stay defensive: the version-bearing head always comes
+// from the encoder, one full entry is probed against an encoder
+// rendering, and any mismatch drops that cache so the handlers encode
+// per request — the encoder's output is the contract.
 
 // labelCache holds the JSON-escaped (quoted) encoding of every source
 // label. Escapes depend only on the label string, and the incremental
@@ -36,36 +29,45 @@ type labelCache struct {
 	esc    [][]byte
 }
 
-// labelCacheFor builds the escaped-label cache for s, reusing the
-// previous publish's cache for the shared backing-array prefix. The
-// first publish of a lineage (prev == nil) returns nil: with no history
-// there is nothing to delta against, and the cold builders keep the
-// first publish's cost profile unchanged.
-func labelCacheFor(s, prev *Snapshot) *labelCache {
-	if prev == nil {
-		return nil
-	}
-	n := len(s.labels)
-	if n == 0 {
-		return nil
+// labelCacheFor builds the escaped-label cache for labels, reusing the
+// outgoing publish's cache (nil when there is none) for the shared
+// backing-array prefix.
+func labelCacheFor(labels []string, old *labelCache) *labelCache {
+	n := len(labels)
+	if old != nil && SameArray(labels, old.labels) {
+		return old
 	}
 	esc := make([][]byte, n)
 	reuse := 0
-	if prev.resp != nil && prev.resp.labels != nil {
-		pl := prev.resp.labels
-		if m := min(len(pl.labels), n); m > 0 && &pl.labels[0] == &s.labels[0] {
-			copy(esc, pl.esc[:m])
-			reuse = m
+	if old != nil {
+		if m := min(len(old.labels), n); m > 0 && &old.labels[0] == &labels[0] {
+			reuse = copy(esc, old.esc[:m])
 		}
 	}
 	for i := reuse; i < n; i++ {
-		b, err := json.Marshal(s.labels[i])
+		b, err := json.Marshal(labels[i])
 		if err != nil {
 			return nil
 		}
 		esc[i] = b
 	}
-	return &labelCache{labels: s.labels, esc: esc}
+	return &labelCache{labels: labels, esc: esc}
+}
+
+// maxJSONFloatLen bounds appendJSONFloat's output: sign, "0.", five
+// leading zeros and 17 significant digits at 1e-6, the longest case.
+const maxJSONFloatLen = 25
+
+// decLen is the length of v in decimal.
+func decLen(v int) int {
+	n := 1
+	if v < 0 {
+		n, v = 2, -v
+	}
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // appendJSONFloat appends f exactly as encoding/json renders a float64:
@@ -90,20 +92,6 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// sameVec reports pointer identity of two vectors' backing arrays — the
-// witness that one was carried over from the other unchanged.
-func sameVec(a, b linalg.Vector) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-func sameLabels(a, b []string) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-func samePages(a, b []int) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
 // topkHead renders the version/algo head of a top-K document through
 // the encoder (so its formatting is exact by construction) and returns
 // it, or nil on any shape surprise.
@@ -119,53 +107,54 @@ func (s *Snapshot) topkHead(buf *bytes.Buffer, algo Algo) []byte {
 	return append([]byte(nil), doc[:i+len(topkNMarker)]...)
 }
 
-// reuseTopKCache serves the skip-solve publish: when this snapshot's
-// scores and labels are the previous snapshot's very arrays, the entry
-// slab cannot differ, so only the head (which carries the new version)
-// is re-rendered.
-func (s *Snapshot) reuseTopKCache(buf *bytes.Buffer, prev *Snapshot, algo Algo) *topkCache {
-	if prev == nil || prev.resp == nil {
-		return nil
-	}
-	pc, ok := prev.resp.topk[algo]
-	if !ok {
-		return nil
-	}
-	ss, pss := s.sets[algo], prev.sets[algo]
-	if ss == nil || pss == nil || !sameVec(ss.scores, pss.scores) || !sameLabels(s.labels, prev.labels) {
-		return nil
-	}
-	head := s.topkHead(buf, algo)
-	if head == nil {
-		return nil
-	}
-	return &topkCache{head: head, entries: pc.entries, ends: pc.ends}
-}
+// The fixed text of one /v1/topk entry and one /v1/rank fragment, as the
+// encoder indents them.
+const (
+	topkEntrySource = "\n    {\n      \"source\": "
+	topkEntryLabel  = ",\n      \"label\": "
+	topkEntryScore  = ",\n      \"score\": "
+	topkEntryRank   = ",\n      \"rank\": "
 
-// deltaTopKCache renders the top-K entry slab directly. The format is
-// pinned by the cold builder's slicing markers; entry 0 is additionally
-// probed against a full encoder rendering, so a formatting divergence
-// degrades to the cold builder instead of serving wrong bytes.
-func (s *Snapshot) deltaTopKCache(buf *bytes.Buffer, algo Algo, lc *labelCache) *topkCache {
-	ss := s.sets[algo]
-	if ss == nil || len(lc.esc) != len(s.labels) {
-		return nil
-	}
-	maxN := s.NumSources()
-	if maxN > maxTopK {
-		maxN = maxTopK
-	}
+	rankFragLabel   = ",\n  \"label\": "
+	rankFragScore   = ",\n  \"score\": "
+	rankFragRank    = ",\n  \"rank\": "
+	rankFragSources = ",\n  \"sources\": "
+	rankFragPages   = ",\n  \"pages\": "
+	rankFragClose   = "\n}\n"
+)
+
+// renderTopK builds algo's top-K cache. The head, which carries the
+// version, is always encoded afresh; from, when finalize established
+// that the outgoing snapshot's entries still hold, supplies the entry
+// slab as is. Otherwise the slab is rendered directly into a buffer
+// sized once from an upper bound, and entry 0 is probed against a full
+// encoder rendering, so a formatting divergence drops the cache instead
+// of serving wrong bytes.
+func (s *Snapshot) renderTopK(buf *bytes.Buffer, algo Algo, lc *labelCache, from *topkCache) *topkCache {
 	head := s.topkHead(buf, algo)
 	if head == nil {
 		return nil
 	}
+	if from != nil {
+		return &topkCache{head: head, entries: from.entries, ends: from.ends}
+	}
+	ss := s.sets[algo]
+	if lc == nil || len(lc.esc) != len(s.labels) {
+		return nil
+	}
+	order, _ := ss.index()
+	maxN := min(len(order), maxTopK)
 	if maxN == 0 {
 		return &topkCache{head: head}
 	}
-	entries := make([]byte, 0, maxN*96)
-	ends := make([]int, 0, maxN)
-	for pos := 0; pos < maxN; pos++ {
-		id := ss.order[pos]
+	size := maxN * (1 + len(topkEntrySource) + len(topkEntryLabel) + len(topkEntryScore) + len(topkEntryRank) +
+		len(entryClose) + 2*decLen(len(order)) + maxJSONFloatLen)
+	for _, id := range order[:maxN] {
+		size += len(lc.esc[id])
+	}
+	entries := make([]byte, 0, size)
+	ends := make([]int, maxN)
+	for pos, id := range order[:maxN] {
 		score := ss.scores[id]
 		if math.IsNaN(score) || math.IsInf(score, 0) {
 			return nil
@@ -173,16 +162,16 @@ func (s *Snapshot) deltaTopKCache(buf *bytes.Buffer, algo Algo, lc *labelCache) 
 		if pos > 0 {
 			entries = append(entries, ',')
 		}
-		entries = append(entries, "\n    {\n      \"source\": "...)
+		entries = append(entries, topkEntrySource...)
 		entries = strconv.AppendInt(entries, int64(id), 10)
-		entries = append(entries, ",\n      \"label\": "...)
+		entries = append(entries, topkEntryLabel...)
 		entries = append(entries, lc.esc[id]...)
-		entries = append(entries, ",\n      \"score\": "...)
+		entries = append(entries, topkEntryScore...)
 		entries = appendJSONFloat(entries, score)
-		entries = append(entries, ",\n      \"rank\": "...)
+		entries = append(entries, topkEntryRank...)
 		entries = strconv.AppendInt(entries, int64(pos+1), 10)
 		entries = append(entries, entryClose...)
-		ends = append(ends, len(entries))
+		ends[pos] = len(entries)
 	}
 	if !s.probeTopKEntry(buf, algo, entries[:ends[0]]) {
 		return nil
@@ -232,43 +221,37 @@ func (s *Snapshot) rankHead(buf *bytes.Buffer, algo Algo) (head, frag0 []byte) {
 	return append([]byte(nil), doc[:i]...), doc[i:]
 }
 
-// reuseRankCache is reuseTopKCache for the per-source fragments; page
-// counts feed the fragment bodies, so they must be carried over too.
-func (s *Snapshot) reuseRankCache(buf *bytes.Buffer, prev *Snapshot, algo Algo) *rankCache {
-	if prev == nil || prev.resp == nil {
-		return nil
-	}
-	pc, ok := prev.resp.rank[algo]
-	if !ok || pc.numSources() == 0 {
-		return nil
-	}
-	ss, pss := s.sets[algo], prev.sets[algo]
-	if ss == nil || pss == nil || !sameVec(ss.scores, pss.scores) ||
-		!sameLabels(s.labels, prev.labels) || !samePages(s.pageCount, prev.pageCount) {
-		return nil
-	}
-	head, frag0 := s.rankHead(buf, algo)
-	if head == nil || !bytes.Equal(frag0, pc.frags[:pc.offs[1]]) {
-		return nil
-	}
-	return &rankCache{head: head, frags: pc.frags, offs: pc.offs}
-}
-
-// deltaRankCache renders every source's fragment directly, with source
-// 0 pinned to the encoder's rendering.
-func (s *Snapshot) deltaRankCache(buf *bytes.Buffer, algo Algo, lc *labelCache) *rankCache {
-	n := s.NumSources()
-	ss := s.sets[algo]
-	if ss == nil || n == 0 || len(lc.esc) != n {
-		return nil
-	}
+// renderRank is renderTopK for the per-source /v1/rank fragments, with
+// source 0 pinned to the encoder's rendering on both the carried and the
+// rendered path.
+func (s *Snapshot) renderRank(buf *bytes.Buffer, algo Algo, lc *labelCache, from *rankCache) *rankCache {
 	head, frag0 := s.rankHead(buf, algo)
 	if head == nil {
 		return nil
 	}
-	frags := make([]byte, 0, n*96)
-	offs := make([]int32, 1, n+1)
+	if from != nil {
+		if !bytes.Equal(frag0, from.frags[:from.offs[1]]) {
+			return nil
+		}
+		return &rankCache{head: head, frags: from.frags, offs: from.offs}
+	}
+	n := s.NumSources()
+	ss := s.sets[algo]
+	if lc == nil || len(lc.esc) != n {
+		return nil
+	}
+	_, rank := ss.index()
 	pcs := s.pageCount
+	size := n * (len(rankMarker) + len(rankFragLabel) + len(rankFragScore) + len(rankFragRank) + len(rankFragSources) +
+		len(rankFragClose) + 3*decLen(n) + maxJSONFloatLen)
+	for id, e := range lc.esc {
+		size += len(e)
+		if id < len(pcs) && pcs[id] != 0 {
+			size += len(rankFragPages) + decLen(pcs[id])
+		}
+	}
+	frags := make([]byte, 0, size)
+	offs := make([]int32, n+1)
 	for id := 0; id < n; id++ {
 		score := ss.scores[id]
 		if math.IsNaN(score) || math.IsInf(score, 0) {
@@ -276,23 +259,23 @@ func (s *Snapshot) deltaRankCache(buf *bytes.Buffer, algo Algo, lc *labelCache) 
 		}
 		frags = append(frags, rankMarker...)
 		frags = strconv.AppendInt(frags, int64(id), 10)
-		frags = append(frags, ",\n  \"label\": "...)
+		frags = append(frags, rankFragLabel...)
 		frags = append(frags, lc.esc[id]...)
-		frags = append(frags, ",\n  \"score\": "...)
+		frags = append(frags, rankFragScore...)
 		frags = appendJSONFloat(frags, score)
-		frags = append(frags, ",\n  \"rank\": "...)
-		frags = strconv.AppendInt(frags, int64(ss.rank[id])+1, 10)
-		frags = append(frags, ",\n  \"sources\": "...)
+		frags = append(frags, rankFragRank...)
+		frags = strconv.AppendInt(frags, int64(rank[id])+1, 10)
+		frags = append(frags, rankFragSources...)
 		frags = strconv.AppendInt(frags, int64(n), 10)
 		if id < len(pcs) && pcs[id] != 0 {
-			frags = append(frags, ",\n  \"pages\": "...)
+			frags = append(frags, rankFragPages...)
 			frags = strconv.AppendInt(frags, int64(pcs[id]), 10)
 		}
-		frags = append(frags, "\n}\n"...)
+		frags = append(frags, rankFragClose...)
 		if len(frags) > 1<<31-1 {
 			return nil
 		}
-		offs = append(offs, int32(len(frags)))
+		offs[id+1] = int32(len(frags))
 	}
 	if !bytes.Equal(frag0, frags[:offs[1]]) {
 		return nil

@@ -7,12 +7,16 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
+	"sourcerank/internal/source"
 )
 
 // TestAppendJSONFloat pins the hand renderer's float formatting to
@@ -21,7 +25,7 @@ import (
 func TestAppendJSONFloat(t *testing.T) {
 	vals := []float64{
 		0, 1, -1, 0.5, 0.1, 1.0 / 3.0,
-		1e-6, 9.999999e-7, 1e-7, 1.0000001e-6,
+		1e-6, 9.999999e-7, 1e-7, 1.0000001e-6, -1.2345678901234567e-6,
 		1e21, 9.999999e20, 1.23456789e21,
 		1e-300, 5e-324, math.MaxFloat64, -math.MaxFloat64,
 		0.0001220703125, 3.141592653589793,
@@ -38,8 +42,12 @@ func TestAppendJSONFloat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("marshal %v: %v", v, err)
 		}
-		if got := appendJSONFloat(nil, v); string(got) != string(want) {
+		got := appendJSONFloat(nil, v)
+		if string(got) != string(want) {
 			t.Fatalf("appendJSONFloat(%v) = %q, want %q", v, got, want)
+		}
+		if len(got) > maxJSONFloatLen {
+			t.Fatalf("appendJSONFloat(%v) is %d bytes, above the renderers' sizing bound %d", v, len(got), maxJSONFloatLen)
 		}
 	}
 }
@@ -126,9 +134,9 @@ func TestDeltaPublishByteIdentical(t *testing.T) {
 
 // TestDeltaPublishWholesaleReuse pins the skip-solve path: when a
 // publish carries the previous snapshot's very score/label/page arrays,
-// the entry and fragment slabs are reused (no re-render), only the
-// version-bearing heads change, and the bodies still match the
-// fallback.
+// the rank index, the label map and the entry and fragment slabs are
+// shared (no re-sort, no re-render), only the version-bearing heads
+// change, and the bodies still match the fallback.
 func TestDeltaPublishWholesaleReuse(t *testing.T) {
 	first := nastySnapshot(t)
 	store := NewStore(first)
@@ -141,7 +149,19 @@ func TestDeltaPublishWholesaleReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Publish(second)
+	if reused, rendered, uncached := store.PublishSets(); reused != 2 || rendered != 2 || uncached != 0 {
+		t.Fatalf("publish sets reused/rendered/uncached = %d/%d/%d, want 2/2/0", reused, rendered, uncached)
+	}
+	if reflect.ValueOf(second.byLabel).Pointer() != reflect.ValueOf(first.byLabel).Pointer() {
+		t.Fatal("label map was rebuilt, not shared")
+	}
+	if second.resp.labels != first.resp.labels {
+		t.Fatal("escaped labels were rebuilt, not shared")
+	}
 	for _, algo := range second.Algos() {
+		if ss, pss := second.sets[algo], first.sets[algo]; &ss.order[0] != &pss.order[0] || &ss.rank[0] != &pss.rank[0] {
+			t.Fatalf("%s: rank index was re-sorted, not shared", algo)
+		}
 		tc, ptc := second.resp.topk[algo], first.resp.topk[algo]
 		if tc == nil || ptc == nil {
 			t.Fatalf("missing topk cache for %s", algo)
@@ -167,6 +187,176 @@ func TestDeltaPublishWholesaleReuse(t *testing.T) {
 		}
 		if !strings.Contains(a.Body.String(), `"version": 2`) {
 			t.Fatalf("%s: reused body kept the stale version:\n%s", path, a.Body.String())
+		}
+	}
+}
+
+// TestPublishCarriesOnlyUnchangedSets mixes the two cases in one publish:
+// the algorithm whose vector is the predecessor's is carried whole, the
+// one whose vector changed is indexed and rendered alone, and both still
+// match the fallback byte for byte.
+func TestPublishCarriesOnlyUnchangedSets(t *testing.T) {
+	first := nastySnapshot(t)
+	store := NewStore(first)
+	changed := append(linalg.Vector(nil), first.sets[AlgoSRSR].scores...)
+	changed[1], changed[3] = 0.125, 0
+	second, err := NewSnapshot(first.corpus, first.labels, first.pageCount, first.kappaTopK, map[Algo]*ScoreSet{
+		AlgoSRSR:     NewScoreSet(changed, linalg.IterStats{}),
+		"weird.algo": NewScoreSet(first.sets["weird.algo"].scores, linalg.IterStats{}),
+	}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Publish(second)
+	if reused, rendered, uncached := store.PublishSets(); reused != 1 || rendered != 3 || uncached != 0 {
+		t.Fatalf("publish sets reused/rendered/uncached = %d/%d/%d, want 1/3/0", reused, rendered, uncached)
+	}
+	if &second.sets["weird.algo"].order[0] != &first.sets["weird.algo"].order[0] ||
+		&second.resp.rank["weird.algo"].frags[0] != &first.resp.rank["weird.algo"].frags[0] {
+		t.Fatal("unchanged algorithm was not carried")
+	}
+	if &second.sets[AlgoSRSR].order[0] == &first.sets[AlgoSRSR].order[0] ||
+		&second.resp.rank[AlgoSRSR].frags[0] == &first.resp.rank[AlgoSRSR].frags[0] {
+		t.Fatal("changed algorithm shares its predecessor's index or fragments")
+	}
+	cached, fallback := twoServers(store)
+	for _, algo := range second.Algos() {
+		for n := 0; n <= second.NumSources(); n++ {
+			path := fmt.Sprintf("/v1/topk?algo=%s&n=%d", algo, n)
+			if a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil); a.Body.String() != b.Body.String() {
+				t.Fatalf("%s differs from fallback\ncached:\n%s\nfallback:\n%s", path, a.Body.String(), b.Body.String())
+			}
+		}
+		for id := 0; id < second.NumSources(); id++ {
+			path := fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo)
+			if a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil); a.Body.String() != b.Body.String() {
+				t.Fatalf("%s differs from fallback\ncached:\n%s\nfallback:\n%s", path, a.Body.String(), b.Body.String())
+			}
+		}
+	}
+	metrics := rawGet(t, cached.Handler(), "/metrics", nil).Body.String()
+	for _, want := range []string{
+		`srserve_publish_sets_total{outcome="reused"} 1`,
+		`srserve_publish_sets_total{outcome="rendered"} 3`,
+		`srserve_publish_sets_total{outcome="uncached"} 0`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+}
+
+// TestDefeatedProbeDropsCache feeds the renderers escaped-label bytes the
+// encoder would never produce. The one-entry probes must notice, the
+// caches must be dropped (counted as uncached), and the handlers must
+// keep serving the encoder's bytes.
+func TestDefeatedProbeDropsCache(t *testing.T) {
+	store := NewStore(nastySnapshot(t))
+	first := store.Current()
+	for i := range first.resp.labels.esc {
+		first.resp.labels.esc[i] = []byte(`"forged"`)
+	}
+	second := deltaSnapshot(t, first, rand.New(rand.NewSource(3)))
+	store.Publish(second)
+	for _, algo := range second.Algos() {
+		if second.resp.topk[algo] != nil || second.resp.rank[algo] != nil {
+			t.Fatalf("%s: a cache rendered from forged labels survived its probe", algo)
+		}
+	}
+	if _, _, uncached := store.PublishSets(); uncached != 2 {
+		t.Fatalf("uncached sets = %d, want 2", uncached)
+	}
+	cached, fallback := twoServers(store)
+	for _, path := range []string{"/v1/topk?n=8", "/v1/topk?n=2&algo=weird.algo", "/v1/rank/0", "/v1/rank/3?algo=weird.algo"} {
+		a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil)
+		if a.Code != http.StatusOK || a.Body.String() != b.Body.String() || strings.Contains(a.Body.String(), "forged") {
+			t.Fatalf("%s: status %d, body\n%s\nfallback:\n%s", path, a.Code, a.Body.String(), b.Body.String())
+		}
+	}
+}
+
+// TestPublishAllocatesOutputOnce bounds a full re-render (every vector
+// changed over a live predecessor) to 1.25x the bytes the new snapshot
+// retains: every index and slab is allocated once at its final size.
+func TestPublishAllocatesOutputOnce(t *testing.T) {
+	const n = 9822
+	rng := rand.New(rand.NewSource(5))
+	labels, pages := make([]string, n), make([]int, n)
+	sets := map[Algo]*ScoreSet{}
+	for i := range labels {
+		labels[i] = fmt.Sprintf("host-%d.example.org", i)
+		pages[i] = rng.Intn(400)
+	}
+	for _, algo := range DefaultAlgos {
+		scores := make(linalg.Vector, n)
+		for i := range scores {
+			scores[i] = rng.Float64() / n
+		}
+		sets[algo] = NewScoreSet(scores, linalg.IterStats{})
+	}
+	first, err := NewSnapshot(CorpusInfo{Name: "alloc"}, labels, pages, 0, sets, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore(first)
+	second := deltaSnapshot(t, first, rng)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	store.Publish(second)
+	runtime.ReadMemStats(&after)
+	retained := 0
+	for _, algo := range second.Algos() {
+		ss, tc, rc := second.sets[algo], second.resp.topk[algo], second.resp.rank[algo]
+		retained += 4*(cap(ss.order)+cap(ss.rank)) + cap(tc.entries) + 8*cap(tc.ends) + cap(rc.frags) + 4*cap(rc.offs)
+		if len(tc.entries)*10 < cap(tc.entries)*9 || len(rc.frags)*10 < cap(rc.frags)*9 {
+			t.Fatalf("%s: slabs sized loosely: entries %d/%d, frags %d/%d", algo, len(tc.entries), cap(tc.entries), len(rc.frags), cap(rc.frags))
+		}
+	}
+	if got := int(after.TotalAlloc - before.TotalAlloc); got*4 > retained*5 {
+		t.Fatalf("publish allocated %d bytes to retain %d (%.2fx, want <= 1.25x)", got, retained, float64(got)/float64(retained))
+	}
+}
+
+// TestTrustedSeedsMatchesSort checks the bounded selection against the
+// full sort it replaced, on heavy ties, spam exclusion and k beyond n.
+func TestTrustedSeedsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(40)
+		sg := &source.Graph{PageCount: make([]int, n)}
+		for i := range sg.PageCount {
+			sg.PageCount[i] = rng.Intn(4) // few distinct values: ties everywhere
+		}
+		var spam []int32
+		ex := map[int32]bool{}
+		for i := 0; i < n; i++ {
+			if rng.Intn(5) == 0 {
+				spam = append(spam, int32(i))
+				ex[int32(i)] = true
+			}
+		}
+		var ids []int32
+		for i := 0; i < n; i++ {
+			if !ex[int32(i)] {
+				ids = append(ids, int32(i))
+			}
+		}
+		slices.SortFunc(ids, func(a, b int32) int {
+			if ca, cb := sg.PageCount[a], sg.PageCount[b]; ca != cb {
+				return cb - ca
+			}
+			return int(a - b)
+		})
+		for _, k := range []int{0, 1, 3, 10, n, n + 5} {
+			want := ids
+			if kk := max(k, 0); kk == 0 {
+				want = ids[:min(10, len(ids))]
+			} else if kk < len(ids) {
+				want = ids[:kk]
+			}
+			if got := TrustedSeeds(sg, k, spam); !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d pages=%v spam=%v: got %v, want %v", n, k, sg.PageCount, spam, got, want)
+			}
 		}
 	}
 }

@@ -454,6 +454,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WriteText(w, version, s.store.Publishes(), sources, s.store.Staleness().Seconds())
 	s.metrics.WriteSolverText(w, snap)
+	s.metrics.WritePublishText(w, s.store)
 	s.metrics.WriteRefreshText(w, s.cfg.Refresher)
 	if s.cfg.Replica != nil {
 		s.cfg.Replica.WriteMetricsText(w)

@@ -311,6 +311,20 @@ func (m *Metrics) WriteSolverText(w io.Writer, snap *Snapshot) {
 	}
 }
 
+// WritePublishText renders what the store's publishes did with their
+// score sets, so an expensive publish is explained from /metrics: a set
+// is reused when the publish carried its index and rendered responses
+// over from the outgoing snapshot, rendered when the publish indexed and
+// rendered it, uncached when a renderer dropped its cache and requests
+// are encoded one by one.
+func (m *Metrics) WritePublishText(w io.Writer, st *Store) {
+	fmt.Fprintf(w, "# HELP srserve_publish_sets_total Score sets published, by what the publish did with them.\n")
+	fmt.Fprintf(w, "# TYPE srserve_publish_sets_total counter\n")
+	for outcome, name := range publishOutcomeNames {
+		fmt.Fprintf(w, "srserve_publish_sets_total{outcome=%q} %d\n", name, st.setOutcomes[outcome].Load())
+	}
+}
+
 // WriteRefreshText renders refresher health gauges. It appends to the
 // main exposition (kept separate so the existing series' byte format is
 // untouched); a nil refresher writes nothing.

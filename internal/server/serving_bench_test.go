@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -100,7 +101,8 @@ func BenchmarkRankFallback(b *testing.B) {
 }
 
 // BenchmarkNewScoreSet tracks the publish-path sort (slices.SortFunc on
-// concrete types, replacing sort.Slice).
+// concrete types, replacing sort.Slice), which runs when a set's index is
+// first resolved.
 func BenchmarkNewScoreSet(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	scores := make(linalg.Vector, 100_000)
@@ -110,7 +112,7 @@ func BenchmarkNewScoreSet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewScoreSet(scores, linalg.IterStats{})
+		NewScoreSet(scores, linalg.IterStats{}).index()
 	}
 }
 
@@ -123,6 +125,67 @@ func BenchmarkPublishFinalize(b *testing.B) {
 		b.StopTimer()
 		snap := benchSnapshot(b, 1000)
 		store := NewStore(nil)
+		b.StartTimer()
+		store.Publish(snap)
+	}
+}
+
+// publishBenchSnapshot is a snapshot of the benchmark corpus's shape
+// (UK2002 at scale 0.1: 9 822 sources, three algorithms). labels and
+// pages, when given, are shared with the returned snapshot, as a refresh
+// that left the corpus alone would.
+func publishBenchSnapshot(b *testing.B, rng *rand.Rand, labels []string, pages []int) *Snapshot {
+	b.Helper()
+	const n = 9822
+	if labels == nil {
+		labels, pages = make([]string, n), make([]int, n)
+		for i := range labels {
+			labels[i] = fmt.Sprintf("host-%d.example.org", i)
+			pages[i] = rng.Intn(400)
+		}
+	}
+	sets := make(map[Algo]*ScoreSet, len(DefaultAlgos))
+	for _, algo := range DefaultAlgos {
+		scores := make(linalg.Vector, n)
+		for i := range scores {
+			scores[i] = rng.Float64() / n
+		}
+		sets[algo] = NewScoreSet(scores, linalg.IterStats{})
+	}
+	snap, err := NewSnapshot(CorpusInfo{Name: "bench"}, labels, pages, 0, sets, time.Now())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return snap
+}
+
+// BenchmarkColdPublish is the first publish of a lineage: nothing to
+// carry, so every label is escaped and every algorithm indexed and
+// rendered — what a builder and each replica pay once per cold start.
+func BenchmarkColdPublish(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		snap := publishBenchSnapshot(b, rng, nil, nil)
+		store := NewStore(nil)
+		b.StartTimer()
+		store.Publish(snap)
+	}
+}
+
+// BenchmarkDeltaPublish is a publish over a live predecessor with every
+// score vector changed and the corpus unchanged: escaped labels and the
+// label map are carried, all three algorithms are indexed and rendered.
+func BenchmarkDeltaPublish(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	store := NewStore(publishBenchSnapshot(b, rng, nil, nil))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cur := store.Current()
+		snap := publishBenchSnapshot(b, rng, cur.labels, cur.pageCount)
 		b.StartTimer()
 		store.Publish(snap)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"sourcerank/internal/linalg"
@@ -43,9 +44,15 @@ type Entry struct {
 // so top-k queries slice a sorted array instead of sorting per request.
 type ScoreSet struct {
 	scores linalg.Vector
-	order  []int32 // source IDs in descending score order, ties by ID
-	rank   []int32 // rank[source] = position of source in order
-	stats  linalg.IterStats
+	// order and rank are resolved exactly once, through index: publishing
+	// shares the outgoing snapshot's arrays when scores is its very vector
+	// (see Snapshot.carry) and sorts otherwise; a set that is never
+	// published sorts on first use. Read them through index() unless the
+	// set is known to be published.
+	indexOnce sync.Once
+	order     []int32 // source IDs in descending score order, ties by ID
+	rank      []int32 // rank[source] = position of source in order
+	stats     linalg.IterStats
 	// Solve observability, set by the snapshot builder via setSolve.
 	solveTime   time.Duration
 	warmStarted bool
@@ -55,31 +62,49 @@ type ScoreSet struct {
 	solvePrec linalg.Precision
 }
 
-// NewScoreSet indexes a score vector for serving. The vector is retained
-// (not copied); callers must not mutate it afterwards.
+// NewScoreSet wraps a score vector for serving. The vector is retained
+// (not copied); callers must not mutate it afterwards. The rank index is
+// resolved when the set is published or first queried, so a vector the
+// previous publish already indexed is never sorted again.
 func NewScoreSet(scores linalg.Vector, stats linalg.IterStats) *ScoreSet {
-	n := len(scores)
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	// slices.SortFunc on the concrete []int32 skips the interface and
-	// reflect-based swap of sort.Slice on the publish path.
-	slices.SortFunc(order, func(a, b int32) int {
-		sa, sb := scores[a], scores[b]
-		switch {
-		case sa > sb:
-			return -1
-		case sa < sb:
-			return 1
+	return &ScoreSet{scores: scores, stats: stats}
+}
+
+// index returns the rank index, sorting on the first call unless
+// shareIndex got there first.
+func (ss *ScoreSet) index() (order, rank []int32) {
+	ss.indexOnce.Do(func() {
+		scores := ss.scores
+		order := make([]int32, len(scores))
+		for i := range order {
+			order[i] = int32(i)
 		}
-		return int(a - b)
+		// slices.SortFunc on the concrete []int32 skips the interface and
+		// reflect-based swap of sort.Slice on the publish path.
+		slices.SortFunc(order, func(a, b int32) int {
+			sa, sb := scores[a], scores[b]
+			switch {
+			case sa > sb:
+				return -1
+			case sa < sb:
+				return 1
+			}
+			return int(a - b)
+		})
+		rank := make([]int32, len(scores))
+		for pos, id := range order {
+			rank[id] = int32(pos)
+		}
+		ss.order, ss.rank = order, rank
 	})
-	rank := make([]int32, n)
-	for pos, id := range order {
-		rank[id] = int32(pos)
-	}
-	return &ScoreSet{scores: scores, order: order, rank: rank, stats: stats}
+	return ss.order, ss.rank
+}
+
+// shareIndex adopts from's rank index; the caller has established that
+// both sets hold the same score vector. A set that already resolved its
+// index keeps it (the two are equal anyway).
+func (ss *ScoreSet) shareIndex(from *ScoreSet) {
+	ss.indexOnce.Do(func() { ss.order, ss.rank = from.index() })
 }
 
 // NewScoreSetSolved is NewScoreSet with solve provenance attached. The
@@ -150,12 +175,16 @@ type Snapshot struct {
 	// publish's parent is the snapshot whose state it patched.
 	parent  uint64
 	builtAt time.Time
-	corpus    CorpusInfo
-	labels    []string
-	byLabel   map[string]int32
-	pageCount []int
-	kappaTopK int
-	sets      map[Algo]*ScoreSet
+	corpus  CorpusInfo
+	labels  []string
+	// byLabel is resolved exactly once, through labelIndex, under the same
+	// rule as ScoreSet's rank index: shared with the outgoing snapshot when
+	// labels is its very array, built otherwise.
+	byLabelOnce sync.Once
+	byLabel     map[string]int32
+	pageCount   []int
+	kappaTopK   int
+	sets        map[Algo]*ScoreSet
 	// proximity is the SRSR spam-proximity vector the throttle was
 	// derived from, retained so the next refresh can warm-start the
 	// proximity walk (see WarmStartFrom). Nil when SRSR was not
@@ -179,22 +208,36 @@ func NewSnapshot(corpus CorpusInfo, labels []string, pageCount []int, kappaTopK 
 			return nil, fmt.Errorf("server: %s has %d scores for %d sources", algo, len(ss.scores), len(labels))
 		}
 	}
-	byLabel := make(map[string]int32, len(labels))
-	for i, l := range labels {
-		if _, dup := byLabel[l]; !dup {
-			byLabel[l] = int32(i)
-		}
-	}
 	corpus.Sources = len(labels)
 	return &Snapshot{
 		builtAt:   builtAt,
 		corpus:    corpus,
 		labels:    labels,
-		byLabel:   byLabel,
 		pageCount: pageCount,
 		kappaTopK: kappaTopK,
 		sets:      sets,
 	}, nil
+}
+
+// labelIndex returns the label→ID map (first occurrence wins), building
+// it on the first call unless shareLabelIndex got there first.
+func (s *Snapshot) labelIndex() map[string]int32 {
+	s.byLabelOnce.Do(func() {
+		byLabel := make(map[string]int32, len(s.labels))
+		for i, l := range s.labels {
+			if _, dup := byLabel[l]; !dup {
+				byLabel[l] = int32(i)
+			}
+		}
+		s.byLabel = byLabel
+	})
+	return s.byLabel
+}
+
+// shareLabelIndex adopts from's label map; the caller has established
+// that both snapshots hold the same label array.
+func (s *Snapshot) shareLabelIndex(from *Snapshot) {
+	s.byLabelOnce.Do(func() { s.byLabel = from.labelIndex() })
 }
 
 // Version is the store-assigned publish sequence number (0 until
@@ -251,7 +294,7 @@ func (s *Snapshot) Resolve(ident string) (int32, bool) {
 		}
 		return int32(id), true
 	}
-	id, ok := s.byLabel[ident]
+	id, ok := s.labelIndex()[ident]
 	return id, ok
 }
 
@@ -264,11 +307,12 @@ func (s *Snapshot) Entry(algo Algo, id int32) (Entry, error) {
 	if id < 0 || int(id) >= len(s.labels) {
 		return Entry{}, fmt.Errorf("server: source %d out of range [0,%d)", id, len(s.labels))
 	}
+	_, rank := ss.index()
 	return Entry{
 		Source: id,
 		Label:  s.labels[id],
 		Score:  ss.scores[id],
-		Rank:   int(ss.rank[id]) + 1,
+		Rank:   int(rank[id]) + 1,
 	}, nil
 }
 
@@ -280,15 +324,16 @@ func (s *Snapshot) TopK(algo Algo, n int) ([]Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("server: unknown algorithm %q", algo)
 	}
+	order, _ := ss.index()
 	if n < 0 {
 		n = 0
 	}
-	if n > len(ss.order) {
-		n = len(ss.order)
+	if n > len(order) {
+		n = len(order)
 	}
 	out := make([]Entry, n)
 	for i := 0; i < n; i++ {
-		id := ss.order[i]
+		id := order[i]
 		out[i] = Entry{Source: id, Label: s.labels[id], Score: ss.scores[id], Rank: i + 1}
 	}
 	return out, nil

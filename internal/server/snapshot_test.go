@@ -33,14 +33,15 @@ func TestScoreSetIndex(t *testing.T) {
 	ss := NewScoreSet(linalg.Vector(scores), linalg.IterStats{})
 	// Descending score, ties broken by smaller ID: 1, 3, 2, 0, 4.
 	want := []int32{1, 3, 2, 0, 4}
+	order, rank := ss.index()
 	for i, w := range want {
-		if ss.order[i] != w {
-			t.Fatalf("order[%d] = %d, want %d (order %v)", i, ss.order[i], w, ss.order)
+		if order[i] != w {
+			t.Fatalf("order[%d] = %d, want %d (order %v)", i, order[i], w, order)
 		}
 	}
-	for pos, id := range ss.order {
-		if int(ss.rank[id]) != pos {
-			t.Fatalf("rank[%d] = %d, want %d", id, ss.rank[id], pos)
+	for pos, id := range order {
+		if int(rank[id]) != pos {
+			t.Fatalf("rank[%d] = %d, want %d", id, rank[id], pos)
 		}
 	}
 }

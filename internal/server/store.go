@@ -18,6 +18,10 @@ type Store struct {
 	versions    atomic.Uint64
 	publishes   atomic.Uint64
 	publishedAt atomic.Int64 // UnixNano of the last Publish; 0 before
+	// setOutcomes counts score sets by what their publish did with them
+	// (indexed by publishOutcome). Publishers are serialized, so plain
+	// atomics suffice; /metrics reads them without the lock.
+	setOutcomes [numPublishOutcomes]atomic.Uint64
 }
 
 // NewStore creates a store serving initial (which may be nil; handlers
@@ -52,13 +56,19 @@ func (s *Store) Publish(snap *Snapshot) uint64 {
 	if prev != nil {
 		snap.parent = prev.version
 	}
-	pubs := s.publishes.Add(1)
-	// The outgoing snapshot is handed to finalize so a delta publish can
-	// reuse its unchanged pre-encoded fragments (see cache_delta.go).
-	snap.finalize(prev, pubs)
+	s.install(snap, prev)
+	return snap.version
+}
+
+// install finalizes snap against the outgoing snapshot — which carries
+// over whatever snap shares with it (see Snapshot.finalize) — and swaps
+// it in. Called under publishMu with snap's version and parent set.
+func (s *Store) install(snap, prev *Snapshot) {
+	for outcome, sets := range snap.finalize(prev, s.publishes.Add(1)) {
+		s.setOutcomes[outcome].Add(uint64(sets))
+	}
 	s.cur.Store(snap)
 	s.publishedAt.Store(time.Now().UnixNano())
-	return snap.version
 }
 
 // PublishExternal is Publish for snapshots whose version was assigned
@@ -89,15 +99,20 @@ func (s *Store) PublishExternal(snap *Snapshot, version uint64) error {
 	if prev != nil {
 		snap.parent = prev.version
 	}
-	pubs := s.publishes.Add(1)
-	snap.finalize(prev, pubs)
-	s.cur.Store(snap)
-	s.publishedAt.Store(time.Now().UnixNano())
+	s.install(snap, prev)
 	return nil
 }
 
 // Publishes counts successful Publish calls since creation.
 func (s *Store) Publishes() uint64 { return s.publishes.Load() }
+
+// PublishSets counts, over every publish, the score sets whose index and
+// rendered responses were carried over from the outgoing snapshot, those
+// the publish indexed and rendered itself, and those a renderer gave up
+// on (served by per-request encoding until the next publish).
+func (s *Store) PublishSets() (reused, rendered, uncached uint64) {
+	return s.setOutcomes[setReused].Load(), s.setOutcomes[setRendered].Load(), s.setOutcomes[setUncached].Load()
+}
 
 // PublishedAt reports when the serving snapshot was published (not when
 // it was built — a slow build still counts as fresh at publish time).

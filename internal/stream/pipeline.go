@@ -322,7 +322,7 @@ func (p *Pipeline) Refresh() (*server.Snapshot, RefreshStats, error) {
 			}
 			sets[algo] = server.NewScoreSet(p.prSc, p.prStats)
 		case server.AlgoTrustRank:
-			seeds := trustedSeeds(sg, p.opt.TrustedSeeds, p.opt.Spam)
+			seeds := server.TrustedSeeds(sg, p.opt.TrustedSeeds, p.opt.Spam)
 			if p.trSc != nil && p.trVer == sv && len(p.trSc) == n && slices.Equal(seeds, p.trSeeds) {
 				stats.TrustRankSkipped = true
 			} else {
@@ -411,35 +411,6 @@ func (p *Pipeline) ensureTransition(sv uint64) {
 	}
 	p.mt = rank.TransitionT(p.ing.Structure())
 	p.mtVer = sv
-}
-
-// trustedSeeds mirrors the cold builder's seed selection exactly: the k
-// non-spam sources with the most pages, ties to the lower ID.
-func trustedSeeds(sg *source.Graph, k int, spam []int32) []int32 {
-	if k <= 0 {
-		k = 10
-	}
-	ex := make(map[int32]bool, len(spam))
-	for _, s := range spam {
-		ex[s] = true
-	}
-	ids := make([]int32, 0, sg.NumSources())
-	for i := range sg.PageCount {
-		if !ex[int32(i)] {
-			ids = append(ids, int32(i))
-		}
-	}
-	slices.SortFunc(ids, func(a, b int32) int {
-		ca, cb := sg.PageCount[a], sg.PageCount[b]
-		if ca != cb {
-			return cb - ca
-		}
-		return int(a - b)
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return slices.Clone(ids[:k])
 }
 
 // padded adapts a previous-shape vector to n entries (new sources start
