@@ -76,6 +76,18 @@ type outOfCoreSolve struct {
 	GBPerSec    float64 `json:"gb_per_s"`
 	MaxRSSBytes int64   `json:"max_rss_bytes"`
 	UnderCap    bool    `json:"under_cap"`
+	// What the slab's residency controller did during the solve (the
+	// open-time sweep excluded): EntryBytes is the Cols+Vals footprint one
+	// pass streams, WindowBytes the release window the cap bought this
+	// solve's kernel, ReleaseCalls the Release (MADV_DONTNEED) calls it
+	// issued and ReleasedBytes the entry bytes they covered — Iterations ×
+	// EntryBytes whenever the window is smaller than the entry section,
+	// plus one pass for the float32 kernel's layout-gate scan on operands
+	// wider than one column block.
+	EntryBytes    int64 `json:"entry_bytes"`
+	WindowBytes   int64 `json:"window_bytes"`
+	ReleaseCalls  int64 `json:"release_calls"`
+	ReleasedBytes int64 `json:"released_bytes"`
 	// Identical: score bits and iteration count match the in-memory solve
 	// at the same precision and worker count.
 	Identical bool   `json:"identical"`
@@ -301,14 +313,21 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 	}
 
 	// solveSlab runs one out-of-core solve against ptPath and returns the
-	// widened scores plus iteration stats; valW/vecW price the traffic.
-	solveSlab := func(prec, ptPath string, w int) (linalg.Vector, linalg.IterStats, int64, int, int64) {
+	// widened scores plus iteration stats, and what the residency
+	// controller did between open and close.
+	solveSlab := func(prec, ptPath string, w int) (linalg.Vector, linalg.IterStats, int64, int, int64, linalg.SlabResidency) {
 		t0 := time.Now()
 		var (
 			x     linalg.Vector
 			stats linalg.IterStats
 			rows  int
 		)
+		during := func(opened, solved linalg.SlabResidency) linalg.SlabResidency {
+			solved.ReleaseCalls -= opened.ReleaseCalls
+			solved.ReleasedBytes -= opened.ReleasedBytes
+			solved.PrefetchedBytes -= opened.PrefetchedBytes
+			return solved
+		}
 		switch prec {
 		case "float64":
 			s, err := linalg.OpenSlabCSR(ptPath, linalg.SlabOpenOptions{MaxResident: capBytes})
@@ -316,6 +335,7 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 				fatal(err)
 			}
 			openNs := time.Since(t0).Nanoseconds()
+			opened := s.Residency()
 			m := s.Matrix()
 			rows = m.Rows
 			t0 = time.Now()
@@ -324,16 +344,18 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 				fatal(err)
 			}
 			wallNs := time.Since(t0).Nanoseconds()
+			res := during(opened, s.Residency())
 			if err := s.Close(); err != nil {
 				fatal(err)
 			}
-			return x, stats, openNs, rows, wallNs
+			return x, stats, openNs, rows, wallNs, res
 		default:
 			s, err := linalg.OpenSlabCSR32(ptPath, linalg.SlabOpenOptions{MaxResident: capBytes})
 			if err != nil {
 				fatal(err)
 			}
 			openNs := time.Since(t0).Nanoseconds()
+			opened := s.Residency()
 			m := s.Matrix()
 			rows = m.Rows
 			t0 = time.Now()
@@ -342,10 +364,11 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 				fatal(err)
 			}
 			wallNs := time.Since(t0).Nanoseconds()
+			res := during(opened, s.Residency())
 			if err := s.Close(); err != nil {
 				fatal(err)
 			}
-			return x, stats, openNs, rows, wallNs
+			return x, stats, openNs, rows, wallNs, res
 		}
 	}
 
@@ -369,14 +392,18 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 		}
 		for _, w := range tiers {
 			sysmem.ResetPeakRSS()
-			x, stats, openNs, rows, wallNs := solveSlab(pr.name, pr.ptPath, w)
+			x, stats, openNs, rows, wallNs, res := solveSlab(pr.name, pr.ptPath, w)
 			row := outOfCoreSolve{
-				Precision:  pr.name,
-				Workers:    w,
-				OpenNs:     openNs,
-				WallNs:     wallNs,
-				Iterations: stats.Iterations,
-				ScoreHash:  scoreHash(x),
+				Precision:     pr.name,
+				Workers:       w,
+				OpenNs:        openNs,
+				WallNs:        wallNs,
+				Iterations:    stats.Iterations,
+				ScoreHash:     scoreHash(x),
+				EntryBytes:    (4 + pr.valW) * si.NNZ,
+				WindowBytes:   res.WindowBytes,
+				ReleaseCalls:  res.ReleaseCalls,
+				ReleasedBytes: res.ReleasedBytes,
 			}
 			row.GBPerSec = gbPerSec(fusedUniformModelBytes(rows, int(si.NNZ), pr.valW, pr.vecW)*int64(stats.Iterations), wallNs)
 			k := refKey{pr.name, w}
@@ -393,9 +420,10 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 			identicalAll = identicalAll && row.Identical
 			underCapAll = underCapAll && row.UnderCap
 			rep.Solves = append(rep.Solves, row)
-			fmt.Fprintf(os.Stderr, "bench: out-of-core %s w=%d: %s, %d iters, %.2f GB/s, peak RSS %s (cap %s, under=%v, identical=%v)\n",
+			fmt.Fprintf(os.Stderr, "bench: out-of-core %s w=%d: %s, %d iters, %.2f GB/s, peak RSS %s (cap %s, under=%v, identical=%v); window %s, %d release calls over %s\n",
 				pr.name, w, time.Duration(wallNs).Round(time.Millisecond), stats.Iterations, row.GBPerSec,
-				sysmem.FormatBytes(row.MaxRSSBytes), sysmem.FormatBytes(capBytes), row.UnderCap, row.Identical)
+				sysmem.FormatBytes(row.MaxRSSBytes), sysmem.FormatBytes(capBytes), row.UnderCap, row.Identical,
+				sysmem.FormatBytes(row.WindowBytes), row.ReleaseCalls, sysmem.FormatBytes(row.ReleasedBytes))
 		}
 	}
 

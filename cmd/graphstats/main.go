@@ -72,8 +72,9 @@ func main() {
 	// Out-of-core sizing: what the transition slabs (P and Pᵀ each hold
 	// one entry per link) would occupy on disk, versus the working set an
 	// out-of-core solve keeps resident — the RowPtr array plus two dense
-	// float64 iterate vectors; Cols/Vals pages stream through and are
-	// released behind each stripe.
+	// float64 iterate vectors, the floor of any -max-resident budget;
+	// Cols/Vals pages stream through two release windows sized from what
+	// the budget adds on top (DESIGN §14).
 	rows, nnz := g.NumNodes(), g.NumEdges()
 	slab64 := linalg.SlabFileBytes(rows, nnz, linalg.SlabFloat64)
 	slab32 := linalg.SlabFileBytes(rows, nnz, linalg.SlabFloat32)
@@ -81,7 +82,7 @@ func main() {
 	fmt.Println("\n== out-of-core (projected) ==")
 	fmt.Printf("transition slab: %s float64 / %s float32 (x2 for P and Pᵀ)\n",
 		sysmem.FormatBytes(slab64), sysmem.FormatBytes(slab32))
-	fmt.Printf("solve residency: ~%s (RowPtr + 2 iterate vectors; matrix pages stream)\n",
+	fmt.Printf("solve residency: ~%s + 2 release windows (RowPtr + 2 iterate vectors; matrix pages stream)\n",
 		sysmem.FormatBytes(resident))
 
 	sg, err := source.Build(pg, source.Options{})

@@ -68,7 +68,7 @@ func main() {
 		precision = flag.String("precision", "float64", "stationary-solve arithmetic: float64 (reference) | float32 (bandwidth kernels; served scores stay float64)")
 		refresh   = flag.Duration("refresh", 0, "recompute+republish interval (0 disables)")
 		slabDir   = flag.String("slab-refresh-dir", "", "solve SRSR over a slab-backed operand committed under this directory (bounds build/refresh RSS; scores unchanged)")
-		slabRes   = flag.String("slab-max-resident", "", "resident entry-byte budget for slab-backed solves, e.g. 300m (empty or 0 = map without release-behind; needs -slab-refresh-dir)")
+		slabRes   = flag.String("slab-max-resident", "", "resident-set budget for slab-backed solves, e.g. 300m (empty or 0 = map without release-behind; needs -slab-refresh-dir)")
 		coldRef   = flag.Bool("cold-refresh", false, "disable warm-starting refresh solves from the previous snapshot")
 		maxBO     = flag.Duration("max-backoff", 0, "cap on the retry delay after failed refreshes (0 = 16x refresh interval)")
 		staleTO   = flag.Duration("staleness-budget", 0, "snapshot age at which /healthz turns degraded (0 disables)")

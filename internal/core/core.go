@@ -84,11 +84,12 @@ type Config struct {
 	// into the resume fingerprint, so a checkpoint taken against one slab
 	// backing never resumes against a swapped slab or the in-heap operand.
 	SlabDir string
-	// MaxResident, with SlabDir set, bounds the resident footprint of
-	// the slab-backed operand during the solve: row stripes are streamed
-	// with prefetch hints and released behind the iteration, so only the
-	// dense iterate vectors (plus the row-pointer array) stay resident.
-	// <= 0 maps the file without release-behind.
+	// MaxResident, with SlabDir set, is the resident-set budget in bytes
+	// of the slab-backed solve: the row-pointer array, the dense iterate
+	// vectors and two release windows of matrix entries, a window being a
+	// quarter of what the budget leaves after the first two (see
+	// linalg.SlabOpenOptions.MaxResident). Advisory; <= 0 maps the file
+	// without release-behind.
 	MaxResident int64
 }
 

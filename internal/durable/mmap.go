@@ -130,18 +130,20 @@ func (m *Mapped) VerifyPayload(chunkBytes int64, release bool) ([]byte, error) {
 	return payload, nil
 }
 
-// Release drops the resident pages backing data[off : off+n] from the
-// process RSS. The bytes stay readable — a later access re-faults them
-// from the page cache or disk — so Release is purely a residency hint.
-// The range is clamped to the mapping and widened to page boundaries
-// (dropping a boundary page a neighbor still wants costs that neighbor
-// one minor fault). No-op on heap-backed views and out-of-range input.
+// Release drops the resident pages that end inside data[off : off+n]
+// from the process RSS. The bytes stay readable — a later access
+// re-faults them from the page cache or disk — so Release is purely a
+// residency hint. The range is clamped to the mapping; its start is
+// rounded down to a page boundary and its end down as well, except at
+// the mapping's end, where the final partial page goes too. A page that
+// straddles two adjacent ranges is therefore released exactly once, by
+// the range it ends in — never by the earlier one, whose neighbor may
+// still be reading the page's tail. No-op on heap-backed views and
+// out-of-range input.
 func (m *Mapped) Release(off, n int64) {
-	b := m.pageSpan(off, n)
-	if b == nil {
-		return
+	if b := m.releaseSpan(off, n); b != nil {
+		madviseRelease(b)
 	}
-	madviseRelease(b)
 }
 
 // AdviseSequential hints that the mapping will be read front to back, so
@@ -154,28 +156,40 @@ func (m *Mapped) AdviseSequential() {
 }
 
 // AdviseWillNeed hints that data[off : off+n] is about to be read,
-// scheduling readahead for it. The range is clamped and page-aligned
-// like Release. No-op where unsupported.
+// scheduling readahead for it. The range is clamped to the mapping and
+// its start rounded down to a page boundary. No-op where unsupported.
 func (m *Mapped) AdviseWillNeed(off, n int64) {
-	b := m.pageSpan(off, n)
-	if b == nil {
-		return
+	if start, end := m.pageSpan(off, n); end > start {
+		madviseWillNeed(m.data[start:end])
 	}
-	madviseWillNeed(b)
 }
 
+// pageSize is the host page size, the granularity of every madvise span.
+var pageSize = int64(os.Getpagesize())
+
 // pageSpan clamps [off, off+n) to the mapping and aligns its start down
-// to a page boundary, returning the byte span to madvise, or nil when
-// the request is empty, out of range, or the view is heap-backed.
-func (m *Mapped) pageSpan(off, n int64) []byte {
-	if !m.mapped || n <= 0 || off < 0 || off >= int64(len(m.data)) {
-		return nil
+// to a page boundary. The span is empty (end == start) when the request
+// is empty, out of range, or the view is heap-backed.
+func (m *Mapped) pageSpan(off, n int64) (start, end int64) {
+	size := int64(len(m.data))
+	if !m.mapped || n <= 0 || off < 0 || off >= size {
+		return 0, 0
 	}
-	page := int64(os.Getpagesize())
-	start := off - off%page
-	end := off + n
-	if end > int64(len(m.data)) {
-		end = int64(len(m.data))
+	end = off + n
+	if end > size || end < off {
+		end = size
+	}
+	return off - off%pageSize, end
+}
+
+// releaseSpan is the part of data Release(off, n) drops: pageSpan with
+// the end rounded down to a page boundary too, unless it reaches the
+// mapping's end — never a page that a following range owns. nil when
+// that leaves nothing.
+func (m *Mapped) releaseSpan(off, n int64) []byte {
+	start, end := m.pageSpan(off, n)
+	if end < int64(len(m.data)) {
+		end -= end % pageSize
 	}
 	if end <= start {
 		return nil

@@ -167,3 +167,66 @@ func TestReleaseOutOfRange(t *testing.T) {
 	m.AdviseWillNeed(-1, 10)
 	m.AdviseWillNeed(0, 1<<40)
 }
+
+// TestReleaseSpan pins the page arithmetic of Release: a page belongs to
+// the range it ends in, so ranges that tile a section release every page
+// exactly once and never the page a following range starts in.
+func TestReleaseSpan(t *testing.T) {
+	pg := pageSize
+	size := 10*pg + 100 // the mapping ends mid-page, like a slab's trailer
+	m := &Mapped{data: make([]byte, size), mapped: true}
+	for _, tc := range []struct {
+		name         string
+		off, n       int64
+		start, limit int64 // want data[start:limit]; limit 0 means nil
+	}{
+		{"aligned", 2 * pg, 3 * pg, 2 * pg, 5 * pg},
+		{"unaligned start rounds down", 2*pg + 7, 3*pg - 7, 2 * pg, 5 * pg},
+		{"unaligned end rounds down", 2 * pg, 3*pg + 9, 2 * pg, 5 * pg},
+		{"both unaligned", 2*pg + 7, 3 * pg, 2 * pg, 5 * pg},
+		{"inside one page", 2*pg + 7, 100, 0, 0},
+		{"up to a page end", 2*pg + 7, pg - 7, 2 * pg, 3 * pg},
+		{"at the mapping end", 8*pg + 5, 2*pg + 95, 8 * pg, size},
+		{"past the mapping end", 9*pg + 5, 1 << 40, 9 * pg, size},
+		{"short of the mapping end", 8 * pg, 2*pg + 99, 8 * pg, 10 * pg},
+		{"empty", 4096, 0, 0, 0},
+		{"negative offset", -1, 4096, 0, 0},
+		{"offset past the end", size, 1, 0, 0},
+	} {
+		b := m.releaseSpan(tc.off, tc.n)
+		if tc.limit == 0 {
+			if b != nil {
+				t.Errorf("%s: got a %d-byte span, want none", tc.name, len(b))
+			}
+			continue
+		}
+		if b == nil || &b[0] != &m.data[tc.start] || int64(len(b)) != tc.limit-tc.start {
+			t.Errorf("%s: got %d bytes, want data[%d:%d]", tc.name, len(b), tc.start, tc.limit)
+		}
+	}
+
+	// Ranges with arbitrary cuts tile the mapping: every page is released
+	// exactly once.
+	cuts := []int64{0, 5, pg - 1, pg, 3*pg + 1, 3*pg + 2, 7 * pg, 9*pg + 99, size}
+	released := make([]int, (size+pg-1)/pg)
+	for i := 0; i+1 < len(cuts); i++ {
+		b := m.releaseSpan(cuts[i], cuts[i+1]-cuts[i])
+		if b == nil {
+			continue
+		}
+		first := (int64(cap(m.data)) - int64(cap(b))) / pg
+		for p := first; p*pg < first*pg+int64(len(b)); p++ {
+			released[p]++
+		}
+	}
+	for p, c := range released {
+		if c != 1 {
+			t.Errorf("page %d released %d times by tiling ranges, want once", p, c)
+		}
+	}
+
+	heap := &Mapped{data: make([]byte, size)}
+	if b := heap.releaseSpan(0, size); b != nil {
+		t.Errorf("heap-backed view: got a %d-byte span, want none", len(b))
+	}
+}

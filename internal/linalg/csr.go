@@ -20,9 +20,9 @@ type CSR struct {
 	Vals   []float64
 
 	// res is non-nil when the arrays alias a memory-mapped slab opened
-	// in streaming-residency mode (see slab.go); the fused kernels use
-	// it to drop each row stripe's pages after consuming them. Ordinary
-	// in-RAM matrices leave it nil.
+	// under a residency budget (see slab.go); the fused kernels report
+	// each row stripe they consume to it. Ordinary in-RAM matrices leave
+	// it nil.
 	res *slabResidency
 }
 

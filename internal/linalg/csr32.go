@@ -14,7 +14,7 @@ type CSR32 struct {
 	Vals   []float32
 
 	// res is non-nil when the arrays alias a memory-mapped slab opened
-	// in streaming-residency mode (see slab.go). Mirrors CSR.res.
+	// under a residency budget (see slab.go). Mirrors CSR.res.
 	res *slabResidency
 }
 
@@ -130,12 +130,12 @@ func buildCSR32Blocked(m *CSR32, bounds []int) *csr32Blocked {
 // csr32BlockedWorthIt decides whether the blocked layout pays for m: the
 // source vector must span several column blocks and the entries must
 // cluster densely enough that the average run clears csr32BlockedMinRun.
-// The run count is a row-local sum, so scanning stripe by stripe (with an
-// optional release hook shedding each stripe's pages afterwards, for
-// slab-backed operands under a residency budget) reaches the identical
+// The run count is a row-local sum, so scanning stripe by stripe
+// (reporting each stripe to the release window of a slab-backed operand
+// under a residency budget; nil otherwise) reaches the identical
 // decision the whole-matrix scan would — which is what keeps the in-heap
 // and streamed kernels on the same layout for the same matrix.
-func csr32BlockedWorthIt(m *CSR32, bounds []int, release func(lo, hi int)) bool {
+func csr32BlockedWorthIt(m *CSR32, bounds []int, win *releaseWindow) bool {
 	if m.ColsN <= csr32ColBlockCols {
 		return false
 	}
@@ -154,18 +154,17 @@ func csr32BlockedWorthIt(m *CSR32, bounds []int, release func(lo, hi int)) bool 
 				}
 			}
 		}
-		if release != nil {
-			release(lo, hi)
-		}
+		win.done(m.RowPtr[lo], m.RowPtr[hi])
 	}
+	win.endPass()
 	return runs > 0 && m.NNZ() >= csr32BlockedMinRun*runs
 }
 
 // csr32StripeBlocker carries the shape constants of the streamed blocked
 // path: slab-backed operands cannot hold a whole-matrix blocked layout in
 // heap, so each kernel pass regroups one stripe at a time into a bounded
-// per-worker scratch, runs the identical run loop over it, and releases
-// the stripe's pages. Because blockStripe reproduces buildCSR32Blocked's
+// per-worker scratch, runs the identical run loop over it, and reports
+// the stripe as consumed. Because blockStripe reproduces buildCSR32Blocked's
 // per-stripe run structure exactly — same runs, same order, same entry
 // permutation — the streamed kernel's accumulation order, and therefore
 // its output bits, match the in-heap blocked kernel at every worker count
@@ -179,8 +178,8 @@ type csr32StripeBlocker struct {
 // newCSR32StripeBlocker gates and sizes the streamed blocked path for a
 // slab-backed operand, or returns nil when the row-major path should run
 // (same decision rule as the in-heap layout).
-func newCSR32StripeBlocker(m *CSR32, bounds []int, release func(lo, hi int)) *csr32StripeBlocker {
-	if !csr32BlockedWorthIt(m, bounds, release) {
+func newCSR32StripeBlocker(m *CSR32, bounds []int, win *releaseWindow) *csr32StripeBlocker {
+	if !csr32BlockedWorthIt(m, bounds, win) {
 		return nil
 	}
 	sb := &csr32StripeBlocker{nblk: (m.ColsN + csr32ColBlockCols - 1) / csr32ColBlockCols}

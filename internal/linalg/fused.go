@@ -101,12 +101,12 @@ type fusedKernel struct {
 	auxUniform bool
 	auxVal     float64
 
-	// release, when non-nil, is called with each stripe's row range
-	// after a matrix-touching phase consumes it; slab-backed operands
-	// use it to drop the stripe's Cols/Vals pages from the resident set
-	// (see slabResidency). Releasing is a pure residency hint and never
-	// changes computed bits.
-	release func(lo, hi int)
+	// win, when non-nil, is told the entry range of each stripe a
+	// matrix-touching phase starts on and finishes, and when the pass
+	// ends; slab-backed operands under a residency budget use it to drop
+	// consumed Cols/Vals pages a window at a time (see releaseWindow).
+	// Releasing is a pure residency hint and never changes computed bits.
+	win *releaseWindow
 
 	bounds  []int     // stripe row boundaries, len(partial)+1
 	partial []float64 // per-stripe residual partials
@@ -123,12 +123,17 @@ type fusedKernel struct {
 
 func newFusedKernel(mat *CSR, c float64, aux Vector, norm ResidualNorm, workers int) *fusedKernel {
 	stripes := fusedStripeCount(mat)
+	// Resident next to the matrix: the driver's two iterates, plus aux.
+	dense := 2 * 8 * int64(mat.Rows)
+	if aux != nil {
+		dense += 8 * int64(mat.Rows)
+	}
 	k := &fusedKernel{
 		mat:     mat,
 		c:       c,
 		aux:     aux,
 		norm:    norm,
-		release: mat.stripeRelease(),
+		win:     mat.res.newWindow(dense),
 		bounds:  partitionRowsByNNZ(mat, stripes),
 		partial: make([]float64, stripes),
 	}
@@ -153,7 +158,7 @@ func newFusedKernel(mat *CSR, c float64, aux Vector, norm ResidualNorm, workers 
 // without racing the range loop.
 func (k *fusedKernel) worker(work <-chan int) {
 	for s := range work {
-		k.runStripe(s)
+		k.stripe(s)
 		k.done <- struct{}{}
 	}
 }
@@ -165,16 +170,33 @@ func (k *fusedKernel) dispatch() {
 	stripes := len(k.partial)
 	if k.work == nil {
 		for s := 0; s < stripes; s++ {
-			k.runStripe(s)
+			k.stripe(s)
 		}
+	} else {
+		for s := 0; s < stripes; s++ {
+			k.work <- s
+		}
+		for s := 0; s < stripes; s++ {
+			<-k.done
+		}
+	}
+	if k.phase != fusedPhaseFinish {
+		k.win.endPass()
+	}
+}
+
+// stripe runs stripe s of the current phase, telling the release window
+// of a slab-backed operand which entries a matrix-touching phase is about
+// to read and which it has finished with.
+func (k *fusedKernel) stripe(s int) {
+	if k.win == nil || k.phase == fusedPhaseFinish {
+		k.runStripe(s)
 		return
 	}
-	for s := 0; s < stripes; s++ {
-		k.work <- s
-	}
-	for s := 0; s < stripes; s++ {
-		<-k.done
-	}
+	lo, hi := k.mat.RowPtr[k.bounds[s]], k.mat.RowPtr[k.bounds[s+1]]
+	k.win.begin(hi)
+	k.runStripe(s)
+	k.win.done(lo, hi)
 }
 
 func (k *fusedKernel) runStripe(s int) {
@@ -190,9 +212,6 @@ func (k *fusedKernel) runStripe(s int) {
 				sum += m.Vals[p] * src[m.Cols[p]]
 			}
 			dst[i] = sum * c
-		}
-		if k.release != nil {
-			k.release(lo, hi)
 		}
 	case fusedPhaseFinish:
 		lost := k.lost
@@ -256,9 +275,6 @@ func (k *fusedKernel) runStripe(s int) {
 				v += b[i]
 				dst[i] = v
 			}
-			if k.release != nil {
-				k.release(lo, hi)
-			}
 			return
 		}
 		var r float64
@@ -279,9 +295,6 @@ func (k *fusedKernel) runStripe(s int) {
 			}
 		}
 		k.partial[s] = r
-		if k.release != nil {
-			k.release(lo, hi)
-		}
 	}
 }
 

@@ -51,12 +51,12 @@ type fusedKernel32 struct {
 	auxUniform bool
 	auxVal     float64
 
-	// release mirrors fusedKernel.release: the slab streaming hook,
-	// called per stripe after a matrix-touching phase. Slab-backed
+	// win mirrors fusedKernel.win: the slab release window, told of each
+	// stripe a matrix-touching phase starts on and finishes. Slab-backed
 	// float32 operands regroup each stripe into scratch before the run
-	// loop (csr32StripeBlocker), so the hook always covers the pages the
+	// loop (csr32StripeBlocker), so a report always covers the pages the
 	// stripe actually touched.
-	release func(lo, hi int)
+	win *releaseWindow
 
 	// scratch is the serial path's regroup buffer when sblk is active;
 	// pool workers own their own.
@@ -79,13 +79,19 @@ type fusedKernel32 struct {
 func newFusedKernel32(mat *CSR32, c float64, aux Vector32, norm ResidualNorm, workers int) *fusedKernel32 {
 	stripes := stripeCountFor(mat.NNZ(), mat.Rows)
 	bounds := partitionPtrByNNZ(mat.RowPtr, mat.Rows, stripes)
+	// Resident next to the matrix: acc, the driver's two iterates and the
+	// float64 vector its result is widened into, plus aux.
+	dense := (8 + 2*4 + 8) * int64(mat.Rows)
+	if aux != nil {
+		dense += 4 * int64(mat.Rows)
+	}
 	k := &fusedKernel32{
 		mat:     mat,
 		blk:     buildCSR32Blocked(mat, bounds),
 		c:       c,
 		aux:     aux,
 		norm:    norm,
-		release: mat.stripeRelease(),
+		win:     mat.res.newWindow(dense),
 		bounds:  bounds,
 		partial: make([]float64, stripes),
 		acc:     make([]float64, mat.Rows),
@@ -94,7 +100,7 @@ func newFusedKernel32(mat *CSR32, c float64, aux Vector32, norm ResidualNorm, wo
 		// The slab path cannot hold a whole-matrix blocked layout; gate
 		// the streamed per-stripe regroup with the identical decision
 		// rule, shedding the gate scan's pages as it goes.
-		k.sblk = newCSR32StripeBlocker(mat, bounds, k.release)
+		k.sblk = newCSR32StripeBlocker(mat, bounds, k.win)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -118,7 +124,7 @@ func (k *fusedKernel32) worker(work <-chan int) {
 		sc = k.sblk.newScratch()
 	}
 	for s := range work {
-		k.runStripe(s, sc)
+		k.stripe(s, sc)
 		k.done <- struct{}{}
 	}
 }
@@ -134,15 +140,18 @@ func (k *fusedKernel32) dispatch() {
 			k.scratch = k.sblk.newScratch()
 		}
 		for s := 0; s < stripes; s++ {
-			k.runStripe(s, k.scratch)
+			k.stripe(s, k.scratch)
 		}
-		return
+	} else {
+		for s := 0; s < stripes; s++ {
+			k.work <- s
+		}
+		for s := 0; s < stripes; s++ {
+			<-k.done
+		}
 	}
-	for s := 0; s < stripes; s++ {
-		k.work <- s
-	}
-	for s := 0; s < stripes; s++ {
-		<-k.done
+	if k.phase != fusedPhaseFinish {
+		k.win.endPass()
 	}
 }
 
@@ -203,6 +212,19 @@ func rowSums32Go(rowPtr []int64, vals []float32, cols []int32, src []float32, ac
 	}
 }
 
+// stripe mirrors fusedKernel.stripe: runStripe between the release
+// window's begin and done reports.
+func (k *fusedKernel32) stripe(s int, sc *csr32StripeScratch) {
+	if k.win == nil || k.phase == fusedPhaseFinish {
+		k.runStripe(s, sc)
+		return
+	}
+	lo, hi := k.mat.RowPtr[k.bounds[s]], k.mat.RowPtr[k.bounds[s+1]]
+	k.win.begin(hi)
+	k.runStripe(s, sc)
+	k.win.done(lo, hi)
+}
+
 func (k *fusedKernel32) runStripe(s int, sc *csr32StripeScratch) {
 	lo, hi := k.bounds[s], k.bounds[s+1]
 	m, src, dst := k.mat, k.src, k.dst
@@ -233,9 +255,6 @@ func (k *fusedKernel32) runStripe(s int, sc *csr32StripeScratch) {
 		}
 		for i := lo; i < hi; i++ {
 			dst[i] = float32(acc[i] * c)
-		}
-		if k.release != nil {
-			k.release(lo, hi)
 		}
 	case fusedPhaseFinish:
 		lost := k.lost
@@ -329,9 +348,6 @@ func (k *fusedKernel32) runStripe(s int, sc *csr32StripeScratch) {
 		}
 		if k.wantRes {
 			k.partial[s] = r
-		}
-		if k.release != nil {
-			k.release(lo, hi)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"sourcerank/internal/durable"
@@ -35,8 +37,8 @@ import (
 // big-endian or misaligned views fall back to a copy-decode). Opening a
 // slab therefore costs address space, not heap: the matrix arrays alias
 // the mapping, and the fused kernels stream row stripes through the page
-// cache, optionally dropping each stripe's pages right after use so only
-// the dense iterate vectors stay resident (see slabResidency).
+// cache, under a residency budget dropping the pages behind themselves a
+// budget-sized window at a time (see slabResidency).
 const (
 	slabMagic      = 0x5352534C // "SRSL"
 	slabVersion    = 1
@@ -464,15 +466,18 @@ const slabValidateChunkRows = 1 << 16
 
 // SlabOpenOptions configures how a slab is opened.
 type SlabOpenOptions struct {
-	// MaxResident, when positive, selects streaming-residency mode: the
-	// open-time CRC and structural sweeps drop pages behind themselves,
-	// and the fused kernels release each row stripe's Cols/Vals pages
-	// right after consuming it (prefetching the next stripe's window),
-	// so a solve keeps only the dense iterate vectors and the RowPtr
-	// array resident. The value is the caller's residency target in
-	// bytes; it selects the behavior, and the achieved peak is measured
-	// by the caller (see cmd/bench -mode outofcore). <= 0 leaves page
-	// residency to the kernel's page cache policy.
+	// MaxResident, when positive, is the resident-set budget in bytes of
+	// everything that reads the slab: the RowPtr section, the Rows-length
+	// dense vectors a solve holds, and two release windows of Cols/Vals
+	// pages. The open-time sweeps and the fused kernels drop entry pages
+	// behind themselves one window at a time, and a window is a quarter
+	// of what the budget leaves after RowPtr and the vectors — never less
+	// than one kernel stripe, so a budget too small to honor degrades to
+	// releasing every stripe and is never an error. A budget that covers
+	// the whole entry section releases nothing. The limit is advisory
+	// (madvise); callers that need the achieved peak measure it (see
+	// cmd/bench -mode outofcore). <= 0 leaves page residency to the
+	// kernel's page cache policy.
 	MaxResident int64
 }
 
@@ -500,19 +505,25 @@ func (s *SlabCSR) Close() error {
 	return mp.Close()
 }
 
-// ReleaseEntries drops the resident pages holding entries [pLo, pHi) of
-// the Cols and Vals sections and prefetches the following window —
-// exactly what the fused kernels do between row stripes. It is a no-op
-// unless the slab was opened in streaming-residency mode, and it never
-// changes observable bytes (released pages re-fault from the file).
-// Callers that stream a slab's entries outside a solve — the slab-backed
-// refresh copies clean rows into the next generation — use it to keep
-// the copy's resident footprint bounded.
+// ReleaseEntries reports entries [pLo, pHi) of the Cols and Vals
+// sections as consumed — exactly what the fused kernels do after each
+// row stripe: once a release window's worth of reports has accumulated
+// their pages are dropped and the following window is prefetched. It is
+// a no-op unless the slab was opened under a residency budget, and it
+// never changes observable bytes (released pages re-fault from the
+// file). Callers that stream a slab's entries outside a solve — the
+// slab-backed refresh copies clean rows into the next generation — use
+// it to keep the copy's resident footprint within the budget; less than
+// a window may still be pending when they stop, and goes with the
+// mapping at Close.
 func (s *SlabCSR) ReleaseEntries(pLo, pHi int64) {
 	if s.m != nil {
-		s.m.res.releaseEntries(pLo, pHi)
+		s.m.res.ownWindow().done(pLo, pHi)
 	}
 }
+
+// Residency reports what the slab's residency controller has done so far.
+func (s *SlabCSR) Residency() SlabResidency { return s.m.res.snapshot() }
 
 // SlabCSR32 is the float32 mirror of SlabCSR over a SlabFloat32 file.
 type SlabCSR32 struct {
@@ -522,6 +533,9 @@ type SlabCSR32 struct {
 
 // Matrix returns the slab-backed float32 matrix view.
 func (s *SlabCSR32) Matrix() *CSR32 { return s.m }
+
+// Residency reports what the slab's residency controller has done so far.
+func (s *SlabCSR32) Residency() SlabResidency { return s.m.res.snapshot() }
 
 // Close unmaps the slab. Idempotent.
 func (s *SlabCSR32) Close() error {
@@ -570,13 +584,11 @@ func OpenSlabCSR(path string, opt SlabOpenOptions) (*SlabCSR, error) {
 		return nil, err
 	}
 	if m, ok := aliasSlabCSR(h); ok {
-		var res *slabResidency
 		if streaming {
-			res = &slabResidency{mp: mp, colsOff: h.colsOff, valsOff: h.valsOff, valW: 8}
-			m.res = res
+			m.res = newSlabResidency(mp, h, 8, opt.MaxResident)
 		}
 		mp.AdviseSequential()
-		if err := validateSlabCSR(m, res); err != nil {
+		if err := validateSlabCSR(m); err != nil {
 			_ = mp.Close()
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -588,7 +600,7 @@ func OpenSlabCSR(path string, opt SlabOpenOptions) (*SlabCSR, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := validateSlabCSR(m, nil); err != nil {
+	if err := validateSlabCSR(m); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &SlabCSR{m: m}, nil
@@ -602,13 +614,11 @@ func OpenSlabCSR32(path string, opt SlabOpenOptions) (*SlabCSR32, error) {
 		return nil, err
 	}
 	if m, ok := aliasSlabCSR32(h); ok {
-		var res *slabResidency
 		if streaming {
-			res = &slabResidency{mp: mp, colsOff: h.colsOff, valsOff: h.valsOff, valW: 4}
-			m.res = res
+			m.res = newSlabResidency(mp, h, 4, opt.MaxResident)
 		}
 		mp.AdviseSequential()
-		if err := validateSlabCSR32(m, res); err != nil {
+		if err := validateSlabCSR32(m); err != nil {
 			_ = mp.Close()
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -619,7 +629,7 @@ func OpenSlabCSR32(path string, opt SlabOpenOptions) (*SlabCSR32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := validateSlabCSR32(m, nil); err != nil {
+	if err := validateSlabCSR32(m); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &SlabCSR32{m: m}, nil
@@ -752,53 +762,236 @@ func decodeFloat32sLE(b []byte) []float32 {
 // ---------------------------------------------------------------------------
 // Residency
 
-// slabResidency is the streaming-residency hook a slab-backed matrix
-// carries when opened with MaxResident > 0. The fused kernels call
-// releaseEntries after consuming each row stripe's entries; the hook
-// prefetches the adjacent window (the next stripe in file order) and
-// drops the consumed window's Cols/Vals pages, so at any instant only
-// one stripe's matrix pages — plus RowPtr, which every pass rereads —
-// are resident. Releasing never changes computed bits: the pages are
-// clean file-backed read-only memory, and a re-fault observes the same
-// bytes.
-type slabResidency struct {
-	mp      *durable.Mapped
-	colsOff int64 // payload (== file) offset of the Cols section
-	valsOff int64
-	valW    int64 // value width in bytes: 8 or 4
+// slabAdviser is what the residency controller needs of a mapping.
+// *durable.Mapped satisfies it; tests substitute a recorder.
+type slabAdviser interface {
+	AdviseWillNeed(off, n int64)
+	Release(off, n int64)
 }
 
-// releaseEntries prefetches entries [pHi, pHi+(pHi-pLo)) and drops
-// entries [pLo, pHi) of the Cols and Vals sections from the resident
-// set. Out-of-range windows are clamped by the mapping.
-func (r *slabResidency) releaseEntries(pLo, pHi int64) {
-	if r == nil || pHi <= pLo {
+// SlabResidency is what a slab's residency controller has done since the
+// slab was opened. WindowBytes is the release window of the most recent
+// consumer (the last kernel built over the slab, or the open-time sweep
+// before any); the counters cover every consumer. All zero for a slab
+// opened without a budget.
+type SlabResidency struct {
+	WindowBytes     int64 // Cols+Vals bytes of one release window
+	ReleaseCalls    int64 // Release calls issued (one per section per merged range)
+	ReleasedBytes   int64 // Cols+Vals bytes of the entry ranges released
+	PrefetchedBytes int64 // Cols+Vals bytes of the entry ranges advised ahead
+}
+
+// slabResidency is the residency controller a slab-backed matrix carries
+// when opened with MaxResident > 0. It turns the budget into a release
+// window per consumer (newWindow) and issues every advise call; see
+// releaseWindow for the rule. Releasing never changes computed bits: the
+// pages are clean file-backed read-only memory, and a re-fault observes
+// the same bytes.
+type slabResidency struct {
+	adv      slabAdviser
+	colsOff  int64 // payload (== file) offset of the Cols section
+	valsOff  int64
+	valW     int64 // value width in bytes: 8 or 4
+	rows     int
+	nnz      int64
+	leftover int64 // MaxResident minus the RowPtr section, which every pass rereads
+
+	windowBytes, releaseCalls, releasedBytes, prefetchedBytes atomic.Int64
+
+	// own is the window of the consumers that hold no dense vectors: the
+	// open-time structural sweep and SlabCSR.ReleaseEntries.
+	own *releaseWindow
+}
+
+func newSlabResidency(adv slabAdviser, h slabHeader, valW, maxResident int64) *slabResidency {
+	r := &slabResidency{
+		adv: adv, colsOff: h.colsOff, valsOff: h.valsOff, valW: valW,
+		rows: h.rows, nnz: h.nnz, leftover: maxResident - int64(len(h.rowPtr)),
+	}
+	r.own = r.newWindow(0)
+	return r
+}
+
+// newWindow sizes the release window of one consumer that keeps
+// denseBytes of Rows-length arrays resident next to the matrix. A
+// quarter of what the budget leaves after RowPtr and those arrays is one
+// window: two may be resident (the one being consumed, the one
+// prefetched) and the other half is slack for the runtime and for
+// stripes in flight. The window is a whole number of kernel stripes —
+// stripes are what consumers report — at least one, so a budget with no
+// room degenerates to releasing every stripe as it completes. A budget
+// that covers the whole entry section needs no releases at all: the
+// window is nil and the consumer runs as on an in-heap matrix. r may be
+// nil (no budget), which also yields nil.
+func (r *slabResidency) newWindow(denseBytes int64) *releaseWindow {
+	if r == nil {
+		return nil
+	}
+	entryW := 4 + r.valW
+	if budget := (r.leftover - denseBytes) / 4; budget < r.nnz*entryW {
+		stripe := max(r.nnz/int64(stripeCountFor(int(r.nnz), r.rows)), 1)
+		w := &releaseWindow{res: r, entries: max(budget/(stripe*entryW), 1) * stripe}
+		// Stripes are balanced to within one row of the nominal size, so
+		// half a stripe of tolerance makes the k-th stripe of a k-stripe
+		// window the trigger whichever side of nominal each one lands.
+		w.flushAt = w.entries - stripe/2
+		r.windowBytes.Store(w.entries * entryW)
+		return w
+	}
+	r.windowBytes.Store(r.nnz * entryW)
+	return nil
+}
+
+// ownWindow is r.own, or nil for a slab without a budget (nil r).
+func (r *slabResidency) ownWindow() *releaseWindow {
+	if r == nil {
+		return nil
+	}
+	return r.own
+}
+
+func (r *slabResidency) snapshot() SlabResidency {
+	if r == nil {
+		return SlabResidency{}
+	}
+	return SlabResidency{
+		WindowBytes:     r.windowBytes.Load(),
+		ReleaseCalls:    r.releaseCalls.Load(),
+		ReleasedBytes:   r.releasedBytes.Load(),
+		PrefetchedBytes: r.prefetchedBytes.Load(),
+	}
+}
+
+// entryRange is the half-open range [lo, hi) of stored-entry indices.
+type entryRange struct{ lo, hi int64 }
+
+// releaseWindow accumulates the entry ranges one consumer has finished
+// with and releases them a window at a time. Consumers report begin when
+// they start on a range and done when they finish it, in any order and
+// from any goroutine, and endPass after a whole sweep. Completed ranges
+// merge with their neighbours; once a window's worth is pending — or the
+// pass ends — each merged range costs one Release per section, and the
+// window after the furthest entry any consumer has started on is advised
+// ahead. Between reports at most one window is completed-but-unreleased,
+// and one pass over the matrix costs about 4·ceil(entryBytes/window)
+// advise calls, however finely the consumer stripes it.
+type releaseWindow struct {
+	res     *slabResidency
+	entries int64 // window size in stored entries
+	flushAt int64 // pending entries that trigger a release
+
+	started atomic.Int64 // furthest entry any consumer has begun on this pass
+
+	mu       sync.Mutex
+	pending  []entryRange // done, unreleased: sorted, disjoint, not adjacent
+	pendingN int64        // entries in pending
+}
+
+// begin notes that a consumer is about to read entries up to hi.
+func (w *releaseWindow) begin(hi int64) {
+	for {
+		cur := w.started.Load()
+		if hi <= cur || w.started.CompareAndSwap(cur, hi) {
+			return
+		}
+	}
+}
+
+// done reports entries [lo, hi) as consumed. No-op on a nil window.
+func (w *releaseWindow) done(lo, hi int64) {
+	if w == nil || hi <= lo {
 		return
 	}
-	n := pHi - pLo
-	r.mp.AdviseWillNeed(r.colsOff+4*pHi, 4*n)
-	r.mp.AdviseWillNeed(r.valsOff+r.valW*pHi, r.valW*n)
-	r.mp.Release(r.colsOff+4*pLo, 4*n)
-	r.mp.Release(r.valsOff+r.valW*pLo, r.valW*n)
+	w.mu.Lock()
+	p := w.pending
+	i := len(p)
+	for i > 0 && p[i-1].lo > hi {
+		i--
+	}
+	j := i
+	for j > 0 && p[j-1].hi >= lo {
+		j--
+		w.pendingN -= p[j].hi - p[j].lo
+		lo, hi = min(lo, p[j].lo), max(hi, p[j].hi)
+	}
+	w.pendingN += hi - lo
+	if j == i {
+		p = append(p, entryRange{})
+		copy(p[i+1:], p[i:])
+	} else {
+		p = append(p[:j+1], p[i:]...)
+	}
+	p[j] = entryRange{lo, hi}
+	w.pending = p
+	var buf [8]entryRange
+	var batch []entryRange
+	if w.pendingN >= w.flushAt {
+		batch = w.take(buf[:0], false)
+	}
+	w.mu.Unlock()
+	w.release(batch)
 }
 
-// stripeRelease returns the per-stripe release hook the fused kernels
-// install for slab-backed operands, or nil for ordinary in-RAM matrices.
-func (m *CSR) stripeRelease() func(lo, hi int) {
-	if m.res == nil {
-		return nil
+// endPass releases whatever the finished sweep left pending. No-op on a
+// nil window.
+func (w *releaseWindow) endPass() {
+	if w == nil {
+		return
 	}
-	res, rowPtr := m.res, m.RowPtr
-	return func(lo, hi int) { res.releaseEntries(rowPtr[lo], rowPtr[hi]) }
+	var buf [8]entryRange
+	w.mu.Lock()
+	batch := w.take(buf[:0], true)
+	w.mu.Unlock()
+	w.release(batch)
+	w.started.Store(0)
 }
 
-// stripeRelease is the float32 mirror of (*CSR).stripeRelease.
-func (m *CSR32) stripeRelease() func(lo, hi int) {
-	if m.res == nil {
-		return nil
+// take moves pending ranges into dst. Everything below the first hole is
+// finished with; the hole is a stripe still in flight, and the ranges
+// above it will merge across it once it lands. So when the bottom range
+// is the bulk of what is pending it goes alone — one range, two Release
+// calls — and the rest waits for the next window; when it is not (a
+// worker fell most of a window behind), or all is set, everything goes.
+// What stays pending is thus less than half of what was. Called with mu
+// held.
+func (w *releaseWindow) take(dst []entryRange, all bool) []entryRange {
+	if n := len(w.pending); !all && n > 1 && 2*(w.pending[0].hi-w.pending[0].lo) >= w.pendingN {
+		dst = append(dst, w.pending[0])
+		w.pendingN -= dst[0].hi - dst[0].lo
+		w.pending = w.pending[:copy(w.pending, w.pending[1:])]
+		return dst
 	}
-	res, rowPtr := m.res, m.RowPtr
-	return func(lo, hi int) { res.releaseEntries(rowPtr[lo], rowPtr[hi]) }
+	dst = append(dst, w.pending...)
+	w.pending, w.pendingN = w.pending[:0], 0
+	return dst
+}
+
+// release advises the window after the furthest entry any consumer has
+// started on — with several workers the stripes right after batch are
+// already being read — and drops the pages of every range in batch. It
+// runs outside mu, so a sibling worker reporting meanwhile never waits on
+// the advise calls; the ranges are out of pending and no reader returns
+// to them before the next pass.
+func (w *releaseWindow) release(batch []entryRange) {
+	if len(batch) == 0 {
+		return
+	}
+	r := w.res
+	entryW := 4 + r.valW
+	from := max(w.started.Load(), batch[len(batch)-1].hi)
+	if n := min(w.entries, r.nnz-from); n > 0 {
+		r.adv.AdviseWillNeed(r.colsOff+4*from, 4*n)
+		r.adv.AdviseWillNeed(r.valsOff+r.valW*from, r.valW*n)
+		r.prefetchedBytes.Add(n * entryW)
+	}
+	var entries int64
+	for _, e := range batch {
+		r.adv.Release(r.colsOff+4*e.lo, 4*(e.hi-e.lo))
+		r.adv.Release(r.valsOff+r.valW*e.lo, r.valW*(e.hi-e.lo))
+		entries += e.hi - e.lo
+	}
+	r.releaseCalls.Add(2 * int64(len(batch)))
+	r.releasedBytes.Add(entries * entryW)
 }
 
 // ---------------------------------------------------------------------------
@@ -806,11 +999,13 @@ func (m *CSR32) stripeRelease() func(lo, hi int) {
 
 // validateSlabCSR runs the full structural sweep over a slab-backed
 // matrix in bounded-residency chunks: shape first, then rows in blocks,
-// releasing each block's entry pages behind itself in streaming mode.
-func validateSlabCSR(m *CSR, res *slabResidency) error {
+// reporting each block's entries to the slab's own release window (nil
+// without a budget) behind itself.
+func validateSlabCSR(m *CSR) error {
 	if err := m.validateShape(); err != nil {
 		return err
 	}
+	win := m.res.ownWindow()
 	for lo := 0; lo < m.Rows; lo += slabValidateChunkRows {
 		hi := lo + slabValidateChunkRows
 		if hi > m.Rows {
@@ -819,19 +1014,19 @@ func validateSlabCSR(m *CSR, res *slabResidency) error {
 		if err := m.validateRowRange(lo, hi); err != nil {
 			return err
 		}
-		if res != nil {
-			res.releaseEntries(m.RowPtr[lo], m.RowPtr[hi])
-		}
+		win.done(m.RowPtr[lo], m.RowPtr[hi])
 	}
+	win.endPass()
 	return nil
 }
 
 // validateSlabCSR32 is the float32 structural sweep: same checks as
 // CSR.Validate with float32 finiteness.
-func validateSlabCSR32(m *CSR32, res *slabResidency) error {
+func validateSlabCSR32(m *CSR32) error {
 	if m.Rows < 0 || m.ColsN < 0 {
 		return ErrBadShape
 	}
+	win := m.res.ownWindow()
 	if len(m.RowPtr) != m.Rows+1 {
 		return fmt.Errorf("linalg: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
 	}
@@ -872,9 +1067,8 @@ func validateSlabCSR32(m *CSR32, res *slabResidency) error {
 				}
 			}
 		}
-		if res != nil {
-			res.releaseEntries(m.RowPtr[lo], m.RowPtr[hi])
-		}
+		win.done(m.RowPtr[lo], m.RowPtr[hi])
 	}
+	win.endPass()
 	return nil
 }

@@ -83,18 +83,18 @@ func FuzzSlabDecode(f *testing.F) {
 		if h.valKind == 0 {
 			m, err := decodeSlabCSR(h)
 			if err == nil {
-				_ = validateSlabCSR(m, nil)
+				_ = validateSlabCSR(m)
 			}
 			if am, ok := aliasSlabCSR(h); ok {
-				_ = validateSlabCSR(am, nil)
+				_ = validateSlabCSR(am)
 			}
 		} else {
 			m, err := decodeSlabCSR32(h)
 			if err == nil {
-				_ = validateSlabCSR32(m, nil)
+				_ = validateSlabCSR32(m)
 			}
 			if am, ok := aliasSlabCSR32(h); ok {
-				_ = validateSlabCSR32(am, nil)
+				_ = validateSlabCSR32(am)
 			}
 		}
 	})

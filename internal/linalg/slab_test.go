@@ -173,10 +173,21 @@ func TestSlabOpenRejectsCorruption(t *testing.T) {
 	}
 }
 
+// slabWindowBudgets returns MaxResident values under which a fused kernel
+// holding denseBytes of vectors over m gets no budget, less than one
+// stripe of leftover, and release windows of one stripe, three stripes
+// and the whole matrix — with the window each must report (0: none).
+func slabWindowBudgets(rows, nnz int, entryW, denseBytes int64) (budgets, windows []int64) {
+	stripe := int64(nnz/stripeCountFor(nnz, rows)) * entryW
+	fixed := 8*int64(rows+1) + denseBytes
+	return []int64{0, 4096, fixed + 4*stripe, fixed + 4*3*stripe, 1 << 30},
+		[]int64{0, stripe, stripe, 3 * stripe, int64(nnz) * entryW}
+}
+
 // TestSlabSolveBitwiseIdentical is the core determinism contract of the
 // out-of-core path: a slab-backed solve must produce byte-identical
 // scores to the in-memory solve at every worker count, with and without
-// a residency budget.
+// a residency budget, whatever release window the budget buys.
 func TestSlabSolveBitwiseIdentical(t *testing.T) {
 	defer func(v int) { fusedMinNNZ = v }(fusedMinNNZ)
 	defer func(v int) { fusedNNZPerStripe = v }(fusedNNZPerStripe)
@@ -194,7 +205,8 @@ func TestSlabSolveBitwiseIdentical(t *testing.T) {
 	}
 
 	path := writeSlabTemp(t, pt, SlabFloat64)
-	for _, budget := range []int64{0, 4096} {
+	budgets, windows := slabWindowBudgets(pt.Rows, pt.NNZ(), 12, 3*8*int64(pt.Rows))
+	for bi, budget := range budgets {
 		for _, workers := range []int{1, 2, 3, 4, 8} {
 			s, err := OpenSlabCSR(path, SlabOpenOptions{MaxResident: budget})
 			if err != nil {
@@ -219,6 +231,9 @@ func TestSlabSolveBitwiseIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameBits(t, "slab affine", jref, jgot)
+			if rs := s.Residency(); rs.WindowBytes != windows[bi] || (rs.ReleaseCalls == 0) != (bi == 0 || bi == len(budgets)-1) {
+				t.Fatalf("budget=%d workers=%d: residency %+v, want a %d-byte window", budget, workers, rs, windows[bi])
+			}
 			s.Close()
 		}
 	}
@@ -244,7 +259,8 @@ func TestSlabSolve32BitwiseIdentical(t *testing.T) {
 	}
 
 	path := writeSlabTemp(t, pt, SlabFloat32)
-	for _, budget := range []int64{0, 4096} {
+	budgets, windows := slabWindowBudgets(pt.Rows, pt.NNZ(), 8, (8+3*4+8)*int64(pt.Rows))
+	for bi, budget := range budgets {
 		for _, workers := range []int{1, 2, 4} {
 			s, err := OpenSlabCSR32(path, SlabOpenOptions{MaxResident: budget})
 			if err != nil {
@@ -255,6 +271,9 @@ func TestSlabSolve32BitwiseIdentical(t *testing.T) {
 				t.Fatalf("slab32 solve (budget=%d workers=%d): %v %+v", budget, workers, err, st)
 			}
 			sameBits(t, "slab32 power", ref, got)
+			if rs := s.Residency(); rs.WindowBytes != windows[bi] || (rs.ReleaseCalls == 0) != (bi == 0 || bi == len(budgets)-1) {
+				t.Fatalf("budget=%d workers=%d: residency %+v, want a %d-byte window", budget, workers, rs, windows[bi])
+			}
 			s.Close()
 		}
 	}

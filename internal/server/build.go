@@ -44,8 +44,11 @@ type BuildConfig struct {
 	// their operand is the same size as the throttled one, so operators
 	// bounding refresh RSS should restrict Algos to AlgoSRSR.
 	SlabDir string
-	// MaxResident bounds the slab-backed solve's resident entry bytes
-	// (see core.Config.MaxResident); <=0 maps without release-behind.
+	// MaxResident, with SlabDir set, is the resident-set budget in bytes
+	// of the slab-backed solve — row pointers, dense vectors and two
+	// release windows of matrix entries (see
+	// linalg.SlabOpenOptions.MaxResident). Advisory; <= 0 maps without
+	// release-behind.
 	MaxResident int64
 	// Name labels the corpus in CorpusInfo.
 	Name string

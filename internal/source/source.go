@@ -99,8 +99,8 @@ func (sg *Graph) TransposedT(workers int) *linalg.CSR {
 // it memory-mapped: the returned operand decodes to the same bits as
 // TransposedT but its arrays alias the on-disk file, so a baseline solve
 // over a huge source graph keeps only the dense iterate vectors resident
-// (opt.MaxResident > 0 additionally streams row stripes with
-// release-behind). The caller owns the returned slab and must Close it
+// (opt.MaxResident > 0 additionally releases the entries behind the
+// solve, a budget-sized window at a time). The caller owns the returned slab and must Close it
 // after the solve. workers bounds the one-time transposition.
 func (sg *Graph) TransposedTSlab(fsys durable.FS, path string, opt linalg.SlabOpenOptions, workers int) (*linalg.SlabCSR, error) {
 	if err := linalg.WriteSlabCSR(fsys, path, sg.TransposedT(workers), linalg.SlabFloat64); err != nil {

@@ -60,10 +60,11 @@ type Options struct {
 	// and the solves stream the mapped file. Published scores are bitwise
 	// identical to the in-heap pipeline's. Slab commits go through FS.
 	SlabDir string
-	// MaxResident, with SlabDir set, bounds the resident footprint of the
-	// mapped generation during solves and rewrites (see
-	// linalg.SlabOpenOptions.MaxResident); <= 0 maps without
-	// release-behind.
+	// MaxResident, with SlabDir set, is the resident-set budget in bytes
+	// of everything that reads the mapped generation, solves and rewrites
+	// alike — row pointers, dense vectors and two release windows of
+	// matrix entries (see linalg.SlabOpenOptions.MaxResident). Advisory;
+	// <= 0 maps without release-behind.
 	MaxResident int64
 	// SlabPatchEntries bounds the dirty-row patch buffer of a generation
 	// rewrite, in matrix entries; dirty rows are recomputed in ascending

@@ -34,7 +34,8 @@ const (
 
 // slabCopyWindow is the clean-row copy granularity in matrix entries:
 // the rewrite copies at most this many entries of the old generation
-// before releasing their pages, bounding the copy's resident footprint
+// before reporting them consumed, so the old generation's release window
+// (linalg.SlabCSR.ReleaseEntries) bounds the copy's resident footprint
 // independently of generation size.
 const slabCopyWindow = 1 << 20
 
