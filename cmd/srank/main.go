@@ -281,15 +281,11 @@ func loadCorpus(pagesPath, spamPath, preset string, scale float64, seed uint64) 
 		}
 		return ds.Pages, ds.SpamSources, nil
 	}
-	f, err := os.Open(pagesPath)
+	pg, load, err := pagegraph.ReadFile(pagesPath)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer f.Close()
-	pg, err := pagegraph.ReadFrom(f)
-	if err != nil {
-		return nil, nil, err
-	}
+	fmt.Fprintf(os.Stderr, "srank: %v\n", load)
 	var spam []int32
 	if spamPath != "" {
 		sf, err := os.Open(spamPath)

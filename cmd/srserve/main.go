@@ -108,7 +108,7 @@ func main() {
 		return
 	}
 
-	pg, spam, name, err := loadCorpus(*pagesPath, *spamPath, *preset, *scale, *seed)
+	pg, spam, name, corpusLoad, err := loadCorpus(*pagesPath, *spamPath, *preset, *scale, *seed)
 	if err != nil {
 		log.Fatalf("srserve: %v", err)
 	}
@@ -212,6 +212,7 @@ func main() {
 		StalenessBudget: *staleTO,
 		MaxInFlight:     *maxInFl,
 		Refresher:       refresher,
+		CorpusLoad:      corpusLoad,
 		// Every builder distributes snapshots: replicas pull verified
 		// frames from GET /v1/replica/snapshot (full on first sync,
 		// deltas against the last 8 published versions after).
@@ -274,36 +275,32 @@ func runReplica(builder string, rc replicaConfig) {
 }
 
 // loadCorpus mirrors cmd/srank: a binary corpus file or a generated
-// preset.
-func loadCorpus(pagesPath, spamPath, preset string, scale float64, seed uint64) (*pagegraph.Graph, []int32, string, error) {
+// preset. The load stats are nil for a preset: nothing was read.
+func loadCorpus(pagesPath, spamPath, preset string, scale float64, seed uint64) (*pagegraph.Graph, []int32, string, *pagegraph.LoadStats, error) {
 	if pagesPath == "" {
 		p := gen.Preset(preset)
 		if _, ok := gen.TableOneSources[p]; !ok {
-			return nil, nil, "", fmt.Errorf("unknown preset %q", preset)
+			return nil, nil, "", nil, fmt.Errorf("unknown preset %q", preset)
 		}
 		ds, err := gen.GeneratePreset(p, scale, seed)
 		if err != nil {
-			return nil, nil, "", err
+			return nil, nil, "", nil, err
 		}
-		return ds.Pages, ds.SpamSources, ds.Name, nil
+		return ds.Pages, ds.SpamSources, ds.Name, nil, nil
 	}
-	f, err := os.Open(pagesPath)
+	pg, st, err := pagegraph.ReadFile(pagesPath)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, "", nil, err
 	}
-	defer f.Close()
-	pg, err := pagegraph.ReadFrom(f)
-	if err != nil {
-		return nil, nil, "", err
-	}
+	log.Print(st)
 	var spam []int32
 	if spamPath != "" {
 		spam, err = readSpamLabels(spamPath, pg.NumSources())
 		if err != nil {
-			return nil, nil, "", err
+			return nil, nil, "", nil, err
 		}
 	}
-	return pg, spam, pagesPath, nil
+	return pg, spam, pagesPath, &st, nil
 }
 
 // readSpamLabels parses one source ID per line, rejecting out-of-range

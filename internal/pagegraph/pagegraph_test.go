@@ -9,7 +9,7 @@ import (
 
 // twoSourceFixture builds: source A with pages 0,1; source B with page 2.
 // Links: 0->1 (intra), 0->2, 1->2 (inter), 2 dangling.
-func twoSourceFixture(t *testing.T) *Graph {
+func twoSourceFixture(t testing.TB) *Graph {
 	t.Helper()
 	g := New()
 	a := g.AddSource("a.example.com")

@@ -87,16 +87,14 @@ func transition(g graph.Topology) (*linalg.CSR, error) {
 }
 
 // PageRank computes the PageRank vector π = αMᵀπ + (1-α)e over the page
-// graph (paper Eq. 1).
+// graph (paper Eq. 1). The power iteration only multiplies by Mᵀ, so that
+// is the one operand built — by TransitionT's counting sort, never via
+// the forward matrix.
 func PageRank(g graph.Topology, opt Options) (*Result, error) {
 	if g.NumNodes() == 0 {
 		return nil, ErrEmptyGraph
 	}
-	m, err := transition(g)
-	if err != nil {
-		return nil, err
-	}
-	return stationary(m, opt)
+	return StationaryT(TransitionT(g), opt)
 }
 
 // Stationary computes the damped stationary distribution of an arbitrary
@@ -106,7 +104,7 @@ func Stationary(t *linalg.CSR, opt Options) (*Result, error) {
 	if t.Rows == 0 {
 		return nil, ErrEmptyGraph
 	}
-	return stationary(t, opt)
+	return StationaryT(t.TransposeParallel(opt.Workers), opt)
 }
 
 // StationaryT computes the same damped stationary distribution from the
@@ -172,24 +170,6 @@ func powerMethodT(tt *linalg.CSR, alpha float64, tele, x0 linalg.Vector, opt Opt
 	return linalg.PowerMethodT(tt, alpha, tele, x0, opt.solver())
 }
 
-func stationary(t *linalg.CSR, opt Options) (*Result, error) {
-	tele := opt.Teleport
-	if tele == nil {
-		tele = linalg.NewUniformVector(t.Rows)
-	}
-	if len(tele) != t.Rows {
-		return nil, linalg.ErrDimension
-	}
-	if opt.X0 != nil && len(opt.X0) != t.Rows {
-		return nil, linalg.ErrDimension
-	}
-	scores, stats, err := powerMethodT(t.TransposeParallel(opt.Workers), opt.alpha(), tele, opt.X0, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Scores: scores, Stats: stats}, nil
-}
-
 // PageRankLinear solves the linear formulation π = αMᵀπ + (1-α)e by
 // Jacobi iteration (paper's Eq. 3 analogue / Gleich et al. linear-system
 // view) and L1-normalizes the result. It matches PageRank up to
@@ -224,10 +204,22 @@ func PageRankLinear(g graph.Topology, opt Options) (*Result, error) {
 // nodes (Gyöngyi et al., cited as the paper's [22]): teleportation jumps
 // only to trusted seeds, so trust decays with link distance from them.
 func TrustRank(g graph.Topology, trusted []int32, opt Options) (*Result, error) {
-	n := g.NumNodes()
-	if n == 0 {
+	if g.NumNodes() == 0 {
 		return nil, ErrEmptyGraph
 	}
+	tele, err := TrustTeleport(g.NumNodes(), trusted)
+	if err != nil {
+		return nil, err
+	}
+	opt.Teleport = tele
+	return PageRank(g, opt)
+}
+
+// TrustTeleport returns TrustRank's teleport vector over n nodes: uniform
+// on the trusted seeds, zero elsewhere. Callers that hold Mᵀ already
+// (TransitionT) pass it to StationaryT as Options.Teleport and share the
+// operand with PageRank.
+func TrustTeleport(n int, trusted []int32) (linalg.Vector, error) {
 	if len(trusted) == 0 {
 		return nil, errors.New("rank: empty trusted seed set")
 	}
@@ -239,6 +231,5 @@ func TrustRank(g graph.Topology, trusted []int32, opt Options) (*Result, error) 
 		tele[s] = 1
 	}
 	tele.Normalize1()
-	opt.Teleport = tele
-	return PageRank(g, opt)
+	return tele, nil
 }

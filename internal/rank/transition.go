@@ -13,11 +13,10 @@ import (
 // iteration actually multiplies by — without materializing the forward
 // matrix or sorting entries.
 //
-// Streaming refreshes build this once per topology change and feed it to
-// StationaryT for both PageRank and TrustRank (the two differ only in
-// teleport vector), instead of paying two transition builds plus two
-// transposes per publish the way the cold PageRank/TrustRank entry
-// points do.
+// PageRank and TrustRank call it per solve. The two differ only in
+// teleport vector (TrustTeleport), so a caller that runs both over one
+// graph — the cold snapshot builder, a streaming refresh once per
+// topology change — builds it once and feeds StationaryT twice.
 func TransitionT(g graph.Topology) *linalg.CSR {
 	n := g.NumNodes()
 	indeg := make([]int64, n)

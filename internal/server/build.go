@@ -103,6 +103,15 @@ func BuildSnapshotFromSourceGraph(pg *pagegraph.Graph, sg *source.Graph, spam []
 	}
 	n := sg.NumSources()
 	var proximity linalg.Vector
+	// PageRank and TrustRank walk the same uniform source transition and
+	// differ only in teleport, so Mᵀ is built once, by whichever runs first.
+	var mt *linalg.CSR
+	baselineT := func() *linalg.CSR {
+		if mt == nil {
+			mt = rank.TransitionT(sg.Structure())
+		}
+		return mt
+	}
 	sets := make(map[Algo]*ScoreSet, len(algos))
 	for _, algo := range algos {
 		x0 := cfg.WarmStart.vectorFor(algo, n)
@@ -131,14 +140,19 @@ func BuildSnapshotFromSourceGraph(pg *pagegraph.Graph, sg *source.Graph, spam []
 			proximity = res.Proximity
 			sets[algo] = NewScoreSet(res.Scores, res.Stats)
 		case AlgoPageRank:
-			res, err := rank.PageRank(sg.Structure(), cfg.rankOptions(x0))
+			res, err := rank.StationaryT(baselineT(), cfg.rankOptions(x0))
 			if err != nil {
 				return nil, fmt.Errorf("server: pagerank: %w", err)
 			}
 			sets[algo] = NewScoreSet(res.Scores, res.Stats)
 		case AlgoTrustRank:
-			trusted := TrustedSeeds(sg, cfg.TrustedSeeds, spam)
-			res, err := rank.TrustRank(sg.Structure(), trusted, cfg.rankOptions(x0))
+			tele, err := rank.TrustTeleport(n, TrustedSeeds(sg, cfg.TrustedSeeds, spam))
+			if err != nil {
+				return nil, fmt.Errorf("server: trustrank: %w", err)
+			}
+			opt := cfg.rankOptions(x0)
+			opt.Teleport = tele
+			res, err := rank.StationaryT(baselineT(), opt)
 			if err != nil {
 				return nil, fmt.Errorf("server: trustrank: %w", err)
 			}

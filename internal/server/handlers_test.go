@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"sourcerank/internal/pagegraph"
 )
 
 func newTestServer(t *testing.T, snap *Snapshot) *Server {
@@ -176,5 +178,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if srv.Metrics().Requests(epTopK) != 3 {
 		t.Fatalf("Requests(topk) = %d", srv.Metrics().Requests(epTopK))
+	}
+}
+
+// A server booted from a corpus file says on /metrics what the read
+// cost; one whose corpus was generated in process has no such series.
+func TestMetricsCorpusLoad(t *testing.T) {
+	snap := testSnapshot(t, AlgoSRSR, []float64{0.6, 0.4})
+	metrics := func(cfg Config) string {
+		rec := httptest.NewRecorder()
+		New(NewStore(snap), cfg).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return rec.Body.String()
+	}
+	text := metrics(Config{CorpusLoad: &pagegraph.LoadStats{Path: "uk.pages", Bytes: 11329044, Seconds: 0.0196}})
+	for _, want := range []string{"srserve_corpus_load_seconds 0.019600\n", "srserve_corpus_bytes 11329044\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q:\n%s", want, text)
+		}
+	}
+	if text := metrics(Config{}); strings.Contains(text, "srserve_corpus_") {
+		t.Errorf("corpus series without a corpus file:\n%s", text)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sourcerank/internal/linalg"
+	"sourcerank/internal/pagegraph"
 )
 
 // latencyBounds are the histogram bucket upper bounds in seconds,
@@ -341,6 +342,20 @@ func (m *Metrics) WriteRefreshText(w io.Writer, r *Refresher) {
 	fmt.Fprintf(w, "# HELP srserve_refresh_last_build_seconds Wall time of the most recent successful build.\n")
 	fmt.Fprintf(w, "# TYPE srserve_refresh_last_build_seconds gauge\n")
 	fmt.Fprintf(w, "srserve_refresh_last_build_seconds %.6f\n", r.LastBuildDuration().Seconds())
+}
+
+// WriteCorpusLoadText renders what reading the corpus file at boot cost;
+// a server whose corpus was generated in process (nil) writes nothing.
+func (m *Metrics) WriteCorpusLoadText(w io.Writer, st *pagegraph.LoadStats) {
+	if st == nil {
+		return
+	}
+	fmt.Fprintf(w, "# HELP srserve_corpus_load_seconds Wall time of reading the corpus file at boot.\n")
+	fmt.Fprintf(w, "# TYPE srserve_corpus_load_seconds gauge\n")
+	fmt.Fprintf(w, "srserve_corpus_load_seconds %.6f\n", st.Seconds)
+	fmt.Fprintf(w, "# HELP srserve_corpus_bytes Size of the corpus file read at boot.\n")
+	fmt.Fprintf(w, "# TYPE srserve_corpus_bytes gauge\n")
+	fmt.Fprintf(w, "srserve_corpus_bytes %d\n", st.Bytes)
 }
 
 // Requests returns the total request count for one endpoint (all status

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"sourcerank/internal/pagegraph"
 )
 
 // ReplicaStatus is the server's view of a replica sync loop
@@ -55,6 +57,9 @@ type Config struct {
 	// fallbacks, consecutive build failures, last build time) to
 	// /metrics.
 	Refresher *Refresher
+	// CorpusLoad, if set, adds what reading the corpus file at boot cost
+	// (srserve_corpus_load_seconds, srserve_corpus_bytes) to /metrics.
+	CorpusLoad *pagegraph.LoadStats
 	// Replica, if set, marks this server as a replica: staleness is
 	// judged by sync contact age, /healthz reports the sync loop's
 	// health, and /metrics carries the srserve_replica_* series.

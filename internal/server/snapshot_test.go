@@ -2,11 +2,14 @@ package server
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"sourcerank/internal/gen"
 	"sourcerank/internal/linalg"
+	"sourcerank/internal/rank"
+	"sourcerank/internal/source"
 )
 
 // testSnapshot builds a small synthetic snapshot with the given scores
@@ -158,6 +161,44 @@ func TestBuildSnapshotFromPreset(t *testing.T) {
 	v[0] = 42
 	if snap.Set(AlgoSRSR).Scores()[0] == 42 {
 		t.Fatal("Scores() exposed internal state")
+	}
+}
+
+// The cold builder solves both baselines over one shared Mᵀ. Each must
+// carry the bits of the standalone entry point, which builds its own
+// operand — in either algorithm order, at both precisions.
+func TestBuildSnapshotBaselinesShareOperand(t *testing.T) {
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err := source.Build(ds.Pages, source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prec := range []linalg.Precision{linalg.Float64, linalg.Float32} {
+		for _, algos := range [][]Algo{{AlgoPageRank, AlgoTrustRank}, {AlgoTrustRank, AlgoPageRank}, {AlgoTrustRank}} {
+			cfg := BuildConfig{Algos: algos, Precision: prec, Workers: 2}
+			snap, err := BuildSnapshotFromSourceGraph(ds.Pages, sg, ds.SpamSources, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range algos {
+				var want *rank.Result
+				if algo == AlgoPageRank {
+					want, err = rank.PageRank(sg.Structure(), cfg.rankOptions(nil))
+				} else {
+					want, err = rank.TrustRank(sg.Structure(), TrustedSeeds(sg, 0, ds.SpamSources), cfg.rankOptions(nil))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := snap.Set(algo)
+				if got.Stats() != want.Stats || !slices.Equal(got.ScoresView(), want.Scores) {
+					t.Fatalf("%v %v in %v: shared-operand scores differ from the standalone solve", prec, algo, algos)
+				}
+			}
+		}
 	}
 }
 

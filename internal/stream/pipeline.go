@@ -331,11 +331,10 @@ func (p *Pipeline) Refresh() (*server.Snapshot, RefreshStats, error) {
 				if err != nil {
 					return nil, stats, err
 				}
-				tele := linalg.NewVector(n)
-				for _, s := range seeds {
-					tele[s] = 1
+				tele, err := rank.TrustTeleport(n, seeds)
+				if err != nil {
+					return nil, stats, fmt.Errorf("stream: trustrank refresh: %w", err)
 				}
-				tele.Normalize1()
 				res, err := rank.StationaryT(mt, p.opt.rankOptions(padded(p.trSc, n), tele))
 				if err != nil {
 					return nil, stats, fmt.Errorf("stream: trustrank refresh: %w", err)
