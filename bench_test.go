@@ -393,26 +393,6 @@ func BenchmarkWarmStartRank(b *testing.B) {
 	}
 }
 
-// BenchmarkGaussSeidel measures the Gauss–Seidel solve on the source
-// transition system, the ablation counterpart of Jacobi/power.
-func BenchmarkGaussSeidel(b *testing.B) {
-	ds := benchCorpus(b)
-	sg, err := source.Build(ds.Pages, source.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs := linalg.NewUniformVector(sg.NumSources())
-	rhs.Scale(0.15)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, st, err := linalg.GaussSeidelAffine(sg.T, 0.85, rhs, linalg.SolverOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(st.Iterations), "iters")
-	}
-}
-
 // BenchmarkCrawl measures the BFS crawl simulation over a hidden web.
 func BenchmarkCrawl(b *testing.B) {
 	ds := benchCorpus(b)

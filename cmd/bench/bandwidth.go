@@ -7,9 +7,8 @@
 // step touches is charged one sequential sweep per pass that uses it —
 // and divides by measured wall time to get achieved GB/s. The model
 // deliberately ignores cache reuse of the gathered source vector; that
-// locality is what the cache-blocked CSR32 layout buys, and it shows up
-// as achieved GB/s above the machine's DRAM bandwidth on operands that
-// fit in cache. Per kernel step on an n-row matrix with nnz stored
+// locality shows up as achieved GB/s above the machine's DRAM bandwidth
+// on operands that fit in cache. Per kernel step on an n-row matrix with nnz stored
 // entries, value width valW and vector width vecW (8 for float64, 4 for
 // float32):
 //
@@ -35,7 +34,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"sourcerank/internal/core"
 	"sourcerank/internal/gen"
@@ -154,84 +155,62 @@ func benchNs(fn func()) int64 {
 	}).NsPerOp()
 }
 
-// benchOperandKernels measures the fused power/affine step and multvec
-// at both precisions over one operand, returning the rows plus the best
+// benchOperandKernels measures the fused power/affine step at both
+// precisions over one operand, returning the rows plus the best
 // equal-worker float32 speedups for the power and affine kernels.
 func benchOperandKernels(operand string, tt *linalg.CSR, tiers []int) ([]kernelRow, float64, float64) {
-	rows, nnz := tt.Rows, tt.NNZ()
-	tt32 := linalg.NewCSR32(tt)
-	tel := linalg.NewUniformVector(rows)
-	tel32 := linalg.ToVector32(tel)
+	tel := linalg.NewUniformVector(tt.Rows)
+	bias := tel.Clone()
+	bias.Scale(0.15)
+	tt32, tel32, bias32 := linalg.NewCSR32(tt), linalg.ToVector32(tel), linalg.ToVector32(bias)
 	var out []kernelRow
 	var bestPower, bestAffine float64
-
 	for _, w := range tiers {
-		// fused power, float64 then float32.
-		kp, err := linalg.NewFusedPower(tt, 0.85, tel, linalg.ResidualL2, w)
-		if err != nil {
-			fatal(err)
+		p64, a64 := benchFusedSteps(operand, "float64", tt, tel, bias, w)
+		p32, a32 := benchFusedSteps(operand, "float32", tt32, tel32, bias32, w)
+		if p32.NsPerOp > 0 {
+			p32.Float32Speedup = float64(p64.NsPerOp) / float64(p32.NsPerOp)
+			bestPower = max(bestPower, p32.Float32Speedup)
 		}
-		src, dst := tel.Clone(), linalg.NewVector(rows)
-		kp.Step(dst, src, true)
-		ns64 := benchNs(func() { kp.Step(dst, src, true); src, dst = dst, src })
-		kp.Close()
-		mb := fusedPowerModelBytes(rows, nnz, 8, 8)
-		out = append(out, kernelRow{Kernel: "fused_power", Operand: operand, Precision: "float64",
-			Workers: w, Rows: rows, NNZ: nnz, NsPerOp: ns64, ModelBytes: mb, GBPerSec: gbPerSec(mb, ns64)})
-
-		kp32, err := linalg.NewFusedPower32(tt32, 0.85, tel32, linalg.ResidualL2, w)
-		if err != nil {
-			fatal(err)
+		if a32.NsPerOp > 0 {
+			a32.Float32Speedup = float64(a64.NsPerOp) / float64(a32.NsPerOp)
+			bestAffine = max(bestAffine, a32.Float32Speedup)
 		}
-		src32, dst32 := tel32.Clone(), linalg.NewVector32(rows)
-		kp32.Step(dst32, src32, true)
-		ns32 := benchNs(func() { kp32.Step(dst32, src32, true); src32, dst32 = dst32, src32 })
-		kp32.Close()
-		mb32 := fusedPowerModelBytes(rows, nnz, 4, 4)
-		row := kernelRow{Kernel: "fused_power", Operand: operand, Precision: "float32",
-			Workers: w, Rows: rows, NNZ: nnz, NsPerOp: ns32, ModelBytes: mb32, GBPerSec: gbPerSec(mb32, ns32)}
-		if ns32 > 0 {
-			row.Float32Speedup = float64(ns64) / float64(ns32)
-			if row.Float32Speedup > bestPower {
-				bestPower = row.Float32Speedup
-			}
-		}
-		out = append(out, row)
-
-		// fused affine.
-		bias := tel.Clone()
-		bias.Scale(0.15)
-		ka, err := linalg.NewFusedAffine(tt, 0.85, bias, linalg.ResidualL2, w)
-		if err != nil {
-			fatal(err)
-		}
-		ka.Step(dst, src, true)
-		ans64 := benchNs(func() { ka.Step(dst, src, true); src, dst = dst, src })
-		ka.Close()
-		amb := fusedAffineModelBytes(rows, nnz, 8, 8)
-		out = append(out, kernelRow{Kernel: "fused_affine", Operand: operand, Precision: "float64",
-			Workers: w, Rows: rows, NNZ: nnz, NsPerOp: ans64, ModelBytes: amb, GBPerSec: gbPerSec(amb, ans64)})
-
-		bias32 := linalg.ToVector32(bias)
-		ka32, err := linalg.NewFusedAffine32(tt32, 0.85, bias32, linalg.ResidualL2, w)
-		if err != nil {
-			fatal(err)
-		}
-		ka32.Step(dst32, src32, true)
-		ans32 := benchNs(func() { ka32.Step(dst32, src32, true); src32, dst32 = dst32, src32 })
-		ka32.Close()
-		amb32 := fusedAffineModelBytes(rows, nnz, 4, 4)
-		arow := kernelRow{Kernel: "fused_affine", Operand: operand, Precision: "float32",
-			Workers: w, Rows: rows, NNZ: nnz, NsPerOp: ans32, ModelBytes: amb32, GBPerSec: gbPerSec(amb32, ans32)}
-		if ans32 > 0 {
-			arow.Float32Speedup = float64(ans64) / float64(ans32)
-			if arow.Float32Speedup > bestAffine {
-				bestAffine = arow.Float32Speedup
-			}
-		}
-		out = append(out, arow)
+		out = append(out, p64, p32, a64, a32)
 	}
 	return out, bestPower, bestAffine
+}
+
+// benchFusedSteps times one fused power step and one fused affine step
+// (each with its residual) over tt at value type F with w workers.
+func benchFusedSteps[F linalg.Float](operand, precision string, tt *linalg.Matrix[F], tel, bias []F, w int) (power, affine kernelRow) {
+	rows, nnz := tt.Rows, tt.NNZ()
+	var zero F
+	width := int64(unsafe.Sizeof(zero))
+	row := func(kernel string, ns, modelBytes int64) kernelRow {
+		return kernelRow{Kernel: kernel, Operand: operand, Precision: precision,
+			Workers: w, Rows: rows, NNZ: nnz, NsPerOp: ns, ModelBytes: modelBytes, GBPerSec: gbPerSec(modelBytes, ns)}
+	}
+	src, dst := slices.Clone(tel), make([]F, rows)
+
+	kp, err := linalg.NewFusedPower(tt, 0.85, tel, linalg.ResidualL2, w)
+	if err != nil {
+		fatal(err)
+	}
+	kp.Step(dst, src, true)
+	ns := benchNs(func() { kp.Step(dst, src, true); src, dst = dst, src })
+	kp.Close()
+	power = row("fused_power", ns, fusedPowerModelBytes(rows, nnz, width, width))
+
+	ka, err := linalg.NewFusedAffine(tt, 0.85, bias, linalg.ResidualL2, w)
+	if err != nil {
+		fatal(err)
+	}
+	ka.Step(dst, src, true)
+	ns = benchNs(func() { ka.Step(dst, src, true); src, dst = dst, src })
+	ka.Close()
+	affine = row("fused_affine", ns, fusedAffineModelBytes(rows, nnz, width, width))
+	return power, affine
 }
 
 func gbPerSec(modelBytes, nsPerOp int64) float64 {
@@ -303,24 +282,15 @@ func runBandwidth(preset string, scale float64, seed uint64, out string, workers
 	rep.Kernels = append(rep.Kernels, srcRows...)
 	fmt.Fprintf(os.Stderr, "bench: source_throttled: fused power float32 %.2fx, affine %.2fx\n", srcPower, srcAffine)
 
-	// multvec at both precisions, max workers only (the gather kernel is
-	// not on the solve hot path since fusion; reported for completeness).
+	// multvec, max workers only (the scatter kernel is not on the solve
+	// hot path since fusion and exists at float64 only; reported for
+	// completeness).
 	x := linalg.NewUniformVector(sg.T.Rows)
 	dst := linalg.NewVector(sg.T.ColsN)
 	mns64 := benchNs(func() { linalg.MulTVecParallel(sg.T, x, dst, maxprocs) })
 	mmb := multvecModelBytes(sg.T.Rows, sg.T.ColsN, sg.T.NNZ(), 8, 8)
 	rep.Kernels = append(rep.Kernels, kernelRow{Kernel: "multvec", Operand: "source_counts", Precision: "float64",
 		Workers: maxprocs, Rows: sg.T.Rows, NNZ: sg.T.NNZ(), NsPerOp: mns64, ModelBytes: mmb, GBPerSec: gbPerSec(mmb, mns64)})
-	t32 := linalg.NewCSR32(sg.T)
-	x32, dst32 := linalg.ToVector32(x), linalg.NewVector32(sg.T.ColsN)
-	mns32 := benchNs(func() { linalg.MulTVecParallel32(t32, x32, dst32, maxprocs) })
-	mmb32 := multvecModelBytes(sg.T.Rows, sg.T.ColsN, sg.T.NNZ(), 4, 4)
-	mrow := kernelRow{Kernel: "multvec", Operand: "source_counts", Precision: "float32",
-		Workers: maxprocs, Rows: sg.T.Rows, NNZ: sg.T.NNZ(), NsPerOp: mns32, ModelBytes: mmb32, GBPerSec: gbPerSec(mmb32, mns32)}
-	if mns32 > 0 {
-		mrow.Float32Speedup = float64(mns64) / float64(mns32)
-	}
-	rep.Kernels = append(rep.Kernels, mrow)
 
 	// End-to-end SRSR solve at both precisions on the throttled matrix,
 	// and the rank-fidelity comparison between them.

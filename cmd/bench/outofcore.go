@@ -81,9 +81,7 @@ type outOfCoreSolve struct {
 	// pass streams, WindowBytes the release window the cap bought this
 	// solve's kernel, ReleaseCalls the Release (MADV_DONTNEED) calls it
 	// issued and ReleasedBytes the entry bytes they covered — Iterations ×
-	// EntryBytes whenever the window is smaller than the entry section,
-	// plus one pass for the float32 kernel's layout-gate scan on operands
-	// wider than one column block.
+	// EntryBytes whenever the window is smaller than the entry section.
 	EntryBytes    int64 `json:"entry_bytes"`
 	WindowBytes   int64 `json:"window_bytes"`
 	ReleaseCalls  int64 `json:"release_calls"`
@@ -273,28 +271,29 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 	}
 	refHash := make(map[refKey]string, 2*len(tiers))
 	refIters := make(map[refKey]int, 2*len(tiers))
-	for _, w := range tiers {
-		t0 = time.Now()
-		x, stats, err := linalg.PowerMethodT(tt, outOfCoreAlpha, tele, nil, linalg.SolverOptions{Workers: w})
-		if err != nil {
-			fatal(err)
-		}
-		k := refKey{"float64", w}
-		refHash[k], refIters[k] = scoreHash(x), stats.Iterations
-		fmt.Fprintf(os.Stderr, "bench: in-memory float64 w=%d: %s, %d iters, hash %s\n",
-			w, time.Since(t0).Round(time.Millisecond), stats.Iterations, refHash[k])
-	}
 	m32 := linalg.NewCSR32(tt)
-	for _, w := range tiers {
-		t0 = time.Now()
-		x, stats, err := linalg.PowerMethodT32(m32, outOfCoreAlpha, tele, nil, linalg.SolverOptions{Workers: w})
-		if err != nil {
-			fatal(err)
+	for _, ref := range []struct {
+		prec  string
+		solve func(linalg.SolverOptions) (linalg.Vector, linalg.IterStats, error)
+	}{
+		{"float64", func(opt linalg.SolverOptions) (linalg.Vector, linalg.IterStats, error) {
+			return linalg.PowerMethodT(tt, outOfCoreAlpha, tele, nil, opt)
+		}},
+		{"float32", func(opt linalg.SolverOptions) (linalg.Vector, linalg.IterStats, error) {
+			return linalg.PowerMethodT(m32, outOfCoreAlpha, tele, nil, opt)
+		}},
+	} {
+		for _, w := range tiers {
+			t0 = time.Now()
+			x, stats, err := ref.solve(linalg.SolverOptions{Workers: w})
+			if err != nil {
+				fatal(err)
+			}
+			k := refKey{ref.prec, w}
+			refHash[k], refIters[k] = scoreHash(x), stats.Iterations
+			fmt.Fprintf(os.Stderr, "bench: in-memory %s w=%d: %s, %d iters, hash %s\n",
+				ref.prec, w, time.Since(t0).Round(time.Millisecond), stats.Iterations, refHash[k])
 		}
-		k := refKey{"float32", w}
-		refHash[k], refIters[k] = scoreHash(x), stats.Iterations
-		fmt.Fprintf(os.Stderr, "bench: in-memory float32 w=%d: %s, %d iters, hash %s\n",
-			w, time.Since(t0).Round(time.Millisecond), stats.Iterations, refHash[k])
 	}
 	tt, m32, tele = nil, nil, nil
 	dropHeap()
@@ -312,66 +311,6 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 		rssSupported = false
 	}
 
-	// solveSlab runs one out-of-core solve against ptPath and returns the
-	// widened scores plus iteration stats, and what the residency
-	// controller did between open and close.
-	solveSlab := func(prec, ptPath string, w int) (linalg.Vector, linalg.IterStats, int64, int, int64, linalg.SlabResidency) {
-		t0 := time.Now()
-		var (
-			x     linalg.Vector
-			stats linalg.IterStats
-			rows  int
-		)
-		during := func(opened, solved linalg.SlabResidency) linalg.SlabResidency {
-			solved.ReleaseCalls -= opened.ReleaseCalls
-			solved.ReleasedBytes -= opened.ReleasedBytes
-			solved.PrefetchedBytes -= opened.PrefetchedBytes
-			return solved
-		}
-		switch prec {
-		case "float64":
-			s, err := linalg.OpenSlabCSR(ptPath, linalg.SlabOpenOptions{MaxResident: capBytes})
-			if err != nil {
-				fatal(err)
-			}
-			openNs := time.Since(t0).Nanoseconds()
-			opened := s.Residency()
-			m := s.Matrix()
-			rows = m.Rows
-			t0 = time.Now()
-			x, stats, err = linalg.PowerMethodTUniform(m, outOfCoreAlpha, linalg.SolverOptions{Workers: w})
-			if err != nil {
-				fatal(err)
-			}
-			wallNs := time.Since(t0).Nanoseconds()
-			res := during(opened, s.Residency())
-			if err := s.Close(); err != nil {
-				fatal(err)
-			}
-			return x, stats, openNs, rows, wallNs, res
-		default:
-			s, err := linalg.OpenSlabCSR32(ptPath, linalg.SlabOpenOptions{MaxResident: capBytes})
-			if err != nil {
-				fatal(err)
-			}
-			openNs := time.Since(t0).Nanoseconds()
-			opened := s.Residency()
-			m := s.Matrix()
-			rows = m.Rows
-			t0 = time.Now()
-			x, stats, err = linalg.PowerMethodT32Uniform(m, outOfCoreAlpha, linalg.SolverOptions{Workers: w})
-			if err != nil {
-				fatal(err)
-			}
-			wallNs := time.Since(t0).Nanoseconds()
-			res := during(opened, s.Residency())
-			if err := s.Close(); err != nil {
-				fatal(err)
-			}
-			return x, stats, openNs, rows, wallNs, res
-		}
-	}
-
 	identicalAll, underCapAll := true, true
 	var worstRSS int64
 	precisions := []struct {
@@ -379,9 +318,10 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 		ptPath string
 		valW   int64
 		vecW   int64
+		solve  func(ptPath string, capBytes int64, w int) (linalg.Vector, linalg.IterStats, int64, int, int64, linalg.SlabResidency)
 	}{
-		{"float64", paths.PT, 8, 8},
-		{"float32", paths32.PT, 4, 4},
+		{"float64", paths.PT, 8, 8, solveSlab[float64]},
+		{"float32", paths32.PT, 4, 4, solveSlab[float32]},
 	}
 	for _, pr := range precisions {
 		// nnz is the same for both precisions; read it from the slab info
@@ -392,7 +332,7 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 		}
 		for _, w := range tiers {
 			sysmem.ResetPeakRSS()
-			x, stats, openNs, rows, wallNs, res := solveSlab(pr.name, pr.ptPath, w)
+			x, stats, openNs, rows, wallNs, res := pr.solve(pr.ptPath, capBytes, w)
 			row := outOfCoreSolve{
 				Precision:     pr.name,
 				Workers:       w,
@@ -452,4 +392,33 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 		fmt.Fprintln(os.Stderr, "bench: ERROR: slab-backed scores diverged from the in-memory solve")
 		os.Exit(1)
 	}
+}
+
+// solveSlab runs one out-of-core solve against the slab at ptPath, whose
+// values are stored as F, and returns the widened scores plus iteration
+// stats, the open and solve wall times, the row count, and what the
+// residency controller did between open and close.
+func solveSlab[F linalg.Float](ptPath string, capBytes int64, w int) (linalg.Vector, linalg.IterStats, int64, int, int64, linalg.SlabResidency) {
+	t0 := time.Now()
+	s, err := linalg.OpenSlab[F](ptPath, linalg.SlabOpenOptions{MaxResident: capBytes})
+	if err != nil {
+		fatal(err)
+	}
+	openNs := time.Since(t0).Nanoseconds()
+	opened := s.Residency()
+	m := s.Matrix()
+	t0 = time.Now()
+	x, stats, err := linalg.PowerMethodTUniform(m, outOfCoreAlpha, linalg.SolverOptions{Workers: w})
+	if err != nil {
+		fatal(err)
+	}
+	wallNs := time.Since(t0).Nanoseconds()
+	res := s.Residency()
+	res.ReleaseCalls -= opened.ReleaseCalls
+	res.ReleasedBytes -= opened.ReleasedBytes
+	res.PrefetchedBytes -= opened.PrefetchedBytes
+	if err := s.Close(); err != nil {
+		fatal(err)
+	}
+	return x, stats, openNs, m.Rows, wallNs, res
 }

@@ -242,31 +242,27 @@ func pageRankSlab(pg *pagegraph.Graph, alpha float64, workers int, prec linalg.P
 	if err != nil {
 		return nil, linalg.IterStats{}, err
 	}
-	slabPrec := linalg.SlabFloat64
-	if prec == linalg.Float32 {
-		slabPrec = linalg.SlabFloat32
-	}
-	paths, err := webgraph.BuildTransitionSlabs(nil, slabDir, c, webgraph.SlabOptions{Precision: slabPrec})
+	paths, err := webgraph.BuildTransitionSlabs(nil, slabDir, c, webgraph.SlabOptions{Precision: prec})
 	if err != nil {
 		return nil, linalg.IterStats{}, err
 	}
-	opt := linalg.SolverOptions{Workers: workers}
-	n := c.NumNodes()
 	c = nil // the compressed graph is no longer needed; let the solve run lean
 	if prec == linalg.Float32 {
-		s, err := linalg.OpenSlabCSR32(paths.PT, linalg.SlabOpenOptions{MaxResident: maxResident})
-		if err != nil {
-			return nil, linalg.IterStats{}, err
-		}
-		defer s.Close()
-		return linalg.PowerMethodT32(s.Matrix(), alpha, linalg.NewUniformVector(n), nil, opt)
+		return solveSlab[float32](paths.PT, alpha, workers, maxResident)
 	}
-	s, err := linalg.OpenSlabCSR(paths.PT, linalg.SlabOpenOptions{MaxResident: maxResident})
+	return solveSlab[float64](paths.PT, alpha, workers, maxResident)
+}
+
+// solveSlab opens the transposed transition slab at path, whose values
+// are stored as F, under the residency budget and runs the implicit-
+// teleport power iteration over it.
+func solveSlab[F linalg.Float](path string, alpha float64, workers int, maxResident int64) (linalg.Vector, linalg.IterStats, error) {
+	s, err := linalg.OpenSlab[F](path, linalg.SlabOpenOptions{MaxResident: maxResident})
 	if err != nil {
 		return nil, linalg.IterStats{}, err
 	}
 	defer s.Close()
-	return linalg.PowerMethodTUniform(s.Matrix(), alpha, opt)
+	return linalg.PowerMethodTUniform(s.Matrix(), alpha, linalg.SolverOptions{Workers: workers})
 }
 
 func loadCorpus(pagesPath, spamPath, preset string, scale float64, seed uint64) (*pagegraph.Graph, []int32, error) {

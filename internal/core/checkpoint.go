@@ -333,7 +333,7 @@ func RankCheckpointed(sg *source.Graph, kappa []float64, cfg Config, ck Checkpoi
 	if warm != nil && len(warm) != sg.NumSources() {
 		return nil, info, linalg.ErrDimension
 	}
-	op, err := cfg.solveOperand(throttledTranspose(sg, tpp, cfg.Workers))
+	op, err := openOperand(cfg, throttledTranspose(sg, tpp, cfg.Workers), asIs)
 	if err != nil {
 		return nil, info, err
 	}

@@ -160,98 +160,80 @@ func Rank(sg *source.Graph, kappa []float64, cfg Config) (*Result, error) {
 	}
 	tppT := throttledTranspose(sg, tpp, cfg.Workers)
 	res := &Result{Kappa: append([]float64(nil), kappa...), Throttled: tpp, Precision: cfg.Precision}
-	op, err := cfg.solveOperand(tppT)
+	if cfg.Precision == linalg.Float32 {
+		// Narrowing here for both solvers, not inside rank.StationaryT,
+		// keeps one seam. Bits are identical either way (NewCSR32 in both
+		// places, and the slab writer narrows identically).
+		res.Scores, res.Stats, err = solve(cfg, tppT, linalg.NewCSR32)
+	} else {
+		res.Scores, res.Stats, err = solve(cfg, tppT, asIs)
+	}
 	if err != nil {
 		return nil, err
-	}
-	defer op.close()
-	switch cfg.Solver {
-	case Jacobi:
-		n := tpp.Rows
-		b := linalg.NewUniformVector(n)
-		b.Scale(1 - cfg.alpha())
-		sopt := linalg.SolverOptions{
-			Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers, CheckEvery: cfg.CheckEvery,
-		}
-		var scores linalg.Vector
-		var stats linalg.IterStats
-		if op.m32 != nil {
-			scores, stats, err = linalg.JacobiAffineT32(op.m32, cfg.alpha(), b, sopt)
-		} else {
-			scores, stats, err = linalg.JacobiAffineT(op.m, cfg.alpha(), b, sopt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		scores.Normalize1()
-		res.Scores, res.Stats = scores, stats
-	default:
-		var r *rank.Result
-		if op.m32 != nil {
-			// The float32 operand already carries NewCSR32's bits (the
-			// slab writer narrows identically), so iterating it directly
-			// equals StationaryT's Float32 route without the narrowing
-			// copy.
-			r, err = rank.StationaryT32(op.m32, cfg.rankOptions())
-		} else {
-			r, err = rank.StationaryT(op.m, cfg.rankOptions())
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.Scores, res.Stats = r.Scores, r.Stats
 	}
 	return res, nil
 }
 
+// asIs is the in-heap form of a float64 operand: the matrix itself.
+func asIs(m *linalg.CSR) *linalg.CSR { return m }
+
+// solve runs cfg.Solver over tppT at value type F, in heap or streamed
+// from a slab as cfg says.
+func solve[F linalg.Float](cfg Config, tppT *linalg.CSR, inHeap func(*linalg.CSR) *linalg.Matrix[F]) (linalg.Vector, linalg.IterStats, error) {
+	op, err := openOperand(cfg, tppT, inHeap)
+	if err != nil {
+		return nil, linalg.IterStats{}, err
+	}
+	defer op.close()
+	if cfg.Solver == Jacobi {
+		b := linalg.NewUniformVector(tppT.Rows)
+		b.Scale(1 - cfg.alpha())
+		scores, stats, err := linalg.JacobiAffineT(op.m, cfg.alpha(), b, linalg.SolverOptions{
+			Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers, CheckEvery: cfg.CheckEvery,
+		})
+		if err != nil {
+			return nil, stats, err
+		}
+		scores.Normalize1()
+		return scores, stats, nil
+	}
+	r, err := rank.StationaryT(op.m, cfg.rankOptions())
+	if err != nil {
+		return nil, linalg.IterStats{}, err
+	}
+	return r.Scores, r.Stats, nil
+}
+
 // solveOperand is the backing-erasure seam between Rank and the solvers:
-// exactly one of m/m32 is set, in heap or slab-mapped form.
-type solveOperand struct {
-	m   *linalg.CSR
-	m32 *linalg.CSR32
+// the operand at the solve's value type, in heap or slab-mapped form.
+type solveOperand[F linalg.Float] struct {
+	m *linalg.Matrix[F]
 	// slabPath is the committed slab file when the operand is slab-backed
 	// ("" for in-heap operands); RankCheckpointed fingerprints its header.
 	slabPath string
 	close    func()
 }
 
-// solveOperand resolves the stationary-solve operand for tppT under the
-// configured precision and backing. With SlabDir unset this is the
-// in-memory matrix (narrowed for Float32, matching the historical path
-// bit for bit). With SlabDir set, tppT is committed as a slab file and
-// reopened memory-mapped; the heap copy becomes garbage once the caller
-// drops tppT, leaving the solve to stream the file.
-func (c Config) solveOperand(tppT *linalg.CSR) (solveOperand, error) {
-	f32 := c.Precision == linalg.Float32
+// openOperand resolves the stationary-solve operand for tppT at value
+// type F — which must be the type cfg.Precision names — under the
+// configured backing. With SlabDir unset this is inHeap(tppT): the
+// in-memory matrix, narrowed for float32, matching the historical path
+// bit for bit. With SlabDir set, tppT is committed as a slab file at
+// cfg.Precision and reopened memory-mapped; the heap copy becomes garbage
+// once the caller drops tppT, leaving the solve to stream the file.
+func openOperand[F linalg.Float](c Config, tppT *linalg.CSR, inHeap func(*linalg.CSR) *linalg.Matrix[F]) (solveOperand[F], error) {
 	if c.SlabDir == "" {
-		if f32 {
-			// Power solves narrow inside rank.StationaryT; narrowing here
-			// for both solvers keeps one seam. Bits are identical either
-			// way (NewCSR32 in both places).
-			return solveOperand{m32: linalg.NewCSR32(tppT), close: func() {}}, nil
-		}
-		return solveOperand{m: tppT, close: func() {}}, nil
+		return solveOperand[F]{m: inHeap(tppT), close: func() {}}, nil
 	}
 	path := filepath.Join(c.SlabDir, "throttled_t.slab")
-	opt := linalg.SlabOpenOptions{MaxResident: c.MaxResident}
-	if f32 {
-		if err := linalg.WriteSlabCSR(nil, path, tppT, linalg.SlabFloat32); err != nil {
-			return solveOperand{}, fmt.Errorf("core: writing slab: %w", err)
-		}
-		s, err := linalg.OpenSlabCSR32(path, opt)
-		if err != nil {
-			return solveOperand{}, fmt.Errorf("core: opening slab: %w", err)
-		}
-		return solveOperand{m32: s.Matrix(), slabPath: path, close: func() { s.Close() }}, nil
+	if err := linalg.WriteSlabCSR(nil, path, tppT, c.Precision); err != nil {
+		return solveOperand[F]{}, fmt.Errorf("core: writing slab: %w", err)
 	}
-	if err := linalg.WriteSlabCSR(nil, path, tppT, linalg.SlabFloat64); err != nil {
-		return solveOperand{}, fmt.Errorf("core: writing slab: %w", err)
-	}
-	s, err := linalg.OpenSlabCSR(path, opt)
+	s, err := linalg.OpenSlab[F](path, linalg.SlabOpenOptions{MaxResident: c.MaxResident})
 	if err != nil {
-		return solveOperand{}, fmt.Errorf("core: opening slab: %w", err)
+		return solveOperand[F]{}, fmt.Errorf("core: opening slab: %w", err)
 	}
-	return solveOperand{m: s.Matrix(), slabPath: path, close: func() { s.Close() }}, nil
+	return solveOperand[F]{m: s.Matrix(), slabPath: path, close: func() { s.Close() }}, nil
 }
 
 // BaselineSourceRank computes the un-throttled SourceRank over the same

@@ -9,21 +9,43 @@ import (
 	"sync/atomic"
 )
 
-// CSR is an immutable weighted sparse matrix in compressed-sparse-row form.
-// Row i's nonzeros occupy Cols[RowPtr[i]:RowPtr[i+1]] with matching Vals.
-// Within a row, column indices are strictly increasing.
-type CSR struct {
+// Float is the set of value types a Matrix — and with it the solve kernel
+// and the slab opener — is instantiated at.
+type Float interface{ float32 | float64 }
+
+// Matrix is an immutable weighted sparse matrix in compressed-sparse-row
+// form with values of type F. Row i's nonzeros occupy
+// Cols[RowPtr[i]:RowPtr[i+1]] with matching Vals. Within a row, column
+// indices are strictly increasing.
+type Matrix[F Float] struct {
 	Rows   int
 	ColsN  int
 	RowPtr []int64
 	Cols   []int32
-	Vals   []float64
+	Vals   []F
 
 	// res is non-nil when the arrays alias a memory-mapped slab opened
-	// under a residency budget (see slab.go); the fused kernels report
-	// each row stripe they consume to it. Ordinary in-RAM matrices leave
+	// under a residency budget (see slab.go); the fused kernel reports
+	// each row stripe it consumes to it. Ordinary in-RAM matrices leave
 	// it nil.
 	res *slabResidency
+}
+
+// CSR is the float64 matrix every builder in the pipeline produces.
+type CSR = Matrix[float64]
+
+// CSR32 is the float32-valued mirror of a CSR: the solve kernel streams
+// half the value bytes per iteration through it, while every reduction
+// still accumulates in float64 (see fused.go). Everything else in the
+// pipeline keeps using the float64 CSR.
+type CSR32 = Matrix[float32]
+
+// NewCSR32 narrows m's values entrywise (round to nearest even), sharing
+// its index arrays, so the sparsity structure is identical by construction
+// and the mirror costs 4·NNZ bytes on top of the shared indices. m must
+// not be mutated afterwards (CSR is immutable by convention already).
+func NewCSR32(m *CSR) *CSR32 {
+	return &CSR32{Rows: m.Rows, ColsN: m.ColsN, RowPtr: m.RowPtr, Cols: m.Cols, Vals: narrow[float32](m.Vals)}
 }
 
 // Entry is a single (row, col, value) triple used when building a CSR.
@@ -80,34 +102,34 @@ func NewCSR(rows, cols int, entries []Entry) (*CSR, error) {
 }
 
 // NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.Vals) }
+func (m *Matrix[F]) NNZ() int { return len(m.Vals) }
 
 // RowNNZ returns the number of stored entries in row i.
-func (m *CSR) RowNNZ(i int) int { return int(m.RowPtr[i+1] - m.RowPtr[i]) }
+func (m *Matrix[F]) RowNNZ(i int) int { return int(m.RowPtr[i+1] - m.RowPtr[i]) }
 
 // Row returns the column indices and values of row i. The returned slices
 // alias the matrix storage and must not be modified.
-func (m *CSR) Row(i int) ([]int32, []float64) {
+func (m *Matrix[F]) Row(i int) ([]int32, []F) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	return m.Cols[lo:hi], m.Vals[lo:hi]
 }
 
 // At returns the value at (i, j), or 0 if the entry is not stored.
-func (m *CSR) At(i, j int) float64 {
+func (m *Matrix[F]) At(i, j int) float64 {
 	cols, vals := m.Row(i)
 	k := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(j) })
 	if k < len(cols) && cols[k] == int32(j) {
-		return vals[k]
+		return float64(vals[k])
 	}
 	return 0
 }
 
 // RowSum returns the sum of the stored values in row i.
-func (m *CSR) RowSum(i int) float64 {
+func (m *Matrix[F]) RowSum(i int) float64 {
 	_, vals := m.Row(i)
 	var s float64
 	for _, v := range vals {
-		s += v
+		s += float64(v)
 	}
 	return s
 }
@@ -122,15 +144,15 @@ var transposeMaterializations atomic.Uint64
 // materializations performed so far.
 func TransposeMaterializations() uint64 { return transposeMaterializations.Load() }
 
-// Transpose returns Mᵀ as a new CSR matrix.
-func (m *CSR) Transpose() *CSR {
+// Transpose returns Mᵀ as a new matrix.
+func (m *Matrix[F]) Transpose() *Matrix[F] {
 	transposeMaterializations.Add(1)
-	t := &CSR{
+	t := &Matrix[F]{
 		Rows:   m.ColsN,
 		ColsN:  m.Rows,
 		RowPtr: make([]int64, m.ColsN+1),
 		Cols:   make([]int32, len(m.Cols)),
-		Vals:   make([]float64, len(m.Vals)),
+		Vals:   make([]F, len(m.Vals)),
 	}
 	// Counting sort by column index.
 	for _, c := range m.Cols {
@@ -166,7 +188,7 @@ var transposeParallelMinNNZ = 4096
 // cursors are laid out in worker order, so entries within a destination
 // row land in increasing source-row order exactly as in the serial
 // counting sort.
-func (m *CSR) TransposeParallel(workers int) *CSR {
+func (m *Matrix[F]) TransposeParallel(workers int) *Matrix[F] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -177,12 +199,12 @@ func (m *CSR) TransposeParallel(workers int) *CSR {
 		return m.Transpose()
 	}
 	transposeMaterializations.Add(1)
-	t := &CSR{
+	t := &Matrix[F]{
 		Rows:   m.ColsN,
 		ColsN:  m.Rows,
 		RowPtr: make([]int64, m.ColsN+1),
 		Cols:   make([]int32, len(m.Cols)),
-		Vals:   make([]float64, len(m.Vals)),
+		Vals:   make([]F, len(m.Vals)),
 	}
 	bounds := partitionRowsByNNZ(m, workers)
 	// Phase 1: each worker counts column occurrences in its row range.
@@ -258,7 +280,7 @@ func (m *CSR) TransposeParallel(workers int) *CSR {
 
 // Validate checks structural invariants: monotone row pointers, in-range
 // and strictly increasing column indices per row, finite values.
-func (m *CSR) Validate() error {
+func (m *Matrix[F]) Validate() error {
 	if err := m.validateShape(); err != nil {
 		return err
 	}
@@ -267,7 +289,7 @@ func (m *CSR) Validate() error {
 
 // validateShape checks the O(1) storage invariants: dimensions, array
 // lengths, and the row-pointer anchors.
-func (m *CSR) validateShape() error {
+func (m *Matrix[F]) validateShape() error {
 	if m.Rows < 0 || m.ColsN < 0 {
 		return ErrBadShape
 	}
@@ -287,7 +309,7 @@ func (m *CSR) validateShape() error {
 // validateRowRange checks the per-row invariants for rows [lo, hi). The
 // slab opener sweeps a mapped matrix through it in bounded-residency
 // blocks (slab.go); Validate covers the whole range in one call.
-func (m *CSR) validateRowRange(lo, hi int) error {
+func (m *Matrix[F]) validateRowRange(lo, hi int) error {
 	for i := lo; i < hi; i++ {
 		if m.RowPtr[i] > m.RowPtr[i+1] {
 			return fmt.Errorf("linalg: row %d has negative extent", i)
@@ -307,7 +329,8 @@ func (m *CSR) validateRowRange(lo, hi int) error {
 			if k > 0 && cols[k-1] >= c {
 				return fmt.Errorf("linalg: row %d columns not strictly increasing at %d", i, k)
 			}
-			if v := vals[k]; v != v || v > 1e308 || v < -1e308 {
+			// A float32 widens exactly, and only its infinities pass 1e308.
+			if v := float64(vals[k]); v != v || v > 1e308 || v < -1e308 {
 				return fmt.Errorf("linalg: row %d col %d non-finite value", i, c)
 			}
 		}
@@ -318,7 +341,7 @@ func (m *CSR) validateRowRange(lo, hi int) error {
 // IsRowStochastic reports whether every nonempty row sums to 1 within tol
 // and every stored value is nonnegative. Empty rows are permitted (callers
 // decide how to treat dangling rows).
-func (m *CSR) IsRowStochastic(tol float64) bool {
+func (m *Matrix[F]) IsRowStochastic(tol float64) bool {
 	for i := 0; i < m.Rows; i++ {
 		_, vals := m.Row(i)
 		if len(vals) == 0 {
@@ -329,7 +352,7 @@ func (m *CSR) IsRowStochastic(tol float64) bool {
 			if v < 0 {
 				return false
 			}
-			s += v
+			s += float64(v)
 		}
 		if s < 1-tol || s > 1+tol {
 			return false
@@ -340,19 +363,19 @@ func (m *CSR) IsRowStochastic(tol float64) bool {
 
 // ScaleRows multiplies each row i by f(i), returning a new matrix with the
 // same sparsity pattern.
-func (m *CSR) ScaleRows(f func(row int) float64) *CSR {
-	out := &CSR{
+func (m *Matrix[F]) ScaleRows(f func(row int) float64) *Matrix[F] {
+	out := &Matrix[F]{
 		Rows:   m.Rows,
 		ColsN:  m.ColsN,
 		RowPtr: m.RowPtr, // sparsity pattern shared; values are fresh
 		Cols:   m.Cols,
-		Vals:   make([]float64, len(m.Vals)),
+		Vals:   make([]F, len(m.Vals)),
 	}
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 		s := f(i)
 		for k := lo; k < hi; k++ {
-			out.Vals[k] = m.Vals[k] * s
+			out.Vals[k] = F(float64(m.Vals[k]) * s)
 		}
 	}
 	return out

@@ -3,23 +3,36 @@ package linalg
 import (
 	"math"
 	"runtime"
+	"unsafe"
 )
 
-// This file implements the fused iteration kernels behind the ranking
-// solvers. One solver iteration used to make 4–5 separate passes over
-// the score vector (SpMV, scale, lost-mass sum, teleport add, residual
-// norm); the fused kernels collapse them into two parallel stripe passes
-// (one for the affine form) plus a cheap serial reduction, with zero
-// per-iteration allocation.
+// This file implements the fused iteration kernel behind the ranking
+// solvers, once, for both value types. One solver iteration used to make
+// 4–5 separate passes over the score vector (SpMV, scale, lost-mass sum,
+// teleport add, residual norm); the kernel collapses them into two
+// parallel stripe passes (one for the affine form) plus a cheap serial
+// reduction, with zero per-iteration allocation.
 //
 // Determinism contract: the stripe structure is a function of the matrix
-// alone (never the worker count), every stripe accumulates sequentially,
+// alone (never the worker count), every row accumulates in a fixed order,
 // and the per-stripe residual partials are combined by the same
 // fixed-pairing tree reduce as MulTVecParallel — so kernel output and
-// residual are bitwise identical at every worker count. The iterate
-// update additionally reproduces the exact floating-point operation
-// sequence of the unfused MulVecParallel + Scale + Sum + Axpy path, so
-// rewiring the solvers onto the fused kernels changed no result bits.
+// residual are bitwise identical at every worker count. At float64 the
+// iterate update additionally reproduces the exact floating-point
+// operation sequence of the unfused MulVecParallel + Scale + Sum + Axpy
+// path (fused_test.go keeps that sequence as its oracle).
+//
+// Precision: the kernel is memory-bandwidth-bound — at zero allocations
+// per iteration, wall time tracks the bytes of CSR arrays and vectors
+// streamed through the memory hierarchy — so float32 spends precision on
+// storage only. The matrix values, iterate and teleport/bias are held at
+// half width; every reduction (per-row dot products, the lost-mass sum,
+// the convergence residual) accumulates in float64 and is rounded to F
+// exactly once per output element. The one step written per value type is
+// the row dot product (rowSums); everything else below is shared. There
+// is no bitwise relationship between the two instantiations; rank-order
+// fidelity between them is certified end to end by internal/rankeval (see
+// internal/core's precision tests and DESIGN.md §13).
 
 // ResidualNorm selects the norm a fused kernel accumulates alongside the
 // iteration update.
@@ -44,17 +57,13 @@ var fusedMinNNZ = 4096
 // multi-stripe partitions (and thus the tree reduce) on small fixtures.
 var fusedNNZPerStripe = 4096
 
-// fusedStripeCount picks the number of row stripes for the fused
-// kernels. Like mulTVecStripes it depends only on the matrix, never on
-// the worker count, so the summation structure — and with it the
-// residual, bit for bit — is identical for every worker count. Unlike
-// MulTVecParallel there is no per-stripe accumulator vector — only one
-// partial float — so stripes are cheap and the cap is generous.
-func fusedStripeCount(m *CSR) int { return stripeCountFor(m.NNZ(), m.Rows) }
-
-// stripeCountFor is fusedStripeCount on bare dimensions, shared with the
-// float32 kernels so both precisions partition a given sparsity structure
-// identically.
+// stripeCountFor picks the number of row stripes for the fused kernel.
+// Like mulTVecStripes it depends only on the sparsity structure, never on
+// the worker count or the value type, so the summation structure — and
+// with it the residual, bit for bit — is identical for every worker
+// count, and both precisions partition a given structure identically.
+// Unlike MulTVecParallel there is no per-stripe accumulator vector — only
+// one partial float — so stripes are cheap and the cap is generous.
 func stripeCountFor(nnz, rows int) int {
 	s := nnz / fusedNNZPerStripe
 	if s < 1 {
@@ -79,27 +88,28 @@ const (
 	fusedPhaseAffine        // dst[i] = c·(row i of at)·src + b[i], residual partials
 )
 
-// fusedKernel is the shared machinery of FusedPower and FusedAffine: a
+// fusedKernel is the machinery behind FusedPower and FusedAffine: a
 // matrix-derived stripe partition and a persistent worker pool. Workers
 // are parked on a channel for the lifetime of the kernel, so repeated
-// Step calls spawn no goroutines and allocate nothing — the per-pass
-// state travels through struct fields, ordered by the channel sends
+// steps spawn no goroutines and allocate nothing — the per-pass state
+// travels through struct fields, ordered by the channel sends
 // (coordinator writes happen-before worker reads, worker writes
 // happen-before the coordinator's done receive).
-type fusedKernel struct {
-	mat  *CSR
-	c    float64
-	aux  Vector // teleport t (power) or bias b (affine); nil when auxUniform
-	norm ResidualNorm
+type fusedKernel[F Float] struct {
+	mat    *Matrix[F]
+	c      float64
+	affine bool // one affine pass per step instead of multiply + finish
+	norm   ResidualNorm
 
-	// auxUniform holds the teleport implicitly as the uniform value
-	// auxVal = 1/Rows instead of a dense aux vector, saving one resident
-	// vector — which matters on slab-backed solves where the dense
-	// iterate vectors are the entire memory budget. lost·auxVal computes
-	// the same bits as lost·t[i] for a materialized uniform t, so the
-	// uniform kernel is bitwise identical to the explicit one.
-	auxUniform bool
-	auxVal     float64
+	// aux is the dense teleport t (power) or bias b (affine). A power
+	// kernel with nil aux holds the uniform teleport implicitly as the
+	// scalar uniform = float64(F(1/Rows)) — the value a materialized
+	// uniform t would store, widened once — saving one resident vector,
+	// which matters on slab-backed solves where the dense vectors are the
+	// entire memory budget. lost·uniform computes the same bits as
+	// lost·t[i], so the two teleport cases are bitwise identical.
+	aux     []F
+	uniform float64
 
 	// win, when non-nil, is told the entry range of each stripe a
 	// matrix-touching phase starts on and finishes, and when the pass
@@ -110,9 +120,10 @@ type fusedKernel struct {
 
 	bounds  []int     // stripe row boundaries, len(partial)+1
 	partial []float64 // per-stripe residual partials
+	acc     []float64 // float32 only: len Rows, float64 row sums of the current pass
 
 	// Per-pass state, written by the coordinator between dispatches.
-	src, dst Vector
+	src, dst []F
 	lost     float64
 	phase    int
 	wantRes  bool
@@ -121,21 +132,42 @@ type fusedKernel struct {
 	done chan struct{} // one token per completed stripe
 }
 
-func newFusedKernel(mat *CSR, c float64, aux Vector, norm ResidualNorm, workers int) *fusedKernel {
-	stripes := fusedStripeCount(mat)
-	// Resident next to the matrix: the driver's two iterates, plus aux.
-	dense := 2 * 8 * int64(mat.Rows)
-	if aux != nil {
-		dense += 8 * int64(mat.Rows)
+// denseBytes is the Rows-length memory a solve keeps resident next to the
+// matrix, which the release window of a slab-backed operand has to leave
+// room for: the driver's two iterates, the dense teleport or bias when
+// there is one, and at float32 the float64 row-sum array and the float64
+// vector the result is widened into.
+func denseBytes[F Float](rows int, denseAux bool) int64 {
+	var zero F
+	size := int64(unsafe.Sizeof(zero))
+	per := 2 * size
+	if denseAux {
+		per += size
 	}
-	k := &fusedKernel{
+	if size == 4 {
+		per += 8 + 8
+	}
+	return per * int64(rows)
+}
+
+func newFusedKernel[F Float](mat *Matrix[F], c float64, aux []F, affine bool, norm ResidualNorm, workers int) (*fusedKernel[F], error) {
+	if mat.Rows != mat.ColsN || (aux != nil || affine) && len(aux) != mat.Rows {
+		return nil, ErrDimension
+	}
+	stripes := stripeCountFor(mat.NNZ(), mat.Rows)
+	k := &fusedKernel[F]{
 		mat:     mat,
 		c:       c,
-		aux:     aux,
+		affine:  affine,
 		norm:    norm,
-		win:     mat.res.newWindow(dense),
+		aux:     aux,
+		uniform: float64(F(1 / float64(mat.Rows))),
+		win:     mat.res.newWindow(denseBytes[F](mat.Rows, aux != nil)),
 		bounds:  partitionRowsByNNZ(mat, stripes),
 		partial: make([]float64, stripes),
+	}
+	if precisionOf[F]() == Float32 {
+		k.acc = make([]float64, mat.Rows)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -150,13 +182,13 @@ func newFusedKernel(mat *CSR, c float64, aux Vector, norm ResidualNorm, workers 
 			go k.worker(k.work)
 		}
 	}
-	return k
+	return k, nil
 }
 
 // worker drains stripe indices until the channel closes. The channel is
 // passed in (not read from the struct field) so Close can nil the field
 // without racing the range loop.
-func (k *fusedKernel) worker(work <-chan int) {
+func (k *fusedKernel[F]) worker(work <-chan int) {
 	for s := range work {
 		k.stripe(s)
 		k.done <- struct{}{}
@@ -165,8 +197,9 @@ func (k *fusedKernel) worker(work <-chan int) {
 
 // dispatch runs every stripe of the current phase, on the pool when one
 // exists and inline otherwise. Both orders produce identical bits: each
-// stripe writes a disjoint dst range and its own partial slot.
-func (k *fusedKernel) dispatch() {
+// stripe writes a disjoint dst range, a disjoint acc range and its own
+// partial slot.
+func (k *fusedKernel[F]) dispatch() {
 	stripes := len(k.partial)
 	if k.work == nil {
 		for s := 0; s < stripes; s++ {
@@ -188,7 +221,7 @@ func (k *fusedKernel) dispatch() {
 // stripe runs stripe s of the current phase, telling the release window
 // of a slab-backed operand which entries a matrix-touching phase is about
 // to read and which it has finished with.
-func (k *fusedKernel) stripe(s int) {
+func (k *fusedKernel[F]) stripe(s int) {
 	if k.win == nil || k.phase == fusedPhaseFinish {
 		k.runStripe(s)
 		return
@@ -199,129 +232,171 @@ func (k *fusedKernel) stripe(s int) {
 	k.win.done(lo, hi)
 }
 
-func (k *fusedKernel) runStripe(s int) {
-	lo, hi := k.bounds[s], k.bounds[s+1]
-	m, src, dst := k.mat, k.src, k.dst
-	switch k.phase {
-	case fusedPhaseMul:
-		c := k.c
+// rowSums leaves the dot product of row i against src in sums[i] for each
+// i in [lo, hi) and returns sums. This is the kernel's one step written
+// per value type. At float64 it is the strictly sequential sum whose bits
+// golden64_test.go pins, written straight into dst (the phase that asked
+// turns dst[i] into the output element in place), so the float64 kernel
+// carries no accumulator array. At float32 it is the four-lane pass of
+// rowSums32 into acc (AVX2 where the host has it).
+func (k *fusedKernel[F]) rowSums(lo, hi int) (sums []float64) {
+	rowPtr, cols := k.mat.RowPtr, k.mat.Cols
+	switch vals := any(k.mat.Vals).(type) {
+	case []float64:
+		src := any(k.src).([]float64)
+		sums = any(k.dst).([]float64)
 		for i := lo; i < hi; i++ {
-			a, b := m.RowPtr[i], m.RowPtr[i+1]
+			a, b := rowPtr[i], rowPtr[i+1]
 			var sum float64
 			for p := a; p < b; p++ {
-				sum += m.Vals[p] * src[m.Cols[p]]
+				sum += vals[p] * src[cols[p]]
 			}
-			dst[i] = sum * c
+			sums[i] = sum
 		}
-	case fusedPhaseFinish:
-		lost := k.lost
-		if k.auxUniform {
-			// lost·auxVal once equals lost·t[i] per element for a
-			// materialized uniform t: identical operands, identical bits.
-			add := lost * k.auxVal
-			if !k.wantRes {
-				for i := lo; i < hi; i++ {
-					dst[i] += add
-				}
-				return
-			}
-			var r float64
-			if k.norm == ResidualL1 {
-				for i := lo; i < hi; i++ {
-					dst[i] += add
-					r += math.Abs(dst[i] - src[i])
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					dst[i] += add
-					d := dst[i] - src[i]
-					r += d * d
-				}
-			}
-			k.partial[s] = r
-			return
+	case []float32:
+		sums = k.acc
+		rowSums32(rowPtr, vals, cols, any(k.src).([]float32), sums, lo, hi)
+	}
+	return sums
+}
+
+// rowSums32Go is the portable float32 row-sum pass and the definition of
+// its summation scheme: acc[i] gets row i's float64 dot product against
+// src through four independent accumulation lanes combined in a fixed
+// pairing — entry p of the row feeds lane p mod 4 in the unrolled body,
+// the tail (fewer than four remaining entries) feeds lane 0, and the
+// result is (s0+s1)+(s2+s3). The lane assignment is a function of entry
+// order alone — never of worker count — so outputs stay bitwise
+// worker-invariant. The independent lanes break the single addition
+// dependency chain and keep several src gathers in flight, which is a
+// large part of the float32 path's throughput edge: the float64 sum's
+// strictly sequential order is pinned bit for bit by golden hashes and
+// cannot adopt the same unrolling. On amd64 hosts with AVX2 the assembly
+// kernel rowSums32AVX computes the identical bits with one four-wide
+// gather/convert/multiply/add per lane group (rowsums32_amd64.s); this
+// function is the reference it is tested against and the fallback
+// everywhere else.
+func rowSums32Go(rowPtr []int64, vals []float32, cols []int32, src []float32, acc []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p, e := rowPtr[i], rowPtr[i+1]
+		var s0, s1, s2, s3 float64
+		for ; p+4 <= e; p += 4 {
+			s0 += float64(vals[p]) * float64(src[cols[p]])
+			s1 += float64(vals[p+1]) * float64(src[cols[p+1]])
+			s2 += float64(vals[p+2]) * float64(src[cols[p+2]])
+			s3 += float64(vals[p+3]) * float64(src[cols[p+3]])
 		}
-		t := k.aux
-		if !k.wantRes {
-			for i := lo; i < hi; i++ {
-				dst[i] += lost * t[i]
-			}
-			return
+		for ; p < e; p++ {
+			s0 += float64(vals[p]) * float64(src[cols[p]])
 		}
-		var r float64
-		if k.norm == ResidualL1 {
-			for i := lo; i < hi; i++ {
-				dst[i] += lost * t[i]
-				r += math.Abs(dst[i] - src[i])
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				dst[i] += lost * t[i]
-				d := dst[i] - src[i]
-				r += d * d
-			}
-		}
-		k.partial[s] = r
-	case fusedPhaseAffine:
-		c, b := k.c, k.aux
-		if !k.wantRes {
-			for i := lo; i < hi; i++ {
-				a, e := m.RowPtr[i], m.RowPtr[i+1]
-				var sum float64
-				for p := a; p < e; p++ {
-					sum += m.Vals[p] * src[m.Cols[p]]
-				}
-				v := sum * c
-				v += b[i]
-				dst[i] = v
-			}
-			return
-		}
-		var r float64
+		acc[i] = (s0 + s1) + (s2 + s3)
+	}
+}
+
+// runStripe computes stripe s of the current phase. Every output element
+// is rounded to F exactly once, by the F(...) conversion that stores it
+// (the identity at float64); every sum around it is float64.
+func (k *fusedKernel[F]) runStripe(s int) {
+	lo, hi := k.bounds[s], k.bounds[s+1]
+	src, dst := k.src, k.dst
+	wantRes, l1 := k.wantRes, k.norm == ResidualL1
+	var r float64
+	switch k.phase {
+	case fusedPhaseMul:
+		c, sums := k.c, k.rowSums(lo, hi)
 		for i := lo; i < hi; i++ {
-			a, e := m.RowPtr[i], m.RowPtr[i+1]
-			var sum float64
-			for p := a; p < e; p++ {
-				sum += m.Vals[p] * src[m.Cols[p]]
+			dst[i] = F(sums[i] * c)
+		}
+		return
+	case fusedPhaseFinish:
+		// With the uniform teleport, lost·uniform once equals lost·t[i]
+		// per element for a materialized uniform t: identical operands,
+		// identical bits.
+		t, lost, add := k.aux, k.lost, k.lost*k.uniform
+		for i := lo; i < hi; i++ {
+			if t != nil {
+				add = lost * float64(t[i])
 			}
-			v := sum * c
-			v += b[i]
+			v := F(float64(dst[i]) + add)
 			dst[i] = v
-			if k.norm == ResidualL1 {
-				r += math.Abs(v - src[i])
-			} else {
-				d := v - src[i]
-				r += d * d
+			if wantRes {
+				r += residualTerm(float64(v)-float64(src[i]), l1)
 			}
 		}
+	case fusedPhaseAffine:
+		c, b, sums := k.c, k.aux, k.rowSums(lo, hi)
+		for i := lo; i < hi; i++ {
+			v := F(sums[i]*c + float64(b[i]))
+			dst[i] = v
+			if wantRes {
+				r += residualTerm(float64(v)-float64(src[i]), l1)
+			}
+		}
+	}
+	if wantRes {
 		k.partial[s] = r
 	}
+}
+
+// residualTerm is one element's contribution to the residual partial.
+func residualTerm(d float64, l1 bool) float64 {
+	if l1 {
+		return math.Abs(d)
+	}
+	return d * d
 }
 
 // reduceResidual combines the per-stripe partials with a fixed-pairing
 // tree reduce — (0,1)(2,3) → (0,2) → … — so the summation order never
 // depends on scheduling or worker count, then applies the norm's final
 // map. It mutates k.partial (rewritten by the next residual pass).
-func (k *fusedKernel) reduceResidual() float64 { return reducePartials(k.partial, k.norm) }
-
-// reducePartials is the fixed-pairing tree reduce shared by the float64
-// and float32 kernels; it mutates p.
-func reducePartials(p []float64, norm ResidualNorm) float64 {
+func (k *fusedKernel[F]) reduceResidual() float64 {
+	p := k.partial
 	for stride := 1; stride < len(p); stride *= 2 {
 		for i := 0; i+stride < len(p); i += 2 * stride {
 			p[i] += p[i+stride]
 		}
 	}
 	r := p[0]
-	if norm == ResidualL2 {
+	if k.norm == ResidualL2 {
 		r = math.Sqrt(r)
 	}
 	return r
 }
 
-// Close releases the worker pool. Calling Step after Close falls back to
+// step advances one iteration from src into dst, returning ‖dst−src‖ in
+// the kernel's norm when wantResidual is set; otherwise the residual
+// accumulation is skipped entirely and step returns NaN.
+func (k *fusedKernel[F]) step(dst, src []F, wantResidual bool) float64 {
+	checkMulDims(k.mat, src, dst)
+	k.src, k.dst, k.wantRes = src, dst, wantResidual
+	if k.affine {
+		k.phase = fusedPhaseAffine
+		k.dispatch()
+	} else {
+		k.phase = fusedPhaseMul
+		k.dispatch()
+		// The lost-mass sum runs serially in index order: it is O(rows)
+		// next to the O(nnz) stripe passes, and folding it exactly like
+		// Vector.Sum keeps `lost` — and with it every dst bit — identical
+		// to the unfused path.
+		var sum float64
+		for _, v := range dst {
+			sum += float64(v)
+		}
+		k.lost = max(1-sum, 0)
+		k.phase = fusedPhaseFinish
+		k.dispatch()
+	}
+	if !wantResidual {
+		return math.NaN()
+	}
+	return k.reduceResidual()
+}
+
+// Close releases the worker pool. Calling step after Close falls back to
 // the serial path; Close is idempotent.
-func (k *fusedKernel) Close() {
+func (k *fusedKernel[F]) Close() {
 	if k.work != nil {
 		close(k.work)
 		k.work = nil
@@ -332,149 +407,119 @@ func (k *fusedKernel) Close() {
 // computes dst = c·(pt·src) + lost·t, where lost = max(0, 1 − ‖c·pt·src‖₁)
 // is the mass lost to damping and dangling rows, and (optionally) the
 // residual ‖dst−src‖ in the configured norm — all in two parallel stripe
-// passes plus one serial index-order sum. The iterate bits are identical
-// to the unfused MulVecParallel + Scale + Sum + Axpy sequence at every
-// worker count; the residual is bitwise invariant across worker counts
-// (it may differ from a serial full-vector norm in the last ulp, since
-// float addition is not associative).
+// passes plus one serial index-order sum. At float64 the iterate bits are
+// identical to the unfused MulVecParallel + Scale + Sum + Axpy sequence
+// at every worker count; at either precision the iterate and the residual
+// are bitwise invariant across worker counts (the residual may differ
+// from a serial full-vector norm in the last ulp, since float addition is
+// not associative).
 //
 // A kernel holds a persistent worker pool; Close it when the solve
 // finishes. Step allocates nothing.
-type FusedPower struct{ k *fusedKernel }
+type FusedPower[F Float] struct{ k *fusedKernel[F] }
 
 // NewFusedPower builds a fused power kernel for the chain with
-// pre-transposed operand pt, damping c, and teleport distribution t.
-func NewFusedPower(pt *CSR, c float64, t Vector, norm ResidualNorm, workers int) (*FusedPower, error) {
-	if pt.Rows != pt.ColsN || len(t) != pt.Rows {
-		return nil, ErrDimension
+// pre-transposed operand pt, damping c, and teleport distribution t. A
+// nil t is the uniform distribution, held implicitly as a scalar instead
+// of a dense vector: Step output is bitwise identical to the kernel built
+// with a materialized uniform t, with one fewer dense vector resident —
+// the margin that lets a slab-backed PageRank solve fit a residency cap
+// of two iterate vectors (see PowerMethodTUniform and DESIGN.md §14).
+func NewFusedPower[F Float](pt *Matrix[F], c float64, t []F, norm ResidualNorm, workers int) (*FusedPower[F], error) {
+	k, err := newFusedKernel(pt, c, t, false, norm, workers)
+	if err != nil {
+		return nil, err
 	}
-	return &FusedPower{k: newFusedKernel(pt, c, t, norm, workers)}, nil
-}
-
-// NewFusedPowerUniform builds a fused power kernel whose teleport is the
-// uniform distribution held implicitly as the scalar 1/Rows instead of a
-// dense vector. Step output is bitwise identical to NewFusedPower with a
-// materialized uniform t at every worker count, but the kernel keeps one
-// fewer dense vector resident — the margin that lets a slab-backed
-// PageRank solve fit a residency cap of two iterate vectors (see
-// PowerMethodTUniform and DESIGN.md §14).
-func NewFusedPowerUniform(pt *CSR, c float64, norm ResidualNorm, workers int) (*FusedPower, error) {
-	if pt.Rows != pt.ColsN || pt.Rows == 0 {
-		return nil, ErrDimension
-	}
-	k := newFusedKernel(pt, c, nil, norm, workers)
-	k.auxUniform = true
-	k.auxVal = 1 / float64(pt.Rows)
-	return &FusedPower{k: k}, nil
+	return &FusedPower[F]{k: k}, nil
 }
 
 // Step advances one iteration: dst ← c·(pt·src) + lost·t. When
 // wantResidual is set it returns ‖dst−src‖ in the kernel's norm;
 // otherwise the residual passes are skipped entirely and Step returns
 // NaN. dst and src must not alias and must each have pt.Rows entries.
-func (f *FusedPower) Step(dst, src Vector, wantResidual bool) float64 {
-	k := f.k
-	checkMulDims(k.mat, src, dst)
-	k.src, k.dst, k.wantRes = src, dst, wantResidual
-	k.phase = fusedPhaseMul
-	k.dispatch()
-	// The lost-mass sum runs serially in index order: it is O(rows) next
-	// to the O(nnz) stripe passes, and folding it exactly like
-	// Vector.Sum keeps `lost` — and with it every dst bit — identical
-	// to the unfused path.
-	var sum float64
-	for _, v := range dst {
-		sum += v
-	}
-	lost := 1 - sum
-	if lost < 0 {
-		lost = 0
-	}
-	k.lost = lost
-	k.phase = fusedPhaseFinish
-	k.dispatch()
-	if !wantResidual {
-		return math.NaN()
-	}
-	return k.reduceResidual()
+func (f *FusedPower[F]) Step(dst, src []F, wantResidual bool) float64 {
+	return f.k.step(dst, src, wantResidual)
 }
 
 // Close releases the kernel's worker pool.
-func (f *FusedPower) Close() { f.k.Close() }
+func (f *FusedPower[F]) Close() { f.k.Close() }
 
 // FusedAffine is the fused Jacobi iteration kernel for the affine system
 // x = c·Aᵀx + b: one Step computes dst = c·(at·src) + b and (optionally)
 // the residual ‖dst−src‖ in a single parallel stripe pass. The same
 // determinism contract as FusedPower applies.
-type FusedAffine struct{ k *fusedKernel }
+type FusedAffine[F Float] struct{ k *fusedKernel[F] }
 
 // NewFusedAffine builds a fused affine kernel over the pre-transposed
 // operand at (= Aᵀ) and bias b.
-func NewFusedAffine(at *CSR, c float64, b Vector, norm ResidualNorm, workers int) (*FusedAffine, error) {
-	if at.Rows != at.ColsN || len(b) != at.Rows {
-		return nil, ErrDimension
+func NewFusedAffine[F Float](at *Matrix[F], c float64, b []F, norm ResidualNorm, workers int) (*FusedAffine[F], error) {
+	k, err := newFusedKernel(at, c, b, true, norm, workers)
+	if err != nil {
+		return nil, err
 	}
-	return &FusedAffine{k: newFusedKernel(at, c, b, norm, workers)}, nil
+	return &FusedAffine[F]{k: k}, nil
 }
 
 // Step advances one iteration: dst ← c·(at·src) + b, returning the
 // residual when wantResidual is set and NaN otherwise.
-func (f *FusedAffine) Step(dst, src Vector, wantResidual bool) float64 {
-	k := f.k
-	checkMulDims(k.mat, src, dst)
-	k.src, k.dst, k.wantRes = src, dst, wantResidual
-	k.phase = fusedPhaseAffine
-	k.dispatch()
-	if !wantResidual {
-		return math.NaN()
-	}
-	return k.reduceResidual()
+func (f *FusedAffine[F]) Step(dst, src []F, wantResidual bool) float64 {
+	return f.k.step(dst, src, wantResidual)
 }
 
 // Close releases the kernel's worker pool.
-func (f *FusedAffine) Close() { f.k.Close() }
+func (f *FusedAffine[F]) Close() { f.k.Close() }
 
-// stepKernel is the iteration contract the fused drivers share.
-type stepKernel interface {
-	Step(dst, src Vector, wantResidual bool) float64
+// widen returns x as a float64 Vector: x itself at float64, an exact
+// entrywise widening at float32.
+func widen[F Float](x []F) Vector {
+	switch x := any(x).(type) {
+	case []float64:
+		return x
+	case []float32:
+		return Vector32(x).Vector()
+	}
+	return nil
 }
 
 // iterateFused drives a fused kernel to convergence with ping-pong
-// buffers: two vectors are allocated up front and swapped every
+// buffers: cur is the starting iterate, which the driver takes ownership
+// of, a second vector is allocated up front and the two are swapped every
 // iteration, so the loop itself performs zero allocations. The residual
-// is computed only on check iterations (every opt.CheckEvery-th, plus
-// the MaxIter-th), mirroring FixedPointChecked's iterate/Progress/stop
-// ordering exactly.
-func iterateFused(k stepKernel, x0 Vector, opt SolverOptions) (Vector, IterStats, error) {
-	return iterateFusedOwned(k, x0.Clone(), opt)
-}
-
-// iterateFusedOwned is iterateFused taking ownership of cur as the
-// starting iterate instead of cloning it. Callers that construct the
-// start vector themselves (PowerMethodTUniform filling a uniform x0)
-// use it to avoid a third transient full-length vector.
-func iterateFusedOwned(k stepKernel, cur Vector, opt SolverOptions) (Vector, IterStats, error) {
+// is computed only on check iterations (every opt.CheckEvery-th, plus the
+// MaxIter-th). The converged iterate is returned widened to float64, so
+// downstream ranking code is precision-agnostic.
+//
+// Two options differ at float32: tolerances below Float32Tol are clamped
+// up to it, and a Progress callback — which observes float64 iterates the
+// float32 kernel never materializes — is rejected with ErrFloat32Solver.
+func iterateFused[F Float](k *fusedKernel[F], cur []F, opt SolverOptions) (Vector, IterStats, error) {
 	opt = opt.withDefaults()
+	if precisionOf[F]() == Float32 {
+		if opt.Progress != nil {
+			return nil, IterStats{}, ErrFloat32Solver
+		}
+		opt.Tol = max(opt.Tol, Float32Tol)
+	}
 	check := opt.checkEvery()
-	next := NewVector(len(cur))
+	next := make([]F, len(cur))
 	var st IterStats
 	for st.Iterations = 1; st.Iterations <= opt.MaxIter; st.Iterations++ {
 		wantRes := st.Iterations%check == 0 || st.Iterations == opt.MaxIter
-		res := k.Step(next, cur, wantRes)
+		res := k.step(next, cur, wantRes)
 		if wantRes {
 			st.Residual = res
 		}
 		cur, next = next, cur
 		if opt.Progress != nil {
-			if err := opt.Progress(st.Iterations, cur); err != nil {
-				return cur, st, err
+			if err := opt.Progress(st.Iterations, widen(cur)); err != nil {
+				return widen(cur), st, err
 			}
 		}
 		if wantRes && st.Residual < opt.Tol {
 			st.Converged = true
-			return cur, st, nil
+			return widen(cur), st, nil
 		}
 	}
 	st.Iterations = opt.MaxIter
-	return cur, st, nil
+	return widen(cur), st, nil
 }

@@ -7,23 +7,12 @@ import (
 	"testing"
 )
 
-// forceBlocked32 shrinks the cache-block width and disables the run-length
-// density gate so small fixtures exercise the multi-block layout,
-// restoring both on cleanup.
-func forceBlocked32(t testing.TB, cols int) {
-	t.Helper()
-	old, oldMin := csr32ColBlockCols, csr32BlockedMinRun
-	csr32ColBlockCols = cols
-	csr32BlockedMinRun = 1
-	t.Cleanup(func() { csr32ColBlockCols, csr32BlockedMinRun = old, oldMin })
-}
-
 // refPowerStep32 is the float32 power step computed the slow, obvious
 // way from the same float32 operands: per-row float64 dot products under
 // the documented four-lane accumulation scheme (entry p of a row feeds
 // lane p mod 4 in groups of four, the tail feeds lane 0, lanes combine as
 // (s0+s1)+(s2+s3)), float32 rounding per output, serial lost-mass sum.
-// The scheme is re-implemented here independently of dotRow32 so the
+// The scheme is re-implemented here independently of rowSums32Go so the
 // bitwise comparison checks the kernel's actual summation order, not
 // just its plumbing.
 func refPowerStep32(pt *CSR32, c float64, tel Vector32, src, dst Vector32) {
@@ -59,192 +48,84 @@ func refPowerStep32(pt *CSR32, c float64, tel Vector32, src, dst Vector32) {
 
 // TestFusedPower32WorkerInvariance is the core determinism claim: the
 // float32 power Step's iterate and residual are bitwise identical at
-// every worker count from 1 through 16, on both the row-major and the
-// cache-blocked layouts, and the row-major path matches the reference
-// step bit for bit.
+// every worker count from 1 through 16, and match the reference step bit
+// for bit.
 func TestFusedPower32WorkerInvariance(t *testing.T) {
 	forceFusedParallel(t)
-	for _, blocked := range []bool{false, true} {
-		if blocked {
-			forceBlocked32(t, 16)
+	for _, n := range []int{1, 2, 17, 97, 256} {
+		pt := NewCSR32(randChain(t, int64(n), n).Transpose())
+		tel := ToVector32(NewUniformVector(n))
+		src := NewVector32(n)
+		rng := rand.New(rand.NewSource(42))
+		var sum float64
+		for i := range src {
+			src[i] = rng.Float32()
+			sum += float64(src[i])
 		}
-		for _, n := range []int{1, 2, 17, 97, 256} {
-			pt := NewCSR32(randChain(t, int64(n), n).Transpose())
-			tel := ToVector32(NewUniformVector(n))
-			src := NewVector32(n)
-			rng := rand.New(rand.NewSource(42))
-			var sum float64
-			for i := range src {
-				src[i] = rng.Float32()
-				sum += float64(src[i])
-			}
-			for i := range src {
-				src[i] = float32(float64(src[i]) / sum)
-			}
+		for i := range src {
+			src[i] = float32(float64(src[i]) / sum)
+		}
 
-			var want Vector32
-			if !blocked {
-				want = NewVector32(n)
-				refPowerStep32(pt, 0.85, tel, src, want)
-			}
+		want := NewVector32(n)
+		refPowerStep32(pt, 0.85, tel, src, want)
 
-			var first Vector32
-			var res1 float64
-			for workers := 1; workers <= 16; workers++ {
-				k, err := NewFusedPower32(pt, 0.85, tel, ResidualL2, workers)
-				if err != nil {
-					t.Fatal(err)
+		var res1 float64
+		for workers := 1; workers <= 16; workers++ {
+			k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := NewVector32(n)
+			res := k.Step(dst, src, true)
+			k.Close()
+			for i := range dst {
+				if dst[i] != want[i] {
+					t.Fatalf("n=%d workers=%d: dst[%d] = %v, reference %v", n, workers, i, dst[i], want[i])
 				}
-				if blocked && n > csr32ColBlockCols && k.k.blk == nil {
-					t.Fatalf("n=%d: expected blocked layout", n)
-				}
-				dst := NewVector32(n)
-				res := k.Step(dst, src, true)
-				k.Close()
-				if workers == 1 {
-					first, res1 = dst, res
-					if want != nil {
-						for i := range dst {
-							if dst[i] != want[i] {
-								t.Fatalf("n=%d: dst[%d] = %v, reference %v", n, i, dst[i], want[i])
-							}
-						}
-					}
-					continue
-				}
-				if res != res1 {
-					t.Fatalf("blocked=%v n=%d workers=%d: residual %v != workers=1 %v", blocked, n, workers, res, res1)
-				}
-				for i := range dst {
-					if dst[i] != first[i] {
-						t.Fatalf("blocked=%v n=%d workers=%d: dst[%d] = %v != workers=1 %v", blocked, n, workers, i, dst[i], first[i])
-					}
-				}
+			}
+			if workers == 1 {
+				res1 = res
+			} else if res != res1 {
+				t.Fatalf("n=%d workers=%d: residual %v != workers=1 %v", n, workers, res, res1)
 			}
 		}
 	}
 }
 
-// TestFusedAffine32WorkerInvariance is the affine counterpart, again on
-// both layouts.
+// TestFusedAffine32WorkerInvariance is the affine counterpart.
 func TestFusedAffine32WorkerInvariance(t *testing.T) {
 	forceFusedParallel(t)
-	for _, blocked := range []bool{false, true} {
-		if blocked {
-			forceBlocked32(t, 16)
+	for _, n := range []int{1, 17, 97, 256} {
+		at := NewCSR32(randChain(t, 1000+int64(n), n).Transpose())
+		rng := rand.New(rand.NewSource(43))
+		b := NewVector32(n)
+		src := NewVector32(n)
+		for i := range b {
+			b[i] = rng.Float32() * 0.15
+			src[i] = rng.Float32()
 		}
-		for _, n := range []int{1, 17, 97, 256} {
-			at := NewCSR32(randChain(t, 1000+int64(n), n).Transpose())
-			rng := rand.New(rand.NewSource(43))
-			b := NewVector32(n)
-			src := NewVector32(n)
-			for i := range b {
-				b[i] = rng.Float32() * 0.15
-				src[i] = rng.Float32()
+		var first Vector32
+		var res1 float64
+		for workers := 1; workers <= 16; workers++ {
+			k, err := NewFusedAffine(at, 0.85, b, ResidualL2, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var first Vector32
-			var res1 float64
-			for workers := 1; workers <= 16; workers++ {
-				k, err := NewFusedAffine32(at, 0.85, b, ResidualL2, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dst := NewVector32(n)
-				res := k.Step(dst, src, true)
-				k.Close()
-				if workers == 1 {
-					first, res1 = dst, res
-					continue
-				}
-				if res != res1 {
-					t.Fatalf("blocked=%v n=%d workers=%d: residual %v != workers=1 %v", blocked, n, workers, res, res1)
-				}
-				for i := range dst {
-					if dst[i] != first[i] {
-						t.Fatalf("blocked=%v n=%d workers=%d: dst[%d] = %v != workers=1 %v", blocked, n, workers, i, dst[i], first[i])
-					}
+			dst := NewVector32(n)
+			res := k.Step(dst, src, true)
+			k.Close()
+			if workers == 1 {
+				first, res1 = dst, res
+				continue
+			}
+			if res != res1 {
+				t.Fatalf("n=%d workers=%d: residual %v != workers=1 %v", n, workers, res, res1)
+			}
+			for i := range dst {
+				if dst[i] != first[i] {
+					t.Fatalf("n=%d workers=%d: dst[%d] = %v != workers=1 %v", n, workers, i, dst[i], first[i])
 				}
 			}
-		}
-	}
-}
-
-// TestCSR32BlockedMatchesRowMajor checks that the cache-blocked layout
-// computes the same step as the row-major float32 path up to float64
-// addition reassociation: each row's dot product sums identical float64
-// products in a different order, so outputs agree to a tight relative
-// tolerance (and often exactly).
-func TestCSR32BlockedMatchesRowMajor(t *testing.T) {
-	forceFusedParallel(t)
-	n := 256
-	pt := NewCSR32(randChain(t, 7, n).Transpose())
-	tel := ToVector32(NewUniformVector(n))
-	src := tel.Clone()
-
-	plain := NewVector32(n)
-	refPowerStep32(pt, 0.85, tel, src, plain)
-
-	forceBlocked32(t, 16)
-	k, err := NewFusedPower32(pt, 0.85, tel, ResidualL2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer k.Close()
-	if k.k.blk == nil {
-		t.Fatal("expected blocked layout")
-	}
-	dst := NewVector32(n)
-	k.Step(dst, src, true)
-	for i := range dst {
-		d := math.Abs(float64(dst[i]) - float64(plain[i]))
-		if d > 1e-9*(1+math.Abs(float64(plain[i]))) {
-			t.Fatalf("dst[%d] = %v blocked, %v row-major", i, dst[i], plain[i])
-		}
-	}
-}
-
-// TestCSR32BlockedLayoutPermutation checks the blocked layout is an
-// exact permutation of each stripe's entries: per row, the multiset of
-// (col, val) pairs must survive, with columns ascending within each run
-// and runs covering ascending column blocks.
-func TestCSR32BlockedLayoutPermutation(t *testing.T) {
-	forceBlocked32(t, 8)
-	m := NewCSR32(randChain(t, 29, 100).Transpose())
-	bounds := []int{0, 33, 66, 100}
-	blk := buildCSR32Blocked(m, bounds)
-	if blk == nil {
-		t.Fatal("expected blocked layout")
-	}
-	got := map[int32]map[int32]float32{}
-	for s := 0; s < len(bounds)-1; s++ {
-		for r := blk.stripeRun[s]; r < blk.stripeRun[s+1]; r++ {
-			row := blk.runRow[r]
-			if int(row) < bounds[s] || int(row) >= bounds[s+1] {
-				t.Fatalf("run %d: row %d outside stripe [%d,%d)", r, row, bounds[s], bounds[s+1])
-			}
-			if got[row] == nil {
-				got[row] = map[int32]float32{}
-			}
-			for p := blk.runPtr[r]; p < blk.runPtr[r+1]; p++ {
-				if _, dup := got[row][blk.cols[p]]; dup {
-					t.Fatalf("row %d col %d appears twice in blocked layout", row, blk.cols[p])
-				}
-				got[row][blk.cols[p]] = blk.vals[p]
-			}
-		}
-	}
-	for i := 0; i < m.Rows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			v, ok := got[int32(i)][m.Cols[p]]
-			if !ok || v != m.Vals[p] {
-				t.Fatalf("row %d col %d: blocked has %v,%v want %v", i, m.Cols[p], v, ok, m.Vals[p])
-			}
-			delete(got[int32(i)], m.Cols[p])
-		}
-	}
-	for row, rest := range got {
-		if len(rest) != 0 {
-			t.Fatalf("row %d: %d extra entries in blocked layout", row, len(rest))
 		}
 	}
 }
@@ -261,7 +142,7 @@ func TestPowerMethodT32MatchesFloat64(t *testing.T) {
 	if err != nil || !st64.Converged {
 		t.Fatalf("float64 solve: %v %+v", err, st64)
 	}
-	x32, st32, err := PowerMethodT32(NewCSR32(pt), 0.85, tel, nil, SolverOptions{})
+	x32, st32, err := PowerMethodT(NewCSR32(pt), 0.85, tel, nil, SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,13 +161,12 @@ func TestPowerMethodT32MatchesFloat64(t *testing.T) {
 
 // TestSolver32TolClampAndRejects pins the float32 solver contract: Tol
 // below Float32Tol is clamped (the solve still converges rather than
-// spinning to MaxIter), and custom Dist / Progress are rejected with
-// ErrFloat32Solver.
+// spinning to MaxIter), and Progress is rejected with ErrFloat32Solver.
 func TestSolver32TolClampAndRejects(t *testing.T) {
 	p := randChain(t, 17, 80)
 	pt32 := NewCSR32(p.Transpose())
 	tel := NewUniformVector(80)
-	x, st, err := PowerMethodT32(pt32, 0.85, tel, nil, SolverOptions{Tol: 1e-15})
+	x, st, err := PowerMethodT(pt32, 0.85, tel, nil, SolverOptions{Tol: 1e-15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,16 +179,13 @@ func TestSolver32TolClampAndRejects(t *testing.T) {
 	if st.Residual >= Float32Tol {
 		t.Fatalf("converged residual %v not below Float32Tol", st.Residual)
 	}
-	if _, _, err := PowerMethodT32(pt32, 0.85, tel, nil, SolverOptions{Dist: L2Distance}); !errors.Is(err, ErrFloat32Solver) {
-		t.Fatalf("custom Dist: err=%v", err)
-	}
-	if _, _, err := PowerMethodT32(pt32, 0.85, tel, nil, SolverOptions{Progress: func(int, Vector) error { return nil }}); !errors.Is(err, ErrFloat32Solver) {
+	if _, _, err := PowerMethodT(pt32, 0.85, tel, nil, SolverOptions{Progress: func(int, Vector) error { return nil }}); !errors.Is(err, ErrFloat32Solver) {
 		t.Fatalf("Progress: err=%v", err)
 	}
-	if _, _, err := JacobiAffineT32(pt32, 0.85, tel, SolverOptions{Dist: L2Distance}); !errors.Is(err, ErrFloat32Solver) {
-		t.Fatalf("affine custom Dist: err=%v", err)
+	if _, _, err := JacobiAffineT(pt32, 0.85, tel, SolverOptions{Progress: func(int, Vector) error { return nil }}); !errors.Is(err, ErrFloat32Solver) {
+		t.Fatalf("affine Progress: err=%v", err)
 	}
-	if _, _, err := PowerMethodT32(pt32, 0.85, NewUniformVector(7), nil, SolverOptions{}); err != ErrDimension {
+	if _, _, err := PowerMethodT(pt32, 0.85, NewUniformVector(7), nil, SolverOptions{}); err != ErrDimension {
 		t.Fatalf("bad teleport: err=%v", err)
 	}
 }
@@ -325,7 +202,7 @@ func TestJacobiAffineT32MatchesFloat64(t *testing.T) {
 	if err != nil || !st64.Converged {
 		t.Fatalf("float64 solve: %v %+v", err, st64)
 	}
-	x32, st32, err := JacobiAffineT32(NewCSR32(at), 0.85, b, SolverOptions{})
+	x32, st32, err := JacobiAffineT(NewCSR32(at), 0.85, b, SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,80 +216,37 @@ func TestJacobiAffineT32MatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestMulTVecParallel32 checks worker invariance and agreement with the
-// serial float32 scatter.
-func TestMulTVecParallel32(t *testing.T) {
-	old := mulTVecParallelMinNNZ
-	mulTVecParallelMinNNZ = 1
-	t.Cleanup(func() { mulTVecParallelMinNNZ = old })
-	m := NewCSR32(randChain(t, 31, 120))
-	x := NewVector32(m.Rows)
-	rng := rand.New(rand.NewSource(5))
-	for i := range x {
-		x[i] = rng.Float32()
-	}
-	serial := NewVector32(m.ColsN)
-	MulTVec32(m, x, serial)
-	var first Vector32
-	for workers := 1; workers <= 16; workers++ {
-		dst := NewVector32(m.ColsN)
-		MulTVecParallel32(m, x, dst, workers)
-		if workers == 1 {
-			first = dst
-			for i := range dst {
-				if d := math.Abs(float64(dst[i]) - float64(serial[i])); d > 1e-9*(1+math.Abs(float64(serial[i]))) {
-					t.Fatalf("dst[%d] = %v, serial %v", i, dst[i], serial[i])
-				}
-			}
-			continue
-		}
-		for i := range dst {
-			if dst[i] != first[i] {
-				t.Fatalf("workers=%d: dst[%d] = %v != workers=1 %v", workers, i, dst[i], first[i])
-			}
-		}
-	}
-}
-
-// TestFused32StepZeroAlloc asserts the float32 kernels' core promise on
-// both layouts: after warm-up, Step allocates nothing.
+// TestFused32StepZeroAlloc asserts the kernel's core promise at float32:
+// after warm-up, Step allocates nothing.
 func TestFused32StepZeroAlloc(t *testing.T) {
 	forceFusedParallel(t)
-	for _, blocked := range []bool{false, true} {
-		if blocked {
-			forceBlocked32(t, 64)
-		}
-		pt := NewCSR32(randChain(t, 21, 512).Transpose())
-		tel := ToVector32(NewUniformVector(512))
-		k, err := NewFusedPower32(pt, 0.85, tel, ResidualL2, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if blocked && k.k.blk == nil {
-			t.Fatal("expected blocked layout")
-		}
-		src, dst := tel.Clone(), NewVector32(512)
-		k.Step(dst, src, true)
-		if n := testing.AllocsPerRun(50, func() {
-			k.Step(dst, src, true)
-			k.Step(src, dst, false)
-		}); n != 0 {
-			t.Fatalf("blocked=%v: fused power32 Step allocated %v times per run", blocked, n)
-		}
-		k.Close()
-
-		ka, err := NewFusedAffine32(pt, 0.85, tel, ResidualL2, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ka.Step(dst, src, true)
-		if n := testing.AllocsPerRun(50, func() {
-			ka.Step(dst, src, true)
-		}); n != 0 {
-			t.Fatalf("blocked=%v: fused affine32 Step allocated %v times per run", blocked, n)
-		}
-		ka.Close()
+	pt := NewCSR32(randChain(t, 21, 512).Transpose())
+	tel := ToVector32(NewUniformVector(512))
+	k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
+	src, dst := tel.Clone(), NewVector32(512)
+	k.Step(dst, src, true)
+	if n := testing.AllocsPerRun(50, func() {
+		k.Step(dst, src, true)
+		k.Step(src, dst, false)
+	}); n != 0 {
+		t.Fatalf("fused power32 Step allocated %v times per run", n)
+	}
+	k.Close()
+
+	ka, err := NewFusedAffine(pt, 0.85, tel, ResidualL2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ka.Step(dst, src, true)
+	if n := testing.AllocsPerRun(50, func() {
+		ka.Step(dst, src, true)
+	}); n != 0 {
+		t.Fatalf("fused affine32 Step allocated %v times per run", n)
+	}
+	ka.Close()
 }
 
 // TestFused32CloseIdempotent mirrors the float64 kernel's Close contract.
@@ -420,7 +254,7 @@ func TestFused32CloseIdempotent(t *testing.T) {
 	forceFusedParallel(t)
 	pt := NewCSR32(randChain(t, 23, 64).Transpose())
 	tel := ToVector32(NewUniformVector(64))
-	k, err := NewFusedPower32(pt, 0.85, tel, ResidualL2, 4)
+	k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +278,7 @@ func TestFused32CloseIdempotent(t *testing.T) {
 func BenchmarkFusedPower32Step(b *testing.B) {
 	pt, tel := benchChain(b, 20000)
 	pt32, tel32 := NewCSR32(pt), ToVector32(tel)
-	k, err := NewFusedPower32(pt32, 0.85, tel32, ResidualL2, 0)
+	k, err := NewFusedPower(pt32, 0.85, tel32, ResidualL2, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -464,7 +298,7 @@ func BenchmarkFusedPower32Step(b *testing.B) {
 func BenchmarkFusedAffine32Step(b *testing.B) {
 	pt, tel := benchChain(b, 20000)
 	at32, b32 := NewCSR32(pt), ToVector32(tel)
-	k, err := NewFusedAffine32(at32, 0.85, b32, ResidualL2, 0)
+	k, err := NewFusedAffine(at32, 0.85, b32, ResidualL2, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -480,7 +314,7 @@ func BenchmarkFusedAffine32Step(b *testing.B) {
 }
 
 // TestRowSums32Dispatch cross-checks the row-sum pass used by the
-// row-major float32 kernels against the portable reference on rows of
+// float32 kernel against the portable reference on rows of
 // adversarial lengths (empty, tail-only, exact groups, long), bitwise.
 // On amd64 hosts with AVX2 this pits the assembly kernel against
 // rowSums32Go; elsewhere it degenerates to self-consistency.
@@ -509,7 +343,7 @@ func TestRowSums32Dispatch(t *testing.T) {
 	for i := range got {
 		got[i] = math.NaN() // ensure every slot is written
 	}
-	rowSums32(m, src, got, 0, n)
+	rowSums32(m.RowPtr, m.Vals, m.Cols, src, got, 0, n)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("acc[%d] = %v (bits %#x), reference %v (bits %#x)",
@@ -520,7 +354,7 @@ func TestRowSums32Dispatch(t *testing.T) {
 	for i := range got {
 		got[i] = -1
 	}
-	rowSums32(m, src, got, 100, 200)
+	rowSums32(m.RowPtr, m.Vals, m.Cols, src, got, 100, 200)
 	for i := range got {
 		if i >= 100 && i < 200 {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

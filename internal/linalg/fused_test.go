@@ -3,7 +3,9 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // forceFusedParallel lowers the fused-kernel thresholds so small test
@@ -56,6 +58,35 @@ func unfusedPowerStep(pt *CSR, c float64, tel, src, dst Vector, workers int) {
 		lost = 0
 	}
 	dst.Axpy(lost, tel)
+}
+
+// unfusedAffineStep is the affine counterpart: MulVecParallel, Scale,
+// Axpy(1, b).
+func unfusedAffineStep(at *CSR, c float64, b, src, dst Vector, workers int) {
+	MulVecParallel(at, src, dst, workers)
+	dst.Scale(c)
+	dst.Axpy(1, b)
+}
+
+// unfusedSolve is the oracle the solvers are checked against: the plain
+// ping-pong loop over an unfused step with a full-vector L2Distance
+// between iterates, stopping under the solvers' default tolerance and
+// iteration cap.
+func unfusedSolve(x0 Vector, step func(dst, src Vector)) (Vector, IterStats) {
+	opt := SolverOptions{}.withDefaults()
+	cur, next := x0.Clone(), NewVector(len(x0))
+	var st IterStats
+	for st.Iterations = 1; st.Iterations <= opt.MaxIter; st.Iterations++ {
+		step(next, cur)
+		st.Residual = L2Distance(next, cur)
+		cur, next = next, cur
+		if st.Residual < opt.Tol {
+			st.Converged = true
+			return cur, st
+		}
+	}
+	st.Iterations = opt.MaxIter
+	return cur, st
 }
 
 // TestFusedPowerBitwiseMatchesUnfused checks that one fused power Step
@@ -123,9 +154,7 @@ func TestFusedAffineBitwiseMatchesUnfused(t *testing.T) {
 		}
 
 		want := NewVector(n)
-		MulVecParallel(at, src, want, 1)
-		want.Scale(0.85)
-		want.Axpy(1, b)
+		unfusedAffineStep(at, 0.85, b, src, want, 1)
 
 		var res1 float64
 		for workers := 1; workers <= 16; workers++ {
@@ -174,10 +203,9 @@ func TestFusedResidualL1(t *testing.T) {
 	}
 }
 
-// TestPowerMethodTFusedMatchesGenericPath pins the solver rewiring:
-// the fused default path and the generic unfused path (forced via a
-// custom Dist equal to the default L2) must agree bit for bit on the
-// final iterate and on iteration count.
+// TestPowerMethodTFusedMatchesGenericPath pins the solver to the unfused
+// oracle: the fused solve and the plain loop over the unfused step must
+// agree bit for bit on the final iterate and on iteration count.
 func TestPowerMethodTFusedMatchesGenericPath(t *testing.T) {
 	forceFusedParallel(t)
 	p := randChain(t, 11, 120)
@@ -188,10 +216,9 @@ func TestPowerMethodTFusedMatchesGenericPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		generic, gst, err := PowerMethodT(pt, 0.85, tel, nil, SolverOptions{Workers: workers, Dist: L2Distance})
-		if err != nil {
-			t.Fatal(err)
-		}
+		generic, gst := unfusedSolve(tel, func(dst, src Vector) {
+			unfusedPowerStep(pt, 0.85, tel, src, dst, workers)
+		})
 		if fst.Iterations != gst.Iterations || fst.Converged != gst.Converged {
 			t.Fatalf("workers=%d: fused stats %+v, generic %+v", workers, fst, gst)
 		}
@@ -214,10 +241,9 @@ func TestJacobiAffineTFusedMatchesGenericPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	generic, gst, err := JacobiAffineT(at, 0.85, b, SolverOptions{Workers: 4, Dist: L2Distance})
-	if err != nil {
-		t.Fatal(err)
-	}
+	generic, gst := unfusedSolve(b, func(dst, src Vector) {
+		unfusedAffineStep(at, 0.85, b, src, dst, 4)
+	})
 	if fst.Iterations != gst.Iterations || fst.Converged != gst.Converged {
 		t.Fatalf("fused stats %+v, generic %+v", fst, gst)
 	}
@@ -261,32 +287,34 @@ func TestCheckEveryCadence(t *testing.T) {
 	}
 }
 
-// TestCheckEveryGenericPath checks the same cadence on the generic
-// FixedPointChecked driver (custom-Dist route).
+// TestCheckEveryGenericPath checks the same cadence through the other
+// kernel the shared driver runs: the affine solve, at both value types.
 func TestCheckEveryGenericPath(t *testing.T) {
-	step := func(dst, src Vector) {
-		for i := range dst {
-			dst[i] = 0.5 * src[i]
+	at := randChain(t, 19, 80).Transpose()
+	b := NewUniformVector(80)
+	b.Scale(0.15)
+	cadence := func(name string, solve func(SolverOptions) (Vector, IterStats, error)) {
+		_, every, err := solve(SolverOptions{Tol: 1e-6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sparse, err := solve(SolverOptions{Tol: 1e-6, CheckEvery: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !every.Converged || !sparse.Converged {
+			t.Fatalf("%s convergence: every=%v sparse=%v", name, every.Converged, sparse.Converged)
+		}
+		if sparse.Iterations%5 != 0 {
+			t.Fatalf("%s converged at %d, not a multiple of 5", name, sparse.Iterations)
+		}
+		if sparse.Iterations < every.Iterations || sparse.Iterations >= every.Iterations+5 {
+			t.Fatalf("%s: CheckEvery=5 converged at %d; baseline %d", name, sparse.Iterations, every.Iterations)
 		}
 	}
-	x0 := Vector{1, 1}
-	_, every, err := FixedPointChecked(x0, step, SolverOptions{Tol: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sparse, err := FixedPointChecked(x0, step, SolverOptions{Tol: 1e-6, CheckEvery: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !every.Converged || !sparse.Converged {
-		t.Fatalf("convergence: every=%v sparse=%v", every.Converged, sparse.Converged)
-	}
-	if sparse.Iterations%5 != 0 {
-		t.Fatalf("converged at %d, not a multiple of 5", sparse.Iterations)
-	}
-	if sparse.Iterations < every.Iterations || sparse.Iterations >= every.Iterations+5 {
-		t.Fatalf("CheckEvery=5 converged at %d; baseline %d", sparse.Iterations, every.Iterations)
-	}
+	cadence("float64", func(opt SolverOptions) (Vector, IterStats, error) { return JacobiAffineT(at, 0.85, b, opt) })
+	at32 := NewCSR32(at)
+	cadence("float32", func(opt SolverOptions) (Vector, IterStats, error) { return JacobiAffineT(at32, 0.85, b, opt) })
 }
 
 // TestFusedEmptyMatrix covers the degenerate 0x0 solve: no panic, and
@@ -327,6 +355,12 @@ func TestFusedDimensionErrors(t *testing.T) {
 	}
 	if _, err := NewFusedPower(rect, 0.85, NewUniformVector(3), ResidualL2, 1); err != ErrDimension {
 		t.Fatalf("rectangular operand: err=%v", err)
+	}
+	if _, err := NewFusedPower[float64](rect, 0.85, nil, ResidualL2, 1); err != ErrDimension {
+		t.Fatalf("rectangular operand, uniform teleport: err=%v", err)
+	}
+	if _, err := NewFusedAffine[float64](m.Transpose(), 0.85, nil, ResidualL2, 1); err != ErrDimension {
+		t.Fatalf("nil bias: err=%v", err)
 	}
 }
 
@@ -425,4 +459,56 @@ func BenchmarkUnfusedPowerStep(b *testing.B) {
 		L2Distance(dst, src)
 		src, dst = dst, src
 	}
+}
+
+// testDenseBytes checks denseBytes — the one prediction the release window
+// of a slab-backed solve is sized from — against the Rows-length vectors a
+// solve really holds: the teleport or bias handed to the kernel, the
+// kernel's own row-sum array, the starting iterate, and whatever the
+// driver allocates on top (its second iterate, and at float32 the widened
+// result), measured from the allocator.
+func testDenseBytes[F Float](t *testing.T) {
+	const n = 1 << 16 // vectors of 256 and 512 KiB: allocated at exactly their size
+	pt := &Matrix[F]{Rows: n, ColsN: n, RowPtr: make([]int64, n+1)}
+	var zero F
+	size := int64(unsafe.Sizeof(zero))
+	for _, affine := range []bool{false, true} {
+		for _, dense := range []bool{false, true} {
+			if affine && !dense {
+				continue // the bias is always a vector
+			}
+			var aux []F
+			if dense {
+				aux = make([]F, n)
+			}
+			k, err := newFusedKernel(pt, 0.85, aux, affine, ResidualL2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := make([]F, n)
+			held := size*int64(len(aux)) + 8*int64(len(k.acc)) + size*int64(len(cur))
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			x, _, err := iterateFused(k, cur, SolverOptions{MaxIter: 2})
+			runtime.ReadMemStats(&after)
+			if err != nil || len(x) != n {
+				t.Fatalf("solve: %v, %d scores", err, len(x))
+			}
+			k.Close()
+
+			want := denseBytes[F](n, dense)
+			got := held + int64(after.TotalAlloc-before.TotalAlloc)
+			// The driver's few small allocations are noise next to a vector.
+			if got < want || got >= want+size*n/4 {
+				t.Errorf("affine=%v dense=%v: denseBytes predicts %d, the solve holds %d (%d before the driver ran)",
+					affine, dense, want, got, held)
+			}
+		}
+	}
+}
+
+func TestDenseBytesMatchesAllocations(t *testing.T) {
+	t.Run("float64", testDenseBytes[float64])
+	t.Run("float32", testDenseBytes[float32])
 }

@@ -22,22 +22,24 @@ import (
 // solvePower32, solvePower32Uniform, solveJacobi32, openSlab32 and
 // rowSumsPass32 are the only places this file names the float32 API.
 func solvePower32(pt *CSR32, t Vector, opt SolverOptions) (Vector, IterStats, error) {
-	return PowerMethodT32(pt, 0.85, t, nil, opt)
+	return PowerMethodT(pt, 0.85, t, nil, opt)
 }
 
 func solvePower32Uniform(pt *CSR32, opt SolverOptions) (Vector, IterStats, error) {
-	return PowerMethodT32Uniform(pt, 0.85, opt)
+	return PowerMethodTUniform(pt, 0.85, opt)
 }
 
 func solveJacobi32(at *CSR32, b Vector, opt SolverOptions) (Vector, IterStats, error) {
-	return JacobiAffineT32(at, 0.85, b, opt)
+	return JacobiAffineT(at, 0.85, b, opt)
 }
 
 func openSlab32(path string, opt SlabOpenOptions) (*SlabCSR32, error) {
-	return OpenSlabCSR32(path, opt)
+	return OpenSlab[float32](path, opt)
 }
 
-func rowSumsPass32(m *CSR32, src Vector32, acc []float64) { rowSums32(m, src, acc, 0, m.Rows) }
+func rowSumsPass32(m *CSR32, src Vector32, acc []float64) {
+	rowSums32(m.RowPtr, m.Vals, m.Cols, src, acc, 0, m.Rows)
+}
 
 // rowLengthsChain is a column-stochastic operand whose row i holds i mod 10
 // entries, so the row-sum pass sees every length 0–9: the empty row, the
@@ -86,6 +88,12 @@ func hashSolve32(x Vector, st IterStats) uint64 {
 	return h.Sum64()
 }
 
+// The operands handed to the kernel: golden64_test.go's two, and the
+// row-length fixture.
+func goldenN200(t testing.TB) *CSR    { return randChain(t, 11, 200).Transpose() }
+func goldenN150(t testing.TB) *CSR    { return randChain(t, 13, 150).Transpose() }
+func goldenRowLens(t testing.TB) *CSR { return rowLengthsChain(t, 130) }
+
 // goldenSolve32 lists the pinned float32 solver outputs. forced marks the
 // runs made with the stripe thresholds lowered (many stripes, pooled
 // workers, tree-reduced residual); the others run at production
@@ -97,16 +105,16 @@ var goldenSolve32 = []struct {
 	forced  bool
 	hash    uint64
 }{
-	{"power-n200", func(t testing.TB) *CSR { return randChain(t, 11, 200).Transpose() }, "power", false, 0xa081f0e6fa245082},
-	{"power-n200-forced", func(t testing.TB) *CSR { return randChain(t, 11, 200).Transpose() }, "power", true, 0xa081f0e6fa245082},
-	{"uniform-n200", func(t testing.TB) *CSR { return randChain(t, 11, 200).Transpose() }, "uniform", false, 0xa081f0e6fa245082},
-	{"uniform-n200-forced", func(t testing.TB) *CSR { return randChain(t, 11, 200).Transpose() }, "uniform", true, 0xa081f0e6fa245082},
-	{"jacobi-n150", func(t testing.TB) *CSR { return randChain(t, 13, 150).Transpose() }, "jacobi", false, 0xa234d8fef3bd11a8},
-	{"jacobi-n150-forced", func(t testing.TB) *CSR { return randChain(t, 13, 150).Transpose() }, "jacobi", true, 0xa234d8fef3bd11a8},
-	{"power-rowlens", func(t testing.TB) *CSR { return rowLengthsChain(t, 130) }, "power", false, 0xd88e3d6104634664},
-	{"power-rowlens-forced", func(t testing.TB) *CSR { return rowLengthsChain(t, 130) }, "power", true, 0xd88e3d6104634664},
-	{"uniform-rowlens-forced", func(t testing.TB) *CSR { return rowLengthsChain(t, 130) }, "uniform", true, 0xd88e3d6104634664},
-	{"jacobi-rowlens-forced", func(t testing.TB) *CSR { return rowLengthsChain(t, 130) }, "jacobi", true, 0xf1e733c8fd6272ff},
+	{"power-n200", goldenN200, "power", false, 0xa081f0e6fa245082},
+	{"power-n200-forced", goldenN200, "power", true, 0xa081f0e6fa245082},
+	{"uniform-n200", goldenN200, "uniform", false, 0xa081f0e6fa245082},
+	{"uniform-n200-forced", goldenN200, "uniform", true, 0xa081f0e6fa245082},
+	{"jacobi-n150", goldenN150, "jacobi", false, 0xa234d8fef3bd11a8},
+	{"jacobi-n150-forced", goldenN150, "jacobi", true, 0xa234d8fef3bd11a8},
+	{"power-rowlens", goldenRowLens, "power", false, 0xd88e3d6104634664},
+	{"power-rowlens-forced", goldenRowLens, "power", true, 0xd88e3d6104634664},
+	{"uniform-rowlens-forced", goldenRowLens, "uniform", true, 0xd88e3d6104634664},
+	{"jacobi-rowlens-forced", goldenRowLens, "jacobi", true, 0xf1e733c8fd6272ff},
 }
 
 // TestGoldenFloat32Solves pins the float32 solver outputs bit for bit

@@ -49,7 +49,7 @@ func hubCSR(t testing.TB, rows, cols, nnz int, frac float64) *CSR {
 	return m
 }
 
-func sameCSR(t *testing.T, name string, a, b *CSR) {
+func sameCSR[F Float](t *testing.T, name string, a, b *Matrix[F]) {
 	t.Helper()
 	if a.Rows != b.Rows || a.ColsN != b.ColsN {
 		t.Fatalf("%s: shape (%d,%d) != (%d,%d)", name, a.Rows, a.ColsN, b.Rows, b.ColsN)
@@ -60,7 +60,7 @@ func sameCSR(t *testing.T, name string, a, b *CSR) {
 	if !reflect.DeepEqual(a.Cols, b.Cols) {
 		t.Fatalf("%s: Cols differs", name)
 	}
-	// DeepEqual on float64 distinguishes NaN bit patterns but matches ==
+	// DeepEqual on floats distinguishes NaN bit patterns but matches ==
 	// semantics for everything the kernels produce; require exact bits.
 	for i := range a.Vals {
 		if a.Vals[i] != b.Vals[i] {

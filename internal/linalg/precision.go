@@ -1,6 +1,9 @@
 package linalg
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Precision selects the floating-point width of a solver's iterate. The
 // ranking solvers are memory-bandwidth-bound — wall time tracks the bytes
@@ -17,11 +20,41 @@ const (
 	// Float64 is the default full-width iterate; results are bitwise
 	// identical to the pre-precision-option solvers.
 	Float64 Precision = iota
-	// Float32 runs the iterate at half width (see PowerMethodT32); rank
-	// order matches Float64 to high fidelity (Kendall τ ≥ 0.999 on the
-	// benchmark corpora) but score bits differ at relative ~1e-7.
+	// Float32 runs the iterate at half width (PowerMethodT over a CSR32);
+	// rank order matches Float64 to high fidelity (Kendall τ ≥ 0.999 on
+	// the benchmark corpora) but score bits differ at relative ~1e-7.
 	Float32
 )
+
+// SlabPrecision is Precision under the name the slab API was written
+// with: the value width of a slab file is the precision it is solved at.
+// The index sections are identical in both precisions, so a float32 slab
+// is the on-disk mirror of NewCSR32: same structure, half-width values.
+type SlabPrecision = Precision
+
+// SlabFloat64 and SlabFloat32 are Float64 and Float32; SlabFloat32 is one
+// of the names benchmark/surface.go is frozen against.
+const (
+	SlabFloat64 = Float64
+	SlabFloat32 = Float32
+)
+
+// precisionOf is the Precision whose values are stored as F.
+func precisionOf[F Float]() Precision {
+	var zero F
+	if unsafe.Sizeof(zero) == 4 {
+		return Float32
+	}
+	return Float64
+}
+
+// valWidth is the byte width of one stored value.
+func (p Precision) valWidth() int64 {
+	if p == Float32 {
+		return 4
+	}
+	return 8
+}
 
 // String returns the flag spelling of p.
 func (p Precision) String() string {

@@ -18,10 +18,10 @@ var useAVX2 = cpuHasAVX2()
 // rowSums32 dispatches the row-sum pass to the AVX2 kernel when the host
 // supports it. Both implementations realize the same fixed four-lane
 // accumulation scheme, so the choice never changes output bits.
-func rowSums32(m *CSR32, src Vector32, acc []float64, lo, hi int) {
+func rowSums32(rowPtr []int64, vals []float32, cols []int32, src []float32, acc []float64, lo, hi int) {
 	if useAVX2 {
-		rowSums32AVX(m.RowPtr, m.Vals, m.Cols, src, acc, lo, hi)
+		rowSums32AVX(rowPtr, vals, cols, src, acc, lo, hi)
 		return
 	}
-	rowSums32Go(m.RowPtr, m.Vals, m.Cols, src, acc, lo, hi)
+	rowSums32Go(rowPtr, vals, cols, src, acc, lo, hi)
 }

@@ -88,7 +88,7 @@ done:
 //
 // AVX2 is usable when the OS saves YMM state (OSXSAVE set, XCR0 covers
 // XMM+YMM) and CPUID leaf 7 reports AVX2.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-8
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVL  $1, AX
 	XORL  CX, CX
 	CPUID

@@ -45,27 +45,6 @@ const (
 	slabHeaderSize = 88
 )
 
-// SlabPrecision selects the value width of a slab file. The index
-// sections are identical in both precisions, so a float32 slab is the
-// on-disk mirror of NewCSR32: same structure, half-width values.
-type SlabPrecision int
-
-const (
-	// SlabFloat64 stores values as 8-byte IEEE 754 doubles.
-	SlabFloat64 SlabPrecision = iota
-	// SlabFloat32 stores values as 4-byte IEEE 754 singles.
-	SlabFloat32
-)
-
-func (p SlabPrecision) valWidth() int64 {
-	if p == SlabFloat32 {
-		return 4
-	}
-	return 8
-}
-
-func (p SlabPrecision) valKind() uint32 { return uint32(p) }
-
 // ErrSlabFormat is the sentinel matched by errors.Is for every
 // *SlabFormatError reported by the slab decoder.
 var ErrSlabFormat = errors.New("linalg: invalid slab file")
@@ -127,38 +106,29 @@ type slabHeader struct {
 	rowPtrOff, colsOff, valsOff int64
 }
 
-// parseSlabHeader validates a slab payload's header and table of
-// contents against the payload bounds. It is pure on its input — no
-// allocation proportional to header-declared sizes, no panics on
-// arbitrary bytes (the fuzz target's contract): every declared dimension
-// is cross-checked against the section lengths, which are themselves
-// checked against len(payload), before anything is sliced.
-func parseSlabHeader(payload []byte) (slabHeader, error) {
+// parseSlabFixed decodes and validates the fixed fields of a slab header
+// — everything before the section table — from its first slabHeaderSize
+// bytes. ReadSlabInfo stops here; parseSlabHeader goes on to the sections.
+func parseSlabFixed(hdr []byte) (slabHeader, error) {
 	var h slabHeader
-	if len(payload) < slabHeaderSize {
-		return h, slabErrf(int64(len(payload)), "payload is %d bytes, shorter than the %d-byte header", len(payload), slabHeaderSize)
+	if len(hdr) < slabHeaderSize {
+		return h, slabErrf(int64(len(hdr)), "payload is %d bytes, shorter than the %d-byte header", len(hdr), slabHeaderSize)
 	}
-	u32 := func(off int) uint32 {
-		b := payload[off:]
-		return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	}
-	u64 := func(off int) uint64 {
-		return uint64(u32(off)) | uint64(u32(off+4))<<32
-	}
-	if got := u32(0); got != slabMagic {
+	le := binary.LittleEndian
+	if got := le.Uint32(hdr[0:]); got != slabMagic {
 		return h, slabErrf(0, "bad magic %#x, want %#x", got, slabMagic)
 	}
-	if got := u32(4); got != slabVersion {
+	if got := le.Uint32(hdr[4:]); got != slabVersion {
 		return h, slabErrf(4, "unsupported version %d", got)
 	}
-	h.valKind = u32(8)
+	h.valKind = le.Uint32(hdr[8:])
 	if h.valKind > 1 {
 		return h, slabErrf(8, "unknown value kind %d", h.valKind)
 	}
-	if got := u32(12); got != 0 {
+	if got := le.Uint32(hdr[12:]); got != 0 {
 		return h, slabErrf(12, "reserved field is %#x, want 0", got)
 	}
-	rows64, cols64, nnz64 := u64(16), u64(24), u64(32)
+	rows64, cols64, nnz64 := le.Uint64(hdr[16:]), le.Uint64(hdr[24:]), le.Uint64(hdr[32:])
 	if rows64 > math.MaxInt32 {
 		return h, slabErrf(16, "rows %d exceeds the supported maximum", rows64)
 	}
@@ -169,11 +139,22 @@ func parseSlabHeader(payload []byte) (slabHeader, error) {
 		return h, slabErrf(32, "nnz %d exceeds the supported maximum", nnz64)
 	}
 	h.rows, h.colsN, h.nnz = int(rows64), int(cols64), int64(nnz64)
-	valW := int64(8)
-	if h.valKind == 1 {
-		valW = 4
+	return h, nil
+}
+
+// parseSlabHeader validates a slab payload's header and table of
+// contents against the payload bounds. It is pure on its input — no
+// allocation proportional to header-declared sizes, no panics on
+// arbitrary bytes (the fuzz target's contract): every declared dimension
+// is cross-checked against the section lengths, which are themselves
+// checked against len(payload), before anything is sliced.
+func parseSlabHeader(payload []byte) (slabHeader, error) {
+	h, err := parseSlabFixed(payload)
+	if err != nil {
+		return h, err
 	}
-	wantRP, wantCols, _, wantVals := slabSectionLens(h.rows, h.nnz, valW)
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
+	wantRP, wantCols, _, wantVals := slabSectionLens(h.rows, h.nnz, Precision(h.valKind).valWidth())
 	plen := uint64(len(payload))
 	section := func(fieldOff int, want int64, align uint64, name string) ([]byte, int64, error) {
 		off, length := u64(fieldOff), u64(fieldOff+8)
@@ -191,7 +172,6 @@ func parseSlabHeader(payload []byte) (slabHeader, error) {
 		}
 		return payload[off : off+length], int64(off), nil
 	}
-	var err error
 	if h.rowPtr, h.rowPtrOff, err = section(40, wantRP, 8, "rowptr"); err != nil {
 		return h, err
 	}
@@ -241,28 +221,13 @@ func WriteSlabFile(fsys durable.FS, path string, prec SlabPrecision, s SlabSecti
 	colsOff := rowPtrOff + rowPtrLen
 	valsOff := colsOff + colsLen + pad
 	var hdr [slabHeaderSize]byte
-	putU32 := func(off int, v uint32) {
-		hdr[off] = byte(v)
-		hdr[off+1] = byte(v >> 8)
-		hdr[off+2] = byte(v >> 16)
-		hdr[off+3] = byte(v >> 24)
+	le := binary.LittleEndian
+	le.PutUint32(hdr[0:], slabMagic)
+	le.PutUint32(hdr[4:], slabVersion)
+	le.PutUint32(hdr[8:], uint32(prec))
+	for i, v := range []int64{int64(s.Rows), int64(s.Cols), s.NNZ, rowPtrOff, rowPtrLen, colsOff, colsLen, valsOff, valsLen} {
+		le.PutUint64(hdr[16+8*i:], uint64(v))
 	}
-	putU64 := func(off int, v uint64) {
-		putU32(off, uint32(v))
-		putU32(off+4, uint32(v>>32))
-	}
-	putU32(0, slabMagic)
-	putU32(4, slabVersion)
-	putU32(8, prec.valKind())
-	putU64(16, uint64(s.Rows))
-	putU64(24, uint64(s.Cols))
-	putU64(32, uint64(s.NNZ))
-	putU64(40, uint64(rowPtrOff))
-	putU64(48, uint64(rowPtrLen))
-	putU64(56, uint64(colsOff))
-	putU64(64, uint64(colsLen))
-	putU64(72, uint64(valsOff))
-	putU64(80, uint64(valsLen))
 	return durable.WriteFile(fsys, path, func(w io.Writer) error {
 		if _, err := w.Write(hdr[:]); err != nil {
 			return err
@@ -322,7 +287,7 @@ type SlabElem interface {
 const sectionChunkBytes = 32 << 10
 
 // SectionWriter streams one slab section of element type T to w as raw
-// little-endian values — the write-side mirror of aliasSlabCSR. On
+// little-endian values — the write-side mirror of aliasSlab. On
 // little-endian hosts a slice's own memory is handed to w (no staging,
 // no copy beyond w's own); elsewhere elements are byte-swapped through a
 // staging buffer the writer owns for the life of the section. Rows
@@ -422,7 +387,7 @@ func (s *SectionWriter[T]) emit(xs []T) {
 }
 
 // WriteSlabCSR commits m to path as a slab at the given precision.
-// SlabFloat32 narrows values entrywise exactly like NewCSR32 (round to
+// Float32 narrows values entrywise exactly like NewCSR32 (round to
 // nearest even), so a float32 slab of m round-trips to the same bits as
 // the in-RAM float32 mirror.
 func WriteSlabCSR(fsys durable.FS, path string, m *CSR, prec SlabPrecision) error {
@@ -434,7 +399,7 @@ func WriteSlabCSR(fsys durable.FS, path string, m *CSR, prec SlabPrecision) erro
 		ColIdx: func(w io.Writer) error { return WriteSection(w, m.Cols) },
 		Values: func(w io.Writer) error { return WriteSection(w, m.Vals) },
 	}
-	if prec == SlabFloat32 {
+	if prec == Float32 {
 		sections.Values = func(w io.Writer) error {
 			sw := NewSectionWriter[float32](w)
 			for _, v := range m.Vals {
@@ -481,22 +446,29 @@ type SlabOpenOptions struct {
 	MaxResident int64
 }
 
-// SlabCSR is a float64 CSR whose arrays alias a read-only mapping of a
-// slab file. Matrix returns the *CSR view accepted by every kernel and
-// solver in this package; the slab plumbs itself into the fused kernels
-// through the CSR's residency hook, so PowerMethodT/JacobiAffineT on a
-// slab-backed operand stream it from disk with no code changes. The
-// matrix must not be used after Close.
-type SlabCSR struct {
-	m  *CSR
+// Slab is a Matrix whose arrays alias a read-only mapping of a slab file
+// holding values of type F. Matrix returns the view accepted by every
+// kernel and solver in this package; the slab plumbs itself into the
+// fused kernel through the matrix's residency hook, so
+// PowerMethodT/JacobiAffineT on a slab-backed operand stream it from disk
+// with no code changes. The matrix must not be used after Close.
+type Slab[F Float] struct {
+	m  *Matrix[F]
 	mp *durable.Mapped
 }
 
+// SlabCSR is an open float64 slab.
+type SlabCSR = Slab[float64]
+
+// SlabCSR32 is an open float32 slab, under the name benchmark/surface.go
+// is frozen against.
+type SlabCSR32 = Slab[float32]
+
 // Matrix returns the slab-backed matrix view.
-func (s *SlabCSR) Matrix() *CSR { return s.m }
+func (s *Slab[F]) Matrix() *Matrix[F] { return s.m }
 
 // Close unmaps the slab. Idempotent.
-func (s *SlabCSR) Close() error {
+func (s *Slab[F]) Close() error {
 	if s.mp == nil {
 		return nil
 	}
@@ -506,7 +478,7 @@ func (s *SlabCSR) Close() error {
 }
 
 // ReleaseEntries reports entries [pLo, pHi) of the Cols and Vals
-// sections as consumed — exactly what the fused kernels do after each
+// sections as consumed — exactly what the fused kernel does after each
 // row stripe: once a release window's worth of reports has accumulated
 // their pages are dropped and the following window is prefetched. It is
 // a no-op unless the slab was opened under a residency budget, and it
@@ -516,123 +488,78 @@ func (s *SlabCSR) Close() error {
 // it to keep the copy's resident footprint within the budget; less than
 // a window may still be pending when they stop, and goes with the
 // mapping at Close.
-func (s *SlabCSR) ReleaseEntries(pLo, pHi int64) {
+func (s *Slab[F]) ReleaseEntries(pLo, pHi int64) {
 	if s.m != nil {
 		s.m.res.ownWindow().done(pLo, pHi)
 	}
 }
 
 // Residency reports what the slab's residency controller has done so far.
-func (s *SlabCSR) Residency() SlabResidency { return s.m.res.snapshot() }
+func (s *Slab[F]) Residency() SlabResidency { return s.m.res.snapshot() }
 
-// SlabCSR32 is the float32 mirror of SlabCSR over a SlabFloat32 file.
-type SlabCSR32 struct {
-	m  *CSR32
-	mp *durable.Mapped
-}
-
-// Matrix returns the slab-backed float32 matrix view.
-func (s *SlabCSR32) Matrix() *CSR32 { return s.m }
-
-// Residency reports what the slab's residency controller has done so far.
-func (s *SlabCSR32) Residency() SlabResidency { return s.m.res.snapshot() }
-
-// Close unmaps the slab. Idempotent.
-func (s *SlabCSR32) Close() error {
-	if s.mp == nil {
-		return nil
-	}
-	mp := s.mp
-	s.mp = nil
-	return mp.Close()
-}
-
-// openSlab maps path, verifies the CRC trailer (releasing behind itself
-// in streaming mode), and parses the header, expecting wantKind values.
-func openSlab(path string, opt SlabOpenOptions, wantKind uint32) (*durable.Mapped, slabHeader, bool, error) {
+// OpenSlab maps a slab file whose values are stored as F read-only and
+// returns the slab-backed matrix. The open verifies the durable CRC
+// trailer (releasing behind itself under a residency budget), parses the
+// header, and runs the full structural validation sweep (monotone row
+// pointers, in-range strictly-increasing columns, finite values) before
+// returning, so a corrupt or hostile file — or one of the other value
+// kind — is rejected with a typed error and can never induce an
+// out-of-range access later.
+func OpenSlab[F Float](path string, opt SlabOpenOptions) (*Slab[F], error) {
 	mp, err := durable.OpenMapped(path)
 	if err != nil {
-		return nil, slabHeader{}, false, err
+		return nil, err
 	}
-	streaming := opt.MaxResident > 0
-	payload, err := mp.VerifyPayload(slabVerifyChunk, streaming)
+	payload, err := mp.VerifyPayload(slabVerifyChunk, opt.MaxResident > 0)
 	if err != nil {
 		_ = mp.Close()
-		return nil, slabHeader{}, false, err
+		return nil, err
 	}
+	m, aliased, err := slabView[F](mp, payload, opt.MaxResident)
+	if err != nil {
+		_ = mp.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if !aliased {
+		_ = mp.Close()
+		return &Slab[F]{m: m}, nil
+	}
+	return &Slab[F]{m: m, mp: mp}, nil
+}
+
+// slabView parses and validates a verified slab payload as a matrix of F.
+// On little-endian hosts with an aligned mapping the matrix aliases the
+// payload (aliased is true, and a positive maxResident attaches the
+// residency controller that adv serves); otherwise it is a heap copy and
+// the mapping is no longer needed.
+func slabView[F Float](adv *durable.Mapped, payload []byte, maxResident int64) (m *Matrix[F], aliased bool, err error) {
 	h, err := parseSlabHeader(payload)
 	if err != nil {
-		_ = mp.Close()
-		return nil, slabHeader{}, false, fmt.Errorf("%s: %w", path, err)
+		return nil, false, err
 	}
-	if h.valKind != wantKind {
-		_ = mp.Close()
-		return nil, slabHeader{}, false, fmt.Errorf("%s: %w", path, slabErrf(8, "value kind %d, want %d", h.valKind, wantKind))
+	if want := uint32(precisionOf[F]()); h.valKind != want {
+		return nil, false, slabErrf(8, "value kind %d, want %d", h.valKind, want)
 	}
-	return mp, h, streaming, nil
+	if m, aliased = aliasSlab[F](h); aliased {
+		if maxResident > 0 {
+			m.res = newSlabResidency(adv, h, maxResident)
+		}
+		adv.AdviseSequential()
+	} else {
+		m = decodeSlab[F](h)
+	}
+	return m, aliased, validateSlab(m)
 }
 
-// OpenSlabCSR maps a SlabFloat64 file read-only and returns the
-// slab-backed matrix. The open verifies the durable CRC trailer and
-// runs the full structural validation sweep (monotone row pointers,
-// in-range strictly-increasing columns, finite values) before returning,
-// so a corrupt or hostile file is rejected with a typed error and can
-// never induce an out-of-range access later.
+// OpenSlabCSR is OpenSlab for a SlabFloat64 file.
 func OpenSlabCSR(path string, opt SlabOpenOptions) (*SlabCSR, error) {
-	mp, h, streaming, err := openSlab(path, opt, 0)
-	if err != nil {
-		return nil, err
-	}
-	if m, ok := aliasSlabCSR(h); ok {
-		if streaming {
-			m.res = newSlabResidency(mp, h, 8, opt.MaxResident)
-		}
-		mp.AdviseSequential()
-		if err := validateSlabCSR(m); err != nil {
-			_ = mp.Close()
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &SlabCSR{m: m, mp: mp}, nil
-	}
-	// Big-endian host or misaligned view: copy-decode into the heap.
-	m, err := decodeSlabCSR(h)
-	_ = mp.Close()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := validateSlabCSR(m); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &SlabCSR{m: m}, nil
+	return OpenSlab[float64](path, opt)
 }
 
-// OpenSlabCSR32 maps a SlabFloat32 file read-only; the float32 analog of
-// OpenSlabCSR.
+// OpenSlabCSR32 is OpenSlab for a SlabFloat32 file, under the name
+// benchmark/surface.go is frozen against.
 func OpenSlabCSR32(path string, opt SlabOpenOptions) (*SlabCSR32, error) {
-	mp, h, streaming, err := openSlab(path, opt, 1)
-	if err != nil {
-		return nil, err
-	}
-	if m, ok := aliasSlabCSR32(h); ok {
-		if streaming {
-			m.res = newSlabResidency(mp, h, 4, opt.MaxResident)
-		}
-		mp.AdviseSequential()
-		if err := validateSlabCSR32(m); err != nil {
-			_ = mp.Close()
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &SlabCSR32{m: m, mp: mp}, nil
-	}
-	m, err := decodeSlabCSR32(h)
-	_ = mp.Close()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := validateSlabCSR32(m); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &SlabCSR32{m: m}, nil
+	return OpenSlab[float32](path, opt)
 }
 
 // hostLittleEndian reports whether the host stores multi-byte integers
@@ -646,115 +573,56 @@ func sliceAligned(b []byte, align uintptr) bool {
 	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%align == 0
 }
 
-// aliasSlabCSR reinterprets the parsed sections in place as the CSR
+// aliasSlab reinterprets the parsed sections in place as the matrix
 // arrays, without copying. ok is false when the host layout cannot alias
 // (big-endian, or a backing buffer that is not suitably aligned — heap
 // fallbacks of durable.OpenMapped are not guaranteed page alignment).
-func aliasSlabCSR(h slabHeader) (*CSR, bool) {
-	if !hostLittleEndian || !sliceAligned(h.rowPtr, 8) || !sliceAligned(h.cols, 4) || !sliceAligned(h.vals, 8) {
+func aliasSlab[F Float](h slabHeader) (*Matrix[F], bool) {
+	var zero F
+	if !hostLittleEndian || !sliceAligned(h.rowPtr, 8) || !sliceAligned(h.cols, 4) || !sliceAligned(h.vals, unsafe.Sizeof(zero)) {
 		return nil, false
 	}
 	// nnz==0 leaves Cols/Vals nil, matching NewCSR on an empty entry set.
-	m := &CSR{
+	m := &Matrix[F]{
 		Rows:   h.rows,
 		ColsN:  h.colsN,
 		RowPtr: unsafe.Slice((*int64)(unsafe.Pointer(&h.rowPtr[0])), h.rows+1),
 	}
 	if h.nnz > 0 {
 		m.Cols = unsafe.Slice((*int32)(unsafe.Pointer(&h.cols[0])), h.nnz)
-		m.Vals = unsafe.Slice((*float64)(unsafe.Pointer(&h.vals[0])), h.nnz)
+		m.Vals = unsafe.Slice((*F)(unsafe.Pointer(&h.vals[0])), h.nnz)
 	}
 	return m, true
 }
 
-// aliasSlabCSR32 is aliasSlabCSR for SlabFloat32 sections.
-func aliasSlabCSR32(h slabHeader) (*CSR32, bool) {
-	if !hostLittleEndian || !sliceAligned(h.rowPtr, 8) || !sliceAligned(h.cols, 4) || !sliceAligned(h.vals, 4) {
-		return nil, false
-	}
-	m := &CSR32{
-		Rows:   h.rows,
-		ColsN:  h.colsN,
-		RowPtr: unsafe.Slice((*int64)(unsafe.Pointer(&h.rowPtr[0])), h.rows+1),
-	}
-	if h.nnz > 0 {
-		m.Cols = unsafe.Slice((*int32)(unsafe.Pointer(&h.cols[0])), h.nnz)
-		m.Vals = unsafe.Slice((*float32)(unsafe.Pointer(&h.vals[0])), h.nnz)
-	}
-	return m, true
-}
-
-// decodeSlabCSR copy-decodes the sections into fresh heap arrays: the
+// decodeSlab copy-decodes the sections into fresh heap arrays: the
 // portable fallback, and the pure-bytes path the fuzz target drives.
-func decodeSlabCSR(h slabHeader) (*CSR, error) {
-	m := &CSR{
+func decodeSlab[F Float](h slabHeader) *Matrix[F] {
+	return &Matrix[F]{
 		Rows:   h.rows,
 		ColsN:  h.colsN,
-		RowPtr: decodeInt64sLE(h.rowPtr),
-		Cols:   decodeInt32sLE(h.cols),
-		Vals:   decodeFloat64sLE(h.vals),
+		RowPtr: decodeLE[int64](h.rowPtr),
+		Cols:   decodeLE[int32](h.cols),
+		Vals:   decodeLE[F](h.vals),
 	}
-	return m, nil
 }
 
-// decodeSlabCSR32 is decodeSlabCSR for SlabFloat32 sections.
-func decodeSlabCSR32(h slabHeader) (*CSR32, error) {
-	m := &CSR32{
-		Rows:   h.rows,
-		ColsN:  h.colsN,
-		RowPtr: decodeInt64sLE(h.rowPtr),
-		Cols:   decodeInt32sLE(h.cols),
-		Vals:   decodeFloat32sLE(h.vals),
-	}
-	return m, nil
-}
-
-func decodeInt64sLE(b []byte) []int64 {
+// decodeLE decodes a section of little-endian values: the read-side
+// mirror of SectionWriter.emit's byte-swapping branch.
+func decodeLE[T SlabElem](b []byte) []T {
 	if len(b) == 0 {
 		return nil
 	}
-	out := make([]int64, len(b)/8)
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	out := make([]T, len(b)/size)
+	le := binary.LittleEndian
 	for i := range out {
-		p := b[i*8:]
-		out[i] = int64(uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16 | uint64(p[3])<<24 |
-			uint64(p[4])<<32 | uint64(p[5])<<40 | uint64(p[6])<<48 | uint64(p[7])<<56)
-	}
-	return out
-}
-
-func decodeInt32sLE(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		p := b[i*4:]
-		out[i] = int32(uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24)
-	}
-	return out
-}
-
-func decodeFloat64sLE(b []byte) []float64 {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		p := b[i*8:]
-		out[i] = math.Float64frombits(uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16 | uint64(p[3])<<24 |
-			uint64(p[4])<<32 | uint64(p[5])<<40 | uint64(p[6])<<48 | uint64(p[7])<<56)
-	}
-	return out
-}
-
-func decodeFloat32sLE(b []byte) []float32 {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		p := b[i*4:]
-		out[i] = math.Float32frombits(uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24)
+		if size == 4 {
+			*(*uint32)(unsafe.Pointer(&out[i])) = le.Uint32(b[4*i:])
+		} else {
+			*(*uint64)(unsafe.Pointer(&out[i])) = le.Uint64(b[8*i:])
+		}
 	}
 	return out
 }
@@ -803,9 +671,9 @@ type slabResidency struct {
 	own *releaseWindow
 }
 
-func newSlabResidency(adv slabAdviser, h slabHeader, valW, maxResident int64) *slabResidency {
+func newSlabResidency(adv slabAdviser, h slabHeader, maxResident int64) *slabResidency {
 	r := &slabResidency{
-		adv: adv, colsOff: h.colsOff, valsOff: h.valsOff, valW: valW,
+		adv: adv, colsOff: h.colsOff, valsOff: h.valsOff, valW: Precision(h.valKind).valWidth(),
 		rows: h.rows, nnz: h.nnz, leftover: maxResident - int64(len(h.rowPtr)),
 	}
 	r.own = r.newWindow(0)
@@ -997,75 +865,19 @@ func (w *releaseWindow) release(batch []entryRange) {
 // ---------------------------------------------------------------------------
 // Validation
 
-// validateSlabCSR runs the full structural sweep over a slab-backed
-// matrix in bounded-residency chunks: shape first, then rows in blocks,
+// validateSlab runs the full structural sweep over a slab-backed matrix
+// in bounded-residency chunks: shape first, then rows in blocks,
 // reporting each block's entries to the slab's own release window (nil
 // without a budget) behind itself.
-func validateSlabCSR(m *CSR) error {
+func validateSlab[F Float](m *Matrix[F]) error {
 	if err := m.validateShape(); err != nil {
 		return err
 	}
 	win := m.res.ownWindow()
 	for lo := 0; lo < m.Rows; lo += slabValidateChunkRows {
-		hi := lo + slabValidateChunkRows
-		if hi > m.Rows {
-			hi = m.Rows
-		}
+		hi := min(lo+slabValidateChunkRows, m.Rows)
 		if err := m.validateRowRange(lo, hi); err != nil {
 			return err
-		}
-		win.done(m.RowPtr[lo], m.RowPtr[hi])
-	}
-	win.endPass()
-	return nil
-}
-
-// validateSlabCSR32 is the float32 structural sweep: same checks as
-// CSR.Validate with float32 finiteness.
-func validateSlabCSR32(m *CSR32) error {
-	if m.Rows < 0 || m.ColsN < 0 {
-		return ErrBadShape
-	}
-	win := m.res.ownWindow()
-	if len(m.RowPtr) != m.Rows+1 {
-		return fmt.Errorf("linalg: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
-	}
-	if m.RowPtr[0] != 0 {
-		return fmt.Errorf("linalg: RowPtr[0] = %d, want 0", m.RowPtr[0])
-	}
-	if int64(len(m.Cols)) != m.RowPtr[m.Rows] || len(m.Cols) != len(m.Vals) {
-		return fmt.Errorf("linalg: storage lengths inconsistent: RowPtr end %d, cols %d, vals %d",
-			m.RowPtr[m.Rows], len(m.Cols), len(m.Vals))
-	}
-	for lo := 0; lo < m.Rows; lo += slabValidateChunkRows {
-		hi := lo + slabValidateChunkRows
-		if hi > m.Rows {
-			hi = m.Rows
-		}
-		for i := lo; i < hi; i++ {
-			if m.RowPtr[i] > m.RowPtr[i+1] {
-				return fmt.Errorf("linalg: row %d has negative extent", i)
-			}
-			// Bound before indexing: monotonicity alone does not keep an
-			// adversarial RowPtr inside the entry arrays (see
-			// (*CSR).validateRowRange).
-			if m.RowPtr[i] < 0 || m.RowPtr[i+1] > int64(len(m.Cols)) {
-				return fmt.Errorf("linalg: row %d extent [%d,%d) outside the %d stored entries",
-					i, m.RowPtr[i], m.RowPtr[i+1], len(m.Cols))
-			}
-			a, b := m.RowPtr[i], m.RowPtr[i+1]
-			for k := a; k < b; k++ {
-				c := m.Cols[k]
-				if c < 0 || int(c) >= m.ColsN {
-					return fmt.Errorf("linalg: row %d col %d out of range [0,%d)", i, c, m.ColsN)
-				}
-				if k > a && m.Cols[k-1] >= c {
-					return fmt.Errorf("linalg: row %d columns not strictly increasing", i)
-				}
-				if v := m.Vals[k]; v != v || v > math.MaxFloat32 || v < -math.MaxFloat32 {
-					return fmt.Errorf("linalg: row %d col %d non-finite value", i, c)
-				}
-			}
 		}
 		win.done(m.RowPtr[lo], m.RowPtr[hi])
 	}

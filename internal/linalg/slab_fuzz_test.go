@@ -2,11 +2,8 @@ package linalg
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
-
-	"sourcerank/internal/durable"
 )
 
 // slabPayload builds a valid committed slab for m and returns its payload
@@ -17,19 +14,21 @@ func slabPayload(f *testing.F, m *CSR, prec SlabPrecision) []byte {
 	if err := WriteSlabCSR(nil, path, m, prec); err != nil {
 		f.Fatal(err)
 	}
-	framed, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	payload, err := durable.Verify(framed)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return append([]byte(nil), payload...)
+	return slabFilePayload(f, path)
 }
 
-// FuzzSlabDecode drives arbitrary bytes through the slab header parser,
-// both decoders, and structural validation. The contract: any input
+// consumeSlab takes an accepted header down both consumption paths at
+// value type F.
+func consumeSlab[F Float](h slabHeader) {
+	_ = validateSlab(decodeSlab[F](h))
+	if am, ok := aliasSlab[F](h); ok {
+		_ = validateSlab(am)
+	}
+}
+
+// FuzzSlabDecode drives arbitrary bytes through the slab header parser
+// and, at the value type the header declares, the decoder, the in-place
+// view and structural validation. The contract: any input
 // either decodes to a structurally valid matrix or fails with a typed
 // error — never a panic, never an out-of-range slice into the payload.
 //
@@ -80,22 +79,10 @@ func FuzzSlabDecode(f *testing.F) {
 		// Header accepted: both consumption paths must stay in bounds.
 		// Structural defects (non-monotone rowptr, columns out of range,
 		// non-finite values) are caught by validation, not by faulting.
-		if h.valKind == 0 {
-			m, err := decodeSlabCSR(h)
-			if err == nil {
-				_ = validateSlabCSR(m)
-			}
-			if am, ok := aliasSlabCSR(h); ok {
-				_ = validateSlabCSR(am)
-			}
+		if h.valKind == uint32(Float64) {
+			consumeSlab[float64](h)
 		} else {
-			m, err := decodeSlabCSR32(h)
-			if err == nil {
-				_ = validateSlabCSR32(m)
-			}
-			if am, ok := aliasSlabCSR32(h); ok {
-				_ = validateSlabCSR32(am)
-			}
+			consumeSlab[float32](h)
 		}
 	})
 }

@@ -64,7 +64,7 @@ func residencyFixture(t *testing.T, k int) (*slabResidency, *recAdviser) {
 		rowPtr: make([]byte, 8*(resRows+1))}
 	budget := int64(len(h.rowPtr)) + resDense + 4*int64(k)*resStripe*resEntryW + 7
 	adv := &recAdviser{}
-	return newSlabResidency(adv, h, 8, budget), adv
+	return newSlabResidency(adv, h, budget), adv
 }
 
 // sectionRanges splits the Release calls among calls into the entry

@@ -2,11 +2,13 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sourcerank/internal/durable"
@@ -33,7 +35,11 @@ func sameBits(t *testing.T, name string, a, b Vector) {
 	}
 }
 
-func TestSlabRoundTripFloat64(t *testing.T) {
+// testSlabRoundTrip commits each fixture as a slab of F's precision and
+// checks the reopened matrix, with and without a residency budget, against
+// want(fixture) bit for bit.
+func testSlabRoundTrip[F Float](t *testing.T, want func(*CSR) *Matrix[F]) {
+	prec := precisionOf[F]()
 	for _, tc := range []struct {
 		name string
 		m    *CSR
@@ -45,20 +51,20 @@ func TestSlabRoundTripFloat64(t *testing.T) {
 		{"hub", hubCSR(t, 64, 64, 2000, 0.5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			path := writeSlabTemp(t, tc.m, SlabFloat64)
+			path := writeSlabTemp(t, tc.m, prec)
 			st, err := os.Stat(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := SlabFileBytes(tc.m.Rows, int64(tc.m.NNZ()), SlabFloat64); st.Size() != want {
+			if want := SlabFileBytes(tc.m.Rows, int64(tc.m.NNZ()), prec); st.Size() != want {
 				t.Fatalf("file size %d, want SlabFileBytes %d", st.Size(), want)
 			}
 			for _, budget := range []int64{0, 1 << 20} {
-				s, err := OpenSlabCSR(path, SlabOpenOptions{MaxResident: budget})
+				s, err := OpenSlab[F](path, SlabOpenOptions{MaxResident: budget})
 				if err != nil {
-					t.Fatalf("OpenSlabCSR(budget=%d): %v", budget, err)
+					t.Fatalf("OpenSlab(budget=%d): %v", budget, err)
 				}
-				sameCSR(t, tc.name, tc.m, s.Matrix())
+				sameCSR(t, tc.name, want(tc.m), s.Matrix())
 				if err := s.Close(); err != nil {
 					t.Fatalf("Close: %v", err)
 				}
@@ -70,42 +76,105 @@ func TestSlabRoundTripFloat64(t *testing.T) {
 	}
 }
 
-func TestSlabRoundTripFloat32(t *testing.T) {
-	m := randCSR(t, 9, 41, 47, 500)
-	want := NewCSR32(m)
-	path := writeSlabTemp(t, m, SlabFloat32)
-	st, err := os.Stat(path)
+func TestSlabRoundTripFloat64(t *testing.T) {
+	testSlabRoundTrip(t, func(m *CSR) *CSR { return m })
+}
+
+// A float32 slab must reopen to NewCSR32's bits: the writer narrows
+// exactly as the in-RAM mirror does.
+func TestSlabRoundTripFloat32(t *testing.T) { testSlabRoundTrip(t, NewCSR32) }
+
+// slabFilePayload reads a committed slab back and returns its payload with
+// the durable trailer stripped.
+func slabFilePayload(t testing.TB, path string) []byte {
+	t.Helper()
+	framed, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantSz := SlabFileBytes(m.Rows, int64(m.NNZ()), SlabFloat32); st.Size() != wantSz {
-		t.Fatalf("file size %d, want SlabFileBytes %d", st.Size(), wantSz)
+	payload, err := durable.Verify(framed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, budget := range []int64{0, 1 << 20} {
-		s, err := OpenSlabCSR32(path, SlabOpenOptions{MaxResident: budget})
-		if err != nil {
-			t.Fatalf("OpenSlabCSR32(budget=%d): %v", budget, err)
-		}
-		got := s.Matrix()
-		if got.Rows != want.Rows || got.ColsN != want.ColsN || got.NNZ() != want.NNZ() {
-			t.Fatalf("shape mismatch")
-		}
-		for i := range want.RowPtr {
-			if got.RowPtr[i] != want.RowPtr[i] {
-				t.Fatalf("RowPtr[%d] differs", i)
+	return append([]byte(nil), payload...)
+}
+
+// testSlabValidation commits structurally hostile 3x3 slabs behind a valid
+// CRC trailer — the one thing a forged file gets for free — and requires
+// the open-time sweep to name the defect, both through the mapped view and
+// through the copy-decode fallback a misaligned view takes.
+func testSlabValidation[F Float](t *testing.T) {
+	nan, inf := F(math.NaN()), F(math.Inf(1))
+	for _, tc := range []struct {
+		name   string
+		rowPtr []int64
+		cols   []int32
+		vals   []F
+		want   string // substring of the error; "" means the slab is valid
+	}{
+		{"valid", []int64{0, 2, 2, 3}, []int32{1, 2, 0}, []F{0.5, 0.5, 1}, ""},
+		{"NaN", []int64{0, 2, 2, 3}, []int32{1, 2, 0}, []F{0.5, nan, 1}, "non-finite"},
+		{"+Inf", []int64{0, 2, 2, 3}, []int32{1, 2, 0}, []F{inf, 0.5, 1}, "non-finite"},
+		{"-Inf", []int64{0, 2, 2, 3}, []int32{1, 2, 0}, []F{0.5, 0.5, -inf}, "non-finite"},
+		{"column past the end", []int64{0, 2, 2, 3}, []int32{1, 3, 0}, []F{0.5, 0.5, 1}, "out of range"},
+		{"negative column", []int64{0, 2, 2, 3}, []int32{1, 2, -1}, []F{0.5, 0.5, 1}, "out of range"},
+		{"decreasing columns", []int64{0, 2, 2, 3}, []int32{2, 1, 0}, []F{0.5, 0.5, 1}, "not strictly increasing"},
+		{"repeated column", []int64{0, 2, 2, 3}, []int32{1, 1, 0}, []F{0.5, 0.5, 1}, "not strictly increasing"},
+		{"row past the entries", []int64{0, 5, 5, 3}, []int32{1, 2, 0}, []F{0.5, 0.5, 1}, "outside the 3 stored entries"},
+		{"row before the entries", []int64{0, -1, 2, 3}, []int32{1, 2, 0}, []F{0.5, 0.5, 1}, "negative extent"},
+		{"shrinking row pointer", []int64{0, 2, 1, 3}, []int32{1, 2, 0}, []F{0.5, 0.5, 1}, "negative extent"},
+		{"row pointer anchor", []int64{1, 2, 2, 3}, []int32{1, 2, 0}, []F{0.5, 0.5, 1}, "RowPtr[0]"},
+		{"row pointer end", []int64{0, 2, 2, 2}, []int32{1, 2, 0}, []F{0.5, 0.5, 1}, "storage lengths inconsistent"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "m.slab")
+			err := WriteSlabFile(nil, path, precisionOf[F](), SlabSections{
+				Rows: 3, Cols: 3, NNZ: 3,
+				RowPtr: func(w io.Writer) error { return WriteSection(w, tc.rowPtr) },
+				ColIdx: func(w io.Writer) error { return WriteSection(w, tc.cols) },
+				Values: func(w io.Writer) error { return WriteSection(w, tc.vals) },
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for k := range want.Vals {
-			if got.Cols[k] != want.Cols[k] {
-				t.Fatalf("Cols[%d] differs", k)
+			check := func(via string, m *Matrix[F], err error) {
+				t.Helper()
+				if tc.want != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("%s: err = %v, want one naming %q", via, err, tc.want)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", via, err)
+				}
+				sameCSR(t, via, &Matrix[F]{Rows: 3, ColsN: 3, RowPtr: tc.rowPtr, Cols: tc.cols, Vals: tc.vals}, m)
 			}
-			if math.Float32bits(got.Vals[k]) != math.Float32bits(want.Vals[k]) {
-				t.Fatalf("Vals[%d]: %x != %x (narrowing must match NewCSR32)", k,
-					math.Float32bits(got.Vals[k]), math.Float32bits(want.Vals[k]))
+			for _, budget := range []int64{0, 64} {
+				s, err := OpenSlab[F](path, SlabOpenOptions{MaxResident: budget})
+				var m *Matrix[F]
+				if err == nil {
+					m = s.Matrix()
+					defer s.Close()
+				}
+				check(fmt.Sprintf("mapped, budget %d", budget), m, err)
 			}
-		}
-		s.Close()
+			// One byte off any alignment, the view cannot alias its sections
+			// and must decode them instead.
+			payload := slabFilePayload(t, path)
+			shifted := append(make([]byte, 1, 1+len(payload)), payload...)[1:]
+			m, aliased, err := slabView[F](nil, shifted, 0)
+			if aliased {
+				t.Fatal("misaligned payload was aliased in place")
+			}
+			check("decoded", m, err)
+		})
 	}
+}
+
+func TestSlabValidation(t *testing.T) {
+	t.Run("float64", testSlabValidation[float64])
+	t.Run("float32", testSlabValidation[float32])
 }
 
 func TestSlabOpenWrongKind(t *testing.T) {
@@ -115,7 +184,7 @@ func TestSlabOpenWrongKind(t *testing.T) {
 	if _, err := OpenSlabCSR(p32, SlabOpenOptions{}); !errors.Is(err, ErrSlabFormat) {
 		t.Fatalf("OpenSlabCSR on float32 slab = %v, want ErrSlabFormat", err)
 	}
-	if _, err := OpenSlabCSR32(p64, SlabOpenOptions{}); !errors.Is(err, ErrSlabFormat) {
+	if _, err := OpenSlab[float32](p64, SlabOpenOptions{}); !errors.Is(err, ErrSlabFormat) {
 		t.Fatalf("OpenSlabCSR32 on float64 slab = %v, want ErrSlabFormat", err)
 	}
 }
@@ -253,7 +322,7 @@ func TestSlabSolve32BitwiseIdentical(t *testing.T) {
 	tele := NewUniformVector(pt.Rows)
 	opt := SolverOptions{Workers: 1}
 	mem32 := NewCSR32(pt)
-	ref, st, err := PowerMethodT32(mem32, alpha, tele, nil, opt)
+	ref, st, err := PowerMethodT(mem32, alpha, tele, nil, opt)
 	if err != nil || !st.Converged {
 		t.Fatalf("reference float32 solve: %v %+v", err, st)
 	}
@@ -262,11 +331,11 @@ func TestSlabSolve32BitwiseIdentical(t *testing.T) {
 	budgets, windows := slabWindowBudgets(pt.Rows, pt.NNZ(), 8, (8+3*4+8)*int64(pt.Rows))
 	for bi, budget := range budgets {
 		for _, workers := range []int{1, 2, 4} {
-			s, err := OpenSlabCSR32(path, SlabOpenOptions{MaxResident: budget})
+			s, err := OpenSlab[float32](path, SlabOpenOptions{MaxResident: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st, err := PowerMethodT32(s.Matrix(), alpha, tele, nil, SolverOptions{Workers: workers})
+			got, st, err := PowerMethodT(s.Matrix(), alpha, tele, nil, SolverOptions{Workers: workers})
 			if err != nil || !st.Converged {
 				t.Fatalf("slab32 solve (budget=%d workers=%d): %v %+v", budget, workers, err, st)
 			}

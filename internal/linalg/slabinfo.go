@@ -8,7 +8,7 @@ import (
 
 // SlabInfo summarizes a slab file's header without mapping the file.
 type SlabInfo struct {
-	Precision SlabPrecision
+	Precision Precision
 	Rows      int
 	Cols      int
 	NNZ       int64
@@ -36,34 +36,17 @@ func ReadSlabInfo(fsys durable.FS, path string) (SlabInfo, error) {
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return SlabInfo{}, slabErrf(0, "short header: %v", err)
 	}
-	// Reuse the payload parser's field validation by handing it the bare
-	// header with section bounds checks skipped: build a zero payload of
-	// the declared size is wasteful, so validate the fixed fields here.
-	u32 := func(off int) uint32 {
-		b := hdr[off:]
-		return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	h, err := parseSlabFixed(hdr[:])
+	if err != nil {
+		return SlabInfo{}, err
 	}
-	u64 := func(off int) uint64 {
-		return uint64(u32(off)) | uint64(u32(off+4))<<32
-	}
-	if got := u32(0); got != slabMagic {
-		return SlabInfo{}, slabErrf(0, "bad magic %#x, want %#x", got, slabMagic)
-	}
-	if got := u32(4); got != slabVersion {
-		return SlabInfo{}, slabErrf(4, "unsupported version %d", got)
-	}
-	valKind := u32(8)
-	if valKind > 1 {
-		return SlabInfo{}, slabErrf(8, "unknown value kind %d", valKind)
-	}
-	info := SlabInfo{
-		Precision: SlabPrecision(valKind),
-		Rows:      int(u64(16)),
-		Cols:      int(u64(24)),
-		NNZ:       int64(u64(32)),
+	return SlabInfo{
+		Precision: Precision(h.valKind),
+		Rows:      h.rows,
+		Cols:      h.colsN,
+		NNZ:       h.nnz,
 		HeaderCRC: crc32cSum(hdr[:]),
-	}
-	return info, nil
+	}, nil
 }
 
 // crc32cSum hashes data with the same CRC32-C durable's trailer uses.

@@ -1,6 +1,9 @@
 package linalg
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // IterStats records the outcome of an iterative solve.
 type IterStats struct {
@@ -16,11 +19,6 @@ type SolverOptions struct {
 	Tol     float64 // convergence threshold on successive-iterate distance; default 1e-9
 	MaxIter int     // iteration cap; default 1000
 	Workers int     // goroutines for SpMV; <=0 means GOMAXPROCS
-	// Dist overrides the convergence measure (default L2Distance). The
-	// fused kernels compute the default norm in-pass; setting a custom
-	// Dist routes PowerMethodT/JacobiAffineT through the generic unfused
-	// iteration instead.
-	Dist func(a, b Vector) float64
 	// CheckEvery computes the convergence residual only on every k-th
 	// iteration (and always on the MaxIter-th), letting the iterations
 	// in between skip the norm entirely. <= 1 checks every iteration.
@@ -43,9 +41,6 @@ func (o SolverOptions) withDefaults() SolverOptions {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 1000
 	}
-	if o.Dist == nil {
-		o.Dist = L2Distance
-	}
 	return o
 }
 
@@ -59,45 +54,30 @@ func (o SolverOptions) checkEvery() int {
 // ErrDimension reports mismatched operand sizes passed to a solver.
 var ErrDimension = errors.New("linalg: dimension mismatch")
 
-// FixedPoint iterates x_{k+1} = step(x_k) until the configured distance
-// between successive iterates drops below Tol or MaxIter is reached.
-// step must write its result into dst and may read but not modify src.
-// The returned vector is a fresh allocation-free alias of the final
-// internal buffer; callers must not retain x0. A Progress abort is not
-// observable here; use FixedPointChecked when Progress can fail.
-func FixedPoint(x0 Vector, step func(dst, src Vector), opt SolverOptions) (Vector, IterStats) {
-	x, st, _ := FixedPointChecked(x0, step, opt)
-	return x, st
-}
+// Float32Tol is the tightest convergence threshold a float32 solve
+// accepts. Successive float32 iterates cannot separate below the storage
+// rounding noise (≈ 2⁻²⁴·‖x‖ per entry, ~6e-8·‖x‖₂ in aggregate), so a
+// requested tolerance below this floor would spin to MaxIter without
+// converging; the solvers clamp up to it instead.
+const Float32Tol = 1e-7
 
-// FixedPointChecked is FixedPoint with Progress-abort reporting: when
-// opt.Progress returns an error the iteration stops and that error is
-// returned alongside the last completed iterate and its stats.
-func FixedPointChecked(x0 Vector, step func(dst, src Vector), opt SolverOptions) (Vector, IterStats, error) {
-	opt = opt.withDefaults()
-	check := opt.checkEvery()
-	cur := x0.Clone()
-	next := NewVector(len(x0))
-	var st IterStats
-	for st.Iterations = 1; st.Iterations <= opt.MaxIter; st.Iterations++ {
-		step(next, cur)
-		wantRes := st.Iterations%check == 0 || st.Iterations == opt.MaxIter
-		if wantRes {
-			st.Residual = opt.Dist(next, cur)
-		}
-		cur, next = next, cur
-		if opt.Progress != nil {
-			if err := opt.Progress(st.Iterations, cur); err != nil {
-				return cur, st, err
-			}
-		}
-		if wantRes && st.Residual < opt.Tol {
-			st.Converged = true
-			return cur, st, nil
-		}
+// ErrFloat32Solver reports a solver feature that a float32 solve does not
+// support: a Progress callback observes float64 iterates the float32
+// kernel never materializes. Callers needing one (e.g. checkpointed
+// solves) must solve at float64.
+var ErrFloat32Solver = errors.New("linalg: Progress not supported by float32 solves")
+
+// narrow returns v at value type F: v itself at float64, an entrywise
+// rounding (to nearest even) at float32.
+func narrow[F Float](v Vector) []F {
+	if w, ok := any([]float64(v)).([]F); ok {
+		return w
 	}
-	st.Iterations = opt.MaxIter
-	return cur, st, nil
+	w := make([]F, len(v))
+	for i, x := range v {
+		w[i] = F(x)
+	}
+	return w
 }
 
 // JacobiAffine solves x = c·Aᵀx + b by Jacobi iteration, the "convenient
@@ -108,7 +88,7 @@ func FixedPointChecked(x0 Vector, step func(dst, src Vector), opt SolverOptions)
 //
 // The iteration converges for any 0 <= c < 1 because the spectral radius
 // of c·Aᵀ is at most c.
-func JacobiAffine(a *CSR, c float64, b Vector, opt SolverOptions) (Vector, IterStats, error) {
+func JacobiAffine[F Float](a *Matrix[F], c float64, b Vector, opt SolverOptions) (Vector, IterStats, error) {
 	if a.Rows != a.ColsN || len(b) != a.Rows {
 		return nil, IterStats{}, ErrDimension
 	}
@@ -119,55 +99,47 @@ func JacobiAffine(a *CSR, c float64, b Vector, opt SolverOptions) (Vector, IterS
 // at must be Aᵀ for the system x = c·Aᵀx + b. Callers that solve several
 // systems against the same matrix (or hold a cached transpose, see
 // source.Graph) use this to avoid re-materializing Aᵀ per solve.
-// Each iteration runs on the fused affine kernel (SpMV, scale, bias add,
-// and residual in one parallel pass) unless a custom Dist is set.
-func JacobiAffineT(at *CSR, c float64, b Vector, opt SolverOptions) (Vector, IterStats, error) {
+// Each iteration runs on the fused affine kernel: SpMV, scale, bias add,
+// and residual in one parallel pass. The value type of at is the
+// precision of the solve: see PowerMethodT.
+func JacobiAffineT[F Float](at *Matrix[F], c float64, b Vector, opt SolverOptions) (Vector, IterStats, error) {
 	if at.Rows != at.ColsN || len(b) != at.Rows {
 		return nil, IterStats{}, ErrDimension
 	}
-	if opt.Dist != nil {
-		// A custom convergence measure cannot be fused; fall back to the
-		// generic unfused iteration.
-		opt = opt.withDefaults()
-		return FixedPointChecked(b.Clone(), func(dst, src Vector) {
-			MulVecParallel(at, src, dst, opt.Workers)
-			dst.Scale(c)
-			dst.Axpy(1, b)
-		}, opt)
-	}
-	k, err := NewFusedAffine(at, c, b, ResidualL2, opt.Workers)
+	bias := narrow[F](b)
+	k, err := newFusedKernel(at, c, bias, true, ResidualL2, opt.Workers)
 	if err != nil {
 		return nil, IterStats{}, err
 	}
 	defer k.Close()
-	return iterateFused(k, b, opt)
+	return iterateFused(k, slices.Clone(bias), opt)
 }
 
-// PowerMethod computes the stationary distribution of the row-stochastic
-// chain P̂ = c·Pᵀ + teleportation. Rather than forming the dense rank-one
+// PowerMethodT computes the stationary distribution of the row-stochastic
+// chain P̂ = c·Pᵀ + teleportation from the pre-transposed operand pt = Pᵀ
+// (the spam-proximity walk's reverse operand, the cached source-graph
+// transpose, a slab-backed Mᵀ). Rather than forming the dense rank-one
 // teleportation term, each iteration computes y = c·Pᵀx, then adds the
 // lost probability mass (1 - ||y||₁) times the teleport distribution t.
 // This treatment also absorbs dangling rows (rows of P summing to zero):
 // their mass is redistributed according to t, the standard PageRank fix.
+// Each iteration runs on the fused power kernel (see FusedPower) with zero
+// per-iteration allocation.
 //
 // t must be a probability distribution (nonnegative, sums to 1); x0, if
 // nil, defaults to t.
-func PowerMethod(p *CSR, c float64, t Vector, x0 Vector, opt SolverOptions) (Vector, IterStats, error) {
-	if p.Rows != p.ColsN || len(t) != p.Rows {
-		return nil, IterStats{}, ErrDimension
-	}
-	return PowerMethodT(p.TransposeParallel(opt.Workers), c, t, x0, opt)
-}
-
-// PowerMethodT is PowerMethod with the transpose already materialized:
-// pt must be Pᵀ for the chain P. Callers holding a pre-transposed or
-// directly-constructed reverse operand (the spam-proximity walk, the
-// cached source-graph transpose) use this to skip the per-solve
-// transpose; the iteration is identical to PowerMethod's. Each
-// iteration runs on the fused power kernel (see FusedPower) unless a
-// custom Dist is set, producing the same bits as the unfused sequence
-// with zero per-iteration allocation.
-func PowerMethodT(pt *CSR, c float64, t Vector, x0 Vector, opt SolverOptions) (Vector, IterStats, error) {
+//
+// The value type of pt is the precision of the solve. Over a CSR32 the
+// iterate, matrix values and teleport are stored at float32 — t and x0
+// are narrowed once on entry — while every accumulation runs in float64,
+// and the converged iterate is widened exactly back to a float64 Vector,
+// so downstream ranking code is precision-agnostic. A float32 solve
+// clamps tolerances below Float32Tol up to it and rejects Progress with
+// ErrFloat32Solver. Results are bitwise identical across worker counts at
+// either precision, but the float32 result differs from the float64 one
+// in low-order bits — rank fidelity between the two is certified by
+// internal/rankeval, not by bit equality.
+func PowerMethodT[F Float](pt *Matrix[F], c float64, t Vector, x0 Vector, opt SolverOptions) (Vector, IterStats, error) {
 	if pt.Rows != pt.ColsN || len(t) != pt.Rows {
 		return nil, IterStats{}, ErrDimension
 	}
@@ -177,59 +149,68 @@ func PowerMethodT(pt *CSR, c float64, t Vector, x0 Vector, opt SolverOptions) (V
 	if len(x0) != pt.Rows {
 		return nil, IterStats{}, ErrDimension
 	}
-	if opt.Dist != nil {
-		// A custom convergence measure cannot be fused; fall back to the
-		// generic unfused iteration.
-		opt = opt.withDefaults()
-		return FixedPointChecked(x0, func(dst, src Vector) {
-			MulVecParallel(pt, src, dst, opt.Workers)
-			dst.Scale(c)
-			lost := 1 - dst.Sum()
-			if lost < 0 {
-				lost = 0
-			}
-			dst.Axpy(lost, t)
-		}, opt)
-	}
-	k, err := NewFusedPower(pt, c, t, ResidualL2, opt.Workers)
-	if err != nil {
-		return nil, IterStats{}, err
-	}
-	defer k.Close()
-	return iterateFused(k, x0, opt)
+	return powerSolve(pt, c, narrow[F](t), slices.Clone(narrow[F](x0)), opt)
 }
 
 // PowerMethodTUniform is PowerMethodT specialized to the uniform
 // teleport distribution t[i] = 1/n held implicitly, with x0 = t: the
 // classic PageRank configuration. The result is bitwise identical to
-// PowerMethodT(pt, c, uniform, nil, opt) at every worker count, but the
-// solve keeps only the two ping-pong iterate vectors resident — no
-// teleport vector, no retained x0 — which is what lets a slab-backed
-// solve of a larger-than-budget operand stay under its residency cap
-// (the dense vectors are the entire heap-side footprint; the matrix
-// streams through the page cache).
-func PowerMethodTUniform(pt *CSR, c float64, opt SolverOptions) (Vector, IterStats, error) {
+// PowerMethodT(pt, c, NewUniformVector(n), nil, opt) at every worker
+// count and either precision — the implicit scalar is the uniform value
+// narrowed to F exactly as the dense path would store it — but the solve
+// keeps only the two ping-pong iterate vectors resident (no teleport
+// vector, no retained x0), which is what lets a slab-backed solve of a
+// larger-than-budget operand stay under its residency cap (the dense
+// vectors are the entire heap-side footprint; the matrix streams through
+// the page cache).
+func PowerMethodTUniform[F Float](pt *Matrix[F], c float64, opt SolverOptions) (Vector, IterStats, error) {
 	if pt.Rows != pt.ColsN || pt.Rows == 0 {
 		return nil, IterStats{}, ErrDimension
 	}
-	n := pt.Rows
-	tv := 1 / float64(n)
-	if opt.Dist != nil {
-		// The unfused fallback needs the teleport materialized anyway.
-		t := NewVector(n)
-		for i := range t {
-			t[i] = tv
-		}
-		return PowerMethodT(pt, c, t, nil, opt)
+	cur := make([]F, pt.Rows)
+	tv := F(1 / float64(pt.Rows))
+	for i := range cur {
+		cur[i] = tv
 	}
-	k, err := NewFusedPowerUniform(pt, c, ResidualL2, opt.Workers)
+	return powerSolve(pt, c, nil, cur, opt)
+}
+
+// PowerMethodT32Uniform is PowerMethodTUniform over a CSR32, kept under
+// its old name for benchmark/surface.go, which this repository's
+// benchmark contract freezes.
+func PowerMethodT32Uniform(pt *CSR32, c float64, opt SolverOptions) (Vector, IterStats, error) {
+	return PowerMethodTUniform(pt, c, opt)
+}
+
+// powerSolve runs the power iteration from cur, which it takes ownership
+// of; a nil t is the uniform teleport (see NewFusedPower).
+func powerSolve[F Float](pt *Matrix[F], c float64, t, cur []F, opt SolverOptions) (Vector, IterStats, error) {
+	k, err := newFusedKernel(pt, c, t, false, ResidualL2, opt.Workers)
 	if err != nil {
 		return nil, IterStats{}, err
 	}
 	defer k.Close()
-	cur := NewVector(n)
-	for i := range cur {
-		cur[i] = tv
+	return iterateFused(k, cur, opt)
+}
+
+// Gini returns the Gini coefficient of a nonnegative vector: 0 for a
+// perfectly uniform distribution, approaching 1 as the mass concentrates
+// on a single entry. Ranking-score inequality is a standard diagnostic
+// for how "spread" an authority distribution is.
+func Gini(v Vector) float64 {
+	n := len(v)
+	if n == 0 {
+		return 0
 	}
-	return iterateFusedOwned(k, cur, opt)
+	sorted := v.Clone()
+	slices.Sort(sorted)
+	var cum, total float64
+	for i, x := range sorted {
+		cum += float64(i+1) * x
+		total += x
+	}
+	if total == 0 {
+		return 0
+	}
+	return (2*cum/(float64(n)*total) - float64(n+1)/float64(n))
 }

@@ -8,19 +8,19 @@ import (
 
 // TestPowerMethodT32UniformMatchesExplicit pins the float32 implicit
 // uniform teleport against the materialized path: at every worker count
-// the uniform solve must reproduce PowerMethodT32 with a dense uniform
+// the uniform solve must reproduce PowerMethodT with a dense uniform
 // teleport bit for bit, including the iteration count.
 func TestPowerMethodT32UniformMatchesExplicit(t *testing.T) {
 	forceFusedParallel(t)
 	n := 240
 	pt := randChain(t, 59, n).Transpose()
 	pt32 := NewCSR32(pt)
-	want, wantSt, err := PowerMethodT32(pt32, 0.85, NewUniformVector(n), nil, SolverOptions{})
+	want, wantSt, err := PowerMethodT(pt32, 0.85, NewUniformVector(n), nil, SolverOptions{})
 	if err != nil || !wantSt.Converged {
 		t.Fatalf("explicit solve: %v %+v", err, wantSt)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		got, st, err := PowerMethodT32Uniform(pt32, 0.85, SolverOptions{Workers: workers})
+		got, st, err := PowerMethodTUniform(pt32, 0.85, SolverOptions{Workers: workers})
 		if err != nil || !st.Converged {
 			t.Fatalf("workers=%d uniform solve: %v %+v", workers, err, st)
 		}
@@ -37,15 +37,13 @@ func TestPowerMethodT32UniformMatchesExplicit(t *testing.T) {
 
 // TestPowerMethodT32UniformSlabBitwise closes the out-of-core loop: the
 // implicit-uniform float32 solve over a residency-capped slab — the
-// exact configuration cmd/bench -mode outofcore runs — must engage the
-// streamed blocked path and reproduce the in-heap explicit-teleport
-// solve bit for bit at every worker count.
+// exact configuration cmd/bench -mode outofcore runs — must reproduce
+// the in-heap explicit-teleport solve bit for bit at every worker count.
 func TestPowerMethodT32UniformSlabBitwise(t *testing.T) {
 	forceFusedParallel(t)
-	forceBlocked32(t, 16)
 	n := 250
 	pt := randChain(t, 61, n).Transpose()
-	want, wantSt, err := PowerMethodT32(NewCSR32(pt), 0.85, NewUniformVector(n), nil, SolverOptions{})
+	want, wantSt, err := PowerMethodT(NewCSR32(pt), 0.85, NewUniformVector(n), nil, SolverOptions{})
 	if err != nil || !wantSt.Converged {
 		t.Fatalf("in-heap solve: %v %+v", err, wantSt)
 	}
@@ -54,11 +52,11 @@ func TestPowerMethodT32UniformSlabBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		sm, err := OpenSlabCSR32(path, SlabOpenOptions{MaxResident: 4096})
+		sm, err := OpenSlab[float32](path, SlabOpenOptions{MaxResident: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := PowerMethodT32Uniform(sm.Matrix(), 0.85, SolverOptions{Workers: workers})
+		got, st, err := PowerMethodTUniform(sm.Matrix(), 0.85, SolverOptions{Workers: workers})
 		if err != nil || !st.Converged {
 			t.Fatalf("workers=%d slab solve: %v %+v", workers, err, st)
 		}

@@ -11,9 +11,7 @@ func TestFixedPointCheckedProgressObservesEveryIteration(t *testing.T) {
 		iters = append(iters, iter)
 		return nil
 	}}
-	_, st, err := FixedPointChecked(Vector{0}, func(dst, src Vector) {
-		dst[0] = src[0]/2 + 1
-	}, opt)
+	_, st, err := scalarAffine(t, 0.5, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +27,7 @@ func TestFixedPointCheckedProgressObservesEveryIteration(t *testing.T) {
 
 func TestFixedPointCheckedProgressAbort(t *testing.T) {
 	boom := errors.New("boom")
-	_, st, err := FixedPointChecked(Vector{0}, func(dst, src Vector) {
-		dst[0] = src[0]/2 + 1
-	}, SolverOptions{Tol: 1e-12, MaxIter: 50, Progress: func(iter int, x Vector) error {
+	_, st, err := scalarAffine(t, 0.5, 1, SolverOptions{Tol: 1e-12, MaxIter: 50, Progress: func(iter int, x Vector) error {
 		if iter == 3 {
 			return boom
 		}
@@ -54,7 +50,7 @@ func TestPowerMethodPropagatesProgressError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("disk gone")
-	_, _, err = PowerMethod(m, 0.85, NewUniformVector(2), nil, SolverOptions{
+	_, _, err = powerMethod(m, 0.85, NewUniformVector(2), nil, SolverOptions{
 		Progress: func(iter int, x Vector) error { return boom },
 	})
 	if !errors.Is(err, boom) {

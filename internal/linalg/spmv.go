@@ -64,15 +64,14 @@ func MulVecParallel(m *CSR, x, dst Vector, workers int) {
 
 // partitionRowsByNNZ splits [0, m.Rows) into workers contiguous ranges of
 // approximately equal nonzero count. It returns workers+1 boundaries.
-func partitionRowsByNNZ(m *CSR, workers int) []int {
+func partitionRowsByNNZ[F Float](m *Matrix[F], workers int) []int {
 	return partitionPtrByNNZ(m.RowPtr, m.Rows, workers)
 }
 
-// partitionPtrByNNZ is partitionRowsByNNZ on a bare row-pointer array,
-// shared with the float32 mirror (which reuses its source CSR's RowPtr,
-// so both precisions see identical stripe boundaries) and with
-// slab-backed operands, whose memory-mapped RowPtr section stripes
-// through here untouched.
+// partitionPtrByNNZ is partitionRowsByNNZ on a bare row-pointer array: a
+// float32 mirror reuses its source CSR's RowPtr, so both precisions see
+// identical stripe boundaries, and a slab-backed operand's memory-mapped
+// RowPtr section stripes through here untouched.
 func partitionPtrByNNZ(rowPtr []int64, rows, workers int) []int {
 	bounds := make([]int, workers+1)
 	bounds[workers] = rows
@@ -105,7 +104,7 @@ func partitionPtrByNNZ(rowPtr []int64, rows, workers int) []int {
 	return bounds
 }
 
-func checkMulDims(m *CSR, x, dst Vector) {
+func checkMulDims[F Float](m *Matrix[F], x, dst []F) {
 	if len(x) != m.ColsN {
 		panic(fmt.Sprintf("linalg: MulVec x length %d, want %d", len(x), m.ColsN))
 	}

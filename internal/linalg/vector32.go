@@ -3,22 +3,16 @@ package linalg
 // Vector32 is a dense float32 vector: the bandwidth-oriented mirror of
 // Vector used by the float32 scoring path. A Vector32 iterate moves half
 // the bytes of a Vector through the memory hierarchy per solver sweep;
-// reductions over it (Sum, the kernels' residuals) accumulate in float64
-// so precision is lost only in the stored representation, never in the
-// summation.
+// reductions over it (the kernel's lost-mass sum and residual) accumulate
+// in float64, so precision is lost only in the stored representation,
+// never in the summation.
 type Vector32 []float32
 
 // NewVector32 returns a zero vector of length n.
 func NewVector32(n int) Vector32 { return make(Vector32, n) }
 
 // ToVector32 narrows v entrywise (round to nearest even).
-func ToVector32(v Vector) Vector32 {
-	w := make(Vector32, len(v))
-	for i, x := range v {
-		w[i] = float32(x)
-	}
-	return w
-}
+func ToVector32(v Vector) Vector32 { return narrow[float32](v) }
 
 // Vector widens v entrywise back to float64; the conversion is exact.
 func (v Vector32) Vector() Vector {
@@ -34,21 +28,4 @@ func (v Vector32) Clone() Vector32 {
 	w := make(Vector32, len(v))
 	copy(w, v)
 	return w
-}
-
-// Fill sets every entry of v to x.
-func (v Vector32) Fill(x float32) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
-// Sum returns the sum of all entries, accumulated in float64 in index
-// order — the same fold the float32 kernels use for the lost-mass term.
-func (v Vector32) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += float64(x)
-	}
-	return s
 }

@@ -112,7 +112,14 @@ func Stationary(t *linalg.CSR, opt Options) (*Result, error) {
 // multiplies by the transpose, so callers that already hold Tᵀ (e.g. the
 // cached transpose on source.Graph, or the throttled matrix transposed
 // once per pipeline run) avoid re-materializing it per solve.
-func StationaryT(tt *linalg.CSR, opt Options) (*Result, error) {
+//
+// The value type of tt is the precision the iteration runs at. A caller
+// holding Tᵀ in float32 form (a float32 slab opened from disk, a mirror it
+// narrowed itself) iterates it directly, with no per-call narrowing copy;
+// opt.Precision = linalg.Float32 over a float64 operand narrows it once
+// per call with linalg.NewCSR32 — the same bits by the same rounding, so
+// the two routes agree bit for bit.
+func StationaryT[F linalg.Float](tt *linalg.Matrix[F], opt Options) (*Result, error) {
 	if tt.Rows == 0 {
 		return nil, ErrEmptyGraph
 	}
@@ -126,48 +133,17 @@ func StationaryT(tt *linalg.CSR, opt Options) (*Result, error) {
 	if opt.X0 != nil && len(opt.X0) != tt.Rows {
 		return nil, linalg.ErrDimension
 	}
-	scores, stats, err := powerMethodT(tt, opt.alpha(), tele, opt.X0, opt)
+	var res Result
+	var err error
+	if wide, ok := any(tt).(*linalg.CSR); ok && opt.Precision == linalg.Float32 {
+		res.Scores, res.Stats, err = linalg.PowerMethodT(linalg.NewCSR32(wide), opt.alpha(), tele, opt.X0, opt.solver())
+	} else {
+		res.Scores, res.Stats, err = linalg.PowerMethodT(tt, opt.alpha(), tele, opt.X0, opt.solver())
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Scores: scores, Stats: stats}, nil
-}
-
-// StationaryT32 is StationaryT over an already-narrowed transpose: the
-// caller holds Tᵀ in float32 form (e.g. a float32 slab opened from disk)
-// and the iteration runs on the float32 kernels directly, with no
-// per-call narrowing copy. Equivalent to StationaryT with
-// Options.Precision = linalg.Float32 when the float32 operand carries
-// the same bits as linalg.NewCSR32 of the float64 transpose.
-func StationaryT32(tt *linalg.CSR32, opt Options) (*Result, error) {
-	if tt.Rows == 0 {
-		return nil, ErrEmptyGraph
-	}
-	tele := opt.Teleport
-	if tele == nil {
-		tele = linalg.NewUniformVector(tt.Rows)
-	}
-	if len(tele) != tt.Rows {
-		return nil, linalg.ErrDimension
-	}
-	if opt.X0 != nil && len(opt.X0) != tt.Rows {
-		return nil, linalg.ErrDimension
-	}
-	scores, stats, err := linalg.PowerMethodT32(tt, opt.alpha(), tele, opt.X0, opt.solver())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Scores: scores, Stats: stats}, nil
-}
-
-// powerMethodT routes the power iteration by opt.Precision: the float64
-// reference solver, or the float32 bandwidth path (which narrows the
-// operand once per call and widens the result back).
-func powerMethodT(tt *linalg.CSR, alpha float64, tele, x0 linalg.Vector, opt Options) (linalg.Vector, linalg.IterStats, error) {
-	if opt.Precision == linalg.Float32 {
-		return linalg.PowerMethodT32(linalg.NewCSR32(tt), alpha, tele, x0, opt.solver())
-	}
-	return linalg.PowerMethodT(tt, alpha, tele, x0, opt.solver())
+	return &res, nil
 }
 
 // PageRankLinear solves the linear formulation π = αMᵀπ + (1-α)e by

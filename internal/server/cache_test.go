@@ -243,10 +243,10 @@ func TestQueryValueFastPath(t *testing.T) {
 		{"n=", "n", ""},
 		{"a=1&a=2", "a", "1"}, // first value, like url.Values.Get
 		{"flag", "flag", ""},
-		{"x=%32", "x", "2"},       // escaped: slow path decodes
-		{"x=a+b", "x", "a b"},     // '+' means space: slow path
-		{"%6e=5", "n", "5"},       // escaped key: slow path
-		{"a=1;n=5", "n", ""}, // ';' rejected by stdlib parser too
+		{"x=%32", "x", "2"},   // escaped: slow path decodes
+		{"x=a+b", "x", "a b"}, // '+' means space: slow path
+		{"%6e=5", "n", "5"},   // escaped key: slow path
+		{"a=1;n=5", "n", ""},  // ';' rejected by stdlib parser too
 	}
 	for _, c := range cases {
 		r := &http.Request{URL: &url.URL{RawQuery: c.raw}}

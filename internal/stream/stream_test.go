@@ -243,9 +243,9 @@ func TestApplyRejectsInvalidBatchAtomically(t *testing.T) {
 	// A page the graph does not have (but whose id is near-miss valid),
 	// reached only after valid deltas that must roll back with it.
 	bad := [][]Delta{
-		{AddPage(2), AddEdge(0, pagegraph.PageID(pages + 1))},      // staged page count off by one
+		{AddPage(2), AddEdge(0, pagegraph.PageID(pages+1))},        // staged page count off by one
 		{AddEdge(0, 1), AddPage(99)},                               // unknown source
-		{RemoveEdge(0, pagegraph.PageID(pages + 5))},               // unknown target page
+		{RemoveEdge(0, pagegraph.PageID(pages+5))},                 // unknown target page
 		{AddEdge(3, 3), {Op: Op(42)}},                              // unknown op
 		{TouchPage(pagegraph.PageID(pages))},                       // touch of unknown page
 		{AddSource("x.example"), AddPage(pagegraph.SourceID(999))}, // source id not the staged one
