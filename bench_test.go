@@ -385,7 +385,7 @@ func BenchmarkWarmStartRank(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RankFrom(sg, kappa, cold.Scores, core.Config{})
+		res, err := core.Rank(sg, kappa, core.Config{X0: cold.Scores})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -160,7 +160,7 @@ func sameSourceGraph(a, b *source.Graph) bool {
 
 func main() {
 	var (
-		mode    = flag.String("mode", "pipeline", "pipeline (stage timings), refresh (cold vs warm publish), stream (delta pipeline vs cold rebuild), bandwidth (float32 vs float64 kernel throughput), or outofcore (slab-backed solve under an RSS cap)")
+		mode    = flag.String("mode", "pipeline", "pipeline (stage timings), stream (delta pipeline vs cold rebuild), bandwidth (float32 vs float64 kernel throughput), or outofcore (slab-backed solve under an RSS cap)")
 		preset  = flag.String("preset", "UK2002", "synthetic corpus preset (UK2002, IT2004, WB2001)")
 		scale   = flag.Float64("scale", 0.02, "fraction of the preset's Table 1 size to generate")
 		seed    = flag.Uint64("seed", 1, "generator seed (pins the corpus)")
@@ -173,12 +173,6 @@ func main() {
 	flag.Parse()
 
 	switch *mode {
-	case "refresh":
-		if *out == "" {
-			*out = "BENCH_refresh.json"
-		}
-		runRefresh(*preset, *scale, *seed, *out, *workers)
-		return
 	case "stream":
 		if *out == "" {
 			*out = "BENCH_stream.json"
@@ -202,7 +196,7 @@ func main() {
 			*out = "BENCH_pipeline.json"
 		}
 	default:
-		fatal(fmt.Errorf("unknown -mode %q (want pipeline, refresh, stream, bandwidth, or outofcore)", *mode))
+		fatal(fmt.Errorf("unknown -mode %q (want pipeline, stream, bandwidth, or outofcore)", *mode))
 	}
 
 	maxprocs := runtime.GOMAXPROCS(0)

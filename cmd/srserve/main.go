@@ -2,8 +2,9 @@
 // computes SRSR / source-level PageRank / TrustRank score snapshots
 // offline, and answers ranking queries over HTTP from an immutable
 // in-memory snapshot. A background refresher periodically re-reads the
-// spam-label file, recomputes, and hot-swaps the snapshot without
-// blocking readers.
+// spam-label file, rebuilds through the same stateful builder — so a
+// cycle costs what the labels changed — and hot-swaps the snapshot
+// without blocking readers.
 //
 // Usage:
 //
@@ -41,6 +42,7 @@ import (
 	_ "net/http/pprof" // registers profiling handlers on the default mux, exposed only via -pprof-addr
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -51,6 +53,7 @@ import (
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/replica"
 	"sourcerank/internal/server"
+	"sourcerank/internal/source"
 	"sourcerank/internal/sysmem"
 )
 
@@ -69,7 +72,6 @@ func main() {
 		refresh   = flag.Duration("refresh", 0, "recompute+republish interval (0 disables)")
 		slabDir   = flag.String("slab-refresh-dir", "", "solve SRSR over a slab-backed operand committed under this directory (bounds build/refresh RSS; scores unchanged)")
 		slabRes   = flag.String("slab-max-resident", "", "resident-set budget for slab-backed solves, e.g. 300m (empty or 0 = map without release-behind; needs -slab-refresh-dir)")
-		coldRef   = flag.Bool("cold-refresh", false, "disable warm-starting refresh solves from the previous snapshot")
 		maxBO     = flag.Duration("max-backoff", 0, "cap on the retry delay after failed refreshes (0 = 16x refresh interval)")
 		staleTO   = flag.Duration("staleness-budget", 0, "snapshot age at which /healthz turns degraded (0 disables)")
 		maxInFl   = flag.Int("max-inflight", 0, "concurrent requests allowed per data endpoint before shedding (0 = unlimited)")
@@ -108,12 +110,11 @@ func main() {
 		return
 	}
 
-	pg, spam, name, corpusLoad, err := loadCorpus(*pagesPath, *spamPath, *preset, *scale, *seed)
+	pg, spam, name, corpusLoad, err := loadCorpus(*pagesPath, *preset, *scale, *seed)
 	if err != nil {
 		log.Fatalf("srserve: %v", err)
 	}
-	log.Printf("corpus %s: %d pages, %d links, %d sources, %d labeled spam",
-		name, pg.NumPages(), pg.NumLinks(), pg.NumSources(), len(spam))
+	log.Printf("corpus %s: %d pages, %d links, %d sources", name, pg.NumPages(), pg.NumLinks(), pg.NumSources())
 
 	extra, err := loadExtraScores(*scores)
 	if err != nil {
@@ -138,7 +139,7 @@ func main() {
 		}
 		log.Printf("slab-backed SRSR solves under %s (resident budget %s)", *slabDir, sysmem.FormatBytes(slabMaxRes))
 	}
-	cfg := server.BuildConfig{
+	build, err := newBuild(pg, spam, *spamPath, server.BuildConfig{
 		Alpha:       *alpha,
 		TopK:        *topK,
 		Workers:     *workers,
@@ -147,29 +148,16 @@ func main() {
 		MaxResident: slabMaxRes,
 		Name:        name,
 		Extra:       extra,
-	}
-
-	build := func(ctx context.Context, warm *server.WarmStart) (*server.Snapshot, error) {
-		labels := spam
-		if *spamPath != "" {
-			// Refresh semantics: the label file is the mutable input;
-			// operators append newly-caught spam sources between cycles.
-			fresh, err := readSpamLabels(*spamPath, pg.NumSources())
-			if err != nil {
-				return nil, err
-			}
-			labels = fresh
-		}
-		bc := cfg
-		bc.WarmStart = warm
-		return server.BuildSnapshot(pg, labels, bc)
+	})
+	if err != nil {
+		log.Fatalf("srserve: %v", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	start := time.Now()
-	snap, err := build(ctx, nil)
+	snap, err := build(ctx)
 	if err != nil {
 		log.Fatalf("srserve: initial snapshot: %v", err)
 	}
@@ -179,8 +167,8 @@ func main() {
 		}
 	}
 	store := server.NewStore(snap)
-	log.Printf("snapshot v%d ready in %v (algos: %v, throttled top-%d)",
-		snap.Version(), time.Since(start).Round(time.Millisecond), snap.Algos(), snap.KappaTopK())
+	log.Printf("snapshot v%d ready in %v (algos: %v, %d spam labels, throttled top-%d)",
+		snap.Version(), time.Since(start).Round(time.Millisecond), snap.Algos(), snap.Corpus().SpamLabeled, snap.KappaTopK())
 	logSolverStats(snap)
 
 	var refresher *server.Refresher
@@ -190,19 +178,15 @@ func main() {
 			Build:      build,
 			Interval:   *refresh,
 			MaxBackoff: *maxBO,
-			ColdStart:  *coldRef,
 			OnPublish: func(v uint64, s *server.Snapshot, took time.Duration) {
 				log.Printf("published snapshot v%d in %v (%d spam labels)",
 					v, took.Round(time.Millisecond), s.Corpus().SpamLabeled)
 				logSolverStats(s)
 			},
 			OnError: func(err error) { log.Printf("refresh failed (still serving old snapshot): %v", err) },
-			OnWarmFallback: func(have, want int) {
-				log.Printf("warm start discarded: retained vectors cover %d sources, snapshot has %d; solves ran cold", have, want)
-			},
 		}
 		go ref.Run(ctx)
-		log.Printf("background refresh every %v (warm start: %v)", *refresh, !*coldRef)
+		log.Printf("background refresh every %v", *refresh)
 		refresher = ref
 	}
 
@@ -223,6 +207,36 @@ func main() {
 		log.Fatalf("srserve: %v", err)
 	}
 	log.Printf("shut down cleanly")
+}
+
+// newBuild returns the one build srserve runs, at boot and on every
+// refresh. The page graph never changes after boot, so neither does the
+// source graph: it is aggregated once, and every call goes through one
+// server.Builder over it, re-reading the label file (when there is one)
+// first. A cycle therefore costs what the labels changed — nothing but a
+// residual probe when they did not — and a carried vector republishes as
+// the previous snapshot's very array.
+func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, cfg server.BuildConfig) (server.BuildFunc, error) {
+	sg, err := source.Build(pg, source.Options{Workers: cfg.Workers})
+	if err != nil {
+		return nil, fmt.Errorf("building source graph: %w", err)
+	}
+	builder := &server.Builder{Config: cfg}
+	corpus := server.Corpus{Pages: pg, Source: sg, Structure: sg.Structure()}
+	return func(context.Context) (*server.Snapshot, error) {
+		labels := spam
+		if spamPath != "" {
+			// Refresh semantics: the label file is the mutable input;
+			// operators append newly-caught spam sources between cycles.
+			fresh, err := readSpamLabels(spamPath, pg.NumSources())
+			if err != nil {
+				return nil, err
+			}
+			labels = fresh
+		}
+		snap, _, err := builder.Build(corpus, labels)
+		return snap, err
+	}, nil
 }
 
 type replicaConfig struct {
@@ -275,8 +289,10 @@ func runReplica(builder string, rc replicaConfig) {
 }
 
 // loadCorpus mirrors cmd/srank: a binary corpus file or a generated
-// preset. The load stats are nil for a preset: nothing was read.
-func loadCorpus(pagesPath, spamPath, preset string, scale float64, seed uint64) (*pagegraph.Graph, []int32, string, *pagegraph.LoadStats, error) {
+// preset, with the preset's own spam labels (a corpus file has none; its
+// labels are the -spam file's, which every build reads). The load stats
+// are nil for a preset: nothing was read.
+func loadCorpus(pagesPath, preset string, scale float64, seed uint64) (*pagegraph.Graph, []int32, string, *pagegraph.LoadStats, error) {
 	if pagesPath == "" {
 		p := gen.Preset(preset)
 		if _, ok := gen.TableOneSources[p]; !ok {
@@ -293,18 +309,13 @@ func loadCorpus(pagesPath, spamPath, preset string, scale float64, seed uint64) 
 		return nil, nil, "", nil, err
 	}
 	log.Print(st)
-	var spam []int32
-	if spamPath != "" {
-		spam, err = readSpamLabels(spamPath, pg.NumSources())
-		if err != nil {
-			return nil, nil, "", nil, err
-		}
-	}
-	return pg, spam, pagesPath, &st, nil
+	return pg, nil, pagesPath, &st, nil
 }
 
 // readSpamLabels parses one source ID per line, rejecting out-of-range
-// entries.
+// entries, and returns the set in canonical form — ascending, each ID
+// once — so a re-sorted or duplicated file is the same label set to the
+// builder's skip logic and to CorpusInfo.SpamLabeled.
 func readSpamLabels(path string, numSources int) ([]int32, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -327,7 +338,8 @@ func readSpamLabels(path string, numSources int) ([]int32, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return spam, nil
+	slices.Sort(spam)
+	return slices.Compact(spam), nil
 }
 
 // loadExtraScores parses -scores name=path pairs via the linalg binary
@@ -352,8 +364,8 @@ func loadExtraScores(spec string) (map[server.Algo]linalg.Vector, error) {
 }
 
 // logSolverStats prints each algorithm's convergence behaviour so
-// operators can see iteration counts (and warm-start savings) without a
-// profiler.
+// operators can see iteration counts (and what the retained state saved)
+// without a profiler.
 func logSolverStats(snap *server.Snapshot) {
 	for _, algo := range snap.Algos() {
 		ss := snap.Set(algo)

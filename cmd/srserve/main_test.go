@@ -1,0 +1,284 @@
+package main
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"sourcerank/internal/gen"
+	"sourcerank/internal/linalg"
+	"sourcerank/internal/replica"
+	"sourcerank/internal/server"
+)
+
+func writeLabels(t *testing.T, path, body string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadSpamLabelsCanonical: duplicates and order in the label file do
+// not reach the builder — the set comes back ascending, each ID once —
+// while comments and blank lines are skipped and anything that is not a
+// source ID of this corpus is an error.
+func TestReadSpamLabelsCanonical(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.spam")
+	for _, tc := range []struct {
+		name, body string
+		want       []int32
+	}{
+		{"sorted", "1\n4\n7\n", []int32{1, 4, 7}},
+		{"reordered", "7\n1\n4\n", []int32{1, 4, 7}},
+		{"duplicates", "4\n1\n4\n7\n1\n", []int32{1, 4, 7}},
+		{"comments and blanks", "# caught 2026-10\n\n  7  \n#4\n1\n\n", []int32{1, 7}},
+		{"bounds", "0\n9\n", []int32{0, 9}},
+		{"empty", "# nothing yet\n", nil},
+	} {
+		writeLabels(t, path, tc.body)
+		got, err := readSpamLabels(path, 10)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	for _, body := range []string{"10\n", "-1\n", "3\nseven\n", "2 3\n"} {
+		writeLabels(t, path, body)
+		if got, err := readSpamLabels(path, 10); err == nil {
+			t.Errorf("%q accepted as %v", body, got)
+		}
+	}
+	if _, err := readSpamLabels(filepath.Join(t.TempDir(), "absent"), 10); err == nil {
+		t.Error("missing file accepted")
+	}
+}
+
+// handlerTransport answers a replica's pulls by calling the builder's
+// sync handler in process.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+var versionField = regexp.MustCompile(`"version": \d+`)
+
+// topK is the /v1/topk body a store serves for algo, with the one field
+// that names the snapshot version blanked.
+func topK(t *testing.T, store *server.Store, algo server.Algo) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/v1/topk?n=50&algo="+string(algo), nil)
+	server.New(store, server.Config{}).Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("topk %s: status %d: %s", algo, rec.Code, rec.Body)
+	}
+	return versionField.ReplaceAllString(rec.Body.String(), `"version": _`)
+}
+
+// TestRefreshEndToEnd drives the refresh srserve actually runs: newBuild
+// over a label file, a store, a Refresher, the replica Publisher every
+// builder mounts and one Puller behind it, wired as main wires them.
+func TestRefreshEndToEnd(t *testing.T) {
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	spamPath := filepath.Join(dir, "corpus.spam")
+	labelFile := func(ids []int32) string {
+		var sb strings.Builder
+		for _, id := range ids {
+			sb.WriteString(strconv.Itoa(int(id)))
+			sb.WriteByte('\n')
+		}
+		return sb.String()
+	}
+	labels := slices.Clone(ds.SpamSources)
+	writeLabels(t, spamPath, labelFile(labels))
+	slabDir := filepath.Join(dir, "slabs")
+	if err := os.Mkdir(slabDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.BuildConfig{Name: ds.Name, SlabDir: slabDir}
+
+	build, err := newBuild(ds.Pages, labels, spamPath, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	first, err := build(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := server.NewStore(first)
+	ref := &server.Refresher{Store: store, Build: build, Interval: time.Hour}
+	replicaStore := server.NewStore(nil)
+	var encodings []string
+	puller := &replica.Puller{
+		Builder: "http://builder",
+		Store:   replicaStore,
+		Client:  &http.Client{Transport: handlerTransport{replica.NewPublisher(store, 8)}},
+		OnSync:  func(_ uint64, encoding string, _ int) { encodings = append(encodings, encoding) },
+	}
+	sync := func() {
+		t.Helper()
+		if err := puller.SyncNow(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := replica.Fingerprint(replicaStore.Current()), replica.Fingerprint(store.Current()); got != want {
+			t.Fatalf("replica fingerprint %x, builder %x", got, want)
+		}
+	}
+	sync()
+	algos := first.Algos()
+	nAlgos := uint64(len(algos))
+	if len(algos) != 3 {
+		t.Fatalf("algos %v", algos)
+	}
+
+	// (a) Unchanged labels — here re-sorted and duplicated, which the
+	// canonical read makes the same set: every set is carried, nothing is
+	// rendered again, and the replica gets a delta frame.
+	reordered := append(slices.Clone(labels), labels[0])
+	slices.Reverse(reordered)
+	writeLabels(t, spamPath, labelFile(reordered))
+	reused0, rendered0, _ := store.PublishSets()
+	bodies := map[server.Algo]string{}
+	for _, a := range algos {
+		bodies[a] = topK(t, store, a)
+	}
+	if err := ref.RefreshNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cur := store.Current()
+	if cur.Version() != 2 || cur.Corpus().SpamLabeled != len(labels) {
+		t.Fatalf("v%d with %d labels, want v2 with %d", cur.Version(), cur.Corpus().SpamLabeled, len(labels))
+	}
+	reused, rendered, uncached := store.PublishSets()
+	if reused-reused0 != nAlgos || rendered != rendered0 || uncached != 0 {
+		t.Fatalf("unchanged refresh: reused +%d rendered +%d uncached %d, want +%d +0 0",
+			reused-reused0, rendered-rendered0, uncached, nAlgos)
+	}
+	if replica.Fingerprint(cur) != replica.Fingerprint(first) {
+		t.Fatal("unchanged refresh moved the fingerprint")
+	}
+	for _, a := range algos {
+		if !server.SameArray(first.Set(a).ScoresView(), cur.Set(a).ScoresView()) {
+			t.Errorf("%s: unchanged refresh re-solved", a)
+		}
+		if topK(t, store, a) != bodies[a] {
+			t.Errorf("%s: /v1/topk body changed across an unchanged refresh", a)
+		}
+	}
+	sync()
+	if puller.DeltaSyncs() != 1 || puller.FullSyncs() != 1 || encodings[len(encodings)-1] != "delta" {
+		t.Fatalf("unchanged refresh synced as %v (delta %d, full %d)", encodings, puller.DeltaSyncs(), puller.FullSyncs())
+	}
+	// The builder's warm flag crosses the replica wire into the
+	// replica's own solver gauges.
+	var metrics strings.Builder
+	server.NewMetrics("topk").WriteSolverText(&metrics, replicaStore.Current())
+	for _, a := range algos {
+		if want := `srserve_solver_warm_start{algo="` + string(a) + `"} 1`; !strings.Contains(metrics.String(), want) {
+			t.Errorf("replica metrics missing %s", want)
+		}
+	}
+
+	// (b) One label appended: SRSR re-solves warm onto the cold fixed
+	// point (a snapshot does not expose κ; internal/server's
+	// TestBuilderLabelChange pins it bitwise for this same builder),
+	// PageRank is carried.
+	var added int32
+	for slices.Contains(labels, added) {
+		added++
+	}
+	labels = append(labels, added)
+	slices.Sort(labels)
+	writeLabels(t, spamPath, labelFile(labels))
+	reused0, _, _ = store.PublishSets()
+	if err := ref.RefreshNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cur = store.Current()
+	cold, err := server.BuildSnapshot(ds.Pages, labels, server.BuildConfig{Name: ds.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srsr := cur.Set(server.AlgoSRSR)
+	if !srsr.WarmStarted() || srsr.Stats().Iterations == 0 || !srsr.Stats().Converged {
+		t.Errorf("srsr after a label change: %+v, warm=%v", srsr.Stats(), srsr.WarmStarted())
+	}
+	if cur.KappaTopK() != cold.KappaTopK() {
+		t.Errorf("top-k %d, cold %d", cur.KappaTopK(), cold.KappaTopK())
+	}
+	for _, a := range algos {
+		if d := linalg.L2Distance(cur.Set(a).ScoresView(), cold.Set(a).ScoresView()); d > 1e-7 {
+			t.Errorf("%s differs from a cold BuildSnapshot by %g", a, d)
+		}
+	}
+	if !server.SameArray(first.Set(server.AlgoPageRank).ScoresView(), cur.Set(server.AlgoPageRank).ScoresView()) {
+		t.Error("pagerank re-solved over a label change")
+	}
+	if reused, _, _ = store.PublishSets(); reused-reused0 < 1 {
+		t.Errorf("label-change refresh reused %d sets, want >= 1", reused-reused0)
+	}
+	sync()
+
+	// (c) Failed builds — a bad label file, which fails before the builder
+	// runs, then a vanished slab directory, which fails inside the SRSR
+	// solve after κ was re-assigned — leave the old snapshot served and
+	// back the refresher off; the next good cycle builds from the state
+	// they left and matches cold.
+	served := store.Current()
+	writeLabels(t, spamPath, "999999999\n")
+	if err := ref.RefreshNow(ctx); err == nil {
+		t.Fatal("out-of-range label accepted")
+	}
+	labels = labels[:len(labels)/2]
+	writeLabels(t, spamPath, labelFile(labels))
+	if err := os.RemoveAll(slabDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.RefreshNow(ctx); err == nil {
+		t.Fatal("solve into a missing slab directory succeeded")
+	}
+	if store.Current() != served || ref.ConsecutiveFailures() != 2 {
+		t.Fatalf("after two failed builds: serving v%d (want v%d), %d consecutive failures",
+			store.Current().Version(), served.Version(), ref.ConsecutiveFailures())
+	}
+	if err := os.Mkdir(slabDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.RefreshNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cur = store.Current()
+	if cold, err = server.BuildSnapshot(ds.Pages, labels, server.BuildConfig{Name: ds.Name}); err != nil {
+		t.Fatal(err)
+	}
+	if ref.ConsecutiveFailures() != 0 || cur.Version() != served.Version()+1 {
+		t.Fatalf("recovery: v%d, %d failures", cur.Version(), ref.ConsecutiveFailures())
+	}
+	for _, a := range algos {
+		if d := linalg.L2Distance(cur.Set(a).ScoresView(), cold.Set(a).ScoresView()); d > 1e-7 {
+			t.Errorf("after recovery %s differs from a cold BuildSnapshot by %g", a, d)
+		}
+	}
+	if !server.SameArray(first.Set(server.AlgoPageRank).ScoresView(), cur.Set(server.AlgoPageRank).ScoresView()) {
+		t.Error("pagerank re-solved after the failed builds")
+	}
+	sync()
+}

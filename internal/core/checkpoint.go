@@ -299,7 +299,7 @@ func clearCheckpoints(fsys durable.FS, dir string) {
 // RankCheckpointed computes Spam-Resilient SourceRank like Rank, but
 // persists the iterate every ck.Every iterations and warm-starts from
 // the newest valid checkpoint in ck.Dir (through the same mechanism as
-// RankFrom). Checkpoints recorded against a different graph, throttle
+// Config.X0). Checkpoints recorded against a different graph, throttle
 // vector, α, or slab backing are discarded. On convergence the
 // checkpoints are cleared. Only the Power solver is supported;
 // cfg.Solver is ignored. With cfg.SlabDir set the solve streams the
@@ -333,14 +333,15 @@ func RankCheckpointed(sg *source.Graph, kappa []float64, cfg Config, ck Checkpoi
 	if warm != nil && len(warm) != sg.NumSources() {
 		return nil, info, linalg.ErrDimension
 	}
-	op, err := openOperand(cfg, throttledTranspose(sg, tpp, cfg.Workers), asIs)
+	tppT := throttledTranspose(sg, tpp, cfg.Workers)
+	m, closeOperand, err := openOperand(cfg, tppT, asIs)
 	if err != nil {
 		return nil, info, err
 	}
-	defer op.close()
+	defer closeOperand()
 	fp := fingerprintOf(tpp, cfg.alpha(), warm)
-	if op.slabPath != "" {
-		si, err := linalg.ReadSlabInfo(nil, op.slabPath)
+	if path := cfg.slabPath(); path != "" {
+		si, err := linalg.ReadSlabInfo(nil, path)
 		if err != nil {
 			return nil, info, fmt.Errorf("core: fingerprinting slab: %w", err)
 		}
@@ -373,15 +374,16 @@ func RankCheckpointed(sg *source.Graph, kappa []float64, cfg Config, ck Checkpoi
 			return nil
 		},
 	}
-	scores, stats, err := linalg.PowerMethodT(op.m, cfg.alpha(), tele, x0, opt)
+	scores, stats, err := linalg.PowerMethodT(m, cfg.alpha(), tele, x0, opt)
 	if err != nil {
 		return nil, info, err
 	}
 	clearCheckpoints(fsys, ck.Dir)
 	return &Result{
-		Scores:    scores,
-		Kappa:     append([]float64(nil), kappa...),
-		Throttled: tpp,
-		Stats:     stats,
+		Scores:     scores,
+		Kappa:      append([]float64(nil), kappa...),
+		Throttled:  tpp,
+		Stats:      stats,
+		throttledT: tppT,
 	}, info, nil
 }

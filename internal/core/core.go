@@ -112,6 +112,14 @@ func sanitizeWarmStart(prev linalg.Vector) linalg.Vector {
 	return x0
 }
 
+// slabPath is where a slab-backed solve commits T″ᵀ ("" in heap mode).
+func (c Config) slabPath() string {
+	if c.SlabDir == "" {
+		return ""
+	}
+	return filepath.Join(c.SlabDir, "throttled_t.slab")
+}
+
 func (c Config) alpha() float64 {
 	if c.Alpha == 0 {
 		return 0.85
@@ -133,6 +141,9 @@ type Result struct {
 	// Precision records which arithmetic produced Scores (provenance for
 	// published score sets; Scores itself is always float64).
 	Precision linalg.Precision
+	// throttledT is T″ᵀ in heap, which PipelineRefresh retains for its
+	// residual probe unless the solve streamed a slab.
+	throttledT *linalg.CSR
 }
 
 // throttledTranspose materializes the transpose of the throttled matrix
@@ -150,6 +161,9 @@ func throttledTranspose(sg *source.Graph, tpp *linalg.CSR, workers int) *linalg.
 // Rank computes Spam-Resilient SourceRank over a prepared source graph
 // with the given throttling vector. Pass a zero vector for κ to obtain
 // the un-throttled (but still consensus-weighted, self-edged) model.
+// cfg.X0 warm-starts the solve: after a small change to the graph — a
+// spam injection, a recrawl of one site — the previous σ converges in a
+// fraction of the cold-start iterations.
 func Rank(sg *source.Graph, kappa []float64, cfg Config) (*Result, error) {
 	if sg == nil || sg.NumSources() == 0 {
 		return nil, errors.New("core: empty source graph")
@@ -159,7 +173,7 @@ func Rank(sg *source.Graph, kappa []float64, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("core: applying throttle: %w", err)
 	}
 	tppT := throttledTranspose(sg, tpp, cfg.Workers)
-	res := &Result{Kappa: append([]float64(nil), kappa...), Throttled: tpp, Precision: cfg.Precision}
+	res := &Result{Kappa: append([]float64(nil), kappa...), Throttled: tpp, Precision: cfg.Precision, throttledT: tppT}
 	if cfg.Precision == linalg.Float32 {
 		// Narrowing here for both solvers, not inside rank.StationaryT,
 		// keeps one seam. Bits are identical either way (NewCSR32 in both
@@ -180,15 +194,15 @@ func asIs(m *linalg.CSR) *linalg.CSR { return m }
 // solve runs cfg.Solver over tppT at value type F, in heap or streamed
 // from a slab as cfg says.
 func solve[F linalg.Float](cfg Config, tppT *linalg.CSR, inHeap func(*linalg.CSR) *linalg.Matrix[F]) (linalg.Vector, linalg.IterStats, error) {
-	op, err := openOperand(cfg, tppT, inHeap)
+	m, closeOperand, err := openOperand(cfg, tppT, inHeap)
 	if err != nil {
 		return nil, linalg.IterStats{}, err
 	}
-	defer op.close()
+	defer closeOperand()
 	if cfg.Solver == Jacobi {
 		b := linalg.NewUniformVector(tppT.Rows)
 		b.Scale(1 - cfg.alpha())
-		scores, stats, err := linalg.JacobiAffineT(op.m, cfg.alpha(), b, linalg.SolverOptions{
+		scores, stats, err := linalg.JacobiAffineT(m, cfg.alpha(), b, linalg.SolverOptions{
 			Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers, CheckEvery: cfg.CheckEvery,
 		})
 		if err != nil {
@@ -197,43 +211,37 @@ func solve[F linalg.Float](cfg Config, tppT *linalg.CSR, inHeap func(*linalg.CSR
 		scores.Normalize1()
 		return scores, stats, nil
 	}
-	r, err := rank.StationaryT(op.m, cfg.rankOptions())
+	r, err := rank.StationaryT(m, cfg.rankOptions())
 	if err != nil {
 		return nil, linalg.IterStats{}, err
 	}
 	return r.Scores, r.Stats, nil
 }
 
-// solveOperand is the backing-erasure seam between Rank and the solvers:
-// the operand at the solve's value type, in heap or slab-mapped form.
-type solveOperand[F linalg.Float] struct {
-	m *linalg.Matrix[F]
-	// slabPath is the committed slab file when the operand is slab-backed
-	// ("" for in-heap operands); RankCheckpointed fingerprints its header.
-	slabPath string
-	close    func()
-}
-
-// openOperand resolves the stationary-solve operand for tppT at value
-// type F — which must be the type cfg.Precision names — under the
-// configured backing. With SlabDir unset this is inHeap(tppT): the
-// in-memory matrix, narrowed for float32, matching the historical path
-// bit for bit. With SlabDir set, tppT is committed as a slab file at
-// cfg.Precision and reopened memory-mapped; the heap copy becomes garbage
-// once the caller drops tppT, leaving the solve to stream the file.
-func openOperand[F linalg.Float](c Config, tppT *linalg.CSR, inHeap func(*linalg.CSR) *linalg.Matrix[F]) (solveOperand[F], error) {
+// openOperand is the backing-erasure seam between Rank and the solvers:
+// it resolves the stationary-solve operand for tppT at value type F —
+// which must be the type cfg.Precision names — under the configured
+// backing, with the function that releases it. With SlabDir unset this is
+// inHeap(tppT): the in-memory matrix, narrowed for float32, matching the
+// historical path bit for bit. With SlabDir set, tppT is committed as a
+// slab file at cfg.Precision and reopened memory-mapped; the heap copy
+// becomes garbage once the caller drops tppT, leaving the solve to stream
+// the file. A nil tppT reopens the file the previous solve committed.
+func openOperand[F linalg.Float](c Config, tppT *linalg.CSR, inHeap func(*linalg.CSR) *linalg.Matrix[F]) (*linalg.Matrix[F], func(), error) {
 	if c.SlabDir == "" {
-		return solveOperand[F]{m: inHeap(tppT), close: func() {}}, nil
+		return inHeap(tppT), func() {}, nil
 	}
-	path := filepath.Join(c.SlabDir, "throttled_t.slab")
-	if err := linalg.WriteSlabCSR(nil, path, tppT, c.Precision); err != nil {
-		return solveOperand[F]{}, fmt.Errorf("core: writing slab: %w", err)
+	path := c.slabPath()
+	if tppT != nil {
+		if err := linalg.WriteSlabCSR(nil, path, tppT, c.Precision); err != nil {
+			return nil, nil, fmt.Errorf("core: writing slab: %w", err)
+		}
 	}
 	s, err := linalg.OpenSlab[F](path, linalg.SlabOpenOptions{MaxResident: c.MaxResident})
 	if err != nil {
-		return solveOperand[F]{}, fmt.Errorf("core: opening slab: %w", err)
+		return nil, nil, fmt.Errorf("core: opening slab: %w", err)
 	}
-	return solveOperand[F]{m: s.Matrix(), slabPath: path, close: func() { s.Close() }}, nil
+	return s.Matrix(), func() { s.Close() }, nil
 }
 
 // BaselineSourceRank computes the un-throttled SourceRank over the same
@@ -261,10 +269,6 @@ type PipelineConfig struct {
 	// capped at GradedMax.
 	Graded    bool
 	GradedMax float64
-	// ProximityX0 optionally warm-starts the spam-proximity walk from a
-	// previous proximity vector, mirroring Config.X0 for the stationary
-	// solve. Degenerate vectors fall back to a cold start.
-	ProximityX0 linalg.Vector
 	// Checkpoint, if set, makes the final SRSR solve resumable: the
 	// iterate is persisted every Checkpoint.Every iterations and a crash
 	// resumes from the newest valid checkpoint (see RankCheckpointed).
@@ -298,36 +302,9 @@ func Pipeline(pg *pagegraph.Graph, cfg PipelineConfig) (*PipelineResult, error) 
 
 // PipelineFromSourceGraph runs the proximity + throttle + solve stages on
 // an already-built source graph, which lets experiments reuse one source
-// graph across many throttle settings.
+// graph across many throttle settings. It is PipelineRefresh with no
+// history.
 func PipelineFromSourceGraph(sg *source.Graph, cfg PipelineConfig) (*PipelineResult, error) {
-	prox, pstats, err := throttle.SpamProximity(sg.Structure(), cfg.SpamSeeds, throttle.ProximityOptions{
-		Beta: cfg.Beta, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers,
-		X0: sanitizeWarmStart(cfg.ProximityX0),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: spam proximity: %w", err)
-	}
-	var kappa []float64
-	if cfg.Graded {
-		kappa = throttle.Graded(prox, cfg.TopK, cfg.GradedMax)
-	} else {
-		kappa = throttle.TopK(prox, cfg.TopK)
-	}
-	var res *Result
-	var ckInfo CheckpointInfo
-	if cfg.Checkpoint != nil {
-		res, ckInfo, err = RankCheckpointed(sg, kappa, cfg.Config, *cfg.Checkpoint)
-	} else {
-		res, err = Rank(sg, kappa, cfg.Config)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &PipelineResult{
-		Result:         *res,
-		SourceGraph:    sg,
-		Proximity:      prox,
-		ProximityStats: pstats,
-		Checkpoint:     ckInfo,
-	}, nil
+	res, _, err := PipelineRefresh(sg, nil, cfg, nil)
+	return res, err
 }

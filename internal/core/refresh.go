@@ -1,12 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"sourcerank/internal/graph"
 	"sourcerank/internal/linalg"
-	"sourcerank/internal/rank"
 	"sourcerank/internal/source"
 	"sourcerank/internal/throttle"
 )
@@ -22,16 +23,20 @@ import (
 const boundaryGap = 1e-6
 
 // RefreshState carries the reusable artifacts of the previous refresh.
-// The zero value means "no history" and makes PipelineRefresh behave as
-// a cold pipeline run; afterwards the state is updated in place. The
-// stream pipeline owns exactly one RefreshState and never shares its
-// mutable fields (Kappa in particular is a working buffer patched in
-// place between refreshes).
+// The zero value means "no history" and makes PipelineRefresh the cold
+// pipeline; afterwards the state is updated in place. One owner holds one
+// RefreshState and never shares its mutable fields (Kappa in particular
+// is a working buffer patched in place between refreshes).
 type RefreshState struct {
 	// T is the source transition matrix the state below was computed
 	// from. Pointer equality with the current sg.T proves the consensus
-	// weights are unchanged and unlocks the skip-solve fast path.
+	// weights are unchanged; together with an unchanged assignment it
+	// unlocks the skip-solve fast path. Nil while no solve over the
+	// current Kappa has succeeded.
 	T *linalg.CSR
+	// assigned is what Proximity and Kappa were derived from besides the
+	// structure: the seed set, the top-k size, the κ heuristic and β.
+	assigned assignment
 	// Proximity is the previous spam-proximity vector, used to
 	// warm-start the next walk.
 	Proximity linalg.Vector
@@ -42,11 +47,27 @@ type RefreshState struct {
 	// stationary solve — and returned pointer-identical when the solve
 	// is skipped, so downstream caches can reuse whole encodings.
 	Scores linalg.Vector
-	// Throttled and ThrottledT cache T″ and its transpose so an
-	// unchanged (T, κ) pair skips both the throttle transform and the
-	// transpose.
-	Throttled  *linalg.CSR
+	// ThrottledT caches T″ᵀ, the solve's operand, so an unchanged (T, κ)
+	// pair skips the throttle transform and the transpose. It stays nil
+	// under Config.SlabDir: the committed slab file is the retained
+	// operand there, and the probe reopens it.
 	ThrottledT *linalg.CSR
+}
+
+// assignment is every input of the proximity → κ step other than the
+// graph. Comparing it costs one pass over the seeds and allocates
+// nothing, so the fast path can afford it on every refresh.
+type assignment struct {
+	seeds     []int32
+	topK      int
+	graded    bool
+	gradedMax float64
+	beta      float64
+}
+
+func (a assignment) matches(cfg PipelineConfig) bool {
+	return a.topK == cfg.TopK && a.graded == cfg.Graded && a.gradedMax == cfg.GradedMax &&
+		a.beta == cfg.Beta && slices.Equal(a.seeds, cfg.SpamSeeds)
 }
 
 // RefreshInfo reports which incremental paths a refresh took; the bench
@@ -65,171 +86,171 @@ type RefreshInfo struct {
 	// SolveSkipped reports that T and κ were unchanged and a one-step
 	// residual probe confirmed the previous scores still satisfy the
 	// convergence threshold, so the solve was skipped entirely and the
-	// previous score vector was returned pointer-identical.
+	// previous score vector was returned pointer-identical (with no
+	// Result.Throttled: T″ was not formed).
 	SolveSkipped bool
 }
 
-// PipelineRefresh runs the proximity → throttle → solve pipeline
-// incrementally against the previous refresh's state. The contract
-// mirrors PipelineFromSourceGraph: the returned κ is bitwise identical
-// to what a cold pipeline over the same source graph would assign (see
+// PipelineRefresh is the proximity → κ → throttle → solve pipeline, run
+// against the previous refresh's state; with a nil or zero state it is
+// the cold pipeline. The returned κ is bitwise identical to what the cold
+// pipeline over the same source graph and configuration assigns (see
 // boundaryGap), and the scores satisfy the same convergence threshold
-// against the same fixed point. structure must present the same
-// successor rows as sg.Structure(); the stream pipeline passes the
-// incrementally maintained overlay so no CSR rebuild is paid here.
-//
-// Checkpointing and the Jacobi solver are cold-pipeline features;
-// configuring either returns an error.
+// against the same fixed point. structure must present the same successor
+// rows as sg.Structure() and nil means exactly that; the stream pipeline
+// passes its incrementally maintained overlay so no CSR rebuild is paid
+// here. The solve goes through Rank (RankCheckpointed with cfg.Checkpoint
+// set), started from the previous scores when there are any and from
+// cfg.X0 otherwise. Everything in cfg but the seeds, TopK, Graded,
+// GradedMax and Beta is expected to stay fixed over one state's lifetime.
 func PipelineRefresh(sg *source.Graph, structure graph.Topology, cfg PipelineConfig, st *RefreshState) (*PipelineResult, RefreshInfo, error) {
 	info := RefreshInfo{}
 	if sg == nil || sg.NumSources() == 0 {
-		return nil, info, fmt.Errorf("core: empty source graph")
-	}
-	if cfg.Checkpoint != nil {
-		return nil, info, fmt.Errorf("core: PipelineRefresh does not support checkpointing")
-	}
-	if cfg.Solver != Power {
-		return nil, info, fmt.Errorf("core: PipelineRefresh requires the Power solver")
+		return nil, info, errors.New("core: empty source graph")
 	}
 	if st == nil {
 		st = &RefreshState{}
 	}
 	n := sg.NumSources()
+	var pstats linalg.IterStats
 
-	// Fast path: consensus weights unchanged (Emit returned a graph
-	// sharing the previous T). Proximity and κ depend only on the
-	// structure — the sparsity of the unchanged Counts — so both carry
-	// over verbatim; a single power step probes whether the previous
-	// scores still meet the convergence threshold.
-	if st.T != nil && sg.T == st.T && st.Scores != nil && st.Proximity != nil {
-		// κ carries over unchanged; there is no contested boundary.
+	if st.T != nil && sg.T == st.T && st.assigned.matches(cfg) {
+		// Fast path: consensus weights unchanged (Emit returned a graph
+		// sharing the previous T) and the same assignment asked for.
+		// Proximity and κ depend only on the structure — the sparsity of
+		// the unchanged Counts — and the assignment, so both carry over
+		// verbatim and there is no contested boundary; a single power
+		// step probes whether the previous scores still meet the
+		// convergence threshold.
 		info.BoundaryGap = math.Inf(1)
-		res, skipped, err := probeOrSolve(sg, cfg, st)
+		residual, ok, err := probe(cfg.Config, st)
 		if err != nil {
 			return nil, info, err
 		}
-		info.SolveSkipped = skipped
-		return &PipelineResult{
-			Result:      *res,
-			SourceGraph: sg,
-			Proximity:   st.Proximity,
-		}, info, nil
-	}
-
-	// Proximity walk. Graded κ depends on every proximity value, not
-	// just the top-k membership, so only the binary assignment can
-	// tolerate a warm (tolerance-equal rather than bitwise-equal) walk.
-	var x0 linalg.Vector
-	if !cfg.Graded && st.Proximity != nil {
-		x0 = sanitizeWarmStart(padded(st.Proximity, n))
-	}
-	info.ProximityCold = x0 == nil
-	prox, pstats, err := throttle.SpamProximity(structure, cfg.SpamSeeds, throttle.ProximityOptions{
-		Beta: cfg.Beta, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers, X0: x0,
-	})
-	if err != nil {
-		return nil, info, fmt.Errorf("core: spam proximity: %w", err)
-	}
-
-	// κ assignment over the warm walk, with the cold fallback when the
-	// selection boundary is contested.
-	if cfg.Graded {
-		st.Kappa = throttle.Graded(prox, cfg.TopK, cfg.GradedMax)
-		info.KappaChanged = n
-		info.BoundaryGap = 0
+		if ok {
+			info.SolveSkipped = true
+			return &PipelineResult{
+				Result: Result{
+					Scores:    st.Scores,
+					Kappa:     append([]float64(nil), st.Kappa...),
+					Stats:     linalg.IterStats{Residual: residual, Converged: true},
+					Precision: cfg.Precision,
+				},
+				SourceGraph: sg,
+				Proximity:   st.Proximity,
+			}, info, nil
+		}
 	} else {
-		if st.Kappa = padded(st.Kappa, n); st.Kappa == nil {
-			st.Kappa = make([]float64, n)
+		if structure == nil {
+			structure = sg.Structure()
 		}
-		changed, gap := throttle.PatchTopK(st.Kappa, prox, cfg.TopK)
-		if gap < boundaryGap && !info.ProximityCold {
-			info.ProximityCold = true
-			prox, pstats, err = throttle.SpamProximity(structure, cfg.SpamSeeds, throttle.ProximityOptions{
-				Beta: cfg.Beta, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers,
-			})
-			if err != nil {
-				return nil, info, fmt.Errorf("core: spam proximity (cold fallback): %w", err)
+		// Until the solve below succeeds the state describes no solved
+		// (T, κ) pair: a failed refresh must not leave the fast path armed
+		// over a κ the retained scores were never solved for.
+		st.T = nil
+		// Graded κ depends on every proximity value, not just the top-k
+		// membership, so only the binary assignment can tolerate a warm
+		// (tolerance-equal rather than bitwise-equal) walk.
+		popt := throttle.ProximityOptions{Beta: cfg.Beta, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers}
+		if !cfg.Graded {
+			popt.X0 = sanitizeWarmStart(st.Proximity.Padded(n))
+		}
+		info.ProximityCold = popt.X0 == nil
+		prox, ps, err := throttle.SpamProximity(structure, cfg.SpamSeeds, popt)
+		if err != nil {
+			return nil, info, fmt.Errorf("core: spam proximity: %w", err)
+		}
+		// κ assignment over the warm walk, with the cold fallback when the
+		// selection boundary is contested.
+		if cfg.Graded {
+			st.Kappa = throttle.Graded(prox, cfg.TopK, cfg.GradedMax)
+			info.KappaChanged = n
+		} else {
+			if st.Kappa = linalg.Vector(st.Kappa).Padded(n); st.Kappa == nil {
+				st.Kappa = make([]float64, n)
 			}
-			changed, gap = throttle.PatchTopK(st.Kappa, prox, cfg.TopK)
+			changed, gap := throttle.PatchTopK(st.Kappa, prox, cfg.TopK)
+			if gap < boundaryGap && !info.ProximityCold {
+				info.ProximityCold = true
+				popt.X0 = nil
+				prox, ps, err = throttle.SpamProximity(structure, cfg.SpamSeeds, popt)
+				if err != nil {
+					return nil, info, fmt.Errorf("core: spam proximity (cold fallback): %w", err)
+				}
+				changed, gap = throttle.PatchTopK(st.Kappa, prox, cfg.TopK)
+			}
+			info.KappaChanged, info.BoundaryGap = changed, gap
 		}
-		info.KappaChanged, info.BoundaryGap = changed, gap
+		st.Proximity, pstats = prox, ps
+		if !st.assigned.matches(cfg) {
+			st.assigned = assignment{slices.Clone(cfg.SpamSeeds), cfg.TopK, cfg.Graded, cfg.GradedMax, cfg.Beta}
+		}
 	}
-	st.Proximity = prox
 
-	// Throttle + transpose + warm stationary solve, the exact operator
-	// sequence of Rank.
-	tpp, err := throttle.Apply(sg.T, st.Kappa)
-	if err != nil {
-		return nil, info, fmt.Errorf("core: applying throttle: %w", err)
-	}
-	tppT := throttledTranspose(sg, tpp, cfg.Workers)
 	solveCfg := cfg.Config
-	solveCfg.X0 = padded(st.Scores, n)
-	r, err := rank.StationaryT(tppT, solveCfg.rankOptions())
+	if st.Scores != nil {
+		solveCfg.X0 = st.Scores.Padded(n)
+	}
+	var res *Result
+	var ckInfo CheckpointInfo
+	var err error
+	if cfg.Checkpoint != nil {
+		res, ckInfo, err = RankCheckpointed(sg, st.Kappa, solveCfg, *cfg.Checkpoint)
+	} else {
+		res, err = Rank(sg, st.Kappa, solveCfg)
+	}
 	if err != nil {
 		return nil, info, err
 	}
-	st.T, st.Scores, st.Throttled, st.ThrottledT = sg.T, r.Scores, tpp, tppT
+	if st.T, st.Scores, st.ThrottledT = sg.T, res.Scores, res.throttledT; cfg.SlabDir != "" {
+		st.ThrottledT = nil
+	}
 	return &PipelineResult{
-		Result: Result{
-			Scores:    r.Scores,
-			Kappa:     append([]float64(nil), st.Kappa...),
-			Throttled: tpp,
-			Stats:     r.Stats,
-		},
+		Result:         *res,
 		SourceGraph:    sg,
-		Proximity:      prox,
+		Proximity:      st.Proximity,
 		ProximityStats: pstats,
+		Checkpoint:     ckInfo,
 	}, info, nil
 }
 
-// probeOrSolve handles the unchanged-(T,κ) case: one fused power step
-// from the previous scores measures the residual; within tolerance the
-// previous vector is returned untouched (pointer-identical), otherwise
-// the solve resumes warm on the cached transpose.
-func probeOrSolve(sg *source.Graph, cfg PipelineConfig, st *RefreshState) (*Result, bool, error) {
+// probe handles the unchanged-(T,κ) case: one fused power step from the
+// previous scores over the retained T″ᵀ — the in-heap transpose, or the
+// slab the last solve committed — measures the residual at the solve's
+// precision. ok reports it within the solve's tolerance, in which case
+// the previous vector still stands.
+func probe(cfg Config, st *RefreshState) (residual float64, ok bool, err error) {
 	tol := cfg.Tol
-	if tol == 0 {
+	if tol <= 0 {
 		tol = 1e-9
 	}
-	n := sg.NumSources()
-	tele := linalg.NewUniformVector(n)
-	fp, err := linalg.NewFusedPower(st.ThrottledT, cfg.alpha(), tele, linalg.ResidualL2, cfg.Workers)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: residual probe: %w", err)
+	if cfg.Precision == linalg.Float32 {
+		tol = max(tol, linalg.Float32Tol)
+		residual, err = probeAt(cfg, st, linalg.NewCSR32)
+	} else {
+		residual, err = probeAt(cfg, st, asIs)
 	}
-	defer fp.Close()
-	dst := linalg.NewVector(n)
-	residual := fp.Step(dst, st.Scores, true)
-	res := &Result{
-		Kappa:     append([]float64(nil), st.Kappa...),
-		Throttled: st.Throttled,
-	}
-	if residual <= tol {
-		res.Scores = st.Scores
-		res.Stats = linalg.IterStats{Iterations: 0, Residual: residual, Converged: true}
-		return res, true, nil
-	}
-	solveCfg := cfg.Config
-	solveCfg.X0 = st.Scores
-	r, err := rank.StationaryT(st.ThrottledT, solveCfg.rankOptions())
-	if err != nil {
-		return nil, false, err
-	}
-	st.Scores = r.Scores
-	res.Scores, res.Stats = r.Scores, r.Stats
-	return res, false, nil
+	return residual, residual <= tol, err
 }
 
-// padded zero-extends v to length n, reusing v when already long
-// enough. Nil stays nil.
-func padded(v []float64, n int) []float64 {
-	switch {
-	case v == nil:
-		return nil
-	case len(v) >= n:
-		return v[:n]
-	default:
-		return append(append(make([]float64, 0, n), v...), make([]float64, n-len(v))...)
+func probeAt[F linalg.Float](cfg Config, st *RefreshState, inHeap func(*linalg.CSR) *linalg.Matrix[F]) (float64, error) {
+	m, closeOperand, err := openOperand(cfg, st.ThrottledT, inHeap)
+	if err != nil {
+		return 0, fmt.Errorf("core: residual probe: %w", err)
 	}
+	defer closeOperand()
+	fp, err := linalg.NewFusedPower(m, cfg.alpha(), nil, linalg.ResidualL2, cfg.Workers)
+	if err != nil {
+		return 0, fmt.Errorf("core: residual probe: %w", err)
+	}
+	defer fp.Close()
+	// The float64 probe reads the retained vector in place.
+	src, same := any([]float64(st.Scores)).([]F)
+	if !same {
+		src = make([]F, len(st.Scores))
+		for i, x := range st.Scores {
+			src[i] = F(x)
+		}
+	}
+	return fp.Step(make([]F, len(src)), src, true), nil
 }

@@ -7,9 +7,23 @@ import (
 	"slices"
 	"testing"
 
+	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/source"
+	"sourcerank/internal/throttle"
 )
+
+// coldTopK is the κ reference that shares nothing with PipelineRefresh:
+// a cold proximity walk over a rebuilt structure, thresholded by
+// throttle.TopK's full sort.
+func coldTopK(t *testing.T, sg *source.Graph, cfg PipelineConfig) []float64 {
+	t.Helper()
+	prox, _, err := throttle.SpamProximity(sg.Structure(), cfg.SpamSeeds, throttle.ProximityOptions{Beta: cfg.Beta})
+	if err != nil {
+		t.Fatalf("cold proximity: %v", err)
+	}
+	return throttle.TopK(prox, cfg.TopK)
+}
 
 func refreshPageGraph(rng *rand.Rand, sources, pages, links int) *pagegraph.Graph {
 	pg := pagegraph.New()
@@ -55,7 +69,9 @@ func refreshDiff(oldSet, newSet []pagegraph.SourceID) (removed, added []pagegrap
 // TestPipelineRefreshMatchesCold drives random page churn through the
 // incremental source maintainer and checks the refresh contract after
 // every step: κ bitwise identical to a cold pipeline over the same
-// source graph, scores within solver tolerance of the cold scores.
+// source graph — and to throttle.TopK (a full sort) of a cold walk, the
+// reference that shares no selection code with the refresh — and scores
+// within solver tolerance of the cold scores.
 func TestPipelineRefreshMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pg := refreshPageGraph(rng, 15, 90, 260)
@@ -109,7 +125,7 @@ func TestPipelineRefreshMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: cold pipeline: %v", step, err)
 		}
-		if !slices.Equal(got.Kappa, want.Kappa) {
+		if !slices.Equal(got.Kappa, want.Kappa) || !slices.Equal(got.Kappa, coldTopK(t, coldSG, cfg)) {
 			t.Fatalf("step %d: κ diverged from cold rebuild (gap=%v cold=%v)",
 				step, info.BoundaryGap, info.ProximityCold)
 		}
@@ -168,5 +184,191 @@ func TestPipelineRefreshSkipsSolve(t *testing.T) {
 	}
 	if second.Proximity == nil || &second.Proximity[0] != &first.Proximity[0] {
 		t.Fatal("skipped refresh must carry the proximity vector over")
+	}
+}
+
+// TestPipelineRefreshLabelChangeRewalks is the regression for the skip
+// path keying on the graph alone: over an unchanged source graph a
+// changed seed set (and each other input of the κ assignment) must
+// re-walk the proximity — warm, under the boundary guard — and land on
+// the cold κ bit for bit, while the same inputs again still skip.
+func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sg, err := source.Build(refreshPageGraph(rng, 40, 240, 900), source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PipelineConfig{SpamSeeds: []int32{1, 2, 5, 8, 13, 21}, TopK: 6}
+	st := &RefreshState{}
+	if _, _, err := PipelineRefresh(sg, nil, cfg, st); err != nil {
+		t.Fatal(err)
+	}
+	changes := []struct {
+		name   string
+		mutate func(*PipelineConfig)
+	}{
+		{"half the seeds", func(c *PipelineConfig) { c.SpamSeeds = c.SpamSeeds[:3] }},
+		{"one seed appended", func(c *PipelineConfig) { c.SpamSeeds = append(slices.Clone(c.SpamSeeds), 34) }},
+		{"top-k", func(c *PipelineConfig) { c.TopK = 9 }},
+		{"beta", func(c *PipelineConfig) { c.Beta = 0.7 }},
+		{"graded", func(c *PipelineConfig) { c.Graded, c.GradedMax = true, 0.5 }},
+		{"graded cap", func(c *PipelineConfig) { c.GradedMax = 0.25 }},
+		{"binary again", func(c *PipelineConfig) { c.Graded, c.GradedMax = false, 0 }},
+	}
+	for _, ch := range changes {
+		ch.mutate(&cfg)
+		got, info, err := PipelineRefresh(sg, nil, cfg, st)
+		if err != nil {
+			t.Fatalf("%s: %v", ch.name, err)
+		}
+		if info.SolveSkipped {
+			t.Fatalf("%s: refresh skipped over a changed assignment", ch.name)
+		}
+		if got.ProximityStats.Iterations == 0 {
+			t.Fatalf("%s: proximity not re-walked", ch.name)
+		}
+		if !cfg.Graded && info.ProximityCold && info.BoundaryGap >= boundaryGap {
+			t.Fatalf("%s: uncontested walk ran cold (gap %v)", ch.name, info.BoundaryGap)
+		}
+		cold, err := PipelineFromSourceGraph(sg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Kappa, cold.Kappa) {
+			t.Fatalf("%s: κ differs from the cold pipeline's", ch.name)
+		}
+		if !cfg.Graded && !slices.Equal(got.Kappa, coldTopK(t, sg, cfg)) {
+			t.Fatalf("%s: κ differs from throttle.TopK of a cold walk", ch.name)
+		}
+		if d := linalg.L2Distance(got.Scores, cold.Scores); d > 1e-7 {
+			t.Fatalf("%s: scores differ from cold by %g", ch.name, d)
+		}
+		again, info, err := PipelineRefresh(sg, nil, cfg, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.SolveSkipped || &again.Scores[0] != &got.Scores[0] {
+			t.Fatalf("%s: unchanged inputs did not skip: %+v", ch.name, info)
+		}
+	}
+	// Mutating the caller's seed slice in place is a change too: the
+	// state compares against its own copy.
+	cfg.SpamSeeds[0] = 3
+	if _, info, err := PipelineRefresh(sg, nil, cfg, st); err != nil || info.SolveSkipped {
+		t.Fatalf("in-place seed edit skipped (err %v)", err)
+	}
+}
+
+// TestPipelineRefreshFailedSolveDisarmsSkip: a refresh that patched κ and
+// then failed in the solve must not leave the fast path armed — the next
+// refresh with the same inputs solves, and matches cold.
+func TestPipelineRefreshFailedSolveDisarmsSkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sg, err := source.Build(refreshPageGraph(rng, 30, 150, 500), source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PipelineConfig{SpamSeeds: []int32{1, 2, 3}, TopK: 4}
+	st := &RefreshState{}
+	if _, _, err := PipelineRefresh(sg, nil, cfg, st); err != nil {
+		t.Fatal(err)
+	}
+	cfg.SpamSeeds = []int32{20, 21, 22}
+	bad := cfg
+	bad.SlabDir = t.TempDir() + "/missing"
+	if _, _, err := PipelineRefresh(sg, nil, bad, st); err == nil {
+		t.Fatal("solve into a missing slab directory succeeded")
+	}
+	got, info, err := PipelineRefresh(sg, nil, cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SolveSkipped {
+		t.Fatal("refresh after a failed solve skipped over scores of the old κ")
+	}
+	cold, err := PipelineFromSourceGraph(sg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Kappa, cold.Kappa) {
+		t.Fatal("κ differs from cold after a failed refresh")
+	}
+	if d := linalg.L2Distance(got.Scores, cold.Scores); d > 1e-7 {
+		t.Fatalf("scores differ from cold by %g after a failed refresh", d)
+	}
+}
+
+// TestPipelineRefreshSlabAndPrecision: the stateful pipeline honours
+// Precision, SlabDir and Jacobi exactly as Rank does. Across cold → skip
+// → label change the slab-backed refresh returns the heap refresh's
+// scores bit for bit at either precision, retains no in-heap throttled
+// matrix between refreshes, and probes the committed file.
+func TestPipelineRefreshSlabAndPrecision(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	sg, err := source.Build(refreshPageGraph(rng, 40, 240, 900), source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prec := range []linalg.Precision{linalg.Float64, linalg.Float32} {
+		heapCfg := PipelineConfig{Config: Config{Precision: prec}, SpamSeeds: []int32{1, 2, 5, 8}, TopK: 5}
+		slabCfg := heapCfg
+		slabCfg.SlabDir = t.TempDir()
+		heapSt, slabSt := &RefreshState{}, &RefreshState{}
+		for step, seeds := range [][]int32{{1, 2, 5, 8}, {1, 2, 5, 8}, {1, 2, 5, 8, 30}} {
+			heapCfg.SpamSeeds, slabCfg.SpamSeeds = seeds, seeds
+			heap, hi, err := PipelineRefresh(sg, nil, heapCfg, heapSt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slab, si, err := PipelineRefresh(sg, nil, slabCfg, slabSt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hi.SolveSkipped != (step == 1) || si.SolveSkipped != (step == 1) {
+				t.Fatalf("%v step %d: skipped heap=%v slab=%v", prec, step, hi.SolveSkipped, si.SolveSkipped)
+			}
+			if !slices.Equal(heap.Scores, slab.Scores) || !slices.Equal(heap.Kappa, slab.Kappa) {
+				t.Fatalf("%v step %d: slab refresh differs from heap refresh", prec, step)
+			}
+			if heap.Precision != prec || slab.Precision != prec {
+				t.Fatalf("%v step %d: result precision %v / %v", prec, step, heap.Precision, slab.Precision)
+			}
+			if slabSt.ThrottledT != nil {
+				t.Fatalf("%v step %d: slab state retains an in-heap throttled matrix", prec, step)
+			}
+			if heapSt.ThrottledT == nil {
+				t.Fatalf("%v step %d: heap state lost its transpose", prec, step)
+			}
+			cold, err := PipelineFromSourceGraph(sg, heapCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if step == 0 && !slices.Equal(heap.Scores, cold.Scores) {
+				t.Fatalf("%v: zero-state refresh differs from the cold pipeline", prec)
+			}
+			if d := linalg.L2Distance(heap.Scores, cold.Scores); d > 1e-6 {
+				t.Fatalf("%v step %d: scores differ from cold by %g", prec, step, d)
+			}
+		}
+	}
+
+	// Jacobi ignores the warm start, so a stateful Jacobi refresh over
+	// changed labels is the cold Jacobi pipeline bit for bit.
+	cfg := PipelineConfig{Config: Config{Solver: Jacobi}, SpamSeeds: []int32{1, 2, 5, 8}, TopK: 5}
+	st := &RefreshState{}
+	if _, _, err := PipelineRefresh(sg, nil, cfg, st); err != nil {
+		t.Fatal(err)
+	}
+	cfg.SpamSeeds = []int32{3, 4}
+	got, _, err := PipelineRefresh(sg, nil, cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := PipelineFromSourceGraph(sg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Scores, cold.Scores) {
+		t.Fatal("stateful Jacobi refresh differs from the cold Jacobi pipeline")
 	}
 }

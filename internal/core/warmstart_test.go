@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"sourcerank/internal/faultfs"
@@ -9,6 +10,7 @@ import (
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/source"
 	"sourcerank/internal/spam"
+	"sourcerank/internal/throttle"
 )
 
 // pipelineCfg is the shared small-corpus pipeline configuration.
@@ -17,10 +19,11 @@ func pipelineCfg(seeds []int32, topK int) PipelineConfig {
 }
 
 // TestPipelineWarmStartFewerIterations perturbs a generated web graph by
-// a small spam injection (≪5% of links) and checks that feeding the
-// previous pipeline's σ and proximity back through Config.X0/ProximityX0
-// converges in strictly fewer iterations while landing on the same
-// ranks within solver tolerance.
+// a small spam injection (≪5% of links) and checks that refreshing over
+// the previous pipeline's state converges in strictly fewer iterations —
+// the stationary solve always, the proximity walk unless the boundary
+// guard sent it back to a cold start — while assigning the cold κ bit for
+// bit and landing on the same ranks within solver tolerance.
 func TestPipelineWarmStartFewerIterations(t *testing.T) {
 	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
 	if err != nil {
@@ -29,8 +32,8 @@ func TestPipelineWarmStartFewerIterations(t *testing.T) {
 	pg := ds.Pages
 	sg := buildSG(t, pg)
 	cfg := pipelineCfg(ds.SpamSources, sg.NumSources()/40)
-	prev, err := PipelineFromSourceGraph(sg, cfg)
-	if err != nil {
+	st := &RefreshState{}
+	if _, _, err := PipelineRefresh(sg, nil, cfg, st); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,10 +53,7 @@ func TestPipelineWarmStartFewerIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmCfg := cfg
-	warmCfg.X0 = prev.Scores
-	warmCfg.ProximityX0 = prev.Proximity
-	warm, err := PipelineFromSourceGraph(sg2, warmCfg)
+	warm, info, err := PipelineRefresh(sg2, nil, cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +61,12 @@ func TestPipelineWarmStartFewerIterations(t *testing.T) {
 	if warm.Stats.Iterations >= cold.Stats.Iterations {
 		t.Errorf("warm solve took %d iterations, cold %d", warm.Stats.Iterations, cold.Stats.Iterations)
 	}
-	if warm.ProximityStats.Iterations >= cold.ProximityStats.Iterations {
+	if !info.ProximityCold && warm.ProximityStats.Iterations >= cold.ProximityStats.Iterations {
 		t.Errorf("warm proximity took %d iterations, cold %d",
 			warm.ProximityStats.Iterations, cold.ProximityStats.Iterations)
+	}
+	if !slices.Equal(warm.Kappa, cold.Kappa) || !slices.Equal(warm.Kappa, throttle.TopK(cold.Proximity, cfg.TopK)) {
+		t.Error("warm κ differs from the cold assignment")
 	}
 	if d := linalg.L2Distance(warm.Scores, cold.Scores); d > 1e-7 {
 		t.Errorf("warm ranks differ from cold by %g", d)
@@ -176,5 +179,97 @@ func TestRankCheckpointedWarmStartResume(t *testing.T) {
 		if res.Scores[i] != ref.Scores[i] {
 			t.Fatalf("resumed warm score %d: %v != %v", i, res.Scores[i], ref.Scores[i])
 		}
+	}
+}
+
+// The TestRankFrom* cases rank from a previous score vector handed in as
+// Config.X0, the one warm-start seam of a stateless solve.
+
+func TestRankFromMatchesColdStart(t *testing.T) {
+	sg := buildSG(t, corpus(t))
+	kappa := make([]float64, sg.NumSources())
+	cold, err := Rank(sg, kappa, Config{Tol: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Rank(sg, kappa, Config{Tol: 1e-12, X0: cold.Scores})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := linalg.L2Distance(cold.Scores, warm.Scores); d > 1e-9 {
+		t.Errorf("warm start diverged by %g", d)
+	}
+	// Restarting from the answer should converge almost immediately.
+	if warm.Stats.Iterations > 3 {
+		t.Errorf("warm start from the fixed point took %d iterations", warm.Stats.Iterations)
+	}
+}
+
+func TestRankFromAfterSmallChange(t *testing.T) {
+	pg := corpus(t)
+	sg := buildSG(t, pg)
+	kappa := make([]float64, sg.NumSources())
+	cold, err := Rank(sg, kappa, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Inject a small attack and re-rank warm vs cold.
+	attacked := pg.Clone()
+	if _, err := spam.InjectIntraSource(attacked, 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	sg2, err := source.Build(attacked, source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold2, err := Rank(sg2, kappa, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm2, err := Rank(sg2, kappa, Config{X0: cold.Scores})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := linalg.L2Distance(cold2.Scores, warm2.Scores); d > 1e-7 {
+		t.Errorf("warm result differs from cold by %g", d)
+	}
+	if warm2.Stats.Iterations > cold2.Stats.Iterations {
+		t.Errorf("warm start (%d iters) slower than cold (%d)",
+			warm2.Stats.Iterations, cold2.Stats.Iterations)
+	}
+}
+
+func TestRankFromValidation(t *testing.T) {
+	sg := buildSG(t, corpus(t))
+	kappa := make([]float64, sg.NumSources())
+	prev := linalg.NewUniformVector(sg.NumSources())
+	if _, err := Rank(nil, kappa, Config{X0: prev}); err == nil {
+		t.Error("nil graph accepted")
+	}
+	if _, err := Rank(sg, kappa, Config{X0: linalg.NewUniformVector(2)}); err == nil {
+		t.Error("wrong prev length accepted")
+	}
+	if _, err := Rank(sg, []float64{0.5}, Config{X0: prev}); err == nil {
+		t.Error("short kappa accepted")
+	}
+}
+
+func TestRankFromZeroPrevFallsBack(t *testing.T) {
+	sg := buildSG(t, corpus(t))
+	kappa := make([]float64, sg.NumSources())
+	zero := linalg.NewVector(sg.NumSources())
+	res, err := Rank(sg, kappa, Config{X0: zero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.Converged {
+		t.Errorf("fallback did not converge: %+v", res.Stats)
+	}
+	cold, err := Rank(sg, kappa, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := linalg.L2Distance(res.Scores, cold.Scores); d > 1e-7 {
+		t.Errorf("fallback differs from cold by %g", d)
 	}
 }

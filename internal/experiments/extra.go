@@ -221,7 +221,7 @@ func AblationWarmStart(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	warm, err := core.RankFrom(sg, pipe.Kappa, pipe.Scores, core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers})
+	warm, err := core.Rank(sg, pipe.Kappa, core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers, X0: pipe.Scores})
 	if err != nil {
 		return nil, err
 	}

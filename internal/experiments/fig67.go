@@ -175,7 +175,7 @@ func runManipulation(c *corpus, cfg Config, kind attackKind) ([]caseResult, erro
 			if err != nil {
 				return nil, err
 			}
-			sr, err := core.RankFrom(sg, pipe.Kappa, pipe.Scores, core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers})
+			sr, err := core.Rank(sg, pipe.Kappa, core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers, X0: pipe.Scores})
 			if err != nil {
 				return nil, err
 			}

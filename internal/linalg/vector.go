@@ -41,6 +41,22 @@ func (v Vector) Clone() Vector {
 	return w
 }
 
+// Padded returns v at length n — v itself cut to n entries when it is
+// long enough, a zero-extended copy otherwise — and nil for a nil v. It
+// adapts a previous solve's vector to a corpus whose source count moved:
+// new sources start at zero mass and the solver renormalizes.
+func (v Vector) Padded(n int) Vector {
+	switch {
+	case v == nil:
+		return nil
+	case len(v) >= n:
+		return v[:n]
+	}
+	out := make(Vector, n)
+	copy(out, v)
+	return out
+}
+
 // Fill sets every entry of v to x.
 func (v Vector) Fill(x float64) {
 	for i := range v {

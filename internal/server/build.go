@@ -2,9 +2,12 @@ package server
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"sourcerank/internal/core"
+	"sourcerank/internal/graph"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/rank"
@@ -56,26 +59,65 @@ type BuildConfig struct {
 	// linalg.ReadVectorFile) to serve alongside the computed sets. Each
 	// vector must have one score per source.
 	Extra map[Algo]linalg.Vector
-	// WarmStart, if set, seeds each algorithm's solve from the previous
-	// publish's vectors (see WarmStart). Vectors whose shape no longer
-	// matches the source count are ignored, falling back to a cold
-	// start; results match cold-start ranks within solver Tol either
-	// way, since the fixed point does not depend on the start.
-	WarmStart *WarmStart
-	// OnWarmFallback, if set, observes each algorithm whose retained
-	// warm-start vector was rejected by the shape guard (have entries
-	// retained, want needed). Refresher surfaces the aggregate per
-	// publish; this hook gives per-algorithm attribution.
-	OnWarmFallback func(algo Algo, have, want int)
 }
 
-func (c BuildConfig) coreConfig() core.Config {
-	return core.Config{Alpha: c.Alpha, Tol: c.Tol, MaxIter: c.MaxIter, Workers: c.Workers, Precision: c.Precision,
-		SlabDir: c.SlabDir, MaxResident: c.MaxResident}
+// Corpus is the graph one build reads. Structure presents the unweighted
+// topology of Source (the successor rows of Source.Structure(), which a
+// caller whose graph never changes computes once), and Version moves
+// whenever those rows do: count drift inside existing consensus cells
+// leaves the uniform-weight baselines' operator, and so their fixed
+// points, unchanged, and Version is how a builder knows.
+type Corpus struct {
+	Pages     *pagegraph.Graph
+	Source    *source.Graph
+	Structure graph.Topology
+	Version   uint64
 }
 
-func (c BuildConfig) rankOptions(x0 linalg.Vector) rank.Options {
-	return rank.Options{Alpha: c.Alpha, Tol: c.Tol, MaxIter: c.MaxIter, Workers: c.Workers, X0: x0, Precision: c.Precision}
+// BuildInfo reports which incremental paths one build took.
+type BuildInfo struct {
+	// RefreshInfo is the SRSR pipeline's account (zero when SRSR was not
+	// computed).
+	core.RefreshInfo
+	// PageRankSkipped / TrustRankSkipped: the baseline reused the
+	// previous vector because its operator (and, for TrustRank, its
+	// trusted-seed set) was unchanged.
+	PageRankSkipped  bool
+	TrustRankSkipped bool
+}
+
+// baseline is one uniform-weight solve the builder retains: the vector,
+// its convergence, and the structure version (and, for TrustRank, the
+// trusted seeds) it was solved for.
+type baseline struct {
+	scores linalg.Vector
+	stats  linalg.IterStats
+	ver    uint64
+	seeds  []int32
+}
+
+// Builder computes snapshots and carries each build's solver state into
+// the next, so a build costs what changed since the last: the SRSR
+// pipeline runs through core.PipelineRefresh over one RefreshState, and
+// the baselines re-solve — warm, over a shared Mᵀ — only when the
+// structure version (or TrustRank's seed set) moved. A carried vector is
+// the previous snapshot's very array, which is what lets Store.Publish
+// and the replica codec reuse everything derived from it. The zero
+// Builder has no history: its first Build is the cold build, and
+// BuildSnapshot is exactly that. Build calls are serialized.
+type Builder struct {
+	// Config is fixed for the builder's lifetime.
+	Config BuildConfig
+	// TransitionT, if set, supplies Mᵀ of a corpus' structure in place of
+	// the in-heap rank.TransitionT the builder otherwise retains per
+	// version (the stream pipeline's slab generations).
+	TransitionT func(c Corpus) (*linalg.CSR, error)
+
+	mu     sync.Mutex
+	srsr   core.RefreshState
+	mt     *linalg.CSR
+	mtVer  uint64
+	pr, tr baseline
 }
 
 // BuildSnapshot runs the offline stage: derive the source graph once,
@@ -90,99 +132,133 @@ func BuildSnapshot(pg *pagegraph.Graph, spam []int32, cfg BuildConfig) (*Snapsho
 }
 
 // BuildSnapshotFromSourceGraph is BuildSnapshot for callers that already
-// hold the derived source graph (refreshers reuse it across publishes
-// when only κ or the spam labels change).
+// hold the derived source graph: one Build of a throwaway Builder.
 func BuildSnapshotFromSourceGraph(pg *pagegraph.Graph, sg *source.Graph, spam []int32, cfg BuildConfig) (*Snapshot, error) {
+	snap, _, err := (&Builder{Config: cfg}).Build(Corpus{Pages: pg, Source: sg, Structure: sg.Structure()}, spam)
+	return snap, err
+}
+
+// Kappa returns a copy of the current throttling vector (nil before the
+// first SRSR build).
+func (b *Builder) Kappa() []float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return slices.Clone(b.srsr.Kappa)
+}
+
+// Build computes the snapshot of c under the spam labels. An error leaves
+// the retained state usable: the next Build re-solves whatever this one
+// did not finish.
+func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	cfg, sg := b.Config, c.Source
+	var info BuildInfo
+	n := sg.NumSources()
+	topK := cfg.TopK
+	if topK <= 0 {
+		topK = int(0.027*float64(n) + 0.5)
+	}
 	algos := cfg.Algos
 	if len(algos) == 0 {
 		algos = DefaultAlgos
 	}
-	topK := cfg.TopK
-	if topK <= 0 {
-		topK = int(0.027*float64(sg.NumSources()) + 0.5)
-	}
-	n := sg.NumSources()
-	var proximity linalg.Vector
-	// PageRank and TrustRank walk the same uniform source transition and
-	// differ only in teleport, so Mᵀ is built once, by whichever runs first.
-	var mt *linalg.CSR
-	baselineT := func() *linalg.CSR {
-		if mt == nil {
-			mt = rank.TransitionT(sg.Structure())
-		}
-		return mt
-	}
 	sets := make(map[Algo]*ScoreSet, len(algos))
 	for _, algo := range algos {
-		x0 := cfg.WarmStart.vectorFor(algo, n)
-		if x0 == nil && cfg.OnWarmFallback != nil && cfg.WarmStart != nil {
-			if v := cfg.WarmStart.Scores[algo]; v != nil {
-				cfg.OnWarmFallback(algo, len(v), n)
-			}
-		}
 		start := time.Now()
+		var scores linalg.Vector
+		var stats linalg.IterStats
+		var warm bool
 		switch algo {
 		case AlgoSRSR:
 			if len(spam) == 0 {
 				continue
 			}
-			ccfg := cfg.coreConfig()
-			ccfg.X0 = x0
-			res, err := core.PipelineFromSourceGraph(sg, core.PipelineConfig{
-				Config:      ccfg,
-				SpamSeeds:   spam,
-				TopK:        topK,
-				ProximityX0: cfg.WarmStart.proximityFor(n),
-			})
+			warm = b.srsr.Scores != nil
+			res, ri, err := core.PipelineRefresh(sg, c.Structure, core.PipelineConfig{
+				Config: core.Config{Alpha: cfg.Alpha, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers,
+					Precision: cfg.Precision, SlabDir: cfg.SlabDir, MaxResident: cfg.MaxResident},
+				SpamSeeds: spam,
+				TopK:      topK,
+			}, &b.srsr)
 			if err != nil {
-				return nil, fmt.Errorf("server: srsr: %w", err)
+				return nil, info, fmt.Errorf("server: srsr: %w", err)
 			}
-			proximity = res.Proximity
-			sets[algo] = NewScoreSet(res.Scores, res.Stats)
-		case AlgoPageRank:
-			res, err := rank.StationaryT(baselineT(), cfg.rankOptions(x0))
-			if err != nil {
-				return nil, fmt.Errorf("server: pagerank: %w", err)
+			info.RefreshInfo, scores, stats = ri, res.Scores, res.Stats
+		case AlgoPageRank, AlgoTrustRank:
+			// The baselines walk the same uniform source transition and
+			// differ only in teleport: PageRank's is uniform (no seeds).
+			bl, skipped, seeds := &b.pr, &info.PageRankSkipped, []int32(nil)
+			if algo == AlgoTrustRank {
+				bl, skipped, seeds = &b.tr, &info.TrustRankSkipped, TrustedSeeds(sg, cfg.TrustedSeeds, spam)
 			}
-			sets[algo] = NewScoreSet(res.Scores, res.Stats)
-		case AlgoTrustRank:
-			tele, err := rank.TrustTeleport(n, TrustedSeeds(sg, cfg.TrustedSeeds, spam))
-			if err != nil {
-				return nil, fmt.Errorf("server: trustrank: %w", err)
+			warm = bl.scores != nil
+			if warm && bl.ver == c.Version && len(bl.scores) == n && slices.Equal(seeds, bl.seeds) {
+				*skipped = true
+			} else if err := b.solveBaseline(c, bl, seeds); err != nil {
+				return nil, info, fmt.Errorf("server: %s: %w", algo, err)
 			}
-			opt := cfg.rankOptions(x0)
-			opt.Teleport = tele
-			res, err := rank.StationaryT(baselineT(), opt)
-			if err != nil {
-				return nil, fmt.Errorf("server: trustrank: %w", err)
+			if scores, stats = bl.scores, bl.stats; *skipped {
+				// Carried: like a skipped SRSR solve, it reports the residual
+				// last measured and the zero iterations this build ran.
+				stats.Iterations = 0
 			}
-			sets[algo] = NewScoreSet(res.Scores, res.Stats)
 		default:
-			return nil, fmt.Errorf("server: unknown algorithm %q", algo)
+			return nil, info, fmt.Errorf("server: unknown algorithm %q", algo)
 		}
-		if ss := sets[algo]; ss != nil {
-			ss.setSolve(time.Since(start), x0 != nil)
-			ss.setPrecision(cfg.Precision)
-		}
+		sets[algo] = NewScoreSetSolved(scores, stats, time.Since(start), warm)
+		sets[algo].solvePrec = cfg.Precision
 	}
 	for algo, vec := range cfg.Extra {
 		sets[algo] = NewScoreSet(vec, linalg.IterStats{Converged: true})
 	}
 	if len(sets) == 0 {
-		return nil, fmt.Errorf("server: no score sets computed (srsr needs spam labels)")
+		return nil, info, fmt.Errorf("server: no score sets computed (srsr needs spam labels)")
 	}
-	info := CorpusInfo{
+	corpus := CorpusInfo{
 		Name:        cfg.Name,
-		Pages:       pg.NumPages(),
-		Links:       pg.NumLinks(),
+		Pages:       c.Pages.NumPages(),
+		Links:       c.Pages.NumLinks(),
 		SpamLabeled: len(spam),
 	}
-	snap, err := NewSnapshot(info, sg.Labels, sg.PageCount, topK, sets, time.Now())
+	snap, err := NewSnapshot(corpus, sg.Labels, sg.PageCount, topK, sets, time.Now())
+	return snap, info, err
+}
+
+// solveBaseline re-solves one uniform-weight baseline from its retained
+// vector, teleporting to seeds (uniformly when there are none) over the
+// Mᵀ both baselines share.
+func (b *Builder) solveBaseline(c Corpus, bl *baseline, seeds []int32) error {
+	mt, err := b.transitionT(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	snap.proximity = proximity
-	return snap, nil
+	cfg := b.Config
+	opt := rank.Options{Alpha: cfg.Alpha, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers,
+		X0: bl.scores.Padded(mt.Rows), Precision: cfg.Precision}
+	if seeds != nil {
+		if opt.Teleport, err = rank.TrustTeleport(mt.Rows, seeds); err != nil {
+			return err
+		}
+	}
+	res, err := rank.StationaryT(mt, opt)
+	if err != nil {
+		return err
+	}
+	bl.scores, bl.stats, bl.ver, bl.seeds = res.Scores, res.Stats, c.Version, seeds
+	return nil
+}
+
+// transitionT resolves the Mᵀ both baselines solve over, built once per
+// structure version by whichever runs first.
+func (b *Builder) transitionT(c Corpus) (*linalg.CSR, error) {
+	if b.TransitionT != nil {
+		return b.TransitionT(c)
+	}
+	if b.mt == nil || b.mtVer != c.Version {
+		b.mt, b.mtVer = rank.TransitionT(c.Structure), c.Version
+	}
+	return b.mt, nil
 }
 
 // TrustedSeeds picks the k (0 means 10) non-spam sources with the most

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"sourcerank/internal/linalg"
-	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/source"
 )
 
@@ -383,93 +382,6 @@ func TestParentVersionLineage(t *testing.T) {
 	}
 }
 
-// TestRefresherWarmFallbackSurfaced is the regression test for the
-// silent warm-start fallback: a corpus whose source count changed
-// between publishes must bump the counter, fire the callback, and show
-// up in the metrics exposition.
-func TestRefresherWarmFallbackSurfaced(t *testing.T) {
-	sizes := []int{3, 5, 5}
-	build := 0
-	r := &Refresher{
-		Store: NewStore(nil),
-		Build: func(ctx context.Context, warm *WarmStart) (*Snapshot, error) {
-			n := sizes[build]
-			build++
-			scores := make([]float64, n)
-			for i := range scores {
-				scores[i] = 1 / float64(n)
-			}
-			return testSnapshot(t, AlgoSRSR, scores), nil
-		},
-	}
-	var have, want int
-	r.OnWarmFallback = func(h, w int) { have, want = h, w }
-	for i := range sizes {
-		if err := r.RefreshNow(context.Background()); err != nil {
-			t.Fatalf("refresh %d: %v", i, err)
-		}
-	}
-	if got := r.WarmFallbacks(); got != 1 {
-		t.Fatalf("WarmFallbacks = %d, want 1 (only the 3->5 publish)", got)
-	}
-	if have != 3 || want != 5 {
-		t.Fatalf("OnWarmFallback got (%d,%d), want (3,5)", have, want)
-	}
-
-	srv := New(r.Store, Config{Refresher: r})
-	metrics := rawGet(t, srv.Handler(), "/metrics", nil).Body.String()
-	if !strings.Contains(metrics, "srserve_refresh_warm_fallbacks_total 1") {
-		t.Fatalf("metrics missing warm fallback counter:\n%s", metrics)
-	}
-}
-
-// TestBuildOnWarmFallbackPerAlgo drives the real builder's shape guard:
-// a retained vector of the wrong length must fire the per-algorithm
-// hook, while a matching one must not.
-func TestBuildOnWarmFallbackPerAlgo(t *testing.T) {
-	pg := pagegraph.New()
-	for i := 0; i < 3; i++ {
-		pg.AddSource(fmt.Sprintf("s%d", i))
-		pg.AddPage(pagegraph.SourceID(i))
-	}
-	pg.AddLink(0, 1)
-	pg.AddLink(1, 2)
-	var fired []string
-	_, err := BuildSnapshot(pg, nil, BuildConfig{
-		Algos: []Algo{AlgoPageRank},
-		WarmStart: &WarmStart{
-			Sources: 2,
-			Scores:  map[Algo]linalg.Vector{AlgoPageRank: {0.5, 0.5}},
-		},
-		OnWarmFallback: func(algo Algo, have, want int) {
-			fired = append(fired, fmt.Sprintf("%s:%d->%d", algo, have, want))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 1 || fired[0] != "pagerank:2->3" {
-		t.Fatalf("per-algo fallback = %v, want [pagerank:2->3]", fired)
-	}
-	fired = nil
-	_, err = BuildSnapshot(pg, nil, BuildConfig{
-		Algos: []Algo{AlgoPageRank},
-		WarmStart: &WarmStart{
-			Sources: 3,
-			Scores:  map[Algo]linalg.Vector{AlgoPageRank: {0.4, 0.3, 0.3}},
-		},
-		OnWarmFallback: func(algo Algo, have, want int) {
-			fired = append(fired, string(algo))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 0 {
-		t.Fatalf("matching warm start fired fallback hook: %v", fired)
-	}
-}
-
 // TestRefresherNotify checks that a Notify wakes the refresh loop long
 // before the interval timer would.
 func TestRefresherNotify(t *testing.T) {
@@ -477,7 +389,7 @@ func TestRefresherNotify(t *testing.T) {
 	r := &Refresher{
 		Store:    store,
 		Interval: time.Hour,
-		Build: func(ctx context.Context, warm *WarmStart) (*Snapshot, error) {
+		Build: func(ctx context.Context) (*Snapshot, error) {
 			return testSnapshot(t, AlgoSRSR, []float64{0.5, 0.5}), nil
 		},
 	}

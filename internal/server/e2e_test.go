@@ -208,7 +208,7 @@ func TestRefresherPublishes(t *testing.T) {
 	ref := &Refresher{
 		Store:    store,
 		Interval: 5 * time.Millisecond,
-		Build: func(ctx context.Context, _ *WarmStart) (*Snapshot, error) {
+		Build: func(ctx context.Context) (*Snapshot, error) {
 			mu.Lock()
 			defer mu.Unlock()
 			if fail {

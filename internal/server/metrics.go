@@ -292,7 +292,7 @@ func (m *Metrics) WriteSolverText(w io.Writer, snap *Snapshot) {
 	for _, a := range algos {
 		fmt.Fprintf(w, "srserve_solver_seconds{algo=%q} %.6f\n", a, snap.Set(a).SolveTime().Seconds())
 	}
-	fmt.Fprintf(w, "# HELP srserve_solver_warm_start Whether the solve was warm-started from the previous snapshot (1) or cold (0).\n")
+	fmt.Fprintf(w, "# HELP srserve_solver_warm_start Whether the solve started from the builder's retained state (1) or cold (0).\n")
 	fmt.Fprintf(w, "# TYPE srserve_solver_warm_start gauge\n")
 	for _, a := range algos {
 		v := 0
@@ -333,9 +333,6 @@ func (m *Metrics) WriteRefreshText(w io.Writer, r *Refresher) {
 	if r == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP srserve_refresh_warm_fallbacks_total Publishes whose warm-start state was rejected by the shape guard and solved cold.\n")
-	fmt.Fprintf(w, "# TYPE srserve_refresh_warm_fallbacks_total counter\n")
-	fmt.Fprintf(w, "srserve_refresh_warm_fallbacks_total %d\n", r.WarmFallbacks())
 	fmt.Fprintf(w, "# HELP srserve_refresh_consecutive_failures Builds failed in a row since the last successful publish.\n")
 	fmt.Fprintf(w, "# TYPE srserve_refresh_consecutive_failures gauge\n")
 	fmt.Fprintf(w, "srserve_refresh_consecutive_failures %d\n", r.ConsecutiveFailures())

@@ -10,13 +10,9 @@ import (
 
 // BuildFunc produces the next snapshot during a refresh. It runs on the
 // refresher's goroutine; readers keep serving the old snapshot while it
-// computes. Implementations typically re-read spam labels or recompute
-// κ and call BuildSnapshot. warm is the previous publish's solver state
-// (nil on the first build or when warm starting is disabled); builds
-// that honor it pass it to BuildConfig.WarmStart, and builds that
-// ignore it stay correct — warm starting only changes the number of
-// iterations, never the fixed point.
-type BuildFunc func(ctx context.Context, warm *WarmStart) (*Snapshot, error)
+// computes. Implementations typically re-read spam labels and call
+// Builder.Build, whose retained state makes the build cost what changed.
+type BuildFunc func(ctx context.Context) (*Snapshot, error)
 
 // Refresher periodically rebuilds and publishes snapshots. Failed
 // builds never unpublish the serving snapshot; instead the refresher
@@ -35,25 +31,9 @@ type Refresher struct {
 	// OnError, if set, observes build failures; the old snapshot stays
 	// published and the loop continues.
 	OnError func(error)
-	// ColdStart disables warm-start retention: every build receives a
-	// nil WarmStart (srserve -cold-refresh; also useful to bound
-	// worst-case divergence accumulation in long-running fleets).
-	ColdStart bool
-	// OnWarmFallback, if set, observes each publish whose retained
-	// warm-start state could not line up with the built snapshot (the
-	// source count changed under a recrawl or corpus swap), so the
-	// solves silently degraded to cold starts. have is the retained
-	// vector shape, want the published one.
-	OnWarmFallback func(have, want int)
 
-	failures      atomic.Uint64
-	warmFallbacks atomic.Uint64
-	lastBuildNS   atomic.Int64
-	// warm retains the last published snapshot's solver state for the
-	// next build; falls back to the store's current snapshot when unset
-	// (e.g. a refresher attached to a store seeded by an initial
-	// foreground build).
-	warm atomic.Pointer[WarmStart]
+	failures    atomic.Uint64
+	lastBuildNS atomic.Int64
 
 	// rnd supplies the jitter fraction in [0,1); tests pin it for
 	// deterministic delays. Nil means math/rand.
@@ -68,13 +48,6 @@ type Refresher struct {
 // ConsecutiveFailures reports how many builds in a row have failed
 // since the last successful publish.
 func (r *Refresher) ConsecutiveFailures() uint64 { return r.failures.Load() }
-
-// WarmFallbacks counts publishes whose warm-start state was discarded
-// because its shape no longer matched the built snapshot. A steadily
-// increasing count under a stable corpus means every refresh is paying
-// full cold-solve cost — exactly the regression this counter surfaces
-// (it used to be silent).
-func (r *Refresher) WarmFallbacks() uint64 { return r.warmFallbacks.Load() }
 
 func (r *Refresher) wake() chan struct{} {
 	r.wakeOnce.Do(func() { r.wakeCh = make(chan struct{}, 1) })
@@ -133,15 +106,8 @@ func (r *Refresher) Run(ctx context.Context) {
 // RefreshNow runs one build+publish cycle synchronously, returning the
 // build error if any.
 func (r *Refresher) RefreshNow(ctx context.Context) error {
-	var warm *WarmStart
-	if !r.ColdStart {
-		warm = r.warm.Load()
-		if warm == nil {
-			warm = WarmStartFrom(r.Store.Current())
-		}
-	}
 	start := time.Now()
-	snap, err := r.Build(ctx, warm)
+	snap, err := r.Build(ctx)
 	if err != nil {
 		r.failures.Add(1)
 		if r.OnError != nil {
@@ -152,20 +118,7 @@ func (r *Refresher) RefreshNow(ctx context.Context) error {
 	took := time.Since(start)
 	r.failures.Store(0)
 	r.lastBuildNS.Store(int64(took))
-	if warm != nil && snap.NumSources() != warm.Sources {
-		// The build could not use the retained state: every vectorFor
-		// shape guard rejected it and the solves ran cold. Surface it —
-		// operators watching publish latency need to know the warm path
-		// is dead, not just that builds got slower.
-		r.warmFallbacks.Add(1)
-		if r.OnWarmFallback != nil {
-			r.OnWarmFallback(warm.Sources, snap.NumSources())
-		}
-	}
 	v := r.Store.Publish(snap)
-	if !r.ColdStart {
-		r.warm.Store(WarmStartFrom(snap))
-	}
 	if r.OnPublish != nil {
 		r.OnPublish(v, snap, took)
 	}
@@ -176,7 +129,7 @@ func (r *Refresher) RefreshNow(ctx context.Context) error {
 // failures it is Interval·2^f capped at MaxBackoff, with ±20% jitter.
 func (r *Refresher) nextDelay() time.Duration {
 	d := r.backoffDelay(r.failures.Load())
-	return jitter(d, r.rnd)
+	return Jitter(d, r.rnd)
 }
 
 // backoffDelay is the un-jittered delay after f consecutive failures.
@@ -203,11 +156,6 @@ func (r *Refresher) backoffDelay(f uint64) time.Duration {
 // fleet de-synchronization discipline as the refresher so a builder
 // restart is not followed by every replica re-syncing in lockstep.
 func Jitter(d time.Duration, rnd func() float64) time.Duration {
-	return jitter(d, rnd)
-}
-
-// jitter spreads d uniformly over [0.8d, 1.2d].
-func jitter(d time.Duration, rnd func() float64) time.Duration {
 	if d <= 0 {
 		return d
 	}

@@ -208,7 +208,7 @@ func TestRefreshNowTracksFailuresAndDuration(t *testing.T) {
 	r := &Refresher{
 		Store:    store,
 		Interval: time.Minute,
-		Build: func(ctx context.Context, _ *WarmStart) (*Snapshot, error) {
+		Build: func(ctx context.Context) (*Snapshot, error) {
 			if fail {
 				return nil, fmt.Errorf("synthetic")
 			}
@@ -258,7 +258,7 @@ func TestRefresherNoImmediateRefireAfterLongBuild(t *testing.T) {
 	r := &Refresher{
 		Store:    store,
 		Interval: interval,
-		Build: func(ctx context.Context, _ *WarmStart) (*Snapshot, error) {
+		Build: func(ctx context.Context) (*Snapshot, error) {
 			mu.Lock()
 			starts = append(starts, time.Now())
 			mu.Unlock()

@@ -53,9 +53,8 @@ type Config struct {
 	// (cmd/loadgen -compare-baseline) and for the golden tests that
 	// assert both paths produce identical bytes.
 	DisableResponseCache bool
-	// Refresher, if set, adds the refresher's health gauges (warm-start
-	// fallbacks, consecutive build failures, last build time) to
-	// /metrics.
+	// Refresher, if set, adds the refresher's health gauges (consecutive
+	// build failures, last build time) to /metrics.
 	Refresher *Refresher
 	// CorpusLoad, if set, adds what reading the corpus file at boot cost
 	// (srserve_corpus_load_seconds, srserve_corpus_bytes) to /metrics.

@@ -53,7 +53,7 @@ type ScoreSet struct {
 	order     []int32 // source IDs in descending score order, ties by ID
 	rank      []int32 // rank[source] = position of source in order
 	stats     linalg.IterStats
-	// Solve observability, set by the snapshot builder via setSolve.
+	// Solve observability, set by the snapshot builder.
 	solveTime   time.Duration
 	warmStarted bool
 	// solvePrec records which arithmetic produced the scores (provenance:
@@ -113,19 +113,12 @@ func (ss *ScoreSet) shareIndex(from *ScoreSet) {
 // builder's convergence rather than zeros.
 func NewScoreSetSolved(scores linalg.Vector, stats linalg.IterStats, solveTime time.Duration, warm bool) *ScoreSet {
 	ss := NewScoreSet(scores, stats)
-	ss.setSolve(solveTime, warm)
+	ss.solveTime, ss.warmStarted = solveTime, warm
 	return ss
 }
 
 // Stats reports the solver convergence of this score set.
 func (ss *ScoreSet) Stats() linalg.IterStats { return ss.stats }
-
-// setSolve records how the score set's solve ran; the snapshot builder
-// calls it before the set becomes visible to readers.
-func (ss *ScoreSet) setSolve(d time.Duration, warm bool) {
-	ss.solveTime = d
-	ss.warmStarted = warm
-}
 
 // SolveTime reports the wall time of the solve that produced this score
 // set (0 for injected/precomputed vectors).
@@ -135,12 +128,8 @@ func (ss *ScoreSet) SolveTime() time.Duration { return ss.solveTime }
 // score set (linalg.Float64 for injected/precomputed vectors).
 func (ss *ScoreSet) SolvePrecision() linalg.Precision { return ss.solvePrec }
 
-// setPrecision records the solve arithmetic; the snapshot builder calls
-// it before the set becomes visible to readers.
-func (ss *ScoreSet) setPrecision(p linalg.Precision) { ss.solvePrec = p }
-
-// WarmStarted reports whether the solve was warm-started from a
-// previous snapshot's scores.
+// WarmStarted reports whether the solve started from the builder's
+// retained state (a carried vector included) rather than cold.
 func (ss *ScoreSet) WarmStarted() bool { return ss.warmStarted }
 
 // Scores returns a copy of the underlying score vector, indexed by
@@ -185,11 +174,6 @@ type Snapshot struct {
 	pageCount   []int
 	kappaTopK   int
 	sets        map[Algo]*ScoreSet
-	// proximity is the SRSR spam-proximity vector the throttle was
-	// derived from, retained so the next refresh can warm-start the
-	// proximity walk (see WarmStartFrom). Nil when SRSR was not
-	// computed. Immutable once set by the snapshot builder.
-	proximity linalg.Vector
 	// resp holds the pre-encoded hot-path response bodies. It is built
 	// by Store.Publish (via finalize) before the snapshot becomes
 	// visible to readers, and never mutated afterwards; nil on

@@ -183,12 +183,13 @@ func TestBuildSnapshotBaselinesShareOperand(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			opt := rank.Options{Workers: cfg.Workers, Precision: cfg.Precision}
 			for _, algo := range algos {
 				var want *rank.Result
 				if algo == AlgoPageRank {
-					want, err = rank.PageRank(sg.Structure(), cfg.rankOptions(nil))
+					want, err = rank.PageRank(sg.Structure(), opt)
 				} else {
-					want, err = rank.TrustRank(sg.Structure(), TrustedSeeds(sg, 0, ds.SpamSources), cfg.rankOptions(nil))
+					want, err = rank.TrustRank(sg.Structure(), TrustedSeeds(sg, 0, ds.SpamSources), opt)
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -2,15 +2,12 @@ package stream
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
-	"sourcerank/internal/core"
 	"sourcerank/internal/durable"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
-	"sourcerank/internal/rank"
 	"sourcerank/internal/server"
 	"sourcerank/internal/source"
 )
@@ -73,32 +70,11 @@ type Options struct {
 	SlabPatchEntries int
 }
 
-func (o Options) algos() []server.Algo {
-	if len(o.Algos) == 0 {
-		return server.DefaultAlgos
-	}
-	return o.Algos
-}
-
 func (o Options) compactEvery() int {
 	if o.CompactEvery <= 0 {
 		return 256
 	}
 	return o.CompactEvery
-}
-
-func (o Options) topK(n int) int {
-	if o.TopK > 0 {
-		return o.TopK
-	}
-	return int(0.027*float64(n) + 0.5)
-}
-
-func (o Options) rankOptions(x0, tele linalg.Vector) rank.Options {
-	return rank.Options{
-		Alpha: o.Alpha, Tol: o.Tol, MaxIter: o.MaxIter, Workers: o.Workers,
-		X0: x0, Teleport: tele,
-	}
 }
 
 // RefreshStats reports what one Refresh actually did — which stages were
@@ -108,19 +84,10 @@ type RefreshStats struct {
 	Seq uint64
 	// Version is the published snapshot version (0 when no Store).
 	Version uint64
-	// SolveSkipped: the SRSR stationary solve was replaced by a single
-	// residual probe because nothing feeding it changed.
-	SolveSkipped bool
-	// ProximityCold: the spam-proximity walk ran cold (first refresh,
-	// contested κ boundary, or Graded mode).
-	ProximityCold bool
-	// KappaChanged is the number of κ entries this refresh flipped.
-	KappaChanged int
-	// PageRankSkipped / TrustRankSkipped: the baseline solve reused the
-	// previous vector because its operator (and, for TrustRank, its
-	// seed set) was unchanged.
-	PageRankSkipped  bool
-	TrustRankSkipped bool
+	// BuildInfo is the builder's account of the solve stage: SolveSkipped,
+	// ProximityCold and KappaChanged for SRSR, PageRankSkipped and
+	// TrustRankSkipped for the baselines.
+	server.BuildInfo
 	// Compacted: the structure overlay was folded this refresh.
 	Compacted bool
 	// SlabRowsPatched / SlabRowsCopied count Mᵀ rows recomputed vs
@@ -137,38 +104,23 @@ type RefreshStats struct {
 }
 
 // Pipeline composes the streaming stack: an Ingestor (page graph +
-// incremental source consensus), an optional write-ahead log, the warm
-// SRSR refresh (core.PipelineRefresh), warm PageRank/TrustRank baseline
-// solves sharing one transposed transition build, and delta-aware
-// snapshot publication. All methods are safe for concurrent use; one
-// mutex serializes ingest and refresh, while published snapshots are
-// read lock-free as usual.
+// incremental source consensus), an optional write-ahead log, and a
+// server.Builder — the one snapshot builder, whose retained state makes
+// each refresh cost what the deltas changed — fed the ingestor's
+// incrementally maintained structure and, in SlabDir mode, slab
+// generations of Mᵀ. All methods are safe for concurrent use; one mutex
+// serializes ingest and refresh, while published snapshots are read
+// lock-free as usual.
 type Pipeline struct {
-	mu  sync.Mutex
-	opt Options
-	ing *Ingestor
-	wal *WAL
-
-	st core.RefreshState // SRSR warm state
-
-	// Baseline warm state. The uniform-weight baselines depend only on
-	// the unweighted source topology, so everything here is keyed on the
-	// ingestor's StructureVersion: mt (Mᵀ of the structure) is rebuilt,
-	// and the retained PageRank/TrustRank vectors re-solved, only when
-	// consensus edges appeared or vanished — count drift within existing
-	// cells leaves their fixed points provably unchanged.
-	mt      *linalg.CSR
-	mtVer   uint64
-	slab    *slabRefresher // non-nil in SlabDir mode; then mt stays nil
-	prSc    linalg.Vector
-	prStats linalg.IterStats
-	prVer   uint64
-	trSc    linalg.Vector
-	trStats linalg.IterStats
-	trVer   uint64
-	trSeeds []int32
-
-	sg *source.Graph // last emitted source graph
+	mu      sync.Mutex
+	opt     Options
+	ing     *Ingestor
+	wal     *WAL
+	builder server.Builder
+	// slab is non-nil in SlabDir mode; slabPatched/slabCopied then count
+	// the rows the current Refresh's generation rewrite recomputed/copied.
+	slab                    *slabRefresher
+	slabPatched, slabCopied int
 }
 
 // NewPipeline builds the streaming pipeline over pg: full initial
@@ -181,9 +133,21 @@ func NewPipeline(pg *pagegraph.Graph, opt Options) (*Pipeline, error) {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	p := &Pipeline{opt: opt, ing: ing}
+	p.builder.Config = server.BuildConfig{
+		Algos: opt.Algos, Alpha: opt.Alpha, TopK: opt.TopK, TrustedSeeds: opt.TrustedSeeds,
+		Tol: opt.Tol, MaxIter: opt.MaxIter, Workers: opt.Workers, Name: opt.Name,
+	}
 	if opt.SlabDir != "" {
 		p.slab = newSlabRefresher(opt)
 		p.slab.pruneStale()
+		// The current slab generation stands in for the builder's in-heap
+		// Mᵀ, rewritten first when the topology moved past it.
+		p.builder.TransitionT = func(c server.Corpus) (*linalg.CSR, error) {
+			mt, patched, copied, err := p.slab.ensure(c.Structure, c.Version)
+			p.slabPatched += patched
+			p.slabCopied += copied
+			return mt, err
+		}
 	}
 	if opt.WALDir != "" {
 		wal, batches, err := OpenWAL(opt.FS, opt.WALDir)
@@ -221,14 +185,7 @@ func (p *Pipeline) Ingestor() *Ingestor { return p.ing }
 // Kappa returns a copy of the current throttling vector (nil before the
 // first SRSR refresh). The equivalence suite compares it bitwise against
 // a cold rebuild's κ.
-func (p *Pipeline) Kappa() []float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.st.Kappa == nil {
-		return nil
-	}
-	return slices.Clone(p.st.Kappa)
-}
+func (p *Pipeline) Kappa() []float64 { return p.builder.Kappa() }
 
 // Apply validates deltas as one atomic batch, assigns it the next
 // sequence number, write-ahead-logs it (when configured), and commits it
@@ -282,111 +239,26 @@ func (p *Pipeline) Refresh() (*server.Snapshot, RefreshStats, error) {
 	sg := p.ing.Emit()
 	stats.Compacted = p.ing.CompactStructure(p.opt.compactEvery())
 	stats.Emit = time.Since(t0)
-	p.sg = sg
-	n := sg.NumSources()
-	topK := p.opt.topK(n)
-	sv := p.ing.StructureVersion()
 
 	tSolve := time.Now()
-	sets := make(map[server.Algo]*server.ScoreSet, len(p.opt.algos()))
-	for _, algo := range p.opt.algos() {
-		switch algo {
-		case server.AlgoSRSR:
-			if len(p.opt.Spam) == 0 {
-				continue
-			}
-			res, info, err := core.PipelineRefresh(sg, p.ing.Structure(), core.PipelineConfig{
-				Config:    core.Config{Alpha: p.opt.Alpha, Tol: p.opt.Tol, MaxIter: p.opt.MaxIter, Workers: p.opt.Workers},
-				SpamSeeds: p.opt.Spam,
-				TopK:      topK,
-			}, &p.st)
-			if err != nil {
-				return nil, stats, fmt.Errorf("stream: srsr refresh: %w", err)
-			}
-			stats.SolveSkipped = info.SolveSkipped
-			stats.ProximityCold = info.ProximityCold
-			stats.KappaChanged = info.KappaChanged
-			sets[algo] = server.NewScoreSet(res.Scores, res.Stats)
-		case server.AlgoPageRank:
-			if p.prSc != nil && p.prVer == sv && len(p.prSc) == n {
-				stats.PageRankSkipped = true
-			} else {
-				mt, err := p.transition(sv, &stats)
-				if err != nil {
-					return nil, stats, err
-				}
-				res, err := rank.StationaryT(mt, p.opt.rankOptions(padded(p.prSc, n), nil))
-				if err != nil {
-					return nil, stats, fmt.Errorf("stream: pagerank refresh: %w", err)
-				}
-				p.prSc, p.prStats, p.prVer = res.Scores, res.Stats, sv
-			}
-			sets[algo] = server.NewScoreSet(p.prSc, p.prStats)
-		case server.AlgoTrustRank:
-			seeds := server.TrustedSeeds(sg, p.opt.TrustedSeeds, p.opt.Spam)
-			if p.trSc != nil && p.trVer == sv && len(p.trSc) == n && slices.Equal(seeds, p.trSeeds) {
-				stats.TrustRankSkipped = true
-			} else {
-				mt, err := p.transition(sv, &stats)
-				if err != nil {
-					return nil, stats, err
-				}
-				tele, err := rank.TrustTeleport(n, seeds)
-				if err != nil {
-					return nil, stats, fmt.Errorf("stream: trustrank refresh: %w", err)
-				}
-				res, err := rank.StationaryT(mt, p.opt.rankOptions(padded(p.trSc, n), tele))
-				if err != nil {
-					return nil, stats, fmt.Errorf("stream: trustrank refresh: %w", err)
-				}
-				p.trSc, p.trStats, p.trVer, p.trSeeds = res.Scores, res.Stats, sv, seeds
-			}
-			sets[algo] = server.NewScoreSet(p.trSc, p.trStats)
-		default:
-			return nil, stats, fmt.Errorf("stream: unknown algorithm %q", algo)
-		}
+	p.slabPatched, p.slabCopied = 0, 0
+	snap, info, err := p.builder.Build(server.Corpus{
+		Pages: p.ing.PageGraph(), Source: sg, Structure: p.ing.Structure(), Version: p.ing.StructureVersion(),
+	}, p.opt.Spam)
+	stats.SlabRowsPatched, stats.SlabRowsCopied = p.slabPatched, p.slabCopied
+	if err != nil {
+		return nil, stats, fmt.Errorf("stream: %w", err)
 	}
+	stats.BuildInfo = info
 	stats.Solve = time.Since(tSolve)
-	if len(sets) == 0 {
-		return nil, stats, fmt.Errorf("stream: no score sets computed (srsr needs spam labels)")
-	}
 
 	tPub := time.Now()
-	pg := p.ing.PageGraph()
-	info := server.CorpusInfo{
-		Name:        p.opt.Name,
-		Pages:       pg.NumPages(),
-		Links:       pg.NumLinks(),
-		SpamLabeled: len(p.opt.Spam),
-	}
-	snap, err := server.NewSnapshot(info, sg.Labels, sg.PageCount, topK, sets, time.Now())
-	if err != nil {
-		return nil, stats, err
-	}
 	if p.opt.Store != nil {
 		stats.Version = p.opt.Store.Publish(snap)
 	}
 	stats.Publish = time.Since(tPub)
 	stats.Total = time.Since(t0)
 	return snap, stats, nil
-}
-
-// transition resolves the shared Mᵀ operand for the baseline solves: the
-// in-heap CSR by default, or the current slab generation in SlabDir mode
-// (rewriting it first when the topology moved, with the patch/copy row
-// accounting folded into stats).
-func (p *Pipeline) transition(sv uint64, stats *RefreshStats) (*linalg.CSR, error) {
-	if p.slab == nil {
-		p.ensureTransition(sv)
-		return p.mt, nil
-	}
-	mt, patched, copied, err := p.slab.ensure(p.ing.Structure(), sv)
-	if err != nil {
-		return nil, err
-	}
-	stats.SlabRowsPatched += patched
-	stats.SlabRowsCopied += copied
-	return mt, nil
 }
 
 // Close releases the resources a slab-backed pipeline holds open (the
@@ -399,30 +271,4 @@ func (p *Pipeline) Close() error {
 		return p.slab.close()
 	}
 	return nil
-}
-
-// ensureTransition rebuilds the shared transposed transition matrix Mᵀ
-// when the source topology's sparsity changed since it was built (Mᵀ
-// weights rows uniformly, so count drift cannot alter it). PageRank and
-// TrustRank differ only in teleport vector, so one build serves both.
-func (p *Pipeline) ensureTransition(sv uint64) {
-	if p.mt != nil && p.mtVer == sv {
-		return
-	}
-	p.mt = rank.TransitionT(p.ing.Structure())
-	p.mtVer = sv
-}
-
-// padded adapts a previous-shape vector to n entries (new sources start
-// at zero mass; the solver renormalizes), preserving nil.
-func padded(v linalg.Vector, n int) linalg.Vector {
-	if v == nil {
-		return nil
-	}
-	if len(v) >= n {
-		return v[:n]
-	}
-	out := make(linalg.Vector, n)
-	copy(out, v)
-	return out
 }

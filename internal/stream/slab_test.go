@@ -22,8 +22,9 @@ import (
 // multi-chunk rewrites) — consume identical delta batches, and after
 // every refresh each published score set must match bit for bit. The
 // committed generation file itself must equal a cold
-// WriteSlabCSR(TransitionT(structure)) byte for byte, and the slab
-// pipeline must never materialize the in-heap Mᵀ.
+// WriteSlabCSR(TransitionT(structure)) byte for byte. (That the builder
+// never materializes the in-heap Mᵀ beside a provider is pinned in
+// internal/server, TestBuilderTransitionProvider.)
 func TestSlabRefreshBitwiseEqualsInHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	base := randomCorpus(rng, 18, 70, 240)
@@ -62,9 +63,6 @@ func TestSlabRefreshBitwiseEqualsInHeap(t *testing.T) {
 		}
 		patched += st.SlabRowsPatched
 		copied += st.SlabRowsCopied
-		if p.mt != nil {
-			t.Fatalf("step %d: slab pipeline materialized the in-heap Mᵀ", step)
-		}
 		for _, algo := range wantSnap.Algos() {
 			a, b := gotSnap.Set(algo).ScoresView(), wantSnap.Set(algo).ScoresView()
 			if len(a) != len(b) {

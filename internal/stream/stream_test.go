@@ -13,6 +13,7 @@ import (
 	"sourcerank/internal/rankeval"
 	"sourcerank/internal/server"
 	"sourcerank/internal/source"
+	"sourcerank/internal/throttle"
 )
 
 // randomCorpus builds a connected-ish random page graph with parallel
@@ -185,6 +186,16 @@ func TestMetamorphicStreamEqualsCold(t *testing.T) {
 				}
 				if !slices.Equal(p.Kappa(), coldRes.Kappa) {
 					t.Fatalf("step %d: streamed κ diverged from cold rebuild", step)
+				}
+				// The zero-state pipeline and the stream both select through
+				// PatchTopK; throttle.TopK's full sort over a cold walk is the
+				// reference that shares none of it.
+				prox, _, err := throttle.SpamProximity(coldSG.Structure(), spam, throttle.ProximityOptions{})
+				if err != nil {
+					t.Fatalf("step %d: cold proximity: %v", step, err)
+				}
+				if !slices.Equal(p.Kappa(), throttle.TopK(prox, topK)) {
+					t.Fatalf("step %d: streamed κ diverged from throttle.TopK of a cold walk", step)
 				}
 
 				coldSnap, err := server.BuildSnapshot(pg, spam, server.BuildConfig{TopK: topK, Name: "meta"})
