@@ -1,23 +1,9 @@
-// Out-of-core bench: run the entire cold path — generate, compress,
-// transition-slab build, solve — without the edge list or a decoded CSR
-// ever resident, and prove the slab-backed solves stay under an
-// artificial residency cap while producing scores bitwise identical to
-// the fully in-memory solve at every worker count, in both precisions.
-//
-// Flow: stream-generate into sorted shard runs (bounded spill buffer;
-// the gen phase's own VmHWM is recorded and gated against the cap) →
-// compress straight off the k-way run merge → build float64 and float32
-// transition slabs from the compressed stream → decode once for the
-// in-memory reference solves (FNV-64a hash of the raw score bits per
-// precision × worker tier) → drop every in-heap operand and reset the
-// RSS high-water mark → re-solve each (precision, tier) from the
-// memory-mapped slab with MaxResident set to the cap → compare hashes
-// and the measured VmHWM.
 package main
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -39,6 +25,15 @@ const outOfCoreSchema = "sourcerank/bench-outofcore/v2"
 // outOfCoreAlpha is the damping factor for the benchmark solve (the
 // paper's PageRank default).
 const outOfCoreAlpha = 0.85
+
+type graphInfo struct {
+	Preset  string  `json:"preset"`
+	Scale   float64 `json:"scale"`
+	Seed    uint64  `json:"seed"`
+	Pages   int     `json:"pages"`
+	Links   int64   `json:"links"`
+	Sources int     `json:"sources"`
+}
 
 type outOfCoreBuild struct {
 	// GenNs and GenMaxRSSBytes cover the streaming generator alone: the
@@ -120,12 +115,25 @@ type outOfCoreReport struct {
 	Summary    outOfCoreSummary `json:"summary"`
 }
 
+// matrixModelBytes is the compulsory traffic of one sweep over a CSR
+// operand: row pointers, column indices and values (DESIGN §13).
+func matrixModelBytes(rows, nnz int, valW int64) int64 {
+	return 8*int64(rows) + 4*int64(nnz) + valW*int64(nnz)
+}
+
 // fusedUniformModelBytes is the compulsory traffic of one fused
 // power-uniform iteration: the matrix stream plus six dense vector
 // passes (mul read+write, finish read+write, residual two reads) at the
 // precision's value and vector widths.
 func fusedUniformModelBytes(rows, nnz int, valW, vecW int64) int64 {
 	return matrixModelBytes(rows, nnz, valW) + 6*vecW*int64(rows)
+}
+
+func gbPerSec(modelBytes, ns int64) float64 {
+	if ns <= 0 {
+		return 0
+	}
+	return float64(modelBytes) / float64(ns) // bytes/ns == GB/s
 }
 
 func scoreHash(x linalg.Vector) string {
@@ -145,7 +153,10 @@ func dropHeap() {
 	debug.FreeOSMemory()
 }
 
-func runOutOfCore(preset string, scale float64, seed uint64, out string, workers int, capSpec string) {
+// run records one report: to the file out, or to stdout when out is
+// empty. It returns an error, after writing the report, when any
+// slab-backed solve diverged from its in-memory reference.
+func run(preset string, scale float64, seed uint64, out string, workers int, capSpec string) error {
 	tiers := []int{1, 2, workers}
 	sort.Ints(tiers)
 	uniq := tiers[:0]
@@ -158,7 +169,7 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 
 	spillDir, err := os.MkdirTemp("", "srank-outofcore-spill-")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer os.RemoveAll(spillDir)
 
@@ -170,7 +181,7 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 		Workers: workers,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	genNs := time.Since(t0).Nanoseconds()
 	genRSS := int64(0)
@@ -193,44 +204,37 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 	t0 = time.Now()
 	compressed, err := webgraph.CompressFrom(corpus)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	compressNs := time.Since(t0).Nanoseconds()
 
 	slabDir, err := os.MkdirTemp("", "srank-outofcore-")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer os.RemoveAll(slabDir)
 	t0 = time.Now()
 	paths, err := webgraph.BuildTransitionSlabs(nil, slabDir, compressed, webgraph.SlabOptions{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	slabBuildNs := time.Since(t0).Nanoseconds()
 	if err := os.MkdirAll(slabDir+"/f32", 0o755); err != nil {
-		fatal(err)
+		return err
 	}
 	t0 = time.Now()
 	paths32, err := webgraph.BuildTransitionSlabs(nil, slabDir+"/f32", compressed, webgraph.SlabOptions{
 		Precision: linalg.SlabFloat32,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	slabBuild32Ns := time.Since(t0).Nanoseconds()
 	spillRuns := len(corpus.Runs())
 	if err := corpus.Remove(); err != nil {
-		fatal(err)
+		return err
 	}
 
-	statSize := func(p string) int64 {
-		fi, err := os.Stat(p)
-		if err != nil {
-			fatal(err)
-		}
-		return fi.Size()
-	}
 	build := outOfCoreBuild{
 		GenNs:          genNs,
 		GenMaxRSSBytes: genRSS,
@@ -238,17 +242,28 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 		CompressNs:     compressNs,
 		SlabBuildNs:    slabBuildNs,
 		SlabBuild32Ns:  slabBuild32Ns,
-		PSlabBytes:     statSize(paths.P),
-		PTSlabBytes:    statSize(paths.PT),
-		PSlab32Bytes:   statSize(paths32.P),
-		PTSlab32Bytes:  statSize(paths32.PT),
+	}
+	for _, f := range []struct {
+		path string
+		size *int64
+	}{
+		{paths.P, &build.PSlabBytes},
+		{paths.PT, &build.PTSlabBytes},
+		{paths32.P, &build.PSlab32Bytes},
+		{paths32.PT, &build.PTSlab32Bytes},
+	} {
+		fi, err := os.Stat(f.path)
+		if err != nil {
+			return err
+		}
+		*f.size = fi.Size()
 	}
 	slabBytes := build.PSlabBytes + build.PTSlabBytes
 
 	capBytes := slabBytes / 4
 	if capSpec != "" {
 		if capBytes, err = sysmem.ParseBytes(capSpec); err != nil {
-			fatal(fmt.Errorf("-residency-cap: %w", err))
+			return fmt.Errorf("-residency-cap: %w", err)
 		}
 	}
 	build.GenUnderCap = genRSS > 0 && genRSS <= capBytes
@@ -260,7 +275,7 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 	// classic dense operands, and solve per precision × worker tier.
 	g, err := compressed.DecompressParallel(workers)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	tt := rank.TransitionT(g)
 	g, compressed = nil, nil
@@ -287,7 +302,7 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 			t0 = time.Now()
 			x, stats, err := ref.solve(linalg.SolverOptions{Workers: w})
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			k := refKey{ref.prec, w}
 			refHash[k], refIters[k] = scoreHash(x), stats.Iterations
@@ -318,7 +333,7 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 		ptPath string
 		valW   int64
 		vecW   int64
-		solve  func(ptPath string, capBytes int64, w int) (linalg.Vector, linalg.IterStats, int64, int, int64, linalg.SlabResidency)
+		solve  func(ptPath string, capBytes int64, w int) (slabSolve, error)
 	}{
 		{"float64", paths.PT, 8, 8, solveSlab[float64]},
 		{"float32", paths32.PT, 4, 4, solveSlab[float32]},
@@ -328,26 +343,30 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 		// once per precision for the traffic model.
 		si, err := linalg.ReadSlabInfo(nil, pr.ptPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for _, w := range tiers {
 			sysmem.ResetPeakRSS()
-			x, stats, openNs, rows, wallNs, res := pr.solve(pr.ptPath, capBytes, w)
+			sv, err := pr.solve(pr.ptPath, capBytes, w)
+			if err != nil {
+				return err
+			}
+			iters := sv.stats.Iterations
 			row := outOfCoreSolve{
 				Precision:     pr.name,
 				Workers:       w,
-				OpenNs:        openNs,
-				WallNs:        wallNs,
-				Iterations:    stats.Iterations,
-				ScoreHash:     scoreHash(x),
+				OpenNs:        sv.openNs,
+				WallNs:        sv.wallNs,
+				Iterations:    iters,
+				ScoreHash:     scoreHash(sv.x),
 				EntryBytes:    (4 + pr.valW) * si.NNZ,
-				WindowBytes:   res.WindowBytes,
-				ReleaseCalls:  res.ReleaseCalls,
-				ReleasedBytes: res.ReleasedBytes,
+				WindowBytes:   sv.res.WindowBytes,
+				ReleaseCalls:  sv.res.ReleaseCalls,
+				ReleasedBytes: sv.res.ReleasedBytes,
 			}
-			row.GBPerSec = gbPerSec(fusedUniformModelBytes(rows, int(si.NNZ), pr.valW, pr.vecW)*int64(stats.Iterations), wallNs)
+			row.GBPerSec = gbPerSec(fusedUniformModelBytes(sv.rows, int(si.NNZ), pr.valW, pr.vecW)*int64(iters), sv.wallNs)
 			k := refKey{pr.name, w}
-			row.Identical = row.ScoreHash == refHash[k] && stats.Iterations == refIters[k]
+			row.Identical = row.ScoreHash == refHash[k] && iters == refIters[k]
 			if peak, ok := sysmem.PeakRSSBytes(); ok {
 				row.MaxRSSBytes = peak
 				row.UnderCap = peak <= capBytes
@@ -355,13 +374,13 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 					worstRSS = peak
 				}
 			}
-			x = nil
+			sv.x = nil
 			dropHeap()
 			identicalAll = identicalAll && row.Identical
 			underCapAll = underCapAll && row.UnderCap
 			rep.Solves = append(rep.Solves, row)
 			fmt.Fprintf(os.Stderr, "bench: out-of-core %s w=%d: %s, %d iters, %.2f GB/s, peak RSS %s (cap %s, under=%v, identical=%v); window %s, %d release calls over %s\n",
-				pr.name, w, time.Duration(wallNs).Round(time.Millisecond), stats.Iterations, row.GBPerSec,
+				pr.name, w, time.Duration(sv.wallNs).Round(time.Millisecond), iters, row.GBPerSec,
 				sysmem.FormatBytes(row.MaxRSSBytes), sysmem.FormatBytes(capBytes), row.UnderCap, row.Identical,
 				sysmem.FormatBytes(row.WindowBytes), row.ReleaseCalls, sysmem.FormatBytes(row.ReleasedBytes))
 		}
@@ -381,44 +400,61 @@ func runOutOfCore(preset string, scale float64, seed uint64, out string, workers
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
+	data = append(data, '\n')
+	dest := out
+	if out == "" {
+		dest = "stdout"
+		_, err = os.Stdout.Write(data)
+	} else {
+		err = os.WriteFile(out, data, 0o644)
+	}
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "bench: identical=%v under_cap=%v gen_under_cap=%v cap_ratio=%.2f; report in %s\n",
-		identicalAll, underCapAll, build.GenUnderCap, rep.Summary.CapRatio, out)
+		identicalAll, underCapAll, build.GenUnderCap, rep.Summary.CapRatio, dest)
 	if !identicalAll {
-		fmt.Fprintln(os.Stderr, "bench: ERROR: slab-backed scores diverged from the in-memory solve")
-		os.Exit(1)
+		return errors.New("slab-backed scores diverged from the in-memory solve")
 	}
+	return nil
+}
+
+// slabSolve is one out-of-core solve: the widened scores and iteration
+// stats, the open and solve wall times, the row count, and what the
+// residency controller did between open and close.
+type slabSolve struct {
+	x              linalg.Vector
+	stats          linalg.IterStats
+	openNs, wallNs int64
+	rows           int
+	res            linalg.SlabResidency
 }
 
 // solveSlab runs one out-of-core solve against the slab at ptPath, whose
-// values are stored as F, and returns the widened scores plus iteration
-// stats, the open and solve wall times, the row count, and what the
-// residency controller did between open and close.
-func solveSlab[F linalg.Float](ptPath string, capBytes int64, w int) (linalg.Vector, linalg.IterStats, int64, int, int64, linalg.SlabResidency) {
+// values are stored as F.
+func solveSlab[F linalg.Float](ptPath string, capBytes int64, w int) (slabSolve, error) {
+	var sv slabSolve
 	t0 := time.Now()
 	s, err := linalg.OpenSlab[F](ptPath, linalg.SlabOpenOptions{MaxResident: capBytes})
 	if err != nil {
-		fatal(err)
+		return sv, err
 	}
-	openNs := time.Since(t0).Nanoseconds()
+	sv.openNs = time.Since(t0).Nanoseconds()
 	opened := s.Residency()
 	m := s.Matrix()
+	sv.rows = m.Rows
 	t0 = time.Now()
-	x, stats, err := linalg.PowerMethodTUniform(m, outOfCoreAlpha, linalg.SolverOptions{Workers: w})
+	sv.x, sv.stats, err = linalg.PowerMethodTUniform(m, outOfCoreAlpha, linalg.SolverOptions{Workers: w})
 	if err != nil {
-		fatal(err)
+		s.Close() // the solve's error is the one to report
+		return sv, err
 	}
-	wallNs := time.Since(t0).Nanoseconds()
-	res := s.Residency()
-	res.ReleaseCalls -= opened.ReleaseCalls
-	res.ReleasedBytes -= opened.ReleasedBytes
-	res.PrefetchedBytes -= opened.PrefetchedBytes
-	if err := s.Close(); err != nil {
-		fatal(err)
-	}
-	return x, stats, openNs, m.Rows, wallNs, res
+	sv.wallNs = time.Since(t0).Nanoseconds()
+	sv.res = s.Residency()
+	sv.res.ReleaseCalls -= opened.ReleaseCalls
+	sv.res.ReleasedBytes -= opened.ReleasedBytes
+	sv.res.PrefetchedBytes -= opened.PrefetchedBytes
+	return sv, s.Close()
 }

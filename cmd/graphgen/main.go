@@ -17,7 +17,7 @@
 // the path for corpora whose page graphs exceed RAM; no .pages file is
 // written. The slabs open with linalg.OpenSlabCSR(32) for out-of-core
 // solves (srank's own -slab-dir commits its throttled operand the same
-// way; cmd/bench -mode outofcore exercises this exact chain end to end).
+// way; cmd/bench exercises this exact chain end to end).
 package main
 
 import (

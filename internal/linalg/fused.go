@@ -15,9 +15,9 @@ import (
 //
 // Determinism contract: the stripe structure is a function of the matrix
 // alone (never the worker count), every row accumulates in a fixed order,
-// and the per-stripe residual partials are combined by the same
-// fixed-pairing tree reduce as MulTVecParallel — so kernel output and
-// residual are bitwise identical at every worker count. At float64 the
+// and the per-stripe residual partials are combined by a fixed-pairing
+// tree reduce (reduceResidual) — so kernel output and residual are
+// bitwise identical at every worker count. At float64 the
 // iterate update additionally reproduces the exact floating-point
 // operation sequence of the unfused MulVecParallel + Scale + Sum + Axpy
 // path (fused_test.go keeps that sequence as its oracle).
@@ -58,12 +58,12 @@ var fusedMinNNZ = 4096
 var fusedNNZPerStripe = 4096
 
 // stripeCountFor picks the number of row stripes for the fused kernel.
-// Like mulTVecStripes it depends only on the sparsity structure, never on
-// the worker count or the value type, so the summation structure — and
-// with it the residual, bit for bit — is identical for every worker
-// count, and both precisions partition a given structure identically.
-// Unlike MulTVecParallel there is no per-stripe accumulator vector — only
-// one partial float — so stripes are cheap and the cap is generous.
+// It depends only on the sparsity structure, never on the worker count
+// or the value type, so the summation structure — and with it the
+// residual, bit for bit — is identical for every worker count, and both
+// precisions partition a given structure identically. A stripe carries
+// one partial float, no accumulator vector, so stripes are cheap and the
+// cap is generous.
 func stripeCountFor(nnz, rows int) int {
 	s := nnz / fusedNNZPerStripe
 	if s < 1 {

@@ -69,17 +69,6 @@ var goldenSolve64 = []struct {
 			return x
 		},
 	},
-	{
-		name: "multvec-n300",
-		hash: 0x49b9bf5bfb812a60,
-		run: func(t *testing.T) Vector {
-			m := randChain(t, 19, 300)
-			x := NewUniformVector(300)
-			dst := NewVector(300)
-			MulTVecParallel(m, x, dst, 4)
-			return dst
-		},
-	},
 }
 
 // TestGoldenFloat64Solves pins the float64 solver outputs bit for bit

@@ -103,85 +103,6 @@ func TestTransposeParallelBitwise(t *testing.T) {
 	}
 }
 
-// TestMulTVecParallelWorkerInvariant checks that the striped transpose-
-// free kernel returns bitwise-identical vectors for every worker count
-// (the stripe structure depends only on the matrix), and that the result
-// agrees with the serial scatter to within accumulated rounding.
-func TestMulTVecParallelWorkerInvariant(t *testing.T) {
-	defer func(old int) { mulTVecParallelMinNNZ = old }(mulTVecParallelMinNNZ)
-	mulTVecParallelMinNNZ = 1
-
-	for _, m := range []*CSR{
-		randCSR(t, 11, 400, 300, 20000),
-		hubCSR(t, 300, 300, 9000, 0.95),
-		randCSR(t, 12, 2, 5000, 8000),
-	} {
-		rng := rand.New(rand.NewSource(99))
-		x := NewVector(m.Rows)
-		for i := range x {
-			x[i] = rng.Float64()
-		}
-		ref := NewVector(m.ColsN)
-		MulTVecParallel(m, x, ref, 1)
-		serial := NewVector(m.ColsN)
-		MulTVec(m, x, serial)
-		for workers := 2; workers <= 16; workers++ {
-			got := NewVector(m.ColsN)
-			MulTVecParallel(m, x, got, workers)
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("workers=%d: dst[%d] = %v != %v (workers=1)", workers, i, got[i], ref[i])
-				}
-			}
-		}
-		// Striped summation differs from the serial scatter only by
-		// non-associativity of float addition.
-		for i := range ref {
-			diff := ref[i] - serial[i]
-			if diff < 0 {
-				diff = -diff
-			}
-			scale := 1.0
-			if s := serial[i]; s > 1 || s < -1 {
-				if s < 0 {
-					s = -s
-				}
-				scale = s
-			}
-			if diff > 1e-12*scale {
-				t.Fatalf("striped result drifted from serial at %d: %v vs %v", i, ref[i], serial[i])
-			}
-		}
-	}
-}
-
-// TestMulTVecParallelMatchesTranspose cross-checks the transpose-free
-// kernel against an explicit transpose multiply.
-func TestMulTVecParallelMatchesTranspose(t *testing.T) {
-	defer func(old int) { mulTVecParallelMinNNZ = old }(mulTVecParallelMinNNZ)
-	mulTVecParallelMinNNZ = 1
-	m := randCSR(t, 21, 250, 170, 10000)
-	mt := m.Transpose()
-	x := NewVector(m.Rows)
-	rng := rand.New(rand.NewSource(5))
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := NewVector(m.ColsN)
-	MulVec(mt, x, want)
-	got := NewVector(m.ColsN)
-	MulTVecParallel(m, x, got, 4)
-	for i := range got {
-		diff := got[i] - want[i]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 1e-9 {
-			t.Fatalf("dst[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestPartitionRowsByNNZEdgeCases exercises the NNZ balancer on the
 // degenerate shapes the satellite checklist names.
 func TestPartitionRowsByNNZEdgeCases(t *testing.T) {
@@ -260,42 +181,24 @@ func TestQuickPartitionRowsByNNZ(t *testing.T) {
 	}
 }
 
-// TestParallelKernelsRaceStress hammers the parallel transpose and the
-// striped MulTVec from many goroutines sharing one matrix; run with
-// -race this is the determinism/race satellite for the linalg kernels.
+// TestParallelKernelsRaceStress hammers the parallel transpose from many
+// goroutines sharing one matrix; run with -race this is the
+// determinism/race satellite for the linalg kernels.
 func TestParallelKernelsRaceStress(t *testing.T) {
 	defer func(old int) { transposeParallelMinNNZ = old }(transposeParallelMinNNZ)
-	defer func(old int) { mulTVecParallelMinNNZ = old }(mulTVecParallelMinNNZ)
 	transposeParallelMinNNZ = 1
-	mulTVecParallelMinNNZ = 1
 
 	m := randCSR(t, 77, 600, 500, 30000)
 	want := m.Transpose()
-	x := NewVector(m.Rows)
-	for i := range x {
-		x[i] = float64(i%17) / 17
-	}
-	ref := NewVector(m.ColsN)
-	MulTVecParallel(m, x, ref, 1)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			workers := 1 + g%16
-			tr := m.TransposeParallel(workers)
+			tr := m.TransposeParallel(1 + g%16)
 			if !reflect.DeepEqual(tr.RowPtr, want.RowPtr) || !reflect.DeepEqual(tr.Cols, want.Cols) {
 				t.Errorf("goroutine %d: transpose structure drifted", g)
-				return
-			}
-			dst := NewVector(m.ColsN)
-			MulTVecParallel(m, x, dst, workers)
-			for i := range dst {
-				if dst[i] != ref[i] {
-					t.Errorf("goroutine %d: MulTVecParallel drifted at %d", g, i)
-					return
-				}
 			}
 		}(g)
 	}

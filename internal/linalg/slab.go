@@ -441,8 +441,8 @@ type SlabOpenOptions struct {
 	// releasing every stripe and is never an error. A budget that covers
 	// the whole entry section releases nothing. The limit is advisory
 	// (madvise); callers that need the achieved peak measure it (see
-	// cmd/bench -mode outofcore). <= 0 leaves page residency to the
-	// kernel's page cache policy.
+	// cmd/bench). <= 0 leaves page residency to the kernel's page cache
+	// policy.
 	MaxResident int64
 }
 

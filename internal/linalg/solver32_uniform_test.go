@@ -37,8 +37,8 @@ func TestPowerMethodT32UniformMatchesExplicit(t *testing.T) {
 
 // TestPowerMethodT32UniformSlabBitwise closes the out-of-core loop: the
 // implicit-uniform float32 solve over a residency-capped slab — the
-// exact configuration cmd/bench -mode outofcore runs — must reproduce
-// the in-heap explicit-teleport solve bit for bit at every worker count.
+// exact configuration cmd/bench runs — must reproduce the in-heap
+// explicit-teleport solve bit for bit at every worker count.
 func TestPowerMethodT32UniformSlabBitwise(t *testing.T) {
 	forceFusedParallel(t)
 	n := 250

@@ -112,118 +112,3 @@ func checkMulDims[F Float](m *Matrix[F], x, dst []F) {
 		panic(fmt.Sprintf("linalg: MulVec dst length %d, want %d", len(dst), m.Rows))
 	}
 }
-
-// MulTVec computes dst = Mᵀ·x serially using a scatter over the rows of M,
-// avoiding an explicit transpose. dst and x must not alias.
-func MulTVec(m *CSR, x, dst Vector) {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulTVec x length %d, want %d", len(x), m.Rows))
-	}
-	if len(dst) != m.ColsN {
-		panic(fmt.Sprintf("linalg: MulTVec dst length %d, want %d", len(dst), m.ColsN))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			dst[m.Cols[k]] += m.Vals[k] * xi
-		}
-	}
-}
-
-// mulTVecParallelMinNNZ gates the striped kernel; below it the serial
-// scatter wins. Variable so tests can force the striped path.
-var mulTVecParallelMinNNZ = 4096
-
-// mulTVecStripes picks the number of accumulator stripes for
-// MulTVecParallel. It depends only on the matrix, never on the worker
-// count, so the floating-point summation structure — and therefore the
-// result, bit for bit — is identical for every worker count.
-func mulTVecStripes(m *CSR) int {
-	c := m.NNZ() / 65536
-	if c < 2 {
-		c = 2
-	}
-	if c > 8 {
-		c = 8
-	}
-	if c > m.Rows {
-		c = m.Rows
-	}
-	return c
-}
-
-// MulTVecParallel computes dst = Mᵀ·x without materializing the
-// transpose: the rows of M are split into a fixed set of NNZ-balanced
-// stripes, each stripe scatters into its own accumulator slice, and the
-// accumulators are combined by a tree reduce in fixed pairing order.
-// workers <= 0 selects GOMAXPROCS and only bounds concurrency; the
-// stripe structure — and hence the exact result — is a function of the
-// matrix alone, so outputs are bitwise identical across worker counts
-// (they may differ from the serial MulTVec in the last ulp, since float
-// addition is not associative).
-func MulTVecParallel(m *CSR, x, dst Vector, workers int) {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulTVec x length %d, want %d", len(x), m.Rows))
-	}
-	if len(dst) != m.ColsN {
-		panic(fmt.Sprintf("linalg: MulTVec dst length %d, want %d", len(dst), m.ColsN))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if m.NNZ() < mulTVecParallelMinNNZ || m.Rows < 2 {
-		MulTVec(m, x, dst)
-		return
-	}
-	stripes := mulTVecStripes(m)
-	bounds := partitionRowsByNNZ(m, stripes)
-	accs := make([]Vector, stripes)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for s := 0; s < stripes; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			acc := NewVector(m.ColsN)
-			for i := bounds[s]; i < bounds[s+1]; i++ {
-				xi := x[i]
-				if xi == 0 {
-					continue
-				}
-				lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-				for k := lo; k < hi; k++ {
-					acc[m.Cols[k]] += m.Vals[k] * xi
-				}
-			}
-			accs[s] = acc
-		}(s)
-	}
-	wg.Wait()
-	// Tree reduce with a fixed pairing: (0,1)(2,3) → (0,2) → … so the
-	// summation order never depends on scheduling or worker count.
-	for stride := 1; stride < stripes; stride *= 2 {
-		var rwg sync.WaitGroup
-		for i := 0; i+stride < stripes; i += 2 * stride {
-			rwg.Add(1)
-			go func(a, b Vector) {
-				defer rwg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				for j := range a {
-					a[j] += b[j]
-				}
-			}(accs[i], accs[i+stride])
-		}
-		rwg.Wait()
-	}
-	copy(dst, accs[0])
-}

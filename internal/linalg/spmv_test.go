@@ -66,22 +66,6 @@ func TestMulVecParallelDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestMulTVecMatchesExplicitTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := randomCSR(rng, 50, 70, 400)
-	x := NewVector(50)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	got := NewVector(70)
-	MulTVec(m, x, got)
-	want := NewVector(70)
-	MulVec(m.Transpose(), x, want)
-	if d := L2Distance(got, want); d > 1e-12 {
-		t.Fatalf("MulTVec differs from explicit transpose by %g", d)
-	}
-}
-
 func TestPartitionRowsByNNZ(t *testing.T) {
 	// One very heavy row followed by light rows: boundaries must respect
 	// nonzero counts.
