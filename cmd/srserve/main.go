@@ -167,8 +167,8 @@ func main() {
 		}
 	}
 	store := server.NewStore(snap)
-	log.Printf("snapshot v%d ready in %v (algos: %v, %d spam labels, throttled top-%d)",
-		snap.Version(), time.Since(start).Round(time.Millisecond), snap.Algos(), snap.Corpus().SpamLabeled, snap.KappaTopK())
+	log.Printf("snapshot v%d ready in %v (algos: %v, %d spam labels, throttled top-%d, %s row sums)",
+		snap.Version(), time.Since(start).Round(time.Millisecond), snap.Algos(), snap.Corpus().SpamLabeled, snap.KappaTopK(), linalg.RowSumsImpl())
 	logSolverStats(snap)
 
 	var refresher *server.Refresher

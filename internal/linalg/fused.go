@@ -234,30 +234,46 @@ func (k *fusedKernel[F]) stripe(s int) {
 
 // rowSums leaves the dot product of row i against src in sums[i] for each
 // i in [lo, hi) and returns sums. This is the kernel's one step written
-// per value type. At float64 it is the strictly sequential sum whose bits
-// golden64_test.go pins, written straight into dst (the phase that asked
-// turns dst[i] into the output element in place), so the float64 kernel
-// carries no accumulator array. At float32 it is the four-lane pass of
-// rowSums32 into acc (AVX2 where the host has it).
+// per value type, and each precision has one specialisation point of the
+// same shape: a Go loop that defines the bits (rowSums64Go, rowSums32Go)
+// and, on amd64 hosts with AVX2, an assembly kernel that computes the same
+// ones. At float64 the sums are written straight into dst (the phase that
+// asked turns dst[i] into the output element in place), so the float64
+// kernel carries no accumulator array; at float32 they go into acc.
 func (k *fusedKernel[F]) rowSums(lo, hi int) (sums []float64) {
 	rowPtr, cols := k.mat.RowPtr, k.mat.Cols
 	switch vals := any(k.mat.Vals).(type) {
 	case []float64:
-		src := any(k.src).([]float64)
 		sums = any(k.dst).([]float64)
-		for i := lo; i < hi; i++ {
-			a, b := rowPtr[i], rowPtr[i+1]
-			var sum float64
-			for p := a; p < b; p++ {
-				sum += vals[p] * src[cols[p]]
-			}
-			sums[i] = sum
-		}
+		rowSums64(rowPtr, vals, cols, any(k.src).([]float64), sums, lo, hi)
 	case []float32:
 		sums = k.acc
 		rowSums32(rowPtr, vals, cols, any(k.src).([]float32), sums, lo, hi)
 	}
 	return sums
+}
+
+// rowSums64Go is the portable float64 row-sum pass and the definition of
+// its bits, which golden64_test.go pins: sums[i] is row i's products
+// added one by one, in entry order, into a single running sum that starts
+// at +0. Each product is rounded to float64 before it is added — the
+// explicit conversion forbids the compiler the fused multiply-add the Go
+// spec otherwise allows (and arm64, ppc64le, s390x and riscv64 take), so
+// the hashes mean the same thing on every architecture. What is pinned is
+// the order of the additions; how the products are formed is not, which
+// is what lets rowSums64AVX gather and multiply four entries at a time
+// and still add them in this order (rowsums64_amd64.s). This function is
+// the reference the assembly is tested against, the fallback everywhere
+// else, and — through its bounds checks — the place a corrupt operand
+// panics on every path.
+func rowSums64Go(rowPtr []int64, vals []float64, cols []int32, src, sums []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var sum float64
+		for p, e := rowPtr[i], rowPtr[i+1]; p < e; p++ {
+			sum += float64(vals[p] * src[cols[p]])
+		}
+		sums[i] = sum
+	}
 }
 
 // rowSums32Go is the portable float32 row-sum pass and the definition of
@@ -268,11 +284,12 @@ func (k *fusedKernel[F]) rowSums(lo, hi int) (sums []float64) {
 // result is (s0+s1)+(s2+s3). The lane assignment is a function of entry
 // order alone — never of worker count — so outputs stay bitwise
 // worker-invariant. The independent lanes break the single addition
-// dependency chain and keep several src gathers in flight, which is a
-// large part of the float32 path's throughput edge: the float64 sum's
-// strictly sequential order is pinned bit for bit by golden hashes and
-// cannot adopt the same unrolling. On amd64 hosts with AVX2 the assembly
-// kernel rowSums32AVX computes the identical bits with one four-wide
+// dependency chain, which the float64 sum cannot do: there the order of
+// the additions is pinned bit for bit by golden hashes, and only the
+// products are free to be formed four at a time. As in rowSums64Go, every
+// product is explicitly rounded before it is added, so no architecture
+// fuses it. On amd64 hosts with AVX2 the assembly kernel rowSums32AVX
+// computes the identical bits with one four-wide
 // gather/convert/multiply/add per lane group (rowsums32_amd64.s); this
 // function is the reference it is tested against and the fallback
 // everywhere else.
@@ -281,13 +298,13 @@ func rowSums32Go(rowPtr []int64, vals []float32, cols []int32, src []float32, ac
 		p, e := rowPtr[i], rowPtr[i+1]
 		var s0, s1, s2, s3 float64
 		for ; p+4 <= e; p += 4 {
-			s0 += float64(vals[p]) * float64(src[cols[p]])
-			s1 += float64(vals[p+1]) * float64(src[cols[p+1]])
-			s2 += float64(vals[p+2]) * float64(src[cols[p+2]])
-			s3 += float64(vals[p+3]) * float64(src[cols[p+3]])
+			s0 += float64(float64(vals[p]) * float64(src[cols[p]]))
+			s1 += float64(float64(vals[p+1]) * float64(src[cols[p+1]]))
+			s2 += float64(float64(vals[p+2]) * float64(src[cols[p+2]]))
+			s3 += float64(float64(vals[p+3]) * float64(src[cols[p+3]]))
 		}
 		for ; p < e; p++ {
-			s0 += float64(vals[p]) * float64(src[cols[p]])
+			s0 += float64(float64(vals[p]) * float64(src[cols[p]]))
 		}
 		acc[i] = (s0 + s1) + (s2 + s3)
 	}

@@ -92,7 +92,10 @@ func unfusedSolve(x0 Vector, step func(dst, src Vector)) (Vector, IterStats) {
 // TestFusedPowerBitwiseMatchesUnfused checks that one fused power Step
 // produces exactly the bits of the unfused four-pass sequence at every
 // worker count, and that the in-pass residual is bitwise invariant
-// across worker counts and agrees with the serial norm to rounding.
+// across worker counts and agrees with the serial norm to rounding — once
+// per row-sum implementation, the oracle being Go loops either way. With
+// its affine counterpart this is the float64 twin of
+// TestFusedPower32WorkerInvariance.
 func TestFusedPowerBitwiseMatchesUnfused(t *testing.T) {
 	forceFusedParallel(t)
 	for _, n := range []int{1, 2, 17, 97, 256} {
@@ -109,30 +112,32 @@ func TestFusedPowerBitwiseMatchesUnfused(t *testing.T) {
 		want := NewVector(n)
 		unfusedPowerStep(pt, 0.85, tel, src, want, 1)
 
-		var res1 float64
-		for workers := 1; workers <= 16; workers++ {
-			k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := NewVector(n)
-			res := k.Step(dst, src, true)
-			k.Close()
-			for i := range dst {
-				if dst[i] != want[i] {
-					t.Fatalf("n=%d workers=%d: dst[%d] = %v, unfused %v", n, workers, i, dst[i], want[i])
+		eachRowSumsImpl(func(impl string) {
+			var res1 float64
+			for workers := 1; workers <= 16; workers++ {
+				k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst := NewVector(n)
+				res := k.Step(dst, src, true)
+				k.Close()
+				for i := range dst {
+					if dst[i] != want[i] {
+						t.Fatalf("n=%d workers=%d, %s row sums: dst[%d] = %v, unfused %v", n, workers, impl, i, dst[i], want[i])
+					}
+				}
+				if workers == 1 {
+					res1 = res
+					serial := L2Distance(dst, src)
+					if math.Abs(res-serial) > 1e-12*(1+serial) {
+						t.Fatalf("n=%d: fused residual %v far from serial %v", n, res, serial)
+					}
+				} else if res != res1 {
+					t.Fatalf("n=%d workers=%d: residual %v != workers=1 residual %v", n, workers, res, res1)
 				}
 			}
-			if workers == 1 {
-				res1 = res
-				serial := L2Distance(dst, src)
-				if math.Abs(res-serial) > 1e-12*(1+serial) {
-					t.Fatalf("n=%d: fused residual %v far from serial %v", n, res, serial)
-				}
-			} else if res != res1 {
-				t.Fatalf("n=%d workers=%d: residual %v != workers=1 residual %v", n, workers, res, res1)
-			}
-		}
+		})
 	}
 }
 
@@ -156,26 +161,28 @@ func TestFusedAffineBitwiseMatchesUnfused(t *testing.T) {
 		want := NewVector(n)
 		unfusedAffineStep(at, 0.85, b, src, want, 1)
 
-		var res1 float64
-		for workers := 1; workers <= 16; workers++ {
-			k, err := NewFusedAffine(at, 0.85, b, ResidualL2, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := NewVector(n)
-			res := k.Step(dst, src, true)
-			k.Close()
-			for i := range dst {
-				if dst[i] != want[i] {
-					t.Fatalf("n=%d workers=%d: dst[%d] = %v, unfused %v", n, workers, i, dst[i], want[i])
+		eachRowSumsImpl(func(impl string) {
+			var res1 float64
+			for workers := 1; workers <= 16; workers++ {
+				k, err := NewFusedAffine(at, 0.85, b, ResidualL2, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst := NewVector(n)
+				res := k.Step(dst, src, true)
+				k.Close()
+				for i := range dst {
+					if dst[i] != want[i] {
+						t.Fatalf("n=%d workers=%d, %s row sums: dst[%d] = %v, unfused %v", n, workers, impl, i, dst[i], want[i])
+					}
+				}
+				if workers == 1 {
+					res1 = res
+				} else if res != res1 {
+					t.Fatalf("n=%d workers=%d: residual %v != workers=1 residual %v", n, workers, res, res1)
 				}
 			}
-			if workers == 1 {
-				res1 = res
-			} else if res != res1 {
-				t.Fatalf("n=%d workers=%d: residual %v != workers=1 residual %v", n, workers, res, res1)
-			}
-		}
+		})
 	}
 }
 

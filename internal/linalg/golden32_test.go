@@ -1,5 +1,3 @@
-//go:build amd64
-
 package linalg
 
 import (
@@ -15,9 +13,10 @@ import (
 // the same bits at every worker count, with or without the AVX2 row-sum
 // pass, and whether the operand sits in the heap or streams from a slab
 // under a residency budget — so one recorded hash per (fixture, solver,
-// stripe thresholds) pins all of those at once. The file is amd64-only
-// because it switches the amd64 dispatch variable useAVX2; the hashes
-// were recorded on amd64, where the compiler fuses no multiply-add.
+// stripe thresholds) pins all of those at once. The hashes were recorded
+// on amd64; they hold wherever the products are rounded before they are
+// added, which rowSums32Go's explicit conversions require of every
+// architecture's compiler.
 
 // solvePower32, solvePower32Uniform, solveJacobi32, openSlab32 and
 // rowSumsPass32 are the only places this file names the float32 API.
@@ -166,16 +165,11 @@ func TestGoldenFloat32Solves(t *testing.T) {
 				}
 				return sum
 			}
-			defer func(v bool) { useAVX2 = v }(useAVX2)
-			for _, avx := range []bool{false, true} {
-				if avx && !cpuHasAVX2() {
-					continue
-				}
-				useAVX2 = avx
+			eachRowSumsImpl(func(impl string) {
 				for _, workers := range []int{1, 3} {
 					if got := solve(NewCSR32(m), workers); got != g.hash {
-						t.Errorf("heap avx2=%v workers=%d: hash %#x, golden %#x — the float32 solver path changed",
-							avx, workers, got, g.hash)
+						t.Errorf("heap %s workers=%d: hash %#x, golden %#x — the float32 solver path changed",
+							impl, workers, got, g.hash)
 					}
 					s, err := openSlab32(path, SlabOpenOptions{MaxResident: 4096})
 					if err != nil {
@@ -185,15 +179,15 @@ func TestGoldenFloat32Solves(t *testing.T) {
 					rs := s.Residency()
 					s.Close()
 					if got != g.hash {
-						t.Errorf("slab avx2=%v workers=%d: hash %#x, golden %#x — the float32 solver path changed",
-							avx, workers, got, g.hash)
+						t.Errorf("slab %s workers=%d: hash %#x, golden %#x — the float32 solver path changed",
+							impl, workers, got, g.hash)
 					}
 					if g.forced && (rs.ReleaseCalls == 0 || 2*rs.WindowBytes > 8*int64(m.NNZ())) {
 						t.Errorf("slab workers=%d: residency %+v over %d entry bytes, want at least two release windows",
 							workers, rs, 8*m.NNZ())
 					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -213,16 +207,11 @@ func TestGoldenFloat32RowSums(t *testing.T) {
 	for i := range src {
 		src[i] = float32(math.Ldexp(rng.Float64(), -rng.Intn(24)))
 	}
-	defer func(v bool) { useAVX2 = v }(useAVX2)
-	for _, avx := range []bool{false, true} {
-		if avx && !cpuHasAVX2() {
-			continue
-		}
-		useAVX2 = avx
+	eachRowSumsImpl(func(impl string) {
 		acc := make([]float64, m.Rows)
 		rowSumsPass32(m, src, acc)
 		if got := hashSolve32(acc, IterStats{}); got != golden {
-			t.Errorf("avx2=%v: row-sum bits hash %#x, golden %#x — the four-lane summation order changed", avx, got, golden)
+			t.Errorf("%s: row-sum bits hash %#x, golden %#x — the four-lane summation order changed", impl, got, golden)
 		}
-	}
+	})
 }

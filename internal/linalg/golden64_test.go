@@ -73,7 +73,9 @@ var goldenSolve64 = []struct {
 
 // TestGoldenFloat64Solves pins the float64 solver outputs bit for bit
 // against hashes recorded before the float32 path existed, proving the
-// reference path is unchanged by the mixed-precision refactor.
+// reference path is unchanged by the mixed-precision refactor — and, since
+// each entry runs once per row-sum implementation, that the AVX2 kernel
+// adds the same products in the same order as the Go loop.
 func TestGoldenFloat64Solves(t *testing.T) {
 	// The fused thresholds must be at their production values: the golden
 	// bits include the stripe structure they imply.
@@ -83,11 +85,13 @@ func TestGoldenFloat64Solves(t *testing.T) {
 	for _, g := range goldenSolve64 {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
-			got := hashVectorBits(g.run(t))
-			if got != g.hash {
-				t.Errorf("%s: output bits hash %#x, golden %#x — the float64 solver path changed",
-					g.name, got, g.hash)
-			}
+			eachRowSumsImpl(func(impl string) {
+				got := hashVectorBits(g.run(t))
+				if got != g.hash {
+					t.Errorf("%s, %s row sums: output bits hash %#x, golden %#x — the float64 solver path changed",
+						g.name, impl, got, g.hash)
+				}
+			})
 		})
 	}
 }

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// AVX2 implementation of the float32 row-sum kernel (see rowsums32_amd64.go
-// and dotRow32 in fused32.go for the summation contract it must match bit
+// AVX2 implementation of the float32 row-sum kernel (see rowsums_amd64.go
+// and rowSums32Go in fused.go for the summation contract it must match bit
 // for bit).
 //
 // Lane discipline: the four float64 accumulator lanes [s0,s1,s2,s3] live in

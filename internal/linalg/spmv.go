@@ -8,14 +8,16 @@ import (
 )
 
 // MulVec computes dst = M·x serially. dst and x must not alias.
-// It panics on dimension mismatch.
+// It panics on dimension mismatch. Here and in MulVecParallel each product
+// is explicitly rounded before it is added, as in rowSums64Go, whose
+// unfused oracle these two are: no architecture may fuse it into the add.
 func MulVec(m *CSR, x, dst Vector) {
 	checkMulDims(m, x, dst)
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 		var s float64
 		for k := lo; k < hi; k++ {
-			s += m.Vals[k] * x[m.Cols[k]]
+			s += float64(m.Vals[k] * x[m.Cols[k]])
 		}
 		dst[i] = s
 	}
@@ -53,7 +55,7 @@ func MulVecParallel(m *CSR, x, dst Vector, workers int) {
 				a, b := m.RowPtr[i], m.RowPtr[i+1]
 				var s float64
 				for k := a; k < b; k++ {
-					s += m.Vals[k] * x[m.Cols[k]]
+					s += float64(m.Vals[k] * x[m.Cols[k]])
 				}
 				dst[i] = s
 			}

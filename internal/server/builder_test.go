@@ -403,6 +403,7 @@ func TestSolverMetricsExposition(t *testing.T) {
 		`srserve_solver_residual{algo="pagerank"} `,
 		`srserve_solver_seconds{algo="trustrank"} `,
 		`srserve_solver_warm_start{algo="srsr"} 0`,
+		`srserve_solver_rowsums{impl="` + linalg.RowSumsImpl() + `"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("solver metrics missing %q in:\n%s", want, out)

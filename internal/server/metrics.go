@@ -269,7 +269,8 @@ func (m *Metrics) WriteText(w io.Writer, snapVersion, publishes uint64, sources 
 
 // WriteSolverText renders per-algorithm solver convergence gauges for
 // the served snapshot: iterations, residual at convergence, solve wall
-// time, and whether the solve was warm-started. It appends to the main
+// time, whether the solve was warm-started, its precision, and which
+// row-sum pass the host's kernels run. It appends to the main
 // WriteText exposition (kept separate so the existing series' byte
 // format is untouched); a nil snapshot writes nothing.
 func (m *Metrics) WriteSolverText(w io.Writer, snap *Snapshot) {
@@ -310,6 +311,9 @@ func (m *Metrics) WriteSolverText(w io.Writer, snap *Snapshot) {
 		}
 		fmt.Fprintf(w, "srserve_solver_float32{algo=%q} %d\n", a, v)
 	}
+	fmt.Fprintf(w, "# HELP srserve_solver_rowsums Which row-sum pass this host's solves run at either precision: avx2, or the portable go loops (same bits, a quarter to a third longer per iteration).\n")
+	fmt.Fprintf(w, "# TYPE srserve_solver_rowsums gauge\n")
+	fmt.Fprintf(w, "srserve_solver_rowsums{impl=%q} 1\n", linalg.RowSumsImpl())
 }
 
 // WritePublishText renders what the store's publishes did with their
