@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"sourcerank/internal/core"
-	"sourcerank/internal/crawler"
 	"sourcerank/internal/experiments"
 	"sourcerank/internal/gen"
 	"sourcerank/internal/graph"
@@ -234,10 +233,7 @@ func BenchmarkSpamProximity(b *testing.B) {
 func spmvFixture(b *testing.B) (*linalg.CSR, linalg.Vector, linalg.Vector) {
 	b.Helper()
 	ds := benchCorpus(b)
-	m, err := ds.Pages.Transition()
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := rank.TransitionT(ds.Pages.ToGraph())
 	x := linalg.NewUniformVector(m.ColsN)
 	dst := linalg.NewVector(m.Rows)
 	return m, x, dst
@@ -335,20 +331,6 @@ func BenchmarkGraphBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressRef measures reference+interval compression.
-func BenchmarkCompressRef(b *testing.B) {
-	ds := benchCorpus(b)
-	g := ds.Pages.ToGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := webgraph.CompressRef(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(c.BitsPerEdge(), "bits/edge")
-	}
-}
-
 // BenchmarkSCC measures Tarjan SCC on the page graph.
 func BenchmarkSCC(b *testing.B) {
 	ds := benchCorpus(b)
@@ -390,27 +372,6 @@ func BenchmarkWarmStartRank(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.Stats.Iterations), "iters")
-	}
-}
-
-// BenchmarkCrawl measures the BFS crawl simulation over a hidden web.
-func BenchmarkCrawl(b *testing.B) {
-	ds := benchCorpus(b)
-	// Seed from the homepages of the first 50 sources, as a crawler
-	// bootstrap list would.
-	var seeds []int32
-	for s := 0; s < 50 && s < ds.Pages.NumSources(); s++ {
-		if pages := ds.Pages.PagesOf(int32(s)); len(pages) > 0 {
-			seeds = append(seeds, pages[0])
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := crawler.Crawl(ds.Pages, crawler.Options{Seeds: seeds, MaxPages: 10000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Fetched), "fetched")
 	}
 }
 

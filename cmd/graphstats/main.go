@@ -1,7 +1,8 @@
 // Command graphstats analyzes the structure of a corpus: degree
 // statistics, strongly connected components, the bowtie decomposition,
-// score-inequality (Gini) under PageRank and SRSR, and the compression
-// ratios achieved by the plain and reference WebGraph codecs.
+// the bits per edge of the gap/varint adjacency codec, projected
+// out-of-core sizes, and score inequality (Gini) under PageRank and the
+// un-throttled SourceRank baseline.
 //
 // Usage:
 //
@@ -12,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sourcerank/internal/core"
@@ -26,48 +28,53 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "graphstats: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: args are the command-line arguments after
+// the program name, and the report goes to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("graphstats", flag.ExitOnError)
 	var (
-		pagesPath = flag.String("pages", "", "binary corpus from graphgen (overrides -preset)")
-		preset    = flag.String("preset", "UK2002", "generate this preset when -pages is absent")
-		scale     = flag.Float64("scale", 0.01, "generator scale")
-		seed      = flag.Uint64("seed", 1, "generator seed")
+		pagesPath = fs.String("pages", "", "binary corpus from graphgen (overrides -preset)")
+		preset    = fs.String("preset", "UK2002", "generate this preset when -pages is absent")
+		scale     = fs.Float64("scale", 0.01, "generator scale")
+		seed      = fs.Uint64("seed", 1, "generator seed")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag has already exited 2
 
 	pg, err := loadPages(*pagesPath, *preset, *scale, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	g := pg.ToGraph()
 
-	fmt.Println("== corpus ==")
-	fmt.Printf("pages %d, links %d, sources %d\n", pg.NumPages(), pg.NumLinks(), pg.NumSources())
+	fmt.Fprintln(stdout, "== corpus ==")
+	fmt.Fprintf(stdout, "pages %d, links %d, sources %d\n", pg.NumPages(), pg.NumLinks(), pg.NumSources())
 
 	st := g.Stats()
-	fmt.Println("\n== page graph ==")
-	fmt.Printf("mean out-degree %.2f, max out %d, max in %d\n", st.MeanOut, st.MaxOut, st.MaxIn)
-	fmt.Printf("dangling pages %d, isolated %d, self-loops %d\n", st.Dangling, st.Isolated, st.SelfLoops)
+	fmt.Fprintln(stdout, "\n== page graph ==")
+	fmt.Fprintf(stdout, "mean out-degree %.2f, max out %d, max in %d\n", st.MeanOut, st.MaxOut, st.MaxIn)
+	fmt.Fprintf(stdout, "dangling pages %d, isolated %d, self-loops %d\n", st.Dangling, st.Isolated, st.SelfLoops)
 
 	scc := graph.SCC(g)
 	_, largest := scc.Largest()
-	fmt.Printf("SCCs %d, largest %d nodes (%.1f%%)\n",
+	fmt.Fprintf(stdout, "SCCs %d, largest %d nodes (%.1f%%)\n",
 		scc.NumComponents(), largest, 100*float64(largest)/float64(g.NumNodes()))
 	bt := graph.BowtieDecompose(g)
-	fmt.Printf("bowtie: core %d, in %d, out %d, disconnected %d\n",
+	fmt.Fprintf(stdout, "bowtie: core %d, in %d, out %d, disconnected %d\n",
 		bt.Counts[graph.Core], bt.Counts[graph.In], bt.Counts[graph.Out], bt.Counts[graph.Disconnected])
 
 	plain, err := webgraph.Compress(g)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	refc, err := webgraph.CompressRef(g)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println("\n== compression ==")
-	fmt.Printf("raw adjacency:   %.2f bits/edge\n", 32.0)
-	fmt.Printf("gap varint:      %.2f bits/edge (%d bytes)\n", plain.BitsPerEdge(), plain.SizeBytes())
-	fmt.Printf("reference+ivals: %.2f bits/edge (%d bytes)\n", refc.BitsPerEdge(), refc.SizeBytes())
+	fmt.Fprintln(stdout, "\n== compression ==")
+	fmt.Fprintf(stdout, "raw adjacency:   %.2f bits/edge\n", 32.0)
+	fmt.Fprintf(stdout, "gap varint:      %.2f bits/edge (%d bytes)\n", plain.BitsPerEdge(), plain.SizeBytes())
 
 	// Out-of-core sizing: what the transition slabs (P and Pᵀ each hold
 	// one entry per link) would occupy on disk, versus the working set an
@@ -79,33 +86,34 @@ func main() {
 	slab64 := linalg.SlabFileBytes(rows, nnz, linalg.SlabFloat64)
 	slab32 := linalg.SlabFileBytes(rows, nnz, linalg.SlabFloat32)
 	resident := 8*int64(rows+1) + 2*8*int64(rows)
-	fmt.Println("\n== out-of-core (projected) ==")
-	fmt.Printf("transition slab: %s float64 / %s float32 (x2 for P and Pᵀ)\n",
+	fmt.Fprintln(stdout, "\n== out-of-core (projected) ==")
+	fmt.Fprintf(stdout, "transition slab: %s float64 / %s float32 (x2 for P and Pᵀ)\n",
 		sysmem.FormatBytes(slab64), sysmem.FormatBytes(slab32))
-	fmt.Printf("solve residency: ~%s + 2 release windows (RowPtr + 2 iterate vectors; matrix pages stream)\n",
+	fmt.Fprintf(stdout, "solve residency: ~%s + 2 release windows (RowPtr + 2 iterate vectors; matrix pages stream)\n",
 		sysmem.FormatBytes(resident))
 
 	sg, err := source.Build(pg, source.Options{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println("\n== source graph ==")
-	fmt.Printf("sources %d, edges %d (%.1f per source)\n",
+	fmt.Fprintln(stdout, "\n== source graph ==")
+	fmt.Fprintf(stdout, "sources %d, edges %d (%.1f per source)\n",
 		sg.NumSources(), sg.NumEdges, float64(sg.NumEdges)/float64(sg.NumSources()))
 	ss := sg.Structure().Stats()
-	fmt.Printf("max out %d, max in %d, self-loops %d\n", ss.MaxOut, ss.MaxIn, ss.SelfLoops)
+	fmt.Fprintf(stdout, "max out %d, max in %d, self-loops %d\n", ss.MaxOut, ss.MaxIn, ss.SelfLoops)
 
 	pr, err := rank.PageRank(g, rank.Options{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sr, err := core.BaselineSourceRank(sg, core.Config{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println("\n== score inequality ==")
-	fmt.Printf("PageRank Gini:   %.3f (%d iterations)\n", linalg.Gini(pr.Scores), pr.Stats.Iterations)
-	fmt.Printf("SourceRank Gini: %.3f (%d iterations)\n", linalg.Gini(sr.Scores), sr.Stats.Iterations)
+	fmt.Fprintln(stdout, "\n== score inequality ==")
+	fmt.Fprintf(stdout, "PageRank Gini:   %.3f (%d iterations)\n", linalg.Gini(pr.Scores), pr.Stats.Iterations)
+	fmt.Fprintf(stdout, "SourceRank Gini: %.3f (%d iterations)\n", linalg.Gini(sr.Scores), sr.Stats.Iterations)
+	return nil
 }
 
 func loadPages(path, preset string, scale float64, seed uint64) (*pagegraph.Graph, error) {
@@ -126,9 +134,4 @@ func loadPages(path, preset string, scale float64, seed uint64) (*pagegraph.Grap
 	}
 	defer f.Close()
 	return pagegraph.ReadFrom(f)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "graphstats: %v\n", err)
-	os.Exit(1)
 }

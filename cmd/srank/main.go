@@ -44,7 +44,7 @@ func main() {
 		topK      = flag.Int("throttle-topk", 0, "sources to throttle fully (0 = 2.7% of sources)")
 		workers   = flag.Int("workers", 0, "solver goroutines (0 = GOMAXPROCS)")
 		precision = flag.String("precision", "float64", "stationary-solve arithmetic: float64 (reference) | float32 (bandwidth kernels; published scores stay float64)")
-		savePath  = flag.String("save", "", "write the score vector to this file (binary)")
+		savePath  = flag.String("save", "", "write the score vector (per source, or per page for pagerank, hits, salsa) to this file (binary)")
 		ckptDir   = flag.String("checkpoint-dir", "", "persist solver iterates here and resume from the newest valid checkpoint (srsr only)")
 		ckptEvery = flag.Int("checkpoint-every", 10, "iterations between checkpoints")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -83,6 +83,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := checkHonoured(*algo, *ckptDir != "", *slabDir != "", prec); err != nil {
+		fmt.Fprintf(os.Stderr, "srank: %v\n", err)
+		os.Exit(2)
+	}
 	var maxResident int64
 	if *maxResStr != "" {
 		if maxResident, err = sysmem.ParseBytes(*maxResStr); err != nil {
@@ -105,23 +109,24 @@ func main() {
 	fmt.Printf("corpus: %d pages, %d links, %d sources, %d labeled spam\n",
 		pg.NumPages(), pg.NumLinks(), pg.NumSources(), len(spamSources))
 
+	var scores linalg.Vector // what -save writes: per page or per source, as the algorithm ranks
 	switch *algo {
 	case "pagerank":
+		var stats linalg.IterStats
 		if *slabDir != "" {
-			scores, stats, err := pageRankSlab(pg, *alpha, *workers, prec, *slabDir, maxResident)
+			scores, stats, err = pageRankSlab(pg, *alpha, *workers, prec, *slabDir, maxResident)
 			if err != nil {
 				fatal(err)
 			}
-			printStats(stats)
-			printTopPages(pg, scores, *top)
-			break
+		} else {
+			res, err := rank.PageRank(pg.ToGraph(), rank.Options{Alpha: *alpha, Workers: *workers, Precision: prec})
+			if err != nil {
+				fatal(err)
+			}
+			scores, stats = res.Scores, res.Stats
 		}
-		res, err := rank.PageRank(pg.ToGraph(), rank.Options{Alpha: *alpha, Workers: *workers, Precision: prec})
-		if err != nil {
-			fatal(err)
-		}
-		printStats(res.Stats)
-		printTopPages(pg, res.Scores, *top)
+		printStats(stats)
+		printTopPages(pg, scores, *top)
 	case "hits":
 		res, err := rank.HITS(pg.ToGraph(), rank.Options{Workers: *workers})
 		if err != nil {
@@ -130,6 +135,7 @@ func main() {
 		printStats(res.Stats)
 		fmt.Println("top authorities:")
 		printTopPages(pg, res.Authorities, *top)
+		scores = res.Authorities
 	case "salsa":
 		// The two-step SALSA chain mixes slowly on near-bipartite web
 		// structure; 1e-6 is plenty for ranking purposes.
@@ -140,6 +146,7 @@ func main() {
 		printStats(res.Stats)
 		fmt.Println("top authorities:")
 		printTopPages(pg, res.Authorities, *top)
+		scores = res.Authorities
 	case "sourcerank", "srsr", "trustrank", "proximity":
 		sg, err := source.Build(pg, source.Options{})
 		if err != nil {
@@ -152,20 +159,48 @@ func main() {
 			}
 			ck = &core.CheckpointConfig{Dir: *ckptDir, Every: *ckptEvery}
 		}
-		scores, err := sourceLevelScores(*algo, pg, sg, spamSources, *alpha, *topK, *workers, prec, ck, *slabDir, maxResident)
+		scores, err = sourceLevelScores(*algo, pg, sg, spamSources, *alpha, *topK, *workers, prec, ck, *slabDir, maxResident)
 		if err != nil {
 			fatal(err)
 		}
 		printTopSources(sg, scores, *top)
-		if *savePath != "" {
-			if err := linalg.WriteVectorFile(*savePath, scores); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %d scores to %s\n", len(scores), *savePath)
-		}
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q", *algo))
 	}
+	if *savePath != "" {
+		if err := linalg.WriteVectorFile(*savePath, scores); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wrote %d scores to %s\n", len(scores), *savePath)
+	}
+}
+
+// checkHonoured reports the first flag that algo would silently drop:
+// only srsr checkpoints, only pagerank, srsr and sourcerank solve over a
+// slab, and hits, salsa and the proximity walk have no float32 kernel. An
+// unknown algo is not this check's to report.
+func checkHonoured(algo string, checkpoint, slab bool, prec linalg.Precision) error {
+	var ckptOK, slabOK, f32OK bool
+	switch algo {
+	case "srsr":
+		ckptOK, slabOK, f32OK = true, true, true
+	case "sourcerank", "pagerank":
+		slabOK, f32OK = true, true
+	case "trustrank":
+		f32OK = true
+	case "hits", "salsa", "proximity":
+	default:
+		return nil
+	}
+	switch {
+	case checkpoint && !ckptOK:
+		return fmt.Errorf("-checkpoint-dir is not honoured by -algo %s (srsr only)", algo)
+	case slab && !slabOK:
+		return fmt.Errorf("-slab-dir is not honoured by -algo %s (pagerank, srsr, sourcerank)", algo)
+	case prec == linalg.Float32 && !f32OK:
+		return fmt.Errorf("-precision float32 is not honoured by -algo %s (pagerank, srsr, sourcerank, trustrank)", algo)
+	}
+	return nil
 }
 
 func sourceLevelScores(algo string, pg *pagegraph.Graph, sg *source.Graph, spamSources []int32, alpha float64, topK, workers int, prec linalg.Precision, ck *core.CheckpointConfig, slabDir string, maxResident int64) (linalg.Vector, error) {

@@ -1,7 +1,13 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"sourcerank/internal/gen"
@@ -39,5 +45,97 @@ func TestPageRankSlabMatchesHeap(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCheckHonoured: a flag an algorithm cannot honour is refused by name,
+// never dropped; everything an algorithm does honour passes.
+func TestCheckHonoured(t *testing.T) {
+	cases := []struct {
+		algo             string
+		checkpoint, slab bool
+		prec             linalg.Precision
+		wantFlag         string // "" = accepted
+	}{
+		{algo: "srsr", checkpoint: true, slab: true, prec: linalg.Float32},
+		{algo: "sourcerank", slab: true, prec: linalg.Float32},
+		{algo: "pagerank", slab: true, prec: linalg.Float32},
+		{algo: "trustrank", prec: linalg.Float32},
+		{algo: "hits"},
+		{algo: "salsa"},
+		{algo: "proximity"},
+		{algo: "nosuch", checkpoint: true, slab: true, prec: linalg.Float32}, // main reports the unknown algorithm
+		{algo: "sourcerank", checkpoint: true, wantFlag: "-checkpoint-dir"},
+		{algo: "pagerank", checkpoint: true, wantFlag: "-checkpoint-dir"},
+		{algo: "trustrank", checkpoint: true, wantFlag: "-checkpoint-dir"},
+		{algo: "hits", checkpoint: true, wantFlag: "-checkpoint-dir"},
+		{algo: "trustrank", slab: true, wantFlag: "-slab-dir"},
+		{algo: "hits", slab: true, wantFlag: "-slab-dir"},
+		{algo: "salsa", slab: true, wantFlag: "-slab-dir"},
+		{algo: "proximity", slab: true, wantFlag: "-slab-dir"},
+		{algo: "hits", prec: linalg.Float32, wantFlag: "-precision float32"},
+		{algo: "salsa", prec: linalg.Float32, wantFlag: "-precision float32"},
+		{algo: "proximity", prec: linalg.Float32, wantFlag: "-precision float32"},
+	}
+	for _, c := range cases {
+		err := checkHonoured(c.algo, c.checkpoint, c.slab, c.prec)
+		switch {
+		case c.wantFlag == "" && err != nil:
+			t.Errorf("%+v: refused: %v", c, err)
+		case c.wantFlag != "" && (err == nil || !strings.Contains(err.Error(), c.wantFlag) || !strings.Contains(err.Error(), "-algo "+c.algo)):
+			t.Errorf("%+v: err = %v, want one naming %s and the algorithm", c, err, c.wantFlag)
+		}
+	}
+}
+
+// TestMain lets a test run this binary as srank itself: with
+// SRANK_TEST_RUN_MAIN set, the process is main() over its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("SRANK_TEST_RUN_MAIN") != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+func runSrank(t *testing.T, args ...string) (stdout string, exit int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-preset", "UK2002", "-scale", "0.002", "-seed", "1"}, args...)...)
+	cmd.Env = append(os.Environ(), "SRANK_TEST_RUN_MAIN=1")
+	out, err := cmd.Output()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatal(err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+// TestSaveAndRefusalEndToEnd drives the command itself: -save is honoured
+// for a page-level algorithm (one score per page, in the format the
+// source-level algorithms always wrote), and a flag the algorithm cannot
+// honour exits 2 before any work is printed.
+func TestSaveAndRefusalEndToEnd(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hits.vec")
+	out, exit := runSrank(t, "-algo", "hits", "-save", path)
+	if exit != 0 {
+		t.Fatalf("-algo hits -save: exit %d\n%s", exit, out)
+	}
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores, err := linalg.ReadVectorFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scores) != ds.Pages.NumPages() {
+		t.Fatalf("saved %d scores, corpus has %d pages", len(scores), ds.Pages.NumPages())
+	}
+	if want := fmt.Sprintf("wrote %d scores to %s\n", len(scores), path); !strings.HasSuffix(out, want) {
+		t.Errorf("stdout does not end with %q:\n%s", want, out)
+	}
+
+	if out, exit := runSrank(t, "-algo", "salsa", "-slab-dir", t.TempDir()); exit != 2 || out != "" {
+		t.Errorf("-algo salsa -slab-dir: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
 	}
 }

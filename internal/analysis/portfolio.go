@@ -1,17 +1,13 @@
 package analysis
 
-import (
-	"fmt"
-
-	"sourcerank/internal/linalg"
-)
+import "fmt"
 
 // The paper's conclusion sketches its future work: "developing a model of
 // spammer behavior, including new metrics for the effectiveness of
 // link-based manipulation ... to evaluate the relative impact on the
 // value of a spammer's portfolio of sources." This file implements that
-// model: a cost model for the attack primitives, portfolio value, and
-// the return-on-investment of each §4 scenario as a function of the
+// model: a cost model for the attack primitives and the
+// return-on-investment of each §4 scenario as a function of the
 // throttling factor.
 
 // CostModel prices the spammer's attack primitives in abstract effort
@@ -63,20 +59,6 @@ func (c CostModel) ScenarioCost(sc Scenario, tau int) (float64, error) {
 	default:
 		return 0, fmt.Errorf("%w: unknown scenario %d", ErrParam, int(sc))
 	}
-}
-
-// PortfolioValue sums the scores of the spammer's sources — the quantity
-// the paper proposes to track. scores is any ranking vector; owned lists
-// the source IDs under the spammer's control.
-func PortfolioValue(scores linalg.Vector, owned []int32) (float64, error) {
-	var total float64
-	for _, s := range owned {
-		if s < 0 || int(s) >= len(scores) {
-			return 0, fmt.Errorf("%w: owned source %d of %d", ErrParam, s, len(scores))
-		}
-		total += scores[s]
-	}
-	return total, nil
 }
 
 // ScenarioROI returns the spammer's return on investment for a scenario:

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"sourcerank/internal/linalg"
 )
 
 func TestCostModelValidate(t *testing.T) {
@@ -45,23 +43,6 @@ func TestScenarioCost(t *testing.T) {
 	}
 	if _, err := c.ScenarioCost(Scenario(9), 1); !errors.Is(err, ErrParam) {
 		t.Error("unknown scenario accepted")
-	}
-}
-
-func TestPortfolioValue(t *testing.T) {
-	scores := linalg.Vector{0.1, 0.2, 0.3}
-	v, err := PortfolioValue(scores, []int32{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-0.4) > 1e-15 {
-		t.Errorf("value = %v, want 0.4", v)
-	}
-	if _, err := PortfolioValue(scores, []int32{5}); !errors.Is(err, ErrParam) {
-		t.Error("bad source accepted")
-	}
-	if v, _ := PortfolioValue(scores, nil); v != 0 {
-		t.Errorf("empty portfolio value = %v", v)
 	}
 }
 

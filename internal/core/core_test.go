@@ -60,8 +60,8 @@ func TestRankZeroKappaIsDistribution(t *testing.T) {
 	if !res.Stats.Converged {
 		t.Fatalf("not converged: %+v", res.Stats)
 	}
-	if math.Abs(res.Scores.Sum()-1) > 1e-8 {
-		t.Errorf("sum = %v, want 1", res.Scores.Sum())
+	if math.Abs(res.Scores.Norm1()-1) > 1e-8 {
+		t.Errorf("sum = %v, want 1", res.Scores.Norm1())
 	}
 	for i, s := range res.Scores {
 		if s < 0 {
@@ -152,8 +152,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if res.Kappa[5] != 1 {
 		t.Errorf("spam neighbor not throttled: kappa = %v", res.Kappa)
 	}
-	if math.Abs(res.Scores.Sum()-1) > 1e-8 {
-		t.Errorf("scores sum to %v", res.Scores.Sum())
+	if math.Abs(res.Scores.Norm1()-1) > 1e-8 {
+		t.Errorf("scores sum to %v", res.Scores.Norm1())
 	}
 }
 

@@ -55,17 +55,6 @@ func OpenMapped(path string) (*Mapped, error) {
 	return &Mapped{path: path, data: data, mapped: mapped}, nil
 }
 
-// Data returns the full file bytes, trailer included. The slice aliases
-// the mapping and becomes invalid after Close. Callers must treat it as
-// read-only; the mapping is PROT_READ and writes fault.
-func (m *Mapped) Data() []byte { return m.data }
-
-// Size returns the file length in bytes.
-func (m *Mapped) Size() int64 { return int64(len(m.data)) }
-
-// Path returns the file path the mapping was opened from.
-func (m *Mapped) Path() string { return m.path }
-
 // verifyChunkDefault bounds the resident window of a chunked trailer
 // verification: 4 MiB hashes in a few milliseconds and keeps peak RSS of
 // the verification pass three orders of magnitude under the file size.

@@ -34,8 +34,8 @@ func TestOpenMappedVerifyPayload(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenMapped: %v", err)
 		}
-		if m.Size() != int64(len(payload)+TrailerSize) {
-			t.Fatalf("Size = %d, want %d", m.Size(), len(payload)+TrailerSize)
+		if len(m.data) != len(payload)+TrailerSize {
+			t.Fatalf("mapped %d bytes, want %d", len(m.data), len(payload)+TrailerSize)
 		}
 		got, err := m.VerifyPayload(1<<20, release)
 		if err != nil {

@@ -143,7 +143,7 @@ func AblationSolver(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pw, err := core.Rank(c.sg, pipe.Kappa, core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers})
+	pw, err := core.Rank(c.sg, pipe.Kappa, core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers, Solver: core.Power})
 	if err != nil {
 		return nil, err
 	}

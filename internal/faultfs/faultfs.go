@@ -84,13 +84,6 @@ func (f *FS) CorruptReads(fn func(name string, off int64, p []byte)) {
 	f.corrupt = fn
 }
 
-// Crashed reports whether the injected crash point has been reached.
-func (f *FS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // BytesWritten returns the total bytes written through this FS.
 func (f *FS) BytesWritten() int64 {
 	f.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"path/filepath"
 	"slices"
 
@@ -249,43 +248,4 @@ func (s *spillSink) spill() {
 func (s *spillSink) finish() error {
 	s.spill()
 	return s.err
-}
-
-// DecodeRun parses a complete shard-run file image (payload plus durable
-// trailer) and returns its packed edge keys. All structural violations —
-// bad trailer, bad magic or version, truncated payload, non-increasing
-// keys — surface as typed errors (ErrRunFormat or durable.ErrCorrupt),
-// never panics. It is the in-memory twin of the streaming run reader and
-// the fuzz target's entry point.
-func DecodeRun(data []byte) ([]uint64, error) {
-	payload, err := durable.Verify(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) < runHeaderSize {
-		return nil, &RunFormatError{Offset: int64(len(payload)), Reason: fmt.Sprintf("payload is %d bytes, shorter than the %d-byte header", len(payload), runHeaderSize)}
-	}
-	le := binary.LittleEndian
-	if got := le.Uint32(payload[0:4]); got != runMagic {
-		return nil, &RunFormatError{Offset: 0, Reason: fmt.Sprintf("bad magic %#x", got)}
-	}
-	if got := le.Uint32(payload[4:8]); got != runVersion {
-		return nil, &RunFormatError{Offset: 4, Reason: fmt.Sprintf("unsupported version %d", got)}
-	}
-	count := le.Uint64(payload[8:16])
-	if count > uint64((math.MaxInt64-runHeaderSize)/8) || int64(len(payload)) != runHeaderSize+int64(count)*8 {
-		return nil, &RunFormatError{Offset: 8, Reason: fmt.Sprintf("header declares %d keys, payload holds %d bytes", count, len(payload))}
-	}
-	keys := make([]uint64, count)
-	for i := range keys {
-		k := le.Uint64(payload[runHeaderSize+i*8:])
-		if i > 0 && k <= keys[i-1] {
-			return nil, &RunFormatError{
-				Offset: int64(runHeaderSize + i*8),
-				Reason: fmt.Sprintf("key %#x at index %d does not exceed predecessor %#x", k, i, keys[i-1]),
-			}
-		}
-		keys[i] = k
-	}
-	return keys, nil
 }

@@ -3,17 +3,18 @@ package gen
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"sourcerank/internal/durable"
 )
 
-// FuzzRunDecode drives arbitrary bytes through the shard-run decoder.
-// The contract mirrors FuzzSlabDecode: any input either decodes to a
+// FuzzRunDecode drives arbitrary bytes, as a run file on disk, through
+// the streaming run reader the merge consumes runs with. The contract
+// mirrors FuzzSlabDecode: any input either decodes to a
 // strictly-increasing key run or fails with a typed error (ErrRunFormat
 // for structural defects, durable.ErrCorrupt for framing defects) —
-// never a panic. Valid inputs must round-trip through the streaming
-// reader identically, since the merge path consumes runs through it.
+// never a panic.
 func FuzzRunDecode(f *testing.F) {
 	seedRun := func(keys []uint64) []byte {
 		dir := f.TempDir()
@@ -42,17 +43,29 @@ func FuzzRunDecode(f *testing.F) {
 	f.Add([]byte{0x52, 0x45, 0x52, 0x53}) // magic alone, unframed
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		keys, err := DecodeRun(data)
-		if err != nil {
-			if !errors.Is(err, ErrRunFormat) && !errors.Is(err, durable.ErrCorrupt) {
-				t.Fatalf("decode error is untyped: %v", err)
-			}
-			return
+		path := filepath.Join(t.TempDir(), "run")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i < len(keys); i++ {
-			if keys[i] <= keys[i-1] {
-				t.Fatalf("accepted run with non-increasing keys at %d", i)
+		stop := make(chan struct{})
+		defer close(stop)
+		cur := &runCursor{ch: startRunReader(durable.OS{}, path, 1, stop)}
+		var prev uint64
+		for n := 0; ; n++ {
+			ok, err := cur.next()
+			if err != nil {
+				if !errors.Is(err, ErrRunFormat) && !errors.Is(err, durable.ErrCorrupt) {
+					t.Fatalf("decode error is untyped: %v", err)
+				}
+				return
 			}
+			if !ok {
+				return
+			}
+			if n > 0 && cur.key <= prev {
+				t.Fatalf("accepted run with non-increasing keys at %d", n)
+			}
+			prev = cur.key
 		}
 	})
 }

@@ -15,31 +15,10 @@ type Builder struct {
 
 type edge struct{ u, v NodeID }
 
-// NewBuilder returns a builder pre-sized for n nodes. Nodes can still be
-// grown later with AddNode or by adding edges with larger endpoints.
+// NewBuilder returns a builder pre-sized for n nodes. Adding an edge with
+// a larger endpoint grows the node count.
 func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
-}
-
-// NumNodes returns the current node count.
-func (b *Builder) NumNodes() int { return b.n }
-
-// NumEdgesAdded returns the number of AddEdge calls so far (before
-// deduplication).
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
-// AddNode appends a fresh node and returns its ID.
-func (b *Builder) AddNode() NodeID {
-	id := NodeID(b.n)
-	b.n++
-	return id
-}
-
-// Grow ensures the builder has at least n nodes.
-func (b *Builder) Grow(n int) {
-	if n > b.n {
-		b.n = n
-	}
 }
 
 // AddEdge records the directed edge (u, v), growing the node count if
@@ -111,9 +90,9 @@ func FromParts(n int, rowPtr []int64, succ []NodeID) (*Graph, error) {
 	return &Graph{n: n, rowPtr: rowPtr, succ: succ}, nil
 }
 
-// FromAdjacency builds a graph from an explicit adjacency list, useful in
-// tests. Row u of adj lists the successors of node u; duplicate and
-// unsorted entries are tolerated.
+// FromAdjacency builds a graph from an explicit adjacency list. Row u of
+// adj lists the successors of node u; duplicate and unsorted entries are
+// tolerated.
 func FromAdjacency(adj [][]NodeID) *Graph {
 	b := NewBuilder(len(adj))
 	for u, succ := range adj {
@@ -122,34 +101,4 @@ func FromAdjacency(adj [][]NodeID) *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// Subgraph returns the induced subgraph on keep, along with the mapping
-// from old IDs to new IDs (-1 for dropped nodes). Nodes listed twice are
-// kept once; order of keep determines the new IDs.
-func (g *Graph) Subgraph(keep []NodeID) (*Graph, []NodeID) {
-	remap := make([]NodeID, g.n)
-	for i := range remap {
-		remap[i] = -1
-	}
-	next := NodeID(0)
-	for _, u := range keep {
-		if remap[u] == -1 {
-			remap[u] = next
-			next++
-		}
-	}
-	b := NewBuilder(int(next))
-	for u := 0; u < g.n; u++ {
-		nu := remap[u]
-		if nu == -1 {
-			continue
-		}
-		for _, v := range g.Successors(NodeID(u)) {
-			if nv := remap[v]; nv != -1 {
-				b.AddEdge(nu, nv)
-			}
-		}
-	}
-	return b.Build(), remap
 }

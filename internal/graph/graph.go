@@ -162,28 +162,3 @@ func (g *Graph) Stats() DegreeStats {
 	}
 	return st
 }
-
-// EdgeCount is a (node, degree) pair used by degree-histogram helpers.
-type EdgeCount struct {
-	Node   NodeID
-	Degree int
-}
-
-// TopOutDegrees returns the k nodes with the largest out-degree, in
-// decreasing order (ties by smaller ID first).
-func (g *Graph) TopOutDegrees(k int) []EdgeCount {
-	all := make([]EdgeCount, g.n)
-	for u := 0; u < g.n; u++ {
-		all[u] = EdgeCount{NodeID(u), g.OutDegree(NodeID(u))}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Degree != all[j].Degree {
-			return all[i].Degree > all[j].Degree
-		}
-		return all[i].Node < all[j].Node
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
-}

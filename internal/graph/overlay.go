@@ -126,14 +126,3 @@ func (o *Overlay) Compact() *Graph {
 	o.rows = make(map[NodeID][]NodeID)
 	return g
 }
-
-// Materialized reports whether the overlay currently equals its base
-// graph (no patches, no appended nodes), in which case Base may be used
-// directly.
-func (o *Overlay) Materialized() bool {
-	return len(o.rows) == 0 && o.n == o.base.NumNodes()
-}
-
-// Base returns the graph the overlay reads through to. Note rows patched
-// since the last Compact are not visible in it.
-func (o *Overlay) Base() *Graph { return o.base }

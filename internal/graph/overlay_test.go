@@ -21,8 +21,8 @@ func TestOverlayReadThrough(t *testing.T) {
 	if o.NumNodes() != 4 || o.NumEdges() != 4 {
 		t.Fatalf("overlay dims = (%d, %d), want (4, 4)", o.NumNodes(), o.NumEdges())
 	}
-	if !o.Materialized() {
-		t.Fatal("fresh overlay should be materialized")
+	if o.PatchedRows() != 0 {
+		t.Fatal("fresh overlay should carry no patches")
 	}
 	for u := 0; u < 4; u++ {
 		if !slices.Equal(o.Successors(NodeID(u)), g.Successors(NodeID(u))) {
@@ -64,7 +64,7 @@ func TestOverlaySetRowAndCompact(t *testing.T) {
 			t.Fatalf("compacted row %d = %v, want %v", u, c.Successors(NodeID(u)), w)
 		}
 	}
-	if !o.Materialized() || o.Base() != c {
+	if o.PatchedRows() != 0 || o.NumNodes() != c.NumNodes() || o.NumEdges() != c.NumEdges() {
 		t.Fatal("overlay should reset onto compacted graph")
 	}
 }
@@ -81,7 +81,7 @@ func TestOverlaySetRowEqualToBaseDropsPatch(t *testing.T) {
 	if err := o.SetRow(0, []NodeID{1, 2}); err != nil {
 		t.Fatalf("SetRow back: %v", err)
 	}
-	if o.PatchedRows() != 0 || o.NumEdges() != 2 || !o.Materialized() {
+	if o.PatchedRows() != 0 || o.NumEdges() != 2 {
 		t.Fatalf("restoring base row should drop the patch: rows=%d edges=%d", o.PatchedRows(), o.NumEdges())
 	}
 }

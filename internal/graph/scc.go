@@ -208,29 +208,3 @@ func reachable(g *Graph, seeds []NodeID) []bool {
 	}
 	return seen
 }
-
-// ShortestHops returns the BFS hop distance from src to every node
-// (-1 when unreachable).
-func ShortestHops(g *Graph, src NodeID) []int32 {
-	n := g.NumNodes()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	if src < 0 || int(src) >= n {
-		return dist
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Successors(v) {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}

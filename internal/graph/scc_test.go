@@ -104,24 +104,6 @@ func TestBowtieRegionString(t *testing.T) {
 	}
 }
 
-func TestShortestHops(t *testing.T) {
-	g := FromAdjacency([][]NodeID{{1}, {2}, {}, {}})
-	d := ShortestHops(g, 0)
-	want := []int32{0, 1, 2, -1}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Errorf("dist[%d] = %d, want %d", i, d[i], want[i])
-		}
-	}
-	// Out-of-range source: all -1.
-	d = ShortestHops(g, -1)
-	for i := range d {
-		if d[i] != -1 {
-			t.Errorf("bad-source dist[%d] = %d", i, d[i])
-		}
-	}
-}
-
 // bruteSCC computes components by pairwise mutual reachability.
 func bruteSCC(g *Graph) [][]bool {
 	n := g.NumNodes()

@@ -104,9 +104,6 @@ func NewCSR(rows, cols int, entries []Entry) (*CSR, error) {
 // NNZ returns the number of stored nonzeros.
 func (m *Matrix[F]) NNZ() int { return len(m.Vals) }
 
-// RowNNZ returns the number of stored entries in row i.
-func (m *Matrix[F]) RowNNZ(i int) int { return int(m.RowPtr[i+1] - m.RowPtr[i]) }
-
 // Row returns the column indices and values of row i. The returned slices
 // alias the matrix storage and must not be modified.
 func (m *Matrix[F]) Row(i int) ([]int32, []F) {
@@ -359,24 +356,4 @@ func (m *Matrix[F]) IsRowStochastic(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// ScaleRows multiplies each row i by f(i), returning a new matrix with the
-// same sparsity pattern.
-func (m *Matrix[F]) ScaleRows(f func(row int) float64) *Matrix[F] {
-	out := &Matrix[F]{
-		Rows:   m.Rows,
-		ColsN:  m.ColsN,
-		RowPtr: m.RowPtr, // sparsity pattern shared; values are fresh
-		Cols:   m.Cols,
-		Vals:   make([]F, len(m.Vals)),
-	}
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		s := f(i)
-		for k := lo; k < hi; k++ {
-			out.Vals[k] = F(float64(m.Vals[k]) * s)
-		}
-	}
-	return out
 }

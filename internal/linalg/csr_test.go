@@ -33,8 +33,8 @@ func TestNewCSRBasic(t *testing.T) {
 	if got := m.At(1, 1); got != 0 {
 		t.Errorf("At(1,1) = %v, want 0", got)
 	}
-	if got := m.RowNNZ(1); got != 0 {
-		t.Errorf("RowNNZ(1) = %d, want 0", got)
+	if cols, _ := m.Row(1); len(cols) != 0 {
+		t.Errorf("row 1 holds %d entries, want 0", len(cols))
 	}
 	if got := m.RowSum(0); got != 1.0 {
 		t.Errorf("RowSum(0) = %v, want 1", got)
@@ -72,7 +72,7 @@ func TestNewCSREmpty(t *testing.T) {
 	}
 	m = mustCSR(t, 5, 5, nil)
 	for i := 0; i < 5; i++ {
-		if m.RowNNZ(i) != 0 {
+		if cols, _ := m.Row(i); len(cols) != 0 {
 			t.Errorf("row %d nonempty", i)
 		}
 	}
@@ -127,21 +127,6 @@ func TestIsRowStochastic(t *testing.T) {
 	m3 := mustCSR(t, 1, 2, []Entry{{0, 0, 1.5}, {0, 1, -0.5}})
 	if m3.IsRowStochastic(1e-12) {
 		t.Error("negative entry accepted as stochastic")
-	}
-}
-
-func TestScaleRows(t *testing.T) {
-	m := mustCSR(t, 2, 2, []Entry{{0, 0, 2}, {1, 1, 4}})
-	s := m.ScaleRows(func(i int) float64 { return float64(i + 1) })
-	if got := s.At(0, 0); got != 2 {
-		t.Errorf("At(0,0) = %v, want 2", got)
-	}
-	if got := s.At(1, 1); got != 8 {
-		t.Errorf("At(1,1) = %v, want 8", got)
-	}
-	// Original untouched.
-	if got := m.At(1, 1); got != 4 {
-		t.Errorf("original mutated: %v", got)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // tree reduce (reduceResidual) — so kernel output and residual are
 // bitwise identical at every worker count. At float64 the
 // iterate update additionally reproduces the exact floating-point
-// operation sequence of the unfused MulVecParallel + Scale + Sum + Axpy
-// path (fused_test.go keeps that sequence as its oracle).
+// operation sequence of the unfused MulVecParallel + Scale + index-order
+// sum + axpy path (fused_test.go keeps that sequence as its oracle).
 //
 // Precision: the kernel is memory-bandwidth-bound — at zero allocations
 // per iteration, wall time tracks the bytes of CSR arrays and vectors
@@ -88,7 +88,7 @@ const (
 	fusedPhaseAffine        // dst[i] = c·(row i of at)·src + b[i], residual partials
 )
 
-// fusedKernel is the machinery behind FusedPower and FusedAffine: a
+// fusedKernel is the machinery behind FusedPower and the Jacobi solve: a
 // matrix-derived stripe partition and a persistent worker pool. Workers
 // are parked on a channel for the lifetime of the kernel, so repeated
 // steps spawn no goroutines and allocate nothing — the per-pass state
@@ -394,9 +394,9 @@ func (k *fusedKernel[F]) step(dst, src []F, wantResidual bool) float64 {
 		k.phase = fusedPhaseMul
 		k.dispatch()
 		// The lost-mass sum runs serially in index order: it is O(rows)
-		// next to the O(nnz) stripe passes, and folding it exactly like
-		// Vector.Sum keeps `lost` — and with it every dst bit — identical
-		// to the unfused path.
+		// next to the O(nnz) stripe passes, and folding it front to back
+		// keeps `lost` — and with it every dst bit — identical to the
+		// unfused path.
 		var sum float64
 		for _, v := range dst {
 			sum += float64(v)
@@ -425,7 +425,7 @@ func (k *fusedKernel[F]) Close() {
 // is the mass lost to damping and dangling rows, and (optionally) the
 // residual ‖dst−src‖ in the configured norm — all in two parallel stripe
 // passes plus one serial index-order sum. At float64 the iterate bits are
-// identical to the unfused MulVecParallel + Scale + Sum + Axpy sequence
+// identical to the unfused MulVecParallel + Scale + sum + axpy sequence
 // at every worker count; at either precision the iterate and the residual
 // are bitwise invariant across worker counts (the residual may differ
 // from a serial full-vector norm in the last ulp, since float addition is
@@ -460,31 +460,6 @@ func (f *FusedPower[F]) Step(dst, src []F, wantResidual bool) float64 {
 
 // Close releases the kernel's worker pool.
 func (f *FusedPower[F]) Close() { f.k.Close() }
-
-// FusedAffine is the fused Jacobi iteration kernel for the affine system
-// x = c·Aᵀx + b: one Step computes dst = c·(at·src) + b and (optionally)
-// the residual ‖dst−src‖ in a single parallel stripe pass. The same
-// determinism contract as FusedPower applies.
-type FusedAffine[F Float] struct{ k *fusedKernel[F] }
-
-// NewFusedAffine builds a fused affine kernel over the pre-transposed
-// operand at (= Aᵀ) and bias b.
-func NewFusedAffine[F Float](at *Matrix[F], c float64, b []F, norm ResidualNorm, workers int) (*FusedAffine[F], error) {
-	k, err := newFusedKernel(at, c, b, true, norm, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &FusedAffine[F]{k: k}, nil
-}
-
-// Step advances one iteration: dst ← c·(at·src) + b, returning the
-// residual when wantResidual is set and NaN otherwise.
-func (f *FusedAffine[F]) Step(dst, src []F, wantResidual bool) float64 {
-	return f.k.step(dst, src, wantResidual)
-}
-
-// Close releases the kernel's worker pool.
-func (f *FusedAffine[F]) Close() { f.k.Close() }
 
 // widen returns x as a float64 Vector: x itself at float64, an exact
 // entrywise widening at float32.

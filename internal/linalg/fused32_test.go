@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -54,8 +55,8 @@ func TestFusedPower32WorkerInvariance(t *testing.T) {
 	forceFusedParallel(t)
 	for _, n := range []int{1, 2, 17, 97, 256} {
 		pt := NewCSR32(randChain(t, int64(n), n).Transpose())
-		tel := ToVector32(NewUniformVector(n))
-		src := NewVector32(n)
+		tel := narrow[float32](NewUniformVector(n))
+		src := make(Vector32, n)
 		rng := rand.New(rand.NewSource(42))
 		var sum float64
 		for i := range src {
@@ -66,7 +67,7 @@ func TestFusedPower32WorkerInvariance(t *testing.T) {
 			src[i] = float32(float64(src[i]) / sum)
 		}
 
-		want := NewVector32(n)
+		want := make(Vector32, n)
 		refPowerStep32(pt, 0.85, tel, src, want)
 
 		var res1 float64
@@ -75,7 +76,7 @@ func TestFusedPower32WorkerInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dst := NewVector32(n)
+			dst := make(Vector32, n)
 			res := k.Step(dst, src, true)
 			k.Close()
 			for i := range dst {
@@ -98,8 +99,8 @@ func TestFusedAffine32WorkerInvariance(t *testing.T) {
 	for _, n := range []int{1, 17, 97, 256} {
 		at := NewCSR32(randChain(t, 1000+int64(n), n).Transpose())
 		rng := rand.New(rand.NewSource(43))
-		b := NewVector32(n)
-		src := NewVector32(n)
+		b := make(Vector32, n)
+		src := make(Vector32, n)
 		for i := range b {
 			b[i] = rng.Float32() * 0.15
 			src[i] = rng.Float32()
@@ -107,12 +108,12 @@ func TestFusedAffine32WorkerInvariance(t *testing.T) {
 		var first Vector32
 		var res1 float64
 		for workers := 1; workers <= 16; workers++ {
-			k, err := NewFusedAffine(at, 0.85, b, ResidualL2, workers)
+			k, err := newFusedKernel(at, 0.85, b, true, ResidualL2, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dst := NewVector32(n)
-			res := k.Step(dst, src, true)
+			dst := make(Vector32, n)
+			res := k.step(dst, src, true)
 			k.Close()
 			if workers == 1 {
 				first, res1 = dst, res
@@ -149,7 +150,7 @@ func TestPowerMethodT32MatchesFloat64(t *testing.T) {
 	if !st32.Converged {
 		t.Fatalf("float32 solve did not converge: %+v", st32)
 	}
-	if s := x32.Sum(); math.Abs(s-1) > 1e-5 {
+	if s := x32.Norm1(); math.Abs(s-1) > 1e-5 {
 		t.Fatalf("float32 solution sums to %v", s)
 	}
 	for i := range x32 {
@@ -221,12 +222,12 @@ func TestJacobiAffineT32MatchesFloat64(t *testing.T) {
 func TestFused32StepZeroAlloc(t *testing.T) {
 	forceFusedParallel(t)
 	pt := NewCSR32(randChain(t, 21, 512).Transpose())
-	tel := ToVector32(NewUniformVector(512))
+	tel := narrow[float32](NewUniformVector(512))
 	k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, dst := tel.Clone(), NewVector32(512)
+	src, dst := slices.Clone(tel), make(Vector32, 512)
 	k.Step(dst, src, true)
 	if n := testing.AllocsPerRun(50, func() {
 		k.Step(dst, src, true)
@@ -236,13 +237,13 @@ func TestFused32StepZeroAlloc(t *testing.T) {
 	}
 	k.Close()
 
-	ka, err := NewFusedAffine(pt, 0.85, tel, ResidualL2, 4)
+	ka, err := newFusedKernel(pt, 0.85, tel, true, ResidualL2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ka.Step(dst, src, true)
+	ka.step(dst, src, true)
 	if n := testing.AllocsPerRun(50, func() {
-		ka.Step(dst, src, true)
+		ka.step(dst, src, true)
 	}); n != 0 {
 		t.Fatalf("fused affine32 Step allocated %v times per run", n)
 	}
@@ -253,14 +254,14 @@ func TestFused32StepZeroAlloc(t *testing.T) {
 func TestFused32CloseIdempotent(t *testing.T) {
 	forceFusedParallel(t)
 	pt := NewCSR32(randChain(t, 23, 64).Transpose())
-	tel := ToVector32(NewUniformVector(64))
+	tel := narrow[float32](NewUniformVector(64))
 	k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := NewVector32(64)
+	dst := make(Vector32, 64)
 	k.Step(dst, tel, true)
-	want := dst.Clone()
+	want := slices.Clone(dst)
 	k.Close()
 	k.Close()
 	k.Step(dst, tel, true)
@@ -277,13 +278,13 @@ func TestFused32CloseIdempotent(t *testing.T) {
 // benchmark's -benchmem output at 0 allocs/op.
 func BenchmarkFusedPower32Step(b *testing.B) {
 	pt, tel := benchChain(b, 20000)
-	pt32, tel32 := NewCSR32(pt), ToVector32(tel)
+	pt32, tel32 := NewCSR32(pt), narrow[float32](tel)
 	k, err := NewFusedPower(pt32, 0.85, tel32, ResidualL2, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer k.Close()
-	src, dst := tel32.Clone(), NewVector32(len(tel32))
+	src, dst := slices.Clone(tel32), make(Vector32, len(tel32))
 	k.Step(dst, src, true)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -297,18 +298,18 @@ func BenchmarkFusedPower32Step(b *testing.B) {
 // 0 allocs/op alongside the power benchmark.
 func BenchmarkFusedAffine32Step(b *testing.B) {
 	pt, tel := benchChain(b, 20000)
-	at32, b32 := NewCSR32(pt), ToVector32(tel)
-	k, err := NewFusedAffine(at32, 0.85, b32, ResidualL2, 0)
+	at32, b32 := NewCSR32(pt), narrow[float32](tel)
+	k, err := newFusedKernel(at32, 0.85, b32, true, ResidualL2, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer k.Close()
-	src, dst := b32.Clone(), NewVector32(len(b32))
-	k.Step(dst, src, true)
+	src, dst := slices.Clone(b32), make(Vector32, len(b32))
+	k.step(dst, src, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Step(dst, src, true)
+		k.step(dst, src, true)
 		src, dst = dst, src
 	}
 }
@@ -321,7 +322,7 @@ func BenchmarkFusedAffine32Step(b *testing.B) {
 func TestRowSums32Dispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 500
-	src := NewVector32(n)
+	src := make(Vector32, n)
 	for i := range src {
 		src[i] = rng.Float32()
 	}

@@ -48,24 +48,36 @@ func randChain(t testing.TB, seed int64, n int) *CSR {
 	return m
 }
 
+// axpy computes v += a*w in place, entry by entry in index order.
+func axpy(v Vector, a float64, w Vector) {
+	for i := range v {
+		v[i] += a * w[i]
+	}
+}
+
 // unfusedPowerStep is the pre-fusion iteration sequence the kernel must
-// reproduce bit for bit: MulVecParallel, Scale, lost-mass Sum, Axpy.
+// reproduce bit for bit: MulVecParallel, Scale, index-order lost-mass
+// sum, axpy.
 func unfusedPowerStep(pt *CSR, c float64, tel, src, dst Vector, workers int) {
 	MulVecParallel(pt, src, dst, workers)
 	dst.Scale(c)
-	lost := 1 - dst.Sum()
+	var sum float64
+	for _, x := range dst {
+		sum += x
+	}
+	lost := 1 - sum
 	if lost < 0 {
 		lost = 0
 	}
-	dst.Axpy(lost, tel)
+	axpy(dst, lost, tel)
 }
 
 // unfusedAffineStep is the affine counterpart: MulVecParallel, Scale,
-// Axpy(1, b).
+// axpy(1, b).
 func unfusedAffineStep(at *CSR, c float64, b, src, dst Vector, workers int) {
 	MulVecParallel(at, src, dst, workers)
 	dst.Scale(c)
-	dst.Axpy(1, b)
+	axpy(dst, 1, b)
 }
 
 // unfusedSolve is the oracle the solvers are checked against: the plain
@@ -164,12 +176,12 @@ func TestFusedAffineBitwiseMatchesUnfused(t *testing.T) {
 		eachRowSumsImpl(func(impl string) {
 			var res1 float64
 			for workers := 1; workers <= 16; workers++ {
-				k, err := NewFusedAffine(at, 0.85, b, ResidualL2, workers)
+				k, err := newFusedKernel(at, 0.85, b, true, ResidualL2, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				dst := NewVector(n)
-				res := k.Step(dst, src, true)
+				res := k.step(dst, src, true)
 				k.Close()
 				for i := range dst {
 					if dst[i] != want[i] {
@@ -353,7 +365,7 @@ func TestFusedDimensionErrors(t *testing.T) {
 	if _, err := NewFusedPower(m.Transpose(), 0.85, NewUniformVector(7), ResidualL2, 1); err != ErrDimension {
 		t.Fatalf("bad teleport length: err=%v", err)
 	}
-	if _, err := NewFusedAffine(m.Transpose(), 0.85, NewUniformVector(7), ResidualL2, 1); err != ErrDimension {
+	if _, err := newFusedKernel(m.Transpose(), 0.85, NewUniformVector(7), true, ResidualL2, 1); err != ErrDimension {
 		t.Fatalf("bad bias length: err=%v", err)
 	}
 	rect, err := NewCSR(3, 4, []Entry{{0, 0, 1}})
@@ -366,7 +378,7 @@ func TestFusedDimensionErrors(t *testing.T) {
 	if _, err := NewFusedPower[float64](rect, 0.85, nil, ResidualL2, 1); err != ErrDimension {
 		t.Fatalf("rectangular operand, uniform teleport: err=%v", err)
 	}
-	if _, err := NewFusedAffine[float64](m.Transpose(), 0.85, nil, ResidualL2, 1); err != ErrDimension {
+	if _, err := newFusedKernel[float64](m.Transpose(), 0.85, nil, true, ResidualL2, 1); err != ErrDimension {
 		t.Fatalf("nil bias: err=%v", err)
 	}
 }
@@ -392,14 +404,14 @@ func TestFusedStepZeroAlloc(t *testing.T) {
 		t.Fatalf("fused power Step allocated %v times per run", n)
 	}
 
-	ka, err := NewFusedAffine(pt, 0.85, tel, ResidualL2, 4)
+	ka, err := newFusedKernel(pt, 0.85, tel, true, ResidualL2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ka.Close()
-	ka.Step(dst, src, true)
+	ka.step(dst, src, true)
 	if n := testing.AllocsPerRun(50, func() {
-		ka.Step(dst, src, true)
+		ka.step(dst, src, true)
 	}); n != 0 {
 		t.Fatalf("fused affine Step allocated %v times per run", n)
 	}

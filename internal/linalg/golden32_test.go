@@ -203,7 +203,7 @@ func TestGoldenFloat32RowSums(t *testing.T) {
 	const golden uint64 = 0x4c996ecbd19f8db7
 	m := NewCSR32(rowLengthsChain(t, 130))
 	rng := rand.New(rand.NewSource(71))
-	src := NewVector32(m.ColsN)
+	src := make(Vector32, m.ColsN)
 	for i := range src {
 		src[i] = float32(math.Ldexp(rng.Float64(), -rng.Intn(24)))
 	}

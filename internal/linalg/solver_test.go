@@ -80,8 +80,8 @@ func TestPowerMethodNoTeleport(t *testing.T) {
 	if math.Abs(x[0]-want0) > 1e-9 {
 		t.Errorf("stationary[0] = %v, want %v", x[0], want0)
 	}
-	if math.Abs(x.Sum()-1) > 1e-9 {
-		t.Errorf("sum = %v, want 1", x.Sum())
+	if math.Abs(x.Norm1()-1) > 1e-9 {
+		t.Errorf("sum = %v, want 1", x.Norm1())
 	}
 }
 
@@ -97,8 +97,8 @@ func TestPowerMethodDanglingRow(t *testing.T) {
 	if !st.Converged {
 		t.Fatalf("not converged: %+v", st)
 	}
-	if math.Abs(x.Sum()-1) > 1e-8 {
-		t.Errorf("sum = %v, want 1", x.Sum())
+	if math.Abs(x.Norm1()-1) > 1e-8 {
+		t.Errorf("sum = %v, want 1", x.Norm1())
 	}
 	if x[1] <= x[0] {
 		t.Errorf("node 1 should outrank node 0: %v", x)
@@ -211,7 +211,7 @@ func TestQuickPowerMethodIsDistribution(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if math.Abs(x.Sum()-1) > 1e-6 {
+		if math.Abs(x.Norm1()-1) > 1e-6 {
 			return false
 		}
 		for _, v := range x {

@@ -122,7 +122,7 @@ func TestQuickMulVecLinearity(t *testing.T) {
 		// lhs = M(a·x + y)
 		combo := x.Clone()
 		combo.Scale(a)
-		combo.Axpy(1, y)
+		axpy(combo, 1, y)
 		lhs := NewVector(n)
 		MulVec(m, combo, lhs)
 		// rhs = a·Mx + My
@@ -130,7 +130,7 @@ func TestQuickMulVecLinearity(t *testing.T) {
 		MulVec(m, x, mx)
 		MulVec(m, y, my)
 		mx.Scale(a)
-		mx.Axpy(1, my)
+		axpy(mx, 1, my)
 		return L2Distance(lhs, mx) <= 1e-7*(1+mx.Norm2())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -64,28 +64,6 @@ func (v Vector) Fill(x float64) {
 	}
 }
 
-// Sum returns the sum of all entries.
-func (v Vector) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Dot returns the inner product of v and w.
-// It panics if the lengths differ.
-func (v Vector) Dot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: Dot length mismatch %d != %d", len(v), len(w)))
-	}
-	var s float64
-	for i, x := range v {
-		s += x * w[i]
-	}
-	return s
-}
-
 // Norm1 returns the L1 norm of v.
 func (v Vector) Norm1() float64 {
 	var s float64
@@ -104,38 +82,10 @@ func (v Vector) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns the max-norm of v.
-func (v Vector) NormInf() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Scale multiplies every entry of v by a in place.
 func (v Vector) Scale(a float64) {
 	for i := range v {
 		v[i] *= a
-	}
-}
-
-// AddScalar adds a to every entry of v in place.
-func (v Vector) AddScalar(a float64) {
-	for i := range v {
-		v[i] += a
-	}
-}
-
-// Axpy computes v += a*w in place. It panics if the lengths differ.
-func (v Vector) Axpy(a float64, w Vector) {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: Axpy length mismatch %d != %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += a * w[i]
 	}
 }
 
@@ -164,31 +114,4 @@ func L2Distance(v, w Vector) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// L1Distance returns ||v - w||_1. It panics if the lengths differ.
-func L1Distance(v, w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: L1Distance length mismatch %d != %d", len(v), len(w)))
-	}
-	var s float64
-	for i, x := range v {
-		s += math.Abs(x - w[i])
-	}
-	return s
-}
-
-// MaxIndex returns the index of the largest entry of v, or -1 for an empty
-// vector. Ties resolve to the smallest index.
-func (v Vector) MaxIndex() int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
 }

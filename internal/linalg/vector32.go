@@ -8,24 +8,11 @@ package linalg
 // never in the summation.
 type Vector32 []float32
 
-// NewVector32 returns a zero vector of length n.
-func NewVector32(n int) Vector32 { return make(Vector32, n) }
-
-// ToVector32 narrows v entrywise (round to nearest even).
-func ToVector32(v Vector) Vector32 { return narrow[float32](v) }
-
 // Vector widens v entrywise back to float64; the conversion is exact.
 func (v Vector32) Vector() Vector {
 	w := make(Vector, len(v))
 	for i, x := range v {
 		w[i] = float64(x)
 	}
-	return w
-}
-
-// Clone returns a copy of v.
-func (v Vector32) Clone() Vector32 {
-	w := make(Vector32, len(v))
-	copy(w, v)
 	return w
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"sourcerank/internal/graph"
-	"sourcerank/internal/linalg"
 	"sourcerank/internal/urlutil"
 )
 
@@ -142,40 +141,7 @@ func (g *Graph) Clone() *Graph {
 
 // ToGraph snapshots the page graph as an immutable graph.Graph
 // (deduplicated, sorted adjacency).
-func (g *Graph) ToGraph() *graph.Graph {
-	b := graph.NewBuilder(g.NumPages())
-	for u, row := range g.adj {
-		for _, v := range row {
-			b.AddEdge(PageID(u), v)
-		}
-	}
-	return b.Build()
-}
-
-// Transition returns the page-level transition matrix M of the paper's
-// §2: M_ij = 1/o(p_i) for each distinct hyperlink (p_i, p_j), where
-// o(p_i) counts distinct out-links. Dangling pages produce empty rows;
-// the solvers redistribute their mass via the teleport vector.
-func (g *Graph) Transition() (*linalg.CSR, error) {
-	var entries []linalg.Entry
-	seen := map[PageID]bool{}
-	for u, row := range g.adj {
-		if len(row) == 0 {
-			continue
-		}
-		for k := range seen {
-			delete(seen, k)
-		}
-		for _, v := range row {
-			seen[v] = true
-		}
-		w := 1 / float64(len(seen))
-		for v := range seen {
-			entries = append(entries, linalg.Entry{Row: u, Col: int(v), Val: w})
-		}
-	}
-	return linalg.NewCSR(g.NumPages(), g.NumPages(), entries)
-}
+func (g *Graph) ToGraph() *graph.Graph { return graph.FromAdjacency(g.adj) }
 
 // Validate checks cross-structure invariants.
 func (g *Graph) Validate() error {

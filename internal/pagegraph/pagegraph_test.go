@@ -1,7 +1,6 @@
 package pagegraph
 
 import (
-	"math"
 	"testing"
 
 	"sourcerank/internal/urlutil"
@@ -99,45 +98,6 @@ func TestToGraphDeduplicates(t *testing.T) {
 	}
 	if !ig.HasEdge(0, 2) {
 		t.Error("edge 0->2 missing")
-	}
-}
-
-func TestTransitionUniform(t *testing.T) {
-	g := twoSourceFixture(t)
-	m, err := g.Transition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.IsRowStochastic(1e-12) {
-		t.Error("transition not row-stochastic")
-	}
-	if got := m.At(0, 1); math.Abs(got-0.5) > 1e-15 {
-		t.Errorf("M[0,1] = %v, want 0.5", got)
-	}
-	if got := m.At(1, 2); math.Abs(got-1) > 1e-15 {
-		t.Errorf("M[1,2] = %v, want 1", got)
-	}
-	if m.RowNNZ(2) != 0 {
-		t.Error("dangling page has stored transitions")
-	}
-}
-
-func TestTransitionParallelLinksCollapse(t *testing.T) {
-	g := New()
-	s := g.AddSource("x")
-	p0 := g.AddPage(s)
-	p1 := g.AddPage(s)
-	p2 := g.AddPage(s)
-	g.AddLink(p0, p1)
-	g.AddLink(p0, p1) // duplicate
-	g.AddLink(p0, p2)
-	m, err := g.Transition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two distinct out-links -> each weight 1/2.
-	if got := m.At(0, 1); math.Abs(got-0.5) > 1e-15 {
-		t.Errorf("M[0,1] = %v, want 0.5 (duplicates collapse)", got)
 	}
 }
 

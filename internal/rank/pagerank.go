@@ -97,21 +97,12 @@ func PageRank(g graph.Topology, opt Options) (*Result, error) {
 	return StationaryT(TransitionT(g), opt)
 }
 
-// Stationary computes the damped stationary distribution of an arbitrary
-// row-stochastic transition matrix. SourceRank variants call this with
-// the source transition matrix (uniform, consensus, or throttled).
-func Stationary(t *linalg.CSR, opt Options) (*Result, error) {
-	if t.Rows == 0 {
-		return nil, ErrEmptyGraph
-	}
-	return StationaryT(t.TransposeParallel(opt.Workers), opt)
-}
-
-// StationaryT computes the same damped stationary distribution from the
-// pre-transposed transition matrix Tᵀ. The power iteration only ever
-// multiplies by the transpose, so callers that already hold Tᵀ (e.g. the
-// cached transpose on source.Graph, or the throttled matrix transposed
-// once per pipeline run) avoid re-materializing it per solve.
+// StationaryT computes the damped stationary distribution of a
+// row-stochastic transition matrix T (uniform, consensus, or throttled)
+// from its transpose Tᵀ. The power iteration only ever multiplies by the
+// transpose, so callers hold Tᵀ (the cached transpose on source.Graph,
+// the throttled matrix transposed once per pipeline run, TransitionT's
+// direct build) and nothing re-materializes it per solve.
 //
 // The value type of tt is the precision the iteration runs at. A caller
 // holding Tᵀ in float32 form (a float32 slab opened from disk, a mirror it

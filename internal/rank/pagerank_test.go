@@ -46,16 +46,13 @@ func TestPageRankStarCenterWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Scores.MaxIndex() != 0 {
-		t.Errorf("center not top-ranked: %v", res.Scores)
-	}
 	for i := 1; i < 10; i++ {
 		if res.Scores[i] >= res.Scores[0] {
 			t.Errorf("leaf %d outranks center", i)
 		}
 	}
-	if math.Abs(res.Scores.Sum()-1) > 1e-8 {
-		t.Errorf("sum = %v, want 1", res.Scores.Sum())
+	if math.Abs(res.Scores.Norm1()-1) > 1e-8 {
+		t.Errorf("sum = %v, want 1", res.Scores.Norm1())
 	}
 }
 
@@ -133,7 +130,7 @@ func TestStationaryRespectsTeleport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Stationary(m, Options{Teleport: tpt})
+	res, err := StationaryT(m.Transpose(), Options{Teleport: tpt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,10 +100,10 @@ func TestSALSAScoresSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Authorities.Sum()-1) > 1e-9 {
-		t.Errorf("authorities sum = %v", res.Authorities.Sum())
+	if math.Abs(res.Authorities.Norm1()-1) > 1e-9 {
+		t.Errorf("authorities sum = %v", res.Authorities.Norm1())
 	}
-	if math.Abs(res.Hubs.Sum()-1) > 1e-9 {
-		t.Errorf("hubs sum = %v", res.Hubs.Sum())
+	if math.Abs(res.Hubs.Norm1()-1) > 1e-9 {
+		t.Errorf("hubs sum = %v", res.Hubs.Norm1())
 	}
 }

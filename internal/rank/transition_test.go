@@ -81,7 +81,7 @@ func TestPageRankMatchesForwardPath(t *testing.T) {
 						}
 						ref := opt
 						ref.Teleport = teleport
-						want, err := Stationary(m, ref)
+						want, err := StationaryT(m.TransposeParallel(ref.Workers), ref)
 						if err != nil {
 							t.Fatalf("%s reference: %v", name, err)
 						}

@@ -169,35 +169,6 @@ func countInversions(a []int) int64 {
 	return rec(0, len(a))
 }
 
-// SpearmanFootrule returns the normalized Spearman footrule distance
-// between the two rankings: Σ|rank_a(i) − rank_b(i)| divided by the
-// maximum possible displacement. 0 means identical rankings, 1 maximally
-// displaced.
-func SpearmanFootrule(a, b linalg.Vector) (float64, error) {
-	n := len(a)
-	if n != len(b) {
-		return 0, fmt.Errorf("%w: lengths %d != %d", ErrBadInput, n, len(b))
-	}
-	if n < 2 {
-		return 0, nil
-	}
-	ra, rb := Ranks(a), Ranks(b)
-	var sum int64
-	for i := 0; i < n; i++ {
-		d := int64(ra[i] - rb[i])
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	// Max footrule is n²/2 (even n) or (n²-1)/2 (odd n).
-	maxSum := int64(n) * int64(n) / 2
-	if n%2 == 1 {
-		maxSum = (int64(n)*int64(n) - 1) / 2
-	}
-	return float64(sum) / float64(maxSum), nil
-}
-
 // TopKOverlap returns |topK(a) ∩ topK(b)| / k, the share of a's top-k
 // nodes that also appear in b's top-k.
 func TopKOverlap(a, b linalg.Vector, k int) (float64, error) {

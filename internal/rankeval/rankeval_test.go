@@ -165,22 +165,6 @@ func TestKendallTauMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestSpearmanFootrule(t *testing.T) {
-	a := linalg.Vector{1, 2, 3, 4}
-	d, err := SpearmanFootrule(a, a.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Errorf("identical footrule = %v", d)
-	}
-	rev := linalg.Vector{4, 3, 2, 1}
-	d, _ = SpearmanFootrule(a, rev)
-	if math.Abs(d-1) > 1e-12 {
-		t.Errorf("reversed footrule = %v, want 1", d)
-	}
-}
-
 func TestTopKOverlap(t *testing.T) {
 	a := linalg.Vector{10, 9, 1, 2}
 	b := linalg.Vector{10, 1, 9, 2}

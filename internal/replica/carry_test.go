@@ -47,14 +47,14 @@ func TestZeroPatchSharesVectorAndIndex(t *testing.T) {
 	}
 	base := rst.Current()
 	decode := func() *Delta {
-		d, err := DecodeDelta(EncodeDelta(from, to))
+		d, err := DecodeDelta(encDelta(from, to))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
 
-	patched, err := decode().Apply(base)
+	patched, err := applyDelta(decode(), base)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestZeroPatchSharesVectorAndIndex(t *testing.T) {
 	} {
 		d := decode()
 		tamper(d)
-		if _, err := d.Apply(base); !errors.Is(err, ErrFrame) {
+		if _, err := applyDelta(d, base); !errors.Is(err, ErrFrame) {
 			t.Errorf("%s: Apply = %v, want ErrFrame", name, err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestPullerRejectsTamperedZeroPatchAndKeepsServing(t *testing.T) {
 	served := rst.Current()
 	from := bst.Current()
 	bst.Publish(successor(t, from, 2, 0.1, server.AlgoPageRank))
-	payload := EncodeDelta(from, bst.Current())
+	payload := encDelta(from, bst.Current())
 	payload[len(payload)-1] ^= 0x40 // FullCRC of trustrank, the last and unpatched algorithm
 	tampered := durable.Frame(payload)
 	p.Client = &http.Client{Transport: handlerTransport{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -277,21 +277,13 @@ func EncodeFull(snap *server.Snapshot) []byte {
 	return w.b
 }
 
-// EncodeDelta renders the sparse difference that turns from's state
-// into to's as a delta frame payload. It returns nil (no error) when a
-// delta is not applicable or not worthwhile: mismatched meta state,
-// different algorithm sets or source counts, or so many changed scores
-// that a full frame would be smaller.
-func EncodeDelta(from, to *server.Snapshot) []byte {
-	if from == nil || to == nil {
-		return nil
-	}
-	return encodeDelta(from, to, MetaCRC(from), MetaCRC(to))
-}
-
-// encodeDelta is EncodeDelta given both snapshots' MetaCRC, which the
-// publisher keeps per ring entry instead of re-serialising every label
-// on each encode.
+// encodeDelta renders the sparse difference that turns from's state
+// into to's as a delta frame payload, given both snapshots' MetaCRC (the
+// publisher keeps one per ring entry instead of re-serialising every
+// label on each encode). It returns nil when a delta is not applicable or
+// not worthwhile: mismatched meta state, different algorithm sets or
+// source counts, or so many changed scores that a full frame would be
+// smaller.
 func encodeDelta(from, to *server.Snapshot, fromMeta, toMeta uint32) []byte {
 	if from.NumSources() != to.NumSources() || fromMeta != toMeta {
 		return nil
@@ -610,26 +602,17 @@ func (f *Full) Snapshot() (*server.Snapshot, error) {
 	return server.NewSnapshot(f.Corpus, f.Labels, f.PageCount, f.KappaTopK, sets, f.BuiltAt)
 }
 
-// Apply patches base's state into the snapshot at d.Version. Labels and
-// page counts are shared with base (they are immutable and MetaCRC
-// proved them unchanged), and so is the score vector of every algorithm
-// whose patch is empty — which lets the publish that follows carry that
+// apply patches base's state into the snapshot at d.Version, given
+// base's MetaCRC (see metaMemo). Labels and page counts are shared with
+// base (they are immutable and MetaCRC proved them unchanged), and so is
+// the score vector of every algorithm whose patch is empty — shared
+// counts those — which lets the publish that follows carry that
 // algorithm's index and rendered responses over instead of rebuilding
 // them; a patched algorithm's vector is cloned and patched. Shared or
 // cloned, every vector is verified against the frame's post-patch CRC, so
 // a verified result is byte-identical to what a full transfer of
 // d.Version would have produced. Any mismatch returns an error wrapping
 // ErrFrame and the base snapshot is left untouched.
-func (d *Delta) Apply(base *server.Snapshot) (*server.Snapshot, error) {
-	if base == nil {
-		return nil, badFrame("delta apply with no base snapshot")
-	}
-	snap, _, err := d.apply(base, MetaCRC(base))
-	return snap, err
-}
-
-// apply is Apply given base's MetaCRC (see metaMemo); shared counts the
-// algorithms whose vector was carried over unpatched.
 func (d *Delta) apply(base *server.Snapshot, baseMeta uint32) (snap *server.Snapshot, shared int, err error) {
 	if base.Version() != d.From {
 		return nil, 0, badFrame("delta from version %d against base version %d", d.From, base.Version())

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -57,14 +58,16 @@ func NewPublisher(store *server.Store, history int) *Publisher {
 	return &Publisher{store: store, history: history}
 }
 
-// Fulls counts full-frame responses served.
-func (p *Publisher) Fulls() uint64 { return p.fulls.Load() }
-
-// Deltas counts delta-frame responses served.
-func (p *Publisher) Deltas() uint64 { return p.deltas.Load() }
-
-// NotModified counts 304 responses (replica already current).
-func (p *Publisher) NotModified() uint64 { return p.notModified.Load() }
+// WriteMetricsText appends the builder-side srserve_replica_served_total
+// series to the /metrics exposition: what this publisher has answered
+// replica syncs with, by kind.
+func (p *Publisher) WriteMetricsText(w io.Writer) {
+	fmt.Fprintf(w, "# HELP srserve_replica_served_total Replica sync responses served, by kind.\n")
+	fmt.Fprintf(w, "# TYPE srserve_replica_served_total counter\n")
+	fmt.Fprintf(w, "srserve_replica_served_total{kind=\"full\"} %d\n", p.fulls.Load())
+	fmt.Fprintf(w, "srserve_replica_served_total{kind=\"delta\"} %d\n", p.deltas.Load())
+	fmt.Fprintf(w, "srserve_replica_served_total{kind=\"not_modified\"} %d\n", p.notModified.Load())
+}
 
 // observe folds the store's current snapshot into the history ring and
 // returns it. Called under p.mu.

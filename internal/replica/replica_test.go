@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -66,8 +67,12 @@ func TestPullerFullThenNotModifiedThenDelta(t *testing.T) {
 	if string(EncodeFull(rst.Current())) != string(EncodeFull(bst.Current())) {
 		t.Fatal("delta-synced replica is not byte-identical to the builder")
 	}
-	if pub.Deltas() != 1 {
-		t.Fatalf("publisher deltas = %d, want 1", pub.Deltas())
+	var served strings.Builder
+	pub.WriteMetricsText(&served)
+	for _, kind := range []string{"full", "not_modified", "delta"} {
+		if want := `srserve_replica_served_total{kind="` + kind + `"} 1` + "\n"; !strings.Contains(served.String(), want) {
+			t.Fatalf("publisher metrics missing %q in:\n%s", want, served.String())
+		}
 	}
 	if p.ConsecutiveFailures() != 0 {
 		t.Fatalf("failures = %d, want 0", p.ConsecutiveFailures())
@@ -171,7 +176,10 @@ func TestPullerRejectsTornTransferAndKeepsServing(t *testing.T) {
 func TestPullerHealthzAndMetrics(t *testing.T) {
 	bst := server.NewStore(nil)
 	bst.Publish(rawSnapshot(t, 16, 25))
-	srv, _ := builderServer(t, bst)
+	// The builder as srserve wires it: the publisher is the server's
+	// SyncHandler, so its counters ride the builder's /metrics.
+	srv := httptest.NewServer(server.New(bst, server.Config{SyncHandler: NewPublisher(bst, 8)}).Handler())
+	defer srv.Close()
 
 	p := &Puller{
 		Builder:         srv.URL,
@@ -201,6 +209,26 @@ func TestPullerHealthzAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, out)
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE srserve_replica_served_total counter\n",
+		"srserve_replica_served_total{kind=\"full\"} 1\n",
+		"srserve_replica_served_total{kind=\"delta\"} 0\n",
+		"srserve_replica_served_total{kind=\"not_modified\"} 0\n",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("builder /metrics missing %q in:\n%s", want, body)
 		}
 	}
 }

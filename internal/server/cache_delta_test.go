@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -380,31 +379,4 @@ func TestParentVersionLineage(t *testing.T) {
 	if got := store.Current().ParentVersion(); got != 2 {
 		t.Fatalf("third publish parent = %d, want 2", got)
 	}
-}
-
-// TestRefresherNotify checks that a Notify wakes the refresh loop long
-// before the interval timer would.
-func TestRefresherNotify(t *testing.T) {
-	store := NewStore(nil)
-	r := &Refresher{
-		Store:    store,
-		Interval: time.Hour,
-		Build: func(ctx context.Context) (*Snapshot, error) {
-			return testSnapshot(t, AlgoSRSR, []float64{0.5, 0.5}), nil
-		},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { r.Run(ctx); close(done) }()
-	r.Notify()
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Publishes() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("Notify did not trigger a publish within 5s")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	<-done
 }

@@ -460,6 +460,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Replica != nil {
 		s.cfg.Replica.WriteMetricsText(w)
 	}
+	if m, ok := s.cfg.SyncHandler.(metricsTexter); ok {
+		m.WriteMetricsText(w)
+	}
 }
 
 // routes wires the instrumented mux.

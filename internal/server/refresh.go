@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -38,34 +37,11 @@ type Refresher struct {
 	// rnd supplies the jitter fraction in [0,1); tests pin it for
 	// deterministic delays. Nil means math/rand.
 	rnd func() float64
-
-	// wakeCh delivers Notify signals to Run; lazily created so a zero
-	// Refresher works and Notify before Run is not lost.
-	wakeOnce sync.Once
-	wakeCh   chan struct{}
 }
 
 // ConsecutiveFailures reports how many builds in a row have failed
 // since the last successful publish.
 func (r *Refresher) ConsecutiveFailures() uint64 { return r.failures.Load() }
-
-func (r *Refresher) wake() chan struct{} {
-	r.wakeOnce.Do(func() { r.wakeCh = make(chan struct{}, 1) })
-	return r.wakeCh
-}
-
-// Notify requests a refresh ahead of the interval timer: the streaming
-// delta pipeline calls it after appending batches so a publish follows
-// within one scheduler hop instead of up to Interval later. Signals
-// coalesce (a refresh already pending absorbs further notifies) and are
-// never lost — a Notify before Run starts is served by Run's first
-// cycle.
-func (r *Refresher) Notify() {
-	select {
-	case r.wake() <- struct{}{}:
-	default:
-	}
-}
 
 // LastBuildDuration reports how long the most recent successful build
 // took, or 0 before the first publish.
@@ -89,15 +65,6 @@ func (r *Refresher) Run(ctx context.Context) {
 			return
 		case <-t.C:
 			_ = r.RefreshNow(ctx)
-			t.Reset(r.nextDelay())
-		case <-r.wake():
-			_ = r.RefreshNow(ctx)
-			if !t.Stop() {
-				select {
-				case <-t.C:
-				default:
-				}
-			}
 			t.Reset(r.nextDelay())
 		}
 	}

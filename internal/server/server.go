@@ -66,8 +66,15 @@ type Config struct {
 	// SyncHandler, if set, is mounted at GET /v1/replica/snapshot — the
 	// builder-side snapshot distribution endpoint
 	// (internal/replica.Publisher) that replicas pull verified frames
-	// from. Nil leaves the route unregistered (404).
+	// from. Nil leaves the route unregistered (404). A handler that also
+	// has WriteMetricsText(io.Writer) gets its series appended to
+	// /metrics, as Replica's are.
 	SyncHandler http.Handler
+}
+
+// metricsTexter is what /metrics asks of Config.SyncHandler.
+type metricsTexter interface {
+	WriteMetricsText(w io.Writer)
 }
 
 func (c Config) addr() string {

@@ -132,17 +132,9 @@ func (ss *ScoreSet) SolvePrecision() linalg.Precision { return ss.solvePrec }
 // retained state (a carried vector included) rather than cold.
 func (ss *ScoreSet) WarmStarted() bool { return ss.warmStarted }
 
-// Scores returns a copy of the underlying score vector, indexed by
-// source ID.
-func (ss *ScoreSet) Scores() linalg.Vector {
-	return append(linalg.Vector(nil), ss.scores...)
-}
-
-// ScoresView returns the underlying score vector without copying.
-// Callers must treat it as read-only: it is shared with every
-// concurrent reader of the snapshot. Internal consumers (handlers,
-// score dumps, the response pre-encoder) use this so only the external
-// API pays the defensive copy of Scores.
+// ScoresView returns the underlying score vector, indexed by source ID,
+// without copying. Callers must treat it as read-only: it is shared with
+// every concurrent reader of the snapshot.
 func (ss *ScoreSet) ScoresView() linalg.Vector { return ss.scores }
 
 // CorpusInfo summarizes the corpus behind a snapshot.

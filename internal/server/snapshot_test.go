@@ -156,12 +156,6 @@ func TestBuildSnapshotFromPreset(t *testing.T) {
 			t.Fatalf("%s solver did not converge", algo)
 		}
 	}
-	// Scores() returns a defensive copy.
-	v := snap.Set(AlgoSRSR).Scores()
-	v[0] = 42
-	if snap.Set(AlgoSRSR).Scores()[0] == 42 {
-		t.Fatal("Scores() exposed internal state")
-	}
 }
 
 // The cold builder solves both baselines over one shared Mᵀ. Each must

@@ -98,9 +98,6 @@ func NewIncremental(pg *pagegraph.Graph, opt Options) (*Incremental, error) {
 	return inc, nil
 }
 
-// NumSources returns the current source count.
-func (inc *Incremental) NumSources() int { return inc.n }
-
 // AddSource registers a new source. Until pages link to or from it, its
 // transition row is the dangling pure self-loop Build emits.
 func (inc *Incremental) AddSource(label string) int32 {

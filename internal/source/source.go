@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sync"
 
-	"sourcerank/internal/durable"
 	"sourcerank/internal/graph"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
@@ -93,20 +92,6 @@ type Graph struct {
 func (sg *Graph) TransposedT(workers int) *linalg.CSR {
 	sg.ttOnce.Do(func() { sg.tt = sg.T.TransposeParallel(workers) })
 	return sg.tt
-}
-
-// TransposedTSlab commits Tᵀ as a float64 slab file at path and reopens
-// it memory-mapped: the returned operand decodes to the same bits as
-// TransposedT but its arrays alias the on-disk file, so a baseline solve
-// over a huge source graph keeps only the dense iterate vectors resident
-// (opt.MaxResident > 0 additionally releases the entries behind the
-// solve, a budget-sized window at a time). The caller owns the returned slab and must Close it
-// after the solve. workers bounds the one-time transposition.
-func (sg *Graph) TransposedTSlab(fsys durable.FS, path string, opt linalg.SlabOpenOptions, workers int) (*linalg.SlabCSR, error) {
-	if err := linalg.WriteSlabCSR(fsys, path, sg.TransposedT(workers), linalg.SlabFloat64); err != nil {
-		return nil, fmt.Errorf("source: writing transpose slab: %w", err)
-	}
-	return linalg.OpenSlabCSR(path, opt)
 }
 
 // ErrEmpty reports an attempt to build a source graph from a page graph

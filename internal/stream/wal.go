@@ -104,28 +104,3 @@ func (w *WAL) Append(b Batch) error {
 	w.lastSeq = b.Seq
 	return nil
 }
-
-// Truncate removes log entries with seq <= upTo. Callers use it after
-// folding the logged history into a durable base (e.g. rewriting the
-// corpus file); until then the full log is the recovery source and must
-// be kept.
-func (w *WAL) Truncate(upTo uint64) error {
-	ents, err := w.fs.ReadDir(w.dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, walSuffix) {
-			continue
-		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(name, walSuffix), 10, 64)
-		if err != nil || seq > upTo {
-			continue
-		}
-		if err := w.fs.Remove(filepath.Join(w.dir, name)); err != nil {
-			return err
-		}
-	}
-	return w.fs.SyncDir(w.dir)
-}

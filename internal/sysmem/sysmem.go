@@ -1,8 +1,7 @@
 // Package sysmem reads process memory counters for the benchmark and ops
-// tooling: current and peak resident set size, plus a parser for
-// human-friendly byte sizes. Counters come from /proc on Linux and report
-// 0 (with ok = false) elsewhere — callers degrade to omitting the fields
-// rather than failing.
+// tooling: peak resident set size, plus a parser for human-friendly byte
+// sizes. Counters come from /proc on Linux and report 0 (with ok = false)
+// elsewhere — callers degrade to omitting the fields rather than failing.
 package sysmem
 
 import (
@@ -10,10 +9,6 @@ import (
 	"strconv"
 	"strings"
 )
-
-// CurrentRSSBytes returns the process's current resident set size, or
-// ok = false where the platform doesn't expose it.
-func CurrentRSSBytes() (int64, bool) { return readStatusKB("VmRSS:") }
 
 // PeakRSSBytes returns the high-water-mark resident set size since
 // process start or the last ResetPeakRSS, or ok = false where

@@ -57,22 +57,20 @@ func TestFormatBytes(t *testing.T) {
 }
 
 func TestRSSCounters(t *testing.T) {
-	cur, okCur := CurrentRSSBytes()
 	peak, okPeak := PeakRSSBytes()
 	if runtime.GOOS != "linux" {
-		if okCur || okPeak {
+		if okPeak {
 			t.Fatal("non-linux platform reported RSS support")
 		}
 		return
 	}
-	if !okCur || !okPeak {
-		t.Fatal("linux must expose VmRSS and VmHWM")
+	if !okPeak {
+		t.Fatal("linux must expose VmHWM")
 	}
-	if cur <= 0 || peak <= 0 || peak < cur/2 {
-		t.Fatalf("implausible counters: cur=%d peak=%d", cur, peak)
+	if peak <= 0 {
+		t.Fatalf("implausible counter: peak=%d", peak)
 	}
-	// Touch a fresh allocation; peak must not decrease and must track at
-	// least the current RSS reading taken before it.
+	// Touch a fresh allocation; peak must not decrease.
 	buf := make([]byte, 8<<20)
 	for i := range buf {
 		buf[i] = byte(i)
@@ -85,7 +83,6 @@ func TestRSSCounters(t *testing.T) {
 
 	if ResetPeakRSS() {
 		reset, ok := PeakRSSBytes()
-		cur2, _ := CurrentRSSBytes()
 		if !ok {
 			t.Fatal("peak unreadable after reset")
 		}
@@ -94,6 +91,5 @@ func TestRSSCounters(t *testing.T) {
 		if reset > after+(1<<20) {
 			t.Fatalf("reset did not lower the high-water mark: %d > %d", reset, after)
 		}
-		_ = cur2
 	}
 }

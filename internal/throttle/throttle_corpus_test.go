@@ -54,7 +54,7 @@ func TestQuickCorpusThrottleInvariants(t *testing.T) {
 		}
 		for i := 0; i < tpp.Rows; i++ {
 			if kappa[i] == 1 {
-				if tpp.At(i, i) != 1 || tpp.RowNNZ(i) != 1 {
+				if cols, _ := tpp.Row(i); tpp.At(i, i) != 1 || len(cols) != 1 {
 					return false
 				}
 			}

@@ -234,8 +234,8 @@ func TestSpamProximityOrdering(t *testing.T) {
 	if !(prox[3] > prox[2] && prox[2] > prox[1] && prox[1] > prox[0]) {
 		t.Errorf("proximity not ordered by distance to spam: %v", prox)
 	}
-	if math.Abs(prox.Sum()-1) > 1e-8 {
-		t.Errorf("proximity sums to %v, want 1", prox.Sum())
+	if math.Abs(prox.Norm1()-1) > 1e-8 {
+		t.Errorf("proximity sums to %v, want 1", prox.Norm1())
 	}
 }
 

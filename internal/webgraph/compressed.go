@@ -1,10 +1,7 @@
 package webgraph
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 
@@ -12,8 +9,9 @@ import (
 )
 
 // Compressed is an immutable graph whose adjacency lists are held
-// gap/varint-encoded in a single byte slab. Random access uses a per-node
-// offset index; sequential iteration decodes the slab front to back.
+// gap/varint-encoded in a single byte slab: the in-memory stage between
+// an adjacency source and transition slabs or a CSR graph. A per-node
+// offset index lets independent node ranges decode concurrently.
 type Compressed struct {
 	numNodes int
 	numEdges int64
@@ -86,22 +84,6 @@ func (c *Compressed) BitsPerEdge() float64 {
 		return 0
 	}
 	return float64(len(c.slab)*8) / float64(c.numEdges)
-}
-
-// Successors decodes node u's successor list into a fresh slice.
-func (c *Compressed) Successors(u int32) ([]int32, error) {
-	if u < 0 || int(u) >= c.numNodes {
-		return nil, fmt.Errorf("webgraph: node %d out of range [0,%d)", u, c.numNodes)
-	}
-	lo, hi := c.offsets[u], c.offsets[u+1]
-	succ, n, err := DecodeAdjacency(c.slab[lo:hi], u, c.numNodes, nil)
-	if err != nil {
-		return nil, fmt.Errorf("webgraph: node %d: %w", u, err)
-	}
-	if int64(n) != hi-lo {
-		return nil, fmt.Errorf("%w: node %d trailing bytes", ErrCodec, u)
-	}
-	return succ, nil
 }
 
 // Decompress reconstructs the plain CSR graph.
@@ -225,156 +207,4 @@ func (c *Compressed) DecompressParallel(workers int) (*graph.Graph, error) {
 	}
 	wg.Wait()
 	return graph.FromParts(c.numNodes, rowPtr, succ)
-}
-
-// File format versions: 1 is the bare stream written by Write; 2 is the
-// same layout committed through internal/durable (atomic rename plus a
-// CRC32-C trailer), produced by WriteFile and read by ReadCompressedFile.
-const (
-	fileMagic         = 0x53524B43 // "SRKC"
-	fileVersion       = 1
-	fileVersionFramed = 2
-)
-
-// Write serializes the compressed graph as a bare version-1 stream. Use
-// WriteFile to publish to disk with durable framing.
-func (c *Compressed) Write(w io.Writer) error {
-	return c.write(w, fileVersion)
-}
-
-func (c *Compressed) write(w io.Writer, version uint32) error {
-	bw := bufio.NewWriter(w)
-	write := func(data any) error {
-		return binary.Write(bw, binary.LittleEndian, data)
-	}
-	if err := write(uint32(fileMagic)); err != nil {
-		return err
-	}
-	if err := write(version); err != nil {
-		return err
-	}
-	if err := write(uint64(c.numNodes)); err != nil {
-		return err
-	}
-	if err := write(uint64(c.numEdges)); err != nil {
-		return err
-	}
-	if err := write(uint64(len(c.slab))); err != nil {
-		return err
-	}
-	if err := write(c.offsets); err != nil {
-		return err
-	}
-	if _, err := bw.Write(c.slab); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadCompressed deserializes a compressed graph written by Write and
-// verifies its structure by decoding every adjacency list once. It reads
-// the bare version-1 stream; framed files go through ReadCompressedFile.
-func ReadCompressed(r io.Reader) (*Compressed, error) {
-	return readCompressed(r, fileVersion)
-}
-
-func readCompressed(r io.Reader, wantVer uint32) (*Compressed, error) {
-	br := bufio.NewReader(r)
-	var magic, ver uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("webgraph: reading magic: %w", err)
-	}
-	if magic != fileMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCodec, magic)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &ver); err != nil {
-		return nil, err
-	}
-	if ver != wantVer {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCodec, ver)
-	}
-	var nodes, edges, slabLen uint64
-	if err := binary.Read(br, binary.LittleEndian, &nodes); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &edges); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &slabLen); err != nil {
-		return nil, err
-	}
-	if nodes > 1<<31 || slabLen > 1<<40 {
-		return nil, fmt.Errorf("%w: implausible sizes", ErrCodec)
-	}
-	c := &Compressed{numNodes: int(nodes), numEdges: int64(edges)}
-	// Chunked reads: a forged header must not force a huge allocation
-	// before the stream runs dry (see safeio.go).
-	offsets, err := readInt64s(br, nodes+1)
-	if err != nil {
-		return nil, fmt.Errorf("webgraph: reading offsets: %w", err)
-	}
-	c.offsets = offsets
-	slab, err := readBytes(br, slabLen)
-	if err != nil {
-		return nil, fmt.Errorf("webgraph: reading slab: %w", err)
-	}
-	c.slab = slab
-	if err := c.verify(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// verify checks offsets and decodes every adjacency list once to surface
-// corruption at read time rather than at query time. Node blocks are
-// independent, so verification fans out across GOMAXPROCS workers; the
-// reported error is the lowest-numbered bad node's, exactly what the
-// serial scan would return.
-func (c *Compressed) verify() error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > c.numNodes {
-		workers = c.numNodes
-	}
-	if workers < 1 || c.numNodes < decompressParallelMinNodes {
-		workers = 1
-	}
-	bounds := c.partitionNodesBySlab(workers)
-	errs := make([]error, workers)
-	edges := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var scratch []int32
-			var n int64
-			for u := bounds[w]; u < bounds[w+1]; u++ {
-				lo, hi := c.offsets[u], c.offsets[u+1]
-				if lo < 0 || hi < lo || hi > int64(len(c.slab)) {
-					errs[w] = fmt.Errorf("%w: offsets of node %d out of bounds", ErrCodec, u)
-					return
-				}
-				var err error
-				scratch, _, err = DecodeAdjacency(c.slab[lo:hi], int32(u), c.numNodes, scratch[:0])
-				if err != nil {
-					errs[w] = fmt.Errorf("webgraph: node %d: %w", u, err)
-					return
-				}
-				n += int64(len(scratch))
-			}
-			edges[w] = n
-		}(w)
-	}
-	wg.Wait()
-	var edgeCount int64
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return errs[w]
-		}
-		edgeCount += edges[w]
-	}
-	if edgeCount != c.numEdges {
-		return fmt.Errorf("%w: declared %d edges, decoded %d", ErrCodec, c.numEdges, edgeCount)
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package webgraph
 
 import (
-	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -54,27 +52,6 @@ func TestCompressDecompress(t *testing.T) {
 	}
 }
 
-func TestCompressedSuccessors(t *testing.T) {
-	g := graph.FromAdjacency([][]int32{{1, 2}, {}, {0}})
-	c, err := Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := c.Successors(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 2 || s[0] != 1 || s[1] != 2 {
-		t.Errorf("Successors(0) = %v", s)
-	}
-	if _, err := c.Successors(5); err == nil {
-		t.Error("out-of-range node accepted")
-	}
-	if _, err := c.Successors(-1); err == nil {
-		t.Error("negative node accepted")
-	}
-}
-
 func TestCompressionShrinksLocalGraphs(t *testing.T) {
 	// A graph with strong locality (edges to nearby IDs) should compress
 	// well below 4 bytes/edge of the raw representation.
@@ -99,68 +76,6 @@ func TestCompressionShrinksLocalGraphs(t *testing.T) {
 	}
 }
 
-func TestCompressedFileRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(rng, 200, 2000)
-	c, err := Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ReadCompressed(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := c2.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, back) {
-		t.Error("file round trip altered graph")
-	}
-}
-
-func TestReadCompressedRejectsCorruption(t *testing.T) {
-	g := graph.FromAdjacency([][]int32{{1}, {0}})
-	c, err := Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	t.Run("bad magic", func(t *testing.T) {
-		bad := append([]byte{}, raw...)
-		bad[0] ^= 0xFF
-		if _, err := ReadCompressed(bytes.NewReader(bad)); !errors.Is(err, ErrCodec) {
-			t.Errorf("err = %v", err)
-		}
-	})
-	t.Run("truncated", func(t *testing.T) {
-		for _, cut := range []int{3, 10, 20, len(raw) - 1} {
-			if cut >= len(raw) {
-				continue
-			}
-			if _, err := ReadCompressed(bytes.NewReader(raw[:cut])); err == nil {
-				t.Errorf("truncation at %d accepted", cut)
-			}
-		}
-	})
-	t.Run("slab corrupted", func(t *testing.T) {
-		bad := append([]byte{}, raw...)
-		bad[len(bad)-1] ^= 0xFF
-		if _, err := ReadCompressed(bytes.NewReader(bad)); err == nil {
-			t.Error("corrupt slab accepted")
-		}
-	})
-}
-
 func TestEmptyGraphCompress(t *testing.T) {
 	g := graph.NewBuilder(0).Build()
 	c, err := Compress(g)
@@ -170,16 +85,16 @@ func TestEmptyGraphCompress(t *testing.T) {
 	if c.BitsPerEdge() != 0 {
 		t.Errorf("BitsPerEdge = %v for empty graph", c.BitsPerEdge())
 	}
-	var buf bytes.Buffer
-	if err := c.Write(&buf); err != nil {
+	back, err := c.Decompress()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCompressed(&buf); err != nil {
-		t.Fatal(err)
+	if back.NumNodes() != 0 || back.NumEdges() != 0 {
+		t.Errorf("empty graph decompressed to %d nodes, %d edges", back.NumNodes(), back.NumEdges())
 	}
 }
 
-// Property: compress→write→read→decompress is the identity.
+// Property: compress→decompress is the identity.
 func TestQuickCompressedPipeline(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -189,15 +104,7 @@ func TestQuickCompressedPipeline(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var buf bytes.Buffer
-		if err := c.Write(&buf); err != nil {
-			return false
-		}
-		c2, err := ReadCompressed(&buf)
-		if err != nil {
-			return false
-		}
-		back, err := c2.Decompress()
+		back, err := c.Decompress()
 		if err != nil {
 			return false
 		}

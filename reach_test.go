@@ -1,0 +1,689 @@
+package bench
+
+// The reachability gate (DESIGN "What counts as reached"): every
+// package-level func, var, const and type, and every method, declared in
+// a non-test file of this module must be used by some non-test file of
+// the module, or carry a written reason in reachAllow below.
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reachAllow is the only escape from the gate: qualified name → reason.
+// A name is "<package path below the module>.<Ident>" or
+// "….<Receiver>.<Method>"; a bare package path covers every finding in
+// that package. The reason is one of
+//
+//	reference        the oracle a faster sibling is compared against
+//	invariant        a checker tests call on product output
+//	fault-injection  a fault a test plants under product code
+//	paper §N         a formula or construction of the paper's section N
+//	observer         a read-only accessor a test of other behaviour asserts on
+//	roadmap N        named by open ROADMAP item N
+//
+// and every listed identifier must still exist, still be unreached, and
+// be used by at least one test: what nothing uses is deleted, not listed.
+var reachAllow = map[string]string{
+	// The serial build, the serial decoder and the dense linear-system
+	// PageRank are what their parallel or iterative siblings are tested
+	// equal to (ROADMAP item 2 deletes each once internal/oracle exists).
+	"internal/source.BuildSerial":             "reference",
+	"internal/webgraph.Compressed.Decompress": "reference",
+	"internal/rank.PageRankLinear":            "reference",
+
+	// Checkers the suites run over what the product built.
+	"internal/graph.Graph.Validate":          "invariant",
+	"internal/source.Graph.Validate":         "invariant",
+	"internal/linalg.Matrix.IsRowStochastic": "invariant",
+	"internal/rankeval.TopKOverlap":          "invariant", // float32 fidelity and stream-equals-cold assert the top-k set
+
+	// Faults planted under product code: a durable.FS that tears writes,
+	// drops syncs and crashes, and a transport that resets, truncates and
+	// corrupts replica transfers.
+	"internal/faultfs":                         "fault-injection",
+	"internal/replica.NewFlakyTransport":       "fault-injection",
+	"internal/replica.FlakyTransport.SetProbs": "fault-injection",
+	"internal/replica.FlakyTransport.Counts":   "fault-injection",
+
+	// §4's closed forms that only the simulation cross-checks evaluate
+	// (the experiments call their siblings), and the §2 attack
+	// constructions beside the two the experiments inject: ROADMAP item
+	// 10's scoreboard is defined over every injector.
+	"internal/analysis.SingleSourceScore":        "paper §4",
+	"internal/analysis.CollusionContribution":    "paper §4",
+	"internal/analysis.TargetScoreWithColluders": "paper §4",
+	"internal/analysis.PageRankTargetScore":      "paper §4",
+	"internal/spam.InjectCollusionNetwork":       "paper §4",
+	"internal/spam.Hijack":                       "paper §2",
+	"internal/spam.Honeypot":                     "paper §2",
+	"internal/spam.LinkFarm":                     "paper §2",
+	"internal/spam.LinkExchange":                 "paper §2",
+
+	// Counters and handles the product keeps (and mostly exports through
+	// /metrics or /healthz as text) that tests of syncing, shedding,
+	// carrying and refreshing read as numbers.
+	"internal/linalg.TransposeMaterializations":   "observer",
+	"internal/replica.Puller.Version":             "observer",
+	"internal/replica.Puller.ConsecutiveFailures": "observer",
+	"internal/replica.Puller.NotModified":         "observer",
+	"internal/replica.Puller.SetsShared":          "observer",
+	"internal/server.Metrics.Requests":            "observer",
+	"internal/server.Metrics.Shed":                "observer",
+	"internal/server.Metrics.Quantile":            "observer",
+	"internal/server.Server.Store":                "observer",
+	"internal/server.Server.Metrics":              "observer",
+	"internal/server.Store.PublishSets":           "observer",
+	"internal/stream.Pipeline.LastSeq":            "observer",
+	"internal/stream.Pipeline.Stats":              "observer",
+	"internal/stream.Pipeline.Kappa":              "observer",
+
+	// Two of the five delta constructors: the benchmark's churn only
+	// rewires and touches, the ingest door of item 1a is what adds
+	// sources and pages to a running pipeline.
+	"internal/stream.AddSource": "roadmap 1",
+	"internal/stream.AddPage":   "roadmap 1",
+}
+
+const (
+	reachMaxAllow   = 50
+	reachMaxRoadmap = 10
+)
+
+// reachPkg is one package as the rule engine sees it: parsed files, split
+// by who may keep a declaration alive.
+type reachPkg struct {
+	path   string      // import path
+	files  []*ast.File // non-test files: declarations and product uses
+	tests  []*ast.File // in-package _test.go files: test uses only
+	xtests []*ast.File // external (package x_test) files: test uses only
+	frozen bool        // declarations out of scope (benchmark/); uses count
+}
+
+// reachFinding is a declaration no non-test file uses.
+type reachFinding struct {
+	name     string // qualified as in reachAllow
+	pkg      string // package path below the module
+	pos      token.Position
+	testUsed bool // some _test.go file uses it
+}
+
+// reachReport is what the rule engine returns.
+type reachReport struct {
+	findings []reachFinding
+	// ownPkgOnly lists exported names whose every product use is inside
+	// the declaring package: unexportable, not dead. Informational.
+	ownPkgOnly []string
+}
+
+// reachAnalyze type-checks pkgs in dependency order (imports outside pkgs
+// go to std) and applies the rule. module is the import-path prefix
+// stripped from reported names.
+func reachAnalyze(fset *token.FileSet, module string, pkgs []*reachPkg, std types.Importer) (*reachReport, error) {
+	byPath := make(map[string]*reachPkg, len(pkgs))
+	for _, p := range pkgs {
+		byPath[p.path] = p
+	}
+	order, err := reachTopo(pkgs, byPath)
+	if err != nil {
+		return nil, err
+	}
+
+	checked := make(map[string]*types.Package, len(pkgs))
+	imp := reachImporter{module: checked, std: std}
+	infos := make(map[*reachPkg]*types.Info, len(pkgs))
+	for _, p := range order {
+		if len(p.files) == 0 {
+			continue
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		tp, err := (&types.Config{Importer: imp}).Check(p.path, fset, p.files, info)
+		if err != nil {
+			return nil, fmt.Errorf("type-check %s: %w", p.path, err)
+		}
+		checked[p.path] = tp
+		infos[p] = info
+	}
+
+	// Declarations in scope, keyed by position: the test variants below
+	// re-check the same files into fresh objects, positions stay put.
+	type decl struct {
+		obj  types.Object
+		name string
+		pkg  string
+	}
+	decls := map[token.Pos]*decl{}
+	ifaces := reachInterfaces(checked)
+	for _, p := range order {
+		info := infos[p]
+		if info == nil || p.frozen {
+			continue
+		}
+		rel := strings.TrimPrefix(strings.TrimPrefix(p.path, module), "/")
+		for _, f := range p.files {
+			for _, id := range reachDeclared(f) {
+				obj := info.Defs[id]
+				if obj == nil || id.Name == "_" {
+					continue
+				}
+				name := rel + "." + id.Name
+				if fn, ok := obj.(*types.Func); ok {
+					recv := fn.Type().(*types.Signature).Recv()
+					if recv == nil && (id.Name == "main" || id.Name == "init") {
+						continue
+					}
+					if recv != nil {
+						named := reachNamed(recv.Type())
+						if named == nil || reachIfaceNeeds(named, id.Name, ifaces) {
+							continue
+						}
+						name = rel + "." + named.Obj().Name() + "." + id.Name
+					}
+				}
+				decls[obj.Pos()] = &decl{obj: obj, name: name, pkg: rel}
+			}
+		}
+	}
+
+	prodUsed := map[token.Pos]bool{}    // used by any non-test file
+	outsideUsed := map[token.Pos]bool{} // … of another package
+	for _, p := range order {
+		if info := infos[p]; info != nil {
+			reachUses(p.files, info, func(pos token.Pos, pkg string) {
+				prodUsed[pos] = true
+				if pkg != p.path {
+					outsideUsed[pos] = true
+				}
+			})
+		}
+	}
+
+	// Test uses. The variants are checked leniently: an external test
+	// package sees its subject through the non-test importer, so a name
+	// from export_test.go does not resolve; every identifier that does
+	// resolve is still recorded, which is all this pass reads.
+	testUsed := map[token.Pos]bool{}
+	lenient := func(path string, files []*ast.File) *types.Info {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		cfg := &types.Config{Importer: imp, Error: func(error) {}}
+		cfg.Check(path, fset, files, info)
+		return info
+	}
+	mark := func(pos token.Pos, _ string) { testUsed[pos] = true }
+	for _, p := range order {
+		if len(p.tests) > 0 {
+			all := append(append([]*ast.File{}, p.files...), p.tests...)
+			reachUses(p.tests, lenient(p.path, all), mark)
+		}
+		if len(p.xtests) > 0 {
+			reachUses(p.xtests, lenient(p.path+"_test", p.xtests), mark)
+		}
+	}
+
+	rep := &reachReport{}
+	for pos, d := range decls {
+		switch {
+		case !prodUsed[pos]:
+			rep.findings = append(rep.findings, reachFinding{
+				name: d.name, pkg: d.pkg, pos: fset.Position(pos), testUsed: testUsed[pos],
+			})
+		case d.obj.Exported() && !outsideUsed[pos] && !strings.HasPrefix(d.pkg, "cmd/") && !strings.HasPrefix(d.pkg, "examples/"):
+			rep.ownPkgOnly = append(rep.ownPkgOnly, d.name)
+		}
+	}
+	sort.Slice(rep.findings, func(i, j int) bool { return rep.findings[i].name < rep.findings[j].name })
+	sort.Strings(rep.ownPkgOnly)
+	return rep, nil
+}
+
+// reachImporter resolves module packages to the ones already checked from
+// source, so a use in one package and the declaration in another are the
+// same object, and everything else through std.
+type reachImporter struct {
+	module map[string]*types.Package
+	std    types.Importer
+}
+
+func (m reachImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.module[path]; ok {
+		return p, nil
+	}
+	return m.std.Import(path)
+}
+
+// reachTopo orders pkgs so that each comes after the module packages its
+// non-test files import.
+func reachTopo(pkgs []*reachPkg, byPath map[string]*reachPkg) ([]*reachPkg, error) {
+	var order []*reachPkg
+	state := map[*reachPkg]int{} // 1 visiting, 2 done
+	var visit func(p *reachPkg) error
+	visit = func(p *reachPkg) error {
+		switch state[p] {
+		case 1:
+			return fmt.Errorf("import cycle through %s", p.path)
+		case 2:
+			return nil
+		}
+		state[p] = 1
+		for _, f := range p.files {
+			for _, spec := range f.Imports {
+				if dep := byPath[strings.Trim(spec.Path.Value, `"`)]; dep != nil {
+					if err := visit(dep); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		state[p] = 2
+		order = append(order, p)
+		return nil
+	}
+	for _, p := range pkgs {
+		if err := visit(p); err != nil {
+			return nil, err
+		}
+	}
+	return order, nil
+}
+
+// reachDeclared returns the identifiers f declares at package level,
+// methods included.
+func reachDeclared(f *ast.File) []*ast.Ident {
+	var ids []*ast.Ident
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			ids = append(ids, d.Name)
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.ValueSpec:
+					ids = append(ids, s.Names...)
+				case *ast.TypeSpec:
+					ids = append(ids, s.Name)
+				}
+			}
+		}
+	}
+	return ids
+}
+
+// reachUses reports, for each identifier in files that resolves to a
+// declared object, the position of that object's declaration (the
+// generic one, for a method or field of an instantiation) and its
+// package path. A use inside the object's own declaration does not
+// count, nor does naming a type as the receiver of its own method.
+func reachUses(files []*ast.File, info *types.Info, use func(pos token.Pos, pkg string)) {
+	walk := func(n ast.Node, own map[string]token.Pos) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj := info.Uses[id]
+			if obj == nil || obj.Pkg() == nil {
+				return true
+			}
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.Var:
+				obj = o.Origin()
+			}
+			if pos, mine := own[id.Name]; mine && pos == obj.Pos() {
+				return true
+			}
+			use(obj.Pos(), obj.Pkg().Path())
+			return true
+		})
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				own := map[string]token.Pos{d.Name.Name: d.Name.Pos()}
+				walk(d.Type, own)
+				if d.Body != nil {
+					walk(d.Body, own)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					own := map[string]token.Pos{}
+					switch s := s.(type) {
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							own[id.Name] = id.Pos()
+						}
+					case *ast.TypeSpec:
+						own[s.Name.Name] = s.Name.Pos()
+					}
+					walk(s, own)
+				}
+			}
+		}
+	}
+}
+
+// reachNamed returns the named type behind a receiver type T or *T.
+func reachNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// reachInterfaces indexes, by method name, every named non-generic
+// method-set interface declared by the checked packages or anything they
+// import.
+func reachInterfaces(checked map[string]*types.Package) map[string][]*types.Interface {
+	out := map[string][]*types.Interface{}
+	seen := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams().Len() > 0 {
+				continue
+			}
+			iface, ok := named.Underlying().(*types.Interface)
+			if !ok || !iface.IsMethodSet() {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i).Name()
+				out[m] = append(out[m], iface)
+			}
+		}
+		for _, dep := range p.Imports() {
+			visit(dep)
+		}
+	}
+	for _, p := range checked {
+		visit(p)
+	}
+	out["Error"] = append(out["Error"], reachError)
+	return out
+}
+
+// reachError is the error interface: it lives in the universe scope,
+// which no package imports.
+var reachError = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+
+// reachIfaceNeeds reports whether named (as T or *T) needs method to
+// implement one of the indexed interfaces, or whether method is one of
+// the three that package errors looks up by name on an error type.
+func reachIfaceNeeds(named *types.Named, method string, ifaces map[string][]*types.Interface) bool {
+	ptr := types.NewPointer(named)
+	impl := func(i *types.Interface) bool { return types.Implements(named, i) || types.Implements(ptr, i) }
+	for _, i := range ifaces[method] {
+		if impl(i) {
+			return true
+		}
+	}
+	return (method == "Is" || method == "As" || method == "Unwrap") && impl(reachError)
+}
+
+// reachCheckAllow matches findings against allow and returns one message
+// per violation: an unlisted finding, a listed identifier no test uses, a
+// stale entry, a reason outside the vocabulary, a list over its caps.
+func reachCheckAllow(findings []reachFinding, allow map[string]string) []string {
+	var bad []string
+	for name, reason := range allow {
+		if !reachReasonOK(reason) {
+			bad = append(bad, fmt.Sprintf("allow-list entry %s: reason %q is not in the vocabulary", name, reason))
+		}
+	}
+	if len(allow) > reachMaxAllow {
+		bad = append(bad, fmt.Sprintf("allow-list holds %d entries, cap is %d", len(allow), reachMaxAllow))
+	}
+	if roadmap := reachRoadmapEntries(allow); roadmap > reachMaxRoadmap {
+		bad = append(bad, fmt.Sprintf("allow-list holds %d roadmap entries, cap is %d", roadmap, reachMaxRoadmap))
+	}
+	hit := map[string]bool{}
+	for _, f := range findings {
+		key := f.name
+		if _, ok := allow[key]; !ok {
+			key = f.pkg
+		}
+		if _, ok := allow[key]; !ok {
+			kind := "used only by tests"
+			if !f.testUsed {
+				kind = "used by nothing, tests included"
+			}
+			bad = append(bad, fmt.Sprintf("%s: %s is %s", f.pos, f.name, kind))
+			continue
+		}
+		hit[key] = true
+		if !f.testUsed {
+			bad = append(bad, fmt.Sprintf("%s: %s is allow-listed (%s) but no test uses it either: delete it", f.pos, f.name, allow[key]))
+		}
+	}
+	for name := range allow {
+		if !hit[name] {
+			bad = append(bad, fmt.Sprintf("allow-list entry %s is stale: the identifier is gone or is reached now", name))
+		}
+	}
+	sort.Strings(bad)
+	return bad
+}
+
+func reachRoadmapEntries(allow map[string]string) (n int) {
+	for _, reason := range allow {
+		if strings.HasPrefix(reason, "roadmap ") {
+			n++
+		}
+	}
+	return n
+}
+
+func reachReasonOK(reason string) bool {
+	switch reason {
+	case "reference", "invariant", "fault-injection", "observer":
+		return true
+	}
+	for _, prefix := range []string{"paper §", "roadmap "} {
+		if n, ok := strings.CutPrefix(reason, prefix); ok && n != "" && strings.Trim(n, "0123456789") == "" {
+			return true
+		}
+	}
+	return false
+}
+
+// reachLoad parses every package `go list` reports for the module rooted
+// at the working directory, with the file sets the build would use.
+func reachLoad(fset *token.FileSet) (module string, pkgs []*reachPkg, err error) {
+	out, err := exec.Command("go", "list", "-json=ImportPath,Dir,Module,GoFiles,TestGoFiles,XTestGoFiles", "./...").Output()
+	if err != nil {
+		return "", nil, fmt.Errorf("go list: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var lp struct {
+			ImportPath, Dir                    string
+			Module                             struct{ Path string }
+			GoFiles, TestGoFiles, XTestGoFiles []string
+		}
+		if err := dec.Decode(&lp); err == io.EOF {
+			break
+		} else if err != nil {
+			return "", nil, fmt.Errorf("go list: %w", err)
+		}
+		module = lp.Module.Path
+		p := &reachPkg{path: lp.ImportPath, frozen: lp.ImportPath == module+"/benchmark"}
+		for _, set := range []struct {
+			names []string
+			dst   *[]*ast.File
+		}{{lp.GoFiles, &p.files}, {lp.TestGoFiles, &p.tests}, {lp.XTestGoFiles, &p.xtests}} {
+			for _, name := range set.names {
+				f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					return "", nil, err
+				}
+				*set.dst = append(*set.dst, f)
+			}
+		}
+		pkgs = append(pkgs, p)
+	}
+	return module, pkgs, nil
+}
+
+// reachStd is the importer for packages outside the module: the standard
+// library type-checked from source, pure-Go variants (no C toolchain in
+// the loop; this module has no cgo).
+func reachStd(fset *token.FileSet) types.Importer {
+	build.Default.CgoEnabled = false
+	return importer.ForCompiler(fset, "source", nil)
+}
+
+func TestReach(t *testing.T) {
+	fset := token.NewFileSet()
+	module, pkgs, err := reachLoad(fset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := reachAnalyze(fset, module, pkgs, reachStd(fset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range reachCheckAllow(rep.findings, reachAllow) {
+		t.Error(msg)
+	}
+	t.Logf("allow-list: %d entries (cap %d), %d of them roadmap (cap %d), covering %d declarations",
+		len(reachAllow), reachMaxAllow, reachRoadmapEntries(reachAllow), reachMaxRoadmap, len(rep.findings))
+	t.Logf("exported but used only inside their own package (%d, informational): %s",
+		len(rep.ownPkgOnly), strings.Join(rep.ownPkgOnly, " "))
+}
+
+// TestReachRules feeds the rule engine in-memory modules and checks its
+// findings exactly.
+func TestReachRules(t *testing.T) {
+	const mainUses = `package main
+import "m/internal/a"
+func main() { %s }`
+	cases := []struct {
+		name         string
+		lib, libTest string // m/internal/a: a.go and a_test.go
+		mainBody     string // statements of m/cmd/x's main
+		want         []string
+		wantTestUsed bool
+	}{
+		{
+			name:     "dead exported func",
+			lib:      `package a; func Live() {}; func Dead() {}`,
+			mainBody: `a.Live()`,
+			want:     []string{"internal/a.Dead"},
+		},
+		{
+			name:         "func used only by a test file",
+			lib:          `package a; func Live() {}; func Helper() int { return 1 }`,
+			libTest:      `package a; var _ = Helper()`,
+			mainBody:     `a.Live()`,
+			want:         []string{"internal/a.Helper"},
+			wantTestUsed: true,
+		},
+		{
+			name: "method reached only through an interface",
+			lib: `package a
+type Shape interface{ Area() float64 }
+type Sq struct{ S float64 }
+func (s Sq) Area() float64 { return s.S * s.S }
+func (s Sq) Perimeter() float64 { return 4 * s.S }
+func Total(xs ...Shape) (t float64) { for _, x := range xs { t += x.Area() }; return t }`,
+			mainBody: `a.Total(a.Sq{S: 2})`,
+			want:     []string{"internal/a.Sq.Perimeter"},
+		},
+		{
+			name: "method of a generic type used through an instantiation",
+			lib: `package a
+type Box[T any] struct{ v T }
+func New[T any](v T) *Box[T] { return &Box[T]{v: v} }
+func (b *Box[T]) Get() T { return b.v }
+func (b *Box[T]) Unused() T { return b.unexported() }
+func (b *Box[T]) unexported() T { return b.v }`,
+			mainBody: `_ = a.New(3).Get()`,
+			want:     []string{"internal/a.Box.Unused"},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			parse := func(name, src string) *ast.File {
+				f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			lib := &reachPkg{path: "m/internal/a", files: []*ast.File{parse("a.go", c.lib)}}
+			if c.libTest != "" {
+				lib.tests = []*ast.File{parse("a_test.go", c.libTest)}
+			}
+			cmd := &reachPkg{path: "m/cmd/x", files: []*ast.File{parse("main.go", fmt.Sprintf(mainUses, c.mainBody))}}
+			// cmd first: the engine, not the caller, orders by imports.
+			rep, err := reachAnalyze(fset, "m", []*reachPkg{cmd, lib}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, f := range rep.findings {
+				got = append(got, f.name)
+				if f.testUsed != c.wantTestUsed {
+					t.Errorf("%s: testUsed = %v, want %v", f.name, f.testUsed, c.wantTestUsed)
+				}
+			}
+			if strings.Join(got, " ") != strings.Join(c.want, " ") {
+				t.Errorf("findings = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestReachAllowList checks what the allow-list may and may not do.
+func TestReachAllowList(t *testing.T) {
+	onlyTests := reachFinding{name: "internal/a.Helper", pkg: "internal/a", testUsed: true}
+	nothing := reachFinding{name: "internal/a.Dead", pkg: "internal/a"}
+	cases := []struct {
+		name     string
+		findings []reachFinding
+		allow    map[string]string
+		want     string // substring of the one violation; "" for none
+	}{
+		{"listed with a reason", []reachFinding{onlyTests}, map[string]string{"internal/a.Helper": "observer"}, ""},
+		{"package entry", []reachFinding{onlyTests}, map[string]string{"internal/a": "paper §4"}, ""},
+		{"unlisted", []reachFinding{onlyTests}, nil, "internal/a.Helper is used only by tests"},
+		{"stale entry", nil, map[string]string{"internal/a.Gone": "observer"}, "internal/a.Gone is stale"},
+		{"listed but no test uses it", []reachFinding{nothing}, map[string]string{"internal/a.Dead": "roadmap 3"}, "delete it"},
+		{"reason outside the vocabulary", []reachFinding{onlyTests}, map[string]string{"internal/a.Helper": "handy"}, "not in the vocabulary"},
+	}
+	for _, c := range cases {
+		bad := reachCheckAllow(c.findings, c.allow)
+		switch {
+		case c.want == "" && len(bad) != 0:
+			t.Errorf("%s: violations %q, want none", c.name, bad)
+		case c.want != "" && (len(bad) != 1 || !strings.Contains(bad[0], c.want)):
+			t.Errorf("%s: violations %q, want one containing %q", c.name, bad, c.want)
+		}
+	}
+}
