@@ -215,7 +215,8 @@ func main() {
 // server.Builder over it, re-reading the label file (when there is one)
 // first. A cycle therefore costs what the labels changed — nothing but a
 // residual probe when they did not — and a carried vector republishes as
-// the previous snapshot's very array.
+// the previous snapshot's very array. Each build logs its account (see
+// buildLine).
 func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, cfg server.BuildConfig) (server.BuildFunc, error) {
 	sg, err := source.Build(pg, source.Options{Workers: cfg.Workers})
 	if err != nil {
@@ -234,9 +235,40 @@ func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, cfg server.Bui
 			}
 			labels = fresh
 		}
-		snap, _, err := builder.Build(corpus, labels)
+		snap, info, err := builder.Build(corpus, labels)
+		if err == nil {
+			log.Print(buildLine(snap, info))
+		}
 		return snap, err
 	}, nil
+}
+
+// buildLine is one build's account: whether SRSR's solve was skipped or
+// its proximity walk ran warm or cold (with why) and at what top-k
+// boundary gap, how many κ entries flipped, and which baselines were
+// carried rather than re-solved.
+func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
+	var srsr string
+	switch ss := snap.Set(server.AlgoSRSR); {
+	case ss == nil:
+		srsr = "srsr not computed (no spam labels)"
+	case info.SolveSkipped:
+		srsr = "srsr solve skipped (graph and labels unchanged)"
+	case !info.ProximityCold:
+		srsr = fmt.Sprintf("srsr proximity walk warm, boundary gap %.3g", info.BoundaryGap)
+	case !ss.WarmStarted():
+		srsr = fmt.Sprintf("srsr proximity walk cold (first build), boundary gap %.3g", info.BoundaryGap)
+	default:
+		srsr = fmt.Sprintf("srsr proximity walk cold (contested boundary), boundary gap %.3g", info.BoundaryGap)
+	}
+	carried := func(skipped bool) string {
+		if skipped {
+			return "carried"
+		}
+		return "re-solved"
+	}
+	return fmt.Sprintf("build: %s, %d κ flips; pagerank %s, trustrank %s",
+		srsr, info.KappaChanged, carried(info.PageRankSkipped), carried(info.TrustRankSkipped))
 }
 
 type replicaConfig struct {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -108,6 +110,19 @@ func TestRefreshEndToEnd(t *testing.T) {
 	}
 	labels := slices.Clone(ds.SpamSources)
 	writeLabels(t, spamPath, labelFile(labels))
+	// Every build logs its account; the refreshes below are synchronous.
+	var logged bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
+	lastBuild := func() string {
+		t.Helper()
+		lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
+		logged.Reset()
+		if len(lines) != 1 || !strings.Contains(lines[0], "build: ") {
+			t.Fatalf("build logged %q, want one build line", lines)
+		}
+		return lines[0]
+	}
 	slabDir := filepath.Join(dir, "slabs")
 	if err := os.Mkdir(slabDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -122,6 +137,9 @@ func TestRefreshEndToEnd(t *testing.T) {
 	first, err := build(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if line := lastBuild(); !strings.Contains(line, "cold (first build)") || !strings.Contains(line, "pagerank re-solved, trustrank re-solved") {
+		t.Errorf("first build logged %q", line)
 	}
 	store := server.NewStore(first)
 	ref := &server.Refresher{Store: store, Build: build, Interval: time.Hour}
@@ -162,6 +180,9 @@ func TestRefreshEndToEnd(t *testing.T) {
 	}
 	if err := ref.RefreshNow(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if line := lastBuild(); !strings.Contains(line, "srsr solve skipped") || !strings.Contains(line, "pagerank carried, trustrank carried") {
+		t.Errorf("unchanged refresh logged %q", line)
 	}
 	cur := store.Current()
 	if cur.Version() != 2 || cur.Corpus().SpamLabeled != len(labels) {
@@ -211,6 +232,10 @@ func TestRefreshEndToEnd(t *testing.T) {
 	reused0, _, _ = store.PublishSets()
 	if err := ref.RefreshNow(ctx); err != nil {
 		t.Fatal(err)
+	}
+	line := lastBuild()
+	if m := regexp.MustCompile(`, (\d+) κ flips;`).FindStringSubmatch(line); m == nil || m[1] == "0" || !strings.Contains(line, "pagerank carried") {
+		t.Errorf("label-change refresh logged %q, want κ flips > 0 and pagerank carried", line)
 	}
 	cur = store.Current()
 	cold, err := server.BuildSnapshot(ds.Pages, labels, server.BuildConfig{Name: ds.Name})

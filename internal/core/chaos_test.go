@@ -52,7 +52,7 @@ func TestChaosKillResumeConverges(t *testing.T) {
 				} else {
 					ffs.Heal()
 				}
-				r, info, err := RankCheckpointed(sg, kappa, Config{}, ck)
+				r, info, err := rank(sg, kappa, Config{}, &ck)
 				if err != nil {
 					if !errors.Is(err, faultfs.ErrCrash) {
 						t.Fatalf("attempt %d: non-crash failure: %v", attempt, err)

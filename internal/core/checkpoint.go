@@ -14,8 +14,6 @@ import (
 
 	"sourcerank/internal/durable"
 	"sourcerank/internal/linalg"
-	"sourcerank/internal/source"
-	"sourcerank/internal/throttle"
 )
 
 // Checkpointing wraps the power-method solve so a crash mid-computation
@@ -33,11 +31,9 @@ type CheckpointConfig struct {
 	// Dir is the checkpoint directory. It must exist.
 	Dir string
 	// Every is the number of iterations between checkpoints; <= 0
-	// defaults to 10.
+	// defaults to 10. The two newest checkpoints are kept, older ones
+	// pruned after each successful write.
 	Every int
-	// Keep is how many recent checkpoints to retain; <= 0 defaults to 2.
-	// Older ones are pruned after each successful write.
-	Keep int
 	// FS overrides the filesystem (fault-injection tests); nil selects
 	// the real one.
 	FS durable.FS
@@ -48,13 +44,6 @@ func (c CheckpointConfig) every() int {
 		return 10
 	}
 	return c.Every
-}
-
-func (c CheckpointConfig) keep() int {
-	if c.Keep <= 0 {
-		return 2
-	}
-	return c.Keep
 }
 
 func (c CheckpointConfig) fs() durable.FS {
@@ -296,94 +285,46 @@ func clearCheckpoints(fsys durable.FS, dir string) {
 	}
 }
 
-// RankCheckpointed computes Spam-Resilient SourceRank like Rank, but
-// persists the iterate every ck.Every iterations and warm-starts from
-// the newest valid checkpoint in ck.Dir (through the same mechanism as
-// Config.X0). Checkpoints recorded against a different graph, throttle
-// vector, α, or slab backing are discarded. On convergence the
-// checkpoints are cleared. Only the Power solver is supported;
-// cfg.Solver is ignored. With cfg.SlabDir set the solve streams the
-// committed slab under cfg.MaxResident like Rank does, and the resume
-// fingerprint additionally covers the slab's header CRC.
-//
-// The resumed iterate sequence is identical to an uninterrupted run, so
-// a solve killed and restarted any number of times returns the same
-// vector bit for bit.
-func RankCheckpointed(sg *source.Graph, kappa []float64, cfg Config, ck CheckpointConfig) (*Result, CheckpointInfo, error) {
-	var info CheckpointInfo
-	if sg == nil || sg.NumSources() == 0 {
-		return nil, info, errors.New("core: empty source graph")
-	}
-	if ck.Dir == "" {
-		return nil, info, errors.New("core: checkpoint directory not set")
-	}
-	if cfg.Precision == linalg.Float32 {
-		// Checkpointing persists and fingerprints float64 iterates through
-		// the solver's Progress hook, which the float32 kernels never
-		// materialize; rejecting here keeps checkpoint fingerprints and
-		// resume semantics byte-identical to the reference path.
-		return nil, info, errors.New("core: checkpointing requires the float64 solve (Config.Precision)")
-	}
-	fsys := ck.fs()
-	tpp, err := throttle.Apply(sg.T, kappa)
-	if err != nil {
-		return nil, info, fmt.Errorf("core: applying throttle: %w", err)
-	}
-	warm := sanitizeWarmStart(cfg.X0)
-	if warm != nil && len(warm) != sg.NumSources() {
-		return nil, info, linalg.ErrDimension
-	}
-	tppT := throttledTranspose(sg, tpp, cfg.Workers)
-	m, closeOperand, err := openOperand(cfg, tppT, asIs)
-	if err != nil {
-		return nil, info, err
-	}
-	defer closeOperand()
-	fp := fingerprintOf(tpp, cfg.alpha(), warm)
+// checkpointRun is one checkpointed solve (see rank): the configuration,
+// the throttled matrix the fingerprint covers, and the account it keeps.
+type checkpointRun struct {
+	CheckpointConfig
+	tpp  *linalg.CSR
+	info *CheckpointInfo
+}
+
+// arm prepares the power iteration of the solve over the operand cfg
+// resolves: it returns the iterate to start from — the newest valid
+// checkpoint whose fingerprint matches, else x0 — and the Progress hook
+// that commits the iterate every Every iterations, keeping two.
+func (r *checkpointRun) arm(cfg Config, x0 linalg.Vector) (linalg.Vector, func(int, linalg.Vector) error, error) {
+	fsys := r.fs()
+	fp := fingerprintOf(r.tpp, cfg.alpha(), x0)
 	if path := cfg.slabPath(); path != "" {
 		si, err := linalg.ReadSlabInfo(nil, path)
 		if err != nil {
-			return nil, info, fmt.Errorf("core: fingerprinting slab: %w", err)
+			return nil, nil, fmt.Errorf("core: fingerprinting slab: %w", err)
 		}
 		fp = fp.withSlab(si.HeaderCRC)
 	}
-	x0, startIter, err := resumeCheckpoint(fsys, ck.Dir, fp, &info)
+	resumed, startIter, err := resumeCheckpoint(fsys, r.Dir, fp, r.info)
 	if err != nil {
-		return nil, info, fmt.Errorf("core: scanning checkpoints: %w", err)
+		return nil, nil, fmt.Errorf("core: scanning checkpoints: %w", err)
 	}
-	info.ResumedFrom = startIter
-	if x0 == nil {
-		// No resumable checkpoint: start from the configured warm-start
-		// vector (nil falls through to the teleport cold start).
-		x0 = warm
+	r.info.ResumedFrom = startIter
+	if resumed != nil {
+		x0 = resumed
 	}
-
-	every, keep := ck.every(), ck.keep()
-	tele := linalg.NewUniformVector(sg.NumSources())
-	opt := linalg.SolverOptions{
-		Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers, CheckEvery: cfg.CheckEvery,
-		Progress: func(iter int, x linalg.Vector) error {
-			if iter%every != 0 {
-				return nil
-			}
-			if err := writeCheckpoint(fsys, ck.Dir, fp, startIter+iter, x); err != nil {
-				return fmt.Errorf("core: writing checkpoint at iteration %d: %w", startIter+iter, err)
-			}
-			info.Written++
-			pruneCheckpoints(fsys, ck.Dir, keep)
+	every := r.every()
+	return x0, func(iter int, x linalg.Vector) error {
+		if iter%every != 0 {
 			return nil
-		},
-	}
-	scores, stats, err := linalg.PowerMethodT(m, cfg.alpha(), tele, x0, opt)
-	if err != nil {
-		return nil, info, err
-	}
-	clearCheckpoints(fsys, ck.Dir)
-	return &Result{
-		Scores:     scores,
-		Kappa:      append([]float64(nil), kappa...),
-		Throttled:  tpp,
-		Stats:      stats,
-		throttledT: tppT,
-	}, info, nil
+		}
+		if err := writeCheckpoint(fsys, r.Dir, fp, startIter+iter, x); err != nil {
+			return fmt.Errorf("core: writing checkpoint at iteration %d: %w", startIter+iter, err)
+		}
+		r.info.Written++
+		pruneCheckpoints(fsys, r.Dir, 2)
+		return nil
+	}, nil
 }

@@ -23,7 +23,7 @@ func TestRankCheckpointedSlabBitwise(t *testing.T) {
 	cfg.SlabDir = t.TempDir()
 	cfg.MaxResident = 4096
 	dir := t.TempDir()
-	res, info, err := RankCheckpointed(sg, kappa, cfg, CheckpointConfig{Dir: dir, Every: 5})
+	res, info, err := rank(sg, kappa, cfg, &CheckpointConfig{Dir: dir, Every: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +60,13 @@ func TestRankCheckpointedSlabResumesAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.New(nil)
 	ffs.SetWriteBudget(600)
-	if _, _, err := RankCheckpointed(sg, kappa, cfg, CheckpointConfig{Dir: dir, Every: 5, FS: ffs}); !errors.Is(err, faultfs.ErrCrash) {
+	if _, _, err := rank(sg, kappa, cfg, &CheckpointConfig{Dir: dir, Every: 5, FS: ffs}); !errors.Is(err, faultfs.ErrCrash) {
 		t.Fatalf("want simulated crash, got %v", err)
 	}
 	if len(srckFiles(t, dir)) == 0 {
 		t.Fatal("crash left no committed checkpoints; lower the budget granularity")
 	}
-	res, info, err := RankCheckpointed(sg, kappa, cfg, CheckpointConfig{Dir: dir, Every: 5})
+	res, info, err := rank(sg, kappa, cfg, &CheckpointConfig{Dir: dir, Every: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRankCheckpointedSlabBackingMismatchDiscarded(t *testing.T) {
 
 	cfg := Config{}
 	cfg.SlabDir = t.TempDir()
-	res, info, err := RankCheckpointed(sg, kappa, cfg, CheckpointConfig{Dir: dir, Every: 5})
+	res, info, err := rank(sg, kappa, cfg, &CheckpointConfig{Dir: dir, Every: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

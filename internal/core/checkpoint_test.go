@@ -32,14 +32,14 @@ func srckFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// crashOnce runs RankCheckpointed against a write budget sized to die
+// crashOnce runs the checkpointed solve against a write budget sized to die
 // partway through the solve, leaving committed checkpoints behind.
 func crashOnce(t *testing.T, dir string, kappa []float64) {
 	t.Helper()
 	sg := buildSG(t, corpus(t))
 	ffs := faultfs.New(nil)
 	ffs.SetWriteBudget(600)
-	_, _, err := RankCheckpointed(sg, kappa, Config{}, CheckpointConfig{Dir: dir, Every: 5, FS: ffs})
+	_, _, err := rank(sg, kappa, Config{}, &CheckpointConfig{Dir: dir, Every: 5, FS: ffs})
 	if !errors.Is(err, faultfs.ErrCrash) {
 		t.Fatalf("want simulated crash, got %v", err)
 	}
@@ -56,7 +56,7 @@ func TestRankCheckpointedMatchesRankBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	res, info, err := RankCheckpointed(sg, kappa, Config{}, CheckpointConfig{Dir: dir, Every: 5})
+	res, info, err := rank(sg, kappa, Config{}, &CheckpointConfig{Dir: dir, Every: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRankCheckpointedResumesAfterCrash(t *testing.T) {
 	}
 	dir := t.TempDir()
 	crashOnce(t, dir, kappa)
-	res, info, err := RankCheckpointed(sg, kappa, Config{}, CheckpointConfig{Dir: dir, Every: 5})
+	res, info, err := rank(sg, kappa, Config{}, &CheckpointConfig{Dir: dir, Every: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRankCheckpointedDiscardsFingerprintMismatch(t *testing.T) {
 	// Same graph, different throttle vector: the old checkpoints answer
 	// a different fixed-point equation and must be discarded.
 	kappaB := make([]float64, sg.NumSources())
-	res, info, err := RankCheckpointed(sg, kappaB, Config{}, CheckpointConfig{Dir: dir, Every: 5})
+	res, info, err := rank(sg, kappaB, Config{}, &CheckpointConfig{Dir: dir, Every: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRankCheckpointedSkipsCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, info, err := RankCheckpointed(sg, kappa, Config{}, CheckpointConfig{Dir: dir, Every: 5})
+	res, info, err := rank(sg, kappa, Config{}, &CheckpointConfig{Dir: dir, Every: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRankCheckpointedPrunesOldCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.New(nil)
 	ffs.SetWriteBudget(2000) // enough for many checkpoints before dying
-	_, _, err := RankCheckpointed(sg, kappa, Config{}, CheckpointConfig{Dir: dir, Every: 2, Keep: 2, FS: ffs})
+	_, _, err := rank(sg, kappa, Config{}, &CheckpointConfig{Dir: dir, Every: 2, FS: ffs})
 	if !errors.Is(err, faultfs.ErrCrash) {
 		t.Fatalf("want simulated crash, got %v", err)
 	}

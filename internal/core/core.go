@@ -22,7 +22,6 @@ import (
 
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
-	"sourcerank/internal/rank"
 	"sourcerank/internal/source"
 	"sourcerank/internal/throttle"
 )
@@ -39,32 +38,22 @@ const (
 )
 
 // Config configures a Spam-Resilient SourceRank computation. The zero
-// value reproduces the paper's setup.
+// value reproduces the paper's setup, and the solve always runs to its
+// convergence threshold, L2 < 1e-9 (linalg's default, as is the
+// 1000-iteration cap).
 type Config struct {
 	// Alpha is the mixing parameter α; 0 defaults to 0.85.
 	Alpha float64
-	// Tol is the L2 convergence threshold; 0 defaults to 1e-9.
-	Tol float64
-	// MaxIter caps solver iterations; 0 defaults to 1000.
-	MaxIter int
 	// Workers bounds SpMV parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Solver selects Power (default) or Jacobi.
 	Solver Solver
-	// Weighting selects the source-edge derivation; the default is the
-	// paper's Consensus. (Only used by entry points that build the
-	// source graph themselves.)
-	Weighting source.Weighting
 	// X0 optionally warm-starts the stationary solve from a previous
 	// score vector (e.g. the last published snapshot's σ). It must have
 	// one entry per source; the solver converges to the same fixed
 	// point from any start, only faster when X0 is close. Only the
 	// Power solver warm-starts; Jacobi ignores X0.
 	X0 linalg.Vector
-	// CheckEvery computes the convergence residual only every k-th
-	// iteration (see linalg.SolverOptions.CheckEvery); <= 1 checks
-	// every iteration.
-	CheckEvery int
 	// Precision selects the arithmetic of the stationary solve. The
 	// default, linalg.Float64, is the reference path; linalg.Float32 runs
 	// the solve on the bandwidth-oriented float32 kernels (float32
@@ -72,8 +61,8 @@ type Config struct {
 	// linalg.Float32Tol) and widens the result. Only the stationary solve
 	// honors this: the spam-proximity walk always runs in float64, so the
 	// κ assignment — whose top-k boundary is rank-sensitive — is identical
-	// under either precision. Incompatible with Checkpointing, which must
-	// observe float64 iterates (RankCheckpointed rejects Float32).
+	// under either precision. Incompatible with checkpointing, which must
+	// observe float64 iterates (PipelineConfig.Checkpoint rejects Float32).
 	Precision linalg.Precision
 	// SlabDir, when set, routes the stationary solve through the
 	// out-of-core path: the throttled transpose is committed as a slab
@@ -91,11 +80,6 @@ type Config struct {
 	// linalg.SlabOpenOptions.MaxResident). Advisory; <= 0 maps the file
 	// without release-behind.
 	MaxResident int64
-}
-
-func (c Config) rankOptions() rank.Options {
-	return rank.Options{Alpha: c.Alpha, Tol: c.Tol, MaxIter: c.MaxIter, Workers: c.Workers,
-		X0: sanitizeWarmStart(c.X0), CheckEvery: c.CheckEvery, Precision: c.Precision}
 }
 
 // sanitizeWarmStart clones and L1-normalizes a warm-start vector so the
@@ -165,57 +149,92 @@ func throttledTranspose(sg *source.Graph, tpp *linalg.CSR, workers int) *linalg.
 // spam injection, a recrawl of one site — the previous σ converges in a
 // fraction of the cold-start iterations.
 func Rank(sg *source.Graph, kappa []float64, cfg Config) (*Result, error) {
+	res, _, err := rank(sg, kappa, cfg, nil)
+	return res, err
+}
+
+// rank is Rank, and with ck set the checkpointed solve behind
+// PipelineConfig.Checkpoint: the power iteration then starts from the
+// newest valid checkpoint of this very solve in ck.Dir (else from cfg.X0)
+// and persists its iterate every ck.Every iterations, whatever cfg.Solver
+// says. Checkpoints recorded against a different graph, throttle vector,
+// α, warm start or slab backing are discarded, and all of them are
+// cleared on convergence. The resumed iterate sequence is the
+// uninterrupted one, so a solve killed and restarted any number of times
+// returns the same vector bit for bit.
+func rank(sg *source.Graph, kappa []float64, cfg Config, ck *CheckpointConfig) (*Result, CheckpointInfo, error) {
 	if sg == nil || sg.NumSources() == 0 {
-		return nil, errors.New("core: empty source graph")
+		return nil, CheckpointInfo{}, errors.New("core: empty source graph")
+	}
+	if ck != nil && ck.Dir == "" {
+		return nil, CheckpointInfo{}, errors.New("core: checkpoint directory not set")
+	}
+	if ck != nil && cfg.Precision == linalg.Float32 {
+		// Checkpointing persists and fingerprints float64 iterates through
+		// the solver's Progress hook, which the float32 kernels never
+		// materialize.
+		return nil, CheckpointInfo{}, errors.New("core: checkpointing requires the float64 solve (Config.Precision)")
 	}
 	tpp, err := throttle.Apply(sg.T, kappa)
 	if err != nil {
-		return nil, fmt.Errorf("core: applying throttle: %w", err)
+		return nil, CheckpointInfo{}, fmt.Errorf("core: applying throttle: %w", err)
 	}
 	tppT := throttledTranspose(sg, tpp, cfg.Workers)
 	res := &Result{Kappa: append([]float64(nil), kappa...), Throttled: tpp, Precision: cfg.Precision, throttledT: tppT}
+	var info CheckpointInfo
 	if cfg.Precision == linalg.Float32 {
-		// Narrowing here for both solvers, not inside rank.StationaryT,
-		// keeps one seam. Bits are identical either way (NewCSR32 in both
-		// places, and the slab writer narrows identically).
-		res.Scores, res.Stats, err = solve(cfg, tppT, linalg.NewCSR32)
+		// Narrowing here for both solvers keeps one seam; the slab writer
+		// narrows identically.
+		res.Scores, res.Stats, err = solve(cfg, tppT, linalg.NewCSR32, nil)
 	} else {
-		res.Scores, res.Stats, err = solve(cfg, tppT, asIs)
+		var run *checkpointRun
+		if ck != nil {
+			run = &checkpointRun{CheckpointConfig: *ck, tpp: tpp, info: &info}
+		}
+		res.Scores, res.Stats, err = solve(cfg, tppT, asIs, run)
 	}
 	if err != nil {
-		return nil, err
+		return nil, info, err
 	}
-	return res, nil
+	return res, info, nil
 }
 
 // asIs is the in-heap form of a float64 operand: the matrix itself.
 func asIs(m *linalg.CSR) *linalg.CSR { return m }
 
 // solve runs cfg.Solver over tppT at value type F, in heap or streamed
-// from a slab as cfg says.
-func solve[F linalg.Float](cfg Config, tppT *linalg.CSR, inHeap func(*linalg.CSR) *linalg.Matrix[F]) (linalg.Vector, linalg.IterStats, error) {
+// from a slab as cfg says; with ck set, the power iteration checkpointed.
+func solve[F linalg.Float](cfg Config, tppT *linalg.CSR, inHeap func(*linalg.CSR) *linalg.Matrix[F], ck *checkpointRun) (linalg.Vector, linalg.IterStats, error) {
 	m, closeOperand, err := openOperand(cfg, tppT, inHeap)
 	if err != nil {
 		return nil, linalg.IterStats{}, err
 	}
 	defer closeOperand()
-	if cfg.Solver == Jacobi {
+	opt := linalg.SolverOptions{Workers: cfg.Workers}
+	if cfg.Solver == Jacobi && ck == nil {
 		b := linalg.NewUniformVector(tppT.Rows)
 		b.Scale(1 - cfg.alpha())
-		scores, stats, err := linalg.JacobiAffineT(m, cfg.alpha(), b, linalg.SolverOptions{
-			Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers, CheckEvery: cfg.CheckEvery,
-		})
+		scores, stats, err := linalg.JacobiAffineT(m, cfg.alpha(), b, opt)
 		if err != nil {
 			return nil, stats, err
 		}
 		scores.Normalize1()
 		return scores, stats, nil
 	}
-	r, err := rank.StationaryT(m, cfg.rankOptions())
-	if err != nil {
-		return nil, linalg.IterStats{}, err
+	x0 := sanitizeWarmStart(cfg.X0)
+	if x0 != nil && len(x0) != tppT.Rows {
+		return nil, linalg.IterStats{}, linalg.ErrDimension
 	}
-	return r.Scores, r.Stats, nil
+	if ck != nil {
+		if x0, opt.Progress, err = ck.arm(cfg, x0); err != nil {
+			return nil, linalg.IterStats{}, err
+		}
+	}
+	scores, stats, err := linalg.PowerMethodT(m, cfg.alpha(), linalg.NewUniformVector(tppT.Rows), x0, opt)
+	if err == nil && ck != nil {
+		clearCheckpoints(ck.fs(), ck.Dir)
+	}
+	return scores, stats, err
 }
 
 // openOperand is the backing-erasure seam between Rank and the solvers:
@@ -260,10 +279,9 @@ type PipelineConfig struct {
 	// spam-proximity needs a seed set.
 	SpamSeeds []int32
 	// TopK is the number of highest-proximity sources to throttle fully
-	// (κ = 1); the paper uses 20,000 on WB2001.
+	// (κ = 1); the paper uses 20,000 on WB2001. The proximity walk runs
+	// at β = 0.85.
 	TopK int
-	// Beta is the proximity walk's mixing factor; 0 defaults to 0.85.
-	Beta float64
 	// Graded switches the κ assignment from the paper's binary top-k
 	// heuristic to the graded extension, with values below the top-k
 	// capped at GradedMax.
@@ -271,7 +289,7 @@ type PipelineConfig struct {
 	GradedMax float64
 	// Checkpoint, if set, makes the final SRSR solve resumable: the
 	// iterate is persisted every Checkpoint.Every iterations and a crash
-	// resumes from the newest valid checkpoint (see RankCheckpointed).
+	// resumes from the newest valid checkpoint, bit for bit (see rank).
 	// The spam-proximity solve is not checkpointed; it is cheap relative
 	// to the stationary solve. Requires the Power solver.
 	Checkpoint *CheckpointConfig
@@ -293,7 +311,7 @@ type PipelineResult struct {
 // graph: build the consensus-weighted source graph, propagate spam
 // proximity from the seed set, assign κ, and solve for σ.
 func Pipeline(pg *pagegraph.Graph, cfg PipelineConfig) (*PipelineResult, error) {
-	sg, err := source.Build(pg, source.Options{Weighting: cfg.Weighting, Workers: cfg.Workers})
+	sg, err := source.Build(pg, source.Options{Workers: cfg.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("core: building source graph: %w", err)
 	}

@@ -106,11 +106,11 @@ func TestJacobiMatchesPower(t *testing.T) {
 	sg := buildSG(t, corpus(t))
 	kappa := make([]float64, sg.NumSources())
 	kappa[4] = 0.7
-	pw, err := Rank(sg, kappa, Config{Tol: 1e-12})
+	pw, err := Rank(sg, kappa, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jc, err := Rank(sg, kappa, Config{Tol: 1e-13, Solver: Jacobi})
+	jc, err := Rank(sg, kappa, Config{Solver: Jacobi})
 	if err != nil {
 		t.Fatal(err)
 	}

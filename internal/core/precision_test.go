@@ -157,8 +157,8 @@ func TestFloat32CheckpointRejected(t *testing.T) {
 	sg := buildSG(t, corpus(t))
 	cfg := Config{Precision: linalg.Float32}
 	ck := CheckpointConfig{Dir: t.TempDir()}
-	if _, _, err := RankCheckpointed(sg, make([]float64, sg.NumSources()), cfg, ck); err == nil {
-		t.Fatal("RankCheckpointed accepted Precision Float32")
+	if _, _, err := rank(sg, make([]float64, sg.NumSources()), cfg, &ck); err == nil {
+		t.Fatal("checkpointed solve accepted Precision Float32")
 	}
 	_, err := PipelineFromSourceGraph(sg, PipelineConfig{
 		Config:     cfg,

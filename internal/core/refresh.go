@@ -35,7 +35,7 @@ type RefreshState struct {
 	// current Kappa has succeeded.
 	T *linalg.CSR
 	// assigned is what Proximity and Kappa were derived from besides the
-	// structure: the seed set, the top-k size, the κ heuristic and β.
+	// structure: the seed set, the top-k size and the κ heuristic.
 	assigned assignment
 	// Proximity is the previous spam-proximity vector, used to
 	// warm-start the next walk.
@@ -62,12 +62,11 @@ type assignment struct {
 	topK      int
 	graded    bool
 	gradedMax float64
-	beta      float64
 }
 
 func (a assignment) matches(cfg PipelineConfig) bool {
 	return a.topK == cfg.TopK && a.graded == cfg.Graded && a.gradedMax == cfg.GradedMax &&
-		a.beta == cfg.Beta && slices.Equal(a.seeds, cfg.SpamSeeds)
+		slices.Equal(a.seeds, cfg.SpamSeeds)
 }
 
 // RefreshInfo reports which incremental paths a refresh took; the bench
@@ -99,10 +98,10 @@ type RefreshInfo struct {
 // against the same fixed point. structure must present the same successor
 // rows as sg.Structure() and nil means exactly that; the stream pipeline
 // passes its incrementally maintained overlay so no CSR rebuild is paid
-// here. The solve goes through Rank (RankCheckpointed with cfg.Checkpoint
+// here. The solve goes through Rank (checkpointed with cfg.Checkpoint
 // set), started from the previous scores when there are any and from
-// cfg.X0 otherwise. Everything in cfg but the seeds, TopK, Graded,
-// GradedMax and Beta is expected to stay fixed over one state's lifetime.
+// cfg.X0 otherwise. Everything in cfg but the seeds, TopK, Graded and
+// GradedMax is expected to stay fixed over one state's lifetime.
 func PipelineRefresh(sg *source.Graph, structure graph.Topology, cfg PipelineConfig, st *RefreshState) (*PipelineResult, RefreshInfo, error) {
 	info := RefreshInfo{}
 	if sg == nil || sg.NumSources() == 0 {
@@ -151,7 +150,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, cfg PipelineCon
 		// Graded κ depends on every proximity value, not just the top-k
 		// membership, so only the binary assignment can tolerate a warm
 		// (tolerance-equal rather than bitwise-equal) walk.
-		popt := throttle.ProximityOptions{Beta: cfg.Beta, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers}
+		popt := throttle.ProximityOptions{Workers: cfg.Workers}
 		if !cfg.Graded {
 			popt.X0 = sanitizeWarmStart(st.Proximity.Padded(n))
 		}
@@ -183,7 +182,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, cfg PipelineCon
 		}
 		st.Proximity, pstats = prox, ps
 		if !st.assigned.matches(cfg) {
-			st.assigned = assignment{slices.Clone(cfg.SpamSeeds), cfg.TopK, cfg.Graded, cfg.GradedMax, cfg.Beta}
+			st.assigned = assignment{slices.Clone(cfg.SpamSeeds), cfg.TopK, cfg.Graded, cfg.GradedMax}
 		}
 	}
 
@@ -191,14 +190,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, cfg PipelineCon
 	if st.Scores != nil {
 		solveCfg.X0 = st.Scores.Padded(n)
 	}
-	var res *Result
-	var ckInfo CheckpointInfo
-	var err error
-	if cfg.Checkpoint != nil {
-		res, ckInfo, err = RankCheckpointed(sg, st.Kappa, solveCfg, *cfg.Checkpoint)
-	} else {
-		res, err = Rank(sg, st.Kappa, solveCfg)
-	}
+	res, ckInfo, err := rank(sg, st.Kappa, solveCfg, cfg.Checkpoint)
 	if err != nil {
 		return nil, info, err
 	}
@@ -220,10 +212,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, cfg PipelineCon
 // precision. ok reports it within the solve's tolerance, in which case
 // the previous vector still stands.
 func probe(cfg Config, st *RefreshState) (residual float64, ok bool, err error) {
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = 1e-9
-	}
+	tol := 1e-9 // the solve's threshold (see Config)
 	if cfg.Precision == linalg.Float32 {
 		tol = max(tol, linalg.Float32Tol)
 		residual, err = probeAt(cfg, st, linalg.NewCSR32)
@@ -252,5 +241,5 @@ func probeAt[F linalg.Float](cfg Config, st *RefreshState, inHeap func(*linalg.C
 			src[i] = F(x)
 		}
 	}
-	return fp.Step(make([]F, len(src)), src, true), nil
+	return fp.Step(make([]F, len(src)), src), nil
 }

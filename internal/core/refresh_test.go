@@ -18,7 +18,7 @@ import (
 // throttle.TopK's full sort.
 func coldTopK(t *testing.T, sg *source.Graph, cfg PipelineConfig) []float64 {
 	t.Helper()
-	prox, _, err := throttle.SpamProximity(sg.Structure(), cfg.SpamSeeds, throttle.ProximityOptions{Beta: cfg.Beta})
+	prox, _, err := throttle.SpamProximity(sg.Structure(), cfg.SpamSeeds, throttle.ProximityOptions{})
 	if err != nil {
 		t.Fatalf("cold proximity: %v", err)
 	}
@@ -210,7 +210,6 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 		{"half the seeds", func(c *PipelineConfig) { c.SpamSeeds = c.SpamSeeds[:3] }},
 		{"one seed appended", func(c *PipelineConfig) { c.SpamSeeds = append(slices.Clone(c.SpamSeeds), 34) }},
 		{"top-k", func(c *PipelineConfig) { c.TopK = 9 }},
-		{"beta", func(c *PipelineConfig) { c.Beta = 0.7 }},
 		{"graded", func(c *PipelineConfig) { c.Graded, c.GradedMax = true, 0.5 }},
 		{"graded cap", func(c *PipelineConfig) { c.GradedMax = 0.25 }},
 		{"binary again", func(c *PipelineConfig) { c.Graded, c.GradedMax = false, 0 }},

@@ -122,7 +122,7 @@ func TestRankCheckpointedWarmStartLineage(t *testing.T) {
 	warmX0 := linalg.NewUniformVector(sg.NumSources())
 	warmX0[0] *= 2
 	warmX0.Normalize1()
-	res, info, err := RankCheckpointed(sg, kappa, Config{X0: warmX0}, CheckpointConfig{Dir: dir, Every: 5})
+	res, info, err := rank(sg, kappa, Config{X0: warmX0}, &CheckpointConfig{Dir: dir, Every: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRankCheckpointedWarmStartResume(t *testing.T) {
 	warmX0[1] *= 3
 	warmX0.Normalize1()
 
-	ref, _, err := RankCheckpointed(sg, kappa, Config{X0: warmX0}, CheckpointConfig{Dir: t.TempDir(), Every: 5})
+	ref, _, err := rank(sg, kappa, Config{X0: warmX0}, &CheckpointConfig{Dir: t.TempDir(), Every: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,14 @@ func TestRankCheckpointedWarmStartResume(t *testing.T) {
 	// committed warm-lineage checkpoints behind.
 	ffs := faultfs.New(nil)
 	ffs.SetWriteBudget(600)
-	_, _, err = RankCheckpointed(sg, kappa, Config{X0: warmX0}, CheckpointConfig{Dir: dir, Every: 5, FS: ffs})
+	_, _, err = rank(sg, kappa, Config{X0: warmX0}, &CheckpointConfig{Dir: dir, Every: 5, FS: ffs})
 	if !errors.Is(err, faultfs.ErrCrash) {
 		t.Fatalf("want simulated crash, got %v", err)
 	}
 	if len(srckFiles(t, dir)) == 0 {
 		t.Fatal("crash left no committed checkpoints")
 	}
-	res, info, err := RankCheckpointed(sg, kappa, Config{X0: warmX0}, CheckpointConfig{Dir: dir, Every: 5})
+	res, info, err := rank(sg, kappa, Config{X0: warmX0}, &CheckpointConfig{Dir: dir, Every: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestRankCheckpointedWarmStartResume(t *testing.T) {
 func TestRankFromMatchesColdStart(t *testing.T) {
 	sg := buildSG(t, corpus(t))
 	kappa := make([]float64, sg.NumSources())
-	cold, err := Rank(sg, kappa, Config{Tol: 1e-12})
+	cold, err := Rank(sg, kappa, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Rank(sg, kappa, Config{Tol: 1e-12, X0: cold.Scores})
+	warm, err := Rank(sg, kappa, Config{X0: cold.Scores})
 	if err != nil {
 		t.Fatal(err)
 	}

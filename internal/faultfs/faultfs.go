@@ -1,20 +1,23 @@
 // Package faultfs is a test-only durable.FS implementation that injects
-// disk faults: short writes, fsync failures, read corruption, and
+// disk faults: short writes, fsync failures, read corruption,
 // crash-at-offset (a byte budget after which every operation fails as if
-// the process had died mid-write). The durable-layer and chaos tests use
-// it to prove the commit protocol and the checkpointed solver survive
-// bad disks and arbitrary kill points.
+// the process had died mid-write) and a full disk. The durable-layer and
+// chaos tests use it to prove the commit protocol and the checkpointed
+// solver survive bad disks and arbitrary kill points.
 //
 // A crash is sticky: once the write budget is exhausted the filesystem
 // returns ErrCrash for everything until Heal is called, which models a
 // process restart on a healthy disk. Files committed before the crash
-// remain readable after healing because the base filesystem is real.
+// remain readable after healing because the base filesystem is real. A
+// full disk is not: past the space budget only writes fail, so the
+// cleanup that follows the failure runs and can be observed.
 package faultfs
 
 import (
 	"errors"
 	"io/fs"
 	"sync"
+	"syscall"
 
 	"sourcerank/internal/durable"
 )
@@ -32,6 +35,7 @@ type FS struct {
 
 	mu          sync.Mutex
 	writeBudget int64 // bytes writable before the crash; <0 = unlimited
+	space       int64 // bytes writable before the disk is full; <0 = unlimited
 	crashed     bool
 	failSyncs   int // next N Sync calls fail with ErrSync
 	// corrupt, if set, may mutate every read buffer: name is the opened
@@ -47,7 +51,7 @@ func New(base durable.FS) *FS {
 	if base == nil {
 		base = durable.OS{}
 	}
-	return &FS{base: base, writeBudget: -1}
+	return &FS{base: base, writeBudget: -1, space: -1}
 }
 
 // SetWriteBudget arms a crash after n more written bytes: the write that
@@ -58,6 +62,16 @@ func (f *FS) SetWriteBudget(n int64) {
 	defer f.mu.Unlock()
 	f.writeBudget = n
 	f.crashed = false
+}
+
+// SetSpaceBudget fills the disk after n more written bytes: the write
+// that crosses the budget is cut short, and it and every later write fail
+// with an error wrapping syscall.ENOSPC. Every other operation, Remove and
+// ReadDir included, keeps working. n < 0 disarms.
+func (f *FS) SetSpaceBudget(n int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.space = n
 }
 
 // Heal clears the crash state and the write budget, modelling a process
@@ -107,30 +121,33 @@ func (f *FS) alive() error {
 	return nil
 }
 
-// consumeWrite charges len bytes against the budget, returning how many
-// may actually be written and whether this write triggers the crash.
-func (f *FS) consumeWrite(n int) (allowed int, crash bool) {
+// consumeWrite charges n bytes against the budgets, returning how many
+// may actually be written and whether this write triggers the crash or
+// finds the disk full.
+func (f *FS) consumeWrite(n int) (allowed int, crash, full bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.crashed {
-		return 0, true
+		return 0, true, false
 	}
-	if f.writeBudget < 0 {
-		f.writes += int64(n)
-		return n, false
+	allowed = n
+	if f.space >= 0 && int64(allowed) > f.space {
+		allowed, full = int(f.space), true
 	}
-	if int64(n) <= f.writeBudget {
-		f.writeBudget -= int64(n)
-		f.writes += int64(n)
-		return n, false
+	if f.writeBudget >= 0 {
+		if int64(allowed) > f.writeBudget {
+			// Short write: the crash lands mid-buffer.
+			allowed, crash, full = int(f.writeBudget), true, false
+			f.crashed = true
+			f.crashes++
+		}
+		f.writeBudget -= int64(allowed)
 	}
-	// Short write: the crash lands mid-buffer.
-	allowed = int(f.writeBudget)
-	f.writeBudget = 0
+	if f.space >= 0 {
+		f.space -= int64(allowed)
+	}
 	f.writes += int64(allowed)
-	f.crashed = true
-	f.crashes++
-	return allowed, true
+	return allowed, crash, full
 }
 
 func (f *FS) syncFault() error {
@@ -205,7 +222,7 @@ type file struct {
 }
 
 func (f *file) Write(p []byte) (int, error) {
-	allowed, crash := f.fs.consumeWrite(len(p))
+	allowed, crash, full := f.fs.consumeWrite(len(p))
 	var n int
 	var err error
 	if allowed > 0 {
@@ -213,6 +230,9 @@ func (f *file) Write(p []byte) (int, error) {
 	}
 	if crash {
 		return n, ErrCrash
+	}
+	if full {
+		return n, &fs.PathError{Op: "write", Path: f.name, Err: syscall.ENOSPC}
 	}
 	if err != nil {
 		return n, err

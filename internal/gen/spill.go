@@ -131,10 +131,12 @@ func GenerateStream(cfg Config, opt StreamOptions) (*Corpus, error) {
 	}
 	sink := &spillSink{fsys: fsys, dir: opt.Dir, buf: make([]uint64, 0, bufEdges)}
 	spam, err := generate(cfg, sink)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = sink.finish()
 	}
-	if err := sink.finish(); err != nil {
+	if err != nil {
+		// The runs committed before the failure belong to no Corpus yet.
+		_ = (&Corpus{fsys: fsys, runs: sink.runs}).Remove()
 		return nil, err
 	}
 	return &Corpus{

@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 
 	"sourcerank/internal/durable"
+	"sourcerank/internal/faultfs"
 )
 
 // writeRun commits a shard-run file holding keys, mirroring spillSink's
@@ -227,5 +229,45 @@ func TestGenerateStreamMatchesGenerate(t *testing.T) {
 func TestGenerateStreamRequiresDir(t *testing.T) {
 	if _, err := GenerateStream(smallConfig(1), StreamOptions{}); err == nil {
 		t.Fatal("GenerateStream accepted an empty spill dir")
+	}
+}
+
+// commitCounter counts the renames through which durable.WriteFile
+// commits each spill run.
+type commitCounter struct {
+	*faultfs.FS
+	commits int
+}
+
+func (c *commitCounter) Rename(o, n string) error {
+	if err := c.FS.Rename(o, n); err != nil {
+		return err
+	}
+	c.commits++
+	return nil
+}
+
+// TestGenerateStreamFullDiskRemovesRuns fills the disk after three runs'
+// worth of bytes: the spill that fails must take down every run
+// committed before it, leaving the spill directory empty.
+func TestGenerateStreamFullDiskRemovesRuns(t *testing.T) {
+	const bufEdges = 256
+	ffs := &commitCounter{FS: faultfs.New(nil)}
+	maxRun := int64(runHeaderSize + 8*bufEdges + durable.TrailerSize)
+	ffs.SetSpaceBudget(3*maxRun + maxRun/2)
+	dir := t.TempDir()
+	_, err := GenerateStreamPreset(UK2002, 0.002, 1, StreamOptions{Dir: dir, FS: ffs, BufferEdges: bufEdges})
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("err = %v, want ENOSPC", err)
+	}
+	if ffs.commits < 3 {
+		t.Fatalf("%d runs committed before the fault, want >= 3", ffs.commits)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("spill dir holds %d files after the failed run, want none", len(left))
 	}
 }

@@ -126,7 +126,6 @@ type fusedKernel[F Float] struct {
 	src, dst []F
 	lost     float64
 	phase    int
-	wantRes  bool
 
 	work chan int      // stripe indices; nil when running serially
 	done chan struct{} // one token per completed stripe
@@ -316,7 +315,7 @@ func rowSums32Go(rowPtr []int64, vals []float32, cols []int32, src []float32, ac
 func (k *fusedKernel[F]) runStripe(s int) {
 	lo, hi := k.bounds[s], k.bounds[s+1]
 	src, dst := k.src, k.dst
-	wantRes, l1 := k.wantRes, k.norm == ResidualL1
+	l1 := k.norm == ResidualL1
 	var r float64
 	switch k.phase {
 	case fusedPhaseMul:
@@ -336,23 +335,17 @@ func (k *fusedKernel[F]) runStripe(s int) {
 			}
 			v := F(float64(dst[i]) + add)
 			dst[i] = v
-			if wantRes {
-				r += residualTerm(float64(v)-float64(src[i]), l1)
-			}
+			r += residualTerm(float64(v)-float64(src[i]), l1)
 		}
 	case fusedPhaseAffine:
 		c, b, sums := k.c, k.aux, k.rowSums(lo, hi)
 		for i := lo; i < hi; i++ {
 			v := F(sums[i]*c + float64(b[i]))
 			dst[i] = v
-			if wantRes {
-				r += residualTerm(float64(v)-float64(src[i]), l1)
-			}
+			r += residualTerm(float64(v)-float64(src[i]), l1)
 		}
 	}
-	if wantRes {
-		k.partial[s] = r
-	}
+	k.partial[s] = r
 }
 
 // residualTerm is one element's contribution to the residual partial.
@@ -382,11 +375,10 @@ func (k *fusedKernel[F]) reduceResidual() float64 {
 }
 
 // step advances one iteration from src into dst, returning ‖dst−src‖ in
-// the kernel's norm when wantResidual is set; otherwise the residual
-// accumulation is skipped entirely and step returns NaN.
-func (k *fusedKernel[F]) step(dst, src []F, wantResidual bool) float64 {
+// the kernel's norm.
+func (k *fusedKernel[F]) step(dst, src []F) float64 {
 	checkMulDims(k.mat, src, dst)
-	k.src, k.dst, k.wantRes = src, dst, wantResidual
+	k.src, k.dst = src, dst
 	if k.affine {
 		k.phase = fusedPhaseAffine
 		k.dispatch()
@@ -405,9 +397,6 @@ func (k *fusedKernel[F]) step(dst, src []F, wantResidual bool) float64 {
 		k.phase = fusedPhaseFinish
 		k.dispatch()
 	}
-	if !wantResidual {
-		return math.NaN()
-	}
 	return k.reduceResidual()
 }
 
@@ -422,8 +411,8 @@ func (k *fusedKernel[F]) Close() {
 
 // FusedPower is the fused damped power-method iteration kernel: one Step
 // computes dst = c·(pt·src) + lost·t, where lost = max(0, 1 − ‖c·pt·src‖₁)
-// is the mass lost to damping and dangling rows, and (optionally) the
-// residual ‖dst−src‖ in the configured norm — all in two parallel stripe
+// is the mass lost to damping and dangling rows, and the residual
+// ‖dst−src‖ in the configured norm — all in two parallel stripe
 // passes plus one serial index-order sum. At float64 the iterate bits are
 // identical to the unfused MulVecParallel + Scale + sum + axpy sequence
 // at every worker count; at either precision the iterate and the residual
@@ -450,12 +439,11 @@ func NewFusedPower[F Float](pt *Matrix[F], c float64, t []F, norm ResidualNorm, 
 	return &FusedPower[F]{k: k}, nil
 }
 
-// Step advances one iteration: dst ← c·(pt·src) + lost·t. When
-// wantResidual is set it returns ‖dst−src‖ in the kernel's norm;
-// otherwise the residual passes are skipped entirely and Step returns
-// NaN. dst and src must not alias and must each have pt.Rows entries.
-func (f *FusedPower[F]) Step(dst, src []F, wantResidual bool) float64 {
-	return f.k.step(dst, src, wantResidual)
+// Step advances one iteration, dst ← c·(pt·src) + lost·t, and returns
+// ‖dst−src‖ in the kernel's norm. dst and src must not alias and must
+// each have pt.Rows entries.
+func (f *FusedPower[F]) Step(dst, src []F) float64 {
+	return f.k.step(dst, src)
 }
 
 // Close releases the kernel's worker pool.
@@ -476,10 +464,9 @@ func widen[F Float](x []F) Vector {
 // iterateFused drives a fused kernel to convergence with ping-pong
 // buffers: cur is the starting iterate, which the driver takes ownership
 // of, a second vector is allocated up front and the two are swapped every
-// iteration, so the loop itself performs zero allocations. The residual
-// is computed only on check iterations (every opt.CheckEvery-th, plus the
-// MaxIter-th). The converged iterate is returned widened to float64, so
-// downstream ranking code is precision-agnostic.
+// iteration, so the loop itself performs zero allocations. The converged
+// iterate is returned widened to float64, so downstream ranking code is
+// precision-agnostic.
 //
 // Two options differ at float32: tolerances below Float32Tol are clamped
 // up to it, and a Progress callback — which observes float64 iterates the
@@ -492,22 +479,17 @@ func iterateFused[F Float](k *fusedKernel[F], cur []F, opt SolverOptions) (Vecto
 		}
 		opt.Tol = max(opt.Tol, Float32Tol)
 	}
-	check := opt.checkEvery()
 	next := make([]F, len(cur))
 	var st IterStats
 	for st.Iterations = 1; st.Iterations <= opt.MaxIter; st.Iterations++ {
-		wantRes := st.Iterations%check == 0 || st.Iterations == opt.MaxIter
-		res := k.step(next, cur, wantRes)
-		if wantRes {
-			st.Residual = res
-		}
+		st.Residual = k.step(next, cur)
 		cur, next = next, cur
 		if opt.Progress != nil {
 			if err := opt.Progress(st.Iterations, widen(cur)); err != nil {
 				return widen(cur), st, err
 			}
 		}
-		if wantRes && st.Residual < opt.Tol {
+		if st.Residual < opt.Tol {
 			st.Converged = true
 			return widen(cur), st, nil
 		}

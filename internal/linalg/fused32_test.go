@@ -77,7 +77,7 @@ func TestFusedPower32WorkerInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			dst := make(Vector32, n)
-			res := k.Step(dst, src, true)
+			res := k.Step(dst, src)
 			k.Close()
 			for i := range dst {
 				if dst[i] != want[i] {
@@ -113,7 +113,7 @@ func TestFusedAffine32WorkerInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			dst := make(Vector32, n)
-			res := k.step(dst, src, true)
+			res := k.step(dst, src)
 			k.Close()
 			if workers == 1 {
 				first, res1 = dst, res
@@ -228,10 +228,10 @@ func TestFused32StepZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, dst := slices.Clone(tel), make(Vector32, 512)
-	k.Step(dst, src, true)
+	k.Step(dst, src)
 	if n := testing.AllocsPerRun(50, func() {
-		k.Step(dst, src, true)
-		k.Step(src, dst, false)
+		k.Step(dst, src)
+		k.Step(src, dst)
 	}); n != 0 {
 		t.Fatalf("fused power32 Step allocated %v times per run", n)
 	}
@@ -241,9 +241,9 @@ func TestFused32StepZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ka.step(dst, src, true)
+	ka.step(dst, src)
 	if n := testing.AllocsPerRun(50, func() {
-		ka.step(dst, src, true)
+		ka.step(dst, src)
 	}); n != 0 {
 		t.Fatalf("fused affine32 Step allocated %v times per run", n)
 	}
@@ -260,11 +260,11 @@ func TestFused32CloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make(Vector32, 64)
-	k.Step(dst, tel, true)
+	k.Step(dst, tel)
 	want := slices.Clone(dst)
 	k.Close()
 	k.Close()
-	k.Step(dst, tel, true)
+	k.Step(dst, tel)
 	for i := range dst {
 		if dst[i] != want[i] {
 			t.Fatalf("post-Close Step diverged at %d: %v != %v", i, dst[i], want[i])
@@ -285,11 +285,11 @@ func BenchmarkFusedPower32Step(b *testing.B) {
 	}
 	defer k.Close()
 	src, dst := slices.Clone(tel32), make(Vector32, len(tel32))
-	k.Step(dst, src, true)
+	k.Step(dst, src)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Step(dst, src, true)
+		k.Step(dst, src)
 		src, dst = dst, src
 	}
 }
@@ -305,11 +305,11 @@ func BenchmarkFusedAffine32Step(b *testing.B) {
 	}
 	defer k.Close()
 	src, dst := slices.Clone(b32), make(Vector32, len(b32))
-	k.step(dst, src, true)
+	k.step(dst, src)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.step(dst, src, true)
+		k.step(dst, src)
 		src, dst = dst, src
 	}
 }

@@ -132,7 +132,7 @@ func TestFusedPowerBitwiseMatchesUnfused(t *testing.T) {
 					t.Fatal(err)
 				}
 				dst := NewVector(n)
-				res := k.Step(dst, src, true)
+				res := k.Step(dst, src)
 				k.Close()
 				for i := range dst {
 					if dst[i] != want[i] {
@@ -181,7 +181,7 @@ func TestFusedAffineBitwiseMatchesUnfused(t *testing.T) {
 					t.Fatal(err)
 				}
 				dst := NewVector(n)
-				res := k.step(dst, src, true)
+				res := k.step(dst, src)
 				k.Close()
 				for i := range dst {
 					if dst[i] != want[i] {
@@ -212,7 +212,7 @@ func TestFusedResidualL1(t *testing.T) {
 	}
 	defer k.Close()
 	dst := NewVector(64)
-	res := k.Step(dst, src, true)
+	res := k.Step(dst, src)
 	var want float64
 	for i := range dst {
 		want += math.Abs(dst[i] - src[i])
@@ -273,69 +273,6 @@ func TestJacobiAffineTFusedMatchesGenericPath(t *testing.T) {
 	}
 }
 
-// TestCheckEveryCadence verifies that CheckEvery=k converges at a check
-// iteration (a multiple of k), never before the every-iteration solve,
-// at most k-1 iterations after it, and to the same fixed point.
-func TestCheckEveryCadence(t *testing.T) {
-	p := randChain(t, 17, 80)
-	pt := p.Transpose()
-	tel := NewUniformVector(80)
-	every, est, err := PowerMethodT(pt, 0.85, tel, nil, SolverOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !est.Converged {
-		t.Fatal("baseline solve did not converge")
-	}
-	const k = 7
-	sparse, sst, err := PowerMethodT(pt, 0.85, tel, nil, SolverOptions{CheckEvery: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sst.Converged {
-		t.Fatal("CheckEvery solve did not converge")
-	}
-	if sst.Iterations%k != 0 {
-		t.Fatalf("converged at iteration %d, not a multiple of CheckEvery=%d", sst.Iterations, k)
-	}
-	if sst.Iterations < est.Iterations || sst.Iterations >= est.Iterations+k {
-		t.Fatalf("CheckEvery=%d converged at %d; every-iteration baseline %d", k, sst.Iterations, est.Iterations)
-	}
-	if d := L2Distance(every, sparse); d > 1e-9 {
-		t.Fatalf("fixed points differ by %v", d)
-	}
-}
-
-// TestCheckEveryGenericPath checks the same cadence through the other
-// kernel the shared driver runs: the affine solve, at both value types.
-func TestCheckEveryGenericPath(t *testing.T) {
-	at := randChain(t, 19, 80).Transpose()
-	b := NewUniformVector(80)
-	b.Scale(0.15)
-	cadence := func(name string, solve func(SolverOptions) (Vector, IterStats, error)) {
-		_, every, err := solve(SolverOptions{Tol: 1e-6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, sparse, err := solve(SolverOptions{Tol: 1e-6, CheckEvery: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !every.Converged || !sparse.Converged {
-			t.Fatalf("%s convergence: every=%v sparse=%v", name, every.Converged, sparse.Converged)
-		}
-		if sparse.Iterations%5 != 0 {
-			t.Fatalf("%s converged at %d, not a multiple of 5", name, sparse.Iterations)
-		}
-		if sparse.Iterations < every.Iterations || sparse.Iterations >= every.Iterations+5 {
-			t.Fatalf("%s: CheckEvery=5 converged at %d; baseline %d", name, sparse.Iterations, every.Iterations)
-		}
-	}
-	cadence("float64", func(opt SolverOptions) (Vector, IterStats, error) { return JacobiAffineT(at, 0.85, b, opt) })
-	at32 := NewCSR32(at)
-	cadence("float32", func(opt SolverOptions) (Vector, IterStats, error) { return JacobiAffineT(at32, 0.85, b, opt) })
-}
-
 // TestFusedEmptyMatrix covers the degenerate 0x0 solve: no panic, and
 // the zero-length residual converges immediately.
 func TestFusedEmptyMatrix(t *testing.T) {
@@ -384,7 +321,7 @@ func TestFusedDimensionErrors(t *testing.T) {
 }
 
 // TestFusedStepZeroAlloc asserts the kernel's core promise: after the
-// pool is up, Step allocates nothing — with and without the residual.
+// pool is up, Step allocates nothing.
 func TestFusedStepZeroAlloc(t *testing.T) {
 	forceFusedParallel(t)
 	p := randChain(t, 21, 512)
@@ -396,10 +333,10 @@ func TestFusedStepZeroAlloc(t *testing.T) {
 	}
 	defer k.Close()
 	src, dst := tel.Clone(), NewVector(512)
-	k.Step(dst, src, true) // warm up
+	k.Step(dst, src) // warm up
 	if n := testing.AllocsPerRun(50, func() {
-		k.Step(dst, src, true)
-		k.Step(src, dst, false)
+		k.Step(dst, src)
+		k.Step(src, dst)
 	}); n != 0 {
 		t.Fatalf("fused power Step allocated %v times per run", n)
 	}
@@ -409,9 +346,9 @@ func TestFusedStepZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ka.Close()
-	ka.step(dst, src, true)
+	ka.step(dst, src)
 	if n := testing.AllocsPerRun(50, func() {
-		ka.step(dst, src, true)
+		ka.step(dst, src)
 	}); n != 0 {
 		t.Fatalf("fused affine Step allocated %v times per run", n)
 	}
@@ -429,11 +366,11 @@ func TestFusedCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := NewVector(64)
-	k.Step(dst, tel, true)
+	k.Step(dst, tel)
 	want := dst.Clone()
 	k.Close()
 	k.Close()
-	k.Step(dst, tel, true)
+	k.Step(dst, tel)
 	for i := range dst {
 		if dst[i] != want[i] {
 			t.Fatalf("post-Close Step diverged at %d: %v != %v", i, dst[i], want[i])
@@ -448,7 +385,7 @@ func benchChain(b *testing.B, n int) (*CSR, Vector) {
 	return pt, NewUniformVector(n)
 }
 
-// BenchmarkFusedPowerStep measures one fused iteration (with residual).
+// BenchmarkFusedPowerStep measures one fused iteration.
 // CI gates this benchmark's -benchmem output at 0 allocs/op.
 func BenchmarkFusedPowerStep(b *testing.B) {
 	pt, tel := benchChain(b, 20000)
@@ -458,11 +395,11 @@ func BenchmarkFusedPowerStep(b *testing.B) {
 	}
 	defer k.Close()
 	src, dst := tel.Clone(), NewVector(len(tel))
-	k.Step(dst, src, true)
+	k.Step(dst, src)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Step(dst, src, true)
+		k.Step(dst, src)
 		src, dst = dst, src
 	}
 }

@@ -44,18 +44,6 @@ var goldenSolve64 = []struct {
 		},
 	},
 	{
-		name: "power-n200-checkevery5",
-		hash: 0x301c74d31a7f8dd0,
-		run: func(t *testing.T) Vector {
-			pt := randChain(t, 11, 200).Transpose()
-			x, st, err := PowerMethodT(pt, 0.85, NewUniformVector(200), nil, SolverOptions{Workers: 2, CheckEvery: 5})
-			if err != nil || !st.Converged {
-				t.Fatalf("solve: %v %+v", err, st)
-			}
-			return x
-		},
-	},
-	{
 		name: "jacobi-n150",
 		hash: 0xdc0f5b6cc6c053e7,
 		run: func(t *testing.T) Vector {

@@ -477,23 +477,6 @@ func (s *Slab[F]) Close() error {
 	return mp.Close()
 }
 
-// ReleaseEntries reports entries [pLo, pHi) of the Cols and Vals
-// sections as consumed — exactly what the fused kernel does after each
-// row stripe: once a release window's worth of reports has accumulated
-// their pages are dropped and the following window is prefetched. It is
-// a no-op unless the slab was opened under a residency budget, and it
-// never changes observable bytes (released pages re-fault from the
-// file). Callers that stream a slab's entries outside a solve — the
-// slab-backed refresh copies clean rows into the next generation — use
-// it to keep the copy's resident footprint within the budget; less than
-// a window may still be pending when they stop, and goes with the
-// mapping at Close.
-func (s *Slab[F]) ReleaseEntries(pLo, pHi int64) {
-	if s.m != nil {
-		s.m.res.ownWindow().done(pLo, pHi)
-	}
-}
-
 // Residency reports what the slab's residency controller has done so far.
 func (s *Slab[F]) Residency() SlabResidency { return s.m.res.snapshot() }
 
@@ -666,8 +649,8 @@ type slabResidency struct {
 
 	windowBytes, releaseCalls, releasedBytes, prefetchedBytes atomic.Int64
 
-	// own is the window of the consumers that hold no dense vectors: the
-	// open-time structural sweep and SlabCSR.ReleaseEntries.
+	// own is the window of the consumer that holds no dense vectors: the
+	// open-time structural sweep.
 	own *releaseWindow
 }
 

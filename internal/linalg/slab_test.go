@@ -363,21 +363,19 @@ func TestPowerMethodTUniformMatchesExplicit(t *testing.T) {
 	alpha := 0.85
 	tele := NewUniformVector(pt.Rows)
 	for _, workers := range []int{1, 2, 3, 8} {
-		for _, checkEvery := range []int{0, 4} {
-			opt := SolverOptions{Tol: 1e-12, Workers: workers, CheckEvery: checkEvery}
-			want, st1, err := PowerMethodT(pt, alpha, tele, nil, opt)
-			if err != nil || !st1.Converged {
-				t.Fatalf("explicit: %v %+v", err, st1)
-			}
-			got, st2, err := PowerMethodTUniform(pt, alpha, opt)
-			if err != nil || !st2.Converged {
-				t.Fatalf("uniform: %v %+v", err, st2)
-			}
-			if st1.Iterations != st2.Iterations || math.Float64bits(st1.Residual) != math.Float64bits(st2.Residual) {
-				t.Fatalf("stats diverge: %+v vs %+v", st1, st2)
-			}
-			sameBits(t, "uniform teleport", want, got)
+		opt := SolverOptions{Tol: 1e-12, Workers: workers}
+		want, st1, err := PowerMethodT(pt, alpha, tele, nil, opt)
+		if err != nil || !st1.Converged {
+			t.Fatalf("explicit: %v %+v", err, st1)
 		}
+		got, st2, err := PowerMethodTUniform(pt, alpha, opt)
+		if err != nil || !st2.Converged {
+			t.Fatalf("uniform: %v %+v", err, st2)
+		}
+		if st1.Iterations != st2.Iterations || math.Float64bits(st1.Residual) != math.Float64bits(st2.Residual) {
+			t.Fatalf("stats diverge: %+v vs %+v", st1, st2)
+		}
+		sameBits(t, "uniform teleport", want, got)
 	}
 }
 

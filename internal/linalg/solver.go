@@ -19,13 +19,6 @@ type SolverOptions struct {
 	Tol     float64 // convergence threshold on successive-iterate distance; default 1e-9
 	MaxIter int     // iteration cap; default 1000
 	Workers int     // goroutines for SpMV; <=0 means GOMAXPROCS
-	// CheckEvery computes the convergence residual only on every k-th
-	// iteration (and always on the MaxIter-th), letting the iterations
-	// in between skip the norm entirely. <= 1 checks every iteration.
-	// Convergence is detected at the first check iteration at or after
-	// the true crossing, so a solve may run up to CheckEvery-1 extra
-	// iterations — never fewer.
-	CheckEvery int
 	// Progress, if set, observes each completed iteration (1-based) with
 	// the current iterate. Returning a non-nil error aborts the solve and
 	// is surfaced by the error-returning solvers; the checkpointing layer
@@ -42,13 +35,6 @@ func (o SolverOptions) withDefaults() SolverOptions {
 		o.MaxIter = 1000
 	}
 	return o
-}
-
-func (o SolverOptions) checkEvery() int {
-	if o.CheckEvery <= 1 {
-		return 1
-	}
-	return o.CheckEvery
 }
 
 // ErrDimension reports mismatched operand sizes passed to a solver.

@@ -34,13 +34,7 @@ func HITS(g *graph.Graph, opt Options) (*HITSResult, error) {
 	}
 	at := a.Transpose()
 
-	sopt := opt.solver()
-	if sopt.Tol <= 0 {
-		sopt.Tol = 1e-9
-	}
-	if sopt.MaxIter <= 0 {
-		sopt.MaxIter = 1000
-	}
+	tol := opt.tol()
 	auth := linalg.NewVector(n)
 	auth.Fill(1)
 	normalize2(auth)
@@ -48,21 +42,21 @@ func HITS(g *graph.Graph, opt Options) (*HITSResult, error) {
 	prev := auth.Clone()
 
 	res := &HITSResult{}
-	for res.Stats.Iterations = 1; res.Stats.Iterations <= sopt.MaxIter; res.Stats.Iterations++ {
+	for res.Stats.Iterations = 1; res.Stats.Iterations <= maxIter; res.Stats.Iterations++ {
 		// h = A·a ; a' = Aᵀ·h
-		linalg.MulVecParallel(a, auth, hubs, sopt.Workers)
+		linalg.MulVecParallel(a, auth, hubs, opt.Workers)
 		normalize2(hubs)
-		linalg.MulVecParallel(at, hubs, auth, sopt.Workers)
+		linalg.MulVecParallel(at, hubs, auth, opt.Workers)
 		normalize2(auth)
 		res.Stats.Residual = linalg.L2Distance(auth, prev)
 		copy(prev, auth)
-		if res.Stats.Residual < sopt.Tol {
+		if res.Stats.Residual < tol {
 			res.Stats.Converged = true
 			break
 		}
 	}
-	if res.Stats.Iterations > sopt.MaxIter {
-		res.Stats.Iterations = sopt.MaxIter
+	if res.Stats.Iterations > maxIter {
+		res.Stats.Iterations = maxIter
 	}
 	res.Hubs = hubs
 	res.Authorities = auth

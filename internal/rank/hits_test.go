@@ -59,7 +59,7 @@ func TestHITSEmptyGraph(t *testing.T) {
 }
 
 func TestHITSEdgelessGraph(t *testing.T) {
-	res, err := HITS(graph.NewBuilder(4).Build(), Options{MaxIter: 10})
+	res, err := HITS(graph.NewBuilder(4).Build(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,6 @@ type Options struct {
 	// Tol is the L2 convergence threshold on successive iterates;
 	// 0 defaults to 1e-9, the paper's threshold.
 	Tol float64
-	// MaxIter caps iterations; 0 defaults to 1000.
-	MaxIter int
 	// Workers bounds SpMV parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Teleport optionally overrides the uniform teleportation vector.
@@ -34,9 +32,6 @@ type Options struct {
 	// than the full spectral gap. Must have length NumNodes; the solver
 	// converges to the same fixed point from any starting distribution.
 	X0 linalg.Vector
-	// CheckEvery thins residual computation to every k-th iteration
-	// (see linalg.SolverOptions.CheckEvery). <= 1 checks every iteration.
-	CheckEvery int
 	// Precision selects the arithmetic of the power iteration. The
 	// default, linalg.Float64, is the reference path. linalg.Float32 runs
 	// the iteration on the float32 fused kernels — the matrix values and
@@ -54,8 +49,19 @@ func (o Options) alpha() float64 {
 	return o.Alpha
 }
 
+func (o Options) tol() float64 {
+	if o.Tol <= 0 {
+		return 1e-9
+	}
+	return o.Tol
+}
+
+// maxIter caps the HITS and SALSA iterations, as linalg's default caps
+// the solvers'.
+const maxIter = 1000
+
 func (o Options) solver() linalg.SolverOptions {
-	return linalg.SolverOptions{Tol: o.Tol, MaxIter: o.MaxIter, Workers: o.Workers, CheckEvery: o.CheckEvery}
+	return linalg.SolverOptions{Tol: o.Tol, Workers: o.Workers}
 }
 
 // ErrEmptyGraph reports ranking over a graph with no nodes.

@@ -57,13 +57,7 @@ func SALSA(g *graph.Graph, opt Options) (*SALSAResult, error) {
 	}
 	wrT := wr.Transpose()
 
-	sopt := linalg.SolverOptions{Tol: opt.Tol, MaxIter: opt.MaxIter, Workers: opt.Workers}
-	if sopt.Tol <= 0 {
-		sopt.Tol = 1e-9
-	}
-	if sopt.MaxIter <= 0 {
-		sopt.MaxIter = 1000
-	}
+	tol := opt.tol()
 
 	// Authority chain step: a' = W_cᵀ(W_rᵀ... careful with orientation:
 	// authority walk: from authority v, go backward to a hub u (pick
@@ -75,34 +69,34 @@ func SALSA(g *graph.Graph, opt Options) (*SALSAResult, error) {
 	tmp := linalg.NewVector(n)
 	res := &SALSAResult{}
 	authNext := linalg.NewVector(n)
-	for res.Stats.Iterations = 1; res.Stats.Iterations <= sopt.MaxIter; res.Stats.Iterations++ {
+	for res.Stats.Iterations = 1; res.Stats.Iterations <= maxIter; res.Stats.Iterations++ {
 		// tmp = W_c · a (backward step mass to hubs)
-		linalg.MulVecParallel(wc, auth, tmp, sopt.Workers)
+		linalg.MulVecParallel(wc, auth, tmp, opt.Workers)
 		// a' = W_rᵀ · tmp (forward step back to authorities)
-		linalg.MulVecParallel(wrT, tmp, authNext, sopt.Workers)
+		linalg.MulVecParallel(wrT, tmp, authNext, opt.Workers)
 		authNext.Normalize1()
 		res.Stats.Residual = linalg.L2Distance(authNext, auth)
 		auth, authNext = authNext, auth
-		if res.Stats.Residual < sopt.Tol {
+		if res.Stats.Residual < tol {
 			res.Stats.Converged = true
 			break
 		}
 	}
-	if res.Stats.Iterations > sopt.MaxIter {
-		res.Stats.Iterations = sopt.MaxIter
+	if res.Stats.Iterations > maxIter {
+		res.Stats.Iterations = maxIter
 	}
 	// Hub chain: from hub u step forward to an authority (W_r), then
 	// backward to a hub (W_c): P_h = W_r·W_cᵀ, so the stationary column
 	// vector satisfies h = P_hᵀ·h = W_c·W_rᵀ·h.
 	hubs := linalg.NewUniformVector(n)
 	hubNext := linalg.NewVector(n)
-	for i := 0; i < sopt.MaxIter; i++ {
-		linalg.MulVecParallel(wrT, hubs, tmp, sopt.Workers)
-		linalg.MulVecParallel(wc, tmp, hubNext, sopt.Workers)
+	for i := 0; i < maxIter; i++ {
+		linalg.MulVecParallel(wrT, hubs, tmp, opt.Workers)
+		linalg.MulVecParallel(wc, tmp, hubNext, opt.Workers)
 		hubNext.Normalize1()
 		d := linalg.L2Distance(hubNext, hubs)
 		hubs, hubNext = hubNext, hubs
-		if d < sopt.Tol {
+		if d < tol {
 			break
 		}
 	}

@@ -83,7 +83,7 @@ func TestSALSAEmptyGraph(t *testing.T) {
 }
 
 func TestSALSAEdgelessGraph(t *testing.T) {
-	res, err := SALSA(graph.NewBuilder(3).Build(), Options{MaxIter: 5})
+	res, err := SALSA(graph.NewBuilder(3).Build(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

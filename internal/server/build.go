@@ -14,24 +14,17 @@ import (
 	"sourcerank/internal/source"
 )
 
-// BuildConfig configures the offline snapshot computation.
+// BuildConfig configures the offline snapshot computation, which
+// computes every one of DefaultAlgos — AlgoSRSR only when spam labels
+// are given, since the proximity walk needs a seed set — with each solve
+// run to linalg's default tolerance and iteration cap.
 type BuildConfig struct {
-	// Algos selects which score sets to compute; nil means DefaultAlgos.
-	// AlgoSRSR is skipped (not an error) when no spam labels are given,
-	// since the proximity walk needs a seed set.
-	Algos []Algo
 	// Alpha is the mixing parameter for all walks; 0 defaults to 0.85.
 	Alpha float64
 	// TopK is the number of highest-proximity sources throttled fully;
 	// 0 defaults to 2.7% of sources, the paper's WB2001 ratio.
 	TopK int
-	// TrustedSeeds is the TrustRank seed count; 0 defaults to 10. Seeds
-	// are the non-spam sources with the most pages, as in cmd/srank.
-	TrustedSeeds int
-	// Tol, MaxIter, Workers bound the solvers (zero values use the
-	// linalg defaults).
-	Tol     float64
-	MaxIter int
+	// Workers bounds solver parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Precision selects the stationary-solve arithmetic for every
 	// computed algorithm: the default linalg.Float64 reference path, or
@@ -43,9 +36,8 @@ type BuildConfig struct {
 	// SlabDir, when set, routes the SRSR stationary solve through a
 	// slab-backed operand under MaxResident instead of the in-heap CSR
 	// (see core.Config.SlabDir); scores stay bitwise identical. The
-	// source-level PageRank/TrustRank baselines always solve in heap —
-	// their operand is the same size as the throttled one, so operators
-	// bounding refresh RSS should restrict Algos to AlgoSRSR.
+	// source-level PageRank/TrustRank baselines always solve in heap,
+	// over one Mᵀ per structure version.
 	SlabDir string
 	// MaxResident, with SlabDir set, is the resident-set budget in bytes
 	// of the slab-backed solve — row pointers, dense vectors and two
@@ -108,10 +100,6 @@ type baseline struct {
 type Builder struct {
 	// Config is fixed for the builder's lifetime.
 	Config BuildConfig
-	// TransitionT, if set, supplies Mᵀ of a corpus' structure in place of
-	// the in-heap rank.TransitionT the builder otherwise retains per
-	// version (the stream pipeline's slab generations).
-	TransitionT func(c Corpus) (*linalg.CSR, error)
 
 	mu     sync.Mutex
 	srsr   core.RefreshState
@@ -121,7 +109,7 @@ type Builder struct {
 }
 
 // BuildSnapshot runs the offline stage: derive the source graph once,
-// compute every requested algorithm's score vector over it, and index
+// compute every algorithm's score vector over it, and index
 // the results into an immutable Snapshot ready for Store.Publish.
 func BuildSnapshot(pg *pagegraph.Graph, spam []int32, cfg BuildConfig) (*Snapshot, error) {
 	sg, err := source.Build(pg, source.Options{})
@@ -159,12 +147,8 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 	if topK <= 0 {
 		topK = int(0.027*float64(n) + 0.5)
 	}
-	algos := cfg.Algos
-	if len(algos) == 0 {
-		algos = DefaultAlgos
-	}
-	sets := make(map[Algo]*ScoreSet, len(algos))
-	for _, algo := range algos {
+	sets := make(map[Algo]*ScoreSet, len(DefaultAlgos))
+	for _, algo := range DefaultAlgos {
 		start := time.Now()
 		var scores linalg.Vector
 		var stats linalg.IterStats
@@ -176,7 +160,7 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 			}
 			warm = b.srsr.Scores != nil
 			res, ri, err := core.PipelineRefresh(sg, c.Structure, core.PipelineConfig{
-				Config: core.Config{Alpha: cfg.Alpha, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers,
+				Config: core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers,
 					Precision: cfg.Precision, SlabDir: cfg.SlabDir, MaxResident: cfg.MaxResident},
 				SpamSeeds: spam,
 				TopK:      topK,
@@ -190,7 +174,7 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 			// differ only in teleport: PageRank's is uniform (no seeds).
 			bl, skipped, seeds := &b.pr, &info.PageRankSkipped, []int32(nil)
 			if algo == AlgoTrustRank {
-				bl, skipped, seeds = &b.tr, &info.TrustRankSkipped, TrustedSeeds(sg, cfg.TrustedSeeds, spam)
+				bl, skipped, seeds = &b.tr, &info.TrustRankSkipped, TrustedSeeds(sg, spam)
 			}
 			warm = bl.scores != nil
 			if warm && bl.ver == c.Version && len(bl.scores) == n && slices.Equal(seeds, bl.seeds) {
@@ -203,17 +187,12 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 				// last measured and the zero iterations this build ran.
 				stats.Iterations = 0
 			}
-		default:
-			return nil, info, fmt.Errorf("server: unknown algorithm %q", algo)
 		}
 		sets[algo] = NewScoreSetSolved(scores, stats, time.Since(start), warm)
 		sets[algo].solvePrec = cfg.Precision
 	}
 	for algo, vec := range cfg.Extra {
 		sets[algo] = NewScoreSet(vec, linalg.IterStats{Converged: true})
-	}
-	if len(sets) == 0 {
-		return nil, info, fmt.Errorf("server: no score sets computed (srsr needs spam labels)")
 	}
 	corpus := CorpusInfo{
 		Name:        cfg.Name,
@@ -229,14 +208,14 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 // vector, teleporting to seeds (uniformly when there are none) over the
 // Mᵀ both baselines share.
 func (b *Builder) solveBaseline(c Corpus, bl *baseline, seeds []int32) error {
-	mt, err := b.transitionT(c)
-	if err != nil {
-		return err
+	if b.mt == nil || b.mtVer != c.Version {
+		b.mt, b.mtVer = rank.TransitionT(c.Structure), c.Version
 	}
-	cfg := b.Config
-	opt := rank.Options{Alpha: cfg.Alpha, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Workers: cfg.Workers,
+	mt, cfg := b.mt, b.Config
+	opt := rank.Options{Alpha: cfg.Alpha, Workers: cfg.Workers,
 		X0: bl.scores.Padded(mt.Rows), Precision: cfg.Precision}
 	if seeds != nil {
+		var err error
 		if opt.Teleport, err = rank.TrustTeleport(mt.Rows, seeds); err != nil {
 			return err
 		}
@@ -249,27 +228,13 @@ func (b *Builder) solveBaseline(c Corpus, bl *baseline, seeds []int32) error {
 	return nil
 }
 
-// transitionT resolves the Mᵀ both baselines solve over, built once per
-// structure version by whichever runs first.
-func (b *Builder) transitionT(c Corpus) (*linalg.CSR, error) {
-	if b.TransitionT != nil {
-		return b.TransitionT(c)
-	}
-	if b.mt == nil || b.mtVer != c.Version {
-		b.mt, b.mtVer = rank.TransitionT(c.Structure), c.Version
-	}
-	return b.mt, nil
-}
-
-// TrustedSeeds picks the k (0 means 10) non-spam sources with the most
-// pages, ties to the lower ID — the stand-in for a hand-curated trust seed
-// set, shared by the cold builder and the streaming refresh. It keeps the
-// k best seen so far in order instead of sorting every source, so a
-// refresh pays O(sources) for it.
-func TrustedSeeds(sg *source.Graph, k int, spam []int32) []int32 {
-	if k <= 0 {
-		k = 10
-	}
+// TrustedSeeds picks the 10 non-spam sources with the most pages, ties to
+// the lower ID — the stand-in for a hand-curated trust seed set, shared by
+// the cold builder and the streaming refresh. It keeps the 10 best seen so
+// far in order instead of sorting every source, so a refresh pays
+// O(sources) for it.
+func TrustedSeeds(sg *source.Graph, spam []int32) []int32 {
+	const k = 10
 	ex := make(map[int32]bool, len(spam))
 	for _, s := range spam {
 		ex[s] = true

@@ -9,7 +9,6 @@ import (
 	"sourcerank/internal/gen"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
-	"sourcerank/internal/rank"
 	"sourcerank/internal/source"
 	"sourcerank/internal/throttle"
 )
@@ -177,7 +176,7 @@ func TestBuilderLabelChange(t *testing.T) {
 	if _, _, err := b.Build(c, ds.SpamSources); err != nil {
 		t.Fatal(err)
 	}
-	trusted := TrustedSeeds(c.Source, 0, ds.SpamSources)
+	trusted := TrustedSeeds(c.Source, ds.SpamSources)
 	for _, tc := range []struct {
 		name       string
 		spam       []int32
@@ -255,41 +254,6 @@ func TestWarmStartShapeChangeFallsBack(t *testing.T) {
 				t.Errorf("build %d: %s differs from cold by %g", ver, algo, d)
 			}
 		}
-	}
-}
-
-// TestBuilderTransitionProvider: with a TransitionT provider the builder
-// asks it for Mᵀ once per baseline solve and never materializes its own
-// in-heap copy; scores equal the default builder's bit for bit.
-func TestBuilderTransitionProvider(t *testing.T) {
-	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := testCorpus(t, ds.Pages, 0)
-	calls := 0
-	b := &Builder{TransitionT: func(c Corpus) (*linalg.CSR, error) {
-		calls++
-		return rank.TransitionT(c.Structure), nil
-	}}
-	got, _, err := b.Build(c, ds.SpamSources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 || b.mt != nil {
-		t.Fatalf("provider called %d times (want 2), in-heap Mᵀ retained: %v", calls, b.mt != nil)
-	}
-	want, err := BuildSnapshot(ds.Pages, ds.SpamSources, BuildConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range want.Algos() {
-		if !slices.Equal(got.Set(algo).ScoresView(), want.Set(algo).ScoresView()) {
-			t.Errorf("%s: provider-backed build differs from the default", algo)
-		}
-	}
-	if _, _, err := b.Build(c, ds.SpamSources); err != nil || calls != 2 {
-		t.Fatalf("carried build asked for Mᵀ again (calls %d, err %v)", calls, err)
 	}
 }
 

@@ -36,8 +36,6 @@ type Config struct {
 	Addr string
 	// RequestTimeout bounds each request's context; 0 defaults to 5s.
 	RequestTimeout time.Duration
-	// ShutdownGrace bounds graceful shutdown; 0 defaults to 10s.
-	ShutdownGrace time.Duration
 	// StalenessBudget is how old the serving snapshot may grow before
 	// /healthz reports degraded (503). Data endpoints keep serving the
 	// stale snapshot either way, flagged with an X-Snapshot-Stale
@@ -91,13 +89,6 @@ func (c Config) requestTimeout() time.Duration {
 	return c.RequestTimeout
 }
 
-func (c Config) shutdownGrace() time.Duration {
-	if c.ShutdownGrace <= 0 {
-		return 10 * time.Second
-	}
-	return c.ShutdownGrace
-}
-
 // Server serves ranking queries from a Store's current snapshot.
 type Server struct {
 	cfg      Config
@@ -132,8 +123,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) Handler() http.Handler { return s.routes() }
 
 // Run listens on cfg.Addr and serves until ctx is canceled, then shuts
-// down gracefully within cfg.ShutdownGrace. It returns nil on a clean
-// shutdown.
+// down gracefully within 10 seconds. It returns nil on a clean shutdown.
 func (s *Server) Run(ctx context.Context) error {
 	l, err := net.Listen("tcp", s.cfg.addr())
 	if err != nil {
@@ -160,7 +150,7 @@ func (s *Server) RunListener(ctx context.Context, l net.Listener) error {
 		return err
 	case <-ctx.Done():
 	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), s.cfg.shutdownGrace())
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		_ = srv.Close()

@@ -160,7 +160,7 @@ func TestBuildSnapshotFromPreset(t *testing.T) {
 
 // The cold builder solves both baselines over one shared Mᵀ. Each must
 // carry the bits of the standalone entry point, which builds its own
-// operand — in either algorithm order, at both precisions.
+// operand, at both precisions.
 func TestBuildSnapshotBaselinesShareOperand(t *testing.T) {
 	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
 	if err != nil {
@@ -171,27 +171,25 @@ func TestBuildSnapshotBaselinesShareOperand(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, prec := range []linalg.Precision{linalg.Float64, linalg.Float32} {
-		for _, algos := range [][]Algo{{AlgoPageRank, AlgoTrustRank}, {AlgoTrustRank, AlgoPageRank}, {AlgoTrustRank}} {
-			cfg := BuildConfig{Algos: algos, Precision: prec, Workers: 2}
-			snap, err := BuildSnapshotFromSourceGraph(ds.Pages, sg, ds.SpamSources, cfg)
+		cfg := BuildConfig{Precision: prec, Workers: 2}
+		snap, err := BuildSnapshotFromSourceGraph(ds.Pages, sg, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := rank.Options{Workers: cfg.Workers, Precision: cfg.Precision}
+		for _, algo := range []Algo{AlgoPageRank, AlgoTrustRank} {
+			var want *rank.Result
+			if algo == AlgoPageRank {
+				want, err = rank.PageRank(sg.Structure(), opt)
+			} else {
+				want, err = rank.TrustRank(sg.Structure(), TrustedSeeds(sg, nil), opt)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := rank.Options{Workers: cfg.Workers, Precision: cfg.Precision}
-			for _, algo := range algos {
-				var want *rank.Result
-				if algo == AlgoPageRank {
-					want, err = rank.PageRank(sg.Structure(), opt)
-				} else {
-					want, err = rank.TrustRank(sg.Structure(), TrustedSeeds(sg, 0, ds.SpamSources), opt)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := snap.Set(algo)
-				if got.Stats() != want.Stats || !slices.Equal(got.ScoresView(), want.Scores) {
-					t.Fatalf("%v %v in %v: shared-operand scores differ from the standalone solve", prec, algo, algos)
-				}
+			got := snap.Set(algo)
+			if got.Stats() != want.Stats || !slices.Equal(got.ScoresView(), want.Scores) {
+				t.Fatalf("%v %v: shared-operand scores differ from the standalone solve", prec, algo)
 			}
 		}
 	}
@@ -225,8 +223,7 @@ func TestBuildSnapshotExtraVector(t *testing.T) {
 	for i := range vec {
 		vec[i] = rng.Float64()
 	}
-	snap, err := BuildSnapshot(ds.Pages, ds.SpamSources, BuildConfig{
-		Algos: []Algo{AlgoPageRank},
+	snap, err := BuildSnapshot(ds.Pages, nil, BuildConfig{
 		Extra: map[Algo]linalg.Vector{"external": vec},
 	})
 	if err != nil {
@@ -241,7 +238,6 @@ func TestBuildSnapshotExtraVector(t *testing.T) {
 	}
 	// Mismatched length must be rejected at snapshot assembly.
 	if _, err := BuildSnapshot(ds.Pages, nil, BuildConfig{
-		Algos: []Algo{AlgoPageRank},
 		Extra: map[Algo]linalg.Vector{"bad": vec[:n-1]},
 	}); err == nil {
 		t.Fatal("length mismatch accepted")

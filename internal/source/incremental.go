@@ -197,23 +197,6 @@ func (inc *Incremental) markDirty(r int32) {
 	}
 }
 
-// ForEachPendingStructureRow visits every source row whose consensus
-// content changed since the last Emit, in dirty-marking order, passing
-// the row id, its successor list in the currently emitted structure
-// (old; empty for sources added since), and the successor list the next
-// Emit will install (next). Both slices alias internal storage and must
-// not be retained or modified. The pending set is consumed by the next
-// Emit, so callers that need the old rows — the slab-backed refresh
-// derives the dirty predecessor rows of Mᵀ from old ∪ next — must
-// capture them before emitting. Rows whose counts drifted without a
-// sparsity change are still visited (old and next then coincide); the
-// visit set is a superset of the structural change set, never a subset.
-func (inc *Incremental) ForEachPendingStructureRow(fn func(r int32, old, next []int32)) {
-	for _, r := range inc.dirtyRows {
-		fn(r, inc.structure.Successors(r), inc.rows[r].cols)
-	}
-}
-
 // rebuildT recomputes row r's cached transition row with Build's exact
 // value expressions and self-edge placement.
 func (inc *Incremental) rebuildT(r int32) {
@@ -224,7 +207,7 @@ func (inc *Incremental) rebuildT(r int32) {
 		row.tvals = append(row.tvals[:0], 1)
 		return
 	}
-	insertSelf := !row.hasSelf && !inc.opt.OmitSelfEdges
+	insertSelf := !row.hasSelf
 	row.tcols = row.tcols[:0]
 	row.tvals = row.tvals[:0]
 	var w float64

@@ -97,13 +97,9 @@ func randomPageGraph(rng *rand.Rand, sources, pages, links int) *pagegraph.Graph
 // identical to a cold Build of the mutated page graph — the streaming
 // pipeline's equivalence contract at the source layer.
 func TestIncrementalMatchesBuild(t *testing.T) {
-	for _, opt := range []Options{
-		{},
-		{Weighting: Uniform},
-		{OmitSelfEdges: true},
-	} {
+	for _, opt := range []Options{{}, {Weighting: Uniform}} {
 		opt := opt
-		t.Run(fmt.Sprintf("w=%v_omit=%v", opt.Weighting, opt.OmitSelfEdges), func(t *testing.T) {
+		t.Run(fmt.Sprintf("w=%v", opt.Weighting), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			pg := randomPageGraph(rng, 12, 80, 200)
 			inc, err := NewIncremental(pg, opt)

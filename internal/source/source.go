@@ -47,11 +47,6 @@ func (w Weighting) String() string {
 // mandatory self-edges.
 type Options struct {
 	Weighting Weighting
-	// OmitSelfEdges drops the mandatory self-edge augmentation of §3.3.
-	// The baseline SourceRank comparison uses this; the spam-resilient
-	// model requires self-edges so influence throttling has a diagonal
-	// to act on.
-	OmitSelfEdges bool
 	// Workers bounds aggregation parallelism; <= 0 selects GOMAXPROCS.
 	// The output is identical for every worker count.
 	Workers int
@@ -67,9 +62,10 @@ type Graph struct {
 	// populated for both weightings (Uniform only uses its sparsity).
 	Counts *linalg.CSR
 	// T is the row-stochastic transition matrix (the paper's T or T'
-	// depending on Options.Weighting). Every row sums to 1: sources with
-	// no out-edges become pure self-loops regardless of OmitSelfEdges,
-	// since a stochastic matrix needs the mass to go somewhere.
+	// depending on Options.Weighting), every row augmented with the
+	// self-edge of §3.3 — a structural zero where no page link made one —
+	// so influence throttling has a diagonal to act on. Every row sums to
+	// 1: sources with no out-edges become pure self-loops.
 	T *linalg.CSR
 	// NumEdges counts the distinct source edges derived from page links
 	// (including intra-source self-edges that arise from real page
@@ -285,7 +281,7 @@ func Build(pg *pagegraph.Graph, opt Options) (*Graph, error) {
 			switch {
 			case nnz == 0:
 				transPtr[r+1] = 1 // dangling source: pure self-loop
-			case !o.hasSelf[i] && !opt.OmitSelfEdges:
+			case !o.hasSelf[i]:
 				transPtr[r+1] = int64(nnz) + 1 // structural zero self-edge
 			default:
 				transPtr[r+1] = int64(nnz)
@@ -331,7 +327,7 @@ func Build(pg *pagegraph.Graph, opt Options) (*Graph, error) {
 					tc[0], tv[0] = int32(r), 1
 					continue
 				}
-				insertSelf := !o.hasSelf[r-rA] && !opt.OmitSelfEdges
+				insertSelf := !o.hasSelf[r-rA]
 				var w float64
 				if opt.Weighting == Uniform {
 					w = 1 / float64(nnz)
@@ -424,14 +420,14 @@ func BuildSerial(pg *pagegraph.Graph, opt Options) (*Graph, error) {
 			for sj := range row {
 				transEntries = append(transEntries, linalg.Entry{Row: si, Col: int(sj), Val: w})
 			}
-			if !hasSelf && !opt.OmitSelfEdges {
+			if !hasSelf {
 				transEntries = append(transEntries, linalg.Entry{Row: si, Col: si, Val: 0})
 			}
 		default: // Consensus
 			for sj, c := range row {
 				transEntries = append(transEntries, linalg.Entry{Row: si, Col: int(sj), Val: float64(c) / float64(total)})
 			}
-			if !hasSelf && !opt.OmitSelfEdges {
+			if !hasSelf {
 				transEntries = append(transEntries, linalg.Entry{Row: si, Col: si, Val: 0})
 			}
 		}

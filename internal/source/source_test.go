@@ -123,23 +123,6 @@ func TestSelfEdgeAugmentation(t *testing.T) {
 	}
 }
 
-func TestOmitSelfEdges(t *testing.T) {
-	sg, err := Build(fixture(t), Options{OmitSelfEdges: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols, _ := sg.T.Row(1)
-	for _, c := range cols {
-		if c == 1 {
-			t.Error("self-edge (B,B) present despite OmitSelfEdges")
-		}
-	}
-	// Dangling source C still needs a self-loop for stochasticity.
-	if got := sg.T.At(2, 2); got != 1 {
-		t.Errorf("T[C,C] = %v, want 1 even with OmitSelfEdges", got)
-	}
-}
-
 func TestUniformWeighting(t *testing.T) {
 	sg, err := Build(fixture(t), Options{Weighting: Uniform})
 	if err != nil {

@@ -84,13 +84,6 @@ func (in *Ingestor) CompactStructure(maxPatched int) bool {
 	return in.inc.CompactStructure(maxPatched)
 }
 
-// ForEachPendingStructureRow exposes the incremental maintainer's
-// pending-row iterator (see source.Incremental.ForEachPendingStructureRow).
-// Must be called before Emit, which consumes the pending set.
-func (in *Ingestor) ForEachPendingStructureRow(fn func(r int32, old, next []int32)) {
-	in.inc.ForEachPendingStructureRow(fn)
-}
-
 // staging is the validated shadow state of one batch: new sources and
 // pages it introduces, plus copy-on-write out-link rows for every page
 // whose links it edits. Nothing in it aliases mutable graph state, so

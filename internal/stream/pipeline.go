@@ -6,39 +6,26 @@ import (
 	"time"
 
 	"sourcerank/internal/durable"
-	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/server"
 	"sourcerank/internal/source"
 )
 
-// Options configures a streaming Pipeline. The zero value of every
-// numeric field selects the same default the cold builder
-// (server.BuildSnapshot) uses, which is what the equivalence contract
-// requires.
+// Options configures a streaming Pipeline. Every refresh builds its
+// snapshot the way the cold builder (server.BuildSnapshot) does, with the
+// zero value of every field the two share, which is what the equivalence
+// contract requires.
 type Options struct {
 	// Spam lists the pre-labeled spam source IDs seeding the proximity
 	// walk. Empty skips SRSR, as in the cold builder.
 	Spam []int32
-	// Algos selects the score sets to maintain; nil means
-	// server.DefaultAlgos.
-	Algos []server.Algo
 	// TopK throttled sources; 0 derives 2.7% of the current source
 	// count at each refresh.
 	TopK int
-	// TrustedSeeds is the TrustRank seed count; 0 defaults to 10.
-	TrustedSeeds int
-	// Alpha, Tol, MaxIter, Workers mirror server.BuildConfig.
-	Alpha   float64
-	Tol     float64
-	MaxIter int
+	// Workers bounds aggregation and solver parallelism.
 	Workers int
 	// Name labels the corpus in snapshot metadata.
 	Name string
-	// CompactEvery is the patched-structure-row threshold past which a
-	// refresh folds the topology overlay into a fresh CSR; 0 defaults
-	// to 256. Compaction never changes results, only lookup cost.
-	CompactEvery int
 	// WALDir, when non-empty, write-ahead-logs every batch into this
 	// (existing) directory before applying it, and NewPipeline replays
 	// the log over the base corpus on startup.
@@ -48,34 +35,12 @@ type Options struct {
 	FS durable.FS
 	// Store, when set, receives every refreshed snapshot via Publish.
 	Store *server.Store
-	// SlabDir, when non-empty, maintains the shared PageRank/TrustRank
-	// transition operand Mᵀ as slab generations under this (existing)
-	// directory instead of an in-heap CSR: each topology change commits
-	// transition_t.gen<version>.slab through internal/durable's
-	// atomic-rename protocol by recomputing only the dirty predecessor
-	// rows and byte-copying every clean row from the previous generation,
-	// and the solves stream the mapped file. Published scores are bitwise
-	// identical to the in-heap pipeline's. Slab commits go through FS.
-	SlabDir string
-	// MaxResident, with SlabDir set, is the resident-set budget in bytes
-	// of everything that reads the mapped generation, solves and rewrites
-	// alike — row pointers, dense vectors and two release windows of
-	// matrix entries (see linalg.SlabOpenOptions.MaxResident). Advisory;
-	// <= 0 maps without release-behind.
-	MaxResident int64
-	// SlabPatchEntries bounds the dirty-row patch buffer of a generation
-	// rewrite, in matrix entries; dirty rows are recomputed in ascending
-	// chunks no larger than this. 0 defaults to 1<<20. Chunking never
-	// changes the committed bytes, only the rewrite's memory ceiling.
-	SlabPatchEntries int
 }
 
-func (o Options) compactEvery() int {
-	if o.CompactEvery <= 0 {
-		return 256
-	}
-	return o.CompactEvery
-}
+// compactEvery is the patched-structure-row threshold past which a
+// refresh folds the topology overlay into a fresh CSR. Compaction never
+// changes results, only lookup cost.
+const compactEvery = 256
 
 // RefreshStats reports what one Refresh actually did — which stages were
 // skipped, how much state was dirty, and where the time went.
@@ -90,12 +55,6 @@ type RefreshStats struct {
 	server.BuildInfo
 	// Compacted: the structure overlay was folded this refresh.
 	Compacted bool
-	// SlabRowsPatched / SlabRowsCopied count Mᵀ rows recomputed vs
-	// byte-copied from the previous generation when this refresh rewrote
-	// a transition slab generation (SlabDir mode only; both zero when the
-	// mapped generation was already current).
-	SlabRowsPatched int
-	SlabRowsCopied  int
 	// Emit, Solve, Publish, Total are wall times for the stages.
 	Emit    time.Duration
 	Solve   time.Duration
@@ -107,20 +66,15 @@ type RefreshStats struct {
 // incremental source consensus), an optional write-ahead log, and a
 // server.Builder — the one snapshot builder, whose retained state makes
 // each refresh cost what the deltas changed — fed the ingestor's
-// incrementally maintained structure and, in SlabDir mode, slab
-// generations of Mᵀ. All methods are safe for concurrent use; one mutex
-// serializes ingest and refresh, while published snapshots are read
-// lock-free as usual.
+// incrementally maintained structure. All methods are safe for concurrent
+// use; one mutex serializes ingest and refresh, while published snapshots
+// are read lock-free as usual.
 type Pipeline struct {
 	mu      sync.Mutex
 	opt     Options
 	ing     *Ingestor
 	wal     *WAL
 	builder server.Builder
-	// slab is non-nil in SlabDir mode; slabPatched/slabCopied then count
-	// the rows the current Refresh's generation rewrite recomputed/copied.
-	slab                    *slabRefresher
-	slabPatched, slabCopied int
 }
 
 // NewPipeline builds the streaming pipeline over pg: full initial
@@ -133,22 +87,7 @@ func NewPipeline(pg *pagegraph.Graph, opt Options) (*Pipeline, error) {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	p := &Pipeline{opt: opt, ing: ing}
-	p.builder.Config = server.BuildConfig{
-		Algos: opt.Algos, Alpha: opt.Alpha, TopK: opt.TopK, TrustedSeeds: opt.TrustedSeeds,
-		Tol: opt.Tol, MaxIter: opt.MaxIter, Workers: opt.Workers, Name: opt.Name,
-	}
-	if opt.SlabDir != "" {
-		p.slab = newSlabRefresher(opt)
-		p.slab.pruneStale()
-		// The current slab generation stands in for the builder's in-heap
-		// Mᵀ, rewritten first when the topology moved past it.
-		p.builder.TransitionT = func(c server.Corpus) (*linalg.CSR, error) {
-			mt, patched, copied, err := p.slab.ensure(c.Structure, c.Version)
-			p.slabPatched += patched
-			p.slabCopied += copied
-			return mt, err
-		}
-	}
+	p.builder.Config = server.BuildConfig{TopK: opt.TopK, Workers: opt.Workers, Name: opt.Name}
 	if opt.WALDir != "" {
 		wal, batches, err := OpenWAL(opt.FS, opt.WALDir)
 		if err != nil {
@@ -228,24 +167,14 @@ func (p *Pipeline) Refresh() (*server.Snapshot, RefreshStats, error) {
 	t0 := time.Now()
 	stats.Seq = p.ing.LastSeq()
 
-	if p.slab != nil {
-		// Capture the dirty Mᵀ rows before Emit consumes the pending set:
-		// a changed source row invalidates the predecessor rows of both
-		// its old and its new successors.
-		p.ing.ForEachPendingStructureRow(func(r int32, old, next []int32) {
-			p.slab.invalidate(old, next)
-		})
-	}
 	sg := p.ing.Emit()
-	stats.Compacted = p.ing.CompactStructure(p.opt.compactEvery())
+	stats.Compacted = p.ing.CompactStructure(compactEvery)
 	stats.Emit = time.Since(t0)
 
 	tSolve := time.Now()
-	p.slabPatched, p.slabCopied = 0, 0
 	snap, info, err := p.builder.Build(server.Corpus{
 		Pages: p.ing.PageGraph(), Source: sg, Structure: p.ing.Structure(), Version: p.ing.StructureVersion(),
 	}, p.opt.Spam)
-	stats.SlabRowsPatched, stats.SlabRowsCopied = p.slabPatched, p.slabCopied
 	if err != nil {
 		return nil, stats, fmt.Errorf("stream: %w", err)
 	}
@@ -259,16 +188,4 @@ func (p *Pipeline) Refresh() (*server.Snapshot, RefreshStats, error) {
 	stats.Publish = time.Since(tPub)
 	stats.Total = time.Since(t0)
 	return snap, stats, nil
-}
-
-// Close releases the resources a slab-backed pipeline holds open (the
-// mapped transition generation); its operand must not be used after.
-// Pipelines without SlabDir hold nothing and need no Close.
-func (p *Pipeline) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.slab != nil {
-		return p.slab.close()
-	}
-	return nil
 }

@@ -139,14 +139,12 @@ func Apply(t *linalg.CSR, kappa []float64) (*linalg.CSR, error) {
 	return out, nil
 }
 
-// ProximityOptions configures the spam-proximity walk of §5.
+// proximityBeta is the mixing factor β of the spam-proximity walk (§5).
+const proximityBeta = 0.85
+
+// ProximityOptions configures the spam-proximity walk of §5, which runs
+// at β = 0.85 to linalg's default tolerance and iteration cap.
 type ProximityOptions struct {
-	// Beta is the mixing factor β of the inverse walk; 0 defaults to 0.85.
-	Beta float64
-	// Tol and MaxIter bound the solver; zero values use the defaults of
-	// linalg.SolverOptions (1e-9, 1000).
-	Tol     float64
-	MaxIter int
 	Workers int
 	// X0 optionally warm-starts the walk from a previous proximity
 	// vector (e.g. the last published snapshot's); nil cold-starts from
@@ -217,16 +215,10 @@ func SpamProximity(structure graph.Topology, seeds []int32, opt ProximityOptions
 		}
 		pt.RowPtr[u+1] = k
 	}
-	beta := opt.Beta
-	if beta == 0 {
-		beta = 0.85
-	}
 	if opt.X0 != nil && len(opt.X0) != n {
 		return nil, linalg.IterStats{}, linalg.ErrDimension
 	}
-	return linalg.PowerMethodT(pt, beta, d, opt.X0, linalg.SolverOptions{
-		Tol: opt.Tol, MaxIter: opt.MaxIter, Workers: opt.Workers,
-	})
+	return linalg.PowerMethodT(pt, proximityBeta, d, opt.X0, linalg.SolverOptions{Workers: opt.Workers})
 }
 
 // TopK assigns the paper's simple throttling heuristic: the k sources

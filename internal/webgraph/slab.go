@@ -29,16 +29,15 @@ type SlabOptions struct {
 	// narrowing matches linalg.NewCSR32 (nearest-even), so a float32 slab
 	// equals the in-RAM float32 mirror bit for bit.
 	Precision linalg.SlabPrecision
-	// BufferBytes bounds the transpose bucket buffer; <= 0 selects 64 MiB.
-	// Smaller buffers mean more decode passes over the compressed graph,
-	// not a different result.
-	BufferBytes int64
 }
 
-// slabBufferDefault sizes the transpose bucket: large enough that
+// slabBufferBytes bounds the transpose bucket buffer: large enough that
 // ordinary graphs transpose in one pass, small enough to stay irrelevant
-// next to the dense iterate vectors of the solve that follows.
-const slabBufferDefault = 64 << 20
+// next to the dense iterate vectors of the solve that follows. A smaller
+// buffer means more decode passes over the source, not a different
+// result; this package's tests lower it (export_test.go) to reach the
+// multi-bucket transpose.
+var slabBufferBytes int64 = 64 << 20
 
 // SlabPaths names the two slab files a build commits.
 type SlabPaths struct {
@@ -65,7 +64,7 @@ type AdjacencySource interface {
 // transition.slab (P) and transition_t.slab (Pᵀ). Sections are streamed
 // from repeated decodes of the compressed adjacency slab, so no CSR array
 // is ever resident; the transpose is assembled by a bucketed counting
-// sort over destination-row ranges sized to opt.BufferBytes.
+// sort over destination-row ranges sized to the bucket buffer.
 func BuildTransitionSlabs(fsys durable.FS, dir string, c *Compressed, opt SlabOptions) (SlabPaths, error) {
 	return BuildTransitionSlabsFrom(fsys, dir, c, opt)
 }
@@ -87,10 +86,6 @@ func BuildTransitionSlabsFrom(fsys durable.FS, dir string, src AdjacencySource, 
 // element type of opt.Precision. F(x) narrows to nearest even, matching
 // linalg.NewCSR32.
 func buildTransitionSlabs[F float32 | float64](fsys durable.FS, dir string, src AdjacencySource, opt SlabOptions) (SlabPaths, error) {
-	bufBytes := opt.BufferBytes
-	if bufBytes <= 0 {
-		bufBytes = slabBufferDefault
-	}
 	n := src.NumNodes()
 	paths := SlabPaths{
 		P:  filepath.Join(dir, "transition.slab"),
@@ -131,7 +126,7 @@ func buildTransitionSlabs[F float32 | float64](fsys durable.FS, dir string, src 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		errPT = writeTransposeSlab[F](fsys, paths.PT, opt.Precision, shape, src, ptrPT, inv, bufBytes)
+		errPT = writeTransposeSlab[F](fsys, paths.PT, opt.Precision, shape, src, ptrPT, inv, slabBufferBytes)
 	}()
 	errP := writeForwardSlab[F](fsys, paths.P, opt.Precision, shape, src, ptrP, inv)
 	<-done

@@ -111,7 +111,8 @@ func TestBuildTransitionSlabsMultiBucket(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(11)), 200, 3000)
 	want := rank.TransitionT(g)
 	for _, bufBytes := range []int64{1, 64, 4096} {
-		paths := buildSlabsFor(t, g, SlabOptions{BufferBytes: bufBytes})
+		SetSlabBufferBytes(t, bufBytes)
+		paths := buildSlabsFor(t, g, SlabOptions{})
 		spt, err := linalg.OpenSlabCSR(paths.PT, linalg.SlabOpenOptions{})
 		if err != nil {
 			t.Fatalf("open PT (buf=%d): %v", bufBytes, err)
@@ -125,7 +126,8 @@ func TestBuildTransitionSlabsMultiBucket(t *testing.T) {
 // float32 mirror: same narrowing, same bits.
 func TestBuildTransitionSlabsFloat32(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(13)), 150, 1800)
-	paths := buildSlabsFor(t, g, SlabOptions{Precision: linalg.SlabFloat32, BufferBytes: 512})
+	SetSlabBufferBytes(t, 512)
+	paths := buildSlabsFor(t, g, SlabOptions{Precision: linalg.SlabFloat32})
 	want := linalg.NewCSR32(rank.TransitionT(g))
 	spt, err := linalg.OpenSlabCSR32(paths.PT, linalg.SlabOpenOptions{})
 	if err != nil {
@@ -210,16 +212,23 @@ func TestBuildTransitionSlabsBytes(t *testing.T) {
 		"all dangle":  graph.FromAdjacency([][]int32{{}, {}, {}, {}}),
 		"star inward": starGraph(50),
 	}
-	opts := map[string]SlabOptions{
-		"one bucket":          {},
-		"bucket per row":      {BufferBytes: 1},
-		"float32":             {Precision: linalg.SlabFloat32},
-		"float32 many bucket": {Precision: linalg.SlabFloat32, BufferBytes: 40},
+	opts := map[string]struct {
+		opt SlabOptions
+		buf int64 // bucket buffer bytes; 0 keeps the default
+	}{
+		"one bucket":          {SlabOptions{}, 0},
+		"bucket per row":      {SlabOptions{}, 1},
+		"float32":             {SlabOptions{Precision: linalg.SlabFloat32}, 0},
+		"float32 many bucket": {SlabOptions{Precision: linalg.SlabFloat32}, 40},
 	}
 	for gname, g := range graphs {
 		wantP, wantPT := forwardTransition(t, g), rank.TransitionT(g)
-		for oname, opt := range opts {
+		for oname, o := range opts {
 			t.Run(gname+"/"+oname, func(t *testing.T) {
+				if o.buf > 0 {
+					SetSlabBufferBytes(t, o.buf)
+				}
+				opt := o.opt
 				paths := buildSlabsFor(t, g, opt)
 				for _, f := range []struct {
 					name, path string

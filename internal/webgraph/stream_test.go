@@ -83,12 +83,16 @@ func TestBuildTransitionSlabsFromRuns(t *testing.T) {
 	for _, prec := range []struct {
 		name string
 		opt  webgraph.SlabOptions
+		buf  int64 // bucket buffer bytes; 0 keeps the default
 	}{
-		{"one bucket", webgraph.SlabOptions{}},
-		{"float64", webgraph.SlabOptions{BufferBytes: 2048}},
-		{"float32", webgraph.SlabOptions{Precision: linalg.SlabFloat32, BufferBytes: 2048}},
+		{"one bucket", webgraph.SlabOptions{}, 0},
+		{"float64", webgraph.SlabOptions{}, 2048},
+		{"float32", webgraph.SlabOptions{Precision: linalg.SlabFloat32}, 2048},
 	} {
 		t.Run(prec.name, func(t *testing.T) {
+			if prec.buf > 0 {
+				webgraph.SetSlabBufferBytes(t, prec.buf)
+			}
 			wantPaths, err := webgraph.BuildTransitionSlabs(nil, t.TempDir(), comp, prec.opt)
 			if err != nil {
 				t.Fatal(err)

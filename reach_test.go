@@ -1,9 +1,11 @@
 package bench
 
-// The reachability gate (DESIGN "What counts as reached"): every
-// package-level func, var, const and type, and every method, declared in
-// a non-test file of this module must be used by some non-test file of
-// the module, or carry a written reason in reachAllow below.
+// The reachability gate (DESIGN "What counts as reached" and "What counts
+// as set"): every package-level func, var, const and type, and every
+// method, declared in a non-test file of this module must be used by some
+// non-test file of the module; and every exported struct field such a
+// file declares that a non-test file reads must also be set by one. The
+// only escape is a written reason in reachAllow below.
 
 import (
 	"bytes"
@@ -18,15 +20,16 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // reachAllow is the only escape from the gate: qualified name → reason.
-// A name is "<package path below the module>.<Ident>" or
-// "….<Receiver>.<Method>"; a bare package path covers every finding in
-// that package. The reason is one of
+// A name is "<package path below the module>.<Ident>",
+// "….<Receiver>.<Method>" or "….<Type>.<Field>"; a bare package path
+// covers every finding in that package. The reason is one of
 //
 //	reference        the oracle a faster sibling is compared against
 //	invariant        a checker tests call on product output
@@ -35,8 +38,9 @@ import (
 //	observer         a read-only accessor a test of other behaviour asserts on
 //	roadmap N        named by open ROADMAP item N
 //
-// and every listed identifier must still exist, still be unreached, and
-// be used by at least one test: what nothing uses is deleted, not listed.
+// and every listed identifier must still exist, still be unreached (a
+// field: unset by programs), and be used (set) by at least one test:
+// what nothing uses is deleted, not listed.
 var reachAllow = map[string]string{
 	// The serial build, the serial decoder and the dense linear-system
 	// PageRank are what their parallel or iterative siblings are tested
@@ -96,6 +100,18 @@ var reachAllow = map[string]string{
 	// sources and pages to a running pipeline.
 	"internal/stream.AddSource": "roadmap 1",
 	"internal/stream.AddPage":   "roadmap 1",
+
+	// Fields the field rule finds read and set by tests only. The three
+	// FS fields are where crash tests hand checkpoints, the WAL and spill
+	// runs a faulty disk; graded κ is a column of item 10's scoreboard;
+	// item 1a's ingest door sets srserve's WAL directory and top-k.
+	"internal/core.CheckpointConfig.FS":      "fault-injection",
+	"internal/stream.Options.FS":             "fault-injection",
+	"internal/gen.StreamOptions.FS":          "fault-injection",
+	"internal/core.PipelineConfig.Graded":    "roadmap 10",
+	"internal/core.PipelineConfig.GradedMax": "roadmap 10",
+	"internal/stream.Options.TopK":           "roadmap 1",
+	"internal/stream.Options.WALDir":         "roadmap 1",
 }
 
 const (
@@ -113,12 +129,15 @@ type reachPkg struct {
 	frozen bool        // declarations out of scope (benchmark/); uses count
 }
 
-// reachFinding is a declaration no non-test file uses.
+// reachFinding is a declaration no non-test file uses, or (field) an
+// exported field non-test files read and none sets.
 type reachFinding struct {
 	name     string // qualified as in reachAllow
 	pkg      string // package path below the module
 	pos      token.Position
-	testUsed bool // some _test.go file uses it
+	testUsed bool   // some _test.go file uses it (a field: sets it)
+	field    bool   // found by the field rule
+	via      string // field rule: the unset fields its only product sets forward
 }
 
 // reachReport is what the rule engine returns.
@@ -127,6 +146,9 @@ type reachReport struct {
 	// ownPkgOnly lists exported names whose every product use is inside
 	// the declaring package: unexportable, not dead. Informational.
 	ownPkgOnly []string
+	// fields and fieldsRead count the exported fields in scope of the
+	// field rule and those of them non-test files read. Informational.
+	fields, fieldsRead int
 }
 
 // reachAnalyze type-checks pkgs in dependency order (imports outside pkgs
@@ -149,7 +171,7 @@ func reachAnalyze(fset *token.FileSet, module string, pkgs []*reachPkg, std type
 		if len(p.files) == 0 {
 			continue
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		info := reachInfo()
 		tp, err := (&types.Config{Importer: imp}).Check(p.path, fset, p.files, info)
 		if err != nil {
 			return nil, fmt.Errorf("type-check %s: %w", p.path, err)
@@ -216,24 +238,31 @@ func reachAnalyze(fset *token.FileSet, module string, pkgs []*reachPkg, std type
 	// from export_test.go does not resolve; every identifier that does
 	// resolve is still recorded, which is all this pass reads.
 	testUsed := map[token.Pos]bool{}
+	testSet := map[token.Pos]bool{} // fields some _test.go file sets
 	lenient := func(path string, files []*ast.File) *types.Info {
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		info := reachInfo()
 		cfg := &types.Config{Importer: imp, Error: func(error) {}}
 		cfg.Check(path, fset, files, info)
 		return info
 	}
 	mark := func(pos token.Pos, _ string) { testUsed[pos] = true }
+	markSet := func(f, _ *types.Var) { testSet[f.Pos()] = true }
 	for _, p := range order {
 		if len(p.tests) > 0 {
 			all := append(append([]*ast.File{}, p.files...), p.tests...)
-			reachUses(p.tests, lenient(p.path, all), mark)
+			info := lenient(p.path, all)
+			reachUses(p.tests, info, mark)
+			reachFieldUses(p.tests, info, markSet, nil)
 		}
 		if len(p.xtests) > 0 {
-			reachUses(p.xtests, lenient(p.path+"_test", p.xtests), mark)
+			info := lenient(p.path+"_test", p.xtests)
+			reachUses(p.xtests, info, mark)
+			reachFieldUses(p.xtests, info, markSet, nil)
 		}
 	}
 
 	rep := &reachReport{}
+	reachFields(rep, fset, module, order, infos, testSet)
 	for pos, d := range decls {
 		switch {
 		case !prodUsed[pos]:
@@ -247,6 +276,284 @@ func reachAnalyze(fset *token.FileSet, module string, pkgs []*reachPkg, std type
 	sort.Slice(rep.findings, func(i, j int) bool { return rep.findings[i].name < rep.findings[j].name })
 	sort.Strings(rep.ownPkgOnly)
 	return rep, nil
+}
+
+func reachInfo() *types.Info {
+	return &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+}
+
+// reachFields applies the field rule: an exported field of a struct
+// declared in a non-test file of a package in scope, if a non-test file
+// reads it, must be set by a non-test file. A set that only forwards
+// another module field (Tol: opt.Tol) counts once that field is set,
+// iterated to a fixed point, so an unset head names its whole chain.
+func reachFields(rep *reachReport, fset *token.FileSet, module string, order []*reachPkg, infos map[*reachPkg]*types.Info, testSet map[token.Pos]bool) {
+	type decl struct {
+		name, pkg string
+	}
+	decls := map[token.Pos]decl{}
+	for _, p := range order {
+		if info := infos[p]; info != nil && !p.frozen {
+			rel := strings.TrimPrefix(strings.TrimPrefix(p.path, module), "/")
+			for _, f := range p.files {
+				reachFieldDecls(f, func(id *ast.Ident, name string) {
+					if obj := info.Defs[id]; obj != nil && id.IsExported() {
+						decls[obj.Pos()] = decl{rel + "." + name, rel}
+					}
+				})
+			}
+		}
+	}
+
+	inModule := func(v *types.Var) bool {
+		return v.Pkg() != nil && (v.Pkg().Path() == module || strings.HasPrefix(v.Pkg().Path(), module+"/"))
+	}
+	read := map[token.Pos]bool{}
+	set := map[token.Pos]bool{}
+	from := map[token.Pos][]token.Pos{} // field → the fields its forwarding sets read
+	for _, p := range order {
+		if info := infos[p]; info != nil {
+			reachFieldUses(p.files, info, func(f, src *types.Var) {
+				if src == nil || !inModule(src) {
+					set[f.Pos()] = true
+				} else {
+					from[f.Pos()] = append(from[f.Pos()], src.Pos())
+				}
+			}, func(f *types.Var) { read[f.Pos()] = true })
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for f, srcs := range from {
+			if set[f] {
+				continue
+			}
+			for _, s := range srcs {
+				if set[s] {
+					set[f], changed = true, true
+					break
+				}
+			}
+		}
+	}
+
+	rep.fields = len(decls)
+	for pos, d := range decls {
+		if !read[pos] {
+			continue
+		}
+		rep.fieldsRead++
+		if set[pos] {
+			continue
+		}
+		var via []string
+		for _, s := range from[pos] {
+			if name := decls[s].name; name != "" && !slices.Contains(via, name) {
+				via = append(via, name)
+			}
+		}
+		sort.Strings(via)
+		rep.findings = append(rep.findings, reachFinding{
+			name: d.name, pkg: d.pkg, pos: fset.Position(pos), testUsed: testSet[pos],
+			field: true, via: strings.Join(via, ", "),
+		})
+	}
+}
+
+// reachFieldDecls calls decl for every field f declares in a named struct
+// type (at any depth, so function-local types too), naming it
+// "<Type>.<Field>", or "<Type>.<Field>.<Inner>" inside an anonymous
+// struct-typed field.
+func reachFieldDecls(f *ast.File, decl func(id *ast.Ident, name string)) {
+	var fields func(st *ast.StructType, prefix string)
+	fields = func(st *ast.StructType, prefix string) {
+		for _, fl := range st.Fields.List {
+			names := fl.Names
+			if len(names) == 0 { // embedded: the field is named by its type
+				t := fl.Type
+				if s, ok := t.(*ast.StarExpr); ok {
+					t = s.X
+				}
+				switch x := t.(type) {
+				case *ast.Ident:
+					names = []*ast.Ident{x}
+				case *ast.SelectorExpr:
+					names = []*ast.Ident{x.Sel}
+				}
+			}
+			for _, id := range names {
+				decl(id, prefix+id.Name)
+				if inner, ok := fl.Type.(*ast.StructType); ok {
+					fields(inner, prefix+id.Name+".")
+				}
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok {
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				fields(st, ts.Name.Name+".")
+			}
+		}
+		return true
+	})
+}
+
+// reachFieldUses reports every set and, when read is non-nil, every read
+// of a struct field in files. A set is a keyed or positional composite
+// literal element; an assignment, ++/-- or & whose target is the field or
+// a selector/index path through it; or a call receiving the address of a
+// whole struct, which sets all its fields, nested ones included. src is
+// the field a set's value is, when the value is just a field; a field a
+// selection passes through implicitly (an embedded one) is set or read
+// with it.
+func reachFieldUses(files []*ast.File, info *types.Info, setField func(f, src *types.Var), read func(f *types.Var)) {
+	set := func(f, src *types.Var) {
+		if f != nil { // nil only where a lenient check left a name unresolved
+			setField(f, src)
+		}
+	}
+	fieldOf := func(o types.Object) *types.Var {
+		if v, ok := o.(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	embedded := func(sel *types.Selection, each func(*types.Var)) {
+		t, idx := sel.Recv(), sel.Index()
+		for _, i := range idx[:len(idx)-1] {
+			st := reachStruct(t)
+			if st == nil {
+				return
+			}
+			f := st.Field(i)
+			each(f.Origin())
+			t = f.Type()
+		}
+	}
+	valueField := func(e ast.Expr) *types.Var {
+		if se, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if sel := info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+				return fieldOf(sel.Obj())
+			}
+		}
+		return nil
+	}
+	setAt := map[*ast.Ident]bool{}
+	target := func(e ast.Expr, src *types.Var) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				sel := info.Selections[x]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				setAt[x.Sel] = true
+				set(fieldOf(sel.Obj()), src)
+				embedded(sel, func(f *types.Var) { set(f, nil) })
+				e, src = x.X, nil
+			case *ast.IndexExpr:
+				e, src = x.X, nil
+			case *ast.StarExpr:
+				e, src = x.X, nil
+			default:
+				return
+			}
+		}
+	}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					var src *types.Var
+					if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+						src = valueField(n.Rhs[i])
+					}
+					target(lhs, src)
+				}
+			case *ast.IncDecStmt:
+				target(n.X, nil)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					target(n.X, nil)
+				}
+			case *ast.CallExpr:
+				for _, arg := range n.Args {
+					if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND && reachStruct(info.TypeOf(u.X)) != nil {
+						reachEveryField(info.TypeOf(u.X), map[types.Type]bool{}, func(f *types.Var) { set(f, nil) })
+					}
+				}
+			case *ast.CompositeLit:
+				st := reachStruct(info.TypeOf(n))
+				if st == nil {
+					return true
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							setAt[id] = true
+							set(fieldOf(info.Uses[id]), valueField(kv.Value))
+						}
+					} else if i < st.NumFields() {
+						set(st.Field(i).Origin(), valueField(elt))
+					}
+				}
+			case *ast.SelectorExpr:
+				if sel := info.Selections[n]; read != nil && sel != nil && !setAt[n.Sel] {
+					embedded(sel, read)
+				}
+			case *ast.Ident:
+				if f := fieldOf(info.Uses[n]); read != nil && f != nil && !setAt[n] {
+					read(f)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// reachStruct returns the struct type behind t, T or *T, or nil.
+func reachStruct(t types.Type) *types.Struct {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
+}
+
+// reachEveryField calls each for every field reachable from t through
+// struct, pointer, slice, array and map types: what a decoder handed &v
+// may set.
+func reachEveryField(t types.Type, seen map[types.Type]bool, each func(*types.Var)) {
+	if seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			each(u.Field(i).Origin())
+			reachEveryField(u.Field(i).Type(), seen, each)
+		}
+	case *types.Pointer:
+		reachEveryField(u.Elem(), seen, each)
+	case *types.Slice:
+		reachEveryField(u.Elem(), seen, each)
+	case *types.Array:
+		reachEveryField(u.Elem(), seen, each)
+	case *types.Map:
+		reachEveryField(u.Key(), seen, each)
+		reachEveryField(u.Elem(), seen, each)
+	}
 }
 
 // reachImporter resolves module packages to the ones already checked from
@@ -468,16 +775,16 @@ func reachCheckAllow(findings []reachFinding, allow map[string]string) []string 
 			key = f.pkg
 		}
 		if _, ok := allow[key]; !ok {
-			kind := "used only by tests"
-			if !f.testUsed {
-				kind = "used by nothing, tests included"
-			}
-			bad = append(bad, fmt.Sprintf("%s: %s is %s", f.pos, f.name, kind))
+			bad = append(bad, fmt.Sprintf("%s: %s is %s", f.pos, f.name, reachKind(f)))
 			continue
 		}
 		hit[key] = true
 		if !f.testUsed {
-			bad = append(bad, fmt.Sprintf("%s: %s is allow-listed (%s) but no test uses it either: delete it", f.pos, f.name, allow[key]))
+			verb := "uses"
+			if f.field {
+				verb = "sets"
+			}
+			bad = append(bad, fmt.Sprintf("%s: %s is allow-listed (%s) but no test %s it either: delete it", f.pos, f.name, allow[key], verb))
 		}
 	}
 	for name := range allow {
@@ -487,6 +794,21 @@ func reachCheckAllow(findings []reachFinding, allow map[string]string) []string 
 	}
 	sort.Strings(bad)
 	return bad
+}
+
+// reachKind says why f is a finding.
+func reachKind(f reachFinding) string {
+	switch {
+	case f.field && f.via != "":
+		return "read but set only by forwarding " + f.via
+	case f.field && f.testUsed:
+		return "read but set only by tests"
+	case f.field:
+		return "read but set by nothing, tests included"
+	case f.testUsed:
+		return "used only by tests"
+	}
+	return "used by nothing, tests included"
 }
 
 func reachRoadmapEntries(allow map[string]string) (n int) {
@@ -570,38 +892,60 @@ func TestReach(t *testing.T) {
 	for _, msg := range reachCheckAllow(rep.findings, reachAllow) {
 		t.Error(msg)
 	}
-	t.Logf("allow-list: %d entries (cap %d), %d of them roadmap (cap %d), covering %d declarations",
-		len(reachAllow), reachMaxAllow, reachRoadmapEntries(reachAllow), reachMaxRoadmap, len(rep.findings))
+	var fields, viaTests, viaNothing, viaFwd int
+	for _, f := range rep.findings {
+		switch {
+		case !f.field:
+		case f.via != "":
+			viaFwd++
+		case f.testUsed:
+			viaTests++
+		default:
+			viaNothing++
+		}
+	}
+	fields = viaTests + viaNothing + viaFwd
+	t.Logf("allow-list: %d entries (cap %d), %d of them roadmap (cap %d), covering %d declarations and %d fields",
+		len(reachAllow), reachMaxAllow, reachRoadmapEntries(reachAllow), reachMaxRoadmap, len(rep.findings)-fields, fields)
+	t.Logf("field rule: %d exported fields in scope, %d read by non-test code; read and set by no program: %d (by nothing %d, only by tests %d, only by forwarding %d)",
+		rep.fields, rep.fieldsRead, fields, viaNothing, viaTests, viaFwd)
+	for _, f := range rep.findings {
+		if f.field {
+			t.Logf("  %s: %s", f.name, reachKind(f))
+		}
+	}
 	t.Logf("exported but used only inside their own package (%d, informational): %s",
 		len(rep.ownPkgOnly), strings.Join(rep.ownPkgOnly, " "))
 }
 
 // TestReachRules feeds the rule engine in-memory modules and checks its
-// findings exactly.
+// findings, with why each is one, exactly.
 func TestReachRules(t *testing.T) {
 	const mainUses = `package main
 import "m/internal/a"
 func main() { %s }`
+	// A stand-in for encoding/json: the engine type-checks it from source
+	// with the module (frozen, so it declares nothing in scope).
+	const jsonStub = `package json; func Unmarshal(data []byte, v any) error { return nil }`
 	cases := []struct {
 		name         string
 		lib, libTest string // m/internal/a: a.go and a_test.go
 		mainBody     string // statements of m/cmd/x's main
+		main         string // all of m/cmd/x's main.go, in place of mainBody
 		want         []string
-		wantTestUsed bool
 	}{
 		{
 			name:     "dead exported func",
 			lib:      `package a; func Live() {}; func Dead() {}`,
 			mainBody: `a.Live()`,
-			want:     []string{"internal/a.Dead"},
+			want:     []string{"internal/a.Dead: used by nothing, tests included"},
 		},
 		{
-			name:         "func used only by a test file",
-			lib:          `package a; func Live() {}; func Helper() int { return 1 }`,
-			libTest:      `package a; var _ = Helper()`,
-			mainBody:     `a.Live()`,
-			want:         []string{"internal/a.Helper"},
-			wantTestUsed: true,
+			name:     "func used only by a test file",
+			lib:      `package a; func Live() {}; func Helper() int { return 1 }`,
+			libTest:  `package a; var _ = Helper()`,
+			mainBody: `a.Live()`,
+			want:     []string{"internal/a.Helper: used only by tests"},
 		},
 		{
 			name: "method reached only through an interface",
@@ -612,7 +956,7 @@ func (s Sq) Area() float64 { return s.S * s.S }
 func (s Sq) Perimeter() float64 { return 4 * s.S }
 func Total(xs ...Shape) (t float64) { for _, x := range xs { t += x.Area() }; return t }`,
 			mainBody: `a.Total(a.Sq{S: 2})`,
-			want:     []string{"internal/a.Sq.Perimeter"},
+			want:     []string{"internal/a.Sq.Perimeter: used by nothing, tests included"},
 		},
 		{
 			name: "method of a generic type used through an instantiation",
@@ -623,7 +967,77 @@ func (b *Box[T]) Get() T { return b.v }
 func (b *Box[T]) Unused() T { return b.unexported() }
 func (b *Box[T]) unexported() T { return b.v }`,
 			mainBody: `_ = a.New(3).Get()`,
-			want:     []string{"internal/a.Box.Unused"},
+			want:     []string{"internal/a.Box.Unused: used by nothing, tests included"},
+		},
+		{
+			name: "field set only by a test file",
+			lib: `package a
+type Cfg struct{ N int; Tol float64 }
+func Run(c Cfg) float64 { return float64(c.N) * c.Tol }`,
+			libTest:  `package a; var _ = Run(Cfg{Tol: 1e-9})`,
+			mainBody: `a.Run(a.Cfg{N: 3})`,
+			want:     []string{"internal/a.Cfg.Tol: read but set only by tests"},
+		},
+		{
+			name: "three-link forwarding chain from an unset head",
+			lib: `package a
+type Outer struct{ Tol float64 }
+type Mid struct{ Tol float64 }
+type Inner struct{ Tol float64 }
+func Run(o Outer) float64 { return mid(Mid{Tol: o.Tol}) }
+func mid(m Mid) float64 { var in Inner; in.Tol = m.Tol; return in.Tol }`,
+			libTest:  `package a; var _ = Run(Outer{Tol: 1e-9})`,
+			mainBody: `a.Run(a.Outer{})`,
+			want: []string{
+				"internal/a.Inner.Tol: read but set only by forwarding internal/a.Mid.Tol",
+				"internal/a.Mid.Tol: read but set only by forwarding internal/a.Outer.Tol",
+				"internal/a.Outer.Tol: read but set only by tests",
+			},
+		},
+		{
+			name: "three-link forwarding chain from a set head",
+			lib: `package a
+type Outer struct{ Tol float64 }
+type Mid struct{ Tol float64 }
+type Inner struct{ Tol float64 }
+func Run(o Outer) float64 { return mid(Mid{Tol: o.Tol}) }
+func mid(m Mid) float64 { var in Inner; in.Tol = m.Tol; return in.Tol }`,
+			mainBody: `a.Run(a.Outer{Tol: 1e-9})`,
+		},
+		{
+			name: "selector and index paths set the field they pass through",
+			lib: `package a
+type Stats struct{ Iterations int }
+type Res struct{ Stats Stats; Counts [4]int; Unset int }
+func Run(i int) int {
+	var r Res
+	r.Stats.Iterations = 3
+	r.Counts[i&3]++
+	return r.Stats.Iterations + r.Counts[0] + r.Unset
+}`,
+			mainBody: `a.Run(1)`,
+			want:     []string{"internal/a.Res.Unset: read but set by nothing, tests included"},
+		},
+		{
+			name: "positional literal",
+			lib: `package a
+type P struct{ X, Y int }
+type Q struct{ Z int }
+func Sum(p P, q Q) int { return p.X + p.Y + q.Z }`,
+			mainBody: `a.Sum(a.P{1, 2}, a.Q{})`,
+			want:     []string{"internal/a.Q.Z: read but set by nothing, tests included"},
+		},
+		{
+			name: "a call handed the struct's address sets every field",
+			lib: `package a
+type Inner struct{ K int }
+type Cfg struct{ N int; In Inner; P *Inner }
+type Other struct{ M int }
+func Use(c Cfg, o Other) int { return c.N + c.In.K + c.P.K + o.M }`,
+			main: `package main
+import ("encoding/json"; "m/internal/a")
+func main() { var c a.Cfg; json.Unmarshal(nil, &c); a.Use(c, a.Other{}) }`,
+			want: []string{"internal/a.Other.M: read but set by nothing, tests included"},
 		},
 	}
 	for _, c := range cases {
@@ -640,21 +1054,23 @@ func (b *Box[T]) unexported() T { return b.v }`,
 			if c.libTest != "" {
 				lib.tests = []*ast.File{parse("a_test.go", c.libTest)}
 			}
-			cmd := &reachPkg{path: "m/cmd/x", files: []*ast.File{parse("main.go", fmt.Sprintf(mainUses, c.mainBody))}}
+			main := c.main
+			if main == "" {
+				main = fmt.Sprintf(mainUses, c.mainBody)
+			}
+			cmd := &reachPkg{path: "m/cmd/x", files: []*ast.File{parse("main.go", main)}}
+			json := &reachPkg{path: "encoding/json", files: []*ast.File{parse("json.go", jsonStub)}, frozen: true}
 			// cmd first: the engine, not the caller, orders by imports.
-			rep, err := reachAnalyze(fset, "m", []*reachPkg{cmd, lib}, nil)
+			rep, err := reachAnalyze(fset, "m", []*reachPkg{cmd, lib, json}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got []string
 			for _, f := range rep.findings {
-				got = append(got, f.name)
-				if f.testUsed != c.wantTestUsed {
-					t.Errorf("%s: testUsed = %v, want %v", f.name, f.testUsed, c.wantTestUsed)
-				}
+				got = append(got, f.name+": "+reachKind(f))
 			}
-			if strings.Join(got, " ") != strings.Join(c.want, " ") {
-				t.Errorf("findings = %v, want %v", got, c.want)
+			if !slices.Equal(got, c.want) {
+				t.Errorf("findings:\n\t%s\nwant:\n\t%s", strings.Join(got, "\n\t"), strings.Join(c.want, "\n\t"))
 			}
 		})
 	}
@@ -674,6 +1090,7 @@ func TestReachAllowList(t *testing.T) {
 		{"package entry", []reachFinding{onlyTests}, map[string]string{"internal/a": "paper §4"}, ""},
 		{"unlisted", []reachFinding{onlyTests}, nil, "internal/a.Helper is used only by tests"},
 		{"stale entry", nil, map[string]string{"internal/a.Gone": "observer"}, "internal/a.Gone is stale"},
+		{"stale field entry", nil, map[string]string{"internal/a.Cfg.Gone": "fault-injection"}, "internal/a.Cfg.Gone is stale"},
 		{"listed but no test uses it", []reachFinding{nothing}, map[string]string{"internal/a.Dead": "roadmap 3"}, "delete it"},
 		{"reason outside the vocabulary", []reachFinding{onlyTests}, map[string]string{"internal/a.Helper": "handy"}, "not in the vocabulary"},
 	}
