@@ -2,18 +2,18 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable Graph. It
 // deduplicates parallel edges and sorts successor lists at Build time.
 // The zero value is ready to use.
 type Builder struct {
-	n     int
-	edges []edge
+	n int
+	// keys packs each edge (u, v) as u<<32 | v, so integer order is
+	// (u, v) order.
+	keys []uint64
 }
-
-type edge struct{ u, v NodeID }
 
 // NewBuilder returns a builder pre-sized for n nodes. Adding an edge with
 // a larger endpoint grows the node count.
@@ -33,33 +33,23 @@ func (b *Builder) AddEdge(u, v NodeID) {
 	if int(v) >= b.n {
 		b.n = int(v) + 1
 	}
-	b.edges = append(b.edges, edge{u, v})
+	b.keys = append(b.keys, uint64(u)<<32|uint64(v))
 }
 
 // Build produces the immutable graph. The builder remains usable; calling
 // Build again after more AddEdge calls produces a new snapshot.
 func (b *Builder) Build() *Graph {
-	es := make([]edge, len(b.edges))
-	copy(es, b.edges)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].u != es[j].u {
-			return es[i].u < es[j].u
-		}
-		return es[i].v < es[j].v
-	})
+	keys := slices.Clone(b.keys)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
 	g := &Graph{
 		n:      b.n,
 		rowPtr: make([]int64, b.n+1),
+		succ:   make([]NodeID, len(keys)),
 	}
-	g.succ = make([]NodeID, 0, len(es))
-	for i := 0; i < len(es); {
-		j := i + 1
-		for j < len(es) && es[j] == es[i] {
-			j++ // skip duplicates
-		}
-		g.succ = append(g.succ, es[i].v)
-		g.rowPtr[es[i].u+1]++
-		i = j
+	for i, k := range keys {
+		g.succ[i] = NodeID(uint32(k))
+		g.rowPtr[k>>32+1]++
 	}
 	for i := 0; i < b.n; i++ {
 		g.rowPtr[i+1] += g.rowPtr[i]

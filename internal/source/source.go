@@ -94,19 +94,23 @@ func (sg *Graph) TransposedT(workers int) *linalg.CSR {
 // with no sources.
 var ErrEmpty = errors.New("source: page graph has no sources")
 
-// Build derives the source graph from pg under the given options using a
-// sharded two-pass aggregation:
+// Build derives the source graph from pg under the given options, one
+// source row at a time with a sparse accumulator:
 //
-//  1. pages are partitioned across workers; each worker dedupes the
-//     target sources of each of its pages in a sorted scratch array and
-//     emits packed (src, dst) keys, which it sorts and run-length counts
-//     into a per-shard sorted run;
-//  2. contiguous source-row ranges are merged across shards in parallel,
-//     writing the Counts and T matrices directly in CSR form.
+//  1. a counting sort groups the pages by owning source (ascending page
+//     order within a source), and the source rows are split into one
+//     contiguous range per worker, balanced by out-link count;
+//  2. each worker builds its rows in turn: a page-stamped marker dedupes
+//     each page's target sources, a dense counter with a touched list
+//     counts the pages per target source, and the sorted touched list
+//     becomes the row's columns;
+//  3. Counts and T are written directly in CSR form, one contiguous block
+//     per worker.
 //
-// The output is deterministic and byte-for-byte identical to BuildSerial
-// for every worker count (the determinism tests assert this), so callers
-// may treat Build and BuildSerial as interchangeable.
+// The counts are integers and every row's columns come out sorted, so the
+// output is byte-for-byte identical to BuildSerial for every worker count
+// (the determinism tests assert this), and callers may treat Build and
+// BuildSerial as interchangeable.
 func Build(pg *pagegraph.Graph, opt Options) (*Graph, error) {
 	n := pg.NumSources()
 	if n == 0 {
@@ -116,164 +120,110 @@ func Build(pg *pagegraph.Graph, opt Options) (*Graph, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, n)
+
+	// Counting sort of the pages by source. rowLinks[r] ends up as the
+	// out-link total of the rows before r, the cost model for the ranges.
 	numPages := pg.NumPages()
-	if workers > numPages {
-		workers = numPages
+	pageCount := make([]int, n)
+	rowLinks := make([]int64, n+1)
+	for p := 0; p < numPages; p++ {
+		s := pg.SourceOf(pagegraph.PageID(p))
+		pageCount[s]++
+		rowLinks[s+1] += int64(len(pg.OutLinks(pagegraph.PageID(p))))
 	}
-	if workers < 1 {
-		workers = 1
+	pageStart := make([]int, n+1)
+	for s, c := range pageCount {
+		pageStart[s+1] = pageStart[s] + c
+		rowLinks[s+1] += rowLinks[s]
+	}
+	byRow := make([]pagegraph.PageID, numPages)
+	fill := slices.Clone(pageStart[:n])
+	for p := 0; p < numPages; p++ {
+		s := pg.SourceOf(pagegraph.PageID(p))
+		byRow[fill[s]] = pagegraph.PageID(p)
+		fill[s]++
+	}
+	bounds := make([]int, workers+1)
+	bounds[workers] = n
+	row := 0
+	for w := 1; w < workers; w++ {
+		target := rowLinks[n] * int64(w) / int64(workers)
+		for row < n && rowLinks[row] < target {
+			row++
+		}
+		bounds[w] = row
 	}
 
-	// Pass 1: per-shard sorted runs of packed (src, dst) keys. A key
-	// packs the source row in the high 32 bits and the destination
-	// column in the low 32, so integer sort order is (row, col) order.
-	runKeys := make([][]uint64, workers)
-	runCnt := make([][]int32, workers)
-	rowUpper := make([][]int32, workers) // per-shard entries per row, for merge balancing
+	type rowsOut struct {
+		cols     []int32 // destination columns, row-major
+		cnt      []int32 // consensus counts, aligned with cols
+		rowNNZ   []int32 // entries per row in this range
+		rowTotal []int64 // per-row count totals (consensus denominators)
+		hasSelf  []bool  // per-row: diagonal entry present
+	}
+	outs := make([]rowsOut, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lo := w * numPages / workers
-			hi := (w + 1) * numPages / workers
-			var scratch []pagegraph.SourceID
-			var keys []uint64
-			for p := lo; p < hi; p++ {
-				out := pg.OutLinks(pagegraph.PageID(p))
-				if len(out) == 0 {
-					continue
-				}
-				scratch = scratch[:0]
-				for _, q := range out {
-					scratch = append(scratch, pg.SourceOf(q))
-				}
-				slices.Sort(scratch)
-				base := uint64(uint32(pg.SourceOf(pagegraph.PageID(p)))) << 32
-				prev := pagegraph.SourceID(-1)
-				for _, sj := range scratch {
-					if sj != prev {
-						keys = append(keys, base|uint64(uint32(sj)))
-						prev = sj
+			rA, rB := bounds[w], bounds[w+1]
+			o := rowsOut{
+				rowNNZ:   make([]int32, rB-rA),
+				rowTotal: make([]int64, rB-rA),
+				hasSelf:  make([]bool, rB-rA),
+			}
+			mark := make([]pagegraph.PageID, n) // mark[t] == p+1: page p already voted for t
+			cnt := make([]int32, n)
+			var touched []int32
+			for r := rA; r < rB; r++ {
+				touched = touched[:0]
+				for _, p := range byRow[pageStart[r]:pageStart[r+1]] {
+					for _, q := range pg.OutLinks(p) {
+						t := pg.SourceOf(q)
+						if mark[t] == p+1 {
+							continue
+						}
+						mark[t] = p + 1
+						if cnt[t] == 0 {
+							touched = append(touched, t)
+						}
+						cnt[t]++
 					}
 				}
-			}
-			slices.Sort(keys)
-			// Run-length count equal keys in place.
-			upper := make([]int32, n)
-			cnt := make([]int32, 0, len(keys))
-			uniq := keys[:0]
-			for i := 0; i < len(keys); {
-				j := i + 1
-				for j < len(keys) && keys[j] == keys[i] {
-					j++
+				slices.Sort(touched)
+				i := r - rA
+				o.rowNNZ[i] = int32(len(touched))
+				o.hasSelf[i] = cnt[r] > 0
+				for _, t := range touched {
+					o.cols = append(o.cols, t)
+					o.cnt = append(o.cnt, cnt[t])
+					o.rowTotal[i] += int64(cnt[t])
+					cnt[t] = 0
 				}
-				uniq = append(uniq, keys[i])
-				cnt = append(cnt, int32(j-i))
-				upper[keys[i]>>32]++
-				i = j
 			}
-			runKeys[w], runCnt[w], rowUpper[w] = uniq, cnt, upper
+			outs[w] = o
 		}(w)
 	}
 	wg.Wait()
 
 	sg := &Graph{
 		Labels:    make([]string, n),
-		PageCount: pg.PageCounts(),
+		PageCount: pageCount,
 	}
 	for s := 0; s < n; s++ {
 		sg.Labels[s] = pg.SourceLabel(pagegraph.SourceID(s))
 	}
 
-	// Pass 2: merge the shards' sorted runs over contiguous row ranges.
-	// Range boundaries balance the pre-merge entry total, an upper bound
-	// on merged row width.
-	var totalUpper int64
-	cumUpper := make([]int64, n+1)
-	for r := 0; r < n; r++ {
-		for w := 0; w < workers; w++ {
-			totalUpper += int64(rowUpper[w][r])
-		}
-		cumUpper[r+1] = totalUpper
-	}
-	mergeBounds := make([]int, workers+1)
-	mergeBounds[workers] = n
-	row := 0
-	for m := 1; m < workers; m++ {
-		target := totalUpper * int64(m) / int64(workers)
-		for row < n && cumUpper[row] < target {
-			row++
-		}
-		mergeBounds[m] = row
-	}
-
-	type mergeOut struct {
-		cols     []int32 // merged destination columns, row-major
-		cnt      []int64 // merged counts, aligned with cols
-		rowNNZ   []int32 // entries per row in this range
-		rowTotal []int64 // per-row count totals (consensus denominators)
-		hasSelf  []bool  // per-row: diagonal entry present
-	}
-	outs := make([]mergeOut, workers)
-	for m := 0; m < workers; m++ {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			rA, rB := mergeBounds[m], mergeBounds[m+1]
-			o := mergeOut{
-				rowNNZ:   make([]int32, rB-rA),
-				rowTotal: make([]int64, rB-rA),
-				hasSelf:  make([]bool, rB-rA),
-			}
-			idx := make([]int, workers)
-			end := make([]int, workers)
-			for w := 0; w < workers; w++ {
-				idx[w], _ = slices.BinarySearch(runKeys[w], uint64(rA)<<32)
-				end[w], _ = slices.BinarySearch(runKeys[w], uint64(rB)<<32)
-			}
-			for {
-				min := uint64(1<<64 - 1)
-				live := false
-				for w := 0; w < workers; w++ {
-					if idx[w] < end[w] && runKeys[w][idx[w]] < min {
-						min = runKeys[w][idx[w]]
-						live = true
-					}
-				}
-				if !live {
-					break
-				}
-				var c int64
-				for w := 0; w < workers; w++ {
-					if idx[w] < end[w] && runKeys[w][idx[w]] == min {
-						c += int64(runCnt[w][idx[w]])
-						idx[w]++
-					}
-				}
-				r := int(min >> 32)
-				col := int32(uint32(min))
-				o.cols = append(o.cols, col)
-				o.cnt = append(o.cnt, c)
-				o.rowNNZ[r-rA]++
-				o.rowTotal[r-rA] += c
-				if int(col) == r {
-					o.hasSelf[r-rA] = true
-				}
-			}
-			outs[m] = o
-		}(m)
-	}
-	wg.Wait()
-
 	// Assemble Counts and T directly in CSR form. Row pointers come from
 	// the per-range row widths; the value arrays are filled in parallel,
-	// one contiguous block per merge range.
+	// one contiguous block per worker range.
 	countPtr := make([]int64, n+1)
 	transPtr := make([]int64, n+1)
-	for m := 0; m < workers; m++ {
-		o := &outs[m]
-		rA := mergeBounds[m]
+	for w := 0; w < workers; w++ {
+		o := &outs[w]
+		rA := bounds[w]
 		for i, nnz := range o.rowNNZ {
 			r := rA + i
 			countPtr[r+1] = int64(nnz)
@@ -304,12 +254,12 @@ func Build(pg *pagegraph.Graph, opt Options) (*Graph, error) {
 		Cols:   make([]int32, transPtr[n]),
 		Vals:   make([]float64, transPtr[n]),
 	}
-	for m := 0; m < workers; m++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(m int) {
+		go func(w int) {
 			defer wg.Done()
-			o := &outs[m]
-			rA, rB := mergeBounds[m], mergeBounds[m+1]
+			o := &outs[w]
+			rA, rB := bounds[w], bounds[w+1]
 			pos := 0
 			for r := rA; r < rB; r++ {
 				nnz := int(o.rowNNZ[r-rA])
@@ -328,9 +278,9 @@ func Build(pg *pagegraph.Graph, opt Options) (*Graph, error) {
 					continue
 				}
 				insertSelf := !o.hasSelf[r-rA]
-				var w float64
+				var uw float64
 				if opt.Weighting == Uniform {
-					w = 1 / float64(nnz)
+					uw = 1 / float64(nnz)
 				}
 				total := float64(o.rowTotal[r-rA])
 				j := 0
@@ -341,7 +291,7 @@ func Build(pg *pagegraph.Graph, opt Options) (*Graph, error) {
 					}
 					tc[j] = col
 					if opt.Weighting == Uniform {
-						tv[j] = w
+						tv[j] = uw
 					} else {
 						tv[j] = float64(cnts[k]) / total
 					}
@@ -351,7 +301,7 @@ func Build(pg *pagegraph.Graph, opt Options) (*Graph, error) {
 					tc[j], tv[j] = int32(r), 0
 				}
 			}
-		}(m)
+		}(w)
 	}
 	wg.Wait()
 	sg.Counts, sg.T = counts, trans
@@ -449,16 +399,15 @@ func (sg *Graph) NumSources() int { return len(sg.Labels) }
 
 // Structure returns the unweighted source graph (distinct derived edges
 // only, no artificial self-edges), used by the spam-proximity walk which
-// runs on the reversed source topology.
+// runs on the reversed source topology. It is the sparsity of Counts,
+// whose rows are already strictly increasing, so the CSR arrays are
+// cloned rather than re-sorted.
 func (sg *Graph) Structure() *graph.Graph {
-	b := graph.NewBuilder(sg.NumSources())
-	for i := 0; i < sg.Counts.Rows; i++ {
-		cols, _ := sg.Counts.Row(i)
-		for _, j := range cols {
-			b.AddEdge(int32(i), j)
-		}
+	g, err := graph.FromParts(sg.Counts.Rows, slices.Clone(sg.Counts.RowPtr), slices.Clone(sg.Counts.Cols))
+	if err != nil {
+		panic(fmt.Sprintf("source: counts structure: %v", err))
 	}
-	return b.Build()
+	return g
 }
 
 // Validate checks that T is row-stochastic and structurally sound.
