@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
-	"sync"
 )
 
 // maxTopK caps the n accepted by /v1/topk; larger requests are clamped
@@ -38,6 +37,7 @@ type respCache struct {
 	// append, retained so the next publish in the lineage can reuse them
 	// (see labelCacheFor).
 	labels *labelCache
+	digits *textArena // 0..NumSources, every n a top-k cache serves
 }
 
 // Fixed byte fragments of the /v1/topk document surrounding the
@@ -64,9 +64,9 @@ type topkCache struct {
 
 func (c *topkCache) max() int { return len(c.ends) }
 
-func (c *topkCache) writeTo(w io.Writer, n int) {
+func (c *topkCache) writeTo(w io.Writer, n int, digits *textArena) {
 	w.Write(c.head)
-	w.Write(topkDigits[n])
+	w.Write(digits.at(n))
 	if n == 0 {
 		w.Write(topkZeroTail)
 		return
@@ -89,23 +89,6 @@ func (c *rankCache) numSources() int { return len(c.offs) - 1 }
 func (c *rankCache) writeTo(w io.Writer, id int32) {
 	w.Write(c.head)
 	w.Write(c.frags[c.offs[id]:c.offs[id+1]])
-}
-
-// topkDigits maps n to its decimal encoding, so writing the effective n
-// into a cached response is a table lookup instead of an append that
-// would escape to the heap.
-var (
-	topkDigits     [maxTopK + 1][]byte
-	topkDigitsOnce sync.Once
-)
-
-func initTopKDigits() {
-	topkDigitsOnce.Do(func() {
-		var buf [8]byte
-		for n := range topkDigits {
-			topkDigits[n] = append([]byte(nil), strconv.AppendInt(buf[:0], int64(n), 10)...)
-		}
-	})
 }
 
 // encodeIndented renders v exactly as writeJSON does (two-space indent,
@@ -150,10 +133,10 @@ func SameArray[T any](a, b []T) bool {
 // response bodies. Store.Publish calls it after assigning the version and
 // before the snapshot pointer is swapped in, so readers only ever observe
 // a fully built cache. publishes is the store's publish counter as of
-// this publish (it equals what Store.Publishes reports while this
-// snapshot is current, which keeps the cached /v1/snapshot body identical
-// to the encoder fallback). prev is the outgoing snapshot (nil on the
-// first publish). It returns how many score sets met each outcome.
+// this publish (what Store.Publishes reports while this snapshot is
+// current, so the cached /v1/snapshot body equals the fallback's); prev
+// is the outgoing snapshot, nil on the first publish; scores is the
+// store's scratch arena. It returns how many score sets met each outcome.
 //
 // One rule, decided here and nowhere else: an input that is prev's very
 // array carries everything derived from it. Shared labels carry the
@@ -164,14 +147,12 @@ func SameArray[T any](a, b []T) bool {
 // plus one index-and-render per algorithm whose vector changed — the
 // first publish of a lineage included, where that is every algorithm.
 //
-// Everything else is rendered by the direct appenders of cache_delta.go.
-// They are defensive: heads come from the encoder, one entry per
-// document kind is probed against an encoder rendering, and on any
-// mismatch that piece of the cache is dropped so handlers fall back to
-// per-request encoding. The golden tests assert the cached bytes equal
-// the fallback for every algorithm and n on first and later publishes.
-func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPublishOutcomes]int) {
-	initTopKDigits()
+// Everything else is rendered by cache_delta.go, defensively: heads come
+// from the encoder, one entry per document kind is probed against an
+// encoder rendering, and on any mismatch that piece of the cache is
+// dropped so handlers fall back to per-request encoding. The golden
+// tests assert cached bytes equal the fallback on every kind of publish.
+func (s *Snapshot) finalize(prev *Snapshot, publishes uint64, scores *textArena) (outcomes [numPublishOutcomes]int) {
 	c := &respCache{
 		etag: `"v` + strconv.FormatUint(s.version, 10) + `"`,
 		topk: make(map[Algo]*topkCache, len(s.sets)),
@@ -194,6 +175,9 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 	s.labelIndex()
 	c.labels = labelCacheFor(s.labels, old.labels)
 	n := s.NumSources()
+	if c.digits = old.digits; c.digits == nil || len(c.digits.offs) != n+2 {
+		c.digits = decimals(n)
+	}
 	for _, algo := range s.Algos() {
 		ss := s.sets[algo]
 		sameScores := false
@@ -203,7 +187,7 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 				ss.shareIndex(pss)
 			}
 		}
-		ss.index()
+		order, _ := ss.index()
 		var fromTopK *topkCache
 		var fromRank *rankCache
 		if sameScores && sameLabels {
@@ -212,14 +196,20 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 				fromRank = old.rank[algo]
 			}
 		}
-		tc := s.renderTopK(&buf, algo, c.labels, fromTopK)
+		wantRank := n > 0 && n <= maxRankCacheSources
+		switch {
+		case wantRank && fromRank == nil:
+			scores.formatScores(ss.scores, order, n)
+		case fromTopK == nil:
+			scores.formatScores(ss.scores, order, min(n, maxTopK))
+		}
+		tc := s.renderTopK(&buf, algo, c.labels, c.digits, scores, fromTopK)
 		if tc != nil {
 			c.topk[algo] = tc
 		}
-		wantRank := n > 0 && n <= maxRankCacheSources
 		var rc *rankCache
 		if wantRank {
-			if rc = s.renderRank(&buf, algo, c.labels, fromRank); rc != nil {
+			if rc = s.renderRank(&buf, algo, c.labels, c.digits, scores, fromRank); rc != nil {
 				c.rank[algo] = rc
 			}
 		}

@@ -4,25 +4,63 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
+
+	"sourcerank/internal/linalg"
 )
 
 // This file is the response pre-encoder's renderer, the only one: first
 // publishes and delta publishes alike go through it. finalize (cache.go)
 // decides what is carried over from the outgoing snapshot; whatever is
-// not carried is rendered here with byte-exact appenders (cached escaped
-// label bytes plus appendJSONFloat, which replicates the encoder's float
-// formatting) instead of round-tripping the corpus through encoding/json.
+// not carried is copied together here from text formatted once per
+// publish — escaped labels, the decimals 0..n, and each rendered
+// algorithm's scores (appendJSONFloat replicates the encoder's floats).
 //
 // The renderers stay defensive: the version-bearing head always comes
 // from the encoder, one full entry is probed against an encoder
 // rendering, and any mismatch drops that cache so the handlers encode
 // per request — the encoder's output is the contract.
 
+// textArena is a run of texts in one buffer: text i is b[offs[i]:offs[i+1]].
+type textArena struct {
+	b    []byte
+	offs []int32
+}
+
+func (a *textArena) at(i int) []byte { return a.b[a.offs[i]:a.offs[i+1]] }
+
+// decimals returns the arena of the decimal texts of 0..n.
+func decimals(n int) *textArena {
+	a := &textArena{b: make([]byte, 0, (n+1)*decLen(n)), offs: make([]int32, 1, n+2)}
+	for v := 0; v <= n; v++ {
+		a.b = strconv.AppendInt(a.b, int64(v), 10)
+		a.offs = append(a.offs, int32(len(a.b)))
+	}
+	return a
+}
+
+// maxJSONFloatLen bounds appendJSONFloat's output: sign, "0.", five
+// leading zeros and 17 significant digits at 1e-6, the longest case.
+const maxJSONFloatLen = 25
+
+// formatScores refills a with the JSON text of the first m scores in rank
+// order, reusing a's buffers. A non-finite score, which the encoder
+// refuses, gets empty text; the renderers drop their cache on it.
+func (a *textArena) formatScores(scores linalg.Vector, order []int32, m int) {
+	a.b, a.offs = slices.Grow(a.b[:0], m*maxJSONFloatLen), append(slices.Grow(a.offs[:0], m+1), 0)
+	for _, id := range order[:m] {
+		if s := scores[id]; !math.IsNaN(s) && !math.IsInf(s, 0) {
+			a.b = appendJSONFloat(a.b, s)
+		}
+		a.offs = append(a.offs, int32(len(a.b)))
+	}
+}
+
 // labelCache holds the JSON-escaped (quoted) encoding of every source
 // label. Escapes depend only on the label string, and the incremental
 // source maintainer grows its label slice append-only, so successive
-// publishes in a lineage reuse the shared-prefix escapes and marshal
+// publishes in a lineage reuse the shared-prefix escapes and escape
 // only newly added sources.
 type labelCache struct {
 	labels []string // the label slice the escapes were rendered for
@@ -31,7 +69,8 @@ type labelCache struct {
 
 // labelCacheFor builds the escaped-label cache for labels, reusing the
 // outgoing publish's cache (nil when there is none) for the shared
-// backing-array prefix.
+// backing-array prefix. Plain labels are quoted into one arena; only the
+// rest go through json.Marshal.
 func labelCacheFor(labels []string, old *labelCache) *labelCache {
 	n := len(labels)
 	if old != nil && SameArray(labels, old.labels) {
@@ -44,26 +83,38 @@ func labelCacheFor(labels []string, old *labelCache) *labelCache {
 			reuse = copy(esc, old.esc[:m])
 		}
 	}
+	size := 0
+	for _, l := range labels[reuse:] {
+		size += len(l) + 2
+	}
+	arena := make([]byte, 0, size) // a label Marshal escapes leaves its share unused
 	for i := reuse; i < n; i++ {
-		b, err := json.Marshal(labels[i])
-		if err != nil {
-			return nil
+		if l := labels[i]; plainLabel(l) {
+			at := len(arena)
+			arena = append(append(append(arena, '"'), l...), '"')
+			esc[i] = arena[at:len(arena):len(arena)]
+			continue
 		}
-		esc[i] = b
+		esc[i], _ = json.Marshal(labels[i]) // a string always marshals
 	}
 	return &labelCache{labels: labels, esc: esc}
 }
 
-// maxJSONFloatLen bounds appendJSONFloat's output: sign, "0.", five
-// leading zeros and 17 significant digits at 1e-6, the longest case.
-const maxJSONFloatLen = 25
+// plainLabel reports whether json.Marshal quotes l verbatim: every byte
+// is printable ASCII other than the ones it escapes, `"` `\` and the
+// HTML-significant `<` `>` `&`.
+func plainLabel(l string) bool {
+	for i := 0; i < len(l); i++ {
+		if c := l[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
 
-// decLen is the length of v in decimal.
+// decLen is the length of v >= 0 in decimal.
 func decLen(v int) int {
 	n := 1
-	if v < 0 {
-		n, v = 2, -v
-	}
 	for ; v >= 10; v /= 10 {
 		n++
 	}
@@ -126,11 +177,12 @@ const (
 // renderTopK builds algo's top-K cache. The head, which carries the
 // version, is always encoded afresh; from, when finalize established
 // that the outgoing snapshot's entries still hold, supplies the entry
-// slab as is. Otherwise the slab is rendered directly into a buffer
-// sized once from an upper bound, and entry 0 is probed against a full
-// encoder rendering, so a formatting divergence drops the cache instead
-// of serving wrong bytes.
-func (s *Snapshot) renderTopK(buf *bytes.Buffer, algo Algo, lc *labelCache, from *topkCache) *topkCache {
+// slab as is. Otherwise the slab is copied together from the escaped
+// labels, the decimals dig and the rank-ordered score texts sc into a
+// buffer sized exactly, and entry 0 is probed against a full encoder
+// rendering, so a formatting divergence drops the cache instead of
+// serving wrong bytes.
+func (s *Snapshot) renderTopK(buf *bytes.Buffer, algo Algo, lc *labelCache, dig, sc *textArena, from *topkCache) *topkCache {
 	head := s.topkHead(buf, algo)
 	if head == nil {
 		return nil
@@ -138,38 +190,32 @@ func (s *Snapshot) renderTopK(buf *bytes.Buffer, algo Algo, lc *labelCache, from
 	if from != nil {
 		return &topkCache{head: head, entries: from.entries, ends: from.ends}
 	}
-	ss := s.sets[algo]
-	if lc == nil || len(lc.esc) != len(s.labels) {
-		return nil
-	}
-	order, _ := ss.index()
+	order, _ := s.sets[algo].index()
 	maxN := min(len(order), maxTopK)
 	if maxN == 0 {
 		return &topkCache{head: head}
 	}
-	size := maxN * (1 + len(topkEntrySource) + len(topkEntryLabel) + len(topkEntryScore) + len(topkEntryRank) +
-		len(entryClose) + 2*decLen(len(order)) + maxJSONFloatLen)
-	for _, id := range order[:maxN] {
-		size += len(lc.esc[id])
+	size := maxN*(1+len(topkEntrySource)+len(topkEntryLabel)+len(topkEntryScore)+len(topkEntryRank)+len(entryClose)) - 1
+	for pos, id := range order[:maxN] {
+		if len(sc.at(pos)) == 0 {
+			return nil // non-finite
+		}
+		size += len(dig.at(int(id))) + len(lc.esc[id]) + len(sc.at(pos)) + len(dig.at(pos+1))
 	}
 	entries := make([]byte, 0, size)
 	ends := make([]int, maxN)
 	for pos, id := range order[:maxN] {
-		score := ss.scores[id]
-		if math.IsNaN(score) || math.IsInf(score, 0) {
-			return nil
-		}
 		if pos > 0 {
 			entries = append(entries, ',')
 		}
 		entries = append(entries, topkEntrySource...)
-		entries = strconv.AppendInt(entries, int64(id), 10)
+		entries = append(entries, dig.at(int(id))...)
 		entries = append(entries, topkEntryLabel...)
 		entries = append(entries, lc.esc[id]...)
 		entries = append(entries, topkEntryScore...)
-		entries = appendJSONFloat(entries, score)
+		entries = append(entries, sc.at(pos)...)
 		entries = append(entries, topkEntryRank...)
-		entries = strconv.AppendInt(entries, int64(pos+1), 10)
+		entries = append(entries, dig.at(pos+1)...)
 		entries = append(entries, entryClose...)
 		ends[pos] = len(entries)
 	}
@@ -224,7 +270,7 @@ func (s *Snapshot) rankHead(buf *bytes.Buffer, algo Algo) (head, frag0 []byte) {
 // renderRank is renderTopK for the per-source /v1/rank fragments, with
 // source 0 pinned to the encoder's rendering on both the carried and the
 // rendered path.
-func (s *Snapshot) renderRank(buf *bytes.Buffer, algo Algo, lc *labelCache, from *rankCache) *rankCache {
+func (s *Snapshot) renderRank(buf *bytes.Buffer, algo Algo, lc *labelCache, dig, sc *textArena, from *rankCache) *rankCache {
 	head, frag0 := s.rankHead(buf, algo)
 	if head == nil {
 		return nil
@@ -236,45 +282,46 @@ func (s *Snapshot) renderRank(buf *bytes.Buffer, algo Algo, lc *labelCache, from
 		return &rankCache{head: head, frags: from.frags, offs: from.offs}
 	}
 	n := s.NumSources()
-	ss := s.sets[algo]
-	if lc == nil || len(lc.esc) != n {
-		return nil
-	}
-	_, rank := ss.index()
+	_, rank := s.sets[algo].index()
 	pcs := s.pageCount
 	size := n * (len(rankMarker) + len(rankFragLabel) + len(rankFragScore) + len(rankFragRank) + len(rankFragSources) +
-		len(rankFragClose) + 3*decLen(n) + maxJSONFloatLen)
+		len(rankFragClose) + len(dig.at(n)))
 	for id, e := range lc.esc {
-		size += len(e)
+		p := int(rank[id])
+		if len(sc.at(p)) == 0 {
+			return nil // non-finite
+		}
+		size += len(dig.at(id)) + len(e) + len(sc.at(p)) + len(dig.at(p+1))
 		if id < len(pcs) && pcs[id] != 0 {
 			size += len(rankFragPages) + decLen(pcs[id])
 		}
 	}
+	if size > math.MaxInt32 {
+		return nil
+	}
 	frags := make([]byte, 0, size)
 	offs := make([]int32, n+1)
 	for id := 0; id < n; id++ {
-		score := ss.scores[id]
-		if math.IsNaN(score) || math.IsInf(score, 0) {
-			return nil
-		}
+		p := int(rank[id])
 		frags = append(frags, rankMarker...)
-		frags = strconv.AppendInt(frags, int64(id), 10)
+		frags = append(frags, dig.at(id)...)
 		frags = append(frags, rankFragLabel...)
 		frags = append(frags, lc.esc[id]...)
 		frags = append(frags, rankFragScore...)
-		frags = appendJSONFloat(frags, score)
+		frags = append(frags, sc.at(p)...)
 		frags = append(frags, rankFragRank...)
-		frags = strconv.AppendInt(frags, int64(rank[id])+1, 10)
+		frags = append(frags, dig.at(p+1)...)
 		frags = append(frags, rankFragSources...)
-		frags = strconv.AppendInt(frags, int64(n), 10)
+		frags = append(frags, dig.at(n)...)
 		if id < len(pcs) && pcs[id] != 0 {
 			frags = append(frags, rankFragPages...)
-			frags = strconv.AppendInt(frags, int64(pcs[id]), 10)
+			if pc := pcs[id]; pc > 0 && pc <= n {
+				frags = append(frags, dig.at(pc)...)
+			} else { // a page count above the source count
+				frags = strconv.AppendInt(frags, int64(pc), 10)
+			}
 		}
 		frags = append(frags, rankFragClose...)
-		if len(frags) > 1<<31-1 {
-			return nil
-		}
 		offs[id+1] = int32(len(frags))
 	}
 	if !bytes.Equal(frag0, frags[:offs[1]]) {

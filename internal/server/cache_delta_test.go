@@ -45,7 +45,7 @@ func TestAppendJSONFloat(t *testing.T) {
 			t.Fatalf("appendJSONFloat(%v) = %q, want %q", v, got, want)
 		}
 		if len(got) > maxJSONFloatLen {
-			t.Fatalf("appendJSONFloat(%v) is %d bytes, above the renderers' sizing bound %d", v, len(got), maxJSONFloatLen)
+			t.Fatalf("appendJSONFloat(%v) is %d bytes, above the score arena's sizing bound %d", v, len(got), maxJSONFloatLen)
 		}
 	}
 }
@@ -371,5 +371,153 @@ func TestParentVersionLineage(t *testing.T) {
 	store.Publish(nastySnapshot(t))
 	if got := store.Current().ParentVersion(); got != 2 {
 		t.Fatalf("third publish parent = %d, want 2", got)
+	}
+}
+
+// FuzzLabelEscape checks the escaped-label cache against json.Marshal on
+// arbitrary strings, both when the cache is built cold and when a
+// lineage appends the label behind a reused prefix.
+func FuzzLabelEscape(f *testing.F) {
+	for _, l := range hostileLabels {
+		f.Add(l)
+	}
+	f.Fuzz(func(t *testing.T, label string) {
+		want, err := json.Marshal(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backing := []string{"prefix", label}
+		old := labelCacheFor(backing[:1], nil)
+		for _, lc := range []*labelCache{labelCacheFor(backing[1:], nil), labelCacheFor(backing, old)} {
+			if got := lc.esc[len(lc.esc)-1]; string(got) != string(want) {
+				t.Fatalf("label %q escaped to %s, want %s", label, got, want)
+			}
+		}
+	})
+}
+
+// hostileLabels are labels json.Marshal does not quote verbatim, next to
+// ones it does: HTML-escaped runes, quotes, backslashes, control bytes,
+// DEL, the JavaScript line separators and invalid UTF-8.
+var hostileLabels = []string{
+	"", "plain.example.org", "~ !#$%'()*+,-./09:;=?@AZ[]^_`az{|}",
+	"<b>&amp;</b>", "a<b", "b>a", "r&d", `say "hi"`, `c:\dir\`, "tab\there", "nl\nx\r\x00\x1f",
+	"del\x7f", "ls\u2028ps\u2029", "bad\xffutf8\xc3", "ünïcödé-ラベル",
+}
+
+// assertCachedEqualsFallback compares every cached /v1/topk (n from 0
+// past the source count) and /v1/rank body of store's current snapshot
+// with the encoder fallback, and requires each cache to be present.
+func assertCachedEqualsFallback(t *testing.T, store *Store) {
+	t.Helper()
+	snap := store.Current()
+	cached, fallback := twoServers(store)
+	hc, hf := cached.Handler(), fallback.Handler()
+	var paths []string
+	for _, algo := range snap.Algos() {
+		if snap.resp.topk[algo] == nil || snap.resp.rank[algo] == nil {
+			t.Fatalf("v%d: missing cache for %s", snap.Version(), algo)
+		}
+		for n := 0; n <= snap.NumSources()+1; n++ {
+			paths = append(paths, fmt.Sprintf("/v1/topk?algo=%s&n=%d", algo, n))
+		}
+		for id := 0; id < snap.NumSources(); id++ {
+			paths = append(paths, fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo))
+		}
+	}
+	for _, path := range paths {
+		a, b := rawGet(t, hc, path, nil), rawGet(t, hf, path, nil)
+		if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
+			t.Fatalf("v%d %s: status %d, cached body differs from fallback\ncached:\n%s\nfallback:\n%s",
+				snap.Version(), path, a.Code, a.Body.String(), b.Body.String())
+		}
+	}
+}
+
+// TestHostileLabelsByteIdentical runs the golden comparison over
+// hostileLabels on a cold publish and on a lineage that appends more of
+// them behind the previous publish's labels, reusing its escapes.
+func TestHostileLabelsByteIdentical(t *testing.T) {
+	backing := append(append([]string(nil), hostileLabels...), hostileLabels...)
+	rng := rand.New(rand.NewSource(13))
+	snapshot := func(labels []string) *Snapshot {
+		scores := make(linalg.Vector, len(labels))
+		pages := make([]int, len(labels))
+		for i := range scores {
+			scores[i] = float64(rng.Intn(4)) / 8 // ties
+			pages[i] = rng.Intn(3 * len(labels))
+		}
+		snap, err := NewSnapshot(CorpusInfo{Name: "hostile"}, labels, pages, 0,
+			map[Algo]*ScoreSet{AlgoSRSR: NewScoreSet(scores, linalg.IterStats{})}, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	k := len(hostileLabels)
+	store := NewStore(snapshot(backing[:k]))
+	assertCachedEqualsFallback(t, store)
+	for _, n := range []int{k + 1, len(backing)} { // grow by one, then by the rest
+		prev := store.Current().resp.labels
+		store.Publish(snapshot(backing[:n]))
+		assertCachedEqualsFallback(t, store)
+		for i := range prev.esc {
+			if &store.Current().resp.labels.esc[i][0] != &prev.esc[i][0] {
+				t.Fatalf("escaped label %d was re-rendered instead of reused", i)
+			}
+		}
+	}
+}
+
+// TestNonFiniteScoresDropCaches pins what a score the encoder refuses
+// does to a publish: a NaN or +Inf drops both caches of its algorithm,
+// which counts as uncached and is served (or refused) by the encoder
+// fallback, while finite negative scores render as usual.
+func TestNonFiniteScoresDropCaches(t *testing.T) {
+	labels := []string{"a", "b", "c", "d"}
+	sets := map[Algo]*ScoreSet{
+		"nan":      NewScoreSet(linalg.Vector{0.5, math.NaN(), 0.25, 0.25}, linalg.IterStats{}),
+		"inf":      NewScoreSet(linalg.Vector{0.5, 0.125, math.Inf(1), 0.25}, linalg.IterStats{}),
+		"negative": NewScoreSet(linalg.Vector{-0.5, 0.125, math.Copysign(0, -1), -1e-9}, linalg.IterStats{}),
+	}
+	snap, err := NewSnapshot(CorpusInfo{Name: "nonfinite"}, labels, []int{1, 2, 3, 4}, 0, sets, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore(snap)
+	for algo, cached := range map[Algo]bool{"nan": false, "inf": false, "negative": true} {
+		if got := snap.resp.topk[algo] != nil; got != cached {
+			t.Fatalf("%s: topk cache present = %v, want %v", algo, got, cached)
+		}
+		if got := snap.resp.rank[algo] != nil; got != cached {
+			t.Fatalf("%s: rank cache present = %v, want %v", algo, got, cached)
+		}
+	}
+	if reused, rendered, uncached := store.PublishSets(); reused != 0 || rendered != 1 || uncached != 2 {
+		t.Fatalf("publish sets reused/rendered/uncached = %d/%d/%d, want 0/1/2", reused, rendered, uncached)
+	}
+	cached, fallback := twoServers(store)
+	for _, algo := range snap.Algos() {
+		for n := 0; n <= len(labels); n++ {
+			path := fmt.Sprintf("/v1/topk?algo=%s&n=%d", algo, n)
+			a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil)
+			if a.Code != b.Code || a.Body.String() != b.Body.String() {
+				t.Fatalf("%s: cached %d %q, fallback %d %q", path, a.Code, a.Body.String(), b.Code, b.Body.String())
+			}
+		}
+		for id := range labels {
+			path := fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo)
+			a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil)
+			if a.Code != b.Code || a.Body.String() != b.Body.String() {
+				t.Fatalf("%s: cached %d %q, fallback %d %q", path, a.Code, a.Body.String(), b.Code, b.Body.String())
+			}
+		}
+	}
+	if body := rawGet(t, cached.Handler(), "/v1/topk?algo=nan&n=4", nil).Body.String(); body != "" {
+		t.Fatalf("a top-K holding NaN encoded as %q, want the encoder's empty refusal", body)
+	}
+	metrics := rawGet(t, cached.Handler(), "/metrics", nil).Body.String()
+	if want := `srserve_publish_sets_total{outcome="uncached"} 2`; !strings.Contains(metrics, want) {
+		t.Fatalf("metrics missing %q:\n%s", want, metrics)
 	}
 }

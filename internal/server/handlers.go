@@ -323,7 +323,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			}
 			w.Header()["Content-Type"] = jsonContentType
 			w.WriteHeader(http.StatusOK)
-			tc.writeTo(w, n)
+			tc.writeTo(w, n, c.digits)
 			return
 		}
 	}

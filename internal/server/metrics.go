@@ -277,40 +277,28 @@ func (m *Metrics) WriteSolverText(w io.Writer, snap *Snapshot) {
 	if snap == nil {
 		return
 	}
-	algos := snap.Algos()
-	fmt.Fprintf(w, "# HELP srserve_solver_iterations Solver iterations for the served snapshot, by algorithm.\n")
-	fmt.Fprintf(w, "# TYPE srserve_solver_iterations gauge\n")
-	for _, a := range algos {
-		fmt.Fprintf(w, "srserve_solver_iterations{algo=%q} %d\n", a, snap.Set(a).Stats().Iterations)
-	}
-	fmt.Fprintf(w, "# HELP srserve_solver_residual Solver residual at convergence, by algorithm.\n")
-	fmt.Fprintf(w, "# TYPE srserve_solver_residual gauge\n")
-	for _, a := range algos {
-		fmt.Fprintf(w, "srserve_solver_residual{algo=%q} %g\n", a, snap.Set(a).Stats().Residual)
-	}
-	fmt.Fprintf(w, "# HELP srserve_solver_seconds Solve wall time for the served snapshot, by algorithm.\n")
-	fmt.Fprintf(w, "# TYPE srserve_solver_seconds gauge\n")
-	for _, a := range algos {
-		fmt.Fprintf(w, "srserve_solver_seconds{algo=%q} %.6f\n", a, snap.Set(a).SolveTime().Seconds())
-	}
-	fmt.Fprintf(w, "# HELP srserve_solver_warm_start Whether the solve started from the builder's retained state (1) or cold (0).\n")
-	fmt.Fprintf(w, "# TYPE srserve_solver_warm_start gauge\n")
-	for _, a := range algos {
-		v := 0
-		if snap.Set(a).WarmStarted() {
-			v = 1
+	gauge := func(name, help, format string, value func(*ScoreSet) any) {
+		fmt.Fprintf(w, "# HELP srserve_solver_%s %s\n# TYPE srserve_solver_%s gauge\n", name, help, name)
+		for _, a := range snap.Algos() {
+			fmt.Fprintf(w, "srserve_solver_%s{algo=%q} "+format+"\n", name, a, value(snap.Set(a)))
 		}
-		fmt.Fprintf(w, "srserve_solver_warm_start{algo=%q} %d\n", a, v)
 	}
-	fmt.Fprintf(w, "# HELP srserve_solver_float32 Whether the solve ran on the float32 bandwidth kernels (1) or the float64 reference path (0).\n")
-	fmt.Fprintf(w, "# TYPE srserve_solver_float32 gauge\n")
-	for _, a := range algos {
-		v := 0
-		if snap.Set(a).SolvePrecision() == linalg.Float32 {
-			v = 1
+	flag := func(b bool) int {
+		if b {
+			return 1
 		}
-		fmt.Fprintf(w, "srserve_solver_float32{algo=%q} %d\n", a, v)
+		return 0
 	}
+	gauge("iterations", "Solver iterations for the served snapshot, by algorithm.", "%d",
+		func(ss *ScoreSet) any { return ss.Stats().Iterations })
+	gauge("residual", "Solver residual at convergence, by algorithm.", "%g",
+		func(ss *ScoreSet) any { return ss.Stats().Residual })
+	gauge("seconds", "Solve wall time for the served snapshot, by algorithm.", "%.6f",
+		func(ss *ScoreSet) any { return ss.SolveTime().Seconds() })
+	gauge("warm_start", "Whether the solve started from the builder's retained state (1) or cold (0).", "%d",
+		func(ss *ScoreSet) any { return flag(ss.WarmStarted()) })
+	gauge("float32", "Whether the solve ran on the float32 bandwidth kernels (1) or the float64 reference path (0).", "%d",
+		func(ss *ScoreSet) any { return flag(ss.SolvePrecision() == linalg.Float32) })
 	fmt.Fprintf(w, "# HELP srserve_solver_rowsums Which row-sum pass this host's solves run at either precision: avx2, or the portable go loops (same bits, a quarter to a third longer per iteration).\n")
 	fmt.Fprintf(w, "# TYPE srserve_solver_rowsums gauge\n")
 	fmt.Fprintf(w, "srserve_solver_rowsums{impl=%q} 1\n", linalg.RowSumsImpl())

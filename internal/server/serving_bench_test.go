@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -100,19 +101,29 @@ func BenchmarkRankFallback(b *testing.B) {
 	}
 }
 
-// BenchmarkNewScoreSet tracks the publish-path sort (slices.SortFunc on
-// concrete types, replacing sort.Slice), which runs when a set's index is
-// first resolved.
+// BenchmarkNewScoreSet times the rank index a publish resolves for every
+// changed vector (rankIndex, an LSD radix sort) on 100 000 distinct
+// scores, and on scores quantised to 1/1000, where almost every source
+// ties and the ID order of equal keys carries the result.
 func BenchmarkNewScoreSet(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
-	scores := make(linalg.Vector, 100_000)
-	for i := range scores {
-		scores[i] = rng.Float64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewScoreSet(scores, linalg.IterStats{}).index()
+	for _, quantum := range []float64{0, 1000} {
+		scores := make(linalg.Vector, 100_000)
+		for i := range scores {
+			if scores[i] = rng.Float64(); quantum > 0 {
+				scores[i] = math.Round(scores[i]*quantum) / quantum
+			}
+		}
+		name := "distinct"
+		if quantum > 0 {
+			name = "tied"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewScoreSet(scores, linalg.IterStats{}).index()
+			}
+		})
 	}
 }
 
@@ -162,9 +173,14 @@ func publishBenchSnapshot(b *testing.B, rng *rand.Rand, labels []string, pages [
 // BenchmarkColdPublish is the first publish of a lineage: nothing to
 // carry, so every label is escaped and every algorithm indexed and
 // rendered — what a builder and each replica pay once per cold start.
+// One untimed publish first fills encoding/json's per-type caches, a
+// once-per-process cost, so that CI's 1x run counts what a publish
+// allocates.
 func BenchmarkColdPublish(b *testing.B) {
+	NewStore(publishBenchSnapshot(b, rand.New(rand.NewSource(2)), nil, nil))
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		snap := publishBenchSnapshot(b, rng, nil, nil)

@@ -8,6 +8,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -73,31 +74,54 @@ func NewScoreSet(scores linalg.Vector, stats linalg.IterStats) *ScoreSet {
 // index returns the rank index, sorting on the first call unless
 // shareIndex got there first.
 func (ss *ScoreSet) index() (order, rank []int32) {
-	ss.indexOnce.Do(func() {
-		scores := ss.scores
-		order := make([]int32, len(scores))
-		for i := range order {
-			order[i] = int32(i)
-		}
-		// slices.SortFunc on the concrete []int32 skips the interface and
-		// reflect-based swap of sort.Slice on the publish path.
-		slices.SortFunc(order, func(a, b int32) int {
-			sa, sb := scores[a], scores[b]
-			switch {
-			case sa > sb:
-				return -1
-			case sa < sb:
-				return 1
-			}
-			return int(a - b)
-		})
-		rank := make([]int32, len(scores))
-		for pos, id := range order {
-			rank[id] = int32(pos)
-		}
-		ss.order, ss.rank = order, rank
-	})
+	ss.indexOnce.Do(func() { ss.order, ss.rank = rankIndex(ss.scores) })
 	return ss.order, ss.rank
+}
+
+// rankIndex orders source IDs by descending score, ties (−0 and +0
+// included) by ascending ID, NaN last: a stable LSD radix sort over
+// rankKey, 8 bits a pass from the identity permutation.
+func rankIndex(scores linalg.Vector) (order, rank []int32) {
+	n := len(scores)
+	order, rank = make([]int32, n), make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	// rank doubles as the scatter buffer of order until the last pass.
+	for shift := 0; shift < 64 && n > 0; shift += 8 {
+		var c [256]int
+		for _, s := range scores {
+			c[byte(rankKey(s)>>shift)]++
+		}
+		if c[byte(rankKey(scores[0])>>shift)] == n {
+			continue // a digit every key shares
+		}
+		for b, sum := 0, 0; b < len(c); b++ {
+			c[b], sum = sum, sum+c[b]
+		}
+		for _, id := range order {
+			b := byte(rankKey(scores[id]) >> shift)
+			rank[c[b]] = id
+			c[b]++
+		}
+		order, rank = rank, order
+	}
+	for pos, id := range order {
+		rank[id] = int32(pos)
+	}
+	return order, rank
+}
+
+// rankKey maps a score to a key whose unsigned order is rankIndex's.
+func rankKey(s float64) uint64 {
+	u := math.Float64bits(s)
+	switch {
+	case s != s:
+		return math.MaxUint64 // NaN, last
+	case s >= 0: // +Inf first; −0 keyed as +0
+		return math.MaxInt64 - u&math.MaxInt64
+	}
+	return u // negative: the sign bit puts it after +0, magnitude ascends
 }
 
 // shareIndex adopts from's rank index; the caller has established that

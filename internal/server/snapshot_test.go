@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -47,6 +49,105 @@ func TestScoreSetIndex(t *testing.T) {
 			t.Fatalf("rank[%d] = %d, want %d", id, rank[id], pos)
 		}
 	}
+}
+
+// comparatorOrder is the comparison sort rankIndex replaced, kept as
+// its oracle: descending score, ties by ascending ID. It is a total order
+// only on non-NaN scores, so it sorts ids, which must hold no NaN.
+func comparatorOrder(scores linalg.Vector, ids []int32) []int32 {
+	out := slices.Clone(ids)
+	slices.SortFunc(out, func(a, b int32) int {
+		sa, sb := scores[a], scores[b]
+		switch {
+		case sa > sb:
+			return -1
+		case sa < sb:
+			return 1
+		}
+		return int(a - b)
+	})
+	return out
+}
+
+// checkRankIndex asserts rankIndex puts every non-NaN score where the
+// comparator does, then every NaN, by ID, and that rank inverts order.
+func checkRankIndex(t *testing.T, scores linalg.Vector) {
+	t.Helper()
+	var numbers, nans []int32
+	for i, s := range scores {
+		if math.IsNaN(s) {
+			nans = append(nans, int32(i))
+		} else {
+			numbers = append(numbers, int32(i))
+		}
+	}
+	want := append(comparatorOrder(scores, numbers), nans...)
+	order, rank := rankIndex(scores)
+	if !slices.Equal(order, want) {
+		t.Fatalf("scores %v:\nradix order      %v\ncomparator order %v", scores, order, want)
+	}
+	for pos, id := range order {
+		if int(rank[id]) != pos {
+			t.Fatalf("scores %v: rank[%d] = %d, want %d", scores, id, rank[id], pos)
+		}
+	}
+}
+
+// rankIndexSeeds are score vectors on every edge of the radix key: ties,
+// both zeros, subnormals, infinities, negatives and NaN of either sign.
+var rankIndexSeeds = []linalg.Vector{
+	{},
+	{0.5},
+	{0.1, 0.5, 0.3, 0.5, 0.0},
+	{0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 1e-300},
+	{5e-324, -5e-324, 1e-310, -1e-310, 0, math.SmallestNonzeroFloat64},
+	{math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 1, -1},
+	{-0.25, -0.5, -0.25, 0.25, -1e-9, 1e-9},
+	{math.NaN(), 1, math.NaN(), math.Inf(-1), math.Copysign(math.NaN(), -1), 0},
+	{0.001, 0.002, 0.001, 0.003, 0.002, 0.001},
+}
+
+// TestRankIndexMatchesComparator runs the oracle over the seeds and over
+// random vectors that mix quantised ties with the special values.
+func TestRankIndexMatchesComparator(t *testing.T) {
+	for _, scores := range rankIndexSeeds {
+		checkRankIndex(t, scores)
+	}
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -5e-324}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		scores := make(linalg.Vector, rng.Intn(600))
+		for i := range scores {
+			switch rng.Intn(4) {
+			case 0:
+				scores[i] = special[rng.Intn(len(special))]
+			case 1:
+				scores[i] = float64(rng.Intn(1000)-200) / 1000
+			default:
+				scores[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+			}
+		}
+		checkRankIndex(t, scores)
+	}
+}
+
+// FuzzRankIndex checks the radix order against the comparator on
+// arbitrary float64 bit patterns, eight little-endian bytes a score.
+func FuzzRankIndex(f *testing.F) {
+	for _, scores := range rankIndexSeeds {
+		raw := make([]byte, 0, 8*len(scores))
+		for _, s := range scores {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(s))
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		scores := make(linalg.Vector, len(raw)/8)
+		for i := range scores {
+			scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		checkRankIndex(t, scores)
+	})
 }
 
 func TestSnapshotTopKAndEntry(t *testing.T) {

@@ -22,6 +22,7 @@ type Store struct {
 	// (indexed by publishOutcome). Publishers are serialized, so plain
 	// atomics suffice; /metrics reads them without the lock.
 	setOutcomes [numPublishOutcomes]atomic.Uint64
+	scores      textArena // finalize's score texts, reused under publishMu
 }
 
 // NewStore creates a store serving initial (which may be nil; handlers
@@ -64,7 +65,7 @@ func (s *Store) Publish(snap *Snapshot) uint64 {
 // over whatever snap shares with it (see Snapshot.finalize) — and swaps
 // it in. Called under publishMu with snap's version and parent set.
 func (s *Store) install(snap, prev *Snapshot) {
-	for outcome, sets := range snap.finalize(prev, s.publishes.Add(1)) {
+	for outcome, sets := range snap.finalize(prev, s.publishes.Add(1), &s.scores) {
 		s.setOutcomes[outcome].Add(uint64(sets))
 	}
 	s.cur.Store(snap)
