@@ -243,23 +243,31 @@ func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, cfg server.Bui
 	}, nil
 }
 
-// buildLine is one build's account: whether SRSR's solve was skipped or
-// its proximity walk ran warm or cold (with why) and at what top-k
-// boundary gap, how many κ entries flipped, and which baselines were
-// carried rather than re-solved.
+// buildLine is one build's account: whether SRSR's solve was skipped, and
+// otherwise which path settled κ — proximity carried over an unchanged
+// structure, a warm or cold walk stopped at the iteration whose top-k gap
+// cleared twice its error bound, or a contested boundary (with why)
+// re-walked cold to tolerance — then how many κ entries flipped, and which
+// baselines were carried rather than re-solved.
 func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
 	var srsr string
-	switch ss := snap.Set(server.AlgoSRSR); {
-	case ss == nil:
+	switch d := info.Decision; {
+	case snap.Set(server.AlgoSRSR) == nil:
 		srsr = "srsr not computed (no spam labels)"
 	case info.SolveSkipped:
 		srsr = "srsr solve skipped (graph and labels unchanged)"
-	case !info.ProximityCold:
-		srsr = fmt.Sprintf("srsr proximity walk warm, boundary gap %.3g", info.BoundaryGap)
-	case !ss.WarmStarted():
-		srsr = fmt.Sprintf("srsr proximity walk cold (first build), boundary gap %.3g", info.BoundaryGap)
+	case info.ProximityCarried:
+		srsr = "srsr proximity carried (structure unchanged)"
+	case d.Contested != "":
+		srsr = fmt.Sprintf("srsr proximity contested (%s) → cold walk, %d iterations, boundary gap %.3g",
+			d.Contested, d.Iterations, info.BoundaryGap)
 	default:
-		srsr = fmt.Sprintf("srsr proximity walk cold (contested boundary), boundary gap %.3g", info.BoundaryGap)
+		start := "warm"
+		if info.ProximityCold {
+			start = "cold"
+		}
+		srsr = fmt.Sprintf("srsr proximity decided %s at iteration %d (gap %.3g > 2·bound %.3g)",
+			start, d.Iterations, info.BoundaryGap, d.Bound)
 	}
 	carried := func(skipped bool) string {
 		if skipped {

@@ -15,16 +15,59 @@ import (
 	"testing"
 	"time"
 
+	"sourcerank/internal/core"
 	"sourcerank/internal/gen"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/replica"
 	"sourcerank/internal/server"
+	"sourcerank/internal/throttle"
 )
 
 func writeLabels(t *testing.T, path, body string) {
 	t.Helper()
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildLine: each path that can settle SRSR's κ reads as itself in the
+// build's log line, with the numbers that path produced.
+func TestBuildLine(t *testing.T) {
+	snapWith := func(algos ...server.Algo) *server.Snapshot {
+		sets := map[server.Algo]*server.ScoreSet{}
+		for _, a := range algos {
+			sets[a] = server.NewScoreSet(linalg.Vector{0.5, 0.5}, linalg.IterStats{Converged: true})
+		}
+		snap, err := server.NewSnapshot(server.CorpusInfo{}, []string{"a", "b"}, []int{1, 1}, 1, sets, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	srsr, plain := snapWith(server.AlgoSRSR, server.AlgoPageRank), snapWith(server.AlgoPageRank)
+	decided := throttle.Decision{IterStats: linalg.IterStats{Iterations: 52}, Bound: 6e-7}
+	for _, tc := range []struct {
+		name string
+		snap *server.Snapshot
+		info server.BuildInfo
+		want string
+	}{
+		{"no labels", plain, server.BuildInfo{}, "build: srsr not computed (no spam labels), 0 κ flips; pagerank re-solved, trustrank re-solved"},
+		{"skipped", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{SolveSkipped: true}, PageRankSkipped: true, TrustRankSkipped: true},
+			"build: srsr solve skipped (graph and labels unchanged), 0 κ flips; pagerank carried, trustrank carried"},
+		{"carried", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCarried: true}, PageRankSkipped: true, TrustRankSkipped: true},
+			"build: srsr proximity carried (structure unchanged), 0 κ flips; pagerank carried, trustrank carried"},
+		{"decided cold", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCold: true, Decision: decided, BoundaryGap: 1.34e-6, KappaChanged: 265}},
+			"build: srsr proximity decided cold at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 265 κ flips; pagerank re-solved, trustrank re-solved"},
+		{"decided warm", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{Decision: decided, BoundaryGap: 1.34e-6, KappaChanged: 3}},
+			"build: srsr proximity decided warm at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 3 κ flips; pagerank re-solved, trustrank re-solved"},
+		{"contested", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCold: true, BoundaryGap: 0, KappaChanged: 4,
+			Decision: throttle.Decision{IterStats: linalg.IterStats{Iterations: 77}, Contested: "L1 residual stopped falling at iteration 240"}}},
+			"build: srsr proximity contested (L1 residual stopped falling at iteration 240) → cold walk, 77 iterations, boundary gap 0, 4 κ flips; pagerank re-solved, trustrank re-solved"},
+	} {
+		if got := buildLine(tc.snap, tc.info); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -138,7 +181,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if line := lastBuild(); !strings.Contains(line, "cold (first build)") || !strings.Contains(line, "pagerank re-solved, trustrank re-solved") {
+	if line := lastBuild(); !strings.Contains(line, "proximity decided cold at iteration") || !strings.Contains(line, "pagerank re-solved, trustrank re-solved") {
 		t.Errorf("first build logged %q", line)
 	}
 	store := server.NewStore(first)

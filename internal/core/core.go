@@ -323,6 +323,6 @@ func Pipeline(pg *pagegraph.Graph, cfg PipelineConfig) (*PipelineResult, error) 
 // graph across many throttle settings. It is PipelineRefresh with no
 // history.
 func PipelineFromSourceGraph(sg *source.Graph, cfg PipelineConfig) (*PipelineResult, error) {
-	res, _, err := PipelineRefresh(sg, nil, cfg, nil)
+	res, _, err := PipelineRefresh(sg, nil, 0, cfg, nil)
 	return res, err
 }

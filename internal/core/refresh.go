@@ -12,16 +12,6 @@ import (
 	"sourcerank/internal/throttle"
 )
 
-// boundaryGap is the guard band on the top-k selection boundary under a
-// warm-started proximity walk. A warm walk converges to within roughly
-// Tol/(1-β) of the cold fixed point per entry (≈7e-9 at the defaults),
-// so when the gap between the k-th and (k+1)-th warm scores exceeds this
-// guard the warm and cold walks provably select the same top-k set. A
-// smaller gap means the boundary is contested and the walk is recomputed
-// cold, which makes the κ assignment bitwise identical to a cold
-// rebuild's by construction rather than by tolerance.
-const boundaryGap = 1e-6
-
 // RefreshState carries the reusable artifacts of the previous refresh.
 // The zero value means "no history" and makes PipelineRefresh the cold
 // pipeline; afterwards the state is updated in place. One owner holds one
@@ -37,6 +27,9 @@ type RefreshState struct {
 	// assigned is what Proximity and Kappa were derived from besides the
 	// structure: the seed set, the top-k size and the κ heuristic.
 	assigned assignment
+	// walkedOn is the structure version Proximity was walked on, if any.
+	walkedOn  uint64
+	versioned bool
 	// Proximity is the previous spam-proximity vector, used to
 	// warm-start the next walk.
 	Proximity linalg.Vector
@@ -72,16 +65,19 @@ func (a assignment) matches(cfg PipelineConfig) bool {
 // RefreshInfo reports which incremental paths a refresh took; the bench
 // and the equivalence suite key off it.
 type RefreshInfo struct {
-	// KappaChanged is the number of κ entries that flipped.
+	// KappaChanged is the number of κ entries that differ from the κ
+	// before this refresh.
 	KappaChanged int
-	// BoundaryGap is the top-k selection margin of the warm proximity
-	// vector (+Inf when k clamps to the whole range or to nothing).
+	// BoundaryGap is the top-k selection margin of the proximity κ came
+	// from (+Inf when k clamps to the whole range or to nothing).
 	BoundaryGap float64
-	// ProximityCold reports that the proximity walk ran cold-started —
-	// either the first refresh, a contested boundary (gap under the
-	// guard), or Graded mode, which needs the full cold vector because
-	// every κ value depends on it.
+	// ProximityCold reports a walk from the seeds: the first refresh, a
+	// contested boundary, or Graded mode (which walks to tolerance).
 	ProximityCold bool
+	// ProximityCarried: same structure version and assignment, no walk.
+	ProximityCarried bool
+	// Decision is how the walk settled binary κ (throttle.DecideTopK).
+	Decision throttle.Decision
 	// SolveSkipped reports that T and κ were unchanged and a one-step
 	// residual probe confirmed the previous scores still satisfy the
 	// convergence threshold, so the solve was skipped entirely and the
@@ -92,18 +88,19 @@ type RefreshInfo struct {
 
 // PipelineRefresh is the proximity → κ → throttle → solve pipeline, run
 // against the previous refresh's state; with a nil or zero state it is
-// the cold pipeline. The returned κ is bitwise identical to what the cold
-// pipeline over the same source graph and configuration assigns (see
-// boundaryGap), and the scores satisfy the same convergence threshold
-// against the same fixed point. structure must present the same successor
-// rows as sg.Structure() and nil means exactly that; the stream pipeline
-// passes its incrementally maintained overlay so no CSR rebuild is paid
-// here. The solve goes through Rank (checkpointed with cfg.Checkpoint
-// set), started from the previous scores when there are any and from
-// cfg.X0 otherwise. Everything in cfg but the seeds, TopK, Graded and
-// GradedMax is expected to stay fixed over one state's lifetime.
-func PipelineRefresh(sg *source.Graph, structure graph.Topology, cfg PipelineConfig, st *RefreshState) (*PipelineResult, RefreshInfo, error) {
-	info := RefreshInfo{}
+// the cold pipeline. Binary κ is the walk's fixed point's top-k set, which
+// throttle.DecideTopK proves from any start, and the scores meet the same
+// threshold against the same fixed point. structure must present the same
+// successor rows as sg.Structure() and nil means exactly that (the stream
+// pipeline passes its patched overlay); version names those rows, and
+// while it and the assignment are the retained walk's, proximity and κ
+// carry over. A nil structure names no version. The solve goes through
+// Rank (checkpointed with cfg.Checkpoint set), started from the previous
+// scores when there are any and from cfg.X0 otherwise. Everything in cfg
+// but the seeds, TopK, Graded and GradedMax is expected to stay fixed over
+// one state's lifetime.
+func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64, cfg PipelineConfig, st *RefreshState) (*PipelineResult, RefreshInfo, error) {
+	info := RefreshInfo{BoundaryGap: math.Inf(1)}
 	if sg == nil || sg.NumSources() == 0 {
 		return nil, info, errors.New("core: empty source graph")
 	}
@@ -115,13 +112,9 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, cfg PipelineCon
 
 	if st.T != nil && sg.T == st.T && st.assigned.matches(cfg) {
 		// Fast path: consensus weights unchanged (Emit returned a graph
-		// sharing the previous T) and the same assignment asked for.
-		// Proximity and κ depend only on the structure — the sparsity of
-		// the unchanged Counts — and the assignment, so both carry over
-		// verbatim and there is no contested boundary; a single power
-		// step probes whether the previous scores still meet the
-		// convergence threshold.
-		info.BoundaryGap = math.Inf(1)
+		// sharing the previous T) and the same assignment, so proximity and
+		// κ carry over verbatim; one power step probes whether the previous
+		// scores still meet the convergence threshold.
 		residual, ok, err := probe(cfg.Config, st)
 		if err != nil {
 			return nil, info, err
@@ -140,49 +133,45 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, cfg PipelineCon
 			}, info, nil
 		}
 	} else {
-		if structure == nil {
-			structure = sg.Structure()
-		}
 		// Until the solve below succeeds the state describes no solved
 		// (T, κ) pair: a failed refresh must not leave the fast path armed
 		// over a κ the retained scores were never solved for.
 		st.T = nil
-		// Graded κ depends on every proximity value, not just the top-k
-		// membership, so only the binary assignment can tolerate a warm
-		// (tolerance-equal rather than bitwise-equal) walk.
-		popt := throttle.ProximityOptions{Workers: cfg.Workers}
-		if !cfg.Graded {
-			popt.X0 = sanitizeWarmStart(st.Proximity.Padded(n))
-		}
-		info.ProximityCold = popt.X0 == nil
-		prox, ps, err := throttle.SpamProximity(structure, cfg.SpamSeeds, popt)
-		if err != nil {
-			return nil, info, fmt.Errorf("core: spam proximity: %w", err)
-		}
-		// κ assignment over the warm walk, with the cold fallback when the
-		// selection boundary is contested.
-		if cfg.Graded {
-			st.Kappa = throttle.Graded(prox, cfg.TopK, cfg.GradedMax)
-			info.KappaChanged = n
-		} else {
-			if st.Kappa = linalg.Vector(st.Kappa).Padded(n); st.Kappa == nil {
-				st.Kappa = make([]float64, n)
+		// Proximity reads only the sparsity, which count drift leaves alone.
+		info.ProximityCarried = structure != nil && st.versioned && st.walkedOn == version &&
+			st.assigned.matches(cfg) && len(st.Proximity) == n
+		if !info.ProximityCarried {
+			versioned := structure != nil
+			if !versioned {
+				structure = sg.Structure()
 			}
-			changed, gap := throttle.PatchTopK(st.Kappa, prox, cfg.TopK)
-			if gap < boundaryGap && !info.ProximityCold {
-				info.ProximityCold = true
-				popt.X0 = nil
-				prox, ps, err = throttle.SpamProximity(structure, cfg.SpamSeeds, popt)
-				if err != nil {
-					return nil, info, fmt.Errorf("core: spam proximity (cold fallback): %w", err)
+			// Graded κ needs every value, so it walks cold to tolerance.
+			popt := throttle.ProximityOptions{Workers: cfg.Workers}
+			var prox linalg.Vector
+			var err error
+			if cfg.Graded {
+				prox, pstats, err = throttle.SpamProximity(structure, cfg.SpamSeeds, popt)
+			} else {
+				popt.X0 = sanitizeWarmStart(st.Proximity.Padded(n))
+				prox, info.Decision, err = throttle.DecideTopK(structure, cfg.SpamSeeds, cfg.TopK, popt)
+				pstats = info.Decision.IterStats
+			}
+			if err != nil {
+				return nil, info, fmt.Errorf("core: spam proximity: %w", err)
+			}
+			info.ProximityCold = popt.X0 == nil || info.Decision.Contested != ""
+			if cfg.Graded {
+				st.Kappa, info.KappaChanged = throttle.Graded(prox, cfg.TopK, cfg.GradedMax), n
+			} else {
+				if st.Kappa = linalg.Vector(st.Kappa).Padded(n); st.Kappa == nil {
+					st.Kappa = make([]float64, n)
 				}
-				changed, gap = throttle.PatchTopK(st.Kappa, prox, cfg.TopK)
+				info.KappaChanged, info.BoundaryGap = throttle.PatchTopK(st.Kappa, prox, cfg.TopK)
 			}
-			info.KappaChanged, info.BoundaryGap = changed, gap
-		}
-		st.Proximity, pstats = prox, ps
-		if !st.assigned.matches(cfg) {
-			st.assigned = assignment{slices.Clone(cfg.SpamSeeds), cfg.TopK, cfg.Graded, cfg.GradedMax}
+			st.Proximity, st.walkedOn, st.versioned = prox, version, versioned
+			if !st.assigned.matches(cfg) {
+				st.assigned = assignment{slices.Clone(cfg.SpamSeeds), cfg.TopK, cfg.Graded, cfg.GradedMax}
+			}
 		}
 	}
 

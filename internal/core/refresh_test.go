@@ -113,7 +113,7 @@ func TestPipelineRefreshMatchesCold(t *testing.T) {
 			}
 		}
 		sg := inc.Emit()
-		got, info, err := PipelineRefresh(sg, inc.Structure(), cfg, st)
+		got, info, err := PipelineRefresh(sg, inc.Structure(), inc.StructureVersion(), cfg, st)
 		if err != nil {
 			t.Fatalf("step %d: PipelineRefresh: %v", step, err)
 		}
@@ -155,7 +155,7 @@ func TestPipelineRefreshSkipsSolve(t *testing.T) {
 	cfg := PipelineConfig{SpamSeeds: []int32{1, 2}, TopK: 3}
 	st := &RefreshState{}
 	sg := inc.Emit()
-	first, info, err := PipelineRefresh(sg, inc.Structure(), cfg, st)
+	first, info, err := PipelineRefresh(sg, inc.Structure(), inc.StructureVersion(), cfg, st)
 	if err != nil {
 		t.Fatalf("initial refresh: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestPipelineRefreshSkipsSolve(t *testing.T) {
 	if sg2.T != sg.T {
 		t.Fatal("page-count churn should share T")
 	}
-	second, info, err := PipelineRefresh(sg2, inc.Structure(), cfg, st)
+	second, info, err := PipelineRefresh(sg2, inc.Structure(), inc.StructureVersion(), cfg, st)
 	if err != nil {
 		t.Fatalf("skip refresh: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 	}
 	cfg := PipelineConfig{SpamSeeds: []int32{1, 2, 5, 8, 13, 21}, TopK: 6}
 	st := &RefreshState{}
-	if _, _, err := PipelineRefresh(sg, nil, cfg, st); err != nil {
+	if _, _, err := PipelineRefresh(sg, nil, 0, cfg, st); err != nil {
 		t.Fatal(err)
 	}
 	changes := []struct {
@@ -216,7 +216,7 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 	}
 	for _, ch := range changes {
 		ch.mutate(&cfg)
-		got, info, err := PipelineRefresh(sg, nil, cfg, st)
+		got, info, err := PipelineRefresh(sg, nil, 0, cfg, st)
 		if err != nil {
 			t.Fatalf("%s: %v", ch.name, err)
 		}
@@ -226,8 +226,8 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 		if got.ProximityStats.Iterations == 0 {
 			t.Fatalf("%s: proximity not re-walked", ch.name)
 		}
-		if !cfg.Graded && info.ProximityCold && info.BoundaryGap >= boundaryGap {
-			t.Fatalf("%s: uncontested walk ran cold (gap %v)", ch.name, info.BoundaryGap)
+		if d := info.Decision; !cfg.Graded && d.Contested == "" && !(info.BoundaryGap > 2*d.Bound) {
+			t.Fatalf("%s: walk stopped at gap %v, not above twice its bound %v", ch.name, info.BoundaryGap, d.Bound)
 		}
 		cold, err := PipelineFromSourceGraph(sg, cfg)
 		if err != nil {
@@ -242,7 +242,7 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 		if d := linalg.L2Distance(got.Scores, cold.Scores); d > 1e-7 {
 			t.Fatalf("%s: scores differ from cold by %g", ch.name, d)
 		}
-		again, info, err := PipelineRefresh(sg, nil, cfg, st)
+		again, info, err := PipelineRefresh(sg, nil, 0, cfg, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,8 +253,42 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 	// Mutating the caller's seed slice in place is a change too: the
 	// state compares against its own copy.
 	cfg.SpamSeeds[0] = 3
-	if _, info, err := PipelineRefresh(sg, nil, cfg, st); err != nil || info.SolveSkipped {
+	if _, info, err := PipelineRefresh(sg, nil, 0, cfg, st); err != nil || info.SolveSkipped {
 		t.Fatalf("in-place seed edit skipped (err %v)", err)
+	}
+}
+
+// TestPipelineRefreshCountsFlipsAgainstPreviousKappa: sources 1 and 2 link
+// only to 0, and 4 and 5 only to 3, so every walk scores each pair
+// bitwise equal and the top-2 boundary is an exact tie, contested from
+// any start. Moving the seed from 0 to 3 moves κ from {0, 1} to {3, 4}:
+// four flips against the κ before the refresh, however many walks it took.
+func TestPipelineRefreshCountsFlipsAgainstPreviousKappa(t *testing.T) {
+	pg := pagegraph.New()
+	for s := 0; s < 6; s++ {
+		pg.AddPage(pg.AddSource(fmt.Sprintf("s%d", s)))
+	}
+	for _, l := range [][2]pagegraph.PageID{{1, 0}, {2, 0}, {4, 3}, {5, 3}} {
+		pg.AddLink(l[0], l[1])
+	}
+	sg, err := source.Build(pg, source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &RefreshState{}
+	for _, step := range []struct {
+		seed  int32
+		kappa []float64
+		flips int
+	}{{0, []float64{1, 1, 0, 0, 0, 0}, 2}, {3, []float64{0, 0, 0, 1, 1, 0}, 4}} {
+		got, info, err := PipelineRefresh(sg, nil, 0, PipelineConfig{SpamSeeds: []int32{step.seed}, TopK: 2}, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Kappa, step.kappa) || info.Decision.Contested == "" || info.KappaChanged != step.flips {
+			t.Fatalf("seed %d: κ %v, %d flips, contested %q; want κ %v, %d flips, contested",
+				step.seed, got.Kappa, info.KappaChanged, info.Decision.Contested, step.kappa, step.flips)
+		}
 	}
 }
 
@@ -269,16 +303,16 @@ func TestPipelineRefreshFailedSolveDisarmsSkip(t *testing.T) {
 	}
 	cfg := PipelineConfig{SpamSeeds: []int32{1, 2, 3}, TopK: 4}
 	st := &RefreshState{}
-	if _, _, err := PipelineRefresh(sg, nil, cfg, st); err != nil {
+	if _, _, err := PipelineRefresh(sg, nil, 0, cfg, st); err != nil {
 		t.Fatal(err)
 	}
 	cfg.SpamSeeds = []int32{20, 21, 22}
 	bad := cfg
 	bad.SlabDir = t.TempDir() + "/missing"
-	if _, _, err := PipelineRefresh(sg, nil, bad, st); err == nil {
+	if _, _, err := PipelineRefresh(sg, nil, 0, bad, st); err == nil {
 		t.Fatal("solve into a missing slab directory succeeded")
 	}
-	got, info, err := PipelineRefresh(sg, nil, cfg, st)
+	got, info, err := PipelineRefresh(sg, nil, 0, cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +349,11 @@ func TestPipelineRefreshSlabAndPrecision(t *testing.T) {
 		heapSt, slabSt := &RefreshState{}, &RefreshState{}
 		for step, seeds := range [][]int32{{1, 2, 5, 8}, {1, 2, 5, 8}, {1, 2, 5, 8, 30}} {
 			heapCfg.SpamSeeds, slabCfg.SpamSeeds = seeds, seeds
-			heap, hi, err := PipelineRefresh(sg, nil, heapCfg, heapSt)
+			heap, hi, err := PipelineRefresh(sg, nil, 0, heapCfg, heapSt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			slab, si, err := PipelineRefresh(sg, nil, slabCfg, slabSt)
+			slab, si, err := PipelineRefresh(sg, nil, 0, slabCfg, slabSt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,11 +389,11 @@ func TestPipelineRefreshSlabAndPrecision(t *testing.T) {
 	// changed labels is the cold Jacobi pipeline bit for bit.
 	cfg := PipelineConfig{Config: Config{Solver: Jacobi}, SpamSeeds: []int32{1, 2, 5, 8}, TopK: 5}
 	st := &RefreshState{}
-	if _, _, err := PipelineRefresh(sg, nil, cfg, st); err != nil {
+	if _, _, err := PipelineRefresh(sg, nil, 0, cfg, st); err != nil {
 		t.Fatal(err)
 	}
 	cfg.SpamSeeds = []int32{3, 4}
-	got, _, err := PipelineRefresh(sg, nil, cfg, st)
+	got, _, err := PipelineRefresh(sg, nil, 0, cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}

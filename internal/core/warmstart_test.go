@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -10,7 +11,6 @@ import (
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/source"
 	"sourcerank/internal/spam"
-	"sourcerank/internal/throttle"
 )
 
 // pipelineCfg is the shared small-corpus pipeline configuration.
@@ -21,9 +21,9 @@ func pipelineCfg(seeds []int32, topK int) PipelineConfig {
 // TestPipelineWarmStartFewerIterations perturbs a generated web graph by
 // a small spam injection (≪5% of links) and checks that refreshing over
 // the previous pipeline's state converges in strictly fewer iterations —
-// the stationary solve always, the proximity walk unless the boundary
-// guard sent it back to a cold start — while assigning the cold κ bit for
-// bit and landing on the same ranks within solver tolerance.
+// the stationary solve always, the proximity walk to its decision too —
+// while assigning the cold κ bit for bit, landing on the same ranks within
+// solver tolerance and on the same proximity within the certified bounds.
 func TestPipelineWarmStartFewerIterations(t *testing.T) {
 	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
 	if err != nil {
@@ -33,7 +33,7 @@ func TestPipelineWarmStartFewerIterations(t *testing.T) {
 	sg := buildSG(t, pg)
 	cfg := pipelineCfg(ds.SpamSources, sg.NumSources()/40)
 	st := &RefreshState{}
-	if _, _, err := PipelineRefresh(sg, nil, cfg, st); err != nil {
+	if _, _, err := PipelineRefresh(sg, nil, 0, cfg, st); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,30 +49,39 @@ func TestPipelineWarmStartFewerIterations(t *testing.T) {
 		t.Fatalf("perturbation changed source count: %d -> %d", sg.NumSources(), sg2.NumSources())
 	}
 
-	cold, err := PipelineFromSourceGraph(sg2, cfg)
+	cold, coldInfo, err := PipelineRefresh(sg2, nil, 0, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, info, err := PipelineRefresh(sg2, nil, cfg, st)
+	warm, info, err := PipelineRefresh(sg2, nil, 0, cfg, st)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if info.Decision.Contested != "" || coldInfo.Decision.Contested != "" {
+		t.Fatalf("boundary contested: warm %q, cold %q", info.Decision.Contested, coldInfo.Decision.Contested)
 	}
 
 	if warm.Stats.Iterations >= cold.Stats.Iterations {
 		t.Errorf("warm solve took %d iterations, cold %d", warm.Stats.Iterations, cold.Stats.Iterations)
 	}
-	if !info.ProximityCold && warm.ProximityStats.Iterations >= cold.ProximityStats.Iterations {
+	if warm.ProximityStats.Iterations >= cold.ProximityStats.Iterations {
 		t.Errorf("warm proximity took %d iterations, cold %d",
 			warm.ProximityStats.Iterations, cold.ProximityStats.Iterations)
 	}
-	if !slices.Equal(warm.Kappa, cold.Kappa) || !slices.Equal(warm.Kappa, throttle.TopK(cold.Proximity, cfg.TopK)) {
+	if !slices.Equal(warm.Kappa, cold.Kappa) || !slices.Equal(warm.Kappa, coldTopK(t, sg2, cfg)) {
 		t.Error("warm κ differs from the cold assignment")
 	}
 	if d := linalg.L2Distance(warm.Scores, cold.Scores); d > 1e-7 {
 		t.Errorf("warm ranks differ from cold by %g", d)
 	}
-	if d := linalg.L2Distance(warm.Proximity, cold.Proximity); d > 1e-7 {
-		t.Errorf("warm proximity differs from cold by %g", d)
+	// Each walk stopped within its certified L1 bound of the one fixed
+	// point, so the two are within the sum of the bounds of each other.
+	var l1 float64
+	for i := range warm.Proximity {
+		l1 += math.Abs(warm.Proximity[i] - cold.Proximity[i])
+	}
+	if bound := info.Decision.Bound + coldInfo.Decision.Bound; l1 > bound {
+		t.Errorf("warm proximity differs from cold by %g in L1, beyond the certified %g", l1, bound)
 	}
 }
 

@@ -159,7 +159,7 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 				continue
 			}
 			warm = b.srsr.Scores != nil
-			res, ri, err := core.PipelineRefresh(sg, c.Structure, core.PipelineConfig{
+			res, ri, err := core.PipelineRefresh(sg, c.Structure, c.Version, core.PipelineConfig{
 				Config: core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers,
 					Precision: cfg.Precision, SlabDir: cfg.SlabDir, MaxResident: cfg.MaxResident},
 				SpamSeeds: spam,

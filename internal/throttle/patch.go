@@ -13,22 +13,16 @@ import (
 //
 // The selected set is identical to TopK's — same (score desc, index asc)
 // total order — but found by quickselect in O(n) expected time instead
-// of a full sort, and without reallocating kappa. Streaming refreshes
-// use the returned gap to decide whether a warm-started proximity vector
-// is trustworthy near the boundary: warm and cold proximity agree only
-// to within solver tolerance, so when the gap is smaller than that error
-// band the caller must recompute proximity cold before assigning κ, or
-// the streamed κ could diverge from a cold rebuild's.
+// of a full sort, and without reallocating kappa. A kappa already holding
+// a set proximity separates strictly is confirmed in one pass instead.
 func PatchTopK(kappa []float64, proximity linalg.Vector, k int) (changed int, gap float64) {
 	n := len(proximity)
 	if len(kappa) != n {
 		panic("throttle: PatchTopK kappa/proximity length mismatch")
 	}
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
+	k = min(max(k, 0), n)
+	if g, ok := separation(kappa, proximity, k); ok {
+		return 0, g
 	}
 	idx := make([]int32, n)
 	for i := range idx {
@@ -43,37 +37,36 @@ func PatchTopK(kappa []float64, proximity linalg.Vector, k int) (changed int, ga
 	if k > 0 && k < n {
 		quickselect(idx, k, higher)
 	}
-	gap = math.Inf(1)
-	if k > 0 && k < n {
-		// Boundary gap: lowest score inside the selection minus highest
-		// outside it. Ties across the boundary yield 0.
-		minIn := proximity[idx[0]]
-		for _, i := range idx[1:k] {
-			if proximity[i] < minIn {
-				minIn = proximity[i]
-			}
+	for j, i := range idx {
+		want := 0.0
+		if j < k {
+			want = 1
 		}
-		maxOut := proximity[idx[k]]
-		for _, i := range idx[k+1:] {
-			if proximity[i] > maxOut {
-				maxOut = proximity[i]
-			}
-		}
-		gap = minIn - maxOut
-	}
-	for _, i := range idx[:k] {
-		if kappa[i] != 1 {
-			kappa[i] = 1
+		if kappa[i] != want {
+			kappa[i] = want
 			changed++
 		}
 	}
-	for _, i := range idx[k:] {
-		if kappa[i] != 0 {
-			kappa[i] = 0
-			changed++
-		}
-	}
+	// Ties across the boundary yield a zero gap.
+	gap, _ = separation(kappa, proximity, k)
 	return changed, gap
+}
+
+// separation reports whether kappa is a 0/1 vector selecting k entries
+// that proximity ranks strictly above every other, and by what gap.
+func separation(kappa []float64, proximity linalg.Vector, k int) (gap float64, ok bool) {
+	minIn, maxOut, ones := math.Inf(1), math.Inf(-1), 0
+	for i, x := range proximity {
+		switch kappa[i] {
+		case 1:
+			ones, minIn = ones+1, min(minIn, x)
+		case 0:
+			maxOut = max(maxOut, x)
+		default:
+			return 0, false
+		}
+	}
+	return minIn - maxOut, ones == k && minIn > maxOut
 }
 
 // quickselect partitions idx so its first k entries are the k smallest

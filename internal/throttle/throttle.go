@@ -14,6 +14,8 @@ package throttle
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"sourcerank/internal/graph"
@@ -165,33 +167,97 @@ type ProximityOptions struct {
 // produces the exact operator — and hence bitwise-identical scores — its
 // compacted graph would.
 func SpamProximity(structure graph.Topology, seeds []int32, opt ProximityOptions) (linalg.Vector, linalg.IterStats, error) {
+	pt, d, err := proximityOperator(structure, seeds, opt.X0)
+	if err != nil {
+		return nil, linalg.IterStats{}, err
+	}
+	return linalg.PowerMethodT(pt, proximityBeta, d, opt.X0, linalg.SolverOptions{Workers: opt.Workers})
+}
+
+// Decision is how DecideTopK settled: the walk behind the returned vector,
+// its proven L1 distance to the fixed point, and why none was proven.
+type Decision struct {
+	linalg.IterStats
+	Bound     float64
+	Contested string
+}
+
+// DecideTopK walks SpamProximity, cold or warm, until its top-k set (ties
+// by index) is provably the fixed point's (DESIGN §11): a gap above twice
+// errorBound of the step's residual. It selects only once 2·bound is under
+// the last check's gap (at first 1/k, which no gap exceeds) or a quarter
+// of its bound. A residual that stops falling or 1000 steps make the
+// boundary contested, and SpamProximity's cold walk is returned.
+func DecideTopK(structure graph.Topology, seeds []int32, k int, opt ProximityOptions) (linalg.Vector, Decision, error) {
+	pt, d, err := proximityOperator(structure, seeds, opt.X0)
+	if err != nil {
+		return nil, Decision{}, err
+	}
+	fp, err := linalg.NewFusedPower(pt, proximityBeta, d, linalg.ResidualL1, opt.Workers)
+	if err != nil {
+		return nil, Decision{}, err
+	}
+	defer fp.Close()
+	cur, next, in := slices.Clone(d), make(linalg.Vector, len(d)), make([]float64, len(d))
+	if opt.X0 != nil {
+		copy(cur, opt.X0)
+	}
+	dec := Decision{Contested: "iteration cap"}
+	prev, checkBelow := math.Inf(1), 1/float64(max(k, 0))
+	for it := 1; it <= 1000; it++ {
+		r := fp.Step(next, cur)
+		cur, next = next, cur
+		if r >= prev {
+			dec.Contested = fmt.Sprintf("L1 residual stopped falling at iteration %d", it)
+			break
+		}
+		prev = r
+		if bound := errorBound(r, len(d)); 2*bound < checkBelow {
+			_, gap := PatchTopK(in, cur, k)
+			if gap > 2*bound {
+				return cur, Decision{IterStats: linalg.IterStats{Iterations: it, Residual: r, Converged: true}, Bound: bound}, nil
+			}
+			checkBelow = max(gap, bound/2)
+		}
+	}
+	prox, stats, err := SpamProximity(structure, seeds, ProximityOptions{Workers: opt.Workers})
+	dec.IterStats = stats
+	return prox, dec, err
+}
+
+// errorBound is the L1 distance from an n-source iterate to the fixed point
+// after a step with L1 residual r, rounding included (DESIGN §11).
+func errorBound(r float64, n int) float64 {
+	return (proximityBeta*r + float64(2*n+4)*0x1p-53) / (1 - proximityBeta)
+}
+
+// proximityOperator returns the walk's operands: Pᵀ of the reversed-edge
+// transition and the seed distribution d. x0, when not nil, must have one
+// entry per source.
+func proximityOperator(structure graph.Topology, seeds []int32, x0 linalg.Vector) (*linalg.CSR, linalg.Vector, error) {
 	n := structure.NumNodes()
 	if n == 0 {
-		return nil, linalg.IterStats{}, errors.New("throttle: empty source graph")
+		return nil, nil, errors.New("throttle: empty source graph")
 	}
 	if len(seeds) == 0 {
-		return nil, linalg.IterStats{}, errors.New("throttle: empty spam seed set")
+		return nil, nil, errors.New("throttle: empty spam seed set")
+	}
+	if x0 != nil && len(x0) != n {
+		return nil, nil, linalg.ErrDimension
 	}
 	d := linalg.NewVector(n)
 	for _, s := range seeds {
 		if s < 0 || int(s) >= n {
-			return nil, linalg.IterStats{}, fmt.Errorf("throttle: seed %d out of range [0,%d)", s, n)
+			return nil, nil, fmt.Errorf("throttle: seed %d out of range [0,%d)", s, n)
 		}
 		d[s] = 1
 	}
 	d.Normalize1()
 
-	// The power iteration multiplies by Pᵀ, where P is uniform over the
-	// reversed edges. Pᵀ can be read straight off the forward graph:
-	// Pᵀ[u][v] = P[v][u] = 1/outdeg_rev(v) = 1/indeg(v) for every forward
-	// edge (u, v). Building it directly skips both the graph transpose
-	// and the CSR transpose the solver would otherwise materialize, and
-	// yields the exact matrix — hence bitwise-identical proximity scores
-	// — the transpose-based formulation produced. Successor lists are
-	// sorted, so the rows are assembled in CSR order with no entry sort —
-	// this construction runs on every streaming refresh whose source
-	// topology changed, where it is a measurable slice of the delta
-	// budget.
+	// P is uniform over the reversed edges, so Pᵀ reads straight off the
+	// forward graph: Pᵀ[u][v] = 1/indeg(v) for every forward edge (u, v).
+	// That skips the graph and CSR transposes and yields their exact
+	// matrix; successor lists are sorted, so rows assemble in CSR order.
 	indeg := make([]int64, n)
 	nnz := int64(0)
 	for u := 0; u < n; u++ {
@@ -215,10 +281,7 @@ func SpamProximity(structure graph.Topology, seeds []int32, opt ProximityOptions
 		}
 		pt.RowPtr[u+1] = k
 	}
-	if opt.X0 != nil && len(opt.X0) != n {
-		return nil, linalg.IterStats{}, linalg.ErrDimension
-	}
-	return linalg.PowerMethodT(pt, proximityBeta, d, opt.X0, linalg.SolverOptions{Workers: opt.Workers})
+	return pt, d, nil
 }
 
 // TopK assigns the paper's simple throttling heuristic: the k sources
@@ -227,12 +290,7 @@ func SpamProximity(structure graph.Topology, seeds []int32, opt ProximityOptions
 // clamped to [0, len(proximity)].
 func TopK(proximity linalg.Vector, k int) []float64 {
 	n := len(proximity)
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
+	k = min(max(k, 0), n)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
