@@ -179,7 +179,7 @@ func BenchmarkSRSRPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.PipelineFromSourceGraph(sg, core.PipelineConfig{
+		res, err := core.Pipeline(sg, core.PipelineConfig{
 			SpamSeeds: ds.SpamSources,
 			TopK:      sg.NumSources() / 40,
 		})

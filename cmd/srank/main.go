@@ -25,6 +25,7 @@ import (
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/rank"
+	"sourcerank/internal/server"
 	"sourcerank/internal/source"
 	"sourcerank/internal/sysmem"
 	"sourcerank/internal/throttle"
@@ -214,9 +215,8 @@ func sourceLevelScores(algo string, pg *pagegraph.Graph, sg *source.Graph, spamS
 		printStats(res.Stats)
 		return res.Scores, nil
 	case "trustrank":
-		// Trust the sources NOT labeled as spam... seeds must be given;
-		// fall back to the highest-page-count sources as trusted.
-		trusted := topPageCountSources(sg, 10, spamSources)
+		// The served TrustRank's seeds, so both print the same vector.
+		trusted := server.TrustedSeeds(sg, spamSources)
 		res, err := rank.TrustRank(sg.Structure(), trusted, rank.Options{Alpha: alpha, Workers: workers, Precision: prec})
 		if err != nil {
 			return nil, err
@@ -238,9 +238,9 @@ func sourceLevelScores(algo string, pg *pagegraph.Graph, sg *source.Graph, spamS
 			return nil, fmt.Errorf("srsr needs -spam labels or a preset with planted spam")
 		}
 		if topK == 0 {
-			topK = int(0.027*float64(sg.NumSources()) + 0.5)
+			topK = throttle.DefaultTopK(sg.NumSources())
 		}
-		res, err := core.PipelineFromSourceGraph(sg, core.PipelineConfig{
+		res, err := core.Pipeline(sg, core.PipelineConfig{
 			Config: core.Config{Alpha: alpha, Workers: workers, Precision: prec,
 				SlabDir: slabDir, MaxResident: maxResident},
 			SpamSeeds:  spamSources,
@@ -341,32 +341,6 @@ func loadCorpus(pagesPath, spamPath, preset string, scale float64, seed uint64) 
 		}
 	}
 	return pg, spam, nil
-}
-
-func topPageCountSources(sg *source.Graph, k int, exclude []int32) []int32 {
-	ex := map[int32]bool{}
-	for _, s := range exclude {
-		ex[s] = true
-	}
-	type sc struct {
-		id    int32
-		count int
-	}
-	all := make([]sc, 0, sg.NumSources())
-	for i, c := range sg.PageCount {
-		if !ex[int32(i)] {
-			all = append(all, sc{int32(i), c})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].count > all[b].count })
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]int32, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].id
-	}
-	return out
 }
 
 func printStats(st linalg.IterStats) {

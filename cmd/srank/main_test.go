@@ -13,6 +13,7 @@ import (
 	"sourcerank/internal/gen"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/rank"
+	"sourcerank/internal/server"
 )
 
 // TestPageRankSlabMatchesHeap checks the -slab-dir route against the plain
@@ -137,5 +138,37 @@ func TestSaveAndRefusalEndToEnd(t *testing.T) {
 
 	if out, exit := runSrank(t, "-algo", "salsa", "-slab-dir", t.TempDir()); exit != 2 || out != "" {
 		t.Errorf("-algo salsa -slab-dir: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
+	}
+}
+
+// TestTrustRankMatchesServed: srank -algo trustrank seeds the walk with
+// the served TrustRank's seeds (server.TrustedSeeds, ties to the lower
+// ID), so on a corpus whose 10th-largest source is a many-way tie it
+// still prints the cold builder's vector, bit for bit.
+func TestTrustRankMatchesServed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trustrank.vec")
+	if out, exit := runSrank(t, "-scale", "0.02", "-algo", "trustrank", "-save", path); exit != 0 {
+		t.Fatalf("-algo trustrank: exit %d\n%s", exit, out)
+	}
+	got, err := linalg.ReadVectorFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.02, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := server.BuildSnapshot(ds.Pages, ds.SpamSources, server.BuildConfig{Alpha: 0.85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snap.Set(server.AlgoTrustRank).ScoresView()
+	if len(got) != len(want) {
+		t.Fatalf("srank wrote %d scores, the builder served %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("score %d = %v, served %v", i, got[i], want[i])
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"sourcerank/internal/core"
 	"sourcerank/internal/pagegraph"
+	"sourcerank/internal/source"
 )
 
 func main() {
@@ -56,9 +57,14 @@ func main() {
 	}
 	g.AddLink(pages[legit[1]][3], pages[spamA][0]) // hijacked comment link
 
-	// Run the paper's pipeline: only cheap-pills.biz is labeled; the
-	// proximity walk discovers casino-wins.biz through the exchange.
-	res, err := core.Pipeline(g, core.PipelineConfig{
+	// Group pages into sources, then run the paper's pipeline: only
+	// cheap-pills.biz is labeled; the proximity walk discovers
+	// casino-wins.biz through the exchange.
+	sg, err := source.Build(g, source.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := core.Pipeline(sg, core.PipelineConfig{
 		Config:    core.Config{Alpha: 0.85},
 		SpamSeeds: []int32{int32(spamA)},
 		TopK:      2,
@@ -79,7 +85,7 @@ func main() {
 			throttled = "  [throttled]"
 		}
 		fmt.Printf("%d. %-22s score %.4f  κ=%.2f%s\n",
-			rank+1, res.SourceGraph.Labels[s], res.Scores[s], res.Kappa[s], throttled)
+			rank+1, sg.Labels[s], res.Scores[s], res.Kappa[s], throttled)
 	}
 	fmt.Printf("\nsolver: %d iterations (residual %.1e)\n",
 		res.Stats.Iterations, res.Stats.Residual)

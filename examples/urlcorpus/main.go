@@ -13,6 +13,7 @@ import (
 	"sourcerank/internal/core"
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/rank"
+	"sourcerank/internal/source"
 	"sourcerank/internal/urlutil"
 )
 
@@ -76,29 +77,33 @@ func main() {
 		log.Fatal("spam source not found")
 	}
 
-	res, err := core.Pipeline(pg, core.PipelineConfig{
+	sg, err := source.Build(pg, source.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := core.Pipeline(sg, core.PipelineConfig{
 		SpamSeeds: []int32{spamSrc},
 		TopK:      2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := core.BaselineSourceRank(res.SourceGraph, core.Config{})
+	base, err := core.BaselineSourceRank(sg, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("\nSource level (baseline SourceRank vs Spam-Resilient SourceRank):")
 	fmt.Printf("  %-24s %-10s %-10s %s\n", "source", "baseline", "SRSR", "κ")
-	for s := 0; s < res.SourceGraph.NumSources(); s++ {
+	for s := 0; s < sg.NumSources(); s++ {
 		fmt.Printf("  %-24s %-10.4f %-10.4f %.0f\n",
-			res.SourceGraph.Labels[s], base.Scores[s], res.Scores[s], res.Kappa[s])
+			sg.Labels[s], base.Scores[s], res.Scores[s], res.Kappa[s])
 	}
-	for s := 0; s < res.SourceGraph.NumSources(); s++ {
+	for s := 0; s < sg.NumSources(); s++ {
 		if res.Kappa[s] != 1 || int32(s) == spamSrc {
 			continue
 		}
-		switch res.SourceGraph.Labels[s] {
+		switch sg.Labels[s] {
 		case "luxury-replicas.biz":
 			fmt.Println("\nluxury-replicas.biz was throttled purely by proximity (it trades")
 			fmt.Println("links with the labeled spam site).")

@@ -37,7 +37,7 @@ func TestEndToEndAllPresets(t *testing.T) {
 				t.Fatal(err)
 			}
 			seeds := ds.SpamSources[:len(ds.SpamSources)/10+1]
-			pipe, err := core.PipelineFromSourceGraph(sg, core.PipelineConfig{
+			pipe, err := core.Pipeline(sg, core.PipelineConfig{
 				SpamSeeds: seeds,
 				TopK:      sg.NumSources() / 40,
 			})
@@ -77,7 +77,11 @@ func TestDeterminismEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := core.Pipeline(ds.Pages, core.PipelineConfig{
+		sg, err := source.Build(ds.Pages, source.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe, err := core.Pipeline(sg, core.PipelineConfig{
 			SpamSeeds: ds.SpamSources[:3],
 			TopK:      20,
 		})
@@ -185,7 +189,7 @@ func TestAttackDefenseCycle(t *testing.T) {
 	}
 	// Defended: the spam hub is labeled; proximity must pull in the
 	// colluders and the honeypot.
-	pipe, err := core.PipelineFromSourceGraph(sg, core.PipelineConfig{
+	pipe, err := core.Pipeline(sg, core.PipelineConfig{
 		SpamSeeds: []int32{int32(spamSrc)},
 		TopK:      10,
 	})

@@ -21,7 +21,6 @@ import (
 	"path/filepath"
 
 	"sourcerank/internal/linalg"
-	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/source"
 	"sourcerank/internal/throttle"
 )
@@ -270,23 +269,17 @@ func BaselineSourceRank(sg *source.Graph, cfg Config) (*Result, error) {
 	return Rank(sg, make([]float64, sg.NumSources()), cfg)
 }
 
-// PipelineConfig configures the end-to-end computation from a page graph:
-// source-graph construction, spam-proximity throttling (paper §5), and
-// the SRSR solve.
+// PipelineConfig configures the computation over a source graph:
+// spam-proximity throttling (paper §5) and the SRSR solve.
 type PipelineConfig struct {
 	Config
 	// SpamSeeds lists the source IDs pre-labeled as spam. Required:
 	// spam-proximity needs a seed set.
 	SpamSeeds []int32
 	// TopK is the number of highest-proximity sources to throttle fully
-	// (κ = 1); the paper uses 20,000 on WB2001. The proximity walk runs
-	// at β = 0.85.
+	// (κ = 1, every other source κ = 0); throttle.DefaultTopK is the
+	// paper's cut. The proximity walk runs at β = 0.85.
 	TopK int
-	// Graded switches the κ assignment from the paper's binary top-k
-	// heuristic to the graded extension, with values below the top-k
-	// capped at GradedMax.
-	Graded    bool
-	GradedMax float64
 	// Checkpoint, if set, makes the final SRSR solve resumable: the
 	// iterate is persisted every Checkpoint.Every iterations and a crash
 	// resumes from the newest valid checkpoint, bit for bit (see rank).
@@ -299,7 +292,6 @@ type PipelineConfig struct {
 // full pipeline.
 type PipelineResult struct {
 	Result
-	SourceGraph    *source.Graph
 	Proximity      linalg.Vector
 	ProximityStats linalg.IterStats
 	// Checkpoint reports resume/persist activity when
@@ -307,22 +299,11 @@ type PipelineResult struct {
 	Checkpoint CheckpointInfo
 }
 
-// Pipeline runs the full Spam-Resilient SourceRank pipeline on a page
-// graph: build the consensus-weighted source graph, propagate spam
-// proximity from the seed set, assign κ, and solve for σ.
-func Pipeline(pg *pagegraph.Graph, cfg PipelineConfig) (*PipelineResult, error) {
-	sg, err := source.Build(pg, source.Options{Workers: cfg.Workers})
-	if err != nil {
-		return nil, fmt.Errorf("core: building source graph: %w", err)
-	}
-	return PipelineFromSourceGraph(sg, cfg)
-}
-
-// PipelineFromSourceGraph runs the proximity + throttle + solve stages on
-// an already-built source graph, which lets experiments reuse one source
-// graph across many throttle settings. It is PipelineRefresh with no
-// history.
-func PipelineFromSourceGraph(sg *source.Graph, cfg PipelineConfig) (*PipelineResult, error) {
+// Pipeline runs the Spam-Resilient SourceRank pipeline on a source graph
+// (source.Build derives one from a page graph): propagate spam proximity
+// from the seed set, throttle its top-k set fully, and solve for σ. It is
+// PipelineRefresh with no history.
+func Pipeline(sg *source.Graph, cfg PipelineConfig) (*PipelineResult, error) {
 	res, _, err := PipelineRefresh(sg, nil, 0, cfg, nil)
 	return res, err
 }

@@ -133,8 +133,7 @@ func TestBaselineSourceRank(t *testing.T) {
 }
 
 func TestPipelineEndToEnd(t *testing.T) {
-	g := corpus(t)
-	res, err := Pipeline(g, PipelineConfig{
+	res, err := Pipeline(buildSG(t, corpus(t)), PipelineConfig{
 		SpamSeeds: []int32{4}, // only one of the two spam sources labeled
 		TopK:      2,
 	})
@@ -157,33 +156,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPipelineGraded(t *testing.T) {
-	g := corpus(t)
-	res, err := Pipeline(g, PipelineConfig{
-		SpamSeeds: []int32{4},
-		TopK:      1,
-		Graded:    true,
-		GradedMax: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count1 := 0
-	for _, k := range res.Kappa {
-		if k == 1 {
-			count1++
-		}
-		if k < 0 || k > 1 {
-			t.Errorf("kappa out of range: %v", k)
-		}
-	}
-	if count1 != 1 {
-		t.Errorf("graded top-1 throttled %d sources fully", count1)
-	}
-}
-
 func TestPipelineRequiresSeeds(t *testing.T) {
-	if _, err := Pipeline(corpus(t), PipelineConfig{}); err == nil {
+	if _, err := Pipeline(buildSG(t, corpus(t)), PipelineConfig{}); err == nil {
 		t.Error("pipeline without seeds accepted")
 	}
 }

@@ -35,7 +35,7 @@ func fidelityFixture(t *testing.T) (*source.Graph, []int32) {
 func TestFloat32PipelineFidelity(t *testing.T) {
 	sg, spam := fidelityFixture(t)
 	run := func(p linalg.Precision) *PipelineResult {
-		res, err := PipelineFromSourceGraph(sg, PipelineConfig{
+		res, err := Pipeline(sg, PipelineConfig{
 			Config:    Config{Precision: p},
 			SpamSeeds: spam,
 			TopK:      sg.NumSources() / 37, // ≈2.7%
@@ -160,7 +160,7 @@ func TestFloat32CheckpointRejected(t *testing.T) {
 	if _, _, err := rank(sg, make([]float64, sg.NumSources()), cfg, &ck); err == nil {
 		t.Fatal("checkpointed solve accepted Precision Float32")
 	}
-	_, err := PipelineFromSourceGraph(sg, PipelineConfig{
+	_, err := Pipeline(sg, PipelineConfig{
 		Config:     cfg,
 		SpamSeeds:  []int32{4, 5},
 		TopK:       2,

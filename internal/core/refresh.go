@@ -25,7 +25,7 @@ type RefreshState struct {
 	// current Kappa has succeeded.
 	T *linalg.CSR
 	// assigned is what Proximity and Kappa were derived from besides the
-	// structure: the seed set, the top-k size and the κ heuristic.
+	// structure: the seed set and the top-k size.
 	assigned assignment
 	// walkedOn is the structure version Proximity was walked on, if any.
 	walkedOn  uint64
@@ -51,15 +51,12 @@ type RefreshState struct {
 // graph. Comparing it costs one pass over the seeds and allocates
 // nothing, so the fast path can afford it on every refresh.
 type assignment struct {
-	seeds     []int32
-	topK      int
-	graded    bool
-	gradedMax float64
+	seeds []int32
+	topK  int
 }
 
 func (a assignment) matches(cfg PipelineConfig) bool {
-	return a.topK == cfg.TopK && a.graded == cfg.Graded && a.gradedMax == cfg.GradedMax &&
-		slices.Equal(a.seeds, cfg.SpamSeeds)
+	return a.topK == cfg.TopK && slices.Equal(a.seeds, cfg.SpamSeeds)
 }
 
 // RefreshInfo reports which incremental paths a refresh took; the bench
@@ -71,8 +68,8 @@ type RefreshInfo struct {
 	// BoundaryGap is the top-k selection margin of the proximity κ came
 	// from (+Inf when k clamps to the whole range or to nothing).
 	BoundaryGap float64
-	// ProximityCold reports a walk from the seeds: the first refresh, a
-	// contested boundary, or Graded mode (which walks to tolerance).
+	// ProximityCold reports a walk from the seeds: the first refresh or a
+	// contested boundary.
 	ProximityCold bool
 	// ProximityCarried: same structure version and assignment, no walk.
 	ProximityCarried bool
@@ -97,8 +94,8 @@ type RefreshInfo struct {
 // carry over. A nil structure names no version. The solve goes through
 // Rank (checkpointed with cfg.Checkpoint set), started from the previous
 // scores when there are any and from cfg.X0 otherwise. Everything in cfg
-// but the seeds, TopK, Graded and GradedMax is expected to stay fixed over
-// one state's lifetime.
+// but the seeds and TopK is expected to stay fixed over one state's
+// lifetime.
 func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64, cfg PipelineConfig, st *RefreshState) (*PipelineResult, RefreshInfo, error) {
 	info := RefreshInfo{BoundaryGap: math.Inf(1)}
 	if sg == nil || sg.NumSources() == 0 {
@@ -108,7 +105,6 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 		st = &RefreshState{}
 	}
 	n := sg.NumSources()
-	var pstats linalg.IterStats
 
 	if st.T != nil && sg.T == st.T && st.assigned.matches(cfg) {
 		// Fast path: consensus weights unchanged (Emit returned a graph
@@ -128,8 +124,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 					Stats:     linalg.IterStats{Residual: residual, Converged: true},
 					Precision: cfg.Precision,
 				},
-				SourceGraph: sg,
-				Proximity:   st.Proximity,
+				Proximity: st.Proximity,
 			}, info, nil
 		}
 	} else {
@@ -145,32 +140,20 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 			if !versioned {
 				structure = sg.Structure()
 			}
-			// Graded κ needs every value, so it walks cold to tolerance.
-			popt := throttle.ProximityOptions{Workers: cfg.Workers}
-			var prox linalg.Vector
-			var err error
-			if cfg.Graded {
-				prox, pstats, err = throttle.SpamProximity(structure, cfg.SpamSeeds, popt)
-			} else {
-				popt.X0 = sanitizeWarmStart(st.Proximity.Padded(n))
-				prox, info.Decision, err = throttle.DecideTopK(structure, cfg.SpamSeeds, cfg.TopK, popt)
-				pstats = info.Decision.IterStats
-			}
+			popt := throttle.ProximityOptions{Workers: cfg.Workers, X0: sanitizeWarmStart(st.Proximity.Padded(n))}
+			prox, dec, err := throttle.DecideTopK(structure, cfg.SpamSeeds, cfg.TopK, popt)
 			if err != nil {
 				return nil, info, fmt.Errorf("core: spam proximity: %w", err)
 			}
-			info.ProximityCold = popt.X0 == nil || info.Decision.Contested != ""
-			if cfg.Graded {
-				st.Kappa, info.KappaChanged = throttle.Graded(prox, cfg.TopK, cfg.GradedMax), n
-			} else {
-				if st.Kappa = linalg.Vector(st.Kappa).Padded(n); st.Kappa == nil {
-					st.Kappa = make([]float64, n)
-				}
-				info.KappaChanged, info.BoundaryGap = throttle.PatchTopK(st.Kappa, prox, cfg.TopK)
+			info.Decision = dec
+			info.ProximityCold = popt.X0 == nil || dec.Contested != ""
+			if st.Kappa = linalg.Vector(st.Kappa).Padded(n); st.Kappa == nil {
+				st.Kappa = make([]float64, n)
 			}
+			info.KappaChanged, info.BoundaryGap = throttle.PatchTopK(st.Kappa, prox, cfg.TopK)
 			st.Proximity, st.walkedOn, st.versioned = prox, version, versioned
 			if !st.assigned.matches(cfg) {
-				st.assigned = assignment{slices.Clone(cfg.SpamSeeds), cfg.TopK, cfg.Graded, cfg.GradedMax}
+				st.assigned = assignment{slices.Clone(cfg.SpamSeeds), cfg.TopK}
 			}
 		}
 	}
@@ -188,9 +171,8 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 	}
 	return &PipelineResult{
 		Result:         *res,
-		SourceGraph:    sg,
 		Proximity:      st.Proximity,
-		ProximityStats: pstats,
+		ProximityStats: info.Decision.IterStats,
 		Checkpoint:     ckInfo,
 	}, info, nil
 }

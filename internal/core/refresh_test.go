@@ -121,7 +121,7 @@ func TestPipelineRefreshMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		want, err := PipelineFromSourceGraph(coldSG, cfg)
+		want, err := Pipeline(coldSG, cfg)
 		if err != nil {
 			t.Fatalf("step %d: cold pipeline: %v", step, err)
 		}
@@ -189,7 +189,7 @@ func TestPipelineRefreshSkipsSolve(t *testing.T) {
 
 // TestPipelineRefreshLabelChangeRewalks is the regression for the skip
 // path keying on the graph alone: over an unchanged source graph a
-// changed seed set (and each other input of the κ assignment) must
+// changed seed set (and a changed top-k size) must
 // re-walk the proximity — warm, under the boundary guard — and land on
 // the cold κ bit for bit, while the same inputs again still skip.
 func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
@@ -210,9 +210,6 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 		{"half the seeds", func(c *PipelineConfig) { c.SpamSeeds = c.SpamSeeds[:3] }},
 		{"one seed appended", func(c *PipelineConfig) { c.SpamSeeds = append(slices.Clone(c.SpamSeeds), 34) }},
 		{"top-k", func(c *PipelineConfig) { c.TopK = 9 }},
-		{"graded", func(c *PipelineConfig) { c.Graded, c.GradedMax = true, 0.5 }},
-		{"graded cap", func(c *PipelineConfig) { c.GradedMax = 0.25 }},
-		{"binary again", func(c *PipelineConfig) { c.Graded, c.GradedMax = false, 0 }},
 	}
 	for _, ch := range changes {
 		ch.mutate(&cfg)
@@ -226,17 +223,17 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 		if got.ProximityStats.Iterations == 0 {
 			t.Fatalf("%s: proximity not re-walked", ch.name)
 		}
-		if d := info.Decision; !cfg.Graded && d.Contested == "" && !(info.BoundaryGap > 2*d.Bound) {
+		if d := info.Decision; d.Contested == "" && !(info.BoundaryGap > 2*d.Bound) {
 			t.Fatalf("%s: walk stopped at gap %v, not above twice its bound %v", ch.name, info.BoundaryGap, d.Bound)
 		}
-		cold, err := PipelineFromSourceGraph(sg, cfg)
+		cold, err := Pipeline(sg, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got.Kappa, cold.Kappa) {
 			t.Fatalf("%s: κ differs from the cold pipeline's", ch.name)
 		}
-		if !cfg.Graded && !slices.Equal(got.Kappa, coldTopK(t, sg, cfg)) {
+		if !slices.Equal(got.Kappa, coldTopK(t, sg, cfg)) {
 			t.Fatalf("%s: κ differs from throttle.TopK of a cold walk", ch.name)
 		}
 		if d := linalg.L2Distance(got.Scores, cold.Scores); d > 1e-7 {
@@ -319,7 +316,7 @@ func TestPipelineRefreshFailedSolveDisarmsSkip(t *testing.T) {
 	if info.SolveSkipped {
 		t.Fatal("refresh after a failed solve skipped over scores of the old κ")
 	}
-	cold, err := PipelineFromSourceGraph(sg, cfg)
+	cold, err := Pipeline(sg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +369,7 @@ func TestPipelineRefreshSlabAndPrecision(t *testing.T) {
 			if heapSt.ThrottledT == nil {
 				t.Fatalf("%v step %d: heap state lost its transpose", prec, step)
 			}
-			cold, err := PipelineFromSourceGraph(sg, heapCfg)
+			cold, err := Pipeline(sg, heapCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -397,7 +394,7 @@ func TestPipelineRefreshSlabAndPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := PipelineFromSourceGraph(sg, cfg)
+	cold, err := Pipeline(sg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,18 +48,18 @@ func TestRankSlabBitwiseIdentical(t *testing.T) {
 // TestPipelineSlabBitwiseIdentical runs the whole pipeline (proximity,
 // κ assignment, solve) with a slab-backed final solve.
 func TestPipelineSlabBitwiseIdentical(t *testing.T) {
-	g := corpus(t)
+	sg := buildSG(t, corpus(t))
 	mk := func(slabDir string) PipelineConfig {
 		cfg := PipelineConfig{SpamSeeds: []int32{4}, TopK: 2}
 		cfg.SlabDir = slabDir
 		cfg.MaxResident = 1024
 		return cfg
 	}
-	ref, err := Pipeline(g, mk(""))
+	ref, err := Pipeline(sg, mk(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Pipeline(g, mk(t.TempDir()))
+	got, err := Pipeline(sg, mk(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,15 +7,15 @@ import (
 )
 
 // TestPipelineMaterializesOneTranspose asserts the tentpole reuse
-// guarantee: one full pipeline run (source build, spam proximity, SRSR
-// solve) materializes at most one transpose per distinct matrix — in
+// guarantee: one full pipeline run (spam proximity, SRSR solve)
+// materializes at most one transpose per distinct matrix — in
 // practice exactly one, of the throttled T″. The proximity walk builds
 // its Pᵀ operand directly from the forward structure and the solvers
 // accept pre-transposed operands, so no other transpose exists.
 func TestPipelineMaterializesOneTranspose(t *testing.T) {
-	pg := corpus(t)
+	sg := buildSG(t, corpus(t))
 	before := linalg.TransposeMaterializations()
-	res, err := Pipeline(pg, PipelineConfig{
+	res, err := Pipeline(sg, PipelineConfig{
 		SpamSeeds: []int32{4},
 		TopK:      2,
 	})

@@ -7,6 +7,7 @@ import (
 	"sourcerank/internal/core"
 	"sourcerank/internal/gen"
 	"sourcerank/internal/source"
+	"sourcerank/internal/throttle"
 )
 
 // corpus bundles a generated dataset with its derived source graph and
@@ -83,12 +84,9 @@ func spamSeeds(ds *gen.Dataset, fraction float64, seed uint64) []int32 {
 // corpus: spam-proximity from the seed subset, top-k throttling, SRSR.
 func (c *corpus) basePipeline(cfg Config) (*core.PipelineResult, []int32, int, error) {
 	c.pipeOnce.Do(func() {
-		c.seeds = spamSeeds(c.ds, cfg.SeedFraction, cfg.Seed)
-		c.topK = int(float64(c.sg.NumSources())*cfg.ThrottleFraction + 0.5)
-		if c.topK < 1 {
-			c.topK = 1
-		}
-		c.pipe, c.pipeErr = core.PipelineFromSourceGraph(c.sg, core.PipelineConfig{
+		c.seeds = spamSeeds(c.ds, seedFraction, cfg.Seed)
+		c.topK = max(1, throttle.DefaultTopK(c.sg.NumSources()))
+		c.pipe, c.pipeErr = core.Pipeline(c.sg, core.PipelineConfig{
 			Config: core.Config{
 				Alpha:   cfg.Alpha,
 				Workers: cfg.Workers,

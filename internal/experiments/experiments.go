@@ -90,13 +90,11 @@ type Config struct {
 	Targets int
 	// Datasets restricts which presets run; empty means all three.
 	Datasets []gen.Preset
-	// SeedFraction is the share of labeled spam revealed to the
-	// spam-proximity walk; 0 defaults to the paper's <10% (0.097).
-	SeedFraction float64
-	// ThrottleFraction scales the top-k throttle cut: the paper throttles
-	// 20,000 of 738,626 WB2001 sources (2.7%); 0 defaults to 0.027.
-	ThrottleFraction float64
 }
+
+// seedFraction is the share of labeled spam revealed to the
+// spam-proximity walk: the paper's <10% (1,000 of 10,315).
+const seedFraction = 0.097
 
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
@@ -113,12 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Datasets) == 0 {
 		c.Datasets = gen.Presets
-	}
-	if c.SeedFraction <= 0 {
-		c.SeedFraction = 0.097
-	}
-	if c.ThrottleFraction <= 0 {
-		c.ThrottleFraction = 0.027
 	}
 	return c
 }

@@ -63,7 +63,7 @@ func Detection(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	allSpam := sortedCopy(c.ds.SpamSources)
-	topK := int(float64(c.sg.NumSources())*cfg.ThrottleFraction + 0.5)
+	topK := throttle.DefaultTopK(c.sg.NumSources())
 	t := &Table{
 		ID:      "detection",
 		Title:   fmt.Sprintf("Spam-proximity as a detector (WB2001-sim, %d spam, top-%d cut)", len(allSpam), topK),

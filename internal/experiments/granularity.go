@@ -8,6 +8,7 @@ import (
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/rankeval"
 	"sourcerank/internal/source"
+	"sourcerank/internal/throttle"
 	"sourcerank/internal/urlutil"
 )
 
@@ -44,10 +45,10 @@ func AblationGranularity(cfg Config) (*Table, error) {
 		if len(seeds) > 10 {
 			seeds = seeds[:len(seeds)/10]
 		}
-		pipe, err := core.PipelineFromSourceGraph(sg, core.PipelineConfig{
+		pipe, err := core.Pipeline(sg, core.PipelineConfig{
 			Config:    core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers},
 			SpamSeeds: seeds,
-			TopK:      int(float64(sg.NumSources())*cfg.ThrottleFraction + 0.5),
+			TopK:      throttle.DefaultTopK(sg.NumSources()),
 		})
 		if err != nil {
 			return err

@@ -12,6 +12,7 @@ import (
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/rank"
 	"sourcerank/internal/source"
+	"sourcerank/internal/throttle"
 )
 
 // BuildConfig configures the offline snapshot computation, which
@@ -22,7 +23,7 @@ type BuildConfig struct {
 	// Alpha is the mixing parameter for all walks; 0 defaults to 0.85.
 	Alpha float64
 	// TopK is the number of highest-proximity sources throttled fully;
-	// 0 defaults to 2.7% of sources, the paper's WB2001 ratio.
+	// 0 selects throttle.DefaultTopK, the paper's cut.
 	TopK int
 	// Workers bounds solver parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -145,7 +146,7 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 	n := sg.NumSources()
 	topK := cfg.TopK
 	if topK <= 0 {
-		topK = int(0.027*float64(n) + 0.5)
+		topK = throttle.DefaultTopK(n)
 	}
 	sets := make(map[Algo]*ScoreSet, len(DefaultAlgos))
 	for _, algo := range DefaultAlgos {

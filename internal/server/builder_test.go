@@ -61,7 +61,7 @@ func coldKappa(t *testing.T, c Corpus, spam []int32) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return throttle.TopK(prox, int(0.027*float64(len(prox))+0.5))
+	return throttle.TopK(prox, throttle.DefaultTopK(len(prox)))
 }
 
 // TestWarmRefreshFewerIterations: a builder's second build, over a graph

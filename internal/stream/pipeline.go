@@ -19,8 +19,8 @@ type Options struct {
 	// Spam lists the pre-labeled spam source IDs seeding the proximity
 	// walk. Empty skips SRSR, as in the cold builder.
 	Spam []int32
-	// TopK throttled sources; 0 derives 2.7% of the current source
-	// count at each refresh.
+	// TopK throttled sources; 0 selects throttle.DefaultTopK of the
+	// current source count at each refresh.
 	TopK int
 	// Workers bounds aggregation and solver parallelism.
 	Workers int

@@ -178,7 +178,7 @@ func TestMetamorphicStreamEqualsCold(t *testing.T) {
 				}
 				assertSameSourceGraph(t, p.Ingestor().Emit(), coldSG)
 
-				coldRes, err := core.PipelineFromSourceGraph(coldSG, core.PipelineConfig{
+				coldRes, err := core.Pipeline(coldSG, core.PipelineConfig{
 					SpamSeeds: spam, TopK: topK,
 				})
 				if err != nil {

@@ -291,7 +291,7 @@ func TestDecidedKappaUnderInjections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseProx, _, err := DecideTopK(base.Structure(), spamSrc, int(0.027*float64(base.NumSources())+0.5), ProximityOptions{})
+		baseProx, _, err := DecideTopK(base.Structure(), spamSrc, DefaultTopK(base.NumSources()), ProximityOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestDecidedKappaUnderInjections(t *testing.T) {
 				t.Fatal(err)
 			}
 			n, g := sg.NumSources(), sg.Structure()
-			k := int(0.027*float64(n) + 0.5)
+			k := DefaultTopK(n)
 			x0 := baseProx.Padded(n).Clone()
 			x0.Normalize1()
 			cold, _, err := DecideTopK(g, spamSrc, k, ProximityOptions{})

@@ -284,6 +284,13 @@ func proximityOperator(structure graph.Topology, seeds []int32, x0 linalg.Vector
 	return pt, d, nil
 }
 
+// DefaultTopK is the paper's top-k cut for n sources: 2.7 % of them,
+// rounded to the nearest integer, since §5 throttles 20,000 of 738,626
+// WB2001 sources.
+func DefaultTopK(n int) int {
+	return int(0.027*float64(n) + 0.5)
+}
+
 // TopK assigns the paper's simple throttling heuristic: the k sources
 // with the highest spam-proximity score get κ = 1 (fully throttled), all
 // others κ = 0. Ties at the boundary resolve by smaller index. k is
@@ -312,7 +319,8 @@ func TopK(proximity linalg.Vector, k int) []float64 {
 // κ = 1; the remainder receive κ proportional to their proximity score
 // relative to the k-th score, capped at maxBelow. This is the "number of
 // possible ways to assign these throttling values" extension the paper
-// leaves open (§5); the ablation benches compare it to TopK.
+// leaves open (§5); only the ablation-throttle experiment uses it, to
+// compare it with TopK.
 func Graded(proximity linalg.Vector, k int, maxBelow float64) []float64 {
 	n := len(proximity)
 	kappa := TopK(proximity, k)
