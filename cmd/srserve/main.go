@@ -247,8 +247,10 @@ func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, cfg server.Bui
 // otherwise which path settled κ — proximity carried over an unchanged
 // structure, a warm or cold walk stopped at the iteration whose top-k gap
 // cleared twice its error bound, or a contested boundary (with why)
-// re-walked cold to tolerance — then how many κ entries flipped, and which
-// baselines were carried rather than re-solved.
+// re-walked cold to tolerance — then how many κ entries flipped, which
+// baselines were carried rather than re-solved, and the wall time of each
+// solve branch (SRSR; PageRank then TrustRank), whether they ran at once
+// or in turn, and which one set the build's length.
 func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
 	var srsr string
 	switch d := info.Decision; {
@@ -275,8 +277,16 @@ func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
 		}
 		return "re-solved"
 	}
-	return fmt.Sprintf("build: %s, %d κ flips; pagerank %s, trustrank %s",
-		srsr, info.KappaChanged, carried(info.PageRankSkipped), carried(info.TrustRankSkipped))
+	mode, longer := "in turn", "srsr"
+	if info.Concurrent {
+		mode = "at once"
+	}
+	if info.BaselinesWall > info.SRSRWall {
+		longer = "baselines"
+	}
+	return fmt.Sprintf("build: %s, %d κ flips; pagerank %s, trustrank %s; solves %s: srsr %.1f ms, baselines %.1f ms (%s set the length)",
+		srsr, info.KappaChanged, carried(info.PageRankSkipped), carried(info.TrustRankSkipped),
+		mode, info.SRSRWall.Seconds()*1e3, info.BaselinesWall.Seconds()*1e3, longer)
 }
 
 type replicaConfig struct {

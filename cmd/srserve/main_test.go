@@ -52,18 +52,24 @@ func TestBuildLine(t *testing.T) {
 		info server.BuildInfo
 		want string
 	}{
-		{"no labels", plain, server.BuildInfo{}, "build: srsr not computed (no spam labels), 0 κ flips; pagerank re-solved, trustrank re-solved"},
+		{"no labels", plain, server.BuildInfo{}, "build: srsr not computed (no spam labels), 0 κ flips; pagerank re-solved, trustrank re-solved; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length)"},
 		{"skipped", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{SolveSkipped: true}, PageRankSkipped: true, TrustRankSkipped: true},
-			"build: srsr solve skipped (graph and labels unchanged), 0 κ flips; pagerank carried, trustrank carried"},
+			"build: srsr solve skipped (graph and labels unchanged), 0 κ flips; pagerank carried, trustrank carried; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length)"},
 		{"carried", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCarried: true}, PageRankSkipped: true, TrustRankSkipped: true},
-			"build: srsr proximity carried (structure unchanged), 0 κ flips; pagerank carried, trustrank carried"},
+			"build: srsr proximity carried (structure unchanged), 0 κ flips; pagerank carried, trustrank carried; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length)"},
 		{"decided cold", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCold: true, Decision: decided, BoundaryGap: 1.34e-6, KappaChanged: 265}},
-			"build: srsr proximity decided cold at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 265 κ flips; pagerank re-solved, trustrank re-solved"},
+			"build: srsr proximity decided cold at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 265 κ flips; pagerank re-solved, trustrank re-solved; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length)"},
 		{"decided warm", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{Decision: decided, BoundaryGap: 1.34e-6, KappaChanged: 3}},
-			"build: srsr proximity decided warm at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 3 κ flips; pagerank re-solved, trustrank re-solved"},
+			"build: srsr proximity decided warm at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 3 κ flips; pagerank re-solved, trustrank re-solved; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length)"},
 		{"contested", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCold: true, BoundaryGap: 0, KappaChanged: 4,
 			Decision: throttle.Decision{IterStats: linalg.IterStats{Iterations: 77}, Contested: "L1 residual stopped falling at iteration 240"}}},
-			"build: srsr proximity contested (L1 residual stopped falling at iteration 240) → cold walk, 77 iterations, boundary gap 0, 4 κ flips; pagerank re-solved, trustrank re-solved"},
+			"build: srsr proximity contested (L1 residual stopped falling at iteration 240) → cold walk, 77 iterations, boundary gap 0, 4 κ flips; pagerank re-solved, trustrank re-solved; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length)"},
+		{"at once", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{Decision: decided, BoundaryGap: 1.34e-6, KappaChanged: 3},
+			SRSRWall: 27140 * time.Microsecond, BaselinesWall: 20 * time.Millisecond, Concurrent: true},
+			"build: srsr proximity decided warm at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 3 κ flips; pagerank re-solved, trustrank re-solved; solves at once: srsr 27.1 ms, baselines 20.0 ms (srsr set the length)"},
+		{"baselines longer", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCarried: true},
+			SRSRWall: 3 * time.Millisecond, BaselinesWall: 9500 * time.Microsecond},
+			"build: srsr proximity carried (structure unchanged), 0 κ flips; pagerank re-solved, trustrank re-solved; solves in turn: srsr 3.0 ms, baselines 9.5 ms (baselines set the length)"},
 	} {
 		if got := buildLine(tc.snap, tc.info); got != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)

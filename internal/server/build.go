@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -25,7 +26,9 @@ type BuildConfig struct {
 	// TopK is the number of highest-proximity sources throttled fully;
 	// 0 selects throttle.DefaultTopK, the paper's cut.
 	TopK int
-	// Workers bounds solver parallelism; <= 0 selects GOMAXPROCS.
+	// Workers bounds solver parallelism; <= 0 selects GOMAXPROCS. When
+	// SRSR and the baselines both solve, they run at once on ⌈W/2⌉ and
+	// ⌊W/2⌋ of them (see Builder.Build).
 	Workers int
 	// Precision selects the stationary-solve arithmetic for every
 	// computed algorithm: the default linalg.Float64 reference path, or
@@ -77,6 +80,13 @@ type BuildInfo struct {
 	// trusted-seed set) was unchanged.
 	PageRankSkipped  bool
 	TrustRankSkipped bool
+	// SRSRWall and BaselinesWall are the wall times of the build's two
+	// solve branches: SRSR's pipeline, and PageRank then TrustRank
+	// (carried ones included). Concurrent reports that the branches ran at
+	// once, each on half the workers; otherwise they ran one after the
+	// other on all of them, and the build's solve stage is their sum.
+	SRSRWall, BaselinesWall time.Duration
+	Concurrent              bool
 }
 
 // baseline is one uniform-weight solve the builder retains: the vector,
@@ -135,62 +145,64 @@ func (b *Builder) Kappa() []float64 {
 	return slices.Clone(b.srsr.Kappa)
 }
 
-// Build computes the snapshot of c under the spam labels. An error leaves
-// the retained state usable: the next Build re-solves whatever this one
-// did not finish.
+// Build computes the snapshot of c under the spam labels. The SRSR
+// pipeline and the baselines (PageRank, then TrustRank) share nothing but
+// the graph they read, so when both must solve and the worker budget is
+// at least two they run at once, SRSR on ⌈W/2⌉ workers and the baselines
+// on ⌊W/2⌋; otherwise they run one after the other on all W. Every solve
+// is bitwise worker-invariant, so the split moves no score. An error
+// leaves the retained state usable: each branch keeps what it solved, and
+// the next Build re-solves whatever this one did not finish.
 func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	cfg, sg := b.Config, c.Source
-	var info BuildInfo
-	n := sg.NumSources()
+	start := time.Now()
 	topK := cfg.TopK
 	if topK <= 0 {
-		topK = throttle.DefaultTopK(n)
+		topK = throttle.DefaultTopK(sg.NumSources())
 	}
-	sets := make(map[Algo]*ScoreSet, len(DefaultAlgos))
-	for _, algo := range DefaultAlgos {
-		start := time.Now()
-		var scores linalg.Vector
-		var stats linalg.IterStats
-		var warm bool
-		switch algo {
-		case AlgoSRSR:
-			if len(spam) == 0 {
-				continue
-			}
-			warm = b.srsr.Scores != nil
-			res, ri, err := core.PipelineRefresh(sg, c.Structure, c.Version, core.PipelineConfig{
-				Config: core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers,
-					Precision: cfg.Precision, SlabDir: cfg.SlabDir, MaxResident: cfg.MaxResident},
-				SpamSeeds: spam,
-				TopK:      topK,
-			}, &b.srsr)
-			if err != nil {
-				return nil, info, fmt.Errorf("server: srsr: %w", err)
-			}
-			info.RefreshInfo, scores, stats = ri, res.Scores, res.Stats
-		case AlgoPageRank, AlgoTrustRank:
-			// The baselines walk the same uniform source transition and
-			// differ only in teleport: PageRank's is uniform (no seeds).
-			bl, skipped, seeds := &b.pr, &info.PageRankSkipped, []int32(nil)
-			if algo == AlgoTrustRank {
-				bl, skipped, seeds = &b.tr, &info.TrustRankSkipped, TrustedSeeds(sg, spam)
-			}
-			warm = bl.scores != nil
-			if warm && bl.ver == c.Version && len(bl.scores) == n && slices.Equal(seeds, bl.seeds) {
-				*skipped = true
-			} else if err := b.solveBaseline(c, bl, seeds); err != nil {
-				return nil, info, fmt.Errorf("server: %s: %w", algo, err)
-			}
-			if scores, stats = bl.scores, bl.stats; *skipped {
-				// Carried: like a skipped SRSR solve, it reports the residual
-				// last measured and the zero iterations this build ran.
-				stats.Iterations = 0
-			}
+	w := cfg.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	trSeeds := TrustedSeeds(sg, spam)
+	var srsr, base branch
+	concurrent := len(spam) > 0 && w >= 2 && !(b.pr.current(c, nil) && b.tr.current(c, trSeeds))
+	if concurrent {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srsr = b.solveSRSR(c, spam, topK, (w+1)/2)
+		}()
+		base = b.solveBaselines(c, trSeeds, w/2)
+		wg.Wait()
+	} else {
+		if len(spam) > 0 {
+			srsr = b.solveSRSR(c, spam, topK, w)
 		}
-		sets[algo] = NewScoreSetSolved(scores, stats, time.Since(start), warm)
-		sets[algo].solvePrec = cfg.Precision
+		base = b.solveBaselines(c, trSeeds, w)
+	}
+	info := BuildInfo{RefreshInfo: srsr.info.RefreshInfo,
+		PageRankSkipped: base.info.PageRankSkipped, TrustRankSkipped: base.info.TrustRankSkipped,
+		SRSRWall: srsr.wall, BaselinesWall: base.wall, Concurrent: concurrent}
+	if srsr.err != nil {
+		return nil, info, srsr.err
+	}
+	if base.err != nil {
+		return nil, info, base.err
+	}
+	// Each set is charged its share of the stage's wall time in the order
+	// the sets completed, so the charges partition the stage even when the
+	// branches overlap.
+	done := append(srsr.sets, base.sets...)
+	slices.SortStableFunc(done, func(x, y solved) int { return x.done.Compare(y.done) })
+	sets := make(map[Algo]*ScoreSet, len(DefaultAlgos)+len(cfg.Extra))
+	for _, s := range done {
+		sets[s.algo] = NewScoreSetSolved(s.scores, s.stats, s.done.Sub(start), s.warm)
+		sets[s.algo].solvePrec = cfg.Precision
+		start = s.done
 	}
 	for algo, vec := range cfg.Extra {
 		sets[algo] = NewScoreSet(vec, linalg.IterStats{Converged: true})
@@ -205,15 +217,96 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 	return snap, info, err
 }
 
+// solved is one score set a solve branch produced, stamped with when it
+// was done.
+type solved struct {
+	algo   Algo
+	scores linalg.Vector
+	stats  linalg.IterStats
+	warm   bool
+	done   time.Time
+}
+
+// branch is what one solve branch of a build returns: its sets in the
+// order it finished them, its part of the build's account, its wall time
+// and the first error it met.
+type branch struct {
+	sets []solved
+	info BuildInfo
+	wall time.Duration
+	err  error
+}
+
+// solveSRSR is the SRSR branch: the proximity → κ → throttle → solve
+// pipeline over the retained RefreshState, on workers workers.
+func (b *Builder) solveSRSR(c Corpus, spam []int32, topK, workers int) (out branch) {
+	start := time.Now()
+	defer func() { out.wall = time.Since(start) }()
+	cfg := b.Config
+	warm := b.srsr.Scores != nil
+	res, ri, err := core.PipelineRefresh(c.Source, c.Structure, c.Version, core.PipelineConfig{
+		Config: core.Config{Alpha: cfg.Alpha, Workers: workers,
+			Precision: cfg.Precision, SlabDir: cfg.SlabDir, MaxResident: cfg.MaxResident},
+		SpamSeeds: spam,
+		TopK:      topK,
+	}, &b.srsr)
+	if err != nil {
+		out.err = fmt.Errorf("server: srsr: %w", err)
+		return out
+	}
+	out.info.RefreshInfo = ri
+	out.sets = []solved{{AlgoSRSR, res.Scores, res.Stats, warm, time.Now()}}
+	return out
+}
+
+// solveBaselines is the baselines branch: PageRank, then TrustRank
+// teleporting to trSeeds, each carried when current and re-solved on
+// workers workers otherwise. It stops at the first failure, so a baseline
+// it did not reach keeps its previous vector.
+func (b *Builder) solveBaselines(c Corpus, trSeeds []int32, workers int) (out branch) {
+	start := time.Now()
+	defer func() { out.wall = time.Since(start) }()
+	for _, algo := range []Algo{AlgoPageRank, AlgoTrustRank} {
+		// The baselines walk the same uniform source transition and
+		// differ only in teleport: PageRank's is uniform (no seeds).
+		bl, skipped, seeds := &b.pr, &out.info.PageRankSkipped, []int32(nil)
+		if algo == AlgoTrustRank {
+			bl, skipped, seeds = &b.tr, &out.info.TrustRankSkipped, trSeeds
+		}
+		warm := bl.scores != nil
+		if bl.current(c, seeds) {
+			*skipped = true
+		} else if err := b.solveBaseline(c, bl, seeds, workers); err != nil {
+			out.err = fmt.Errorf("server: %s: %w", algo, err)
+			return out
+		}
+		stats := bl.stats
+		if *skipped {
+			// Carried: like a skipped SRSR solve, it reports the residual
+			// last measured and the zero iterations this build ran.
+			stats.Iterations = 0
+		}
+		out.sets = append(out.sets, solved{algo, bl.scores, stats, warm, time.Now()})
+	}
+	return out
+}
+
+// current reports whether bl is already the fixed point for c's structure
+// and seeds, so a build carries it.
+func (bl *baseline) current(c Corpus, seeds []int32) bool {
+	return bl.scores != nil && bl.ver == c.Version && len(bl.scores) == c.Source.NumSources() &&
+		slices.Equal(seeds, bl.seeds)
+}
+
 // solveBaseline re-solves one uniform-weight baseline from its retained
-// vector, teleporting to seeds (uniformly when there are none) over the
-// Mᵀ both baselines share.
-func (b *Builder) solveBaseline(c Corpus, bl *baseline, seeds []int32) error {
+// vector on workers workers, teleporting to seeds (uniformly when there
+// are none) over the Mᵀ both baselines share.
+func (b *Builder) solveBaseline(c Corpus, bl *baseline, seeds []int32, workers int) error {
 	if b.mt == nil || b.mtVer != c.Version {
 		b.mt, b.mtVer = rank.TransitionT(c.Structure), c.Version
 	}
 	mt, cfg := b.mt, b.Config
-	opt := rank.Options{Alpha: cfg.Alpha, Workers: cfg.Workers,
+	opt := rank.Options{Alpha: cfg.Alpha, Workers: workers,
 		X0: bl.scores.Padded(mt.Rows), Precision: cfg.Precision}
 	if seeds != nil {
 		var err error

@@ -293,7 +293,7 @@ func (m *Metrics) WriteSolverText(w io.Writer, snap *Snapshot) {
 		func(ss *ScoreSet) any { return ss.Stats().Iterations })
 	gauge("residual", "Solver residual at convergence, by algorithm.", "%g",
 		func(ss *ScoreSet) any { return ss.Stats().Residual })
-	gauge("seconds", "Solve wall time for the served snapshot, by algorithm.", "%.6f",
+	gauge("seconds", "Each algorithm's share of the served snapshot's solve wall time, charged in completion order (first set from the stage start, each later set from the previous completion), so the shares sum to the stage even when solves overlap.", "%.6f",
 		func(ss *ScoreSet) any { return ss.SolveTime().Seconds() })
 	gauge("warm_start", "Whether the solve started from the builder's retained state (1) or cold (0).", "%d",
 		func(ss *ScoreSet) any { return flag(ss.WarmStarted()) })

@@ -144,8 +144,11 @@ func NewScoreSetSolved(scores linalg.Vector, stats linalg.IterStats, solveTime t
 // Stats reports the solver convergence of this score set.
 func (ss *ScoreSet) Stats() linalg.IterStats { return ss.stats }
 
-// SolveTime reports the wall time of the solve that produced this score
-// set (0 for injected/precomputed vectors).
+// SolveTime reports this set's share of its build's solve stage: the
+// builder charges the sets in the order their solves completed, the first
+// from the stage's start and each later one from the previous completion,
+// so the shares partition the stage's wall time even when SRSR and the
+// baselines solve at once (0 for injected/precomputed vectors).
 func (ss *ScoreSet) SolveTime() time.Duration { return ss.solveTime }
 
 // SolvePrecision reports the arithmetic of the solve that produced this

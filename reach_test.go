@@ -12,12 +12,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
@@ -869,12 +869,40 @@ func reachLoad(fset *token.FileSet) (module string, pkgs []*reachPkg, err error)
 	return module, pkgs, nil
 }
 
-// reachStd is the importer for packages outside the module: the standard
-// library type-checked from source, pure-Go variants (no C toolchain in
-// the loop; this module has no cgo).
-func reachStd(fset *token.FileSet) types.Importer {
-	build.Default.CgoEnabled = false
-	return importer.ForCompiler(fset, "source", nil)
+// reachStd is the importer for packages outside the module: the export
+// data of every standard package the module's files and tests import, as
+// `go list -export` reports it under the default build settings — the
+// objects `go test` has already compiled, so nothing is type-checked from
+// source.
+func reachStd(fset *token.FileSet) (types.Importer, error) {
+	list := func(args ...string) ([]string, error) {
+		out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list: %w", err)
+		}
+		return strings.Fields(string(out)), nil
+	}
+	std, err := list("-deps", "-test", "-f", "{{if .Standard}}{{.ImportPath}}{{end}}", "./...")
+	if err != nil {
+		return nil, err
+	}
+	lines, err := list(append([]string{"-export", "-f", "{{.ImportPath}}={{.Export}}"}, std...)...)
+	if err != nil {
+		return nil, err
+	}
+	exports := make(map[string]string, len(lines))
+	for _, line := range lines {
+		if path, file, ok := strings.Cut(line, "="); ok && file != "" {
+			exports[path] = file
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}), nil
 }
 
 func TestReach(t *testing.T) {
@@ -883,7 +911,11 @@ func TestReach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := reachAnalyze(fset, module, pkgs, reachStd(fset))
+	std, err := reachStd(fset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := reachAnalyze(fset, module, pkgs, std)
 	if err != nil {
 		t.Fatal(err)
 	}
