@@ -44,14 +44,14 @@ func main() {
 		top       = flag.Int("top", 10, "show this many top-ranked entries")
 		topK      = flag.Int("throttle-topk", 0, "sources to throttle fully (0 = 2.7% of sources)")
 		workers   = flag.Int("workers", 0, "solver goroutines (0 = GOMAXPROCS)")
-		precision = flag.String("precision", "float64", "stationary-solve arithmetic: float64 (reference) | float32 (bandwidth kernels; published scores stay float64)")
+		precision = flag.String("precision", "float64", "PageRank solve arithmetic: float64 (reference) | float32 (bandwidth kernels; scores stay float64; pagerank only)")
 		savePath  = flag.String("save", "", "write the score vector (per source, or per page for pagerank, hits, salsa) to this file (binary)")
 		ckptDir   = flag.String("checkpoint-dir", "", "persist solver iterates here and resume from the newest valid checkpoint (srsr only)")
 		ckptEvery = flag.Int("checkpoint-every", 10, "iterations between checkpoints")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		slabDir   = flag.String("slab-dir", "", "commit the solve operand as a memory-mapped slab file under this directory (out-of-core solve; pagerank, srsr, sourcerank)")
-		maxResStr = flag.String("max-resident", "", "residency budget for the slab-backed operand, e.g. 512m (requires -slab-dir; 0 or empty maps without release-behind)")
+		slabDir   = flag.String("slab-dir", "", "commit the solve operand as a memory-mapped slab file under this directory (out-of-core solve; pagerank only)")
+		maxResStr = flag.String("max-resident", "", "residency budget for the slab-backed operand, e.g. 512m (requires -slab-dir; 0 or empty maps without release-behind; pagerank only)")
 	)
 	flag.Parse()
 
@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := checkHonoured(*algo, *ckptDir != "", *slabDir != "", prec); err != nil {
+	if err := checkHonoured(*algo, *ckptDir != "", *slabDir != "", *maxResStr != "", prec); err != nil {
 		fmt.Fprintf(os.Stderr, "srank: %v\n", err)
 		os.Exit(2)
 	}
@@ -160,7 +160,7 @@ func main() {
 			}
 			ck = &core.CheckpointConfig{Dir: *ckptDir, Every: *ckptEvery}
 		}
-		scores, err = sourceLevelScores(*algo, pg, sg, spamSources, *alpha, *topK, *workers, prec, ck, *slabDir, maxResident)
+		scores, err = sourceLevelScores(*algo, sg, spamSources, *alpha, *topK, *workers, ck)
 		if err != nil {
 			fatal(err)
 		}
@@ -177,38 +177,34 @@ func main() {
 }
 
 // checkHonoured reports the first flag that algo would silently drop:
-// only srsr checkpoints, only pagerank, srsr and sourcerank solve over a
-// slab, and hits, salsa and the proximity walk have no float32 kernel. An
-// unknown algo is not this check's to report.
-func checkHonoured(algo string, checkpoint, slab bool, prec linalg.Precision) error {
-	var ckptOK, slabOK, f32OK bool
+// only srsr checkpoints, and only page-level PageRank solves over a slab
+// or at float32 (a source-level solve is in-heap float64). An unknown
+// algo is not this check's to report.
+func checkHonoured(algo string, checkpoint, slab, maxResident bool, prec linalg.Precision) error {
 	switch algo {
-	case "srsr":
-		ckptOK, slabOK, f32OK = true, true, true
-	case "sourcerank", "pagerank":
-		slabOK, f32OK = true, true
-	case "trustrank":
-		f32OK = true
-	case "hits", "salsa", "proximity":
+	case "srsr", "sourcerank", "pagerank", "trustrank", "hits", "salsa", "proximity":
 	default:
 		return nil
 	}
 	switch {
-	case checkpoint && !ckptOK:
+	case checkpoint && algo != "srsr":
 		return fmt.Errorf("-checkpoint-dir is not honoured by -algo %s (srsr only)", algo)
-	case slab && !slabOK:
-		return fmt.Errorf("-slab-dir is not honoured by -algo %s (pagerank, srsr, sourcerank)", algo)
-	case prec == linalg.Float32 && !f32OK:
-		return fmt.Errorf("-precision float32 is not honoured by -algo %s (pagerank, srsr, sourcerank, trustrank)", algo)
+	case algo == "pagerank":
+		return nil
+	case slab:
+		return fmt.Errorf("-slab-dir is not honoured by -algo %s (pagerank only)", algo)
+	case maxResident:
+		return fmt.Errorf("-max-resident is not honoured by -algo %s (pagerank only)", algo)
+	case prec == linalg.Float32:
+		return fmt.Errorf("-precision float32 is not honoured by -algo %s (pagerank only)", algo)
 	}
 	return nil
 }
 
-func sourceLevelScores(algo string, pg *pagegraph.Graph, sg *source.Graph, spamSources []int32, alpha float64, topK, workers int, prec linalg.Precision, ck *core.CheckpointConfig, slabDir string, maxResident int64) (linalg.Vector, error) {
+func sourceLevelScores(algo string, sg *source.Graph, spamSources []int32, alpha float64, topK, workers int, ck *core.CheckpointConfig) (linalg.Vector, error) {
 	switch algo {
 	case "sourcerank":
-		res, err := core.BaselineSourceRank(sg, core.Config{Alpha: alpha, Workers: workers, Precision: prec,
-			SlabDir: slabDir, MaxResident: maxResident})
+		res, err := core.BaselineSourceRank(sg, core.Config{Alpha: alpha, Workers: workers})
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +213,7 @@ func sourceLevelScores(algo string, pg *pagegraph.Graph, sg *source.Graph, spamS
 	case "trustrank":
 		// The served TrustRank's seeds, so both print the same vector.
 		trusted := server.TrustedSeeds(sg, spamSources)
-		res, err := rank.TrustRank(sg.Structure(), trusted, rank.Options{Alpha: alpha, Workers: workers, Precision: prec})
+		res, err := rank.TrustRank(sg.Structure(), trusted, rank.Options{Alpha: alpha, Workers: workers})
 		if err != nil {
 			return nil, err
 		}
@@ -241,8 +237,7 @@ func sourceLevelScores(algo string, pg *pagegraph.Graph, sg *source.Graph, spamS
 			topK = throttle.DefaultTopK(sg.NumSources())
 		}
 		res, err := core.Pipeline(sg, core.PipelineConfig{
-			Config: core.Config{Alpha: alpha, Workers: workers, Precision: prec,
-				SlabDir: slabDir, MaxResident: maxResident},
+			Config:     core.Config{Alpha: alpha, Workers: workers},
 			SpamSeeds:  spamSources,
 			TopK:       topK,
 			Checkpoint: ck,

@@ -53,33 +53,40 @@ func TestPageRankSlabMatchesHeap(t *testing.T) {
 // never dropped; everything an algorithm does honour passes.
 func TestCheckHonoured(t *testing.T) {
 	cases := []struct {
-		algo             string
-		checkpoint, slab bool
-		prec             linalg.Precision
-		wantFlag         string // "" = accepted
+		algo                          string
+		checkpoint, slab, maxResident bool
+		prec                          linalg.Precision
+		wantFlag                      string // "" = accepted
 	}{
-		{algo: "srsr", checkpoint: true, slab: true, prec: linalg.Float32},
-		{algo: "sourcerank", slab: true, prec: linalg.Float32},
-		{algo: "pagerank", slab: true, prec: linalg.Float32},
-		{algo: "trustrank", prec: linalg.Float32},
+		{algo: "srsr", checkpoint: true},
+		{algo: "sourcerank"},
+		{algo: "pagerank", slab: true, maxResident: true, prec: linalg.Float32},
+		{algo: "trustrank"},
 		{algo: "hits"},
 		{algo: "salsa"},
 		{algo: "proximity"},
-		{algo: "nosuch", checkpoint: true, slab: true, prec: linalg.Float32}, // main reports the unknown algorithm
+		{algo: "nosuch", checkpoint: true, slab: true, maxResident: true, prec: linalg.Float32}, // main reports the unknown algorithm
 		{algo: "sourcerank", checkpoint: true, wantFlag: "-checkpoint-dir"},
 		{algo: "pagerank", checkpoint: true, wantFlag: "-checkpoint-dir"},
 		{algo: "trustrank", checkpoint: true, wantFlag: "-checkpoint-dir"},
 		{algo: "hits", checkpoint: true, wantFlag: "-checkpoint-dir"},
+		{algo: "srsr", slab: true, wantFlag: "-slab-dir"},
+		{algo: "sourcerank", slab: true, wantFlag: "-slab-dir"},
 		{algo: "trustrank", slab: true, wantFlag: "-slab-dir"},
 		{algo: "hits", slab: true, wantFlag: "-slab-dir"},
 		{algo: "salsa", slab: true, wantFlag: "-slab-dir"},
 		{algo: "proximity", slab: true, wantFlag: "-slab-dir"},
+		{algo: "srsr", maxResident: true, wantFlag: "-max-resident"},
+		{algo: "sourcerank", maxResident: true, wantFlag: "-max-resident"},
+		{algo: "srsr", prec: linalg.Float32, wantFlag: "-precision float32"},
+		{algo: "sourcerank", prec: linalg.Float32, wantFlag: "-precision float32"},
+		{algo: "trustrank", prec: linalg.Float32, wantFlag: "-precision float32"},
 		{algo: "hits", prec: linalg.Float32, wantFlag: "-precision float32"},
 		{algo: "salsa", prec: linalg.Float32, wantFlag: "-precision float32"},
 		{algo: "proximity", prec: linalg.Float32, wantFlag: "-precision float32"},
 	}
 	for _, c := range cases {
-		err := checkHonoured(c.algo, c.checkpoint, c.slab, c.prec)
+		err := checkHonoured(c.algo, c.checkpoint, c.slab, c.maxResident, c.prec)
 		switch {
 		case c.wantFlag == "" && err != nil:
 			t.Errorf("%+v: refused: %v", c, err)
@@ -138,6 +145,9 @@ func TestSaveAndRefusalEndToEnd(t *testing.T) {
 
 	if out, exit := runSrank(t, "-algo", "salsa", "-slab-dir", t.TempDir()); exit != 2 || out != "" {
 		t.Errorf("-algo salsa -slab-dir: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
+	}
+	if out, exit := runSrank(t, "-algo", "srsr", "-precision", "float32"); exit != 2 || out != "" {
+		t.Errorf("-algo srsr -precision float32: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
 	}
 }
 

@@ -54,7 +54,6 @@ import (
 	"sourcerank/internal/replica"
 	"sourcerank/internal/server"
 	"sourcerank/internal/source"
-	"sourcerank/internal/sysmem"
 )
 
 func main() {
@@ -68,10 +67,7 @@ func main() {
 		alpha     = flag.Float64("alpha", 0.85, "mixing parameter α")
 		topK      = flag.Int("throttle-topk", 0, "sources to throttle fully (0 = 2.7% of sources)")
 		workers   = flag.Int("workers", 0, "solver goroutines (0 = GOMAXPROCS)")
-		precision = flag.String("precision", "float64", "stationary-solve arithmetic: float64 (reference) | float32 (bandwidth kernels; served scores stay float64)")
 		refresh   = flag.Duration("refresh", 0, "recompute+republish interval (0 disables)")
-		slabDir   = flag.String("slab-refresh-dir", "", "solve SRSR over a slab-backed operand committed under this directory (bounds build/refresh RSS; scores unchanged)")
-		slabRes   = flag.String("slab-max-resident", "", "resident-set budget for slab-backed solves, e.g. 300m (empty or 0 = map without release-behind; needs -slab-refresh-dir)")
 		maxBO     = flag.Duration("max-backoff", 0, "cap on the retry delay after failed refreshes (0 = 16x refresh interval)")
 		staleTO   = flag.Duration("staleness-budget", 0, "snapshot age at which /healthz turns degraded (0 disables)")
 		maxInFl   = flag.Int("max-inflight", 0, "concurrent requests allowed per data endpoint before shedding (0 = unlimited)")
@@ -120,34 +116,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("srserve: %v", err)
 	}
-	prec, err := linalg.ParsePrecision(*precision)
-	if err != nil {
-		log.Fatalf("srserve: %v", err)
-	}
-	var slabMaxRes int64
-	if *slabRes != "" {
-		if slabMaxRes, err = sysmem.ParseBytes(*slabRes); err != nil {
-			log.Fatalf("srserve: -slab-max-resident: %v", err)
-		}
-	}
-	if slabMaxRes != 0 && *slabDir == "" {
-		log.Fatalf("srserve: -slab-max-resident needs -slab-refresh-dir")
-	}
-	if *slabDir != "" {
-		if err := os.MkdirAll(*slabDir, 0o755); err != nil {
-			log.Fatalf("srserve: creating slab dir: %v", err)
-		}
-		log.Printf("slab-backed SRSR solves under %s (resident budget %s)", *slabDir, sysmem.FormatBytes(slabMaxRes))
-	}
 	build, err := newBuild(pg, spam, *spamPath, server.BuildConfig{
-		Alpha:       *alpha,
-		TopK:        *topK,
-		Workers:     *workers,
-		Precision:   prec,
-		SlabDir:     *slabDir,
-		MaxResident: slabMaxRes,
-		Name:        name,
-		Extra:       extra,
+		Alpha:   *alpha,
+		TopK:    *topK,
+		Workers: *workers,
+		Name:    name,
+		Extra:   extra,
 	})
 	if err != nil {
 		log.Fatalf("srserve: %v", err)

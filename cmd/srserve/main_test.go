@@ -172,11 +172,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 		}
 		return lines[0]
 	}
-	slabDir := filepath.Join(dir, "slabs")
-	if err := os.Mkdir(slabDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	cfg := server.BuildConfig{Name: ds.Name, SlabDir: slabDir}
+	cfg := server.BuildConfig{Name: ds.Name}
 
 	build, err := newBuild(ds.Pages, labels, spamPath, cfg)
 	if err != nil {
@@ -311,31 +307,22 @@ func TestRefreshEndToEnd(t *testing.T) {
 	}
 	sync()
 
-	// (c) Failed builds — a bad label file, which fails before the builder
-	// runs, then a vanished slab directory, which fails inside the SRSR
-	// solve after κ was re-assigned — leave the old snapshot served and
-	// back the refresher off; the next good cycle builds from the state
-	// they left and matches cold.
+	// (c) A failed build — a bad label file, which fails before the
+	// builder runs — leaves the old snapshot served and backs the
+	// refresher off; the next good cycle matches cold. (A build failing
+	// inside the SRSR solve after κ was re-assigned is
+	// internal/core's TestPipelineRefreshFailedSolveDisarmsSkip.)
 	served := store.Current()
 	writeLabels(t, spamPath, "999999999\n")
 	if err := ref.RefreshNow(ctx); err == nil {
 		t.Fatal("out-of-range label accepted")
 	}
-	labels = labels[:len(labels)/2]
-	writeLabels(t, spamPath, labelFile(labels))
-	if err := os.RemoveAll(slabDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.RefreshNow(ctx); err == nil {
-		t.Fatal("solve into a missing slab directory succeeded")
-	}
-	if store.Current() != served || ref.ConsecutiveFailures() != 2 {
-		t.Fatalf("after two failed builds: serving v%d (want v%d), %d consecutive failures",
+	if store.Current() != served || ref.ConsecutiveFailures() != 1 {
+		t.Fatalf("after a failed build: serving v%d (want v%d), %d consecutive failures",
 			store.Current().Version(), served.Version(), ref.ConsecutiveFailures())
 	}
-	if err := os.Mkdir(slabDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	labels = labels[:len(labels)/2]
+	writeLabels(t, spamPath, labelFile(labels))
 	if err := ref.RefreshNow(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +339,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 		}
 	}
 	if !server.SameArray(first.Set(server.AlgoPageRank).ScoresView(), cur.Set(server.AlgoPageRank).ScoresView()) {
-		t.Error("pagerank re-solved after the failed builds")
+		t.Error("pagerank re-solved after the failed build")
 	}
 	sync()
 }

@@ -127,23 +127,6 @@ func fingerprintOf(t *linalg.CSR, alpha float64, x0 linalg.Vector) fingerprint {
 	return fingerprint{nodes: uint64(t.Rows), hash: h.Sum64()}
 }
 
-// withSlab folds a slab header CRC into the fingerprint. Slab-backed
-// checkpointed solves iterate the memory-mapped operand, so the resume
-// identity must also cover the file the solve will actually read: a
-// checkpoint recorded against one slab cannot resume against a swapped
-// or re-written one, nor against the in-heap operand (the payload bytes
-// themselves are guarded by the durable trailer at open time).
-func (fp fingerprint) withSlab(crc uint32) fingerprint {
-	h := fnv.New64a()
-	le := binary.LittleEndian
-	var buf [8]byte
-	le.PutUint64(buf[:], fp.hash)
-	h.Write(buf[:])
-	le.PutUint32(buf[:4], crc)
-	h.Write(buf[:4])
-	return fingerprint{nodes: fp.nodes, hash: h.Sum64()}
-}
-
 func checkpointPath(dir string, iter int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%012d%s", ckptPrefix, iter, ckptSuffix))
 }
@@ -293,20 +276,13 @@ type checkpointRun struct {
 	info *CheckpointInfo
 }
 
-// arm prepares the power iteration of the solve over the operand cfg
-// resolves: it returns the iterate to start from — the newest valid
-// checkpoint whose fingerprint matches, else x0 — and the Progress hook
-// that commits the iterate every Every iterations, keeping two.
+// arm prepares the power iteration of the solve: it returns the iterate
+// to start from — the newest valid checkpoint whose fingerprint matches,
+// else x0 — and the Progress hook that commits the iterate every Every
+// iterations, keeping two.
 func (r *checkpointRun) arm(cfg Config, x0 linalg.Vector) (linalg.Vector, func(int, linalg.Vector) error, error) {
 	fsys := r.fs()
 	fp := fingerprintOf(r.tpp, cfg.alpha(), x0)
-	if path := cfg.slabPath(); path != "" {
-		si, err := linalg.ReadSlabInfo(nil, path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: fingerprinting slab: %w", err)
-		}
-		fp = fp.withSlab(si.HeaderCRC)
-	}
 	resumed, startIter, err := resumeCheckpoint(fsys, r.Dir, fp, r.info)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: scanning checkpoints: %w", err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sourcerank/internal/faultfs"
+	"sourcerank/internal/linalg"
 )
 
 func testKappa(n int) []float64 {
@@ -178,5 +179,28 @@ func TestRankCheckpointedPrunesOldCheckpoints(t *testing.T) {
 	if got := srckFiles(t, dir); len(got) > 3 {
 		// Keep newest 2 plus at most the one written after the last prune.
 		t.Fatalf("pruning kept %d checkpoints: %v", len(got), got)
+	}
+}
+
+// TestCheckpointFingerprintGolden pins the checkpoint fingerprint bytes
+// on fixed inputs: a change to fingerprint derivation would silently
+// break resume compatibility with pre-existing checkpoint directories.
+// An intentional format change must update the constants (and bump the
+// checkpoint magic).
+func TestCheckpointFingerprintGolden(t *testing.T) {
+	m, err := linalg.NewCSR(3, 3, []linalg.Entry{
+		{Row: 0, Col: 1, Val: 0.5}, {Row: 0, Col: 2, Val: 0.5},
+		{Row: 1, Col: 0, Val: 1}, {Row: 2, Col: 2, Val: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := fingerprintOf(m, 0.85, nil)
+	warm := fingerprintOf(m, 0.85, linalg.Vector{0.25, 0.25, 0.5})
+	if want := uint64(0x4a2ae2d7003b4e8a); cold.hash != want || cold.nodes != 3 {
+		t.Errorf("cold fingerprint = {nodes:%d hash:%#x}, golden {nodes:3 hash:%#x}", cold.nodes, cold.hash, want)
+	}
+	if want := uint64(0xf7284b5517582325); warm.hash != want || warm.nodes != 3 {
+		t.Errorf("warm fingerprint = {nodes:%d hash:%#x}, golden {nodes:3 hash:%#x}", warm.nodes, warm.hash, want)
 	}
 }

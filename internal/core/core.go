@@ -18,7 +18,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/source"
@@ -37,9 +36,9 @@ const (
 )
 
 // Config configures a Spam-Resilient SourceRank computation. The zero
-// value reproduces the paper's setup, and the solve always runs to its
-// convergence threshold, L2 < 1e-9 (linalg's default, as is the
-// 1000-iteration cap).
+// value reproduces the paper's setup, and the solve always runs in
+// float64 over the in-heap T″ᵀ to its convergence threshold, L2 < 1e-9
+// (linalg's default, as is the 1000-iteration cap).
 type Config struct {
 	// Alpha is the mixing parameter α; 0 defaults to 0.85.
 	Alpha float64
@@ -53,32 +52,6 @@ type Config struct {
 	// point from any start, only faster when X0 is close. Only the
 	// Power solver warm-starts; Jacobi ignores X0.
 	X0 linalg.Vector
-	// Precision selects the arithmetic of the stationary solve. The
-	// default, linalg.Float64, is the reference path; linalg.Float32 runs
-	// the solve on the bandwidth-oriented float32 kernels (float32
-	// storage, float64 accumulation, tolerances clamped to
-	// linalg.Float32Tol) and widens the result. Only the stationary solve
-	// honors this: the spam-proximity walk always runs in float64, so the
-	// κ assignment — whose top-k boundary is rank-sensitive — is identical
-	// under either precision. Incompatible with checkpointing, which must
-	// observe float64 iterates (PipelineConfig.Checkpoint rejects Float32).
-	Precision linalg.Precision
-	// SlabDir, when set, routes the stationary solve through the
-	// out-of-core path: the throttled transpose is committed as a slab
-	// file under SlabDir (at the precision selected by Precision) and the
-	// solve consumes the memory-mapped file instead of the in-heap
-	// arrays. Scores are bitwise identical to the in-memory solve at
-	// every worker count. Checkpointed solves fold the slab's header CRC
-	// into the resume fingerprint, so a checkpoint taken against one slab
-	// backing never resumes against a swapped slab or the in-heap operand.
-	SlabDir string
-	// MaxResident, with SlabDir set, is the resident-set budget in bytes
-	// of the slab-backed solve: the row-pointer array, the dense iterate
-	// vectors and two release windows of matrix entries, a window being a
-	// quarter of what the budget leaves after the first two (see
-	// linalg.SlabOpenOptions.MaxResident). Advisory; <= 0 maps the file
-	// without release-behind.
-	MaxResident int64
 }
 
 // sanitizeWarmStart clones and L1-normalizes a warm-start vector so the
@@ -95,14 +68,6 @@ func sanitizeWarmStart(prev linalg.Vector) linalg.Vector {
 	return x0
 }
 
-// slabPath is where a slab-backed solve commits T″ᵀ ("" in heap mode).
-func (c Config) slabPath() string {
-	if c.SlabDir == "" {
-		return ""
-	}
-	return filepath.Join(c.SlabDir, "throttled_t.slab")
-}
-
 func (c Config) alpha() float64 {
 	if c.Alpha == 0 {
 		return 0.85
@@ -117,15 +82,10 @@ type Result struct {
 	Scores linalg.Vector
 	// Kappa is the throttling vector used.
 	Kappa []float64
-	// Throttled is the influence-throttled transition matrix T″.
-	Throttled *linalg.CSR
 	// Stats reports solver convergence.
 	Stats linalg.IterStats
-	// Precision records which arithmetic produced Scores (provenance for
-	// published score sets; Scores itself is always float64).
-	Precision linalg.Precision
-	// throttledT is T″ᵀ in heap, which PipelineRefresh retains for its
-	// residual probe unless the solve streamed a slab.
+	// throttledT is T″ᵀ, the solve's operand, which PipelineRefresh
+	// retains for its residual probe.
 	throttledT *linalg.CSR
 }
 
@@ -157,10 +117,10 @@ func Rank(sg *source.Graph, kappa []float64, cfg Config) (*Result, error) {
 // newest valid checkpoint of this very solve in ck.Dir (else from cfg.X0)
 // and persists its iterate every ck.Every iterations, whatever cfg.Solver
 // says. Checkpoints recorded against a different graph, throttle vector,
-// α, warm start or slab backing are discarded, and all of them are
-// cleared on convergence. The resumed iterate sequence is the
-// uninterrupted one, so a solve killed and restarted any number of times
-// returns the same vector bit for bit.
+// α or warm start are discarded, and all of them are cleared on
+// convergence. The resumed iterate sequence is the uninterrupted one, so
+// a solve killed and restarted any number of times returns the same
+// vector bit for bit.
 func rank(sg *source.Graph, kappa []float64, cfg Config, ck *CheckpointConfig) (*Result, CheckpointInfo, error) {
 	if sg == nil || sg.NumSources() == 0 {
 		return nil, CheckpointInfo{}, errors.New("core: empty source graph")
@@ -168,52 +128,30 @@ func rank(sg *source.Graph, kappa []float64, cfg Config, ck *CheckpointConfig) (
 	if ck != nil && ck.Dir == "" {
 		return nil, CheckpointInfo{}, errors.New("core: checkpoint directory not set")
 	}
-	if ck != nil && cfg.Precision == linalg.Float32 {
-		// Checkpointing persists and fingerprints float64 iterates through
-		// the solver's Progress hook, which the float32 kernels never
-		// materialize.
-		return nil, CheckpointInfo{}, errors.New("core: checkpointing requires the float64 solve (Config.Precision)")
-	}
 	tpp, err := throttle.Apply(sg.T, kappa)
 	if err != nil {
 		return nil, CheckpointInfo{}, fmt.Errorf("core: applying throttle: %w", err)
 	}
-	tppT := throttledTranspose(sg, tpp, cfg.Workers)
-	res := &Result{Kappa: append([]float64(nil), kappa...), Throttled: tpp, Precision: cfg.Precision, throttledT: tppT}
+	res := &Result{Kappa: append([]float64(nil), kappa...), throttledT: throttledTranspose(sg, tpp, cfg.Workers)}
 	var info CheckpointInfo
-	if cfg.Precision == linalg.Float32 {
-		// Narrowing here for both solvers keeps one seam; the slab writer
-		// narrows identically.
-		res.Scores, res.Stats, err = solve(cfg, tppT, linalg.NewCSR32, nil)
-	} else {
-		var run *checkpointRun
-		if ck != nil {
-			run = &checkpointRun{CheckpointConfig: *ck, tpp: tpp, info: &info}
-		}
-		res.Scores, res.Stats, err = solve(cfg, tppT, asIs, run)
+	var run *checkpointRun
+	if ck != nil {
+		run = &checkpointRun{CheckpointConfig: *ck, tpp: tpp, info: &info}
 	}
-	if err != nil {
+	if res.Scores, res.Stats, err = solve(cfg, res.throttledT, run); err != nil {
 		return nil, info, err
 	}
 	return res, info, nil
 }
 
-// asIs is the in-heap form of a float64 operand: the matrix itself.
-func asIs(m *linalg.CSR) *linalg.CSR { return m }
-
-// solve runs cfg.Solver over tppT at value type F, in heap or streamed
-// from a slab as cfg says; with ck set, the power iteration checkpointed.
-func solve[F linalg.Float](cfg Config, tppT *linalg.CSR, inHeap func(*linalg.CSR) *linalg.Matrix[F], ck *checkpointRun) (linalg.Vector, linalg.IterStats, error) {
-	m, closeOperand, err := openOperand(cfg, tppT, inHeap)
-	if err != nil {
-		return nil, linalg.IterStats{}, err
-	}
-	defer closeOperand()
+// solve runs cfg.Solver over tppT; with ck set, the power iteration
+// checkpointed.
+func solve(cfg Config, tppT *linalg.CSR, ck *checkpointRun) (linalg.Vector, linalg.IterStats, error) {
 	opt := linalg.SolverOptions{Workers: cfg.Workers}
 	if cfg.Solver == Jacobi && ck == nil {
 		b := linalg.NewUniformVector(tppT.Rows)
 		b.Scale(1 - cfg.alpha())
-		scores, stats, err := linalg.JacobiAffineT(m, cfg.alpha(), b, opt)
+		scores, stats, err := linalg.JacobiAffineT(tppT, cfg.alpha(), b, opt)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -225,41 +163,16 @@ func solve[F linalg.Float](cfg Config, tppT *linalg.CSR, inHeap func(*linalg.CSR
 		return nil, linalg.IterStats{}, linalg.ErrDimension
 	}
 	if ck != nil {
+		var err error
 		if x0, opt.Progress, err = ck.arm(cfg, x0); err != nil {
 			return nil, linalg.IterStats{}, err
 		}
 	}
-	scores, stats, err := linalg.PowerMethodT(m, cfg.alpha(), linalg.NewUniformVector(tppT.Rows), x0, opt)
+	scores, stats, err := linalg.PowerMethodT(tppT, cfg.alpha(), linalg.NewUniformVector(tppT.Rows), x0, opt)
 	if err == nil && ck != nil {
 		clearCheckpoints(ck.fs(), ck.Dir)
 	}
 	return scores, stats, err
-}
-
-// openOperand is the backing-erasure seam between Rank and the solvers:
-// it resolves the stationary-solve operand for tppT at value type F —
-// which must be the type cfg.Precision names — under the configured
-// backing, with the function that releases it. With SlabDir unset this is
-// inHeap(tppT): the in-memory matrix, narrowed for float32, matching the
-// historical path bit for bit. With SlabDir set, tppT is committed as a
-// slab file at cfg.Precision and reopened memory-mapped; the heap copy
-// becomes garbage once the caller drops tppT, leaving the solve to stream
-// the file. A nil tppT reopens the file the previous solve committed.
-func openOperand[F linalg.Float](c Config, tppT *linalg.CSR, inHeap func(*linalg.CSR) *linalg.Matrix[F]) (*linalg.Matrix[F], func(), error) {
-	if c.SlabDir == "" {
-		return inHeap(tppT), func() {}, nil
-	}
-	path := c.slabPath()
-	if tppT != nil {
-		if err := linalg.WriteSlabCSR(nil, path, tppT, c.Precision); err != nil {
-			return nil, nil, fmt.Errorf("core: writing slab: %w", err)
-		}
-	}
-	s, err := linalg.OpenSlab[F](path, linalg.SlabOpenOptions{MaxResident: c.MaxResident})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: opening slab: %w", err)
-	}
-	return s.Matrix(), func() { s.Close() }, nil
 }
 
 // BaselineSourceRank computes the un-throttled SourceRank over the same

@@ -183,3 +183,25 @@ func TestFullThrottleCapsOneTimeGain(t *testing.T) {
 		t.Errorf("symmetric fully-throttled sources differ: %v", res.Scores)
 	}
 }
+
+// TestParsePrecision covers the flag-level parser srank uses.
+func TestParsePrecision(t *testing.T) {
+	cases := []struct {
+		in   string
+		want linalg.Precision
+		ok   bool
+	}{
+		{"", linalg.Float64, true},
+		{"float64", linalg.Float64, true},
+		{"f64", linalg.Float64, true},
+		{"float32", linalg.Float32, true},
+		{"f32", linalg.Float32, true},
+		{"float16", 0, false},
+	}
+	for _, c := range cases {
+		got, err := linalg.ParsePrecision(c.in)
+		if c.ok != (err == nil) || (c.ok && got != c.want) {
+			t.Errorf("ParsePrecision(%q) = %v, %v", c.in, got, err)
+		}
+	}
+}

@@ -41,9 +41,7 @@ type RefreshState struct {
 	// is skipped, so downstream caches can reuse whole encodings.
 	Scores linalg.Vector
 	// ThrottledT caches T″ᵀ, the solve's operand, so an unchanged (T, κ)
-	// pair skips the throttle transform and the transpose. It stays nil
-	// under Config.SlabDir: the committed slab file is the retained
-	// operand there, and the probe reopens it.
+	// pair skips the throttle transform and the transpose.
 	ThrottledT *linalg.CSR
 }
 
@@ -78,8 +76,7 @@ type RefreshInfo struct {
 	// SolveSkipped reports that T and κ were unchanged and a one-step
 	// residual probe confirmed the previous scores still satisfy the
 	// convergence threshold, so the solve was skipped entirely and the
-	// previous score vector was returned pointer-identical (with no
-	// Result.Throttled: T″ was not formed).
+	// previous score vector was returned pointer-identical.
 	SolveSkipped bool
 }
 
@@ -119,10 +116,9 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 			info.SolveSkipped = true
 			return &PipelineResult{
 				Result: Result{
-					Scores:    st.Scores,
-					Kappa:     append([]float64(nil), st.Kappa...),
-					Stats:     linalg.IterStats{Residual: residual, Converged: true},
-					Precision: cfg.Precision,
+					Scores: st.Scores,
+					Kappa:  append([]float64(nil), st.Kappa...),
+					Stats:  linalg.IterStats{Residual: residual, Converged: true},
 				},
 				Proximity: st.Proximity,
 			}, info, nil
@@ -166,9 +162,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 	if err != nil {
 		return nil, info, err
 	}
-	if st.T, st.Scores, st.ThrottledT = sg.T, res.Scores, res.throttledT; cfg.SlabDir != "" {
-		st.ThrottledT = nil
-	}
+	st.T, st.Scores, st.ThrottledT = sg.T, res.Scores, res.throttledT
 	return &PipelineResult{
 		Result:         *res,
 		Proximity:      st.Proximity,
@@ -178,39 +172,15 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 }
 
 // probe handles the unchanged-(T,κ) case: one fused power step from the
-// previous scores over the retained T″ᵀ — the in-heap transpose, or the
-// slab the last solve committed — measures the residual at the solve's
-// precision. ok reports it within the solve's tolerance, in which case
-// the previous vector still stands.
+// previous scores over the retained T″ᵀ measures the residual. ok reports
+// it within the solve's threshold, in which case the previous vector
+// still stands.
 func probe(cfg Config, st *RefreshState) (residual float64, ok bool, err error) {
-	tol := 1e-9 // the solve's threshold (see Config)
-	if cfg.Precision == linalg.Float32 {
-		tol = max(tol, linalg.Float32Tol)
-		residual, err = probeAt(cfg, st, linalg.NewCSR32)
-	} else {
-		residual, err = probeAt(cfg, st, asIs)
-	}
-	return residual, residual <= tol, err
-}
-
-func probeAt[F linalg.Float](cfg Config, st *RefreshState, inHeap func(*linalg.CSR) *linalg.Matrix[F]) (float64, error) {
-	m, closeOperand, err := openOperand(cfg, st.ThrottledT, inHeap)
+	fp, err := linalg.NewFusedPower(st.ThrottledT, cfg.alpha(), nil, linalg.ResidualL2, cfg.Workers)
 	if err != nil {
-		return 0, fmt.Errorf("core: residual probe: %w", err)
-	}
-	defer closeOperand()
-	fp, err := linalg.NewFusedPower(m, cfg.alpha(), nil, linalg.ResidualL2, cfg.Workers)
-	if err != nil {
-		return 0, fmt.Errorf("core: residual probe: %w", err)
+		return 0, false, fmt.Errorf("core: residual probe: %w", err)
 	}
 	defer fp.Close()
-	// The float64 probe reads the retained vector in place.
-	src, same := any([]float64(st.Scores)).([]F)
-	if !same {
-		src = make([]F, len(st.Scores))
-		for i, x := range st.Scores {
-			src[i] = F(x)
-		}
-	}
-	return fp.Step(make([]F, len(src)), src), nil
+	residual = fp.Step(make([]float64, len(st.Scores)), st.Scores)
+	return residual, residual <= 1e-9, nil // the solve's threshold (see Config)
 }

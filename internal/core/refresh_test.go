@@ -305,9 +305,9 @@ func TestPipelineRefreshFailedSolveDisarmsSkip(t *testing.T) {
 	}
 	cfg.SpamSeeds = []int32{20, 21, 22}
 	bad := cfg
-	bad.SlabDir = t.TempDir() + "/missing"
+	bad.Checkpoint = &CheckpointConfig{Dir: t.TempDir() + "/missing"}
 	if _, _, err := PipelineRefresh(sg, nil, 0, bad, st); err == nil {
-		t.Fatal("solve into a missing slab directory succeeded")
+		t.Fatal("solve into a missing checkpoint directory succeeded")
 	}
 	got, info, err := PipelineRefresh(sg, nil, 0, cfg, st)
 	if err != nil {
@@ -328,62 +328,15 @@ func TestPipelineRefreshFailedSolveDisarmsSkip(t *testing.T) {
 	}
 }
 
-// TestPipelineRefreshSlabAndPrecision: the stateful pipeline honours
-// Precision, SlabDir and Jacobi exactly as Rank does. Across cold → skip
-// → label change the slab-backed refresh returns the heap refresh's
-// scores bit for bit at either precision, retains no in-heap throttled
-// matrix between refreshes, and probes the committed file.
-func TestPipelineRefreshSlabAndPrecision(t *testing.T) {
+// TestPipelineRefreshJacobi: Jacobi ignores the warm start, so a
+// stateful Jacobi refresh over changed labels is the cold Jacobi pipeline
+// bit for bit.
+func TestPipelineRefreshJacobi(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	sg, err := source.Build(refreshPageGraph(rng, 40, 240, 900), source.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prec := range []linalg.Precision{linalg.Float64, linalg.Float32} {
-		heapCfg := PipelineConfig{Config: Config{Precision: prec}, SpamSeeds: []int32{1, 2, 5, 8}, TopK: 5}
-		slabCfg := heapCfg
-		slabCfg.SlabDir = t.TempDir()
-		heapSt, slabSt := &RefreshState{}, &RefreshState{}
-		for step, seeds := range [][]int32{{1, 2, 5, 8}, {1, 2, 5, 8}, {1, 2, 5, 8, 30}} {
-			heapCfg.SpamSeeds, slabCfg.SpamSeeds = seeds, seeds
-			heap, hi, err := PipelineRefresh(sg, nil, 0, heapCfg, heapSt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slab, si, err := PipelineRefresh(sg, nil, 0, slabCfg, slabSt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hi.SolveSkipped != (step == 1) || si.SolveSkipped != (step == 1) {
-				t.Fatalf("%v step %d: skipped heap=%v slab=%v", prec, step, hi.SolveSkipped, si.SolveSkipped)
-			}
-			if !slices.Equal(heap.Scores, slab.Scores) || !slices.Equal(heap.Kappa, slab.Kappa) {
-				t.Fatalf("%v step %d: slab refresh differs from heap refresh", prec, step)
-			}
-			if heap.Precision != prec || slab.Precision != prec {
-				t.Fatalf("%v step %d: result precision %v / %v", prec, step, heap.Precision, slab.Precision)
-			}
-			if slabSt.ThrottledT != nil {
-				t.Fatalf("%v step %d: slab state retains an in-heap throttled matrix", prec, step)
-			}
-			if heapSt.ThrottledT == nil {
-				t.Fatalf("%v step %d: heap state lost its transpose", prec, step)
-			}
-			cold, err := Pipeline(sg, heapCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if step == 0 && !slices.Equal(heap.Scores, cold.Scores) {
-				t.Fatalf("%v: zero-state refresh differs from the cold pipeline", prec)
-			}
-			if d := linalg.L2Distance(heap.Scores, cold.Scores); d > 1e-6 {
-				t.Fatalf("%v step %d: scores differ from cold by %g", prec, step, d)
-			}
-		}
-	}
-
-	// Jacobi ignores the warm start, so a stateful Jacobi refresh over
-	// changed labels is the cold Jacobi pipeline bit for bit.
 	cfg := PipelineConfig{Config: Config{Solver: Jacobi}, SpamSeeds: []int32{1, 2, 5, 8}, TopK: 5}
 	st := &RefreshState{}
 	if _, _, err := PipelineRefresh(sg, nil, 0, cfg, st); err != nil {

@@ -48,8 +48,8 @@ func TestBaselineRunsShareCachedTranspose(t *testing.T) {
 	if d := linalg.TransposeMaterializations() - before; d != 1 {
 		t.Errorf("two baseline solves materialized %d transposes, want 1 (shared)", d)
 	}
-	if r1.Throttled != sg.T || r2.Throttled != sg.T {
-		t.Error("zero-κ throttle should return T itself (identity fast path)")
+	if r1.throttledT != r2.throttledT || r1.throttledT != sg.TransposedT(0) {
+		t.Error("zero-κ throttle should return T itself (identity fast path), solved over its cached transpose")
 	}
 	for i := range r1.Scores {
 		if r1.Scores[i] != r2.Scores[i] {
@@ -70,10 +70,10 @@ func TestThrottledRunMaterializesFreshTranspose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Throttled == sg.T {
-		t.Fatal("nonzero κ should produce a distinct throttled matrix")
-	}
 	if d := linalg.TransposeMaterializations() - before; d != 1 {
 		t.Errorf("throttled solve materialized %d transposes, want 1", d)
+	}
+	if res.throttledT == sg.TransposedT(0) {
+		t.Fatal("nonzero κ should produce a distinct throttled matrix")
 	}
 }

@@ -12,12 +12,6 @@ type SlabInfo struct {
 	Rows      int
 	Cols      int
 	NNZ       int64
-	// HeaderCRC is the CRC32-C of the 88 header bytes — a stable
-	// identity for the slab's declared shape and layout. Checkpointed
-	// solves fold it into their resume fingerprint so a checkpoint taken
-	// against one slab can never resume against a swapped one (the full
-	// payload is already guarded by the durable trailer at open time).
-	HeaderCRC uint32
 }
 
 // ReadSlabInfo reads and validates the fixed-size header of the slab at
@@ -45,13 +39,5 @@ func ReadSlabInfo(fsys durable.FS, path string) (SlabInfo, error) {
 		Rows:      h.rows,
 		Cols:      h.colsN,
 		NNZ:       h.nnz,
-		HeaderCRC: crc32cSum(hdr[:]),
 	}, nil
-}
-
-// crc32cSum hashes data with the same CRC32-C durable's trailer uses.
-func crc32cSum(data []byte) uint32 {
-	h := durable.CRC32C()
-	h.Write(data)
-	return h.Sum32()
 }

@@ -30,25 +30,6 @@ type BuildConfig struct {
 	// SRSR and the baselines both solve, they run at once on ⌈W/2⌉ and
 	// ⌊W/2⌋ of them (see Builder.Build).
 	Workers int
-	// Precision selects the stationary-solve arithmetic for every
-	// computed algorithm: the default linalg.Float64 reference path, or
-	// linalg.Float32 for the bandwidth-oriented kernels (published scores
-	// stay float64 either way; each ScoreSet records the precision that
-	// produced it). The SRSR spam-proximity walk always runs float64, so
-	// κ assignment is precision-invariant.
-	Precision linalg.Precision
-	// SlabDir, when set, routes the SRSR stationary solve through a
-	// slab-backed operand under MaxResident instead of the in-heap CSR
-	// (see core.Config.SlabDir); scores stay bitwise identical. The
-	// source-level PageRank/TrustRank baselines always solve in heap,
-	// over one Mᵀ per structure version.
-	SlabDir string
-	// MaxResident, with SlabDir set, is the resident-set budget in bytes
-	// of the slab-backed solve — row pointers, dense vectors and two
-	// release windows of matrix entries (see
-	// linalg.SlabOpenOptions.MaxResident). Advisory; <= 0 maps without
-	// release-behind.
-	MaxResident int64
 	// Name labels the corpus in CorpusInfo.
 	Name string
 	// Extra injects precomputed score vectors (e.g. loaded with
@@ -201,7 +182,6 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 	sets := make(map[Algo]*ScoreSet, len(DefaultAlgos)+len(cfg.Extra))
 	for _, s := range done {
 		sets[s.algo] = NewScoreSetSolved(s.scores, s.stats, s.done.Sub(start), s.warm)
-		sets[s.algo].solvePrec = cfg.Precision
 		start = s.done
 	}
 	for algo, vec := range cfg.Extra {
@@ -245,8 +225,7 @@ func (b *Builder) solveSRSR(c Corpus, spam []int32, topK, workers int) (out bran
 	cfg := b.Config
 	warm := b.srsr.Scores != nil
 	res, ri, err := core.PipelineRefresh(c.Source, c.Structure, c.Version, core.PipelineConfig{
-		Config: core.Config{Alpha: cfg.Alpha, Workers: workers,
-			Precision: cfg.Precision, SlabDir: cfg.SlabDir, MaxResident: cfg.MaxResident},
+		Config:    core.Config{Alpha: cfg.Alpha, Workers: workers},
 		SpamSeeds: spam,
 		TopK:      topK,
 	}, &b.srsr)
@@ -306,8 +285,7 @@ func (b *Builder) solveBaseline(c Corpus, bl *baseline, seeds []int32, workers i
 		b.mt, b.mtVer = rank.TransitionT(c.Structure), c.Version
 	}
 	mt, cfg := b.mt, b.Config
-	opt := rank.Options{Alpha: cfg.Alpha, Workers: workers,
-		X0: bl.scores.Padded(mt.Rows), Precision: cfg.Precision}
+	opt := rank.Options{Alpha: cfg.Alpha, Workers: workers, X0: bl.scores.Padded(mt.Rows)}
 	if seeds != nil {
 		var err error
 		if opt.Teleport, err = rank.TrustTeleport(mt.Rows, seeds); err != nil {

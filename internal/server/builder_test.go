@@ -257,41 +257,6 @@ func TestWarmStartShapeChangeFallsBack(t *testing.T) {
 	}
 }
 
-// TestBuilderSlabMatchesHeap: with SlabDir set the builder's SRSR scores
-// equal the heap builder's bit for bit across cold → skip → label
-// change, and nothing in heap holds the throttled matrix between builds.
-func TestBuilderSlabMatchesHeap(t *testing.T) {
-	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := testCorpus(t, ds.Pages, 0)
-	heap := &Builder{}
-	slab := &Builder{Config: BuildConfig{SlabDir: t.TempDir(), MaxResident: 1 << 16}}
-	half := ds.SpamSources[:len(ds.SpamSources)/2]
-	for step, spam := range [][]int32{ds.SpamSources, ds.SpamSources, half} {
-		want, hi, err := heap.Build(c, spam)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, si, err := slab.Build(c, spam)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hi.SolveSkipped != (step == 1) || si.SolveSkipped != (step == 1) {
-			t.Fatalf("step %d: skipped heap=%v slab=%v", step, hi.SolveSkipped, si.SolveSkipped)
-		}
-		for _, algo := range want.Algos() {
-			if !slices.Equal(got.Set(algo).ScoresView(), want.Set(algo).ScoresView()) {
-				t.Fatalf("step %d: %s differs between slab and heap builders", step, algo)
-			}
-		}
-		if slab.srsr.ThrottledT != nil {
-			t.Fatalf("step %d: slab builder retains an in-heap throttled matrix", step)
-		}
-	}
-}
-
 // TestRefresherRetainsWarmState: a refresher whose build closes over one
 // Builder — the way srserve wires it — pays the cold solve once: every
 // later cycle on unchanged inputs publishes carried vectors.

@@ -297,8 +297,6 @@ func (m *Metrics) WriteSolverText(w io.Writer, snap *Snapshot) {
 		func(ss *ScoreSet) any { return ss.SolveTime().Seconds() })
 	gauge("warm_start", "Whether the solve started from the builder's retained state (1) or cold (0).", "%d",
 		func(ss *ScoreSet) any { return flag(ss.WarmStarted()) })
-	gauge("float32", "Whether the solve ran on the float32 bandwidth kernels (1) or the float64 reference path (0).", "%d",
-		func(ss *ScoreSet) any { return flag(ss.SolvePrecision() == linalg.Float32) })
 	fmt.Fprintf(w, "# HELP srserve_solver_rowsums Which row-sum pass this host's solves run at either precision: avx2, or the portable go loops (same bits, a quarter to a third longer per iteration).\n")
 	fmt.Fprintf(w, "# TYPE srserve_solver_rowsums gauge\n")
 	fmt.Fprintf(w, "srserve_solver_rowsums{impl=%q} 1\n", linalg.RowSumsImpl())

@@ -57,10 +57,6 @@ type ScoreSet struct {
 	// Solve observability, set by the snapshot builder.
 	solveTime   time.Duration
 	warmStarted bool
-	// solvePrec records which arithmetic produced the scores (provenance:
-	// the published vector is always float64, but a float32 solve carries
-	// float32 rounding in its low-order bits).
-	solvePrec linalg.Precision
 }
 
 // NewScoreSet wraps a score vector for serving. The vector is retained
@@ -150,10 +146,6 @@ func (ss *ScoreSet) Stats() linalg.IterStats { return ss.stats }
 // so the shares partition the stage's wall time even when SRSR and the
 // baselines solve at once (0 for injected/precomputed vectors).
 func (ss *ScoreSet) SolveTime() time.Duration { return ss.solveTime }
-
-// SolvePrecision reports the arithmetic of the solve that produced this
-// score set (linalg.Float64 for injected/precomputed vectors).
-func (ss *ScoreSet) SolvePrecision() linalg.Precision { return ss.solvePrec }
 
 // WarmStarted reports whether the solve started from the builder's
 // retained state (a carried vector included) rather than cold.

@@ -261,7 +261,7 @@ func TestBuildSnapshotFromPreset(t *testing.T) {
 
 // The cold builder solves both baselines over one shared Mᵀ. Each must
 // carry the bits of the standalone entry point, which builds its own
-// operand, at both precisions.
+// operand.
 func TestBuildSnapshotBaselinesShareOperand(t *testing.T) {
 	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
 	if err != nil {
@@ -271,27 +271,25 @@ func TestBuildSnapshotBaselinesShareOperand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prec := range []linalg.Precision{linalg.Float64, linalg.Float32} {
-		cfg := BuildConfig{Precision: prec, Workers: 2}
-		snap, err := BuildSnapshotFromSourceGraph(ds.Pages, sg, nil, cfg)
+	cfg := BuildConfig{Workers: 2}
+	snap, err := BuildSnapshotFromSourceGraph(ds.Pages, sg, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := rank.Options{Workers: cfg.Workers}
+	for _, algo := range []Algo{AlgoPageRank, AlgoTrustRank} {
+		var want *rank.Result
+		if algo == AlgoPageRank {
+			want, err = rank.PageRank(sg.Structure(), opt)
+		} else {
+			want, err = rank.TrustRank(sg.Structure(), TrustedSeeds(sg, nil), opt)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := rank.Options{Workers: cfg.Workers, Precision: cfg.Precision}
-		for _, algo := range []Algo{AlgoPageRank, AlgoTrustRank} {
-			var want *rank.Result
-			if algo == AlgoPageRank {
-				want, err = rank.PageRank(sg.Structure(), opt)
-			} else {
-				want, err = rank.TrustRank(sg.Structure(), TrustedSeeds(sg, nil), opt)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := snap.Set(algo)
-			if got.Stats() != want.Stats || !slices.Equal(got.ScoresView(), want.Scores) {
-				t.Fatalf("%v %v: shared-operand scores differ from the standalone solve", prec, algo)
-			}
+		got := snap.Set(algo)
+		if got.Stats() != want.Stats || !slices.Equal(got.ScoresView(), want.Scores) {
+			t.Fatalf("%v: shared-operand scores differ from the standalone solve", algo)
 		}
 	}
 }

@@ -48,12 +48,15 @@ var reachAllow = map[string]string{
 	"internal/source.BuildSerial":             "reference",
 	"internal/webgraph.Compressed.Decompress": "reference",
 	"internal/rank.PageRankLinear":            "reference",
+	// The in-RAM slab writer is what webgraph's streamed slab build is
+	// compared to byte for byte.
+	"internal/linalg.WriteSlabCSR": "reference",
 
 	// Checkers the suites run over what the product built.
 	"internal/graph.Graph.Validate":          "invariant",
 	"internal/source.Graph.Validate":         "invariant",
 	"internal/linalg.Matrix.IsRowStochastic": "invariant",
-	"internal/rankeval.TopKOverlap":          "invariant", // float32 fidelity and stream-equals-cold assert the top-k set
+	"internal/rankeval.TopKOverlap":          "invariant", // stream-equals-cold asserts the top-k set
 
 	// Faults planted under product code: a durable.FS that tears writes,
 	// drops syncs and crashes, and a transport that resets, truncates and
@@ -147,6 +150,12 @@ type reachReport struct {
 	// fields and fieldsRead count the exported fields in scope of the
 	// field rule and those of them non-test files read. Informational.
 	fields, fieldsRead int
+	// setUnread lists the exported fields in scope that non-test files
+	// set and none reads — the field rule's converse — except those with
+	// a struct tag, which encoding/json reads by reflection; taggedUnread
+	// counts those. Informational.
+	setUnread    []string
+	taggedUnread int
 }
 
 // reachAnalyze type-checks pkgs in dependency order (imports outside pkgs
@@ -273,6 +282,7 @@ func reachAnalyze(fset *token.FileSet, module string, pkgs []*reachPkg, std type
 	}
 	sort.Slice(rep.findings, func(i, j int) bool { return rep.findings[i].name < rep.findings[j].name })
 	sort.Strings(rep.ownPkgOnly)
+	sort.Strings(rep.setUnread)
 	return rep, nil
 }
 
@@ -293,15 +303,16 @@ func reachInfo() *types.Info {
 func reachFields(rep *reachReport, fset *token.FileSet, module string, order []*reachPkg, infos map[*reachPkg]*types.Info, testSet map[token.Pos]bool) {
 	type decl struct {
 		name, pkg string
+		tagged    bool
 	}
 	decls := map[token.Pos]decl{}
 	for _, p := range order {
 		if info := infos[p]; info != nil && !p.frozen {
 			rel := strings.TrimPrefix(strings.TrimPrefix(p.path, module), "/")
 			for _, f := range p.files {
-				reachFieldDecls(f, func(id *ast.Ident, name string) {
+				reachFieldDecls(f, func(id *ast.Ident, name string, tagged bool) {
 					if obj := info.Defs[id]; obj != nil && id.IsExported() {
-						decls[obj.Pos()] = decl{rel + "." + name, rel}
+						decls[obj.Pos()] = decl{rel + "." + name, rel, tagged}
 					}
 				})
 			}
@@ -343,6 +354,12 @@ func reachFields(rep *reachReport, fset *token.FileSet, module string, order []*
 	rep.fields = len(decls)
 	for pos, d := range decls {
 		if !read[pos] {
+			switch {
+			case set[pos] && d.tagged:
+				rep.taggedUnread++
+			case set[pos]:
+				rep.setUnread = append(rep.setUnread, d.name)
+			}
 			continue
 		}
 		rep.fieldsRead++
@@ -366,8 +383,8 @@ func reachFields(rep *reachReport, fset *token.FileSet, module string, order []*
 // reachFieldDecls calls decl for every field f declares in a named struct
 // type (at any depth, so function-local types too), naming it
 // "<Type>.<Field>", or "<Type>.<Field>.<Inner>" inside an anonymous
-// struct-typed field.
-func reachFieldDecls(f *ast.File, decl func(id *ast.Ident, name string)) {
+// struct-typed field, and saying whether the field carries a struct tag.
+func reachFieldDecls(f *ast.File, decl func(id *ast.Ident, name string, tagged bool)) {
 	var fields func(st *ast.StructType, prefix string)
 	fields = func(st *ast.StructType, prefix string) {
 		for _, fl := range st.Fields.List {
@@ -385,7 +402,7 @@ func reachFieldDecls(f *ast.File, decl func(id *ast.Ident, name string)) {
 				}
 			}
 			for _, id := range names {
-				decl(id, prefix+id.Name)
+				decl(id, prefix+id.Name, fl.Tag != nil)
 				if inner, ok := fl.Type.(*ast.StructType); ok {
 					fields(inner, prefix+id.Name+".")
 				}
@@ -944,6 +961,8 @@ func TestReach(t *testing.T) {
 			t.Logf("  %s: %s", f.name, reachKind(f))
 		}
 	}
+	t.Logf("field rule's converse (informational): set by a program, read by none: %d untagged, %d more with a struct tag (read by encoding/json): %s",
+		len(rep.setUnread), rep.taggedUnread, strings.Join(rep.setUnread, " "))
 	t.Logf("exported but used only inside their own package (%d, informational): %s",
 		len(rep.ownPkgOnly), strings.Join(rep.ownPkgOnly, " "))
 }
@@ -963,6 +982,7 @@ func main() { %s }`
 		mainBody     string // statements of m/cmd/x's main
 		main         string // all of m/cmd/x's main.go, in place of mainBody
 		want         []string
+		unread       []string // the converse's untagged fields, when set
 	}{
 		{
 			name:     "dead exported func",
@@ -1069,6 +1089,12 @@ import ("encoding/json"; "m/internal/a")
 func main() { var c a.Cfg; json.Unmarshal(nil, &c); a.Use(c, a.Other{}) }`,
 			want: []string{"internal/a.Other.M: read but set by nothing, tests included"},
 		},
+		{
+			name:     "converse: set by a program, read by none",
+			lib:      "package a\ntype Res struct{ Score float64; Note string; Out int `json:\"out\"` }\nfunc Run() Res { return Res{Score: 1, Note: \"x\", Out: 2} }",
+			mainBody: `_ = a.Run().Score`,
+			unread:   []string{"internal/a.Res.Note"},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -1101,6 +1127,9 @@ func main() { var c a.Cfg; json.Unmarshal(nil, &c); a.Use(c, a.Other{}) }`,
 			}
 			if !slices.Equal(got, c.want) {
 				t.Errorf("findings:\n\t%s\nwant:\n\t%s", strings.Join(got, "\n\t"), strings.Join(c.want, "\n\t"))
+			}
+			if c.unread != nil && (!slices.Equal(rep.setUnread, c.unread) || rep.taggedUnread != 1) {
+				t.Errorf("set but unread: %v and %d tagged, want %v and 1", rep.setUnread, rep.taggedUnread, c.unread)
 			}
 		})
 	}
