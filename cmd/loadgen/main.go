@@ -1,28 +1,15 @@
-// Command loadgen is a closed-loop load generator for the srserve
-// serving layer. It measures request throughput and latency percentiles
-// for a configurable endpoint mix, optionally while snapshots are being
-// republished underneath the readers, and writes a machine-readable
-// JSON report (BENCH_serving.json).
-//
-// Two ways to drive traffic:
-//
-//	loadgen -self -preset UK2002 -scale 0.02 -transport direct
-//	    builds the corpus and snapshot in-process and calls the HTTP
-//	    handler directly (no sockets). This isolates handler cost and
-//	    is what the committed BENCH_serving.json uses.
+// Command loadgen is a closed-loop load generator for a running srserve
+// or a fleet of them. It drives a configurable endpoint mix over real
+// HTTP, measures request throughput and latency percentiles, and writes a
+// machine-readable JSON report.
 //
 //	loadgen -target http://localhost:8080
-//	    drives a running srserve over real HTTP.
 //
-// With -compare-baseline (self mode only) every topk-focused run is
-// executed twice — once against a server with the pre-encoded response
-// cache disabled (the pre-change per-request encoding path) and once
-// with it enabled — and the report's hot_path block records the
-// resulting speedup on /v1/topk?n=<topk-n>.
-//
-// With -churn <interval> a publisher goroutine keeps republishing
-// perturbed snapshots during the mixed-load run, exercising the
-// publish-time pre-encoding while readers hit the cache.
+// Before the runs it reads the corpus size from each target's
+// /v1/snapshot, so /v1/rank and /v1/compare ask only for source IDs that
+// exist; a 4xx in the report's status_classes is a server fault, not
+// sampling noise. In-process capacity and latency under republish are
+// measured by `go run ./benchmark -workload serve_under_refresh`.
 //
 // Fleet mode: -target may be repeated (or comma-separated) to spread
 // workers round-robin across a builder and its replicas. A tracker
@@ -42,54 +29,32 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"math/bits"
 	"math/rand"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"sourcerank/internal/gen"
-	"sourcerank/internal/server"
-	"sourcerank/internal/source"
 )
 
 func main() {
 	var targets targetList
-	flag.Var(&targets, "target", "base URL of a running srserve; repeat or comma-separate for a fleet (mutually exclusive with -self)")
+	flag.Var(&targets, "target", "base URL of a running srserve; repeat or comma-separate for a fleet")
 	var (
-		self        = flag.Bool("self", false, "build the corpus and server in-process")
-		preset      = flag.String("preset", "UK2002", "generator preset for -self")
-		scale       = flag.Float64("scale", 0.02, "generator scale for -self")
-		seed        = flag.Uint64("seed", 1, "generator seed for -self")
-		transport   = flag.String("transport", "direct", "direct (in-process handler) or http (self mode only; -target always uses http)")
-		duration    = flag.Duration("duration", 3*time.Second, "measurement window per run")
-		concCSV     = flag.String("concurrency", "1,4,16", "comma-separated closed-loop worker counts")
-		mixSpec     = flag.String("mix", "topk=70,rank=20,compare=5,snapshot=5", "endpoint weights")
-		topkN       = flag.Int("topk-n", 10, "n for /v1/topk requests")
-		churn       = flag.Duration("churn", 0, "republish a perturbed snapshot at this interval during the mixed run (self mode; 0 disables)")
-		compareBase = flag.Bool("compare-baseline", false, "also run topk-only load against the cache-disabled encoder path and report the speedup (self mode)")
-		maxSkew     = flag.Int64("max-skew", -1, "fail the run if the fleet's max instantaneous version skew exceeds this (-1 disables; target mode)")
-		out         = flag.String("out", "BENCH_serving.json", "report path")
+		duration = flag.Duration("duration", 3*time.Second, "measurement window per run")
+		concCSV  = flag.String("concurrency", "1,4,16", "comma-separated closed-loop worker counts")
+		mixSpec  = flag.String("mix", "topk=70,rank=20,compare=5,snapshot=5", "endpoint weights")
+		topkN    = flag.Int("topk-n", 10, "n for /v1/topk requests")
+		maxSkew  = flag.Int64("max-skew", -1, "fail the run if the fleet's max instantaneous version skew exceeds this (-1 disables)")
+		out      = flag.String("out", "loadgen.json", "report path")
 	)
 	flag.Parse()
 
-	if (len(targets) == 0) == !*self {
-		log.Fatal("loadgen: exactly one of -target or -self is required")
-	}
-	if *self && *maxSkew >= 0 {
-		log.Fatal("loadgen: -max-skew needs -target fleets, not -self")
-	}
-	if *self && *transport != "direct" && *transport != "http" {
-		log.Fatalf("loadgen: unknown -transport %q", *transport)
+	if len(targets) == 0 {
+		log.Fatal("loadgen: -target is required")
 	}
 	mix, err := parseMix(*mixSpec)
 	if err != nil {
@@ -100,96 +65,14 @@ func main() {
 		log.Fatalf("loadgen: %v", err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var (
-		env    *selfEnv
-		report = report{
-			Schema:        "sourcerank/bench-serving/v1",
-			GeneratedUnix: time.Now().Unix(),
-			Config: reportConfig{
-				Target: strings.Join(targets, ","), Preset: *preset, Scale: *scale, Seed: *seed,
-				Transport: *transport, DurationS: duration.Seconds(),
-				Mix: *mixSpec, TopKN: *topkN, GoMaxProcs: runtime.GOMAXPROCS(0),
-			},
-		}
-	)
-	if *self {
-		env, err = buildSelf(ctx, *preset, *scale, *seed, *transport)
-		if err != nil {
-			log.Fatalf("loadgen: %v", err)
-		}
-		report.Config.Sources = env.store.Current().NumSources()
+	rep, err := run(context.Background(), options{
+		targets: targets, concurrency: concs, mix: mix, mixSpec: *mixSpec,
+		topkN: *topkN, duration: *duration, maxSkew: *maxSkew,
+	})
+	if err != nil {
+		log.Fatalf("loadgen: %v", err)
 	}
-
-	// Fleet tracking spans every run: skew between replicas matters
-	// exactly while load (and builder churn) is in flight.
-	var tracker *fleetTracker
-	if len(targets) > 1 || (*maxSkew >= 0 && len(targets) > 0) {
-		tracker = startFleetTracker(ctx, targets, 100*time.Millisecond)
-	}
-
-	topkOnly := mixTable{{kindTopK, 1}}
-	var hot *hotPath
-	for _, c := range concs {
-		if *compareBase {
-			if env == nil {
-				log.Fatal("loadgen: -compare-baseline requires -self")
-			}
-			base := runLoad(ctx, caller(env, targets, false), runSpec{
-				name: fmt.Sprintf("topk-baseline-c%d", c), concurrency: c,
-				mix: topkOnly, topkN: *topkN, duration: *duration, cache: false,
-			})
-			cached := runLoad(ctx, caller(env, targets, true), runSpec{
-				name: fmt.Sprintf("topk-cached-c%d", c), concurrency: c,
-				mix: topkOnly, topkN: *topkN, duration: *duration, cache: true,
-			})
-			report.Runs = append(report.Runs, base, cached)
-			speedup := cached.RPS / math.Max(base.RPS, 1e-9)
-			log.Printf("c=%d topk: baseline %.0f rps, cached %.0f rps (%.1fx)", c, base.RPS, cached.RPS, speedup)
-			if hot == nil || speedup < hot.Speedup {
-				hot = &hotPath{
-					Endpoint:    fmt.Sprintf("/v1/topk?n=%d", *topkN),
-					Concurrency: c, BaselineRPS: base.RPS, CachedRPS: cached.RPS, Speedup: speedup,
-				}
-			}
-		}
-		res := runLoad(ctx, caller(env, targets, true), runSpec{
-			name: fmt.Sprintf("mix-c%d", c), concurrency: c,
-			mix: mix, topkN: *topkN, duration: *duration, cache: true,
-		})
-		report.Runs = append(report.Runs, res)
-		log.Printf("c=%d mix: %.0f rps, p50 %.3fms p99 %.3fms", c, res.RPS,
-			res.Latency.P50*1e3, res.Latency.P99*1e3)
-	}
-
-	if *churn > 0 {
-		if env == nil {
-			log.Fatal("loadgen: -churn requires -self")
-		}
-		c := concs[len(concs)-1]
-		stopChurn, published := env.startChurn(ctx, *churn)
-		res := runLoad(ctx, caller(env, targets, true), runSpec{
-			name: fmt.Sprintf("mix-churn-c%d", c), concurrency: c,
-			mix: mix, topkN: *topkN, duration: *duration, cache: true,
-		})
-		stopChurn()
-		res.PublishesDuringRun = published()
-		report.Runs = append(report.Runs, res)
-		log.Printf("c=%d mix+churn: %.0f rps, %d publishes during run", c, res.RPS, res.PublishesDuringRun)
-	}
-	report.HotPath = hot
-	if tracker != nil {
-		report.Fleet = tracker.stop(*maxSkew)
-		log.Printf("fleet: %d targets, %d samples, max version skew %d (budget %d)",
-			len(report.Fleet.PerTarget), report.Fleet.Samples, report.Fleet.MaxSkew, *maxSkew)
-	}
-
-	if env != nil {
-		env.close()
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		log.Fatalf("loadgen: %v", err)
 	}
@@ -197,15 +80,74 @@ func main() {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		log.Fatalf("loadgen: %v", err)
 	}
-	log.Printf("wrote %s (%d runs)", *out, len(report.Runs))
-	if hot != nil {
-		log.Printf("hot path speedup (min across concurrency levels): %.1fx", hot.Speedup)
-	}
+	log.Printf("wrote %s (%d runs)", *out, len(rep.Runs))
 	// The skew gate exits nonzero only after the report is on disk, so a
 	// failed CI run still leaves the evidence behind.
-	if f := report.Fleet; f != nil && !f.SkewOK {
+	if f := rep.Fleet; f != nil && !f.SkewOK {
 		log.Fatalf("loadgen: fleet version skew %d exceeds budget %d", f.MaxSkew, *maxSkew)
 	}
+}
+
+// options is one invocation's parsed flags.
+type options struct {
+	targets     []string
+	concurrency []int
+	mix         mixTable
+	mixSpec     string
+	topkN       int
+	duration    time.Duration
+	maxSkew     int64
+}
+
+// run reads the fleet's corpus size, drives one mixed run per
+// concurrency level, and folds the fleet tracker's observations into the
+// report.
+func run(ctx context.Context, o options) (*report, error) {
+	client := &http.Client{Timeout: 5 * time.Second}
+	sources := 0
+	for i, tg := range o.targets {
+		snap, err := probeSnapshot(ctx, client, tg)
+		if err != nil {
+			return nil, fmt.Errorf("%s/v1/snapshot: %w", tg, err)
+		}
+		if n := snap.Corpus.Sources; i == 0 || n < sources {
+			sources = n
+		}
+	}
+	if sources < 1 {
+		return nil, fmt.Errorf("%s serves an empty corpus", strings.Join(o.targets, ","))
+	}
+	rep := &report{
+		Schema:        "sourcerank/bench-serving/v1",
+		GeneratedUnix: time.Now().Unix(),
+		Config: reportConfig{
+			Target: strings.Join(o.targets, ","), Sources: sources,
+			DurationS: o.duration.Seconds(), Mix: o.mixSpec, TopKN: o.topkN,
+			GoMaxProcs: runtime.GOMAXPROCS(0),
+		},
+	}
+
+	// Fleet tracking spans every run: skew between replicas matters
+	// exactly while load (and builder churn) is in flight.
+	var tracker *fleetTracker
+	if len(o.targets) > 1 || o.maxSkew >= 0 {
+		tracker = startFleetTracker(ctx, o.targets, 100*time.Millisecond)
+	}
+	for _, c := range o.concurrency {
+		res := runLoad(ctx, runSpec{
+			name: fmt.Sprintf("mix-c%d", c), targets: o.targets, sources: sources,
+			concurrency: c, mix: o.mix, topkN: o.topkN, duration: o.duration,
+		})
+		rep.Runs = append(rep.Runs, res)
+		log.Printf("c=%d mix: %.0f rps, p50 %.3fms p99 %.3fms", c, res.RPS,
+			res.Latency.P50*1e3, res.Latency.P99*1e3)
+	}
+	if tracker != nil {
+		rep.Fleet = tracker.stop(o.maxSkew)
+		log.Printf("fleet: %d targets, %d samples, max version skew %d (budget %d)",
+			len(rep.Fleet.PerTarget), rep.Fleet.Samples, rep.Fleet.MaxSkew, o.maxSkew)
+	}
+	return rep, nil
 }
 
 // targetList is a repeatable, comma-separable -target flag.
@@ -231,7 +173,6 @@ type report struct {
 	GeneratedUnix int64        `json:"generated_unix"`
 	Config        reportConfig `json:"config"`
 	Runs          []runResult  `json:"runs"`
-	HotPath       *hotPath     `json:"hot_path,omitempty"`
 	Fleet         *fleetReport `json:"fleet,omitempty"`
 }
 
@@ -262,12 +203,10 @@ type fleetTargetReport struct {
 }
 
 type reportConfig struct {
-	Target     string  `json:"target,omitempty"`
-	Preset     string  `json:"preset,omitempty"`
-	Scale      float64 `json:"scale,omitempty"`
-	Seed       uint64  `json:"seed,omitempty"`
-	Sources    int     `json:"sources,omitempty"`
-	Transport  string  `json:"transport"`
+	Target string `json:"target"`
+	// Sources is the smallest corpus any target served before the runs:
+	// rank and compare sample IDs in [0, Sources).
+	Sources    int     `json:"sources"`
 	DurationS  float64 `json:"duration_s"`
 	Mix        string  `json:"mix"`
 	TopKN      int     `json:"topk_n"`
@@ -275,18 +214,14 @@ type reportConfig struct {
 }
 
 type runResult struct {
-	Name               string           `json:"name"`
-	Concurrency        int              `json:"concurrency"`
-	Cache              bool             `json:"response_cache"`
-	Requests           uint64           `json:"requests"`
-	Errors             uint64           `json:"errors"`
-	StatusClasses      map[string]int64 `json:"status_classes"`
-	DurationS          float64          `json:"duration_s"`
-	RPS                float64          `json:"rps"`
-	Latency            latencySummary   `json:"latency_s"`
-	AllocsPerRequest   float64          `json:"allocs_per_request"`
-	BytesPerRequest    float64          `json:"bytes_per_request"`
-	PublishesDuringRun uint64           `json:"publishes_during_run,omitempty"`
+	Name          string           `json:"name"`
+	Concurrency   int              `json:"concurrency"`
+	Requests      uint64           `json:"requests"`
+	Errors        uint64           `json:"errors"`
+	StatusClasses map[string]int64 `json:"status_classes"`
+	DurationS     float64          `json:"duration_s"`
+	RPS           float64          `json:"rps"`
+	Latency       latencySummary   `json:"latency_s"`
 }
 
 type latencySummary struct {
@@ -294,14 +229,6 @@ type latencySummary struct {
 	P90 float64 `json:"p90"`
 	P99 float64 `json:"p99"`
 	Max float64 `json:"max"`
-}
-
-type hotPath struct {
-	Endpoint    string  `json:"endpoint"`
-	Concurrency int     `json:"concurrency"`
-	BaselineRPS float64 `json:"baseline_rps"`
-	CachedRPS   float64 `json:"cached_rps"`
-	Speedup     float64 `json:"speedup"`
 }
 
 // --- endpoint mix ---
@@ -380,125 +307,6 @@ func parseConcurrency(csv string) ([]int, error) {
 	return out, nil
 }
 
-// --- self-mode environment ---
-
-// selfEnv holds an in-process corpus, snapshot store, and two servers
-// over the same store: one with the pre-encoded response cache (the
-// current behavior) and one with per-request encoding (the baseline).
-type selfEnv struct {
-	sg        *source.Graph
-	store     *server.Store
-	cached    *server.Server
-	baseline  *server.Server
-	transport string
-	// http transport: one loopback listener per server.
-	cachedURL, baselineURL string
-	shutdown               []func()
-}
-
-func buildSelf(ctx context.Context, preset string, scale float64, seed uint64, transport string) (*selfEnv, error) {
-	ds, err := gen.GeneratePreset(gen.Preset(preset), scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	sg, err := source.Build(ds.Pages, source.Options{})
-	if err != nil {
-		return nil, err
-	}
-	log.Printf("corpus %s: %d pages, %d sources", ds.Name, ds.Pages.NumPages(), sg.NumSources())
-	start := time.Now()
-	snap, err := server.BuildSnapshotFromSourceGraph(ds.Pages, sg, ds.SpamSources, server.BuildConfig{Name: ds.Name})
-	if err != nil {
-		return nil, err
-	}
-	store := server.NewStore(snap)
-	log.Printf("snapshot ready in %v", time.Since(start).Round(time.Millisecond))
-
-	env := &selfEnv{
-		sg:        sg,
-		store:     store,
-		cached:    server.New(store, server.Config{}),
-		baseline:  server.New(store, server.Config{DisableResponseCache: true}),
-		transport: transport,
-	}
-	if transport == "http" {
-		env.cachedURL, err = env.listen(ctx, env.cached)
-		if err != nil {
-			return nil, err
-		}
-		env.baselineURL, err = env.listen(ctx, env.baseline)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return env, nil
-}
-
-func (e *selfEnv) listen(ctx context.Context, srv *server.Server) (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := srv.RunListener(sctx, l); err != nil {
-			log.Printf("loadgen: server: %v", err)
-		}
-	}()
-	e.shutdown = append(e.shutdown, func() { cancel(); <-done })
-	return "http://" + l.Addr().String(), nil
-}
-
-func (e *selfEnv) close() {
-	for _, f := range e.shutdown {
-		f()
-	}
-}
-
-// startChurn republishes a perturbed copy of the current snapshot at
-// the given interval until the returned stop function is called. Each
-// publish runs the full pre-encoding (finalize) path, so readers race
-// real cache swaps. Scores are perturbed rather than re-solved: churn
-// measures publish/read interaction, not solver time.
-func (e *selfEnv) startChurn(ctx context.Context, interval time.Duration) (stop func(), published func() uint64) {
-	cctx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	var count atomic.Uint64
-	go func() {
-		defer close(done)
-		rng := rand.New(rand.NewSource(12345))
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-cctx.Done():
-				return
-			case <-t.C:
-			}
-			cur := e.store.Current()
-			sets := make(map[server.Algo]*server.ScoreSet)
-			for _, algo := range cur.Algos() {
-				vec := slices.Clone(cur.Set(algo).ScoresView())
-				for i := 0; i < len(vec)/20+1; i++ {
-					vec[rng.Intn(len(vec))] *= 0.9 + 0.2*rng.Float64()
-				}
-				sets[algo] = server.NewScoreSet(vec, cur.Set(algo).Stats())
-			}
-			snap, err := server.NewSnapshot(cur.Corpus(), e.sg.Labels, e.sg.PageCount,
-				cur.KappaTopK(), sets, time.Now())
-			if err != nil {
-				log.Printf("loadgen: churn snapshot: %v", err)
-				return
-			}
-			e.store.Publish(snap)
-			count.Add(1)
-		}
-	}()
-	return func() { cancel(); <-done }, count.Load
-}
-
 // --- fleet version-skew tracking ---
 
 // fleetTracker samples each target's served snapshot version on a
@@ -544,28 +352,32 @@ func startFleetTracker(ctx context.Context, targets []string, every time.Duratio
 	return ft
 }
 
-// probeVersion reads one target's served snapshot version.
-func probeVersion(ctx context.Context, client *http.Client, target string) (uint64, error) {
+// snapshotInfo is the part of a /v1/snapshot body loadgen reads.
+type snapshotInfo struct {
+	Version uint64 `json:"version"`
+	Corpus  struct {
+		Sources int `json:"sources"`
+	} `json:"corpus"`
+}
+
+// probeSnapshot reads one target's served snapshot version and corpus size.
+func probeSnapshot(ctx context.Context, client *http.Client, target string) (snapshotInfo, error) {
+	var body snapshotInfo
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/v1/snapshot", nil)
 	if err != nil {
-		return 0, err
+		return body, err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, err
+		return body, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return 0, fmt.Errorf("status %d", resp.StatusCode)
+		return body, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	var body struct {
-		Version uint64 `json:"version"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return 0, err
-	}
-	return body.Version, nil
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	return body, err
 }
 
 func (ft *fleetTracker) sample(ctx context.Context, client *http.Client) {
@@ -576,13 +388,16 @@ func (ft *fleetTracker) sample(ctx context.Context, client *http.Client) {
 		wg.Add(1)
 		go func(i int, tg string) {
 			defer wg.Done()
-			v, err := probeVersion(ctx, client, tg)
+			snap, err := probeSnapshot(ctx, client, tg)
 			if err == nil {
-				versions[i], oks[i] = v, true
+				versions[i], oks[i] = snap.Version, true
 			}
 		}(i, tg)
 	}
 	wg.Wait()
+	if ctx.Err() != nil {
+		return // stop cut this round short: its failed probes are not the targets'
+	}
 
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
@@ -637,114 +452,8 @@ func (ft *fleetTracker) stop(budget int64) *fleetReport {
 
 // --- request execution ---
 
-// issuer executes one request of the given kind and returns the HTTP
-// status (0 on transport error). Implementations are per-worker and
-// must not be shared across goroutines.
-type issuer interface {
-	issue(kind reqKind) int
-}
-
-// callerFactory builds one issuer per worker.
-type callerFactory func(worker int, spec runSpec) issuer
-
-// caller picks the transport: in self+direct mode requests go straight
-// into the handler; otherwise over HTTP. In target mode workers are
-// pinned round-robin across the fleet, so every target carries load and
-// the skew tracker measures replicas that are actually being read.
-func caller(env *selfEnv, targets []string, cache bool) callerFactory {
-	if env != nil && env.transport == "direct" {
-		srv := env.cached
-		if !cache {
-			srv = env.baseline
-		}
-		h := srv.Handler()
-		n := env.store.Current().NumSources()
-		return func(worker int, spec runSpec) issuer {
-			return newDirectIssuer(h, n, worker, spec.topkN)
-		}
-	}
-	return func(worker int, spec runSpec) issuer {
-		n := 0
-		var base string
-		if env != nil {
-			n = env.store.Current().NumSources()
-			base = env.cachedURL
-			if !cache {
-				base = env.baselineURL
-			}
-		} else {
-			base = targets[worker%len(targets)]
-		}
-		return newHTTPIssuer(base, n, worker, spec.topkN)
-	}
-}
-
-// directIssuer calls the handler in-process with prebuilt requests and
-// a reusable discarding ResponseWriter, so measurement overhead stays
-// far below handler cost.
-type directIssuer struct {
-	h    http.Handler
-	rng  *rand.Rand
-	w    *discardWriter
-	topk *http.Request
-	snap *http.Request
-	// rank/compare sample a fixed pool of prebuilt requests; the pool is
-	// per-worker because the mux writes path-match state into requests.
-	rank    []*http.Request
-	compare []*http.Request
-}
-
-func newDirectIssuer(h http.Handler, numSources, worker, topkN int) *directIssuer {
-	rng := rand.New(rand.NewSource(int64(worker)*7919 + 17))
-	d := &directIssuer{
-		h:    h,
-		rng:  rng,
-		w:    &discardWriter{h: make(http.Header, 8)},
-		topk: httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/topk?n=%d", topkN), nil),
-		snap: httptest.NewRequest(http.MethodGet, "/v1/snapshot", nil),
-	}
-	if numSources < 1 {
-		numSources = 1
-	}
-	const pool = 64
-	for i := 0; i < pool; i++ {
-		d.rank = append(d.rank, httptest.NewRequest(http.MethodGet,
-			fmt.Sprintf("/v1/rank/%d", rng.Intn(numSources)), nil))
-		d.compare = append(d.compare, httptest.NewRequest(http.MethodGet,
-			fmt.Sprintf("/v1/compare?a=%d&b=%d", rng.Intn(numSources), rng.Intn(numSources)), nil))
-	}
-	return d
-}
-
-func (d *directIssuer) issue(kind reqKind) int {
-	var req *http.Request
-	switch kind {
-	case kindTopK:
-		req = d.topk
-	case kindRank:
-		req = d.rank[d.rng.Intn(len(d.rank))]
-	case kindCompare:
-		req = d.compare[d.rng.Intn(len(d.compare))]
-	default:
-		req = d.snap
-	}
-	d.w.reset()
-	d.h.ServeHTTP(d.w, req)
-	return d.w.status
-}
-
-// discardWriter drops the body, keeping only the status.
-type discardWriter struct {
-	h      http.Header
-	status int
-}
-
-func (w *discardWriter) Header() http.Header         { return w.h }
-func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (w *discardWriter) WriteHeader(code int)        { w.status = code }
-func (w *discardWriter) reset()                      { w.status = http.StatusOK }
-
-// httpIssuer drives real HTTP requests with a keep-alive client.
+// httpIssuer drives real HTTP requests with a keep-alive client. It is
+// per-worker and must not be shared across goroutines.
 type httpIssuer struct {
 	client  *http.Client
 	rng     *rand.Rand
@@ -755,9 +464,6 @@ type httpIssuer struct {
 }
 
 func newHTTPIssuer(base string, numSources, worker, topkN int) *httpIssuer {
-	if numSources < 1 {
-		numSources = 4096 // unknown remote corpus: sample a modest ID range
-	}
 	return &httpIssuer{
 		client: &http.Client{
 			Timeout: 30 * time.Second,
@@ -774,6 +480,8 @@ func newHTTPIssuer(base string, numSources, worker, topkN int) *httpIssuer {
 	}
 }
 
+// issue executes one request of the given kind and returns the HTTP
+// status (0 on transport error).
 func (c *httpIssuer) issue(kind reqKind) int {
 	var u string
 	switch kind {
@@ -798,12 +506,15 @@ func (c *httpIssuer) issue(kind reqKind) int {
 // --- the closed loop ---
 
 type runSpec struct {
-	name        string
+	name string
+	// targets are pinned to workers round-robin, so every target carries
+	// load and the skew tracker measures replicas that are being read.
+	targets     []string
+	sources     int
 	concurrency int
 	mix         mixTable
 	topkN       int
 	duration    time.Duration
-	cache       bool
 }
 
 // latHist is a per-worker log-scale latency histogram: 4 sub-buckets
@@ -816,7 +527,7 @@ type latHist struct {
 func histIdx(d time.Duration) int {
 	ns := uint64(d)
 	if ns < 8 {
-		return int(ns)
+		return int(ns) / 2 // 2 ns wide, like the 8..15 ns buckets
 	}
 	b := bits.Len64(ns) // >= 4
 	sub := (ns >> (b - 3)) & 3
@@ -829,8 +540,8 @@ func histIdx(d time.Duration) int {
 
 // histLowerBound inverts histIdx: the smallest duration in bucket i.
 func histLowerBound(i int) time.Duration {
-	if i < 8 {
-		return time.Duration(i)
+	if i < 4 {
+		return time.Duration(2 * i)
 	}
 	b := i/4 + 3
 	sub := uint64(i % 4)
@@ -878,7 +589,7 @@ func (h *latHist) quantile(q float64) float64 {
 	return h.max.Seconds()
 }
 
-func runLoad(ctx context.Context, factory callerFactory, spec runSpec) runResult {
+func runLoad(ctx context.Context, spec runSpec) runResult {
 	type workerStats struct {
 		hist     latHist
 		requests uint64
@@ -888,17 +599,13 @@ func runLoad(ctx context.Context, factory callerFactory, spec runSpec) runResult
 	stats := make([]workerStats, spec.concurrency)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
 	start := time.Now()
 
 	for w := 0; w < spec.concurrency; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			iss := factory(w, spec)
+			iss := newHTTPIssuer(spec.targets[w%len(spec.targets)], spec.sources, w, spec.topkN)
 			st := &stats[w]
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			total := spec.mix.total()
@@ -934,14 +641,11 @@ func runLoad(ctx context.Context, factory callerFactory, spec runSpec) runResult
 	close(stop)
 	wg.Wait()
 	elapsed := time.Since(start)
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
 
 	var merged latHist
 	res := runResult{
 		Name:          spec.name,
 		Concurrency:   spec.concurrency,
-		Cache:         spec.cache,
 		StatusClasses: map[string]int64{},
 		DurationS:     elapsed.Seconds(),
 	}
@@ -966,12 +670,6 @@ func runLoad(ctx context.Context, factory callerFactory, spec runSpec) runResult
 		P90: merged.quantile(0.90),
 		P99: merged.quantile(0.99),
 		Max: merged.max.Seconds(),
-	}
-	if res.Requests > 0 {
-		// Process-wide deltas: includes the harness's own allocations
-		// (timers, rng), so this is an upper bound on per-request cost.
-		res.AllocsPerRequest = float64(after.Mallocs-before.Mallocs) / float64(res.Requests)
-		res.BytesPerRequest = float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Requests)
 	}
 	return res
 }

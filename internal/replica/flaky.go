@@ -16,8 +16,8 @@ var ErrConnReset = errors.New("replica: injected connection reset")
 // FlakyTransport wraps an http.RoundTripper with seeded fault
 // injection: whole-request connection resets, truncated response
 // bodies, and bit flips in the body. It exists for the fleet
-// consistency tests and cmd/loadgen's chaos harness — every fault it
-// injects must be caught by the puller's verification, never served.
+// consistency and chaos tests — every fault it injects must be caught by
+// the puller's verification, never served.
 type FlakyTransport struct {
 	Base http.RoundTripper
 	// ResetProb is the probability a request fails outright with

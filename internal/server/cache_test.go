@@ -16,7 +16,15 @@ import (
 // twoServers returns a cache-serving and a fallback-only server over
 // the same store, for byte-identity comparisons.
 func twoServers(store *Store) (cached, fallback *Server) {
-	return New(store, Config{}), New(store, Config{DisableResponseCache: true})
+	return New(store, Config{}), newEncoderServer(store)
+}
+
+// newEncoderServer returns a server that encodes every response per
+// request, ignoring the snapshot's pre-encoded cache.
+func newEncoderServer(store *Store) *Server {
+	s := New(store, Config{})
+	s.encodeAlways = true
+	return s
 }
 
 func rawGet(t *testing.T, h http.Handler, path string, hdr map[string]string) *httptest.ResponseRecorder {
@@ -207,7 +215,8 @@ func TestETagConditionalRequests(t *testing.T) {
 func TestHandleTopKClamped(t *testing.T) {
 	snap := testSnapshot(t, AlgoSRSR, []float64{0.1, 0.5, 0.3, 0.08, 0.02})
 	for _, disable := range []bool{false, true} {
-		srv := New(NewStore(snap), Config{DisableResponseCache: disable})
+		srv := New(NewStore(snap), Config{})
+		srv.encodeAlways = disable
 		h := srv.Handler()
 
 		rec, body := get(t, h, fmt.Sprintf("/v1/topk?n=%d", maxTopK+1))

@@ -146,9 +146,9 @@ func (s *Server) snapshotOr503(w http.ResponseWriter) (*Snapshot, bool) {
 }
 
 // respCacheFor returns snap's pre-encoded response cache, or nil when
-// serving is configured to take the encoder fallback on every request.
+// the server takes the encoder fallback on every request.
 func (s *Server) respCacheFor(snap *Snapshot) *respCache {
-	if s.cfg.DisableResponseCache {
+	if s.encodeAlways {
 		return nil
 	}
 	return snap.resp

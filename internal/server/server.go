@@ -45,12 +45,6 @@ type Config struct {
 	// requests are shed with 503 + Retry-After. Health and metrics
 	// endpoints are never capped. 0 disables the cap.
 	MaxInFlight int
-	// DisableResponseCache forces every request through the per-request
-	// encoding path instead of the pre-encoded snapshot responses. It
-	// exists for benchmarking the cache against the fallback
-	// (cmd/loadgen -compare-baseline) and for the golden tests that
-	// assert both paths produce identical bytes.
-	DisableResponseCache bool
 	// Refresher, if set, adds the refresher's health gauges (consecutive
 	// build failures, last build time) to /metrics.
 	Refresher *Refresher
@@ -96,6 +90,11 @@ type Server struct {
 	metrics  *Metrics
 	start    time.Time
 	inflight map[string]*atomic.Int64
+	// encodeAlways sends every request through the per-request encoder
+	// instead of the snapshot's pre-encoded responses. Only tests set it:
+	// the golden suites assert both paths give the same bytes, and the
+	// Fallback benchmarks time the encoder against the cache.
+	encodeAlways bool
 }
 
 // New assembles a server around store.

@@ -55,7 +55,7 @@ func BenchmarkTopKCached(b *testing.B) {
 // BenchmarkTopKFallback is the same request through the per-request
 // encoding path (the pre-change behavior), for comparison.
 func BenchmarkTopKFallback(b *testing.B) {
-	srv := New(NewStore(benchSnapshot(b, 1000)), Config{DisableResponseCache: true})
+	srv := newEncoderServer(NewStore(benchSnapshot(b, 1000)))
 	h := srv.instrument(epTopK, true, srv.handleTopK)
 	req := httptest.NewRequest(http.MethodGet, "/v1/topk?n=10&algo=srsr", nil)
 	w := newBenchResponseWriter()
@@ -88,7 +88,7 @@ func BenchmarkRankCached(b *testing.B) {
 
 // BenchmarkRankFallback is the rank endpoint through the encoder path.
 func BenchmarkRankFallback(b *testing.B) {
-	srv := New(NewStore(benchSnapshot(b, 1000)), Config{DisableResponseCache: true})
+	srv := newEncoderServer(NewStore(benchSnapshot(b, 1000)))
 	h := srv.instrument(epRank, true, srv.handleRank)
 	req := httptest.NewRequest(http.MethodGet, "/v1/rank/123", nil)
 	req.SetPathValue("source", "123")
