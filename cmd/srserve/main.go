@@ -116,13 +116,14 @@ func main() {
 	if err != nil {
 		log.Fatalf("srserve: %v", err)
 	}
-	build, err := newBuild(pg, spam, *spamPath, server.BuildConfig{
+	builder := &server.Builder{Config: server.BuildConfig{
 		Alpha:   *alpha,
 		TopK:    *topK,
 		Workers: *workers,
 		Name:    name,
 		Extra:   extra,
-	})
+	}}
+	build, err := newBuild(pg, spam, *spamPath, builder)
 	if err != nil {
 		log.Fatalf("srserve: %v", err)
 	}
@@ -170,6 +171,7 @@ func main() {
 		StalenessBudget: *staleTO,
 		MaxInFlight:     *maxInFl,
 		Refresher:       refresher,
+		Builder:         builder,
 		CorpusLoad:      corpusLoad,
 		// Every builder distributes snapshots: replicas pull verified
 		// frames from GET /v1/replica/snapshot (full on first sync,
@@ -185,18 +187,17 @@ func main() {
 
 // newBuild returns the one build srserve runs, at boot and on every
 // refresh. The page graph never changes after boot, so neither does the
-// source graph: it is aggregated once, and every call goes through one
-// server.Builder over it, re-reading the label file (when there is one)
-// first. A cycle therefore costs what the labels changed — nothing but a
-// residual probe when they did not — and a carried vector republishes as
-// the previous snapshot's very array. Each build logs its account (see
+// source graph: it is aggregated once, and every call goes through
+// builder over it, re-reading the label file (when there is one) first. A
+// cycle therefore costs what the labels changed — nothing but a residual
+// probe when they did not — and a carried vector republishes as the
+// previous snapshot's very array. Each build logs its account (see
 // buildLine).
-func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, cfg server.BuildConfig) (server.BuildFunc, error) {
-	sg, err := source.Build(pg, source.Options{Workers: cfg.Workers})
+func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, builder *server.Builder) (server.BuildFunc, error) {
+	sg, err := source.Build(pg, source.Options{Workers: builder.Config.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("building source graph: %w", err)
 	}
-	builder := &server.Builder{Config: cfg}
 	corpus := server.Corpus{Pages: pg, Source: sg, Structure: sg.Structure()}
 	return func(context.Context) (*server.Snapshot, error) {
 		labels := spam
@@ -222,9 +223,10 @@ func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, cfg server.Bui
 // structure, a warm or cold walk stopped at the iteration whose top-k gap
 // cleared twice its error bound, or a contested boundary (with why)
 // re-walked cold to tolerance — then how many κ entries flipped, which
-// baselines were carried rather than re-solved, and the wall time of each
-// solve branch (SRSR; PageRank then TrustRank), whether they ran at once
-// or in turn, and which one set the build's length.
+// baselines were carried rather than re-solved (and whether the two
+// re-solved in one sweep), and the wall time of each solve branch (SRSR;
+// PageRank and TrustRank), whether they ran at once or in turn, and which
+// one set the build's length.
 func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
 	var srsr string
 	switch d := info.Decision; {
@@ -251,15 +253,18 @@ func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
 		}
 		return "re-solved"
 	}
-	mode, longer := "in turn", "srsr"
+	mode, longer, sweep := "in turn", "srsr", ""
+	if info.BaselinesSwept {
+		sweep = " in one sweep"
+	}
 	if info.Concurrent {
 		mode = "at once"
 	}
 	if info.BaselinesWall > info.SRSRWall {
 		longer = "baselines"
 	}
-	return fmt.Sprintf("build: %s, %d κ flips; pagerank %s, trustrank %s; solves %s: srsr %.1f ms, baselines %.1f ms (%s set the length)",
-		srsr, info.KappaChanged, carried(info.PageRankSkipped), carried(info.TrustRankSkipped),
+	return fmt.Sprintf("build: %s, %d κ flips; pagerank %s, trustrank %s%s; solves %s: srsr %.1f ms, baselines %.1f ms (%s set the length)",
+		srsr, info.KappaChanged, carried(info.PageRankSkipped), carried(info.TrustRankSkipped), sweep,
 		mode, info.SRSRWall.Seconds()*1e3, info.BaselinesWall.Seconds()*1e3, longer)
 }
 

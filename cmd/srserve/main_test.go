@@ -70,6 +70,9 @@ func TestBuildLine(t *testing.T) {
 		{"baselines longer", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCarried: true},
 			SRSRWall: 3 * time.Millisecond, BaselinesWall: 9500 * time.Microsecond},
 			"build: srsr proximity carried (structure unchanged), 0 κ flips; pagerank re-solved, trustrank re-solved; solves in turn: srsr 3.0 ms, baselines 9.5 ms (baselines set the length)"},
+		{"one sweep", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{Decision: decided, BoundaryGap: 1.34e-6, KappaChanged: 3},
+			SRSRWall: 43 * time.Millisecond, BaselinesWall: 31 * time.Millisecond, Concurrent: true, BaselinesSwept: true},
+			"build: srsr proximity decided warm at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 3 κ flips; pagerank re-solved, trustrank re-solved in one sweep; solves at once: srsr 43.0 ms, baselines 31.0 ms (srsr set the length)"},
 	} {
 		if got := buildLine(tc.snap, tc.info); got != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
@@ -174,7 +177,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	}
 	cfg := server.BuildConfig{Name: ds.Name}
 
-	build, err := newBuild(ds.Pages, labels, spamPath, cfg)
+	build, err := newBuild(ds.Pages, labels, spamPath, &server.Builder{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,3 +120,74 @@ done:
 	MOVQ SI, next+136(FP)
 	VZEROUPPER
 	RET
+
+// The pair pass, rowSums64PairGo's bits: two interleaved columns, one
+// running sum per column per row, so each lane of X0 is the solo pass's
+// sum over its column. Per entry: one VMOVDDUP puts vals[p] in both lanes,
+// one 16-byte VMULPD (vals first, as above) forms both products against
+// src[2c], src[2c+1] — adjacent, so there is no gather — and one VADDPD
+// adds each into its own lane. The bounds contract is rowSums64AVX's, with
+// a column in range when c <= min(len(src)/2, 1<<31)-1, as one unsigned
+// compare of the zero-extended col (a negative col is above any bound).
+
+// func rowSums64PairAVX(rowPtr []int64, vals []float64, cols []int32, src, sums []float64, lo, hi int) (next int)
+TEXT ·rowSums64PairAVX(SB), NOSPLIT, $0-144
+	MOVQ rowPtr_base+0(FP), R8
+	MOVQ vals_base+24(FP), R9
+	MOVQ cols_base+48(FP), R10
+	MOVQ src_base+72(FP), R11
+	MOVQ sums_base+96(FP), R12
+	MOVQ lo+120(FP), SI
+	MOVQ hi+128(FP), DI
+
+	MOVQ    vals_len+32(FP), BX
+	MOVQ    cols_len+56(FP), AX
+	CMPQ    AX, BX
+	CMOVQLT AX, BX               // BX = min(len(vals), len(cols))
+
+	MOVQ    src_len+80(FP), DX
+	SHRQ    $1, DX               // columns src holds a pair for
+	JZ      pairdone             // none: leave every row to Go
+	DECQ    DX
+	MOVQ    $0x7fffffff, CX
+	CMPQ    DX, CX
+	CMOVQGT CX, DX               // DX = max valid col
+
+	CMPQ SI, DI
+	JGE  pairdone
+
+pairrow:
+	MOVQ   (R8)(SI*8), R13       // p = rowPtr[i]
+	MOVQ   8(R8)(SI*8), R14      // e = rowPtr[i+1]
+	CMPQ   R13, R14
+	JHI    pairdone              // p > e, or p < 0
+	CMPQ   R14, BX
+	JHI    pairdone              // e > min(len(vals), len(cols)), or e < 0
+	VXORPD X0, X0, X0            // both sums = +0.0
+	CMPQ   R13, R14
+	JEQ    pairstore
+
+pairentry:
+	MOVL     (R10)(R13*4), AX    // c = cols[p], zero-extended
+	CMPQ     AX, DX
+	JHI      pairdone
+	SHLQ     $4, AX
+	VMOVDDUP (R9)(R13*8), X1     // vals[p], vals[p]
+	VMULPD   (R11)(AX*1), X1, X1 // vals[p]·src[2c], vals[p]·src[2c+1]
+	VADDPD   X1, X0, X0          // each sum += its product
+	INCQ     R13
+	CMPQ     R13, R14
+	JLT      pairentry
+
+pairstore:
+	MOVQ    SI, AX
+	SHLQ    $4, AX
+	VMOVUPD X0, (R12)(AX*1)      // sums[2i], sums[2i+1]
+	INCQ    SI
+	CMPQ    SI, DI
+	JLT     pairrow
+
+pairdone:
+	MOVQ SI, next+136(FP)
+	VZEROUPPER
+	RET

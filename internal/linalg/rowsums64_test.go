@@ -17,11 +17,11 @@ type rowSums64Pass func(rowPtr []int64, vals []float64, cols []int32, src, sums 
 // unwritten marks the sums slots a pass has not stored to.
 var unwritten = math.Float64frombits(0x7ff8_0000_dead_beef)
 
-// runRowSums64 runs pass over rows [lo, hi) into a fresh sums array and
-// returns it together with the text of the runtime panic the pass died
-// of, if it did.
-func runRowSums64(pass rowSums64Pass, rowPtr []int64, vals []float64, cols []int32, src []float64, lo, hi int) (sums []float64, panicked string) {
-	sums = make([]float64, max(len(rowPtr)-1, 0))
+// runRowSums64 runs pass over rows [lo, hi) into a fresh sums array of
+// width entries per row and returns it together with the text of the
+// runtime panic the pass died of, if it did.
+func runRowSums64(pass rowSums64Pass, width int, rowPtr []int64, vals []float64, cols []int32, src []float64, lo, hi int) (sums []float64, panicked string) {
+	sums = make([]float64, width*max(len(rowPtr)-1, 0))
 	for i := range sums {
 		sums[i] = unwritten
 	}
@@ -43,17 +43,64 @@ func runRowSums64(pass rowSums64Pass, rowPtr []int64, vals []float64, cols []int
 // this package already orders one add the other way).
 func checkRowSums64(t *testing.T, rowPtr []int64, vals []float64, cols []int32, src []float64, lo, hi int) {
 	t.Helper()
-	want, wantPanic := runRowSums64(rowSums64Go, rowPtr, vals, cols, src, lo, hi)
-	got, gotPanic := runRowSums64(rowSums64, rowPtr, vals, cols, src, lo, hi)
+	want, wantPanic := runRowSums64(rowSums64Go, 1, rowPtr, vals, cols, src, lo, hi)
+	got, gotPanic := runRowSums64(rowSums64, 1, rowPtr, vals, cols, src, lo, hi)
 	if gotPanic != wantPanic {
 		t.Fatalf("rows [%d,%d): %s pass ended with %q, Go loop with %q", lo, hi, RowSumsImpl(), gotPanic, wantPanic)
 	}
+	sameSums(t, fmt.Sprintf("rows [%d,%d)", lo, hi), got, want, "Go loop")
+}
+
+// sameSums fails unless got is want bit for bit, NaN payloads aside.
+func sameSums(t *testing.T, what string, got, want []float64, ref string) {
+	t.Helper()
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-			t.Fatalf("rows [%d,%d): sums[%d] = %v (bits %#x), Go loop %v (bits %#x)",
-				lo, hi, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			t.Fatalf("%s: sums[%d] = %v (bits %#x), %s %v (bits %#x)",
+				what, i, got[i], math.Float64bits(got[i]), ref, want[i], math.Float64bits(want[i]))
 		}
 	}
+}
+
+// checkRowSums64Pair is checkRowSums64 for the pair pass over src2, two
+// columns interleaved: the dispatched pair pass must leave what
+// rowSums64PairGo leaves and end as it ends, and each column of the Go
+// pair loop must be what rowSums64Go leaves over that column alone, on the
+// rows both write.
+func checkRowSums64Pair(t *testing.T, rowPtr []int64, vals []float64, cols []int32, src2 []float64, lo, hi int) {
+	t.Helper()
+	what := fmt.Sprintf("pair, rows [%d,%d)", lo, hi)
+	want, wantPanic := runRowSums64(rowSums64PairGo, 2, rowPtr, vals, cols, src2, lo, hi)
+	got, gotPanic := runRowSums64(rowSums64Pair, 2, rowPtr, vals, cols, src2, lo, hi)
+	if gotPanic != wantPanic {
+		t.Fatalf("%s: %s pass ended with %q, Go loop with %q", what, RowSumsImpl(), gotPanic, wantPanic)
+	}
+	sameSums(t, what, got, want, "Go pair loop")
+	for j := 0; j < 2; j++ {
+		src := make([]float64, len(src2)/2)
+		for c := range src {
+			src[c] = src2[2*c+j]
+		}
+		solo, soloPanic := runRowSums64(rowSums64Go, 1, rowPtr, vals, cols, src, lo, hi)
+		if (soloPanic != "") != (wantPanic != "") {
+			t.Fatalf("%s: column %d alone ended with %q, the pair with %q", what, j, soloPanic, wantPanic)
+		}
+		lane := make([]float64, len(solo))
+		for i := range lane {
+			lane[i] = want[2*i+j]
+		}
+		sameSums(t, fmt.Sprintf("%s, column %d", what, j), lane, solo, "solo Go loop")
+	}
+}
+
+// interleave returns the pair operand whose column 0 is src and whose
+// column 1 is src reversed, so the two lanes gather different values.
+func interleave(src []float64) []float64 {
+	src2 := make([]float64, 2*len(src))
+	for c, v := range src {
+		src2[2*c], src2[2*(len(src)-1-c)+1] = v, v
+	}
+	return src2
 }
 
 // hostile64 are the operand values a row sum treats specially: both
@@ -72,7 +119,22 @@ var hostile64 = []float64{
 // exactly, over three operand kinds: a probability chain's (positive,
 // below one), an affine system's (mixed signs across 600 binades) and
 // hostile values.
-func TestRowSums64Dispatch(t *testing.T) {
+func TestRowSums64Dispatch(t *testing.T) { testRowSums64Dispatch(t, checkRowSums64) }
+
+// TestRowSums64PairDispatch is TestRowSums64Dispatch for the pair pass,
+// over src and src reversed interleaved.
+func TestRowSums64PairDispatch(t *testing.T) { testRowSums64Dispatch(t, checkInterleaved) }
+
+// rowSums64Check is checkRowSums64 or checkInterleaved.
+type rowSums64Check func(t *testing.T, rowPtr []int64, vals []float64, cols []int32, src []float64, lo, hi int)
+
+// checkInterleaved runs checkRowSums64Pair over interleave(src).
+func checkInterleaved(t *testing.T, rowPtr []int64, vals []float64, cols []int32, src []float64, lo, hi int) {
+	t.Helper()
+	checkRowSums64Pair(t, rowPtr, vals, cols, interleave(src), lo, hi)
+}
+
+func testRowSums64Dispatch(t *testing.T, check rowSums64Check) {
 	const n = 14 * 30
 	rng := rand.New(rand.NewSource(9))
 	kinds := []struct {
@@ -105,10 +167,10 @@ func TestRowSums64Dispatch(t *testing.T) {
 				rowPtr = append(rowPtr, int64(len(cols)))
 			}
 			rowPtr = append(rowPtr, rowPtr[n]) // and an empty last row
-			checkRowSums64(t, rowPtr, vals, cols, src, 0, n+1)
+			check(t, rowPtr, vals, cols, src, 0, n+1)
 			// A partial range leaves the rows outside it alone.
-			checkRowSums64(t, rowPtr, vals, cols, src, 100, 200)
-			checkRowSums64(t, rowPtr, vals, cols, src, 77, 77)
+			check(t, rowPtr, vals, cols, src, 100, 200)
+			check(t, rowPtr, vals, cols, src, 77, 77)
 		})
 	}
 }
@@ -119,6 +181,24 @@ func TestRowSums64Dispatch(t *testing.T) {
 // decreasing RowPtr as an empty row — with the rows before the bad one
 // written and the rows from it on untouched.
 func TestRowSums64CorruptOperand(t *testing.T) {
+	testRowSums64CorruptOperand(t, checkRowSums64, rowSums64, 1)
+}
+
+// TestRowSums64PairCorruptOperand is TestRowSums64CorruptOperand for the
+// pair pass, plus a src of odd length, whose last element is no column's.
+func TestRowSums64PairCorruptOperand(t *testing.T) {
+	testRowSums64CorruptOperand(t, checkInterleaved, rowSums64Pair, 2)
+	rowPtr, vals, cols := []int64{0, 2, 3}, []float64{.5, .25, 1}, []int32{0, 1, 2}
+	for _, lenSrc := range []int{5, 6, 7} {
+		src2 := make([]float64, lenSrc)
+		for i := range src2 {
+			src2[i] = float64(i) + 0.5
+		}
+		checkRowSums64Pair(t, rowPtr, vals, cols, src2, 0, 2)
+	}
+}
+
+func testRowSums64CorruptOperand(t *testing.T, check rowSums64Check, pass rowSums64Pass, width int) {
 	good := func() *Matrix[float64] {
 		return &Matrix[float64]{
 			Rows: 4, ColsN: 5,
@@ -149,15 +229,19 @@ func TestRowSums64CorruptOperand(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := good()
 			tc.corrupt(m)
-			checkRowSums64(t, m.RowPtr, m.Vals, m.Cols, src, 0, m.Rows)
-			if _, panicked := runRowSums64(rowSums64, m.RowPtr, m.Vals, m.Cols, src, 0, m.Rows); (panicked != "") != tc.panics {
+			check(t, m.RowPtr, m.Vals, m.Cols, src, 0, m.Rows)
+			wide := src
+			if width == 2 {
+				wide = interleave(src)
+			}
+			if _, panicked := runRowSums64(pass, width, m.RowPtr, m.Vals, m.Cols, wide, 0, m.Rows); (panicked != "") != tc.panics {
 				t.Errorf("pass ended with %q, want a panic: %v", panicked, tc.panics)
 			}
 			// What the kernel is not handed it must not index: an empty src,
 			// a sums or RowPtr shorter than the range.
-			checkRowSums64(t, m.RowPtr, m.Vals, m.Cols, nil, 0, m.Rows)
-			checkRowSums64(t, m.RowPtr, m.Vals, m.Cols, src, 0, m.Rows+1)
-			checkRowSums64(t, m.RowPtr, m.Vals, m.Cols, src, -1, m.Rows)
+			check(t, m.RowPtr, m.Vals, m.Cols, nil, 0, m.Rows)
+			check(t, m.RowPtr, m.Vals, m.Cols, src, 0, m.Rows+1)
+			check(t, m.RowPtr, m.Vals, m.Cols, src, -1, m.Rows)
 		})
 	}
 }
@@ -206,7 +290,8 @@ func rowSums64FromBytes(data []byte) (rowPtr []int64, vals []float64, cols []int
 }
 
 // FuzzRowSums64 holds the dispatched pass to the Go loop on arbitrary
-// operands, valid and corrupt. The seed corpus spells out the cases of
+// operands, valid and corrupt, and the pair pass to the Go pair loop and
+// to the solo loop per column over the operand's src and src reversed. The seed corpus spells out the cases of
 // TestRowSums64Dispatch and TestRowSums64CorruptOperand: rows of 0
 // through 13 entries between empty rows, hostile values, columns and
 // RowPtr entries out of range.
@@ -233,5 +318,6 @@ func FuzzRowSums64(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rowPtr, vals, cols, src := rowSums64FromBytes(data)
 		checkRowSums64(t, rowPtr, vals, cols, src, 0, len(rowPtr)-1)
+		checkInterleaved(t, rowPtr, vals, cols, src, 0, len(rowPtr)-1)
 	})
 }

@@ -47,3 +47,20 @@ func TestRowSums64EndOfPage(t *testing.T) {
 		checkRowSums64(t, []int64{0, 3, int64(n)}, vals, cols, src, 0, 2)
 	}
 }
+
+// TestRowSums64PairEndOfPage is TestRowSums64EndOfPage for the pair pass:
+// the last entry reads the last pair of src, and nothing behind it.
+func TestRowSums64PairEndOfPage(t *testing.T) {
+	for rowLen := 0; rowLen <= 13; rowLen++ {
+		n := 3 + rowLen
+		vals, cols, src2 := guardedTail[float64](t, n), guardedTail[int32](t, n), guardedTail[float64](t, 2*n)
+		for p := range vals {
+			vals[p], cols[p] = 1/float64(p+2), int32((p*7+n-1)%n)
+		}
+		for i := range src2 {
+			src2[i] = float64(i) - 2.5
+		}
+		cols[n-1] = int32(n - 1)
+		checkRowSums64Pair(t, []int64{0, 3, int64(n)}, vals, cols, src2, 0, 2)
+	}
+}

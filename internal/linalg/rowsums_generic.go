@@ -15,3 +15,8 @@ func rowSums32(rowPtr []int64, vals []float32, cols []int32, src []float32, acc 
 func rowSums64(rowPtr []int64, vals []float64, cols []int32, src, sums []float64, lo, hi int) {
 	rowSums64Go(rowPtr, vals, cols, src, sums, lo, hi)
 }
+
+// rowSums64Pair on non-amd64 hosts is the portable pair pass.
+func rowSums64Pair(rowPtr []int64, vals []float64, cols []int32, src, sums []float64, lo, hi int) {
+	rowSums64PairGo(rowPtr, vals, cols, src, sums, lo, hi)
+}

@@ -143,6 +143,32 @@ func StationaryT[F linalg.Float](tt *linalg.Matrix[F], opt Options) (*Result, er
 	return &res, nil
 }
 
+// StationaryPairT is StationaryT for two walks over one Tᵀ that differ
+// only in teleport and start — PageRank and TrustRank over one Mᵀ —
+// solved in one sweep (linalg.PowerMethodTPair): each iteration streams tt
+// once for both. Result j is bitwise StationaryT(tt, opt[j])'s. done
+// receives each as its walk converges or reaches the iteration cap, so a
+// caller can stamp each with its own completion time. The two walks must
+// share Alpha, Tol and Workers, and run at float64.
+func StationaryPairT(tt *linalg.CSR, opt [2]Options, done func(j int, res *Result)) error {
+	a, b := opt[0], opt[1]
+	if a.alpha() != b.alpha() || a.tol() != b.tol() || a.Workers != b.Workers || a.Precision != linalg.Float64 || b.Precision != linalg.Float64 {
+		return errors.New("rank: paired walks must share alpha, tolerance and workers, at float64")
+	}
+	if tt.Rows == 0 {
+		return ErrEmptyGraph
+	}
+	var tele, x0 [2]linalg.Vector
+	for j, o := range opt {
+		if tele[j], x0[j] = o.Teleport, o.X0; tele[j] == nil {
+			tele[j] = linalg.NewUniformVector(tt.Rows)
+		}
+	}
+	return linalg.PowerMethodTPair(tt, a.alpha(), tele, x0, a.solver(), func(j int, x linalg.Vector, st linalg.IterStats) {
+		done(j, &Result{Scores: x, Stats: st})
+	})
+}
+
 // PageRankLinear solves the linear formulation π = αMᵀπ + (1-α)e by
 // Jacobi iteration (paper's Eq. 3 analogue / Gleich et al. linear-system
 // view) and L1-normalizes the result. It matches PageRank up to

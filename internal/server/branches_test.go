@@ -12,6 +12,7 @@ import (
 
 	"sourcerank/internal/gen"
 	"sourcerank/internal/pagegraph"
+	"sourcerank/internal/rank"
 	"sourcerank/internal/server"
 	"sourcerank/internal/source"
 	"sourcerank/internal/stream"
@@ -236,4 +237,96 @@ func TestBuildBranchFailure(t *testing.T) {
 	}
 	coldInfo.PageRankSkipped, coldInfo.TrustRankSkipped = true, true
 	sameBuild(t, "build after a failed one", cold, snap, coldInfo, info, coldB.Kappa(), b.Kappa())
+}
+
+// TestBuildBaselineSweep: when PageRank and TrustRank both re-solve they
+// run as one sweep, inline at one worker and beside SRSR at two, and each
+// is still bitwise its solo solve over the structure's Mᵀ. Each is stamped
+// when its own walk finished, so both completion-order shares are
+// positive, and the shares still fit in the build.
+func TestBuildBaselineSweep(t *testing.T) {
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.005, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := corpusOf(t, ds.Pages)
+	mt := rank.TransitionT(c.Structure)
+	tele, err := rank.TrustTeleport(mt.Rows, server.TrustedSeeds(c.Source, ds.SpamSources))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := map[server.Algo]rank.Options{server.AlgoPageRank: {}, server.AlgoTrustRank: {Teleport: tele}}
+	for _, w := range []int{1, 2} {
+		b := &server.Builder{Config: server.BuildConfig{Workers: w}}
+		t0 := time.Now()
+		snap, info, err := b.Build(c, ds.SpamSources)
+		wall := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("cold build, %d workers", w)
+		checkBranches(t, what, snap, info, w, wall)
+		if !info.BaselinesSwept {
+			t.Errorf("%s: the baselines did not run as one sweep: %+v", what, info)
+		}
+		for algo, opt := range solo {
+			want, err := rank.StationaryT(mt, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := snap.Set(algo)
+			if set.Stats() != want.Stats || !slices.EqualFunc(set.ScoresView(), want.Scores, func(x, y float64) bool {
+				return math.Float64bits(x) == math.Float64bits(y)
+			}) {
+				t.Errorf("%s: %s is not its solo solve (%+v, solo %+v)", what, algo, set.Stats(), want.Stats)
+			}
+			if set.SolveTime() <= 0 {
+				t.Errorf("%s: %s's share of the solve stage is %v", what, algo, set.SolveTime())
+			}
+		}
+	}
+}
+
+// TestBuildTrustSeedFailure: labels that leave no trusted seed fail
+// TrustRank's teleport, and an out-of-range label fails SRSR, but the
+// baselines branch still solves PageRank and keeps it. The next valid
+// build carries PageRank, solves TrustRank and SRSR from no history, and
+// publishes exactly what a cold build does.
+func TestBuildTrustSeedFailure(t *testing.T) {
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := corpusOf(t, ds.Pages)
+	var all []int32
+	for i := range c.Source.NumSources() + 1 {
+		all = append(all, int32(i))
+	}
+	for _, w := range []int{1, 2} {
+		b := &server.Builder{Config: server.BuildConfig{Workers: w}}
+		_, failed, err := b.Build(c, all)
+		if err == nil {
+			t.Fatal("a build with every source labeled spam succeeded")
+		}
+		if failed.BaselinesSwept || failed.PageRankSkipped || failed.BaselinesWall == 0 {
+			t.Errorf("%d workers: the failed build did not solve PageRank alone: %+v", w, failed)
+		}
+		if _, ok := b.LastBuild(); ok {
+			t.Error("a failed build was recorded as the last build")
+		}
+		snap, info, err := b.Build(c, ds.SpamSources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.PageRankSkipped || info.TrustRankSkipped || info.BaselinesSwept {
+			t.Errorf("%d workers: after the failed build PageRank was not carried alone: %+v", w, info)
+		}
+		coldB := &server.Builder{Config: server.BuildConfig{Workers: w}}
+		cold, coldInfo, err := coldB.Build(c, ds.SpamSources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldInfo.PageRankSkipped = true
+		sameBuild(t, fmt.Sprintf("%d workers, build after a failed one", w), cold, snap, coldInfo, info, coldB.Kappa(), b.Kappa())
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sourcerank/internal/core"
@@ -62,12 +63,15 @@ type BuildInfo struct {
 	PageRankSkipped  bool
 	TrustRankSkipped bool
 	// SRSRWall and BaselinesWall are the wall times of the build's two
-	// solve branches: SRSR's pipeline, and PageRank then TrustRank
+	// solve branches: SRSR's pipeline, and PageRank and TrustRank
 	// (carried ones included). Concurrent reports that the branches ran at
 	// once, each on half the workers; otherwise they ran one after the
 	// other on all of them, and the build's solve stage is their sum.
 	SRSRWall, BaselinesWall time.Duration
 	Concurrent              bool
+	// BaselinesSwept reports that PageRank and TrustRank both re-solved,
+	// as one sweep over their shared Mᵀ.
+	BaselinesSwept bool
 }
 
 // baseline is one uniform-weight solve the builder retains: the vector,
@@ -98,6 +102,7 @@ type Builder struct {
 	mt     *linalg.CSR
 	mtVer  uint64
 	pr, tr baseline
+	last   atomic.Pointer[BuildInfo] // the last successful build's account
 }
 
 // BuildSnapshot runs the offline stage: derive the source graph once,
@@ -167,7 +172,7 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 	}
 	info := BuildInfo{RefreshInfo: srsr.info.RefreshInfo,
 		PageRankSkipped: base.info.PageRankSkipped, TrustRankSkipped: base.info.TrustRankSkipped,
-		SRSRWall: srsr.wall, BaselinesWall: base.wall, Concurrent: concurrent}
+		SRSRWall: srsr.wall, BaselinesWall: base.wall, Concurrent: concurrent, BaselinesSwept: base.info.BaselinesSwept}
 	if srsr.err != nil {
 		return nil, info, srsr.err
 	}
@@ -194,7 +199,19 @@ func (b *Builder) Build(c Corpus, spam []int32) (*Snapshot, BuildInfo, error) {
 		SpamLabeled: len(spam),
 	}
 	snap, err := NewSnapshot(corpus, sg.Labels, sg.PageCount, topK, sets, time.Now())
+	if err == nil {
+		b.last.Store(&info)
+	}
 	return snap, info, err
+}
+
+// LastBuild returns the account of the builder's last successful build,
+// and false before there is one. It does not wait for a build in flight.
+func (b *Builder) LastBuild() (BuildInfo, bool) {
+	if p := b.last.Load(); p != nil {
+		return *p, true
+	}
+	return BuildInfo{}, false
 }
 
 // solved is one score set a solve branch produced, stamped with when it
@@ -238,13 +255,24 @@ func (b *Builder) solveSRSR(c Corpus, spam []int32, topK, workers int) (out bran
 	return out
 }
 
-// solveBaselines is the baselines branch: PageRank, then TrustRank
+// solveBaselines is the baselines branch: PageRank, and TrustRank
 // teleporting to trSeeds, each carried when current and re-solved on
-// workers workers otherwise. It stops at the first failure, so a baseline
-// it did not reach keeps its previous vector.
+// workers workers otherwise — warm, over the Mᵀ both walk. When both
+// re-solve they run as one sweep (rank.StationaryPairT), each bitwise its
+// solo solve and stamped when its own walk finishes. A TrustRank teleport
+// that cannot be formed fails the branch but leaves PageRank solved; a
+// baseline the branch does not solve keeps its previous vector.
 func (b *Builder) solveBaselines(c Corpus, trSeeds []int32, workers int) (out branch) {
 	start := time.Now()
 	defer func() { out.wall = time.Since(start) }()
+	type walk struct {
+		algo  Algo
+		bl    *baseline
+		seeds []int32
+		warm  bool
+		opt   rank.Options
+	}
+	var walks []walk
 	for _, algo := range []Algo{AlgoPageRank, AlgoTrustRank} {
 		// The baselines walk the same uniform source transition and
 		// differ only in teleport: PageRank's is uniform (no seeds).
@@ -252,20 +280,46 @@ func (b *Builder) solveBaselines(c Corpus, trSeeds []int32, workers int) (out br
 		if algo == AlgoTrustRank {
 			bl, skipped, seeds = &b.tr, &out.info.TrustRankSkipped, trSeeds
 		}
-		warm := bl.scores != nil
 		if bl.current(c, seeds) {
-			*skipped = true
-		} else if err := b.solveBaseline(c, bl, seeds, workers); err != nil {
-			out.err = fmt.Errorf("server: %s: %w", algo, err)
-			return out
-		}
-		stats := bl.stats
-		if *skipped {
 			// Carried: like a skipped SRSR solve, it reports the residual
 			// last measured and the zero iterations this build ran.
+			*skipped = true
+			stats := bl.stats
 			stats.Iterations = 0
+			out.sets = append(out.sets, solved{algo, bl.scores, stats, true, time.Now()})
+			continue
 		}
-		out.sets = append(out.sets, solved{algo, bl.scores, stats, warm, time.Now()})
+		if b.mt == nil || b.mtVer != c.Version {
+			b.mt, b.mtVer = rank.TransitionT(c.Structure), c.Version
+		}
+		opt := rank.Options{Alpha: b.Config.Alpha, Workers: workers, X0: bl.scores.Padded(b.mt.Rows)}
+		if seeds != nil {
+			var err error
+			if opt.Teleport, err = rank.TrustTeleport(b.mt.Rows, seeds); err != nil {
+				out.err = fmt.Errorf("server: %s: %w", algo, err)
+				continue
+			}
+		}
+		walks = append(walks, walk{algo, bl, seeds, bl.scores != nil, opt})
+	}
+	finish := func(j int, res *rank.Result) {
+		w := walks[j]
+		w.bl.scores, w.bl.stats, w.bl.ver, w.bl.seeds = res.Scores, res.Stats, c.Version, w.seeds
+		out.sets = append(out.sets, solved{w.algo, res.Scores, res.Stats, w.warm, time.Now()})
+	}
+	var err error
+	switch len(walks) {
+	case 1:
+		var res *rank.Result
+		if res, err = rank.StationaryT(b.mt, walks[0].opt); err == nil {
+			finish(0, res)
+		}
+	case 2:
+		out.info.BaselinesSwept = true
+		err = rank.StationaryPairT(b.mt, [2]rank.Options{walks[0].opt, walks[1].opt}, finish)
+	}
+	if err != nil && out.err == nil {
+		out.err = fmt.Errorf("server: baselines: %w", err)
 	}
 	return out
 }
@@ -275,29 +329,6 @@ func (b *Builder) solveBaselines(c Corpus, trSeeds []int32, workers int) (out br
 func (bl *baseline) current(c Corpus, seeds []int32) bool {
 	return bl.scores != nil && bl.ver == c.Version && len(bl.scores) == c.Source.NumSources() &&
 		slices.Equal(seeds, bl.seeds)
-}
-
-// solveBaseline re-solves one uniform-weight baseline from its retained
-// vector on workers workers, teleporting to seeds (uniformly when there
-// are none) over the Mᵀ both baselines share.
-func (b *Builder) solveBaseline(c Corpus, bl *baseline, seeds []int32, workers int) error {
-	if b.mt == nil || b.mtVer != c.Version {
-		b.mt, b.mtVer = rank.TransitionT(c.Structure), c.Version
-	}
-	mt, cfg := b.mt, b.Config
-	opt := rank.Options{Alpha: cfg.Alpha, Workers: workers, X0: bl.scores.Padded(mt.Rows)}
-	if seeds != nil {
-		var err error
-		if opt.Teleport, err = rank.TrustTeleport(mt.Rows, seeds); err != nil {
-			return err
-		}
-	}
-	res, err := rank.StationaryT(mt, opt)
-	if err != nil {
-		return err
-	}
-	bl.scores, bl.stats, bl.ver, bl.seeds = res.Scores, res.Stats, c.Version, seeds
-	return nil
 }
 
 // TrustedSeeds picks the 10 non-spam sources with the most pages, ties to

@@ -456,6 +456,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteSolverText(w, snap)
 	s.metrics.WritePublishText(w, s.store)
 	s.metrics.WriteRefreshText(w, s.cfg.Refresher)
+	s.metrics.WriteBuildText(w, s.cfg.Builder)
 	s.metrics.WriteCorpusLoadText(w, s.cfg.CorpusLoad)
 	if s.cfg.Replica != nil {
 		s.cfg.Replica.WriteMetricsText(w)

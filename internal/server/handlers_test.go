@@ -2,11 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"sourcerank/internal/gen"
 	"sourcerank/internal/pagegraph"
 )
 
@@ -198,5 +200,55 @@ func TestMetricsCorpusLoad(t *testing.T) {
 	}
 	if text := metrics(Config{}); strings.Contains(text, "srserve_corpus_") {
 		t.Errorf("corpus series without a corpus file:\n%s", text)
+	}
+}
+
+// TestMetricsBuildBranches: a server handed its builder says on /metrics
+// how long each solve branch of the last build ran and whether the two ran
+// at once, so an operator reads which branch was the build's critical
+// path. Before the first build, and
+// on a server without a builder, there is no such series.
+func TestMetricsBuildBranches(t *testing.T) {
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCorpus(t, ds.Pages, 0)
+	b := &Builder{Config: BuildConfig{Workers: 2}}
+	metrics := func(snap *Snapshot, cfg Config) string {
+		rec := httptest.NewRecorder()
+		New(NewStore(snap), cfg).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return rec.Body.String()
+	}
+	if text := metrics(testSnapshot(t, AlgoSRSR, []float64{0.6, 0.4}), Config{Builder: b}); strings.Contains(text, "srserve_build_") {
+		t.Errorf("build series before the first build:\n%s", text)
+	}
+	for _, want := range []struct {
+		what       string
+		concurrent int
+	}{
+		// The cold build solves everything: SRSR beside the baselines.
+		{"cold build", 1},
+		// Nothing changed: SRSR probes its residual and both baselines
+		// are carried, so the branches run in turn.
+		{"unchanged build", 0},
+	} {
+		snap, info, err := b.Build(c, ds.SpamSources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := metrics(snap, Config{Builder: b})
+		for _, line := range []string{
+			fmt.Sprintf("srserve_build_branch_seconds{branch=\"srsr\"} %.6f\n", info.SRSRWall.Seconds()),
+			fmt.Sprintf("srserve_build_branch_seconds{branch=\"baselines\"} %.6f\n", info.BaselinesWall.Seconds()),
+			fmt.Sprintf("srserve_build_branches_concurrent %d\n", want.concurrent),
+		} {
+			if !strings.Contains(text, line) {
+				t.Errorf("%s: metrics output missing %q:\n%s", want.what, line, text)
+			}
+		}
+		if text := metrics(snap, Config{}); strings.Contains(text, "srserve_build_") {
+			t.Errorf("%s: build series on a server without a builder:\n%s", want.what, text)
+		}
 	}
 }

@@ -283,12 +283,6 @@ func (m *Metrics) WriteSolverText(w io.Writer, snap *Snapshot) {
 			fmt.Fprintf(w, "srserve_solver_%s{algo=%q} "+format+"\n", name, a, value(snap.Set(a)))
 		}
 	}
-	flag := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	gauge("iterations", "Solver iterations for the served snapshot, by algorithm.", "%d",
 		func(ss *ScoreSet) any { return ss.Stats().Iterations })
 	gauge("residual", "Solver residual at convergence, by algorithm.", "%g",
@@ -296,10 +290,39 @@ func (m *Metrics) WriteSolverText(w io.Writer, snap *Snapshot) {
 	gauge("seconds", "Each algorithm's share of the served snapshot's solve wall time, charged in completion order (first set from the stage start, each later set from the previous completion), so the shares sum to the stage even when solves overlap.", "%.6f",
 		func(ss *ScoreSet) any { return ss.SolveTime().Seconds() })
 	gauge("warm_start", "Whether the solve started from the builder's retained state (1) or cold (0).", "%d",
-		func(ss *ScoreSet) any { return flag(ss.WarmStarted()) })
+		func(ss *ScoreSet) any { return boolGauge(ss.WarmStarted()) })
 	fmt.Fprintf(w, "# HELP srserve_solver_rowsums Which row-sum pass this host's solves run at either precision: avx2, or the portable go loops (same bits, a quarter to a third longer per iteration).\n")
 	fmt.Fprintf(w, "# TYPE srserve_solver_rowsums gauge\n")
 	fmt.Fprintf(w, "srserve_solver_rowsums{impl=%q} 1\n", linalg.RowSumsImpl())
+}
+
+// boolGauge renders a boolean gauge.
+func boolGauge(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// WriteBuildText renders the solve branches of the builder's last
+// successful build: each branch's wall time and whether the two ran at
+// once, so the build's critical path — the longer branch — is read off
+// /metrics. A nil builder, or one that has not built yet, writes nothing.
+func (m *Metrics) WriteBuildText(w io.Writer, b *Builder) {
+	if b == nil {
+		return
+	}
+	info, ok := b.LastBuild()
+	if !ok {
+		return
+	}
+	fmt.Fprintf(w, "# HELP srserve_build_branch_seconds Wall time of each solve branch of the last build: srsr (proximity, κ, throttled solve) and baselines (PageRank and TrustRank).\n")
+	fmt.Fprintf(w, "# TYPE srserve_build_branch_seconds gauge\n")
+	fmt.Fprintf(w, "srserve_build_branch_seconds{branch=\"srsr\"} %.6f\n", info.SRSRWall.Seconds())
+	fmt.Fprintf(w, "srserve_build_branch_seconds{branch=\"baselines\"} %.6f\n", info.BaselinesWall.Seconds())
+	fmt.Fprintf(w, "# HELP srserve_build_branches_concurrent Whether the last build ran its two solve branches at once, each on half the workers (1), or in turn (0).\n")
+	fmt.Fprintf(w, "# TYPE srserve_build_branches_concurrent gauge\n")
+	fmt.Fprintf(w, "srserve_build_branches_concurrent %d\n", boolGauge(info.Concurrent))
 }
 
 // WritePublishText renders what the store's publishes did with their

@@ -48,6 +48,10 @@ type Config struct {
 	// Refresher, if set, adds the refresher's health gauges (consecutive
 	// build failures, last build time) to /metrics.
 	Refresher *Refresher
+	// Builder, if set, adds its last build's solve branches
+	// (srserve_build_branch_seconds{branch} and whether they ran at once)
+	// to /metrics.
+	Builder *Builder
 	// CorpusLoad, if set, adds what reading the corpus file at boot cost
 	// (srserve_corpus_load_seconds, srserve_corpus_bytes) to /metrics.
 	CorpusLoad *pagegraph.LoadStats
