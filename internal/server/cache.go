@@ -4,19 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net/http"
 	"strconv"
 )
 
 // maxTopK caps the n accepted by /v1/topk; larger requests are clamped
 // and flagged with an X-TopK-Clamped header.
 const maxTopK = 10000
-
-// maxRankCacheSources bounds the per-source /v1/rank pre-render. A
-// fragment costs ~100 bytes per source per algorithm, so this cap keeps
-// the cache to a few tens of MB on the largest corpora; sources beyond
-// it (or snapshots above it entirely) are served by the encoder
-// fallback, which produces byte-identical output.
-const maxRankCacheSources = 1 << 17
 
 // Pre-assigned header values: assigning an existing []string into the
 // header map does not allocate, unlike Header.Set which builds a fresh
@@ -31,24 +25,25 @@ type respCache struct {
 	etag    string   // strong ETag keyed on the snapshot version, e.g. `"v42"`
 	etagHdr []string // ready-to-assign header value holding etag
 	topk    map[Algo]*topkCache
-	rank    map[Algo]*rankCache
+	rank    map[Algo]*rankDoc
 	meta    []byte // full /v1/snapshot body
 	// labels holds the per-source escaped label bytes the renderers
 	// append, retained so the next publish in the lineage can reuse them
 	// (see labelCacheFor).
 	labels *labelCache
 	digits *textArena // 0..NumSources, every n a top-k cache serves
+	// scores holds each algorithm's score texts in rank order; an
+	// algorithm's arena is carried over whenever its vector is.
+	scores map[Algo]*textArena
 }
 
 // Fixed byte fragments of the /v1/topk document surrounding the
 // variable parts (the effective n and the entry prefix).
 var (
-	topkNMarker  = []byte("\n  \"n\": ")
 	topkMid      = []byte(",\n  \"results\": [")
 	topkTail     = []byte("\n  ]\n}\n")
 	topkZeroTail = []byte(",\n  \"results\": []\n}\n")
 	entryClose   = []byte("\n    }")
-	rankMarker   = []byte(`"source": `)
 )
 
 // topkCache holds one algorithm's fully-encoded top-K payload. The
@@ -76,19 +71,54 @@ func (c *topkCache) writeTo(w io.Writer, n int, digits *textArena) {
 	w.Write(topkTail)
 }
 
-// rankCache holds one algorithm's per-source /v1/rank fragments in a
-// single backing slice (one big allocation, not one per source).
-type rankCache struct {
-	head  []byte // document start through the shared `"algo"` line
-	frags []byte
-	offs  []int32 // len = numSources+1
+// rankDoc is what /v1/rank assembles one algorithm's bodies from on
+// request: the version-bearing head, that algorithm's score texts and
+// rank index; the escaped labels, decimals and page counts are the
+// snapshot's. Only the head is rendered per publish.
+type rankDoc struct {
+	head   []byte // document start through `"source": ` (version and algo baked in)
+	scores *textArena
+	rank   []int32 // ScoreSet.rank
 }
 
-func (c *rankCache) numSources() int { return len(c.offs) - 1 }
+// finite reports whether source id's score has text, that is whether the
+// encoder would render it rather than refuse it.
+func (d *rankDoc) finite(id int32) bool { return len(d.scores.at(int(d.rank[id]))) > 0 }
 
-func (c *rankCache) writeTo(w io.Writer, id int32) {
-	w.Write(c.head)
-	w.Write(c.frags[c.offs[id]:c.offs[id+1]])
+// appendRank appends the rest of source id's /v1/rank document — all
+// that follows the head — to b.
+func (c *respCache) appendRank(b []byte, d *rankDoc, id int32, pages []int) []byte {
+	dig, n, p := c.digits, len(d.rank), int(d.rank[id])
+	b = append(b, dig.at(int(id))...)
+	b = append(b, rankLabel...)
+	b = append(b, c.labels.esc[id]...)
+	b = append(b, rankScore...)
+	b = append(b, d.scores.at(p)...)
+	b = append(b, rankRank...)
+	b = append(b, dig.at(p+1)...)
+	b = append(b, rankSources...)
+	b = append(b, dig.at(n)...)
+	if int(id) < len(pages) && pages[id] != 0 {
+		b = append(b, rankPages...)
+		if pc := pages[id]; pc > 0 && pc <= n {
+			b = append(b, dig.at(pc)...)
+		} else { // a page count above the source count
+			b = strconv.AppendInt(b, int64(pc), 10)
+		}
+	}
+	return append(b, rankClose...)
+}
+
+// writeRank writes source id's whole /v1/rank document in one call,
+// assembled in the scratch buffer of w when w is the instrumented
+// route's pooled recorder, so the request allocates nothing.
+func (c *respCache) writeRank(w http.ResponseWriter, d *rankDoc, id int32, pages []int) {
+	rec, ok := w.(*statusRecorder)
+	if !ok {
+		rec = &statusRecorder{} // a throwaway buffer for an uninstrumented caller
+	}
+	rec.buf = c.appendRank(append(rec.buf[:0], d.head...), d, id, pages)
+	w.Write(rec.buf)
 }
 
 // encodeIndented renders v exactly as writeJSON does (two-space indent,
@@ -108,10 +138,11 @@ func encodeIndented(buf *bytes.Buffer, v any) ([]byte, error) {
 type publishOutcome int
 
 const (
-	// setReused: scores, labels and page counts were the outgoing
-	// snapshot's arrays, so index and fragments were carried over.
+	// setReused: scores and labels were the outgoing snapshot's arrays,
+	// so index, score texts and top-k entries were carried over.
 	setReused publishOutcome = iota
-	// setRendered: the set was indexed and rendered by this publish.
+	// setRendered: the set's top-k entries were rendered by this publish
+	// (and its index and score texts too, unless its vector was carried).
 	setRendered
 	// setUncached: a renderer dropped its cache, so the handlers encode
 	// this set per request.
@@ -135,36 +166,38 @@ func SameArray[T any](a, b []T) bool {
 // a fully built cache. publishes is the store's publish counter as of
 // this publish (what Store.Publishes reports while this snapshot is
 // current, so the cached /v1/snapshot body equals the fallback's); prev
-// is the outgoing snapshot, nil on the first publish; scores is the
-// store's scratch arena. It returns how many score sets met each outcome.
+// is the outgoing snapshot, nil on the first publish. It returns how many
+// score sets met each outcome.
 //
 // One rule, decided here and nowhere else: an input that is prev's very
 // array carries everything derived from it. Shared labels carry the
 // label map and the escaped-label bytes; a shared score vector carries
-// its rank index; and when labels (for /v1/rank, page counts too) are
-// shared as well, it carries the rendered entries and fragments, leaving
-// only the version-bearing heads to encode. So a publish costs the heads
-// plus one index-and-render per algorithm whose vector changed — the
-// first publish of a lineage included, where that is every algorithm.
+// its rank index and score texts; and when labels are shared as well, it
+// carries the rendered top-k entries, leaving only the version-bearing
+// heads to encode. /v1/rank bodies are assembled per request from those
+// parts, so nothing of them is rendered here but the head. A publish
+// thus costs the heads plus one index-format-render per algorithm whose
+// vector changed — the first publish of a lineage included, where that
+// is every algorithm.
 //
 // Everything else is rendered by cache_delta.go, defensively: heads come
 // from the encoder, one entry per document kind is probed against an
 // encoder rendering, and on any mismatch that piece of the cache is
 // dropped so handlers fall back to per-request encoding. The golden
 // tests assert cached bytes equal the fallback on every kind of publish.
-func (s *Snapshot) finalize(prev *Snapshot, publishes uint64, scores *textArena) (outcomes [numPublishOutcomes]int) {
+func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPublishOutcomes]int) {
 	c := &respCache{
-		etag: `"v` + strconv.FormatUint(s.version, 10) + `"`,
-		topk: make(map[Algo]*topkCache, len(s.sets)),
-		rank: make(map[Algo]*rankCache, len(s.sets)),
+		etag:   `"v` + strconv.FormatUint(s.version, 10) + `"`,
+		topk:   make(map[Algo]*topkCache, len(s.sets)),
+		rank:   make(map[Algo]*rankDoc, len(s.sets)),
+		scores: make(map[Algo]*textArena, len(s.sets)),
 	}
 	c.etagHdr = []string{c.etag}
 	var buf bytes.Buffer
 	old := &respCache{} // prev's cache; empty when there is nothing to carry
-	var sameLabels, samePages bool
+	sameLabels := false
 	if prev != nil {
 		sameLabels = SameArray(s.labels, prev.labels)
-		samePages = SameArray(s.pageCount, prev.pageCount)
 		if prev.resp != nil {
 			old = prev.resp
 		}
@@ -180,59 +213,66 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64, scores *textArena)
 	}
 	for _, algo := range s.Algos() {
 		ss := s.sets[algo]
-		sameScores := false
+		var sc *textArena
+		var fromTopK *topkCache
 		if prev != nil {
 			if pss := prev.sets[algo]; pss != nil && SameArray(ss.scores, pss.scores) {
-				sameScores = true
 				ss.shareIndex(pss)
+				if sc = old.scores[algo]; sameLabels {
+					fromTopK = old.topk[algo]
+				}
 			}
 		}
-		order, _ := ss.index()
-		var fromTopK *topkCache
-		var fromRank *rankCache
-		if sameScores && sameLabels {
-			fromTopK = old.topk[algo]
-			if samePages {
-				fromRank = old.rank[algo]
+		order, rank := ss.index()
+		if sc == nil {
+			if sc = formatScores(ss.scores, order); sc == nil {
+				outcomes[setUncached]++ // past what int32 offsets address
+				continue
 			}
 		}
-		wantRank := n > 0 && n <= maxRankCacheSources
-		switch {
-		case wantRank && fromRank == nil:
-			scores.formatScores(ss.scores, order, n)
-		case fromTopK == nil:
-			scores.formatScores(ss.scores, order, min(n, maxTopK))
-		}
-		tc := s.renderTopK(&buf, algo, c.labels, c.digits, scores, fromTopK)
+		c.scores[algo] = sc
+		tc := s.renderTopK(&buf, algo, c.labels, c.digits, sc, fromTopK)
 		if tc != nil {
 			c.topk[algo] = tc
 		}
-		var rc *rankCache
-		if wantRank {
-			if rc = s.renderRank(&buf, algo, c.labels, c.digits, scores, fromRank); rc != nil {
-				c.rank[algo] = rc
+		var rd *rankDoc
+		if n > 0 {
+			if rd = s.rankHead(&buf, algo, c, &rankDoc{scores: sc, rank: rank}); rd != nil {
+				c.rank[algo] = rd
 			}
 		}
 		switch {
-		case tc == nil || (wantRank && rc == nil):
+		case tc == nil || (n > 0 && rd == nil):
 			outcomes[setUncached]++
-		case fromTopK != nil && (fromRank != nil || !wantRank):
+		case fromTopK != nil:
 			outcomes[setReused]++
 		default:
 			outcomes[setRendered]++
 		}
 	}
-	if meta, err := encodeIndented(&buf, snapshotResponse{
-		Version:   s.version,
-		Parent:    s.parent,
-		BuiltAt:   s.builtAt,
-		Corpus:    s.corpus,
-		Algos:     s.Algos(),
-		KappaTopK: s.kappaTopK,
-		Publishes: publishes,
-	}); err == nil {
+	if meta, err := encodeIndented(&buf, s.snapshotDocument(publishes)); err == nil {
 		c.meta = append([]byte(nil), meta...)
 	}
 	s.resp = c
 	return outcomes
+}
+
+// textBytes counts the pre-rendered text c retains, offset tables
+// included: top-k heads and entries, /v1/rank heads, score texts,
+// escaped labels, decimals and the /v1/snapshot body.
+func (c *respCache) textBytes() int {
+	size := len(c.meta) + c.digits.bytes()
+	for _, e := range c.labels.esc {
+		size += len(e)
+	}
+	for _, tc := range c.topk {
+		size += len(tc.head) + len(tc.entries) + 8*len(tc.ends)
+	}
+	for _, rd := range c.rank {
+		size += len(rd.head)
+	}
+	for _, sc := range c.scores {
+		size += sc.bytes()
+	}
+	return size
 }

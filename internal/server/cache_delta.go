@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"slices"
 	"strconv"
 
 	"sourcerank/internal/linalg"
@@ -16,9 +15,11 @@ import (
 // not carried is copied together here from text formatted once per
 // publish — escaped labels, the decimals 0..n, and each rendered
 // algorithm's scores (appendJSONFloat replicates the encoder's floats).
+// /v1/rank bodies are assembled from the same text per request
+// (respCache.appendRank), so only their head is rendered here.
 //
 // The renderers stay defensive: the version-bearing head always comes
-// from the encoder, one full entry is probed against an encoder
+// from the encoder, one full document is probed against an encoder
 // rendering, and any mismatch drops that cache so the handlers encode
 // per request — the encoder's output is the contract.
 
@@ -30,9 +31,12 @@ type textArena struct {
 
 func (a *textArena) at(i int) []byte { return a.b[a.offs[i]:a.offs[i+1]] }
 
+// bytes is the length of a's text plus its offset table.
+func (a *textArena) bytes() int { return len(a.b) + 4*len(a.offs) }
+
 // decimals returns the arena of the decimal texts of 0..n.
 func decimals(n int) *textArena {
-	a := &textArena{b: make([]byte, 0, (n+1)*decLen(n)), offs: make([]int32, 1, n+2)}
+	a := &textArena{b: make([]byte, 0, (n+1)*len(strconv.Itoa(n))), offs: make([]int32, 1, n+2)}
 	for v := 0; v <= n; v++ {
 		a.b = strconv.AppendInt(a.b, int64(v), 10)
 		a.offs = append(a.offs, int32(len(a.b)))
@@ -44,17 +48,22 @@ func decimals(n int) *textArena {
 // leading zeros and 17 significant digits at 1e-6, the longest case.
 const maxJSONFloatLen = 25
 
-// formatScores refills a with the JSON text of the first m scores in rank
-// order, reusing a's buffers. A non-finite score, which the encoder
-// refuses, gets empty text; the renderers drop their cache on it.
-func (a *textArena) formatScores(scores linalg.Vector, order []int32, m int) {
-	a.b, a.offs = slices.Grow(a.b[:0], m*maxJSONFloatLen), append(slices.Grow(a.offs[:0], m+1), 0)
-	for _, id := range order[:m] {
+// formatScores returns the arena of the JSON texts of scores in rank
+// order, or nil when they might not fit int32 offsets. A non-finite
+// score, which the encoder refuses, gets empty text: the top-k renderer
+// drops its cache on it, and /v1/rank encodes that source per request.
+func formatScores(scores linalg.Vector, order []int32) *textArena {
+	if len(order) > math.MaxInt32/maxJSONFloatLen {
+		return nil
+	}
+	a := &textArena{b: make([]byte, 0, len(order)*maxJSONFloatLen), offs: make([]int32, 1, len(order)+1)}
+	for _, id := range order {
 		if s := scores[id]; !math.IsNaN(s) && !math.IsInf(s, 0) {
 			a.b = appendJSONFloat(a.b, s)
 		}
 		a.offs = append(a.offs, int32(len(a.b)))
 	}
+	return a
 }
 
 // labelCache holds the JSON-escaped (quoted) encoding of every source
@@ -112,15 +121,6 @@ func plainLabel(l string) bool {
 	return true
 }
 
-// decLen is the length of v >= 0 in decimal.
-func decLen(v int) int {
-	n := 1
-	for ; v >= 10; v /= 10 {
-		n++
-	}
-	return n
-}
-
 // appendJSONFloat appends f exactly as encoding/json renders a float64:
 // shortest representation, 'f' format unless the magnitude calls for
 // scientific notation, with the exponent's leading zero stripped.
@@ -143,22 +143,7 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// topkHead renders the version/algo head of a top-K document through
-// the encoder (so its formatting is exact by construction) and returns
-// it, or nil on any shape surprise.
-func (s *Snapshot) topkHead(buf *bytes.Buffer, algo Algo) []byte {
-	doc, err := encodeIndented(buf, topKResponse{Version: s.version, Algo: algo, N: 0, Results: []Entry{}})
-	if err != nil {
-		return nil
-	}
-	i := bytes.Index(doc, topkNMarker)
-	if i < 0 {
-		return nil
-	}
-	return append([]byte(nil), doc[:i+len(topkNMarker)]...)
-}
-
-// The fixed text of one /v1/topk entry and one /v1/rank fragment, as the
+// The fixed text of one /v1/topk entry and one /v1/rank body, as the
 // encoder indents them.
 const (
 	topkEntrySource = "\n    {\n      \"source\": "
@@ -166,36 +151,28 @@ const (
 	topkEntryScore  = ",\n      \"score\": "
 	topkEntryRank   = ",\n      \"rank\": "
 
-	rankFragLabel   = ",\n  \"label\": "
-	rankFragScore   = ",\n  \"score\": "
-	rankFragRank    = ",\n  \"rank\": "
-	rankFragSources = ",\n  \"sources\": "
-	rankFragPages   = ",\n  \"pages\": "
-	rankFragClose   = "\n}\n"
+	rankLabel   = ",\n  \"label\": "
+	rankScore   = ",\n  \"score\": "
+	rankRank    = ",\n  \"rank\": "
+	rankSources = ",\n  \"sources\": "
+	rankPages   = ",\n  \"pages\": "
+	rankClose   = "\n}\n"
 )
 
-// renderTopK builds algo's top-K cache. The head, which carries the
-// version, is always encoded afresh; from, when finalize established
+// renderTopK builds algo's top-K cache. from, when finalize established
 // that the outgoing snapshot's entries still hold, supplies the entry
-// slab as is. Otherwise the slab is copied together from the escaped
+// slab as is; otherwise the slab is copied together from the escaped
 // labels, the decimals dig and the rank-ordered score texts sc into a
-// buffer sized exactly, and entry 0 is probed against a full encoder
-// rendering, so a formatting divergence drops the cache instead of
-// serving wrong bytes.
+// buffer sized exactly. Either way the head, which carries the version,
+// comes from topkHead's probe, so a formatting divergence drops the
+// cache instead of serving wrong bytes.
 func (s *Snapshot) renderTopK(buf *bytes.Buffer, algo Algo, lc *labelCache, dig, sc *textArena, from *topkCache) *topkCache {
-	head := s.topkHead(buf, algo)
-	if head == nil {
-		return nil
-	}
 	if from != nil {
-		return &topkCache{head: head, entries: from.entries, ends: from.ends}
+		return s.topkHead(buf, algo, dig, &topkCache{entries: from.entries, ends: from.ends})
 	}
 	order, _ := s.sets[algo].index()
 	maxN := min(len(order), maxTopK)
-	if maxN == 0 {
-		return &topkCache{head: head}
-	}
-	size := maxN*(1+len(topkEntrySource)+len(topkEntryLabel)+len(topkEntryScore)+len(topkEntryRank)+len(entryClose)) - 1
+	size := max(maxN*(1+len(topkEntrySource)+len(topkEntryLabel)+len(topkEntryScore)+len(topkEntryRank)+len(entryClose))-1, 0)
 	for pos, id := range order[:maxN] {
 		if len(sc.at(pos)) == 0 {
 			return nil // non-finite
@@ -219,113 +196,52 @@ func (s *Snapshot) renderTopK(buf *bytes.Buffer, algo Algo, lc *labelCache, dig,
 		entries = append(entries, entryClose...)
 		ends[pos] = len(entries)
 	}
-	if !s.probeTopKEntry(buf, algo, entries[:ends[0]]) {
+	return s.topkHead(buf, algo, dig, &topkCache{entries: entries, ends: ends})
+}
+
+// topkHead completes tc with its head: it renders algo's top-1 document
+// (top-0 on a snapshot without sources) through the encoder, requires
+// it to end with what tc writes after the head, and takes what precedes
+// that — version, algo and the `"n"` key — as the head of every n. nil
+// when the probe fails.
+func (s *Snapshot) topkHead(buf *bytes.Buffer, algo Algo, dig *textArena, tc *topkCache) *topkCache {
+	m := min(1, tc.max())
+	results, err := s.TopK(algo, m)
+	if err != nil {
 		return nil
 	}
-	return &topkCache{head: head, entries: entries, ends: ends}
+	doc, err := encodeIndented(buf, topKResponse{Version: s.version, Algo: algo, N: m, Results: results})
+	if err != nil {
+		return nil
+	}
+	var rest bytes.Buffer
+	tc.writeTo(&rest, m, dig) // tc.head is still nil
+	if !bytes.HasSuffix(doc, rest.Bytes()) {
+		return nil
+	}
+	tc.head = append([]byte(nil), doc[:len(doc)-rest.Len()]...)
+	return tc
 }
 
-// probeTopKEntry checks the hand-rendered first entry against the
-// encoder's rendering of the same entry.
-func (s *Snapshot) probeTopKEntry(buf *bytes.Buffer, algo Algo, want []byte) bool {
-	results, err := s.TopK(algo, 1)
-	if err != nil || len(results) != 1 {
-		return false
-	}
-	doc, err := encodeIndented(buf, topKResponse{Version: s.version, Algo: algo, N: 1, Results: results})
+// rankHead completes d, algo's parts of the /v1/rank documents, with
+// their head: it assembles the rest of source 0's document from the
+// parts, requires it to end the encoder's rendering of that document,
+// and takes what precedes it — version, algo and the `"source": ` key —
+// as every source's head. nil when the probe fails or the encoder
+// refuses source 0's score.
+func (s *Snapshot) rankHead(buf *bytes.Buffer, algo Algo, c *respCache, d *rankDoc) *rankDoc {
+	resp, err := s.rankDocument(algo, 0)
 	if err != nil {
-		return false
-	}
-	i := bytes.Index(doc, topkMid)
-	if i < 0 {
-		return false
-	}
-	rest := doc[i+len(topkMid):]
-	return bytes.HasSuffix(rest, topkTail) && bytes.Equal(rest[:len(rest)-len(topkTail)], want)
-}
-
-// rankHead renders source 0's full document and splits it at the rank
-// marker, returning the encoder-exact head plus the encoder's fragment
-// for source 0 (aliasing buf — consume before the next encode).
-func (s *Snapshot) rankHead(buf *bytes.Buffer, algo Algo) (head, frag0 []byte) {
-	entry, err := s.Entry(algo, 0)
-	if err != nil {
-		return nil, nil
-	}
-	resp := rankResponse{Version: s.version, Algo: algo, Entry: entry, Sources: s.NumSources()}
-	if pc := s.pageCount; len(pc) > 0 {
-		resp.Pages = pc[0]
+		return nil
 	}
 	doc, err := encodeIndented(buf, resp)
 	if err != nil {
-		return nil, nil
-	}
-	i := bytes.Index(doc, rankMarker)
-	if i < 0 {
-		return nil, nil
-	}
-	return append([]byte(nil), doc[:i]...), doc[i:]
-}
-
-// renderRank is renderTopK for the per-source /v1/rank fragments, with
-// source 0 pinned to the encoder's rendering on both the carried and the
-// rendered path.
-func (s *Snapshot) renderRank(buf *bytes.Buffer, algo Algo, lc *labelCache, dig, sc *textArena, from *rankCache) *rankCache {
-	head, frag0 := s.rankHead(buf, algo)
-	if head == nil {
 		return nil
 	}
-	if from != nil {
-		if !bytes.Equal(frag0, from.frags[:from.offs[1]]) {
-			return nil
-		}
-		return &rankCache{head: head, frags: from.frags, offs: from.offs}
-	}
-	n := s.NumSources()
-	_, rank := s.sets[algo].index()
-	pcs := s.pageCount
-	size := n * (len(rankMarker) + len(rankFragLabel) + len(rankFragScore) + len(rankFragRank) + len(rankFragSources) +
-		len(rankFragClose) + len(dig.at(n)))
-	for id, e := range lc.esc {
-		p := int(rank[id])
-		if len(sc.at(p)) == 0 {
-			return nil // non-finite
-		}
-		size += len(dig.at(id)) + len(e) + len(sc.at(p)) + len(dig.at(p+1))
-		if id < len(pcs) && pcs[id] != 0 {
-			size += len(rankFragPages) + decLen(pcs[id])
-		}
-	}
-	if size > math.MaxInt32 {
+	body := c.appendRank(nil, d, 0, s.pageCount)
+	if !bytes.HasSuffix(doc, body) {
 		return nil
 	}
-	frags := make([]byte, 0, size)
-	offs := make([]int32, n+1)
-	for id := 0; id < n; id++ {
-		p := int(rank[id])
-		frags = append(frags, rankMarker...)
-		frags = append(frags, dig.at(id)...)
-		frags = append(frags, rankFragLabel...)
-		frags = append(frags, lc.esc[id]...)
-		frags = append(frags, rankFragScore...)
-		frags = append(frags, sc.at(p)...)
-		frags = append(frags, rankFragRank...)
-		frags = append(frags, dig.at(p+1)...)
-		frags = append(frags, rankFragSources...)
-		frags = append(frags, dig.at(n)...)
-		if id < len(pcs) && pcs[id] != 0 {
-			frags = append(frags, rankFragPages...)
-			if pc := pcs[id]; pc > 0 && pc <= n {
-				frags = append(frags, dig.at(pc)...)
-			} else { // a page count above the source count
-				frags = strconv.AppendInt(frags, int64(pc), 10)
-			}
-		}
-		frags = append(frags, rankFragClose...)
-		offs[id+1] = int32(len(frags))
-	}
-	if !bytes.Equal(frag0, frags[:offs[1]]) {
-		return nil
-	}
-	return &rankCache{head: head, frags: frags, offs: offs}
+	d.head = append([]byte(nil), doc[:len(doc)-len(body)]...)
+	return d
 }

@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -132,9 +134,9 @@ func TestDeltaPublishByteIdentical(t *testing.T) {
 
 // TestDeltaPublishWholesaleReuse pins the skip-solve path: when a
 // publish carries the previous snapshot's very score/label/page arrays,
-// the rank index, the label map and the entry and fragment slabs are
-// shared (no re-sort, no re-render), only the version-bearing heads
-// change, and the bodies still match the fallback.
+// the rank index, the label map, the score texts and the entry slabs are
+// shared (no re-sort, no re-format, no re-render), only the
+// version-bearing heads change, and the bodies still match the fallback.
 func TestDeltaPublishWholesaleReuse(t *testing.T) {
 	first := nastySnapshot(t)
 	store := NewStore(first)
@@ -167,12 +169,11 @@ func TestDeltaPublishWholesaleReuse(t *testing.T) {
 		if len(tc.entries) > 0 && &tc.entries[0] != &ptc.entries[0] {
 			t.Fatalf("%s: topk entries were re-rendered, not reused", algo)
 		}
-		rc, prc := second.resp.rank[algo], first.resp.rank[algo]
-		if rc == nil || prc == nil {
-			t.Fatalf("missing rank cache for %s", algo)
+		if second.resp.rank[algo] == nil || first.resp.rank[algo] == nil {
+			t.Fatalf("missing rank head for %s", algo)
 		}
-		if &rc.frags[0] != &prc.frags[0] {
-			t.Fatalf("%s: rank fragments were re-rendered, not reused", algo)
+		if second.resp.scores[algo] != first.resp.scores[algo] {
+			t.Fatalf("%s: score texts were re-formatted, not reused", algo)
 		}
 	}
 	cached, fallback := twoServers(store)
@@ -210,12 +211,12 @@ func TestPublishCarriesOnlyUnchangedSets(t *testing.T) {
 		t.Fatalf("publish sets reused/rendered/uncached = %d/%d/%d, want 1/3/0", reused, rendered, uncached)
 	}
 	if &second.sets["weird.algo"].order[0] != &first.sets["weird.algo"].order[0] ||
-		&second.resp.rank["weird.algo"].frags[0] != &first.resp.rank["weird.algo"].frags[0] {
+		second.resp.scores["weird.algo"] != first.resp.scores["weird.algo"] {
 		t.Fatal("unchanged algorithm was not carried")
 	}
 	if &second.sets[AlgoSRSR].order[0] == &first.sets[AlgoSRSR].order[0] ||
-		&second.resp.rank[AlgoSRSR].frags[0] == &first.resp.rank[AlgoSRSR].frags[0] {
-		t.Fatal("changed algorithm shares its predecessor's index or fragments")
+		second.resp.scores[AlgoSRSR] == first.resp.scores[AlgoSRSR] {
+		t.Fatal("changed algorithm shares its predecessor's index or score texts")
 	}
 	cached, fallback := twoServers(store)
 	for _, algo := range second.Algos() {
@@ -275,7 +276,7 @@ func TestDefeatedProbeDropsCache(t *testing.T) {
 
 // TestPublishAllocatesOutputOnce bounds a full re-render (every vector
 // changed over a live predecessor) to 1.25x the bytes the new snapshot
-// retains: every index and slab is allocated once at its final size.
+// retains: every index, score arena and slab is allocated once.
 func TestPublishAllocatesOutputOnce(t *testing.T) {
 	const n = 9822
 	rng := rand.New(rand.NewSource(5))
@@ -304,10 +305,11 @@ func TestPublishAllocatesOutputOnce(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	retained := 0
 	for _, algo := range second.Algos() {
-		ss, tc, rc := second.sets[algo], second.resp.topk[algo], second.resp.rank[algo]
-		retained += 4*(cap(ss.order)+cap(ss.rank)) + cap(tc.entries) + 8*cap(tc.ends) + cap(rc.frags) + 4*cap(rc.offs)
-		if len(tc.entries)*10 < cap(tc.entries)*9 || len(rc.frags)*10 < cap(rc.frags)*9 {
-			t.Fatalf("%s: slabs sized loosely: entries %d/%d, frags %d/%d", algo, len(tc.entries), cap(tc.entries), len(rc.frags), cap(rc.frags))
+		ss, tc, sc := second.sets[algo], second.resp.topk[algo], second.resp.scores[algo]
+		retained += 4*(cap(ss.order)+cap(ss.rank)) + cap(tc.entries) + 8*cap(tc.ends) + cap(sc.b) + 4*cap(sc.offs) +
+			len(tc.head) + len(second.resp.rank[algo].head)
+		if len(tc.entries)*10 < cap(tc.entries)*9 {
+			t.Fatalf("%s: entry slab sized loosely: %d/%d", algo, len(tc.entries), cap(tc.entries))
 		}
 	}
 	if got := int(after.TotalAlloc - before.TotalAlloc); got*4 > retained*5 {
@@ -470,9 +472,11 @@ func TestHostileLabelsByteIdentical(t *testing.T) {
 }
 
 // TestNonFiniteScoresDropCaches pins what a score the encoder refuses
-// does to a publish: a NaN or +Inf drops both caches of its algorithm,
-// which counts as uncached and is served (or refused) by the encoder
-// fallback, while finite negative scores render as usual.
+// does to a publish: a NaN or +Inf in the top k drops its algorithm's
+// top-k cache, which counts as uncached and is served (or refused) by
+// the encoder fallback; /v1/rank keeps assembling every finite source and
+// hands the refused one to the encoder, for the same status and body;
+// finite negative scores render as usual.
 func TestNonFiniteScoresDropCaches(t *testing.T) {
 	labels := []string{"a", "b", "c", "d"}
 	sets := map[Algo]*ScoreSet{
@@ -489,8 +493,8 @@ func TestNonFiniteScoresDropCaches(t *testing.T) {
 		if got := snap.resp.topk[algo] != nil; got != cached {
 			t.Fatalf("%s: topk cache present = %v, want %v", algo, got, cached)
 		}
-		if got := snap.resp.rank[algo] != nil; got != cached {
-			t.Fatalf("%s: rank cache present = %v, want %v", algo, got, cached)
+		if snap.resp.rank[algo] == nil {
+			t.Fatalf("%s: no rank head", algo)
 		}
 	}
 	if reused, rendered, uncached := store.PublishSets(); reused != 0 || rendered != 1 || uncached != 2 {
@@ -519,5 +523,110 @@ func TestNonFiniteScoresDropCaches(t *testing.T) {
 	metrics := rawGet(t, cached.Handler(), "/metrics", nil).Body.String()
 	if want := `srserve_publish_sets_total{outcome="uncached"} 2`; !strings.Contains(metrics, want) {
 		t.Fatalf("metrics missing %q:\n%s", want, metrics)
+	}
+}
+
+// TestRankCarryCases publishes each way a rendered algorithm's inputs
+// can be shared with the outgoing snapshot — every input, only the
+// scores (labels replaced), and scores and labels with new page counts —
+// and requires the score texts to carry with the vector in all three,
+// the top-k entries only with the labels, and every body to stay the
+// encoder's.
+func TestRankCarryCases(t *testing.T) {
+	first := nastySnapshot(t)
+	store := NewStore(first)
+	relabeled := append([]string(nil), first.labels...)
+	relabeled[2], relabeled[5] = `now "escaped" <&>`, "plain-again"
+	repaged := append([]int(nil), first.pageCount...)
+	repaged[0], repaged[3] = 42, 0 // above the source count; omitted
+	for _, tc := range []struct {
+		name      string
+		labels    []string
+		pages     []int
+		topkCarry bool
+	}{
+		{"all shared", first.labels, first.pageCount, true},
+		{"labels changed", relabeled, first.pageCount, false},
+		{"pages changed", relabeled, repaged, true},
+	} {
+		prev := store.Current()
+		sets := make(map[Algo]*ScoreSet, len(prev.sets))
+		for algo, ss := range prev.sets {
+			sets[algo] = NewScoreSet(ss.scores, ss.stats)
+		}
+		snap, err := NewSnapshot(prev.corpus, tc.labels, tc.pages, prev.kappaTopK, sets, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Publish(snap)
+		for _, algo := range snap.Algos() {
+			if snap.resp.scores[algo] != prev.resp.scores[algo] {
+				t.Fatalf("%s: %s score texts were re-formatted, not carried", tc.name, algo)
+			}
+			carried := len(snap.resp.topk[algo].entries) > 0 && &snap.resp.topk[algo].entries[0] == &prev.resp.topk[algo].entries[0]
+			if carried != tc.topkCarry {
+				t.Fatalf("%s: %s top-k entries carried = %v, want %v", tc.name, algo, carried, tc.topkCarry)
+			}
+		}
+		assertCachedEqualsFallback(t, store)
+	}
+}
+
+// TestRankAssembledPastOldCap serves /v1/rank on a corpus above 2¹⁷
+// sources, the size whose bodies were once encoded per request, and
+// requires every source's assembled body under every algorithm to equal
+// the encoder's — with hostile labels, zero page counts (the field is
+// omitted) and page counts above the source count mixed in.
+func TestRankAssembledPastOldCap(t *testing.T) {
+	const n = 1<<17 + 3
+	rng := rand.New(rand.NewSource(17))
+	labels, pages := make([]string, n), make([]int, n)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("host-%d.example.org", i)
+		if i%97 == 0 {
+			labels[i] = hostileLabels[i/97%len(hostileLabels)] + fmt.Sprint(i)
+		}
+		switch i % 5 {
+		case 0:
+			pages[i] = 0
+		case 1:
+			pages[i] = n + rng.Intn(n)
+		default:
+			pages[i] = rng.Intn(400)
+		}
+	}
+	sets := map[Algo]*ScoreSet{}
+	for _, algo := range []Algo{AlgoSRSR, AlgoPageRank} {
+		scores := make(linalg.Vector, n)
+		for i := range scores {
+			scores[i] = rng.Float64() / n
+		}
+		scores[n-1] = scores[0] // a tie
+		sets[algo] = NewScoreSet(scores, linalg.IterStats{})
+	}
+	snap, err := NewSnapshot(CorpusInfo{Name: "large"}, labels, pages, 0, sets, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore(snap)
+	cached, fallback := twoServers(store)
+	hc := cached.instrument(epRank, true, cached.handleRank)
+	hf := fallback.instrument(epRank, true, fallback.handleRank)
+	req := httptest.NewRequest(http.MethodGet, "/v1/rank/0", nil)
+	for _, algo := range snap.Algos() {
+		if snap.resp.rank[algo] == nil {
+			t.Fatalf("%s: no rank head", algo)
+		}
+		req.URL.RawQuery = "algo=" + string(algo)
+		for id := 0; id < n; id++ {
+			req.SetPathValue("source", strconv.Itoa(id))
+			a, b := httptest.NewRecorder(), httptest.NewRecorder()
+			hc.ServeHTTP(a, req)
+			hf.ServeHTTP(b, req)
+			if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
+				t.Fatalf("%s source %d: status %d, assembled body differs from the encoder's\nassembled:\n%s\nencoder:\n%s",
+					algo, id, a.Code, a.Body, b.Body)
+			}
+		}
 	}
 }

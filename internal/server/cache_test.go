@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -267,7 +268,10 @@ func TestQueryValueFastPath(t *testing.T) {
 
 // TestCachedPathZeroAlloc is the allocation gate for the hot path: a
 // cached /v1/topk and /v1/rank request through the instrumented handler
-// (no timeout configured) must not allocate at all.
+// (no timeout configured) must not allocate at all. The rank case also
+// runs across a forced GC, which drops what the pools hold: the requests
+// after it must go back to allocating nothing, so the pooled assembly
+// buffer cannot hide a per-request allocation.
 func TestCachedPathZeroAlloc(t *testing.T) {
 	snap := testSnapshot(t, AlgoSRSR, []float64{0.1, 0.5, 0.3, 0.08, 0.02})
 	srv := New(NewStore(snap), Config{})
@@ -278,10 +282,18 @@ func TestCachedPathZeroAlloc(t *testing.T) {
 	rankReq := httptest.NewRequest(http.MethodGet, "/v1/rank/2", nil)
 	rankReq.SetPathValue("source", "2")
 	w := newBenchResponseWriter()
+	gcAt := 0
 
 	for name, run := range map[string]func(){
 		"topk": func() { topk.ServeHTTP(w, topkReq) },
 		"rank": func() { rank.ServeHTTP(w, rankReq) },
+		"rank across GC": func() {
+			if gcAt++; gcAt == 250 {
+				runtime.GC()
+				runtime.GC()
+			}
+			rank.ServeHTTP(w, rankReq)
+		},
 	} {
 		// Warm the recorder pool and header map outside the measurement.
 		run()

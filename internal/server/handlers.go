@@ -42,11 +42,13 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, apiError{Error: msg})
 }
 
-// statusRecorder captures the response code for metrics. Recorders are
-// pooled: the serving hot path must not allocate per request.
+// statusRecorder captures the response code for metrics, and lends the
+// handler a scratch buffer to assemble a body in (handleRank). Recorders
+// are pooled: the serving hot path must not allocate per request.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
+	buf  []byte
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -54,7 +56,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-var recorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
+// A recorder's buffer starts at a size that holds a /v1/rank document
+// with a label of a few hundred bytes, so a new recorder allocates once
+// for it rather than on each of the appends that fill it.
+var recorderPool = sync.Pool{New: func() any { return &statusRecorder{buf: make([]byte, 0, 512)} }}
 
 // instrument wraps a handler with latency/status accounting and the
 // per-request timeout. When capped, requests beyond cfg.MaxInFlight
@@ -258,26 +263,32 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if c := s.respCacheFor(snap); c != nil {
-		if rc := c.rank[algo]; rc != nil && int(id) < rc.numSources() {
+		if d := c.rank[algo]; d != nil && d.finite(id) {
 			if notModified(w, r, c) {
 				return
 			}
 			w.Header()["Content-Type"] = jsonContentType
 			w.WriteHeader(http.StatusOK)
-			rc.writeTo(w, id)
+			c.writeRank(w, d, id, snap.pageCount)
 			return
 		}
 	}
-	entry, err := snap.Entry(algo, id)
+	resp, err := snap.rankDocument(algo, id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	resp := rankResponse{Version: snap.Version(), Algo: algo, Entry: entry, Sources: snap.NumSources()}
-	if pc := snap.pageCount; int(id) < len(pc) {
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// rankDocument is source id's /v1/rank payload under algo.
+func (s *Snapshot) rankDocument(algo Algo, id int32) (rankResponse, error) {
+	entry, err := s.Entry(algo, id)
+	resp := rankResponse{Version: s.version, Algo: algo, Entry: entry, Sources: s.NumSources()}
+	if pc := s.pageCount; int(id) < len(pc) {
 		resp.Pages = pc[id]
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, err
 }
 
 // topKResponse is the /v1/topk payload.
@@ -404,15 +415,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		w.Write(c.meta)
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotResponse{
-		Version:   snap.Version(),
-		Parent:    snap.ParentVersion(),
-		BuiltAt:   snap.BuiltAt(),
-		Corpus:    snap.Corpus(),
-		Algos:     snap.Algos(),
-		KappaTopK: snap.KappaTopK(),
-		Publishes: s.store.Publishes(),
-	})
+	writeJSON(w, http.StatusOK, snap.snapshotDocument(s.store.Publishes()))
+}
+
+// snapshotDocument is the /v1/snapshot payload once publishes publishes
+// have been made.
+func (s *Snapshot) snapshotDocument(publishes uint64) snapshotResponse {
+	return snapshotResponse{Version: s.version, Parent: s.parent, BuiltAt: s.builtAt, Corpus: s.corpus,
+		Algos: s.Algos(), KappaTopK: s.kappaTopK, Publishes: publishes}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -328,15 +328,26 @@ func (m *Metrics) WriteBuildText(w io.Writer, b *Builder) {
 // WritePublishText renders what the store's publishes did with their
 // score sets, so an expensive publish is explained from /metrics: a set
 // is reused when the publish carried its index and rendered responses
-// over from the outgoing snapshot, rendered when the publish indexed and
-// rendered it, uncached when a renderer dropped its cache and requests
-// are encoded one by one.
+// over from the outgoing snapshot, rendered when the publish rendered
+// it, uncached when a renderer dropped its cache and requests are
+// encoded one by one. Beside them, what the last publish cost and what
+// the served snapshot's pre-rendered text holds in memory.
 func (m *Metrics) WritePublishText(w io.Writer, st *Store) {
 	fmt.Fprintf(w, "# HELP srserve_publish_sets_total Score sets published, by what the publish did with them.\n")
 	fmt.Fprintf(w, "# TYPE srserve_publish_sets_total counter\n")
 	for outcome, name := range publishOutcomeNames {
 		fmt.Fprintf(w, "srserve_publish_sets_total{outcome=%q} %d\n", name, st.setOutcomes[outcome].Load())
 	}
+	fmt.Fprintf(w, "# HELP srserve_publish_last_seconds Wall time of the last publish's finalize and swap.\n")
+	fmt.Fprintf(w, "# TYPE srserve_publish_last_seconds gauge\n")
+	fmt.Fprintf(w, "srserve_publish_last_seconds %.6f\n", time.Duration(st.lastPublish.Load()).Seconds())
+	size := 0
+	if snap := st.Current(); snap != nil {
+		size = snap.resp.textBytes()
+	}
+	fmt.Fprintf(w, "# HELP srserve_snapshot_cache_bytes Pre-rendered text the served snapshot retains, offsets included: top-k entries, score texts, escaped labels, decimals and heads.\n")
+	fmt.Fprintf(w, "# TYPE srserve_snapshot_cache_bytes gauge\n")
+	fmt.Fprintf(w, "srserve_snapshot_cache_bytes %d\n", size)
 }
 
 // WriteRefreshText renders refresher health gauges. It appends to the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -97,5 +98,45 @@ func TestObserveZeroAlloc(t *testing.T) {
 		m.Observe("ep", 200, d)
 	}); allocs > 0.1 {
 		t.Fatalf("Observe allocates %.2f per call, want 0", allocs)
+	}
+}
+
+// TestMetricsPublishCostAndCacheBytes checks the two publish gauges: the
+// last publish's wall time, and the pre-rendered text the served
+// snapshot retains, summed here from the cache's own arrays.
+func TestMetricsPublishCostAndCacheBytes(t *testing.T) {
+	m := NewMetrics()
+	store := NewStore(nil)
+	var sb strings.Builder
+	m.WritePublishText(&sb, store)
+	for _, want := range []string{"srserve_publish_last_seconds 0.000000\n", "srserve_snapshot_cache_bytes 0\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("empty store: metrics missing %q:\n%s", want, sb.String())
+		}
+	}
+	store.Publish(nastySnapshot(t))
+	c := store.Current().resp
+	want := len(c.meta) + len(c.digits.b) + 4*len(c.digits.offs)
+	for _, e := range c.labels.esc {
+		want += len(e)
+	}
+	for algo, tc := range c.topk {
+		sc := c.scores[algo]
+		want += len(tc.head) + len(tc.entries) + 8*len(tc.ends) + len(c.rank[algo].head) + len(sc.b) + 4*len(sc.offs)
+	}
+	sb.Reset()
+	m.WritePublishText(&sb, store)
+	text := sb.String()
+	if !strings.Contains(text, fmt.Sprintf("srserve_snapshot_cache_bytes %d\n", want)) {
+		t.Fatalf("metrics missing srserve_snapshot_cache_bytes %d:\n%s", want, text)
+	}
+	var secs float64
+	if _, err := fmt.Sscanf(text[strings.Index(text, "\nsrserve_publish_last_seconds ")+1:], "srserve_publish_last_seconds %g", &secs); err != nil || secs <= 0 {
+		t.Fatalf("srserve_publish_last_seconds = %g (%v), want > 0:\n%s", secs, err, text)
+	}
+	for _, want := range []string{"# TYPE srserve_publish_last_seconds gauge", "# TYPE srserve_snapshot_cache_bytes gauge"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("metrics missing %q", want)
+		}
 	}
 }

@@ -67,22 +67,35 @@ func BenchmarkTopKFallback(b *testing.B) {
 	}
 }
 
-// BenchmarkRankCached measures the cached /v1/rank/{source} hot path.
-// CI gates on 0 allocs/op.
+// BenchmarkRankCached measures the cached /v1/rank/{source} hot path,
+// which assembles the body from the snapshot's retained text: "bench" on
+// benchSnapshot's 1 000 sources, "corpus" at the benchmark corpus's shape
+// (publishBenchSnapshot's 9 822 sources and labels, three algorithms),
+// the size serve_under_refresh reads it at. CI gates on 0 allocs/op.
 func BenchmarkRankCached(b *testing.B) {
-	srv := New(NewStore(benchSnapshot(b, 1000)), Config{})
-	h := srv.instrument(epRank, true, srv.handleRank)
-	req := httptest.NewRequest(http.MethodGet, "/v1/rank/123", nil)
-	req.SetPathValue("source", "123")
-	w := newBenchResponseWriter()
-	h.ServeHTTP(w, req)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ServeHTTP(w, req)
-	}
-	if w.status != http.StatusOK {
-		b.Fatalf("status %d", w.status)
+	for _, bc := range []struct {
+		name string
+		snap *Snapshot
+	}{
+		{"bench", benchSnapshot(b, 1000)},
+		{"corpus", publishBenchSnapshot(b, rand.New(rand.NewSource(1)), nil, nil)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv := New(NewStore(bc.snap), Config{})
+			h := srv.instrument(epRank, true, srv.handleRank)
+			req := httptest.NewRequest(http.MethodGet, "/v1/rank/123", nil)
+			req.SetPathValue("source", "123")
+			w := newBenchResponseWriter()
+			h.ServeHTTP(w, req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(w, req)
+			}
+			if w.status != http.StatusOK {
+				b.Fatalf("status %d", w.status)
+			}
+		})
 	}
 }
 
@@ -128,8 +141,8 @@ func BenchmarkNewScoreSet(b *testing.B) {
 }
 
 // BenchmarkPublishFinalize measures the full per-publish pre-encoding
-// cost (top-K payloads, rank fragments, metadata) that buys the
-// allocation-free read path.
+// cost (rank index, score texts, top-K payloads, heads, metadata) that
+// buys the allocation-free read path.
 func BenchmarkPublishFinalize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

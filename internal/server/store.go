@@ -22,7 +22,7 @@ type Store struct {
 	// (indexed by publishOutcome). Publishers are serialized, so plain
 	// atomics suffice; /metrics reads them without the lock.
 	setOutcomes [numPublishOutcomes]atomic.Uint64
-	scores      textArena // finalize's score texts, reused under publishMu
+	lastPublish atomic.Int64 // wall time of the last finalize and swap, ns
 }
 
 // NewStore creates a store serving initial (which may be nil; handlers
@@ -44,11 +44,11 @@ func (s *Store) Current() *Snapshot { return s.cur.Load() }
 // snapshot. The caller must hand over ownership: snap must not be
 // mutated after Publish. Returns the assigned version (starting at 1).
 //
-// Publishers are serialized: finalize does real work (it renders the
-// top-K and per-source payloads once per publish), and holding the lock
-// across version assignment and the pointer swap keeps versions
-// monotonic from every reader's point of view. Readers never touch the
-// lock.
+// Publishers are serialized: finalize does real work (it formats every
+// changed vector's scores and renders the top-K payloads once per
+// publish), and holding the lock across version assignment and the
+// pointer swap keeps versions monotonic from every reader's point of
+// view. Readers never touch the lock.
 func (s *Store) Publish(snap *Snapshot) uint64 {
 	s.publishMu.Lock()
 	defer s.publishMu.Unlock()
@@ -65,11 +65,14 @@ func (s *Store) Publish(snap *Snapshot) uint64 {
 // over whatever snap shares with it (see Snapshot.finalize) — and swaps
 // it in. Called under publishMu with snap's version and parent set.
 func (s *Store) install(snap, prev *Snapshot) {
-	for outcome, sets := range snap.finalize(prev, s.publishes.Add(1), &s.scores) {
+	start := time.Now()
+	for outcome, sets := range snap.finalize(prev, s.publishes.Add(1)) {
 		s.setOutcomes[outcome].Add(uint64(sets))
 	}
 	s.cur.Store(snap)
-	s.publishedAt.Store(time.Now().UnixNano())
+	now := time.Now()
+	s.publishedAt.Store(now.UnixNano())
+	s.lastPublish.Store(int64(now.Sub(start)))
 }
 
 // PublishExternal is Publish for snapshots whose version was assigned
