@@ -263,9 +263,13 @@ func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
 	if info.BaselinesWall > info.SRSRWall {
 		longer = "baselines"
 	}
-	return fmt.Sprintf("build: %s, %d κ flips; pagerank %s, trustrank %s%s; solves %s: srsr %.1f ms, baselines %.1f ms (%s set the length)",
+	line := fmt.Sprintf("build: %s, %d κ flips; pagerank %s, trustrank %s%s; solves %s: srsr %.1f ms, baselines %.1f ms (%s set the length)",
 		srsr, info.KappaChanged, carried(info.PageRankSkipped), carried(info.TrustRankSkipped), sweep,
 		mode, info.SRSRWall.Seconds()*1e3, info.BaselinesWall.Seconds()*1e3, longer)
+	if set := snap.Set(server.AlgoSRSR); set != nil && !info.SolveSkipped && set.Stats().Iterations > 0 {
+		line += fmt.Sprintf("; srsr solved in %d iterations", set.Stats().Iterations)
+	}
+	return line
 }
 
 type replicaConfig struct {

@@ -45,6 +45,12 @@ func TestBuildLine(t *testing.T) {
 		return snap
 	}
 	srsr, plain := snapWith(server.AlgoSRSR, server.AlgoPageRank), snapWith(server.AlgoPageRank)
+	solved, err := server.NewSnapshot(server.CorpusInfo{}, []string{"a", "b"}, []int{1, 1}, 1, map[server.Algo]*server.ScoreSet{
+		server.AlgoSRSR: server.NewScoreSet(linalg.Vector{0.5, 0.5}, linalg.IterStats{Iterations: 24, Converged: true}),
+	}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
 	decided := throttle.Decision{IterStats: linalg.IterStats{Iterations: 52}, Bound: 6e-7}
 	for _, tc := range []struct {
 		name string
@@ -73,6 +79,10 @@ func TestBuildLine(t *testing.T) {
 		{"one sweep", srsr, server.BuildInfo{RefreshInfo: core.RefreshInfo{Decision: decided, BoundaryGap: 1.34e-6, KappaChanged: 3},
 			SRSRWall: 43 * time.Millisecond, BaselinesWall: 31 * time.Millisecond, Concurrent: true, BaselinesSwept: true},
 			"build: srsr proximity decided warm at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 3 κ flips; pagerank re-solved, trustrank re-solved in one sweep; solves at once: srsr 43.0 ms, baselines 31.0 ms (srsr set the length)"},
+		{"srsr solved", solved, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCarried: true}, PageRankSkipped: true, TrustRankSkipped: true, SRSRWall: 6400 * time.Microsecond},
+			"build: srsr proximity carried (structure unchanged), 0 κ flips; pagerank carried, trustrank carried; solves in turn: srsr 6.4 ms, baselines 0.0 ms (srsr set the length); srsr solved in 24 iterations"},
+		{"srsr skipped over solved stats", solved, server.BuildInfo{RefreshInfo: core.RefreshInfo{SolveSkipped: true}, PageRankSkipped: true, TrustRankSkipped: true},
+			"build: srsr solve skipped (graph and labels unchanged), 0 κ flips; pagerank carried, trustrank carried; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length)"},
 	} {
 		if got := buildLine(tc.snap, tc.info); got != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)

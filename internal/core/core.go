@@ -11,27 +11,33 @@
 //     transition mass on its own self-edge; internal/throttle).
 //
 // The SRSR vector σ solves σᵀ = α·σᵀ·T″ + (1-α)·cᵀ (paper Eq. 3), computed
-// here with the parallel power method of internal/linalg at the paper's
-// convergence threshold (L2 < 1e-9) and mixing parameter α = 0.85.
+// here with the fused parallel kernels of internal/linalg at the paper's
+// convergence threshold (L2 < 1e-9) and mixing parameter α = 0.85: by
+// Jacobi on the linear form when throttling is on, by the power method
+// otherwise (see Config).
 package core
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/source"
 	"sourcerank/internal/throttle"
 )
 
-// Solver selects the iteration scheme used for the stationary solve.
+// Solver selects the iteration scheme used for the stationary solve. The
+// zero value picks it by κ: Jacobi when any κᵢ > 0, the power method
+// when κ ≡ 0 (see Config).
 type Solver int
 
 const (
-	// Power iterates the damped chain directly (default).
-	Power Solver = iota
-	// Jacobi solves the equivalent linear system σ = α·T″ᵀσ + (1-α)c and
-	// L1-normalizes, the paper's "convenient linear form".
+	// Power iterates the damped chain directly.
+	Power Solver = iota + 1
+	// Jacobi solves the equivalent linear system σ = α·T″ᵀσ + (1-α)c,
+	// the paper's "convenient linear form", one diagonal entry exactly
+	// per step, and L1-normalizes.
 	Jacobi
 )
 
@@ -39,19 +45,43 @@ const (
 // value reproduces the paper's setup, and the solve always runs in
 // float64 over the in-heap T″ᵀ to its convergence threshold, L2 < 1e-9
 // (linalg's default, as is the 1000-iteration cap).
+//
+// Throttling loads the self-edges: a source with κᵢ = 1 is a pure
+// self-loop, and the power method drains mass off a self-edge T″ᵢᵢ only
+// at a rate of α·T″ᵢᵢ per step. So by default any κᵢ > 0 selects
+// Jacobi on D = I − α·diag(T″): each step is x ← D⁻¹(α·offdiag(T″ᵀ)x +
+// (1−α)c), which solves every self-edge exactly. Its stop, the L2 norm
+// of the Jacobi step Δ below 1e-9, certifies the power method's too:
+// (I − α·T″ᵀ)x − (1−α)c = −D·Δ with 0 < Dᵢᵢ ≤ 1, so the one-step power
+// residual is at most ‖Δ‖ entry by entry. With κ ≡ 0 the mass that
+// circulates between sources (spam farms' mutual links) is left in
+// place, Jacobi gains nothing on it, and the power method takes fewer
+// steps. Power and Jacobi force one scheme (the solver ablation
+// compares them).
 type Config struct {
 	// Alpha is the mixing parameter α; 0 defaults to 0.85.
 	Alpha float64
 	// Workers bounds SpMV parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Solver selects Power (default) or Jacobi.
+	// Solver forces a scheme; the zero value is the κ rule above.
 	Solver Solver
 	// X0 optionally warm-starts the stationary solve from a previous
 	// score vector (e.g. the last published snapshot's σ). It must have
-	// one entry per source; the solver converges to the same fixed
-	// point from any start, only faster when X0 is close. Only the
-	// Power solver warm-starts; Jacobi ignores X0.
+	// one entry per source; either scheme converges to the same fixed
+	// point from any start, only faster when X0 is close. Without it
+	// both start from the teleport vector c.
 	X0 linalg.Vector
+}
+
+// jacobi reports whether the solve over κ runs Jacobi.
+func (c Config) jacobi(kappa []float64) bool {
+	switch c.Solver {
+	case Power:
+		return false
+	case Jacobi:
+		return true
+	}
+	return slices.ContainsFunc(kappa, func(k float64) bool { return k > 0 })
 }
 
 // sanitizeWarmStart clones and L1-normalizes a warm-start vector so the
@@ -84,9 +114,52 @@ type Result struct {
 	Kappa []float64
 	// Stats reports solver convergence.
 	Stats linalg.IterStats
-	// throttledT is T″ᵀ, the solve's operand, which PipelineRefresh
-	// retains for its residual probe.
-	throttledT *linalg.CSR
+	// op is the solve's operand, which PipelineRefresh retains for its
+	// residual probe.
+	op operand
+}
+
+// operand is what an SRSR solve iterates over: T″ᵀ for the power method,
+// or, when bias is set, the Jacobi operand D⁻¹·offdiag(α·T″ᵀ) with bias
+// D⁻¹(1−α)c, D = I − α·diag(T″) (see Config).
+type operand struct {
+	m    *linalg.CSR
+	bias linalg.Vector
+}
+
+// jacobiOperand turns T″ᵀ into the Jacobi operand: row i of tT (column
+// i of T″) loses its diagonal entry and scales the rest by α/Dᵢᵢ. With
+// inPlace it overwrites tT, which must then be private to this solve;
+// otherwise it writes a new matrix.
+func jacobiOperand(tT *linalg.CSR, alpha float64, inPlace bool) operand {
+	n := tT.Rows
+	m := tT
+	if !inPlace {
+		m = &linalg.CSR{Rows: n, ColsN: n, RowPtr: make([]int64, n+1),
+			Cols: make([]int32, tT.NNZ()), Vals: make([]float64, tT.NNZ())}
+	}
+	bias := linalg.NewUniformVector(n)
+	var lo, w int64
+	for i := 0; i < n; i++ {
+		hi := tT.RowPtr[i+1]
+		d := 1.0
+		for k := lo; k < hi; k++ {
+			if int(tT.Cols[k]) == i {
+				d = 1 - alpha*tT.Vals[k]
+			}
+		}
+		// w ≤ k, so the in-place writes land only on entries already read.
+		for k := lo; k < hi; k++ {
+			if c := tT.Cols[k]; int(c) != i {
+				m.Cols[w], m.Vals[w] = c, alpha*tT.Vals[k]/d
+				w++
+			}
+		}
+		m.RowPtr[i+1], lo = w, hi
+		bias[i] = (1 - alpha) * bias[i] / d
+	}
+	m.Cols, m.Vals = m.Cols[:w], m.Vals[:w]
+	return operand{m: m, bias: bias}
 }
 
 // throttledTranspose materializes the transpose of the throttled matrix
@@ -113,14 +186,13 @@ func Rank(sg *source.Graph, kappa []float64, cfg Config) (*Result, error) {
 }
 
 // rank is Rank, and with ck set the checkpointed solve behind
-// PipelineConfig.Checkpoint: the power iteration then starts from the
-// newest valid checkpoint of this very solve in ck.Dir (else from cfg.X0)
-// and persists its iterate every ck.Every iterations, whatever cfg.Solver
-// says. Checkpoints recorded against a different graph, throttle vector,
-// α or warm start are discarded, and all of them are cleared on
-// convergence. The resumed iterate sequence is the uninterrupted one, so
-// a solve killed and restarted any number of times returns the same
-// vector bit for bit.
+// PipelineConfig.Checkpoint: the iteration then starts from the newest
+// valid checkpoint of this very solve in ck.Dir (else from cfg.X0) and
+// persists its iterate every ck.Every iterations. Checkpoints recorded
+// against a different graph, throttle vector, α or warm start are
+// discarded, and all of them are cleared on convergence. The resumed
+// iterate sequence is the uninterrupted one, so a solve killed and
+// restarted any number of times returns the same vector bit for bit.
 func rank(sg *source.Graph, kappa []float64, cfg Config, ck *CheckpointConfig) (*Result, CheckpointInfo, error) {
 	if sg == nil || sg.NumSources() == 0 {
 		return nil, CheckpointInfo{}, errors.New("core: empty source graph")
@@ -132,43 +204,51 @@ func rank(sg *source.Graph, kappa []float64, cfg Config, ck *CheckpointConfig) (
 	if err != nil {
 		return nil, CheckpointInfo{}, fmt.Errorf("core: applying throttle: %w", err)
 	}
-	res := &Result{Kappa: append([]float64(nil), kappa...), throttledT: throttledTranspose(sg, tpp, cfg.Workers)}
+	res := &Result{Kappa: append([]float64(nil), kappa...), op: operand{m: throttledTranspose(sg, tpp, cfg.Workers)}}
+	if cfg.jacobi(kappa) {
+		// The identity path shares sg's cached transpose: leave it intact.
+		res.op = jacobiOperand(res.op.m, cfg.alpha(), tpp != sg.T)
+	}
 	var info CheckpointInfo
 	var run *checkpointRun
 	if ck != nil {
 		run = &checkpointRun{CheckpointConfig: *ck, tpp: tpp, info: &info}
 	}
-	if res.Scores, res.Stats, err = solve(cfg, res.throttledT, run); err != nil {
+	if res.Scores, res.Stats, err = solve(cfg, res.op, run); err != nil {
 		return nil, info, err
 	}
 	return res, info, nil
 }
 
-// solve runs cfg.Solver over tppT; with ck set, the power iteration
-// checkpointed.
-func solve(cfg Config, tppT *linalg.CSR, ck *checkpointRun) (linalg.Vector, linalg.IterStats, error) {
-	opt := linalg.SolverOptions{Workers: cfg.Workers}
-	if cfg.Solver == Jacobi && ck == nil {
-		b := linalg.NewUniformVector(tppT.Rows)
-		b.Scale(1 - cfg.alpha())
-		scores, stats, err := linalg.JacobiAffineT(tppT, cfg.alpha(), b, opt)
-		if err != nil {
-			return nil, stats, err
-		}
-		scores.Normalize1()
-		return scores, stats, nil
-	}
+// solve iterates over op from cfg.X0, else from the teleport vector c;
+// with ck set, checkpointed.
+func solve(cfg Config, op operand, ck *checkpointRun) (linalg.Vector, linalg.IterStats, error) {
+	n := op.m.Rows
 	x0 := sanitizeWarmStart(cfg.X0)
-	if x0 != nil && len(x0) != tppT.Rows {
+	if x0 != nil && len(x0) != n {
 		return nil, linalg.IterStats{}, linalg.ErrDimension
 	}
+	opt := linalg.SolverOptions{Workers: cfg.Workers}
 	if ck != nil {
 		var err error
 		if x0, opt.Progress, err = ck.arm(cfg, x0); err != nil {
 			return nil, linalg.IterStats{}, err
 		}
 	}
-	scores, stats, err := linalg.PowerMethodT(tppT, cfg.alpha(), linalg.NewUniformVector(tppT.Rows), x0, opt)
+	c := linalg.NewUniformVector(n)
+	var scores linalg.Vector
+	var stats linalg.IterStats
+	var err error
+	if op.bias == nil {
+		scores, stats, err = linalg.PowerMethodT(op.m, cfg.alpha(), c, x0, opt)
+	} else {
+		if x0 == nil {
+			x0 = c
+		}
+		if scores, stats, err = linalg.JacobiAffineT(op.m, 1, op.bias, x0, opt); err == nil {
+			scores.Normalize1()
+		}
+	}
 	if err == nil && ck != nil {
 		clearCheckpoints(ck.fs(), ck.Dir)
 	}
@@ -197,7 +277,7 @@ type PipelineConfig struct {
 	// iterate is persisted every Checkpoint.Every iterations and a crash
 	// resumes from the newest valid checkpoint, bit for bit (see rank).
 	// The spam-proximity solve is not checkpointed; it is cheap relative
-	// to the stationary solve. Requires the Power solver.
+	// to the stationary solve.
 	Checkpoint *CheckpointConfig
 }
 

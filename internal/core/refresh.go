@@ -40,9 +40,9 @@ type RefreshState struct {
 	// stationary solve — and returned pointer-identical when the solve
 	// is skipped, so downstream caches can reuse whole encodings.
 	Scores linalg.Vector
-	// ThrottledT caches T″ᵀ, the solve's operand, so an unchanged (T, κ)
-	// pair skips the throttle transform and the transpose.
-	ThrottledT *linalg.CSR
+	// op is the last solve's operand (T″ᵀ, or its Jacobi form), over
+	// which an unchanged (T, κ) pair probes the retained scores.
+	op operand
 }
 
 // assignment is every input of the proximity → κ step other than the
@@ -106,7 +106,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 	if st.T != nil && sg.T == st.T && st.assigned.matches(cfg) {
 		// Fast path: consensus weights unchanged (Emit returned a graph
 		// sharing the previous T) and the same assignment, so proximity and
-		// κ carry over verbatim; one power step probes whether the previous
+		// κ carry over verbatim; one solver step probes whether the previous
 		// scores still meet the convergence threshold.
 		residual, ok, err := probe(cfg.Config, st)
 		if err != nil {
@@ -162,7 +162,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 	if err != nil {
 		return nil, info, err
 	}
-	st.T, st.Scores, st.ThrottledT = sg.T, res.Scores, res.throttledT
+	st.T, st.Scores, st.op = sg.T, res.Scores, res.op
 	return &PipelineResult{
 		Result:         *res,
 		Proximity:      st.Proximity,
@@ -171,16 +171,25 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 	}, info, nil
 }
 
-// probe handles the unchanged-(T,κ) case: one fused power step from the
-// previous scores over the retained T″ᵀ measures the residual. ok reports
-// it within the solve's threshold, in which case the previous vector
-// still stands.
+// probe handles the unchanged-(T,κ) case: one step of the scheme that
+// solved it — a fused power step over the retained T″ᵀ, or a Jacobi step
+// over its Jacobi form — from the previous scores measures the residual.
+// ok reports it within the solve's threshold, in which case the previous
+// vector still stands.
 func probe(cfg Config, st *RefreshState) (residual float64, ok bool, err error) {
-	fp, err := linalg.NewFusedPower(st.ThrottledT, cfg.alpha(), nil, linalg.ResidualL2, cfg.Workers)
+	if op := st.op; op.bias != nil {
+		var stats linalg.IterStats
+		_, stats, err = linalg.JacobiAffineT(op.m, 1, op.bias, st.Scores, linalg.SolverOptions{MaxIter: 1, Workers: cfg.Workers})
+		residual = stats.Residual
+	} else {
+		var fp *linalg.FusedPower[float64]
+		if fp, err = linalg.NewFusedPower(op.m, cfg.alpha(), nil, linalg.ResidualL2, cfg.Workers); err == nil {
+			residual = fp.Step(make([]float64, len(st.Scores)), st.Scores)
+			fp.Close()
+		}
+	}
 	if err != nil {
 		return 0, false, fmt.Errorf("core: residual probe: %w", err)
 	}
-	defer fp.Close()
-	residual = fp.Step(make([]float64, len(st.Scores)), st.Scores)
 	return residual, residual <= 1e-9, nil // the solve's threshold (see Config)
 }

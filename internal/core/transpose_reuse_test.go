@@ -48,7 +48,7 @@ func TestBaselineRunsShareCachedTranspose(t *testing.T) {
 	if d := linalg.TransposeMaterializations() - before; d != 1 {
 		t.Errorf("two baseline solves materialized %d transposes, want 1 (shared)", d)
 	}
-	if r1.throttledT != r2.throttledT || r1.throttledT != sg.TransposedT(0) {
+	if r1.op.m != r2.op.m || r1.op.m != sg.TransposedT(0) {
 		t.Error("zero-κ throttle should return T itself (identity fast path), solved over its cached transpose")
 	}
 	for i := range r1.Scores {
@@ -73,7 +73,7 @@ func TestThrottledRunMaterializesFreshTranspose(t *testing.T) {
 	if d := linalg.TransposeMaterializations() - before; d != 1 {
 		t.Errorf("throttled solve materialized %d transposes, want 1", d)
 	}
-	if res.throttledT == sg.TransposedT(0) {
+	if res.op.m == sg.TransposedT(0) {
 		t.Fatal("nonzero κ should produce a distinct throttled matrix")
 	}
 }

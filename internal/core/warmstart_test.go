@@ -95,9 +95,10 @@ func TestConfigX0DimensionError(t *testing.T) {
 	}
 }
 
-// TestJacobiIgnoresX0: the Jacobi path documents that it ignores X0 —
-// results must match the no-X0 Jacobi solve exactly.
-func TestJacobiIgnoresX0(t *testing.T) {
+// TestJacobiColdStartsFromTeleport: without X0 the Jacobi solve starts
+// from the teleport vector, so an explicit uniform X0 must reproduce it
+// exactly.
+func TestJacobiColdStartsFromTeleport(t *testing.T) {
 	sg := buildSG(t, corpus(t))
 	kappa := make([]float64, sg.NumSources())
 	plain, err := Rank(sg, kappa, Config{Solver: Jacobi})

@@ -183,7 +183,7 @@ func TestSolver32TolClampAndRejects(t *testing.T) {
 	if _, _, err := PowerMethodT(pt32, 0.85, tel, nil, SolverOptions{Progress: func(int, Vector) error { return nil }}); !errors.Is(err, ErrFloat32Solver) {
 		t.Fatalf("Progress: err=%v", err)
 	}
-	if _, _, err := JacobiAffineT(pt32, 0.85, tel, SolverOptions{Progress: func(int, Vector) error { return nil }}); !errors.Is(err, ErrFloat32Solver) {
+	if _, _, err := JacobiAffineT(pt32, 0.85, tel, nil, SolverOptions{Progress: func(int, Vector) error { return nil }}); !errors.Is(err, ErrFloat32Solver) {
 		t.Fatalf("affine Progress: err=%v", err)
 	}
 	if _, _, err := PowerMethodT(pt32, 0.85, NewUniformVector(7), nil, SolverOptions{}); err != ErrDimension {
@@ -199,11 +199,11 @@ func TestJacobiAffineT32MatchesFloat64(t *testing.T) {
 	at := a.Transpose()
 	b := NewUniformVector(150)
 	b.Scale(0.15)
-	x64, st64, err := JacobiAffineT(at, 0.85, b, SolverOptions{})
+	x64, st64, err := JacobiAffineT(at, 0.85, b, nil, SolverOptions{})
 	if err != nil || !st64.Converged {
 		t.Fatalf("float64 solve: %v %+v", err, st64)
 	}
-	x32, st32, err := JacobiAffineT(NewCSR32(at), 0.85, b, SolverOptions{})
+	x32, st32, err := JacobiAffineT(NewCSR32(at), 0.85, b, nil, SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,7 +256,7 @@ func TestJacobiAffineTFusedMatchesGenericPath(t *testing.T) {
 	at := a.Transpose()
 	b := NewUniformVector(120)
 	b.Scale(0.15)
-	fused, fst, err := JacobiAffineT(at, 0.85, b, SolverOptions{Workers: 4})
+	fused, fst, err := JacobiAffineT(at, 0.85, b, nil, SolverOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestFusedEmptyMatrix(t *testing.T) {
 	if len(x) != 0 || !st.Converged || st.Iterations != 1 {
 		t.Fatalf("empty solve: x=%v stats=%+v", x, st)
 	}
-	x, st, err = JacobiAffineT(m, 0.85, Vector{}, SolverOptions{})
+	x, st, err = JacobiAffineT(m, 0.85, Vector{}, nil, SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

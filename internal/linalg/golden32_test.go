@@ -29,7 +29,7 @@ func solvePower32Uniform(pt *CSR32, opt SolverOptions) (Vector, IterStats, error
 }
 
 func solveJacobi32(at *CSR32, b Vector, opt SolverOptions) (Vector, IterStats, error) {
-	return JacobiAffineT(at, 0.85, b, opt)
+	return JacobiAffineT(at, 0.85, b, nil, opt)
 }
 
 func openSlab32(path string, opt SlabOpenOptions) (*SlabCSR32, error) {

@@ -50,7 +50,7 @@ var goldenSolve64 = []struct {
 			at := randChain(t, 13, 150).Transpose()
 			b := NewUniformVector(150)
 			b.Scale(0.15)
-			x, st, err := JacobiAffineT(at, 0.85, b, SolverOptions{Workers: 3})
+			x, st, err := JacobiAffineT(at, 0.85, b, nil, SolverOptions{Workers: 3})
 			if err != nil || !st.Converged {
 				t.Fatalf("solve: %v %+v", err, st)
 			}

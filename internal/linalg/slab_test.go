@@ -291,11 +291,11 @@ func TestSlabSolveBitwiseIdentical(t *testing.T) {
 			// Affine path over the same slab-backed operand.
 			b := tele.Clone()
 			b.Scale(1 - alpha)
-			jref, _, err := JacobiAffineT(pt, alpha, b, opt)
+			jref, _, err := JacobiAffineT(pt, alpha, b, nil, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			jgot, _, err := JacobiAffineT(s.Matrix(), alpha, b, opt)
+			jgot, _, err := JacobiAffineT(s.Matrix(), alpha, b, nil, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

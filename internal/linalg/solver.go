@@ -78,7 +78,7 @@ func JacobiAffine[F Float](a *Matrix[F], c float64, b Vector, opt SolverOptions)
 	if a.Rows != a.ColsN || len(b) != a.Rows {
 		return nil, IterStats{}, ErrDimension
 	}
-	return JacobiAffineT(a.TransposeParallel(opt.Workers), c, b, opt)
+	return JacobiAffineT(a.TransposeParallel(opt.Workers), c, b, nil, opt)
 }
 
 // JacobiAffineT is JacobiAffine with the transpose already materialized:
@@ -86,19 +86,22 @@ func JacobiAffine[F Float](a *Matrix[F], c float64, b Vector, opt SolverOptions)
 // systems against the same matrix (or hold a cached transpose, see
 // source.Graph) use this to avoid re-materializing Aᵀ per solve.
 // Each iteration runs on the fused affine kernel: SpMV, scale, bias add,
-// and residual in one parallel pass. The value type of at is the
-// precision of the solve: see PowerMethodT.
-func JacobiAffineT[F Float](at *Matrix[F], c float64, b Vector, opt SolverOptions) (Vector, IterStats, error) {
-	if at.Rows != at.ColsN || len(b) != at.Rows {
+// and residual in one parallel pass. The iteration starts from x0, or
+// from b when x0 is nil. The value type of at is the precision of the
+// solve: see PowerMethodT.
+func JacobiAffineT[F Float](at *Matrix[F], c float64, b, x0 Vector, opt SolverOptions) (Vector, IterStats, error) {
+	if x0 == nil {
+		x0 = b
+	}
+	if at.Rows != at.ColsN || len(b) != at.Rows || len(x0) != at.Rows {
 		return nil, IterStats{}, ErrDimension
 	}
-	bias := narrow[F](b)
-	k, err := newFusedKernel(at, c, bias, true, ResidualL2, opt.Workers)
+	k, err := newFusedKernel(at, c, narrow[F](b), true, ResidualL2, opt.Workers)
 	if err != nil {
 		return nil, IterStats{}, err
 	}
 	defer k.Close()
-	return iterateFused(k, slices.Clone(bias), opt)
+	return iterateFused(k, slices.Clone(narrow[F](x0)), opt)
 }
 
 // PowerMethodT computes the stationary distribution of the row-stochastic

@@ -13,7 +13,7 @@ import (
 // fixture that drives the shared fixed-point driver.
 func scalarAffine(t *testing.T, c, b float64, opt SolverOptions) (Vector, IterStats, error) {
 	t.Helper()
-	return JacobiAffineT(mustCSR(t, 1, 1, []Entry{{0, 0, 1}}), c, Vector{b}, opt)
+	return JacobiAffineT(mustCSR(t, 1, 1, []Entry{{0, 0, 1}}), c, Vector{b}, nil, opt)
 }
 
 // powerMethod is PowerMethodT on the forward chain p.

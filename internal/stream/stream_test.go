@@ -339,6 +339,98 @@ func TestRefreshSkipsOnTouchOnlyChurn(t *testing.T) {
 	}
 }
 
+// TestRecrawlAfterJacobiSolveSkips: with κ > 0 the SRSR solve runs
+// Jacobi and the builder retains its Jacobi operand, so a recrawl
+// (re-adds of links pages already have) right after a drift batch and
+// right after a rewire batch must still skip every solve: the retained
+// scores pass the probe over that operand.
+func TestRecrawlAfterJacobiSolveSkips(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pg := randomCorpus(rng, 40, 300, 1200)
+	p, err := NewPipeline(pg, Options{Spam: []int32{1, 2, 3}, TopK: 4, Store: server.NewStore(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(p.Kappa(), func(k float64) bool { return k > 0 }) {
+		t.Fatal("no source throttled: the solve would not run Jacobi")
+	}
+	bySource := make([][]pagegraph.PageID, pg.NumSources())
+	for q := 0; q < pg.NumPages(); q++ {
+		s := pg.SourceOf(pagegraph.PageID(q))
+		bySource[s] = append(bySource[s], pagegraph.PageID(q))
+	}
+	linksInto := func(q pagegraph.PageID, s pagegraph.SourceID) bool {
+		return slices.ContainsFunc(pg.OutLinks(q), func(r pagegraph.PageID) bool { return pg.SourceOf(r) == s })
+	}
+	// drift: a sibling of a linking page starts linking into the same
+	// source, growing a count inside an existing cell.
+	drift := func() []Delta {
+		var ds []Delta
+		for q := 0; q < pg.NumPages() && len(ds) < 5; q++ {
+			out := pg.OutLinks(pagegraph.PageID(q))
+			if len(out) == 0 {
+				continue
+			}
+			tgt := out[0]
+			for _, sib := range bySource[pg.SourceOf(pagegraph.PageID(q))] {
+				if !linksInto(sib, pg.SourceOf(tgt)) {
+					ds = append(ds, AddEdge(sib, tgt))
+					break
+				}
+			}
+			q += rng.Intn(40)
+		}
+		return ds
+	}
+	// rewire: pages drop one link and gain one to a random page.
+	rewire := func() []Delta {
+		var ds []Delta
+		for len(ds) < 10 {
+			q := pagegraph.PageID(rng.Intn(pg.NumPages()))
+			if out := pg.OutLinks(q); len(out) > 0 && !slices.ContainsFunc(ds, func(d Delta) bool { return d.From == q }) {
+				ds = append(ds, RemoveEdge(q, out[0]), AddEdge(q, pagegraph.PageID(rng.Intn(pg.NumPages()))))
+			}
+		}
+		return ds
+	}
+	recrawl := func() []Delta {
+		var ds []Delta
+		for q := 0; q < pg.NumPages() && len(ds) < 8; q += 1 + rng.Intn(30) {
+			if out := pg.OutLinks(pagegraph.PageID(q)); len(out) > 0 {
+				ds = append(ds, AddEdge(pagegraph.PageID(q), out[len(out)-1]), TouchPage(pagegraph.PageID(q)))
+			}
+		}
+		return ds
+	}
+	for _, c := range []struct {
+		class string
+		batch func() []Delta
+	}{{"drift", drift}, {"rewire", rewire}} {
+		if _, err := p.Apply(c.batch()); err != nil {
+			t.Fatalf("%s: %v", c.class, err)
+		}
+		_, st, err := p.Refresh()
+		if err != nil {
+			t.Fatalf("%s: %v", c.class, err)
+		}
+		if st.SolveSkipped {
+			t.Fatalf("%s batch left T unchanged; the test needs an SRSR solve", c.class)
+		}
+		if _, err := p.Apply(recrawl()); err != nil {
+			t.Fatalf("recrawl after %s: %v", c.class, err)
+		}
+		if _, st, err = p.Refresh(); err != nil {
+			t.Fatalf("recrawl after %s: %v", c.class, err)
+		}
+		if !st.SolveSkipped || !st.PageRankSkipped || !st.TrustRankSkipped {
+			t.Fatalf("recrawl after a Jacobi %s ran solves: %+v", c.class, st.BuildInfo)
+		}
+	}
+}
+
 // TestWALReplayRestoresState: a pipeline with a write-ahead log is
 // rebuilt from the base corpus plus the log alone, and must come back
 // bitwise identical — graph counts, sequence number, and the emitted
