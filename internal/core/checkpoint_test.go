@@ -1,14 +1,18 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"sourcerank/internal/durable"
 	"sourcerank/internal/faultfs"
 	"sourcerank/internal/linalg"
+	"sourcerank/internal/throttle"
 )
 
 func testKappa(n int) []float64 {
@@ -202,5 +206,49 @@ func TestCheckpointFingerprintGolden(t *testing.T) {
 	}
 	if want := uint64(0xf7284b5517582325); warm.hash != want || warm.nodes != 3 {
 		t.Errorf("warm fingerprint = {nodes:%d hash:%#x}, golden {nodes:3 hash:%#x}", warm.nodes, warm.hash, want)
+	}
+}
+
+// TestCheckpointVersionDiscardsOlderIterates pins the payload version at
+// 2 and checks that a version-1 file — same fingerprint, but a power
+// iterate — is discarded once rather than resumed into a Jacobi solve.
+func TestCheckpointVersionDiscardsOlderIterates(t *testing.T) {
+	sg := buildSG(t, corpus(t))
+	kappa := testKappa(sg.NumSources())
+	tpp, err := throttle.Apply(sg.T, kappa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := fingerprintOf(tpp, 0.85, nil)
+	dir := t.TempDir()
+	old := linalg.NewUniformVector(sg.NumSources())
+	err = durable.WriteFile(durable.OS{}, filepath.Join(dir, "ckpt-000000000010.srck"), func(w io.Writer) error {
+		for _, v := range []any{uint32(0x5352434B), uint32(1), uint64(sg.NumSources()), fp.hash, uint64(10)} {
+			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+				return err
+			}
+		}
+		return linalg.WriteVector(w, old)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := faultfs.New(nil)
+	ffs.SetWriteBudget(600)
+	if _, info, err := rank(sg, kappa, Config{}, &CheckpointConfig{Dir: dir, Every: 5, FS: ffs}); !errors.Is(err, faultfs.ErrCrash) {
+		t.Fatalf("want simulated crash, got %v", err)
+	} else if info.ResumedFrom != 0 || info.Discarded != 1 {
+		t.Fatalf("version-1 checkpoint: resumed from %d, discarded %d; want 0 and 1", info.ResumedFrom, info.Discarded)
+	}
+	names := srckFiles(t, dir)
+	if len(names) == 0 {
+		t.Fatal("crash left no committed checkpoints")
+	}
+	payload, err := durable.ReadFile(durable.OS{}, filepath.Join(dir, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(payload[4:8]); v != 2 {
+		t.Fatalf("checkpoint written at version %d, want 2", v)
 	}
 }
