@@ -46,8 +46,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "solver goroutines (0 = GOMAXPROCS)")
 		precision = flag.String("precision", "float64", "PageRank solve arithmetic: float64 (reference) | float32 (bandwidth kernels; scores stay float64; pagerank only)")
 		savePath  = flag.String("save", "", "write the score vector (per source, or per page for pagerank, hits, salsa) to this file (binary)")
-		ckptDir   = flag.String("checkpoint-dir", "", "persist solver iterates here and resume from the newest valid checkpoint (srsr only)")
-		ckptEvery = flag.Int("checkpoint-every", 10, "iterations between checkpoints")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		slabDir   = flag.String("slab-dir", "", "commit the solve operand as a memory-mapped slab file under this directory (out-of-core solve; pagerank only)")
@@ -84,7 +82,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := checkHonoured(*algo, *ckptDir != "", *slabDir != "", *maxResStr != "", prec); err != nil {
+	if err := checkHonoured(*algo, *topK != 0, *slabDir != "", *maxResStr != "", prec); err != nil {
 		fmt.Fprintf(os.Stderr, "srank: %v\n", err)
 		os.Exit(2)
 	}
@@ -153,14 +151,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var ck *core.CheckpointConfig
-		if *ckptDir != "" {
-			if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-				fatal(err)
-			}
-			ck = &core.CheckpointConfig{Dir: *ckptDir, Every: *ckptEvery}
-		}
-		scores, err = sourceLevelScores(*algo, sg, spamSources, *alpha, *topK, *workers, ck)
+		scores, err = sourceLevelScores(*algo, sg, spamSources, *alpha, *topK, *workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -177,18 +168,18 @@ func main() {
 }
 
 // checkHonoured reports the first flag that algo would silently drop:
-// only srsr checkpoints, and only page-level PageRank solves over a slab
-// or at float32 (a source-level solve is in-heap float64). An unknown
-// algo is not this check's to report.
-func checkHonoured(algo string, checkpoint, slab, maxResident bool, prec linalg.Precision) error {
+// only srsr throttles a top-k set, and only page-level PageRank solves
+// over a slab or at float32 (a source-level solve is in-heap float64). An
+// unknown algo is not this check's to report.
+func checkHonoured(algo string, topK, slab, maxResident bool, prec linalg.Precision) error {
 	switch algo {
 	case "srsr", "sourcerank", "pagerank", "trustrank", "hits", "salsa", "proximity":
 	default:
 		return nil
 	}
 	switch {
-	case checkpoint && algo != "srsr":
-		return fmt.Errorf("-checkpoint-dir is not honoured by -algo %s (srsr only)", algo)
+	case topK && algo != "srsr":
+		return fmt.Errorf("-throttle-topk is not honoured by -algo %s (srsr only)", algo)
 	case algo == "pagerank":
 		return nil
 	case slab:
@@ -201,7 +192,7 @@ func checkHonoured(algo string, checkpoint, slab, maxResident bool, prec linalg.
 	return nil
 }
 
-func sourceLevelScores(algo string, sg *source.Graph, spamSources []int32, alpha float64, topK, workers int, ck *core.CheckpointConfig) (linalg.Vector, error) {
+func sourceLevelScores(algo string, sg *source.Graph, spamSources []int32, alpha float64, topK, workers int) (linalg.Vector, error) {
 	switch algo {
 	case "sourcerank":
 		res, err := core.BaselineSourceRank(sg, core.Config{Alpha: alpha, Workers: workers})
@@ -237,10 +228,9 @@ func sourceLevelScores(algo string, sg *source.Graph, spamSources []int32, alpha
 			topK = throttle.DefaultTopK(sg.NumSources())
 		}
 		res, err := core.Pipeline(sg, core.PipelineConfig{
-			Config:     core.Config{Alpha: alpha, Workers: workers},
-			SpamSeeds:  spamSources,
-			TopK:       topK,
-			Checkpoint: ck,
+			Config:    core.Config{Alpha: alpha, Workers: workers},
+			SpamSeeds: spamSources,
+			TopK:      topK,
 		})
 		if err != nil {
 			return nil, err
@@ -249,13 +239,6 @@ func sourceLevelScores(algo string, sg *source.Graph, spamSources []int32, alpha
 		printStats(res.ProximityStats)
 		fmt.Print("srsr ")
 		printStats(res.Stats)
-		if ck != nil {
-			if res.Checkpoint.ResumedFrom > 0 {
-				fmt.Printf("resumed from checkpoint at iteration %d (%d stale checkpoints discarded)\n",
-					res.Checkpoint.ResumedFrom, res.Checkpoint.Discarded)
-			}
-			fmt.Printf("wrote %d checkpoints to %s\n", res.Checkpoint.Written, ck.Dir)
-		}
 		fmt.Printf("throttled top-%d sources by spam proximity\n", topK)
 		return res.Scores, nil
 	}

@@ -53,23 +53,23 @@ func TestPageRankSlabMatchesHeap(t *testing.T) {
 // never dropped; everything an algorithm does honour passes.
 func TestCheckHonoured(t *testing.T) {
 	cases := []struct {
-		algo                          string
-		checkpoint, slab, maxResident bool
-		prec                          linalg.Precision
-		wantFlag                      string // "" = accepted
+		algo                    string
+		topK, slab, maxResident bool
+		prec                    linalg.Precision
+		wantFlag                string // "" = accepted
 	}{
-		{algo: "srsr", checkpoint: true},
+		{algo: "srsr", topK: true},
 		{algo: "sourcerank"},
 		{algo: "pagerank", slab: true, maxResident: true, prec: linalg.Float32},
 		{algo: "trustrank"},
 		{algo: "hits"},
 		{algo: "salsa"},
 		{algo: "proximity"},
-		{algo: "nosuch", checkpoint: true, slab: true, maxResident: true, prec: linalg.Float32}, // main reports the unknown algorithm
-		{algo: "sourcerank", checkpoint: true, wantFlag: "-checkpoint-dir"},
-		{algo: "pagerank", checkpoint: true, wantFlag: "-checkpoint-dir"},
-		{algo: "trustrank", checkpoint: true, wantFlag: "-checkpoint-dir"},
-		{algo: "hits", checkpoint: true, wantFlag: "-checkpoint-dir"},
+		{algo: "nosuch", topK: true, slab: true, maxResident: true, prec: linalg.Float32}, // main reports the unknown algorithm
+		{algo: "sourcerank", topK: true, wantFlag: "-throttle-topk"},
+		{algo: "pagerank", topK: true, wantFlag: "-throttle-topk"},
+		{algo: "trustrank", topK: true, wantFlag: "-throttle-topk"},
+		{algo: "proximity", topK: true, wantFlag: "-throttle-topk"},
 		{algo: "srsr", slab: true, wantFlag: "-slab-dir"},
 		{algo: "sourcerank", slab: true, wantFlag: "-slab-dir"},
 		{algo: "trustrank", slab: true, wantFlag: "-slab-dir"},
@@ -86,7 +86,7 @@ func TestCheckHonoured(t *testing.T) {
 		{algo: "proximity", prec: linalg.Float32, wantFlag: "-precision float32"},
 	}
 	for _, c := range cases {
-		err := checkHonoured(c.algo, c.checkpoint, c.slab, c.maxResident, c.prec)
+		err := checkHonoured(c.algo, c.topK, c.slab, c.maxResident, c.prec)
 		switch {
 		case c.wantFlag == "" && err != nil:
 			t.Errorf("%+v: refused: %v", c, err)
@@ -148,6 +148,9 @@ func TestSaveAndRefusalEndToEnd(t *testing.T) {
 	}
 	if out, exit := runSrank(t, "-algo", "srsr", "-precision", "float32"); exit != 2 || out != "" {
 		t.Errorf("-algo srsr -precision float32: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
+	}
+	if out, exit := runSrank(t, "-algo", "pagerank", "-throttle-topk", "5"); exit != 2 || out != "" {
+		t.Errorf("-algo pagerank -throttle-topk 5: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
 	}
 }
 

@@ -322,9 +322,8 @@ func TestRefreshEndToEnd(t *testing.T) {
 
 	// (c) A failed build — a bad label file, which fails before the
 	// builder runs — leaves the old snapshot served and backs the
-	// refresher off; the next good cycle matches cold. (A build failing
-	// inside the SRSR solve after κ was re-assigned is
-	// internal/core's TestPipelineRefreshFailedSolveDisarmsSkip.)
+	// refresher off; the next good cycle matches cold. (Once κ is
+	// re-assigned, nothing in the SRSR solve can fail.)
 	served := store.Current()
 	writeLabels(t, spamPath, "999999999\n")
 	if err := ref.RefreshNow(ctx); err == nil {

@@ -181,76 +181,42 @@ func throttledTranspose(sg *source.Graph, tpp *linalg.CSR, workers int) *linalg.
 // spam injection, a recrawl of one site — the previous σ converges in a
 // fraction of the cold-start iterations.
 func Rank(sg *source.Graph, kappa []float64, cfg Config) (*Result, error) {
-	res, _, err := rank(sg, kappa, cfg, nil)
-	return res, err
-}
-
-// rank is Rank, and with ck set the checkpointed solve behind
-// PipelineConfig.Checkpoint: the iteration then starts from the newest
-// valid checkpoint of this very solve in ck.Dir (else from cfg.X0) and
-// persists its iterate every ck.Every iterations. Checkpoints recorded
-// against a different graph, throttle vector, α or warm start are
-// discarded, and all of them are cleared on convergence. The resumed
-// iterate sequence is the uninterrupted one, so a solve killed and
-// restarted any number of times returns the same vector bit for bit.
-func rank(sg *source.Graph, kappa []float64, cfg Config, ck *CheckpointConfig) (*Result, CheckpointInfo, error) {
 	if sg == nil || sg.NumSources() == 0 {
-		return nil, CheckpointInfo{}, errors.New("core: empty source graph")
-	}
-	if ck != nil && ck.Dir == "" {
-		return nil, CheckpointInfo{}, errors.New("core: checkpoint directory not set")
+		return nil, errors.New("core: empty source graph")
 	}
 	tpp, err := throttle.Apply(sg.T, kappa)
 	if err != nil {
-		return nil, CheckpointInfo{}, fmt.Errorf("core: applying throttle: %w", err)
+		return nil, fmt.Errorf("core: applying throttle: %w", err)
 	}
 	res := &Result{Kappa: append([]float64(nil), kappa...), op: operand{m: throttledTranspose(sg, tpp, cfg.Workers)}}
 	if cfg.jacobi(kappa) {
 		// The identity path shares sg's cached transpose: leave it intact.
 		res.op = jacobiOperand(res.op.m, cfg.alpha(), tpp != sg.T)
 	}
-	var info CheckpointInfo
-	var run *checkpointRun
-	if ck != nil {
-		run = &checkpointRun{CheckpointConfig: *ck, tpp: tpp, info: &info}
+	if res.Scores, res.Stats, err = solve(cfg, res.op); err != nil {
+		return nil, err
 	}
-	if res.Scores, res.Stats, err = solve(cfg, res.op, run); err != nil {
-		return nil, info, err
-	}
-	return res, info, nil
+	return res, nil
 }
 
-// solve iterates over op from cfg.X0, else from the teleport vector c;
-// with ck set, checkpointed.
-func solve(cfg Config, op operand, ck *checkpointRun) (linalg.Vector, linalg.IterStats, error) {
+// solve iterates over op from cfg.X0, else from the teleport vector c.
+func solve(cfg Config, op operand) (linalg.Vector, linalg.IterStats, error) {
 	n := op.m.Rows
 	x0 := sanitizeWarmStart(cfg.X0)
 	if x0 != nil && len(x0) != n {
 		return nil, linalg.IterStats{}, linalg.ErrDimension
 	}
 	opt := linalg.SolverOptions{Workers: cfg.Workers}
-	if ck != nil {
-		var err error
-		if x0, opt.Progress, err = ck.arm(cfg, x0); err != nil {
-			return nil, linalg.IterStats{}, err
-		}
-	}
 	c := linalg.NewUniformVector(n)
-	var scores linalg.Vector
-	var stats linalg.IterStats
-	var err error
 	if op.bias == nil {
-		scores, stats, err = linalg.PowerMethodT(op.m, cfg.alpha(), c, x0, opt)
-	} else {
-		if x0 == nil {
-			x0 = c
-		}
-		if scores, stats, err = linalg.JacobiAffineT(op.m, 1, op.bias, x0, opt); err == nil {
-			scores.Normalize1()
-		}
+		return linalg.PowerMethodT(op.m, cfg.alpha(), c, x0, opt)
 	}
-	if err == nil && ck != nil {
-		clearCheckpoints(ck.fs(), ck.Dir)
+	if x0 == nil {
+		x0 = c
+	}
+	scores, stats, err := linalg.JacobiAffineT(op.m, 1, op.bias, x0, opt)
+	if err == nil {
+		scores.Normalize1()
 	}
 	return scores, stats, err
 }
@@ -273,12 +239,6 @@ type PipelineConfig struct {
 	// (κ = 1, every other source κ = 0); throttle.DefaultTopK is the
 	// paper's cut. The proximity walk runs at β = 0.85.
 	TopK int
-	// Checkpoint, if set, makes the final SRSR solve resumable: the
-	// iterate is persisted every Checkpoint.Every iterations and a crash
-	// resumes from the newest valid checkpoint, bit for bit (see rank).
-	// The spam-proximity solve is not checkpointed; it is cheap relative
-	// to the stationary solve.
-	Checkpoint *CheckpointConfig
 }
 
 // PipelineResult extends Result with the intermediate artifacts of the
@@ -287,9 +247,6 @@ type PipelineResult struct {
 	Result
 	Proximity      linalg.Vector
 	ProximityStats linalg.IterStats
-	// Checkpoint reports resume/persist activity when
-	// PipelineConfig.Checkpoint was set.
-	Checkpoint CheckpointInfo
 }
 
 // Pipeline runs the Spam-Resilient SourceRank pipeline on a source graph

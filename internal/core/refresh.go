@@ -89,10 +89,9 @@ type RefreshInfo struct {
 // pipeline passes its patched overlay); version names those rows, and
 // while it and the assignment are the retained walk's, proximity and κ
 // carry over. A nil structure names no version. The solve goes through
-// Rank (checkpointed with cfg.Checkpoint set), started from the previous
-// scores when there are any and from cfg.X0 otherwise. Everything in cfg
-// but the seeds and TopK is expected to stay fixed over one state's
-// lifetime.
+// Rank, started from the previous scores when there are any and from
+// cfg.X0 otherwise. Everything in cfg but the seeds and TopK is expected
+// to stay fixed over one state's lifetime.
 func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64, cfg PipelineConfig, st *RefreshState) (*PipelineResult, RefreshInfo, error) {
 	info := RefreshInfo{BoundaryGap: math.Inf(1)}
 	if sg == nil || sg.NumSources() == 0 {
@@ -158,7 +157,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 	if st.Scores != nil {
 		solveCfg.X0 = st.Scores.Padded(n)
 	}
-	res, ckInfo, err := rank(sg, st.Kappa, solveCfg, cfg.Checkpoint)
+	res, err := Rank(sg, st.Kappa, solveCfg)
 	if err != nil {
 		return nil, info, err
 	}
@@ -167,7 +166,6 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 		Result:         *res,
 		Proximity:      st.Proximity,
 		ProximityStats: info.Decision.IterStats,
-		Checkpoint:     ckInfo,
 	}, info, nil
 }
 

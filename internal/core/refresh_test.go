@@ -289,45 +289,6 @@ func TestPipelineRefreshCountsFlipsAgainstPreviousKappa(t *testing.T) {
 	}
 }
 
-// TestPipelineRefreshFailedSolveDisarmsSkip: a refresh that patched κ and
-// then failed in the solve must not leave the fast path armed — the next
-// refresh with the same inputs solves, and matches cold.
-func TestPipelineRefreshFailedSolveDisarmsSkip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	sg, err := source.Build(refreshPageGraph(rng, 30, 150, 500), source.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := PipelineConfig{SpamSeeds: []int32{1, 2, 3}, TopK: 4}
-	st := &RefreshState{}
-	if _, _, err := PipelineRefresh(sg, nil, 0, cfg, st); err != nil {
-		t.Fatal(err)
-	}
-	cfg.SpamSeeds = []int32{20, 21, 22}
-	bad := cfg
-	bad.Checkpoint = &CheckpointConfig{Dir: t.TempDir() + "/missing"}
-	if _, _, err := PipelineRefresh(sg, nil, 0, bad, st); err == nil {
-		t.Fatal("solve into a missing checkpoint directory succeeded")
-	}
-	got, info, err := PipelineRefresh(sg, nil, 0, cfg, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.SolveSkipped {
-		t.Fatal("refresh after a failed solve skipped over scores of the old κ")
-	}
-	cold, err := Pipeline(sg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got.Kappa, cold.Kappa) {
-		t.Fatal("κ differs from cold after a failed refresh")
-	}
-	if d := linalg.L2Distance(got.Scores, cold.Scores); d > 1e-7 {
-		t.Fatalf("scores differ from cold by %g after a failed refresh", d)
-	}
-}
-
 // TestPipelineRefreshJacobi: a stateful Jacobi refresh over changed
 // labels is, bit for bit, the Jacobi solve of the new κ warm-started from
 // the previous scores, and lands on the cold Jacobi pipeline's σ.

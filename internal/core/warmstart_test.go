@@ -1,12 +1,10 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"slices"
 	"testing"
 
-	"sourcerank/internal/faultfs"
 	"sourcerank/internal/gen"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/source"
@@ -112,82 +110,6 @@ func TestJacobiColdStartsFromTeleport(t *testing.T) {
 	for i := range plain.Scores {
 		if plain.Scores[i] != withX0.Scores[i] {
 			t.Fatalf("score %d: %v != %v", i, plain.Scores[i], withX0.Scores[i])
-		}
-	}
-}
-
-// TestRankCheckpointedWarmStartLineage: checkpoints written by a solve
-// with one x0 lineage must be discarded by a solve with another — a
-// cold-start resume mixing warm-start iterates (or vice versa) would
-// silently break the bit-identical-resume guarantee.
-func TestRankCheckpointedWarmStartLineage(t *testing.T) {
-	sg := buildSG(t, corpus(t))
-	kappa := testKappa(sg.NumSources())
-	dir := t.TempDir()
-
-	// Crash a cold-start solve mid-way, leaving cold-lineage checkpoints.
-	crashOnce(t, dir, kappa)
-
-	// A warm-started solve over the same graph/κ/α must not resume them.
-	warmX0 := linalg.NewUniformVector(sg.NumSources())
-	warmX0[0] *= 2
-	warmX0.Normalize1()
-	res, info, err := rank(sg, kappa, Config{X0: warmX0}, &CheckpointConfig{Dir: dir, Every: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.ResumedFrom != 0 {
-		t.Fatalf("warm-start solve resumed a cold-lineage checkpoint at iteration %d", info.ResumedFrom)
-	}
-	if info.Discarded == 0 {
-		t.Fatal("cold-lineage checkpoints not discarded")
-	}
-	// And it still converges to the reference fixed point.
-	ref, err := Rank(sg, kappa, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := linalg.L2Distance(res.Scores, ref.Scores); d > 1e-7 {
-		t.Errorf("warm checkpointed solve differs from reference by %g", d)
-	}
-}
-
-// TestRankCheckpointedWarmStartResume: warm-started checkpointed solves
-// resume bit-identically within the same lineage.
-func TestRankCheckpointedWarmStartResume(t *testing.T) {
-	sg := buildSG(t, corpus(t))
-	kappa := testKappa(sg.NumSources())
-	warmX0 := linalg.NewUniformVector(sg.NumSources())
-	warmX0[1] *= 3
-	warmX0.Normalize1()
-
-	ref, _, err := rank(sg, kappa, Config{X0: warmX0}, &CheckpointConfig{Dir: t.TempDir(), Every: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	// First run crashes partway through on a write budget, leaving
-	// committed warm-lineage checkpoints behind.
-	ffs := faultfs.New(nil)
-	ffs.SetWriteBudget(600)
-	_, _, err = rank(sg, kappa, Config{X0: warmX0}, &CheckpointConfig{Dir: dir, Every: 5, FS: ffs})
-	if !errors.Is(err, faultfs.ErrCrash) {
-		t.Fatalf("want simulated crash, got %v", err)
-	}
-	if len(srckFiles(t, dir)) == 0 {
-		t.Fatal("crash left no committed checkpoints")
-	}
-	res, info, err := rank(sg, kappa, Config{X0: warmX0}, &CheckpointConfig{Dir: dir, Every: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.ResumedFrom == 0 {
-		t.Fatal("second run did not resume from the partial solve's checkpoints")
-	}
-	for i := range ref.Scores {
-		if res.Scores[i] != ref.Scores[i] {
-			t.Fatalf("resumed warm score %d: %v != %v", i, res.Scores[i], ref.Scores[i])
 		}
 	}
 }

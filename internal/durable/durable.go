@@ -1,6 +1,6 @@
 // Package durable implements the crash-safe file commit protocol used by
-// every on-disk artifact the pipeline publishes: score vectors, compressed
-// web graphs, and solver checkpoints.
+// every on-disk artifact the pipeline publishes: score vectors, matrix
+// slabs, generator spill runs and the stream's write-ahead log.
 //
 // A commit writes the payload to a temporary file in the destination
 // directory, appends a CRC32-C trailer frame over the payload, fsyncs the

@@ -2,8 +2,8 @@
 // disk faults: short writes, fsync failures, read corruption,
 // crash-at-offset (a byte budget after which every operation fails as if
 // the process had died mid-write) and a full disk. The durable-layer and
-// chaos tests use it to prove the commit protocol and the checkpointed
-// solver survive bad disks and arbitrary kill points.
+// chaos tests use it to prove the commit protocol, the stream WAL and
+// the spilled generator survive bad disks and arbitrary kill points.
 //
 // A crash is sticky: once the write budget is exhausted the filesystem
 // returns ErrCrash for everything until Heal is called, which models a
@@ -42,8 +42,7 @@ type FS struct {
 	// path, off the file offset of p's first byte.
 	corrupt func(name string, off int64, p []byte)
 
-	writes  int64 // total bytes written (diagnostics)
-	crashes int   // crash faults fired
+	writes int64 // total bytes written (diagnostics)
 }
 
 // New wraps base (nil selects durable.OS) with no faults armed.
@@ -105,13 +104,6 @@ func (f *FS) BytesWritten() int64 {
 	return f.writes
 }
 
-// Crashes returns how many crash faults have fired.
-func (f *FS) Crashes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashes
-}
-
 func (f *FS) alive() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -139,7 +131,6 @@ func (f *FS) consumeWrite(n int) (allowed int, crash, full bool) {
 			// Short write: the crash lands mid-buffer.
 			allowed, crash, full = int(f.writeBudget), true, false
 			f.crashed = true
-			f.crashes++
 		}
 		f.writeBudget -= int64(allowed)
 	}

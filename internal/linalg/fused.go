@@ -524,9 +524,9 @@ func widen[F Float](x []F) Vector {
 
 // iterateFused drives a one-column kernel to convergence from cur (see
 // iterateCols) and returns its iterate and stats.
-func iterateFused[F Float](k *fusedKernel[F], cur []F, opt SolverOptions) (x Vector, st IterStats, err error) {
-	err = iterateCols(k, cur, opt, func(_ int, v Vector, s IterStats) { x, st = v, s })
-	return x, st, err
+func iterateFused[F Float](k *fusedKernel[F], cur []F, opt SolverOptions) (x Vector, st IterStats) {
+	iterateCols(k, cur, opt, func(_ int, v Vector, s IterStats) { x, st = v, s })
+	return x, st
 }
 
 // iterateCols drives a fused kernel to convergence from cur (columns
@@ -536,14 +536,10 @@ func iterateFused[F Float](k *fusedKernel[F], cur []F, opt SolverOptions) (x Vec
 // MaxIter. When one column of a pair finishes first, the other moves to a
 // vector of its own and continues on the solo path: a step is a pure
 // function of its source, so no bit of it moves. At float32, tolerances
-// below Float32Tol are clamped up to it, and a Progress callback (which
-// observes float64 iterates) is rejected with ErrFloat32Solver.
-func iterateCols[F Float](k *fusedKernel[F], cur []F, opt SolverOptions, done func(col int, x Vector, st IterStats)) error {
+// below Float32Tol are clamped up to it.
+func iterateCols[F Float](k *fusedKernel[F], cur []F, opt SolverOptions, done func(col int, x Vector, st IterStats)) {
 	opt = opt.withDefaults()
 	if precisionOf[F]() == Float32 {
-		if opt.Progress != nil {
-			return ErrFloat32Solver
-		}
 		opt.Tol = max(opt.Tol, Float32Tol)
 	}
 	next := make([]F, len(cur))
@@ -554,12 +550,6 @@ func iterateCols[F Float](k *fusedKernel[F], cur []F, opt SolverOptions, done fu
 		var st [2]IterStats
 		for j := range k.cols {
 			st[j] = IterStats{Iterations: it, Residual: k.reduceResidual(j)}
-		}
-		if opt.Progress != nil {
-			if err := opt.Progress(it, widen(cur)); err != nil {
-				done(ids[0], widen(cur), st[0])
-				return err
-			}
 		}
 		live, keep := 0, 0
 		for j := range k.cols {
@@ -573,7 +563,7 @@ func iterateCols[F Float](k *fusedKernel[F], cur []F, opt SolverOptions, done fu
 			}
 		}
 		if live == 0 {
-			return nil
+			return
 		}
 		if live < k.cols {
 			k.aux = [2][]F{k.aux, k.aux2}[keep] // the survivor's teleport

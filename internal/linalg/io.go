@@ -16,7 +16,7 @@ import (
 // cmd/srank uses it to snapshot rankings for later comparison or
 // warm-started recomputation.
 //
-// Version 1 is the bare stream produced by WriteVector. Version 2 is the
+// Version 1 is the bare stream of early score files. Version 2 is the
 // same layout committed through internal/durable: the file is written to
 // a temp path, framed with a CRC32-C trailer, fsynced, and atomically
 // renamed, so a crash mid-write never tears a published vector and a
@@ -88,24 +88,16 @@ func decodeVectorFile(data []byte) (Vector, error) {
 	}
 	switch ver := le.Uint32(data[4:8]); ver {
 	case vecVersionLegacy:
-		return ReadVector(bytes.NewReader(data))
+		return readVector(bytes.NewReader(data))
 	case vecVersion:
 		payload, err := durable.Verify(data)
 		if err != nil {
 			return nil, err
 		}
-		return ReadVector(bytes.NewReader(payload))
+		return readVector(bytes.NewReader(payload))
 	default:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrVectorCorrupt, ver)
 	}
-}
-
-// WriteVector serializes v as a bare version-1 stream with no integrity
-// trailer, for in-memory pipes and embedding inside other formats (the
-// solver checkpoint file reuses it). Files published to disk should go
-// through WriteVectorFile, which adds the durable framing.
-func WriteVector(w io.Writer, v Vector) error {
-	return writeVector(w, v, vecVersionLegacy)
 }
 
 func writeVector(w io.Writer, v Vector, version uint32) error {
@@ -126,11 +118,11 @@ func writeVector(w io.Writer, v Vector, version uint32) error {
 	return bw.Flush()
 }
 
-// ReadVector deserializes a vector written by WriteVector, rejecting
-// non-finite values so downstream solvers never see NaNs from disk. It
-// accepts version 1 and 2 headers (the body layout is identical); the
-// CRC trailer of framed files is checked by ReadVectorFile, not here.
-func ReadVector(r io.Reader) (Vector, error) {
+// readVector deserializes a vector stream written by writeVector,
+// rejecting non-finite values so downstream solvers never see NaNs from
+// disk. It accepts version 1 and 2 headers (the body layout is identical);
+// the CRC trailer of framed files is checked by decodeVectorFile.
+func readVector(r io.Reader) (Vector, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
 	var magic, ver uint32

@@ -11,10 +11,10 @@ import (
 func TestVectorRoundTrip(t *testing.T) {
 	v := Vector{0.25, -1e-9, 3.5e100, 0}
 	var buf bytes.Buffer
-	if err := WriteVector(&buf, v); err != nil {
+	if err := writeVector(&buf, v, vecVersionLegacy); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadVector(&buf)
+	got, err := readVector(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,10 @@ func TestVectorRoundTrip(t *testing.T) {
 
 func TestVectorRoundTripEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteVector(&buf, Vector{}); err != nil {
+	if err := writeVector(&buf, Vector{}, vecVersionLegacy); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadVector(&buf)
+	got, err := readVector(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestVectorRoundTripEmpty(t *testing.T) {
 
 func TestReadVectorRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteVector(&buf, Vector{1, 2, 3}); err != nil {
+	if err := writeVector(&buf, Vector{1, 2, 3}, vecVersionLegacy); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -52,13 +52,13 @@ func TestReadVectorRejectsCorruption(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte{}, raw...)
 		bad[0] ^= 0xFF
-		if _, err := ReadVector(bytes.NewReader(bad)); !errors.Is(err, ErrVectorCorrupt) {
+		if _, err := readVector(bytes.NewReader(bad)); !errors.Is(err, ErrVectorCorrupt) {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
 		for _, cut := range []int{2, 6, 14, len(raw) - 1} {
-			if _, err := ReadVector(bytes.NewReader(raw[:cut])); err == nil {
+			if _, err := readVector(bytes.NewReader(raw[:cut])); err == nil {
 				t.Errorf("truncation at %d accepted", cut)
 			}
 		}
@@ -66,7 +66,7 @@ func TestReadVectorRejectsCorruption(t *testing.T) {
 	t.Run("nan value", func(t *testing.T) {
 		bad := append([]byte{}, raw...)
 		binary.LittleEndian.PutUint64(bad[16:], math.Float64bits(math.NaN()))
-		if _, err := ReadVector(bytes.NewReader(bad)); !errors.Is(err, ErrVectorCorrupt) {
+		if _, err := readVector(bytes.NewReader(bad)); !errors.Is(err, ErrVectorCorrupt) {
 			t.Errorf("NaN accepted: %v", err)
 		}
 	})

@@ -115,8 +115,7 @@ func TestPowerMethodTPairBitwise(t *testing.T) {
 	}
 }
 
-// TestPowerMethodTPairErrors: the pair rejects what PowerMethodT rejects,
-// and a Progress callback.
+// TestPowerMethodTPairErrors: the pair rejects what PowerMethodT rejects.
 func TestPowerMethodTPairErrors(t *testing.T) {
 	pt := randChain(t, 8, 10).Transpose()
 	u, short := NewUniformVector(10), NewUniformVector(9)
@@ -131,10 +130,6 @@ func TestPowerMethodTPairErrors(t *testing.T) {
 		if err := PowerMethodTPair(pt, 0.85, tc.tel, tc.x0, SolverOptions{}, none); err != ErrDimension {
 			t.Errorf("mismatched operands: %v, want ErrDimension", err)
 		}
-	}
-	progress := SolverOptions{Progress: func(int, Vector) error { return nil }}
-	if err := PowerMethodTPair(pt, 0.85, [2]Vector{u, u}, [2]Vector{}, progress, none); err == nil {
-		t.Error("a paired solve accepted a Progress callback")
 	}
 }
 

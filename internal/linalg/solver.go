@@ -19,12 +19,6 @@ type SolverOptions struct {
 	Tol     float64 // convergence threshold on successive-iterate distance; default 1e-9
 	MaxIter int     // iteration cap; default 1000
 	Workers int     // goroutines for SpMV; <=0 means GOMAXPROCS
-	// Progress, if set, observes each completed iteration (1-based) with
-	// the current iterate. Returning a non-nil error aborts the solve and
-	// is surfaced by the error-returning solvers; the checkpointing layer
-	// uses this to persist iterates and to propagate write failures. The
-	// callback must not retain or mutate x.
-	Progress func(iter int, x Vector) error
 }
 
 func (o SolverOptions) withDefaults() SolverOptions {
@@ -46,12 +40,6 @@ var ErrDimension = errors.New("linalg: dimension mismatch")
 // requested tolerance below this floor would spin to MaxIter without
 // converging; the solvers clamp up to it instead.
 const Float32Tol = 1e-7
-
-// ErrFloat32Solver reports a solver feature that a float32 solve does not
-// support: a Progress callback observes float64 iterates the float32
-// kernel never materializes. Callers needing one (e.g. checkpointed
-// solves) must solve at float64.
-var ErrFloat32Solver = errors.New("linalg: Progress not supported by float32 solves")
 
 // narrow returns v at value type F: v itself at float64, an entrywise
 // rounding (to nearest even) at float32.
@@ -101,7 +89,8 @@ func JacobiAffineT[F Float](at *Matrix[F], c float64, b, x0 Vector, opt SolverOp
 		return nil, IterStats{}, err
 	}
 	defer k.Close()
-	return iterateFused(k, slices.Clone(narrow[F](x0)), opt)
+	x, st := iterateFused(k, slices.Clone(narrow[F](x0)), opt)
+	return x, st, nil
 }
 
 // PowerMethodT computes the stationary distribution of the row-stochastic
@@ -123,8 +112,7 @@ func JacobiAffineT[F Float](at *Matrix[F], c float64, b, x0 Vector, opt SolverOp
 // are narrowed once on entry — while every accumulation runs in float64,
 // and the converged iterate is widened exactly back to a float64 Vector,
 // so downstream ranking code is precision-agnostic. A float32 solve
-// clamps tolerances below Float32Tol up to it and rejects Progress with
-// ErrFloat32Solver. Results are bitwise identical across worker counts at
+// clamps tolerances below Float32Tol up to it. Results are bitwise identical across worker counts at
 // either precision, but the float32 result differs from the float64 one
 // in low-order bits — rank fidelity between the two is certified by
 // internal/rankeval, not by bit equality.
@@ -145,12 +133,8 @@ func PowerMethodT[F Float](pt *Matrix[F], c float64, t Vector, x0 Vector, opt So
 // only in teleport and start (PageRank and TrustRank over one Mᵀ), in one
 // sweep: each step streams pt once for both. Chain j's result is bitwise
 // PowerMethodT(pt, c, t[j], x0[j], opt)'s; done receives it as it
-// converges or reaches MaxIter, and the other continues alone. Progress
-// is not supported.
+// converges or reaches MaxIter, and the other continues alone.
 func PowerMethodTPair(pt *CSR, c float64, t, x0 [2]Vector, opt SolverOptions, done func(j int, x Vector, st IterStats)) error {
-	if opt.Progress != nil {
-		return errors.New("linalg: Progress not supported by paired solves")
-	}
 	cur := make([]float64, 2*pt.Rows)
 	for j := range t {
 		if x0[j] == nil {
@@ -168,7 +152,8 @@ func PowerMethodTPair(pt *CSR, c float64, t, x0 [2]Vector, opt SolverOptions, do
 		return err
 	}
 	defer k.Close()
-	return iterateCols(k, cur, opt, done)
+	iterateCols(k, cur, opt, done)
+	return nil
 }
 
 // PowerMethodTUniform is PowerMethodT specialized to the uniform
@@ -209,7 +194,8 @@ func powerSolve[F Float](pt *Matrix[F], c float64, t, cur []F, opt SolverOptions
 		return nil, IterStats{}, err
 	}
 	defer k.Close()
-	return iterateFused(k, cur, opt)
+	x, st := iterateFused(k, cur, opt)
+	return x, st, nil
 }
 
 // Gini returns the Gini coefficient of a nonnegative vector: 0 for a

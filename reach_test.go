@@ -104,15 +104,13 @@ var reachAllow = map[string]string{
 	"internal/stream.AddSource": "roadmap 1",
 	"internal/stream.AddPage":   "roadmap 1",
 
-	// Fields the field rule finds read and set by tests only. The three
-	// FS fields are where crash tests hand checkpoints, the WAL and spill
-	// runs a faulty disk; item 1a's ingest door sets srserve's WAL
-	// directory and top-k.
-	"internal/core.CheckpointConfig.FS": "fault-injection",
-	"internal/stream.Options.FS":        "fault-injection",
-	"internal/gen.StreamOptions.FS":     "fault-injection",
-	"internal/stream.Options.TopK":      "roadmap 1",
-	"internal/stream.Options.WALDir":    "roadmap 1",
+	// Fields the field rule finds read and set by tests only. The two FS
+	// fields are where crash tests hand the WAL and spill runs a faulty
+	// disk; item 1a's ingest door sets srserve's WAL directory and top-k.
+	"internal/stream.Options.FS":     "fault-injection",
+	"internal/gen.StreamOptions.FS":  "fault-injection",
+	"internal/stream.Options.TopK":   "roadmap 1",
+	"internal/stream.Options.WALDir": "roadmap 1",
 }
 
 const (
