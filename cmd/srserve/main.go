@@ -225,8 +225,8 @@ func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, builder *serve
 // re-walked cold to tolerance — then how many κ entries flipped, which
 // baselines were carried rather than re-solved (and whether the two
 // re-solved in one sweep), and the wall time of each solve branch (SRSR;
-// PageRank and TrustRank), whether they ran at once or in turn, and which
-// one set the build's length.
+// PageRank and TrustRank), whether they ran at once or in turn, which
+// one set the build's length, and the iterations of each solve that ran.
 func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
 	var srsr string
 	switch d := info.Decision; {
@@ -268,6 +268,23 @@ func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
 		mode, info.SRSRWall.Seconds()*1e3, info.BaselinesWall.Seconds()*1e3, longer)
 	if set := snap.Set(server.AlgoSRSR); set != nil && !info.SolveSkipped && set.Stats().Iterations > 0 {
 		line += fmt.Sprintf("; srsr solved in %d iterations", set.Stats().Iterations)
+	}
+	var solved []string // "pagerank solved in N", "trustrank in M"
+	for _, algo := range []server.Algo{server.AlgoPageRank, server.AlgoTrustRank} {
+		skipped := info.PageRankSkipped
+		if algo == server.AlgoTrustRank {
+			skipped = info.TrustRankSkipped
+		}
+		if set := snap.Set(algo); set != nil && !skipped && set.Stats().Iterations > 0 {
+			verb := " solved"
+			if solved != nil {
+				verb = ""
+			}
+			solved = append(solved, fmt.Sprintf("%s%s in %d", algo, verb, set.Stats().Iterations))
+		}
+	}
+	if solved != nil {
+		line += "; " + strings.Join(solved, ", ") + " iterations"
 	}
 	return line
 }

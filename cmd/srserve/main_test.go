@@ -31,7 +31,9 @@ func writeLabels(t *testing.T, path, body string) {
 }
 
 // TestBuildLine: each path that can settle SRSR's κ reads as itself in the
-// build's log line, with the numbers that path produced.
+// build's log line, with the numbers that path produced, and each solve
+// that ran — SRSR's and each re-solved baseline's — ends it with its
+// iterations.
 func TestBuildLine(t *testing.T) {
 	snapWith := func(algos ...server.Algo) *server.Snapshot {
 		sets := map[server.Algo]*server.ScoreSet{}
@@ -50,6 +52,17 @@ func TestBuildLine(t *testing.T) {
 	}, time.Now())
 	if err != nil {
 		t.Fatal(err)
+	}
+	baselines := func(pr, tr int) *server.Snapshot {
+		snap, err := server.NewSnapshot(server.CorpusInfo{}, []string{"a", "b"}, []int{1, 1}, 1, map[server.Algo]*server.ScoreSet{
+			server.AlgoSRSR:      server.NewScoreSet(linalg.Vector{0.5, 0.5}, linalg.IterStats{Iterations: 24, Converged: true}),
+			server.AlgoPageRank:  server.NewScoreSet(linalg.Vector{0.5, 0.5}, linalg.IterStats{Iterations: pr, Converged: true}),
+			server.AlgoTrustRank: server.NewScoreSet(linalg.Vector{0.5, 0.5}, linalg.IterStats{Iterations: tr, Converged: true}),
+		}, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
 	decided := throttle.Decision{IterStats: linalg.IterStats{Iterations: 52}, Bound: 6e-7}
 	for _, tc := range []struct {
@@ -81,6 +94,13 @@ func TestBuildLine(t *testing.T) {
 			"build: srsr proximity decided warm at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 3 κ flips; pagerank re-solved, trustrank re-solved in one sweep; solves at once: srsr 43.0 ms, baselines 31.0 ms (srsr set the length)"},
 		{"srsr solved", solved, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCarried: true}, PageRankSkipped: true, TrustRankSkipped: true, SRSRWall: 6400 * time.Microsecond},
 			"build: srsr proximity carried (structure unchanged), 0 κ flips; pagerank carried, trustrank carried; solves in turn: srsr 6.4 ms, baselines 0.0 ms (srsr set the length); srsr solved in 24 iterations"},
+		{"baselines solved", baselines(37, 41), server.BuildInfo{RefreshInfo: core.RefreshInfo{Decision: decided, BoundaryGap: 1.34e-6, KappaChanged: 3},
+			SRSRWall: 21 * time.Millisecond, BaselinesWall: 14 * time.Millisecond, Concurrent: true, BaselinesSwept: true},
+			"build: srsr proximity decided warm at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 3 κ flips; pagerank re-solved, trustrank re-solved in one sweep; solves at once: srsr 21.0 ms, baselines 14.0 ms (srsr set the length); srsr solved in 24 iterations; pagerank solved in 37, trustrank in 41 iterations"},
+		{"trustrank solved alone", baselines(37, 41), server.BuildInfo{RefreshInfo: core.RefreshInfo{SolveSkipped: true}, PageRankSkipped: true},
+			"build: srsr solve skipped (graph and labels unchanged), 0 κ flips; pagerank carried, trustrank re-solved; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length); trustrank solved in 41 iterations"},
+		{"pagerank solved alone", baselines(37, 0), server.BuildInfo{RefreshInfo: core.RefreshInfo{SolveSkipped: true}, TrustRankSkipped: true},
+			"build: srsr solve skipped (graph and labels unchanged), 0 κ flips; pagerank re-solved, trustrank carried; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length); pagerank solved in 37 iterations"},
 		{"srsr skipped over solved stats", solved, server.BuildInfo{RefreshInfo: core.RefreshInfo{SolveSkipped: true}, PageRankSkipped: true, TrustRankSkipped: true},
 			"build: srsr solve skipped (graph and labels unchanged), 0 κ flips; pagerank carried, trustrank carried; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length)"},
 	} {

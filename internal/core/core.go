@@ -23,6 +23,7 @@ import (
 	"slices"
 
 	"sourcerank/internal/linalg"
+	"sourcerank/internal/rank"
 	"sourcerank/internal/source"
 	"sourcerank/internal/throttle"
 )
@@ -121,45 +122,11 @@ type Result struct {
 
 // operand is what an SRSR solve iterates over: T″ᵀ for the power method,
 // or, when bias is set, the Jacobi operand D⁻¹·offdiag(α·T″ᵀ) with bias
-// D⁻¹(1−α)c, D = I − α·diag(T″) (see Config).
+// D⁻¹(1−α)c, D = I − α·diag(T″) (see Config), which rank.NewSplit builds
+// for the baselines too.
 type operand struct {
 	m    *linalg.CSR
 	bias linalg.Vector
-}
-
-// jacobiOperand turns T″ᵀ into the Jacobi operand: row i of tT (column
-// i of T″) loses its diagonal entry and scales the rest by α/Dᵢᵢ. With
-// inPlace it overwrites tT, which must then be private to this solve;
-// otherwise it writes a new matrix.
-func jacobiOperand(tT *linalg.CSR, alpha float64, inPlace bool) operand {
-	n := tT.Rows
-	m := tT
-	if !inPlace {
-		m = &linalg.CSR{Rows: n, ColsN: n, RowPtr: make([]int64, n+1),
-			Cols: make([]int32, tT.NNZ()), Vals: make([]float64, tT.NNZ())}
-	}
-	bias := linalg.NewUniformVector(n)
-	var lo, w int64
-	for i := 0; i < n; i++ {
-		hi := tT.RowPtr[i+1]
-		d := 1.0
-		for k := lo; k < hi; k++ {
-			if int(tT.Cols[k]) == i {
-				d = 1 - alpha*tT.Vals[k]
-			}
-		}
-		// w ≤ k, so the in-place writes land only on entries already read.
-		for k := lo; k < hi; k++ {
-			if c := tT.Cols[k]; int(c) != i {
-				m.Cols[w], m.Vals[w] = c, alpha*tT.Vals[k]/d
-				w++
-			}
-		}
-		m.RowPtr[i+1], lo = w, hi
-		bias[i] = (1 - alpha) * bias[i] / d
-	}
-	m.Cols, m.Vals = m.Cols[:w], m.Vals[:w]
-	return operand{m: m, bias: bias}
 }
 
 // throttledTranspose materializes the transpose of the throttled matrix
@@ -191,7 +158,8 @@ func Rank(sg *source.Graph, kappa []float64, cfg Config) (*Result, error) {
 	res := &Result{Kappa: append([]float64(nil), kappa...), op: operand{m: throttledTranspose(sg, tpp, cfg.Workers)}}
 	if cfg.jacobi(kappa) {
 		// The identity path shares sg's cached transpose: leave it intact.
-		res.op = jacobiOperand(res.op.m, cfg.alpha(), tpp != sg.T)
+		split := rank.NewSplit(res.op.m, cfg.alpha(), tpp != sg.T)
+		res.op = operand{m: split.M, bias: split.Bias(linalg.NewUniformVector(split.M.Rows))}
 	}
 	if res.Scores, res.Stats, err = solve(cfg, res.op); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"sourcerank/internal/gen"
 	"sourcerank/internal/linalg"
+	"sourcerank/internal/rank"
 	"sourcerank/internal/source"
 	"sourcerank/internal/throttle"
 )
@@ -108,7 +109,7 @@ func TestUnthrottledSolveIsPower(t *testing.T) {
 	}
 }
 
-// TestJacobiOperandStep checks the Jacobi operand on a dense hand-built
+// TestJacobiOperandStep checks the Jacobi split on a dense hand-built
 // T″: one affine step over it from x is, entry by entry,
 // xᵢ ← (α·Σ_{j≠i} T″ⱼᵢxⱼ + (1−α)/n) / (1 − α·T″ᵢᵢ).
 func TestJacobiOperandStep(t *testing.T) {
@@ -135,11 +136,11 @@ func TestJacobiOperandStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		orig := slices.Clone(tT.Vals)
-		op := jacobiOperand(tT, alpha, inPlace)
+		split := rank.NewSplit(tT, alpha, inPlace)
 		if !inPlace && !slices.Equal(tT.Vals, orig) {
 			t.Fatal("out-of-place operand wrote into its input")
 		}
-		got, _, err := linalg.JacobiAffineT(op.m, 1, op.bias, x, linalg.SolverOptions{MaxIter: 1})
+		got, _, err := linalg.JacobiAffineT(split.M, 1, split.Bias(linalg.NewUniformVector(n)), x, linalg.SolverOptions{MaxIter: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

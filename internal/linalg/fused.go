@@ -12,9 +12,9 @@ import (
 // 4–5 separate passes over the score vector (SpMV, scale, lost-mass sum,
 // teleport add, residual norm); the kernel collapses them into two
 // parallel stripe passes (one for the affine form) plus a cheap serial
-// reduction, with zero per-iteration allocation. A power kernel may step a
-// pair of chains over one operand at once (newFusedPair), each column
-// bitwise its solo solve.
+// reduction, with zero per-iteration allocation. An affine kernel may step
+// a pair of systems over one operand at once (JacobiAffineTPair), each
+// column bitwise its solo solve.
 //
 // Determinism contract: the stripe structure is a function of the matrix
 // alone (never the worker count), every row accumulates in a fixed order,
@@ -87,8 +87,8 @@ func stripeCountFor(nnz, rows int) int {
 // fused kernel phases (see runStripe).
 const (
 	fusedPhaseMul    = iota // dst[i] = c·(row i of pt)·src
-	fusedPhaseFinish        // dst[i] += lost·t[i], residual partials, per column
-	fusedPhaseAffine        // dst[i] = c·(row i of at)·src + b[i], residual partials
+	fusedPhaseFinish        // dst[i] += lost·t[i], residual partials
+	fusedPhaseAffine        // dst[i] = c·(row i of at)·src + b[i], residual partials, per column
 )
 
 // fusedKernel is the machinery behind FusedPower and the Jacobi solve: a
@@ -114,9 +114,9 @@ type fusedKernel[F Float] struct {
 	aux     []F
 	uniform float64
 
-	// cols is 1, or 2 for a pair of power iterations (newFusedPair):
-	// column j is entry 2i+j of src and dst and teleports to aux (j = 0)
-	// or aux2, each element taking the solo kernel's operations in order.
+	// cols is 1, or 2 for a pair of affine systems (JacobiAffineTPair):
+	// column j is entry 2i+j of src and dst and adds bias aux (j = 0) or
+	// aux2, each element taking the solo kernel's operations in order.
 	cols int
 	aux2 []F
 
@@ -133,7 +133,7 @@ type fusedKernel[F Float] struct {
 
 	// Per-pass state, written by the coordinator between dispatches.
 	src, dst []F
-	lost     [2]float64 // per column
+	lost     float64
 	phase    int
 
 	work chan int      // stripe indices; nil when running serially
@@ -192,16 +192,6 @@ func newFusedKernel[F Float](mat *Matrix[F], c float64, aux []F, affine bool, no
 		}
 	}
 	return k, nil
-}
-
-// newFusedPair builds a power kernel that steps two chains over pt at once,
-// teleporting to t0 and t1 (len(t1) == pt.Rows): one pass feeds both.
-func newFusedPair(pt *CSR, c float64, t0, t1 []float64, workers int) (*fusedKernel[float64], error) {
-	k, err := newFusedKernel(pt, c, t0, false, ResidualL2, workers)
-	if err == nil {
-		k.cols, k.aux2, k.partial = 2, t1, make([]float64, 2*len(k.partial))
-	}
-	return k, err
 }
 
 // worker drains stripe indices until the channel closes. The channel is
@@ -358,43 +348,42 @@ func (k *fusedKernel[F]) runStripe(s int) {
 	lo, hi := k.bounds[s], k.bounds[s+1]
 	src, dst, cols := k.src, k.dst, k.cols
 	l1 := k.norm == ResidualL1
-	var r float64
 	switch k.phase {
 	case fusedPhaseMul:
 		c, sums := k.c, k.rowSums(lo, hi)
-		for i, e := lo*cols, hi*cols; i < e; i++ {
+		for i := lo; i < hi; i++ {
 			dst[i] = F(sums[i] * c)
 		}
 		return
 	case fusedPhaseFinish:
+		// With the uniform teleport, lost·uniform once equals lost·t[i]
+		// per element for a materialized uniform t: identical operands,
+		// identical bits.
+		t, lost := k.aux, k.lost
+		add, r := lost*k.uniform, 0.0
+		for i := lo; i < hi; i++ {
+			if t != nil {
+				add = lost * float64(t[i])
+			}
+			v := F(float64(dst[i]) + add)
+			dst[i] = v
+			r += residualTerm(float64(v)-float64(src[i]), l1)
+		}
+		k.partial[s] = r
+	case fusedPhaseAffine:
 		// Column j is elements cols·i+j and writes partial slot
-		// j·stripes+s; at cols = 1 that is element i and slot s. With the
-		// uniform teleport, lost·uniform once equals lost·t[i] per element
-		// for a materialized uniform t: identical operands, identical bits.
+		// j·stripes+s; at cols = 1 that is element i and slot s.
+		c, sums := k.c, k.rowSums(lo, hi)
 		for j := 0; j < cols; j++ {
-			t, lost := [2][]F{k.aux, k.aux2}[j], k.lost[j]
-			add := lost * k.uniform
-			r = 0
+			b, r := [2][]F{k.aux, k.aux2}[j], 0.0
 			for i, p := lo, lo*cols+j; i < hi; i, p = i+1, p+cols {
-				if t != nil {
-					add = lost * float64(t[i])
-				}
-				v := F(float64(dst[p]) + add)
+				v := F(sums[p]*c + float64(b[i]))
 				dst[p] = v
 				r += residualTerm(float64(v)-float64(src[p]), l1)
 			}
 			k.partial[j*(len(k.bounds)-1)+s] = r
 		}
-		return
-	case fusedPhaseAffine:
-		c, b, sums := k.c, k.aux, k.rowSums(lo, hi)
-		for i := lo; i < hi; i++ {
-			v := F(sums[i]*c + float64(b[i]))
-			dst[i] = v
-			r += residualTerm(float64(v)-float64(src[i]), l1)
-		}
 	}
-	k.partial[s] = r
 }
 
 // residualTerm is one element's contribution to the residual partial.
@@ -446,17 +435,14 @@ func (k *fusedKernel[F]) sweep(dst, src []F) {
 	}
 	k.phase = fusedPhaseMul
 	k.dispatch()
-	// The lost-mass sum runs serially in index order, once per column: it
-	// is O(rows) next to the O(nnz) stripe passes, and folding it front to
-	// back keeps `lost` — and with it every dst bit — identical to the
-	// unfused path.
-	for j := 0; j < k.cols; j++ {
-		var sum float64
-		for i := j; i < len(dst); i += k.cols {
-			sum += float64(dst[i])
-		}
-		k.lost[j] = max(1-sum, 0)
+	// The lost-mass sum runs serially in index order: it is O(rows) next
+	// to the O(nnz) stripe passes, and folding it front to back keeps
+	// `lost` — and with it every dst bit — identical to the unfused path.
+	var sum float64
+	for _, v := range dst {
+		sum += float64(v)
 	}
+	k.lost = max(1-sum, 0)
 	k.phase = fusedPhaseFinish
 	k.dispatch()
 }
@@ -534,9 +520,9 @@ func iterateFused[F Float](k *fusedKernel[F], cur []F, opt SolverOptions) (x Vec
 // allocated up front. Each column is handed to done — its index, its
 // iterate widened to float64, its stats — once it converges or reaches
 // MaxIter. When one column of a pair finishes first, the other moves to a
-// vector of its own and continues on the solo path: a step is a pure
-// function of its source, so no bit of it moves. At float32, tolerances
-// below Float32Tol are clamped up to it.
+// vector of its own and continues on the solo path with its own bias: a
+// step is a pure function of its source, so no bit of it moves. At
+// float32, tolerances below Float32Tol are clamped up to it.
 func iterateCols[F Float](k *fusedKernel[F], cur []F, opt SolverOptions, done func(col int, x Vector, st IterStats)) {
 	opt = opt.withDefaults()
 	if precisionOf[F]() == Float32 {
@@ -566,7 +552,7 @@ func iterateCols[F Float](k *fusedKernel[F], cur []F, opt SolverOptions, done fu
 			return
 		}
 		if live < k.cols {
-			k.aux = [2][]F{k.aux, k.aux2}[keep] // the survivor's teleport
+			k.aux = [2][]F{k.aux, k.aux2}[keep] // the survivor's bias
 			cur, next, k.cols, ids[0] = column(cur, keep), next[:len(cur)/2], 1, ids[keep]
 		}
 	}

@@ -93,6 +93,35 @@ func JacobiAffineT[F Float](at *Matrix[F], c float64, b, x0 Vector, opt SolverOp
 	return x, st, nil
 }
 
+// JacobiAffineTPair is JacobiAffineT at float64 for two systems over one
+// at that differ only in bias and start (PageRank and TrustRank over one
+// split operand, see rank.Split), in one sweep: each step streams at once
+// for both. System j's result is bitwise JacobiAffineT(at, c, b[j],
+// x0[j], opt)'s; done receives it as it converges or reaches MaxIter, and
+// the other continues alone.
+func JacobiAffineTPair(at *CSR, c float64, b, x0 [2]Vector, opt SolverOptions, done func(j int, x Vector, st IterStats)) error {
+	cur := make([]float64, 2*at.Rows)
+	for j := range b {
+		if x0[j] == nil {
+			x0[j] = b[j]
+		}
+		if at.Rows != at.ColsN || len(b[j]) != at.Rows || len(x0[j]) != at.Rows {
+			return ErrDimension
+		}
+		for i, v := range x0[j] {
+			cur[2*i+j] = v
+		}
+	}
+	k, err := newFusedKernel(at, c, b[0], true, ResidualL2, opt.Workers)
+	if err != nil {
+		return err
+	}
+	defer k.Close()
+	k.cols, k.aux2, k.partial = 2, b[1], make([]float64, 2*len(k.partial))
+	iterateCols(k, cur, opt, done)
+	return nil
+}
+
 // PowerMethodT computes the stationary distribution of the row-stochastic
 // chain P̂ = c·Pᵀ + teleportation from the pre-transposed operand pt = Pᵀ
 // (the spam-proximity walk's reverse operand, the cached source-graph
@@ -127,33 +156,6 @@ func PowerMethodT[F Float](pt *Matrix[F], c float64, t Vector, x0 Vector, opt So
 		return nil, IterStats{}, ErrDimension
 	}
 	return powerSolve(pt, c, narrow[F](t), slices.Clone(narrow[F](x0)), opt)
-}
-
-// PowerMethodTPair is PowerMethodT at float64 for two chains that differ
-// only in teleport and start (PageRank and TrustRank over one Mᵀ), in one
-// sweep: each step streams pt once for both. Chain j's result is bitwise
-// PowerMethodT(pt, c, t[j], x0[j], opt)'s; done receives it as it
-// converges or reaches MaxIter, and the other continues alone.
-func PowerMethodTPair(pt *CSR, c float64, t, x0 [2]Vector, opt SolverOptions, done func(j int, x Vector, st IterStats)) error {
-	cur := make([]float64, 2*pt.Rows)
-	for j := range t {
-		if x0[j] == nil {
-			x0[j] = t[j]
-		}
-		if pt.Rows != pt.ColsN || len(t[j]) != pt.Rows || len(x0[j]) != pt.Rows {
-			return ErrDimension
-		}
-		for i, v := range x0[j] {
-			cur[2*i+j] = v
-		}
-	}
-	k, err := newFusedPair(pt, c, t[0], t[1], opt.Workers)
-	if err != nil {
-		return err
-	}
-	defer k.Close()
-	iterateCols(k, cur, opt, done)
-	return nil
 }
 
 // PowerMethodTUniform is PowerMethodT specialized to the uniform

@@ -1,7 +1,10 @@
 // Package rank implements the link-analysis baselines the paper builds on
 // and compares against: PageRank (§2), the un-throttled SourceRank, HITS,
 // and TrustRank. The paper's own contribution, Spam-Resilient SourceRank,
-// lives in internal/core and reuses these solvers.
+// lives in internal/core and reuses these solvers. Page-level PageRank
+// runs the power method over Mᵀ (StationaryT); the source-level baselines
+// the snapshot builder serves run Jacobi over Mᵀ's diagonal split and
+// confirm with the power method (Split, SolveSplit).
 package rank
 
 import (
@@ -143,32 +146,6 @@ func StationaryT[F linalg.Float](tt *linalg.Matrix[F], opt Options) (*Result, er
 	return &res, nil
 }
 
-// StationaryPairT is StationaryT for two walks over one Tᵀ that differ
-// only in teleport and start — PageRank and TrustRank over one Mᵀ —
-// solved in one sweep (linalg.PowerMethodTPair): each iteration streams tt
-// once for both. Result j is bitwise StationaryT(tt, opt[j])'s. done
-// receives each as its walk converges or reaches the iteration cap, so a
-// caller can stamp each with its own completion time. The two walks must
-// share Alpha, Tol and Workers, and run at float64.
-func StationaryPairT(tt *linalg.CSR, opt [2]Options, done func(j int, res *Result)) error {
-	a, b := opt[0], opt[1]
-	if a.alpha() != b.alpha() || a.tol() != b.tol() || a.Workers != b.Workers || a.Precision != linalg.Float64 || b.Precision != linalg.Float64 {
-		return errors.New("rank: paired walks must share alpha, tolerance and workers, at float64")
-	}
-	if tt.Rows == 0 {
-		return ErrEmptyGraph
-	}
-	var tele, x0 [2]linalg.Vector
-	for j, o := range opt {
-		if tele[j], x0[j] = o.Teleport, o.X0; tele[j] == nil {
-			tele[j] = linalg.NewUniformVector(tt.Rows)
-		}
-	}
-	return linalg.PowerMethodTPair(tt, a.alpha(), tele, x0, a.solver(), func(j int, x linalg.Vector, st linalg.IterStats) {
-		done(j, &Result{Scores: x, Stats: st})
-	})
-}
-
 // PageRankLinear solves the linear formulation π = αMᵀπ + (1-α)e by
 // Jacobi iteration (paper's Eq. 3 analogue / Gleich et al. linear-system
 // view) and L1-normalizes the result. It matches PageRank up to
@@ -202,6 +179,8 @@ func PageRankLinear(g graph.Topology, opt Options) (*Result, error) {
 // TrustRank computes a PageRank personalized on a seed set of trusted
 // nodes (Gyöngyi et al., cited as the paper's [22]): teleportation jumps
 // only to trusted seeds, so trust decays with link distance from them.
+// It is the one-walk SolveSplit over g's Mᵀ, cold from the teleport — the
+// solve the snapshot builder runs — so it is float64 only.
 func TrustRank(g graph.Topology, trusted []int32, opt Options) (*Result, error) {
 	if g.NumNodes() == 0 {
 		return nil, ErrEmptyGraph
@@ -211,13 +190,15 @@ func TrustRank(g graph.Topology, trusted []int32, opt Options) (*Result, error) 
 		return nil, err
 	}
 	opt.Teleport = tele
-	return PageRank(g, opt)
+	var res *Result
+	err = SolveSplit(TransitionT(g), []Options{opt}, func(_ int, r *Result) { res = r })
+	return res, err
 }
 
 // TrustTeleport returns TrustRank's teleport vector over n nodes: uniform
 // on the trusted seeds, zero elsewhere. Callers that hold Mᵀ already
-// (TransitionT) pass it to StationaryT as Options.Teleport and share the
-// operand with PageRank.
+// pass it to SolveSplit as Options.Teleport and share Mᵀ and its split
+// with PageRank.
 func TrustTeleport(n int, trusted []int32) (linalg.Vector, error) {
 	if len(trusted) == 0 {
 		return nil, errors.New("rank: empty trusted seed set")

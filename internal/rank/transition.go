@@ -15,8 +15,8 @@ import (
 //
 // PageRank and TrustRank call it per solve. The two differ only in
 // teleport vector (TrustTeleport), so a caller that runs both over one
-// graph — the cold snapshot builder, a streaming refresh once per
-// topology change — builds it once and feeds StationaryT twice.
+// graph — the snapshot builder, once per build that re-solves them —
+// builds it once and feeds both walks to one SolveSplit.
 func TransitionT(g graph.Topology) *linalg.CSR {
 	n := g.NumNodes()
 	indeg := make([]int64, n)

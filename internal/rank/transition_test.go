@@ -50,7 +50,9 @@ func randomTopology(rng *rand.Rand, n, edges int) *graph.Graph {
 // TestPageRankMatchesForwardPath pins PageRank and TrustRank, which
 // build Mᵀ directly, bit for bit against the path they replaced: the
 // forward matrix from sorted entries, transposed, then the same solve —
-// at both precisions, every worker count, cold and warm-started.
+// StationaryT for PageRank, the split solve for TrustRank — at every
+// worker count, cold and warm-started, and for PageRank at both
+// precisions. TrustRank refuses float32.
 func TestPageRankMatchesForwardPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 12; trial++ {
@@ -81,7 +83,11 @@ func TestPageRankMatchesForwardPath(t *testing.T) {
 						}
 						ref := opt
 						ref.Teleport = teleport
-						want, err := StationaryT(m.TransposeParallel(ref.Workers), ref)
+						mt := m.TransposeParallel(ref.Workers)
+						want, err := StationaryT(mt, ref)
+						if teleport != nil {
+							err = SolveSplit(mt, []Options{ref}, func(_ int, r *Result) { want = r })
+						}
 						if err != nil {
 							t.Fatalf("%s reference: %v", name, err)
 						}
@@ -97,6 +103,12 @@ func TestPageRankMatchesForwardPath(t *testing.T) {
 					pr, err := PageRank(g, opt)
 					check("PageRank", pr, err, nil)
 					tr, err := TrustRank(g, trusted, opt)
+					if prec == linalg.Float32 {
+						if err == nil {
+							t.Fatal("TrustRank accepted float32")
+						}
+						continue
+					}
 					check("TrustRank", tr, err, tele)
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sourcerank/internal/gen"
+	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/rank"
 	"sourcerank/internal/server"
@@ -241,7 +242,7 @@ func TestBuildBranchFailure(t *testing.T) {
 
 // TestBuildBaselineSweep: when PageRank and TrustRank both re-solve they
 // run as one sweep, inline at one worker and beside SRSR at two, and each
-// is still bitwise its solo solve over the structure's Mᵀ. Each is stamped
+// is still bitwise its solo rank.SolveSplit over the structure's Mᵀ. Each is stamped
 // when its own walk finished, so both completion-order shares are
 // positive, and the shares still fit in the build.
 func TestBuildBaselineSweep(t *testing.T) {
@@ -270,8 +271,8 @@ func TestBuildBaselineSweep(t *testing.T) {
 			t.Errorf("%s: the baselines did not run as one sweep: %+v", what, info)
 		}
 		for algo, opt := range solo {
-			want, err := rank.StationaryT(mt, opt)
-			if err != nil {
+			var want *rank.Result
+			if err := rank.SolveSplit(mt, []rank.Options{opt}, func(_ int, r *rank.Result) { want = r }); err != nil {
 				t.Fatal(err)
 			}
 			set := snap.Set(algo)
@@ -329,4 +330,69 @@ func TestBuildTrustSeedFailure(t *testing.T) {
 		coldInfo.PageRankSkipped = true
 		sameBuild(t, fmt.Sprintf("%d workers, build after a failed one", w), cold, snap, coldInfo, info, coldB.Kappa(), b.Kappa())
 	}
+}
+
+// TestBaselinesHoldUnderWarmRewires: over 30 consecutive rewire batches
+// through one builder, each warm-starting from the last, every published
+// PageRank and TrustRank passes one power step at the paper's threshold
+// and stays within 1e-7 L1 of a power solve run to 1e-14. A Jacobi stop
+// alone lets TrustRank's normalization error grow round after round past
+// 1e-9; the power confirmation is what holds it.
+func TestBaselinesHoldUnderWarmRewires(t *testing.T) {
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.02, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := stream.NewPipeline(ds.Pages.Clone(), stream.Options{Spam: ds.SpamSources, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var worstStep, worstL1 float64
+	for round := 0; round <= 30; round++ {
+		pg := p.Ingestor().PageGraph()
+		if round > 0 {
+			if _, err := p.Apply(churnBatch(rng, pg, "rewire", int(pg.NumLinks()/1000))); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		snap, st, err := p.Refresh()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if round > 0 && (st.PageRankSkipped || st.TrustRankSkipped || !st.BaselinesSwept) {
+			t.Fatalf("round %d: the rewire did not re-solve both baselines: %+v", round, st.BuildInfo)
+		}
+		sg := corpusOf(t, pg).Source
+		mt := rank.TransitionT(sg.Structure())
+		trust, err := rank.TrustTeleport(mt.Rows, server.TrustedSeeds(sg, ds.SpamSources))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for algo, tele := range map[server.Algo]linalg.Vector{server.AlgoPageRank: linalg.NewUniformVector(mt.Rows), server.AlgoTrustRank: trust} {
+			got := snap.Set(algo).ScoresView()
+			fp, err := linalg.NewFusedPower(mt, 0.85, tele, linalg.ResidualL2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := fp.Step(make([]float64, len(got)), got)
+			fp.Close()
+			if !(step < 1e-9) {
+				t.Errorf("round %d: one power step moves the published %s by %g", round, algo, step)
+			}
+			ref, rst, err := linalg.PowerMethodT(mt, 0.85, tele, nil, linalg.SolverOptions{Tol: 1e-14})
+			if err != nil || !rst.Converged {
+				t.Fatalf("round %d: %s reference: %v, %+v", round, algo, err, rst)
+			}
+			var l1 float64
+			for i := range ref {
+				l1 += math.Abs(got[i] - ref[i])
+			}
+			if l1 > 1e-7 {
+				t.Errorf("round %d: the published %s is %g in L1 from the fixed point", round, algo, l1)
+			}
+			worstStep, worstL1 = max(worstStep, step), max(worstL1, l1)
+		}
+	}
+	t.Logf("worst over the rounds: power step %.3g, L1 from the fixed point %.3g", worstStep, worstL1)
 }

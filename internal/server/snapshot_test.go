@@ -259,9 +259,10 @@ func TestBuildSnapshotFromPreset(t *testing.T) {
 	}
 }
 
-// The cold builder solves both baselines over one shared Mᵀ. Each must
-// carry the bits of the standalone entry point, which builds its own
-// operand.
+// The cold builder solves both baselines over one shared split of Mᵀ.
+// Each must carry the bits of the entry point run solo over an operand of
+// its own: rank.SolveSplit for PageRank, and rank.TrustRank, which is the
+// one-walk SolveSplit.
 func TestBuildSnapshotBaselinesShareOperand(t *testing.T) {
 	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
 	if err != nil {
@@ -280,7 +281,7 @@ func TestBuildSnapshotBaselinesShareOperand(t *testing.T) {
 	for _, algo := range []Algo{AlgoPageRank, AlgoTrustRank} {
 		var want *rank.Result
 		if algo == AlgoPageRank {
-			want, err = rank.PageRank(sg.Structure(), opt)
+			err = rank.SolveSplit(rank.TransitionT(sg.Structure()), []rank.Options{opt}, func(_ int, r *rank.Result) { want = r })
 		} else {
 			want, err = rank.TrustRank(sg.Structure(), TrustedSeeds(sg, nil), opt)
 		}
