@@ -23,7 +23,6 @@ import (
 	"slices"
 
 	"sourcerank/internal/linalg"
-	"sourcerank/internal/rank"
 	"sourcerank/internal/source"
 	"sourcerank/internal/throttle"
 )
@@ -120,17 +119,8 @@ type Result struct {
 	op operand
 }
 
-// operand is what an SRSR solve iterates over: T″ᵀ for the power method,
-// or, when bias is set, the Jacobi operand D⁻¹·offdiag(α·T″ᵀ) with bias
-// D⁻¹(1−α)c, D = I − α·diag(T″) (see Config), which rank.NewSplit builds
-// for the baselines too.
-type operand struct {
-	m    *linalg.CSR
-	bias linalg.Vector
-}
-
-// throttledTranspose materializes the transpose of the throttled matrix
-// exactly once per distinct matrix: when throttle.Apply's identity fast
+// throttledTranspose materializes the power method's operand, the
+// transpose of the throttled matrix, exactly once per distinct matrix: when throttle.Apply's identity fast
 // path handed back sg.T itself, the transpose cached on the source graph
 // is reused (materialized on first demand, shared by every later solve);
 // otherwise the throttled matrix is transposed with the parallel kernel.
@@ -146,20 +136,31 @@ func throttledTranspose(sg *source.Graph, tpp *linalg.CSR, workers int) *linalg.
 // the un-throttled (but still consensus-weighted, self-edged) model.
 // cfg.X0 warm-starts the solve: after a small change to the graph — a
 // spam injection, a recrawl of one site — the previous σ converges in a
-// fraction of the cold-start iterations.
+// fraction of the cold-start iterations. A Jacobi solve builds its
+// operand straight from sg.T (jacobiOperand); the power method solves over
+// the transpose of throttle.Apply's T″.
 func Rank(sg *source.Graph, kappa []float64, cfg Config) (*Result, error) {
+	return rankOver(sg, kappa, cfg, operand{})
+}
+
+// rankOver is Rank, building a Jacobi operand into prev's arrays when its
+// pattern still holds (see jacobiOperand).
+func rankOver(sg *source.Graph, kappa []float64, cfg Config, prev operand) (*Result, error) {
 	if sg == nil || sg.NumSources() == 0 {
 		return nil, errors.New("core: empty source graph")
 	}
-	tpp, err := throttle.Apply(sg.T, kappa)
+	res := &Result{Kappa: append([]float64(nil), kappa...)}
+	var err error
+	if cfg.jacobi(kappa) {
+		res.op, err = jacobiOperand(sg.T, kappa, cfg.alpha(), cfg.Workers, prev)
+	} else {
+		var tpp *linalg.CSR
+		if tpp, err = throttle.Apply(sg.T, kappa); err == nil {
+			res.op = operand{m: throttledTranspose(sg, tpp, cfg.Workers)}
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: applying throttle: %w", err)
-	}
-	res := &Result{Kappa: append([]float64(nil), kappa...), op: operand{m: throttledTranspose(sg, tpp, cfg.Workers)}}
-	if cfg.jacobi(kappa) {
-		// The identity path shares sg's cached transpose: leave it intact.
-		split := rank.NewSplit(res.op.m, cfg.alpha(), tpp != sg.T)
-		res.op = operand{m: split.M, bias: split.Bias(linalg.NewUniformVector(split.M.Rows))}
 	}
 	if res.Scores, res.Stats, err = solve(cfg, res.op); err != nil {
 		return nil, err

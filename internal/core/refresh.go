@@ -41,7 +41,9 @@ type RefreshState struct {
 	// is skipped, so downstream caches can reuse whole encodings.
 	Scores linalg.Vector
 	// op is the last solve's operand (T″ᵀ, or its Jacobi form), over
-	// which an unchanged (T, κ) pair probes the retained scores.
+	// which an unchanged (T, κ) pair probes the retained scores, and
+	// whose Jacobi pattern the next solve over T's sparsity rewrites in
+	// place.
 	op operand
 }
 
@@ -90,8 +92,10 @@ type RefreshInfo struct {
 // while it and the assignment are the retained walk's, proximity and κ
 // carry over. A nil structure names no version. The solve goes through
 // Rank, started from the previous scores when there are any and from
-// cfg.X0 otherwise. Everything in cfg but the seeds and TopK is expected
-// to stay fixed over one state's lifetime.
+// cfg.X0 otherwise; a Jacobi solve over a T that shares the retained
+// operand's RowPtr and Cols (a count drift) rewrites that operand's
+// values in place instead of building it anew. Everything in cfg but
+// the seeds and TopK is expected to stay fixed over one state's lifetime.
 func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64, cfg PipelineConfig, st *RefreshState) (*PipelineResult, RefreshInfo, error) {
 	info := RefreshInfo{BoundaryGap: math.Inf(1)}
 	if sg == nil || sg.NumSources() == 0 {
@@ -157,7 +161,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 	if st.Scores != nil {
 		solveCfg.X0 = st.Scores.Padded(n)
 	}
-	res, err := Rank(sg, st.Kappa, solveCfg)
+	res, err := rankOver(sg, st.Kappa, solveCfg, st.op)
 	if err != nil {
 		return nil, info, err
 	}

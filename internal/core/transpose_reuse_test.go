@@ -1,17 +1,18 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"sourcerank/internal/linalg"
 )
 
-// TestPipelineMaterializesOneTranspose asserts the tentpole reuse
-// guarantee: one full pipeline run (spam proximity, SRSR solve)
-// materializes at most one transpose per distinct matrix — in
-// practice exactly one, of the throttled T″. The proximity walk builds
-// its Pᵀ operand directly from the forward structure and the solvers
-// accept pre-transposed operands, so no other transpose exists.
+// TestPipelineMaterializesOneTranspose asserts the reuse guarantee: one
+// full pipeline run (spam proximity, SRSR solve) materializes at most one
+// transpose per distinct matrix. The proximity walk builds its Pᵀ
+// operand directly from the forward structure, and a throttled solve
+// builds its Jacobi operand straight from T, so a pipeline run with
+// throttled sources materializes none.
 func TestPipelineMaterializesOneTranspose(t *testing.T) {
 	sg := buildSG(t, corpus(t))
 	before := linalg.TransposeMaterializations()
@@ -58,11 +59,14 @@ func TestBaselineRunsShareCachedTranspose(t *testing.T) {
 	}
 }
 
-// TestThrottledRunMaterializesFreshTranspose checks the complement: a
-// nonzero κ produces a distinct throttled matrix, which costs exactly one
-// new transpose, and the source graph's cached Tᵀ is untouched.
-func TestThrottledRunMaterializesFreshTranspose(t *testing.T) {
+// TestThrottledJacobiMaterializesNoTranspose checks the complement: a
+// nonzero κ selects Jacobi, whose operand is built straight from T, so
+// the solve materializes no transpose at all and leaves the source
+// graph's cached Tᵀ as it was.
+func TestThrottledJacobiMaterializesNoTranspose(t *testing.T) {
 	sg := buildSG(t, corpus(t))
+	tt := sg.TransposedT(0)
+	rowPtr, cols, vals := slices.Clone(tt.RowPtr), slices.Clone(tt.Cols), slices.Clone(tt.Vals)
 	kappa := make([]float64, sg.NumSources())
 	kappa[4], kappa[5] = 1, 1
 	before := linalg.TransposeMaterializations()
@@ -70,10 +74,13 @@ func TestThrottledRunMaterializesFreshTranspose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := linalg.TransposeMaterializations() - before; d != 1 {
-		t.Errorf("throttled solve materialized %d transposes, want 1", d)
+	if d := linalg.TransposeMaterializations() - before; d != 0 {
+		t.Errorf("throttled Jacobi solve materialized %d transposes, want 0", d)
 	}
-	if res.op.m == sg.TransposedT(0) {
-		t.Fatal("nonzero κ should produce a distinct throttled matrix")
+	if res.op.bias == nil || res.op.m == tt {
+		t.Fatal("nonzero κ should solve by Jacobi over an operand of its own")
+	}
+	if sg.TransposedT(0) != tt || !slices.Equal(tt.RowPtr, rowPtr) || !slices.Equal(tt.Cols, cols) || !slices.Equal(tt.Vals, vals) {
+		t.Fatal("the throttled solve changed the cached Tᵀ")
 	}
 }

@@ -22,16 +22,11 @@ type Split struct {
 	d     []float64 // Dᵢᵢ = 1 − α·Tᵢᵢ
 }
 
-// NewSplit splits tt = Tᵀ at mixing parameter alpha. With inPlace it
-// overwrites tt, which must then be private to the caller; otherwise it
-// writes a new matrix.
-func NewSplit(tt *linalg.CSR, alpha float64, inPlace bool) *Split {
+// NewSplit splits tt = Tᵀ at mixing parameter alpha into a new matrix.
+func NewSplit(tt *linalg.CSR, alpha float64) *Split {
 	n := tt.Rows
-	m := tt
-	if !inPlace {
-		m = &linalg.CSR{Rows: n, ColsN: n, RowPtr: make([]int64, n+1),
-			Cols: make([]int32, tt.NNZ()), Vals: make([]float64, tt.NNZ())}
-	}
+	m := &linalg.CSR{Rows: n, ColsN: n, RowPtr: make([]int64, n+1),
+		Cols: make([]int32, tt.NNZ()), Vals: make([]float64, tt.NNZ())}
 	d := make([]float64, n)
 	var lo, w int64
 	for i := 0; i < n; i++ {
@@ -42,7 +37,6 @@ func NewSplit(tt *linalg.CSR, alpha float64, inPlace bool) *Split {
 				d[i] = 1 - alpha*tt.Vals[k]
 			}
 		}
-		// w ≤ k, so the in-place writes land only on entries already read.
 		for k := lo; k < hi; k++ {
 			if c := tt.Cols[k]; int(c) != i {
 				m.Cols[w], m.Vals[w] = c, alpha*tt.Vals[k]/d[i]
@@ -91,7 +85,7 @@ func SolveSplit(tt *linalg.CSR, walks []Options, done func(j int, res *Result)) 
 	if tt.Rows == 0 {
 		return ErrEmptyGraph
 	}
-	s := NewSplit(tt, a.alpha(), false)
+	s := NewSplit(tt, a.alpha())
 	var tele, bias, x0 [2]linalg.Vector
 	for j, o := range walks {
 		if tele[j] = o.Teleport; tele[j] == nil {

@@ -297,52 +297,54 @@ func encodeDelta(from, to *server.Snapshot, fromMeta, toMeta uint32) []byte {
 			return nil
 		}
 	}
+	// A patch entry costs 12 bytes against 8 for a dense score; past
+	// half the corpus changing, the full frame is both smaller and
+	// simpler to apply. Count before encoding, so a dense diff costs no
+	// body.
+	n := to.NumSources()
+	changed := make([]int, len(toAlgos))
+	totalChanged := 0
+	for a, algo := range toAlgos {
+		fs, ts := from.Set(algo).ScoresView(), to.Set(algo).ScoresView()
+		for i := range ts {
+			if math.Float64bits(ts[i]) != math.Float64bits(fs[i]) {
+				changed[a]++
+			}
+		}
+		totalChanged += changed[a]
+	}
+	if totalChanged*2 > n*len(toAlgos) {
+		return nil
+	}
 	var w wbuf
 	w.u32(frameMagic)
 	w.u8(wireVersion)
 	w.u8(KindDelta)
 	w.u64(from.Version())
-	var body wbuf
-	body.u64(to.Version())
-	body.u64(to.ParentVersion())
-	body.i64(to.BuiltAt().UnixNano())
-	body.str(to.Corpus().Name)
-	body.u64(uint64(to.Corpus().Pages))
-	body.u64(uint64(to.Corpus().Links))
-	body.u64(uint64(to.Corpus().SpamLabeled))
-	body.uvarint(uint64(to.KappaTopK()))
-	body.u32(toMeta)
-	body.u8(byte(len(toAlgos)))
-	n := to.NumSources()
-	totalChanged := 0
-	for _, algo := range toAlgos {
+	w.u64(to.Version())
+	w.u64(to.ParentVersion())
+	w.i64(to.BuiltAt().UnixNano())
+	w.str(to.Corpus().Name)
+	w.u64(uint64(to.Corpus().Pages))
+	w.u64(uint64(to.Corpus().Links))
+	w.u64(uint64(to.Corpus().SpamLabeled))
+	w.uvarint(uint64(to.KappaTopK()))
+	w.u32(toMeta)
+	w.u8(byte(len(toAlgos)))
+	for a, algo := range toAlgos {
 		fs, ts := from.Set(algo).ScoresView(), to.Set(algo).ScoresView()
-		body.str(string(algo))
+		w.str(string(algo))
 		tss := to.Set(algo)
-		body.solveInfo(tss.Stats(), tss.SolveTime(), tss.WarmStarted())
-		changed := 0
+		w.solveInfo(tss.Stats(), tss.SolveTime(), tss.WarmStarted())
+		w.uvarint(uint64(changed[a]))
 		for i := range ts {
 			if math.Float64bits(ts[i]) != math.Float64bits(fs[i]) {
-				changed++
+				w.u32(uint32(i))
+				w.f64(ts[i])
 			}
 		}
-		totalChanged += changed
-		body.uvarint(uint64(changed))
-		for i := range ts {
-			if math.Float64bits(ts[i]) != math.Float64bits(fs[i]) {
-				body.u32(uint32(i))
-				body.f64(ts[i])
-			}
-		}
-		body.u32(scoreCRC(ts))
+		w.u32(scoreCRC(ts))
 	}
-	// A patch entry costs 12 bytes against 8 for a dense score; past
-	// half the corpus changing, the full frame is both smaller and
-	// simpler to apply.
-	if totalChanged*2 > n*len(toAlgos) {
-		return nil
-	}
-	w.b = append(w.b, body.b...)
 	return w.b
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -355,5 +356,24 @@ func TestEncodeDeltaDeclinesIncompatibleOrDense(t *testing.T) {
 	}
 	if encDelta(base, st.Current()) != nil {
 		t.Fatal("delta offered when a full frame is smaller")
+	}
+	// It declines before encoding: no body is built only to be dropped.
+	const n = 4000
+	big := testSnapshot(t, n, 13, 1)
+	st = server.NewStore(nil)
+	if err := st.PublishExternal(perturb(t, big, 14, 1.0), 2); err != nil {
+		t.Fatal(err)
+	}
+	to, fromMeta, toMeta := st.Current(), MetaCRC(big), MetaCRC(st.Current())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		if encodeDelta(big, to, fromMeta, toMeta) != nil {
+			t.Fatal("delta offered when a full frame is smaller")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / 10; b > n {
+		t.Errorf("declining a dense delta over %d sources allocated %d bytes, want under one byte a source", n, b)
 	}
 }

@@ -39,13 +39,15 @@ type Incremental struct {
 	numEdges  int64
 	changed   bool   // any Counts/T content change since last emit
 	structVer uint64 // bumped on every sparsity-changing mutation
+	emitVer   uint64 // structVer at the last emit
 
 	structure *graph.Overlay
 	prev      *Graph
 }
 
-// incRow is one source row: sorted consensus counts plus the cached,
-// lazily recomputed transition row derived from them.
+// incRow is one source row: sorted consensus counts plus the transition
+// row derived from them, recomputed when the row is dirty (only dirty rows
+// read it; the emitted T carries every clean row).
 type incRow struct {
 	cols    []int32
 	cnt     []int64
@@ -91,9 +93,6 @@ func NewIncremental(pg *pagegraph.Graph, opt Options) (*Incremental, error) {
 				row.hasSelf = true
 			}
 		}
-		tcols, tvals := sg.T.Row(r)
-		row.tcols = append([]int32(nil), tcols...)
-		row.tvals = append([]float64(nil), tvals...)
 	}
 	return inc, nil
 }
@@ -234,11 +233,15 @@ func (inc *Incremental) rebuildT(r int32) {
 	}
 }
 
-// Emit assembles the current state into an immutable Graph, recomputing
-// only rows dirtied since the previous emit. When nothing changed it
-// returns the previous Graph pointer unchanged (preserving its cached
-// Tᵀ); when only page counts changed it shares the previous Counts and T
-// matrices. Callers must treat every emitted Graph as immutable.
+// Emit assembles the current state into an immutable Graph from the
+// previous emit's: it recomputes only rows dirtied since then, writes
+// them from row state and bulk-copies every run of clean rows. While the
+// structure version holds (a count drift), Counts and T keep the previous
+// RowPtr and Cols arrays and only their values are new, which is what
+// lets core rewrite SRSR's retained Jacobi operand in place. When nothing
+// changed it returns the previous Graph pointer unchanged (preserving its
+// cached Tᵀ); when only page counts changed it shares the previous Counts
+// and T matrices. Callers must treat every emitted Graph as immutable.
 func (inc *Incremental) Emit() *Graph {
 	if !inc.changed {
 		if !inc.pcDirty {
@@ -257,43 +260,26 @@ func (inc *Incremental) Emit() *Graph {
 		return sg
 	}
 	n := inc.n
-	for _, r := range inc.dirtyRows {
+	dirty := inc.dirtyRows
+	slices.Sort(dirty)
+	for _, r := range dirty {
 		inc.rebuildT(r)
 		inc.rows[r].dirty = false
 		if err := inc.structure.SetRow(r, inc.rows[r].cols); err != nil {
 			panic(fmt.Sprintf("source: structure row update: %v", err))
 		}
 	}
-	inc.dirtyRows = inc.dirtyRows[:0]
-
-	countPtr := make([]int64, n+1)
-	transPtr := make([]int64, n+1)
-	for r := 0; r < n; r++ {
-		countPtr[r+1] = countPtr[r] + int64(len(inc.rows[r].cols))
-		transPtr[r+1] = transPtr[r] + int64(len(inc.rows[r].tcols))
-	}
-	counts := &linalg.CSR{
-		Rows: n, ColsN: n,
-		RowPtr: countPtr,
-		Cols:   make([]int32, countPtr[n]),
-		Vals:   make([]float64, countPtr[n]),
-	}
-	trans := &linalg.CSR{
-		Rows: n, ColsN: n,
-		RowPtr: transPtr,
-		Cols:   make([]int32, transPtr[n]),
-		Vals:   make([]float64, transPtr[n]),
-	}
-	for r := 0; r < n; r++ {
-		row := &inc.rows[r]
-		copy(counts.Cols[countPtr[r]:], row.cols)
-		cv := counts.Vals[countPtr[r]:countPtr[r+1]]
-		for k, c := range row.cnt {
-			cv[k] = float64(c)
-		}
-		copy(trans.Cols[transPtr[r]:], row.tcols)
-		copy(trans.Vals[transPtr[r]:], row.tvals)
-	}
+	same := inc.structVer == inc.emitVer
+	counts := inc.emitMatrix(inc.prev.Counts, dirty, same, func(row *incRow) []int32 { return row.cols },
+		func(row *incRow, vals []float64) {
+			for k, c := range row.cnt {
+				vals[k] = float64(c)
+			}
+		})
+	trans := inc.emitMatrix(inc.prev.T, dirty, same, func(row *incRow) []int32 { return row.tcols },
+		func(row *incRow, vals []float64) { copy(vals, row.tvals) })
+	inc.dirtyRows = dirty[:0]
+	inc.emitVer = inc.structVer
 	pc := inc.pcLast
 	if inc.pcDirty {
 		pc = append([]int(nil), inc.pageCount...)
@@ -309,6 +295,52 @@ func (inc *Incremental) Emit() *Graph {
 	inc.changed = false
 	inc.prev = sg
 	return sg
+}
+
+// emitMatrix assembles one emitted matrix from prev, the same matrix of
+// the previous emit, and the sorted dirty rows: each run of clean rows is
+// one bulk copy of prev's arrays, and each dirty row is written from row
+// state, its columns from cols and its values by vals. With the sparsity
+// unchanged since that emit (same), RowPtr and Cols are prev's own
+// arrays, which nothing writes, and only Vals is new.
+func (inc *Incremental) emitMatrix(prev *linalg.CSR, dirty []int32, same bool, cols func(*incRow) []int32, vals func(*incRow, []float64)) *linalg.CSR {
+	n := inc.n
+	m := &linalg.CSR{Rows: n, ColsN: n, RowPtr: prev.RowPtr, Cols: prev.Cols}
+	if !same {
+		m.RowPtr = make([]int64, n+1)
+		next := 0 // dirty[next] is the first dirty row at or after r
+		for r := 0; r < n; r++ {
+			if next < len(dirty) && int(dirty[next]) == r {
+				m.RowPtr[r+1] = m.RowPtr[r] + int64(len(cols(&inc.rows[r])))
+				next++
+			} else {
+				m.RowPtr[r+1] = m.RowPtr[r] + prev.RowPtr[r+1] - prev.RowPtr[r]
+			}
+		}
+		m.Cols = make([]int32, m.RowPtr[n])
+	}
+	m.Vals = make([]float64, m.RowPtr[n])
+	clean := 0 // the first row not yet written
+	copyClean := func(hi int) {
+		if hi = min(hi, prev.Rows); hi > clean {
+			lo, plo, phi := m.RowPtr[clean], prev.RowPtr[clean], prev.RowPtr[hi]
+			if !same {
+				copy(m.Cols[lo:], prev.Cols[plo:phi])
+			}
+			copy(m.Vals[lo:], prev.Vals[plo:phi])
+		}
+	}
+	for _, r := range dirty {
+		copyClean(int(r))
+		row, lo := &inc.rows[r], m.RowPtr[r]
+		if !same {
+			copy(m.Cols[lo:], cols(row))
+		}
+		vals(row, m.Vals[lo:m.RowPtr[r+1]])
+		clean = int(r) + 1
+	}
+	copyClean(n)
+	return m
 }
 
 // Structure returns the incrementally maintained unweighted source

@@ -214,3 +214,97 @@ func TestIncrementalEmitReuse(t *testing.T) {
 		}
 	}
 }
+
+// drift adds links that raise consensus counts inside existing cells:
+// each picks a page whose source already links into some source the page
+// does not, and links the page there. It reports how many it added.
+func drift(t *testing.T, rng *rand.Rand, pg *pagegraph.Graph, inc *Incremental, sg *Graph, links int) int {
+	t.Helper()
+	added := 0
+	for try := 0; try < 50*links && added < links; try++ {
+		p := pagegraph.PageID(rng.Intn(pg.NumPages()))
+		s := pg.SourceOf(p)
+		cols, _ := sg.Counts.Row(int(s))
+		if len(cols) == 0 {
+			continue
+		}
+		c := pagegraph.SourceID(cols[rng.Intn(len(cols))])
+		before := targetSet(pg, p)
+		if _, found := slices.BinarySearch(before, c); found || len(pg.PagesOf(c)) == 0 {
+			continue
+		}
+		pg.AddLink(p, pg.PagesOf(c)[0])
+		removed, add := setDiff(before, targetSet(pg, p))
+		inc.UpdatePage(s, removed, add)
+		added++
+	}
+	return added
+}
+
+// TestIncrementalEmitSharesPatternOnDrift: an emit after count drift keeps
+// the previous RowPtr and Cols arrays of Counts and T and writes only new
+// values; an emit after a rewire writes new arrays; both equal Build bit
+// for bit, and a drift after the rewire shares the rewire's arrays.
+func TestIncrementalEmitSharesPatternOnDrift(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pg := randomPageGraph(rng, 10, 80, 300)
+	inc, err := NewIncremental(pg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, got *Graph) {
+		t.Helper()
+		want, err := Build(pg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSourceGraphBits(got, want); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	shares := func(a, b *linalg.CSR) bool { return &a.RowPtr[0] == &b.RowPtr[0] && &a.Cols[0] == &b.Cols[0] }
+	prev := inc.Emit()
+	for round := 0; round < 3; round++ {
+		if drift(t, rng, pg, inc, prev, 4) == 0 {
+			t.Fatal("no drift link found")
+		}
+		ver := inc.StructureVersion()
+		got := inc.Emit()
+		if ver != inc.StructureVersion() || got == prev {
+			t.Fatal("drift moved the structure version or emitted nothing")
+		}
+		check("drift", got)
+		if !shares(got.T, prev.T) || !shares(got.Counts, prev.Counts) {
+			t.Fatalf("round %d: drift emit copied RowPtr/Cols", round)
+		}
+		if &got.T.Vals[0] == &prev.T.Vals[0] || &got.Counts.Vals[0] == &prev.Counts.Vals[0] {
+			t.Fatalf("round %d: drift emit wrote into the previous values", round)
+		}
+		// Rewire: a link into a source the page's source never linked to.
+		rewired := false
+		for _, p := range rng.Perm(pg.NumPages()) {
+			s := pg.SourceOf(pagegraph.PageID(p))
+			cols, _ := got.Counts.Row(int(s))
+			for q := 0; q < pg.NumPages() && !rewired; q++ {
+				if !slices.Contains(cols, int32(pg.SourceOf(pagegraph.PageID(q)))) {
+					before := targetSet(pg, pagegraph.PageID(p))
+					pg.AddLink(pagegraph.PageID(p), pagegraph.PageID(q))
+					removed, added := setDiff(before, targetSet(pg, pagegraph.PageID(p)))
+					inc.UpdatePage(s, removed, added)
+					rewired = true
+				}
+			}
+			if rewired {
+				break
+			}
+		}
+		if !rewired {
+			t.Fatal("no rewire link found")
+		}
+		prev = inc.Emit()
+		check("rewire", prev)
+		if shares(prev.T, got.T) || shares(prev.Counts, got.Counts) {
+			t.Fatalf("round %d: rewire emit kept the old sparsity arrays", round)
+		}
+	}
+}

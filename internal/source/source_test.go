@@ -2,8 +2,10 @@ package source
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"sourcerank/internal/graph"
 	"sourcerank/internal/pagegraph"
 )
 
@@ -238,5 +240,31 @@ func TestConsensusHijackResistance(t *testing.T) {
 	}
 	if cw >= uw {
 		t.Errorf("consensus (%v) should resist hijack better than uniform (%v)", cw, uw)
+	}
+}
+
+// TestStructureAliasesCounts: Structure reads Counts' own RowPtr and Cols,
+// and the graph equals one over cloned arrays.
+func TestStructureAliasesCounts(t *testing.T) {
+	sg, err := Build(fixture(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sg.Structure()
+	clone, err := graph.FromParts(sg.Counts.Rows, slices.Clone(sg.Counts.RowPtr), slices.Clone(sg.Counts.Cols))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NumNodes() != clone.NumNodes() || st.NumEdges() != clone.NumEdges() {
+		t.Fatalf("structure (%d, %d) vs clone (%d, %d)", st.NumNodes(), st.NumEdges(), clone.NumNodes(), clone.NumEdges())
+	}
+	for u := 0; u < st.NumNodes(); u++ {
+		row := st.Successors(graph.NodeID(u))
+		if !slices.Equal(row, clone.Successors(graph.NodeID(u))) {
+			t.Fatalf("row %d: %v vs %v", u, row, clone.Successors(graph.NodeID(u)))
+		}
+		if len(row) > 0 && &row[0] != &sg.Counts.Cols[sg.Counts.RowPtr[u]] {
+			t.Fatalf("row %d does not alias Counts.Cols", u)
+		}
 	}
 }

@@ -357,34 +357,7 @@ func TestRecrawlAfterJacobiSolveSkips(t *testing.T) {
 	if !slices.ContainsFunc(p.Kappa(), func(k float64) bool { return k > 0 }) {
 		t.Fatal("no source throttled: the solve would not run Jacobi")
 	}
-	bySource := make([][]pagegraph.PageID, pg.NumSources())
-	for q := 0; q < pg.NumPages(); q++ {
-		s := pg.SourceOf(pagegraph.PageID(q))
-		bySource[s] = append(bySource[s], pagegraph.PageID(q))
-	}
-	linksInto := func(q pagegraph.PageID, s pagegraph.SourceID) bool {
-		return slices.ContainsFunc(pg.OutLinks(q), func(r pagegraph.PageID) bool { return pg.SourceOf(r) == s })
-	}
-	// drift: a sibling of a linking page starts linking into the same
-	// source, growing a count inside an existing cell.
-	drift := func() []Delta {
-		var ds []Delta
-		for q := 0; q < pg.NumPages() && len(ds) < 5; q++ {
-			out := pg.OutLinks(pagegraph.PageID(q))
-			if len(out) == 0 {
-				continue
-			}
-			tgt := out[0]
-			for _, sib := range bySource[pg.SourceOf(pagegraph.PageID(q))] {
-				if !linksInto(sib, pg.SourceOf(tgt)) {
-					ds = append(ds, AddEdge(sib, tgt))
-					break
-				}
-			}
-			q += rng.Intn(40)
-		}
-		return ds
-	}
+	drift := func() []Delta { return driftDeltas(rng, pg) }
 	// rewire: pages drop one link and gain one to a random page.
 	rewire := func() []Delta {
 		var ds []Delta
@@ -428,6 +401,96 @@ func TestRecrawlAfterJacobiSolveSkips(t *testing.T) {
 		if !st.SolveSkipped || !st.PageRankSkipped || !st.TrustRankSkipped {
 			t.Fatalf("recrawl after a Jacobi %s ran solves: %+v", c.class, st.BuildInfo)
 		}
+	}
+}
+
+// driftDeltas is a count-drift batch over pg: a sibling of a linking page
+// starts linking into the same source, growing a count inside an
+// existing cell.
+func driftDeltas(rng *rand.Rand, pg *pagegraph.Graph) []Delta {
+	linksInto := func(q pagegraph.PageID, s pagegraph.SourceID) bool {
+		return slices.ContainsFunc(pg.OutLinks(q), func(r pagegraph.PageID) bool { return pg.SourceOf(r) == s })
+	}
+	var ds []Delta
+	for q := 0; q < pg.NumPages() && len(ds) < 5; q++ {
+		out := pg.OutLinks(pagegraph.PageID(q))
+		if len(out) == 0 {
+			continue
+		}
+		tgt := out[0]
+		for _, sib := range pg.PagesOf(pg.SourceOf(pagegraph.PageID(q))) {
+			if !linksInto(sib, pg.SourceOf(tgt)) {
+				ds = append(ds, AddEdge(sib, tgt))
+				break
+			}
+		}
+		q += rng.Intn(40)
+	}
+	return ds
+}
+
+// TestDriftReusesTransitionPattern: a count-drift batch through the
+// pipeline emits a T that keeps the previous RowPtr and Cols under new
+// values, and the SRSR scores it publishes, solved over the operand core
+// rewrites in place, equal bit for bit a solve from the same warm start
+// over an operand built fresh. A rewire emits new arrays.
+func TestDriftReusesTransitionPattern(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pg := randomCorpus(rng, 40, 300, 1200)
+	p, err := NewPipeline(pg, Options{Spam: []int32{1, 2, 3}, TopK: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := p.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(p.Kappa(), func(k float64) bool { return k > 0 }) {
+		t.Fatal("no source throttled: the solve would not run Jacobi")
+	}
+	for round := 0; round < 3; round++ {
+		prev, prevScores := p.Ingestor().Emit(), snap.Set(server.AlgoSRSR).ScoresView()
+		if _, err := p.Apply(driftDeltas(rng, pg)); err != nil {
+			t.Fatal(err)
+		}
+		var st RefreshStats
+		if snap, st, err = p.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		sg := p.Ingestor().Emit()
+		if sg.T == prev.T || &sg.T.RowPtr[0] != &prev.T.RowPtr[0] || &sg.T.Cols[0] != &prev.T.Cols[0] {
+			t.Fatalf("round %d: the drift emit did not keep T's RowPtr and Cols under new values", round)
+		}
+		if st.SolveSkipped || !st.ProximityCarried {
+			t.Fatalf("round %d: drift refresh %+v, want proximity carried and a solve", round, st.BuildInfo)
+		}
+		fresh, err := core.Rank(sg, p.Kappa(), core.Config{Workers: 1, X0: prevScores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := snap.Set(server.AlgoSRSR).ScoresView()
+		if !slices.EqualFunc(got, fresh.Scores, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("round %d: published σ differs from a solve over a fresh operand", round)
+		}
+	}
+	// A rewire: a link into a source the page's source never linked to.
+	prev := p.Ingestor().Emit()
+	var rewire []Delta
+	page := pg.PagesOf(0)[0]
+	cols, _ := prev.Counts.Row(0)
+	for q := 0; q < pg.NumPages() && rewire == nil; q++ {
+		if !slices.Contains(cols, int32(pg.SourceOf(pagegraph.PageID(q)))) {
+			rewire = []Delta{AddEdge(page, pagegraph.PageID(q))}
+		}
+	}
+	if _, err := p.Apply(rewire); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if sg := p.Ingestor().Emit(); sg.NumEdges == prev.NumEdges || &sg.T.RowPtr[0] == &prev.T.RowPtr[0] {
+		t.Fatal("a rewire emit kept the old sparsity arrays")
 	}
 }
 

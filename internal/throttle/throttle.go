@@ -88,36 +88,14 @@ func Apply(t *linalg.CSR, kappa []float64) (*linalg.CSR, error) {
 	}
 	for i := 0; i < t.Rows; i++ {
 		cols, vals := t.Row(i)
-		var self, off float64
-		for k, c := range cols {
-			if int(c) == i {
-				self = vals[k]
-			} else {
-				off += vals[k]
-			}
-		}
-		ki := kappa[i]
-		switch {
-		case len(cols) == 0:
-			// Structurally empty row: treat as pure self-loop.
-			out.Cols = append(out.Cols, int32(i))
-			out.Vals = append(out.Vals, 1)
-		case self >= ki:
-			// Already meets the throttling minimum: copy unchanged.
+		switch r := Row(cols, vals, i, kappa[i]); r.Kind {
+		case Copied:
 			out.Cols = append(out.Cols, cols...)
 			out.Vals = append(out.Vals, vals...)
-		case off == 0:
-			// Self-weight below κ but nowhere else to send mass; the row
-			// must stay stochastic, so it becomes a pure self-loop.
+		case SelfLoop:
 			out.Cols = append(out.Cols, int32(i))
-			out.Vals = append(out.Vals, 1)
+			out.Vals = append(out.Vals, r.Self)
 		default:
-			scale := (1 - ki) / off
-			if ki >= 1 {
-				out.Cols = append(out.Cols, int32(i))
-				out.Vals = append(out.Vals, ki)
-				break
-			}
 			placed := false
 			for k, c := range cols {
 				if int(c) == i {
@@ -125,20 +103,83 @@ func Apply(t *linalg.CSR, kappa []float64) (*linalg.CSR, error) {
 				}
 				if !placed && int(c) > i {
 					out.Cols = append(out.Cols, int32(i))
-					out.Vals = append(out.Vals, ki)
+					out.Vals = append(out.Vals, r.Self)
 					placed = true
 				}
 				out.Cols = append(out.Cols, c)
-				out.Vals = append(out.Vals, vals[k]*scale)
+				out.Vals = append(out.Vals, vals[k]*r.Scale)
 			}
 			if !placed {
 				out.Cols = append(out.Cols, int32(i))
-				out.Vals = append(out.Vals, ki)
+				out.Vals = append(out.Vals, r.Self)
 			}
 		}
 		out.RowPtr[i+1] = int64(len(out.Cols))
 	}
 	return out, nil
+}
+
+// RowKind is which case of §3.3's rule a row of T falls under.
+type RowKind uint8
+
+const (
+	// Copied: the self-weight already meets κᵢ, and T″'s row is T's.
+	Copied RowKind = iota
+	// SelfLoop: T″'s row is the one entry (i, Self). A structurally
+	// empty row, a row with no off-diagonal mass to rescale and a fully
+	// throttled row (κᵢ = 1) fall here: "all edges to other sources are
+	// completely ignored".
+	SelfLoop
+	// Rescaled: T″ᵢᵢ = Self = κᵢ, and each off-diagonal entry of T's row
+	// is multiplied by Scale = (1−κᵢ)/Σ_{k≠i}T_ik.
+	Rescaled
+)
+
+// RowRule is how §3.3 rewrites one row of T into T″: its case, the
+// diagonal T″ᵢᵢ (for a copied row T's own diagonal, 0 where it has none),
+// and the factor on each off-diagonal entry it keeps (1 for a copied
+// row, which leaves every value's bits as they are).
+type RowRule struct {
+	Kind        RowKind
+	Self, Scale float64
+}
+
+// Row applies the rule to row i of T, given by its sorted columns and
+// values, at throttling factor ki. Apply and core's Jacobi operand both
+// call it, so the rule is written once.
+func Row(cols []int32, vals []float64, i int, ki float64) RowRule {
+	if len(cols) == 0 {
+		// Structurally empty row: treat as pure self-loop.
+		return RowRule{Kind: SelfLoop, Self: 1}
+	}
+	var self float64
+	for k, c := range cols {
+		if int(c) >= i {
+			if int(c) == i {
+				self = vals[k]
+			}
+			break
+		}
+	}
+	if self >= ki {
+		// Already meets the throttling minimum: copy unchanged.
+		return RowRule{Kind: Copied, Self: self, Scale: 1}
+	}
+	var off float64
+	for k, c := range cols {
+		if int(c) != i {
+			off += vals[k]
+		}
+	}
+	switch {
+	case off == 0:
+		// Self-weight below κ but nowhere else to send mass; the row must
+		// stay stochastic, so it becomes a pure self-loop.
+		return RowRule{Kind: SelfLoop, Self: 1}
+	case ki >= 1:
+		return RowRule{Kind: SelfLoop, Self: ki}
+	}
+	return RowRule{Kind: Rescaled, Self: ki, Scale: (1 - ki) / off}
 }
 
 // proximityBeta is the mixing factor β of the spam-proximity walk (§5).
