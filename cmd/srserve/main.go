@@ -188,17 +188,20 @@ func main() {
 // newBuild returns the one build srserve runs, at boot and on every
 // refresh. The page graph never changes after boot, so neither does the
 // source graph: it is aggregated once, and every call goes through
-// builder over it, re-reading the label file (when there is one) first. A
-// cycle therefore costs what the labels changed — nothing but a residual
-// probe when they did not — and a carried vector republishes as the
-// previous snapshot's very array. Each build logs its account (see
+// builder over it, re-reading the label file (when there is one) first.
+// Aggregating once is what lets a cycle carry: the builder carries the
+// proximity walk and the baselines while the source graph's arrays are
+// the ones they were solved over, and a second aggregation would make new
+// ones. A cycle therefore costs what the labels changed — nothing but a
+// residual probe when they did not — and a carried vector republishes as
+// the previous snapshot's very array. Each build logs its account (see
 // buildLine).
 func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, builder *server.Builder) (server.BuildFunc, error) {
 	sg, err := source.Build(pg, source.Options{Workers: builder.Config.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("building source graph: %w", err)
 	}
-	corpus := server.Corpus{Pages: pg, Source: sg, Structure: sg.Structure()}
+	corpus := server.Corpus{Pages: pg, Source: sg}
 	return func(context.Context) (*server.Snapshot, error) {
 		labels := spam
 		if spamPath != "" {

@@ -223,6 +223,6 @@ type PipelineResult struct {
 // from the seed set, throttle its top-k set fully, and solve for σ. It is
 // PipelineRefresh with no history.
 func Pipeline(sg *source.Graph, cfg PipelineConfig) (*PipelineResult, error) {
-	res, _, err := PipelineRefresh(sg, nil, 0, cfg, nil)
+	res, _, err := PipelineRefresh(sg, cfg, nil)
 	return res, err
 }

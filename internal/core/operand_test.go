@@ -247,7 +247,7 @@ func TestDriftRewritesRetainedOperand(t *testing.T) {
 	cfg := PipelineConfig{SpamSeeds: []int32{1, 2, 5}, TopK: 4}
 	st := &RefreshState{}
 	sg := inc.Emit()
-	if _, _, err := PipelineRefresh(sg, inc.Structure(), inc.StructureVersion(), cfg, st); err != nil {
+	if _, _, err := PipelineRefresh(sg, cfg, st); err != nil {
 		t.Fatal(err)
 	}
 	if st.op.pat == nil {
@@ -260,7 +260,7 @@ func TestDriftRewritesRetainedOperand(t *testing.T) {
 		if !sameArray(sg.T.RowPtr, prevT.RowPtr) || !sameArray(sg.T.Cols, prevT.Cols) || sg.T == prevT {
 			t.Fatalf("round %d: the drift emit did not keep T's RowPtr and Cols under new values", round)
 		}
-		got, info, err := PipelineRefresh(sg, inc.Structure(), inc.StructureVersion(), cfg, st)
+		got, info, err := PipelineRefresh(sg, cfg, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestDriftRewritesRetainedOperand(t *testing.T) {
 		}
 	}
 	sg = inc.Emit()
-	if _, _, err := PipelineRefresh(sg, inc.Structure(), inc.StructureVersion(), cfg, st); err != nil {
+	if _, _, err := PipelineRefresh(sg, cfg, st); err != nil {
 		t.Fatal(err)
 	}
 	if st.op.m == prevOp.m || st.op.pat == prevOp.pat {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"sourcerank/internal/graph"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/source"
 	"sourcerank/internal/throttle"
@@ -27,9 +26,10 @@ type RefreshState struct {
 	// assigned is what Proximity and Kappa were derived from besides the
 	// structure: the seed set and the top-k size.
 	assigned assignment
-	// walkedOn is the structure version Proximity was walked on, if any.
-	walkedOn  uint64
-	versioned bool
+	// rowPtr and cols are the Counts arrays, and so the structure,
+	// Proximity was walked on.
+	rowPtr []int64
+	cols   []int32
 	// Proximity is the previous spam-proximity vector, used to
 	// warm-start the next walk.
 	Proximity linalg.Vector
@@ -71,7 +71,8 @@ type RefreshInfo struct {
 	// ProximityCold reports a walk from the seeds: the first refresh or a
 	// contested boundary.
 	ProximityCold bool
-	// ProximityCarried: same structure version and assignment, no walk.
+	// ProximityCarried: sg.Counts shares the RowPtr and Cols the retained
+	// walk read, and the assignment is the same, so no walk.
 	ProximityCarried bool
 	// Decision is how the walk settled binary κ (throttle.DecideTopK).
 	Decision throttle.Decision
@@ -86,17 +87,17 @@ type RefreshInfo struct {
 // against the previous refresh's state; with a nil or zero state it is
 // the cold pipeline. Binary κ is the walk's fixed point's top-k set, which
 // throttle.DecideTopK proves from any start, and the scores meet the same
-// threshold against the same fixed point. structure must present the same
-// successor rows as sg.Structure() and nil means exactly that (the stream
-// pipeline passes its patched overlay); version names those rows, and
-// while it and the assignment are the retained walk's, proximity and κ
-// carry over. A nil structure names no version. The solve goes through
-// Rank, started from the previous scores when there are any and from
-// cfg.X0 otherwise; a Jacobi solve over a T that shares the retained
-// operand's RowPtr and Cols (a count drift) rewrites that operand's
-// values in place instead of building it anew. Everything in cfg but
-// the seeds and TopK is expected to stay fixed over one state's lifetime.
-func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64, cfg PipelineConfig, st *RefreshState) (*PipelineResult, RefreshInfo, error) {
+// threshold against the same fixed point. The walk reads sg.Structure();
+// while sg.Counts shares the RowPtr and Cols arrays the retained walk
+// read (source.Incremental.Emit shares them exactly while the sparsity
+// holds, and nothing writes them) and the assignment is the same,
+// proximity and κ carry over. The solve goes through Rank, started from
+// the previous scores when there are any and from cfg.X0 otherwise; a
+// Jacobi solve over a T that shares the retained operand's RowPtr and
+// Cols (a count drift) rewrites that operand's values in place instead
+// of building it anew. Everything in cfg but the seeds and TopK is
+// expected to stay fixed over one state's lifetime.
+func PipelineRefresh(sg *source.Graph, cfg PipelineConfig, st *RefreshState) (*PipelineResult, RefreshInfo, error) {
 	info := RefreshInfo{BoundaryGap: math.Inf(1)}
 	if sg == nil || sg.NumSources() == 0 {
 		return nil, info, errors.New("core: empty source graph")
@@ -132,15 +133,11 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 		// over a κ the retained scores were never solved for.
 		st.T = nil
 		// Proximity reads only the sparsity, which count drift leaves alone.
-		info.ProximityCarried = structure != nil && st.versioned && st.walkedOn == version &&
+		info.ProximityCarried = sameArray(st.rowPtr, sg.Counts.RowPtr) && sameArray(st.cols, sg.Counts.Cols) &&
 			st.assigned.matches(cfg) && len(st.Proximity) == n
 		if !info.ProximityCarried {
-			versioned := structure != nil
-			if !versioned {
-				structure = sg.Structure()
-			}
 			popt := throttle.ProximityOptions{Workers: cfg.Workers, X0: sanitizeWarmStart(st.Proximity.Padded(n))}
-			prox, dec, err := throttle.DecideTopK(structure, cfg.SpamSeeds, cfg.TopK, popt)
+			prox, dec, err := throttle.DecideTopK(sg.Structure(), cfg.SpamSeeds, cfg.TopK, popt)
 			if err != nil {
 				return nil, info, fmt.Errorf("core: spam proximity: %w", err)
 			}
@@ -150,7 +147,7 @@ func PipelineRefresh(sg *source.Graph, structure graph.Topology, version uint64,
 				st.Kappa = make([]float64, n)
 			}
 			info.KappaChanged, info.BoundaryGap = throttle.PatchTopK(st.Kappa, prox, cfg.TopK)
-			st.Proximity, st.walkedOn, st.versioned = prox, version, versioned
+			st.Proximity, st.rowPtr, st.cols = prox, sg.Counts.RowPtr, sg.Counts.Cols
 			if !st.assigned.matches(cfg) {
 				st.assigned = assignment{slices.Clone(cfg.SpamSeeds), cfg.TopK}
 			}

@@ -113,7 +113,7 @@ func TestPipelineRefreshMatchesCold(t *testing.T) {
 			}
 		}
 		sg := inc.Emit()
-		got, info, err := PipelineRefresh(sg, inc.Structure(), inc.StructureVersion(), cfg, st)
+		got, info, err := PipelineRefresh(sg, cfg, st)
 		if err != nil {
 			t.Fatalf("step %d: PipelineRefresh: %v", step, err)
 		}
@@ -138,7 +138,6 @@ func TestPipelineRefreshMatchesCold(t *testing.T) {
 		if maxDiff > 1e-6 {
 			t.Fatalf("step %d: scores drifted %v from cold rebuild", step, maxDiff)
 		}
-		inc.CompactStructure(16)
 	}
 }
 
@@ -155,7 +154,7 @@ func TestPipelineRefreshSkipsSolve(t *testing.T) {
 	cfg := PipelineConfig{SpamSeeds: []int32{1, 2}, TopK: 3}
 	st := &RefreshState{}
 	sg := inc.Emit()
-	first, info, err := PipelineRefresh(sg, inc.Structure(), inc.StructureVersion(), cfg, st)
+	first, info, err := PipelineRefresh(sg, cfg, st)
 	if err != nil {
 		t.Fatalf("initial refresh: %v", err)
 	}
@@ -169,7 +168,7 @@ func TestPipelineRefreshSkipsSolve(t *testing.T) {
 	if sg2.T != sg.T {
 		t.Fatal("page-count churn should share T")
 	}
-	second, info, err := PipelineRefresh(sg2, inc.Structure(), inc.StructureVersion(), cfg, st)
+	second, info, err := PipelineRefresh(sg2, cfg, st)
 	if err != nil {
 		t.Fatalf("skip refresh: %v", err)
 	}
@@ -187,6 +186,64 @@ func TestPipelineRefreshSkipsSolve(t *testing.T) {
 	}
 }
 
+// TestPipelineRefreshCarryFollowsSparsity: proximity and κ carry exactly
+// while sg.Counts keeps the RowPtr and Cols the retained walk read. A
+// rewire that keeps the source count, the edge count and the assignment
+// emits new arrays, re-walks, and moves κ to the cold pipeline's; a count
+// drift emitted by source.Incremental keeps the arrays and carries.
+func TestPipelineRefreshCarryFollowsSparsity(t *testing.T) {
+	pg := pagegraph.New()
+	for s := 0; s < 6; s++ {
+		pg.AddPage(pg.AddSource(fmt.Sprintf("s%d", s)))
+	}
+	pg.AddLink(1, 0)
+	pg.AddLink(2, 3)
+	inc, err := source.NewIncremental(pg, source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := func(p, to pagegraph.PageID) {
+		before := refreshTargets(pg, p)
+		if err := pg.SetOutLinks(p, []pagegraph.PageID{to}); err != nil {
+			t.Fatal(err)
+		}
+		removed, added := refreshDiff(before, refreshTargets(pg, p))
+		inc.UpdatePage(pg.SourceOf(p), removed, added)
+	}
+	cfg := PipelineConfig{SpamSeeds: []int32{0}, TopK: 2}
+	st := &RefreshState{}
+	refresh := func(what string, carried bool, kappa []float64) {
+		t.Helper()
+		got, info, err := PipelineRefresh(inc.Emit(), cfg, st)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if info.ProximityCarried != carried {
+			t.Fatalf("%s: proximity carried %v, want %v", what, info.ProximityCarried, carried)
+		}
+		coldSG, err := source.Build(pg, source.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Pipeline(coldSG, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Kappa, kappa) || !slices.Equal(cold.Kappa, kappa) {
+			t.Fatalf("%s: κ %v, cold pipeline's %v, want %v", what, got.Kappa, cold.Kappa, kappa)
+		}
+	}
+	refresh("first", false, []float64{1, 1, 0, 0, 0, 0})
+	// Source 1 now links into 3 and source 2 into spam source 0.
+	link(1, 3)
+	link(2, 0)
+	refresh("rewire", false, []float64{1, 0, 1, 0, 0, 0})
+	// A second page of source 2 linking into 0 raises one count.
+	link(pg.AddPage(2), 0)
+	inc.AddPage(2)
+	refresh("drift", true, []float64{1, 0, 1, 0, 0, 0})
+}
+
 // TestPipelineRefreshLabelChangeRewalks is the regression for the skip
 // path keying on the graph alone: over an unchanged source graph a
 // changed seed set (and a changed top-k size) must
@@ -200,7 +257,7 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 	}
 	cfg := PipelineConfig{SpamSeeds: []int32{1, 2, 5, 8, 13, 21}, TopK: 6}
 	st := &RefreshState{}
-	if _, _, err := PipelineRefresh(sg, nil, 0, cfg, st); err != nil {
+	if _, _, err := PipelineRefresh(sg, cfg, st); err != nil {
 		t.Fatal(err)
 	}
 	changes := []struct {
@@ -213,7 +270,7 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 	}
 	for _, ch := range changes {
 		ch.mutate(&cfg)
-		got, info, err := PipelineRefresh(sg, nil, 0, cfg, st)
+		got, info, err := PipelineRefresh(sg, cfg, st)
 		if err != nil {
 			t.Fatalf("%s: %v", ch.name, err)
 		}
@@ -239,7 +296,7 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 		if d := linalg.L2Distance(got.Scores, cold.Scores); d > 1e-7 {
 			t.Fatalf("%s: scores differ from cold by %g", ch.name, d)
 		}
-		again, info, err := PipelineRefresh(sg, nil, 0, cfg, st)
+		again, info, err := PipelineRefresh(sg, cfg, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +307,7 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 	// Mutating the caller's seed slice in place is a change too: the
 	// state compares against its own copy.
 	cfg.SpamSeeds[0] = 3
-	if _, info, err := PipelineRefresh(sg, nil, 0, cfg, st); err != nil || info.SolveSkipped {
+	if _, info, err := PipelineRefresh(sg, cfg, st); err != nil || info.SolveSkipped {
 		t.Fatalf("in-place seed edit skipped (err %v)", err)
 	}
 }
@@ -278,7 +335,7 @@ func TestPipelineRefreshCountsFlipsAgainstPreviousKappa(t *testing.T) {
 		kappa []float64
 		flips int
 	}{{0, []float64{1, 1, 0, 0, 0, 0}, 2}, {3, []float64{0, 0, 0, 1, 1, 0}, 4}} {
-		got, info, err := PipelineRefresh(sg, nil, 0, PipelineConfig{SpamSeeds: []int32{step.seed}, TopK: 2}, st)
+		got, info, err := PipelineRefresh(sg, PipelineConfig{SpamSeeds: []int32{step.seed}, TopK: 2}, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,12 +357,12 @@ func TestPipelineRefreshJacobi(t *testing.T) {
 	}
 	cfg := PipelineConfig{Config: Config{Solver: Jacobi}, SpamSeeds: []int32{1, 2, 5, 8}, TopK: 5}
 	st := &RefreshState{}
-	first, _, err := PipelineRefresh(sg, nil, 0, cfg, st)
+	first, _, err := PipelineRefresh(sg, cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.SpamSeeds = []int32{3, 4}
-	got, _, err := PipelineRefresh(sg, nil, 0, cfg, st)
+	got, _, err := PipelineRefresh(sg, cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestPipelineWarmStartFewerIterations(t *testing.T) {
 	sg := buildSG(t, pg)
 	cfg := pipelineCfg(ds.SpamSources, sg.NumSources()/40)
 	st := &RefreshState{}
-	if _, _, err := PipelineRefresh(sg, nil, 0, cfg, st); err != nil {
+	if _, _, err := PipelineRefresh(sg, cfg, st); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,11 +47,11 @@ func TestPipelineWarmStartFewerIterations(t *testing.T) {
 		t.Fatalf("perturbation changed source count: %d -> %d", sg.NumSources(), sg2.NumSources())
 	}
 
-	cold, coldInfo, err := PipelineRefresh(sg2, nil, 0, cfg, nil)
+	cold, coldInfo, err := PipelineRefresh(sg2, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, info, err := PipelineRefresh(sg2, nil, 0, cfg, st)
+	warm, info, err := PipelineRefresh(sg2, cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,25 +54,14 @@ func narrow[F Float](v Vector) []F {
 	return w
 }
 
-// JacobiAffine solves x = c·Aᵀx + b by Jacobi iteration, the "convenient
+// JacobiAffineT solves x = c·Aᵀx + b by Jacobi iteration, the "convenient
 // linear form" of the ranking equations (paper Eq. 3 uses c = α and
-// b = (1-α)·teleport). A is row-stochastic in row-major CSR form, so the
-// iteration multiplies by the transpose, which is materialized once so
-// every iteration can use the parallel gather kernel.
-//
+// b = (1-α)·teleport), with at = Aᵀ already materialized: A is
+// row-stochastic in row-major CSR form, so every iteration multiplies by
+// the transpose, and callers that solve several systems against the same
+// matrix (or hold a cached transpose, see source.Graph) build it once.
 // The iteration converges for any 0 <= c < 1 because the spectral radius
 // of c·Aᵀ is at most c.
-func JacobiAffine[F Float](a *Matrix[F], c float64, b Vector, opt SolverOptions) (Vector, IterStats, error) {
-	if a.Rows != a.ColsN || len(b) != a.Rows {
-		return nil, IterStats{}, ErrDimension
-	}
-	return JacobiAffineT(a.TransposeParallel(opt.Workers), c, b, nil, opt)
-}
-
-// JacobiAffineT is JacobiAffine with the transpose already materialized:
-// at must be Aᵀ for the system x = c·Aᵀx + b. Callers that solve several
-// systems against the same matrix (or hold a cached transpose, see
-// source.Graph) use this to avoid re-materializing Aᵀ per solve.
 // Each iteration runs on the fused affine kernel: SpMV, scale, bias add,
 // and residual in one parallel pass. The iteration starts from x0, or
 // from b when x0 is nil. The value type of at is the precision of the

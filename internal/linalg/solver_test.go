@@ -123,7 +123,7 @@ func TestJacobiAffineMatchesClosedForm(t *testing.T) {
 	// Solve x = c·Aᵀx + b for a 1x1 system: x = c·a·x + b => x = b/(1-c·a).
 	m := mustCSR(t, 1, 1, []Entry{{0, 0, 0.5}})
 	b := Vector{1}
-	x, st, err := JacobiAffine(m, 0.8, b, SolverOptions{Tol: 1e-13})
+	x, st, err := JacobiAffineT(m.Transpose(), 0.8, b, nil, SolverOptions{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestJacobiAffineMatchesClosedForm(t *testing.T) {
 
 func TestJacobiAffineDimensionError(t *testing.T) {
 	m := mustCSR(t, 2, 3, nil)
-	if _, _, err := JacobiAffine(m, 0.5, NewVector(2), SolverOptions{}); err == nil {
+	if _, _, err := JacobiAffineT(m.Transpose(), 0.5, NewVector(2), nil, SolverOptions{}); err == nil {
 		t.Error("non-square matrix accepted")
 	}
 }
@@ -169,7 +169,7 @@ func TestJacobiMatchesPowerMethodOnStochasticChain(t *testing.T) {
 	}
 	b := tele.Clone()
 	b.Scale(1 - alpha)
-	jac, st2, err := JacobiAffine(m, alpha, b, SolverOptions{Tol: 1e-14})
+	jac, st2, err := JacobiAffineT(m.Transpose(), alpha, b, nil, SolverOptions{Tol: 1e-14})
 	if err != nil || !st2.Converged {
 		t.Fatalf("jacobi: %v %+v", err, st2)
 	}
@@ -250,15 +250,15 @@ func stochasticChain(t *testing.T, rng *rand.Rand, n int) *CSR {
 }
 
 // TestExtraSolversEmptyMatrix: a 0x0 system converges immediately to an
-// empty vector instead of erroring or panicking, through the entry points
-// that materialize the transpose themselves as well.
+// empty vector instead of erroring or panicking, over an empty transpose
+// as well.
 func TestExtraSolversEmptyMatrix(t *testing.T) {
 	m := mustCSR(t, 0, 0, nil)
-	x, st, err := JacobiAffine(m, 0.85, Vector{}, SolverOptions{})
+	x, st, err := JacobiAffineT(m.Transpose(), 0.85, Vector{}, nil, SolverOptions{})
 	if err != nil || !st.Converged || len(x) != 0 {
 		t.Fatalf("jacobi on empty: %v %+v len=%d", err, st, len(x))
 	}
-	x, st, err = JacobiAffine(NewCSR32(m), 0.85, Vector{}, SolverOptions{})
+	x, st, err = JacobiAffineT(NewCSR32(m).Transpose(), 0.85, Vector{}, nil, SolverOptions{})
 	if err != nil || !st.Converged || len(x) != 0 {
 		t.Fatalf("float32 jacobi on empty: %v %+v len=%d", err, st, len(x))
 	}
@@ -268,10 +268,10 @@ func TestExtraSolversEmptyMatrix(t *testing.T) {
 }
 
 // TestExtraSolversDeterministicAcrossWorkers: the entry points that are
-// not the page-level hot path — the forward-form Jacobi solve, which
-// materializes its own transpose with the caller's worker count, and the
-// implicit-teleport power solve — must be bitwise worker-count-invariant
-// like the main ones, at both value types.
+// not the page-level hot path — the Jacobi solve over a transpose
+// materialized with the solve's worker count, and the implicit-teleport
+// power solve — must be bitwise worker-count-invariant like the main
+// ones, at both value types.
 func TestExtraSolversDeterministicAcrossWorkers(t *testing.T) {
 	forceFusedParallel(t)
 	rng := rand.New(rand.NewSource(77))
@@ -281,10 +281,10 @@ func TestExtraSolversDeterministicAcrossWorkers(t *testing.T) {
 	b.Scale(0.15)
 	solves := []func(workers int) (Vector, IterStats, error){
 		func(w int) (Vector, IterStats, error) {
-			return JacobiAffine(m, 0.85, b, SolverOptions{Tol: 1e-12, Workers: w})
+			return JacobiAffineT(m.TransposeParallel(w), 0.85, b, nil, SolverOptions{Tol: 1e-12, Workers: w})
 		},
 		func(w int) (Vector, IterStats, error) {
-			return JacobiAffine(NewCSR32(m), 0.85, b, SolverOptions{Workers: w})
+			return JacobiAffineT(NewCSR32(m).TransposeParallel(w), 0.85, b, nil, SolverOptions{Workers: w})
 		},
 		func(w int) (Vector, IterStats, error) {
 			return PowerMethodTUniform(mt32, 0.85, SolverOptions{Workers: w})
@@ -334,7 +334,7 @@ func TestExtraSolversAbsorbingRows(t *testing.T) {
 	if err != nil || !st.Converged {
 		t.Fatalf("power: %v %+v", err, st)
 	}
-	jac, st2, err := JacobiAffine(m, alpha, b, SolverOptions{Tol: 1e-12})
+	jac, st2, err := JacobiAffineT(m.Transpose(), alpha, b, nil, SolverOptions{Tol: 1e-12})
 	if err != nil || !st2.Converged {
 		t.Fatalf("jacobi: %v %+v", err, st2)
 	}
@@ -435,7 +435,7 @@ func TestQuickSolversAgree(t *testing.T) {
 		alpha := 0.5 + rng.Float64()*0.4
 		b := NewUniformVector(n)
 		b.Scale(1 - alpha)
-		jac, st1, err1 := JacobiAffine(m, alpha, b, SolverOptions{Tol: 1e-13, MaxIter: 3000})
+		jac, st1, err1 := JacobiAffineT(m.Transpose(), alpha, b, nil, SolverOptions{Tol: 1e-13, MaxIter: 3000})
 		pm, st2, err2 := powerMethod(m, alpha, NewUniformVector(n), nil, SolverOptions{Tol: 1e-13, MaxIter: 3000})
 		if err1 != nil || err2 != nil || !st1.Converged || !st2.Converged {
 			return false

@@ -79,7 +79,7 @@ type Result struct {
 // transition builds the uniform out-degree transition matrix of g
 // (paper §2): M_ij = 1/o(p_i) for each edge. Dangling rows stay empty;
 // the power method redistributes their mass through the teleport vector.
-func transition(g graph.Topology) (*linalg.CSR, error) {
+func transition(g *graph.Graph) (*linalg.CSR, error) {
 	n := g.NumNodes()
 	entries := make([]linalg.Entry, 0, g.NumEdges())
 	for u := 0; u < n; u++ {
@@ -99,7 +99,7 @@ func transition(g graph.Topology) (*linalg.CSR, error) {
 // graph (paper Eq. 1). The power iteration only multiplies by Mᵀ, so that
 // is the one operand built — by TransitionT's counting sort, never via
 // the forward matrix.
-func PageRank(g graph.Topology, opt Options) (*Result, error) {
+func PageRank(g *graph.Graph, opt Options) (*Result, error) {
 	if g.NumNodes() == 0 {
 		return nil, ErrEmptyGraph
 	}
@@ -151,7 +151,7 @@ func StationaryT[F linalg.Float](tt *linalg.Matrix[F], opt Options) (*Result, er
 // view) and L1-normalizes the result. It matches PageRank up to
 // normalization on graphs without dangling mass and serves as a
 // cross-check of the two solver paths.
-func PageRankLinear(g graph.Topology, opt Options) (*Result, error) {
+func PageRankLinear(g *graph.Graph, opt Options) (*Result, error) {
 	if g.NumNodes() == 0 {
 		return nil, ErrEmptyGraph
 	}
@@ -168,7 +168,7 @@ func PageRankLinear(g graph.Topology, opt Options) (*Result, error) {
 	}
 	b := tele.Clone()
 	b.Scale(1 - opt.alpha())
-	scores, stats, err := linalg.JacobiAffine(m, opt.alpha(), b, opt.solver())
+	scores, stats, err := linalg.JacobiAffineT(m.TransposeParallel(opt.Workers), opt.alpha(), b, nil, opt.solver())
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +181,7 @@ func PageRankLinear(g graph.Topology, opt Options) (*Result, error) {
 // only to trusted seeds, so trust decays with link distance from them.
 // It is the one-walk SolveSplit over g's Mᵀ, cold from the teleport — the
 // solve the snapshot builder runs — so it is float64 only.
-func TrustRank(g graph.Topology, trusted []int32, opt Options) (*Result, error) {
+func TrustRank(g *graph.Graph, trusted []int32, opt Options) (*Result, error) {
 	if g.NumNodes() == 0 {
 		return nil, ErrEmptyGraph
 	}

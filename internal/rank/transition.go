@@ -17,7 +17,7 @@ import (
 // teleport vector (TrustTeleport), so a caller that runs both over one
 // graph — the snapshot builder, once per build that re-solves them —
 // builds it once and feeds both walks to one SolveSplit.
-func TransitionT(g graph.Topology) *linalg.CSR {
+func TransitionT(g *graph.Graph) *linalg.CSR {
 	n := g.NumNodes()
 	indeg := make([]int64, n)
 	nnz := int64(0)

@@ -26,7 +26,7 @@ func corpusOf(t *testing.T, pg *pagegraph.Graph) server.Corpus {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return server.Corpus{Pages: pg, Source: sg, Structure: sg.Structure()}
+	return server.Corpus{Pages: pg, Source: sg}
 }
 
 // sameBuild fails unless got is want bit for bit: every score of every
@@ -251,7 +251,7 @@ func TestBuildBaselineSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := corpusOf(t, ds.Pages)
-	mt := rank.TransitionT(c.Structure)
+	mt := rank.TransitionT(c.Source.Structure())
 	tele, err := rank.TrustTeleport(mt.Rows, server.TrustedSeeds(c.Source, ds.SpamSources))
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sourcerank/internal/core"
-	"sourcerank/internal/graph"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/rank"
@@ -39,17 +38,16 @@ type BuildConfig struct {
 	Extra map[Algo]linalg.Vector
 }
 
-// Corpus is the graph one build reads. Structure presents the unweighted
-// topology of Source (the successor rows of Source.Structure(), which a
-// caller whose graph never changes computes once), and Version moves
-// whenever those rows do: count drift inside existing consensus cells
-// leaves the uniform-weight baselines' operator, and so their fixed
-// points, unchanged, and Version is how a builder knows.
+// Corpus is the graph one build reads. The baselines and the proximity
+// walk read only Source.Structure(), the sparsity of Source.Counts: count
+// drift inside existing consensus cells leaves their operators, and so
+// their fixed points, unchanged, and a builder knows the sparsity held
+// when Source.Counts shares the RowPtr and Cols arrays of the graph it
+// last solved (as source.Incremental.Emit's graphs do, and as one graph
+// passed again does).
 type Corpus struct {
-	Pages     *pagegraph.Graph
-	Source    *source.Graph
-	Structure graph.Topology
-	Version   uint64
+	Pages  *pagegraph.Graph
+	Source *source.Graph
 }
 
 // BuildInfo reports which incremental paths one build took.
@@ -75,12 +73,13 @@ type BuildInfo struct {
 }
 
 // baseline is one uniform-weight solve the builder retains: the vector,
-// its convergence, and the structure version (and, for TrustRank, the
-// trusted seeds) it was solved for.
+// its convergence, and the Counts RowPtr and Cols arrays (and, for
+// TrustRank, the trusted seeds) it was solved for.
 type baseline struct {
 	scores linalg.Vector
 	stats  linalg.IterStats
-	ver    uint64
+	rowPtr []int64
+	cols   []int32
 	seeds  []int32
 }
 
@@ -88,8 +87,8 @@ type baseline struct {
 // the next, so a build costs what changed since the last: the SRSR
 // pipeline runs through core.PipelineRefresh over one RefreshState, and
 // the baselines re-solve — warm, over one split of Mᵀ built for the
-// build — only when the structure version (or TrustRank's seed set)
-// moved. A carried vector is
+// build — only when the sparsity (or TrustRank's seed set) moved. A
+// carried vector is
 // the previous snapshot's very array, which is what lets Store.Publish
 // and the replica codec reuse everything derived from it. The zero
 // Builder has no history: its first Build is the cold build, and
@@ -118,7 +117,7 @@ func BuildSnapshot(pg *pagegraph.Graph, spam []int32, cfg BuildConfig) (*Snapsho
 // BuildSnapshotFromSourceGraph is BuildSnapshot for callers that already
 // hold the derived source graph: one Build of a throwaway Builder.
 func BuildSnapshotFromSourceGraph(pg *pagegraph.Graph, sg *source.Graph, spam []int32, cfg BuildConfig) (*Snapshot, error) {
-	snap, _, err := (&Builder{Config: cfg}).Build(Corpus{Pages: pg, Source: sg, Structure: sg.Structure()}, spam)
+	snap, _, err := (&Builder{Config: cfg}).Build(Corpus{Pages: pg, Source: sg}, spam)
 	return snap, err
 }
 
@@ -240,7 +239,7 @@ func (b *Builder) solveSRSR(c Corpus, spam []int32, topK, workers int) (out bran
 	defer func() { out.wall = time.Since(start) }()
 	cfg := b.Config
 	warm := b.srsr.Scores != nil
-	res, ri, err := core.PipelineRefresh(c.Source, c.Structure, c.Version, core.PipelineConfig{
+	res, ri, err := core.PipelineRefresh(c.Source, core.PipelineConfig{
 		Config:    core.Config{Alpha: cfg.Alpha, Workers: workers},
 		SpamSeeds: spam,
 		TopK:      topK,
@@ -308,9 +307,10 @@ func (b *Builder) solveBaselines(c Corpus, trSeeds []int32, workers int) (out br
 		return out
 	}
 	out.info.BaselinesSwept = len(walks) == 2
-	err := rank.SolveSplit(rank.TransitionT(c.Structure), opts, func(j int, res *rank.Result) {
+	counts := c.Source.Counts
+	err := rank.SolveSplit(rank.TransitionT(c.Source.Structure()), opts, func(j int, res *rank.Result) {
 		w := walks[j]
-		w.bl.scores, w.bl.stats, w.bl.ver, w.bl.seeds = res.Scores, res.Stats, c.Version, w.seeds
+		w.bl.scores, w.bl.stats, w.bl.rowPtr, w.bl.cols, w.bl.seeds = res.Scores, res.Stats, counts.RowPtr, counts.Cols, w.seeds
 		out.sets = append(out.sets, solved{w.algo, res.Scores, res.Stats, w.warm, time.Now()})
 	})
 	if err != nil && out.err == nil {
@@ -322,8 +322,9 @@ func (b *Builder) solveBaselines(c Corpus, trSeeds []int32, workers int) (out br
 // current reports whether bl is already the fixed point for c's structure
 // and seeds, so a build carries it.
 func (bl *baseline) current(c Corpus, seeds []int32) bool {
-	return bl.scores != nil && bl.ver == c.Version && len(bl.scores) == c.Source.NumSources() &&
-		slices.Equal(seeds, bl.seeds)
+	counts := c.Source.Counts
+	return bl.scores != nil && SameArray(bl.rowPtr, counts.RowPtr) && SameArray(bl.cols, counts.Cols) &&
+		len(bl.scores) == c.Source.NumSources() && slices.Equal(seeds, bl.seeds)
 }
 
 // TrustedSeeds picks the 10 non-spam sources with the most pages, ties to

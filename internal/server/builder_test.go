@@ -42,15 +42,15 @@ func perturb(t *testing.T, pg *pagegraph.Graph, seed uint64, links int) *pagegra
 	return out
 }
 
-// testCorpus derives the builder's view of pg; ver is the structure
-// version the caller assigns it.
-func testCorpus(t *testing.T, pg *pagegraph.Graph, ver uint64) Corpus {
+// testCorpus derives the builder's view of pg: a freshly built source
+// graph, whose arrays no earlier build has seen.
+func testCorpus(t *testing.T, pg *pagegraph.Graph) Corpus {
 	t.Helper()
 	sg, err := source.Build(pg, source.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Corpus{Pages: pg, Source: sg, Structure: sg.Structure(), Version: ver}
+	return Corpus{Pages: pg, Source: sg}
 }
 
 // coldKappa is the κ reference that shares no selection code with the
@@ -76,11 +76,11 @@ func TestWarmRefreshFewerIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &Builder{Config: BuildConfig{Name: ds.Name}}
-	if _, _, err := b.Build(testCorpus(t, ds.Pages, 0), ds.SpamSources); err != nil {
+	if _, _, err := b.Build(testCorpus(t, ds.Pages), ds.SpamSources); err != nil {
 		t.Fatal(err)
 	}
 
-	drifted := testCorpus(t, perturb(t, ds.Pages, 99, int(ds.Pages.NumLinks()/25)), 1)
+	drifted := testCorpus(t, perturb(t, ds.Pages, 99, int(ds.Pages.NumLinks()/25)))
 	cold, err := BuildSnapshotFromSourceGraph(drifted.Pages, drifted.Source, ds.SpamSources, b.Config)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestWarmRefreshFewerIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.SolveSkipped || info.PageRankSkipped || info.TrustRankSkipped {
-		t.Fatalf("a new structure version skipped solves: %+v", info)
+		t.Fatalf("a new source graph skipped solves: %+v", info)
 	}
 	if !slices.Equal(b.Kappa(), coldKappa(t, drifted, ds.SpamSources)) {
 		t.Error("warm κ differs from throttle.TopK of a cold walk")
@@ -125,7 +125,7 @@ func TestBuilderCarriesUnchangedBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := testCorpus(t, ds.Pages, 0)
+	c := testCorpus(t, ds.Pages)
 	b := &Builder{Config: BuildConfig{Name: ds.Name}}
 	first, info, err := b.Build(c, ds.SpamSources)
 	if err != nil {
@@ -162,6 +162,61 @@ func TestBuilderCarriesUnchangedBuild(t *testing.T) {
 	}
 }
 
+// TestBuilderBaselinesFollowSourceArrays: the baselines carry exactly
+// while the corpus's Source.Counts keeps the RowPtr and Cols they were
+// solved over. The same Source twice carries both; a rewired Source over
+// as many sources has new arrays, re-solves both to the cold build's
+// fixed points, and is then carried itself.
+func TestBuilderBaselinesFollowSourceArrays(t *testing.T) {
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCorpus(t, ds.Pages)
+	rewired := ds.Pages.Clone()
+	from := rewired.PagesOf(0)[0]
+	linked, _ := c.Source.Counts.Row(0)
+	for q := 0; q < rewired.NumPages(); q++ {
+		if !slices.Contains(linked, int32(rewired.SourceOf(pagegraph.PageID(q)))) {
+			rewired.AddLink(from, pagegraph.PageID(q))
+			break
+		}
+	}
+	r := testCorpus(t, rewired)
+	if r.Source.NumSources() != c.Source.NumSources() || r.Source.NumEdges != c.Source.NumEdges+1 {
+		t.Fatalf("rewire: %d sources, %d edges; want %d, %d",
+			r.Source.NumSources(), r.Source.NumEdges, c.Source.NumSources(), c.Source.NumEdges+1)
+	}
+	b := &Builder{}
+	var prev *Snapshot
+	for i, step := range []struct {
+		c       Corpus
+		carried bool
+	}{{c, false}, {c, true}, {r, false}, {r, true}} {
+		snap, info, err := b.Build(step.c, ds.SpamSources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.PageRankSkipped != step.carried || info.TrustRankSkipped != step.carried {
+			t.Fatalf("build %d: baselines skipped %v/%v, want %v", i, info.PageRankSkipped, info.TrustRankSkipped, step.carried)
+		}
+		cold, err := BuildSnapshotFromSourceGraph(step.c.Pages, step.c.Source, ds.SpamSources, BuildConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []Algo{AlgoPageRank, AlgoTrustRank} {
+			got := snap.Set(algo).ScoresView()
+			if step.carried && !SameArray(got, prev.Set(algo).ScoresView()) {
+				t.Errorf("build %d: %s carried but not the previous array", i, algo)
+			}
+			if d := linalg.L2Distance(got, cold.Set(algo).ScoresView()); d > 1e-7 {
+				t.Errorf("build %d: %s differs from cold by %g", i, algo, d)
+			}
+		}
+		prev = snap
+	}
+}
+
 // TestBuilderLabelChange: over an unchanged graph a changed label set
 // re-walks the proximity and re-solves SRSR warm — κ equal to a cold
 // build's bit for bit — while PageRank is carried and TrustRank is
@@ -171,7 +226,7 @@ func TestBuilderLabelChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := testCorpus(t, ds.Pages, 0)
+	c := testCorpus(t, ds.Pages)
 	b := &Builder{}
 	if _, _, err := b.Build(c, ds.SpamSources); err != nil {
 		t.Fatal(err)
@@ -231,7 +286,7 @@ func TestWarmStartShapeChangeFallsBack(t *testing.T) {
 
 	b := &Builder{}
 	for ver, pg := range []*pagegraph.Graph{ds.Pages, grown, ds.Pages} {
-		c := testCorpus(t, pg, uint64(ver))
+		c := testCorpus(t, pg)
 		got, info, err := b.Build(c, ds.SpamSources)
 		if err != nil {
 			t.Fatal(err)
@@ -265,7 +320,7 @@ func TestRefresherRetainsWarmState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := testCorpus(t, ds.Pages, 0)
+	c := testCorpus(t, ds.Pages)
 	b := &Builder{Config: BuildConfig{Name: ds.Name}}
 	initial, _, err := b.Build(c, ds.SpamSources)
 	if err != nil {
@@ -309,7 +364,7 @@ func TestSolverMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := testCorpus(t, ds.Pages, 0)
+	c := testCorpus(t, ds.Pages)
 	b := &Builder{Config: BuildConfig{Name: ds.Name}}
 	snap, _, err := b.Build(c, ds.SpamSources)
 	if err != nil {

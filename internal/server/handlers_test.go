@@ -213,7 +213,7 @@ func TestMetricsBuildBranches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := testCorpus(t, ds.Pages, 0)
+	c := testCorpus(t, ds.Pages)
 	b := &Builder{Config: BuildConfig{Workers: 2}}
 	metrics := func(snap *Snapshot, cfg Config) string {
 		rec := httptest.NewRecorder()

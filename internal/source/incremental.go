@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"sourcerank/internal/graph"
 	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
 )
@@ -41,8 +40,7 @@ type Incremental struct {
 	structVer uint64 // bumped on every sparsity-changing mutation
 	emitVer   uint64 // structVer at the last emit
 
-	structure *graph.Overlay
-	prev      *Graph
+	prev *Graph
 }
 
 // incRow is one source row: sorted consensus counts plus the transition
@@ -76,7 +74,6 @@ func NewIncremental(pg *pagegraph.Graph, opt Options) (*Incremental, error) {
 		pcLast:    sg.PageCount,
 		rows:      make([]incRow, n),
 		numEdges:  sg.NumEdges,
-		structure: graph.NewOverlay(sg.Structure()),
 		prev:      sg,
 	}
 	sg.Labels = inc.labels[:n:n]
@@ -105,7 +102,6 @@ func (inc *Incremental) AddSource(label string) int32 {
 	inc.pageCount = append(inc.pageCount, 0)
 	inc.rows = append(inc.rows, incRow{})
 	inc.n++
-	inc.structure.AddNodes(1)
 	inc.structVer++
 	inc.markDirty(id)
 	inc.changed = true
@@ -115,11 +111,12 @@ func (inc *Incremental) AddSource(label string) int32 {
 
 // StructureVersion counts mutations that changed the unweighted source
 // topology: source additions and consensus edges appearing or vanishing.
-// Count bumps within existing cells do not advance it. Operators that
-// depend only on the sparsity — the uniform-transition baselines and the
-// spam-proximity walk — have provably unchanged fixed points while the
-// version holds still, which the streaming pipeline exploits to skip
-// their solves entirely.
+// Count bumps within existing cells do not advance it. While it holds
+// still, Emit shares the previous Counts' RowPtr and Cols, so the emitted
+// Graph's Structure is the same pair of arrays: operators that depend
+// only on the sparsity — the uniform-transition baselines and the
+// spam-proximity walk — have provably unchanged fixed points, and their
+// consumers skip the solves on that array identity.
 func (inc *Incremental) StructureVersion() uint64 { return inc.structVer }
 
 // AddPage records a new page in source s. It panics on an unknown
@@ -238,10 +235,11 @@ func (inc *Incremental) rebuildT(r int32) {
 // them from row state and bulk-copies every run of clean rows. While the
 // structure version holds (a count drift), Counts and T keep the previous
 // RowPtr and Cols arrays and only their values are new, which is what
-// lets core rewrite SRSR's retained Jacobi operand in place. When nothing
-// changed it returns the previous Graph pointer unchanged (preserving its
-// cached Tᵀ); when only page counts changed it shares the previous Counts
-// and T matrices. Callers must treat every emitted Graph as immutable.
+// lets core rewrite SRSR's retained Jacobi operand in place and carry
+// everything read from Structure. When nothing changed it returns the
+// previous Graph pointer unchanged (preserving its cached Tᵀ); when only
+// page counts changed it shares the previous Counts and T matrices.
+// Callers must treat every emitted Graph as immutable.
 func (inc *Incremental) Emit() *Graph {
 	if !inc.changed {
 		if !inc.pcDirty {
@@ -265,9 +263,6 @@ func (inc *Incremental) Emit() *Graph {
 	for _, r := range dirty {
 		inc.rebuildT(r)
 		inc.rows[r].dirty = false
-		if err := inc.structure.SetRow(r, inc.rows[r].cols); err != nil {
-			panic(fmt.Sprintf("source: structure row update: %v", err))
-		}
 	}
 	same := inc.structVer == inc.emitVer
 	counts := inc.emitMatrix(inc.prev.Counts, dirty, same, func(row *incRow) []int32 { return row.cols },
@@ -341,22 +336,4 @@ func (inc *Incremental) emitMatrix(prev *linalg.CSR, dirty []int32, same bool, c
 	}
 	copyClean(n)
 	return m
-}
-
-// Structure returns the incrementally maintained unweighted source
-// topology (the sparsity of Counts), the view Emit keeps in sync for the
-// spam-proximity walk. It reflects state as of the last Emit; pending
-// deltas are folded in at the next Emit.
-func (inc *Incremental) Structure() graph.Topology { return inc.structure }
-
-// CompactStructure folds accumulated structure-row patches into a fresh
-// CSR when the patch set has grown past maxPatched rows, and reports
-// whether it compacted. Proximity walks read identical successor lists
-// either way; compaction only trades patch-map lookups for a rebuild.
-func (inc *Incremental) CompactStructure(maxPatched int) bool {
-	if inc.structure.PatchedRows() <= maxPatched {
-		return false
-	}
-	inc.structure.Compact()
-	return true
 }

@@ -399,10 +399,11 @@ func (sg *Graph) NumSources() int { return len(sg.Labels) }
 
 // Structure returns the unweighted source graph (distinct derived edges
 // only, no artificial self-edges), used by the spam-proximity walk which
-// runs on the reversed source topology. It is the sparsity of Counts,
-// whose rows are already strictly increasing, so the graph aliases its
-// RowPtr and Cols: nothing writes them (Incremental.Emit makes new arrays
-// or shares immutable ones, and graph.Overlay never writes its base).
+// runs on the reversed source topology, and by the PageRank/TrustRank
+// baselines. It is the sparsity of Counts, whose rows are already
+// strictly increasing, so the graph aliases its RowPtr and Cols: nothing
+// writes them (Incremental.Emit makes new arrays or shares immutable
+// ones), and two graphs whose Counts share both arrays have one structure.
 func (sg *Graph) Structure() *graph.Graph {
 	g, err := graph.FromParts(sg.Counts.Rows, sg.Counts.RowPtr, sg.Counts.Cols)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"sourcerank/internal/graph"
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/source"
 )
@@ -71,18 +70,9 @@ func (in *Ingestor) PageGraph() *pagegraph.Graph { return in.pg }
 // since the last emit (see source.Incremental.Emit).
 func (in *Ingestor) Emit() *source.Graph { return in.inc.Emit() }
 
-// Structure returns the incrementally maintained source topology.
-func (in *Ingestor) Structure() graph.Topology { return in.inc.Structure() }
-
 // StructureVersion counts sparsity-changing mutations of the source
 // topology (see source.Incremental.StructureVersion).
 func (in *Ingestor) StructureVersion() uint64 { return in.inc.StructureVersion() }
-
-// CompactStructure folds accumulated structure patches once they exceed
-// maxPatched rows; reports whether it compacted.
-func (in *Ingestor) CompactStructure(maxPatched int) bool {
-	return in.inc.CompactStructure(maxPatched)
-}
 
 // staging is the validated shadow state of one batch: new sources and
 // pages it introduces, plus copy-on-write out-link rows for every page

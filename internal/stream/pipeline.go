@@ -37,11 +37,6 @@ type Options struct {
 	Store *server.Store
 }
 
-// compactEvery is the patched-structure-row threshold past which a
-// refresh folds the topology overlay into a fresh CSR. Compaction never
-// changes results, only lookup cost.
-const compactEvery = 256
-
 // RefreshStats reports what one Refresh actually did — which stages were
 // skipped, how much state was dirty, and where the time went.
 type RefreshStats struct {
@@ -53,8 +48,6 @@ type RefreshStats struct {
 	// ProximityCold and KappaChanged for SRSR, PageRankSkipped and
 	// TrustRankSkipped for the baselines.
 	server.BuildInfo
-	// Compacted: the structure overlay was folded this refresh.
-	Compacted bool
 	// Emit, Solve, Publish, Total are wall times for the stages.
 	Emit    time.Duration
 	Solve   time.Duration
@@ -65,10 +58,11 @@ type RefreshStats struct {
 // Pipeline composes the streaming stack: an Ingestor (page graph +
 // incremental source consensus), an optional write-ahead log, and a
 // server.Builder — the one snapshot builder, whose retained state makes
-// each refresh cost what the deltas changed — fed the ingestor's
-// incrementally maintained structure. All methods are safe for concurrent
-// use; one mutex serializes ingest and refresh, while published snapshots
-// are read lock-free as usual.
+// each refresh cost what the deltas changed — fed each emitted source
+// graph, whose Structure is the previous one's very arrays while the
+// sparsity holds (source.Incremental.Emit). All methods are safe for
+// concurrent use; one mutex serializes ingest and refresh, while
+// published snapshots are read lock-free as usual.
 type Pipeline struct {
 	mu      sync.Mutex
 	opt     Options
@@ -168,13 +162,10 @@ func (p *Pipeline) Refresh() (*server.Snapshot, RefreshStats, error) {
 	stats.Seq = p.ing.LastSeq()
 
 	sg := p.ing.Emit()
-	stats.Compacted = p.ing.CompactStructure(compactEvery)
 	stats.Emit = time.Since(t0)
 
 	tSolve := time.Now()
-	snap, info, err := p.builder.Build(server.Corpus{
-		Pages: p.ing.PageGraph(), Source: sg, Structure: p.ing.Structure(), Version: p.ing.StructureVersion(),
-	}, p.opt.Spam)
+	snap, info, err := p.builder.Build(server.Corpus{Pages: p.ing.PageGraph(), Source: sg}, p.opt.Spam)
 	if err != nil {
 		return nil, stats, fmt.Errorf("stream: %w", err)
 	}

@@ -203,11 +203,10 @@ type ProximityOptions struct {
 // vector is a probability distribution biased toward spam and toward
 // sources "close" to spam in the forward-link sense.
 //
-// structure may be an immutable CSR graph or a patched graph.Overlay; the
-// walk iterates successor rows in node order either way, so an overlay
-// produces the exact operator — and hence bitwise-identical scores — its
-// compacted graph would.
-func SpamProximity(structure graph.Topology, seeds []int32, opt ProximityOptions) (linalg.Vector, linalg.IterStats, error) {
+// structure is the unweighted source graph (source.Graph.Structure). The
+// walk reads only its successor rows, in node order, so two graphs with
+// equal rows give bitwise-identical scores.
+func SpamProximity(structure *graph.Graph, seeds []int32, opt ProximityOptions) (linalg.Vector, linalg.IterStats, error) {
 	pt, d, err := proximityOperator(structure, seeds, opt.X0)
 	if err != nil {
 		return nil, linalg.IterStats{}, err
@@ -229,7 +228,7 @@ type Decision struct {
 // the last check's gap (at first 1/k, which no gap exceeds) or a quarter
 // of its bound. A residual that stops falling or 1000 steps make the
 // boundary contested, and SpamProximity's cold walk is returned.
-func DecideTopK(structure graph.Topology, seeds []int32, k int, opt ProximityOptions) (linalg.Vector, Decision, error) {
+func DecideTopK(structure *graph.Graph, seeds []int32, k int, opt ProximityOptions) (linalg.Vector, Decision, error) {
 	pt, d, err := proximityOperator(structure, seeds, opt.X0)
 	if err != nil {
 		return nil, Decision{}, err
@@ -275,7 +274,7 @@ func errorBound(r float64, n int) float64 {
 // proximityOperator returns the walk's operands: Pᵀ of the reversed-edge
 // transition and the seed distribution d. x0, when not nil, must have one
 // entry per source.
-func proximityOperator(structure graph.Topology, seeds []int32, x0 linalg.Vector) (*linalg.CSR, linalg.Vector, error) {
+func proximityOperator(structure *graph.Graph, seeds []int32, x0 linalg.Vector) (*linalg.CSR, linalg.Vector, error) {
 	n := structure.NumNodes()
 	if n == 0 {
 		return nil, nil, errors.New("throttle: empty source graph")
