@@ -27,61 +27,33 @@ import (
 	"sourcerank/internal/throttle"
 )
 
-// Solver selects the iteration scheme used for the stationary solve. The
-// zero value picks it by κ: Jacobi when any κᵢ > 0, the power method
-// when κ ≡ 0 (see Config).
-type Solver int
-
-const (
-	// Power iterates the damped chain directly.
-	Power Solver = iota + 1
-	// Jacobi solves the equivalent linear system σ = α·T″ᵀσ + (1-α)c,
-	// the paper's "convenient linear form", one diagonal entry exactly
-	// per step, and L1-normalizes.
-	Jacobi
-)
-
 // Config configures a Spam-Resilient SourceRank computation. The zero
 // value reproduces the paper's setup, and the solve always runs in
 // float64 over the in-heap T″ᵀ to its convergence threshold, L2 < 1e-9
 // (linalg's default, as is the 1000-iteration cap).
 //
-// Throttling loads the self-edges: a source with κᵢ = 1 is a pure
-// self-loop, and the power method drains mass off a self-edge T″ᵢᵢ only
-// at a rate of α·T″ᵢᵢ per step. So by default any κᵢ > 0 selects
-// Jacobi on D = I − α·diag(T″): each step is x ← D⁻¹(α·offdiag(T″ᵀ)x +
-// (1−α)c), which solves every self-edge exactly. Its stop, the L2 norm
-// of the Jacobi step Δ below 1e-9, certifies the power method's too:
-// (I − α·T″ᵀ)x − (1−α)c = −D·Δ with 0 < Dᵢᵢ ≤ 1, so the one-step power
-// residual is at most ‖Δ‖ entry by entry. With κ ≡ 0 the mass that
-// circulates between sources (spam farms' mutual links) is left in
-// place, Jacobi gains nothing on it, and the power method takes fewer
-// steps. Power and Jacobi force one scheme (the solver ablation
-// compares them).
+// κ alone picks the scheme. Throttling loads the self-edges: a source
+// with κᵢ = 1 is a pure self-loop, and the power method drains mass off
+// a self-edge T″ᵢᵢ only at a rate of α·T″ᵢᵢ per step. So any κᵢ > 0
+// selects Jacobi on D = I − α·diag(T″): each step is x ←
+// D⁻¹(α·offdiag(T″ᵀ)x + (1−α)c), which solves every self-edge exactly.
+// Its stop, the L2 norm of the Jacobi step Δ below 1e-9, certifies the
+// power method's too: (I − α·T″ᵀ)x − (1−α)c = −D·Δ with 0 < Dᵢᵢ ≤ 1, so
+// the one-step power residual is at most ‖Δ‖ entry by entry. With κ ≡ 0
+// the mass that circulates between sources (spam farms' mutual links) is
+// left in place, Jacobi gains nothing on it, and the power method takes
+// fewer steps.
 type Config struct {
 	// Alpha is the mixing parameter α; 0 defaults to 0.85.
 	Alpha float64
 	// Workers bounds SpMV parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Solver forces a scheme; the zero value is the κ rule above.
-	Solver Solver
 	// X0 optionally warm-starts the stationary solve from a previous
 	// score vector (e.g. the last published snapshot's σ). It must have
 	// one entry per source; either scheme converges to the same fixed
 	// point from any start, only faster when X0 is close. Without it
 	// both start from the teleport vector c.
 	X0 linalg.Vector
-}
-
-// jacobi reports whether the solve over κ runs Jacobi.
-func (c Config) jacobi(kappa []float64) bool {
-	switch c.Solver {
-	case Power:
-		return false
-	case Jacobi:
-		return true
-	}
-	return slices.ContainsFunc(kappa, func(k float64) bool { return k > 0 })
 }
 
 // sanitizeWarmStart clones and L1-normalizes a warm-start vector so the
@@ -119,18 +91,6 @@ type Result struct {
 	op operand
 }
 
-// throttledTranspose materializes the power method's operand, the
-// transpose of the throttled matrix, exactly once per distinct matrix: when throttle.Apply's identity fast
-// path handed back sg.T itself, the transpose cached on the source graph
-// is reused (materialized on first demand, shared by every later solve);
-// otherwise the throttled matrix is transposed with the parallel kernel.
-func throttledTranspose(sg *source.Graph, tpp *linalg.CSR, workers int) *linalg.CSR {
-	if tpp == sg.T {
-		return sg.TransposedT(workers)
-	}
-	return tpp.TransposeParallel(workers)
-}
-
 // Rank computes Spam-Resilient SourceRank over a prepared source graph
 // with the given throttling vector. Pass a zero vector for κ to obtain
 // the un-throttled (but still consensus-weighted, self-edged) model.
@@ -151,12 +111,12 @@ func rankOver(sg *source.Graph, kappa []float64, cfg Config, prev operand) (*Res
 	}
 	res := &Result{Kappa: append([]float64(nil), kappa...)}
 	var err error
-	if cfg.jacobi(kappa) {
+	if slices.ContainsFunc(kappa, func(k float64) bool { return k > 0 }) {
 		res.op, err = jacobiOperand(sg.T, kappa, cfg.alpha(), cfg.Workers, prev)
 	} else {
 		var tpp *linalg.CSR
 		if tpp, err = throttle.Apply(sg.T, kappa); err == nil {
-			res.op = operand{m: throttledTranspose(sg, tpp, cfg.Workers)}
+			res.op = operand{m: tpp.TransposeParallel(cfg.Workers)}
 		}
 	}
 	if err != nil {

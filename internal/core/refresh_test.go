@@ -355,7 +355,7 @@ func TestPipelineRefreshJacobi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := PipelineConfig{Config: Config{Solver: Jacobi}, SpamSeeds: []int32{1, 2, 5, 8}, TopK: 5}
+	cfg := PipelineConfig{SpamSeeds: []int32{1, 2, 5, 8}, TopK: 5}
 	st := &RefreshState{}
 	first, _, err := PipelineRefresh(sg, cfg, st)
 	if err != nil {
@@ -366,7 +366,7 @@ func TestPipelineRefreshJacobi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Rank(sg, got.Kappa, Config{Solver: Jacobi, X0: first.Scores})
+	warm, err := Rank(sg, got.Kappa, Config{X0: first.Scores})
 	if err != nil {
 		t.Fatal(err)
 	}

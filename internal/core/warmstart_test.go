@@ -93,17 +93,21 @@ func TestConfigX0DimensionError(t *testing.T) {
 	}
 }
 
-// TestJacobiColdStartsFromTeleport: without X0 the Jacobi solve starts
-// from the teleport vector, so an explicit uniform X0 must reproduce it
-// exactly.
+// TestJacobiColdStartsFromTeleport: without X0 the Jacobi solve (a
+// throttled κ) starts from the teleport vector, so an explicit uniform X0
+// must reproduce it exactly.
 func TestJacobiColdStartsFromTeleport(t *testing.T) {
 	sg := buildSG(t, corpus(t))
 	kappa := make([]float64, sg.NumSources())
-	plain, err := Rank(sg, kappa, Config{Solver: Jacobi})
+	kappa[4] = 1
+	plain, err := Rank(sg, kappa, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withX0, err := Rank(sg, kappa, Config{Solver: Jacobi, X0: linalg.NewUniformVector(sg.NumSources())})
+	if plain.op.bias == nil {
+		t.Fatal("throttled κ did not solve by Jacobi")
+	}
+	withX0, err := Rank(sg, kappa, Config{X0: linalg.NewUniformVector(sg.NumSources())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"sourcerank/internal/core"
 	"sourcerank/internal/gen"
+	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/rankeval"
 	"sourcerank/internal/source"
@@ -132,7 +133,9 @@ func AblationThrottle(cfg Config) (*Table, error) {
 }
 
 // AblationSolver compares the two solver paths of Eq. 3 — power method
-// versus Jacobi on the linear form — in iterations and agreement.
+// versus Jacobi on the linear form — in iterations and agreement. The
+// throttled κ makes core.Rank run Jacobi; the power arm iterates the
+// damped chain over the transpose of throttle.Apply's T″ itself.
 func AblationSolver(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	c, err := buildCorpus(gen.UK2002, cfg)
@@ -143,15 +146,20 @@ func AblationSolver(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pw, err := core.Rank(c.sg, pipe.Kappa, core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers, Solver: core.Power})
+	tpp, err := throttle.Apply(c.sg.T, pipe.Kappa)
 	if err != nil {
 		return nil, err
 	}
-	jc, err := core.Rank(c.sg, pipe.Kappa, core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers, Solver: core.Jacobi})
+	pw, pwStats, err := linalg.PowerMethodT(tpp.TransposeParallel(cfg.Workers), cfg.Alpha,
+		linalg.NewUniformVector(c.sg.NumSources()), nil, linalg.SolverOptions{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
-	tau, err := rankeval.KendallTau(pw.Scores, jc.Scores)
+	jc, err := core.Rank(c.sg, pipe.Kappa, core.Config{Alpha: cfg.Alpha, Workers: cfg.Workers})
+	if err != nil {
+		return nil, err
+	}
+	tau, err := rankeval.KendallTau(pw, jc.Scores)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +168,7 @@ func AblationSolver(cfg Config) (*Table, error) {
 		Title:   "Power method vs Jacobi on the SRSR equation (UK2002-sim)",
 		Columns: []string{"solver", "iterations", "residual", "converged"},
 	}
-	t.AddRow("power", fmt.Sprintf("%d", pw.Stats.Iterations), fmt.Sprintf("%.2e", pw.Stats.Residual), fmt.Sprintf("%v", pw.Stats.Converged))
+	t.AddRow("power", fmt.Sprintf("%d", pwStats.Iterations), fmt.Sprintf("%.2e", pwStats.Residual), fmt.Sprintf("%v", pwStats.Converged))
 	t.AddRow("jacobi", fmt.Sprintf("%d", jc.Stats.Iterations), fmt.Sprintf("%.2e", jc.Stats.Residual), fmt.Sprintf("%v", jc.Stats.Converged))
 	t.Notes = append(t.Notes, fmt.Sprintf("Kendall tau between the two rankings: %.6f", tau))
 	return t, nil

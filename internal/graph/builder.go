@@ -80,6 +80,11 @@ func FromParts(n int, rowPtr []int64, succ []NodeID) (*Graph, error) {
 	return &Graph{n: n, rowPtr: rowPtr, succ: succ}, nil
 }
 
+// Parts returns the graph's CSR arrays, the inverse of FromParts: row u's
+// successors are succ[rowPtr[u]:rowPtr[u+1]]. The slices alias internal
+// storage and must not be modified.
+func (g *Graph) Parts() (rowPtr []int64, succ []NodeID) { return g.rowPtr, g.succ }
+
 // FromAdjacency builds a graph from an explicit adjacency list. Row u of
 // adj lists the successors of node u; duplicate and unsorted entries are
 // tolerated.

@@ -211,22 +211,7 @@ func (p *Puller) Run(ctx context.Context) {
 // failures it is Interval·2^f capped at MaxBackoff, jittered ±20%, and
 // floored by the builder's last Retry-After hint.
 func (p *Puller) nextDelay() time.Duration {
-	f := p.failures.Load()
-	d := p.Interval
-	if f > 0 {
-		max := p.MaxBackoff
-		if max <= 0 {
-			max = 16 * p.Interval
-		}
-		for i := uint64(0); i < f; i++ {
-			d *= 2
-			if d >= max {
-				d = max
-				break
-			}
-		}
-	}
-	d = server.Jitter(d, p.rnd)
+	d := server.Jitter(server.Backoff(p.Interval, p.MaxBackoff, p.failures.Load()), p.rnd)
 	if hint := time.Duration(p.retryAfterHint.Swap(0)) * time.Second; hint > d {
 		d = hint
 	}

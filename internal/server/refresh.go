@@ -95,24 +95,25 @@ func (r *Refresher) RefreshNow(ctx context.Context) error {
 // nextDelay is Interval while builds succeed; after f consecutive
 // failures it is Interval·2^f capped at MaxBackoff, with ±20% jitter.
 func (r *Refresher) nextDelay() time.Duration {
-	d := r.backoffDelay(r.failures.Load())
-	return Jitter(d, r.rnd)
+	return Jitter(Backoff(r.Interval, r.MaxBackoff, r.failures.Load()), r.rnd)
 }
 
-// backoffDelay is the un-jittered delay after f consecutive failures.
-func (r *Refresher) backoffDelay(f uint64) time.Duration {
-	if f == 0 {
-		return r.Interval
+// Backoff is the un-jittered delay after failures consecutive failures:
+// interval while there are none, else interval·2^failures capped at
+// maxBackoff (16·interval when maxBackoff <= 0). The refresher and the
+// replica sync loop share it.
+func Backoff(interval, maxBackoff time.Duration, failures uint64) time.Duration {
+	if failures == 0 {
+		return interval
 	}
-	max := r.MaxBackoff
-	if max <= 0 {
-		max = 16 * r.Interval
+	if maxBackoff <= 0 {
+		maxBackoff = 16 * interval
 	}
-	d := r.Interval
-	for i := uint64(0); i < f; i++ {
+	d := interval
+	for i := uint64(0); i < failures; i++ {
 		d *= 2
-		if d >= max {
-			return max
+		if d >= maxBackoff {
+			return maxBackoff
 		}
 	}
 	return d

@@ -253,34 +253,3 @@ func TestBuildRaceStress(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestTransposedTCached checks the per-graph transpose cache: repeated
-// and concurrent calls return the same materialization.
-func TestTransposedTCached(t *testing.T) {
-	sg, err := Build(fixture(t), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := linalg.TransposeMaterializations()
-	first := sg.TransposedT(2)
-	results := make([]*linalg.CSR, 8)
-	var wg sync.WaitGroup
-	for g := range results {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g] = sg.TransposedT(1 + g)
-		}(g)
-	}
-	wg.Wait()
-	for g, r := range results {
-		if r != first {
-			t.Fatalf("call %d returned a distinct transpose", g)
-		}
-	}
-	if d := linalg.TransposeMaterializations() - before; d != 1 {
-		t.Fatalf("materialized %d transposes, want 1", d)
-	}
-	want := sg.T.Transpose()
-	equalCSR(t, "cached-tt", want, first)
-}

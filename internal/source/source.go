@@ -74,20 +74,6 @@ type Graph struct {
 	NumEdges int64
 	// PageCount holds the number of pages per source.
 	PageCount []int
-
-	ttOnce sync.Once
-	tt     *linalg.CSR
-}
-
-// TransposedT returns Tᵀ, materializing it at most once per Graph and
-// reusing the cached copy on every later call. Solvers that iterate
-// x ← αTᵀx (the un-throttled SourceRank baseline, warm restarts against
-// an unchanged graph) share this single materialization instead of
-// re-transposing per solve. workers bounds the one-time transposition
-// parallelism; <= 0 selects GOMAXPROCS.
-func (sg *Graph) TransposedT(workers int) *linalg.CSR {
-	sg.ttOnce.Do(func() { sg.tt = sg.T.TransposeParallel(workers) })
-	return sg.tt
 }
 
 // ErrEmpty reports an attempt to build a source graph from a page graph

@@ -3,6 +3,7 @@ package throttle
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -169,6 +170,43 @@ func TestProximityBoundAgainstOracle(t *testing.T) {
 			}
 		}
 		fp.Close()
+	}
+}
+
+// TestProximityOperatorAliasesStructure: the walk's Pᵀ is the source
+// graph's own sparsity, so its RowPtr and Cols are the structure's arrays
+// (not copies), and the operand allocates only its values beside the
+// seed vector and the in-degree counts.
+func TestProximityOperatorAliasesStructure(t *testing.T) {
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err := source.Build(ds.Pages, source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	structure := sg.Structure()
+	rowPtr, cols := structure.Parts()
+	n, nnz := uint64(len(rowPtr)-1), uint64(len(cols))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pt, _, err := proximityOperator(structure, ds.SpamSources, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &pt.RowPtr[0] != &rowPtr[0] || &pt.Cols[0] != &cols[0] || len(pt.RowPtr) != len(rowPtr) || len(pt.Cols) != len(cols) {
+		t.Fatal("Pᵀ does not alias the structure's RowPtr and Cols")
+	}
+	if len(pt.Vals) != len(cols) {
+		t.Fatalf("Pᵀ has %d values for %d entries", len(pt.Vals), len(cols))
+	}
+	// Vals, the seed vector d and the in-degree counts take 8·nnz + 16·n
+	// bytes before size-class rounding; a copied RowPtr and Cols would add
+	// 8(n+1) + 4·nnz more, so the limit sits halfway between.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 8*nnz+16*n+(4*nnz+8*n)/2; got > limit {
+		t.Fatalf("proximityOperator allocated %d bytes over %d sources and %d entries, want at most %d", got, n, nnz, limit)
 	}
 }
 

@@ -177,7 +177,7 @@ func TestZeroKappaReproducesSourceRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := rank.StationaryT(sg.TransposedT(0), rank.Options{})
+	plain, err := rank.StationaryT(sg.T.Transpose(), rank.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,33 +53,11 @@ func Apply(t *linalg.CSR, kappa []float64) (*linalg.CSR, error) {
 	if err := Validate(kappa, t.Rows); err != nil {
 		return nil, err
 	}
-	// Identity fast path: all-zero κ over a matrix with no structurally
-	// empty rows leaves every row unchanged (self ≥ 0 always holds), so
-	// the input matrix itself is returned. Callers treat CSR matrices as
-	// immutable, and the identity lets them reuse a cached transpose of
-	// t instead of re-materializing one (see core.Rank).
-	identity := true
-	for _, k := range kappa {
-		if k != 0 {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		for i := 0; i < t.Rows; i++ {
-			if t.RowPtr[i] == t.RowPtr[i+1] {
-				identity = false
-				break
-			}
-		}
-	}
-	if identity {
-		return t, nil
-	}
 	// Input rows are sorted and the transforms below preserve column
 	// order (a κ-inserted self-edge replaces an existing sorted diagonal
 	// or stands alone), so the output is assembled directly in CSR form —
-	// no entry buffer, no sort. This runs on every streaming refresh.
+	// no entry buffer, no sort. The output is a new matrix even where
+	// every row is copied.
 	out := &linalg.CSR{
 		Rows: t.Rows, ColsN: t.ColsN,
 		RowPtr: make([]int64, t.Rows+1),
@@ -274,6 +252,11 @@ func errorBound(r float64, n int) float64 {
 // proximityOperator returns the walk's operands: Pᵀ of the reversed-edge
 // transition and the seed distribution d. x0, when not nil, must have one
 // entry per source.
+//
+// P is uniform over the reversed edges, so Pᵀ is the forward graph itself
+// with Pᵀ[u][v] = 1/indeg(v) on every forward edge (u, v): its RowPtr and
+// Cols alias the structure's arrays (successor lists are sorted, so they
+// are already in CSR order), and only the values are allocated.
 func proximityOperator(structure *graph.Graph, seeds []int32, x0 linalg.Vector) (*linalg.CSR, linalg.Vector, error) {
 	n := structure.NumNodes()
 	if n == 0 {
@@ -294,32 +277,14 @@ func proximityOperator(structure *graph.Graph, seeds []int32, x0 linalg.Vector) 
 	}
 	d.Normalize1()
 
-	// P is uniform over the reversed edges, so Pᵀ reads straight off the
-	// forward graph: Pᵀ[u][v] = 1/indeg(v) for every forward edge (u, v).
-	// That skips the graph and CSR transposes and yields their exact
-	// matrix; successor lists are sorted, so rows assemble in CSR order.
+	rowPtr, cols := structure.Parts()
 	indeg := make([]int64, n)
-	nnz := int64(0)
-	for u := 0; u < n; u++ {
-		for _, v := range structure.Successors(int32(u)) {
-			indeg[v]++
-			nnz++
-		}
+	for _, v := range cols {
+		indeg[v]++
 	}
-	pt := &linalg.CSR{
-		Rows: n, ColsN: n,
-		RowPtr: make([]int64, n+1),
-		Cols:   make([]int32, nnz),
-		Vals:   make([]float64, nnz),
-	}
-	k := int64(0)
-	for u := 0; u < n; u++ {
-		for _, v := range structure.Successors(int32(u)) {
-			pt.Cols[k] = v
-			pt.Vals[k] = 1 / float64(indeg[v])
-			k++
-		}
-		pt.RowPtr[u+1] = k
+	pt := &linalg.CSR{Rows: n, ColsN: n, RowPtr: rowPtr, Cols: cols, Vals: make([]float64, len(cols))}
+	for k, v := range cols {
+		pt.Vals[k] = 1 / float64(indeg[v])
 	}
 	return pt, d, nil
 }
