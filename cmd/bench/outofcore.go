@@ -224,7 +224,7 @@ func run(preset string, scale float64, seed uint64, out string, workers int, cap
 	}
 	t0 = time.Now()
 	paths32, err := webgraph.BuildTransitionSlabs(nil, slabDir+"/f32", compressed, webgraph.SlabOptions{
-		Precision: linalg.SlabFloat32,
+		Precision: linalg.Float32,
 	})
 	if err != nil {
 		return err

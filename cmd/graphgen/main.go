@@ -119,12 +119,12 @@ func run(args []string, stdout io.Writer) error {
 // lower the merged adjacency to transition slabs, and delete the runs —
 // whether or not the lowering succeeded.
 func runSpill(stdout io.Writer, p gen.Preset, scale float64, seed uint64, out, dir string, bufEdges, workers int, precSpec string) error {
-	var prec linalg.SlabPrecision
+	var prec linalg.Precision
 	switch precSpec {
 	case "float64":
-		prec = linalg.SlabFloat64
+		prec = linalg.Float64
 	case "float32":
-		prec = linalg.SlabFloat32
+		prec = linalg.Float32
 	default:
 		return usageError(fmt.Sprintf("unknown -slab-precision %q (want float64 or float32)", precSpec))
 	}

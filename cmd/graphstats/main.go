@@ -83,8 +83,8 @@ func run(args []string, stdout io.Writer) error {
 	// Cols/Vals pages stream through two release windows sized from what
 	// the budget adds on top (DESIGN §14).
 	rows, nnz := g.NumNodes(), g.NumEdges()
-	slab64 := linalg.SlabFileBytes(rows, nnz, linalg.SlabFloat64)
-	slab32 := linalg.SlabFileBytes(rows, nnz, linalg.SlabFloat32)
+	slab64 := linalg.SlabFileBytes(rows, nnz, linalg.Float64)
+	slab32 := linalg.SlabFileBytes(rows, nnz, linalg.Float32)
 	resident := 8*int64(rows+1) + 2*8*int64(rows)
 	fmt.Fprintln(stdout, "\n== out-of-core (projected) ==")
 	fmt.Fprintf(stdout, "transition slab: %s float64 / %s float32 (x2 for P and Pᵀ)\n",

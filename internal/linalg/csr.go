@@ -141,50 +141,22 @@ var transposeMaterializations atomic.Uint64
 // materializations performed so far.
 func TransposeMaterializations() uint64 { return transposeMaterializations.Load() }
 
-// Transpose returns Mᵀ as a new matrix.
-func (m *Matrix[F]) Transpose() *Matrix[F] {
-	transposeMaterializations.Add(1)
-	t := &Matrix[F]{
-		Rows:   m.ColsN,
-		ColsN:  m.Rows,
-		RowPtr: make([]int64, m.ColsN+1),
-		Cols:   make([]int32, len(m.Cols)),
-		Vals:   make([]F, len(m.Vals)),
-	}
-	// Counting sort by column index.
-	for _, c := range m.Cols {
-		t.RowPtr[c+1]++
-	}
-	for i := 0; i < t.Rows; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := make([]int64, t.Rows)
-	copy(next, t.RowPtr[:t.Rows])
-	for r := 0; r < m.Rows; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		for k := lo; k < hi; k++ {
-			c := int(m.Cols[k])
-			pos := next[c]
-			t.Cols[pos] = int32(r)
-			t.Vals[pos] = m.Vals[k]
-			next[c]++
-		}
-	}
-	return t
-}
+// Transpose returns Mᵀ as a new matrix: TransposeParallel on one worker.
+func (m *Matrix[F]) Transpose() *Matrix[F] { return m.TransposeParallel(1) }
 
-// transposeParallelMinNNZ gates the parallel transpose: below it the
-// serial kernel wins on setup cost. Variable so tests can force the
-// parallel path on small fixtures.
+// transposeParallelMinNNZ gates the parallel transpose: below it one
+// worker wins on setup cost. Variable so tests can force the parallel
+// path on small fixtures.
 var transposeParallelMinNNZ = 4096
 
-// TransposeParallel returns Mᵀ like Transpose, computed with parallel
-// counting and scatter phases. workers <= 0 selects GOMAXPROCS. The
-// result is bitwise identical to Transpose for any worker count: each
-// worker owns a contiguous source-row range, and per-worker column
-// cursors are laid out in worker order, so entries within a destination
-// row land in increasing source-row order exactly as in the serial
-// counting sort.
+// TransposeParallel returns Mᵀ as a new matrix by a counting sort in
+// three phases: count, cursor, scatter. workers <= 0 selects GOMAXPROCS;
+// a matrix under transposeParallelMinNNZ entries, or with fewer rows
+// than workers, takes fewer, and one worker runs every phase inline. The
+// result is bitwise the same for any worker count: each worker owns a
+// contiguous source-row range, and per-worker column cursors are laid out
+// in worker order, so entries within a destination row land in
+// increasing source-row order.
 func (m *Matrix[F]) TransposeParallel(workers int) *Matrix[F] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -192,8 +164,8 @@ func (m *Matrix[F]) TransposeParallel(workers int) *Matrix[F] {
 	if workers > m.Rows {
 		workers = m.Rows
 	}
-	if workers <= 1 || m.NNZ() < transposeParallelMinNNZ {
-		return m.Transpose()
+	if workers < 1 || m.NNZ() < transposeParallelMinNNZ {
+		workers = 1
 	}
 	transposeMaterializations.Add(1)
 	t := &Matrix[F]{
@@ -203,75 +175,62 @@ func (m *Matrix[F]) TransposeParallel(workers int) *Matrix[F] {
 		Cols:   make([]int32, len(m.Cols)),
 		Vals:   make([]F, len(m.Vals)),
 	}
+	// each runs a phase for every worker, worker 0 on this goroutine.
+	each := func(phase func(w int)) {
+		var wg sync.WaitGroup
+		for w := 1; w < workers; w++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); phase(w) }()
+		}
+		phase(0)
+		wg.Wait()
+	}
 	bounds := partitionRowsByNNZ(m, workers)
 	// Phase 1: each worker counts column occurrences in its row range.
 	counts := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cnt := make([]int64, m.ColsN)
-			lo, hi := m.RowPtr[bounds[w]], m.RowPtr[bounds[w+1]]
-			for _, c := range m.Cols[lo:hi] {
-				cnt[c]++
-			}
-			counts[w] = cnt
-		}(w)
-	}
-	wg.Wait()
-	// Phase 2: per-column totals into RowPtr, then a serial prefix sum.
+	each(func(w int) {
+		cnt := make([]int64, m.ColsN)
+		lo, hi := m.RowPtr[bounds[w]], m.RowPtr[bounds[w+1]]
+		for _, c := range m.Cols[lo:hi] {
+			cnt[c]++
+		}
+		counts[w] = cnt
+	})
+	// Phase 2: per-column totals, prefix-summed into RowPtr.
 	for c := 0; c < t.Rows; c++ {
 		var s int64
 		for w := 0; w < workers; w++ {
 			s += counts[w][c]
 		}
-		t.RowPtr[c+1] = s
-	}
-	for c := 0; c < t.Rows; c++ {
-		t.RowPtr[c+1] += t.RowPtr[c]
+		t.RowPtr[c+1] = s + t.RowPtr[c]
 	}
 	// Phase 3: turn counts into per-worker write cursors — worker w's
 	// cursor for column c starts after every lower-ranked worker's
-	// entries — then scatter concurrently.
+	// entries — then scatter.
 	colChunk := (t.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := w*colChunk, (w+1)*colChunk
-			if hi > t.Rows {
-				hi = t.Rows
+	each(func(w int) {
+		for c := w * colChunk; c < min((w+1)*colChunk, t.Rows); c++ {
+			run := t.RowPtr[c]
+			for v := 0; v < workers; v++ {
+				n := counts[v][c]
+				counts[v][c] = run
+				run += n
 			}
-			for c := lo; c < hi; c++ {
-				run := t.RowPtr[c]
-				for v := 0; v < workers; v++ {
-					n := counts[v][c]
-					counts[v][c] = run
-					run += n
-				}
+		}
+	})
+	each(func(w int) {
+		next := counts[w]
+		for r := bounds[w]; r < bounds[w+1]; r++ {
+			lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+			for k := lo; k < hi; k++ {
+				c := int(m.Cols[k])
+				pos := next[c]
+				t.Cols[pos] = int32(r)
+				t.Vals[pos] = m.Vals[k]
+				next[c] = pos + 1
 			}
-		}(w)
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			next := counts[w]
-			for r := bounds[w]; r < bounds[w+1]; r++ {
-				lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-				for k := lo; k < hi; k++ {
-					c := int(m.Cols[k])
-					pos := next[c]
-					t.Cols[pos] = int32(r)
-					t.Vals[pos] = m.Vals[k]
-					next[c] = pos + 1
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	return t
 }
 

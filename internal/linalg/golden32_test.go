@@ -135,7 +135,7 @@ func TestGoldenFloat32Solves(t *testing.T) {
 			m := g.fixture(t)
 			n := m.Rows
 			path := filepath.Join(t.TempDir(), "golden32.slab")
-			if err := WriteSlabCSR(nil, path, m, SlabFloat32); err != nil {
+			if err := WriteSlabCSR(nil, path, m, Float32); err != nil {
 				t.Fatal(err)
 			}
 			solve := func(op *CSR32, workers int) uint64 {

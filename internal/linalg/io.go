@@ -1,8 +1,6 @@
 package linalg
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,8 +74,11 @@ func ReadVectorFileFS(fsys durable.FS, path string) (Vector, error) {
 	return v, nil
 }
 
-// decodeVectorFile parses a whole on-disk file image, dispatching on the
-// header version: bare stream (v1) or durable-framed (v2).
+// decodeVectorFile parses a whole on-disk file image: bare (v1) or
+// durable-framed (v2), whose CRC is checked before its length is read.
+// The header's length must account for exactly the bytes present, so a
+// forged length allocates nothing, and non-finite values are rejected so
+// downstream solvers never see NaNs from disk.
 func decodeVectorFile(data []byte) (Vector, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("%w: %d-byte file is shorter than the header", ErrVectorCorrupt, len(data))
@@ -87,88 +88,42 @@ func decodeVectorFile(data []byte) (Vector, error) {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrVectorCorrupt, magic)
 	}
 	switch ver := le.Uint32(data[4:8]); ver {
-	case vecVersionLegacy:
-		return readVector(bytes.NewReader(data))
+	case vecVersionLegacy: // bare: the image is the payload
 	case vecVersion:
 		payload, err := durable.Verify(data)
 		if err != nil {
 			return nil, err
 		}
-		return readVector(bytes.NewReader(payload))
+		data = payload
 	default:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrVectorCorrupt, ver)
 	}
-}
-
-func writeVector(w io.Writer, v Vector, version uint32) error {
-	bw := bufio.NewWriter(w)
-	le := binary.LittleEndian
-	if err := binary.Write(bw, le, uint32(vecMagic)); err != nil {
-		return err
+	if len(data) < 16 {
+		return nil, fmt.Errorf("%w: %d-byte payload is shorter than the header", ErrVectorCorrupt, len(data))
 	}
-	if err := binary.Write(bw, le, version); err != nil {
-		return err
+	body := data[16:]
+	if n := le.Uint64(data[8:16]); len(body)%8 != 0 || n != uint64(len(body)/8) {
+		return nil, fmt.Errorf("%w: header declares %d values, payload holds %d bytes", ErrVectorCorrupt, n, len(body))
 	}
-	if err := binary.Write(bw, le, uint64(len(v))); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, le, []float64(v)); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// readVector deserializes a vector stream written by writeVector,
-// rejecting non-finite values so downstream solvers never see NaNs from
-// disk. It accepts version 1 and 2 headers (the body layout is identical);
-// the CRC trailer of framed files is checked by decodeVectorFile.
-func readVector(r io.Reader) (Vector, error) {
-	br := bufio.NewReader(r)
-	le := binary.LittleEndian
-	var magic, ver uint32
-	if err := binary.Read(br, le, &magic); err != nil {
-		return nil, fmt.Errorf("linalg: reading magic: %w", err)
-	}
-	if magic != vecMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrVectorCorrupt, magic)
-	}
-	if err := binary.Read(br, le, &ver); err != nil {
-		return nil, err
-	}
-	if ver != vecVersionLegacy && ver != vecVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrVectorCorrupt, ver)
-	}
-	var n uint64
-	if err := binary.Read(br, le, &n); err != nil {
-		return nil, err
-	}
-	if n > 1<<33 {
-		return nil, fmt.Errorf("%w: implausible length %d", ErrVectorCorrupt, n)
-	}
-	// Chunked reads: a forged length must not force a huge allocation
-	// before the stream runs dry (same hardening as webgraph/safeio.go).
-	const chunkVals = 1 << 17
-	cap0 := n
-	if cap0 > chunkVals {
-		cap0 = chunkVals
-	}
-	v := make(Vector, 0, cap0)
-	for read := uint64(0); read < n; {
-		c := n - read
-		if c > chunkVals {
-			c = chunkVals
-		}
-		chunk := make([]float64, c)
-		if err := binary.Read(br, le, chunk); err != nil {
-			return nil, fmt.Errorf("linalg: reading values: %w", err)
-		}
-		v = append(v, chunk...)
-		read += c
-	}
+	v := Vector(decodeLE[float64](body))
 	for i, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return nil, fmt.Errorf("%w: non-finite value at %d", ErrVectorCorrupt, i)
 		}
 	}
 	return v, nil
+}
+
+// writeVector writes the 16-byte header (magic, version, length) and the
+// values as one little-endian section.
+func writeVector(w io.Writer, v Vector, version uint32) error {
+	var hdr [16]byte
+	le := binary.LittleEndian
+	le.PutUint32(hdr[0:4], vecMagic)
+	le.PutUint32(hdr[4:8], version)
+	le.PutUint64(hdr[8:16], uint64(len(v)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	return WriteSection(w, []float64(v))
 }

@@ -160,3 +160,26 @@ func TestDecodeVectorFileRejectsNonFinite(t *testing.T) {
 		t.Fatalf("NaN accepted from framed file: %v", err)
 	}
 }
+
+// TestVectorFileVersionDowngradeRejected: a framed file whose version
+// byte is rewritten from 2 to 1 must not be read as a bare v1 stream
+// with its CRC trailer ignored. Here the flipped value bit would
+// otherwise read back as 0.5000000000000001.
+func TestVectorFileVersionDowngradeRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scores.vec")
+	if err := WriteVectorFile(path, Vector{0.5, 0.25}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[4] = vecVersionLegacy
+	data[16] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := ReadVectorFile(path); !errors.Is(err, ErrVectorCorrupt) {
+		t.Fatalf("downgraded file with a flipped bit read as %v, err %v", v, err)
+	}
+}

@@ -35,6 +35,15 @@ func FuzzDecodeVectorFile(f *testing.F) {
 	f.Add(buf.Bytes()) // legacy v1, no trailer
 	f.Add([]byte{})
 	f.Add([]byte{0x56, 0x4b, 0x52, 0x53})
+	// A framed file downgraded to v1 with a flipped value bit: the
+	// trailer must not be ignored.
+	var framed bytes.Buffer // not buf: the v1 seed above aliases its bytes
+	if err := writeVector(&framed, Vector{0.5, 0.25}, vecVersion); err != nil {
+		f.Fatal(err)
+	}
+	downgraded := frameForFuzz(framed.Bytes())
+	downgraded[4], downgraded[16] = vecVersionLegacy, downgraded[16]^1
+	f.Add(downgraded)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := decodeVectorFile(data)

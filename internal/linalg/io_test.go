@@ -14,7 +14,7 @@ func TestVectorRoundTrip(t *testing.T) {
 	if err := writeVector(&buf, v, vecVersionLegacy); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readVector(&buf)
+	got, err := decodeVectorFile(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestVectorRoundTripEmpty(t *testing.T) {
 	if err := writeVector(&buf, Vector{}, vecVersionLegacy); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readVector(&buf)
+	got, err := decodeVectorFile(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,21 +52,33 @@ func TestReadVectorRejectsCorruption(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte{}, raw...)
 		bad[0] ^= 0xFF
-		if _, err := readVector(bytes.NewReader(bad)); !errors.Is(err, ErrVectorCorrupt) {
+		if _, err := decodeVectorFile(bad); !errors.Is(err, ErrVectorCorrupt) {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
 		for _, cut := range []int{2, 6, 14, len(raw) - 1} {
-			if _, err := readVector(bytes.NewReader(raw[:cut])); err == nil {
+			if _, err := decodeVectorFile(raw[:cut]); err == nil {
 				t.Errorf("truncation at %d accepted", cut)
 			}
+		}
+	})
+	t.Run("length mismatch", func(t *testing.T) {
+		for _, n := range []uint64{2, 4, 1 << 62} {
+			bad := append([]byte{}, raw...)
+			binary.LittleEndian.PutUint64(bad[8:], n)
+			if _, err := decodeVectorFile(bad); !errors.Is(err, ErrVectorCorrupt) {
+				t.Errorf("declared length %d over 3 values accepted: %v", n, err)
+			}
+		}
+		if _, err := decodeVectorFile(append(raw[:len(raw):len(raw)], 0)); !errors.Is(err, ErrVectorCorrupt) {
+			t.Errorf("trailing byte accepted: %v", err)
 		}
 	})
 	t.Run("nan value", func(t *testing.T) {
 		bad := append([]byte{}, raw...)
 		binary.LittleEndian.PutUint64(bad[16:], math.Float64bits(math.NaN()))
-		if _, err := readVector(bytes.NewReader(bad)); !errors.Is(err, ErrVectorCorrupt) {
+		if _, err := decodeVectorFile(bad); !errors.Is(err, ErrVectorCorrupt) {
 			t.Errorf("NaN accepted: %v", err)
 		}
 	})

@@ -72,9 +72,28 @@ func sameCSR[F Float](t *testing.T, name string, a, b *Matrix[F]) {
 	}
 }
 
-// TestTransposeParallelBitwise checks the parallel transpose against the
-// serial counting sort, bit for bit, across 1–16 workers on rectangular,
-// hub-heavy, and empty matrices.
+// transposeOracle builds Mᵀ by sorting the swapped entries through
+// NewCSR, sharing no code with the counting-sort transpose.
+func transposeOracle(t *testing.T, m *CSR) *CSR {
+	t.Helper()
+	var entries []Entry
+	for r := 0; r < m.Rows; r++ {
+		cols, vals := m.Row(r)
+		for k, c := range cols {
+			entries = append(entries, Entry{Row: int(c), Col: r, Val: vals[k]})
+		}
+	}
+	want := mustCSR(t, m.ColsN, m.Rows, entries)
+	if want.Cols == nil { // the transpose allocates its empty arrays
+		want.Cols, want.Vals = []int32{}, []float64{}
+	}
+	return want
+}
+
+// TestTransposeParallelBitwise checks the transpose against an
+// independent sort-based oracle, bit for bit, across 1–16 workers with
+// the parallel path forced, on rectangular, hub-heavy, and empty
+// matrices.
 func TestTransposeParallelBitwise(t *testing.T) {
 	defer func(old int) { transposeParallelMinNNZ = old }(transposeParallelMinNNZ)
 	transposeParallelMinNNZ = 1 // force the parallel path even on tiny fixtures
@@ -92,7 +111,7 @@ func TestTransposeParallelBitwise(t *testing.T) {
 		"diag-sparse": randCSR(t, 6, 4096, 4096, 4096),
 	}
 	for name, m := range mats {
-		want := m.Transpose()
+		want := transposeOracle(t, m)
 		for workers := 1; workers <= 16; workers++ {
 			got := m.TransposeParallel(workers)
 			sameCSR(t, name, want, got)

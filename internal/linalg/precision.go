@@ -26,18 +26,9 @@ const (
 	Float32
 )
 
-// SlabPrecision is Precision under the name the slab API was written
-// with: the value width of a slab file is the precision it is solved at.
-// The index sections are identical in both precisions, so a float32 slab
-// is the on-disk mirror of NewCSR32: same structure, half-width values.
-type SlabPrecision = Precision
-
-// SlabFloat64 and SlabFloat32 are Float64 and Float32; SlabFloat32 is one
-// of the names benchmark/surface.go is frozen against.
-const (
-	SlabFloat64 = Float64
-	SlabFloat32 = Float32
-)
+// SlabFloat32 is Float32 under the name benchmark/surface.go is frozen
+// against.
+const SlabFloat32 = Float32
 
 // precisionOf is the Precision whose values are stored as F.
 func precisionOf[F Float]() Precision {

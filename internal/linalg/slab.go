@@ -79,7 +79,7 @@ func slabSectionLens(rows int, nnz int64, valW int64) (rowPtrLen, colsLen, pad, 
 
 // SlabPayloadBytes returns the payload size of a slab holding a
 // rows-row matrix with nnz stored entries at the given precision.
-func SlabPayloadBytes(rows int, nnz int64, prec SlabPrecision) int64 {
+func SlabPayloadBytes(rows int, nnz int64, prec Precision) int64 {
 	rp, cl, pad, vl := slabSectionLens(rows, nnz, prec.valWidth())
 	return slabHeaderSize + rp + cl + pad + vl
 }
@@ -87,7 +87,7 @@ func SlabPayloadBytes(rows int, nnz int64, prec SlabPrecision) int64 {
 // SlabFileBytes is SlabPayloadBytes plus the durable trailer frame: the
 // exact on-disk size of a committed slab. cmd/graphstats uses it to
 // project slab sizes before a build.
-func SlabFileBytes(rows int, nnz int64, prec SlabPrecision) int64 {
+func SlabFileBytes(rows int, nnz int64, prec Precision) int64 {
 	return SlabPayloadBytes(rows, nnz, prec) + durable.TrailerSize
 }
 
@@ -208,7 +208,7 @@ type SlabSections struct {
 // header, streamed sections, CRC trailer, fsync, atomic rename. On any
 // error (including a section writing the wrong byte count) the target
 // path is left untouched.
-func WriteSlabFile(fsys durable.FS, path string, prec SlabPrecision, s SlabSections) error {
+func WriteSlabFile(fsys durable.FS, path string, prec Precision, s SlabSections) error {
 	if s.Rows < 0 || s.Cols < 0 || s.NNZ < 0 {
 		return ErrBadShape
 	}
@@ -390,7 +390,7 @@ func (s *SectionWriter[T]) emit(xs []T) {
 // Float32 narrows values entrywise exactly like NewCSR32 (round to
 // nearest even), so a float32 slab of m round-trips to the same bits as
 // the in-RAM float32 mirror.
-func WriteSlabCSR(fsys durable.FS, path string, m *CSR, prec SlabPrecision) error {
+func WriteSlabCSR(fsys durable.FS, path string, m *CSR, prec Precision) error {
 	sections := SlabSections{
 		Rows:   m.Rows,
 		Cols:   m.ColsN,
@@ -534,12 +534,12 @@ func slabView[F Float](adv *durable.Mapped, payload []byte, maxResident int64) (
 	return m, aliased, validateSlab(m)
 }
 
-// OpenSlabCSR is OpenSlab for a SlabFloat64 file.
+// OpenSlabCSR is OpenSlab for a Float64 file.
 func OpenSlabCSR(path string, opt SlabOpenOptions) (*SlabCSR, error) {
 	return OpenSlab[float64](path, opt)
 }
 
-// OpenSlabCSR32 is OpenSlab for a SlabFloat32 file, under the name
+// OpenSlabCSR32 is OpenSlab for a Float32 file, under the name
 // benchmark/surface.go is frozen against.
 func OpenSlabCSR32(path string, opt SlabOpenOptions) (*SlabCSR32, error) {
 	return OpenSlab[float32](path, opt)

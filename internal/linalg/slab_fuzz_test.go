@@ -8,7 +8,7 @@ import (
 
 // slabPayload builds a valid committed slab for m and returns its payload
 // with the durable trailer stripped — the byte domain the fuzzer mutates.
-func slabPayload(f *testing.F, m *CSR, prec SlabPrecision) []byte {
+func slabPayload(f *testing.F, m *CSR, prec Precision) []byte {
 	f.Helper()
 	path := filepath.Join(f.TempDir(), "seed.slab")
 	if err := WriteSlabCSR(nil, path, m, prec); err != nil {
@@ -46,7 +46,7 @@ func FuzzSlabDecode(f *testing.F) {
 	}
 	small := mustSeed(3, 3, []Entry{{0, 1, 0.5}, {0, 2, 0.5}, {2, 0, 1}})
 	empty := mustSeed(2, 2, nil)
-	for _, prec := range []SlabPrecision{SlabFloat64, SlabFloat32} {
+	for _, prec := range []Precision{Float64, Float32} {
 		for _, m := range []*CSR{small, empty} {
 			p := slabPayload(f, m, prec)
 			f.Add(p)

@@ -14,7 +14,7 @@ import (
 	"sourcerank/internal/durable"
 )
 
-func writeSlabTemp(t *testing.T, m *CSR, prec SlabPrecision) string {
+func writeSlabTemp(t *testing.T, m *CSR, prec Precision) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "m.slab")
 	if err := WriteSlabCSR(nil, path, m, prec); err != nil {
@@ -179,8 +179,8 @@ func TestSlabValidation(t *testing.T) {
 
 func TestSlabOpenWrongKind(t *testing.T) {
 	m := randCSR(t, 5, 10, 10, 40)
-	p64 := writeSlabTemp(t, m, SlabFloat64)
-	p32 := writeSlabTemp(t, m, SlabFloat32)
+	p64 := writeSlabTemp(t, m, Float64)
+	p32 := writeSlabTemp(t, m, Float32)
 	if _, err := OpenSlabCSR(p32, SlabOpenOptions{}); !errors.Is(err, ErrSlabFormat) {
 		t.Fatalf("OpenSlabCSR on float32 slab = %v, want ErrSlabFormat", err)
 	}
@@ -191,7 +191,7 @@ func TestSlabOpenWrongKind(t *testing.T) {
 
 func TestSlabOpenRejectsCorruption(t *testing.T) {
 	m := randCSR(t, 5, 40, 40, 600)
-	path := writeSlabTemp(t, m, SlabFloat64)
+	path := writeSlabTemp(t, m, Float64)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestSlabSolveBitwiseIdentical(t *testing.T) {
 		t.Fatalf("reference solve: %v %+v", err, st)
 	}
 
-	path := writeSlabTemp(t, pt, SlabFloat64)
+	path := writeSlabTemp(t, pt, Float64)
 	budgets, windows := slabWindowBudgets(pt.Rows, pt.NNZ(), 12, 3*8*int64(pt.Rows))
 	for bi, budget := range budgets {
 		for _, workers := range []int{1, 2, 3, 4, 8} {
@@ -309,7 +309,7 @@ func TestSlabSolveBitwiseIdentical(t *testing.T) {
 }
 
 // TestSlabSolve32BitwiseIdentical mirrors the contract for the float32
-// kernels over a SlabFloat32 file.
+// kernels over a Float32 file.
 func TestSlabSolve32BitwiseIdentical(t *testing.T) {
 	defer func(v int) { fusedMinNNZ = v }(fusedMinNNZ)
 	defer func(v int) { fusedNNZPerStripe = v }(fusedNNZPerStripe)
@@ -327,7 +327,7 @@ func TestSlabSolve32BitwiseIdentical(t *testing.T) {
 		t.Fatalf("reference float32 solve: %v %+v", err, st)
 	}
 
-	path := writeSlabTemp(t, pt, SlabFloat32)
+	path := writeSlabTemp(t, pt, Float32)
 	budgets, windows := slabWindowBudgets(pt.Rows, pt.NNZ(), 8, (8+3*4+8)*int64(pt.Rows))
 	for bi, budget := range budgets {
 		for _, workers := range []int{1, 2, 4} {
@@ -395,7 +395,7 @@ func TestSlabSolveUniformOnSlab(t *testing.T) {
 	if err != nil || !st.Converged {
 		t.Fatalf("reference: %v %+v", err, st)
 	}
-	path := writeSlabTemp(t, pt, SlabFloat64)
+	path := writeSlabTemp(t, pt, Float64)
 	for _, workers := range []int{1, 3} {
 		s, err := OpenSlabCSR(path, SlabOpenOptions{MaxResident: 4096})
 		if err != nil {
@@ -412,13 +412,13 @@ func TestSlabSolveUniformOnSlab(t *testing.T) {
 
 func TestSlabPayloadBytes(t *testing.T) {
 	// Alignment padding: 88 + 8·(rows+1) + 4·nnz must be rounded to 8.
-	if got := SlabPayloadBytes(1, 1, SlabFloat64); got != 88+16+4+4+8 {
+	if got := SlabPayloadBytes(1, 1, Float64); got != 88+16+4+4+8 {
 		t.Fatalf("SlabPayloadBytes(1,1,f64) = %d", got)
 	}
-	if got := SlabPayloadBytes(1, 2, SlabFloat64); got != 88+16+8+0+16 {
+	if got := SlabPayloadBytes(1, 2, Float64); got != 88+16+8+0+16 {
 		t.Fatalf("SlabPayloadBytes(1,2,f64) = %d", got)
 	}
-	if got := SlabPayloadBytes(0, 0, SlabFloat32); got != 88+8 {
+	if got := SlabPayloadBytes(0, 0, Float32); got != 88+8 {
 		t.Fatalf("SlabPayloadBytes(0,0,f32) = %d", got)
 	}
 }
@@ -426,7 +426,7 @@ func TestSlabPayloadBytes(t *testing.T) {
 func TestWriteSlabFileEnforcesSectionLengths(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.slab")
-	err := WriteSlabFile(nil, path, SlabFloat64, SlabSections{
+	err := WriteSlabFile(nil, path, Float64, SlabSections{
 		Rows: 2, Cols: 2, NNZ: 1,
 		// RowPtr writes nothing: 0 bytes against a declared 24.
 		RowPtr: func(io.Writer) error { return nil },

@@ -59,7 +59,8 @@ func narrow[F Float](v Vector) []F {
 // b = (1-α)·teleport), with at = Aᵀ already materialized: A is
 // row-stochastic in row-major CSR form, so every iteration multiplies by
 // the transpose, and callers that solve several systems against the same
-// matrix (or hold a cached transpose, see source.Graph) build it once.
+// matrix (rank.Split) or across refreshes (core's retained operand) build
+// it once.
 // The iteration converges for any 0 <= c < 1 because the spectral radius
 // of c·Aᵀ is at most c.
 // Each iteration runs on the fused affine kernel: SpMV, scale, bias add,
@@ -113,8 +114,8 @@ func JacobiAffineTPair(at *CSR, c float64, b, x0 [2]Vector, opt SolverOptions, d
 
 // PowerMethodT computes the stationary distribution of the row-stochastic
 // chain P̂ = c·Pᵀ + teleportation from the pre-transposed operand pt = Pᵀ
-// (the spam-proximity walk's reverse operand, the cached source-graph
-// transpose, a slab-backed Mᵀ). Rather than forming the dense rank-one
+// (the spam-proximity walk's reverse operand, core's T″ᵀ, rank.TransitionT's
+// direct Mᵀ build, a slab-backed Mᵀ). Rather than forming the dense rank-one
 // teleportation term, each iteration computes y = c·Pᵀx, then adds the
 // lost probability mass (1 - ||y||₁) times the teleport distribution t.
 // This treatment also absorbs dangling rows (rows of P summing to zero):

@@ -48,7 +48,7 @@ func TestPowerMethodT32UniformSlabBitwise(t *testing.T) {
 		t.Fatalf("in-heap solve: %v %+v", err, wantSt)
 	}
 	path := filepath.Join(t.TempDir(), "pt32.slab")
-	if err := WriteSlabCSR(nil, path, pt, SlabFloat32); err != nil {
+	if err := WriteSlabCSR(nil, path, pt, Float32); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4} {

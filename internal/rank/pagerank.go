@@ -109,9 +109,8 @@ func PageRank(g *graph.Graph, opt Options) (*Result, error) {
 // StationaryT computes the damped stationary distribution of a
 // row-stochastic transition matrix T (uniform, consensus, or throttled)
 // from its transpose Tᵀ. The power iteration only ever multiplies by the
-// transpose, so callers hold Tᵀ (the cached transpose on source.Graph,
-// the throttled matrix transposed once per pipeline run, TransitionT's
-// direct build) and nothing re-materializes it per solve.
+// transpose, so the caller holds Tᵀ (PageRank builds it directly with
+// TransitionT) and nothing re-materializes it per solve.
 //
 // The value type of tt is the precision the iteration runs at. A caller
 // holding Tᵀ in float32 form (a float32 slab opened from disk, a mirror it

@@ -237,7 +237,8 @@ func (inc *Incremental) rebuildT(r int32) {
 // RowPtr and Cols arrays and only their values are new, which is what
 // lets core rewrite SRSR's retained Jacobi operand in place and carry
 // everything read from Structure. When nothing changed it returns the
-// previous Graph pointer unchanged (preserving its cached Tᵀ); when only
+// previous Graph pointer unchanged (core.PipelineRefresh sees the T it
+// retained and only probes the previous solve); when only
 // page counts changed it shares the previous Counts and T matrices.
 // Callers must treat every emitted Graph as immutable.
 func (inc *Incremental) Emit() *Graph {

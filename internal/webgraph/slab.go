@@ -28,7 +28,7 @@ type SlabOptions struct {
 	// Precision selects float64 or float32 value sections. The float32
 	// narrowing matches linalg.NewCSR32 (nearest-even), so a float32 slab
 	// equals the in-RAM float32 mirror bit for bit.
-	Precision linalg.SlabPrecision
+	Precision linalg.Precision
 }
 
 // slabBufferBytes bounds the transpose bucket buffer: large enough that
@@ -76,7 +76,7 @@ func BuildTransitionSlabs(fsys durable.FS, dir string, c *Compressed, opt SlabOp
 // failure either may have been committed whole, neither is ever torn,
 // and P's error is reported ahead of Pᵀ's.
 func BuildTransitionSlabsFrom(fsys durable.FS, dir string, src AdjacencySource, opt SlabOptions) (SlabPaths, error) {
-	if opt.Precision == linalg.SlabFloat32 {
+	if opt.Precision == linalg.Float32 {
 		return buildTransitionSlabs[float32](fsys, dir, src, opt)
 	}
 	return buildTransitionSlabs[float64](fsys, dir, src, opt)
@@ -163,7 +163,7 @@ func (c *Compressed) EachAdjacency(fn func(u int32, succ []int32) error) error {
 // writeForwardSlab commits the forward transition slab: the row pointers
 // as they stand, columns from one decode pass, and values — one copy of
 // inv[u] per entry of row u — from the row pointers alone.
-func writeForwardSlab[F float32 | float64](fsys durable.FS, path string, prec linalg.SlabPrecision, s linalg.SlabSections, src AdjacencySource, ptr []int64, inv []float64) error {
+func writeForwardSlab[F float32 | float64](fsys durable.FS, path string, prec linalg.Precision, s linalg.SlabSections, src AdjacencySource, ptr []int64, inv []float64) error {
 	s.RowPtr = func(w io.Writer) error {
 		return linalg.WriteSection(w, ptr)
 	}
@@ -289,7 +289,7 @@ func (t *transposeFill) eachBucket(fn func(sources []int32) error) error {
 // file order, so the column section and the value section each walk the
 // buckets once; with more than one bucket that is a fill per bucket per
 // section, with one bucket a single fill serves both.
-func writeTransposeSlab[F float32 | float64](fsys durable.FS, path string, prec linalg.SlabPrecision, s linalg.SlabSections, src AdjacencySource, ptr []int64, inv []float64, bufBytes int64) error {
+func writeTransposeSlab[F float32 | float64](fsys durable.FS, path string, prec linalg.Precision, s linalg.SlabSections, src AdjacencySource, ptr []int64, inv []float64, bufBytes int64) error {
 	t := newTransposeFill(src, ptr, bufBytes)
 	s.RowPtr = func(w io.Writer) error {
 		return linalg.WriteSection(w, ptr)

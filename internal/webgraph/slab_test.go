@@ -127,7 +127,7 @@ func TestBuildTransitionSlabsMultiBucket(t *testing.T) {
 func TestBuildTransitionSlabsFloat32(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(13)), 150, 1800)
 	SetSlabBufferBytes(t, 512)
-	paths := buildSlabsFor(t, g, SlabOptions{Precision: linalg.SlabFloat32})
+	paths := buildSlabsFor(t, g, SlabOptions{Precision: linalg.Float32})
 	want := linalg.NewCSR32(rank.TransitionT(g))
 	spt, err := linalg.OpenSlabCSR32(paths.PT, linalg.SlabOpenOptions{})
 	if err != nil {
@@ -176,7 +176,7 @@ func TestSlabSolveMatchesRankPageRank(t *testing.T) {
 
 // slabFileBytes returns the committed bytes of m written cold through
 // linalg.WriteSlabCSR: the reference every built slab must equal.
-func slabFileBytes(t *testing.T, m *linalg.CSR, prec linalg.SlabPrecision) []byte {
+func slabFileBytes(t *testing.T, m *linalg.CSR, prec linalg.Precision) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ref.slab")
 	if err := linalg.WriteSlabCSR(nil, path, m, prec); err != nil {
@@ -218,8 +218,8 @@ func TestBuildTransitionSlabsBytes(t *testing.T) {
 	}{
 		"one bucket":          {SlabOptions{}, 0},
 		"bucket per row":      {SlabOptions{}, 1},
-		"float32":             {SlabOptions{Precision: linalg.SlabFloat32}, 0},
-		"float32 many bucket": {SlabOptions{Precision: linalg.SlabFloat32}, 40},
+		"float32":             {SlabOptions{Precision: linalg.Float32}, 0},
+		"float32 many bucket": {SlabOptions{Precision: linalg.Float32}, 40},
 	}
 	for gname, g := range graphs {
 		wantP, wantPT := forwardTransition(t, g), rank.TransitionT(g)

@@ -87,7 +87,7 @@ func TestBuildTransitionSlabsFromRuns(t *testing.T) {
 	}{
 		{"one bucket", webgraph.SlabOptions{}, 0},
 		{"float64", webgraph.SlabOptions{}, 2048},
-		{"float32", webgraph.SlabOptions{Precision: linalg.SlabFloat32}, 2048},
+		{"float32", webgraph.SlabOptions{Precision: linalg.Float32}, 2048},
 	} {
 		t.Run(prec.name, func(t *testing.T) {
 			if prec.buf > 0 {
