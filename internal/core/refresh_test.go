@@ -312,6 +312,53 @@ func TestPipelineRefreshLabelChangeRewalks(t *testing.T) {
 	}
 }
 
+// TestPipelineRefreshFailedSolveDisarmsSkip: a refresh whose solve fails
+// after κ was patched for new seeds leaves no fast path armed over scores
+// solved for the old κ. The failure is a graph that shares the structure
+// but whose T has one row fewer, so the walk and κ succeed and
+// throttle.Validate refuses κ's length; the next refresh over the good
+// graph under the new seeds must solve, and land on the cold pipeline.
+func TestPipelineRefreshFailedSolveDisarmsSkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sg, err := source.Build(refreshPageGraph(rng, 40, 240, 900), source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := PipelineConfig{SpamSeeds: []int32{1, 2, 5}, TopK: 6}
+	y := PipelineConfig{SpamSeeds: []int32{8, 13, 21}, TopK: 6}
+	st := &RefreshState{}
+	first, _, err := PipelineRefresh(sg, x, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := sg.NumSources()
+	broken := *sg
+	broken.T = &linalg.CSR{Rows: n - 1, ColsN: n - 1, RowPtr: make([]int64, n)}
+	if _, _, err := PipelineRefresh(&broken, y, st); err == nil {
+		t.Fatal("refresh over a T with n-1 rows succeeded")
+	}
+	got, info, err := PipelineRefresh(sg, y, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SolveSkipped {
+		t.Fatal("solve skipped over scores solved for the previous seeds")
+	}
+	cold, err := Pipeline(sg, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(cold.Kappa, first.Kappa) {
+		t.Fatal("the two seed sets give one κ; the test needs them to differ")
+	}
+	if !slices.Equal(got.Kappa, cold.Kappa) {
+		t.Fatal("κ differs from the cold pipeline's")
+	}
+	if d := linalg.L2Distance(got.Scores, cold.Scores); d > 1e-6 {
+		t.Fatalf("scores differ from cold by %g", d)
+	}
+}
+
 // TestPipelineRefreshCountsFlipsAgainstPreviousKappa: sources 1 and 2 link
 // only to 0, and 4 and 5 only to 3, so every walk scores each pair
 // bitwise equal and the top-2 boundary is an exact tie, contested from

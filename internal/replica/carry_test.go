@@ -23,7 +23,7 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestZeroPatchSharesVectorAndIndex: an algorithm whose patch is empty
-// keeps the base's very vector through Apply and its index and rendered
+// keeps the base's very vector through apply and its index and rendered
 // responses through the publish, while a patched one is cloned — and the
 // checks an empty patch still owes are all still made.
 func TestZeroPatchSharesVectorAndIndex(t *testing.T) {
@@ -33,30 +33,29 @@ func TestZeroPatchSharesVectorAndIndex(t *testing.T) {
 	bst.Publish(successor(t, from, 1, 0.1, server.AlgoSRSR))
 	to := bst.Current()
 
+	bf, bsnap, err := decodeApply(fullFrame(from), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rst := server.NewStore(nil)
-	bf, err := DecodeFull(EncodeFull(from))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsnap, err := bf.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rst.PublishExternal(bsnap, bf.Version); err != nil {
+	if err := rst.PublishExternal(bsnap, bf.version); err != nil {
 		t.Fatal(err)
 	}
 	base := rst.Current()
-	decode := func() *Delta {
-		d, err := DecodeDelta(encDelta(from, to))
+	decodeFrame := func() *frame {
+		f, err := decode(frameOver(from, to))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d
+		return f
 	}
 
-	patched, err := applyDelta(decode(), base)
+	patched, shared, err := decodeFrame().apply(base, metaCRC(base))
 	if err != nil {
-		t.Fatalf("Apply: %v", err)
+		t.Fatalf("apply: %v", err)
+	}
+	if shared != 2 {
+		t.Fatalf("apply shared %d vectors, want 2", shared)
 	}
 	for _, algo := range base.Algos() {
 		shared := &patched.Set(algo).ScoresView()[0] == &base.Set(algo).ScoresView()[0]
@@ -72,39 +71,38 @@ func TestZeroPatchSharesVectorAndIndex(t *testing.T) {
 	if reused, rendered, uncached := rst.PublishSets(); reused != 2 || rendered != 4 || uncached != 0 {
 		t.Fatalf("replica publish sets reused/rendered/uncached = %d/%d/%d, want 2/4/0", reused, rendered, uncached)
 	}
-	if string(EncodeFull(rst.Current())) != string(EncodeFull(to)) {
+	if string(fullFrame(rst.Current())) != string(fullFrame(to)) {
 		t.Fatal("patched snapshot does not re-encode byte-identical to a full transfer")
 	}
 
 	// Every check still guards the unpatched algorithms.
 	zero := -1
-	d := decode()
-	for i, ap := range d.Algos {
-		if len(ap.Idx) == 0 {
+	for i, s := range decodeFrame().sections {
+		if s.kind == sectionPatches && len(s.idx) == 0 {
 			zero = i
 		}
 	}
 	if zero < 0 {
 		t.Fatal("frame has no empty patch")
 	}
-	for name, tamper := range map[string]func(d *Delta){
-		"wrong FullCRC":      func(d *Delta) { d.Algos[zero].FullCRC ^= 1 },
-		"wrong MetaCRC":      func(d *Delta) { d.MetaCRC ^= 1 },
-		"stale From":         func(d *Delta) { d.From-- },
-		"index out of range": func(d *Delta) { d.Algos[zero].Idx, d.Algos[zero].Val = []int32{64}, []float64{0} },
-		"negative index":     func(d *Delta) { d.Algos[zero].Idx, d.Algos[zero].Val = []int32{-1}, []float64{0} },
+	for name, tamper := range map[string]func(f *frame){
+		"wrong section CRC":  func(f *frame) { f.sections[zero].crc ^= 1 },
+		"wrong metaCRC":      func(f *frame) { f.metaCRC ^= 1 },
+		"stale from":         func(f *frame) { f.from-- },
+		"index out of range": func(f *frame) { f.sections[zero].idx, f.sections[zero].val = []int32{64}, []float64{0} },
+		"negative index":     func(f *frame) { f.sections[zero].idx, f.sections[zero].val = []int32{-1}, []float64{0} },
 	} {
-		d := decode()
-		tamper(d)
-		if _, err := applyDelta(d, base); !errors.Is(err, ErrFrame) {
-			t.Errorf("%s: Apply = %v, want ErrFrame", name, err)
+		f := decodeFrame()
+		tamper(f)
+		if _, _, err := f.apply(base, metaCRC(base)); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: apply = %v, want ErrFrame", name, err)
 		}
 	}
 }
 
 // TestPullerRejectsTamperedZeroPatchAndKeepsServing sends a delta whose
 // durable trailer is intact but whose empty patch claims the wrong
-// post-patch CRC: the puller must reject it as a bad frame and leave the
+// section CRC: the puller must reject it as a bad frame and leave the
 // base serving.
 func TestPullerRejectsTamperedZeroPatchAndKeepsServing(t *testing.T) {
 	bst := server.NewStore(nil)
@@ -118,8 +116,8 @@ func TestPullerRejectsTamperedZeroPatchAndKeepsServing(t *testing.T) {
 	served := rst.Current()
 	from := bst.Current()
 	bst.Publish(successor(t, from, 2, 0.1, server.AlgoPageRank))
-	payload := encDelta(from, bst.Current())
-	payload[len(payload)-1] ^= 0x40 // FullCRC of trustrank, the last and unpatched algorithm
+	payload := frameOver(from, bst.Current())
+	payload[len(payload)-1] ^= 0x40 // the CRC of trustrank, the last and unpatched algorithm
 	tampered := durable.Frame(payload)
 	p.Client = &http.Client{Transport: handlerTransport{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(tampered)
@@ -136,6 +134,34 @@ func TestPullerRejectsTamperedZeroPatchAndKeepsServing(t *testing.T) {
 	}
 	if Fingerprint(rst.Current()) != Fingerprint(bst.Current()) {
 		t.Fatal("replica did not converge after the rejected frame")
+	}
+}
+
+// TestPullerRejectsOtherWireVersionAndKeepsServing: a builder and its
+// replicas run one wire version. A frame of version 1 — CRC-valid, from
+// a builder that predates the one-frame layout — is a bad frame: it is
+// counted torn and the previous snapshot keeps serving.
+func TestPullerRejectsOtherWireVersionAndKeepsServing(t *testing.T) {
+	bst := server.NewStore(nil)
+	bst.Publish(rawSnapshot(t, 40, 37))
+	rst := server.NewStore(nil)
+	p := &Puller{Builder: "http://builder", Store: rst, Client: &http.Client{Transport: handlerTransport{NewPublisher(bst, 8)}}}
+	if err := p.SyncNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	served := rst.Current()
+	bst.Publish(perturb(t, bst.Current(), 38, 0.1))
+	payload := fullFrame(bst.Current())
+	payload[4] = 1 // the wire version, after the magic
+	old := durable.Frame(payload)
+	p.Client = &http.Client{Transport: handlerTransport{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(old)
+	})}}
+	if err := p.SyncNow(context.Background()); !errors.Is(err, ErrFrame) {
+		t.Fatalf("version 1 sync = %v, want ErrFrame", err)
+	}
+	if p.TornRejected() != 1 || rst.Current() != served {
+		t.Fatalf("torn rejected = %d, serving snapshot disturbed = %v", p.TornRejected(), rst.Current() != served)
 	}
 }
 
@@ -211,7 +237,7 @@ func TestDeltaLineageServesSameBytesAsFullPull(t *testing.T) {
 const benchSources = 9822
 
 // BenchmarkDeltaSyncUnchanged is the replica's cost of a refresh that
-// changed nothing: a 188-byte delta frame, every patch empty, through
+// changed nothing: a 195-byte delta frame, every patch empty, through
 // Puller.SyncNow over an in-process transport. CI gates its B/op.
 func BenchmarkDeltaSyncUnchanged(b *testing.B) {
 	bst := server.NewStore(nil)

@@ -29,15 +29,15 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// stateBytes is a full-frame encoding with the parent field zeroed.
-// Parent records *local* publish lineage — a replica that skipped
+// stateBytes is a base-less frame's encoding with the parent field
+// zeroed. Parent records *local* publish lineage — a replica that skipped
 // versions while syncing has a different (truthful) parent than the
 // builder — so byte-identity of transferred state is judged on
 // everything else: version, build time, corpus, labels, page counts,
 // and every score bit.
 func stateBytes(snap *server.Snapshot) []byte {
-	out := EncodeFull(snap)
-	for i := 14; i < 22; i++ {
+	out := fullFrame(snap)
+	for i := 13; i < 21; i++ { // after magic, wire version and version
 		out[i] = 0
 	}
 	return out
@@ -285,22 +285,14 @@ func TestReplicaFleetChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("full pull failed verification: %v", err)
 	}
-	f, err := DecodeFull(payload)
+	f, pulled, err := decodeApply(payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pulled, err := f.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pst := server.NewStore(nil)
-	if err := pst.PublishExternal(pulled, f.Version); err != nil {
-		t.Fatal(err)
-	}
-	want := stateBytes(pst.Current())
+	want := stateBytes(publishAt(t, pulled, f.version))
 	for i, rep := range reps {
 		if got := stateBytes(rep.store.Current()); string(got) != string(want) {
-			t.Errorf("replica %d state is not byte-identical to a full pull (version %d vs %d)", i, rep.store.Current().Version(), f.Version)
+			t.Errorf("replica %d state is not byte-identical to a full pull (version %d vs %d)", i, rep.store.Current().Version(), f.version)
 		}
 	}
 

@@ -2,11 +2,14 @@
 // a builder node publishes score snapshots and replicas pull them over
 // the serving layer's ETag/If-None-Match machinery, verify the CRC
 // frame from internal/durable on receipt, and hot-swap the decoded
-// snapshot atomically into their local Store. The first sync transfers
-// the full snapshot; thereafter the builder serves sparse score deltas
-// keyed on the replica's advertised version, each carrying the CRC of
-// the post-patch state so a replica proves its patched snapshot is
-// byte-identical to a full pull before any reader can see it.
+// snapshot atomically into their local Store. A transfer is one frame:
+// per-algorithm sections over an optional base. The first sync has no
+// base and carries every label and score; thereafter the builder encodes
+// over the replica's advertised version, so labels and page counts are
+// never resent and each algorithm ships as sparse patches or a dense
+// vector, whichever is smaller. Every section carries the CRC of the
+// resulting vector, so a replica proves its snapshot is byte-identical
+// to a base-less pull before any reader can see it.
 //
 // Failure discipline mirrors the refresher: exponential backoff with
 // jitter, per-attempt timeouts, consecutive-failure counters. A torn,
@@ -22,6 +25,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -32,19 +36,24 @@ import (
 // Transfer frame payload layout (the payload durable.Frame wraps with
 // its CRC trailer; all integers little-endian):
 //
-//	u32 magic "SRSN" | u8 wireVersion | u8 kind (full|delta)
-//	full:  header | meta (labels, page counts) | per-algo scores+CRC
-//	delta: u64 fromVersion | header | u32 metaCRC | per-algo sparse
-//	       patches + post-patch full-vector CRC
+//	u32 magic "SRSN" | u8 wireVersion
+//	u64 version | u64 parent | i64 builtAt | corpus | uvarint κ top-k
+//	u64 from | uvarint n (sources)
+//	  from == 0: n labels | n page counts
+//	  from != 0: u32 metaCRC of the base's labels and page counts
+//	u8 algorithms, then per algorithm: name | solve info | u8 kind |
+//	  patches: uvarint k | k × (u32 index, f64 value) over the base's vector
+//	  dense:   n × f64
+//	  | u32 CRC-32C of the resulting vector
 //
-// where header is version, parent, builtAt, corpus info, κ top-k.
+// A builder and its replicas must run the same wireVersion: a frame of
+// any other version is rejected as ErrFrame.
 const (
 	frameMagic  = 0x5352534E // "SRSN"
-	wireVersion = 1
+	wireVersion = 2
 
-	// KindFull and KindDelta name the two frame encodings.
-	KindFull  byte = 0
-	KindDelta byte = 1
+	sectionPatches byte = 0
+	sectionDense   byte = 1
 )
 
 // maxFrameSources bounds the source count a decoder will allocate for;
@@ -56,8 +65,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrFrame is the sentinel matched by errors.Is for every malformed or
 // mismatched transfer frame this package rejects after the durable CRC
-// trailer already passed (a structurally broken payload, an unexpected
-// kind, a delta whose base or post-patch state does not line up).
+// trailer already passed (a structurally broken payload, another wire
+// version, a frame whose base or resulting state does not line up).
 var ErrFrame = errors.New("replica: bad transfer frame")
 
 type frameError struct{ reason string }
@@ -69,74 +78,35 @@ func badFrame(format string, args ...any) error {
 	return &frameError{reason: fmt.Sprintf(format, args...)}
 }
 
-// AlgoScores is one algorithm's transferred state: the full score
-// vector plus the solve provenance the builder recorded.
-type AlgoScores struct {
-	Algo      server.Algo
-	Stats     linalg.IterStats
-	SolveTime time.Duration
-	Warm      bool
-	Scores    linalg.Vector
+// frame is a decoded transfer frame. With from == 0 it carries labels
+// and page counts and every section is dense; otherwise it applies only
+// over the snapshot at from whose meta hashes to metaCRC.
+type frame struct {
+	version, parent, from uint64
+	builtAt               time.Time
+	corpus                server.CorpusInfo
+	kappaTopK             int
+	n                     int
+	metaCRC               uint32
+	labels                []string
+	pageCount             []int
+	sections              []section
 }
 
-// Full is a decoded full-snapshot frame.
-type Full struct {
-	Version   uint64
-	Parent    uint64
-	BuiltAt   time.Time
-	Corpus    server.CorpusInfo
-	KappaTopK int
-	Labels    []string
-	PageCount []int
-	Algos     []AlgoScores
-}
-
-// AlgoPatch is one algorithm's sparse score update: set Scores[Idx[i]]
-// = Val[i] over a clone of the base vector. FullCRC is the CRC32-C of
-// the patched vector's canonical encoding — the proof obligation that
-// the patched state is byte-identical to what a full pull would have
-// transferred.
-type AlgoPatch struct {
-	Algo      server.Algo
-	Stats     linalg.IterStats
-	SolveTime time.Duration
-	Warm      bool
-	Idx       []int32
-	Val       []float64
-	FullCRC   uint32
-}
-
-// Delta is a decoded delta frame: the sparse difference between the
-// snapshot at From and the one at Version, valid only when the
-// receiver's meta state (labels, page counts) hashes to MetaCRC.
-type Delta struct {
-	From      uint64
-	Version   uint64
-	Parent    uint64
-	BuiltAt   time.Time
-	Corpus    server.CorpusInfo
-	KappaTopK int
-	MetaCRC   uint32
-	Algos     []AlgoPatch
-}
-
-// FrameKind inspects a verified payload's envelope without decoding the
-// body.
-func FrameKind(payload []byte) (byte, error) {
-	if len(payload) < 6 {
-		return 0, badFrame("%d-byte payload is shorter than the envelope", len(payload))
-	}
-	if m := binary.LittleEndian.Uint32(payload[0:4]); m != frameMagic {
-		return 0, badFrame("magic %#x, want %#x", m, frameMagic)
-	}
-	if v := payload[4]; v != wireVersion {
-		return 0, badFrame("wire version %d, want %d", v, wireVersion)
-	}
-	kind := payload[5]
-	if kind != KindFull && kind != KindDelta {
-		return 0, badFrame("unknown frame kind %d", kind)
-	}
-	return kind, nil
+// section is one algorithm's state: its solve provenance, a dense vector
+// or patches (set scores[idx[i]] = val[i] over a clone of the base's
+// vector; none means the base's vector itself), and crc, the CRC-32C of
+// the resulting vector.
+type section struct {
+	algo      server.Algo
+	stats     linalg.IterStats
+	solveTime time.Duration
+	warm      bool
+	kind      byte
+	dense     linalg.Vector
+	idx       []int32
+	val       []float64
+	crc       uint32
 }
 
 // --- encode ---
@@ -163,20 +133,6 @@ func (w *wbuf) boolean(v bool) {
 	}
 }
 
-func (w *wbuf) header(kind byte, version, parent uint64, builtAt time.Time, corpus server.CorpusInfo, kappaTopK int) {
-	w.u32(frameMagic)
-	w.u8(wireVersion)
-	w.u8(kind)
-	w.u64(version)
-	w.u64(parent)
-	w.i64(builtAt.UnixNano())
-	w.str(corpus.Name)
-	w.u64(uint64(corpus.Pages))
-	w.u64(uint64(corpus.Links))
-	w.u64(uint64(corpus.SpamLabeled))
-	w.uvarint(uint64(kappaTopK))
-}
-
 func (w *wbuf) solveInfo(stats linalg.IterStats, solveTime time.Duration, warm bool) {
 	w.uvarint(uint64(stats.Iterations))
 	w.f64(stats.Residual)
@@ -187,7 +143,7 @@ func (w *wbuf) solveInfo(stats linalg.IterStats, solveTime time.Duration, warm b
 
 // scoreCRC is the CRC32-C of a score vector's canonical wire encoding
 // (8-byte little-endian float bits per entry) — the per-algorithm
-// fingerprint that delta syncs are verified against.
+// fingerprint every section is verified against.
 func scoreCRC(v linalg.Vector) uint32 {
 	var buf [4096]byte
 	var crc uint32
@@ -202,36 +158,35 @@ func scoreCRC(v linalg.Vector) uint32 {
 	return crc
 }
 
-// MetaCRC fingerprints the snapshot state a delta cannot patch: the
-// label set and per-source page counts. A delta is only applicable when
-// sender and receiver agree on it; any divergence (recrawl, corpus
-// swap) forces a full transfer.
-func MetaCRC(snap *server.Snapshot) uint32 {
+// metaCRC fingerprints the snapshot state a frame over a base never
+// carries: the source count, labels and per-source page counts. Sender
+// and receiver must agree on it; any divergence (recrawl, corpus swap)
+// forces a frame with no base.
+func metaCRC(snap *server.Snapshot) uint32 {
 	var w wbuf
 	w.meta(snap)
 	return crc32.Checksum(w.b, castagnoli)
 }
 
-// meta appends the canonical encoding of snap's labels and page counts:
-// the meta section of a full frame, and the bytes MetaCRC fingerprints.
+// meta appends the canonical encoding of snap's meta: one source count,
+// then that many labels and page counts. It is the meta section of a
+// frame with no base, and the bytes metaCRC fingerprints.
 func (w *wbuf) meta(snap *server.Snapshot) {
-	labels := snap.LabelsView()
+	labels, pages := snap.LabelsView(), snap.PageCountsView()
 	w.uvarint(uint64(len(labels)))
 	for _, l := range labels {
 		w.str(l)
 	}
-	pages := snap.PageCountsView()
-	w.uvarint(uint64(len(pages)))
 	for _, p := range pages {
 		w.uvarint(uint64(p))
 	}
 }
 
-// metaMemo remembers the MetaCRC of the last meta state it was asked
-// about. Snapshots are immutable and a delta-compatible successor holds
-// its predecessor's very label and page-count arrays, so along a lineage
-// the labels are serialised once, not once per encode and per sync. Safe
-// for concurrent use.
+// metaMemo remembers the metaCRC of the last meta state it was asked
+// about. Snapshots are immutable and a successor that keeps the meta
+// holds its predecessor's very label and page-count arrays, so along a
+// lineage the labels are serialised once, not once per encode and per
+// sync. Safe for concurrent use.
 type metaMemo struct {
 	last atomic.Pointer[metaEntry]
 }
@@ -247,105 +202,101 @@ func (m *metaMemo) crc(snap *server.Snapshot) uint32 {
 	if e := m.last.Load(); e != nil && server.SameArray(labels, e.labels) && server.SameArray(pages, e.pages) {
 		return e.crc
 	}
-	e := &metaEntry{labels: labels, pages: pages, crc: MetaCRC(snap)}
+	e := &metaEntry{labels: labels, pages: pages, crc: metaCRC(snap)}
 	m.last.Store(e)
 	return e.crc
 }
 
-// EncodeFull renders snap as a full transfer frame payload (without the
-// durable trailer; see durable.Frame). The encoding is deterministic —
-// algorithms in sorted order, fixed-width scores — so two encodings of
-// identical snapshot state are byte-identical, which the fleet
-// consistency tests rely on to compare replica state against a full
-// pull.
-func EncodeFull(snap *server.Snapshot) []byte {
+// entry is a snapshot with its metaCRC, computed once when the publisher
+// observes it.
+type entry struct {
+	snap *server.Snapshot
+	meta uint32
+}
+
+// carries reports whether a frame over base can express cur: the same
+// meta, source count and algorithm set.
+func (base *entry) carries(cur *entry) bool {
+	return base.meta == cur.meta && base.snap.NumSources() == cur.snap.NumSources() &&
+		slices.Equal(base.snap.Algos(), cur.snap.Algos())
+}
+
+// encode renders cur as a frame payload (without the durable trailer;
+// see durable.Frame) over base, which is nil or carries cur. With no
+// base the frame holds the meta and a dense vector per algorithm; over a
+// base it holds the base's metaCRC, and each algorithm goes as patches
+// while those are smaller than its dense vector (see patchCount). The
+// encoding is deterministic — algorithms in sorted order, fixed-width
+// scores — so two encodings of identical state are byte-identical.
+func encode(base, cur *entry) []byte {
+	snap := cur.snap
 	var w wbuf
-	w.header(KindFull, snap.Version(), snap.ParentVersion(), snap.BuiltAt(), snap.Corpus(), snap.KappaTopK())
-	w.meta(snap)
+	w.u32(frameMagic)
+	w.u8(wireVersion)
+	w.u64(snap.Version())
+	w.u64(snap.ParentVersion())
+	w.i64(snap.BuiltAt().UnixNano())
+	corpus := snap.Corpus()
+	w.str(corpus.Name)
+	w.u64(uint64(corpus.Pages))
+	w.u64(uint64(corpus.Links))
+	w.u64(uint64(corpus.SpamLabeled))
+	w.uvarint(uint64(snap.KappaTopK()))
+	if base == nil {
+		w.u64(0)
+		w.meta(snap)
+	} else {
+		w.u64(base.snap.Version())
+		w.uvarint(uint64(snap.NumSources()))
+		w.u32(cur.meta)
+	}
 	algos := snap.Algos()
 	w.u8(byte(len(algos)))
 	for _, algo := range algos {
 		ss := snap.Set(algo)
+		scores := ss.ScoresView()
 		w.str(string(algo))
 		w.solveInfo(ss.Stats(), ss.SolveTime(), ss.WarmStarted())
-		scores := ss.ScoresView()
-		for _, f := range scores {
-			w.f64(f)
+		var old linalg.Vector
+		if base != nil {
+			old = base.snap.Set(algo).ScoresView()
+		}
+		if k, ok := patchCount(old, scores); ok {
+			w.u8(sectionPatches)
+			w.uvarint(uint64(k))
+			for i, f := range scores {
+				if math.Float64bits(f) != math.Float64bits(old[i]) {
+					w.u32(uint32(i))
+					w.f64(f)
+				}
+			}
+		} else {
+			w.u8(sectionDense)
+			for _, f := range scores {
+				w.f64(f)
+			}
 		}
 		w.u32(scoreCRC(scores))
 	}
 	return w.b
 }
 
-// encodeDelta renders the sparse difference that turns from's state
-// into to's as a delta frame payload, given both snapshots' MetaCRC (the
-// publisher keeps one per ring entry instead of re-serialising every
-// label on each encode). It returns nil when a delta is not applicable or
-// not worthwhile: mismatched meta state, different algorithm sets or
-// source counts, or so many changed scores that a full frame would be
-// smaller.
-func encodeDelta(from, to *server.Snapshot, fromMeta, toMeta uint32) []byte {
-	if from.NumSources() != to.NumSources() || fromMeta != toMeta {
-		return nil
+// patchCount counts the entries of cur whose bits differ from old and
+// reports whether they are cheaper as 12-byte patches than cur is as an
+// 8-byte-a-source dense vector: 12·k < 8·n, or k = 0. It stops counting
+// as soon as they are not. With no old vector they never are.
+func patchCount(old, cur linalg.Vector) (k int, cheaper bool) {
+	if old == nil {
+		return 0, false
 	}
-	fromAlgos, toAlgos := from.Algos(), to.Algos()
-	if len(fromAlgos) != len(toAlgos) {
-		return nil
-	}
-	for i := range toAlgos {
-		if fromAlgos[i] != toAlgos[i] {
-			return nil
-		}
-	}
-	// A patch entry costs 12 bytes against 8 for a dense score; past
-	// half the corpus changing, the full frame is both smaller and
-	// simpler to apply. Count before encoding, so a dense diff costs no
-	// body.
-	n := to.NumSources()
-	changed := make([]int, len(toAlgos))
-	totalChanged := 0
-	for a, algo := range toAlgos {
-		fs, ts := from.Set(algo).ScoresView(), to.Set(algo).ScoresView()
-		for i := range ts {
-			if math.Float64bits(ts[i]) != math.Float64bits(fs[i]) {
-				changed[a]++
+	for i, f := range cur {
+		if math.Float64bits(f) != math.Float64bits(old[i]) {
+			if k++; 12*k >= 8*len(cur) {
+				return k, false
 			}
 		}
-		totalChanged += changed[a]
 	}
-	if totalChanged*2 > n*len(toAlgos) {
-		return nil
-	}
-	var w wbuf
-	w.u32(frameMagic)
-	w.u8(wireVersion)
-	w.u8(KindDelta)
-	w.u64(from.Version())
-	w.u64(to.Version())
-	w.u64(to.ParentVersion())
-	w.i64(to.BuiltAt().UnixNano())
-	w.str(to.Corpus().Name)
-	w.u64(uint64(to.Corpus().Pages))
-	w.u64(uint64(to.Corpus().Links))
-	w.u64(uint64(to.Corpus().SpamLabeled))
-	w.uvarint(uint64(to.KappaTopK()))
-	w.u32(toMeta)
-	w.u8(byte(len(toAlgos)))
-	for a, algo := range toAlgos {
-		fs, ts := from.Set(algo).ScoresView(), to.Set(algo).ScoresView()
-		w.str(string(algo))
-		tss := to.Set(algo)
-		w.solveInfo(tss.Stats(), tss.SolveTime(), tss.WarmStarted())
-		w.uvarint(uint64(changed[a]))
-		for i := range ts {
-			if math.Float64bits(ts[i]) != math.Float64bits(fs[i]) {
-				w.u32(uint32(i))
-				w.f64(ts[i])
-			}
-		}
-		w.u32(scoreCRC(ts))
-	}
-	return w.b
+	return k, true
 }
 
 // --- decode ---
@@ -468,188 +419,145 @@ func (r *rbuf) solveInfo() (linalg.IterStats, time.Duration, bool) {
 	return st, d, warm
 }
 
-func (r *rbuf) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return badFrame("%d trailing bytes after frame body", len(r.b)-r.off)
-	}
-	return nil
-}
-
-// envelope consumes and checks magic/version/kind.
-func (r *rbuf) envelope(wantKind byte) {
+// decode decodes a frame payload. The payload must already have passed
+// durable.Verify; decoding still bounds every allocation by the bytes
+// present and never panics on arbitrary bytes.
+func decode(payload []byte) (*frame, error) {
+	r := &rbuf{b: payload}
 	if m := r.u32(); r.err == nil && m != frameMagic {
 		r.fail("magic %#x", m)
 	}
 	if v := r.u8(); r.err == nil && v != wireVersion {
-		r.fail("wire version %d", v)
+		r.fail("wire version %d, want %d", v, wireVersion)
 	}
-	if k := r.u8(); r.err == nil && k != wantKind {
-		r.fail("frame kind %d, want %d", k, wantKind)
-	}
-}
-
-// DecodeFull decodes a full frame payload. The payload must already
-// have passed durable.Verify; decoding still bounds every allocation
-// and never panics on arbitrary bytes.
-func DecodeFull(payload []byte) (*Full, error) {
-	r := &rbuf{b: payload}
-	r.envelope(KindFull)
-	f := &Full{}
-	f.Version = r.u64()
-	f.Parent = r.u64()
-	f.BuiltAt = time.Unix(0, r.i64())
-	f.Corpus.Name = r.str()
-	f.Corpus.Pages = int(r.u64())
-	f.Corpus.Links = int64(r.u64())
-	f.Corpus.SpamLabeled = int(r.u64())
-	f.KappaTopK = int(r.uvarint())
-	nLabels := r.count(maxFrameSources, 1, "label")
-	if r.err != nil {
-		return nil, r.err
-	}
-	f.Labels = make([]string, nLabels)
-	for i := range f.Labels {
-		f.Labels[i] = r.str()
-	}
-	nPages := r.count(maxFrameSources, 1, "page count")
-	if r.err != nil {
-		return nil, r.err
-	}
-	f.PageCount = make([]int, nPages)
-	for i := range f.PageCount {
-		f.PageCount[i] = int(r.uvarint())
+	f := &frame{}
+	f.version = r.u64()
+	f.parent = r.u64()
+	f.builtAt = time.Unix(0, r.i64())
+	f.corpus.Name = r.str()
+	f.corpus.Pages = int(r.u64())
+	f.corpus.Links = int64(r.u64())
+	f.corpus.SpamLabeled = int(r.u64())
+	f.kappaTopK = int(r.uvarint())
+	f.from = r.u64()
+	if f.from == 0 {
+		// A label and a page count take at least a byte each.
+		f.n = r.count(maxFrameSources, 2, "source")
+		if r.err != nil {
+			return nil, r.err
+		}
+		f.labels = make([]string, f.n)
+		for i := range f.labels {
+			f.labels[i] = r.str()
+		}
+		f.pageCount = make([]int, f.n)
+		for i := range f.pageCount {
+			f.pageCount[i] = int(r.uvarint())
+		}
+	} else {
+		f.n = r.count(maxFrameSources, 0, "source")
+		f.metaCRC = r.u32()
 	}
 	nAlgos := int(r.u8())
 	for i := 0; i < nAlgos && r.err == nil; i++ {
-		var as AlgoScores
-		as.Algo = server.Algo(r.str())
-		as.Stats, as.SolveTime, as.Warm = r.solveInfo()
-		if len(r.b)-r.off < nLabels*8 {
-			r.fail("scores for %q truncated", as.Algo)
-			break
+		s := section{algo: server.Algo(r.str())}
+		s.stats, s.solveTime, s.warm = r.solveInfo()
+		switch s.kind = r.u8(); s.kind {
+		case sectionPatches:
+			k := r.count(uint64(f.n), 12, "patch")
+			if r.err != nil {
+				break
+			}
+			s.idx, s.val = make([]int32, k), make([]float64, k)
+			for j := range s.idx {
+				s.idx[j] = int32(r.u32())
+				s.val[j] = r.f64()
+			}
+		case sectionDense:
+			if len(r.b)-r.off < f.n*8 {
+				r.fail("dense %q truncated", s.algo)
+				break
+			}
+			s.dense = make(linalg.Vector, f.n)
+			for j := range s.dense {
+				s.dense[j] = r.f64()
+			}
+		default:
+			r.fail("section kind %d", s.kind)
 		}
-		as.Scores = make(linalg.Vector, nLabels)
-		for j := range as.Scores {
-			as.Scores[j] = r.f64()
-		}
-		if want := r.u32(); r.err == nil && scoreCRC(as.Scores) != want {
-			r.fail("score CRC mismatch for %q", as.Algo)
-		}
-		f.Algos = append(f.Algos, as)
+		s.crc = r.u32()
+		f.sections = append(f.sections, s)
 	}
-	if err := r.done(); err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
-	f.Corpus.Sources = nLabels
+	if r.off != len(r.b) {
+		return nil, badFrame("%d trailing bytes after frame body", len(r.b)-r.off)
+	}
 	return f, nil
 }
 
-// DecodeDelta decodes a delta frame payload (same contract as
-// DecodeFull).
-func DecodeDelta(payload []byte) (*Delta, error) {
-	r := &rbuf{b: payload}
-	r.envelope(KindDelta)
-	d := &Delta{}
-	d.From = r.u64()
-	d.Version = r.u64()
-	d.Parent = r.u64()
-	d.BuiltAt = time.Unix(0, r.i64())
-	d.Corpus.Name = r.str()
-	d.Corpus.Pages = int(r.u64())
-	d.Corpus.Links = int64(r.u64())
-	d.Corpus.SpamLabeled = int(r.u64())
-	d.KappaTopK = int(r.uvarint())
-	d.MetaCRC = r.u32()
-	nAlgos := int(r.u8())
-	for i := 0; i < nAlgos && r.err == nil; i++ {
-		var ap AlgoPatch
-		ap.Algo = server.Algo(r.str())
-		ap.Stats, ap.SolveTime, ap.Warm = r.solveInfo()
-		nChanges := r.count(maxFrameSources, 12, "patch")
-		if r.err != nil {
-			break
-		}
-		ap.Idx = make([]int32, nChanges)
-		ap.Val = make([]float64, nChanges)
-		for j := 0; j < nChanges; j++ {
-			ap.Idx[j] = int32(r.u32())
-			ap.Val[j] = r.f64()
-		}
-		ap.FullCRC = r.u32()
-		d.Algos = append(d.Algos, ap)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// Snapshot reconstructs a servable snapshot from a decoded full frame.
-// The frame's version travels separately (Store.PublishExternal assigns
-// it at publish time).
-func (f *Full) Snapshot() (*server.Snapshot, error) {
-	sets := make(map[server.Algo]*server.ScoreSet, len(f.Algos))
-	for _, as := range f.Algos {
-		if len(as.Scores) != len(f.Labels) {
-			return nil, badFrame("%q carries %d scores for %d sources", as.Algo, len(as.Scores), len(f.Labels))
-		}
-		if _, dup := sets[as.Algo]; dup {
-			return nil, badFrame("duplicate algorithm %q", as.Algo)
-		}
-		sets[as.Algo] = server.NewScoreSetSolved(as.Scores, as.Stats, as.SolveTime, as.Warm)
-	}
-	return server.NewSnapshot(f.Corpus, f.Labels, f.PageCount, f.KappaTopK, sets, f.BuiltAt)
-}
-
-// apply patches base's state into the snapshot at d.Version, given
-// base's MetaCRC (see metaMemo). Labels and page counts are shared with
-// base (they are immutable and MetaCRC proved them unchanged), and so is
-// the score vector of every algorithm whose patch is empty — shared
+// apply builds the snapshot f describes. With no base in the frame it
+// stands alone; otherwise base must be the snapshot at f.from, whose
+// metaCRC (see metaMemo) is baseMeta. Over a base, labels and page counts
+// are base's arrays (immutable, and metaCRC proved them unchanged), and
+// so is the score vector of every algorithm with an empty patch — shared
 // counts those — which lets the publish that follows carry that
 // algorithm's index and rendered responses over instead of rebuilding
-// them; a patched algorithm's vector is cloned and patched. Shared or
-// cloned, every vector is verified against the frame's post-patch CRC, so
-// a verified result is byte-identical to what a full transfer of
-// d.Version would have produced. Any mismatch returns an error wrapping
-// ErrFrame and the base snapshot is left untouched.
-func (d *Delta) apply(base *server.Snapshot, baseMeta uint32) (snap *server.Snapshot, shared int, err error) {
-	if base.Version() != d.From {
-		return nil, 0, badFrame("delta from version %d against base version %d", d.From, base.Version())
-	}
-	if baseMeta != d.MetaCRC {
-		return nil, 0, badFrame("meta CRC mismatch: base labels/page counts diverged from builder")
-	}
-	baseAlgos := base.Algos()
-	if len(baseAlgos) != len(d.Algos) {
-		return nil, 0, badFrame("delta carries %d algorithms, base has %d", len(d.Algos), len(baseAlgos))
-	}
-	n := base.NumSources()
-	sets := make(map[server.Algo]*server.ScoreSet, len(d.Algos))
-	for i, ap := range d.Algos {
-		if baseAlgos[i] != ap.Algo {
-			return nil, 0, badFrame("delta algorithm %q, base has %q", ap.Algo, baseAlgos[i])
+// them; a patched vector is a clone of base's, and a dense one the
+// frame's own. Every vector is verified against its section's CRC, so a
+// verified result is byte-identical to what a frame with no base would
+// have produced. Any mismatch returns an error wrapping ErrFrame and
+// base is left untouched.
+func (f *frame) apply(base *server.Snapshot, baseMeta uint32) (snap *server.Snapshot, shared int, err error) {
+	labels, pages := f.labels, f.pageCount
+	var baseAlgos []server.Algo
+	if f.from != 0 {
+		switch {
+		case base == nil:
+			return nil, 0, badFrame("frame over version %d received with no local snapshot", f.from)
+		case base.Version() != f.from:
+			return nil, 0, badFrame("frame over version %d against base version %d", f.from, base.Version())
+		case baseMeta != f.metaCRC || base.NumSources() != f.n:
+			return nil, 0, badFrame("meta CRC mismatch: base labels/page counts diverged from builder")
 		}
-		scores := base.Set(ap.Algo).ScoresView()
-		if len(ap.Idx) == 0 {
-			shared++
-		} else {
-			scores = append(linalg.Vector(nil), scores...)
-			for j, idx := range ap.Idx {
-				if idx < 0 || int(idx) >= n {
-					return nil, 0, badFrame("%q patch index %d out of range [0,%d)", ap.Algo, idx, n)
+		labels, pages, baseAlgos = base.LabelsView(), base.PageCountsView(), base.Algos()
+		if len(baseAlgos) != len(f.sections) {
+			return nil, 0, badFrame("frame carries %d algorithms, base has %d", len(f.sections), len(baseAlgos))
+		}
+	}
+	sets := make(map[server.Algo]*server.ScoreSet, len(f.sections))
+	for i, s := range f.sections {
+		if _, dup := sets[s.algo]; dup {
+			return nil, 0, badFrame("duplicate algorithm %q", s.algo)
+		}
+		if f.from != 0 && baseAlgos[i] != s.algo {
+			return nil, 0, badFrame("frame algorithm %q, base has %q", s.algo, baseAlgos[i])
+		}
+		scores := s.dense
+		if s.kind == sectionPatches {
+			if f.from == 0 {
+				return nil, 0, badFrame("%q patches a frame with no base", s.algo)
+			}
+			scores = base.Set(s.algo).ScoresView()
+			if len(s.idx) == 0 {
+				shared++
+			} else {
+				scores = append(linalg.Vector(nil), scores...)
+				for j, idx := range s.idx {
+					if idx < 0 || int(idx) >= f.n {
+						return nil, 0, badFrame("%q patch index %d out of range [0,%d)", s.algo, idx, f.n)
+					}
+					scores[idx] = s.val[j]
 				}
-				scores[idx] = ap.Val[j]
 			}
 		}
-		if got := scoreCRC(scores); got != ap.FullCRC {
-			return nil, 0, badFrame("%q post-patch CRC %#x, builder says %#x: patched state is not byte-identical to a full pull", ap.Algo, got, ap.FullCRC)
+		if got := scoreCRC(scores); got != s.crc {
+			return nil, 0, badFrame("%q CRC %#x, builder says %#x: the state is not byte-identical to the builder's", s.algo, got, s.crc)
 		}
-		sets[ap.Algo] = server.NewScoreSetSolved(scores, ap.Stats, ap.SolveTime, ap.Warm)
+		sets[s.algo] = server.NewScoreSetSolved(scores, s.stats, s.solveTime, s.warm)
 	}
-	snap, err = server.NewSnapshot(d.Corpus, base.LabelsView(), base.PageCountsView(), d.KappaTopK, sets, d.BuiltAt)
+	snap, err = server.NewSnapshot(f.corpus, labels, pages, f.kappaTopK, sets, f.builtAt)
 	return snap, shared, err
 }
 
@@ -660,7 +568,7 @@ func (d *Delta) apply(base *server.Snapshot, baseMeta uint32) (snap *server.Snap
 // fingerprint matches the builder's for the version it reports.
 func Fingerprint(snap *server.Snapshot) uint64 {
 	var w wbuf
-	w.u32(MetaCRC(snap))
+	w.u32(metaCRC(snap))
 	w.uvarint(uint64(snap.KappaTopK()))
 	for _, algo := range snap.Algos() {
 		w.str(string(algo))

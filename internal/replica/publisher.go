@@ -18,10 +18,11 @@ import (
 // at GET /v1/replica/snapshot via server.Config.SyncHandler. Replicas
 // advertise the version they hold with If-None-Match (the serving
 // layer's `"v<N>"` ETags); the publisher answers 304 when they are
-// current, a sparse delta frame when the advertised version is still in
-// its history ring and compatible, and a full frame otherwise. Every
-// body is wrapped by durable.Frame, so receipt verification catches
-// truncation and corruption end to end.
+// current, a frame over that version when it is still in its history
+// ring and carries the newest snapshot (a delta), and a frame with no
+// base otherwise (a full transfer). Every body is wrapped by
+// durable.Frame, so receipt verification catches truncation and
+// corruption end to end.
 type Publisher struct {
 	store   *server.Store
 	history int
@@ -29,24 +30,17 @@ type Publisher struct {
 	rnd func() float64
 
 	mu   sync.Mutex
-	ring []pubEntry // most recent last; len <= history
+	ring []entry // most recent last; len <= history
 	meta metaMemo
-	// cur caches the framed encodings for the newest observed snapshot,
-	// keyed by (haveVersion) for deltas so a fleet of replicas at the
-	// same version shares one encoding.
-	curVersion uint64
-	curFull    []byte
-	curDeltas  map[uint64][]byte
+	// frames caches the framed encodings of the newest snapshot, keyed by
+	// the base version each was encoded over (0 for none), so a fleet of
+	// replicas at one version shares one encoding.
+	frames map[uint64][]byte
 
 	fulls       atomic.Uint64
 	deltas      atomic.Uint64
 	notModified atomic.Uint64
 	unavailable atomic.Uint64
-}
-
-type pubEntry struct {
-	snap *server.Snapshot
-	meta uint32 // MetaCRC(snap), computed when the entry is observed
 }
 
 // NewPublisher serves snapshots from store, keeping the last history
@@ -80,15 +74,11 @@ func (p *Publisher) observe() *server.Snapshot {
 	if n > 0 && p.ring[n-1].snap.Version() >= cur.Version() {
 		return p.ring[n-1].snap
 	}
-	p.ring = append(p.ring, pubEntry{snap: cur, meta: p.meta.crc(cur)})
+	p.ring = append(p.ring, entry{snap: cur, meta: p.meta.crc(cur)})
 	if len(p.ring) > p.history {
 		p.ring = p.ring[len(p.ring)-p.history:]
 	}
-	if cur.Version() != p.curVersion {
-		p.curVersion = cur.Version()
-		p.curFull = nil
-		p.curDeltas = nil
-	}
+	p.frames = make(map[uint64][]byte)
 	return cur
 }
 
@@ -133,9 +123,11 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	body, encoding := p.respond(cur, have, r.URL.Query().Get("full") != "")
+	body, from := p.respond(have, r.URL.Query().Get("full") != "")
 	p.mu.Unlock()
-	if encoding == "delta" {
+	encoding := "full"
+	if from != 0 {
+		encoding = "delta"
 		p.deltas.Add(1)
 	} else {
 		p.fulls.Add(1)
@@ -149,32 +141,22 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // respond picks and caches the framed body for a replica holding
-// `have`. Called under p.mu; the returned slice is immutable.
-func (p *Publisher) respond(cur *server.Snapshot, have uint64, forceFull bool) (body []byte, encoding string) {
-	if !forceFull && have != 0 && have < cur.Version() {
-		if b, ok := p.curDeltas[have]; ok {
-			return b, "delta"
-		}
-		curMeta := p.ring[len(p.ring)-1].meta // observe left cur as the newest entry
-		for _, e := range p.ring {
-			if e.snap.Version() != have {
-				continue
-			}
-			if payload := encodeDelta(e.snap, cur, e.meta, curMeta); payload != nil {
-				b := durable.Frame(payload)
-				if p.curDeltas == nil {
-					p.curDeltas = make(map[uint64][]byte)
-				}
-				p.curDeltas[have] = b
-				return b, "delta"
-			}
-			break
+// `have`: over that version when the ring still holds it and it carries
+// the newest snapshot, else over no base; from is the base version (0
+// for none). Called under p.mu after observe; the returned slice is
+// immutable.
+func (p *Publisher) respond(have uint64, forceFull bool) (body []byte, from uint64) {
+	cur := &p.ring[len(p.ring)-1]
+	var base *entry
+	for i := range p.ring[:len(p.ring)-1] {
+		if e := &p.ring[i]; !forceFull && e.snap.Version() == have && e.carries(cur) {
+			base, from = e, have
 		}
 	}
-	if p.curFull == nil {
-		p.curFull = durable.Frame(EncodeFull(cur))
+	if p.frames[from] == nil {
+		p.frames[from] = durable.Frame(encode(base, cur))
 	}
-	return p.curFull, "full"
+	return p.frames[from], from
 }
 
 // retryAfter returns a small jittered Retry-After value (seconds) so a

@@ -2,7 +2,6 @@ package replica
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -21,9 +20,9 @@ const maxFrameBytes = 1 << 30
 
 // Puller is the replica-side sync loop: it pulls snapshot frames from a
 // builder's /v1/replica/snapshot endpoint, verifies the durable CRC
-// trailer on the raw bytes before decoding, applies full frames or
-// patches deltas over the current snapshot (proving the patched state
-// byte-identical to a full pull via the frame's post-patch CRCs), and
+// trailer on the raw bytes before decoding, applies each frame alone or
+// over the current snapshot (proving every resulting vector
+// byte-identical to the builder's via the frame's section CRCs), and
 // hot-swaps the result into Store with the builder's version number so
 // fleet skew is observable. A failed or torn transfer never disturbs
 // the serving snapshot.
@@ -71,7 +70,7 @@ type Puller struct {
 	tornRejected atomic.Uint64
 	regressions  atomic.Uint64
 	setsShared   atomic.Uint64
-	// meta remembers the serving snapshot's MetaCRC across delta syncs.
+	// meta remembers the serving snapshot's metaCRC across delta syncs.
 	meta metaMemo
 	// forceFull requests an unconditioned full pull on the next attempt;
 	// set after any verification or delta-application failure so a
@@ -289,7 +288,16 @@ func (p *Puller) SyncNow(ctx context.Context) error {
 		p.forceFull.Store(true)
 		return p.fail(fmt.Errorf("replica: transfer verification: %w", err))
 	}
-	snap, encoding, shared, err := p.decode(payload, cur)
+	f, err := decode(payload)
+	var snap *server.Snapshot
+	var shared int
+	if err == nil {
+		var baseMeta uint32
+		if f.from != 0 && cur != nil {
+			baseMeta = p.meta.crc(cur)
+		}
+		snap, shared, err = f.apply(cur, baseMeta)
+	}
 	if err != nil {
 		if errors.Is(err, ErrFrame) {
 			p.tornRejected.Add(1)
@@ -297,7 +305,7 @@ func (p *Puller) SyncNow(ctx context.Context) error {
 		p.forceFull.Store(true)
 		return p.fail(err)
 	}
-	version := snapVersionOf(payload)
+	version := f.version
 	if err := p.Store.PublishExternal(snap, version); err != nil {
 		// A version regression (builder restarted behind us) is not
 		// recoverable by re-pulling the same version; count it and wait
@@ -309,7 +317,9 @@ func (p *Puller) SyncNow(ctx context.Context) error {
 	p.touch()
 	p.version.Store(version)
 	p.bytesTotal.Add(uint64(len(framed)))
-	if encoding == "delta" {
+	encoding := "full"
+	if f.from != 0 {
+		encoding = "delta"
 		p.deltaSyncs.Add(1)
 		p.setsShared.Add(uint64(shared))
 	} else {
@@ -324,48 +334,4 @@ func (p *Puller) SyncNow(ctx context.Context) error {
 func (p *Puller) touch() {
 	p.failures.Store(0)
 	p.lastSyncNS.Store(time.Now().UnixNano())
-}
-
-// decode turns a verified payload into a publishable snapshot; shared
-// is the number of score sets a delta carried over unpatched.
-func (p *Puller) decode(payload []byte, cur *server.Snapshot) (snap *server.Snapshot, encoding string, shared int, err error) {
-	kind, err := FrameKind(payload)
-	if err != nil {
-		return nil, "", 0, err
-	}
-	if kind == KindFull {
-		f, err := DecodeFull(payload)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		snap, err = f.Snapshot()
-		return snap, "full", 0, err
-	}
-	d, err := DecodeDelta(payload)
-	if err != nil {
-		return nil, "", 0, err
-	}
-	if cur == nil {
-		return nil, "", 0, badFrame("delta frame received with no local snapshot")
-	}
-	snap, shared, err = d.apply(cur, p.meta.crc(cur))
-	return snap, "delta", shared, err
-}
-
-// snapVersionOf reads the version field out of a verified payload
-// (offset 6 for full frames; deltas carry fromVersion first, then the
-// body's version at offset 14).
-func snapVersionOf(payload []byte) uint64 {
-	kind, err := FrameKind(payload)
-	if err != nil {
-		return 0
-	}
-	off := 6
-	if kind == KindDelta {
-		off = 14
-	}
-	if len(payload) < off+8 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(payload[off:])
 }

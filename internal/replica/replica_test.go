@@ -64,7 +64,7 @@ func TestPullerFullThenNotModifiedThenDelta(t *testing.T) {
 	if p.DeltaSyncs() != 1 {
 		t.Fatalf("DeltaSyncs = %d, want 1 (fulls=%d)", p.DeltaSyncs(), p.FullSyncs())
 	}
-	if string(EncodeFull(rst.Current())) != string(EncodeFull(bst.Current())) {
+	if string(fullFrame(rst.Current())) != string(fullFrame(bst.Current())) {
 		t.Fatal("delta-synced replica is not byte-identical to the builder")
 	}
 	var served strings.Builder

@@ -198,6 +198,9 @@ func NewSnapshot(corpus CorpusInfo, labels []string, pageCount []int, kappaTopK 
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("server: snapshot needs at least one score set")
 	}
+	if len(pageCount) != len(labels) {
+		return nil, fmt.Errorf("server: %d page counts for %d sources", len(pageCount), len(labels))
+	}
 	for algo, ss := range sets {
 		if len(ss.scores) != len(labels) {
 			return nil, fmt.Errorf("server: %s has %d scores for %d sources", algo, len(ss.scores), len(labels))

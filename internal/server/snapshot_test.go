@@ -33,6 +33,21 @@ func testSnapshot(t *testing.T, algo Algo, scores []float64) *Snapshot {
 	return snap
 }
 
+// TestNewSnapshotRejectsPageCountMismatch: a snapshot serves one page
+// count per source, so labels and page counts of different lengths are
+// refused rather than published.
+func TestNewSnapshotRejectsPageCountMismatch(t *testing.T) {
+	sets := map[Algo]*ScoreSet{AlgoSRSR: NewScoreSet(linalg.Vector{0.5, 0.5}, linalg.IterStats{Converged: true})}
+	for _, pages := range [][]int{{1}, {1, 2, 3}, nil} {
+		if _, err := NewSnapshot(CorpusInfo{}, []string{"a", "b"}, pages, 0, sets, time.Now()); err == nil {
+			t.Errorf("%d page counts for 2 sources accepted", len(pages))
+		}
+	}
+	if _, err := NewSnapshot(CorpusInfo{}, []string{"a", "b"}, []int{1, 2}, 0, sets, time.Now()); err != nil {
+		t.Fatalf("matching lengths refused: %v", err)
+	}
+}
+
 func TestScoreSetIndex(t *testing.T) {
 	scores := []float64{0.1, 0.5, 0.3, 0.5, 0.0}
 	ss := NewScoreSet(linalg.Vector(scores), linalg.IterStats{})
