@@ -266,3 +266,33 @@ func BenchmarkDeltaSyncUnchanged(b *testing.B) {
 	}
 	b.ReportMetric(float64(frame), "frame-B")
 }
+
+// BenchmarkFullSync is a replica's cold start: a store with nothing
+// served pulls a frame with no base through Puller.SyncNow over an
+// in-process transport, decodes it and publishes it, finalize included.
+// One untimed sync first fills the publisher's frame cache and
+// encoding/json's per-type caches, so that CI's 1x run counts what a
+// sync allocates; one allocation per label or per score (9,822 each at
+// the benchmark's corpus) means a per-entry path is back in decode,
+// apply or finalize.
+func BenchmarkFullSync(b *testing.B) {
+	bst := server.NewStore(nil)
+	bst.Publish(rawSnapshot(b, benchSources, 41))
+	client := &http.Client{Transport: handlerTransport{NewPublisher(bst, 8)}}
+	ctx := context.Background()
+	pull := func() *Puller {
+		p := &Puller{Builder: "http://builder", Store: server.NewStore(nil), Client: client}
+		if err := p.SyncNow(ctx); err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	pull()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p := pull(); p.FullSyncs() != 1 {
+			b.Fatalf("%d full syncs", p.FullSyncs())
+		}
+	}
+}

@@ -393,6 +393,29 @@ func (r *rbuf) str() string {
 	return string(b)
 }
 
+// labels reads n length-prefixed strings in two allocations: the slice
+// and one string, the run they span copied once, of which every label is
+// a substring. The first pass checks each length against the bytes
+// present; the second re-reads the checked prefixes.
+func (r *rbuf) labels(n int) []string {
+	start := r.off
+	for i := 0; i < n && r.err == nil; i++ {
+		r.take(r.count(uint64(len(r.b)), 1, "string byte"))
+	}
+	if r.err != nil {
+		return nil
+	}
+	run := string(r.b[start:r.off])
+	labels := make([]string, n)
+	for i, at := 0, 0; i < n; i++ {
+		l, k := binary.Uvarint(r.b[start+at:])
+		at += k
+		labels[i] = run[at : at+int(l)]
+		at += int(l)
+	}
+	return labels
+}
+
 func (r *rbuf) boolean() bool {
 	switch r.u8() {
 	case 0:
@@ -446,10 +469,7 @@ func decode(payload []byte) (*frame, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		f.labels = make([]string, f.n)
-		for i := range f.labels {
-			f.labels[i] = r.str()
-		}
+		f.labels = r.labels(f.n)
 		f.pageCount = make([]int, f.n)
 		for i := range f.pageCount {
 			f.pageCount[i] = int(r.uvarint())

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 )
 
 // maxTopK caps the n accepted by /v1/topk; larger requests are clamped
@@ -180,6 +183,16 @@ func SameArray[T any](a, b []T) bool {
 // vector changed — the first publish of a lineage included, where that
 // is every algorithm.
 //
+// That work is 1+2k tasks over k algorithms: the label work, then each
+// algorithm's index and score texts, then each algorithm's top-k and
+// /v1/rank heads, which wait for the label work and their own index.
+// Workers claim tasks in that order, so a render only ever waits on tasks
+// already running. A first publish (prev == nil) runs them on GOMAXPROCS
+// workers: nothing is served yet, so there is no reader to starve. A
+// publish over a served snapshot runs them on one, leaving the readers
+// their cores. The caches and outcome counts are filled after the join in
+// Algos() order, so they do not depend on the worker count.
+//
 // Everything else is rendered by cache_delta.go, defensively: heads come
 // from the encoder, one entry per document kind is probed against an
 // encoder rendering, and on any mismatch that piece of the cache is
@@ -193,10 +206,11 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 		scores: make(map[Algo]*textArena, len(s.sets)),
 	}
 	c.etagHdr = []string{c.etag}
-	var buf bytes.Buffer
 	old := &respCache{} // prev's cache; empty when there is nothing to carry
 	sameLabels := false
+	workers := runtime.GOMAXPROCS(0)
 	if prev != nil {
+		workers = 1
 		sameLabels = SameArray(s.labels, prev.labels)
 		if prev.resp != nil {
 			old = prev.resp
@@ -205,46 +219,81 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 	if sameLabels {
 		s.shareLabelIndex(prev)
 	}
-	s.labelIndex()
-	c.labels = labelCacheFor(s.labels, old.labels)
 	n := s.NumSources()
-	if c.digits = old.digits; c.digits == nil || len(c.digits.offs) != n+2 {
-		c.digits = decimals(n)
-	}
-	for _, algo := range s.Algos() {
-		ss := s.sets[algo]
-		var sc *textArena
-		var fromTopK *topkCache
+	algos := s.Algos()
+	parts := make([]algoParts, len(algos))
+	for i, algo := range algos {
+		p := &parts[i]
+		p.indexed = make(chan struct{})
 		if prev != nil {
-			if pss := prev.sets[algo]; pss != nil && SameArray(ss.scores, pss.scores) {
-				ss.shareIndex(pss)
-				if sc = old.scores[algo]; sameLabels {
-					fromTopK = old.topk[algo]
+			if pss := prev.sets[algo]; pss != nil && SameArray(s.sets[algo].scores, pss.scores) {
+				s.sets[algo].shareIndex(pss)
+				if p.sc = old.scores[algo]; sameLabels {
+					p.from = old.topk[algo]
 				}
 			}
 		}
-		order, rank := ss.index()
-		if sc == nil {
-			if sc = formatScores(ss.scores, order); sc == nil {
-				outcomes[setUncached]++ // past what int32 offsets address
-				continue
+	}
+	labeled := make(chan struct{})
+	var next atomic.Int32
+	work := func(buf *bytes.Buffer) {
+		for t := int(next.Add(1)) - 1; t <= 2*len(algos); t = int(next.Add(1)) - 1 {
+			switch {
+			case t == 0:
+				s.labelIndex()
+				c.labels = labelCacheFor(s.labels, old.labels)
+				if c.digits = old.digits; c.digits == nil || len(c.digits.offs) != n+2 {
+					c.digits = decimals(n)
+				}
+				close(labeled)
+			case t <= len(algos):
+				p, ss := &parts[t-1], s.sets[algos[t-1]]
+				order, rank := ss.index()
+				if p.rank = rank; p.sc == nil {
+					p.sc = formatScores(ss.scores, order) // nil past what int32 offsets address
+				}
+				close(p.indexed)
+			default:
+				algo, p := algos[t-1-len(algos)], &parts[t-1-len(algos)]
+				<-labeled
+				<-p.indexed
+				if p.sc == nil {
+					continue
+				}
+				p.tc = s.renderTopK(buf, algo, c.labels, c.digits, p.sc, p.from)
+				if n > 0 {
+					p.rd = s.rankHead(buf, algo, c, &rankDoc{scores: p.sc, rank: p.rank})
+				}
 			}
 		}
-		c.scores[algo] = sc
-		tc := s.renderTopK(&buf, algo, c.labels, c.digits, sc, fromTopK)
-		if tc != nil {
-			c.topk[algo] = tc
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, 1+len(algos)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf bytes.Buffer
+			work(&buf)
+		}()
+	}
+	var buf bytes.Buffer
+	work(&buf)
+	wg.Wait()
+	for i, algo := range algos {
+		p := &parts[i]
+		if p.sc != nil {
+			c.scores[algo] = p.sc
 		}
-		var rd *rankDoc
-		if n > 0 {
-			if rd = s.rankHead(&buf, algo, c, &rankDoc{scores: sc, rank: rank}); rd != nil {
-				c.rank[algo] = rd
-			}
+		if p.tc != nil {
+			c.topk[algo] = p.tc
+		}
+		if p.rd != nil {
+			c.rank[algo] = p.rd
 		}
 		switch {
-		case tc == nil || (n > 0 && rd == nil):
+		case p.tc == nil || (n > 0 && p.rd == nil):
 			outcomes[setUncached]++
-		case fromTopK != nil:
+		case p.from != nil:
 			outcomes[setReused]++
 		default:
 			outcomes[setRendered]++
@@ -255,6 +304,16 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 	}
 	s.resp = c
 	return outcomes
+}
+
+// algoParts is what finalize carries over or renders for one algorithm.
+type algoParts struct {
+	indexed chan struct{} // closed once rank and sc are set
+	rank    []int32
+	sc      *textArena // nil when formatScores gave up
+	from    *topkCache // prev's entries, when they still hold
+	tc      *topkCache
+	rd      *rankDoc
 }
 
 // textBytes counts the pre-rendered text c retains, offset tables

@@ -471,6 +471,95 @@ func TestHostileLabelsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestConcurrentFinalizeMatchesOneGoroutine: a first publish finalizes
+// on GOMAXPROCS workers and a publish over a served snapshot on one. On
+// hostile labels, ties and one algorithm holding a NaN score, every
+// /v1/topk and /v1/rank body and every publish outcome count must be the
+// same whichever path ran, at any GOMAXPROCS.
+func TestConcurrentFinalizeMatchesOneGoroutine(t *testing.T) {
+	const n, version = 300, 7
+	rng := rand.New(rand.NewSource(17))
+	labels, pages := make([]string, n), make([]int, n)
+	for i := range labels {
+		labels[i] = hostileLabels[i%len(hostileLabels)] + strconv.Itoa(i%40) // duplicates too
+		pages[i] = rng.Intn(3 * n)
+	}
+	scores := map[Algo]linalg.Vector{}
+	for _, algo := range DefaultAlgos {
+		v := make(linalg.Vector, n)
+		for i := range v {
+			v[i] = float64(rng.Intn(40)) / 64 // ties
+		}
+		scores[algo] = v
+	}
+	scores[AlgoTrustRank][n/2] = math.NaN()
+	content := func() *Snapshot {
+		sets := map[Algo]*ScoreSet{}
+		for algo, v := range scores {
+			sets[algo] = NewScoreSet(v, linalg.IterStats{Converged: true})
+		}
+		snap, err := NewSnapshot(CorpusInfo{Name: "hostile"}, labels, pages, 0, sets, time.Unix(1700000000, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	// publish publishes content at version over a store serving over (nil
+	// for none) and returns every body and what the publish counted.
+	publish := func(procs int, over *Snapshot) (bodies map[string]string, outcomes [numPublishOutcomes]uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		store := NewStore(over)
+		r0, d0, u0 := store.PublishSets()
+		if err := store.PublishExternal(content(), version); err != nil {
+			t.Fatal(err)
+		}
+		r, d, u := store.PublishSets()
+		h := New(store, Config{}).Handler()
+		bodies = map[string]string{}
+		get := func(path string) {
+			rec := rawGet(t, h, path, nil)
+			bodies[path] = strconv.Itoa(rec.Code) + " " + rec.Body.String()
+		}
+		get("/v1/topk")
+		for _, algo := range store.Current().Algos() {
+			for k := 0; k <= n+1; k++ {
+				get(fmt.Sprintf("/v1/topk?algo=%s&n=%d", algo, k))
+			}
+			for id := 0; id < n; id++ {
+				get(fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo))
+			}
+		}
+		return bodies, [numPublishOutcomes]uint64{r - r0, d - d0, u - u0}
+	}
+	want, wantOutcomes := publish(1, nil)
+	if wantOutcomes != [numPublishOutcomes]uint64{0, 2, 1} {
+		t.Fatalf("cold publish counted %v, want 2 rendered and the NaN set uncached", wantOutcomes)
+	}
+	unrelated := testSnapshot(t, AlgoSRSR, []float64{0.5, 0.25, 0.25})
+	for _, run := range []struct {
+		name  string
+		procs int
+		over  *Snapshot
+	}{
+		{"cold GOMAXPROCS=2", 2, nil},
+		{"cold GOMAXPROCS=4", 4, nil},
+		{"over a served snapshot", 4, unrelated},
+	} {
+		got, outcomes := publish(run.procs, run.over)
+		if outcomes != wantOutcomes {
+			t.Errorf("%s: counted %v, GOMAXPROCS=1 counted %v", run.name, outcomes, wantOutcomes)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d bodies, want %d", run.name, len(got), len(want))
+		}
+		for path, body := range want {
+			if got[path] != body {
+				t.Fatalf("%s %s:\n%s\nGOMAXPROCS=1 cold publish:\n%s", run.name, path, got[path], body)
+			}
+		}
+	}
+}
+
 // TestNonFiniteScoresDropCaches pins what a score the encoder refuses
 // does to a publish: a NaN or +Inf in the top k drops its algorithm's
 // top-k cache, which counts as uncached and is served (or refused) by

@@ -271,16 +271,21 @@ func TestQueryValueFastPath(t *testing.T) {
 // (no timeout configured) must not allocate at all. The rank case also
 // runs across a forced GC, which drops what the pools hold: the requests
 // after it must go back to allocating nothing, so the pooled assembly
-// buffer cannot hide a per-request allocation.
+// buffer cannot hide a per-request allocation. The default-algorithm
+// cases run on a snapshot without SRSR, which resolves its default to
+// the first of its algorithms.
 func TestCachedPathZeroAlloc(t *testing.T) {
-	snap := testSnapshot(t, AlgoSRSR, []float64{0.1, 0.5, 0.3, 0.08, 0.02})
-	srv := New(NewStore(snap), Config{})
+	srv := New(NewStore(testSnapshot(t, AlgoSRSR, []float64{0.1, 0.5, 0.3, 0.08, 0.02})), Config{})
+	plain := New(NewStore(testSnapshot(t, AlgoPageRank, []float64{0.1, 0.5, 0.3, 0.08, 0.02})), Config{})
 
 	topk := srv.instrument(epTopK, true, srv.handleTopK)
 	topkReq := httptest.NewRequest(http.MethodGet, "/v1/topk?n=3&algo=srsr", nil)
 	rank := srv.instrument(epRank, true, srv.handleRank)
 	rankReq := httptest.NewRequest(http.MethodGet, "/v1/rank/2", nil)
 	rankReq.SetPathValue("source", "2")
+	plainTopK := plain.instrument(epTopK, true, plain.handleTopK)
+	plainTopKReq := httptest.NewRequest(http.MethodGet, "/v1/topk?n=3", nil)
+	plainRank := plain.instrument(epRank, true, plain.handleRank)
 	w := newBenchResponseWriter()
 	gcAt := 0
 
@@ -294,6 +299,8 @@ func TestCachedPathZeroAlloc(t *testing.T) {
 			}
 			rank.ServeHTTP(w, rankReq)
 		},
+		"topk default algo without srsr": func() { plainTopK.ServeHTTP(w, plainTopKReq) },
+		"rank default algo without srsr": func() { plainRank.ServeHTTP(w, rankReq) },
 	} {
 		// Warm the recorder pool and header map outside the measurement.
 		run()

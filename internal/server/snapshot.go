@@ -185,6 +185,7 @@ type Snapshot struct {
 	pageCount   []int
 	kappaTopK   int
 	sets        map[Algo]*ScoreSet
+	algos       []Algo // the keys of sets, sorted
 	// resp holds the pre-encoded hot-path response bodies. It is built
 	// by Store.Publish (via finalize) before the snapshot becomes
 	// visible to readers, and never mutated afterwards; nil on
@@ -207,6 +208,11 @@ func NewSnapshot(corpus CorpusInfo, labels []string, pageCount []int, kappaTopK 
 		}
 	}
 	corpus.Sources = len(labels)
+	algos := make([]Algo, 0, len(sets))
+	for a := range sets {
+		algos = append(algos, a)
+	}
+	slices.Sort(algos)
 	return &Snapshot{
 		builtAt:   builtAt,
 		corpus:    corpus,
@@ -214,6 +220,7 @@ func NewSnapshot(corpus CorpusInfo, labels []string, pageCount []int, kappaTopK 
 		pageCount: pageCount,
 		kappaTopK: kappaTopK,
 		sets:      sets,
+		algos:     algos,
 	}, nil
 }
 
@@ -270,15 +277,9 @@ func (s *Snapshot) LabelsView() []string { return s.labels }
 // read-only, same contract as LabelsView.
 func (s *Snapshot) PageCountsView() []int { return s.pageCount }
 
-// Algos lists the available algorithms in stable order.
-func (s *Snapshot) Algos() []Algo {
-	out := make([]Algo, 0, len(s.sets))
-	for a := range s.sets {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	return out
-}
+// Algos lists the available algorithms in sorted order, without
+// copying: read-only, same contract as LabelsView.
+func (s *Snapshot) Algos() []Algo { return s.algos }
 
 // Set returns the score set for algo, or nil.
 func (s *Snapshot) Set(algo Algo) *ScoreSet { return s.sets[algo] }
