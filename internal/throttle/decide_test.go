@@ -189,10 +189,11 @@ func TestProximityOperatorAliasesStructure(t *testing.T) {
 	structure := sg.Structure()
 	rowPtr, cols := structure.Parts()
 	n, nnz := uint64(len(rowPtr)-1), uint64(len(cols))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocatedUnder(operatorFunc)
 	pt, _, err := proximityOperator(structure, ds.SpamSources, nil)
-	runtime.ReadMemStats(&after)
+	allocated := allocatedUnder(operatorFunc) - before
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +206,39 @@ func TestProximityOperatorAliasesStructure(t *testing.T) {
 	// Vals, the seed vector d and the in-degree counts take 8·nnz + 16·n
 	// bytes before size-class rounding; a copied RowPtr and Cols would add
 	// 8(n+1) + 4·nnz more, so the limit sits halfway between.
-	if got, limit := after.TotalAlloc-before.TotalAlloc, 8*nnz+16*n+(4*nnz+8*n)/2; got > limit {
+	if got, limit := allocated, 8*nnz+16*n+(4*nnz+8*n)/2; got > limit {
 		t.Fatalf("proximityOperator allocated %d bytes over %d sources and %d entries, want at most %d", got, n, nnz, limit)
 	}
+}
+
+const operatorFunc = "sourcerank/internal/throttle.proximityOperator"
+
+// allocatedUnder is the bytes the memory profile has recorded on stacks
+// through function fn. Counting by stack leaves out what the runtime
+// allocates beside the call, such as the m and g0 of a thread it starts
+// when a stop-the-world ends. Every allocation is recorded only while
+// runtime.MemProfileRate is 1.
+func allocatedUnder(fn string) uint64 {
+	runtime.GC() // the profile publishes an allocation within two cycles
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total uint64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			if f, more = frames.Next(); f.Function == fn {
+				total += uint64(r.AllocBytes)
+				break
+			}
+		}
+	}
+	return total
 }
 
 // TestDecideTopKMatchesOracle: wherever the fixed point's own gap clears
