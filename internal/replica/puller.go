@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,11 @@ import (
 // maxFrameBytes bounds how much of a sync response a puller will buffer
 // before verification; a builder response past it is treated as torn.
 const maxFrameBytes = 1 << 30
+
+// maxPresizeBytes bounds what a sync response's Content-Length may
+// reserve before its body arrives, so a lying header cannot allocate up
+// to maxFrameBytes up front; a longer frame grows past it as it is read.
+const maxPresizeBytes = 64 << 20
 
 // Puller is the replica-side sync loop: it pulls snapshot frames from a
 // builder's /v1/replica/snapshot endpoint, verifies the durable CRC
@@ -272,10 +278,17 @@ func (p *Puller) SyncNow(ctx context.Context) error {
 		return p.fail(fmt.Errorf("replica: builder returned %s", resp.Status))
 	}
 
-	framed, err := io.ReadAll(io.LimitReader(resp.Body, maxFrameBytes+1))
-	if err != nil {
+	// Read to EOF, not to Content-Length: a body cut short under a stale
+	// header must reach durable.Verify and count as torn. Room for the
+	// announced length plus one read lets the frame arrive without regrowth.
+	var body bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxPresizeBytes {
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(io.LimitReader(resp.Body, maxFrameBytes+1)); err != nil {
 		return p.fail(fmt.Errorf("replica: read sync body: %w", err))
 	}
+	framed := body.Bytes()
 	if len(framed) > maxFrameBytes {
 		p.tornRejected.Add(1)
 		return p.fail(fmt.Errorf("replica: sync body exceeds %d bytes", maxFrameBytes))

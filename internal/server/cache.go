@@ -74,14 +74,15 @@ func (c *topkCache) writeTo(w io.Writer, n int, digits *textArena) {
 	w.Write(topkTail)
 }
 
-// rankDoc is what /v1/rank assembles one algorithm's bodies from on
-// request: the version-bearing head, that algorithm's score texts and
-// rank index; the escaped labels, decimals and page counts are the
-// snapshot's. Only the head is rendered per publish.
+// rankDoc is what /v1/rank and /v1/compare assemble one algorithm's
+// bodies from on request: the version-bearing heads, that algorithm's
+// score texts and rank index; the escaped labels, decimals and page
+// counts are the snapshot's. Only the heads are rendered per publish.
 type rankDoc struct {
-	head   []byte // document start through `"source": ` (version and algo baked in)
-	scores *textArena
-	rank   []int32 // ScoreSet.rank
+	head    []byte // document start through `"source": ` (version and algo baked in)
+	compare []byte // /v1/compare's, through a's `"source": `; nil when its probe failed
+	scores  *textArena
+	rank    []int32 // ScoreSet.rank
 }
 
 // finite reports whether source id's score has text, that is whether the
@@ -112,15 +113,52 @@ func (c *respCache) appendRank(b []byte, d *rankDoc, id int32, pages []int) []by
 	return append(b, rankClose...)
 }
 
-// writeRank writes source id's whole /v1/rank document in one call,
-// assembled in the scratch buffer of w when w is the instrumented
-// route's pooled recorder, so the request allocates nothing.
-func (c *respCache) writeRank(w http.ResponseWriter, d *rankDoc, id int32, pages []int) {
-	rec, ok := w.(*statusRecorder)
-	if !ok {
-		rec = &statusRecorder{} // a throwaway buffer for an uninstrumented caller
+// appendCompare appends the rest of the /v1/compare document of sources
+// a and b — all that follows the compare head — to buf, with ratio as
+// its score_ratio.
+func (c *respCache) appendCompare(buf []byte, d *rankDoc, a, b int32, ratio float64) []byte {
+	for i, id := range [2]int32{a, b} {
+		if i > 0 {
+			buf = append(buf, compareB...)
+		}
+		p := int(d.rank[id])
+		buf = append(buf, c.digits.at(int(id))...)
+		buf = append(buf, compareLabel...)
+		buf = append(buf, c.labels.esc[id]...)
+		buf = append(buf, compareScore...)
+		buf = append(buf, d.scores.at(p)...)
+		buf = append(buf, compareRank...)
+		buf = append(buf, c.digits.at(p+1)...)
 	}
+	buf = append(buf, compareRatio...)
+	buf = appendJSONFloat(buf, ratio)
+	buf = append(buf, compareDelta...)
+	buf = strconv.AppendInt(buf, int64(d.rank[b])-int64(d.rank[a]), 10)
+	return append(buf, rankClose...)
+}
+
+// recorderOf returns the instrumented route's pooled recorder behind w,
+// whose scratch buffer a body is assembled in so the request allocates
+// nothing; a throwaway one for an uninstrumented caller.
+func recorderOf(w http.ResponseWriter) *statusRecorder {
+	if rec, ok := w.(*statusRecorder); ok {
+		return rec
+	}
+	return &statusRecorder{}
+}
+
+// writeRank writes source id's whole /v1/rank document in one call.
+func (c *respCache) writeRank(w http.ResponseWriter, d *rankDoc, id int32, pages []int) {
+	rec := recorderOf(w)
 	rec.buf = c.appendRank(append(rec.buf[:0], d.head...), d, id, pages)
+	w.Write(rec.buf)
+}
+
+// writeCompare writes the whole /v1/compare document of a and b in one
+// call.
+func (c *respCache) writeCompare(w http.ResponseWriter, d *rankDoc, a, b int32, ratio float64) {
+	rec := recorderOf(w)
+	rec.buf = c.appendCompare(append(rec.buf[:0], d.compare...), d, a, b, ratio)
 	w.Write(rec.buf)
 }
 
@@ -177,17 +215,17 @@ func SameArray[T any](a, b []T) bool {
 // label map and the escaped-label bytes; a shared score vector carries
 // its rank index and score texts; and when labels are shared as well, it
 // carries the rendered top-k entries, leaving only the version-bearing
-// heads to encode. /v1/rank bodies are assembled per request from those
-// parts, so nothing of them is rendered here but the head. A publish
-// thus costs the heads plus one index-format-render per algorithm whose
-// vector changed — the first publish of a lineage included, where that
-// is every algorithm.
+// heads to encode. /v1/rank and /v1/compare bodies are assembled per
+// request from those parts, so nothing of them is rendered here but the
+// heads. A publish thus costs the heads plus one index-format-render per
+// algorithm whose vector changed — the first publish of a lineage
+// included, where that is every algorithm.
 //
 // That work is 1+2k tasks over k algorithms: the label work, then each
-// algorithm's index and score texts, then each algorithm's top-k and
-// /v1/rank heads, which wait for the label work and their own index.
-// Workers claim tasks in that order, so a render only ever waits on tasks
-// already running. A first publish (prev == nil) runs them on GOMAXPROCS
+// algorithm's index and score texts, then each algorithm's top-k,
+// /v1/rank and /v1/compare heads, which wait for the label work and
+// their own index. Workers claim tasks in that order, so a render only
+// ever waits on tasks already running. A first publish (prev == nil) runs them on GOMAXPROCS
 // workers: nothing is served yet, so there is no reader to starve. A
 // publish over a served snapshot runs them on one, leaving the readers
 // their cores. The caches and outcome counts are filled after the join in
@@ -262,7 +300,9 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 				}
 				p.tc = s.renderTopK(buf, algo, c.labels, c.digits, p.sc, p.from)
 				if n > 0 {
-					p.rd = s.rankHead(buf, algo, c, &rankDoc{scores: p.sc, rank: p.rank})
+					if p.rd = s.rankHead(buf, algo, c, &rankDoc{scores: p.sc, rank: p.rank}); p.rd != nil {
+						s.compareHead(buf, algo, c, p.rd)
+					}
 				}
 			}
 		}
@@ -317,8 +357,8 @@ type algoParts struct {
 }
 
 // textBytes counts the pre-rendered text c retains, offset tables
-// included: top-k heads and entries, /v1/rank heads, score texts,
-// escaped labels, decimals and the /v1/snapshot body.
+// included: top-k heads and entries, /v1/rank and /v1/compare heads,
+// score texts, escaped labels, decimals and the /v1/snapshot body.
 func (c *respCache) textBytes() int {
 	size := len(c.meta) + c.digits.bytes()
 	for _, e := range c.labels.esc {
@@ -328,7 +368,7 @@ func (c *respCache) textBytes() int {
 		size += len(tc.head) + len(tc.entries) + 8*len(tc.ends)
 	}
 	for _, rd := range c.rank {
-		size += len(rd.head)
+		size += len(rd.head) + len(rd.compare)
 	}
 	for _, sc := range c.scores {
 		size += sc.bytes()

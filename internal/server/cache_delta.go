@@ -15,8 +15,9 @@ import (
 // not carried is copied together here from text formatted once per
 // publish — escaped labels, the decimals 0..n, and each rendered
 // algorithm's scores (appendJSONFloat replicates the encoder's floats).
-// /v1/rank bodies are assembled from the same text per request
-// (respCache.appendRank), so only their head is rendered here.
+// /v1/rank and /v1/compare bodies are assembled from the same text per
+// request (respCache.appendRank, appendCompare), so only their heads are
+// rendered here.
 //
 // The renderers stay defensive: the version-bearing head always comes
 // from the encoder, one full document is probed against an encoder
@@ -143,8 +144,8 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// The fixed text of one /v1/topk entry and one /v1/rank body, as the
-// encoder indents them.
+// The fixed text of one /v1/topk entry, one /v1/rank body and one
+// /v1/compare body, as the encoder indents them.
 const (
 	topkEntrySource = "\n    {\n      \"source\": "
 	topkEntryLabel  = ",\n      \"label\": "
@@ -157,6 +158,13 @@ const (
 	rankSources = ",\n  \"sources\": "
 	rankPages   = ",\n  \"pages\": "
 	rankClose   = "\n}\n"
+
+	compareLabel = ",\n    \"label\": "
+	compareScore = ",\n    \"score\": "
+	compareRank  = ",\n    \"rank\": "
+	compareB     = "\n  },\n  \"b\": {\n    \"source\": "
+	compareRatio = "\n  },\n  \"score_ratio\": "
+	compareDelta = ",\n  \"rank_delta\": "
 )
 
 // renderTopK builds algo's top-K cache. from, when finalize established
@@ -238,10 +246,30 @@ func (s *Snapshot) rankHead(buf *bytes.Buffer, algo Algo, c *respCache, d *rankD
 	if err != nil {
 		return nil
 	}
-	body := c.appendRank(nil, d, 0, s.pageCount)
+	body := c.appendRank(make([]byte, 0, len(doc)), d, 0, s.pageCount)
 	if !bytes.HasSuffix(doc, body) {
 		return nil
 	}
 	d.head = append([]byte(nil), doc[:len(doc)-len(body)]...)
 	return d
+}
+
+// compareHead completes d with its /v1/compare head the way rankHead
+// found d's own: it assembles the rest of the (0, 0) comparison, requires
+// it to end the encoder's rendering, and keeps what precedes it —
+// version, algo and a's `"source": ` key. d.compare stays nil, and
+// compare encodes per request, when the probe fails.
+func (s *Snapshot) compareHead(buf *bytes.Buffer, algo Algo, c *respCache, d *rankDoc) {
+	cmp, err := s.Compare(algo, 0, 0)
+	if err != nil {
+		return
+	}
+	doc, err := encodeIndented(buf, compareResponse{Version: s.version, Algo: algo, Comparison: cmp})
+	if err != nil {
+		return
+	}
+	body := c.appendCompare(make([]byte, 0, len(doc)), d, 0, 0, cmp.ScoreRatio)
+	if bytes.HasSuffix(doc, body) {
+		d.compare = append([]byte(nil), doc[:len(doc)-len(body)]...)
+	}
 }

@@ -87,31 +87,9 @@ func TestDeltaPublishByteIdentical(t *testing.T) {
 	if snap.resp.labels == nil {
 		t.Fatal("delta publish did not build the label cache")
 	}
+	assertCachedEqualsFallback(t, store)
 	cached, fallback := twoServers(store)
-	hc, hf := cached.Handler(), fallback.Handler()
-	total := snap.NumSources()
-	for _, algo := range snap.Algos() {
-		if snap.resp.topk[algo] == nil || snap.resp.rank[algo] == nil {
-			t.Fatalf("missing cache for %s after delta publish", algo)
-		}
-		for _, n := range []int{0, 1, 3, total, total + 1} {
-			path := fmt.Sprintf("/v1/topk?algo=%s&n=%d", algo, n)
-			a, b := rawGet(t, hc, path, nil), rawGet(t, hf, path, nil)
-			if a.Body.String() != b.Body.String() {
-				t.Fatalf("%s: delta-rendered body differs from fallback\ncached:\n%s\nfallback:\n%s",
-					path, a.Body.String(), b.Body.String())
-			}
-		}
-		for id := 0; id < total; id++ {
-			path := fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo)
-			a, b := rawGet(t, hc, path, nil), rawGet(t, hf, path, nil)
-			if a.Body.String() != b.Body.String() {
-				t.Fatalf("%s: delta-rendered body differs from fallback\ncached:\n%s\nfallback:\n%s",
-					path, a.Body.String(), b.Body.String())
-			}
-		}
-	}
-	a, b := rawGet(t, hc, "/v1/snapshot", nil), rawGet(t, hf, "/v1/snapshot", nil)
+	a, b := rawGet(t, cached.Handler(), "/v1/snapshot", nil), rawGet(t, fallback.Handler(), "/v1/snapshot", nil)
 	if a.Body.String() != b.Body.String() {
 		t.Fatalf("snapshot meta differs\ncached:\n%s\nfallback:\n%s", a.Body.String(), b.Body.String())
 	}
@@ -125,6 +103,7 @@ func TestDeltaPublishByteIdentical(t *testing.T) {
 	if third.resp.labels == nil {
 		t.Fatal("third publish did not build the label cache")
 	}
+	assertCachedEqualsFallback(t, store)
 	for i := range snap.resp.labels.esc {
 		if &third.resp.labels.esc[i][0] != &snap.resp.labels.esc[i][0] {
 			t.Fatalf("escaped label %d was re-rendered instead of reused", i)
@@ -177,7 +156,7 @@ func TestDeltaPublishWholesaleReuse(t *testing.T) {
 		}
 	}
 	cached, fallback := twoServers(store)
-	for _, path := range []string{"/v1/topk?n=5", "/v1/rank/2", "/v1/snapshot"} {
+	for _, path := range []string{"/v1/topk?n=5", "/v1/rank/2", "/v1/compare?a=2&b=5", "/v1/snapshot"} {
 		a := rawGet(t, cached.Handler(), path, nil)
 		b := rawGet(t, fallback.Handler(), path, nil)
 		if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
@@ -218,22 +197,8 @@ func TestPublishCarriesOnlyUnchangedSets(t *testing.T) {
 		second.resp.scores[AlgoSRSR] == first.resp.scores[AlgoSRSR] {
 		t.Fatal("changed algorithm shares its predecessor's index or score texts")
 	}
-	cached, fallback := twoServers(store)
-	for _, algo := range second.Algos() {
-		for n := 0; n <= second.NumSources(); n++ {
-			path := fmt.Sprintf("/v1/topk?algo=%s&n=%d", algo, n)
-			if a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil); a.Body.String() != b.Body.String() {
-				t.Fatalf("%s differs from fallback\ncached:\n%s\nfallback:\n%s", path, a.Body.String(), b.Body.String())
-			}
-		}
-		for id := 0; id < second.NumSources(); id++ {
-			path := fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo)
-			if a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil); a.Body.String() != b.Body.String() {
-				t.Fatalf("%s differs from fallback\ncached:\n%s\nfallback:\n%s", path, a.Body.String(), b.Body.String())
-			}
-		}
-	}
-	metrics := rawGet(t, cached.Handler(), "/metrics", nil).Body.String()
+	assertCachedEqualsFallback(t, store)
+	metrics := rawGet(t, New(store, Config{}).Handler(), "/metrics", nil).Body.String()
 	for _, want := range []string{
 		`srserve_publish_sets_total{outcome="reused"} 1`,
 		`srserve_publish_sets_total{outcome="rendered"} 3`,
@@ -266,7 +231,7 @@ func TestDefeatedProbeDropsCache(t *testing.T) {
 		t.Fatalf("uncached sets = %d, want 2", uncached)
 	}
 	cached, fallback := twoServers(store)
-	for _, path := range []string{"/v1/topk?n=8", "/v1/topk?n=2&algo=weird.algo", "/v1/rank/0", "/v1/rank/3?algo=weird.algo"} {
+	for _, path := range []string{"/v1/topk?n=8", "/v1/topk?n=2&algo=weird.algo", "/v1/rank/0", "/v1/rank/3?algo=weird.algo", "/v1/compare?a=1&b=3"} {
 		a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil)
 		if a.Code != http.StatusOK || a.Body.String() != b.Body.String() || strings.Contains(a.Body.String(), "forged") {
 			t.Fatalf("%s: status %d, body\n%s\nfallback:\n%s", path, a.Code, a.Body.String(), b.Body.String())
@@ -408,8 +373,9 @@ var hostileLabels = []string{
 }
 
 // assertCachedEqualsFallback compares every cached /v1/topk (n from 0
-// past the source count) and /v1/rank body of store's current snapshot
-// with the encoder fallback, and requires each cache to be present.
+// past the source count), /v1/rank and /v1/compare body of store's
+// current snapshot with the encoder fallback, and requires each cache to
+// be present. Compare runs over every ordered pair of sources.
 func assertCachedEqualsFallback(t *testing.T, store *Store) {
 	t.Helper()
 	snap := store.Current()
@@ -417,7 +383,7 @@ func assertCachedEqualsFallback(t *testing.T, store *Store) {
 	hc, hf := cached.Handler(), fallback.Handler()
 	var paths []string
 	for _, algo := range snap.Algos() {
-		if snap.resp.topk[algo] == nil || snap.resp.rank[algo] == nil {
+		if d := snap.resp.rank[algo]; snap.resp.topk[algo] == nil || d == nil || d.compare == nil {
 			t.Fatalf("v%d: missing cache for %s", snap.Version(), algo)
 		}
 		for n := 0; n <= snap.NumSources()+1; n++ {
@@ -425,6 +391,9 @@ func assertCachedEqualsFallback(t *testing.T, store *Store) {
 		}
 		for id := 0; id < snap.NumSources(); id++ {
 			paths = append(paths, fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo))
+			for b := 0; b < snap.NumSources(); b++ {
+				paths = append(paths, fmt.Sprintf("/v1/compare?a=%d&b=%d&algo=%s", id, b, algo))
+			}
 		}
 	}
 	for _, path := range paths {
@@ -565,7 +534,8 @@ func TestConcurrentFinalizeMatchesOneGoroutine(t *testing.T) {
 // top-k cache, which counts as uncached and is served (or refused) by
 // the encoder fallback; /v1/rank keeps assembling every finite source and
 // hands the refused one to the encoder, for the same status and body;
-// finite negative scores render as usual.
+// finite negative scores render as usual. /v1/compare does as /v1/rank
+// does, for every pair.
 func TestNonFiniteScoresDropCaches(t *testing.T) {
 	labels := []string{"a", "b", "c", "d"}
 	sets := map[Algo]*ScoreSet{
@@ -598,8 +568,14 @@ func TestNonFiniteScoresDropCaches(t *testing.T) {
 				t.Fatalf("%s: cached %d %q, fallback %d %q", path, a.Code, a.Body.String(), b.Code, b.Body.String())
 			}
 		}
+		var paths []string
 		for id := range labels {
-			path := fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo)
+			paths = append(paths, fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo))
+			for b := range labels {
+				paths = append(paths, fmt.Sprintf("/v1/compare?a=%d&b=%d&algo=%s", id, b, algo))
+			}
+		}
+		for _, path := range paths {
 			a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil)
 			if a.Code != b.Code || a.Body.String() != b.Body.String() {
 				t.Fatalf("%s: cached %d %q, fallback %d %q", path, a.Code, a.Body.String(), b.Code, b.Body.String())
@@ -612,6 +588,70 @@ func TestNonFiniteScoresDropCaches(t *testing.T) {
 	metrics := rawGet(t, cached.Handler(), "/metrics", nil).Body.String()
 	if want := `srserve_publish_sets_total{outcome="uncached"} 2`; !strings.Contains(metrics, want) {
 		t.Fatalf("metrics missing %q:\n%s", want, metrics)
+	}
+}
+
+// TestCompareAssembledCases pins each branch of the assembled /v1/compare
+// body against the encoder: a zero B score (ratio 0), a source compared
+// with itself, a negative rank_delta, ratios on both sides of
+// appendJSONFloat's 'e' format, a negative ratio and sources named by
+// label all take the assembled path, which the ETag header witnesses
+// (the encoder path sets none), and a matching If-None-Match gets a
+// body-less 304. A ratio that overflows to ±Inf, and a NaN score on
+// either side, take the encoder path for its status and bytes.
+func TestCompareAssembledCases(t *testing.T) {
+	labels := []string{"zero", "mid", "tiny", "huge", "max", "min", "nan", `"quoted" <&>`}
+	scores := linalg.Vector{0, 0.5, 1e-9, 1e15, 1e300, 1e-300, math.NaN(), -1e300}
+	snap, err := NewSnapshot(CorpusInfo{Name: "compare"}, labels, make([]int, len(labels)), 0,
+		map[Algo]*ScoreSet{AlgoSRSR: NewScoreSet(scores, linalg.IterStats{})}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore(snap)
+	if d := snap.resp.rank[AlgoSRSR]; d == nil || d.compare == nil {
+		t.Fatal("no compare head")
+	}
+	cached, fallback := twoServers(store)
+	hc, hf := cached.Handler(), fallback.Handler()
+	for _, tc := range []struct {
+		name, query string
+		assembled   bool
+		want        string // a fragment of the body
+	}{
+		{"B.Score == 0", "a=1&b=0", true, `"score_ratio": 0,`},
+		{"a == b", "a=1&b=1", true, `"rank_delta": 0`},
+		{"negative rank_delta", "a=2&b=3", true, `"rank_delta": -2`},
+		{"ratio below 1e-6", "a=2&b=1", true, `"score_ratio": 2e-9,`},
+		{"ratio at or above 1e21", "a=3&b=2", true, `"score_ratio": 1e+24,`},
+		{"negative ratio", "a=7&b=1", true, `"score_ratio": -2e+300,`},
+		{"by label", "a=mid&b=%22quoted%22%20%3C%26%3E", true, `"score_ratio": -5e-301,`},
+		{"ratio overflows to +Inf", "a=4&b=5", false, ""},
+		{"ratio overflows to -Inf", "a=7&b=5", false, ""},
+		{"NaN score as a", "a=6&b=1", false, ""},
+		{"NaN score as b", "a=1&b=nan", false, ""},
+	} {
+		path := "/v1/compare?" + tc.query
+		a, b := rawGet(t, hc, path, nil), rawGet(t, hf, path, nil)
+		if a.Code != b.Code || a.Body.String() != b.Body.String() {
+			t.Fatalf("%s: cached %d\n%s\nencoder %d\n%s", tc.name, a.Code, a.Body, b.Code, b.Body)
+		}
+		if a.Code != http.StatusOK || !strings.Contains(a.Body.String(), tc.want) {
+			t.Fatalf("%s: status %d, body lacks %q:\n%s", tc.name, a.Code, tc.want, a.Body)
+		}
+		etag := a.Header().Get("ETag")
+		if assembled := etag != ""; assembled != tc.assembled {
+			t.Fatalf("%s: assembled = %v, want %v", tc.name, assembled, tc.assembled)
+		}
+		if !tc.assembled {
+			continue
+		}
+		if ct := a.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s: Content-Type %q", tc.name, ct)
+		}
+		cond := rawGet(t, hc, path, map[string]string{"If-None-Match": etag})
+		if cond.Code != http.StatusNotModified || cond.Body.Len() != 0 || cond.Header().Get("ETag") != etag {
+			t.Fatalf("%s: If-None-Match %s gave %d with %d body bytes", tc.name, etag, cond.Code, cond.Body.Len())
+		}
 	}
 }
 

@@ -267,11 +267,11 @@ func TestQueryValueFastPath(t *testing.T) {
 }
 
 // TestCachedPathZeroAlloc is the allocation gate for the hot path: a
-// cached /v1/topk and /v1/rank request through the instrumented handler
-// (no timeout configured) must not allocate at all. The rank case also
-// runs across a forced GC, which drops what the pools hold: the requests
-// after it must go back to allocating nothing, so the pooled assembly
-// buffer cannot hide a per-request allocation. The default-algorithm
+// cached /v1/topk, /v1/rank and /v1/compare request through the
+// instrumented handler (no timeout configured) must not allocate at all.
+// The rank case also runs across a forced GC, which drops what the pools
+// hold: the requests after it must go back to allocating nothing, so the
+// pooled assembly buffer cannot hide a per-request allocation. The default-algorithm
 // cases run on a snapshot without SRSR, which resolves its default to
 // the first of its algorithms.
 func TestCachedPathZeroAlloc(t *testing.T) {
@@ -283,6 +283,8 @@ func TestCachedPathZeroAlloc(t *testing.T) {
 	rank := srv.instrument(epRank, true, srv.handleRank)
 	rankReq := httptest.NewRequest(http.MethodGet, "/v1/rank/2", nil)
 	rankReq.SetPathValue("source", "2")
+	compare := srv.instrument(epCompare, true, srv.handleCompare)
+	compareReq := httptest.NewRequest(http.MethodGet, "/v1/compare?a=1&b=3", nil)
 	plainTopK := plain.instrument(epTopK, true, plain.handleTopK)
 	plainTopKReq := httptest.NewRequest(http.MethodGet, "/v1/topk?n=3", nil)
 	plainRank := plain.instrument(epRank, true, plain.handleRank)
@@ -290,8 +292,9 @@ func TestCachedPathZeroAlloc(t *testing.T) {
 	gcAt := 0
 
 	for name, run := range map[string]func(){
-		"topk": func() { topk.ServeHTTP(w, topkReq) },
-		"rank": func() { rank.ServeHTTP(w, rankReq) },
+		"topk":    func() { topk.ServeHTTP(w, topkReq) },
+		"rank":    func() { rank.ServeHTTP(w, rankReq) },
+		"compare": func() { compare.ServeHTTP(w, compareReq) },
 		"rank across GC": func() {
 			if gcAt++; gcAt == 250 {
 				runtime.GC()
@@ -309,6 +312,35 @@ func TestCachedPathZeroAlloc(t *testing.T) {
 		}
 		if w.status != http.StatusOK {
 			t.Fatalf("%s: status %d", name, w.status)
+		}
+	}
+}
+
+// TestServingMixAllocsThroughRouter drives the four requests of the
+// serving mix through srv.Handler(), http.ServeMux included, which
+// TestCachedPathZeroAlloc bypasses. topk, compare and snapshot allocate
+// nothing; rank allocates once, in net/http itself: the slice holding its
+// {source} wildcard's match.
+func TestServingMixAllocsThroughRouter(t *testing.T) {
+	h := New(NewStore(testSnapshot(t, AlgoSRSR, []float64{0.1, 0.5, 0.3, 0.08, 0.02})), Config{}).Handler()
+	w := newBenchResponseWriter()
+	for _, tc := range []struct {
+		path string
+		max  float64
+	}{
+		{"/v1/topk?n=3&algo=srsr", 0},
+		{"/v1/rank/2", 1},
+		{"/v1/compare?a=1&b=3", 0},
+		{"/v1/snapshot", 0},
+	} {
+		req := httptest.NewRequest(http.MethodGet, tc.path, nil)
+		run := func() { h.ServeHTTP(w, req) }
+		run() // warm the recorder pool and header map
+		if allocs := testing.AllocsPerRun(500, run); allocs > tc.max+0.1 {
+			t.Errorf("%s through the router allocates %.2f per request, want at most %.0f", tc.path, allocs, tc.max)
+		}
+		if w.status != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.path, w.status)
 		}
 	}
 }

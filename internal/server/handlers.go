@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -379,6 +380,22 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if !okB {
 		writeError(w, http.StatusNotFound, "unknown source "+strconv.Quote(rawB))
 		return
+	}
+	if c := s.respCacheFor(snap); c != nil {
+		if d := c.rank[algo]; d != nil && d.compare != nil && d.finite(a) && d.finite(b) {
+			scores := snap.sets[algo].scores
+			// Finite scores leave an overflow to ±Inf, which the
+			// encoder refuses, as the one way to a non-finite ratio.
+			if ratio := scoreRatio(scores[a], scores[b]); !math.IsInf(ratio, 0) {
+				if notModified(w, r, c) {
+					return
+				}
+				w.Header()["Content-Type"] = jsonContentType
+				w.WriteHeader(http.StatusOK)
+				c.writeCompare(w, d, a, b, ratio)
+				return
+			}
+		}
 	}
 	cmp, err := snap.Compare(algo, a, b)
 	if err != nil {

@@ -122,7 +122,7 @@ func TestMetricsPublishCostAndCacheBytes(t *testing.T) {
 	}
 	for algo, tc := range c.topk {
 		sc := c.scores[algo]
-		want += len(tc.head) + len(tc.entries) + 8*len(tc.ends) + len(c.rank[algo].head) + len(sc.b) + 4*len(sc.offs)
+		want += len(tc.head) + len(tc.entries) + 8*len(tc.ends) + len(c.rank[algo].head) + len(c.rank[algo].compare) + len(sc.b) + 4*len(sc.offs)
 	}
 	sb.Reset()
 	m.WritePublishText(&sb, store)

@@ -114,6 +114,45 @@ func BenchmarkRankFallback(b *testing.B) {
 	}
 }
 
+// BenchmarkCompareCached measures the cached /v1/compare hot path, which
+// assembles the body from the same retained text as /v1/rank and formats
+// only the score ratio and rank delta, on the two snapshots
+// BenchmarkRankCached reads. CI gates on 0 allocs/op.
+func BenchmarkCompareCached(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		snap *Snapshot
+	}{
+		{"bench", benchSnapshot(b, 1000)},
+		{"corpus", publishBenchSnapshot(b, rand.New(rand.NewSource(1)), nil, nil)},
+	} {
+		b.Run(bc.name, func(b *testing.B) { benchCompare(b, New(NewStore(bc.snap), Config{})) })
+	}
+}
+
+// BenchmarkCompareFallback is the compare endpoint through the encoder
+// path.
+func BenchmarkCompareFallback(b *testing.B) {
+	benchCompare(b, newEncoderServer(NewStore(benchSnapshot(b, 1000))))
+}
+
+// benchCompare times /v1/compare?a=123&b=456 through srv's instrumented
+// handler.
+func benchCompare(b *testing.B, srv *Server) {
+	h := srv.instrument(epCompare, true, srv.handleCompare)
+	req := httptest.NewRequest(http.MethodGet, "/v1/compare?a=123&b=456&algo=srsr", nil)
+	w := newBenchResponseWriter()
+	h.ServeHTTP(w, req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, req)
+	}
+	if w.status != http.StatusOK {
+		b.Fatalf("status %d", w.status)
+	}
+}
+
 // BenchmarkNewScoreSet times the rank index a publish resolves for every
 // changed vector (rankIndex, an LSD radix sort) on 100 000 distinct
 // scores, and on scores quantised to 1/1000, where almost every source

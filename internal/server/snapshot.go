@@ -356,9 +356,13 @@ func (s *Snapshot) Compare(algo Algo, a, b int32) (Comparison, error) {
 	if err != nil {
 		return Comparison{}, err
 	}
-	c := Comparison{A: ea, B: eb, RankDelta: eb.Rank - ea.Rank}
-	if eb.Score != 0 {
-		c.ScoreRatio = ea.Score / eb.Score
+	return Comparison{A: ea, B: eb, ScoreRatio: scoreRatio(ea.Score, eb.Score), RankDelta: eb.Rank - ea.Rank}, nil
+}
+
+// scoreRatio is Comparison.ScoreRatio of scores a and b.
+func scoreRatio(a, b float64) float64 {
+	if b == 0 {
+		return 0
 	}
-	return c, nil
+	return a / b
 }
