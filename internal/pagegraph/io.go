@@ -9,7 +9,12 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"time"
+	"unsafe"
 
 	"sourcerank/internal/linalg"
 )
@@ -43,8 +48,10 @@ const (
 var ErrCorrupt = errors.New("pagegraph: corrupt corpus encoding")
 
 // Write serializes the page graph: header and labels through one staging
-// buffer, sourceOf as a single section, adjacency rows coalesced by a
-// linalg.SectionWriter — a handful of large writes, nothing per word.
+// buffer, sourceOf as a single section, and the adjacency as one more —
+// the arena of a graph in read form, which is that section verbatim, or
+// rows coalesced by a linalg.SectionWriter. A handful of large writes,
+// nothing per word.
 func (g *Graph) Write(w io.Writer) error {
 	le := binary.LittleEndian
 	buf := make([]byte, 0, ioBufBytes)
@@ -69,6 +76,9 @@ func (g *Graph) Write(w io.Writer) error {
 	if err := linalg.WriteSection(w, g.sourceOf); err != nil {
 		return err
 	}
+	if g.start != nil {
+		return linalg.WriteSection(w, g.arena)
+	}
 	sw := linalg.NewSectionWriter[int32](w)
 	for _, row := range g.adj {
 		sw.Append(int32(len(row)))
@@ -83,11 +93,14 @@ func (g *Graph) Write(w io.Writer) error {
 // so corrupted files surface as ErrCorrupt and truncated ones as
 // io.ErrUnexpectedEOF.
 //
-// The word sections are decoded a buffer at a time; the adjacency section
-// lands verbatim — degree words included — in one []PageID arena, and
-// each row is a view arena[lo:hi:hi] of it. Capacity equals length, so
-// AddLink on a read row reallocates that row instead of writing into its
-// neighbour, and SetOutLinks never reuses a row's storage at all.
+// The labels land in one string, of which each is a substring. The word
+// sections are read straight into their arrays; the adjacency section
+// lands verbatim — degree words included — in one []PageID arena, and the
+// graph stays in that read form (see Graph) until a mutation
+// materializes its rows. A serial walk over the degree words records
+// each row's start; the page-source and link range checks then run on
+// up to GOMAXPROCS workers, and the error reported is the one at the
+// lowest page, whatever the worker count.
 //
 // Nothing is allocated on the header's word alone. When r exposes how
 // many bytes it holds (Len, or Stat on a regular file) the declared
@@ -124,6 +137,13 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	}
 
 	g := &Graph{numLinks: int64(links)}
+	// The label section, length words included, lands in one string. A
+	// sized input bounds it by what the word sections leave, so that
+	// string is allocated once; otherwise it doubles as bytes arrive.
+	var text strings.Builder
+	if d.sized {
+		text.Grow(int(have - ioHeaderLen - 4*int64(2*pages+links)))
+	}
 	for s := uint64(0); s < sources; s++ {
 		b, err := d.br.Peek(4)
 		if err != nil {
@@ -136,46 +156,120 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 		if b, err = d.br.Peek(4 + int(n)); err != nil {
 			return nil, fmt.Errorf("pagegraph: reading label: %w", noEOF(err))
 		}
-		g.sourceName = append(reserve(g.sourceName, 1, sources, d.sized), string(b[4:]))
+		text.Grow(len(b))
+		text.Write(b)
 		d.discard(len(b))
 	}
+	g.sourceName = splitLabels(&text, sources)
 	if g.sourceOf, err = d.words(pages, "page sources"); err != nil {
 		return nil, err
 	}
-	for p, s := range g.sourceOf {
-		if uint64(uint32(s)) >= sources {
-			return nil, fmt.Errorf("%w: page %d has source %d of %d", ErrCorrupt, p, uint32(s), sources)
+	err = checkRanges(int(pages), func(p int) int64 { return int64(p) }, func(lo, hi int) error {
+		for p, s := range g.sourceOf[lo:hi] {
+			if uint64(uint32(s)) >= sources {
+				return fmt.Errorf("%w: page %d has source %d of %d", ErrCorrupt, lo+p, uint32(s), sources)
+			}
 		}
-	}
-	arena, err := d.words(pages+links, "adjacency")
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	if g.arena, err = d.words(pages+links, "adjacency"); err != nil {
+		return nil, err
+	}
 	// The arena holds exactly pages+links words, so a row that would run
-	// past it is a row that exceeds the declared link count.
-	g.adj = make([][]PageID, pages)
+	// past it is a row that exceeds the declared link count: the walk
+	// stops at the first such page, and only the rows before it are
+	// checked for links out of range.
+	g.start = make([]int64, pages+1)
 	var total uint64
-	at := 0
-	for p := range g.adj {
-		deg := uint64(uint32(arena[at]))
-		at++
-		total += deg
-		if total > links {
-			return nil, fmt.Errorf("%w: adjacency exceeds declared %d links", ErrCorrupt, links)
+	at, end := int64(0), int(pages)
+	for p := range end {
+		g.start[p] = at
+		deg := uint64(uint32(g.arena[at]))
+		if total += deg; total > links {
+			end = p
+			break
 		}
-		row := arena[at : at+int(deg) : at+int(deg)]
-		for _, q := range row {
-			if uint64(uint32(q)) >= pages {
-				return nil, fmt.Errorf("%w: link to page %d of %d", ErrCorrupt, uint32(q), pages)
+		at += 1 + int64(deg)
+	}
+	g.start[end] = at
+	err = checkRanges(end, func(p int) int64 { return g.start[p] }, func(lo, hi int) error {
+		for p := lo; p < hi; p++ {
+			for _, q := range g.OutLinks(PageID(p)) {
+				if uint64(uint32(q)) >= pages {
+					return fmt.Errorf("%w: link to page %d of %d", ErrCorrupt, uint32(q), pages)
+				}
 			}
 		}
-		g.adj[p] = row
-		at += int(deg)
-	}
-	if total != links {
+		return nil
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case end < int(pages):
+		return nil, fmt.Errorf("%w: adjacency exceeds declared %d links", ErrCorrupt, links)
+	case total != links:
 		return nil, fmt.Errorf("%w: declared %d links, read %d", ErrCorrupt, links, total)
 	}
 	return g, nil
+}
+
+// splitLabels cuts n labels out of a label section as read: each is a
+// substring of the one string the section is kept in. That string is
+// copied out when the section left most of its capacity unused (a sized
+// input with trailing bytes), so the labels do not pin the slack.
+func splitLabels(text *strings.Builder, n uint64) []string {
+	all := text.String()
+	if text.Cap() > 2*text.Len() {
+		all = strings.Clone(all)
+	}
+	labels := make([]string, n)
+	at := 0
+	for i := range labels {
+		l := int(binary.LittleEndian.Uint32([]byte(all[at : at+4])))
+		labels[i] = all[at+4 : at+4+l]
+		at += 4 + l
+	}
+	return labels
+}
+
+// checkWords is the least work, in words, worth a check worker of its own.
+const checkWords = 64 << 10
+
+// checkRanges runs check over contiguous ranges of [0, n) of about equal
+// weight, where at(i) is the weight of [0, i) — one range per checkWords
+// of it, on at most GOMAXPROCS goroutines — and returns the error of the
+// lowest range that fails. check reports the first failure in its own
+// range, so that is the failure at the lowest index however the ranges
+// were cut.
+func checkRanges(n int, at func(i int) int64, check func(lo, hi int) error) error {
+	total := at(n)
+	workers := int(min(int64(runtime.GOMAXPROCS(0)), max(1, total/checkWords)))
+	cuts := make([]int, workers+1)
+	for w := 1; w < workers; w++ {
+		target := total * int64(w) / int64(workers)
+		cuts[w] = sort.Search(n, func(i int) bool { return at(i) >= target })
+	}
+	cuts[workers] = n
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = check(cuts[w], cuts[w+1])
+		}()
+	}
+	errs[0] = check(cuts[0], cuts[1])
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // LoadStats describes one ReadFile: what was read and what it cost. The
@@ -229,26 +323,54 @@ type corpusReader struct {
 // discard consumes n bytes a Peek has already returned, which cannot fail.
 func (d *corpusReader) discard(n int) { _, _ = d.br.Discard(n) }
 
-// words decodes the next n little-endian words, a buffer at a time.
+// words reads the next n little-endian words, into all the room each
+// reserve step leaves — for a sized input, the whole section at once.
 func (d *corpusReader) words(n uint64, what string) ([]int32, error) {
 	var dst []int32
 	for left := n; left > 0; {
-		k := int(min(left, ioBufBytes/4))
-		b, err := d.br.Peek(4 * k)
-		if err != nil {
+		dst = reserve(dst, int(min(left, ioBufBytes/4)), n, d.sized)
+		k := int(min(left, uint64(cap(dst)-len(dst))))
+		if err := d.fill(dst[len(dst) : len(dst)+k]); err != nil {
 			return nil, fmt.Errorf("pagegraph: reading %s: %w", what, noEOF(err))
 		}
-		dst = reserve(dst, k, n, d.sized)
-		out := dst[len(dst) : len(dst)+k]
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-		}
 		dst = dst[:len(dst)+k]
-		d.discard(4 * k)
 		left -= uint64(k)
 	}
 	return dst, nil
 }
+
+// fill reads len(out) little-endian words into out. On a little-endian
+// host the bytes are read into out's own storage: bufio hands a read
+// larger than its buffer to the input, so an in-memory input costs one
+// copy and a file its read calls. Elsewhere they are decoded a buffer at
+// a time.
+func (d *corpusReader) fill(out []int32) error {
+	if hostLittleEndian {
+		_, err := io.ReadFull(d.br, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), 4*len(out)))
+		return err
+	}
+	for len(out) > 0 {
+		k := min(len(out), ioBufBytes/4)
+		b, err := d.br.Peek(4 * k)
+		if err != nil {
+			return err
+		}
+		for i := range out[:k] {
+			out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		d.discard(4 * k)
+		out = out[k:]
+	}
+	return nil
+}
+
+// hostLittleEndian reports whether the host stores an int32 in the
+// corpus's byte order, so words can be read into place; a variable, so
+// tests can take the decoding path on any host.
+var hostLittleEndian = func() bool {
+	x := uint16(0x0102)
+	return *(*byte)(unsafe.Pointer(&x)) == 0x02
+}()
 
 // reserve returns s with room for k more elements on the way to a
 // declared final length of total. With sized set total has been checked

@@ -26,9 +26,11 @@ func corpus(t testing.TB) (*pagegraph.Graph, []byte) {
 	return ds.Pages, buf.Bytes()
 }
 
-// The gate that keeps the reader bulk: one string per label plus a fixed
-// handful of arrays. A per-word or per-row allocation anywhere in the
-// path is thousands of times over it.
+// The gate that keeps the reader bulk: one string for all labels, a fixed
+// handful of arrays and one goroutine per check worker (at most one per
+// 64 Ki words, so eight on this corpus however many cores there are). A
+// per-label, per-row or per-word allocation anywhere in the path is
+// thousands of times over it.
 func TestReadFromAllocs(t *testing.T) {
 	g, raw := corpus(t)
 	r := bytes.NewReader(raw)
@@ -38,7 +40,7 @@ func TestReadFromAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := float64(g.NumSources() + 64); allocs > limit {
+	if limit := 32.0; allocs > limit {
 		t.Fatalf("%.0f allocations per ReadFrom of %d sources / %d pages / %d links, limit %.0f",
 			allocs, g.NumSources(), g.NumPages(), g.NumLinks(), limit)
 	}
@@ -103,8 +105,10 @@ func TestReadGraphServesLikeGenerated(t *testing.T) {
 
 var sinkGraph *pagegraph.Graph
 
-// MB/s of corpus bytes decoded; the cost model is one decode pass at
-// memory speed plus one string per label (DESIGN.md §8).
+// MB/s of corpus bytes read; the cost model is one copy into the arrays
+// plus the range checks on every core (DESIGN.md §8). B/op over the
+// bytes read is about 1.33: the row starts, 8 bytes a page, are most of
+// what is allocated beyond the input's own size.
 func BenchmarkReadFrom(b *testing.B) {
 	_, raw := corpus(b)
 	r := bytes.NewReader(raw)

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -122,7 +123,8 @@ func writeReference(g *Graph) []byte {
 	for _, s := range g.sourceOf {
 		put(uint32(s))
 	}
-	for _, row := range g.adj {
+	for p := range g.NumPages() {
+		row := g.OutLinks(PageID(p))
 		put(uint32(len(row)))
 		for _, q := range row {
 			put(uint32(q))
@@ -152,12 +154,12 @@ func requireSameGraph(t testing.TB, got, want *Graph) {
 	if !slices.Equal(got.sourceOf, want.sourceOf) {
 		t.Fatalf("sourceOf differs (%d vs %d)", len(got.sourceOf), len(want.sourceOf))
 	}
-	if len(got.adj) != len(want.adj) {
-		t.Fatalf("%d rows, want %d", len(got.adj), len(want.adj))
+	if got.NumPages() != want.NumPages() {
+		t.Fatalf("%d rows, want %d", got.NumPages(), want.NumPages())
 	}
-	for p := range want.adj {
-		if !slices.Equal(got.adj[p], want.adj[p]) {
-			t.Fatalf("row %d = %v, want %v", p, got.adj[p], want.adj[p])
+	for p := range PageID(want.NumPages()) {
+		if !slices.Equal(got.OutLinks(p), want.OutLinks(p)) {
+			t.Fatalf("row %d = %v, want %v", p, got.OutLinks(p), want.OutLinks(p))
 		}
 	}
 }
@@ -444,64 +446,277 @@ func TestReadFromFile(t *testing.T) {
 
 // Rows read from a corpus are views of one arena. Growing or replacing
 // one must not reach its neighbours, and a clone must not reach the
-// original.
+// original — whether the graph is still in read form when it is touched
+// or has already been materialized.
 func TestReadFromRowsDoNotAlias(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	src := randomGraph(rng, 4, 40, 5)
 	raw := mustWrite(t, src)
-	read := func() *Graph {
+	for _, materialized := range []bool{false, true} {
+		read := func() *Graph {
+			g, err := ReadFrom(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.start == nil {
+				t.Fatal("ReadFrom returned a graph that is not in read form")
+			}
+			if materialized {
+				g.materialize()
+			}
+			return g
+		}
+		requireOthersUnchanged := func(g *Graph, touched PageID) {
+			t.Helper()
+			for p := range PageID(src.NumPages()) {
+				if p != touched && !slices.Equal(g.OutLinks(p), src.OutLinks(p)) {
+					t.Fatalf("touching row %d changed row %d: %v, was %v", touched, p, g.OutLinks(p), src.OutLinks(p))
+				}
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p := PageID(0); int(p) < src.NumPages(); p++ {
+			g := read()
+			g.AddLink(p, 7)
+			g.AddLink(p, 9)
+			if want := append(slices.Clone(src.OutLinks(p)), 7, 9); !slices.Equal(g.OutLinks(p), want) {
+				t.Fatalf("AddLink row %d = %v, want %v", p, g.OutLinks(p), want)
+			}
+			requireOthersUnchanged(g, p)
+
+			for _, links := range [][]PageID{nil, {1}, {3, 3, 5, 8, 13, 21, 34, 2, 1, 1, 0}} {
+				g = read()
+				if err := g.SetOutLinks(p, links); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(g.OutLinks(p), links) {
+					t.Fatalf("SetOutLinks row %d = %v, want %v", p, g.OutLinks(p), links)
+				}
+				requireOthersUnchanged(g, p)
+				// And growing the replaced row stays inside it.
+				g.AddLink(p, 11)
+				requireOthersUnchanged(g, p)
+			}
+		}
+
+		g := read()
+		c := g.Clone()
+		requireSameGraph(t, c, src)
+		for p := range PageID(c.NumPages()) {
+			row := c.OutLinks(p)
+			for i := range row {
+				row[i] = p // scribble over the clone's storage
+			}
+		}
+		c.sourceOf[0] ^= 1
+		c.sourceName[0] = "scribbled"
+		requireSameGraph(t, g, src)
+	}
+}
+
+// A graph in read form answers every query and survives every mutation
+// exactly as the reference reader's mutable graph does; only a mutation
+// takes it out of read form.
+func TestReadGraphMutatesLikeReference(t *testing.T) {
+	requireReadForm := func(g *Graph, what string) {
+		t.Helper()
+		if g.start == nil {
+			t.Fatalf("%s: graph left read form", what)
+		}
+	}
+	for name, src := range ioCases(t) {
+		raw := writeReference(src)
+		n := PageID(src.NumPages())
+		for _, op := range []struct {
+			name   string
+			mutate func(g *Graph) *Graph // returns the graph to compare
+		}{
+			{"AddPage", func(g *Graph) *Graph {
+				if g.NumSources() > 0 {
+					p := g.AddPage(SourceID(g.NumSources() - 1))
+					g.AddLink(p, p)
+					g.AddLink(0, p)
+				}
+				return g
+			}},
+			{"AddLink", func(g *Graph) *Graph {
+				if n > 1 {
+					g.AddLink(0, n-1) // row 0's arena view ends at row 1's degree word
+					g.AddLink(0, 0)
+					g.AddLink(n-2, 1)
+				}
+				return g
+			}},
+			{"SetOutLinks", func(g *Graph) *Graph {
+				if n > 0 {
+					if err := g.SetOutLinks(n/2, []PageID{0, n - 1, 0}); err != nil {
+						t.Fatal(err)
+					}
+					g.AddLink(n/2, n/2)
+				}
+				return g
+			}},
+			{"Clone", func(g *Graph) *Graph {
+				c := g.Clone()
+				if g.start != nil {
+					requireReadForm(c, name+"/Clone")
+				}
+				if n > 0 {
+					c.AddLink(n-1, 0)
+					if err := c.SetOutLinks(0, []PageID{n - 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c.AddSource("cloned.example")
+				return c
+			}},
+			{"Regroup", func(g *Graph) *Graph {
+				out, _, err := g.Regroup(func(label string) string { return label[:min(len(label), 2)] })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}},
+		} {
+			want, err := readFromReference(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadFrom(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireReadForm(got, name)
+			gotOut, wantOut := op.mutate(got), op.mutate(want)
+			requireSameGraph(t, gotOut, wantOut)
+			if err := gotOut.Validate(); err != nil {
+				t.Fatalf("%s/%s: %v", name, op.name, err)
+			}
+			if !bytes.Equal(mustWrite(t, gotOut), writeReference(wantOut)) {
+				t.Fatalf("%s/%s: Write differs from the reference", name, op.name)
+			}
+			if op.name == "Clone" || op.name == "Regroup" {
+				requireReadForm(got, name+"/"+op.name+" source")
+				requireSameGraph(t, got, src) // the original is untouched
+			}
+		}
+
+		// Queries, conversion and Write read the read form in place.
 		g, err := ReadFrom(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g
-	}
-	requireOthersUnchanged := func(g *Graph, touched PageID) {
-		t.Helper()
-		for p := range src.adj {
-			if PageID(p) != touched && !slices.Equal(g.adj[p], src.adj[p]) {
-				t.Fatalf("touching row %d changed row %d: %v, was %v", touched, p, g.adj[p], src.adj[p])
+		if !reflect.DeepEqual(g.ToGraph(), src.ToGraph()) {
+			t.Fatalf("%s: ToGraph differs", name)
+		}
+		if !bytes.Equal(mustWrite(t, g), raw) {
+			t.Fatalf("%s: Write of the read form differs from the bytes read", name)
+		}
+		for s := range SourceID(g.NumSources()) {
+			if !slices.Equal(g.PagesOf(s), src.PagesOf(s)) {
+				t.Fatalf("%s: PagesOf(%d) differs", name, s)
 			}
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
+		if !slices.Equal(g.PageCounts(), src.PageCounts()) || g.Validate() != nil {
+			t.Fatalf("%s: PageCounts or Validate differs", name)
 		}
+		requireReadForm(g, name+" after queries")
 	}
-	for p := PageID(0); int(p) < src.NumPages(); p++ {
-		g := read()
-		g.AddLink(p, 7)
-		g.AddLink(p, 9)
-		if want := append(slices.Clone(src.adj[p]), 7, 9); !slices.Equal(g.adj[p], want) {
-			t.Fatalf("AddLink row %d = %v, want %v", p, g.adj[p], want)
-		}
-		requireOthersUnchanged(g, p)
+}
 
-		for _, links := range [][]PageID{nil, {1}, {3, 3, 5, 8, 13, 21, 34, 2, 1, 1, 0}} {
-			g = read()
-			if err := g.SetOutLinks(p, links); err != nil {
-				t.Fatal(err)
+// The decoding path a big-endian host takes reads the same graphs as the
+// one-copy path.
+func TestReadFromDecodePathMatchesOneCopy(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("the host decodes; there is no one-copy path to compare")
+	}
+	for name, src := range ioCases(t) {
+		raw := mustWrite(t, src)
+		for kind, open := range map[string]func() io.Reader{
+			"sized":  func() io.Reader { return bytes.NewReader(raw) },
+			"hidden": func() io.Reader { return hidden(raw) },
+		} {
+			oneCopy, err := ReadFrom(open())
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, kind, err)
 			}
-			if !slices.Equal(g.adj[p], links) {
-				t.Fatalf("SetOutLinks row %d = %v, want %v", p, g.adj[p], links)
+			hostLittleEndian = false
+			decoded, err := ReadFrom(open())
+			hostLittleEndian = true
+			if err != nil {
+				t.Fatalf("%s/%s decoded: %v", name, kind, err)
 			}
-			requireOthersUnchanged(g, p)
-			// And growing the replaced row stays inside it.
-			g.AddLink(p, 11)
-			requireOthersUnchanged(g, p)
+			requireSameGraph(t, decoded, oneCopy)
+			requireSameGraph(t, decoded, src)
+			if !slices.Equal(decoded.arena, oneCopy.arena) || !slices.Equal(decoded.start, oneCopy.start) {
+				t.Fatalf("%s/%s: the read forms differ", name, kind)
+			}
 		}
 	}
+}
 
-	g := read()
-	c := g.Clone()
-	requireSameGraph(t, c, src)
-	for p, row := range c.adj {
-		for i := range row {
-			row[i] = PageID(p) // scribble over the clone's storage
+// The range checks run on several workers when a corpus is large enough,
+// and report the failure at the lowest page, the one the serial
+// reference reports, at any GOMAXPROCS.
+func TestReadFromErrorAtLowestPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	src := randomGraph(rng, 40, 3*checkWords, 3) // both word sections past 2·checkWords
+	raw := mustWrite(t, src)
+	pages := src.NumPages()
+	le := binary.LittleEndian
+	sourceAt := ioHeaderLen
+	for _, label := range src.sourceName {
+		sourceAt += 4 + len(label)
+	}
+	// degreeAt[p] is the byte offset of page p's degree word.
+	degreeAt := make([]int, pages)
+	at := sourceAt + 4*pages
+	for p := range degreeAt {
+		degreeAt[p] = at
+		at += 4 * (1 + len(src.OutLinks(PageID(p))))
+	}
+	withLinks := func(from int) int { // the first page at or after from with a link
+		for len(src.OutLinks(PageID(from))) == 0 {
+			from++
+		}
+		return from
+	}
+	type patch struct{ at, word int }
+	badSource := func(p int) patch { return patch{sourceAt + 4*p, 1000 + p} }
+	badLink := func(p int) patch { return patch{degreeAt[p] + 4, pages + p} }
+	overflow := func(p int) patch { return patch{degreeAt[p], math.MaxInt32} }
+	early, mid, late := withLinks(100), withLinks(pages/2+7), withLinks(pages-50)
+	for name, patches := range map[string][]patch{
+		"sources":               {badSource(late), badSource(mid), badSource(early)},
+		"links":                 {badLink(late), badLink(mid), badLink(early)},
+		"links in later ranges": {badLink(late), badLink(mid)},
+		"link before overflow":  {badLink(mid), overflow(late)},
+		"overflow before link":  {overflow(mid), badLink(late)},
+		"source before link":    {badLink(early), badSource(late)},
+		"link count short":      {patch{ioHeaderLen - 8, int(src.NumLinks()) + 1}},
+		"short count, bad link": {patch{ioHeaderLen - 8, int(src.NumLinks()) + 1}, badLink(late)},
+	} {
+		// Four trailing bytes, so a link count raised by one still finds
+		// its adjacency words and ends short of the declared count.
+		b := append(bytes.Clone(raw), 0, 0, 0, 0)
+		for _, p := range patches {
+			le.PutUint32(b[p.at:], uint32(p.word))
+		}
+		_, refErr := readFromReference(bytes.NewReader(b))
+		if refErr == nil {
+			t.Fatalf("%s: the reference accepts the damage", name)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			_, err := ReadFrom(bytes.NewReader(b))
+			runtime.GOMAXPROCS(prev)
+			if err == nil || err.Error() != refErr.Error() {
+				t.Fatalf("%s at GOMAXPROCS %d: err %v, the reference's %v", name, procs, err, refErr)
+			}
 		}
 	}
-	c.sourceOf[0] ^= 1
-	c.sourceName[0] = "scribbled"
-	requireSameGraph(t, g, src)
 }
 
 // FuzzReadFrom: arbitrary bytes never panic; whatever is accepted is a
@@ -531,6 +746,15 @@ func FuzzReadFrom(f *testing.F) {
 			out := mustWrite(t, g)
 			if len(out) > len(b) || !bytes.Equal(out, b[:len(out)]) {
 				t.Fatalf("%s: Write gave %d bytes that are not a prefix of the %d-byte input", kind, len(out), len(b))
+			}
+			if n := PageID(g.NumPages()); n > 0 {
+				g.AddLink(0, n-1)
+				if err := g.SetOutLinks(n-1, []PageID{0, n / 2, 0}); err != nil {
+					t.Fatalf("%s: %v", kind, err)
+				}
+				if err := g.Validate(); err != nil {
+					t.Fatalf("%s: mutated read graph is invalid: %v", kind, err)
+				}
 			}
 		}
 	})

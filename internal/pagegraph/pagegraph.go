@@ -7,6 +7,7 @@ package pagegraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sourcerank/internal/graph"
 	"sourcerank/internal/urlutil"
@@ -24,9 +25,17 @@ var ErrUnknownID = errors.New("pagegraph: unknown identifier")
 // Graph is a mutable page-level web graph. Every page belongs to exactly
 // one source. Links may be added at any time; parallel links are kept
 // (they collapse when converting to transition matrices or graph.Graph).
+//
+// A graph ReadFrom produced keeps its rows in read form: the corpus's
+// adjacency section as read, degree words included, in arena, and each
+// row's degree word at start[p], so row p is arena[start[p]+1 :
+// start[p+1]]. The first mutation of a row or of the page count
+// materializes adj from it and clears start; nothing else does.
 type Graph struct {
 	sourceOf   []SourceID // page -> owning source
-	adj        [][]PageID // page -> out-links (unsorted, possibly duplicated)
+	adj        [][]PageID // page -> out-links (unsorted, possibly duplicated); nil in read form
+	arena      []PageID   // read form: degree word, then out-links, per page
+	start      []int64    // read form: page -> offset of its degree word in arena; nil otherwise
 	sourceName []string   // source -> label (host)
 	numLinks   int64
 }
@@ -35,7 +44,7 @@ type Graph struct {
 func New() *Graph { return &Graph{} }
 
 // NumPages returns the number of pages.
-func (g *Graph) NumPages() int { return len(g.adj) }
+func (g *Graph) NumPages() int { return len(g.sourceOf) }
 
 // NumSources returns the number of sources.
 func (g *Graph) NumSources() int { return len(g.sourceName) }
@@ -60,6 +69,9 @@ func (g *Graph) AddPage(s SourceID) PageID {
 	if s < 0 || int(s) >= len(g.sourceName) {
 		panic(fmt.Sprintf("pagegraph: AddPage to unknown source %d", s))
 	}
+	if g.start != nil {
+		g.materialize()
+	}
 	id := PageID(len(g.adj))
 	g.adj = append(g.adj, nil)
 	g.sourceOf = append(g.sourceOf, s)
@@ -68,8 +80,11 @@ func (g *Graph) AddPage(s SourceID) PageID {
 
 // AddLink records the hyperlink (from, to). It panics on unknown IDs.
 func (g *Graph) AddLink(from, to PageID) {
-	if from < 0 || int(from) >= len(g.adj) || to < 0 || int(to) >= len(g.adj) {
-		panic(fmt.Sprintf("pagegraph: AddLink(%d, %d) with %d pages", from, to, len(g.adj)))
+	if n := g.NumPages(); from < 0 || int(from) >= n || to < 0 || int(to) >= n {
+		panic(fmt.Sprintf("pagegraph: AddLink(%d, %d) with %d pages", from, to, n))
+	}
+	if g.start != nil {
+		g.materialize()
 	}
 	g.adj[from] = append(g.adj[from], to)
 	g.numLinks++
@@ -81,13 +96,17 @@ func (g *Graph) AddLink(from, to PageID) {
 // so a rejected batch leaves the graph untouched. links is copied;
 // parallel links are kept, matching AddLink semantics.
 func (g *Graph) SetOutLinks(p PageID, links []PageID) error {
-	if p < 0 || int(p) >= len(g.adj) {
-		return fmt.Errorf("%w: SetOutLinks(%d) with %d pages", ErrUnknownID, p, len(g.adj))
+	n := g.NumPages()
+	if p < 0 || int(p) >= n {
+		return fmt.Errorf("%w: SetOutLinks(%d) with %d pages", ErrUnknownID, p, n)
 	}
 	for _, to := range links {
-		if to < 0 || int(to) >= len(g.adj) {
-			return fmt.Errorf("%w: SetOutLinks(%d) target %d with %d pages", ErrUnknownID, p, to, len(g.adj))
+		if to < 0 || int(to) >= n {
+			return fmt.Errorf("%w: SetOutLinks(%d) target %d with %d pages", ErrUnknownID, p, to, n)
 		}
+	}
+	if g.start != nil {
+		g.materialize()
 	}
 	g.numLinks += int64(len(links)) - int64(len(g.adj[p]))
 	g.adj[p] = append(g.adj[p][:0:0], links...)
@@ -98,8 +117,35 @@ func (g *Graph) SetOutLinks(p PageID, links []PageID) error {
 func (g *Graph) SourceOf(p PageID) SourceID { return g.sourceOf[p] }
 
 // OutLinks returns page p's out-links. The slice aliases internal storage
-// and must not be modified.
-func (g *Graph) OutLinks(p PageID) []PageID { return g.adj[p] }
+// and must not be modified; its capacity is its length, so appending to
+// it never reaches another row.
+func (g *Graph) OutLinks(p PageID) []PageID {
+	if g.start != nil {
+		lo, hi := g.start[p]+1, g.start[p+1]
+		return g.arena[lo:hi:hi]
+	}
+	return g.adj[p]
+}
+
+// rows returns every page's out-links: adj itself, or for a graph in
+// read form one view of the arena per row.
+func (g *Graph) rows() [][]PageID {
+	if g.start == nil {
+		return g.adj
+	}
+	rows := make([][]PageID, g.NumPages())
+	for p := range rows {
+		rows[p] = g.OutLinks(PageID(p))
+	}
+	return rows
+}
+
+// materialize turns a graph in read form into the mutable one, whose
+// rows start out as the arena views OutLinks returned. The mutators call
+// it, behind their own check so that the mutable form pays no call.
+func (g *Graph) materialize() {
+	g.adj, g.arena, g.start = g.rows(), nil, nil
+}
 
 // PagesOf returns the IDs of all pages belonging to source s, in
 // increasing order.
@@ -123,14 +169,20 @@ func (g *Graph) PageCounts() []int {
 }
 
 // Clone returns a deep copy of the graph. Spam injectors clone the base
-// corpus once per scenario so cases stay independent.
+// corpus once per scenario so cases stay independent. A graph in read
+// form is cloned in read form: one copy of the arena and one of the
+// starts.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		sourceOf:   append([]SourceID(nil), g.sourceOf...),
-		adj:        make([][]PageID, len(g.adj)),
 		sourceName: append([]string(nil), g.sourceName...),
 		numLinks:   g.numLinks,
 	}
+	if g.start != nil {
+		c.arena, c.start = slices.Clone(g.arena), slices.Clone(g.start)
+		return c
+	}
+	c.adj = make([][]PageID, len(g.adj))
 	for i, row := range g.adj {
 		if len(row) > 0 {
 			c.adj[i] = append([]PageID(nil), row...)
@@ -141,12 +193,17 @@ func (g *Graph) Clone() *Graph {
 
 // ToGraph snapshots the page graph as an immutable graph.Graph
 // (deduplicated, sorted adjacency).
-func (g *Graph) ToGraph() *graph.Graph { return graph.FromAdjacency(g.adj) }
+func (g *Graph) ToGraph() *graph.Graph { return graph.FromAdjacency(g.rows()) }
 
 // Validate checks cross-structure invariants.
 func (g *Graph) Validate() error {
-	if len(g.sourceOf) != len(g.adj) {
-		return fmt.Errorf("pagegraph: sourceOf length %d != adj length %d", len(g.sourceOf), len(g.adj))
+	n := g.NumPages()
+	if g.start != nil {
+		if len(g.start) != n+1 {
+			return fmt.Errorf("pagegraph: %d row starts for %d pages", len(g.start), n)
+		}
+	} else if len(g.adj) != n {
+		return fmt.Errorf("pagegraph: sourceOf length %d != adj length %d", n, len(g.adj))
 	}
 	for p, s := range g.sourceOf {
 		if s < 0 || int(s) >= len(g.sourceName) {
@@ -154,10 +211,11 @@ func (g *Graph) Validate() error {
 		}
 	}
 	var links int64
-	for u, row := range g.adj {
+	for u := range n {
+		row := g.OutLinks(PageID(u))
 		links += int64(len(row))
 		for _, v := range row {
-			if v < 0 || int(v) >= len(g.adj) {
+			if v < 0 || int(v) >= n {
 				return fmt.Errorf("pagegraph: page %d links to unknown page %d", u, v)
 			}
 		}

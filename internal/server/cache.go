@@ -162,17 +162,30 @@ func (c *respCache) writeCompare(w http.ResponseWriter, d *rankDoc, a, b int32, 
 	w.Write(rec.buf)
 }
 
-// encodeIndented renders v exactly as writeJSON does (two-space indent,
-// HTML escaping on, trailing newline), into buf. The returned slice
-// aliases buf's storage.
-func encodeIndented(buf *bytes.Buffer, v any) ([]byte, error) {
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+// docEncoder renders documents exactly as writeJSON does (two-space
+// indent, HTML escaping on, trailing newline), one after another, with
+// one json.Encoder and one buffer; each finalize worker owns one.
+type docEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+func newDocEncoder() *docEncoder {
+	e := &docEncoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", "  ")
+	return e
+}
+
+// encode renders v. The returned slice aliases the encoder's buffer and
+// holds until the next call. A value the encoder refuses writes nothing,
+// so the encoder stays usable.
+func (e *docEncoder) encode(v any) ([]byte, error) {
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return e.buf.Bytes(), nil
 }
 
 // publishOutcome names what a publish did with one score set.
@@ -274,7 +287,7 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 	}
 	labeled := make(chan struct{})
 	var next atomic.Int32
-	work := func(buf *bytes.Buffer) {
+	work := func(enc *docEncoder) {
 		for t := int(next.Add(1)) - 1; t <= 2*len(algos); t = int(next.Add(1)) - 1 {
 			switch {
 			case t == 0:
@@ -298,10 +311,10 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 				if p.sc == nil {
 					continue
 				}
-				p.tc = s.renderTopK(buf, algo, c.labels, c.digits, p.sc, p.from)
+				p.tc = s.renderTopK(enc, algo, c.labels, c.digits, p.sc, p.from)
 				if n > 0 {
-					if p.rd = s.rankHead(buf, algo, c, &rankDoc{scores: p.sc, rank: p.rank}); p.rd != nil {
-						s.compareHead(buf, algo, c, p.rd)
+					if p.rd = s.rankHead(enc, algo, c, &rankDoc{scores: p.sc, rank: p.rank}); p.rd != nil {
+						s.compareHead(enc, algo, c, p.rd)
 					}
 				}
 			}
@@ -312,12 +325,11 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf bytes.Buffer
-			work(&buf)
+			work(newDocEncoder())
 		}()
 	}
-	var buf bytes.Buffer
-	work(&buf)
+	enc := newDocEncoder()
+	work(enc)
 	wg.Wait()
 	for i, algo := range algos {
 		p := &parts[i]
@@ -339,7 +351,7 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 			outcomes[setRendered]++
 		}
 	}
-	if meta, err := encodeIndented(&buf, s.snapshotDocument(publishes)); err == nil {
+	if meta, err := enc.encode(s.snapshotDocument(publishes)); err == nil {
 		c.meta = append([]byte(nil), meta...)
 	}
 	s.resp = c

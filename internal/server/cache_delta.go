@@ -174,9 +174,9 @@ const (
 // buffer sized exactly. Either way the head, which carries the version,
 // comes from topkHead's probe, so a formatting divergence drops the
 // cache instead of serving wrong bytes.
-func (s *Snapshot) renderTopK(buf *bytes.Buffer, algo Algo, lc *labelCache, dig, sc *textArena, from *topkCache) *topkCache {
+func (s *Snapshot) renderTopK(enc *docEncoder, algo Algo, lc *labelCache, dig, sc *textArena, from *topkCache) *topkCache {
 	if from != nil {
-		return s.topkHead(buf, algo, dig, &topkCache{entries: from.entries, ends: from.ends})
+		return s.topkHead(enc, algo, dig, &topkCache{entries: from.entries, ends: from.ends})
 	}
 	order, _ := s.sets[algo].index()
 	maxN := min(len(order), maxTopK)
@@ -204,7 +204,7 @@ func (s *Snapshot) renderTopK(buf *bytes.Buffer, algo Algo, lc *labelCache, dig,
 		entries = append(entries, entryClose...)
 		ends[pos] = len(entries)
 	}
-	return s.topkHead(buf, algo, dig, &topkCache{entries: entries, ends: ends})
+	return s.topkHead(enc, algo, dig, &topkCache{entries: entries, ends: ends})
 }
 
 // topkHead completes tc with its head: it renders algo's top-1 document
@@ -212,13 +212,13 @@ func (s *Snapshot) renderTopK(buf *bytes.Buffer, algo Algo, lc *labelCache, dig,
 // it to end with what tc writes after the head, and takes what precedes
 // that — version, algo and the `"n"` key — as the head of every n. nil
 // when the probe fails.
-func (s *Snapshot) topkHead(buf *bytes.Buffer, algo Algo, dig *textArena, tc *topkCache) *topkCache {
+func (s *Snapshot) topkHead(enc *docEncoder, algo Algo, dig *textArena, tc *topkCache) *topkCache {
 	m := min(1, tc.max())
 	results, err := s.TopK(algo, m)
 	if err != nil {
 		return nil
 	}
-	doc, err := encodeIndented(buf, topKResponse{Version: s.version, Algo: algo, N: m, Results: results})
+	doc, err := enc.encode(topKResponse{Version: s.version, Algo: algo, N: m, Results: results})
 	if err != nil {
 		return nil
 	}
@@ -237,12 +237,12 @@ func (s *Snapshot) topkHead(buf *bytes.Buffer, algo Algo, dig *textArena, tc *to
 // and takes what precedes it — version, algo and the `"source": ` key —
 // as every source's head. nil when the probe fails or the encoder
 // refuses source 0's score.
-func (s *Snapshot) rankHead(buf *bytes.Buffer, algo Algo, c *respCache, d *rankDoc) *rankDoc {
+func (s *Snapshot) rankHead(enc *docEncoder, algo Algo, c *respCache, d *rankDoc) *rankDoc {
 	resp, err := s.rankDocument(algo, 0)
 	if err != nil {
 		return nil
 	}
-	doc, err := encodeIndented(buf, resp)
+	doc, err := enc.encode(resp)
 	if err != nil {
 		return nil
 	}
@@ -259,12 +259,12 @@ func (s *Snapshot) rankHead(buf *bytes.Buffer, algo Algo, c *respCache, d *rankD
 // it to end the encoder's rendering, and keeps what precedes it —
 // version, algo and a's `"source": ` key. d.compare stays nil, and
 // compare encodes per request, when the probe fails.
-func (s *Snapshot) compareHead(buf *bytes.Buffer, algo Algo, c *respCache, d *rankDoc) {
+func (s *Snapshot) compareHead(enc *docEncoder, algo Algo, c *respCache, d *rankDoc) {
 	cmp, err := s.Compare(algo, 0, 0)
 	if err != nil {
 		return
 	}
-	doc, err := encodeIndented(buf, compareResponse{Version: s.version, Algo: algo, Comparison: cmp})
+	doc, err := enc.encode(compareResponse{Version: s.version, Algo: algo, Comparison: cmp})
 	if err != nil {
 		return
 	}

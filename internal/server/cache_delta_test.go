@@ -582,8 +582,10 @@ func TestNonFiniteScoresDropCaches(t *testing.T) {
 			}
 		}
 	}
-	if body := rawGet(t, cached.Handler(), "/v1/topk?algo=nan&n=4", nil).Body.String(); body != "" {
-		t.Fatalf("a top-K holding NaN encoded as %q, want the encoder's empty refusal", body)
+	refused := rawGet(t, cached.Handler(), "/v1/topk?algo=nan&n=4", nil)
+	if want := `"error": "encoding response: json: unsupported value: NaN"`; refused.Code != http.StatusInternalServerError ||
+		!strings.Contains(refused.Body.String(), want) {
+		t.Fatalf("a top-K holding NaN answered %d %q, want 500 with %s", refused.Code, refused.Body.String(), want)
 	}
 	metrics := rawGet(t, cached.Handler(), "/metrics", nil).Body.String()
 	if want := `srserve_publish_sets_total{outcome="uncached"} 2`; !strings.Contains(metrics, want) {
@@ -598,7 +600,8 @@ func TestNonFiniteScoresDropCaches(t *testing.T) {
 // label all take the assembled path, which the ETag header witnesses
 // (the encoder path sets none), and a matching If-None-Match gets a
 // body-less 304. A ratio that overflows to ±Inf, and a NaN score on
-// either side, take the encoder path for its status and bytes.
+// either side, take the encoder path for its status and bytes: a 500
+// with the error envelope naming the value the encoder refused.
 func TestCompareAssembledCases(t *testing.T) {
 	labels := []string{"zero", "mid", "tiny", "huge", "max", "min", "nan", `"quoted" <&>`}
 	scores := linalg.Vector{0, 0.5, 1e-9, 1e15, 1e300, 1e-300, math.NaN(), -1e300}
@@ -613,6 +616,9 @@ func TestCompareAssembledCases(t *testing.T) {
 	}
 	cached, fallback := twoServers(store)
 	hc, hf := cached.Handler(), fallback.Handler()
+	refused := func(value string) string {
+		return `"error": "encoding response: json: unsupported value: ` + value + `"`
+	}
 	for _, tc := range []struct {
 		name, query string
 		assembled   bool
@@ -625,17 +631,21 @@ func TestCompareAssembledCases(t *testing.T) {
 		{"ratio at or above 1e21", "a=3&b=2", true, `"score_ratio": 1e+24,`},
 		{"negative ratio", "a=7&b=1", true, `"score_ratio": -2e+300,`},
 		{"by label", "a=mid&b=%22quoted%22%20%3C%26%3E", true, `"score_ratio": -5e-301,`},
-		{"ratio overflows to +Inf", "a=4&b=5", false, ""},
-		{"ratio overflows to -Inf", "a=7&b=5", false, ""},
-		{"NaN score as a", "a=6&b=1", false, ""},
-		{"NaN score as b", "a=1&b=nan", false, ""},
+		{"ratio overflows to +Inf", "a=4&b=5", false, refused("+Inf")},
+		{"ratio overflows to -Inf", "a=7&b=5", false, refused("-Inf")},
+		{"NaN score as a", "a=6&b=1", false, refused("NaN")},
+		{"NaN score as b", "a=1&b=nan", false, refused("NaN")},
 	} {
 		path := "/v1/compare?" + tc.query
 		a, b := rawGet(t, hc, path, nil), rawGet(t, hf, path, nil)
 		if a.Code != b.Code || a.Body.String() != b.Body.String() {
 			t.Fatalf("%s: cached %d\n%s\nencoder %d\n%s", tc.name, a.Code, a.Body, b.Code, b.Body)
 		}
-		if a.Code != http.StatusOK || !strings.Contains(a.Body.String(), tc.want) {
+		wantCode := http.StatusOK
+		if !tc.assembled {
+			wantCode = http.StatusInternalServerError
+		}
+		if a.Code != wantCode || !strings.Contains(a.Body.String(), tc.want) {
 			t.Fatalf("%s: status %d, body lacks %q:\n%s", tc.name, a.Code, tc.want, a.Body)
 		}
 		etag := a.Header().Get("ETag")

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,12 +32,22 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v (two-space indent, trailing newline) before it
+// sends anything, into the route's pooled recorder buffer when there is
+// one, so a value the encoder refuses — a NaN or infinite score, a score
+// ratio that overflows — is answered 500 with the error envelope rather
+// than 200 with no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := bytes.NewBuffer(recorderOf(w).buf[:0])
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		_ = enc.Encode(apiError{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

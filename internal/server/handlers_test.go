@@ -3,12 +3,15 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"sourcerank/internal/gen"
+	"sourcerank/internal/linalg"
 	"sourcerank/internal/pagegraph"
 )
 
@@ -249,6 +252,57 @@ func TestMetricsBuildBranches(t *testing.T) {
 		}
 		if text := metrics(snap, Config{}); strings.Contains(text, "srserve_build_") {
 			t.Errorf("%s: build series on a server without a builder:\n%s", want.what, text)
+		}
+	}
+}
+
+// No endpoint answers 200 with an empty body: a NaN or infinite score on
+// /v1/rank, /v1/compare and /v1/topk, and a pair of finite scores whose
+// ratio overflows (1e300 over 1e-300), get a 500 with the error envelope
+// from the encoder path and from the cached one alike; every other
+// answer is a 200 with a JSON document.
+func TestNoEmptyOK(t *testing.T) {
+	labels := []string{"half", "nan", "inf", "neg-inf", "huge", "tiny"}
+	scores := linalg.Vector{0.5, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 1e-300}
+	snap, err := NewSnapshot(CorpusInfo{Name: "nonfinite"}, labels, make([]int, len(labels)), 0,
+		map[Algo]*ScoreSet{AlgoSRSR: NewScoreSet(scores, linalg.IterStats{})}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	finite := func(id int) bool { return !math.IsNaN(scores[id]) && !math.IsInf(scores[id], 0) }
+	want := map[string]bool{} // path -> whether the encoder accepts its document
+	for a := range labels {
+		want[fmt.Sprintf("/v1/rank/%d", a)] = finite(a)
+		for b := range labels {
+			ok := finite(a) && finite(b) && !(a == 4 && b == 5)
+			want[fmt.Sprintf("/v1/compare?a=%d&b=%d", a, b)] = ok
+		}
+	}
+	for n := 0; n <= len(labels); n++ {
+		want[fmt.Sprintf("/v1/topk?n=%d", n)] = n == 0 // the NaN sorts first
+	}
+	cached, fallback := twoServers(NewStore(snap))
+	for _, srv := range []*Server{cached, fallback} {
+		h := srv.Handler()
+		for path, ok := range want {
+			rec := rawGet(t, h, path, nil)
+			body := rec.Body.Bytes()
+			if rec.Code == http.StatusOK && len(body) == 0 {
+				t.Fatalf("%s (encodeAlways %v): 200 with an empty body", path, srv.encodeAlways)
+			}
+			if !json.Valid(body) {
+				t.Fatalf("%s (encodeAlways %v): body is not JSON: %q", path, srv.encodeAlways, body)
+			}
+			wantCode := http.StatusOK
+			if !ok {
+				wantCode = http.StatusInternalServerError
+			}
+			if rec.Code != wantCode {
+				t.Fatalf("%s (encodeAlways %v): status %d, want %d: %s", path, srv.encodeAlways, rec.Code, wantCode, body)
+			}
+			if !ok && !strings.Contains(string(body), `"error": "encoding response: json: unsupported value: `) {
+				t.Fatalf("%s (encodeAlways %v): %s, want the error envelope", path, srv.encodeAlways, body)
+			}
 		}
 	}
 }
