@@ -409,7 +409,7 @@ func loadExtraScores(spec string) (map[server.Algo]linalg.Vector, error) {
 		}
 		v, err := linalg.ReadVectorFile(path)
 		if err != nil {
-			return nil, fmt.Errorf("loading %q: %w", path, err)
+			return nil, fmt.Errorf("-scores %s: loading %q: %w", name, path, err)
 		}
 		out[server.Algo(name)] = v
 	}

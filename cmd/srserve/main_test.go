@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -172,6 +174,19 @@ func topK(t *testing.T, store *server.Store, algo server.Algo) string {
 	return versionField.ReplaceAllString(rec.Body.String(), `"version": _`)
 }
 
+// TestScoresFileNonFinite: a -scores file holding a NaN fails boot, at
+// reading it, with an error naming the algorithm and the source.
+func TestScoresFileNonFinite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.vec")
+	if err := linalg.WriteVectorFile(path, linalg.Vector{0.5, 0.25, math.NaN(), 0.25}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := loadExtraScores("mymodel=" + path)
+	if !errors.Is(err, linalg.ErrNonFinite) || !strings.Contains(err.Error(), "-scores mymodel") || !strings.Contains(err.Error(), "at 2 (NaN)") {
+		t.Fatalf("loading a NaN score file = %v, want linalg.ErrNonFinite naming mymodel and source 2", err)
+	}
+}
+
 // TestRefreshEndToEnd drives the refresh srserve actually runs: newBuild
 // over a label file, a store, a Refresher, the replica Publisher every
 // builder mounts and one Puller behind it, wired as main wires them.
@@ -251,7 +266,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	reordered := append(slices.Clone(labels), labels[0])
 	slices.Reverse(reordered)
 	writeLabels(t, spamPath, labelFile(reordered))
-	reused0, rendered0, _ := store.PublishSets()
+	reused0, rendered0 := store.PublishSets()
 	bodies := map[server.Algo]string{}
 	for _, a := range algos {
 		bodies[a] = topK(t, store, a)
@@ -266,10 +281,10 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if cur.Version() != 2 || cur.Corpus().SpamLabeled != len(labels) {
 		t.Fatalf("v%d with %d labels, want v2 with %d", cur.Version(), cur.Corpus().SpamLabeled, len(labels))
 	}
-	reused, rendered, uncached := store.PublishSets()
-	if reused-reused0 != nAlgos || rendered != rendered0 || uncached != 0 {
-		t.Fatalf("unchanged refresh: reused +%d rendered +%d uncached %d, want +%d +0 0",
-			reused-reused0, rendered-rendered0, uncached, nAlgos)
+	reused, rendered := store.PublishSets()
+	if reused-reused0 != nAlgos || rendered != rendered0 {
+		t.Fatalf("unchanged refresh: reused +%d rendered +%d, want +%d +0",
+			reused-reused0, rendered-rendered0, nAlgos)
 	}
 	if replica.Fingerprint(cur) != replica.Fingerprint(first) {
 		t.Fatal("unchanged refresh moved the fingerprint")
@@ -307,7 +322,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	labels = append(labels, added)
 	slices.Sort(labels)
 	writeLabels(t, spamPath, labelFile(labels))
-	reused0, _, _ = store.PublishSets()
+	reused0, _ = store.PublishSets()
 	if err := ref.RefreshNow(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +350,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if !server.SameArray(first.Set(server.AlgoPageRank).ScoresView(), cur.Set(server.AlgoPageRank).ScoresView()) {
 		t.Error("pagerank re-solved over a label change")
 	}
-	if reused, _, _ = store.PublishSets(); reused-reused0 < 1 {
+	if reused, _ = store.PublishSets(); reused-reused0 < 1 {
 		t.Errorf("label-change refresh reused %d sets, want >= 1", reused-reused0)
 	}
 	sync()

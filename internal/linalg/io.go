@@ -31,6 +31,10 @@ const (
 // instead; callers screening for any corruption should test both.
 var ErrVectorCorrupt = errors.New("linalg: corrupt vector encoding")
 
+// ErrNonFinite reports a NaN or infinite value where only finite ones are
+// valid: a score vector read from disk, or one a snapshot is built from.
+var ErrNonFinite = errors.New("linalg: non-finite value")
+
 // WriteVectorFile atomically commits v to path in the framed version-2
 // format (write-temp, CRC32-C trailer, fsync, rename). On error the
 // destination is untouched and no temp file is left behind. cmd/srank
@@ -108,7 +112,7 @@ func decodeVectorFile(data []byte) (Vector, error) {
 	v := Vector(decodeLE[float64](body))
 	for i, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("%w: non-finite value at %d", ErrVectorCorrupt, i)
+			return nil, fmt.Errorf("%w: %w at %d (%v)", ErrVectorCorrupt, ErrNonFinite, i, x)
 		}
 	}
 	return v, nil

@@ -156,7 +156,7 @@ func TestDecodeVectorFileRejectsNonFinite(t *testing.T) {
 	if err := WriteVectorFile(path, Vector{1, math.NaN(), 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadVectorFile(path); !errors.Is(err, ErrVectorCorrupt) {
+	if _, err := ReadVectorFile(path); !errors.Is(err, ErrVectorCorrupt) || !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("NaN accepted from framed file: %v", err)
 	}
 }

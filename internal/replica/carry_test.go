@@ -2,13 +2,17 @@ package replica
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"sourcerank/internal/durable"
+	"sourcerank/internal/linalg"
 	"sourcerank/internal/server"
 )
 
@@ -68,8 +72,8 @@ func TestZeroPatchSharesVectorAndIndex(t *testing.T) {
 	}
 	// Two full publishes' worth of rendered sets would be 6; the delta
 	// publish must have carried the two unpatched ones instead.
-	if reused, rendered, uncached := rst.PublishSets(); reused != 2 || rendered != 4 || uncached != 0 {
-		t.Fatalf("replica publish sets reused/rendered/uncached = %d/%d/%d, want 2/4/0", reused, rendered, uncached)
+	if reused, rendered := rst.PublishSets(); reused != 2 || rendered != 4 {
+		t.Fatalf("replica publish sets reused/rendered = %d/%d, want 2/4", reused, rendered)
 	}
 	if string(fullFrame(rst.Current())) != string(fullFrame(to)) {
 		t.Fatal("patched snapshot does not re-encode byte-identical to a full transfer")
@@ -134,6 +138,46 @@ func TestPullerRejectsTamperedZeroPatchAndKeepsServing(t *testing.T) {
 	}
 	if Fingerprint(rst.Current()) != Fingerprint(bst.Current()) {
 		t.Fatal("replica did not converge after the rejected frame")
+	}
+}
+
+// TestPullerRefusesPoisonedScore: a full frame encoded from a finite
+// snapshot, one of whose scores is overwritten with NaN bits and its
+// section CRC and durable trailer re-sealed, passes every frame check and
+// is refused by server.NewSnapshot; the replica keeps serving its version.
+func TestPullerRefusesPoisonedScore(t *testing.T) {
+	const n = 40
+	bst := server.NewStore(nil)
+	bst.Publish(rawSnapshot(t, n, 35))
+	pub := NewPublisher(bst, 8)
+	rst := server.NewStore(nil)
+	p := &Puller{Builder: "http://builder", Store: rst, Client: &http.Client{Transport: handlerTransport{pub}}}
+	if err := p.SyncNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	served := rst.Current()
+	bst.Publish(successor(t, bst.Current(), 4, 0.1, server.AlgoTrustRank))
+	next := bst.Current()
+	// trustrank is the last section: n dense values, then their CRC.
+	payload := fullFrame(next)
+	values := payload[len(payload)-4-8*n : len(payload)-4]
+	poisoned := slices.Clone(next.Set(server.AlgoTrustRank).ScoresView())
+	poisoned[7] = math.NaN()
+	binary.LittleEndian.PutUint64(values[8*7:], math.Float64bits(poisoned[7]))
+	binary.LittleEndian.PutUint32(payload[len(payload)-4:], scoreCRC(poisoned))
+	if _, _, err := decodeApply(payload, nil); !errors.Is(err, linalg.ErrNonFinite) {
+		t.Fatalf("decoding the poisoned frame = %v, want linalg.ErrNonFinite", err)
+	}
+	framed := durable.Frame(payload)
+	p.Client = &http.Client{Transport: handlerTransport{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(framed)
+	})}}
+	if err := p.SyncNow(context.Background()); !errors.Is(err, linalg.ErrNonFinite) {
+		t.Fatalf("poisoned sync = %v, want linalg.ErrNonFinite", err)
+	}
+	if rst.Current() != served || p.Version() != served.Version() || p.ConsecutiveFailures() != 1 {
+		t.Fatalf("replica at v%d (serving v%d), %d failures; want v%d kept and 1 failure",
+			p.Version(), rst.Current().Version(), p.ConsecutiveFailures(), served.Version())
 	}
 }
 

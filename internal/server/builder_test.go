@@ -2,6 +2,10 @@ package server
 
 import (
 	"context"
+	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -351,8 +355,50 @@ func TestRefresherRetainsWarmState(t *testing.T) {
 			t.Errorf("%s: refresh did not carry the initial build's vector", algo)
 		}
 	}
-	if reused, _, _ := store.PublishSets(); reused != 2*uint64(len(initial.Algos())) {
+	if reused, _ := store.PublishSets(); reused != 2*uint64(len(initial.Algos())) {
 		t.Errorf("publishes reused %d sets, want %d", reused, 2*len(initial.Algos()))
+	}
+}
+
+// TestRefresherKeepsServingOverNonFiniteExtra: a build whose Extra vector
+// holds a NaN is refused by NewSnapshot; the refresher counts the failure
+// (on /metrics too), returns an error wrapping linalg.ErrNonFinite, and
+// the store keeps serving the previous version.
+func TestRefresherKeepsServingOverNonFiniteExtra(t *testing.T) {
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCorpus(t, ds.Pages)
+	extra := make(linalg.Vector, ds.Pages.NumSources())
+	extra.Fill(1 / float64(len(extra)))
+	b := &Builder{Config: BuildConfig{Name: ds.Name, Extra: map[Algo]linalg.Vector{"external": extra}}}
+	served, _, err := b.Build(c, ds.SpamSources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore(served)
+	ref := &Refresher{
+		Store: store,
+		Build: func(context.Context) (*Snapshot, error) {
+			snap, _, err := b.Build(c, ds.SpamSources)
+			return snap, err
+		},
+	}
+	poisoned := slices.Clone(extra)
+	poisoned[3] = math.NaN()
+	b.Config.Extra = map[Algo]linalg.Vector{"external": poisoned}
+	err = ref.RefreshNow(context.Background())
+	if !errors.Is(err, linalg.ErrNonFinite) || !strings.Contains(err.Error(), "external score of source 3 is NaN") {
+		t.Fatalf("refresh over a NaN extra vector = %v, want linalg.ErrNonFinite naming the source", err)
+	}
+	if store.Current() != served || served.Version() != 1 {
+		t.Fatalf("store serves v%d, want the previous v1", store.Current().Version())
+	}
+	rec := httptest.NewRecorder()
+	New(store, Config{Refresher: ref}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := "srserve_refresh_consecutive_failures 1\n"; !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("metrics missing %q:\n%s", want, rec.Body)
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -20,10 +19,10 @@ const maxTopK = 10000
 // one-element slice per call. Keys are in canonical MIME form.
 var jsonContentType = []string{"application/json"}
 
-// respCache is the per-snapshot set of pre-encoded response bodies.
-// Everything here is computed once per publish and immutable afterwards,
-// so the serving hot path performs zero marshaling and zero allocation
-// between publishes.
+// respCache is the per-snapshot text every data response is written
+// from. Everything here is computed once per publish and immutable
+// afterwards, so the serving hot path performs zero marshaling and zero
+// allocation between publishes.
 type respCache struct {
 	etag    string   // strong ETag keyed on the snapshot version, e.g. `"v42"`
 	etagHdr []string // ready-to-assign header value holding etag
@@ -80,14 +79,10 @@ func (c *topkCache) writeTo(w io.Writer, n int, digits *textArena) {
 // counts are the snapshot's. Only the heads are rendered per publish.
 type rankDoc struct {
 	head    []byte // document start through `"source": ` (version and algo baked in)
-	compare []byte // /v1/compare's, through a's `"source": `; nil when its probe failed
+	compare []byte // /v1/compare's, through a's `"source": `
 	scores  *textArena
 	rank    []int32 // ScoreSet.rank
 }
-
-// finite reports whether source id's score has text, that is whether the
-// encoder would render it rather than refuse it.
-func (d *rankDoc) finite(id int32) bool { return len(d.scores.at(int(d.rank[id]))) > 0 }
 
 // appendRank appends the rest of source id's /v1/rank document — all
 // that follows the head — to b.
@@ -162,32 +157,6 @@ func (c *respCache) writeCompare(w http.ResponseWriter, d *rankDoc, a, b int32, 
 	w.Write(rec.buf)
 }
 
-// docEncoder renders documents exactly as writeJSON does (two-space
-// indent, HTML escaping on, trailing newline), one after another, with
-// one json.Encoder and one buffer; each finalize worker owns one.
-type docEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-func newDocEncoder() *docEncoder {
-	e := &docEncoder{}
-	e.enc = json.NewEncoder(&e.buf)
-	e.enc.SetIndent("", "  ")
-	return e
-}
-
-// encode renders v. The returned slice aliases the encoder's buffer and
-// holds until the next call. A value the encoder refuses writes nothing,
-// so the encoder stays usable.
-func (e *docEncoder) encode(v any) ([]byte, error) {
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return e.buf.Bytes(), nil
-}
-
 // publishOutcome names what a publish did with one score set.
 type publishOutcome int
 
@@ -198,13 +167,10 @@ const (
 	// setRendered: the set's top-k entries were rendered by this publish
 	// (and its index and score texts too, unless its vector was carried).
 	setRendered
-	// setUncached: a renderer dropped its cache, so the handlers encode
-	// this set per request.
-	setUncached
 	numPublishOutcomes
 )
 
-var publishOutcomeNames = [numPublishOutcomes]string{"reused", "rendered", "uncached"}
+var publishOutcomeNames = [numPublishOutcomes]string{"reused", "rendered"}
 
 // SameArray reports pointer identity of two slices' backing arrays — the
 // witness, for immutable snapshot inputs, that one was carried over from
@@ -214,21 +180,21 @@ func SameArray[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// finalize resolves this snapshot's indexes and pre-encodes its hot-path
-// response bodies. Store.Publish calls it after assigning the version and
-// before the snapshot pointer is swapped in, so readers only ever observe
-// a fully built cache. publishes is the store's publish counter as of
-// this publish (what Store.Publishes reports while this snapshot is
-// current, so the cached /v1/snapshot body equals the fallback's); prev
-// is the outgoing snapshot, nil on the first publish. It returns how many
-// score sets met each outcome.
+// finalize resolves this snapshot's indexes and renders the text its
+// data responses are written from. Store.Publish calls it after assigning
+// the version and before the snapshot pointer is swapped in, so readers
+// only ever observe a fully built cache. publishes is the store's publish
+// counter as of this publish (what Store.Publishes reports while this
+// snapshot is current, so /v1/snapshot reports it); prev is the outgoing
+// snapshot, nil on the first publish. It returns how many score sets met
+// each outcome.
 //
 // One rule, decided here and nowhere else: an input that is prev's very
 // array carries everything derived from it. Shared labels carry the
 // label map and the escaped-label bytes; a shared score vector carries
 // its rank index and score texts; and when labels are shared as well, it
 // carries the rendered top-k entries, leaving only the version-bearing
-// heads to encode. /v1/rank and /v1/compare bodies are assembled per
+// heads to render. /v1/rank and /v1/compare bodies are assembled per
 // request from those parts, so nothing of them is rendered here but the
 // heads. A publish thus costs the heads plus one index-format-render per
 // algorithm whose vector changed — the first publish of a lineage
@@ -244,11 +210,9 @@ func SameArray[T any](a, b []T) bool {
 // their cores. The caches and outcome counts are filled after the join in
 // Algos() order, so they do not depend on the worker count.
 //
-// Everything else is rendered by cache_delta.go, defensively: heads come
-// from the encoder, one entry per document kind is probed against an
-// encoder rendering, and on any mismatch that piece of the cache is
-// dropped so handlers fall back to per-request encoding. The golden
-// tests assert cached bytes equal the fallback on every kind of publish.
+// The renderers are cache_delta.go's appenders, the one definition of
+// every data response; NewSnapshot refused whatever they cannot render.
+// The /v1/snapshot body is the one document encoding/json renders here.
 func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPublishOutcomes]int) {
 	c := &respCache{
 		etag:   `"v` + strconv.FormatUint(s.version, 10) + `"`,
@@ -287,7 +251,7 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 	}
 	labeled := make(chan struct{})
 	var next atomic.Int32
-	work := func(enc *docEncoder) {
+	work := func() {
 		for t := int(next.Add(1)) - 1; t <= 2*len(algos); t = int(next.Add(1)) - 1 {
 			switch {
 			case t == 0:
@@ -301,22 +265,15 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 				p, ss := &parts[t-1], s.sets[algos[t-1]]
 				order, rank := ss.index()
 				if p.rank = rank; p.sc == nil {
-					p.sc = formatScores(ss.scores, order) // nil past what int32 offsets address
+					p.sc = formatScores(ss.scores, order)
 				}
 				close(p.indexed)
 			default:
 				algo, p := algos[t-1-len(algos)], &parts[t-1-len(algos)]
 				<-labeled
 				<-p.indexed
-				if p.sc == nil {
-					continue
-				}
-				p.tc = s.renderTopK(enc, algo, c.labels, c.digits, p.sc, p.from)
-				if n > 0 {
-					if p.rd = s.rankHead(enc, algo, c, &rankDoc{scores: p.sc, rank: p.rank}); p.rd != nil {
-						s.compareHead(enc, algo, c, p.rd)
-					}
-				}
+				p.tc = s.renderTopK(algo, c.labels, c.digits, p.sc, p.from)
+				p.rd = &rankDoc{head: s.head(algo, rankHeadKey), compare: s.head(algo, compareHeadKey), scores: p.sc, rank: p.rank}
 			}
 		}
 	}
@@ -325,35 +282,24 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(newDocEncoder())
+			work()
 		}()
 	}
-	enc := newDocEncoder()
-	work(enc)
+	work()
 	wg.Wait()
 	for i, algo := range algos {
 		p := &parts[i]
-		if p.sc != nil {
-			c.scores[algo] = p.sc
-		}
-		if p.tc != nil {
-			c.topk[algo] = p.tc
-		}
-		if p.rd != nil {
-			c.rank[algo] = p.rd
-		}
-		switch {
-		case p.tc == nil || (n > 0 && p.rd == nil):
-			outcomes[setUncached]++
-		case p.from != nil:
+		c.scores[algo], c.topk[algo], c.rank[algo] = p.sc, p.tc, p.rd
+		if p.from != nil {
 			outcomes[setReused]++
-		default:
+		} else {
 			outcomes[setRendered]++
 		}
 	}
-	if meta, err := enc.encode(s.snapshotDocument(publishes)); err == nil {
-		c.meta = append([]byte(nil), meta...)
-	}
+	// NewSnapshot refused the one value that fails to encode, a build time
+	// out of JSON's range.
+	meta, _ := json.MarshalIndent(s.snapshotDocument(publishes), "", "  ")
+	c.meta = append(meta, '\n')
 	s.resp = c
 	return outcomes
 }
@@ -362,7 +308,7 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 type algoParts struct {
 	indexed chan struct{} // closed once rank and sc are set
 	rank    []int32
-	sc      *textArena // nil when formatScores gave up
+	sc      *textArena
 	from    *topkCache // prev's entries, when they still hold
 	tc      *topkCache
 	rd      *rankDoc

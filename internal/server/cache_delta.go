@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -9,20 +8,21 @@ import (
 	"sourcerank/internal/linalg"
 )
 
-// This file is the response pre-encoder's renderer, the only one: first
-// publishes and delta publishes alike go through it. finalize (cache.go)
-// decides what is carried over from the outgoing snapshot; whatever is
-// not carried is copied together here from text formatted once per
-// publish — escaped labels, the decimals 0..n, and each rendered
-// algorithm's scores (appendJSONFloat replicates the encoder's floats).
-// /v1/rank and /v1/compare bodies are assembled from the same text per
-// request (respCache.appendRank, appendCompare), so only their heads are
+// This file is the response renderer, the only one: first publishes and
+// delta publishes alike go through it, and no data response is encoded
+// any other way. finalize (cache.go) decides what is carried over from
+// the outgoing snapshot; whatever is not carried is copied together here
+// from text formatted once per publish — escaped labels, the decimals
+// 0..n, and each rendered algorithm's scores. /v1/rank and /v1/compare
+// bodies are assembled from the same text per request
+// (respCache.appendRank, appendCompare), so only their heads are
 // rendered here.
 //
-// The renderers stay defensive: the version-bearing head always comes
-// from the encoder, one full document is probed against an encoder
-// rendering, and any mismatch drops that cache so the handlers encode
-// per request — the encoder's output is the contract.
+// The appenders are the definition of every body; encoding/json is the
+// oracle the tests hold them to, byte for byte. They write what
+// json.Encoder with a two-space indent writes for the same response
+// struct: appendJSONFloat its floats, labelCacheFor and appendLabel its
+// strings.
 
 // textArena is a run of texts in one buffer: text i is b[offs[i]:offs[i+1]].
 type textArena struct {
@@ -50,18 +50,12 @@ func decimals(n int) *textArena {
 const maxJSONFloatLen = 25
 
 // formatScores returns the arena of the JSON texts of scores in rank
-// order, or nil when they might not fit int32 offsets. A non-finite
-// score, which the encoder refuses, gets empty text: the top-k renderer
-// drops its cache on it, and /v1/rank encodes that source per request.
+// order. NewSnapshot has refused non-finite scores, and more sources
+// than int32 offsets into the arena address.
 func formatScores(scores linalg.Vector, order []int32) *textArena {
-	if len(order) > math.MaxInt32/maxJSONFloatLen {
-		return nil
-	}
 	a := &textArena{b: make([]byte, 0, len(order)*maxJSONFloatLen), offs: make([]int32, 1, len(order)+1)}
 	for _, id := range order {
-		if s := scores[id]; !math.IsNaN(s) && !math.IsInf(s, 0) {
-			a.b = appendJSONFloat(a.b, s)
-		}
+		a.b = appendJSONFloat(a.b, scores[id])
 		a.offs = append(a.offs, int32(len(a.b)))
 	}
 	return a
@@ -110,6 +104,15 @@ func labelCacheFor(labels []string, old *labelCache) *labelCache {
 	return &labelCache{labels: labels, esc: esc}
 }
 
+// appendLabel appends l quoted and escaped as json.Marshal renders it.
+func appendLabel(b []byte, l string) []byte {
+	if plainLabel(l) {
+		return append(append(append(b, '"'), l...), '"')
+	}
+	q, _ := json.Marshal(l) // a string always marshals
+	return append(b, q...)
+}
+
 // plainLabel reports whether json.Marshal quotes l verbatim: every byte
 // is printable ASCII other than the ones it escapes, `"` `\` and the
 // HTML-significant `<` `>` `&`.
@@ -124,8 +127,8 @@ func plainLabel(l string) bool {
 
 // appendJSONFloat appends f exactly as encoding/json renders a float64:
 // shortest representation, 'f' format unless the magnitude calls for
-// scientific notation, with the exponent's leading zero stripped.
-// Callers must reject NaN/Inf beforehand (the encoder errors on them).
+// scientific notation, with the exponent's leading zero stripped. f must
+// be finite: JSON has no text for NaN or ±Inf.
 func appendJSONFloat(b []byte, f float64) []byte {
 	abs := math.Abs(f)
 	format := byte('f')
@@ -144,9 +147,15 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// The fixed text of one /v1/topk entry, one /v1/rank body and one
-// /v1/compare body, as the encoder indents them.
+// The fixed text of the documents' heads, one /v1/topk entry, one
+// /v1/rank body and one /v1/compare body, as the encoder indents them.
 const (
+	headVersion    = "{\n  \"version\": "
+	headAlgo       = ",\n  \"algo\": "
+	topkHeadKey    = ",\n  \"n\": "
+	rankHeadKey    = ",\n  \"source\": "
+	compareHeadKey = ",\n  \"a\": {\n    \"source\": "
+
 	topkEntrySource = "\n    {\n      \"source\": "
 	topkEntryLabel  = ",\n      \"label\": "
 	topkEntryScore  = ",\n      \"score\": "
@@ -167,24 +176,31 @@ const (
 	compareDelta = ",\n  \"rank_delta\": "
 )
 
+// head renders the start of algo's documents of one kind: the version,
+// the algo and key, the first key of that kind.
+func (s *Snapshot) head(algo Algo, key string) []byte {
+	b := append(make([]byte, 0, len(headVersion)+20+len(headAlgo)+len(algo)+2+len(key)), headVersion...)
+	b = strconv.AppendUint(b, s.version, 10)
+	b = appendLabel(append(b, headAlgo...), string(algo))
+	return append(b, key...)
+}
+
 // renderTopK builds algo's top-K cache. from, when finalize established
 // that the outgoing snapshot's entries still hold, supplies the entry
 // slab as is; otherwise the slab is copied together from the escaped
 // labels, the decimals dig and the rank-ordered score texts sc into a
-// buffer sized exactly. Either way the head, which carries the version,
-// comes from topkHead's probe, so a formatting divergence drops the
-// cache instead of serving wrong bytes.
-func (s *Snapshot) renderTopK(enc *docEncoder, algo Algo, lc *labelCache, dig, sc *textArena, from *topkCache) *topkCache {
+// buffer sized exactly. Either way the head carries this publish's
+// version.
+func (s *Snapshot) renderTopK(algo Algo, lc *labelCache, dig, sc *textArena, from *topkCache) *topkCache {
+	tc := &topkCache{head: s.head(algo, topkHeadKey)}
 	if from != nil {
-		return s.topkHead(enc, algo, dig, &topkCache{entries: from.entries, ends: from.ends})
+		tc.entries, tc.ends = from.entries, from.ends
+		return tc
 	}
 	order, _ := s.sets[algo].index()
 	maxN := min(len(order), maxTopK)
 	size := max(maxN*(1+len(topkEntrySource)+len(topkEntryLabel)+len(topkEntryScore)+len(topkEntryRank)+len(entryClose))-1, 0)
 	for pos, id := range order[:maxN] {
-		if len(sc.at(pos)) == 0 {
-			return nil // non-finite
-		}
 		size += len(dig.at(int(id))) + len(lc.esc[id]) + len(sc.at(pos)) + len(dig.at(pos+1))
 	}
 	entries := make([]byte, 0, size)
@@ -204,72 +220,6 @@ func (s *Snapshot) renderTopK(enc *docEncoder, algo Algo, lc *labelCache, dig, s
 		entries = append(entries, entryClose...)
 		ends[pos] = len(entries)
 	}
-	return s.topkHead(enc, algo, dig, &topkCache{entries: entries, ends: ends})
-}
-
-// topkHead completes tc with its head: it renders algo's top-1 document
-// (top-0 on a snapshot without sources) through the encoder, requires
-// it to end with what tc writes after the head, and takes what precedes
-// that — version, algo and the `"n"` key — as the head of every n. nil
-// when the probe fails.
-func (s *Snapshot) topkHead(enc *docEncoder, algo Algo, dig *textArena, tc *topkCache) *topkCache {
-	m := min(1, tc.max())
-	results, err := s.TopK(algo, m)
-	if err != nil {
-		return nil
-	}
-	doc, err := enc.encode(topKResponse{Version: s.version, Algo: algo, N: m, Results: results})
-	if err != nil {
-		return nil
-	}
-	var rest bytes.Buffer
-	tc.writeTo(&rest, m, dig) // tc.head is still nil
-	if !bytes.HasSuffix(doc, rest.Bytes()) {
-		return nil
-	}
-	tc.head = append([]byte(nil), doc[:len(doc)-rest.Len()]...)
+	tc.entries, tc.ends = entries, ends
 	return tc
-}
-
-// rankHead completes d, algo's parts of the /v1/rank documents, with
-// their head: it assembles the rest of source 0's document from the
-// parts, requires it to end the encoder's rendering of that document,
-// and takes what precedes it — version, algo and the `"source": ` key —
-// as every source's head. nil when the probe fails or the encoder
-// refuses source 0's score.
-func (s *Snapshot) rankHead(enc *docEncoder, algo Algo, c *respCache, d *rankDoc) *rankDoc {
-	resp, err := s.rankDocument(algo, 0)
-	if err != nil {
-		return nil
-	}
-	doc, err := enc.encode(resp)
-	if err != nil {
-		return nil
-	}
-	body := c.appendRank(make([]byte, 0, len(doc)), d, 0, s.pageCount)
-	if !bytes.HasSuffix(doc, body) {
-		return nil
-	}
-	d.head = append([]byte(nil), doc[:len(doc)-len(body)]...)
-	return d
-}
-
-// compareHead completes d with its /v1/compare head the way rankHead
-// found d's own: it assembles the rest of the (0, 0) comparison, requires
-// it to end the encoder's rendering, and keeps what precedes it —
-// version, algo and a's `"source": ` key. d.compare stays nil, and
-// compare encodes per request, when the probe fails.
-func (s *Snapshot) compareHead(enc *docEncoder, algo Algo, c *respCache, d *rankDoc) {
-	cmp, err := s.Compare(algo, 0, 0)
-	if err != nil {
-		return
-	}
-	doc, err := enc.encode(compareResponse{Version: s.version, Algo: algo, Comparison: cmp})
-	if err != nil {
-		return
-	}
-	body := c.appendCompare(make([]byte, 0, len(doc)), d, 0, 0, cmp.ScoreRatio)
-	if bytes.HasSuffix(doc, body) {
-		d.compare = append([]byte(nil), doc[:len(doc)-len(body)]...)
-	}
 }

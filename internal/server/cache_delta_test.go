@@ -2,11 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"runtime"
 	"slices"
@@ -76,8 +78,8 @@ func deltaSnapshot(t *testing.T, prev *Snapshot, rng *rand.Rand) *Snapshot {
 
 // TestDeltaPublishByteIdentical is the golden test for the delta
 // renderers: a publish over a live predecessor takes the direct-render
-// path (asserted, not assumed), and every cached body must still equal
-// the encoder fallback byte for byte — including the nasty-label corpus
+// path (asserted, not assumed), and every rendered body must still equal
+// the encoding/json oracle's byte for byte — including the nasty-label corpus
 // that stresses escaping and marker collisions.
 func TestDeltaPublishByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -87,11 +89,11 @@ func TestDeltaPublishByteIdentical(t *testing.T) {
 	if snap.resp.labels == nil {
 		t.Fatal("delta publish did not build the label cache")
 	}
-	assertCachedEqualsFallback(t, store)
-	cached, fallback := twoServers(store)
-	a, b := rawGet(t, cached.Handler(), "/v1/snapshot", nil), rawGet(t, fallback.Handler(), "/v1/snapshot", nil)
+	assertRenderedEqualsOracle(t, store)
+	rendered, ref := twoServers(store)
+	a, b := rawGet(t, rendered.Handler(), "/v1/snapshot", nil), rawGet(t, ref.Handler(), "/v1/snapshot", nil)
 	if a.Body.String() != b.Body.String() {
-		t.Fatalf("snapshot meta differs\ncached:\n%s\nfallback:\n%s", a.Body.String(), b.Body.String())
+		t.Fatalf("snapshot meta differs\nrendered:\n%s\noracle:\n%s", a.Body.String(), b.Body.String())
 	}
 	if !strings.Contains(a.Body.String(), `"parent_version": 1`) {
 		t.Fatalf("delta publish missing parent lineage:\n%s", a.Body.String())
@@ -103,7 +105,7 @@ func TestDeltaPublishByteIdentical(t *testing.T) {
 	if third.resp.labels == nil {
 		t.Fatal("third publish did not build the label cache")
 	}
-	assertCachedEqualsFallback(t, store)
+	assertRenderedEqualsOracle(t, store)
 	for i := range snap.resp.labels.esc {
 		if &third.resp.labels.esc[i][0] != &snap.resp.labels.esc[i][0] {
 			t.Fatalf("escaped label %d was re-rendered instead of reused", i)
@@ -115,7 +117,7 @@ func TestDeltaPublishByteIdentical(t *testing.T) {
 // publish carries the previous snapshot's very score/label/page arrays,
 // the rank index, the label map, the score texts and the entry slabs are
 // shared (no re-sort, no re-format, no re-render), only the
-// version-bearing heads change, and the bodies still match the fallback.
+// version-bearing heads change, and the bodies still match the oracle.
 func TestDeltaPublishWholesaleReuse(t *testing.T) {
 	first := nastySnapshot(t)
 	store := NewStore(first)
@@ -128,8 +130,8 @@ func TestDeltaPublishWholesaleReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Publish(second)
-	if reused, rendered, uncached := store.PublishSets(); reused != 2 || rendered != 2 || uncached != 0 {
-		t.Fatalf("publish sets reused/rendered/uncached = %d/%d/%d, want 2/2/0", reused, rendered, uncached)
+	if reused, rendered := store.PublishSets(); reused != 2 || rendered != 2 {
+		t.Fatalf("publish sets reused/rendered = %d/%d, want 2/2", reused, rendered)
 	}
 	if reflect.ValueOf(second.byLabel).Pointer() != reflect.ValueOf(first.byLabel).Pointer() {
 		t.Fatal("label map was rebuilt, not shared")
@@ -155,12 +157,12 @@ func TestDeltaPublishWholesaleReuse(t *testing.T) {
 			t.Fatalf("%s: score texts were re-formatted, not reused", algo)
 		}
 	}
-	cached, fallback := twoServers(store)
+	rendered, ref := twoServers(store)
 	for _, path := range []string{"/v1/topk?n=5", "/v1/rank/2", "/v1/compare?a=2&b=5", "/v1/snapshot"} {
-		a := rawGet(t, cached.Handler(), path, nil)
-		b := rawGet(t, fallback.Handler(), path, nil)
+		a := rawGet(t, rendered.Handler(), path, nil)
+		b := rawGet(t, ref.Handler(), path, nil)
 		if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
-			t.Fatalf("%s: reused body differs from fallback (status %d)\ncached:\n%s\nfallback:\n%s",
+			t.Fatalf("%s: reused body differs from the oracle (status %d)\nrendered:\n%s\noracle:\n%s",
 				path, a.Code, a.Body.String(), b.Body.String())
 		}
 		if !strings.Contains(a.Body.String(), `"version": 2`) {
@@ -172,7 +174,7 @@ func TestDeltaPublishWholesaleReuse(t *testing.T) {
 // TestPublishCarriesOnlyUnchangedSets mixes the two cases in one publish:
 // the algorithm whose vector is the predecessor's is carried whole, the
 // one whose vector changed is indexed and rendered alone, and both still
-// match the fallback byte for byte.
+// match the oracle byte for byte.
 func TestPublishCarriesOnlyUnchangedSets(t *testing.T) {
 	first := nastySnapshot(t)
 	store := NewStore(first)
@@ -186,8 +188,8 @@ func TestPublishCarriesOnlyUnchangedSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Publish(second)
-	if reused, rendered, uncached := store.PublishSets(); reused != 1 || rendered != 3 || uncached != 0 {
-		t.Fatalf("publish sets reused/rendered/uncached = %d/%d/%d, want 1/3/0", reused, rendered, uncached)
+	if reused, rendered := store.PublishSets(); reused != 1 || rendered != 3 {
+		t.Fatalf("publish sets reused/rendered = %d/%d, want 1/3", reused, rendered)
 	}
 	if &second.sets["weird.algo"].order[0] != &first.sets["weird.algo"].order[0] ||
 		second.resp.scores["weird.algo"] != first.resp.scores["weird.algo"] {
@@ -197,44 +199,14 @@ func TestPublishCarriesOnlyUnchangedSets(t *testing.T) {
 		second.resp.scores[AlgoSRSR] == first.resp.scores[AlgoSRSR] {
 		t.Fatal("changed algorithm shares its predecessor's index or score texts")
 	}
-	assertCachedEqualsFallback(t, store)
+	assertRenderedEqualsOracle(t, store)
 	metrics := rawGet(t, New(store, Config{}).Handler(), "/metrics", nil).Body.String()
 	for _, want := range []string{
 		`srserve_publish_sets_total{outcome="reused"} 1`,
 		`srserve_publish_sets_total{outcome="rendered"} 3`,
-		`srserve_publish_sets_total{outcome="uncached"} 0`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
-		}
-	}
-}
-
-// TestDefeatedProbeDropsCache feeds the renderers escaped-label bytes the
-// encoder would never produce. The one-entry probes must notice, the
-// caches must be dropped (counted as uncached), and the handlers must
-// keep serving the encoder's bytes.
-func TestDefeatedProbeDropsCache(t *testing.T) {
-	store := NewStore(nastySnapshot(t))
-	first := store.Current()
-	for i := range first.resp.labels.esc {
-		first.resp.labels.esc[i] = []byte(`"forged"`)
-	}
-	second := deltaSnapshot(t, first, rand.New(rand.NewSource(3)))
-	store.Publish(second)
-	for _, algo := range second.Algos() {
-		if second.resp.topk[algo] != nil || second.resp.rank[algo] != nil {
-			t.Fatalf("%s: a cache rendered from forged labels survived its probe", algo)
-		}
-	}
-	if _, _, uncached := store.PublishSets(); uncached != 2 {
-		t.Fatalf("uncached sets = %d, want 2", uncached)
-	}
-	cached, fallback := twoServers(store)
-	for _, path := range []string{"/v1/topk?n=8", "/v1/topk?n=2&algo=weird.algo", "/v1/rank/0", "/v1/rank/3?algo=weird.algo", "/v1/compare?a=1&b=3"} {
-		a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil)
-		if a.Code != http.StatusOK || a.Body.String() != b.Body.String() || strings.Contains(a.Body.String(), "forged") {
-			t.Fatalf("%s: status %d, body\n%s\nfallback:\n%s", path, a.Code, a.Body.String(), b.Body.String())
 		}
 	}
 }
@@ -363,6 +335,61 @@ func FuzzLabelEscape(f *testing.F) {
 	})
 }
 
+// FuzzRenderedBodies holds every rendered body to the encoding/json
+// oracle on random finite snapshots: ±0, subnormals, ties, negative
+// scores, values either side of 1e-6 and 1e21 (every branch of
+// appendJSONFloat) and normal values over the whole exponent range, under
+// hostile labels and a hostile algorithm name built from the fuzzed
+// label. Each input is published cold, then again over itself with the
+// labels shared and one vector changed, so the carried path is held to
+// the oracle as well.
+func FuzzRenderedBodies(f *testing.F) {
+	for i, l := range hostileLabels {
+		f.Add(int64(i), l)
+	}
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072009e-308, 1e-6,
+		9.999999999999999e-7, -1e-6, 1e21, 9.999999999999999e20, -1e21, math.MaxFloat64, 0.125}
+	f.Fuzz(func(t *testing.T, seed int64, label string) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(9)
+		labels, pages := make([]string, n), make([]int, n)
+		for i := range labels {
+			labels[i] = label + hostileLabels[rng.Intn(len(hostileLabels))]
+			pages[i] = rng.Intn(2*n + 1)
+		}
+		vector := func() linalg.Vector {
+			v := make(linalg.Vector, n)
+			for i := range v {
+				if rng.Intn(2) == 0 {
+					v[i] = edges[rng.Intn(len(edges))]
+				} else {
+					v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(600)-300))
+				}
+			}
+			return v
+		}
+		sets := map[Algo]*ScoreSet{AlgoSRSR: NewScoreSet(vector(), linalg.IterStats{}), Algo("a" + label): NewScoreSet(vector(), linalg.IterStats{})}
+		first, err := NewSnapshot(CorpusInfo{Name: label}, labels, pages, 0, sets, time.Unix(1700000000, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := NewStore(first)
+		assertRenderedEqualsOracle(t, store)
+		sets = map[Algo]*ScoreSet{AlgoSRSR: NewScoreSet(vector(), linalg.IterStats{})}
+		for algo, ss := range first.sets {
+			if algo != AlgoSRSR {
+				sets[algo] = NewScoreSet(ss.scores, ss.stats)
+			}
+		}
+		second, err := NewSnapshot(first.corpus, labels, pages, 0, sets, time.Unix(1700000001, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Publish(second)
+		assertRenderedEqualsOracle(t, store)
+	})
+}
+
 // hostileLabels are labels json.Marshal does not quote verbatim, next to
 // ones it does: HTML-escaped runes, quotes, backslashes, control bytes,
 // DEL, the JavaScript line separators and invalid UTF-8.
@@ -372,35 +399,39 @@ var hostileLabels = []string{
 	"del\x7f", "ls\u2028ps\u2029", "bad\xffutf8\xc3", "ünïcödé-ラベル",
 }
 
-// assertCachedEqualsFallback compares every cached /v1/topk (n from 0
-// past the source count), /v1/rank and /v1/compare body of store's
-// current snapshot with the encoder fallback, and requires each cache to
-// be present. Compare runs over every ordered pair of sources.
-func assertCachedEqualsFallback(t *testing.T, store *Store) {
+// assertRenderedEqualsOracle compares every rendered /v1/topk (n from 0
+// past the source count), /v1/rank and /v1/compare body and the
+// /v1/snapshot body of store's current snapshot with the encoding/json
+// oracle's. Compare runs over every ordered pair of sources. Every answer
+// must be a 200 but a comparison whose score ratio overflows, which must
+// be the oracle's 500.
+func assertRenderedEqualsOracle(t *testing.T, store *Store) {
 	t.Helper()
 	snap := store.Current()
-	cached, fallback := twoServers(store)
-	hc, hf := cached.Handler(), fallback.Handler()
-	var paths []string
+	rendered, ref := twoServers(store)
+	hc, hf := rendered.Handler(), ref.Handler()
+	want := map[string]int{"/v1/snapshot": http.StatusOK}
 	for _, algo := range snap.Algos() {
-		if d := snap.resp.rank[algo]; snap.resp.topk[algo] == nil || d == nil || d.compare == nil {
-			t.Fatalf("v%d: missing cache for %s", snap.Version(), algo)
-		}
+		q, scores := url.QueryEscape(string(algo)), snap.sets[algo].scores
 		for n := 0; n <= snap.NumSources()+1; n++ {
-			paths = append(paths, fmt.Sprintf("/v1/topk?algo=%s&n=%d", algo, n))
+			want[fmt.Sprintf("/v1/topk?algo=%s&n=%d", q, n)] = http.StatusOK
 		}
-		for id := 0; id < snap.NumSources(); id++ {
-			paths = append(paths, fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo))
-			for b := 0; b < snap.NumSources(); b++ {
-				paths = append(paths, fmt.Sprintf("/v1/compare?a=%d&b=%d&algo=%s", id, b, algo))
+		for id := range scores {
+			want[fmt.Sprintf("/v1/rank/%d?algo=%s", id, q)] = http.StatusOK
+			for b := range scores {
+				code := http.StatusOK
+				if math.IsInf(scoreRatio(scores[id], scores[b]), 0) {
+					code = http.StatusInternalServerError
+				}
+				want[fmt.Sprintf("/v1/compare?a=%d&b=%d&algo=%s", id, b, q)] = code
 			}
 		}
 	}
-	for _, path := range paths {
+	for path, code := range want {
 		a, b := rawGet(t, hc, path, nil), rawGet(t, hf, path, nil)
-		if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
-			t.Fatalf("v%d %s: status %d, cached body differs from fallback\ncached:\n%s\nfallback:\n%s",
-				snap.Version(), path, a.Code, a.Body.String(), b.Body.String())
+		if a.Code != code || b.Code != code || a.Body.String() != b.Body.String() {
+			t.Fatalf("v%d %s: status %d, oracle %d, want %d; rendered body differs from the oracle's\nrendered:\n%s\noracle:\n%s",
+				snap.Version(), path, a.Code, b.Code, code, a.Body.String(), b.Body.String())
 		}
 	}
 }
@@ -427,11 +458,11 @@ func TestHostileLabelsByteIdentical(t *testing.T) {
 	}
 	k := len(hostileLabels)
 	store := NewStore(snapshot(backing[:k]))
-	assertCachedEqualsFallback(t, store)
+	assertRenderedEqualsOracle(t, store)
 	for _, n := range []int{k + 1, len(backing)} { // grow by one, then by the rest
 		prev := store.Current().resp.labels
 		store.Publish(snapshot(backing[:n]))
-		assertCachedEqualsFallback(t, store)
+		assertRenderedEqualsOracle(t, store)
 		for i := range prev.esc {
 			if &store.Current().resp.labels.esc[i][0] != &prev.esc[i][0] {
 				t.Fatalf("escaped label %d was re-rendered instead of reused", i)
@@ -442,7 +473,7 @@ func TestHostileLabelsByteIdentical(t *testing.T) {
 
 // TestConcurrentFinalizeMatchesOneGoroutine: a first publish finalizes
 // on GOMAXPROCS workers and a publish over a served snapshot on one. On
-// hostile labels, ties and one algorithm holding a NaN score, every
+// hostile labels, ties and one algorithm holding a negative score and −0, every
 // /v1/topk and /v1/rank body and every publish outcome count must be the
 // same whichever path ran, at any GOMAXPROCS.
 func TestConcurrentFinalizeMatchesOneGoroutine(t *testing.T) {
@@ -461,7 +492,7 @@ func TestConcurrentFinalizeMatchesOneGoroutine(t *testing.T) {
 		}
 		scores[algo] = v
 	}
-	scores[AlgoTrustRank][n/2] = math.NaN()
+	scores[AlgoTrustRank][n/2], scores[AlgoTrustRank][n/3] = -0.25, math.Copysign(0, -1)
 	content := func() *Snapshot {
 		sets := map[Algo]*ScoreSet{}
 		for algo, v := range scores {
@@ -478,11 +509,11 @@ func TestConcurrentFinalizeMatchesOneGoroutine(t *testing.T) {
 	publish := func(procs int, over *Snapshot) (bodies map[string]string, outcomes [numPublishOutcomes]uint64) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		store := NewStore(over)
-		r0, d0, u0 := store.PublishSets()
+		r0, d0 := store.PublishSets()
 		if err := store.PublishExternal(content(), version); err != nil {
 			t.Fatal(err)
 		}
-		r, d, u := store.PublishSets()
+		r, d := store.PublishSets()
 		h := New(store, Config{}).Handler()
 		bodies = map[string]string{}
 		get := func(path string) {
@@ -498,11 +529,11 @@ func TestConcurrentFinalizeMatchesOneGoroutine(t *testing.T) {
 				get(fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo))
 			}
 		}
-		return bodies, [numPublishOutcomes]uint64{r - r0, d - d0, u - u0}
+		return bodies, [numPublishOutcomes]uint64{r - r0, d - d0}
 	}
 	want, wantOutcomes := publish(1, nil)
-	if wantOutcomes != [numPublishOutcomes]uint64{0, 2, 1} {
-		t.Fatalf("cold publish counted %v, want 2 rendered and the NaN set uncached", wantOutcomes)
+	if wantOutcomes != [numPublishOutcomes]uint64{0, 3} {
+		t.Fatalf("cold publish counted %v, want 3 rendered", wantOutcomes)
 	}
 	unrelated := testSnapshot(t, AlgoSRSR, []float64{0.5, 0.25, 0.25})
 	for _, run := range []struct {
@@ -529,93 +560,62 @@ func TestConcurrentFinalizeMatchesOneGoroutine(t *testing.T) {
 	}
 }
 
-// TestNonFiniteScoresDropCaches pins what a score the encoder refuses
-// does to a publish: a NaN or +Inf in the top k drops its algorithm's
-// top-k cache, which counts as uncached and is served (or refused) by
-// the encoder fallback; /v1/rank keeps assembling every finite source and
-// hands the refused one to the encoder, for the same status and body;
-// finite negative scores render as usual. /v1/compare does as /v1/rank
-// does, for every pair.
-func TestNonFiniteScoresDropCaches(t *testing.T) {
+// TestNonFiniteScoresRefused pins what a score JSON has no text for does
+// to a snapshot: NewSnapshot refuses a NaN or ±Inf anywhere in any set,
+// naming the algorithm, the first such source and the value, with an
+// error wrapping linalg.ErrNonFinite, and a store keeps serving what it
+// served. Finite negative scores and −0 render as usual, for every
+// /v1/topk, /v1/rank and /v1/compare body.
+func TestNonFiniteScoresRefused(t *testing.T) {
 	labels := []string{"a", "b", "c", "d"}
-	sets := map[Algo]*ScoreSet{
-		"nan":      NewScoreSet(linalg.Vector{0.5, math.NaN(), 0.25, 0.25}, linalg.IterStats{}),
-		"inf":      NewScoreSet(linalg.Vector{0.5, 0.125, math.Inf(1), 0.25}, linalg.IterStats{}),
-		"negative": NewScoreSet(linalg.Vector{-0.5, 0.125, math.Copysign(0, -1), -1e-9}, linalg.IterStats{}),
-	}
-	snap, err := NewSnapshot(CorpusInfo{Name: "nonfinite"}, labels, []int{1, 2, 3, 4}, 0, sets, time.Now())
+	negative := NewScoreSet(linalg.Vector{-0.5, 0.125, math.Copysign(0, -1), -1e-9}, linalg.IterStats{})
+	snap, err := NewSnapshot(CorpusInfo{Name: "nonfinite"}, labels, []int{1, 2, 3, 4}, 0, map[Algo]*ScoreSet{"negative": negative}, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := NewStore(snap)
-	for algo, cached := range map[Algo]bool{"nan": false, "inf": false, "negative": true} {
-		if got := snap.resp.topk[algo] != nil; got != cached {
-			t.Fatalf("%s: topk cache present = %v, want %v", algo, got, cached)
-		}
-		if snap.resp.rank[algo] == nil {
-			t.Fatalf("%s: no rank head", algo)
+	if reused, rendered := store.PublishSets(); reused != 0 || rendered != 1 {
+		t.Fatalf("publish sets reused/rendered = %d/%d, want 0/1", reused, rendered)
+	}
+	assertRenderedEqualsOracle(t, store)
+	for _, tc := range []struct {
+		scores linalg.Vector
+		want   string
+	}{
+		{linalg.Vector{0.5, math.NaN(), 0.25, math.NaN()}, "bad score of source 1 is NaN"},
+		{linalg.Vector{0.5, 0.125, math.Inf(1), 0.25}, "bad score of source 2 is +Inf"},
+		{linalg.Vector{math.Inf(-1), 0.125, 0.25, 0.25}, "bad score of source 0 is -Inf"},
+	} {
+		sets := map[Algo]*ScoreSet{"negative": negative, "bad": NewScoreSet(tc.scores, linalg.IterStats{})}
+		_, err := NewSnapshot(CorpusInfo{Name: "nonfinite"}, labels, []int{1, 2, 3, 4}, 0, sets, time.Now())
+		if !errors.Is(err, linalg.ErrNonFinite) || !strings.Contains(fmt.Sprint(err), tc.want) {
+			t.Fatalf("NewSnapshot over %v = %v, want %q wrapping linalg.ErrNonFinite", tc.scores, err, tc.want)
 		}
 	}
-	if reused, rendered, uncached := store.PublishSets(); reused != 0 || rendered != 1 || uncached != 2 {
-		t.Fatalf("publish sets reused/rendered/uncached = %d/%d/%d, want 0/1/2", reused, rendered, uncached)
-	}
-	cached, fallback := twoServers(store)
-	for _, algo := range snap.Algos() {
-		for n := 0; n <= len(labels); n++ {
-			path := fmt.Sprintf("/v1/topk?algo=%s&n=%d", algo, n)
-			a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil)
-			if a.Code != b.Code || a.Body.String() != b.Body.String() {
-				t.Fatalf("%s: cached %d %q, fallback %d %q", path, a.Code, a.Body.String(), b.Code, b.Body.String())
-			}
-		}
-		var paths []string
-		for id := range labels {
-			paths = append(paths, fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo))
-			for b := range labels {
-				paths = append(paths, fmt.Sprintf("/v1/compare?a=%d&b=%d&algo=%s", id, b, algo))
-			}
-		}
-		for _, path := range paths {
-			a, b := rawGet(t, cached.Handler(), path, nil), rawGet(t, fallback.Handler(), path, nil)
-			if a.Code != b.Code || a.Body.String() != b.Body.String() {
-				t.Fatalf("%s: cached %d %q, fallback %d %q", path, a.Code, a.Body.String(), b.Code, b.Body.String())
-			}
-		}
-	}
-	refused := rawGet(t, cached.Handler(), "/v1/topk?algo=nan&n=4", nil)
-	if want := `"error": "encoding response: json: unsupported value: NaN"`; refused.Code != http.StatusInternalServerError ||
-		!strings.Contains(refused.Body.String(), want) {
-		t.Fatalf("a top-K holding NaN answered %d %q, want 500 with %s", refused.Code, refused.Body.String(), want)
-	}
-	metrics := rawGet(t, cached.Handler(), "/metrics", nil).Body.String()
-	if want := `srserve_publish_sets_total{outcome="uncached"} 2`; !strings.Contains(metrics, want) {
-		t.Fatalf("metrics missing %q:\n%s", want, metrics)
+	if store.Current() != snap {
+		t.Fatal("a refused snapshot disturbed the store")
 	}
 }
 
 // TestCompareAssembledCases pins each branch of the assembled /v1/compare
-// body against the encoder: a zero B score (ratio 0), a source compared
+// body against the oracle: a zero B score (ratio 0), a source compared
 // with itself, a negative rank_delta, ratios on both sides of
 // appendJSONFloat's 'e' format, a negative ratio and sources named by
-// label all take the assembled path, which the ETag header witnesses
-// (the encoder path sets none), and a matching If-None-Match gets a
-// body-less 304. A ratio that overflows to ±Inf, and a NaN score on
-// either side, take the encoder path for its status and bytes: a 500
-// with the error envelope naming the value the encoder refused.
+// label all get a 200 with the snapshot's ETag, and a matching
+// If-None-Match gets a body-less 304. A ratio that overflows to ±Inf is
+// answered as the oracle answers it: a 500 with the error envelope naming
+// the value encoding/json refuses, and no ETag. A NaN score never gets
+// this far: NewSnapshot refuses it (TestNonFiniteScoresRefused).
 func TestCompareAssembledCases(t *testing.T) {
-	labels := []string{"zero", "mid", "tiny", "huge", "max", "min", "nan", `"quoted" <&>`}
-	scores := linalg.Vector{0, 0.5, 1e-9, 1e15, 1e300, 1e-300, math.NaN(), -1e300}
+	labels := []string{"zero", "mid", "tiny", "huge", "max", "min", `"quoted" <&>`}
+	scores := linalg.Vector{0, 0.5, 1e-9, 1e15, 1e300, 1e-300, -1e300}
 	snap, err := NewSnapshot(CorpusInfo{Name: "compare"}, labels, make([]int, len(labels)), 0,
 		map[Algo]*ScoreSet{AlgoSRSR: NewScoreSet(scores, linalg.IterStats{})}, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewStore(snap)
-	if d := snap.resp.rank[AlgoSRSR]; d == nil || d.compare == nil {
-		t.Fatal("no compare head")
-	}
-	cached, fallback := twoServers(store)
-	hc, hf := cached.Handler(), fallback.Handler()
+	rendered, ref := twoServers(NewStore(snap))
+	hc, hf := rendered.Handler(), ref.Handler()
 	refused := func(value string) string {
 		return `"error": "encoding response: json: unsupported value: ` + value + `"`
 	}
@@ -629,17 +629,15 @@ func TestCompareAssembledCases(t *testing.T) {
 		{"negative rank_delta", "a=2&b=3", true, `"rank_delta": -2`},
 		{"ratio below 1e-6", "a=2&b=1", true, `"score_ratio": 2e-9,`},
 		{"ratio at or above 1e21", "a=3&b=2", true, `"score_ratio": 1e+24,`},
-		{"negative ratio", "a=7&b=1", true, `"score_ratio": -2e+300,`},
+		{"negative ratio", "a=6&b=1", true, `"score_ratio": -2e+300,`},
 		{"by label", "a=mid&b=%22quoted%22%20%3C%26%3E", true, `"score_ratio": -5e-301,`},
 		{"ratio overflows to +Inf", "a=4&b=5", false, refused("+Inf")},
-		{"ratio overflows to -Inf", "a=7&b=5", false, refused("-Inf")},
-		{"NaN score as a", "a=6&b=1", false, refused("NaN")},
-		{"NaN score as b", "a=1&b=nan", false, refused("NaN")},
+		{"ratio overflows to -Inf", "a=6&b=5", false, refused("-Inf")},
 	} {
 		path := "/v1/compare?" + tc.query
 		a, b := rawGet(t, hc, path, nil), rawGet(t, hf, path, nil)
 		if a.Code != b.Code || a.Body.String() != b.Body.String() {
-			t.Fatalf("%s: cached %d\n%s\nencoder %d\n%s", tc.name, a.Code, a.Body, b.Code, b.Body)
+			t.Fatalf("%s: rendered %d\n%s\noracle %d\n%s", tc.name, a.Code, a.Body, b.Code, b.Body)
 		}
 		wantCode := http.StatusOK
 		if !tc.assembled {
@@ -670,7 +668,7 @@ func TestCompareAssembledCases(t *testing.T) {
 // scores (labels replaced), and scores and labels with new page counts —
 // and requires the score texts to carry with the vector in all three,
 // the top-k entries only with the labels, and every body to stay the
-// encoder's.
+// oracle's.
 func TestRankCarryCases(t *testing.T) {
 	first := nastySnapshot(t)
 	store := NewStore(first)
@@ -707,14 +705,14 @@ func TestRankCarryCases(t *testing.T) {
 				t.Fatalf("%s: %s top-k entries carried = %v, want %v", tc.name, algo, carried, tc.topkCarry)
 			}
 		}
-		assertCachedEqualsFallback(t, store)
+		assertRenderedEqualsOracle(t, store)
 	}
 }
 
 // TestRankAssembledPastOldCap serves /v1/rank on a corpus above 2¹⁷
 // sources, the size whose bodies were once encoded per request, and
 // requires every source's assembled body under every algorithm to equal
-// the encoder's — with hostile labels, zero page counts (the field is
+// the oracle's — with hostile labels, zero page counts (the field is
 // omitted) and page counts above the source count mixed in.
 func TestRankAssembledPastOldCap(t *testing.T) {
 	const n = 1<<17 + 3
@@ -748,9 +746,9 @@ func TestRankAssembledPastOldCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewStore(snap)
-	cached, fallback := twoServers(store)
-	hc := cached.instrument(epRank, true, cached.handleRank)
-	hf := fallback.instrument(epRank, true, fallback.handleRank)
+	rendered, ref := twoServers(store)
+	hc := rendered.instrument(epRank, true, rendered.handleRank)
+	hf := ref.instrument(epRank, true, ref.rank)
 	req := httptest.NewRequest(http.MethodGet, "/v1/rank/0", nil)
 	for _, algo := range snap.Algos() {
 		if snap.resp.rank[algo] == nil {
@@ -763,7 +761,7 @@ func TestRankAssembledPastOldCap(t *testing.T) {
 			hc.ServeHTTP(a, req)
 			hf.ServeHTTP(b, req)
 			if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
-				t.Fatalf("%s source %d: status %d, assembled body differs from the encoder's\nassembled:\n%s\nencoder:\n%s",
+				t.Fatalf("%s source %d: status %d, assembled body differs from the oracle's\nassembled:\n%s\noracle:\n%s",
 					algo, id, a.Code, a.Body, b.Body)
 			}
 		}

@@ -14,18 +14,10 @@ import (
 	"sourcerank/internal/linalg"
 )
 
-// twoServers returns a cache-serving and a fallback-only server over
-// the same store, for byte-identity comparisons.
-func twoServers(store *Store) (cached, fallback *Server) {
-	return New(store, Config{}), newEncoderServer(store)
-}
-
-// newEncoderServer returns a server that encodes every response per
-// request, ignoring the snapshot's pre-encoded cache.
-func newEncoderServer(store *Store) *Server {
-	s := New(store, Config{})
-	s.encodeAlways = true
-	return s
+// twoServers returns the server and the encoding/json oracle over the
+// same store, for byte-identity comparisons.
+func twoServers(store *Store) (rendered *Server, oracle *oracle) {
+	return New(store, Config{}), newOracle(store)
 }
 
 func rawGet(t *testing.T, h http.Handler, path string, hdr map[string]string) *httptest.ResponseRecorder {
@@ -73,8 +65,8 @@ func nastySnapshot(t *testing.T) *Snapshot {
 
 // TestCachedResponsesByteIdentical is the golden test for the response
 // cache: for every algorithm and a sweep of n (plus every source on the
-// rank endpoint, and the snapshot metadata endpoint), the pre-encoded
-// bytes must equal the encoding/json fallback output exactly.
+// rank endpoint, and the snapshot metadata endpoint), the rendered bytes
+// must equal the encoding/json oracle's exactly.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	snaps := map[string]*Snapshot{"nasty": nastySnapshot(t)}
 	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 7)
@@ -90,8 +82,8 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	for name, snap := range snaps {
 		t.Run(name, func(t *testing.T) {
 			store := NewStore(snap)
-			cached, fallback := twoServers(store)
-			hc, hf := cached.Handler(), fallback.Handler()
+			rendered, ref := twoServers(store)
+			hc, hf := rendered.Handler(), ref.Handler()
 			if snap.resp == nil {
 				t.Fatal("published snapshot has no response cache")
 			}
@@ -111,7 +103,7 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 						t.Fatalf("%s: status %d vs %d", path, a.Code, b.Code)
 					}
 					if a.Body.String() != b.Body.String() {
-						t.Fatalf("%s: cached body differs from fallback\ncached:\n%s\nfallback:\n%s",
+						t.Fatalf("%s: rendered body differs from the oracle\nrendered:\n%s\noracle:\n%s",
 							path, a.Body.String(), b.Body.String())
 					}
 					if ct := a.Header().Get("Content-Type"); ct != "application/json" {
@@ -125,7 +117,7 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 						t.Fatalf("%s: status %d vs %d", path, a.Code, b.Code)
 					}
 					if a.Body.String() != b.Body.String() {
-						t.Fatalf("%s: cached body differs from fallback\ncached:\n%s\nfallback:\n%s",
+						t.Fatalf("%s: rendered body differs from the oracle\nrendered:\n%s\noracle:\n%s",
 							path, a.Body.String(), b.Body.String())
 					}
 				}
@@ -138,20 +130,20 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 			// Snapshot metadata.
 			a, b = rawGet(t, hc, "/v1/snapshot", nil), rawGet(t, hf, "/v1/snapshot", nil)
 			if a.Body.String() != b.Body.String() {
-				t.Fatalf("snapshot meta differs\ncached:\n%s\nfallback:\n%s", a.Body.String(), b.Body.String())
+				t.Fatalf("snapshot meta differs\nrendered:\n%s\noracle:\n%s", a.Body.String(), b.Body.String())
 			}
 		})
 	}
 }
 
 // TestCachedResponsesAcrossPublishes re-publishes and checks the cache
-// tracks the new version (and stays byte-identical to the fallback).
+// tracks the new version (and stays byte-identical to the oracle).
 func TestCachedResponsesAcrossPublishes(t *testing.T) {
 	store := NewStore(nastySnapshot(t))
-	cached, fallback := twoServers(store)
+	rendered, ref := twoServers(store)
 	store.Publish(nastySnapshot(t))
-	a := rawGet(t, cached.Handler(), "/v1/topk?n=3", nil)
-	b := rawGet(t, fallback.Handler(), "/v1/topk?n=3", nil)
+	a := rawGet(t, rendered.Handler(), "/v1/topk?n=3", nil)
+	b := rawGet(t, ref.Handler(), "/v1/topk?n=3", nil)
 	if a.Body.String() != b.Body.String() {
 		t.Fatalf("post-republish body differs:\n%s\nvs\n%s", a.Body.String(), b.Body.String())
 	}
@@ -214,30 +206,27 @@ func TestETagConditionalRequests(t *testing.T) {
 // the payload's effective n and via the X-TopK-Clamped header, and that
 // merely exceeding the corpus size does not count as clamping.
 func TestHandleTopKClamped(t *testing.T) {
-	snap := testSnapshot(t, AlgoSRSR, []float64{0.1, 0.5, 0.3, 0.08, 0.02})
-	for _, disable := range []bool{false, true} {
-		srv := New(NewStore(snap), Config{})
-		srv.encodeAlways = disable
-		h := srv.Handler()
-
+	store := NewStore(testSnapshot(t, AlgoSRSR, []float64{0.1, 0.5, 0.3, 0.08, 0.02}))
+	rendered, oracle := twoServers(store)
+	for name, h := range map[string]http.Handler{"rendered": rendered.Handler(), "oracle": oracle.Handler()} {
 		rec, body := get(t, h, fmt.Sprintf("/v1/topk?n=%d", maxTopK+1))
 		if rec.Code != http.StatusOK {
-			t.Fatalf("disable=%v: status %d", disable, rec.Code)
+			t.Fatalf("%s: status %d", name, rec.Code)
 		}
 		if rec.Header().Get("X-TopK-Clamped") != "true" {
-			t.Fatalf("disable=%v: clamped response missing X-TopK-Clamped header", disable)
+			t.Fatalf("%s: clamped response missing X-TopK-Clamped header", name)
 		}
 		if body["n"].(float64) != 5 {
-			t.Fatalf("disable=%v: effective n %v, want 5", disable, body["n"])
+			t.Fatalf("%s: effective n %v, want 5", name, body["n"])
 		}
 
 		// n beyond the corpus but within maxTopK: truncated, not clamped.
 		rec, body = get(t, h, "/v1/topk?n=100")
 		if rec.Header().Get("X-TopK-Clamped") != "" {
-			t.Fatalf("disable=%v: in-range n flagged as clamped", disable)
+			t.Fatalf("%s: in-range n flagged as clamped", name)
 		}
 		if body["n"].(float64) != 5 {
-			t.Fatalf("disable=%v: effective n %v, want 5", disable, body["n"])
+			t.Fatalf("%s: effective n %v, want 5", name, body["n"])
 		}
 	}
 }

@@ -32,10 +32,7 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Golden expectation, computed offline from the same snapshot.
-	golden, err := snap.TopK(AlgoSRSR, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := snap.TopK(AlgoSRSR, 10)
 
 	store := NewStore(snap)
 	srv := New(store, Config{RequestTimeout: 10 * time.Second})

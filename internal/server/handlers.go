@@ -34,9 +34,9 @@ type apiError struct {
 
 // writeJSON encodes v (two-space indent, trailing newline) before it
 // sends anything, into the route's pooled recorder buffer when there is
-// one, so a value the encoder refuses — a NaN or infinite score, a score
-// ratio that overflows — is answered 500 with the error envelope rather
-// than 200 with no body.
+// one, so a value the encoder refuses is answered 500 with the error
+// envelope rather than 200 with no body. Errors and /healthz use it; data
+// responses are written from the snapshot's rendered text.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	buf := bytes.NewBuffer(recorderOf(w).buf[:0])
 	enc := json.NewEncoder(buf)
@@ -55,7 +55,8 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 // statusRecorder captures the response code for metrics, and lends the
-// handler a scratch buffer to assemble a body in (handleRank). Recorders
+// handler a scratch buffer to assemble a body in (handleRank,
+// handleCompare). Recorders
 // are pooled: the serving hot path must not allocate per request.
 type statusRecorder struct {
 	http.ResponseWriter
@@ -162,15 +163,6 @@ func (s *Server) snapshotOr503(w http.ResponseWriter) (*Snapshot, bool) {
 	return snap, true
 }
 
-// respCacheFor returns snap's pre-encoded response cache, or nil when
-// the server takes the encoder fallback on every request.
-func (s *Server) respCacheFor(snap *Snapshot) *respCache {
-	if s.encodeAlways {
-		return nil
-	}
-	return snap.resp
-}
-
 // queryValue returns the first value of key in the request's query
 // string without allocating. Queries carrying escapes (%, +) or the
 // legacy ';' separator fall back to the stdlib parser; the flag keys
@@ -218,18 +210,20 @@ func etagMatch(inm, etag string) bool {
 	return false
 }
 
-// notModified sets the snapshot-version ETag on the response and
-// reports whether the request should be answered 304 (in which case the
-// status has already been written). Only cache-served responses carry
-// an ETag; the 304 is correct for any deterministic body because the
-// tag is keyed on the snapshot version.
-func notModified(w http.ResponseWriter, r *http.Request, c *respCache) bool {
+// startBody sets the snapshot-version ETag on a data response, then
+// either answers 304, when If-None-Match matches the tag, or writes the
+// status and headers of a 200 JSON body; it reports whether the caller is
+// to write that body. The 304 is correct for any deterministic body
+// because the tag is keyed on the snapshot version.
+func startBody(w http.ResponseWriter, r *http.Request, c *respCache) bool {
 	w.Header()["Etag"] = c.etagHdr
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, c.etag) {
 		w.WriteHeader(http.StatusNotModified)
-		return true
+		return false
 	}
-	return false
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	return true
 }
 
 // algoParam resolves ?algo=, defaulting to srsr when served, otherwise
@@ -249,15 +243,6 @@ func algoParam(r *http.Request, snap *Snapshot) (Algo, error) {
 	return algo, nil
 }
 
-// rankResponse is the /v1/rank/{source} payload.
-type rankResponse struct {
-	Version uint64 `json:"version"`
-	Algo    Algo   `json:"algo"`
-	Entry
-	Sources int `json:"sources"`
-	Pages   int `json:"pages,omitempty"`
-}
-
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	snap, ok := s.snapshotOr503(w)
 	if !ok {
@@ -274,41 +259,9 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown source "+strconv.Quote(ident))
 		return
 	}
-	if c := s.respCacheFor(snap); c != nil {
-		if d := c.rank[algo]; d != nil && d.finite(id) {
-			if notModified(w, r, c) {
-				return
-			}
-			w.Header()["Content-Type"] = jsonContentType
-			w.WriteHeader(http.StatusOK)
-			c.writeRank(w, d, id, snap.pageCount)
-			return
-		}
+	if c := snap.resp; startBody(w, r, c) {
+		c.writeRank(w, c.rank[algo], id, snap.pageCount)
 	}
-	resp, err := snap.rankDocument(algo, id)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// rankDocument is source id's /v1/rank payload under algo.
-func (s *Snapshot) rankDocument(algo Algo, id int32) (rankResponse, error) {
-	entry, err := s.Entry(algo, id)
-	resp := rankResponse{Version: s.version, Algo: algo, Entry: entry, Sources: s.NumSources()}
-	if pc := s.pageCount; int(id) < len(pc) {
-		resp.Pages = pc[id]
-	}
-	return resp, err
-}
-
-// topKResponse is the /v1/topk payload.
-type topKResponse struct {
-	Version uint64  `json:"version"`
-	Algo    Algo    `json:"algo"`
-	N       int     `json:"n"`
-	Results []Entry `json:"results"`
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -336,35 +289,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		n = maxTopK
 		w.Header().Set("X-TopK-Clamped", "true")
 	}
-	if c := s.respCacheFor(snap); c != nil {
-		if tc := c.topk[algo]; tc != nil {
-			if n > tc.max() {
-				n = tc.max()
-			}
-			if notModified(w, r, c) {
-				return
-			}
-			w.Header()["Content-Type"] = jsonContentType
-			w.WriteHeader(http.StatusOK)
-			tc.writeTo(w, n, c.digits)
-			return
-		}
+	if c := snap.resp; startBody(w, r, c) {
+		tc := c.topk[algo]
+		tc.writeTo(w, min(n, tc.max()), c.digits)
 	}
-	results, err := snap.TopK(algo, n)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, topKResponse{
-		Version: snap.Version(), Algo: algo, N: len(results), Results: results,
-	})
-}
-
-// compareResponse is the /v1/compare payload.
-type compareResponse struct {
-	Version uint64 `json:"version"`
-	Algo    Algo   `json:"algo"`
-	Comparison
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
@@ -392,28 +320,18 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown source "+strconv.Quote(rawB))
 		return
 	}
-	if c := s.respCacheFor(snap); c != nil {
-		if d := c.rank[algo]; d != nil && d.compare != nil && d.finite(a) && d.finite(b) {
-			scores := snap.sets[algo].scores
-			// Finite scores leave an overflow to ±Inf, which the
-			// encoder refuses, as the one way to a non-finite ratio.
-			if ratio := scoreRatio(scores[a], scores[b]); !math.IsInf(ratio, 0) {
-				if notModified(w, r, c) {
-					return
-				}
-				w.Header()["Content-Type"] = jsonContentType
-				w.WriteHeader(http.StatusOK)
-				c.writeCompare(w, d, a, b, ratio)
-				return
-			}
-		}
-	}
-	cmp, err := snap.Compare(algo, a, b)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+	scores := snap.sets[algo].scores
+	ratio := scoreRatio(scores[a], scores[b])
+	if math.IsInf(ratio, 0) {
+		// Finite scores leave an overflow to ±Inf as the one way to a
+		// ratio JSON has no text for: answered as encoding/json fails on
+		// it, with its words.
+		writeError(w, http.StatusInternalServerError, "encoding response: json: unsupported value: "+strconv.FormatFloat(ratio, 'g', -1, 64))
 		return
 	}
-	writeJSON(w, http.StatusOK, compareResponse{Version: snap.Version(), Algo: algo, Comparison: cmp})
+	if c := snap.resp; startBody(w, r, c) {
+		c.writeCompare(w, c.rank[algo], a, b, ratio)
+	}
 }
 
 // snapshotResponse is the /v1/snapshot metadata payload.
@@ -434,16 +352,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if c := s.respCacheFor(snap); c != nil && c.meta != nil {
-		if notModified(w, r, c) {
-			return
-		}
-		w.Header()["Content-Type"] = jsonContentType
-		w.WriteHeader(http.StatusOK)
+	if c := snap.resp; startBody(w, r, c) {
 		w.Write(c.meta)
-		return
 	}
-	writeJSON(w, http.StatusOK, snap.snapshotDocument(s.store.Publishes()))
 }
 
 // snapshotDocument is the /v1/snapshot payload once publishes publishes

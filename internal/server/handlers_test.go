@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -256,53 +257,56 @@ func TestMetricsBuildBranches(t *testing.T) {
 	}
 }
 
-// No endpoint answers 200 with an empty body: a NaN or infinite score on
-// /v1/rank, /v1/compare and /v1/topk, and a pair of finite scores whose
-// ratio overflows (1e300 over 1e-300), get a 500 with the error envelope
-// from the encoder path and from the cached one alike; every other
-// answer is a 200 with a JSON document.
+// No endpoint answers 200 with an empty body: a pair of finite scores
+// whose ratio overflows (1e300 over 1e-300) gets a 500 with the error
+// envelope from the rendered server and from the oracle alike, and every
+// other answer is a 200 with a JSON document. A NaN or infinite score
+// never reaches a handler: NewSnapshot refuses it.
 func TestNoEmptyOK(t *testing.T) {
-	labels := []string{"half", "nan", "inf", "neg-inf", "huge", "tiny"}
-	scores := linalg.Vector{0.5, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 1e-300}
-	snap, err := NewSnapshot(CorpusInfo{Name: "nonfinite"}, labels, make([]int, len(labels)), 0,
+	labels := []string{"half", "huge", "tiny"}
+	scores := linalg.Vector{0.5, 1e300, 1e-300}
+	snap, err := NewSnapshot(CorpusInfo{Name: "overflow"}, labels, make([]int, len(labels)), 0,
 		map[Algo]*ScoreSet{AlgoSRSR: NewScoreSet(scores, linalg.IterStats{})}, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	finite := func(id int) bool { return !math.IsNaN(scores[id]) && !math.IsInf(scores[id], 0) }
-	want := map[string]bool{} // path -> whether the encoder accepts its document
+	want := map[string]bool{} // path -> whether encoding/json accepts its document
 	for a := range labels {
-		want[fmt.Sprintf("/v1/rank/%d", a)] = finite(a)
+		want[fmt.Sprintf("/v1/rank/%d", a)] = true
 		for b := range labels {
-			ok := finite(a) && finite(b) && !(a == 4 && b == 5)
-			want[fmt.Sprintf("/v1/compare?a=%d&b=%d", a, b)] = ok
+			want[fmt.Sprintf("/v1/compare?a=%d&b=%d", a, b)] = !(a == 1 && b == 2)
 		}
 	}
 	for n := 0; n <= len(labels); n++ {
-		want[fmt.Sprintf("/v1/topk?n=%d", n)] = n == 0 // the NaN sorts first
+		want[fmt.Sprintf("/v1/topk?n=%d", n)] = true
 	}
-	cached, fallback := twoServers(NewStore(snap))
-	for _, srv := range []*Server{cached, fallback} {
-		h := srv.Handler()
+	rendered, ref := twoServers(NewStore(snap))
+	for name, h := range map[string]http.Handler{"rendered": rendered.Handler(), "oracle": ref.Handler()} {
 		for path, ok := range want {
 			rec := rawGet(t, h, path, nil)
 			body := rec.Body.Bytes()
 			if rec.Code == http.StatusOK && len(body) == 0 {
-				t.Fatalf("%s (encodeAlways %v): 200 with an empty body", path, srv.encodeAlways)
+				t.Fatalf("%s %s: 200 with an empty body", name, path)
 			}
 			if !json.Valid(body) {
-				t.Fatalf("%s (encodeAlways %v): body is not JSON: %q", path, srv.encodeAlways, body)
+				t.Fatalf("%s %s: body is not JSON: %q", name, path, body)
 			}
 			wantCode := http.StatusOK
 			if !ok {
 				wantCode = http.StatusInternalServerError
 			}
 			if rec.Code != wantCode {
-				t.Fatalf("%s (encodeAlways %v): status %d, want %d: %s", path, srv.encodeAlways, rec.Code, wantCode, body)
+				t.Fatalf("%s %s: status %d, want %d: %s", name, path, rec.Code, wantCode, body)
 			}
 			if !ok && !strings.Contains(string(body), `"error": "encoding response: json: unsupported value: `) {
-				t.Fatalf("%s (encodeAlways %v): %s, want the error envelope", path, srv.encodeAlways, body)
+				t.Fatalf("%s %s: %s, want the error envelope", name, path, body)
 			}
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sets := map[Algo]*ScoreSet{AlgoSRSR: NewScoreSet(linalg.Vector{0.5, bad, 1e-300}, linalg.IterStats{})}
+		if _, err := NewSnapshot(CorpusInfo{Name: "nonfinite"}, labels, make([]int, len(labels)), 0, sets, time.Now()); !errors.Is(err, linalg.ErrNonFinite) {
+			t.Fatalf("NewSnapshot over a %v score = %v, want linalg.ErrNonFinite", bad, err)
 		}
 	}
 }

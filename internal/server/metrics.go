@@ -329,8 +329,7 @@ func (m *Metrics) WriteBuildText(w io.Writer, b *Builder) {
 // score sets, so an expensive publish is explained from /metrics: a set
 // is reused when the publish carried its index and rendered responses
 // over from the outgoing snapshot, rendered when the publish rendered
-// it, uncached when a renderer dropped its cache and requests are
-// encoded one by one. Beside them, what the last publish cost and what
+// it. Beside them, what the last publish cost and what
 // the served snapshot's pre-rendered text holds in memory.
 func (m *Metrics) WritePublishText(w io.Writer, st *Store) {
 	fmt.Fprintf(w, "# HELP srserve_publish_sets_total Score sets published, by what the publish did with them.\n")

@@ -94,11 +94,6 @@ type Server struct {
 	metrics  *Metrics
 	start    time.Time
 	inflight map[string]*atomic.Int64
-	// encodeAlways sends every request through the per-request encoder
-	// instead of the snapshot's pre-encoded responses. Only tests set it:
-	// the golden suites assert both paths give the same bytes, and the
-	// Fallback benchmarks time the encoder against the cache.
-	encodeAlways bool
 }
 
 // New assembles a server around store.

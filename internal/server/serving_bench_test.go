@@ -52,11 +52,11 @@ func BenchmarkTopKCached(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKFallback is the same request through the per-request
-// encoding path (the pre-change behavior), for comparison.
-func BenchmarkTopKFallback(b *testing.B) {
-	srv := newEncoderServer(NewStore(benchSnapshot(b, 1000)))
-	h := srv.instrument(epTopK, true, srv.handleTopK)
+// BenchmarkTopKOracle is the same request through the encoding/json
+// oracle, which encodes the response per request, for comparison.
+func BenchmarkTopKOracle(b *testing.B) {
+	o := newOracle(NewStore(benchSnapshot(b, 1000)))
+	h := o.instrument(epTopK, true, o.topk)
 	req := httptest.NewRequest(http.MethodGet, "/v1/topk?n=10&algo=srsr", nil)
 	w := newBenchResponseWriter()
 	h.ServeHTTP(w, req)
@@ -99,10 +99,10 @@ func BenchmarkRankCached(b *testing.B) {
 	}
 }
 
-// BenchmarkRankFallback is the rank endpoint through the encoder path.
-func BenchmarkRankFallback(b *testing.B) {
-	srv := newEncoderServer(NewStore(benchSnapshot(b, 1000)))
-	h := srv.instrument(epRank, true, srv.handleRank)
+// BenchmarkRankOracle is the rank endpoint through the oracle.
+func BenchmarkRankOracle(b *testing.B) {
+	o := newOracle(NewStore(benchSnapshot(b, 1000)))
+	h := o.instrument(epRank, true, o.rank)
 	req := httptest.NewRequest(http.MethodGet, "/v1/rank/123", nil)
 	req.SetPathValue("source", "123")
 	w := newBenchResponseWriter()
@@ -126,20 +126,22 @@ func BenchmarkCompareCached(b *testing.B) {
 		{"bench", benchSnapshot(b, 1000)},
 		{"corpus", publishBenchSnapshot(b, rand.New(rand.NewSource(1)), nil, nil)},
 	} {
-		b.Run(bc.name, func(b *testing.B) { benchCompare(b, New(NewStore(bc.snap), Config{})) })
+		b.Run(bc.name, func(b *testing.B) {
+			srv := New(NewStore(bc.snap), Config{})
+			benchCompare(b, srv.instrument(epCompare, true, srv.handleCompare))
+		})
 	}
 }
 
-// BenchmarkCompareFallback is the compare endpoint through the encoder
-// path.
-func BenchmarkCompareFallback(b *testing.B) {
-	benchCompare(b, newEncoderServer(NewStore(benchSnapshot(b, 1000))))
+// BenchmarkCompareOracle is the compare endpoint through the oracle.
+func BenchmarkCompareOracle(b *testing.B) {
+	o := newOracle(NewStore(benchSnapshot(b, 1000)))
+	benchCompare(b, o.instrument(epCompare, true, o.compare))
 }
 
-// benchCompare times /v1/compare?a=123&b=456 through srv's instrumented
+// benchCompare times /v1/compare?a=123&b=456 through h, an instrumented
 // handler.
-func benchCompare(b *testing.B, srv *Server) {
-	h := srv.instrument(epCompare, true, srv.handleCompare)
+func benchCompare(b *testing.B, h http.Handler) {
 	req := httptest.NewRequest(http.MethodGet, "/v1/compare?a=123&b=456&algo=srsr", nil)
 	w := newBenchResponseWriter()
 	h.ServeHTTP(w, req)
@@ -225,9 +227,9 @@ func publishBenchSnapshot(b *testing.B, rng *rand.Rand, labels []string, pages [
 // BenchmarkColdPublish is the first publish of a lineage: nothing to
 // carry, so every label is escaped and every algorithm indexed and
 // rendered — what a builder and each replica pay once per cold start.
-// One untimed publish first fills encoding/json's per-type caches, a
-// once-per-process cost, so that CI's 1x run counts what a publish
-// allocates.
+// One untimed publish first fills encoding/json's per-type cache for the
+// /v1/snapshot document, a once-per-process cost, so that CI's 1x run
+// counts what a publish allocates.
 func BenchmarkColdPublish(b *testing.B) {
 	NewStore(publishBenchSnapshot(b, rand.New(rand.NewSource(2)), nil, nil))
 	rng := rand.New(rand.NewSource(1))

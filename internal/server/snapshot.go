@@ -32,15 +32,6 @@ const (
 // DefaultAlgos is the set BuildSnapshot computes when none is given.
 var DefaultAlgos = []Algo{AlgoSRSR, AlgoPageRank, AlgoTrustRank}
 
-// Entry is one source's standing under one algorithm.
-type Entry struct {
-	Source int32   `json:"source"`
-	Label  string  `json:"label"`
-	Score  float64 `json:"score"`
-	// Rank is 1-based: the highest-scoring source has Rank 1.
-	Rank int `json:"rank"`
-}
-
 // ScoreSet holds one algorithm's scores plus the precomputed rank index,
 // so top-k queries slice a sorted array instead of sorting per request.
 type ScoreSet struct {
@@ -193,26 +184,48 @@ type Snapshot struct {
 	resp *respCache
 }
 
+// maxSources bounds a snapshot's source count: every score text of one
+// algorithm must be addressable by the int32 offsets of its arena.
+const maxSources = math.MaxInt32 / maxJSONFloatLen
+
 // NewSnapshot assembles a snapshot from prepared parts. labels and sets
 // are retained; callers must not mutate them afterwards.
+//
+// It refuses what the response renderer cannot render, so that every
+// published snapshot answers every request from its publish-time text: a
+// NaN or infinite score (Eq. 3 always gives a finite σ, so one is a
+// fault, not a ranking; the error wraps linalg.ErrNonFinite), more than
+// maxSources sources, and a build time JSON cannot carry.
 func NewSnapshot(corpus CorpusInfo, labels []string, pageCount []int, kappaTopK int, sets map[Algo]*ScoreSet, builtAt time.Time) (*Snapshot, error) {
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("server: snapshot needs at least one score set")
 	}
+	if len(labels) > maxSources {
+		return nil, fmt.Errorf("server: %d sources, above the %d a snapshot can serve", len(labels), maxSources)
+	}
 	if len(pageCount) != len(labels) {
 		return nil, fmt.Errorf("server: %d page counts for %d sources", len(pageCount), len(labels))
 	}
-	for algo, ss := range sets {
-		if len(ss.scores) != len(labels) {
-			return nil, fmt.Errorf("server: %s has %d scores for %d sources", algo, len(ss.scores), len(labels))
-		}
+	if _, err := builtAt.MarshalJSON(); err != nil {
+		return nil, fmt.Errorf("server: build time: %w", err)
 	}
-	corpus.Sources = len(labels)
 	algos := make([]Algo, 0, len(sets))
 	for a := range sets {
 		algos = append(algos, a)
 	}
 	slices.Sort(algos)
+	for _, algo := range algos {
+		scores := sets[algo].scores
+		if len(scores) != len(labels) {
+			return nil, fmt.Errorf("server: %s has %d scores for %d sources", algo, len(scores), len(labels))
+		}
+		for id, v := range scores {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("server: %s score of source %d is %v: %w", algo, id, v, linalg.ErrNonFinite)
+			}
+		}
+	}
+	corpus.Sources = len(labels)
 	return &Snapshot{
 		builtAt:   builtAt,
 		corpus:    corpus,
@@ -297,69 +310,8 @@ func (s *Snapshot) Resolve(ident string) (int32, bool) {
 	return id, ok
 }
 
-// Entry returns source id's standing under algo.
-func (s *Snapshot) Entry(algo Algo, id int32) (Entry, error) {
-	ss, ok := s.sets[algo]
-	if !ok {
-		return Entry{}, fmt.Errorf("server: unknown algorithm %q", algo)
-	}
-	if id < 0 || int(id) >= len(s.labels) {
-		return Entry{}, fmt.Errorf("server: source %d out of range [0,%d)", id, len(s.labels))
-	}
-	_, rank := ss.index()
-	return Entry{
-		Source: id,
-		Label:  s.labels[id],
-		Score:  ss.scores[id],
-		Rank:   int(rank[id]) + 1,
-	}, nil
-}
-
-// TopK returns the n highest-ranked entries under algo (fewer if the
-// corpus is smaller). It reads the precomputed index; no per-request
-// sort happens.
-func (s *Snapshot) TopK(algo Algo, n int) ([]Entry, error) {
-	ss, ok := s.sets[algo]
-	if !ok {
-		return nil, fmt.Errorf("server: unknown algorithm %q", algo)
-	}
-	order, _ := ss.index()
-	if n < 0 {
-		n = 0
-	}
-	if n > len(order) {
-		n = len(order)
-	}
-	out := make([]Entry, n)
-	for i := 0; i < n; i++ {
-		id := order[i]
-		out[i] = Entry{Source: id, Label: s.labels[id], Score: ss.scores[id], Rank: i + 1}
-	}
-	return out, nil
-}
-
-// Comparison is the result of comparing two sources under one algorithm.
-type Comparison struct {
-	A          Entry   `json:"a"`
-	B          Entry   `json:"b"`
-	ScoreRatio float64 `json:"score_ratio"` // A.Score / B.Score; 0 if B.Score == 0
-	RankDelta  int     `json:"rank_delta"`  // B.Rank - A.Rank; positive means A ranks higher
-}
-
-// Compare returns both sources' entries plus derived deltas.
-func (s *Snapshot) Compare(algo Algo, a, b int32) (Comparison, error) {
-	ea, err := s.Entry(algo, a)
-	if err != nil {
-		return Comparison{}, err
-	}
-	eb, err := s.Entry(algo, b)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return Comparison{A: ea, B: eb, ScoreRatio: scoreRatio(ea.Score, eb.Score), RankDelta: eb.Rank - ea.Rank}, nil
-}
-
-// scoreRatio is Comparison.ScoreRatio of scores a and b.
+// scoreRatio is /v1/compare's score_ratio of scores a and b: 0 when b
+// is 0.
 func scoreRatio(a, b float64) float64 {
 	if b == 0 {
 		return 0

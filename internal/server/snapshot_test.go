@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"slices"
@@ -167,10 +168,7 @@ func FuzzRankIndex(f *testing.F) {
 
 func TestSnapshotTopKAndEntry(t *testing.T) {
 	snap := testSnapshot(t, AlgoSRSR, []float64{0.1, 0.5, 0.3, 0.08, 0.02})
-	top, err := snap.TopK(AlgoSRSR, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := snap.TopK(AlgoSRSR, 3)
 	if len(top) != 3 {
 		t.Fatalf("got %d entries, want 3", len(top))
 	}
@@ -185,22 +183,15 @@ func TestSnapshotTopKAndEntry(t *testing.T) {
 	if top[0].Source != 1 {
 		t.Fatalf("top source = %d, want 1", top[0].Source)
 	}
-	e, err := snap.Entry(AlgoSRSR, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Rank != 2 || e.Score != 0.3 {
+	if e := snap.Entry(AlgoSRSR, 2); e.Rank != 2 || e.Score != 0.3 {
 		t.Fatalf("entry = %+v, want rank 2 score 0.3", e)
 	}
 	// Oversized and negative n clamp rather than error.
-	if all, _ := snap.TopK(AlgoSRSR, 100); len(all) != 5 {
+	if all := snap.TopK(AlgoSRSR, 100); len(all) != 5 {
 		t.Fatalf("clamped topk returned %d", len(all))
 	}
-	if none, _ := snap.TopK(AlgoSRSR, -1); len(none) != 0 {
+	if none := snap.TopK(AlgoSRSR, -1); len(none) != 0 {
 		t.Fatalf("negative n returned %d entries", len(none))
-	}
-	if _, err := snap.TopK("nope", 1); err == nil {
-		t.Fatal("unknown algo must error")
 	}
 }
 
@@ -222,9 +213,10 @@ func TestSnapshotResolve(t *testing.T) {
 
 func TestSnapshotCompare(t *testing.T) {
 	snap := testSnapshot(t, AlgoSRSR, []float64{0.1, 0.4, 0.2})
-	c, err := snap.Compare(AlgoSRSR, 1, 2)
-	if err != nil {
-		t.Fatal(err)
+	rec := rawGet(t, New(NewStore(snap), Config{}).Handler(), "/v1/compare?a=1&b=2", nil)
+	var c compareResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &c); err != nil {
+		t.Fatalf("status %d: %v\n%s", rec.Code, err, rec.Body)
 	}
 	if c.A.Rank != 1 || c.B.Rank != 2 {
 		t.Fatalf("ranks %d vs %d", c.A.Rank, c.B.Rank)
@@ -253,10 +245,7 @@ func TestBuildSnapshotFromPreset(t *testing.T) {
 		t.Fatalf("corpus sources %d != %d", snap.Corpus().Sources, ds.Pages.NumSources())
 	}
 	for _, algo := range snap.Algos() {
-		top, err := snap.TopK(algo, snap.NumSources())
-		if err != nil {
-			t.Fatal(err)
-		}
+		top := snap.TopK(algo, snap.NumSources())
 		var sum float64
 		for i, e := range top {
 			sum += e.Score
@@ -347,9 +336,8 @@ func TestBuildSnapshotExtraVector(t *testing.T) {
 	if snap.Set("external") == nil {
 		t.Fatal("extra vector not served")
 	}
-	top, err := snap.TopK("external", 1)
-	if err != nil || len(top) != 1 {
-		t.Fatalf("topk on extra vector: %v %v", top, err)
+	if top := snap.TopK("external", 1); len(top) != 1 {
+		t.Fatalf("topk on extra vector: %v", top)
 	}
 	// Mismatched length must be rejected at snapshot assembly.
 	if _, err := BuildSnapshot(ds.Pages, nil, BuildConfig{

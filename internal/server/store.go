@@ -111,11 +111,10 @@ func (s *Store) PublishExternal(snap *Snapshot, version uint64) error {
 func (s *Store) Publishes() uint64 { return s.publishes.Load() }
 
 // PublishSets counts, over every publish, the score sets whose index and
-// rendered responses were carried over from the outgoing snapshot, those
-// the publish indexed and rendered itself, and those a renderer gave up
-// on (served by per-request encoding until the next publish).
-func (s *Store) PublishSets() (reused, rendered, uncached uint64) {
-	return s.setOutcomes[setReused].Load(), s.setOutcomes[setRendered].Load(), s.setOutcomes[setUncached].Load()
+// rendered responses were carried over from the outgoing snapshot, and
+// those the publish indexed and rendered itself.
+func (s *Store) PublishSets() (reused, rendered uint64) {
+	return s.setOutcomes[setReused].Load(), s.setOutcomes[setRendered].Load()
 }
 
 // PublishedAt reports when the serving snapshot was published (not when
