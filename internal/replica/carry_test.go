@@ -13,7 +13,9 @@ import (
 
 	"sourcerank/internal/durable"
 	"sourcerank/internal/linalg"
+	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/server"
+	"sourcerank/internal/source"
 )
 
 // handlerTransport answers pulls by calling the builder's sync handler
@@ -337,6 +339,70 @@ func BenchmarkFullSync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if p := pull(); p.FullSyncs() != 1 {
 			b.Fatalf("%d full syncs", p.FullSyncs())
+		}
+	}
+}
+
+// TestAllSpamBuildSyncsFull: a build where every source is labeled spam
+// (κ ≡ 1 everywhere) leaves TrustRank out, since no source is left to
+// trust. Over the same corpus the meta and the source count hold, so
+// only the changed algorithm set keeps the replica's base from carrying
+// the new snapshot: that sync must be a full frame, after which the
+// replica serves the builder's bytes and no TrustRank.
+func TestAllSpamBuildSyncsFull(t *testing.T) {
+	const n = 6
+	pg := pagegraph.New()
+	for s := 0; s < n; s++ {
+		pg.AddPage(pg.AddSource(fmt.Sprintf("ring-%d.example", s)))
+	}
+	for s := 0; s < n; s++ {
+		pg.AddLink(pagegraph.PageID(s), pagegraph.PageID((s+1)%n))
+	}
+	sg, err := source.Build(pg, source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &server.Builder{Config: server.BuildConfig{Workers: 1}}
+	bst, rst := server.NewStore(nil), server.NewStore(nil)
+	p := &Puller{Builder: "http://builder", Store: rst, Client: &http.Client{Transport: handlerTransport{NewPublisher(bst, 8)}}}
+	for i, spam := range [][]int32{{0}, {0, 1, 2, 3, 4, 5}} {
+		snap, _, err := b.Build(server.Corpus{Pages: pg, Source: sg}, spam)
+		if err != nil {
+			t.Fatalf("build %d: %v", i, err)
+		}
+		bst.Publish(snap)
+		if err := p.SyncNow(context.Background()); err != nil {
+			t.Fatalf("sync %d: %v", i, err)
+		}
+	}
+	if p.FullSyncs() != 2 || p.DeltaSyncs() != 0 {
+		t.Fatalf("full/delta syncs = %d/%d, want 2/0", p.FullSyncs(), p.DeltaSyncs())
+	}
+	if got, want := rst.Current().Algos(), []server.Algo{server.AlgoPageRank, server.AlgoSRSR}; !slices.Equal(got, want) {
+		t.Fatalf("replica serves %v, want %v", got, want)
+	}
+	hb, hr := server.New(bst, server.Config{}).Handler(), server.New(rst, server.Config{}).Handler()
+	get := func(h http.Handler, path string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Header().Get("Etag") + "\n" + rec.Body.String()
+	}
+	paths := []string{"/v1/topk?algo=trustrank"}
+	for _, algo := range []server.Algo{server.AlgoPageRank, server.AlgoSRSR} {
+		paths = append(paths, fmt.Sprintf("/v1/topk?algo=%s&n=%d", algo, n))
+		for id := 0; id < n; id++ {
+			paths = append(paths, fmt.Sprintf("/v1/rank/%d?algo=%s", id, algo))
+		}
+	}
+	for i, path := range paths {
+		want := http.StatusOK
+		if i == 0 {
+			want = http.StatusBadRequest
+		}
+		cb, bb := get(hb, path)
+		cr, br := get(hr, path)
+		if cb != want || cr != want || bb != br {
+			t.Fatalf("%s: builder %d, replica %d, want %d\nbuilder:\n%s\nreplica:\n%s", path, cb, cr, want, bb, br)
 		}
 	}
 }

@@ -18,8 +18,10 @@ import (
 
 // BuildConfig configures the offline snapshot computation, which
 // computes every one of DefaultAlgos — AlgoSRSR only when spam labels
-// are given, since the proximity walk needs a seed set — with each solve
-// run to linalg's default tolerance and iteration cap.
+// are given, since the proximity walk needs a seed set, and
+// AlgoTrustRank only when some source is not labeled spam, since its
+// teleport needs a trusted one — with each solve run to linalg's default
+// tolerance and iteration cap.
 type BuildConfig struct {
 	// Alpha is the mixing parameter for all walks; 0 defaults to 0.85.
 	Alpha float64
@@ -262,9 +264,10 @@ func (b *Builder) solveSRSR(c Corpus, spam []int32, topK, workers int) (out bran
 // structure change, so keeping them for the next build saves little, and
 // over a stream of rewires it measured 4–6 % more peak RSS. When both
 // re-solve they run as one affine sweep, each bitwise its solo solve and
-// stamped when its own walk finishes. A TrustRank teleport that cannot be
-// formed fails the branch but leaves PageRank solved; a baseline the
-// branch does not solve keeps its previous vector.
+// stamped when its own walk finishes. TrustRank with no trusted seed is
+// left out; a TrustRank teleport that cannot be formed fails the branch
+// but leaves PageRank solved; a baseline the branch does not solve keeps
+// its previous vector.
 func (b *Builder) solveBaselines(c Corpus, trSeeds []int32, workers int) (out branch) {
 	start := time.Now()
 	defer func() { out.wall = time.Since(start) }()
@@ -282,6 +285,9 @@ func (b *Builder) solveBaselines(c Corpus, trSeeds []int32, workers int) (out br
 		// differ only in teleport: PageRank's is uniform (no seeds).
 		bl, skipped, seeds := &b.pr, &out.info.PageRankSkipped, []int32(nil)
 		if algo == AlgoTrustRank {
+			if len(trSeeds) == 0 {
+				continue // every source is labeled spam: none to trust
+			}
 			bl, skipped, seeds = &b.tr, &out.info.TrustRankSkipped, trSeeds
 		}
 		if bl.current(c, seeds) {

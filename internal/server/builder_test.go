@@ -446,3 +446,57 @@ func TestSolverMetricsExposition(t *testing.T) {
 		t.Errorf("nil snapshot wrote %q", sb.String())
 	}
 }
+
+// TestHostileCorporaEndToEnd takes the corpora at the pipeline's edges
+// through BuildSnapshot, NewStore and every rendered body at one and two
+// workers: one source with links and with none, five sources that are
+// all dangling (n = 1 and all-tie rankings), and every source labeled
+// spam (κ ≡ 1 everywhere), which leaves TrustRank out because no source
+// is left to trust. A corpus of no sources is source.ErrEmpty and
+// yields no snapshot to publish.
+func TestHostileCorporaEndToEnd(t *testing.T) {
+	corpus := func(sources, pages int, links ...[2]pagegraph.PageID) *pagegraph.Graph {
+		pg := pagegraph.New()
+		for s := 0; s < sources; s++ {
+			src := pg.AddSource("<h" + strings.Repeat("&", s) + ">.example")
+			for p := 0; p < pages; p++ {
+				pg.AddPage(src)
+			}
+		}
+		for _, l := range links {
+			pg.AddLink(l[0], l[1])
+		}
+		return pg
+	}
+	ring := corpus(6, 1, [2]pagegraph.PageID{0, 1}, [2]pagegraph.PageID{1, 2}, [2]pagegraph.PageID{2, 3},
+		[2]pagegraph.PageID{3, 4}, [2]pagegraph.PageID{4, 5}, [2]pagegraph.PageID{5, 0})
+	baselines, allSpam := []Algo{AlgoPageRank, AlgoTrustRank}, []Algo{AlgoPageRank, AlgoSRSR}
+	for _, tc := range []struct {
+		name  string
+		pg    *pagegraph.Graph
+		spam  []int32
+		algos []Algo
+	}{
+		{"one source, no links", corpus(1, 1), nil, baselines},
+		{"one source, links", corpus(1, 3, [2]pagegraph.PageID{0, 1}, [2]pagegraph.PageID{1, 2}, [2]pagegraph.PageID{2, 0}), nil, baselines},
+		{"five dangling sources", corpus(5, 2), nil, baselines},
+		{"one source, spam", corpus(1, 1), []int32{0}, allSpam},
+		{"six-source ring, all spam", ring, []int32{0, 1, 2, 3, 4, 5}, allSpam},
+	} {
+		for _, workers := range []int{1, 2} {
+			snap, err := BuildSnapshot(tc.pg, tc.spam, BuildConfig{Workers: workers, Name: tc.name})
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", tc.name, workers, err)
+			}
+			if !slices.Equal(snap.Algos(), tc.algos) {
+				t.Fatalf("%s, %d workers: algorithms %v, want %v", tc.name, workers, snap.Algos(), tc.algos)
+			}
+			assertRenderedEqualsOracle(t, NewStore(snap))
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		if snap, err := BuildSnapshot(corpus(0, 0), nil, BuildConfig{Workers: workers}); !errors.Is(err, source.ErrEmpty) || snap != nil {
+			t.Fatalf("no sources, %d workers: snapshot %v, error %v; want none and %v", workers, snap, err, source.ErrEmpty)
+		}
+	}
+}

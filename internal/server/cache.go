@@ -29,10 +29,10 @@ type respCache struct {
 	topk    map[Algo]*topkCache
 	rank    map[Algo]*rankDoc
 	meta    []byte // full /v1/snapshot body
-	// labels holds the per-source escaped label bytes the renderers
-	// append, retained so the next publish in the lineage can reuse them
-	// (see labelCacheFor).
-	labels *labelCache
+	// heads (per source) and tails (per position) are the top-k entry
+	// text around the score, carried like digits along a lineage.
+	heads  *entryHeads
+	tails  *textArena
 	digits *textArena // 0..NumSources, every n a top-k cache serves
 	// scores holds each algorithm's score texts in rank order; an
 	// algorithm's arena is carried over whenever its vector is.
@@ -45,7 +45,6 @@ var (
 	topkMid      = []byte(",\n  \"results\": [")
 	topkTail     = []byte("\n  ]\n}\n")
 	topkZeroTail = []byte(",\n  \"results\": []\n}\n")
-	entryClose   = []byte("\n    }")
 )
 
 // topkCache holds one algorithm's fully-encoded top-K payload. The
@@ -75,13 +74,20 @@ func (c *topkCache) writeTo(w io.Writer, n int, digits *textArena) {
 
 // rankDoc is what /v1/rank and /v1/compare assemble one algorithm's
 // bodies from on request: the version-bearing heads, that algorithm's
-// score texts and rank index; the escaped labels, decimals and page
-// counts are the snapshot's. Only the heads are rendered per publish.
+// score texts and rank index; the escaped labels (in the entry heads),
+// decimals and page counts are the snapshot's. Only the heads are
+// rendered per publish.
 type rankDoc struct {
 	head    []byte // document start through `"source": ` (version and algo baked in)
 	compare []byte // /v1/compare's, through a's `"source": `
 	scores  *textArena
 	rank    []int32 // ScoreSet.rank
+}
+
+// label returns source id's escaped label, sliced out of its entry head.
+func (c *respCache) label(id int32) []byte {
+	h := c.heads.at(int(id))
+	return h[len(topkEntrySource)+len(c.digits.at(int(id)))+len(topkEntryLabel) : len(h)-len(topkEntryScore)]
 }
 
 // appendRank appends the rest of source id's /v1/rank document — all
@@ -90,7 +96,7 @@ func (c *respCache) appendRank(b []byte, d *rankDoc, id int32, pages []int) []by
 	dig, n, p := c.digits, len(d.rank), int(d.rank[id])
 	b = append(b, dig.at(int(id))...)
 	b = append(b, rankLabel...)
-	b = append(b, c.labels.esc[id]...)
+	b = append(b, c.label(id)...)
 	b = append(b, rankScore...)
 	b = append(b, d.scores.at(p)...)
 	b = append(b, rankRank...)
@@ -119,7 +125,7 @@ func (c *respCache) appendCompare(buf []byte, d *rankDoc, a, b int32, ratio floa
 		p := int(d.rank[id])
 		buf = append(buf, c.digits.at(int(id))...)
 		buf = append(buf, compareLabel...)
-		buf = append(buf, c.labels.esc[id]...)
+		buf = append(buf, c.label(id)...)
 		buf = append(buf, compareScore...)
 		buf = append(buf, d.scores.at(p)...)
 		buf = append(buf, compareRank...)
@@ -191,7 +197,7 @@ func SameArray[T any](a, b []T) bool {
 //
 // One rule, decided here and nowhere else: an input that is prev's very
 // array carries everything derived from it. Shared labels carry the
-// label map and the escaped-label bytes; a shared score vector carries
+// label map and the entry heads; a shared score vector carries
 // its rank index and score texts; and when labels are shared as well, it
 // carries the rendered top-k entries, leaving only the version-bearing
 // heads to render. /v1/rank and /v1/compare bodies are assembled per
@@ -200,7 +206,8 @@ func SameArray[T any](a, b []T) bool {
 // algorithm whose vector changed — the first publish of a lineage
 // included, where that is every algorithm.
 //
-// That work is 1+2k tasks over k algorithms: the label work, then each
+// That work is 1+2k tasks over k algorithms: the label work (the label
+// map, the decimals, the entry heads and tails), then each
 // algorithm's index and score texts, then each algorithm's top-k,
 // /v1/rank and /v1/compare heads, which wait for the label work and
 // their own index. Workers claim tasks in that order, so a render only
@@ -256,10 +263,11 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 			switch {
 			case t == 0:
 				s.labelIndex()
-				c.labels = labelCacheFor(s.labels, old.labels)
-				if c.digits = old.digits; c.digits == nil || len(c.digits.offs) != n+2 {
+				if c.digits, c.tails = old.digits, old.tails; c.digits == nil || len(c.digits.offs) != n+2 {
 					c.digits = decimals(n)
+					c.tails = entryTails(c.digits, min(n, maxTopK))
 				}
+				c.heads = headsFor(s.labels, c.digits, old.heads)
 				close(labeled)
 			case t <= len(algos):
 				p, ss := &parts[t-1], s.sets[algos[t-1]]
@@ -272,7 +280,7 @@ func (s *Snapshot) finalize(prev *Snapshot, publishes uint64) (outcomes [numPubl
 				algo, p := algos[t-1-len(algos)], &parts[t-1-len(algos)]
 				<-labeled
 				<-p.indexed
-				p.tc = s.renderTopK(algo, c.labels, c.digits, p.sc, p.from)
+				p.tc = s.renderTopK(algo, c.heads.textArena, c.tails, p.sc, p.from)
 				p.rd = &rankDoc{head: s.head(algo, rankHeadKey), compare: s.head(algo, compareHeadKey), scores: p.sc, rank: p.rank}
 			}
 		}
@@ -316,12 +324,9 @@ type algoParts struct {
 
 // textBytes counts the pre-rendered text c retains, offset tables
 // included: top-k heads and entries, /v1/rank and /v1/compare heads,
-// score texts, escaped labels, decimals and the /v1/snapshot body.
+// score texts, entry heads and tails, decimals and the /v1/snapshot body.
 func (c *respCache) textBytes() int {
-	size := len(c.meta) + c.digits.bytes()
-	for _, e := range c.labels.esc {
-		size += len(e)
-	}
+	size := len(c.meta) + c.digits.bytes() + c.heads.bytes() + c.tails.bytes()
 	for _, tc := range c.topk {
 		size += len(tc.head) + len(tc.entries) + 8*len(tc.ends)
 	}

@@ -54,6 +54,32 @@ func TestAppendJSONFloat(t *testing.T) {
 	}
 }
 
+// FuzzAppendJSONFloat holds appendJSONFloat to json.Marshal on
+// arbitrary finite bit patterns, seeded at the edges of its three
+// layouts: 1e-6, 1 and 1e21 each one ulp either side, ±0, the smallest
+// subnormal, and the negatives of them all.
+func FuzzAppendJSONFloat(f *testing.F) {
+	for _, v := range []float64{1e-6, 1, 1e21, 0, 5e-324} {
+		for _, x := range []float64{v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1))} {
+			f.Add(math.Float64bits(x))
+			f.Add(math.Float64bits(-x))
+		}
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return // NewSnapshot refuses them: JSON has no text for either
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat([]byte("prefix"), v); string(got) != "prefix"+string(want) || len(got) > len("prefix")+maxJSONFloatLen {
+			t.Fatalf("appendJSONFloat(%v) = %q, want %q, at most %d bytes", v, got[len("prefix"):], want, maxJSONFloatLen)
+		}
+	})
+}
+
 // deltaSnapshot derives a successor snapshot from prev: same labels
 // slice (shared backing, as the incremental source maintainer emits),
 // same page counts, with each algorithm's scores perturbed — the shape
@@ -86,8 +112,8 @@ func TestDeltaPublishByteIdentical(t *testing.T) {
 	store := NewStore(nastySnapshot(t))
 	snap := deltaSnapshot(t, store.Current(), rng)
 	store.Publish(snap)
-	if snap.resp.labels == nil {
-		t.Fatal("delta publish did not build the label cache")
+	if snap.resp.heads == nil {
+		t.Fatal("delta publish did not build the entry heads")
 	}
 	assertRenderedEqualsOracle(t, store)
 	rendered, ref := twoServers(store)
@@ -99,17 +125,13 @@ func TestDeltaPublishByteIdentical(t *testing.T) {
 		t.Fatalf("delta publish missing parent lineage:\n%s", a.Body.String())
 	}
 
-	// A third publish in the lineage reuses the escaped-label bytes.
+	// A third publish in the lineage reuses the entry heads, escaped
+	// labels included.
 	third := deltaSnapshot(t, snap, rng)
 	store.Publish(third)
-	if third.resp.labels == nil {
-		t.Fatal("third publish did not build the label cache")
-	}
 	assertRenderedEqualsOracle(t, store)
-	for i := range snap.resp.labels.esc {
-		if &third.resp.labels.esc[i][0] != &snap.resp.labels.esc[i][0] {
-			t.Fatalf("escaped label %d was re-rendered instead of reused", i)
-		}
+	if third.resp.heads != snap.resp.heads {
+		t.Fatal("entry heads were re-rendered instead of reused")
 	}
 }
 
@@ -136,8 +158,8 @@ func TestDeltaPublishWholesaleReuse(t *testing.T) {
 	if reflect.ValueOf(second.byLabel).Pointer() != reflect.ValueOf(first.byLabel).Pointer() {
 		t.Fatal("label map was rebuilt, not shared")
 	}
-	if second.resp.labels != first.resp.labels {
-		t.Fatal("escaped labels were rebuilt, not shared")
+	if second.resp.heads != first.resp.heads {
+		t.Fatal("entry heads were rebuilt, not shared")
 	}
 	for _, algo := range second.Algos() {
 		if ss, pss := second.sets[algo], first.sets[algo]; &ss.order[0] != &pss.order[0] || &ss.rank[0] != &pss.rank[0] {
@@ -313,9 +335,9 @@ func TestParentVersionLineage(t *testing.T) {
 	}
 }
 
-// FuzzLabelEscape checks the escaped-label cache against json.Marshal on
-// arbitrary strings, both when the cache is built cold and when a
-// lineage appends the label behind a reused prefix.
+// FuzzLabelEscape checks the escaped labels sliced out of the entry heads
+// against json.Marshal on arbitrary strings, both when the heads are
+// built cold and when a lineage appends the label behind a reused prefix.
 func FuzzLabelEscape(f *testing.F) {
 	for _, l := range hostileLabels {
 		f.Add(l)
@@ -325,10 +347,11 @@ func FuzzLabelEscape(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		backing := []string{"prefix", label}
-		old := labelCacheFor(backing[:1], nil)
-		for _, lc := range []*labelCache{labelCacheFor(backing[1:], nil), labelCacheFor(backing, old)} {
-			if got := lc.esc[len(lc.esc)-1]; string(got) != string(want) {
+		backing, dig := []string{"prefix", label}, decimals(2)
+		old := headsFor(backing[:1], dig, nil)
+		for _, h := range []*entryHeads{headsFor(backing[1:], dig, nil), headsFor(backing, dig, old)} {
+			c := &respCache{heads: h, digits: dig}
+			if got := c.label(int32(len(h.labels) - 1)); string(got) != string(want) {
 				t.Fatalf("label %q escaped to %s, want %s", label, got, want)
 			}
 		}
@@ -438,7 +461,7 @@ func assertRenderedEqualsOracle(t *testing.T, store *Store) {
 
 // TestHostileLabelsByteIdentical runs the golden comparison over
 // hostileLabels on a cold publish and on a lineage that appends more of
-// them behind the previous publish's labels, reusing its escapes.
+// them behind the previous publish's labels, carrying its entry heads.
 func TestHostileLabelsByteIdentical(t *testing.T) {
 	backing := append(append([]string(nil), hostileLabels...), hostileLabels...)
 	rng := rand.New(rand.NewSource(13))
@@ -460,13 +483,12 @@ func TestHostileLabelsByteIdentical(t *testing.T) {
 	store := NewStore(snapshot(backing[:k]))
 	assertRenderedEqualsOracle(t, store)
 	for _, n := range []int{k + 1, len(backing)} { // grow by one, then by the rest
-		prev := store.Current().resp.labels
+		prev := store.Current().resp.heads
 		store.Publish(snapshot(backing[:n]))
 		assertRenderedEqualsOracle(t, store)
-		for i := range prev.esc {
-			if &store.Current().resp.labels.esc[i][0] != &prev.esc[i][0] {
-				t.Fatalf("escaped label %d was re-rendered instead of reused", i)
-			}
+		cur := store.Current().resp.heads
+		if k := len(prev.labels); !slices.Equal(cur.offs[:k+1], prev.offs) || string(cur.b[:prev.offs[k]]) != string(prev.b) {
+			t.Fatalf("the %d carried entry heads changed", k)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"math"
 	"math/rand"
 	"net/http"
@@ -226,31 +225,31 @@ func startBody(w http.ResponseWriter, r *http.Request, c *respCache) bool {
 	return true
 }
 
-// algoParam resolves ?algo=, defaulting to srsr when served, otherwise
-// the snapshot's first algorithm.
-func algoParam(r *http.Request, snap *Snapshot) (Algo, error) {
-	raw := queryValue(r, "algo")
-	if raw == "" {
-		if snap.Set(AlgoSRSR) != nil {
-			return AlgoSRSR, nil
-		}
-		return snap.Algos()[0], nil
+// dataRequest resolves what every data endpoint starts from: the served
+// snapshot (see snapshotOr503) and ?algo=, which defaults to srsr when
+// served and otherwise to the snapshot's first algorithm. When either
+// fails it answers the error and reports false.
+func (s *Server) dataRequest(w http.ResponseWriter, r *http.Request) (*Snapshot, Algo, bool) {
+	snap, ok := s.snapshotOr503(w)
+	if !ok {
+		return nil, "", false
 	}
-	algo := Algo(raw)
-	if snap.Set(algo) == nil {
-		return "", errors.New("unknown algorithm " + strconv.Quote(raw))
+	switch algo := Algo(queryValue(r, "algo")); {
+	case algo == "" && snap.Set(AlgoSRSR) != nil:
+		return snap, AlgoSRSR, true
+	case algo == "":
+		return snap, snap.Algos()[0], true
+	case snap.Set(algo) == nil:
+		writeError(w, http.StatusBadRequest, "unknown algorithm "+strconv.Quote(string(algo)))
+		return nil, "", false
+	default:
+		return snap, algo, true
 	}
-	return algo, nil
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.snapshotOr503(w)
+	snap, algo, ok := s.dataRequest(w, r)
 	if !ok {
-		return
-	}
-	algo, err := algoParam(r, snap)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ident := r.PathValue("source")
@@ -265,19 +264,14 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.snapshotOr503(w)
+	snap, algo, ok := s.dataRequest(w, r)
 	if !ok {
-		return
-	}
-	algo, err := algoParam(r, snap)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	n := 10
 	if raw := queryValue(r, "n"); raw != "" {
-		n, err = strconv.Atoi(raw)
-		if err != nil || n < 0 {
+		var err error
+		if n, err = strconv.Atoi(raw); err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
 			return
 		}
@@ -296,13 +290,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.snapshotOr503(w)
+	snap, algo, ok := s.dataRequest(w, r)
 	if !ok {
-		return
-	}
-	algo, err := algoParam(r, snap)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	rawA, rawB := queryValue(r, "a"), queryValue(r, "b")

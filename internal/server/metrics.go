@@ -189,25 +189,11 @@ func quantileFromBuckets(st mergedStats, q float64) float64 {
 // including snapshot gauges supplied by the caller. staleSeconds is the
 // age of the serving snapshot (0 when staleness is not tracked).
 func (m *Metrics) WriteText(w io.Writer, snapVersion, publishes uint64, sources int, staleSeconds float64) {
-	fmt.Fprintf(w, "# HELP srserve_uptime_seconds Seconds since the server started.\n")
-	fmt.Fprintf(w, "# TYPE srserve_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "srserve_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
-
-	fmt.Fprintf(w, "# HELP srserve_snapshot_version Version of the snapshot being served.\n")
-	fmt.Fprintf(w, "# TYPE srserve_snapshot_version gauge\n")
-	fmt.Fprintf(w, "srserve_snapshot_version %d\n", snapVersion)
-
-	fmt.Fprintf(w, "# HELP srserve_snapshot_publishes_total Snapshots published since start.\n")
-	fmt.Fprintf(w, "# TYPE srserve_snapshot_publishes_total counter\n")
-	fmt.Fprintf(w, "srserve_snapshot_publishes_total %d\n", publishes)
-
-	fmt.Fprintf(w, "# HELP srserve_snapshot_sources Sources in the served snapshot.\n")
-	fmt.Fprintf(w, "# TYPE srserve_snapshot_sources gauge\n")
-	fmt.Fprintf(w, "srserve_snapshot_sources %d\n", sources)
-
-	fmt.Fprintf(w, "# HELP srserve_snapshot_stale_seconds Age of the serving snapshot.\n")
-	fmt.Fprintf(w, "# TYPE srserve_snapshot_stale_seconds gauge\n")
-	fmt.Fprintf(w, "srserve_snapshot_stale_seconds %.3f\n", staleSeconds)
+	writeMetric(w, "srserve_uptime_seconds", "gauge", "Seconds since the server started.", "%.3f", time.Since(m.start).Seconds())
+	writeMetric(w, "srserve_snapshot_version", "gauge", "Version of the snapshot being served.", "%d", snapVersion)
+	writeMetric(w, "srserve_snapshot_publishes_total", "counter", "Snapshots published since start.", "%d", publishes)
+	writeMetric(w, "srserve_snapshot_sources", "gauge", "Sources in the served snapshot.", "%d", sources)
+	writeMetric(w, "srserve_snapshot_stale_seconds", "gauge", "Age of the serving snapshot.", "%.3f", staleSeconds)
 
 	merged := make(map[string]mergedStats, len(m.names))
 	for _, name := range m.names {
@@ -296,6 +282,12 @@ func (m *Metrics) WriteSolverText(w io.Writer, snap *Snapshot) {
 	fmt.Fprintf(w, "srserve_solver_rowsums{impl=%q} 1\n", linalg.RowSumsImpl())
 }
 
+// writeMetric writes one unlabeled series, value v in format, under its
+// HELP and TYPE lines.
+func writeMetric(w io.Writer, name, kind, help, format string, v any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s "+format+"\n", name, help, name, kind, name, v)
+}
+
 // boolGauge renders a boolean gauge.
 func boolGauge(b bool) int {
 	if b {
@@ -320,9 +312,7 @@ func (m *Metrics) WriteBuildText(w io.Writer, b *Builder) {
 	fmt.Fprintf(w, "# TYPE srserve_build_branch_seconds gauge\n")
 	fmt.Fprintf(w, "srserve_build_branch_seconds{branch=\"srsr\"} %.6f\n", info.SRSRWall.Seconds())
 	fmt.Fprintf(w, "srserve_build_branch_seconds{branch=\"baselines\"} %.6f\n", info.BaselinesWall.Seconds())
-	fmt.Fprintf(w, "# HELP srserve_build_branches_concurrent Whether the last build ran its two solve branches at once, each on half the workers (1), or in turn (0).\n")
-	fmt.Fprintf(w, "# TYPE srserve_build_branches_concurrent gauge\n")
-	fmt.Fprintf(w, "srserve_build_branches_concurrent %d\n", boolGauge(info.Concurrent))
+	writeMetric(w, "srserve_build_branches_concurrent", "gauge", "Whether the last build ran its two solve branches at once, each on half the workers (1), or in turn (0).", "%d", boolGauge(info.Concurrent))
 }
 
 // WritePublishText renders what the store's publishes did with their
@@ -337,16 +327,12 @@ func (m *Metrics) WritePublishText(w io.Writer, st *Store) {
 	for outcome, name := range publishOutcomeNames {
 		fmt.Fprintf(w, "srserve_publish_sets_total{outcome=%q} %d\n", name, st.setOutcomes[outcome].Load())
 	}
-	fmt.Fprintf(w, "# HELP srserve_publish_last_seconds Wall time of the last publish's finalize and swap.\n")
-	fmt.Fprintf(w, "# TYPE srserve_publish_last_seconds gauge\n")
-	fmt.Fprintf(w, "srserve_publish_last_seconds %.6f\n", time.Duration(st.lastPublish.Load()).Seconds())
+	writeMetric(w, "srserve_publish_last_seconds", "gauge", "Wall time of the last publish's finalize and swap.", "%.6f", time.Duration(st.lastPublish.Load()).Seconds())
 	size := 0
 	if snap := st.Current(); snap != nil {
 		size = snap.resp.textBytes()
 	}
-	fmt.Fprintf(w, "# HELP srserve_snapshot_cache_bytes Pre-rendered text the served snapshot retains, offsets included: top-k entries, score texts, escaped labels, decimals and heads.\n")
-	fmt.Fprintf(w, "# TYPE srserve_snapshot_cache_bytes gauge\n")
-	fmt.Fprintf(w, "srserve_snapshot_cache_bytes %d\n", size)
+	writeMetric(w, "srserve_snapshot_cache_bytes", "gauge", "Pre-rendered text the served snapshot retains, offsets included: top-k entries, score texts, entry heads and tails, decimals and document heads.", "%d", size)
 }
 
 // WriteRefreshText renders refresher health gauges. It appends to the
@@ -356,12 +342,8 @@ func (m *Metrics) WriteRefreshText(w io.Writer, r *Refresher) {
 	if r == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP srserve_refresh_consecutive_failures Builds failed in a row since the last successful publish.\n")
-	fmt.Fprintf(w, "# TYPE srserve_refresh_consecutive_failures gauge\n")
-	fmt.Fprintf(w, "srserve_refresh_consecutive_failures %d\n", r.ConsecutiveFailures())
-	fmt.Fprintf(w, "# HELP srserve_refresh_last_build_seconds Wall time of the most recent successful build.\n")
-	fmt.Fprintf(w, "# TYPE srserve_refresh_last_build_seconds gauge\n")
-	fmt.Fprintf(w, "srserve_refresh_last_build_seconds %.6f\n", r.LastBuildDuration().Seconds())
+	writeMetric(w, "srserve_refresh_consecutive_failures", "gauge", "Builds failed in a row since the last successful publish.", "%d", r.ConsecutiveFailures())
+	writeMetric(w, "srserve_refresh_last_build_seconds", "gauge", "Wall time of the most recent successful build.", "%.6f", r.LastBuildDuration().Seconds())
 }
 
 // WriteCorpusLoadText renders what reading the corpus file at boot cost;
@@ -370,12 +352,8 @@ func (m *Metrics) WriteCorpusLoadText(w io.Writer, st *pagegraph.LoadStats) {
 	if st == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP srserve_corpus_load_seconds Wall time of reading the corpus file at boot.\n")
-	fmt.Fprintf(w, "# TYPE srserve_corpus_load_seconds gauge\n")
-	fmt.Fprintf(w, "srserve_corpus_load_seconds %.6f\n", st.Seconds)
-	fmt.Fprintf(w, "# HELP srserve_corpus_bytes Size of the corpus file read at boot.\n")
-	fmt.Fprintf(w, "# TYPE srserve_corpus_bytes gauge\n")
-	fmt.Fprintf(w, "srserve_corpus_bytes %d\n", st.Bytes)
+	writeMetric(w, "srserve_corpus_load_seconds", "gauge", "Wall time of reading the corpus file at boot.", "%.6f", st.Seconds)
+	writeMetric(w, "srserve_corpus_bytes", "gauge", "Size of the corpus file read at boot.", "%d", st.Bytes)
 }
 
 // Requests returns the total request count for one endpoint (all status

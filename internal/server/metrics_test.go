@@ -116,9 +116,9 @@ func TestMetricsPublishCostAndCacheBytes(t *testing.T) {
 	}
 	store.Publish(nastySnapshot(t))
 	c := store.Current().resp
-	want := len(c.meta) + len(c.digits.b) + 4*len(c.digits.offs)
-	for _, e := range c.labels.esc {
-		want += len(e)
+	want := len(c.meta)
+	for _, a := range []*textArena{c.digits, c.heads.textArena, c.tails} {
+		want += len(a.b) + 4*len(a.offs)
 	}
 	for algo, tc := range c.topk {
 		sc := c.scores[algo]

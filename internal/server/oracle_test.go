@@ -82,8 +82,7 @@ func (o *oracle) Handler() http.Handler {
 }
 
 func (o *oracle) rank(w http.ResponseWriter, r *http.Request) {
-	snap := o.store.Current()
-	algo, _ := algoParam(r, snap)
+	snap, algo, _ := o.dataRequest(w, r)
 	id, _ := snap.Resolve(r.PathValue("source"))
 	resp := rankResponse{Version: snap.version, Algo: algo, Entry: snap.Entry(algo, id), Sources: snap.NumSources()}
 	resp.Pages = snap.pageCount[id]
@@ -91,8 +90,7 @@ func (o *oracle) rank(w http.ResponseWriter, r *http.Request) {
 }
 
 func (o *oracle) topk(w http.ResponseWriter, r *http.Request) {
-	snap := o.store.Current()
-	algo, _ := algoParam(r, snap)
+	snap, algo, _ := o.dataRequest(w, r)
 	n := 10
 	if raw := queryValue(r, "n"); raw != "" {
 		n, _ = strconv.Atoi(raw)
@@ -106,8 +104,7 @@ func (o *oracle) topk(w http.ResponseWriter, r *http.Request) {
 }
 
 func (o *oracle) compare(w http.ResponseWriter, r *http.Request) {
-	snap := o.store.Current()
-	algo, _ := algoParam(r, snap)
+	snap, algo, _ := o.dataRequest(w, r)
 	a, _ := snap.Resolve(queryValue(r, "a"))
 	b, _ := snap.Resolve(queryValue(r, "b"))
 	ea, eb := snap.Entry(algo, a), snap.Entry(algo, b)

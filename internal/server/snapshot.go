@@ -67,32 +67,41 @@ func (ss *ScoreSet) index() (order, rank []int32) {
 
 // rankIndex orders source IDs by descending score, ties (−0 and +0
 // included) by ascending ID, NaN last: a stable LSD radix sort over
-// rankKey, 8 bits a pass from the identity permutation.
+// rankKey, 8 bits a pass from the identity permutation. Each key is
+// computed once, with all eight digit histograms in the same pass; each
+// pass scatters every (key, id) pair, as two parallel arrays, and a digit
+// every key shares costs none. order and rank double as the IDs' scatter
+// buffers, so beside its outputs the sort allocates one array of keys.
 func rankIndex(scores linalg.Vector) (order, rank []int32) {
 	n := len(scores)
+	keys := make([]uint64, 2*n)
+	ksrc, kdst := keys[:n], keys[n:]
 	order, rank = make([]int32, n), make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	// rank doubles as the scatter buffer of order until the last pass.
-	for shift := 0; shift < 64 && n > 0; shift += 8 {
-		var c [256]int
-		for _, s := range scores {
-			c[byte(rankKey(s)>>shift)]++
+	isrc, idst := order, rank
+	var c [8][256]int
+	for i, s := range scores {
+		k := rankKey(s)
+		ksrc[i], isrc[i] = k, int32(i)
+		for d := range c {
+			c[d][byte(k>>(8*d))]++
 		}
-		if c[byte(rankKey(scores[0])>>shift)] == n {
+	}
+	for d := range c {
+		if n == 0 || c[d][byte(ksrc[0]>>(8*d))] == n {
 			continue // a digit every key shares
 		}
-		for b, sum := 0, 0; b < len(c); b++ {
-			c[b], sum = sum, sum+c[b]
+		for b, sum := 0, 0; b < 256; b++ {
+			c[d][b], sum = sum, sum+c[d][b]
 		}
-		for _, id := range order {
-			b := byte(rankKey(scores[id]) >> shift)
-			rank[c[b]] = id
-			c[b]++
+		kd, ids := kdst[:n], idst[:n]
+		for i, k := range ksrc {
+			b := byte(k >> (8 * d))
+			kd[c[d][b]], ids[c[d][b]] = k, isrc[i]
+			c[d][b]++
 		}
-		order, rank = rank, order
+		ksrc, kdst, isrc, idst = kdst, ksrc, idst, isrc
 	}
+	order, rank = isrc, idst
 	for pos, id := range order {
 		rank[id] = int32(pos)
 	}
@@ -184,24 +193,25 @@ type Snapshot struct {
 	resp *respCache
 }
 
-// maxSources bounds a snapshot's source count: every score text of one
-// algorithm must be addressable by the int32 offsets of its arena.
-const maxSources = math.MaxInt32 / maxJSONFloatLen
-
 // NewSnapshot assembles a snapshot from prepared parts. labels and sets
 // are retained; callers must not mutate them afterwards.
 //
 // It refuses what the response renderer cannot render, so that every
 // published snapshot answers every request from its publish-time text: a
 // NaN or infinite score (Eq. 3 always gives a finite σ, so one is a
-// fault, not a ranking; the error wraps linalg.ErrNonFinite), more than
-// maxSources sources, and a build time JSON cannot carry.
+// fault, not a ranking; the error wraps linalg.ErrNonFinite), sources
+// whose entry heads int32 offsets might not address, and a build time
+// JSON cannot carry.
 func NewSnapshot(corpus CorpusInfo, labels []string, pageCount []int, kappaTopK int, sets map[Algo]*ScoreSet, builtAt time.Time) (*Snapshot, error) {
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("server: snapshot needs at least one score set")
 	}
-	if len(labels) > maxSources {
-		return nil, fmt.Errorf("server: %d sources, above the %d a snapshot can serve", len(labels), maxSources)
+	size := 0
+	for _, l := range labels {
+		size += maxHeadLen + 6*len(l)
+	}
+	if size > math.MaxInt32 {
+		return nil, fmt.Errorf("server: %d sources with labels this long are above what a snapshot can serve", len(labels))
 	}
 	if len(pageCount) != len(labels) {
 		return nil, fmt.Errorf("server: %d page counts for %d sources", len(pageCount), len(labels))
