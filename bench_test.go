@@ -1,8 +1,8 @@
 // Package bench holds the paper-level benchmark harness: one benchmark
 // per table and figure of the evaluation (regenerating the artifact each
 // iteration) plus microbenchmarks for the computational kernels the
-// system is built on (parallel SpMV, the power-method solve, source-graph
-// construction, graph compression, and spam-proximity propagation).
+// system is built on (the power-method solve, source-graph construction,
+// graph compression, and spam-proximity propagation).
 //
 // Run everything with:
 //
@@ -17,7 +17,6 @@ import (
 	"sourcerank/internal/experiments"
 	"sourcerank/internal/gen"
 	"sourcerank/internal/graph"
-	"sourcerank/internal/linalg"
 	"sourcerank/internal/rank"
 	"sourcerank/internal/source"
 	"sourcerank/internal/throttle"
@@ -229,37 +228,6 @@ func BenchmarkSpamProximity(b *testing.B) {
 	}
 }
 
-// spmvFixture builds a transition matrix for the SpMV benches.
-func spmvFixture(b *testing.B) (*linalg.CSR, linalg.Vector, linalg.Vector) {
-	b.Helper()
-	ds := benchCorpus(b)
-	m := rank.TransitionT(ds.Pages.ToGraph())
-	x := linalg.NewUniformVector(m.ColsN)
-	dst := linalg.NewVector(m.Rows)
-	return m, x, dst
-}
-
-// BenchmarkSpMVSerial measures the single-threaded gather kernel.
-func BenchmarkSpMVSerial(b *testing.B) {
-	m, x, dst := spmvFixture(b)
-	b.SetBytes(int64(m.NNZ()) * 12) // 8B value + 4B column index per nonzero
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.MulVec(m, x, dst)
-	}
-}
-
-// BenchmarkSpMVParallel measures the row-partitioned parallel kernel,
-// the ablation counterpart of BenchmarkSpMVSerial.
-func BenchmarkSpMVParallel(b *testing.B) {
-	m, x, dst := spmvFixture(b)
-	b.SetBytes(int64(m.NNZ()) * 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.MulVecParallel(m, x, dst, 0)
-	}
-}
-
 // BenchmarkCompress measures WebGraph-style compression of the page
 // graph; the reported metric is achieved bits per edge.
 func BenchmarkCompress(b *testing.B) {
@@ -300,18 +268,6 @@ func BenchmarkTranspose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.Transpose()
-	}
-}
-
-// BenchmarkHITS measures the HITS baseline on the page graph.
-func BenchmarkHITS(b *testing.B) {
-	ds := benchCorpus(b)
-	g := ds.Pages.ToGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rank.HITS(g, rank.Options{Tol: 1e-6}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

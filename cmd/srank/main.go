@@ -1,7 +1,7 @@
-// Command srank ranks a Web corpus with any of the implemented
-// algorithms: the paper's Spam-Resilient SourceRank, the un-throttled
-// SourceRank baseline, page-level PageRank, TrustRank, HITS, or the raw
-// spam-proximity scores.
+// Command srank ranks a Web corpus with the paper's Spam-Resilient
+// SourceRank, its two baselines (the un-throttled SourceRank and
+// page-level PageRank), or the TrustRank the server serves beside them.
+// Each -algo value and flag names its user in the root census_test.go.
 //
 // Usage:
 //
@@ -39,13 +39,13 @@ func main() {
 		preset    = flag.String("preset", "UK2002", "generate this preset when -pages is not given")
 		scale     = flag.Float64("scale", 0.01, "generator scale")
 		seed      = flag.Uint64("seed", 1, "generator seed")
-		algo      = flag.String("algo", "srsr", "srsr | sourcerank | pagerank | trustrank | hits | salsa | proximity")
+		algo      = flag.String("algo", "srsr", "srsr | sourcerank | pagerank | trustrank")
 		alpha     = flag.Float64("alpha", 0.85, "mixing parameter α")
 		top       = flag.Int("top", 10, "show this many top-ranked entries")
 		topK      = flag.Int("throttle-topk", 0, "sources to throttle fully (0 = 2.7% of sources)")
 		workers   = flag.Int("workers", 0, "solver goroutines (0 = GOMAXPROCS)")
 		precision = flag.String("precision", "float64", "PageRank solve arithmetic: float64 (reference) | float32 (bandwidth kernels; scores stay float64; pagerank only)")
-		savePath  = flag.String("save", "", "write the score vector (per source, or per page for pagerank, hits, salsa) to this file (binary)")
+		savePath  = flag.String("save", "", "write the score vector (per source, or per page for pagerank) to this file (binary)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		slabDir   = flag.String("slab-dir", "", "commit the solve operand as a memory-mapped slab file under this directory (out-of-core solve; pagerank only)")
@@ -126,27 +126,7 @@ func main() {
 		}
 		printStats(stats)
 		printTopPages(pg, scores, *top)
-	case "hits":
-		res, err := rank.HITS(pg.ToGraph(), rank.Options{Workers: *workers})
-		if err != nil {
-			fatal(err)
-		}
-		printStats(res.Stats)
-		fmt.Println("top authorities:")
-		printTopPages(pg, res.Authorities, *top)
-		scores = res.Authorities
-	case "salsa":
-		// The two-step SALSA chain mixes slowly on near-bipartite web
-		// structure; 1e-6 is plenty for ranking purposes.
-		res, err := rank.SALSA(pg.ToGraph(), rank.Options{Workers: *workers, Tol: 1e-6})
-		if err != nil {
-			fatal(err)
-		}
-		printStats(res.Stats)
-		fmt.Println("top authorities:")
-		printTopPages(pg, res.Authorities, *top)
-		scores = res.Authorities
-	case "sourcerank", "srsr", "trustrank", "proximity":
+	case "sourcerank", "srsr", "trustrank":
 		sg, err := source.Build(pg, source.Options{})
 		if err != nil {
 			fatal(err)
@@ -173,7 +153,7 @@ func main() {
 // unknown algo is not this check's to report.
 func checkHonoured(algo string, topK, slab, maxResident bool, prec linalg.Precision) error {
 	switch algo {
-	case "srsr", "sourcerank", "pagerank", "trustrank", "hits", "salsa", "proximity":
+	case "srsr", "sourcerank", "pagerank", "trustrank":
 	default:
 		return nil
 	}
@@ -210,16 +190,6 @@ func sourceLevelScores(algo string, sg *source.Graph, spamSources []int32, alpha
 		}
 		printStats(res.Stats)
 		return res.Scores, nil
-	case "proximity":
-		if len(spamSources) == 0 {
-			return nil, fmt.Errorf("proximity needs -spam labels or a preset with planted spam")
-		}
-		prox, stats, err := throttle.SpamProximity(sg.Structure(), spamSources, throttle.ProximityOptions{Workers: workers})
-		if err != nil {
-			return nil, err
-		}
-		printStats(stats)
-		return prox, nil
 	default: // srsr
 		if len(spamSources) == 0 {
 			return nil, fmt.Errorf("srsr needs -spam labels or a preset with planted spam")

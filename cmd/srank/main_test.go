@@ -3,10 +3,15 @@ package main
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -62,28 +67,18 @@ func TestCheckHonoured(t *testing.T) {
 		{algo: "sourcerank"},
 		{algo: "pagerank", slab: true, maxResident: true, prec: linalg.Float32},
 		{algo: "trustrank"},
-		{algo: "hits"},
-		{algo: "salsa"},
-		{algo: "proximity"},
 		{algo: "nosuch", topK: true, slab: true, maxResident: true, prec: linalg.Float32}, // main reports the unknown algorithm
 		{algo: "sourcerank", topK: true, wantFlag: "-throttle-topk"},
 		{algo: "pagerank", topK: true, wantFlag: "-throttle-topk"},
 		{algo: "trustrank", topK: true, wantFlag: "-throttle-topk"},
-		{algo: "proximity", topK: true, wantFlag: "-throttle-topk"},
 		{algo: "srsr", slab: true, wantFlag: "-slab-dir"},
 		{algo: "sourcerank", slab: true, wantFlag: "-slab-dir"},
 		{algo: "trustrank", slab: true, wantFlag: "-slab-dir"},
-		{algo: "hits", slab: true, wantFlag: "-slab-dir"},
-		{algo: "salsa", slab: true, wantFlag: "-slab-dir"},
-		{algo: "proximity", slab: true, wantFlag: "-slab-dir"},
 		{algo: "srsr", maxResident: true, wantFlag: "-max-resident"},
 		{algo: "sourcerank", maxResident: true, wantFlag: "-max-resident"},
 		{algo: "srsr", prec: linalg.Float32, wantFlag: "-precision float32"},
 		{algo: "sourcerank", prec: linalg.Float32, wantFlag: "-precision float32"},
 		{algo: "trustrank", prec: linalg.Float32, wantFlag: "-precision float32"},
-		{algo: "hits", prec: linalg.Float32, wantFlag: "-precision float32"},
-		{algo: "salsa", prec: linalg.Float32, wantFlag: "-precision float32"},
-		{algo: "proximity", prec: linalg.Float32, wantFlag: "-precision float32"},
 	}
 	for _, c := range cases {
 		err := checkHonoured(c.algo, c.topK, c.slab, c.maxResident, c.prec)
@@ -106,27 +101,30 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func runSrank(t *testing.T, args ...string) (stdout string, exit int) {
+func runSrank(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], append([]string{"-preset", "UK2002", "-scale", "0.002", "-seed", "1"}, args...)...)
 	cmd.Env = append(os.Environ(), "SRANK_TEST_RUN_MAIN=1")
+	var errBuf strings.Builder
+	cmd.Stderr = &errBuf
 	out, err := cmd.Output()
 	var ee *exec.ExitError
 	if err != nil && !errors.As(err, &ee) {
 		t.Fatal(err)
 	}
-	return string(out), cmd.ProcessState.ExitCode()
+	return string(out), errBuf.String(), cmd.ProcessState.ExitCode()
 }
 
 // TestSaveAndRefusalEndToEnd drives the command itself: -save is honoured
-// for a page-level algorithm (one score per page, in the format the
-// source-level algorithms always wrote), and a flag the algorithm cannot
-// honour exits 2 before any work is printed.
+// for the page-level algorithm (one score per page, in the format the
+// source-level algorithms write), a flag the algorithm cannot honour
+// exits 2 before any work is printed, and an algorithm srank does not run
+// exits 1 naming it.
 func TestSaveAndRefusalEndToEnd(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hits.vec")
-	out, exit := runSrank(t, "-algo", "hits", "-save", path)
+	path := filepath.Join(t.TempDir(), "pagerank.vec")
+	out, _, exit := runSrank(t, "-algo", "pagerank", "-save", path)
 	if exit != 0 {
-		t.Fatalf("-algo hits -save: exit %d\n%s", exit, out)
+		t.Fatalf("-algo pagerank -save: exit %d\n%s", exit, out)
 	}
 	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 1)
 	if err != nil {
@@ -143,15 +141,90 @@ func TestSaveAndRefusalEndToEnd(t *testing.T) {
 		t.Errorf("stdout does not end with %q:\n%s", want, out)
 	}
 
-	if out, exit := runSrank(t, "-algo", "salsa", "-slab-dir", t.TempDir()); exit != 2 || out != "" {
-		t.Errorf("-algo salsa -slab-dir: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
+	if out, _, exit := runSrank(t, "-algo", "trustrank", "-slab-dir", t.TempDir()); exit != 2 || out != "" {
+		t.Errorf("-algo trustrank -slab-dir: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
 	}
-	if out, exit := runSrank(t, "-algo", "srsr", "-precision", "float32"); exit != 2 || out != "" {
+	if out, _, exit := runSrank(t, "-algo", "srsr", "-precision", "float32"); exit != 2 || out != "" {
 		t.Errorf("-algo srsr -precision float32: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
 	}
-	if out, exit := runSrank(t, "-algo", "pagerank", "-throttle-topk", "5"); exit != 2 || out != "" {
+	if out, _, exit := runSrank(t, "-algo", "pagerank", "-throttle-topk", "5"); exit != 2 || out != "" {
 		t.Errorf("-algo pagerank -throttle-topk 5: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
 	}
+	for _, algo := range []string{"hits", "salsa", "proximity"} {
+		_, stderr, exit := runSrank(t, "-algo", algo)
+		if want := fmt.Sprintf("unknown algorithm %q", algo); exit != 1 || !strings.Contains(stderr, want) {
+			t.Errorf("-algo %s: exit %d, stderr %q; want exit 1 and %s", algo, exit, stderr, want)
+		}
+	}
+}
+
+// TestAlgoListsAgree: the -algo usage string is where the root census
+// (census_test.go) reads srank's algorithms from, so checkHonoured's list
+// and main's switch must accept exactly its values, neither more nor less.
+func TestAlgoListsAgree(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var usage []string
+	cases := map[string][]string{} // enclosing func → string literals of its first switch's cases
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 3 {
+			return true
+		}
+		if name, ok := call.Args[0].(*ast.BasicLit); ok && name.Value == `"algo"` {
+			lit, err := strconv.Unquote(call.Args[2].(*ast.BasicLit).Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range strings.Split(lit, "|") {
+				usage = append(usage, strings.TrimSpace(v))
+			}
+		}
+		return true
+	})
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "main" && fn.Name.Name != "checkHonoured" {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			sw, ok := n.(*ast.SwitchStmt)
+			if !ok || cases[fn.Name.Name] != nil {
+				return true
+			}
+			if star, ok := sw.Tag.(*ast.StarExpr); !(ok && isIdent(star.X, "algo")) && !isIdent(sw.Tag, "algo") {
+				return true
+			}
+			for _, c := range sw.Body.List {
+				for _, e := range c.(*ast.CaseClause).List {
+					v, err := strconv.Unquote(e.(*ast.BasicLit).Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cases[fn.Name.Name] = append(cases[fn.Name.Name], v)
+				}
+			}
+			return false
+		})
+	}
+	slices.Sort(usage)
+	if len(usage) == 0 {
+		t.Fatal("no -algo flag in main.go")
+	}
+	for _, fn := range []string{"checkHonoured", "main"} {
+		got := cases[fn]
+		slices.Sort(got)
+		if !slices.Equal(got, usage) {
+			t.Errorf("%s's switch accepts %v; the -algo usage lists %v", fn, got, usage)
+		}
+	}
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 // TestTrustRankMatchesServed: srank -algo trustrank seeds the walk with
@@ -160,7 +233,7 @@ func TestSaveAndRefusalEndToEnd(t *testing.T) {
 // still prints the cold builder's vector, bit for bit.
 func TestTrustRankMatchesServed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trustrank.vec")
-	if out, exit := runSrank(t, "-scale", "0.02", "-algo", "trustrank", "-save", path); exit != 0 {
+	if out, _, exit := runSrank(t, "-scale", "0.02", "-algo", "trustrank", "-save", path); exit != 0 {
 		t.Fatalf("-algo trustrank: exit %d\n%s", exit, out)
 	}
 	got, err := linalg.ReadVectorFile(path)

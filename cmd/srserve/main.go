@@ -226,8 +226,9 @@ func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, builder *serve
 // structure, a warm or cold walk stopped at the iteration whose top-k gap
 // cleared twice its error bound, or a contested boundary (with why)
 // re-walked cold to tolerance — then how many κ entries flipped, which
-// baselines were carried rather than re-solved (and whether the two
-// re-solved in one sweep), and the wall time of each solve branch (SRSR;
+// baselines were carried rather than re-solved or left out (TrustRank,
+// when every source is labeled spam), whether the two re-solved in one
+// sweep, and the wall time of each solve branch (SRSR;
 // PageRank and TrustRank), whether they ran at once or in turn, which
 // one set the build's length, and the iterations of each solve that ran.
 func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
@@ -250,8 +251,11 @@ func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
 		srsr = fmt.Sprintf("srsr proximity decided %s at iteration %d (gap %.3g > 2·bound %.3g)",
 			start, d.Iterations, info.BoundaryGap, d.Bound)
 	}
-	carried := func(skipped bool) string {
-		if skipped {
+	carried := func(algo server.Algo, skipped bool) string {
+		switch {
+		case snap.Set(algo) == nil:
+			return "left out"
+		case skipped:
 			return "carried"
 		}
 		return "re-solved"
@@ -267,7 +271,7 @@ func buildLine(snap *server.Snapshot, info server.BuildInfo) string {
 		longer = "baselines"
 	}
 	line := fmt.Sprintf("build: %s, %d κ flips; pagerank %s, trustrank %s%s; solves %s: srsr %.1f ms, baselines %.1f ms (%s set the length)",
-		srsr, info.KappaChanged, carried(info.PageRankSkipped), carried(info.TrustRankSkipped), sweep,
+		srsr, info.KappaChanged, carried(server.AlgoPageRank, info.PageRankSkipped), carried(server.AlgoTrustRank, info.TrustRankSkipped), sweep,
 		mode, info.SRSRWall.Seconds()*1e3, info.BaselinesWall.Seconds()*1e3, longer)
 	if set := snap.Set(server.AlgoSRSR); set != nil && !info.SolveSkipped && set.Stats().Iterations > 0 {
 		line += fmt.Sprintf("; srsr solved in %d iterations", set.Stats().Iterations)

@@ -48,9 +48,13 @@ func TestBuildLine(t *testing.T) {
 		}
 		return snap
 	}
-	srsr, plain := snapWith(server.AlgoSRSR, server.AlgoPageRank), snapWith(server.AlgoPageRank)
+	srsr := snapWith(server.AlgoSRSR, server.AlgoPageRank, server.AlgoTrustRank)
+	plain := snapWith(server.AlgoPageRank, server.AlgoTrustRank)
+	allSpam := snapWith(server.AlgoSRSR, server.AlgoPageRank) // no source left to trust
 	solved, err := server.NewSnapshot(server.CorpusInfo{}, []string{"a", "b"}, []int{1, 1}, 1, map[server.Algo]*server.ScoreSet{
-		server.AlgoSRSR: server.NewScoreSet(linalg.Vector{0.5, 0.5}, linalg.IterStats{Iterations: 24, Converged: true}),
+		server.AlgoSRSR:      server.NewScoreSet(linalg.Vector{0.5, 0.5}, linalg.IterStats{Iterations: 24, Converged: true}),
+		server.AlgoPageRank:  server.NewScoreSet(linalg.Vector{0.5, 0.5}, linalg.IterStats{Converged: true}),
+		server.AlgoTrustRank: server.NewScoreSet(linalg.Vector{0.5, 0.5}, linalg.IterStats{Converged: true}),
 	}, time.Now())
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +107,8 @@ func TestBuildLine(t *testing.T) {
 			"build: srsr solve skipped (graph and labels unchanged), 0 κ flips; pagerank carried, trustrank re-solved; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length); trustrank solved in 41 iterations"},
 		{"pagerank solved alone", baselines(37, 0), server.BuildInfo{RefreshInfo: core.RefreshInfo{SolveSkipped: true}, TrustRankSkipped: true},
 			"build: srsr solve skipped (graph and labels unchanged), 0 κ flips; pagerank re-solved, trustrank carried; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length); pagerank solved in 37 iterations"},
+		{"trustrank left out", allSpam, server.BuildInfo{RefreshInfo: core.RefreshInfo{ProximityCold: true, Decision: decided, BoundaryGap: 1.34e-6, KappaChanged: 2}},
+			"build: srsr proximity decided cold at iteration 52 (gap 1.34e-06 > 2·bound 6e-07), 2 κ flips; pagerank re-solved, trustrank left out; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length)"},
 		{"srsr skipped over solved stats", solved, server.BuildInfo{RefreshInfo: core.RefreshInfo{SolveSkipped: true}, PageRankSkipped: true, TrustRankSkipped: true},
 			"build: srsr solve skipped (graph and labels unchanged), 0 κ flips; pagerank carried, trustrank carried; solves in turn: srsr 0.0 ms, baselines 0.0 ms (srsr set the length)"},
 	} {

@@ -14,7 +14,7 @@ func solveUnnormalized(t *testing.T, tpp *linalg.CSR, alpha float64) linalg.Vect
 	t.Helper()
 	b := linalg.NewUniformVector(tpp.Rows)
 	b.Scale(1 - alpha)
-	x, st, err := linalg.JacobiAffineT(tpp.Transpose(), alpha, b, nil, linalg.SolverOptions{Tol: 1e-14, MaxIter: 5000})
+	x, st, err := linalg.JacobiAffineT(tpp.TransposeParallel(1), alpha, b, nil, linalg.SolverOptions{Tol: 1e-14, MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}

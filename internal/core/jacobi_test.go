@@ -89,7 +89,7 @@ func TestJacobiOnThrottledPresets(t *testing.T) {
 			}
 			// The power solve stops up to ~2e-8 L1 from the fixed point
 			// itself, so the agreement is measured against one run to 1e-13.
-			ref, st, err := linalg.PowerMethodT(tpp.Transpose(), 0.85, linalg.NewUniformVector(sg.NumSources()), nil, linalg.SolverOptions{Tol: 1e-13})
+			ref, st, err := linalg.PowerMethodT(tpp.TransposeParallel(1), 0.85, linalg.NewUniformVector(sg.NumSources()), nil, linalg.SolverOptions{Tol: 1e-13})
 			if err != nil || !st.Converged {
 				t.Fatalf("reference power solve: %v, %+v", err, st)
 			}

@@ -131,18 +131,15 @@ func (m *Matrix[F]) RowSum(i int) float64 {
 	return s
 }
 
-// transposeMaterializations counts, process-wide, how many times a CSR
-// transpose has been materialized (Transpose or TransposeParallel). The
-// pipeline reuse tests assert on deltas of this counter to catch code
-// paths that re-materialize the transpose of a matrix they already have.
+// transposeMaterializations counts, process-wide, how many times
+// TransposeParallel has materialized a transpose. The pipeline reuse tests
+// assert on deltas of this counter to catch code paths that
+// re-materialize the transpose of a matrix they already have.
 var transposeMaterializations atomic.Uint64
 
 // TransposeMaterializations returns the process-wide count of transpose
 // materializations performed so far.
 func TransposeMaterializations() uint64 { return transposeMaterializations.Load() }
-
-// Transpose returns Mᵀ as a new matrix: TransposeParallel on one worker.
-func (m *Matrix[F]) Transpose() *Matrix[F] { return m.TransposeParallel(1) }
 
 // transposeParallelMinNNZ gates the parallel transpose: below it one
 // worker wins on setup cost. Variable so tests can force the parallel

@@ -82,7 +82,7 @@ func TestTranspose(t *testing.T) {
 	m := mustCSR(t, 2, 3, []Entry{
 		{0, 0, 1}, {0, 2, 2}, {1, 1, 3},
 	})
-	mt := m.Transpose()
+	mt := m.TransposeParallel(1)
 	if err := mt.Validate(); err != nil {
 		t.Fatalf("transpose invalid: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestTranspose(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomCSR(rng, 20, 15, 100)
-	tt := m.Transpose().Transpose()
+	tt := m.TransposeParallel(1).TransposeParallel(1)
 	if tt.Rows != m.Rows || tt.ColsN != m.ColsN || tt.NNZ() != m.NNZ() {
 		t.Fatalf("shape/nnz changed: %dx%d nnz %d", tt.Rows, tt.ColsN, tt.NNZ())
 	}
@@ -157,7 +157,7 @@ func TestQuickCSRRoundTrip(t *testing.T) {
 		if m.Validate() != nil {
 			return false
 		}
-		tt := m.Transpose().Transpose()
+		tt := m.TransposeParallel(1).TransposeParallel(1)
 		if tt.Validate() != nil {
 			return false
 		}

@@ -22,8 +22,9 @@ import (
 // tree reduce (reduceResidual) — so kernel output and residual are
 // bitwise identical at every worker count. At float64 the
 // iterate update additionally reproduces the exact floating-point
-// operation sequence of the unfused MulVecParallel + Scale + index-order
-// sum + axpy path (fused_test.go keeps that sequence as its oracle).
+// operation sequence of the unfused row-by-row product + Scale +
+// index-order sum + axpy path (fused_test.go keeps that sequence as its
+// oracle).
 //
 // Precision: the kernel is memory-bandwidth-bound — at zero allocations
 // per iteration, wall time tracks the bytes of CSR arrays and vectors
@@ -461,7 +462,7 @@ func (k *fusedKernel[F]) Close() {
 // is the mass lost to damping and dangling rows, and the residual
 // ‖dst−src‖ in the configured norm — all in two parallel stripe
 // passes plus one serial index-order sum. At float64 the iterate bits are
-// identical to the unfused MulVecParallel + Scale + sum + axpy sequence
+// identical to the unfused product + Scale + sum + axpy sequence
 // at every worker count; at either precision the iterate and the residual
 // are bitwise invariant across worker counts (the residual may differ
 // from a serial full-vector norm in the last ulp, since float addition is

@@ -53,7 +53,7 @@ func refPowerStep32(pt *CSR32, c float64, tel Vector32, src, dst Vector32) {
 func TestFusedPower32WorkerInvariance(t *testing.T) {
 	forceFusedParallel(t)
 	for _, n := range []int{1, 2, 17, 97, 256} {
-		pt := NewCSR32(randChain(t, int64(n), n).Transpose())
+		pt := NewCSR32(randChain(t, int64(n), n).TransposeParallel(1))
 		tel := narrow[float32](NewUniformVector(n))
 		src := make(Vector32, n)
 		rng := rand.New(rand.NewSource(42))
@@ -96,7 +96,7 @@ func TestFusedPower32WorkerInvariance(t *testing.T) {
 func TestFusedAffine32WorkerInvariance(t *testing.T) {
 	forceFusedParallel(t)
 	for _, n := range []int{1, 17, 97, 256} {
-		at := NewCSR32(randChain(t, 1000+int64(n), n).Transpose())
+		at := NewCSR32(randChain(t, 1000+int64(n), n).TransposeParallel(1))
 		rng := rand.New(rand.NewSource(43))
 		b := make(Vector32, n)
 		src := make(Vector32, n)
@@ -136,7 +136,7 @@ func TestFusedAffine32WorkerInvariance(t *testing.T) {
 func TestPowerMethodT32MatchesFloat64(t *testing.T) {
 	forceFusedParallel(t)
 	p := randChain(t, 11, 200)
-	pt := p.Transpose()
+	pt := p.TransposeParallel(1)
 	tel := NewUniformVector(200)
 	x64, st64, err := PowerMethodT(pt, 0.85, tel, nil, SolverOptions{})
 	if err != nil || !st64.Converged {
@@ -164,7 +164,7 @@ func TestPowerMethodT32MatchesFloat64(t *testing.T) {
 // spinning to MaxIter), and a mismatched teleport is rejected.
 func TestSolver32TolClampAndRejects(t *testing.T) {
 	p := randChain(t, 17, 80)
-	pt32 := NewCSR32(p.Transpose())
+	pt32 := NewCSR32(p.TransposeParallel(1))
 	tel := NewUniformVector(80)
 	x, st, err := PowerMethodT(pt32, 0.85, tel, nil, SolverOptions{Tol: 1e-15})
 	if err != nil {
@@ -189,7 +189,7 @@ func TestSolver32TolClampAndRejects(t *testing.T) {
 func TestJacobiAffineT32MatchesFloat64(t *testing.T) {
 	forceFusedParallel(t)
 	a := randChain(t, 13, 150)
-	at := a.Transpose()
+	at := a.TransposeParallel(1)
 	b := NewUniformVector(150)
 	b.Scale(0.15)
 	x64, st64, err := JacobiAffineT(at, 0.85, b, nil, SolverOptions{})
@@ -214,7 +214,7 @@ func TestJacobiAffineT32MatchesFloat64(t *testing.T) {
 // after warm-up, Step allocates nothing.
 func TestFused32StepZeroAlloc(t *testing.T) {
 	forceFusedParallel(t)
-	pt := NewCSR32(randChain(t, 21, 512).Transpose())
+	pt := NewCSR32(randChain(t, 21, 512).TransposeParallel(1))
 	tel := narrow[float32](NewUniformVector(512))
 	k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, 4)
 	if err != nil {
@@ -246,7 +246,7 @@ func TestFused32StepZeroAlloc(t *testing.T) {
 // TestFused32CloseIdempotent mirrors the float64 kernel's Close contract.
 func TestFused32CloseIdempotent(t *testing.T) {
 	forceFusedParallel(t)
-	pt := NewCSR32(randChain(t, 23, 64).Transpose())
+	pt := NewCSR32(randChain(t, 23, 64).TransposeParallel(1))
 	tel := narrow[float32](NewUniformVector(64))
 	k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, 4)
 	if err != nil {

@@ -55,11 +55,23 @@ func axpy(v Vector, a float64, w Vector) {
 	}
 }
 
+// mulVec computes dst = M·x row by row. Each product is explicitly
+// rounded before it is added, as in rowSums64Go: no architecture may fuse
+// it into the add.
+func mulVec(m *CSR, x, dst Vector) {
+	for i := 0; i < m.Rows; i++ {
+		var s float64
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			s += float64(m.Vals[k] * x[m.Cols[k]])
+		}
+		dst[i] = s
+	}
+}
+
 // unfusedPowerStep is the pre-fusion iteration sequence the kernel must
-// reproduce bit for bit: MulVecParallel, Scale, index-order lost-mass
-// sum, axpy.
-func unfusedPowerStep(pt *CSR, c float64, tel, src, dst Vector, workers int) {
-	MulVecParallel(pt, src, dst, workers)
+// reproduce bit for bit: mulVec, Scale, index-order lost-mass sum, axpy.
+func unfusedPowerStep(pt *CSR, c float64, tel, src, dst Vector) {
+	mulVec(pt, src, dst)
 	dst.Scale(c)
 	var sum float64
 	for _, x := range dst {
@@ -72,10 +84,9 @@ func unfusedPowerStep(pt *CSR, c float64, tel, src, dst Vector, workers int) {
 	axpy(dst, lost, tel)
 }
 
-// unfusedAffineStep is the affine counterpart: MulVecParallel, Scale,
-// axpy(1, b).
-func unfusedAffineStep(at *CSR, c float64, b, src, dst Vector, workers int) {
-	MulVecParallel(at, src, dst, workers)
+// unfusedAffineStep is the affine counterpart: mulVec, Scale, axpy(1, b).
+func unfusedAffineStep(at *CSR, c float64, b, src, dst Vector) {
+	mulVec(at, src, dst)
 	dst.Scale(c)
 	axpy(dst, 1, b)
 }
@@ -112,7 +123,7 @@ func TestFusedPowerBitwiseMatchesUnfused(t *testing.T) {
 	forceFusedParallel(t)
 	for _, n := range []int{1, 2, 17, 97, 256} {
 		p := randChain(t, int64(n), n)
-		pt := p.Transpose()
+		pt := p.TransposeParallel(1)
 		tel := NewUniformVector(n)
 		src := NewVector(n)
 		rng := rand.New(rand.NewSource(42))
@@ -122,7 +133,7 @@ func TestFusedPowerBitwiseMatchesUnfused(t *testing.T) {
 		src.Normalize1()
 
 		want := NewVector(n)
-		unfusedPowerStep(pt, 0.85, tel, src, want, 1)
+		unfusedPowerStep(pt, 0.85, tel, src, want)
 
 		eachRowSumsImpl(func(impl string) {
 			var res1 float64
@@ -154,12 +165,12 @@ func TestFusedPowerBitwiseMatchesUnfused(t *testing.T) {
 }
 
 // TestFusedAffineBitwiseMatchesUnfused is the affine-kernel counterpart:
-// dst must equal MulVecParallel + Scale + Axpy(1, b) exactly.
+// dst must equal mulVec + Scale + Axpy(1, b) exactly.
 func TestFusedAffineBitwiseMatchesUnfused(t *testing.T) {
 	forceFusedParallel(t)
 	for _, n := range []int{1, 2, 17, 97, 256} {
 		a := randChain(t, 1000+int64(n), n)
-		at := a.Transpose()
+		at := a.TransposeParallel(1)
 		b := NewVector(n)
 		rng := rand.New(rand.NewSource(43))
 		for i := range b {
@@ -171,7 +182,7 @@ func TestFusedAffineBitwiseMatchesUnfused(t *testing.T) {
 		}
 
 		want := NewVector(n)
-		unfusedAffineStep(at, 0.85, b, src, want, 1)
+		unfusedAffineStep(at, 0.85, b, src, want)
 
 		eachRowSumsImpl(func(impl string) {
 			var res1 float64
@@ -203,7 +214,7 @@ func TestFusedAffineBitwiseMatchesUnfused(t *testing.T) {
 func TestFusedResidualL1(t *testing.T) {
 	forceFusedParallel(t)
 	p := randChain(t, 7, 64)
-	pt := p.Transpose()
+	pt := p.TransposeParallel(1)
 	tel := NewUniformVector(64)
 	src := tel.Clone()
 	k, err := NewFusedPower(pt, 0.85, tel, ResidualL1, 4)
@@ -228,7 +239,7 @@ func TestFusedResidualL1(t *testing.T) {
 func TestPowerMethodTFusedMatchesGenericPath(t *testing.T) {
 	forceFusedParallel(t)
 	p := randChain(t, 11, 120)
-	pt := p.Transpose()
+	pt := p.TransposeParallel(1)
 	tel := NewUniformVector(120)
 	for workers := 1; workers <= 8; workers++ {
 		fused, fst, err := PowerMethodT(pt, 0.85, tel, nil, SolverOptions{Workers: workers})
@@ -236,7 +247,7 @@ func TestPowerMethodTFusedMatchesGenericPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		generic, gst := unfusedSolve(tel, func(dst, src Vector) {
-			unfusedPowerStep(pt, 0.85, tel, src, dst, workers)
+			unfusedPowerStep(pt, 0.85, tel, src, dst)
 		})
 		if fst.Iterations != gst.Iterations || fst.Converged != gst.Converged {
 			t.Fatalf("workers=%d: fused stats %+v, generic %+v", workers, fst, gst)
@@ -253,7 +264,7 @@ func TestPowerMethodTFusedMatchesGenericPath(t *testing.T) {
 func TestJacobiAffineTFusedMatchesGenericPath(t *testing.T) {
 	forceFusedParallel(t)
 	a := randChain(t, 13, 120)
-	at := a.Transpose()
+	at := a.TransposeParallel(1)
 	b := NewUniformVector(120)
 	b.Scale(0.15)
 	fused, fst, err := JacobiAffineT(at, 0.85, b, nil, SolverOptions{Workers: 4})
@@ -261,7 +272,7 @@ func TestJacobiAffineTFusedMatchesGenericPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	generic, gst := unfusedSolve(b, func(dst, src Vector) {
-		unfusedAffineStep(at, 0.85, b, src, dst, 4)
+		unfusedAffineStep(at, 0.85, b, src, dst)
 	})
 	if fst.Iterations != gst.Iterations || fst.Converged != gst.Converged {
 		t.Fatalf("fused stats %+v, generic %+v", fst, gst)
@@ -299,10 +310,10 @@ func TestFusedEmptyMatrix(t *testing.T) {
 // TestFusedDimensionErrors pins the constructor validation.
 func TestFusedDimensionErrors(t *testing.T) {
 	m := randChain(t, 3, 8)
-	if _, err := NewFusedPower(m.Transpose(), 0.85, NewUniformVector(7), ResidualL2, 1); err != ErrDimension {
+	if _, err := NewFusedPower(m.TransposeParallel(1), 0.85, NewUniformVector(7), ResidualL2, 1); err != ErrDimension {
 		t.Fatalf("bad teleport length: err=%v", err)
 	}
-	if _, err := newFusedKernel(m.Transpose(), 0.85, NewUniformVector(7), true, ResidualL2, 1); err != ErrDimension {
+	if _, err := newFusedKernel(m.TransposeParallel(1), 0.85, NewUniformVector(7), true, ResidualL2, 1); err != ErrDimension {
 		t.Fatalf("bad bias length: err=%v", err)
 	}
 	rect, err := NewCSR(3, 4, []Entry{{0, 0, 1}})
@@ -315,7 +326,7 @@ func TestFusedDimensionErrors(t *testing.T) {
 	if _, err := NewFusedPower[float64](rect, 0.85, nil, ResidualL2, 1); err != ErrDimension {
 		t.Fatalf("rectangular operand, uniform teleport: err=%v", err)
 	}
-	if _, err := newFusedKernel[float64](m.Transpose(), 0.85, nil, true, ResidualL2, 1); err != ErrDimension {
+	if _, err := newFusedKernel[float64](m.TransposeParallel(1), 0.85, nil, true, ResidualL2, 1); err != ErrDimension {
 		t.Fatalf("nil bias: err=%v", err)
 	}
 }
@@ -325,7 +336,7 @@ func TestFusedDimensionErrors(t *testing.T) {
 func TestFusedStepZeroAlloc(t *testing.T) {
 	forceFusedParallel(t)
 	p := randChain(t, 21, 512)
-	pt := p.Transpose()
+	pt := p.TransposeParallel(1)
 	tel := NewUniformVector(512)
 	k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, 4)
 	if err != nil {
@@ -359,7 +370,7 @@ func TestFusedStepZeroAlloc(t *testing.T) {
 func TestFusedCloseIdempotent(t *testing.T) {
 	forceFusedParallel(t)
 	p := randChain(t, 23, 64)
-	pt := p.Transpose()
+	pt := p.TransposeParallel(1)
 	tel := NewUniformVector(64)
 	k, err := NewFusedPower(pt, 0.85, tel, ResidualL2, 4)
 	if err != nil {
@@ -381,7 +392,7 @@ func TestFusedCloseIdempotent(t *testing.T) {
 // benchChain builds a larger fixture for the Step benchmarks.
 func benchChain(b *testing.B, n int) (*CSR, Vector) {
 	b.Helper()
-	pt := randChain(b, 99, n).Transpose()
+	pt := randChain(b, 99, n).TransposeParallel(1)
 	return pt, NewUniformVector(n)
 }
 
@@ -404,14 +415,15 @@ func BenchmarkFusedPowerStep(b *testing.B) {
 	}
 }
 
-// BenchmarkUnfusedPowerStep is the pre-fusion sequence for comparison.
+// BenchmarkUnfusedPowerStep is the pre-fusion sequence, on one goroutine,
+// for comparison.
 func BenchmarkUnfusedPowerStep(b *testing.B) {
 	pt, tel := benchChain(b, 20000)
 	src, dst := tel.Clone(), NewVector(len(tel))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		unfusedPowerStep(pt, 0.85, tel, src, dst, 0)
+		unfusedPowerStep(pt, 0.85, tel, src, dst)
 		L2Distance(dst, src)
 		src, dst = dst, src
 	}

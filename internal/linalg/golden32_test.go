@@ -89,8 +89,8 @@ func hashSolve32(x Vector, st IterStats) uint64 {
 
 // The operands handed to the kernel: golden64_test.go's two, and the
 // row-length fixture.
-func goldenN200(t testing.TB) *CSR    { return randChain(t, 11, 200).Transpose() }
-func goldenN150(t testing.TB) *CSR    { return randChain(t, 13, 150).Transpose() }
+func goldenN200(t testing.TB) *CSR    { return randChain(t, 11, 200).TransposeParallel(1) }
+func goldenN150(t testing.TB) *CSR    { return randChain(t, 13, 150).TransposeParallel(1) }
 func goldenRowLens(t testing.TB) *CSR { return rowLengthsChain(t, 130) }
 
 // goldenSolve32 lists the pinned float32 solver outputs. forced marks the

@@ -35,7 +35,7 @@ var goldenSolve64 = []struct {
 		name: "power-n200",
 		hash: 0x311061ff4e0a19,
 		run: func(t *testing.T) Vector {
-			pt := randChain(t, 11, 200).Transpose()
+			pt := randChain(t, 11, 200).TransposeParallel(1)
 			x, st, err := PowerMethodT(pt, 0.85, NewUniformVector(200), nil, SolverOptions{Workers: 3})
 			if err != nil || !st.Converged {
 				t.Fatalf("solve: %v %+v", err, st)
@@ -47,7 +47,7 @@ var goldenSolve64 = []struct {
 		name: "jacobi-n150",
 		hash: 0xdc0f5b6cc6c053e7,
 		run: func(t *testing.T) Vector {
-			at := randChain(t, 13, 150).Transpose()
+			at := randChain(t, 13, 150).TransposeParallel(1)
 			b := NewUniformVector(150)
 			b.Scale(0.15)
 			x, st, err := JacobiAffineT(at, 0.85, b, nil, SolverOptions{Workers: 3})

@@ -42,7 +42,7 @@ func solvePair(t *testing.T, at *CSR, b, x0 [2]Vector, opt SolverOptions) [2]pai
 func TestJacobiAffineTPairBitwise(t *testing.T) {
 	forceFusedParallel(t)
 	const n = 300
-	at := randChain(t, 5, n).Transpose()
+	at := randChain(t, 5, n).TransposeParallel(1)
 	uniform, trust := NewUniformVector(n), NewVector(n)
 	for _, s := range []int{3, 40, 41, 299} {
 		trust[s] = 0.25
@@ -119,7 +119,7 @@ func TestJacobiAffineTPairBitwise(t *testing.T) {
 
 // TestJacobiAffineTPairErrors: the pair rejects what JacobiAffineT rejects.
 func TestJacobiAffineTPairErrors(t *testing.T) {
-	at := randChain(t, 8, 10).Transpose()
+	at := randChain(t, 8, 10).TransposeParallel(1)
 	u, short := NewUniformVector(10), NewUniformVector(9)
 	none := func(int, Vector, IterStats) { t.Fatal("a rejected solve handed a system over") }
 	for _, tc := range []struct {
@@ -139,7 +139,7 @@ func TestJacobiAffineTPairErrors(t *testing.T) {
 // the solo kernel's does.
 func TestFusedPairStepZeroAlloc(t *testing.T) {
 	forceFusedParallel(t)
-	at := randChain(t, 21, 512).Transpose()
+	at := randChain(t, 21, 512).TransposeParallel(1)
 	b := NewUniformVector(512)
 	k, err := newFusedKernel(at, 0.85, b, true, ResidualL2, 4)
 	if err != nil {

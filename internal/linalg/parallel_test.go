@@ -208,7 +208,7 @@ func TestParallelKernelsRaceStress(t *testing.T) {
 	transposeParallelMinNNZ = 1
 
 	m := randCSR(t, 77, 600, 500, 30000)
-	want := m.Transpose()
+	want := m.TransposeParallel(1)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -123,3 +123,41 @@ func TestPartitionPtrByNNZMatchesUnguardedInRange(t *testing.T) {
 		}
 	}
 }
+
+func TestPartitionRowsByNNZ(t *testing.T) {
+	// One very heavy row followed by light rows: boundaries must respect
+	// nonzero counts.
+	entries := []Entry{}
+	for j := 0; j < 100; j++ {
+		entries = append(entries, Entry{0, j, 1})
+	}
+	for i := 1; i < 10; i++ {
+		entries = append(entries, Entry{i, 0, 1})
+	}
+	m := mustCSR(t, 10, 100, entries)
+	bounds := partitionRowsByNNZ(m, 2)
+	if len(bounds) != 3 {
+		t.Fatalf("bounds = %v", bounds)
+	}
+	if bounds[0] != 0 || bounds[2] != 10 {
+		t.Fatalf("outer bounds wrong: %v", bounds)
+	}
+	// The heavy row alone is ~91% of the mass, so the split should fall
+	// right after row 0.
+	if bounds[1] != 1 {
+		t.Errorf("split at %d, want 1", bounds[1])
+	}
+}
+
+func TestPartitionEmptyMatrix(t *testing.T) {
+	m := mustCSR(t, 8, 8, nil)
+	bounds := partitionRowsByNNZ(m, 4)
+	if bounds[0] != 0 || bounds[4] != 8 {
+		t.Fatalf("bounds = %v", bounds)
+	}
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] < bounds[i-1] {
+			t.Fatalf("non-monotone bounds %v", bounds)
+		}
+	}
+}

@@ -264,7 +264,7 @@ func TestSlabSolveBitwiseIdentical(t *testing.T) {
 	fusedNNZPerStripe = 64 // force many stripes on the small fixture
 
 	p := stochasticChain(t, rand.New(rand.NewSource(17)), 400)
-	pt := p.Transpose()
+	pt := p.TransposeParallel(1)
 	alpha := 0.85
 	tele := NewUniformVector(pt.Rows)
 	opt := SolverOptions{Tol: 1e-12, Workers: 1}
@@ -317,7 +317,7 @@ func TestSlabSolve32BitwiseIdentical(t *testing.T) {
 	fusedNNZPerStripe = 64
 
 	p := stochasticChain(t, rand.New(rand.NewSource(23)), 300)
-	pt := p.Transpose()
+	pt := p.TransposeParallel(1)
 	alpha := 0.85
 	tele := NewUniformVector(pt.Rows)
 	opt := SolverOptions{Workers: 1}
@@ -359,7 +359,7 @@ func TestPowerMethodTUniformMatchesExplicit(t *testing.T) {
 	fusedNNZPerStripe = 64
 
 	p := stochasticChain(t, rand.New(rand.NewSource(31)), 350)
-	pt := p.Transpose()
+	pt := p.TransposeParallel(1)
 	alpha := 0.85
 	tele := NewUniformVector(pt.Rows)
 	for _, workers := range []int{1, 2, 3, 8} {
@@ -389,7 +389,7 @@ func TestSlabSolveUniformOnSlab(t *testing.T) {
 	fusedNNZPerStripe = 64
 
 	p := stochasticChain(t, rand.New(rand.NewSource(41)), 500)
-	pt := p.Transpose()
+	pt := p.TransposeParallel(1)
 	alpha := 0.9
 	ref, st, err := PowerMethodT(pt, alpha, NewUniformVector(pt.Rows), nil, SolverOptions{Workers: 1})
 	if err != nil || !st.Converged {

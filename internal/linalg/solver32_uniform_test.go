@@ -13,7 +13,7 @@ import (
 func TestPowerMethodT32UniformMatchesExplicit(t *testing.T) {
 	forceFusedParallel(t)
 	n := 240
-	pt := randChain(t, 59, n).Transpose()
+	pt := randChain(t, 59, n).TransposeParallel(1)
 	pt32 := NewCSR32(pt)
 	want, wantSt, err := PowerMethodT(pt32, 0.85, NewUniformVector(n), nil, SolverOptions{})
 	if err != nil || !wantSt.Converged {
@@ -42,7 +42,7 @@ func TestPowerMethodT32UniformMatchesExplicit(t *testing.T) {
 func TestPowerMethodT32UniformSlabBitwise(t *testing.T) {
 	forceFusedParallel(t)
 	n := 250
-	pt := randChain(t, 61, n).Transpose()
+	pt := randChain(t, 61, n).TransposeParallel(1)
 	want, wantSt, err := PowerMethodT(NewCSR32(pt), 0.85, NewUniformVector(n), nil, SolverOptions{})
 	if err != nil || !wantSt.Converged {
 		t.Fatalf("in-heap solve: %v %+v", err, wantSt)

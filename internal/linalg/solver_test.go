@@ -21,7 +21,7 @@ func powerMethod(p *CSR, c float64, t, x0 Vector, opt SolverOptions) (Vector, It
 	if p.Rows != p.ColsN {
 		return nil, IterStats{}, ErrDimension
 	}
-	return PowerMethodT(p.Transpose(), c, t, x0, opt)
+	return PowerMethodT(p.TransposeParallel(1), c, t, x0, opt)
 }
 
 func TestFixedPointConverges(t *testing.T) {
@@ -123,7 +123,7 @@ func TestJacobiAffineMatchesClosedForm(t *testing.T) {
 	// Solve x = c·Aᵀx + b for a 1x1 system: x = c·a·x + b => x = b/(1-c·a).
 	m := mustCSR(t, 1, 1, []Entry{{0, 0, 0.5}})
 	b := Vector{1}
-	x, st, err := JacobiAffineT(m.Transpose(), 0.8, b, nil, SolverOptions{Tol: 1e-13})
+	x, st, err := JacobiAffineT(m.TransposeParallel(1), 0.8, b, nil, SolverOptions{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestJacobiAffineMatchesClosedForm(t *testing.T) {
 
 func TestJacobiAffineDimensionError(t *testing.T) {
 	m := mustCSR(t, 2, 3, nil)
-	if _, _, err := JacobiAffineT(m.Transpose(), 0.5, NewVector(2), nil, SolverOptions{}); err == nil {
+	if _, _, err := JacobiAffineT(m.TransposeParallel(1), 0.5, NewVector(2), nil, SolverOptions{}); err == nil {
 		t.Error("non-square matrix accepted")
 	}
 }
@@ -169,7 +169,7 @@ func TestJacobiMatchesPowerMethodOnStochasticChain(t *testing.T) {
 	}
 	b := tele.Clone()
 	b.Scale(1 - alpha)
-	jac, st2, err := JacobiAffineT(m.Transpose(), alpha, b, nil, SolverOptions{Tol: 1e-14})
+	jac, st2, err := JacobiAffineT(m.TransposeParallel(1), alpha, b, nil, SolverOptions{Tol: 1e-14})
 	if err != nil || !st2.Converged {
 		t.Fatalf("jacobi: %v %+v", err, st2)
 	}
@@ -254,11 +254,11 @@ func stochasticChain(t *testing.T, rng *rand.Rand, n int) *CSR {
 // as well.
 func TestExtraSolversEmptyMatrix(t *testing.T) {
 	m := mustCSR(t, 0, 0, nil)
-	x, st, err := JacobiAffineT(m.Transpose(), 0.85, Vector{}, nil, SolverOptions{})
+	x, st, err := JacobiAffineT(m.TransposeParallel(1), 0.85, Vector{}, nil, SolverOptions{})
 	if err != nil || !st.Converged || len(x) != 0 {
 		t.Fatalf("jacobi on empty: %v %+v len=%d", err, st, len(x))
 	}
-	x, st, err = JacobiAffineT(NewCSR32(m).Transpose(), 0.85, Vector{}, nil, SolverOptions{})
+	x, st, err = JacobiAffineT(NewCSR32(m).TransposeParallel(1), 0.85, Vector{}, nil, SolverOptions{})
 	if err != nil || !st.Converged || len(x) != 0 {
 		t.Fatalf("float32 jacobi on empty: %v %+v len=%d", err, st, len(x))
 	}
@@ -276,7 +276,7 @@ func TestExtraSolversDeterministicAcrossWorkers(t *testing.T) {
 	forceFusedParallel(t)
 	rng := rand.New(rand.NewSource(77))
 	m := stochasticChain(t, rng, 60)
-	mt32 := NewCSR32(m.Transpose())
+	mt32 := NewCSR32(m.TransposeParallel(1))
 	b := NewUniformVector(60)
 	b.Scale(0.15)
 	solves := []func(workers int) (Vector, IterStats, error){
@@ -330,11 +330,11 @@ func TestExtraSolversAbsorbingRows(t *testing.T) {
 	b := tele.Clone()
 	b.Scale(1 - alpha)
 
-	want, st, err := PowerMethodT(m.Transpose(), alpha, tele, nil, SolverOptions{Tol: 1e-12})
+	want, st, err := PowerMethodT(m.TransposeParallel(1), alpha, tele, nil, SolverOptions{Tol: 1e-12})
 	if err != nil || !st.Converged {
 		t.Fatalf("power: %v %+v", err, st)
 	}
-	jac, st2, err := JacobiAffineT(m.Transpose(), alpha, b, nil, SolverOptions{Tol: 1e-12})
+	jac, st2, err := JacobiAffineT(m.TransposeParallel(1), alpha, b, nil, SolverOptions{Tol: 1e-12})
 	if err != nil || !st2.Converged {
 		t.Fatalf("jacobi: %v %+v", err, st2)
 	}
@@ -435,7 +435,7 @@ func TestQuickSolversAgree(t *testing.T) {
 		alpha := 0.5 + rng.Float64()*0.4
 		b := NewUniformVector(n)
 		b.Scale(1 - alpha)
-		jac, st1, err1 := JacobiAffineT(m.Transpose(), alpha, b, nil, SolverOptions{Tol: 1e-13, MaxIter: 3000})
+		jac, st1, err1 := JacobiAffineT(m.TransposeParallel(1), alpha, b, nil, SolverOptions{Tol: 1e-13, MaxIter: 3000})
 		pm, st2, err2 := powerMethod(m, alpha, NewUniformVector(n), nil, SolverOptions{Tol: 1e-13, MaxIter: 3000})
 		if err1 != nil || err2 != nil || !st1.Converged || !st2.Converged {
 			return false

@@ -57,13 +57,6 @@ func (v Vector) Padded(n int) Vector {
 	return out
 }
 
-// Fill sets every entry of v to x.
-func (v Vector) Fill(x float64) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
 // Norm1 returns the L1 norm of v.
 func (v Vector) Norm1() float64 {
 	var s float64
@@ -71,15 +64,6 @@ func (v Vector) Norm1() float64 {
 		s += math.Abs(x)
 	}
 	return s
-}
-
-// Norm2 returns the L2 norm of v.
-func (v Vector) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // Scale multiplies every entry of v by a in place.

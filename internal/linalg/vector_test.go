@@ -46,9 +46,6 @@ func TestNorms(t *testing.T) {
 	if got := v.Norm1(); got != 7 {
 		t.Errorf("Norm1 = %v, want 7", got)
 	}
-	if got := v.Norm2(); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
 }
 
 func TestScale(t *testing.T) {
@@ -82,16 +79,6 @@ func TestDistances(t *testing.T) {
 	c := Vector{4, 6, 3}
 	if d := L2Distance(a, c); !almostEq(d, 5, 1e-12) {
 		t.Errorf("L2Distance = %v, want 5", d)
-	}
-}
-
-func TestFill(t *testing.T) {
-	v := NewVector(3)
-	v.Fill(7)
-	for i := range v {
-		if v[i] != 7 {
-			t.Fatalf("Fill got %v", v)
-		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package rank implements the link-analysis baselines the paper builds on
-// and compares against: PageRank (§2), the un-throttled SourceRank, HITS,
-// and TrustRank. The paper's own contribution, Spam-Resilient SourceRank,
-// lives in internal/core and reuses these solvers. Page-level PageRank
+// and compares against: PageRank (§2) and TrustRank, which the snapshot
+// builder serves beside SRSR. The paper's own contribution,
+// Spam-Resilient SourceRank, and its un-throttled SourceRank baseline live
+// in internal/core and reuse these solvers. Page-level PageRank
 // runs the power method over Mᵀ (StationaryT); the source-level baselines
 // the snapshot builder serves run Jacobi over Mᵀ's diagonal split and
 // confirm with the power method (Split, SolveSplit).
@@ -15,14 +16,12 @@ import (
 )
 
 // Options configures the random-walk rankers. The zero value matches the
-// paper's experimental setup: α = 0.85, L2 tolerance 1e-9, uniform
-// teleportation.
+// paper's experimental setup: α = 0.85, uniform teleportation. Every solve
+// stops at linalg's default, the paper's L2 < 1e-9 between successive
+// iterates.
 type Options struct {
 	// Alpha is the mixing (damping) parameter; 0 defaults to 0.85.
 	Alpha float64
-	// Tol is the L2 convergence threshold on successive iterates;
-	// 0 defaults to 1e-9, the paper's threshold.
-	Tol float64
 	// Workers bounds SpMV parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Teleport optionally overrides the uniform teleportation vector.
@@ -40,8 +39,7 @@ type Options struct {
 	// the iteration on the float32 fused kernels — the matrix values and
 	// iterate are stored at half width (roughly doubling effective memory
 	// bandwidth) while all accumulation stays in float64 — and widens the
-	// converged iterate back to float64. Tolerances below
-	// linalg.Float32Tol are clamped up to it on that path.
+	// converged iterate back to float64, stopping at linalg.Float32Tol.
 	Precision linalg.Precision
 }
 
@@ -52,19 +50,8 @@ func (o Options) alpha() float64 {
 	return o.Alpha
 }
 
-func (o Options) tol() float64 {
-	if o.Tol <= 0 {
-		return 1e-9
-	}
-	return o.Tol
-}
-
-// maxIter caps the HITS and SALSA iterations, as linalg's default caps
-// the solvers'.
-const maxIter = 1000
-
 func (o Options) solver() linalg.SolverOptions {
-	return linalg.SolverOptions{Tol: o.Tol, Workers: o.Workers}
+	return linalg.SolverOptions{Workers: o.Workers}
 }
 
 // ErrEmptyGraph reports ranking over a graph with no nodes.

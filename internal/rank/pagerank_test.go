@@ -75,7 +75,7 @@ func TestPageRankDanglingMass(t *testing.T) {
 	// Solving x0 = (1-a)/2 + a*x1/2, x1 = (1-a)/2 + a*x0 + a*x1/2.
 	g := graph.FromAdjacency([][]int32{{1}, {}})
 	a := 0.85
-	res, err := PageRank(g, Options{Alpha: a, Tol: 1e-13})
+	res, err := PageRank(g, Options{Alpha: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestPageRankLinearMatchesPower(t *testing.T) {
 	g := graph.FromAdjacency([][]int32{
 		{1, 2}, {2}, {0}, {0, 1, 2},
 	})
-	pm, err := PageRank(g, Options{Tol: 1e-12})
+	pm, err := PageRank(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, err := PageRankLinear(g, Options{Tol: 1e-13})
+	lin, err := PageRankLinear(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestStationaryRespectsTeleport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := StationaryT(m.Transpose(), Options{Teleport: tpt})
+	res, err := StationaryT(m.TransposeParallel(1), Options{Teleport: tpt})
 	if err != nil {
 		t.Fatal(err)
 	}

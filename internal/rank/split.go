@@ -71,15 +71,15 @@ func (s *Split) Bias(t linalg.Vector) linalg.Vector {
 // concentrates (DESIGN.md §10). Result j's stats count both phases'
 // iterations and carry the power residual. done receives each result as
 // its walk finishes, so a caller can stamp each with its own completion
-// time. The walks must share Alpha, Tol and Workers, and run at float64.
+// time. The walks must share Alpha and Workers, and run at float64.
 func SolveSplit(tt *linalg.CSR, walks []Options, done func(j int, res *Result)) error {
 	if len(walks) == 0 || len(walks) > 2 {
 		return errors.New("rank: a split solve takes one or two walks")
 	}
 	a := walks[0]
 	for _, o := range walks {
-		if o.alpha() != a.alpha() || o.tol() != a.tol() || o.Workers != a.Workers || o.Precision != linalg.Float64 {
-			return errors.New("rank: split walks must share alpha, tolerance and workers, at float64")
+		if o.alpha() != a.alpha() || o.Workers != a.Workers || o.Precision != linalg.Float64 {
+			return errors.New("rank: split walks must share alpha and workers, at float64")
 		}
 	}
 	if tt.Rows == 0 {

@@ -85,7 +85,7 @@ func TestSolveSplitPairIsSolo(t *testing.T) {
 }
 
 // TestSolveSplitErrors: a split solve takes one or two float64 walks
-// sharing alpha, tolerance and workers, with teleports and starts of the
+// sharing alpha and workers, with teleports and starts of the
 // operand's size.
 func TestSolveSplitErrors(t *testing.T) {
 	mt := TransitionT(cycle(4))
@@ -95,7 +95,6 @@ func TestSolveSplitErrors(t *testing.T) {
 		"three walks":      {{}, {}, {}},
 		"alphas":           {{}, {Alpha: 0.9}},
 		"float32":          {{Precision: linalg.Float32}},
-		"tolerances":       {{}, {Tol: 1e-12}},
 		"workers":          {{}, {Workers: 3}},
 		"short teleport":   {{Teleport: linalg.NewUniformVector(3)}},
 		"short warm start": {{}, {X0: linalg.NewUniformVector(5)}},

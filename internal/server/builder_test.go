@@ -370,8 +370,7 @@ func TestRefresherKeepsServingOverNonFiniteExtra(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := testCorpus(t, ds.Pages)
-	extra := make(linalg.Vector, ds.Pages.NumSources())
-	extra.Fill(1 / float64(len(extra)))
+	extra := linalg.NewUniformVector(ds.Pages.NumSources())
 	b := &Builder{Config: BuildConfig{Name: ds.Name, Extra: map[Algo]linalg.Vector{"external": extra}}}
 	served, _, err := b.Build(c, ds.SpamSources)
 	if err != nil {

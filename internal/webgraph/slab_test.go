@@ -100,7 +100,7 @@ func TestBuildTransitionSlabsBitwise(t *testing.T) {
 			defer spt.Close()
 			csrBitsEqual(t, "PT", wantPT, spt.Matrix())
 			// And against the actual transpose of the forward matrix.
-			csrBitsEqual(t, "PT-vs-transpose", wantP.Transpose(), spt.Matrix())
+			csrBitsEqual(t, "PT-vs-transpose", wantP.TransposeParallel(1), spt.Matrix())
 		})
 	}
 }

@@ -56,6 +56,7 @@ var reachAllow = map[string]string{
 	"internal/graph.Graph.Validate":          "invariant",
 	"internal/source.Graph.Validate":         "invariant",
 	"internal/linalg.Matrix.IsRowStochastic": "invariant",
+	"internal/linalg.L2Distance":             "invariant", // the paper's distance between two solved vectors
 	"internal/rankeval.TopKOverlap":          "invariant", // stream-equals-cold asserts the top-k set
 
 	// Faults planted under product code: a durable.FS that tears writes,
