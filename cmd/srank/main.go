@@ -11,6 +11,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -82,7 +83,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := checkHonoured(*algo, *topK != 0, *slabDir != "", *maxResStr != "", prec); err != nil {
+	if err := checkHonoured(*algo, *topK != 0, *slabDir != "", *maxResStr != "", prec); errors.Is(err, errUnknownAlgorithm) {
+		fatal(err)
+	} else if err != nil {
 		fmt.Fprintf(os.Stderr, "srank: %v\n", err)
 		os.Exit(2)
 	}
@@ -136,8 +139,6 @@ func main() {
 			fatal(err)
 		}
 		printTopSources(sg, scores, *top)
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algo))
 	}
 	if *savePath != "" {
 		if err := linalg.WriteVectorFile(*savePath, scores); err != nil {
@@ -147,15 +148,19 @@ func main() {
 	}
 }
 
-// checkHonoured reports the first flag that algo would silently drop:
-// only srsr throttles a top-k set, and only page-level PageRank solves
-// over a slab or at float32 (a source-level solve is in-heap float64). An
-// unknown algo is not this check's to report.
+// errUnknownAlgorithm is checkHonoured's refusal of an -algo value srank
+// does not run; main exits 1 on it, before the corpus is read.
+var errUnknownAlgorithm = errors.New("unknown algorithm")
+
+// checkHonoured refuses an unknown algo, then reports the first flag that
+// algo would silently drop: only srsr throttles a top-k set, and only
+// page-level PageRank solves over a slab or at float32 (a source-level
+// solve is in-heap float64).
 func checkHonoured(algo string, topK, slab, maxResident bool, prec linalg.Precision) error {
 	switch algo {
 	case "srsr", "sourcerank", "pagerank", "trustrank":
 	default:
-		return nil
+		return fmt.Errorf("%w %q", errUnknownAlgorithm, algo)
 	}
 	switch {
 	case topK && algo != "srsr":

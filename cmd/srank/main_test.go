@@ -67,7 +67,6 @@ func TestCheckHonoured(t *testing.T) {
 		{algo: "sourcerank"},
 		{algo: "pagerank", slab: true, maxResident: true, prec: linalg.Float32},
 		{algo: "trustrank"},
-		{algo: "nosuch", topK: true, slab: true, maxResident: true, prec: linalg.Float32}, // main reports the unknown algorithm
 		{algo: "sourcerank", topK: true, wantFlag: "-throttle-topk"},
 		{algo: "pagerank", topK: true, wantFlag: "-throttle-topk"},
 		{algo: "trustrank", topK: true, wantFlag: "-throttle-topk"},
@@ -79,6 +78,9 @@ func TestCheckHonoured(t *testing.T) {
 		{algo: "srsr", prec: linalg.Float32, wantFlag: "-precision float32"},
 		{algo: "sourcerank", prec: linalg.Float32, wantFlag: "-precision float32"},
 		{algo: "trustrank", prec: linalg.Float32, wantFlag: "-precision float32"},
+	}
+	if err := checkHonoured("nosuch", true, true, true, linalg.Float32); !errors.Is(err, errUnknownAlgorithm) || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Errorf("unknown algorithm with every flag: err = %v, want the unknown algorithm named", err)
 	}
 	for _, c := range cases {
 		err := checkHonoured(c.algo, c.topK, c.slab, c.maxResident, c.prec)
@@ -119,7 +121,7 @@ func runSrank(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 // for the page-level algorithm (one score per page, in the format the
 // source-level algorithms write), a flag the algorithm cannot honour
 // exits 2 before any work is printed, and an algorithm srank does not run
-// exits 1 naming it.
+// exits 1 naming it (TestUnknownAlgoRefusedBeforeCorpus).
 func TestSaveAndRefusalEndToEnd(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pagerank.vec")
 	out, _, exit := runSrank(t, "-algo", "pagerank", "-save", path)
@@ -150,10 +152,19 @@ func TestSaveAndRefusalEndToEnd(t *testing.T) {
 	if out, _, exit := runSrank(t, "-algo", "pagerank", "-throttle-topk", "5"); exit != 2 || out != "" {
 		t.Errorf("-algo pagerank -throttle-topk 5: exit %d, stdout %q; want exit 2 and nothing printed", exit, out)
 	}
+}
+
+// TestUnknownAlgoRefusedBeforeCorpus: an -algo value srank does not run
+// exits 1 naming it before the corpus is generated or read, so no
+// "corpus:" line is printed.
+func TestUnknownAlgoRefusedBeforeCorpus(t *testing.T) {
 	for _, algo := range []string{"hits", "salsa", "proximity"} {
-		_, stderr, exit := runSrank(t, "-algo", algo)
+		out, stderr, exit := runSrank(t, "-algo", algo)
 		if want := fmt.Sprintf("unknown algorithm %q", algo); exit != 1 || !strings.Contains(stderr, want) {
 			t.Errorf("-algo %s: exit %d, stderr %q; want exit 1 and %s", algo, exit, stderr, want)
+		}
+		if strings.Contains(out, "corpus:") {
+			t.Errorf("-algo %s: the corpus was loaded before the refusal:\n%s", algo, out)
 		}
 	}
 }

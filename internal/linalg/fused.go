@@ -322,9 +322,10 @@ func rowSums64PairGo(rowPtr []int64, vals []float64, cols []int32, src, sums []f
 // product is explicitly rounded before it is added, so no architecture
 // fuses it. On amd64 hosts with AVX2 the assembly kernel rowSums32AVX
 // computes the identical bits with one four-wide
-// gather/convert/multiply/add per lane group (rowsums32_amd64.s); this
-// function is the reference it is tested against and the fallback
-// everywhere else.
+// gather/convert/multiply/add per lane group and one masked trip for the
+// tail (rowsums32_amd64.s); this function is the reference it is tested
+// against, the fallback everywhere else and, as rowSums64Go is at float64,
+// the place a corrupt operand panics on every path.
 func rowSums32Go(rowPtr []int64, vals []float32, cols []int32, src []float32, acc []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		p, e := rowPtr[i], rowPtr[i+1]

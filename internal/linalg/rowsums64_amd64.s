@@ -13,7 +13,7 @@
 // FMA, no reassociation.
 //
 // Every row is ceil(len/4) identical trips. A trip covers min(remaining, 4)
-// entries under a prefix mask read from prefixmask<>: the masked loads and
+// entries under a prefix mask read from ·prefixMask: the masked loads and
 // the masked gather touch no memory behind an inactive lane, so the last
 // trip of the last row may end exactly at len(cols). An inactive lane's
 // product is -0.0 — the gather leaves its seed of -0.0 in place, the masked
@@ -31,13 +31,13 @@
 // caller finishes from there with rowSums64Go, which panics where it
 // always did. The two branches are never taken on a valid matrix.
 
-// prefixmask<>+16 + 4*m, for m in [-4, -1], is a 16-byte window of -m
-// all-ones dwords followed by zeros.
-DATA prefixmask<>+0(SB)/8, $0xffffffffffffffff
-DATA prefixmask<>+8(SB)/8, $0xffffffffffffffff
-DATA prefixmask<>+16(SB)/8, $0
-DATA prefixmask<>+24(SB)/8, $0
-GLOBL prefixmask<>(SB), RODATA|NOPTR, $32
+// ·prefixMask+16 + 4*m, for m in [-4, -1], is a 16-byte window of -m
+// all-ones dwords followed by zeros (rowsums32_amd64.s reads it too).
+DATA ·prefixMask+0(SB)/8, $0xffffffffffffffff
+DATA ·prefixMask+8(SB)/8, $0xffffffffffffffff
+DATA ·prefixMask+16(SB)/8, $0
+DATA ·prefixMask+24(SB)/8, $0
+GLOBL ·prefixMask(SB), RODATA|NOPTR, $32
 
 // func rowSums64AVX(rowPtr []int64, vals []float64, cols []int32, src, sums []float64, lo, hi int) (next int)
 TEXT ·rowSums64AVX(SB), NOSPLIT, $0-144
@@ -66,7 +66,7 @@ TEXT ·rowSums64AVX(SB), NOSPLIT, $0-144
 
 	VPCMPEQD Y15, Y15, Y15
 	VPSLLQ   $63, Y15, Y15       // four -0.0
-	LEAQ     prefixmask<>+16(SB), DX
+	LEAQ     ·prefixMask+16(SB), DX
 
 	CMPQ SI, DI
 	JGE  done

@@ -7,20 +7,20 @@ import (
 	"testing"
 )
 
-// The tests in this file hold the dispatched float64 row-sum pass
-// (rowSums64: the AVX2 kernel on hosts that have it) to rowSums64Go, bit
-// for bit and fault for fault. On a host without the kernel they
-// degenerate to self-consistency.
+// The tests in this file hold the dispatched row-sum passes (rowSums64 and
+// rowSums32: the AVX2 kernels on hosts that have them) to rowSums64Go and
+// rowSums32Go, bit for bit and fault for fault. On a host without the
+// kernels they degenerate to self-consistency.
 
-type rowSums64Pass func(rowPtr []int64, vals []float64, cols []int32, src, sums []float64, lo, hi int)
+type rowSumsPass[F Float] func(rowPtr []int64, vals []F, cols []int32, src []F, sums []float64, lo, hi int)
 
 // unwritten marks the sums slots a pass has not stored to.
 var unwritten = math.Float64frombits(0x7ff8_0000_dead_beef)
 
-// runRowSums64 runs pass over rows [lo, hi) into a fresh sums array of
+// runRowSums runs pass over rows [lo, hi) into a fresh sums array of
 // width entries per row and returns it together with the text of the
 // runtime panic the pass died of, if it did.
-func runRowSums64(pass rowSums64Pass, width int, rowPtr []int64, vals []float64, cols []int32, src []float64, lo, hi int) (sums []float64, panicked string) {
+func runRowSums[F Float](pass rowSumsPass[F], width int, rowPtr []int64, vals []F, cols []int32, src []F, lo, hi int) (sums []float64, panicked string) {
 	sums = make([]float64, width*max(len(rowPtr)-1, 0))
 	for i := range sums {
 		sums[i] = unwritten
@@ -34,17 +34,28 @@ func runRowSums64(pass rowSums64Pass, width int, rowPtr []int64, vals []float64,
 	return sums, ""
 }
 
-// checkRowSums64 fails unless the dispatched pass and the Go loop leave
-// the same sums — the rows they wrote and the rows they did not — and end
-// the same way. Sums compare by bit pattern, except that any NaN equals
-// any NaN: which payload survives NaN·NaN or NaN+NaN depends on operand
-// order, which the Go spec leaves to the compiler (the kernel follows the
-// plain amd64 build's; the instrumented build `go test -fuzz` makes of
-// this package already orders one add the other way).
+// checkRowSums64 fails unless the dispatched float64 pass and the Go loop
+// leave the same sums — the rows they wrote and the rows they did not —
+// and end the same way. Sums compare by bit pattern, except that any NaN
+// equals any NaN: which payload survives NaN·NaN or NaN+NaN depends on
+// operand order, which the Go spec leaves to the compiler (the kernel
+// follows the plain amd64 build's; the instrumented build `go test -fuzz`
+// makes of this package already orders one add the other way).
 func checkRowSums64(t *testing.T, rowPtr []int64, vals []float64, cols []int32, src []float64, lo, hi int) {
 	t.Helper()
-	want, wantPanic := runRowSums64(rowSums64Go, 1, rowPtr, vals, cols, src, lo, hi)
-	got, gotPanic := runRowSums64(rowSums64, 1, rowPtr, vals, cols, src, lo, hi)
+	checkPass(t, rowSums64, rowSums64Go, rowPtr, vals, cols, src, lo, hi)
+}
+
+// checkRowSums32 is checkRowSums64 for the float32 pass.
+func checkRowSums32(t *testing.T, rowPtr []int64, vals []float32, cols []int32, src []float32, lo, hi int) {
+	t.Helper()
+	checkPass(t, rowSums32, rowSums32Go, rowPtr, vals, cols, src, lo, hi)
+}
+
+func checkPass[F Float](t *testing.T, pass, ref rowSumsPass[F], rowPtr []int64, vals []F, cols []int32, src []F, lo, hi int) {
+	t.Helper()
+	want, wantPanic := runRowSums(ref, 1, rowPtr, vals, cols, src, lo, hi)
+	got, gotPanic := runRowSums(pass, 1, rowPtr, vals, cols, src, lo, hi)
 	if gotPanic != wantPanic {
 		t.Fatalf("rows [%d,%d): %s pass ended with %q, Go loop with %q", lo, hi, RowSumsImpl(), gotPanic, wantPanic)
 	}
@@ -70,8 +81,8 @@ func sameSums(t *testing.T, what string, got, want []float64, ref string) {
 func checkRowSums64Pair(t *testing.T, rowPtr []int64, vals []float64, cols []int32, src2 []float64, lo, hi int) {
 	t.Helper()
 	what := fmt.Sprintf("pair, rows [%d,%d)", lo, hi)
-	want, wantPanic := runRowSums64(rowSums64PairGo, 2, rowPtr, vals, cols, src2, lo, hi)
-	got, gotPanic := runRowSums64(rowSums64Pair, 2, rowPtr, vals, cols, src2, lo, hi)
+	want, wantPanic := runRowSums(rowSums64PairGo, 2, rowPtr, vals, cols, src2, lo, hi)
+	got, gotPanic := runRowSums(rowSums64Pair, 2, rowPtr, vals, cols, src2, lo, hi)
 	if gotPanic != wantPanic {
 		t.Fatalf("%s: %s pass ended with %q, Go loop with %q", what, RowSumsImpl(), gotPanic, wantPanic)
 	}
@@ -81,7 +92,7 @@ func checkRowSums64Pair(t *testing.T, rowPtr []int64, vals []float64, cols []int
 		for c := range src {
 			src[c] = src2[2*c+j]
 		}
-		solo, soloPanic := runRowSums64(rowSums64Go, 1, rowPtr, vals, cols, src, lo, hi)
+		solo, soloPanic := runRowSums(rowSums64Go, 1, rowPtr, vals, cols, src, lo, hi)
 		if (soloPanic != "") != (wantPanic != "") {
 			t.Fatalf("%s: column %d alone ended with %q, the pair with %q", what, j, soloPanic, wantPanic)
 		}
@@ -95,8 +106,8 @@ func checkRowSums64Pair(t *testing.T, rowPtr []int64, vals []float64, cols []int
 
 // interleave returns the pair operand whose column 0 is src and whose
 // column 1 is src reversed, so the two lanes gather different values.
-func interleave(src []float64) []float64 {
-	src2 := make([]float64, 2*len(src))
+func interleave[F Float](src []F) []F {
+	src2 := make([]F, 2*len(src))
 	for c, v := range src {
 		src2[2*c], src2[2*(len(src)-1-c)+1] = v, v
 	}
@@ -125,8 +136,8 @@ func TestRowSums64Dispatch(t *testing.T) { testRowSums64Dispatch(t, checkRowSums
 // over src and src reversed interleaved.
 func TestRowSums64PairDispatch(t *testing.T) { testRowSums64Dispatch(t, checkInterleaved) }
 
-// rowSums64Check is checkRowSums64 or checkInterleaved.
-type rowSums64Check func(t *testing.T, rowPtr []int64, vals []float64, cols []int32, src []float64, lo, hi int)
+// rowSumsCheck is checkRowSums64, checkInterleaved or checkRowSums32.
+type rowSumsCheck[F Float] func(t *testing.T, rowPtr []int64, vals []F, cols []int32, src []F, lo, hi int)
 
 // checkInterleaved runs checkRowSums64Pair over interleave(src).
 func checkInterleaved(t *testing.T, rowPtr []int64, vals []float64, cols []int32, src []float64, lo, hi int) {
@@ -134,7 +145,7 @@ func checkInterleaved(t *testing.T, rowPtr []int64, vals []float64, cols []int32
 	checkRowSums64Pair(t, rowPtr, vals, cols, interleave(src), lo, hi)
 }
 
-func testRowSums64Dispatch(t *testing.T, check rowSums64Check) {
+func testRowSums64Dispatch(t *testing.T, check rowSumsCheck[float64]) {
 	const n = 14 * 30
 	rng := rand.New(rand.NewSource(9))
 	kinds := []struct {
@@ -181,13 +192,20 @@ func testRowSums64Dispatch(t *testing.T, check rowSums64Check) {
 // decreasing RowPtr as an empty row — with the rows before the bad one
 // written and the rows from it on untouched.
 func TestRowSums64CorruptOperand(t *testing.T) {
-	testRowSums64CorruptOperand(t, checkRowSums64, rowSums64, 1)
+	testRowSumsCorruptOperand(t, checkRowSums64, rowSums64, 1)
+}
+
+// TestRowSums32CorruptOperand is TestRowSums64CorruptOperand for the
+// float32 pass, whose rows of five entries end in a masked tail of one:
+// its bad columns sit in a full group, in a tail, and in a one-entry row.
+func TestRowSums32CorruptOperand(t *testing.T) {
+	testRowSumsCorruptOperand(t, checkRowSums32, rowSums32, 1)
 }
 
 // TestRowSums64PairCorruptOperand is TestRowSums64CorruptOperand for the
 // pair pass, plus a src of odd length, whose last element is no column's.
 func TestRowSums64PairCorruptOperand(t *testing.T) {
-	testRowSums64CorruptOperand(t, checkInterleaved, rowSums64Pair, 2)
+	testRowSumsCorruptOperand(t, checkInterleaved, rowSums64Pair, 2)
 	rowPtr, vals, cols := []int64{0, 2, 3}, []float64{.5, .25, 1}, []int32{0, 1, 2}
 	for _, lenSrc := range []int{5, 6, 7} {
 		src2 := make([]float64, lenSrc)
@@ -198,33 +216,33 @@ func TestRowSums64PairCorruptOperand(t *testing.T) {
 	}
 }
 
-func testRowSums64CorruptOperand(t *testing.T, check rowSums64Check, pass rowSums64Pass, width int) {
-	good := func() *Matrix[float64] {
-		return &Matrix[float64]{
+func testRowSumsCorruptOperand[F Float](t *testing.T, check rowSumsCheck[F], pass rowSumsPass[F], width int) {
+	good := func() *Matrix[F] {
+		return &Matrix[F]{
 			Rows: 4, ColsN: 5,
 			RowPtr: []int64{0, 5, 6, 11, 12},
 			Cols:   []int32{0, 1, 2, 3, 4, 2, 4, 3, 2, 1, 0, 3},
-			Vals:   []float64{.1, .2, .3, .4, .5, .6, .7, .8, .9, 1, 1.1, 1.2},
+			Vals:   []F{.1, .2, .3, .4, .5, .6, .7, .8, .9, 1, 1.1, 1.2},
 		}
 	}
-	src := []float64{1, 2, 3, 4, 5}
+	src := []F{1, 2, 3, 4, 5}
 	for _, tc := range []struct {
 		name    string
-		corrupt func(m *Matrix[float64])
+		corrupt func(m *Matrix[F])
 		panics  bool
 	}{
-		{"valid", func(m *Matrix[float64]) {}, false},
-		{"col == ColsN", func(m *Matrix[float64]) { m.Cols[8] = 5 }, true},
-		{"col == ColsN in a masked trip", func(m *Matrix[float64]) { m.Cols[10] = 5 }, true},
-		{"col huge", func(m *Matrix[float64]) { m.Cols[5] = math.MaxInt32 }, true},
-		{"col negative", func(m *Matrix[float64]) { m.Cols[7] = -1 }, true},
-		{"col MinInt32", func(m *Matrix[float64]) { m.Cols[0] = math.MinInt32 }, true},
-		{"RowPtr decreasing", func(m *Matrix[float64]) { m.RowPtr[2] = 3 }, false},
-		{"RowPtr negative", func(m *Matrix[float64]) { m.RowPtr[1] = -3 }, true},
-		{"RowPtr negative pair", func(m *Matrix[float64]) { m.RowPtr[1], m.RowPtr[2] = -9, -2 }, true},
-		{"RowPtr past len(Vals)", func(m *Matrix[float64]) { m.RowPtr[4] = 13 }, true},
-		{"RowPtr past len(Cols) only", func(m *Matrix[float64]) { m.Cols = m.Cols[:11] }, true},
-		{"RowPtr far past len(Vals)", func(m *Matrix[float64]) { m.RowPtr[3], m.RowPtr[4] = 1<<40, 1<<41 }, true},
+		{"valid", func(m *Matrix[F]) {}, false},
+		{"col == ColsN", func(m *Matrix[F]) { m.Cols[8] = 5 }, true},
+		{"col == ColsN in a masked trip", func(m *Matrix[F]) { m.Cols[10] = 5 }, true},
+		{"col huge", func(m *Matrix[F]) { m.Cols[5] = math.MaxInt32 }, true},
+		{"col negative", func(m *Matrix[F]) { m.Cols[7] = -1 }, true},
+		{"col MinInt32", func(m *Matrix[F]) { m.Cols[0] = math.MinInt32 }, true},
+		{"RowPtr decreasing", func(m *Matrix[F]) { m.RowPtr[2] = 3 }, false},
+		{"RowPtr negative", func(m *Matrix[F]) { m.RowPtr[1] = -3 }, true},
+		{"RowPtr negative pair", func(m *Matrix[F]) { m.RowPtr[1], m.RowPtr[2] = -9, -2 }, true},
+		{"RowPtr past len(Vals)", func(m *Matrix[F]) { m.RowPtr[4] = 13 }, true},
+		{"RowPtr past len(Cols) only", func(m *Matrix[F]) { m.Cols = m.Cols[:11] }, true},
+		{"RowPtr far past len(Vals)", func(m *Matrix[F]) { m.RowPtr[3], m.RowPtr[4] = 1<<40, 1<<41 }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := good()
@@ -234,7 +252,7 @@ func testRowSums64CorruptOperand(t *testing.T, check rowSums64Check, pass rowSum
 			if width == 2 {
 				wide = interleave(src)
 			}
-			if _, panicked := runRowSums64(pass, width, m.RowPtr, m.Vals, m.Cols, wide, 0, m.Rows); (panicked != "") != tc.panics {
+			if _, panicked := runRowSums(pass, width, m.RowPtr, m.Vals, m.Cols, wide, 0, m.Rows); (panicked != "") != tc.panics {
 				t.Errorf("pass ended with %q, want a panic: %v", panicked, tc.panics)
 			}
 			// What the kernel is not handed it must not index: an empty src,
@@ -291,11 +309,32 @@ func rowSums64FromBytes(data []byte) (rowPtr []int64, vals []float64, cols []int
 
 // FuzzRowSums64 holds the dispatched pass to the Go loop on arbitrary
 // operands, valid and corrupt, and the pair pass to the Go pair loop and
-// to the solo loop per column over the operand's src and src reversed. The seed corpus spells out the cases of
-// TestRowSums64Dispatch and TestRowSums64CorruptOperand: rows of 0
-// through 13 entries between empty rows, hostile values, columns and
-// RowPtr entries out of range.
+// to the solo loop per column over the operand's src and src reversed.
 func FuzzRowSums64(f *testing.F) {
+	addRowSumsSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rowPtr, vals, cols, src := rowSums64FromBytes(data)
+		checkRowSums64(t, rowPtr, vals, cols, src, 0, len(rowPtr)-1)
+		checkInterleaved(t, rowPtr, vals, cols, src, 0, len(rowPtr)-1)
+	})
+}
+
+// FuzzRowSums32 holds the dispatched float32 pass to rowSums32Go on the
+// same operands, narrowed to float32: every row length, so every full
+// group and masked tail, over arbitrary columns and values.
+func FuzzRowSums32(f *testing.F) {
+	addRowSumsSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rowPtr, vals, cols, src := rowSums64FromBytes(data)
+		checkRowSums32(t, rowPtr, narrow[float32](vals), cols, narrow[float32](src), 0, len(rowPtr)-1)
+	})
+}
+
+// addRowSumsSeeds adds the seed corpus of both fuzz targets. It spells
+// out the cases of TestRowSums64Dispatch and TestRowSums64CorruptOperand:
+// rows of 0 through 13 entries between empty rows, hostile values, columns
+// and RowPtr entries out of range.
+func addRowSumsSeeds(f *testing.F) {
 	var lengths []byte
 	for rowLen := 0; rowLen <= 13; rowLen++ {
 		for j := 0; j < rowLen; j++ {
@@ -315,9 +354,4 @@ func FuzzRowSums64(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 3, 4, 40, 0, 50, 1, 60, 2, 0xf7, 1, 70, 3, 0xff, 0}) // RowPtr decreasing
 	f.Add([]byte{4, 1, 2, 3, 4, 40, 0, 0xf7, 0xfd, 50, 1, 0xf7, 100, 60, 2})   // RowPtr negative, then past the end
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rowPtr, vals, cols, src := rowSums64FromBytes(data)
-		checkRowSums64(t, rowPtr, vals, cols, src, 0, len(rowPtr)-1)
-		checkInterleaved(t, rowPtr, vals, cols, src, 0, len(rowPtr)-1)
-	})
 }

@@ -36,15 +36,22 @@ func guardedTail[T any](t *testing.T, n int) []T {
 // the masked loads and the masked gather of a row's last trip must touch
 // nothing behind the last entry. A kernel that loaded a whole group there
 // would take a SIGSEGV rather than fail an assertion.
-func TestRowSums64EndOfPage(t *testing.T) {
+func TestRowSums64EndOfPage(t *testing.T) { testRowSumsEndOfPage(t, checkRowSums64) }
+
+// TestRowSums32EndOfPage is TestRowSums64EndOfPage for the float32 pass:
+// a final row of 4k+1 to 4k+3 entries ends in a masked tail whose last
+// lane is the last element of cols, vals and src.
+func TestRowSums32EndOfPage(t *testing.T) { testRowSumsEndOfPage(t, checkRowSums32) }
+
+func testRowSumsEndOfPage[F Float](t *testing.T, check rowSumsCheck[F]) {
 	for rowLen := 0; rowLen <= 13; rowLen++ {
 		n := 3 + rowLen // a three-entry row, then the row under test
-		vals, cols, src := guardedTail[float64](t, n), guardedTail[int32](t, n), guardedTail[float64](t, n)
+		vals, cols, src := guardedTail[F](t, n), guardedTail[int32](t, n), guardedTail[F](t, n)
 		for p := range vals {
-			vals[p], cols[p], src[p] = 1/float64(p+2), int32((p*7+n-1)%n), float64(p)-2.5
+			vals[p], cols[p], src[p] = F(1/float64(p+2)), int32((p*7+n-1)%n), F(p)-2.5
 		}
 		cols[n-1] = int32(n - 1) // the last entry gathers the last src element
-		checkRowSums64(t, []int64{0, 3, int64(n)}, vals, cols, src, 0, 2)
+		check(t, []int64{0, 3, int64(n)}, vals, cols, src, 0, 2)
 	}
 }
 

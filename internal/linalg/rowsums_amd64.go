@@ -3,11 +3,12 @@
 package linalg
 
 // rowSums32AVX is the AVX2 float32 row-sum kernel (rowsums32_amd64.s). It
-// writes acc[i] = the four-lane float64 dot product of row i against src
-// for every i in [lo, hi), bitwise identical to rowSums32Go.
+// writes acc[i] = the four-lane float64 dot product of row i against src,
+// bitwise identical to rowSums32Go, for i from lo up, and returns the first
+// row it did not write, under rowSums64AVX's bounds contract.
 //
 //go:noescape
-func rowSums32AVX(rowPtr []int64, vals []float32, cols []int32, src []float32, acc []float64, lo, hi int)
+func rowSums32AVX(rowPtr []int64, vals []float32, cols []int32, src []float32, acc []float64, lo, hi int) (next int)
 
 // rowSums64AVX is the AVX2 float64 row-sum kernel (rowsums64_amd64.s). It
 // writes sums[i] = the sequential dot product of row i against src,
@@ -34,8 +35,8 @@ var useAVX2 = cpuHasAVX2()
 
 // RowSumsImpl names the row-sum pass this host's solves run at either
 // precision: "avx2" or "go". The two compute the same bits; with the Go
-// loops an iteration takes about a third longer at float64 and a quarter
-// longer at float32 (DESIGN.md §13).
+// loops an iteration takes about a third longer at float64 and nearly
+// half again as long at float32 (DESIGN.md §13).
 func RowSumsImpl() string {
 	if useAVX2 {
 		return "avx2"
@@ -43,13 +44,12 @@ func RowSumsImpl() string {
 	return "go"
 }
 
-// rowSums32 dispatches the row-sum pass to the AVX2 kernel when the host
-// supports it. Both implementations realize the same fixed four-lane
-// accumulation scheme, so the choice never changes output bits.
+// rowSums32 is rowSums64 for the float32 pass. Both implementations
+// realize the same fixed four-lane accumulation scheme, so the choice
+// never changes output bits.
 func rowSums32(rowPtr []int64, vals []float32, cols []int32, src []float32, acc []float64, lo, hi int) {
-	if useAVX2 {
-		rowSums32AVX(rowPtr, vals, cols, src, acc, lo, hi)
-		return
+	if useAVX2 && 0 <= lo && hi < len(rowPtr) && hi <= len(acc) {
+		lo = rowSums32AVX(rowPtr, vals, cols, src, acc, lo, hi)
 	}
 	rowSums32Go(rowPtr, vals, cols, src, acc, lo, hi)
 }

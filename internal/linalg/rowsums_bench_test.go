@@ -17,6 +17,8 @@ import (
 // both report ns/entry, the figure DESIGN.md §13 quotes. "pair" is the
 // dispatched pair pass over two interleaved columns, reporting ns/entry
 // per column, so it reads directly against the solo pass of this host.
+// "f32" is the dispatched float32 pass over the same operand narrowed, so
+// DESIGN.md quotes both precisions from one benchmark.
 func BenchmarkRowSums64(b *testing.B) {
 	ds, err := gen.GeneratePreset(gen.UK2002, 0.01, 1)
 	if err != nil {
@@ -24,6 +26,17 @@ func BenchmarkRowSums64(b *testing.B) {
 	}
 	mt := rank.TransitionT(ds.Pages.ToGraph())
 	src, sums := linalg.NewUniformVector(2*mt.Rows), linalg.NewVector(2*mt.Rows)
+	b.Run("f32", func(b *testing.B) {
+		mt32, src32 := linalg.NewCSR32(mt), make(linalg.Vector32, mt.Rows)
+		for i := range src32 {
+			src32[i] = float32(src[i])
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			linalg.RowSums32(mt32.RowPtr, mt32.Vals, mt32.Cols, src32, sums, 0, mt.Rows)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(mt.NNZ()), "ns/entry")
+	})
 	for _, impl := range []struct {
 		name string
 		cols int

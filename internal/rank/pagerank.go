@@ -34,7 +34,7 @@ type Options struct {
 	// than the full spectral gap. Must have length NumNodes; the solver
 	// converges to the same fixed point from any starting distribution.
 	X0 linalg.Vector
-	// Precision selects the arithmetic of the power iteration. The
+	// Precision selects the arithmetic of PageRank's iteration. The
 	// default, linalg.Float64, is the reference path. linalg.Float32 runs
 	// the iteration on the float32 fused kernels — the matrix values and
 	// iterate are stored at half width (roughly doubling effective memory
@@ -85,45 +85,40 @@ func transition(g *graph.Graph) (*linalg.CSR, error) {
 // PageRank computes the PageRank vector π = αMᵀπ + (1-α)e over the page
 // graph (paper Eq. 1). The power iteration only multiplies by Mᵀ, so that
 // is the one operand built — by TransitionT's counting sort, never via
-// the forward matrix.
+// the forward matrix, and at the precision the solve runs in.
 func PageRank(g *graph.Graph, opt Options) (*Result, error) {
 	if g.NumNodes() == 0 {
 		return nil, ErrEmptyGraph
 	}
-	return StationaryT(TransitionT(g), opt)
+	if opt.Precision == linalg.Float32 {
+		return StationaryT(transitionT[float32](g), opt)
+	}
+	return StationaryT(transitionT[float64](g), opt)
 }
 
 // StationaryT computes the damped stationary distribution of a
 // row-stochastic transition matrix T (uniform, consensus, or throttled)
 // from its transpose Tᵀ. The power iteration only ever multiplies by the
 // transpose, so the caller holds Tᵀ (PageRank builds it directly with
-// TransitionT) and nothing re-materializes it per solve.
+// transitionT) and nothing re-materializes it per solve.
 //
-// The value type of tt is the precision the iteration runs at. A caller
-// holding Tᵀ in float32 form (a float32 slab opened from disk, a mirror it
-// narrowed itself) iterates it directly, with no per-call narrowing copy;
-// opt.Precision = linalg.Float32 over a float64 operand narrows it once
-// per call with linalg.NewCSR32 — the same bits by the same rounding, so
-// the two routes agree bit for bit.
+// The value type of tt is the precision the iteration runs at;
+// opt.Precision is PageRank's choice of operand, not read here. With
+// neither opt.Teleport nor opt.X0 set the solve holds the uniform teleport
+// implicitly (linalg.PowerMethodTUniform, bitwise the materialized one).
 func StationaryT[F linalg.Float](tt *linalg.Matrix[F], opt Options) (*Result, error) {
 	if tt.Rows == 0 {
 		return nil, ErrEmptyGraph
 	}
-	tele := opt.Teleport
-	if tele == nil {
-		tele = linalg.NewUniformVector(tt.Rows)
-	}
-	if len(tele) != tt.Rows {
-		return nil, linalg.ErrDimension
-	}
-	if opt.X0 != nil && len(opt.X0) != tt.Rows {
-		return nil, linalg.ErrDimension
-	}
 	var res Result
 	var err error
-	if wide, ok := any(tt).(*linalg.CSR); ok && opt.Precision == linalg.Float32 {
-		res.Scores, res.Stats, err = linalg.PowerMethodT(linalg.NewCSR32(wide), opt.alpha(), tele, opt.X0, opt.solver())
+	if opt.Teleport == nil && opt.X0 == nil {
+		res.Scores, res.Stats, err = linalg.PowerMethodTUniform(tt, opt.alpha(), opt.solver())
 	} else {
+		tele := opt.Teleport
+		if tele == nil {
+			tele = linalg.NewUniformVector(tt.Rows)
+		}
 		res.Scores, res.Stats, err = linalg.PowerMethodT(tt, opt.alpha(), tele, opt.X0, opt.solver())
 	}
 	if err != nil {

@@ -12,7 +12,8 @@ import (
 
 // TestTransitionTMatchesTranspose pins the bitwise contract: the direct
 // build equals transition(g).TransposeParallel, so StationaryT over it
-// reproduces PageRank's iteration exactly.
+// reproduces PageRank's iteration exactly, and its float32 build equals
+// that transpose narrowed by linalg.NewCSR32.
 func TestTransitionTMatchesTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
@@ -36,6 +37,10 @@ func TestTransitionTMatchesTranspose(t *testing.T) {
 				t.Fatalf("trial %d: Vals[%d] = %v, want %v", trial, k, got.Vals[k], want.Vals[k])
 			}
 		}
+		got32, want32 := transitionT[float32](g), linalg.NewCSR32(want)
+		if !reflect.DeepEqual(got32.RowPtr, want32.RowPtr) || !reflect.DeepEqual(got32.Cols, want32.Cols) || !reflect.DeepEqual(got32.Vals, want32.Vals) {
+			t.Fatalf("trial %d: float32 build differs from the narrowed transpose", trial)
+		}
 	}
 }
 
@@ -49,10 +54,13 @@ func randomTopology(rng *rand.Rand, n, edges int) *graph.Graph {
 
 // TestPageRankMatchesForwardPath pins PageRank and TrustRank, which
 // build Mᵀ directly, bit for bit against the path they replaced: the
-// forward matrix from sorted entries, transposed, then the same solve —
-// StationaryT for PageRank, the split solve for TrustRank — at every
-// worker count, cold and warm-started, and for PageRank at both
-// precisions. TrustRank refuses float32.
+// forward matrix from sorted entries, transposed — and narrowed by
+// linalg.NewCSR32 at float32 — then the dense-teleport power method for
+// PageRank and the split solve for TrustRank, at every worker count, cold
+// and warm-started, and for PageRank at both precisions. So a cold
+// PageRank, which holds its operand at the solve's precision and the
+// uniform teleport implicitly, is held to the materialized path. TrustRank
+// refuses float32.
 func TestPageRankMatchesForwardPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 12; trial++ {
@@ -84,7 +92,12 @@ func TestPageRankMatchesForwardPath(t *testing.T) {
 						ref := opt
 						ref.Teleport = teleport
 						mt := m.TransposeParallel(ref.Workers)
-						want, err := StationaryT(mt, ref)
+						want, uniform := &Result{}, linalg.NewUniformVector(n)
+						if prec == linalg.Float32 {
+							want.Scores, want.Stats, err = linalg.PowerMethodT(linalg.NewCSR32(mt), ref.alpha(), uniform, x0, ref.solver())
+						} else {
+							want.Scores, want.Stats, err = linalg.PowerMethodT(mt, ref.alpha(), uniform, x0, ref.solver())
+						}
 						if teleport != nil {
 							err = SolveSplit(mt, []Options{ref}, func(_ int, r *Result) { want = r })
 						}

@@ -318,3 +318,15 @@ func TestGradedDegeneratesToTopK(t *testing.T) {
 		t.Errorf("k=n should throttle everything: %v", k)
 	}
 }
+
+// TestDefaultTopK pins the paper's 2.7 % cut at source counts where the
+// rounding decides it: 0.027n has a fractional part of .194, .967 and .902
+// at UK2002 ×0.1, at ×1 and at WB2001's 738,626, so rounding to nearest
+// gives these values and rounding with − 0.5 one less each.
+func TestDefaultTopK(t *testing.T) {
+	for n, want := range map[int]int{9_822: 265, 98_221: 2_652, 738_626: 19_943} {
+		if got := DefaultTopK(n); got != want {
+			t.Errorf("DefaultTopK(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
