@@ -1,16 +1,18 @@
 package bench
 
-// The flag census (DESIGN §16, "Every flag names a user"): every flag a
-// cmd/* program defines in a non-test file, and every value an -algo
-// flag's usage string lists ("a | b | c"), must name its user in census
-// below, with a reason from a closed vocabulary. A flag nobody needs is
-// deleted, not listed; an entry whose flag is gone is stale.
+// The census (DESIGN §16, "Every flag names a user"): every cmd/*
+// program, every flag one defines in a non-test file, and every value an
+// -algo flag's usage string lists ("a | b | c"), must name its user in
+// censusPrograms or census below, with a reason from a closed vocabulary.
+// A program or flag nobody needs is deleted, not listed; an entry whose
+// program or flag is gone is stale.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -65,16 +67,6 @@ var census = map[string]string{
 	"graphstats -scale":  "operator",
 	"graphstats -seed":   "operator",
 
-	// The HTTP load client two CI smoke jobs drive; item 3(f) decides
-	// between it and the benchmark's in-process client.
-	"loadgen -target":      "ci serving-bench-smoke",
-	"loadgen -duration":    "ci serving-bench-smoke",
-	"loadgen -concurrency": "ci serving-bench-smoke",
-	"loadgen -out":         "ci serving-bench-smoke",
-	"loadgen -max-skew":    "ci replication-chaos-smoke",
-	"loadgen -mix":         "roadmap 3",
-	"loadgen -topk-n":      "roadmap 3",
-
 	// One ranking per run: SRSR and the paper's two baselines (the
 	// un-throttled SourceRank of Fig. 5, page-level PageRank of Figs. 6–7),
 	// and the TrustRank srserve serves, bit for bit.
@@ -120,6 +112,17 @@ var census = map[string]string{
 	"srserve -sync-interval":    "served",
 	"srserve -sync-timeout":     "served",
 	"srserve -sync-max-backoff": "served",
+}
+
+// censusPrograms is the same for whole commands: "<command>" (its
+// directory under cmd/) → its user, in census's vocabulary.
+var censusPrograms = map[string]string{
+	"bench":       "ci outofcore-bench-smoke",
+	"experiments": "paper F5", // every artifact of DESIGN §3's index
+	"graphgen":    "operator", // writes corpus files
+	"graphstats":  "operator", // ROADMAP 26 weighs it against -exp table1
+	"srank":       "paper F5",
+	"srserve":     "served",
 }
 
 const censusMaxRoadmap = 4
@@ -233,7 +236,7 @@ func censusCheck(found map[string]token.Position, census map[string]string, v ce
 	var bad []string
 	for key, pos := range found {
 		if _, ok := census[key]; !ok {
-			bad = append(bad, fmt.Sprintf("%s: %s names no user: add it to census with its reason, or delete it", pos, key))
+			bad = append(bad, fmt.Sprintf("%s: %s names no user: add it to the census with its reason, or delete it", pos, key))
 		}
 	}
 	roadmap := 0
@@ -287,7 +290,7 @@ func censusReasonBad(key, reason string, v censusVocab) string {
 		if !strings.Contains(text, "cmd/"+cmd) && !strings.Contains(text, "./"+cmd) {
 			return "names a job that does not run " + cmd
 		}
-		if !regexp.MustCompile(`(^|[\s'"])` + regexp.QuoteMeta(flag) + `($|[\s'"=])`).MatchString(text) {
+		if flag != "" && !regexp.MustCompile(`(^|[\s'"])`+regexp.QuoteMeta(flag)+`($|[\s'"=])`).MatchString(text) {
 			return "names a job that does not pass " + flag
 		}
 		return ""
@@ -364,9 +367,6 @@ func TestCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, msg := range censusCheck(found, census, v) {
-		t.Error(msg)
-	}
 	perCmd, byKind := map[string]int{}, map[string]int{}
 	for key := range found {
 		cmd, _, _ := strings.Cut(key, " ")
@@ -376,8 +376,24 @@ func TestCensus(t *testing.T) {
 		kind, _, _ := strings.Cut(reason, " ")
 		byKind[kind]++
 	}
-	t.Logf("census: %d entries over %d programs %v; by reason %v; %d roadmap (cap %d)",
-		len(census), len(perCmd), perCmd, byKind, byKind["roadmap"], censusMaxRoadmap)
+	// A program is its directory, Go files or not, so an empty one is
+	// found too; it and the flags are checked as one census.
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() {
+			found[d.Name()] = token.Position{Filename: filepath.Join("cmd", d.Name())}
+		}
+	}
+	all := maps.Clone(census)
+	maps.Copy(all, censusPrograms)
+	for _, msg := range censusCheck(found, all, v) {
+		t.Error(msg)
+	}
+	t.Logf("census: %d program entries; %d flag entries over %d programs %v; by reason %v; %d roadmap (cap %d)",
+		len(censusPrograms), len(census), len(perCmd), perCmd, byKind, byKind["roadmap"], censusMaxRoadmap)
 }
 
 // TestCensusRules feeds the census in-memory commands and vocabularies
@@ -405,6 +421,7 @@ func main() {
 		"x -algo a": "experiment roi",
 		"x -algo b": "served",
 		"x -out":    "operator",
+		"x":         "operator", // the program itself
 	}
 	with := func(key, reason string) map[string]string {
 		m := map[string]string{}
@@ -438,7 +455,10 @@ func main() {
 		{"unknown CI job", with("x -out", "ci nosuch"), "names no CI job"},
 		{"CI job that does not pass the flag", with("x -out", "ci smoke"), "does not pass -out"},
 		{"CI job that does not pass the value", with("x -algo b", "ci smoke"), "does not pass -algo b"},
-		{"roadmap entries over the cap", allRoadmap, "5 roadmap entries, cap is 4"},
+		{"roadmap entries over the cap", allRoadmap, "6 roadmap entries, cap is 4"},
+		{"unlisted program", with("x", ""), "cmd/x: x names no user"},
+		{"stale program", with("y", "served"), "census entry y is stale"},
+		{"program a CI job runs", with("x", "ci smoke"), ""},
 	}
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "main.go", src, parser.SkipObjectResolution)
@@ -449,8 +469,9 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
+	found["x"] = token.Position{Filename: "cmd/x"}
 	if len(found) != len(base) {
-		t.Fatalf("found %d flags and values, want the %d of base: %v", len(found), len(base), found)
+		t.Fatalf("found %d flags and values, and the program, want the %d of base: %v", len(found), len(base), found)
 	}
 	for _, c := range cases {
 		bad := censusCheck(found, c.census, vocab)

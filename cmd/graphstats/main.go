@@ -20,7 +20,6 @@ import (
 	"sourcerank/internal/gen"
 	"sourcerank/internal/graph"
 	"sourcerank/internal/linalg"
-	"sourcerank/internal/pagegraph"
 	"sourcerank/internal/rank"
 	"sourcerank/internal/source"
 	"sourcerank/internal/sysmem"
@@ -46,10 +45,11 @@ func run(args []string, stdout io.Writer) error {
 	)
 	fs.Parse(args) // ExitOnError: a bad flag has already exited 2
 
-	pg, err := loadPages(*pagesPath, *preset, *scale, *seed)
+	ds, _, err := gen.Load(*pagesPath, *preset, *scale, *seed)
 	if err != nil {
 		return err
 	}
+	pg := ds.Pages
 	g := pg.ToGraph()
 
 	fmt.Fprintln(stdout, "== corpus ==")
@@ -114,24 +114,4 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "PageRank Gini:   %.3f (%d iterations)\n", linalg.Gini(pr.Scores), pr.Stats.Iterations)
 	fmt.Fprintf(stdout, "SourceRank Gini: %.3f (%d iterations)\n", linalg.Gini(sr.Scores), sr.Stats.Iterations)
 	return nil
-}
-
-func loadPages(path, preset string, scale float64, seed uint64) (*pagegraph.Graph, error) {
-	if path == "" {
-		p := gen.Preset(preset)
-		if _, ok := gen.TableOneSources[p]; !ok {
-			return nil, fmt.Errorf("unknown preset %q", preset)
-		}
-		ds, err := gen.GeneratePreset(p, scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		return ds.Pages, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return pagegraph.ReadFrom(f)
 }

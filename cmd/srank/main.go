@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -18,8 +17,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
-	"strings"
 
 	"sourcerank/internal/core"
 	"sourcerank/internal/gen"
@@ -36,7 +33,7 @@ import (
 func main() {
 	var (
 		pagesPath = flag.String("pages", "", "binary corpus produced by graphgen (overrides -preset)")
-		spamPath  = flag.String("spam", "", "spam-label file (one source ID per line)")
+		spamPath  = flag.String("spam", "", "spam-label file (one source ID per line; overrides a preset's planted labels)")
 		preset    = flag.String("preset", "UK2002", "generate this preset when -pages is not given")
 		scale     = flag.Float64("scale", 0.01, "generator scale")
 		seed      = flag.Uint64("seed", 1, "generator seed")
@@ -104,9 +101,19 @@ func main() {
 		}
 	}
 
-	pg, spamSources, err := loadCorpus(*pagesPath, *spamPath, *preset, *scale, *seed)
+	ds, load, err := gen.Load(*pagesPath, *preset, *scale, *seed)
 	if err != nil {
 		fatal(err)
+	}
+	if load != nil {
+		fmt.Fprintf(os.Stderr, "srank: %v\n", *load)
+	}
+	pg, spamSources := ds.Pages, ds.SpamSources
+	// A -spam file's labels replace a preset's planted ones, as in srserve.
+	if *spamPath != "" {
+		if spamSources, err = gen.ReadSpamLabels(*spamPath, pg.NumSources()); err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Printf("corpus: %d pages, %d links, %d sources, %d labeled spam\n",
 		pg.NumPages(), pg.NumLinks(), pg.NumSources(), len(spamSources))
@@ -128,7 +135,9 @@ func main() {
 			scores, stats = res.Scores, res.Stats
 		}
 		printStats(stats)
-		printTopPages(pg, scores, *top)
+		printTop(scores, *top, func(id int) string {
+			return fmt.Sprintf("page %-8d %-28s ", id, pg.SourceLabel(pg.SourceOf(int32(id))))
+		})
 	case "sourcerank", "srsr", "trustrank":
 		sg, err := source.Build(pg, source.Options{})
 		if err != nil {
@@ -138,7 +147,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		printTopSources(sg, scores, *top)
+		printTop(scores, *top, func(id int) string {
+			return fmt.Sprintf("%-28s (%d pages)  ", sg.Labels[id], sg.PageCount[id])
+		})
 	}
 	if *savePath != "" {
 		if err := linalg.WriteVectorFile(*savePath, scores); err != nil {
@@ -253,55 +264,14 @@ func solveSlab[F linalg.Float](path string, alpha float64, workers int, maxResid
 	return linalg.PowerMethodTUniform(s.Matrix(), alpha, linalg.SolverOptions{Workers: workers})
 }
 
-func loadCorpus(pagesPath, spamPath, preset string, scale float64, seed uint64) (*pagegraph.Graph, []int32, error) {
-	if pagesPath == "" {
-		p := gen.Preset(preset)
-		if _, ok := gen.TableOneSources[p]; !ok {
-			return nil, nil, fmt.Errorf("unknown preset %q", preset)
-		}
-		ds, err := gen.GeneratePreset(p, scale, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ds.Pages, ds.SpamSources, nil
-	}
-	pg, load, err := pagegraph.ReadFile(pagesPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	fmt.Fprintf(os.Stderr, "srank: %v\n", load)
-	var spam []int32
-	if spamPath != "" {
-		sf, err := os.Open(spamPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer sf.Close()
-		sc := bufio.NewScanner(sf)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			id, err := strconv.Atoi(line)
-			if err != nil || id < 0 || id >= pg.NumSources() {
-				return nil, nil, fmt.Errorf("bad spam label %q", line)
-			}
-			spam = append(spam, int32(id))
-		}
-		if err := sc.Err(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return pg, spam, nil
-}
-
 func printStats(st linalg.IterStats) {
 	fmt.Printf("solver: %d iterations, residual %.2e, converged %v\n",
 		st.Iterations, st.Residual, st.Converged)
 }
 
-func printTopPages(pg *pagegraph.Graph, scores linalg.Vector, top int) {
+// printTop prints the top entries of scores, highest first, each as its
+// rank, what label says of its index, and its score.
+func printTop(scores linalg.Vector, top int, label func(id int) string) {
 	type entry struct {
 		id    int
 		score float64
@@ -315,29 +285,7 @@ func printTopPages(pg *pagegraph.Graph, scores linalg.Vector, top int) {
 		top = len(all)
 	}
 	for i := 0; i < top; i++ {
-		e := all[i]
-		fmt.Printf("%3d. page %-8d %-28s %.3e\n", i+1, e.id,
-			pg.SourceLabel(pg.SourceOf(int32(e.id))), e.score)
-	}
-}
-
-func printTopSources(sg *source.Graph, scores linalg.Vector, top int) {
-	type entry struct {
-		id    int
-		score float64
-	}
-	all := make([]entry, len(scores))
-	for i, s := range scores {
-		all[i] = entry{i, s}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].score > all[b].score })
-	if top > len(all) {
-		top = len(all)
-	}
-	for i := 0; i < top; i++ {
-		e := all[i]
-		fmt.Printf("%3d. %-28s (%d pages)  %.3e\n", i+1, sg.Labels[e.id],
-			sg.PageCount[e.id], e.score)
+		fmt.Printf("%3d. %s%.3e\n", i+1, label(all[i].id), all[i].score)
 	}
 }
 

@@ -269,3 +269,49 @@ func TestTrustRankMatchesServed(t *testing.T) {
 		}
 	}
 }
+
+// TestSpamFileMatchesServed: a -spam file is read as srserve reads it —
+// comments skipped, duplicates folded, and over a preset's planted labels
+// — so srank reports the served label count and seeds SRSR with the
+// served set, printing the builder's vector bit for bit.
+func TestSpamFileMatchesServed(t *testing.T) {
+	ds, err := gen.GeneratePreset(gen.UK2002, 0.002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	spamPath, vecPath := filepath.Join(dir, "corpus.spam"), filepath.Join(dir, "srsr.vec")
+	a, b := ds.SpamSources[1], ds.SpamSources[0]
+	body := fmt.Sprintf("# planted\n%d\n%d\n%d\n", a, a, b)
+	if err := os.WriteFile(spamPath, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, exit := runSrank(t, "-algo", "srsr", "-spam", spamPath, "-save", vecPath)
+	if exit != 0 {
+		t.Fatalf("-spam %q: exit %d\n%s%s", body, exit, out, stderr)
+	}
+	labels, err := gen.ReadSpamLabels(spamPath, ds.Pages.NumSources())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := server.BuildSnapshot(ds.Pages, labels, server.BuildConfig{Alpha: 0.85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(", %d labeled spam\n", snap.Corpus().SpamLabeled); snap.Corpus().SpamLabeled != 2 || !strings.Contains(out, want) {
+		t.Errorf("served %d labels; srank printed\n%swant %q", snap.Corpus().SpamLabeled, out, want)
+	}
+	got, err := linalg.ReadVectorFile(vecPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snap.Set(server.AlgoSRSR).ScoresView()
+	if len(got) != len(want) {
+		t.Fatalf("srank wrote %d scores, the builder served %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("score %d = %v, served %v", i, got[i], want[i])
+		}
+	}
+}

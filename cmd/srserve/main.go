@@ -32,7 +32,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -42,8 +41,6 @@ import (
 	_ "net/http/pprof" // registers profiling handlers on the default mux, exposed only via -pprof-addr
 	"os"
 	"os/signal"
-	"slices"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -106,11 +103,15 @@ func main() {
 		return
 	}
 
-	pg, spam, name, corpusLoad, err := loadCorpus(*pagesPath, *preset, *scale, *seed)
+	ds, corpusLoad, err := gen.Load(*pagesPath, *preset, *scale, *seed)
 	if err != nil {
 		log.Fatalf("srserve: %v", err)
 	}
-	log.Printf("corpus %s: %d pages, %d links, %d sources", name, pg.NumPages(), pg.NumLinks(), pg.NumSources())
+	if corpusLoad != nil {
+		log.Print(*corpusLoad)
+	}
+	pg := ds.Pages
+	log.Printf("corpus %s: %d pages, %d links, %d sources", ds.Name, pg.NumPages(), pg.NumLinks(), pg.NumSources())
 
 	extra, err := loadExtraScores(*scores)
 	if err != nil {
@@ -120,10 +121,10 @@ func main() {
 		Alpha:   *alpha,
 		TopK:    *topK,
 		Workers: *workers,
-		Name:    name,
+		Name:    ds.Name,
 		Extra:   extra,
 	}}
-	build, err := newBuild(pg, spam, *spamPath, builder)
+	build, err := newBuild(pg, ds.SpamSources, *spamPath, builder)
 	if err != nil {
 		log.Fatalf("srserve: %v", err)
 	}
@@ -207,7 +208,7 @@ func newBuild(pg *pagegraph.Graph, spam []int32, spamPath string, builder *serve
 		if spamPath != "" {
 			// Refresh semantics: the label file is the mutable input;
 			// operators append newly-caught spam sources between cycles.
-			fresh, err := readSpamLabels(spamPath, pg.NumSources())
+			fresh, err := gen.ReadSpamLabels(spamPath, pg.NumSources())
 			if err != nil {
 				return nil, err
 			}
@@ -343,60 +344,6 @@ func runReplica(builder string, rc replicaConfig) {
 		log.Fatalf("srserve: %v", err)
 	}
 	log.Printf("shut down cleanly")
-}
-
-// loadCorpus mirrors cmd/srank: a binary corpus file or a generated
-// preset, with the preset's own spam labels (a corpus file has none; its
-// labels are the -spam file's, which every build reads). The load stats
-// are nil for a preset: nothing was read.
-func loadCorpus(pagesPath, preset string, scale float64, seed uint64) (*pagegraph.Graph, []int32, string, *pagegraph.LoadStats, error) {
-	if pagesPath == "" {
-		p := gen.Preset(preset)
-		if _, ok := gen.TableOneSources[p]; !ok {
-			return nil, nil, "", nil, fmt.Errorf("unknown preset %q", preset)
-		}
-		ds, err := gen.GeneratePreset(p, scale, seed)
-		if err != nil {
-			return nil, nil, "", nil, err
-		}
-		return ds.Pages, ds.SpamSources, ds.Name, nil, nil
-	}
-	pg, st, err := pagegraph.ReadFile(pagesPath)
-	if err != nil {
-		return nil, nil, "", nil, err
-	}
-	log.Print(st)
-	return pg, nil, pagesPath, &st, nil
-}
-
-// readSpamLabels parses one source ID per line, rejecting out-of-range
-// entries, and returns the set in canonical form — ascending, each ID
-// once — so a re-sorted or duplicated file is the same label set to the
-// builder's skip logic and to CorpusInfo.SpamLabeled.
-func readSpamLabels(path string, numSources int) ([]int32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var spam []int32
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		id, err := strconv.Atoi(line)
-		if err != nil || id < 0 || id >= numSources {
-			return nil, fmt.Errorf("bad spam label %q", line)
-		}
-		spam = append(spam, int32(id))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	slices.Sort(spam)
-	return slices.Compact(spam), nil
 }
 
 // loadExtraScores parses -scores name=path pairs via the linalg binary

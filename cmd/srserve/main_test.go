@@ -118,10 +118,11 @@ func TestBuildLine(t *testing.T) {
 	}
 }
 
-// TestReadSpamLabelsCanonical: duplicates and order in the label file do
-// not reach the builder — the set comes back ascending, each ID once —
-// while comments and blank lines are skipped and anything that is not a
-// source ID of this corpus is an error.
+// TestReadSpamLabelsCanonical: duplicates and order in the label file
+// every build re-reads (gen.ReadSpamLabels, srank's reader too) do not
+// reach the builder — the set comes back ascending, each ID once — while
+// comments and blank lines are skipped and anything that is not a source
+// ID of this corpus is an error.
 func TestReadSpamLabelsCanonical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.spam")
 	for _, tc := range []struct {
@@ -136,7 +137,7 @@ func TestReadSpamLabelsCanonical(t *testing.T) {
 		{"empty", "# nothing yet\n", nil},
 	} {
 		writeLabels(t, path, tc.body)
-		got, err := readSpamLabels(path, 10)
+		got, err := gen.ReadSpamLabels(path, 10)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -146,11 +147,11 @@ func TestReadSpamLabelsCanonical(t *testing.T) {
 	}
 	for _, body := range []string{"10\n", "-1\n", "3\nseven\n", "2 3\n"} {
 		writeLabels(t, path, body)
-		if got, err := readSpamLabels(path, 10); err == nil {
+		if got, err := gen.ReadSpamLabels(path, 10); err == nil {
 			t.Errorf("%q accepted as %v", body, got)
 		}
 	}
-	if _, err := readSpamLabels(filepath.Join(t.TempDir(), "absent"), 10); err == nil {
+	if _, err := gen.ReadSpamLabels(filepath.Join(t.TempDir(), "absent"), 10); err == nil {
 		t.Error("missing file accepted")
 	}
 }
